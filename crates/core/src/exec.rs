@@ -18,6 +18,7 @@ use crate::platform::ExecutionRecord;
 use crate::simple_ops::{self, ColumnFill};
 use crate::smo::Smo;
 use crate::status::{EvolutionStatus, PlanLog, PlanStageLog, StatusTracker};
+use cods_query::par::map_parallel;
 use cods_storage::{ColumnDef, EncodedColumn, Schema, StorageError, Table};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -289,7 +290,7 @@ pub(crate) fn run(plan: &EvolutionPlan<'_>) -> Result<PlanReport> {
     for (wave_idx, wave) in plan.waves.iter().enumerate() {
         // Every node in a wave only reads tables produced by earlier waves,
         // so the whole wave runs against one immutable workspace.
-        let outcomes = crate::par::map_parallel(wave.clone(), |i| run_node(&plan.nodes[i].op, &ws));
+        let outcomes = map_parallel(wave.clone(), |i| run_node(&plan.nodes[i].op, &ws));
         let mut stage = PlanStageLog {
             wave: wave_idx,
             operators: Vec::with_capacity(wave.len()),

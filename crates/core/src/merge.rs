@@ -21,6 +21,7 @@
 use crate::error::{EvolutionError, Result};
 use crate::status::{EvolutionStatus, StatusTracker};
 use cods_bitmap::RleSeq;
+use cods_query::par::map_parallel;
 use cods_storage::{ColumnDef, EncodedAssembler, EncodedChunk, EncodedColumn, Schema, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -240,7 +241,7 @@ pub fn merge_key_fk(
     let chunk_rows =
         (reusable.column(r_join[0]).nominal_segment_rows().max(1) as usize).min(n.max(1));
     let starts: Vec<usize> = (0..n).step_by(chunk_rows).collect();
-    let chunks: Vec<Result<Vec<u64>>> = crate::par::map_parallel(starts, |start| {
+    let chunks: Vec<Result<Vec<u64>>> = map_parallel(starts, |start| {
         let end = (start + chunk_rows).min(n);
         let mut out: Vec<u64> = Vec::with_capacity(end - start);
         let mut key_buf: Vec<u32> = vec![0; r_join.len()];
@@ -291,7 +292,7 @@ pub fn merge_key_fk(
         let ids = col.value_ids();
         let step = col.nominal_segment_rows().max(1) as usize;
         let starts: Vec<usize> = (0..n).step_by(step).collect();
-        let chunks = crate::par::map_parallel(starts, |start| {
+        let chunks = map_parallel(starts, |start| {
             let end = (start + step).min(n);
             EncodedChunk::from_ids_for(
                 col,
@@ -460,7 +461,7 @@ pub fn merge_general(
         Left(Vec<u32>),
         Right(Vec<Vec<u32>>),
     }
-    let col_prep: Vec<ColPrep> = crate::par::map_parallel(plan.clone(), |task| match task {
+    let col_prep: Vec<ColPrep> = map_parallel(plan.clone(), |task| match task {
         OutCol::Join { .. } => ColPrep::Join,
         OutCol::LeftPayload { lc } => ColPrep::Left(left.column(lc).value_ids()),
         OutCol::RightPayload { rc } => {
@@ -485,7 +486,7 @@ pub fn merge_general(
     }
     let group_end = |g: usize| offsets[g] + n1[g] * n2[g];
     let n_tasks = tasks.len() as u64;
-    let chunks: Vec<(usize, EncodedChunk)> = crate::par::map_parallel(tasks, |(ci, lo, hi)| {
+    let chunks: Vec<(usize, EncodedChunk)> = map_parallel(tasks, |(ci, lo, hi)| {
         let col = col_of(&plan[ci]);
         let mut sink = RunSink::new();
         // Group offsets ascend, so the groups overlapping [lo, hi) form a

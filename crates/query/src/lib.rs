@@ -13,6 +13,7 @@
 //!   dictionary-native columnar kernel (`aggregate_table_masked`);
 //! * [`join`] — the partition-wise hash join over dictionary-encoded
 //!   columns, with a buffer-budget-aware multi-pass fallback;
+//! * [`par`] — the segment fan-out shared with the evolution operators;
 //! * [`cost`] — per-operator cost estimates from resident segment
 //!   metadata, used to rank kernel strategies and plan alternatives;
 //! * [`evolution`] — the four baseline drivers behind Figure 3:
@@ -30,7 +31,7 @@ pub mod bitmap_scan;
 pub mod cost;
 pub mod evolution;
 pub mod join;
-mod par;
+pub mod par;
 pub mod plan;
 pub mod pred;
 pub mod stream;

@@ -1,17 +1,24 @@
-//! Segment fan-out for the vectorized query kernels.
+//! The one segment fan-out, shared by the vectorized query kernels here and
+//! the evolution operators in `cods` (DECOMPOSE / MERGE / the plan
+//! executor's waves).
 //!
-//! Mirrors the evolution engine's pool seam: work decomposes into one task
-//! per segment batch and runs on `rayon`'s persistent process-wide pool.
-//! With one item or one worker the map degenerates to the serial loop, so
-//! single-core hosts pay nothing for the seam.
+//! Work decomposes into independent tasks — one per segment batch, or one
+//! per (column × segment) — and runs on `rayon`'s persistent process-wide
+//! pool (one OS thread per hardware thread, started once per process), so
+//! the grain can be thousands of tasks without spawning thousands of
+//! threads. With one item or one worker the map degenerates to the serial
+//! loop, so single-core hosts pay nothing for the seam.
+//!
+//! `CODS_QUERY_THREADS` sizes **both** fan-outs: the override below also
+//! decides whether the SMO operators fan out or run serially.
 
 use std::sync::OnceLock;
 
-/// Worker count the kernels size their fan-out against. `CODS_QUERY_THREADS`
+/// Worker count the fan-out is sized against. `CODS_QUERY_THREADS`
 /// overrides the pool's native width — the thread-scaling smoke's knob, so a
 /// 1-core CI container can still exercise the N>1 fan-out path (tasks then
 /// interleave on the single worker; results must stay bit-identical).
-pub(crate) fn threads() -> usize {
+fn threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
         std::env::var("CODS_QUERY_THREADS")
@@ -23,7 +30,7 @@ pub(crate) fn threads() -> usize {
 }
 
 /// Maps `f` over `items` in parallel, preserving order.
-pub(crate) fn map_parallel<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+pub fn map_parallel<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -63,5 +70,15 @@ mod tests {
         let out: Vec<i32> = map_parallel(Vec::<i32>::new(), |x| x);
         assert!(out.is_empty());
         assert_eq!(map_parallel(vec![7], |x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn many_tasks_preserve_order() {
+        let items: Vec<u64> = (0..10_000).collect();
+        let out = map_parallel(items, |x| x * 2);
+        assert_eq!(out.len(), 10_000);
+        for (i, v) in out.iter().enumerate() {
+            assert_eq!(*v, i as u64 * 2);
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! while its high-churn suffix stays bitmap — the per-*segment* layout
 //! choice the per-column chooser of the previous design could not express.
 //!
-//! Every directory operation (filter, gather, concat, slice, cursor,
+//! Every directory operation (filter, gather, concat, slice, id decode,
 //! compaction) dispatches per segment on its encoding; evolution operators
 //! fan out one task per (column × segment) and splice per-segment
 //! [`EncodedChunk`]s back through an [`EncodedAssembler`], which seals each
@@ -14,7 +14,6 @@
 //! lands as RLE, dense rewrites as bitmap — so SMOs produce mixed
 //! directories for free.
 
-use crate::cursor::RowIdCursor;
 use crate::dictionary::Dictionary;
 use crate::error::StorageError;
 use crate::rle_segment::RleSegment;
@@ -87,22 +86,6 @@ impl SegmentEnc {
         match self {
             SegmentEnc::Bitmap(_) => Encoding::Bitmap,
             SegmentEnc::Rle(_) => Encoding::Rle,
-        }
-    }
-
-    /// The bitmap form, when bitmap encoded.
-    pub fn as_bitmap(&self) -> Option<&Arc<Segment>> {
-        match self {
-            SegmentEnc::Bitmap(s) => Some(s),
-            SegmentEnc::Rle(_) => None,
-        }
-    }
-
-    /// The RLE form, when run-length encoded.
-    pub fn as_rle(&self) -> Option<&Arc<RleSegment>> {
-        match self {
-            SegmentEnc::Bitmap(_) => None,
-            SegmentEnc::Rle(s) => Some(s),
         }
     }
 
@@ -702,26 +685,15 @@ impl EncodedColumn {
         segment_rows: u64,
     ) -> EncodedColumn {
         let zones = derive_zones(&dict, &segments);
-        Self::from_segments_zoned(ty, dict, segments, zones, segment_rows)
-    }
-
-    /// [`EncodedColumn::from_segments`] with caller-supplied zone maps
-    /// (spliced from inputs, or read from disk). The zones must be parallel
-    /// to `segments` and consistent with their present-id stats —
-    /// [`EncodedColumn::check_invariants`] verifies both.
-    pub fn from_segments_zoned(
-        ty: ValueType,
-        dict: Dictionary,
-        segments: Vec<SegmentEnc>,
-        zones: Vec<Zone>,
-        segment_rows: u64,
-    ) -> EncodedColumn {
         let slots = segments.into_iter().map(SegSlot::fresh).collect();
         Self::from_slots_zoned(ty, dict, slots, zones, segment_rows)
     }
 
-    /// [`EncodedColumn::from_segments_zoned`] over already-built directory
-    /// slots — the v6 lazy-open path, where segments arrive paged out.
+    /// [`EncodedColumn::from_segments`] over already-built directory slots
+    /// with their zone maps as read from disk — the lazy-open path, where
+    /// segments arrive paged out. The zones must be parallel to `segments`
+    /// and consistent with their present-id stats;
+    /// [`EncodedColumn::check_invariants`] verifies both.
     pub(crate) fn from_slots_zoned(
         ty: ValueType,
         dict: Dictionary,
@@ -768,33 +740,6 @@ impl EncodedColumn {
         Self::from_segments(ty, compact_dict, segments, segment_rows)
     }
 
-    /// Assembles a column from a dictionary and full-length per-value
-    /// bitmaps, dropping values whose bitmap is empty (compacting the
-    /// dictionary). Used by callers that build bitmaps for every dictionary
-    /// value of an input but may leave some unused.
-    pub fn from_dict_bitmaps_compacting(
-        ty: ValueType,
-        dict: Dictionary,
-        bitmaps: Vec<Wah>,
-        rows: u64,
-    ) -> Result<EncodedColumn, StorageError> {
-        if dict.len() != bitmaps.len() {
-            return Err(StorageError::Corrupt(format!(
-                "dictionary has {} values but {} bitmaps supplied",
-                dict.len(),
-                bitmaps.len()
-            )));
-        }
-        let (compact_dict, mapping) = dict.compact(|id| bitmaps[id as usize].any());
-        let mut kept = Vec::with_capacity(compact_dict.len());
-        for (old_id, new_id) in mapping.iter().enumerate() {
-            if new_id.is_some() {
-                kept.push(bitmaps[old_id].clone());
-            }
-        }
-        Self::from_parts(ty, compact_dict, kept, rows)
-    }
-
     // ---- geometry and statistics ----
 
     /// Column type.
@@ -826,11 +771,6 @@ impl EncodedColumn {
     /// Number of row-range segments.
     pub fn segment_count(&self) -> usize {
         self.segments.len()
-    }
-
-    /// Start row of segment `idx`.
-    pub fn segment_start(&self, idx: usize) -> u64 {
-        self.starts[idx]
     }
 
     /// Row counts of every segment, in order.
@@ -1084,22 +1024,7 @@ impl EncodedColumn {
     /// sequential-scan primitive of the CODS algorithms: it never touches
     /// dictionary values, only ids.
     pub fn value_ids(&self) -> Vec<u32> {
-        let mut ids = vec![u32::MAX; self.rows as usize];
-        for (seg, &start) in self.segments.iter().zip(&self.starts) {
-            let out = &mut ids[start as usize..(start + seg.rows()) as usize];
-            match seg.enc() {
-                SegmentEnc::Bitmap(s) => s.fill_ids(out),
-                SegmentEnc::Rle(s) => {
-                    let mut pos = 0usize;
-                    for &(id, n) in s.seq().runs() {
-                        out[pos..pos + n as usize].fill(id);
-                        pos += n as usize;
-                    }
-                }
-            }
-        }
-        debug_assert!(ids.iter().all(|&i| i != u32::MAX), "uncovered row");
-        ids
+        self.ids_range(0..self.rows)
     }
 
     /// Materializes the row → value-id array of `range` only, decoding
@@ -1228,12 +1153,6 @@ impl EncodedColumn {
             .into_iter()
             .map(|id| self.dict.value(id).clone())
             .collect()
-    }
-
-    /// Streaming `(row, value id)` cursor in ascending row order, without
-    /// materializing anything per row.
-    pub fn id_cursor(&self) -> RowIdCursor<'_> {
-        RowIdCursor::new(self)
     }
 
     /// Materializes the full-length bitmap of value id `id` by splicing the
@@ -2056,7 +1975,7 @@ mod tests {
         assert_eq!(c.segment_count(), 11);
         assert_eq!(c.segments()[0].rows(), 100);
         assert_eq!(c.segments()[10].rows(), 50);
-        assert_eq!(c.segment_start(10), 1_000);
+        assert_eq!(c.starts[10], 1_000);
         let expect: Vec<Value> = (0..1_050).map(|i| Value::int(i % 7)).collect();
         assert_eq!(c.values(), expect);
     }
@@ -2126,7 +2045,6 @@ mod tests {
         assert_eq!(c.segment_count(), 0);
         assert_eq!(c.uniform_encoding(), Some(Encoding::Bitmap));
         assert!(c.values().is_empty());
-        assert_eq!(c.id_cursor().count(), 0);
     }
 
     #[test]
@@ -2196,9 +2114,6 @@ mod tests {
             for id in 0..b.distinct_count() as u32 {
                 assert_eq!(b.value_bitmap(id), col.value_bitmap(id));
             }
-            let cur_b: Vec<(u64, u32)> = b.id_cursor().collect();
-            let cur_c: Vec<(u64, u32)> = col.id_cursor().collect();
-            assert_eq!(cur_b, cur_c);
         }
     }
 

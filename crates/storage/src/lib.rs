@@ -22,13 +22,12 @@
 //!   directory, sealing each output segment in its pieces' encoding.
 //! * [`Table`] — schema + `Arc`-shared columns.
 //! * [`Catalog`] — thread-safe table namespace.
-//! * [`RowIdCursor`] — streaming `row → value id` scans over compressed data.
 //! * [`SegSlot`] / [`SegmentStore`] — the demand-paged directory entry and
 //!   the process-wide, byte-budgeted buffer cache behind it (see
 //!   [`segment_cache`]).
-//! * [`load`] — delimited-text ingest; [`persist`] — versioned binary table
-//!   files (v6 keeps segment payloads on disk behind a footer index for
-//!   lazy opens; v1–v5 files are still read).
+//! * [`load`] — delimited-text ingest; [`persist`] — the binary table and
+//!   catalog file format (one version: segment payloads stay on disk behind
+//!   a footer index for lazy opens; any other version is refused).
 //! * [`wal`] — the rollback journal that makes every save crash-safe
 //!   (journal-then-overwrite appends, temp+rename rewrites, recovery on
 //!   open); [`commitlog`] — the SMO-granularity commit log that makes every
@@ -56,7 +55,6 @@
 
 pub mod catalog;
 pub mod commitlog;
-pub mod cursor;
 pub mod dictionary;
 pub mod encoded;
 pub mod error;
@@ -79,7 +77,6 @@ pub use commitlog::{
     clog_path, log_status, open_durable, open_durable_with, CommitLog, CommitLogStats, LogStatus,
     ReplayReport,
 };
-pub use cursor::RowIdCursor;
 pub use dictionary::{Dictionary, ValueOrder};
 pub use encoded::{
     choose_encoding_from_stats, ColumnBuilder, EncodedAssembler, EncodedChunk, EncodedColumn,

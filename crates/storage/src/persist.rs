@@ -1,10 +1,10 @@
 //! Binary persistence of tables and catalogs.
 //!
-//! Version 6 splits a file into a payload heap and a metadata region so a
-//! column opens as *metadata only* — schema, dictionary, per-segment stats,
-//! zone maps, encoding/pin tags — while segment payloads stay on disk
-//! behind a footer index and fault in through the buffer cache
-//! ([`crate::store`]) on first touch:
+//! There is one on-disk format (version 6). A file is a payload heap plus a
+//! metadata region, so a column opens as *metadata only* — schema,
+//! dictionary, per-segment stats, zone maps, encoding/pin tags — while
+//! segment payloads stay on disk behind a footer index and fault in through
+//! the buffer cache ([`crate::store`]) on first touch:
 //!
 //! ```text
 //! file     := preamble payload-heap metadata footer
@@ -40,23 +40,15 @@
 //! After any save, freshly built segments adopt their new on-disk location
 //! and become evictable.
 //!
-//! Version 5 (eager per-segment payloads behind per-segment encoding
-//! tags), version 4 (one column-wide `enc` byte — homogeneous directories
-//! only), version 3 (no flags byte, no zones), version 2 (bitmap-only
-//! segment directory) and version 1 (the monolithic format: one
-//! full-length bitmap per dictionary value) are still decoded
-//! transparently — fully resident, since those files carry no payload
-//! index. [`encode_table_v1`] writes the legacy layout for compatibility
-//! tests and downgrades; on a lazily opened table it faults every segment
-//! in, since the monolithic layout needs all payloads.
+//! A preamble carrying any other version is refused with
+//! `PersistError("unsupported version N")`.
 
 use crate::dictionary::Dictionary;
-use crate::encoded::{EncodedColumn, Encoding, SegmentEnc};
+use crate::encoded::{EncodedColumn, Encoding};
 use crate::error::StorageError;
 use crate::fault;
-use crate::rle_segment::RleSegment;
 use crate::schema::{ColumnDef, Schema};
-use crate::segment::{Segment, Zone};
+use crate::segment::Zone;
 use crate::store::{
     encode_payload, file_id_of, payload_encoded_len, segment_cache, DiskLoc, FileId, PayloadSource,
     SegMeta, SegSlot,
@@ -65,21 +57,22 @@ use crate::table::Table;
 use crate::value::{Value, ValueType};
 use crate::wal;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use cods_bitmap::{RleSeq, Wah};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const MAGIC: u32 = 0xC0D5_0001;
-/// Current on-disk format version (demand-paged payload heap + footer).
+/// The on-disk format version (demand-paged payload heap + footer) — the
+/// only one this build reads or writes.
 pub const VERSION: u16 = 6;
-/// Oldest format version this build can read.
-pub const MIN_VERSION: u16 = 1;
 
 /// `magic:u32 version:u16`.
 pub(crate) const PREAMBLE_LEN: usize = 6;
 /// `meta_off:u64 magic:u32`.
 const FOOTER_LEN: usize = 12;
+/// The fixed part of a segment record: `segtag off len rows runs bytes
+/// present` — the least a record can occupy.
+const SEG_RECORD_MIN: usize = 1 + 5 * 8 + 4;
 
 const ENC_BITMAP: u8 = 0;
 const ENC_RLE: u8 = 1;
@@ -214,17 +207,6 @@ fn put_dict<B: BufMut>(buf: &mut B, ty: ValueType, dict: &Dictionary) {
     }
 }
 
-/// Writes a column in the legacy monolithic (version-1) layout: one
-/// full-length bitmap per dictionary value, whatever the in-memory
-/// per-segment encodings (the downgrade path). Faults lazily opened
-/// segments in, since the monolithic layout needs every payload.
-fn put_column_v1<B: BufMut>(buf: &mut B, c: &EncodedColumn) {
-    put_dict(buf, c.ty(), c.dict());
-    for id in 0..c.dict().len() as u32 {
-        c.value_bitmap(id).encode(buf);
-    }
-}
-
 fn put_zones<B: BufMut>(buf: &mut B, zones: &[Zone]) {
     for z in zones {
         buf.put_u32_le(z.min_id);
@@ -261,6 +243,11 @@ fn get_dict<B: Buf>(buf: &mut B) -> Result<(ValueType, Dictionary), StorageError
     let ty = ValueType::from_tag(buf.get_u8())
         .ok_or_else(|| StorageError::PersistError("bad column type tag".into()))?;
     let dict_len = buf.get_u32_le() as usize;
+    // The count comes straight off the disk and a value is at least one
+    // byte: bound it by what the buffer could hold before allocating.
+    if dict_len > buf.remaining() {
+        return Err(eof());
+    }
     let mut values = Vec::with_capacity(dict_len);
     for _ in 0..dict_len {
         values.push(get_value(buf)?);
@@ -269,189 +256,8 @@ fn get_dict<B: Buf>(buf: &mut B) -> Result<(ValueType, Dictionary), StorageError
     Ok((ty, dict))
 }
 
-/// Reads the `seg_rows`/`seg_count` directory header shared by v2–v6.
-fn get_dir_header<B: Buf>(buf: &mut B) -> Result<(u64, usize), StorageError> {
-    if buf.remaining() < 12 {
-        return Err(eof());
-    }
-    let seg_rows = buf.get_u64_le();
-    if seg_rows == 0 {
-        return Err(StorageError::PersistError(
-            "zero nominal segment size".into(),
-        ));
-    }
-    Ok((seg_rows, buf.get_u32_le() as usize))
-}
-
-/// Reads one eagerly stored bitmap segment (v2–v5), validating present ids
-/// against the dictionary up front — zone derivation indexes the rank table
-/// by id, so a corrupt file must be rejected here with an error, never by a
-/// panic downstream.
-fn get_bitmap_segment<B: Buf>(buf: &mut B, dict_len: usize) -> Result<Arc<Segment>, StorageError> {
-    if buf.remaining() < 12 {
-        return Err(eof());
-    }
-    let srows = buf.get_u64_le();
-    let present = buf.get_u32_le() as usize;
-    if present == 0 && srows > 0 {
-        return Err(StorageError::PersistError(format!(
-            "segment of {srows} rows with no present values"
-        )));
-    }
-    let mut ids = Vec::with_capacity(present);
-    for _ in 0..present {
-        if buf.remaining() < 4 {
-            return Err(eof());
-        }
-        let id = buf.get_u32_le();
-        if id as usize >= dict_len {
-            return Err(StorageError::PersistError(format!(
-                "segment id {id} beyond dictionary of {dict_len}"
-            )));
-        }
-        ids.push(id);
-    }
-    let mut pairs = Vec::with_capacity(present);
-    for id in ids {
-        let bm = Wah::decode(buf)?;
-        if bm.len() != srows {
-            return Err(StorageError::PersistError(format!(
-                "segment bitmap of id {id} has length {}, segment has {srows} rows",
-                bm.len()
-            )));
-        }
-        if !bm.any() {
-            return Err(StorageError::PersistError(format!(
-                "empty segment bitmap for id {id}"
-            )));
-        }
-        pairs.push((id, bm));
-    }
-    Ok(Arc::new(Segment::new(srows, pairs)))
-}
-
-/// Reads one eagerly stored RLE segment (v3–v5), validating run ids against
-/// the dictionary (see [`get_bitmap_segment`]).
-fn get_rle_segment<B: Buf>(buf: &mut B, dict_len: usize) -> Result<Arc<RleSegment>, StorageError> {
-    let seq =
-        RleSeq::decode(buf).map_err(|e| StorageError::PersistError(format!("rle segment: {e}")))?;
-    if seq.is_empty() {
-        return Err(StorageError::PersistError("empty rle segment".into()));
-    }
-    if let Some(&(id, _)) = seq.runs().iter().find(|&&(id, _)| id as usize >= dict_len) {
-        return Err(StorageError::PersistError(format!(
-            "rle run id {id} beyond dictionary of {dict_len}"
-        )));
-    }
-    Ok(Arc::new(RleSegment::new(seq)))
-}
-
-/// Reads the homogeneous directory of a v2–v4 column (one encoding for
-/// every segment).
-fn get_uniform_segments<B: Buf>(
-    buf: &mut B,
-    dict_len: usize,
-    enc: u8,
-) -> Result<(Vec<SegmentEnc>, u64), StorageError> {
-    let (seg_rows, seg_count) = get_dir_header(buf)?;
-    let mut segments = Vec::with_capacity(seg_count);
-    for _ in 0..seg_count {
-        segments.push(match enc {
-            ENC_BITMAP => SegmentEnc::Bitmap(get_bitmap_segment(buf, dict_len)?),
-            ENC_RLE => SegmentEnc::Rle(get_rle_segment(buf, dict_len)?),
-            e => {
-                return Err(StorageError::PersistError(format!(
-                    "unknown column encoding {e}"
-                )))
-            }
-        });
-    }
-    Ok((segments, seg_rows))
-}
-
-fn get_column<B: Buf>(buf: &mut B, rows: u64, version: u16) -> Result<EncodedColumn, StorageError> {
-    let (ty, dict) = get_dict(buf)?;
-    let col = match version {
-        1 => {
-            let mut bitmaps = Vec::with_capacity(dict.len());
-            for _ in 0..dict.len() {
-                bitmaps.push(Wah::decode(buf)?);
-            }
-            EncodedColumn::from_parts(ty, dict, bitmaps, rows)?
-        }
-        2 => {
-            let (segments, seg_rows) = get_uniform_segments(buf, dict.len(), ENC_BITMAP)?;
-            EncodedColumn::from_segments(ty, dict, segments, seg_rows)
-        }
-        3 => {
-            if buf.remaining() < 1 {
-                return Err(eof());
-            }
-            // v3 stores no zones: reconstructed from segment stats below
-            // (from_segments derives them).
-            let enc = buf.get_u8();
-            let (segments, seg_rows) = get_uniform_segments(buf, dict.len(), enc)?;
-            EncodedColumn::from_segments(ty, dict, segments, seg_rows)
-        }
-        4 => {
-            if buf.remaining() < 2 {
-                return Err(eof());
-            }
-            let enc = buf.get_u8();
-            let flags = buf.get_u8();
-            let dict_len = dict.len();
-            let (segments, seg_rows) = get_uniform_segments(buf, dict_len, enc)?;
-            let zones = get_zones(buf, segments.len(), dict_len)?;
-            let mut col = EncodedColumn::from_segments_zoned(ty, dict, segments, zones, seg_rows);
-            col.set_encoding_pinned(flags & FLAG_PINNED != 0);
-            col
-        }
-        _ => {
-            // v5: flags byte, then one tagged eager segment after another.
-            if buf.remaining() < 1 {
-                return Err(eof());
-            }
-            let flags = buf.get_u8();
-            let dict_len = dict.len();
-            let (seg_rows, seg_count) = get_dir_header(buf)?;
-            let mut segments = Vec::with_capacity(seg_count);
-            let mut pins = Vec::with_capacity(seg_count);
-            for _ in 0..seg_count {
-                if buf.remaining() < 1 {
-                    return Err(eof());
-                }
-                let tag = buf.get_u8();
-                if tag & !(ENC_RLE | SEG_FLAG_PINNED) != 0 {
-                    return Err(StorageError::PersistError(format!(
-                        "unknown segment tag {tag:#04x}"
-                    )));
-                }
-                pins.push(tag & SEG_FLAG_PINNED != 0);
-                segments.push(if tag & ENC_RLE != 0 {
-                    SegmentEnc::Rle(get_rle_segment(buf, dict_len)?)
-                } else {
-                    SegmentEnc::Bitmap(get_bitmap_segment(buf, dict_len)?)
-                });
-            }
-            let zones = get_zones(buf, segments.len(), dict_len)?;
-            let mut col = EncodedColumn::from_segments_zoned(ty, dict, segments, zones, seg_rows);
-            col.set_segment_pins(pins);
-            col.set_encoding_pinned(flags & FLAG_PINNED != 0);
-            col
-        }
-    };
-    if col.rows() != rows {
-        return Err(StorageError::PersistError(format!(
-            "column covers {} rows, table claims {rows}",
-            col.rows()
-        )));
-    }
-    col.check_invariants()?;
-    Ok(col)
-}
-
 // ---------------------------------------------------------------------------
-// v6 writer: payload heap + metadata region + footer.
+// Writer: payload heap + metadata region + footer.
 // ---------------------------------------------------------------------------
 
 /// A slot whose payload the current save placed (or will place) in the
@@ -534,7 +340,7 @@ impl<'a> HeapBuilder<'a> {
 }
 
 /// Writes one column's metadata record, placing its payloads in the heap.
-fn put_column_v6<B: BufMut>(
+fn put_column<B: BufMut>(
     meta: &mut B,
     heap: &mut HeapBuilder<'_>,
     c: &EncodedColumn,
@@ -573,7 +379,7 @@ fn put_column_v6<B: BufMut>(
     Ok(())
 }
 
-fn put_table_v6<B: BufMut>(
+fn put_table<B: BufMut>(
     meta: &mut B,
     heap: &mut HeapBuilder<'_>,
     t: &Table,
@@ -582,7 +388,7 @@ fn put_table_v6<B: BufMut>(
     put_schema(meta, t.schema());
     meta.put_u64_le(t.rows());
     for c in t.columns() {
-        put_column_v6(meta, heap, c)?;
+        put_column(meta, heap, c)?;
     }
     Ok(())
 }
@@ -638,42 +444,21 @@ fn put_content<B: BufMut>(
     what: &Content<'_>,
 ) -> Result<(), StorageError> {
     match what {
-        Content::Table(t) => put_table_v6(meta, heap, t),
+        Content::Table(t) => put_table(meta, heap, t),
         Content::Catalog(ts) => {
             meta.put_u32_le(ts.len() as u32);
             for t in ts {
-                put_table_v6(meta, heap, t)?;
+                put_table(meta, heap, t)?;
             }
             Ok(())
         }
     }
 }
 
-/// Builds a complete v6 image in memory (fresh saves and the in-memory
-/// encode path).
-fn build_image(what: &Content<'_>) -> Result<(Bytes, Vec<Placement>), StorageError> {
-    let mut heap = HeapBuilder::new(PREAMBLE_LEN as u64, None, None);
-    let mut meta = BytesMut::new();
-    put_content(&mut meta, &mut heap, what)?;
-    let meta_off = heap.next;
-    let HeapBuilder {
-        buf, placements, ..
-    } = heap;
-    let mut out = BytesMut::new();
-    out.put_u32_le(MAGIC);
-    out.put_u16_le(VERSION);
-    out.put_slice(buf.freeze().as_slice());
-    out.put_slice(meta.freeze().as_slice());
-    out.put_u64_le(meta_off);
-    out.put_u32_le(MAGIC);
-    Ok((out.freeze(), placements))
-}
-
-/// The product of [`build_append_tail`]: the bytes to write from the old
-/// metadata offset, the adoption list, and the heap accounting the
-/// auto-vacuum trigger wants.
-struct AppendTail {
-    tail: Bytes,
+/// The product of [`build`]: the bytes to write at `base`, the adoption
+/// list, and the heap accounting the auto-vacuum trigger wants.
+struct Built {
+    bytes: Bytes,
     placements: Vec<Placement>,
     /// Old-heap bytes the new metadata still references.
     live_reused: u64,
@@ -681,16 +466,17 @@ struct AppendTail {
     heap_end: u64,
 }
 
-/// Builds the tail of an append-save: payloads new to the target file,
-/// the rewritten metadata region, and the footer — everything from the old
-/// metadata offset to the new end of file.
-fn build_append_tail(
+/// Serializes `what` from file offset `base` on: payloads not already in
+/// the append `target`, the metadata region, and the footer. Without a
+/// target this is a complete image — it opens with the preamble and `base`
+/// is [`PREAMBLE_LEN`]; with one it is the tail of an append-save,
+/// everything from the old metadata offset to the new end of file.
+fn build(
     what: &Content<'_>,
     base: u64,
-    target: &Path,
-    target_id: Option<FileId>,
-) -> Result<AppendTail, StorageError> {
-    let mut heap = HeapBuilder::new(base, Some(target), target_id);
+    target: Option<(&Path, Option<FileId>)>,
+) -> Result<Built, StorageError> {
+    let mut heap = HeapBuilder::new(base, target.map(|t| t.0), target.and_then(|t| t.1));
     let mut meta = BytesMut::new();
     put_content(&mut meta, &mut heap, what)?;
     let meta_off = heap.next;
@@ -698,21 +484,32 @@ fn build_append_tail(
     let HeapBuilder {
         buf, placements, ..
     } = heap;
-    let mut tail = BytesMut::new();
-    tail.put_slice(buf.freeze().as_slice());
-    tail.put_slice(meta.freeze().as_slice());
-    tail.put_u64_le(meta_off);
-    tail.put_u32_le(MAGIC);
-    Ok(AppendTail {
-        tail: tail.freeze(),
+    let mut out = BytesMut::new();
+    if target.is_none() {
+        out.put_u32_le(MAGIC);
+        out.put_u16_le(VERSION);
+    }
+    out.put_slice(buf.freeze().as_slice());
+    out.put_slice(meta.freeze().as_slice());
+    out.put_u64_le(meta_off);
+    out.put_u32_le(MAGIC);
+    Ok(Built {
+        bytes: out.freeze(),
         placements,
         live_reused,
         heap_end: meta_off,
     })
 }
 
+/// Builds a complete image in memory (fresh saves, vacuum and the
+/// in-memory encode path).
+fn build_image(what: &Content<'_>) -> Result<(Bytes, Vec<Placement>), StorageError> {
+    let built = build(what, PREAMBLE_LEN as u64, None)?;
+    Ok((built.bytes, built.placements))
+}
+
 /// Decides whether saving `what` onto `path` can append: the target must
-/// be a healthy v6 container that already backs at least one of the
+/// be a healthy container that already backs at least one of the
 /// content's segments. Returns the old metadata offset (where appended
 /// payloads go) and the canonical target path. Any doubt falls back to a
 /// full rewrite.
@@ -735,36 +532,21 @@ fn append_point(what: &Content<'_>, path: &Path) -> Option<(u64, PathBuf, Option
     if !referenced {
         return None;
     }
-    use std::io::{Read, Seek, SeekFrom};
-    let mut f = std::fs::File::open(path).ok()?;
-    let len = f.metadata().ok()?.len();
-    if len < (PREAMBLE_LEN + FOOTER_LEN) as u64 {
-        return None;
-    }
-    let mut head = [0u8; PREAMBLE_LEN];
-    f.read_exact(&mut head).ok()?;
-    if u32::from_le_bytes(head[0..4].try_into().unwrap()) != MAGIC
-        || u16::from_le_bytes(head[4..6].try_into().unwrap()) != VERSION
-    {
-        return None;
-    }
-    f.seek(SeekFrom::Start(len - FOOTER_LEN as u64)).ok()?;
-    let mut foot = [0u8; FOOTER_LEN];
-    f.read_exact(&mut foot).ok()?;
-    if u32::from_le_bytes(foot[8..12].try_into().unwrap()) != MAGIC {
-        return None;
-    }
-    let meta_off = u64::from_le_bytes(foot[0..8].try_into().unwrap());
-    if meta_off < PREAMBLE_LEN as u64 || meta_off > len - FOOTER_LEN as u64 {
-        return None;
-    }
+    let (_, meta_off) = file_footer(path).ok()?;
     Some((meta_off, canon, target_id))
 }
 
-/// After a successful save: freshly built segments adopt their new on-disk
-/// location (and enrol in the buffer cache, becoming evictable). Slots
-/// already backed elsewhere keep their original source.
-fn adopt_placements(path: &Path, placements: Vec<Placement>) -> Result<(), StorageError> {
+/// After a committed write: points every placed slot at its location in
+/// `path` through `bind` and enrols the newly backed ones in the buffer
+/// cache (making them evictable). A save binds with
+/// [`SegSlot::attach_disk`] — slots already backed elsewhere keep their
+/// original source; vacuum with [`SegSlot::rebind_disk`] — offsets moved,
+/// so existing `DiskLoc`s are overwritten.
+fn bind_placements(
+    path: &Path,
+    placements: Vec<Placement>,
+    bind: fn(&SegSlot, DiskLoc) -> bool,
+) -> Result<(), StorageError> {
     if placements.is_empty() {
         return Ok(());
     }
@@ -778,7 +560,7 @@ fn adopt_placements(path: &Path, placements: Vec<Placement>) -> Result<(), Stora
             offset,
             len,
         };
-        if slot.attach_disk(loc) {
+        if bind(&slot, loc) {
             store.adopt(&slot);
         }
     }
@@ -829,12 +611,12 @@ fn save_append(
     canon: &Path,
     target_id: Option<FileId>,
 ) -> Result<AppendStats, StorageError> {
-    let AppendTail {
-        tail,
+    let Built {
+        bytes: tail,
         placements,
         live_reused,
         heap_end,
-    } = build_append_tail(what, base, canon, target_id)?;
+    } = build(what, base, Some((canon, target_id)))?;
     // 1. Journal the old tail durably — before the target is touched.
     let guard = wal::TailGuard::begin(path, base)?;
     // 2. Overwrite the tail and sync.
@@ -856,7 +638,7 @@ fn save_append(
     guard.commit()?;
     // 4. Only now — the file is fully committed — may fresh slots adopt
     //    their on-disk locations.
-    adopt_placements(path, placements)?;
+    bind_placements(path, placements, SegSlot::attach_disk)?;
     let old_heap = base - PREAMBLE_LEN as u64;
     Ok(AppendStats {
         dead_bytes: old_heap.saturating_sub(live_reused),
@@ -870,7 +652,7 @@ fn save_append(
 fn save_rewrite(what: &Content<'_>, path: &Path) -> Result<(), StorageError> {
     let (image, placements) = build_image(what)?;
     write_atomic(path, image.as_slice())?;
-    adopt_placements(path, placements)
+    bind_placements(path, placements, SegSlot::attach_disk)
 }
 
 fn save_content(what: &Content<'_>, path: &Path) -> Result<(), StorageError> {
@@ -925,62 +707,69 @@ pub(crate) fn rewrite_compacted(
     // other snapshots keep their open handle (the unlinked inode stays
     // readable on unix) and fall back to copy-on-save thanks to the
     // file-identity check in `append_point`/`HeapBuilder::place`.
-    let file = std::fs::File::open(path)?;
-    let canon = std::fs::canonicalize(path)?;
-    let source = Arc::new(PayloadSource::for_file(file, canon));
-    let store = segment_cache();
     let segments = placements.len();
-    let mut live = 0u64;
-    for (slot, offset, len) in placements {
-        live += len;
-        let loc = DiskLoc {
-            source: Arc::clone(&source),
-            offset,
-            len,
-        };
-        if slot.rebind_disk(loc) {
-            store.adopt(&slot);
-        }
-    }
+    let live = placements.iter().map(|&(_, _, len)| len).sum();
+    bind_placements(path, placements, SegSlot::rebind_disk)?;
     Ok((before, after, live, segments))
 }
 
-/// Reads and validates the footer of a v6 file without decoding anything
-/// else. Returns `(file_len, meta_off)`.
-pub(crate) fn v6_footer(path: &Path) -> Result<(u64, u64), StorageError> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut f = std::fs::File::open(path)?;
+/// The one footer parser — the save path, vacuum, the in-memory decode and
+/// the lazy file open all locate the metadata region through it. Checks
+/// the preamble (magic, version), then the last [`FOOTER_LEN`] bytes: tail
+/// magic, and `meta_off` within `[PREAMBLE_LEN, len - FOOTER_LEN]`. Reads
+/// nothing else. Returns `(len, meta_off)`.
+///
+/// `path` names a file-backed source: a footer that fails to validate is
+/// then the typed [`torn_tail`] corruption with its recovery hint, where an
+/// in-memory image gets a plain `PersistError`.
+fn read_footer<R: std::io::Read + std::io::Seek>(
+    src: &mut R,
+    path: Option<&Path>,
+) -> Result<(u64, u64), StorageError> {
+    use std::io::SeekFrom;
+    let bad = |detail: String| match path {
+        Some(p) => torn_tail(p, detail),
+        None => StorageError::PersistError(detail),
+    };
     let mut head = [0u8; PREAMBLE_LEN];
-    f.read_exact(&mut head).map_err(|_| eof())?;
-    check_header(&mut &head[..])?;
-    let version = u16::from_le_bytes(head[4..6].try_into().unwrap());
-    if version < 6 {
+    src.read_exact(&mut head).map_err(|_| eof())?;
+    let mut head = &head[..];
+    let magic = head.get_u32_le();
+    if magic != MAGIC {
         return Err(StorageError::PersistError(format!(
-            "version {version} file has no payload heap"
+            "bad magic 0x{magic:08x}"
         )));
     }
-    let len = f.metadata()?.len();
+    let version = head.get_u16_le();
+    if version != VERSION {
+        return Err(StorageError::PersistError(format!(
+            "unsupported version {version}"
+        )));
+    }
+    let len = src.seek(SeekFrom::End(0))?;
     if len < (PREAMBLE_LEN + FOOTER_LEN) as u64 {
-        return Err(torn_tail(path, format!("file is only {len} bytes")));
+        return Err(bad(format!("file is only {len} bytes")));
     }
-    f.seek(SeekFrom::Start(len - FOOTER_LEN as u64))?;
+    src.seek(SeekFrom::Start(len - FOOTER_LEN as u64))?;
     let mut foot = [0u8; FOOTER_LEN];
-    f.read_exact(&mut foot)?;
-    let tail_magic = u32::from_le_bytes(foot[8..12].try_into().unwrap());
+    src.read_exact(&mut foot)?;
+    let mut foot = &foot[..];
+    let meta_off = foot.get_u64_le();
+    let tail_magic = foot.get_u32_le();
     if tail_magic != MAGIC {
-        return Err(torn_tail(
-            path,
-            format!("bad footer magic 0x{tail_magic:08x}"),
-        ));
+        return Err(bad(format!("bad footer magic 0x{tail_magic:08x}")));
     }
-    let meta_off = u64::from_le_bytes(foot[0..8].try_into().unwrap());
     if meta_off < PREAMBLE_LEN as u64 || meta_off > len - FOOTER_LEN as u64 {
-        return Err(torn_tail(
-            path,
-            format!("footer metadata offset {meta_off} outside file of {len} bytes"),
-        ));
+        return Err(bad(format!(
+            "footer metadata offset {meta_off} outside file of {len} bytes"
+        )));
     }
     Ok((len, meta_off))
+}
+
+/// [`read_footer`] of the file at `path`, without decoding anything else.
+pub(crate) fn file_footer(path: &Path) -> Result<(u64, u64), StorageError> {
+    read_footer(&mut std::fs::File::open(path)?, Some(path))
 }
 
 /// The typed corruption error for a file whose footer does not validate:
@@ -997,7 +786,7 @@ fn torn_tail(path: &Path, detail: String) -> StorageError {
 }
 
 // ---------------------------------------------------------------------------
-// v6 reader: footer, metadata region, paged-out slots.
+// Reader: metadata region, paged-out slots.
 // ---------------------------------------------------------------------------
 
 /// Slots decoded so far in this file, keyed by heap location — records
@@ -1014,7 +803,7 @@ fn get_seg_slot<B: Buf>(
     dedup: &mut SlotDedup,
 ) -> Result<(SegSlot, bool), StorageError> {
     let corrupt = |m: String| StorageError::PersistError(m);
-    if buf.remaining() < 1 + 5 * 8 + 4 {
+    if buf.remaining() < SEG_RECORD_MIN {
         return Err(eof());
     }
     let tag = buf.get_u8();
@@ -1125,19 +914,30 @@ fn get_seg_slot<B: Buf>(
     Ok((slot, pinned))
 }
 
-fn get_column_v6<B: Buf>(
+fn get_column<B: Buf>(
     buf: &mut B,
     source: &Arc<PayloadSource>,
     heap_end: u64,
     dedup: &mut SlotDedup,
 ) -> Result<EncodedColumn, StorageError> {
     let (ty, dict) = get_dict(buf)?;
-    if buf.remaining() < 1 {
+    if buf.remaining() < 1 + 8 + 4 {
         return Err(eof());
     }
     let flags = buf.get_u8();
+    let seg_rows = buf.get_u64_le();
+    if seg_rows == 0 {
+        return Err(StorageError::PersistError(
+            "zero nominal segment size".into(),
+        ));
+    }
+    let seg_count = buf.get_u32_le() as usize;
+    // The count comes straight off the disk: bound it by what the buffer
+    // could hold before sizing anything from it.
+    if seg_count > buf.remaining() / SEG_RECORD_MIN {
+        return Err(eof());
+    }
     let dict_len = dict.len();
-    let (seg_rows, seg_count) = get_dir_header(buf)?;
     let mut slots = Vec::with_capacity(seg_count);
     let mut pins = Vec::with_capacity(seg_count);
     for _ in 0..seg_count {
@@ -1155,7 +955,7 @@ fn get_column_v6<B: Buf>(
 /// Decodes one table's metadata record; its columns come back paged out.
 /// Runs the metadata tier of the invariants only — payloads are validated
 /// against their stats as they fault in.
-fn get_table_v6<B: Buf>(
+fn get_table<B: Buf>(
     buf: &mut B,
     source: &Arc<PayloadSource>,
     heap_end: u64,
@@ -1169,7 +969,7 @@ fn get_table_v6<B: Buf>(
     let rows = buf.get_u64_le();
     let mut columns = Vec::with_capacity(schema.arity());
     for _ in 0..schema.arity() {
-        let col = get_column_v6(buf, source, heap_end, dedup)?;
+        let col = get_column(buf, source, heap_end, dedup)?;
         if col.rows() != rows {
             return Err(StorageError::PersistError(format!(
                 "column covers {} rows, table claims {rows}",
@@ -1182,35 +982,87 @@ fn get_table_v6<B: Buf>(
     Table::new(name, schema, columns)
 }
 
-/// Locates the metadata region of a v6 image: validates the footer and
-/// returns `(metadata slice, heap end)`.
-fn v6_regions(buf: &Bytes) -> Result<(Bytes, u64), StorageError> {
-    let n = buf.len();
-    if n < PREAMBLE_LEN + FOOTER_LEN {
-        return Err(eof());
+/// An opened container: its metadata region (the only part read so far),
+/// the end of its payload heap, and where payloads fault in from.
+struct Opened {
+    meta: Bytes,
+    heap_end: u64,
+    source: Arc<PayloadSource>,
+}
+
+impl Opened {
+    /// Opens an in-memory image; payloads fault in from `buf` itself.
+    fn image(buf: Bytes) -> Result<Opened, StorageError> {
+        let (len, meta_off) = read_footer(&mut std::io::Cursor::new(buf.as_slice()), None)?;
+        Ok(Opened {
+            meta: buf.slice(meta_off as usize..len as usize - FOOTER_LEN),
+            heap_end: meta_off,
+            source: Arc::new(PayloadSource::Bytes(buf)),
+        })
     }
-    let s = buf.as_slice();
-    let tail_magic = u32::from_le_bytes(s[n - 4..n].try_into().unwrap());
-    if tail_magic != MAGIC {
-        return Err(StorageError::PersistError(format!(
-            "bad footer magic 0x{tail_magic:08x}"
-        )));
+
+    /// Opens `path`, reading *only* the preamble, footer and metadata
+    /// region — never the payload heap.
+    fn file(path: &Path) -> Result<Opened, StorageError> {
+        use std::io::{Read, Seek, SeekFrom};
+        let mut file = std::fs::File::open(path)?;
+        let (len, meta_off) = read_footer(&mut file, Some(path))?;
+        file.seek(SeekFrom::Start(meta_off))?;
+        let mut meta = vec![0u8; (len - FOOTER_LEN as u64 - meta_off) as usize];
+        file.read_exact(&mut meta)?;
+        let canon = std::fs::canonicalize(path)?;
+        Ok(Opened {
+            meta: Bytes::from(meta),
+            heap_end: meta_off,
+            source: Arc::new(PayloadSource::for_file(file, canon)),
+        })
     }
-    let meta_off = u64::from_le_bytes(s[n - FOOTER_LEN..n - 4].try_into().unwrap());
-    if meta_off < PREAMBLE_LEN as u64 || meta_off > (n - FOOTER_LEN) as u64 {
-        return Err(StorageError::PersistError(format!(
-            "footer metadata offset {meta_off} outside file of {n} bytes"
-        )));
+
+    /// Decodes the metadata region of a single-table container.
+    fn table(mut self) -> Result<Table, StorageError> {
+        let mut dedup = SlotDedup::new();
+        let t = get_table(&mut self.meta, &self.source, self.heap_end, &mut dedup)?;
+        if self.meta.remaining() != 0 {
+            return Err(StorageError::PersistError(
+                "trailing bytes after table metadata".into(),
+            ));
+        }
+        Ok(t)
     }
-    Ok((buf.slice(meta_off as usize..n - FOOTER_LEN), meta_off))
+
+    /// Decodes the metadata region of a catalog container. Records with
+    /// identical heap locations come back as one shared slot, so columns
+    /// shared across table versions stay shared — and cached once.
+    fn catalog(mut self) -> Result<crate::catalog::Catalog, StorageError> {
+        if self.meta.remaining() < 4 {
+            return Err(eof());
+        }
+        let count = self.meta.get_u32_le();
+        let cat = crate::catalog::Catalog::new();
+        let mut dedup = SlotDedup::new();
+        for _ in 0..count {
+            cat.create(get_table(
+                &mut self.meta,
+                &self.source,
+                self.heap_end,
+                &mut dedup,
+            )?)?;
+        }
+        if self.meta.remaining() != 0 {
+            return Err(StorageError::PersistError(
+                "trailing bytes after catalog metadata".into(),
+            ));
+        }
+        Ok(cat)
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Public encode/decode/save/read entry points.
 // ---------------------------------------------------------------------------
 
-/// Serializes one table as a complete current-format image (payload heap,
-/// metadata region, footer).
+/// Serializes one table as a complete image (payload heap, metadata
+/// region, footer).
 ///
 /// # Panics
 /// Panics when a lazily opened segment's backing file can no longer be
@@ -1222,74 +1074,10 @@ pub fn encode_table(t: &Table) -> Bytes {
     image
 }
 
-/// Serializes one table in the legacy monolithic version-1 layout (one
-/// full-length bitmap per dictionary value). Kept for downgrade paths and
-/// the cross-version round-trip tests. Faults lazily opened segments in.
-pub fn encode_table_v1(t: &Table) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_u16_le(1);
-    put_str(&mut buf, t.name());
-    put_schema(&mut buf, t.schema());
-    buf.put_u64_le(t.rows());
-    for c in t.columns() {
-        put_column_v1(&mut buf, c);
-    }
-    buf.freeze()
-}
-
-/// Deserializes one table (any supported format version). A v6 image
-/// opens lazily: columns carry metadata only, and payloads fault in from
-/// the image on first touch.
+/// Deserializes one table. The image opens lazily: columns carry metadata
+/// only, and payloads fault in from the image on first touch.
 pub fn decode_table(buf: Bytes) -> Result<Table, StorageError> {
-    let mut cursor = buf.clone();
-    let version = check_header(&mut cursor)?;
-    if version < 6 {
-        return decode_table_body(&mut cursor, version);
-    }
-    let (mut meta, heap_end) = v6_regions(&buf)?;
-    let source = Arc::new(PayloadSource::Bytes(buf));
-    let mut dedup = SlotDedup::new();
-    let t = get_table_v6(&mut meta, &source, heap_end, &mut dedup)?;
-    if meta.remaining() != 0 {
-        return Err(StorageError::PersistError(
-            "trailing bytes after table metadata".into(),
-        ));
-    }
-    Ok(t)
-}
-
-fn check_header(buf: &mut impl Buf) -> Result<u16, StorageError> {
-    if buf.remaining() < PREAMBLE_LEN {
-        return Err(eof());
-    }
-    let magic = buf.get_u32_le();
-    if magic != MAGIC {
-        return Err(StorageError::PersistError(format!(
-            "bad magic 0x{magic:08x}"
-        )));
-    }
-    let version = buf.get_u16_le();
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(StorageError::PersistError(format!(
-            "unsupported version {version}"
-        )));
-    }
-    Ok(version)
-}
-
-fn decode_table_body(buf: &mut impl Buf, version: u16) -> Result<Table, StorageError> {
-    let name = get_str(buf)?;
-    let schema = get_schema(buf)?;
-    if buf.remaining() < 8 {
-        return Err(eof());
-    }
-    let rows = buf.get_u64_le();
-    let mut columns = Vec::with_capacity(schema.arity());
-    for _ in 0..schema.arity() {
-        columns.push(Arc::new(get_column(buf, rows, version)?));
-    }
-    Table::new(name, schema, columns)
+    Opened::image(buf)?.table()
 }
 
 /// Writes a table to a file. When the file already backs some of the
@@ -1315,10 +1103,10 @@ fn recover_before_read(path: &Path) -> Result<(), StorageError> {
     Ok(())
 }
 
-/// Reads a table from a file. A v6 file opens as metadata only — segment
+/// Reads a table from a file. The file opens as metadata only — segment
 /// payloads stay on disk and fault in through the buffer cache on first
-/// touch. Older versions load fully resident. Detects an interrupted save
-/// first and rolls the file back to its last committed footer.
+/// touch. Detects an interrupted save first and rolls the file back to its
+/// last committed footer.
 pub fn read_table(path: impl AsRef<Path>) -> Result<Table, StorageError> {
     let path = path.as_ref();
     recover_before_read(path)?;
@@ -1328,71 +1116,12 @@ pub fn read_table(path: impl AsRef<Path>) -> Result<Table, StorageError> {
 /// [`read_table`] without the recovery step — for callers (vacuum) that
 /// already hold the file's save lock and have recovered it.
 pub(crate) fn read_table_raw(path: &Path) -> Result<Table, StorageError> {
-    match open_v6_file(path)? {
-        None => {
-            let bytes = std::fs::read(path)?;
-            decode_table(Bytes::from(bytes))
-        }
-        Some((mut meta, heap_end, source)) => {
-            let mut dedup = SlotDedup::new();
-            let t = get_table_v6(&mut meta, &source, heap_end, &mut dedup)?;
-            if meta.remaining() != 0 {
-                return Err(StorageError::PersistError(
-                    "trailing bytes after table metadata".into(),
-                ));
-            }
-            Ok(t)
-        }
-    }
+    Opened::file(path)?.table()
 }
 
-/// Opens `path` and, when it is a v6 file, reads *only* the preamble,
-/// footer, and metadata region — never the payload heap. Returns `None`
-/// for older versions (whose whole-file decode path still applies).
-#[allow(clippy::type_complexity)]
-fn open_v6_file(path: &Path) -> Result<Option<(Bytes, u64, Arc<PayloadSource>)>, StorageError> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut file = std::fs::File::open(path)?;
-    let mut head = [0u8; PREAMBLE_LEN];
-    file.read_exact(&mut head)
-        .map_err(|_| eof())
-        .and_then(|()| check_header(&mut &head[..]).map(|_| ()))?;
-    let version = u16::from_le_bytes(head[4..6].try_into().unwrap());
-    if version < 6 {
-        return Ok(None);
-    }
-    let len = file.metadata()?.len();
-    if len < (PREAMBLE_LEN + FOOTER_LEN) as u64 {
-        return Err(torn_tail(path, format!("file is only {len} bytes")));
-    }
-    file.seek(SeekFrom::Start(len - FOOTER_LEN as u64))?;
-    let mut foot = [0u8; FOOTER_LEN];
-    file.read_exact(&mut foot)?;
-    let tail_magic = u32::from_le_bytes(foot[8..12].try_into().unwrap());
-    if tail_magic != MAGIC {
-        return Err(torn_tail(
-            path,
-            format!("bad footer magic 0x{tail_magic:08x}"),
-        ));
-    }
-    let meta_off = u64::from_le_bytes(foot[0..8].try_into().unwrap());
-    if meta_off < PREAMBLE_LEN as u64 || meta_off > len - FOOTER_LEN as u64 {
-        return Err(torn_tail(
-            path,
-            format!("footer metadata offset {meta_off} outside file of {len} bytes"),
-        ));
-    }
-    file.seek(SeekFrom::Start(meta_off))?;
-    let mut meta = vec![0u8; (len - FOOTER_LEN as u64 - meta_off) as usize];
-    file.read_exact(&mut meta)?;
-    let canon = std::fs::canonicalize(path)?;
-    let source = Arc::new(PayloadSource::for_file(file, canon));
-    Ok(Some((Bytes::from(meta), meta_off, source)))
-}
-
-/// Serializes all tables of a catalog as one current-format image. Each
-/// distinct (`Arc`-shared) segment is stored once, however many table
-/// versions reference it.
+/// Serializes all tables of a catalog as one image. Each distinct
+/// (`Arc`-shared) segment is stored once, however many table versions
+/// reference it.
 ///
 /// # Panics
 /// See [`encode_table`].
@@ -1402,48 +1131,9 @@ pub fn encode_catalog(cat: &crate::catalog::Catalog) -> Bytes {
     image
 }
 
-/// Deserializes a catalog (any supported format version). In a v6 image,
-/// records with identical heap locations come back as one shared slot, so
-/// columns shared across table versions stay shared — and cached once.
+/// Deserializes a catalog (lazily — see [`decode_table`]).
 pub fn decode_catalog(buf: Bytes) -> Result<crate::catalog::Catalog, StorageError> {
-    let mut cursor = buf.clone();
-    let version = check_header(&mut cursor)?;
-    if version < 6 {
-        if cursor.remaining() < 4 {
-            return Err(eof());
-        }
-        let count = cursor.get_u32_le();
-        let cat = crate::catalog::Catalog::new();
-        for _ in 0..count {
-            cat.create(decode_table_body(&mut cursor, version)?)?;
-        }
-        return Ok(cat);
-    }
-    let (mut meta, heap_end) = v6_regions(&buf)?;
-    let source = Arc::new(PayloadSource::Bytes(buf));
-    decode_catalog_meta(&mut meta, heap_end, &source)
-}
-
-fn decode_catalog_meta(
-    meta: &mut Bytes,
-    heap_end: u64,
-    source: &Arc<PayloadSource>,
-) -> Result<crate::catalog::Catalog, StorageError> {
-    if meta.remaining() < 4 {
-        return Err(eof());
-    }
-    let count = meta.get_u32_le();
-    let cat = crate::catalog::Catalog::new();
-    let mut dedup = SlotDedup::new();
-    for _ in 0..count {
-        cat.create(get_table_v6(meta, source, heap_end, &mut dedup)?)?;
-    }
-    if meta.remaining() != 0 {
-        return Err(StorageError::PersistError(
-            "trailing bytes after catalog metadata".into(),
-        ));
-    }
-    Ok(cat)
+    Opened::image(buf)?.catalog()
 }
 
 /// Writes a catalog to a file (append-save semantics — see [`save_table`]).
@@ -1456,9 +1146,9 @@ pub fn save_catalog(
     save_content(&Content::Catalog(cat.snapshot()), path.as_ref())
 }
 
-/// Reads a catalog from a file (lazily for v6 — see [`read_table`]).
-/// Detects an interrupted save first and rolls the file back to its last
-/// committed footer.
+/// Reads a catalog from a file (lazily — see [`read_table`]). Detects an
+/// interrupted save first and rolls the file back to its last committed
+/// footer.
 pub fn read_catalog(path: impl AsRef<Path>) -> Result<crate::catalog::Catalog, StorageError> {
     let path = path.as_ref();
     recover_before_read(path)?;
@@ -1468,13 +1158,7 @@ pub fn read_catalog(path: impl AsRef<Path>) -> Result<crate::catalog::Catalog, S
 /// [`read_catalog`] without the recovery step — for callers (vacuum) that
 /// already hold the file's save lock and have recovered it.
 pub(crate) fn read_catalog_raw(path: &Path) -> Result<crate::catalog::Catalog, StorageError> {
-    match open_v6_file(path)? {
-        None => {
-            let bytes = std::fs::read(path)?;
-            decode_catalog(Bytes::from(bytes))
-        }
-        Some((mut meta, heap_end, source)) => decode_catalog_meta(&mut meta, heap_end, &source),
-    }
+    Opened::file(path)?.catalog()
 }
 
 #[cfg(test)]
@@ -1482,7 +1166,6 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::encoded::Encoding;
-    use crate::segment::DEFAULT_SEGMENT_ROWS;
     use crate::store::budget_guard;
 
     fn sample() -> Table {
@@ -1540,7 +1223,7 @@ mod tests {
 
     /// A unique temp path per test so parallel tests never collide.
     fn temp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("cods_v6_{name}_{}.tbl", std::process::id()))
+        std::env::temp_dir().join(format!("cods_persist_{name}_{}.tbl", std::process::id()))
     }
 
     /// Total `(resident, on_disk)` over every column of a table.
@@ -1580,14 +1263,14 @@ mod tests {
     }
 
     #[test]
-    fn v6_open_is_metadata_only() {
+    fn open_is_metadata_only() {
         let t = mixed_directory()
             .with_column_encoding_pinned("v", Encoding::Rle)
             .unwrap();
         let back = decode_table(encode_table(&t)).unwrap();
         // Nothing resident until something touches a payload...
         let (resident, on_disk) = residency(&back);
-        assert_eq!(resident, 0, "a v6 decode must not fault payloads in");
+        assert_eq!(resident, 0, "a decode must not fault payloads in");
         assert!(on_disk > 0);
         // ...yet the full metadata surface is there: zones, pins,
         // per-segment encodings, stats.
@@ -1634,202 +1317,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_file_still_decodes() {
-        let t = multi_segment();
-        let legacy = encode_table_v1(&t);
-        let back = decode_table(legacy).unwrap();
-        assert_eq!(back.to_rows(), t.to_rows());
-        back.check_invariants().unwrap();
-        // Re-segmented at the default size on load.
-        assert_eq!(back.column(0).nominal_segment_rows(), DEFAULT_SEGMENT_ROWS);
-    }
-
-    fn put_bitmap_segment(buf: &mut BytesMut, seg: &Segment) {
-        buf.put_u64_le(seg.rows());
-        buf.put_u32_le(seg.distinct_count() as u32);
-        for &id in seg.present_ids() {
-            buf.put_u32_le(id);
-        }
-        for bm in seg.bitmaps() {
-            bm.encode(buf);
-        }
-    }
-
-    /// Writes the version-2 layout (bitmap segment directory, no encoding
-    /// byte) so the upgrade path stays covered now that the writer emits
-    /// version 6.
-    fn encode_table_v2(t: &Table) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(2);
-        put_str(&mut buf, t.name());
-        put_schema(&mut buf, t.schema());
-        buf.put_u64_le(t.rows());
-        for c in t.columns() {
-            put_dict(&mut buf, c.ty(), c.dict());
-            buf.put_u64_le(c.nominal_segment_rows());
-            buf.put_u32_le(c.segment_count() as u32);
-            for seg in c.segments() {
-                let enc = seg.enc();
-                put_bitmap_segment(&mut buf, enc.as_bitmap().expect("v2 writer is bitmap-only"));
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Writes the eager tagless directory shared by the v3/v4 test writers.
-    fn put_uniform_directory(buf: &mut BytesMut, c: &EncodedColumn) {
-        buf.put_u64_le(c.nominal_segment_rows());
-        buf.put_u32_le(c.segment_count() as u32);
-        for seg in c.segments() {
-            match seg.enc() {
-                SegmentEnc::Bitmap(s) => put_bitmap_segment(buf, &s),
-                SegmentEnc::Rle(s) => s.seq().encode(buf),
-            }
-        }
-    }
-
-    fn uniform_enc_byte(c: &EncodedColumn) -> u8 {
-        match c.uniform_encoding().expect("legacy writers are uniform") {
-            Encoding::Bitmap => ENC_BITMAP,
-            Encoding::Rle => ENC_RLE,
-        }
-    }
-
-    /// Writes the version-3 layout (per-encoding segment directories, no
-    /// flags byte, no zones) so the v3 upgrade path stays covered.
-    fn encode_table_v3(t: &Table) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(3);
-        put_str(&mut buf, t.name());
-        put_schema(&mut buf, t.schema());
-        buf.put_u64_le(t.rows());
-        for c in t.columns() {
-            put_dict(&mut buf, c.ty(), c.dict());
-            buf.put_u8(uniform_enc_byte(c));
-            put_uniform_directory(&mut buf, c);
-        }
-        buf.freeze()
-    }
-
-    /// Writes the version-4 layout (one column-wide `enc` byte + flags +
-    /// zones — homogeneous directories only) so the v4 upgrade path stays
-    /// covered.
-    fn encode_table_v4(t: &Table) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(4);
-        put_str(&mut buf, t.name());
-        put_schema(&mut buf, t.schema());
-        buf.put_u64_le(t.rows());
-        for c in t.columns() {
-            put_dict(&mut buf, c.ty(), c.dict());
-            buf.put_u8(uniform_enc_byte(c));
-            buf.put_u8(if c.encoding_pinned() { FLAG_PINNED } else { 0 });
-            put_uniform_directory(&mut buf, c);
-            put_zones(&mut buf, c.zones());
-        }
-        buf.freeze()
-    }
-
-    /// Writes the version-5 layout (eager payloads behind per-segment
-    /// encoding tags) so the v5 → v6 upgrade path stays covered.
-    fn encode_table_v5(t: &Table) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(5);
-        put_str(&mut buf, t.name());
-        put_schema(&mut buf, t.schema());
-        buf.put_u64_le(t.rows());
-        for c in t.columns() {
-            put_dict(&mut buf, c.ty(), c.dict());
-            buf.put_u8(if c.encoding_pinned() { FLAG_PINNED } else { 0 });
-            buf.put_u64_le(c.nominal_segment_rows());
-            buf.put_u32_le(c.segment_count() as u32);
-            for (i, slot) in c.segments().iter().enumerate() {
-                let enc = slot.enc();
-                let mut tag = match &enc {
-                    SegmentEnc::Bitmap(_) => ENC_BITMAP,
-                    SegmentEnc::Rle(_) => ENC_RLE,
-                };
-                if c.segment_pin_raw(i) {
-                    tag |= SEG_FLAG_PINNED;
-                }
-                buf.put_u8(tag);
-                match &enc {
-                    SegmentEnc::Bitmap(s) => put_bitmap_segment(&mut buf, s),
-                    SegmentEnc::Rle(s) => s.seq().encode(&mut buf),
-                }
-            }
-            put_zones(&mut buf, c.zones());
-        }
-        buf.freeze()
-    }
-
-    #[test]
-    fn v3_file_upgrades_with_reconstructed_zones() {
-        let t = mixed_encoding();
-        let back = decode_table(encode_table_v3(&t)).unwrap();
-        back.check_invariants().unwrap();
-        assert_eq!(back.to_rows(), t.to_rows());
-        for (a, b) in t.columns().iter().zip(back.columns()) {
-            // Zones are reconstructed from stats on upgrade and must equal
-            // the natively maintained ones; nothing is pinned in v3.
-            assert_eq!(a.zones(), b.zones());
-            assert_eq!(a.uniform_encoding(), b.uniform_encoding());
-            assert!(!b.encoding_pinned());
-        }
-    }
-
-    #[test]
-    fn v4_file_upgrades_to_uniform_directories() {
-        let t = mixed_encoding()
-            .with_column_encoding_pinned("k", Encoding::Bitmap)
-            .unwrap();
-        let back = decode_table(encode_table_v4(&t)).unwrap();
-        back.check_invariants().unwrap();
-        assert_eq!(back.to_rows(), t.to_rows());
-        for (a, b) in t.columns().iter().zip(back.columns()) {
-            // A homogeneous v4 column decodes to a uniform directory with
-            // its zones byte-exact and its pin preserved.
-            assert_eq!(a.uniform_encoding(), b.uniform_encoding());
-            assert!(b.uniform_encoding().is_some());
-            assert_eq!(a.zones(), b.zones());
-            assert_eq!(a.encoding_pinned(), b.encoding_pinned());
-        }
-        assert!(back.column_by_name("k").unwrap().encoding_pinned());
-    }
-
-    #[test]
-    fn v5_file_upgrades_preserving_zones_and_pins() {
-        let t = mixed_encoding()
-            .with_column_encoding_pinned("k", Encoding::Bitmap)
-            .unwrap();
-        assert!(t.column_by_name("k").unwrap().encoding_pinned());
-        assert!(!t.column_by_name("v").unwrap().encoding_pinned());
-        let back = decode_table(encode_table_v5(&t)).unwrap();
-        back.check_invariants().unwrap();
-        assert_eq!(back.to_rows(), t.to_rows());
-        // Eager formats decode fully resident.
-        let (resident, on_disk) = residency(&back);
-        assert_eq!(on_disk, 0, "v5 files carry no payload index");
-        assert!(resident > 0);
-        for (a, b) in t.columns().iter().zip(back.columns()) {
-            assert_eq!(a.zones(), b.zones(), "zones round-trip byte-exactly");
-            assert_eq!(a.encoding_pinned(), b.encoding_pinned());
-        }
-        // Corrupt zone ids are rejected, not silently accepted (the v5
-        // layout ends with the final column's last zone).
-        let bytes = encode_table_v5(&t);
-        let mut raw = bytes.as_slice().to_vec();
-        let n = raw.len();
-        raw[n - 8..n].copy_from_slice(&u32::MAX.to_le_bytes().repeat(2));
-        assert!(decode_table(Bytes::from(raw)).is_err());
-    }
-
-    #[test]
-    fn v6_round_trip_preserves_zones_and_pins() {
+    fn round_trip_preserves_zones_and_pins() {
         let t = mixed_encoding()
             .with_column_encoding_pinned("k", Encoding::Bitmap)
             .unwrap();
@@ -1842,7 +1330,7 @@ mod tests {
         }
     }
 
-    /// Finds the first segment record of the first column in a v6 image's
+    /// Finds the first segment record of the first column in an image's
     /// metadata region, returning the offset of its `segtag` byte. The
     /// record is located by its distinctive `(off, len)` pair.
     fn first_seg_record(raw: &[u8], t: &Table) -> usize {
@@ -1862,7 +1350,7 @@ mod tests {
 
     #[test]
     fn corrupt_segment_tag_is_rejected() {
-        // A v6 record whose segment tag carries unknown bits must fail
+        // A record whose segment tag carries unknown bits must fail
         // decode with a PersistError, not be misread as some encoding.
         let t = multi_segment();
         let bytes = encode_table(&t);
@@ -1901,6 +1389,57 @@ mod tests {
         }
     }
 
+    /// A well-formed container around one Int column whose record is the
+    /// given raw bytes — ~60 bytes of hostile file.
+    fn hostile_image(column: &[u8]) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(MAGIC);
+        buf.put_u16_le(VERSION);
+        put_str(&mut buf, "t");
+        put_schema(
+            &mut buf,
+            &Schema::build(&[("c", ValueType::Int)], &[]).unwrap(),
+        );
+        buf.put_u64_le(1);
+        buf.put_slice(column);
+        buf.put_u64_le(PREAMBLE_LEN as u64);
+        buf.put_u32_le(MAGIC);
+        buf.freeze()
+    }
+
+    #[test]
+    fn hostile_dictionary_count_is_rejected_before_allocating() {
+        // `dict_len = u32::MAX` with no values behind it: sizing the value
+        // vector from the count would request ~100 GiB and abort.
+        let mut col = BytesMut::new();
+        col.put_u8(ValueType::Int.tag());
+        col.put_u32_le(u32::MAX);
+        let err = decode_table(hostile_image(col.freeze().as_slice()));
+        assert!(
+            matches!(err, Err(StorageError::PersistError(_))),
+            "expected PersistError, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn hostile_segment_count_is_rejected_before_allocating() {
+        // A one-value dictionary, then `seg_count = u32::MAX` with no
+        // records behind it: the slot and pin vectors would request tens
+        // of GiB.
+        let mut col = BytesMut::new();
+        col.put_u8(ValueType::Int.tag());
+        col.put_u32_le(1);
+        put_value(&mut col, &Value::int(7));
+        col.put_u8(0); // flags
+        col.put_u64_le(1); // seg_rows
+        col.put_u32_le(u32::MAX); // seg_count
+        let err = decode_table(hostile_image(col.freeze().as_slice()));
+        assert!(
+            matches!(err, Err(StorageError::PersistError(_))),
+            "expected PersistError, got {err:?}"
+        );
+    }
+
     #[test]
     fn corrupt_footer_is_rejected() {
         let bytes = encode_table(&multi_segment());
@@ -1917,29 +1456,6 @@ mod tests {
         let mut raw = bytes.as_slice().to_vec();
         raw[n - 12..n - 4].copy_from_slice(&0u64.to_le_bytes());
         assert!(decode_table(Bytes::from(raw)).is_err());
-    }
-
-    #[test]
-    fn corrupt_segment_ids_are_rejected_not_panicked() {
-        // A v3 file whose segment references an id beyond the dictionary
-        // must fail decode with a PersistError — zone derivation indexes
-        // rank tables by id, so this used to be panic territory.
-        let t = multi_segment();
-        let bytes = encode_table_v3(&t);
-        let mut raw = bytes.as_slice().to_vec();
-        let pat = 128u64.to_le_bytes();
-        let pos = raw
-            .windows(8)
-            .position(|w| w == pat)
-            .expect("first segment header");
-        // srows(8) + present(4) → first id.
-        let id_off = pos + 12;
-        raw[id_off..id_off + 4].copy_from_slice(&9_999u32.to_le_bytes());
-        let err = decode_table(Bytes::from(raw));
-        assert!(
-            matches!(err, Err(StorageError::PersistError(_))),
-            "expected PersistError, got {err:?}"
-        );
     }
 
     #[test]
@@ -1964,55 +1480,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_directories_still_downgrade_to_v1() {
-        let t = mixed_directory()
-            .with_column_encoding_pinned("v", Encoding::Rle)
-            .unwrap();
-        let back = decode_table(encode_table_v1(&t)).unwrap();
-        back.check_invariants().unwrap();
-        assert_eq!(back.to_rows(), t.to_rows());
-        // v1 carries neither zones nor pins nor per-segment encodings:
-        // fresh bitmap defaults on decode, zones re-derived.
-        assert!(back.columns().iter().all(|c| !c.encoding_pinned()));
-        assert!(back
-            .columns()
-            .iter()
-            .all(|c| c.uniform_encoding() == Some(Encoding::Bitmap)));
-        assert!(back
-            .columns()
-            .iter()
-            .all(|c| c.zones().len() == c.segment_count()));
-    }
-
-    #[test]
-    fn lazily_opened_tables_downgrade_to_v1_by_faulting_in() {
-        let _g = budget_guard();
-        let t = mixed_encoding();
-        let path = temp("downgrade");
-        save_table(&t, &path).unwrap();
-        let back = read_table(&path).unwrap();
-        assert_eq!(residency(&back).0, 0, "opened lazily");
-        // The monolithic layout needs every payload: the downgrade faults
-        // the whole table in, and the result decodes to equal rows.
-        let legacy = encode_table_v1(&back);
-        assert_eq!(residency(&back).1, 0, "downgrade faults everything in");
-        let again = decode_table(legacy).unwrap();
-        assert_eq!(again.to_rows(), t.to_rows());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v2_file_still_decodes() {
-        let t = multi_segment();
-        let back = decode_table(encode_table_v2(&t)).unwrap();
-        assert_eq!(back.to_rows(), t.to_rows());
-        back.check_invariants().unwrap();
-        // v2 preserves the segment directory exactly.
-        assert_eq!(back.column(0).segment_count(), t.column(0).segment_count());
-        assert_eq!(back.column(0).nominal_segment_rows(), 128);
-    }
-
-    #[test]
     fn rle_columns_round_trip() {
         let t = mixed_encoding();
         let back = decode_table(encode_table(&t)).unwrap();
@@ -2027,21 +1494,6 @@ mod tests {
         assert_eq!(col.nominal_segment_rows(), 128);
         assert_eq!(
             back.column_by_name("k").unwrap().uniform_encoding(),
-            Some(Encoding::Bitmap)
-        );
-    }
-
-    #[test]
-    fn rle_columns_downgrade_to_v1() {
-        let t = mixed_encoding();
-        let legacy = encode_table_v1(&t);
-        let back = decode_table(legacy).unwrap();
-        back.check_invariants().unwrap();
-        assert_eq!(back.to_rows(), t.to_rows());
-        // The v1 layout is bitmap-only: the RLE column comes back bitmap
-        // encoded with identical values.
-        assert_eq!(
-            back.column_by_name("v").unwrap().uniform_encoding(),
             Some(Encoding::Bitmap)
         );
     }

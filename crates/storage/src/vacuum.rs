@@ -179,7 +179,7 @@ pub(crate) fn consider_auto(
     let handle = std::thread::spawn(move || {
         {
             let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-            let current = persist::v6_footer(&path).ok();
+            let current = persist::file_footer(&path).ok();
             if current == Some(expect) {
                 // Best-effort: a failure leaves the (committed) file as it
                 // was, and the next save's trigger tries again.
@@ -256,7 +256,7 @@ pub fn heap_stats(path: impl AsRef<Path>) -> Result<HeapStats, StorageError> {
             Err(_) => return Err(catalog_err),
         },
     };
-    let (file_bytes, meta_off) = persist::v6_footer(path)?;
+    let (file_bytes, meta_off) = persist::file_footer(path)?;
     let canon = std::fs::canonicalize(path)?;
     let mut seen: HashSet<(u64, u64)> = HashSet::new();
     let mut live_bytes = 0u64;

@@ -6,7 +6,7 @@
 //! mixed** directories where bitmap and RLE segments interleave within one
 //! column.
 
-use cods_storage::{EncodedColumn, Encoding, RowIdCursor, Value, ValueType};
+use cods_storage::{EncodedColumn, Encoding, Value, ValueType};
 use proptest::prelude::*;
 
 /// A segment size so large the column degenerates to one segment — the
@@ -190,14 +190,12 @@ proptest! {
     }
 
     #[test]
-    fn segmented_cursor_matches_monolithic(vals in values(), seg in seg_sizes()) {
+    fn segmented_value_ids_match_monolithic(vals in values(), seg in seg_sizes()) {
         let segmented = bitmap_col(&vals, seg);
         let mono = bitmap_col(&vals, MONO);
-        let a: Vec<(u64, u32)> = RowIdCursor::new(&segmented).collect();
-        let b: Vec<(u64, u32)> = RowIdCursor::new(&mono).collect();
         // Dictionaries are built in the same first-appearance order, so the
-        // id streams must be literally identical.
-        prop_assert_eq!(a, b);
+        // id arrays must be literally identical.
+        prop_assert_eq!(segmented.value_ids(), mono.value_ids());
     }
 
     #[test]
@@ -230,21 +228,16 @@ proptest! {
     }
 
     #[test]
-    fn persist_round_trip_across_versions(vals in values(), seg in seg_sizes()) {
-        use cods_storage::persist::{decode_table, encode_table, encode_table_v1};
+    fn persist_round_trip(vals in values(), seg in seg_sizes()) {
+        use cods_storage::persist::{decode_table, encode_table};
         use cods_storage::{Schema, Table};
         use std::sync::Arc;
         let schema = Schema::build(&[("c", ValueType::Int)], &[]).unwrap();
         let col = Arc::new(bitmap_col(&vals, seg));
         let t = Table::new("t", schema, vec![col]).unwrap();
-        // Current (unified directory) round trip.
         let now = decode_table(encode_table(&t)).unwrap();
         prop_assert_eq!(now.to_rows(), t.to_rows());
         now.check_invariants().unwrap();
-        // Legacy (v1, monolithic) writer → current reader.
-        let v1 = decode_table(encode_table_v1(&t)).unwrap();
-        prop_assert_eq!(v1.to_rows(), t.to_rows());
-        v1.check_invariants().unwrap();
     }
 
     // ---- Mixed-directory differential: every primitive bit-identical ----
@@ -277,10 +270,7 @@ proptest! {
             mixed.gather(&unsorted).values(),
             bitmap.gather(&unsorted).values()
         );
-        // Cursor and value bitmaps.
-        let ca: Vec<(u64, u32)> = RowIdCursor::new(&mixed).collect();
-        let cb: Vec<(u64, u32)> = RowIdCursor::new(&bitmap).collect();
-        prop_assert_eq!(ca, cb);
+        // Value bitmaps.
         for id in 0..bitmap.distinct_count() as u32 {
             prop_assert_eq!(mixed.value_bitmap(id), bitmap.value_bitmap(id));
             prop_assert_eq!(mixed.value_count(id), bitmap.value_count(id));
@@ -375,7 +365,7 @@ proptest! {
 
     #[test]
     fn mixed_persist_round_trip(vals in values(), seg in seg_sizes(), pattern in any::<u64>()) {
-        use cods_storage::persist::{decode_table, encode_table, encode_table_v1};
+        use cods_storage::persist::{decode_table, encode_table};
         use cods_storage::{Schema, Table};
         use std::sync::Arc;
         let schema = Schema::build(&[("c", ValueType::Int)], &[]).unwrap();
@@ -384,17 +374,12 @@ proptest! {
         let now = decode_table(encode_table(&t)).unwrap();
         now.check_invariants().unwrap();
         prop_assert_eq!(now.to_rows(), t.to_rows());
-        // Per-segment encodings and pins survive the v5 round trip.
+        // Per-segment encodings and pins survive the round trip.
         let col = now.column(0);
         prop_assert_eq!(col.encoding_counts(), mixed.encoding_counts());
         for i in 0..col.segment_count() {
             prop_assert_eq!(col.segment_encoding(i), mixed.segment_encoding(i));
             prop_assert_eq!(col.segment_pinned(i), mixed.segment_pinned(i));
         }
-        // Downgrade to v1 re-encodes as bitmaps with identical values.
-        let v1 = decode_table(encode_table_v1(&t)).unwrap();
-        v1.check_invariants().unwrap();
-        prop_assert_eq!(v1.to_rows(), t.to_rows());
-        prop_assert_eq!(v1.column(0).uniform_encoding(), Some(Encoding::Bitmap));
     }
 }
