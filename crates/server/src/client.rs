@@ -1,7 +1,7 @@
 //! A blocking client for the serving protocol — the library behind the
 //! CLI's `connect` REPL and the integration tests.
 
-use crate::frame::{read_frame, read_preamble, write_frame, FrameError};
+use crate::frame::{disable_nagle, read_frame, read_preamble, write_frame, FrameError};
 use crate::proto::{
     decode_reply, encode_command, Command, MetricsReply, Reply, StatsReply, TOTAL_UNKNOWN,
 };
@@ -114,6 +114,7 @@ impl Client {
         max_frame_bytes: u32,
     ) -> Result<Client, ClientError> {
         let writer = TcpStream::connect(addr)?;
+        disable_nagle(&writer)?;
         let mut reader = BufReader::new(writer.try_clone()?);
         read_preamble(&mut reader)?;
         let mut client = Client {
@@ -135,6 +136,12 @@ impl Client {
     /// (from `Hello`, `Refreshed`, or a successful script).
     pub fn catalog_version(&self) -> u64 {
         self.catalog_version
+    }
+
+    /// Whether this end's socket has `TCP_NODELAY` set.
+    #[cfg(test)]
+    pub(crate) fn nodelay(&self) -> std::io::Result<bool> {
+        self.writer.nodelay()
     }
 
     fn send(&mut self, cmd: &Command) -> Result<(), ClientError> {

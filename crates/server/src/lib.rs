@@ -15,7 +15,9 @@
 //! * [`metrics`] — server-wide counters surfaced by the `metrics`
 //!   command, buffer-cache statistics included.
 //! * [`server`] — [`Server::bind`], thread-per-connection dispatch,
-//!   segment-batched result streaming with per-connection backpressure.
+//!   segment-batched result streaming through one 64 KiB reply window
+//!   per connection, flushed once per reply (`TCP_NODELAY` on both ends;
+//!   the blocking socket write is the per-connection backpressure).
 //! * [`client`] — the blocking [`Client`] used by the CLI `connect` REPL
 //!   and the integration suite.
 //!

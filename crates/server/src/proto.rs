@@ -10,6 +10,7 @@
 use crate::frame::FrameError;
 use cods_query::{AggOp, CmpOp, Predicate};
 use cods_storage::{CacheStats, OrderedF64, Value, ValueType};
+use std::sync::Arc;
 
 /// Decode failures: the frame was intact but its payload is not a valid
 /// message. Always fatal for the connection.
@@ -467,11 +468,12 @@ impl<'a> Dec<'a> {
     fn i64(&mut self) -> DecResult<i64> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn str(&mut self) -> DecResult<String> {
+    fn str_ref(&mut self) -> DecResult<&'a str> {
         let n = self.u32()? as usize;
-        std::str::from_utf8(self.take(n)?)
-            .map(str::to_owned)
-            .map_err(|_| WireError::Utf8)
+        std::str::from_utf8(self.take(n)?).map_err(|_| WireError::Utf8)
+    }
+    fn str(&mut self) -> DecResult<String> {
+        self.str_ref().map(str::to_owned)
     }
     fn value(&mut self) -> DecResult<Value> {
         Ok(match self.u8()? {
@@ -479,7 +481,9 @@ impl<'a> Dec<'a> {
             1 => Value::Bool(self.u8()? != 0),
             2 => Value::Int(self.i64()?),
             3 => Value::Float(OrderedF64(f64::from_bits(self.u64()?))),
-            4 => Value::Str(self.str()?.into()),
+            // One allocation per string cell: straight from the frame
+            // into the `Arc<str>`, no `String` in between.
+            4 => Value::Str(Arc::from(self.str_ref()?)),
             b => return Err(WireError::BadTag("value", b)),
         })
     }

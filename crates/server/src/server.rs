@@ -2,7 +2,9 @@
 //! snapshot sessions, admission control and streaming execution.
 
 use crate::admission::{Gate, Rejected};
-use crate::frame::{read_frame, write_frame, write_preamble, FrameError, DEFAULT_MAX_FRAME_BYTES};
+use crate::frame::{
+    disable_nagle, read_frame, write_frame, write_preamble, FrameError, DEFAULT_MAX_FRAME_BYTES,
+};
 use crate::metrics::ServerMetrics;
 use crate::proto::{
     decode_command, encode_reply, error_code, Command, Reply, StatsReply, TOTAL_UNKNOWN,
@@ -13,7 +15,7 @@ use cods_query::{
     aggregate_table_masked, join_stream, plan_join, predicate_mask, AggOp, Predicate, ScanStream,
 };
 use cods_storage::{
-    segment_cache, CommitLog, RetryPolicy, StorageError, Table, TableStats, ValueType,
+    segment_cache, CommitLog, RetryPolicy, StorageError, Table, TableStats, Value, ValueType,
 };
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -79,6 +81,19 @@ struct Shared {
     stopping: AtomicBool,
 }
 
+impl Shared {
+    fn new(cods: Arc<Cods>, config: ServerConfig) -> Self {
+        Shared {
+            gate: Gate::new(config.max_in_flight, config.max_queued),
+            cods,
+            config,
+            metrics: ServerMetrics::default(),
+            conns: Mutex::new(Vec::new()),
+            stopping: AtomicBool::new(false),
+        }
+    }
+}
+
 /// A running server. Dropping the handle shuts the server down.
 pub struct ServerHandle {
     local_addr: SocketAddr,
@@ -101,14 +116,7 @@ impl Server {
     ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            gate: Gate::new(config.max_in_flight, config.max_queued),
-            cods,
-            config,
-            metrics: ServerMetrics::default(),
-            conns: Mutex::new(Vec::new()),
-            stopping: AtomicBool::new(false),
-        });
+        let shared = Arc::new(Shared::new(cods, config));
         let conn_threads = Arc::new(Mutex::new(Vec::new()));
         let accept_thread = {
             let shared = Arc::clone(&shared);
@@ -119,6 +127,11 @@ impl Server {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
+                    // A socket that refuses TCP_NODELAY would bring the
+                    // delayed-ACK stall back silently: drop it instead.
+                    if disable_nagle(&stream).is_err() {
+                        continue;
+                    }
                     let _ = stream.set_read_timeout(shared.config.idle_timeout);
                     let _ = stream.set_write_timeout(shared.config.write_timeout);
                     ServerMetrics::add(&shared.metrics.connections_total, 1);
@@ -179,26 +192,24 @@ impl Drop for ServerHandle {
     }
 }
 
-/// One connection's serving loop.
-struct Connection<'a> {
+/// Bytes of encoded reply a connection holds back before they go to the
+/// socket: one loopback segment. Frames coalesce until the window fills;
+/// a frame that does not fit pushes out what is buffered, and a frame
+/// larger than the window goes straight to the socket.
+const REPLY_WINDOW_BYTES: usize = 64 * 1024;
+
+/// One connection's serving loop, generic over the transport so tests can
+/// count the writes that reach it.
+struct Connection<'a, W: Write> {
     shared: &'a Shared,
     session: Session,
-    writer: BufWriter<TcpStream>,
+    writer: BufWriter<W>,
 }
 
-impl<'a> Connection<'a> {
+impl<'a> Connection<'a, TcpStream> {
     fn run(shared: &'a Shared, stream: TcpStream) -> Result<(), FrameError> {
         let mut reader = BufReader::new(stream.try_clone().map_err(FrameError::Io)?);
-        let mut conn = Connection {
-            shared,
-            session: Session::open(&shared.cods),
-            writer: BufWriter::new(stream),
-        };
-        write_preamble(&mut conn.writer)?;
-        let hello = Reply::Hello {
-            catalog_version: conn.session.version(),
-        };
-        conn.reply(&hello)?;
+        let mut conn = Connection::open(shared, stream)?;
         loop {
             let (kind, payload) = match read_frame(&mut reader, shared.config.max_frame_bytes) {
                 Ok(f) => f,
@@ -214,10 +225,10 @@ impl<'a> Connection<'a> {
                     ) =>
                 {
                     ServerMetrics::add(&shared.metrics.idle_evicted, 1);
-                    let _ = conn.reply(&Reply::Error {
-                        code: error_code::TIMEOUT,
-                        message: "connection idle past deadline, closing".into(),
-                    });
+                    conn.farewell(
+                        error_code::TIMEOUT,
+                        "connection idle past deadline, closing".into(),
+                    );
                     return Ok(());
                 }
                 // A torn or unreadable stream cannot carry an error reply.
@@ -225,36 +236,104 @@ impl<'a> Connection<'a> {
                 // The stream is alive but desynchronized or hostile: say
                 // why, then drop the connection.
                 Err(e @ (FrameError::Corrupt | FrameError::TooLarge { .. })) => {
-                    let _ = conn.reply(&Reply::Error {
-                        code: error_code::BAD_REQUEST,
-                        message: e.to_string(),
-                    });
+                    conn.farewell(error_code::BAD_REQUEST, e.to_string());
                     return Err(e);
                 }
             };
             let cmd = match decode_command(kind, &payload) {
                 Ok(cmd) => cmd,
                 Err(e) => {
-                    let _ = conn.reply(&Reply::Error {
-                        code: error_code::BAD_REQUEST,
-                        message: e.to_string(),
-                    });
+                    conn.farewell(error_code::BAD_REQUEST, e.to_string());
                     return Err(FrameError::Corrupt);
                 }
             };
-            conn.dispatch(cmd)?;
+            conn.respond(cmd)?;
+        }
+    }
+}
+
+impl<'a, W: Write> Connection<'a, W> {
+    /// Pins the session and greets the peer: preamble and `Hello` leave
+    /// as one write.
+    fn open(shared: &'a Shared, transport: W) -> Result<Self, FrameError> {
+        let mut conn = Connection {
+            shared,
+            session: Session::open(&shared.cods),
+            writer: BufWriter::with_capacity(REPLY_WINDOW_BYTES, transport),
+        };
+        write_preamble(&mut conn.writer)?;
+        let hello = Reply::Hello {
+            catalog_version: conn.session.version(),
+        };
+        conn.reply(&hello)?;
+        conn.writer.flush()?;
+        Ok(conn)
+    }
+
+    /// Answers one command in full, then pushes out whatever of the
+    /// answer is still in the window — the one flush of every reply,
+    /// whichever path `dispatch` took (control plane, rejection, typed
+    /// error, single frame or row stream).
+    fn respond(&mut self, cmd: Command) -> Result<(), FrameError> {
+        self.dispatch(cmd)?;
+        self.writer.flush()?;
+        Ok(())
+    }
+
+    /// Last words before the connection thread returns: a typed error,
+    /// flushed here because nothing runs after it (a `BufWriter` dropped
+    /// with bytes in it writes them but swallows the error). Failure is
+    /// ignored — the peer may already be gone.
+    fn farewell(&mut self, code: u16, message: String) {
+        if self.reply(&Reply::Error { code, message }).is_ok() {
+            let _ = self.writer.flush();
         }
     }
 
-    /// Encodes, frames, sends and flushes one reply, counting its bytes.
+    /// Encodes and frames one reply into the connection's window,
+    /// counting its bytes. It never flushes: frames of one reply coalesce
+    /// (a header, a small batch and the closer leave as one segment, so
+    /// no frame waits on the peer's ACK of the one before), and the
+    /// window bounds what is held — at most [`REPLY_WINDOW_BYTES`]; a
+    /// frame that does not fit goes to the socket now. That blocking
+    /// socket write is the backpressure: a slow client stalls only its
+    /// own connection thread (and the one admission slot it holds), never
+    /// the server. The end of the reply is flushed by [`Self::respond`].
     fn reply(&mut self, reply: &Reply) -> Result<(), FrameError> {
         let bytes = write_frame(&mut self.writer, reply.kind(), &encode_reply(reply))?;
-        // A blocking flush per frame is the backpressure mechanism: a slow
-        // client stalls only its own connection thread (and the one
-        // admission slot it holds), never the server.
-        self.writer.flush()?;
         ServerMetrics::add(&self.shared.metrics.bytes_streamed, bytes);
         Ok(())
+    }
+
+    /// Sends one row stream — the only place the `RowHeader → Rows* →
+    /// Done` sequence is written: header, one `Rows` frame per batch
+    /// (`batches` yields no empty ones), closer with the totals the
+    /// client verifies. Batches are pulled one at a time, so peak memory
+    /// is one batch plus the window, whatever the result size, and a
+    /// reply longer than the window reaches the client while later
+    /// batches are still being produced.
+    fn stream_rows(
+        &mut self,
+        columns: Vec<(String, ValueType)>,
+        total_rows: u64,
+        batches: impl Iterator<Item = Vec<Vec<Value>>>,
+    ) -> Result<(), FrameError> {
+        self.reply(&Reply::RowHeader {
+            columns,
+            total_rows,
+        })?;
+        let mut sent = 0u64;
+        let mut rows_sent = 0u64;
+        for rows in batches {
+            sent += 1;
+            rows_sent += rows.len() as u64;
+            ServerMetrics::add(&self.shared.metrics.rows_streamed, rows.len() as u64);
+            self.reply(&Reply::Rows { rows })?;
+        }
+        self.reply(&Reply::Done {
+            batches: sent,
+            rows: rows_sent,
+        })
     }
 
     fn dispatch(&mut self, cmd: Command) -> Result<(), FrameError> {
@@ -401,20 +480,10 @@ impl<'a> Connection<'a> {
                     Err(e) => return self.storage_error(&e),
                 };
                 match run_agg(&t, &predicate, &group_by, &aggs) {
+                    // The whole result in one frame, if there is one.
                     Ok((columns, rows)) => {
                         let total = rows.len() as u64;
-                        self.reply(&Reply::RowHeader {
-                            columns,
-                            total_rows: total,
-                        })?;
-                        if total > 0 {
-                            ServerMetrics::add(&self.shared.metrics.rows_streamed, total);
-                            self.reply(&Reply::Rows { rows })?;
-                        }
-                        self.reply(&Reply::Done {
-                            batches: u64::from(total > 0),
-                            rows: total,
-                        })
+                        self.stream_rows(columns, total, (total > 0).then_some(rows).into_iter())
                     }
                     Err(e) => self.storage_error(&e),
                 }
@@ -434,25 +503,7 @@ impl<'a> Connection<'a> {
                     // frames however many groups come back.
                     Ok((columns, rows)) => {
                         let total = rows.len() as u64;
-                        self.reply(&Reply::RowHeader {
-                            columns,
-                            total_rows: total,
-                        })?;
-                        let mut batches = 0u64;
-                        for chunk in rows.chunks(STREAM_BATCH_ROWS) {
-                            batches += 1;
-                            ServerMetrics::add(
-                                &self.shared.metrics.rows_streamed,
-                                chunk.len() as u64,
-                            );
-                            self.reply(&Reply::Rows {
-                                rows: chunk.to_vec(),
-                            })?;
-                        }
-                        self.reply(&Reply::Done {
-                            batches,
-                            rows: total,
-                        })
+                        self.stream_rows(columns, total, chunked(rows.into_iter()))
                     }
                     Err(e) => self.storage_error(&e),
                 }
@@ -500,30 +551,11 @@ impl<'a> Connection<'a> {
                         columns.push((c.name.clone(), c.ty));
                     }
                 }
+                let plan = plan_join(&l, &r, &lk, &rk, segment_cache().stats().budget);
+                let matches = join_stream(l, r, &lk, &rk, &plan);
                 // The match count is unknown until the probe finishes —
                 // stream under the sentinel total; Done carries the truth.
-                self.reply(&Reply::RowHeader {
-                    columns,
-                    total_rows: TOTAL_UNKNOWN,
-                })?;
-                let plan = plan_join(&l, &r, &lk, &rk, segment_cache().stats().budget);
-                let mut stream = join_stream(l, r, &lk, &rk, &plan);
-                let mut batches = 0u64;
-                let mut rows_sent = 0u64;
-                loop {
-                    let chunk: Vec<_> = stream.by_ref().take(STREAM_BATCH_ROWS).collect();
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    batches += 1;
-                    rows_sent += chunk.len() as u64;
-                    ServerMetrics::add(&self.shared.metrics.rows_streamed, chunk.len() as u64);
-                    self.reply(&Reply::Rows { rows: chunk })?;
-                }
-                self.reply(&Reply::Done {
-                    batches,
-                    rows: rows_sent,
-                })
+                self.stream_rows(columns, TOTAL_UNKNOWN, chunked(matches))
             }
             Command::Ping | Command::Refresh | Command::Metrics => {
                 unreachable!("data-plane commands only")
@@ -531,9 +563,8 @@ impl<'a> Connection<'a> {
         }
     }
 
-    /// Streams one scan: header, one `Rows` frame per non-empty
-    /// segment-aligned batch, closer with totals. Peak memory is one
-    /// batch, whatever the result size.
+    /// Streams one scan: one `Rows` frame per non-empty segment-aligned
+    /// batch, under the selected-row count the mask already knows.
     fn stream_scan(&mut self, stream: ScanStream) -> Result<(), FrameError> {
         let t = stream.table();
         let columns: Vec<(String, ValueType)> = stream
@@ -544,22 +575,8 @@ impl<'a> Connection<'a> {
                 (def.name.clone(), def.ty)
             })
             .collect();
-        self.reply(&Reply::RowHeader {
-            columns,
-            total_rows: stream.total_selected(),
-        })?;
-        let mut batches = 0u64;
-        let mut rows_sent = 0u64;
-        for batch in stream {
-            batches += 1;
-            rows_sent += batch.rows.len() as u64;
-            ServerMetrics::add(&self.shared.metrics.rows_streamed, batch.rows.len() as u64);
-            self.reply(&Reply::Rows { rows: batch.rows })?;
-        }
-        self.reply(&Reply::Done {
-            batches,
-            rows: rows_sent,
-        })
+        let total = stream.total_selected();
+        self.stream_rows(columns, total, stream.map(|batch| batch.rows))
     }
 
     /// Maps a storage error onto an error reply, keeping the session.
@@ -579,6 +596,16 @@ impl<'a> Connection<'a> {
 /// Rows per `Rows` frame for chunked result streams (GroupBy, Join).
 const STREAM_BATCH_ROWS: usize = 4096;
 
+/// Regroups a row iterator into batches of [`STREAM_BATCH_ROWS`] (the
+/// last one shorter, none empty), moving the rows.
+fn chunked(rows: impl Iterator<Item = Vec<Value>>) -> impl Iterator<Item = Vec<Vec<Value>>> {
+    let mut rows = rows.fuse();
+    std::iter::from_fn(move || {
+        let batch: Vec<_> = rows.by_ref().take(STREAM_BATCH_ROWS).collect();
+        (!batch.is_empty()).then_some(batch)
+    })
+}
+
 /// Aggregation over the predicate-selected rows: output schema plus
 /// result rows (group keys first, aggregates after, both in request
 /// order).
@@ -588,7 +615,7 @@ fn run_agg(
     predicate: &Predicate,
     group_by: &[String],
     aggs: &[(AggOp, String)],
-) -> Result<(Vec<(String, ValueType)>, Vec<Vec<cods_storage::Value>>), StorageError> {
+) -> Result<(Vec<(String, ValueType)>, Vec<Vec<Value>>), StorageError> {
     let group_idx: Vec<usize> = group_by
         .iter()
         .map(|g| t.schema().index_of(g))
@@ -621,4 +648,185 @@ fn run_agg(
         }
     };
     Ok((columns, rows))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::proto::decode_reply;
+    use cods_storage::Schema;
+
+    /// A transport that records every write that reaches it.
+    #[derive(Clone, Default)]
+    struct Sink(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Sink {
+        fn writes(&self) -> usize {
+            self.0.lock().unwrap().len()
+        }
+        fn bytes(&self) -> u64 {
+            self.0.lock().unwrap().iter().map(|w| w.len() as u64).sum()
+        }
+        fn last_write(&self) -> Vec<u8> {
+            self.0.lock().unwrap().last().cloned().unwrap_or_default()
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Server state over a catalog holding one five-row table `t`.
+    fn shared() -> Shared {
+        let cods = Cods::new();
+        let schema = Schema::build(&[("k", ValueType::Int), ("v", ValueType::Str)], &[]).unwrap();
+        let rows: Vec<Vec<Value>> = (0..5)
+            .map(|i| vec![Value::int(i), Value::str(format!("v{i}"))])
+            .collect();
+        cods.catalog()
+            .create(Table::from_rows("t", schema, &rows).unwrap())
+            .unwrap();
+        Shared::new(Arc::new(cods), ServerConfig::default())
+    }
+
+    /// Splits one transport write back into the replies it carries.
+    fn replies_in(mut bytes: &[u8]) -> Vec<Reply> {
+        let mut replies = Vec::new();
+        while !bytes.is_empty() {
+            let (kind, payload) = read_frame(&mut bytes, DEFAULT_MAX_FRAME_BYTES).unwrap();
+            replies.push(decode_reply(kind, &payload).unwrap());
+        }
+        replies
+    }
+
+    #[test]
+    fn a_small_row_stream_reaches_the_transport_as_one_write() {
+        let shared = shared();
+        let sink = Sink::default();
+        let mut conn = Connection::open(&shared, sink.clone()).unwrap();
+        assert_eq!(sink.writes(), 1, "preamble and Hello leave together");
+
+        conn.respond(Command::Scan {
+            table: "t".into(),
+            predicate: Predicate::True,
+            projection: None,
+        })
+        .unwrap();
+        assert_eq!(sink.writes(), 2, "header, batch and closer coalesce");
+        let replies = replies_in(&sink.last_write());
+        assert!(
+            matches!(
+                replies.as_slice(),
+                [
+                    Reply::RowHeader { total_rows: 5, .. },
+                    Reply::Rows { rows },
+                    Reply::Done { batches: 1, rows: 5 },
+                ] if rows.len() == 5
+            ),
+            "{replies:?}"
+        );
+    }
+
+    #[test]
+    fn a_single_frame_reply_is_one_write() {
+        let shared = shared();
+        let sink = Sink::default();
+        let mut conn = Connection::open(&shared, sink.clone()).unwrap();
+        type Expected = fn(&Reply) -> bool;
+        let cases: [(Command, Expected); 4] = [
+            (Command::Ping, |r| matches!(r, Reply::Pong)),
+            (
+                Command::Mask {
+                    table: "t".into(),
+                    predicate: Predicate::True,
+                },
+                |r| matches!(r, Reply::MaskSummary { selected: 5, .. }),
+            ),
+            (
+                Command::Script {
+                    text: "RENAME TABLE t TO u".into(),
+                },
+                |r| matches!(r, Reply::Ok { .. }),
+            ),
+            // Typed errors are replies like any other.
+            (
+                Command::Stats {
+                    table: "nope".into(),
+                },
+                |r| matches!(r, Reply::Error { .. }),
+            ),
+        ];
+        for (i, (cmd, expected)) in cases.into_iter().enumerate() {
+            conn.respond(cmd).unwrap();
+            assert_eq!(sink.writes(), i + 2);
+            let replies = replies_in(&sink.last_write());
+            assert!(replies.len() == 1 && expected(&replies[0]), "{replies:?}");
+        }
+    }
+
+    #[test]
+    fn a_long_row_stream_holds_at_most_one_window_and_overlaps_with_its_producer() {
+        let shared = shared();
+        let sink = Sink::default();
+        let mut conn = Connection::open(&shared, sink.clone()).unwrap();
+        let encoded = || shared.metrics.bytes_streamed.load(Ordering::Relaxed);
+        // The preamble is the only thing the byte counter leaves out.
+        let preamble = sink.bytes() - encoded();
+
+        // Sixteen batches of one 256 KiB cell each: every frame is larger
+        // than the window. The iterator runs between frames, so it sees
+        // what the connection holds at each step.
+        const FRAMES: u64 = 16;
+        let cell = "x".repeat(256 * 1024);
+        let mut produced = 0u64;
+        let batches = std::iter::from_fn(|| {
+            if produced == FRAMES {
+                return None;
+            }
+            let held = preamble + encoded() - sink.bytes();
+            assert!(
+                held <= REPLY_WINDOW_BYTES as u64,
+                "{held} bytes held before batch {produced}"
+            );
+            if produced == FRAMES - 1 {
+                assert!(
+                    sink.bytes() - preamble > cell.len() as u64,
+                    "the first frame must be out before the last is encoded"
+                );
+            }
+            produced += 1;
+            Some(vec![vec![Value::str(&cell)]])
+        });
+        conn.stream_rows(vec![("v".into(), ValueType::Str)], FRAMES, batches)
+            .unwrap();
+        conn.writer.flush().unwrap();
+        assert_eq!(sink.bytes(), preamble + encoded(), "nothing left behind");
+        assert!(encoded() > FRAMES * cell.len() as u64);
+    }
+
+    #[test]
+    fn both_ends_of_a_connection_run_without_nagle() {
+        let mut handle = Server::bind(
+            "127.0.0.1:0",
+            Arc::new(Cods::new()),
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let mut client = Client::connect(handle.local_addr()).unwrap();
+        client.ping().unwrap();
+        assert!(client.nodelay().unwrap(), "client socket");
+        // The accept loop registers each socket before it serves it.
+        let conns = handle.shared.conns.lock().unwrap();
+        assert_eq!(conns.len(), 1);
+        assert!(conns[0].nodelay().unwrap(), "accepted socket");
+        drop(conns);
+        handle.shutdown();
+    }
 }

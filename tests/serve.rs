@@ -37,6 +37,17 @@ fn platform(rows: usize, seg: u64) -> Arc<Cods> {
     Arc::new(cods)
 }
 
+/// Adds a dimension table keyed by `grp`, including a key no fact row has.
+fn add_dim(cods: &Cods) {
+    let schema = Schema::build(&[("grp", ValueType::Int), ("label", ValueType::Str)], &[]).unwrap();
+    let rows: Vec<Vec<Value>> = (0..8)
+        .map(|g| vec![Value::int(g), Value::str(format!("group-{g}"))])
+        .collect();
+    cods.catalog()
+        .create(Table::from_rows_with_segment_rows("dim", schema, &rows, 4).unwrap())
+        .unwrap();
+}
+
 fn expected_rows(cods: &Cods, pred: &Predicate) -> Vec<Vec<Value>> {
     let t = cods.table("t").unwrap();
     cods_query::filter_table(&t, pred).unwrap().to_rows()
@@ -385,15 +396,7 @@ fn chunked_group_by_streams_large_group_counts_in_batches() {
 #[test]
 fn join_streams_over_the_wire_with_verified_totals() {
     let cods = platform(5_000, 512);
-    // A dimension table keyed by grp, including a key no fact row has.
-    let dim_schema =
-        Schema::build(&[("grp", ValueType::Int), ("label", ValueType::Str)], &[]).unwrap();
-    let dim_rows: Vec<Vec<Value>> = (0..8)
-        .map(|g| vec![Value::int(g), Value::str(format!("group-{g}"))])
-        .collect();
-    cods.catalog()
-        .create(Table::from_rows_with_segment_rows("dim", dim_schema, &dim_rows, 4).unwrap())
-        .unwrap();
+    add_dim(&cods);
     let mut handle =
         Server::bind("127.0.0.1:0", Arc::clone(&cods), ServerConfig::default()).unwrap();
     let mut client = Client::connect(handle.local_addr()).unwrap();
@@ -439,5 +442,133 @@ fn join_streams_over_the_wire_with_verified_totals() {
         .unwrap_err();
     assert!(matches!(err, ClientError::Server { .. }), "{err:?}");
     client.ping().expect("connection survives typed errors");
+    handle.shutdown();
+}
+
+/// What one raw exchange put on the wire: every reply frame until the
+/// closing `Done`, as the server framed it.
+#[derive(Debug, PartialEq)]
+struct Exchange {
+    frames: u64,
+    bytes: u64,
+    /// FNV-1a 64 over every frame's kind and payload, concatenated.
+    digest: u64,
+    done_batches: u64,
+    done_rows: u64,
+}
+
+fn exchange(
+    stream: &mut std::net::TcpStream,
+    reader: &mut impl std::io::Read,
+    cmd: &cods_server::Command,
+) -> Exchange {
+    use cods_server::frame::{fnv1a64, read_frame, write_frame, DEFAULT_MAX_FRAME_BYTES};
+    use cods_server::proto::{decode_reply, encode_command};
+    write_frame(stream, cmd.kind(), &encode_command(cmd)).unwrap();
+    let mut frames = 0;
+    let mut content = Vec::new();
+    loop {
+        let (kind, payload) = read_frame(reader, DEFAULT_MAX_FRAME_BYTES).unwrap();
+        frames += 1;
+        content.push(kind);
+        content.extend_from_slice(&payload);
+        if let cods_server::Reply::Done { batches, rows } = decode_reply(kind, &payload).unwrap() {
+            return Exchange {
+                frames,
+                // Each frame adds a 4-byte length and an 8-byte checksum.
+                bytes: content.len() as u64 + 12 * frames,
+                digest: fnv1a64(&content),
+                done_batches: batches,
+                done_rows: rows,
+            };
+        }
+    }
+}
+
+#[test]
+fn reply_bytes_frames_and_totals_are_those_of_protocol_version_1() {
+    // Constants recorded at the commit before the reply writer was
+    // windowed: the flush policy may change when bytes leave, never
+    // which bytes.
+    let cods = platform(5_000, 512);
+    add_dim(&cods);
+    let mut handle =
+        Server::bind("127.0.0.1:0", Arc::clone(&cods), ServerConfig::default()).unwrap();
+
+    let mut raw = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    cods_server::frame::read_preamble(&mut reader).unwrap();
+    let (hello, _) = cods_server::frame::read_frame(&mut reader, 1 << 20).unwrap();
+    assert_eq!(hello, 0x81);
+
+    let scan = exchange(
+        &mut raw,
+        &mut reader,
+        &cods_server::Command::Scan {
+            table: "t".into(),
+            predicate: Predicate::lt("grp", 3i64),
+            projection: None,
+        },
+    );
+    let group_by = exchange(
+        &mut raw,
+        &mut reader,
+        &cods_server::Command::GroupBy {
+            table: "t".into(),
+            predicate: Predicate::True,
+            group_by: vec!["k".into()],
+            aggs: vec![(cods_query::AggOp::Count, "v".into())],
+        },
+    );
+    let join = exchange(
+        &mut raw,
+        &mut reader,
+        &cods_server::Command::Join {
+            left: "t".into(),
+            right: "dim".into(),
+            left_keys: vec!["grp".into()],
+            right_keys: vec!["grp".into()],
+        },
+    );
+    assert_eq!(
+        scan,
+        Exchange {
+            frames: 12,
+            bytes: 77_923,
+            digest: 11858813980843628085,
+            done_batches: 10,
+            done_rows: 2_144,
+        }
+    );
+    assert_eq!(
+        group_by,
+        Exchange {
+            frames: 4,
+            bytes: 110_107,
+            digest: 3352937161572489144,
+            done_batches: 2,
+            done_rows: 5_000,
+        }
+    );
+    // Join output order is the kernel's business: pin its volume only.
+    assert_eq!(
+        Exchange { digest: 0, ..join },
+        Exchange {
+            frames: 4,
+            bytes: 241_270,
+            digest: 0,
+            done_batches: 2,
+            done_rows: 5_000,
+        }
+    );
+    // The server's own byte counter agrees: the three streams plus the
+    // two sessions' 21-byte `Hello` frames.
+    let streamed = Client::connect(handle.local_addr())
+        .unwrap()
+        .metrics()
+        .unwrap()
+        .bytes_streamed;
+    assert_eq!(streamed, 77_923 + 110_107 + 241_270 + 2 * 21);
     handle.shutdown();
 }
