@@ -12,8 +12,8 @@
 //! * `ablation` — design-choice ablations (WAH vs. plain filtering, FD
 //!   verification cost, key-FK vs. general mergence, compression ratio).
 //!
-//! Row count defaults to `CODS_BENCH_ROWS` or 1,000,000; pass
-//! `--rows 10000000` for the paper's full scale.
+//! Row count defaults to 1,000,000; pass `--rows 10000000` for the paper's
+//! full scale.
 
 use cods::{decompose, merge_general, merge_key_fk, Cods, ColumnFill, MergeStrategy, Smo};
 use cods_bench::*;
@@ -35,10 +35,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         command: "all".to_string(),
-        rows: std::env::var("CODS_BENCH_ROWS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1_000_000),
+        rows: 1_000_000,
         distinct: None,
         repeat: 3,
         systems: None,

@@ -1,7 +1,6 @@
-//! Shared measurement runners for the Figure 3 harness and the Criterion
-//! benches: each function performs the *untimed* setup (loading the input
-//! into the engine under test) and times only the evolution itself, exactly
-//! as the paper measures.
+//! Measurement runners for the Figure 3 harness: each function performs the
+//! *untimed* setup (loading the input into the engine under test) and times
+//! only the evolution itself, exactly as the paper measures.
 
 use cods::{decompose, merge, DecomposeSpec, MergeStrategy};
 use cods_query::{
@@ -13,12 +12,12 @@ use cods_workload::gen::r_schema;
 use cods_workload::System;
 use std::time::{Duration, Instant};
 
-/// Column names of the generated evaluation table.
-pub const UNCHANGED_COLS: [&str; 2] = ["entity", "attr"];
+/// Columns of the unchanged side.
+const UNCHANGED_COLS: [&str; 2] = ["entity", "attr"];
 /// Columns of the changed (distinct) side.
-pub const CHANGED_COLS: [&str; 2] = ["entity", "detail"];
+const CHANGED_COLS: [&str; 2] = ["entity", "detail"];
 /// The join/key column.
-pub const COMMON_COLS: [&str; 1] = ["entity"];
+const COMMON_COLS: [&str; 1] = ["entity"];
 
 /// The decomposition spec of the experiment
 /// (`R(entity, attr, detail) → S(entity, attr), T(entity, detail)`).

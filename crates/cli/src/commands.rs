@@ -68,23 +68,16 @@ commands:
   help | quit
 ";
 
-fn parse_type(s: &str) -> Result<ValueType, String> {
-    match s {
-        "int" => Ok(ValueType::Int),
-        "str" | "string" | "text" => Ok(ValueType::Str),
-        "float" => Ok(ValueType::Float),
-        "bool" => Ok(ValueType::Bool),
-        other => Err(format!("unknown type {other:?} (use int/str/float/bool)")),
-    }
-}
-
 fn parse_schema(spec: &str, key: Option<&str>) -> Result<Schema, String> {
     let mut cols = Vec::new();
     for part in spec.split(',') {
         let (name, ty) = part
             .split_once(':')
             .ok_or_else(|| format!("column spec {part:?} must be name:type"))?;
-        cols.push((name.trim(), parse_type(ty.trim())?));
+        cols.push((
+            name.trim(),
+            cods::parser::parse_type(ty.trim()).map_err(|e| e.to_string())?,
+        ));
     }
     let keys: Vec<&str> = key
         .map(|k| k.split(',').map(str::trim).collect())
@@ -126,9 +119,8 @@ fn cols_of(spec: &str) -> Vec<String> {
 const EXPLAIN_USAGE: &str = "usage: explain agg <table> <cols|-> <op:col,…> [where <pred>] \
                              | explain join <left> <right> <lcol=rcol,…>";
 
-/// `op:col` → aggregate expression, aliased like the server's agg output
-/// (`count(skill)`).
-fn parse_agg_expr(spec: &str) -> Result<AggExpr, String> {
+/// `op:col` → aggregate spec; ops: count, distinct, sum, min, max.
+pub(crate) fn parse_agg_spec(spec: &str) -> Result<(AggOp, String), String> {
     let (op, col) = spec
         .split_once(':')
         .ok_or_else(|| format!("bad aggregate {spec:?}, want op:col"))?;
@@ -140,11 +132,15 @@ fn parse_agg_expr(spec: &str) -> Result<AggExpr, String> {
         "max" => AggOp::Max,
         other => return Err(format!("unknown aggregate op {other:?}")),
     };
-    Ok(AggExpr::new(
-        op,
-        col,
-        format!("{op:?}({col})").to_lowercase(),
-    ))
+    Ok((op, col.to_string()))
+}
+
+/// [`parse_agg_spec`] as a plan expression, aliased like the server's agg
+/// output (`count(skill)`).
+fn parse_agg_expr(spec: &str) -> Result<AggExpr, String> {
+    let (op, col) = parse_agg_spec(spec)?;
+    let alias = format!("{op:?}({col})").to_lowercase();
+    Ok(AggExpr::new(op, col, alias))
 }
 
 /// Renders the `stats` output: per-column segment-encoding histogram (a
@@ -577,7 +573,7 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
             let (name, ty) = spec
                 .split_once(':')
                 .ok_or("column spec must be name:type")?;
-            let ty = parse_type(ty)?;
+            let ty = cods::parser::parse_type(ty).map_err(|e| e.to_string())?;
             let value = Value::parse(default, ty).map_err(|e| e.to_string())?;
             cods.execute(Smo::AddColumn {
                 table: table.to_string(),

@@ -18,6 +18,7 @@
 //! quit
 //! ```
 
+use crate::commands::parse_agg_spec;
 use cods_query::{AggOp, CmpOp, Predicate};
 use cods_server::{Client, ClientError, ServerConfig};
 use cods_storage::Value;
@@ -264,8 +265,6 @@ pub fn connect_command(
                 .map(parse_agg_spec)
                 .collect::<Result<_, String>>()?;
             let pred = parse_where(tail)?;
-            // The chunked GroupBy command: identical results to Agg, but
-            // group batches arrive in bounded frames.
             let (cols, rows) = client
                 .group_by(table, pred, group_by, aggs)
                 .map_err(fmt_err)?;
@@ -336,22 +335,6 @@ const JOIN_USAGE: &str = "usage: join <left> <right> on <lcol=rcol,…>";
 
 fn fmt_err(e: ClientError) -> String {
     e.to_string()
-}
-
-/// `op:col` → aggregate spec; ops: count, distinct, sum, min, max.
-fn parse_agg_spec(spec: &str) -> Result<(AggOp, String), String> {
-    let (op, col) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("bad aggregate {spec:?}, want op:col"))?;
-    let op = match op {
-        "count" => AggOp::Count,
-        "distinct" => AggOp::CountDistinct,
-        "sum" => AggOp::Sum,
-        "min" => AggOp::Min,
-        "max" => AggOp::Max,
-        other => return Err(format!("unknown aggregate op {other:?}")),
-    };
-    Ok((op, col.to_string()))
 }
 
 /// Optional `select c1,c2` prefix; returns the projection and the rest.

@@ -51,7 +51,10 @@ fn split_top_level_commas(s: &str) -> Vec<&str> {
     parts
 }
 
-fn parse_type(s: &str) -> Result<ValueType> {
+/// Parses a column type name, case-insensitively: `int`/`integer`,
+/// `str`/`string`/`text`/`varchar`, `float`/`double`/`real`,
+/// `bool`/`boolean`.
+pub fn parse_type(s: &str) -> Result<ValueType> {
     match s.to_ascii_lowercase().as_str() {
         "int" | "integer" => Ok(ValueType::Int),
         "str" | "string" | "text" | "varchar" => Ok(ValueType::Str),

@@ -21,7 +21,7 @@
 //! Pruning never changes results: a pruned segment is one the unpruned walk
 //! would have emitted as the same zero fill, so
 //! [`predicate_mask`] and [`predicate_mask_unpruned`] are bit-identical
-//! (locked by the `scan_pruning` bench and a differential proptest).
+//! (locked by the differential proptest `tests/proptest_scan_pruning.rs`).
 
 use crate::pred::{CmpOp, CompiledPredicate, Predicate};
 use cods_bitmap::Wah;
@@ -82,8 +82,8 @@ pub fn predicate_mask(table: &Table, pred: &Predicate) -> Result<Wah, StorageErr
 
 /// [`predicate_mask`] with zone pruning disabled: every segment's
 /// present-id stats are consulted even when its zone already rules it out.
-/// Exists for the pruning benchmarks and the differential test harness —
-/// the two functions are bit-identical by construction.
+/// Exists for the differential test harness — the two functions are
+/// bit-identical by construction.
 pub fn predicate_mask_unpruned(table: &Table, pred: &Predicate) -> Result<Wah, StorageError> {
     mask_rec(table, pred, false)
 }

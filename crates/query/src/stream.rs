@@ -18,8 +18,8 @@
 //!    payload — zone- and stat-pruned ranges stream at metadata speed.
 //!
 //! The concatenation of all batches is row-for-row identical to
-//! `filter_table(...)` followed by projection (locked by tests here and by
-//! the `serve_stream` bench).
+//! `filter_table(...)` followed by projection (locked by tests here and,
+//! over TCP, by `tests/serve.rs`).
 
 use crate::pred::Predicate;
 use cods_storage::{StorageError, Table, Value};
@@ -126,8 +126,8 @@ impl ScanStream {
     }
 
     /// Drains the stream into one materialized row set — the
-    /// anti-streaming baseline; tests and benches use it to check batch
-    /// concatenation against [`crate::filter_table`].
+    /// anti-streaming baseline; tests use it to check batch concatenation
+    /// against [`crate::filter_table`].
     pub fn collect_rows(self) -> Vec<Vec<Value>> {
         let mut out = Vec::new();
         for batch in self {

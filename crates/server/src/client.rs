@@ -277,36 +277,8 @@ impl Client {
     }
 
     /// Grouped aggregation over predicate-selected rows; returns the
-    /// output schema and result rows.
-    #[allow(clippy::type_complexity)]
-    pub fn agg(
-        &mut self,
-        table: &str,
-        predicate: Predicate,
-        group_by: Vec<String>,
-        aggs: Vec<(AggOp, String)>,
-    ) -> Result<(Vec<(String, ValueType)>, Vec<Vec<Value>>), ClientError> {
-        self.send(&Command::Agg {
-            table: table.to_string(),
-            predicate,
-            group_by,
-            aggs,
-        })?;
-        let mut all = Vec::new();
-        let mut header = Vec::new();
-        let summary =
-            self.drain_stream(&mut |cols: &[(String, ValueType)], rows: Vec<Vec<Value>>| {
-                header = cols.to_vec();
-                all.extend(rows);
-            })?;
-        if all.is_empty() {
-            header = summary.columns.clone();
-        }
-        Ok((header, all))
-    }
-
-    /// [`Client::agg`] over the chunked `GroupBy` command: identical
-    /// results, but large group counts arrive in bounded batches.
+    /// output schema and result rows. Large group counts arrive in
+    /// bounded batches.
     #[allow(clippy::type_complexity)]
     pub fn group_by(
         &mut self,

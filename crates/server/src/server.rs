@@ -141,7 +141,11 @@ impl Server {
                     }
                     let shared = Arc::clone(&shared);
                     let handle = std::thread::spawn(move || {
-                        let _ = Connection::run(&shared, stream);
+                        let _ = Connection::run(&shared, &stream);
+                        // The clone in `conns` keeps the descriptor open
+                        // until shutdown: hang up here, or the peer never
+                        // sees the session end.
+                        let _ = stream.shutdown(Shutdown::Both);
                         ServerMetrics::dec(&shared.metrics.connections_open);
                     });
                     conn_threads.lock().unwrap().push(handle);
@@ -206,9 +210,9 @@ struct Connection<'a, W: Write> {
     writer: BufWriter<W>,
 }
 
-impl<'a> Connection<'a, TcpStream> {
-    fn run(shared: &'a Shared, stream: TcpStream) -> Result<(), FrameError> {
-        let mut reader = BufReader::new(stream.try_clone().map_err(FrameError::Io)?);
+impl<'a> Connection<'a, &'a TcpStream> {
+    fn run(shared: &'a Shared, stream: &'a TcpStream) -> Result<(), FrameError> {
+        let mut reader = BufReader::new(stream);
         let mut conn = Connection::open(shared, stream)?;
         loop {
             let (kind, payload) = match read_frame(&mut reader, shared.config.max_frame_bytes) {
@@ -469,25 +473,6 @@ impl<'a, W: Write> Connection<'a, W> {
                     Err(e) => self.storage_error(&e),
                 }
             }
-            Command::Agg {
-                table,
-                predicate,
-                group_by,
-                aggs,
-            } => {
-                let t = match self.session.table(&table) {
-                    Ok(t) => t,
-                    Err(e) => return self.storage_error(&e),
-                };
-                match run_agg(&t, &predicate, &group_by, &aggs) {
-                    // The whole result in one frame, if there is one.
-                    Ok((columns, rows)) => {
-                        let total = rows.len() as u64;
-                        self.stream_rows(columns, total, (total > 0).then_some(rows).into_iter())
-                    }
-                    Err(e) => self.storage_error(&e),
-                }
-            }
             Command::GroupBy {
                 table,
                 predicate,
@@ -499,8 +484,8 @@ impl<'a, W: Write> Connection<'a, W> {
                     Err(e) => return self.storage_error(&e),
                 };
                 match run_agg(&t, &predicate, &group_by, &aggs) {
-                    // Same kernel as Agg, chunked reply stream: bounded
-                    // frames however many groups come back.
+                    // Chunked reply stream: bounded frames however many
+                    // groups come back.
                     Ok((columns, rows)) => {
                         let total = rows.len() as u64;
                         self.stream_rows(columns, total, chunked(rows.into_iter()))

@@ -103,11 +103,23 @@ fn command() -> BoxedStrategy<Command> {
             prop::collection::vec(name(), 0..3),
             prop::collection::vec((agg_op(), name()), 0..3)
         )
-            .prop_map(|(table, predicate, group_by, aggs)| Command::Agg {
+            .prop_map(|(table, predicate, group_by, aggs)| Command::GroupBy {
                 table,
                 predicate,
                 group_by,
                 aggs,
+            }),
+        (
+            name(),
+            name(),
+            prop::collection::vec(name(), 0..3),
+            prop::collection::vec(name(), 0..3)
+        )
+            .prop_map(|(left, right, left_keys, right_keys)| Command::Join {
+                left,
+                right,
+                left_keys,
+                right_keys,
             }),
     ]
     .boxed()

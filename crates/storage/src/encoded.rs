@@ -2182,6 +2182,8 @@ mod tests {
         assert!(bitmap_segs >= 3, "uniform suffix should stay bitmap");
         assert_eq!(auto.uniform_encoding(), None);
         assert_eq!(auto.values(), c.values());
+        // ...and the flipped prefix pays: smaller than all-bitmap.
+        assert!(auto.payload_bytes() < c.payload_bytes());
     }
 
     #[test]

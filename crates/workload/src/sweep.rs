@@ -5,8 +5,8 @@
 pub const PAPER_SWEEP: [u64; 5] = [100, 1_000, 10_000, 100_000, 1_000_000];
 
 /// The paper's row count (10M). The harness defaults to a scaled-down run
-/// (env `CODS_BENCH_ROWS` or `--rows`) because the baselines take minutes at
-/// full scale, exactly as in the paper.
+/// (`--rows`) because the baselines take minutes at full scale, exactly as
+/// in the paper.
 pub const PAPER_ROWS: u64 = 10_000_000;
 
 /// The systems of Figure 3.

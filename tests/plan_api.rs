@@ -21,13 +21,18 @@ fn platform_with(name: &str, rows: u64) -> Cods {
 #[test]
 fn planned_script_equals_sequential_on_generated_workload() {
     // The workload generator emits R(entity, attr, detail) with
-    // entity → detail, so the full decompose → evolve → merge cycle runs.
+    // entity → detail, so the full decompose → reshape → evolve → merge
+    // cycle runs; only R2 survives it.
     let script = "\
         DECOMPOSE TABLE R INTO S (entity, attr), T (entity, detail)\n\
+        PARTITION TABLE S WHERE entity < 32 INTO s_lo, s_hi\n\
+        UNION TABLES s_lo, s_hi INTO S2\n\
+        DROP TABLE s_lo\n\
+        DROP TABLE s_hi\n\
         ADD COLUMN verified int DEFAULT 0 TO T\n\
         RENAME COLUMN verified TO audited IN T\n\
-        MERGE TABLES S, T INTO R2\n\
-        DROP TABLE S\n\
+        MERGE TABLES S2, T INTO R2\n\
+        DROP TABLE S2\n\
         DROP TABLE T\n";
     let sequential = platform_with("R", 4_000);
     sequential
@@ -36,12 +41,18 @@ fn planned_script_equals_sequential_on_generated_workload() {
 
     let planned = platform_with("R", 4_000);
     let plan = planned.plan_script(script).unwrap();
-    // The two column ops fused into the decompose → merge chain.
-    assert_eq!(plan.nodes().len(), 5);
+    // Ten operators, nine nodes: the two column ops fused into one.
+    assert_eq!(plan.nodes().len(), 9);
     let report = plan.execute().unwrap();
-    assert_eq!(report.committed_puts, 1); // only R2 lands
+    // Every intermediate lived in the plan's workspace only: one table
+    // lands, in one catalog version bump (seed create + one commit),
+    // where the sequential path bumps once per operator.
+    assert_eq!(report.committed_puts, 1);
+    assert!(report.committed_puts < report.staged_puts);
     assert_eq!(report.committed_drops, 1); // R disappears
-    assert_eq!(report.elided, vec!["S".to_string(), "T".to_string()]);
+    assert_eq!(report.elided, ["S", "S2", "T", "s_hi", "s_lo"]);
+    assert_eq!(planned.catalog().version(), 2);
+    assert!(sequential.catalog().version() > planned.catalog().version());
 
     assert_eq!(
         sequential.catalog().table_names(),

@@ -67,6 +67,7 @@ fn scan_pinned_before_evolution_commit_is_byte_identical() {
     let mut evolved = false;
     let summary = scanner
         .scan_with("t", Predicate::True, None, |_, rows| {
+            assert!(rows.len() <= 1_024, "a batch never exceeds one segment");
             got.extend(rows);
             if !evolved {
                 evolved = true;
@@ -249,6 +250,42 @@ fn hostile_bytes_are_contained_to_their_connection() {
 }
 
 #[test]
+fn retired_command_kind_0x08_gets_a_typed_farewell() {
+    use cods_server::frame::{read_frame, read_preamble, write_frame, FrameError};
+    let cods = platform(500, 256);
+    let mut handle =
+        Server::bind("127.0.0.1:0", Arc::clone(&cods), ServerConfig::default()).unwrap();
+    let addr = handle.local_addr();
+
+    // A well-formed frame of the retired single-frame aggregate's kind,
+    // carrying the body that command used to have.
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    read_preamble(&mut reader).unwrap();
+    read_frame(&mut reader, 1 << 20).unwrap(); // Hello
+    let body = cods_server::proto::encode_command(&cods_server::Command::GroupBy {
+        table: "t".into(),
+        predicate: Predicate::True,
+        group_by: vec!["grp".into()],
+        aggs: vec![(cods_query::AggOp::Count, "k".into())],
+    });
+    write_frame(&mut raw, 0x08, &body).unwrap();
+    let (kind, payload) = read_frame(&mut reader, 1 << 20).unwrap();
+    match cods_server::proto::decode_reply(kind, &payload).unwrap() {
+        cods_server::Reply::Error { code, .. } => {
+            assert_eq!(code, cods_server::error_code::BAD_REQUEST)
+        }
+        other => panic!("expected a BAD_REQUEST farewell, got {other:?}"),
+    }
+    // ...after which the server hangs up on this connection only.
+    let end = read_frame(&mut reader, 1 << 20);
+    assert!(matches!(end, Err(FrameError::Eof)), "{end:?}");
+    Client::connect(addr).unwrap().ping().unwrap();
+    handle.shutdown();
+}
+
+#[test]
 fn idle_connections_are_evicted_without_disturbing_healthy_sessions() {
     let cods = platform(500, 256);
     let config = ServerConfig {
@@ -325,7 +362,7 @@ fn aggregation_over_the_wire_matches_local_execution() {
     let mut client = Client::connect(handle.local_addr()).unwrap();
 
     let (cols, rows) = client
-        .agg(
+        .group_by(
             "t",
             Predicate::lt("grp", 3i64),
             vec!["grp".into()],
@@ -380,16 +417,20 @@ fn chunked_group_by_streams_large_group_counts_in_batches() {
             .unwrap();
     assert_eq!(rows, local);
 
-    // The filtered variant matches Agg (single frame) bit for bit.
+    // The filtered variant matches local execution bit for bit.
     let pred = Predicate::lt("grp", 2i64);
     let spec = vec![(cods_query::AggOp::CountDistinct, "v".into())];
-    let via_agg = client
-        .agg("t", pred.clone(), vec!["grp".into()], spec.clone())
+    let (_, filtered_rows) = client
+        .group_by("t", pred.clone(), vec!["grp".into()], spec)
         .unwrap();
-    let via_group_by = client
-        .group_by("t", pred, vec!["grp".into()], spec)
-        .unwrap();
-    assert_eq!(via_agg, via_group_by);
+    let filtered = cods_query::filter_table(&t, &pred).unwrap();
+    let local = cods_query::aggregate_table(
+        &filtered,
+        &[1],
+        &[(cods_query::AggOp::CountDistinct, 2, ValueType::Str)],
+    )
+    .unwrap();
+    assert_eq!(filtered_rows, local);
     handle.shutdown();
 }
 

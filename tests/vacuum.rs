@@ -3,6 +3,8 @@
 //! observationally identical — same tuples, same invariants, still
 //! append-saveable afterwards.
 
+use cods_query::bitmap_scan::predicate_mask;
+use cods_query::Predicate;
 use cods_storage::persist::{read_catalog, save_catalog};
 use cods_storage::{
     heap_stats, set_auto_vacuum, vacuum_catalog, vacuum_file, wait_for_auto_vacuum, AutoVacuum,
@@ -110,12 +112,23 @@ fn offline_vacuum_file_compacts_without_an_open_catalog() {
     churn(&cat, &path, 3);
     let want = cat.get("a").unwrap().tuple_multiset();
     drop(cat); // nothing in memory references the file any more
+    let masks = || -> Vec<cods_bitmap::Wah> {
+        let t = read_catalog(&path).unwrap().get("a").unwrap();
+        [Predicate::eq("v", "blue"), Predicate::lt("k", 100i64)]
+            .iter()
+            .map(|p| predicate_mask(&t, p).unwrap())
+            .collect()
+    };
+    let masks_before = masks();
 
     let before = heap_stats(&path).unwrap();
     assert!(before.dead_bytes > 0);
     let report = vacuum_file(&path).unwrap();
     assert!(report.reclaimed_bytes() >= before.dead_bytes);
     assert_eq!(heap_stats(&path).unwrap().dead_bytes, 0);
+    // Compaction moves payloads, never rows: scans over the compacted
+    // file return the very same masks.
+    assert_eq!(masks(), masks_before);
     assert_eq!(
         read_catalog(&path)
             .unwrap()
@@ -147,6 +160,7 @@ fn heap_stats_starts_fully_live_and_tracks_churn() {
     let churned = heap_stats(&path).unwrap();
     assert!(churned.dead_bytes > 0);
     assert!(churned.heap_bytes > fresh.heap_bytes);
+    assert!(churned.file_bytes > fresh.file_bytes);
     // Only `v`'s payloads were superseded; `k`'s are still the originals.
     assert!(churned.dead_bytes < churned.heap_bytes);
 
