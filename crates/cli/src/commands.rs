@@ -1,10 +1,16 @@
-//! Command parsing and execution for the CODS shell.
+//! The command language of the CODS shells. Both shells — the local one
+//! over a [`Cods`] platform and `cods connect` over a [`Client`] — accept
+//! the same statements through [`run_statement`]: a bare SMO statement,
+//! `run <file.smo>` and the four reads (`count`, `scan`, `agg`, `join`).
+//! [`run_command`] adds the local shell's meta commands.
 
-use cods::{Cods, ColumnFill, DecomposeSpec, MergeStrategy, Smo};
-use cods_query::{AggExpr, AggOp, CmpOp, ExecContext, Plan, Predicate};
+use cods::Cods;
+use cods_query::{parse_query, Query, QueryOutput};
+use cods_server::{QueryReply, ScanSummary};
 use cods_storage::persist::{read_catalog, save_catalog};
-use cods_storage::{load_file, segment_cache, ColumnDef, LoadOptions, Schema, Value, ValueType};
+use cods_storage::{load_file, segment_cache, LoadOptions, Schema, Value, ValueType};
 use cods_workload::figure1;
+use std::io::{BufRead, Write};
 
 /// Result of running one command line.
 pub enum Outcome {
@@ -14,61 +20,195 @@ pub enum Outcome {
     Quit,
 }
 
-/// The help text (mirrors the buttons of the demo UI in Figure 4).
+/// The help text of both shells (the local part mirrors the buttons of
+/// the demo UI in Figure 4).
 pub const HELP: &str = "\
-commands:
-  create <table> <name:type,...> [key=<col,...>]   create an empty table
+statements (both shells):
+  CREATE TABLE t (id int, name str, KEY id) | DROP TABLE t | RENAME TABLE a TO b
+  COPY TABLE a TO b | UNION TABLES a, b INTO c | MERGE TABLES s, t INTO r
+  PARTITION TABLE t WHERE <predicate> INTO sat, rest
+  DECOMPOSE TABLE r INTO s (a, b), t (a, c)
+  ADD COLUMN c int DEFAULT 0 TO t | DROP COLUMN c FROM t | RENAME COLUMN a TO b IN t
+  run <file.smo>                                   plan + execute an SMO script atomically
+                                                   (validated up front; all-or-nothing commit)
+  count <table> [where <predicate>]                predicate-selected row count
+  scan <table> [select <c1,c2>] [where <predicate>]  stream selected rows
+  agg <table> by <c1,c2|-> <op:col,…> [where <predicate>]
+                                                   group-by; ops: count distinct sum min max
+  join <left> <right> on <lcol=rcol,…>             partition-wise hash join
+  predicate: <col> <op> <literal> under NOT, AND, OR; op: = != < <= > >=;
+             'quoted' literals are strings, unquoted ones int, float, bool, else string
+local shell only:
+  explain <count|scan|agg|join statement>          output columns, row estimates from resident
+                                                   segment metadata, and the cost model's chosen
+                                                   strategy with its ranked rejected alternatives
   load <table> <file.csv> <name:type,...>          create and bulk-load from CSV
   demo                                             load the paper's Figure 1 table R
   tables                                           list tables
   display <table> [limit]                          show rows
-  stats <table>                                    storage statistics (per-segment encoding
-                                                   histogram, zones, run/distinct ratios,
-                                                   per-segment chooser picks, buffer-cache
-                                                   residency, per-file heap occupancy with
-                                                   the dead bytes a vacuum would reclaim)
-  cache [<bytes>|unlimited]                        show buffer-cache telemetry (budget,
-                                                   resident bytes, hit/miss/eviction counts)
-                                                   or set the byte budget (suffixes k/m/g)
+  stats <table>                                    storage statistics: per-segment encodings,
+                                                   zones, run/distinct ratios, chooser picks,
+                                                   cache residency, dead bytes per backing file
+  cache [<bytes>|unlimited]                        show buffer-cache telemetry, or set the
+                                                   byte budget (suffixes k/m/g)
   recode <table> <col|*> <rle|bitmap|auto> [a..b]  re-encode a column (or all) in place;
                                                    rle/bitmap pins, auto hands back to the
-                                                   stats-driven per-segment chooser; a..b
-                                                   restricts to a segment-index range
-  decompose <in> <out1> <cols> <out2> <cols>       DECOMPOSE TABLE (cols: a,b,c)
-  merge <left> <right> <out>                       MERGE TABLES (auto strategy)
-  partition <in> <col><op><lit> <out1> <out2>      PARTITION TABLE (op: = != < <= > >=)
-  union <left> <right> <out>                       UNION TABLES (keeps inputs)
-  copy <from> <to> | rename <from> <to> | drop <t> COPY/RENAME/DROP TABLE
-  addcol <table> <name:type> <default>             ADD COLUMN
-  dropcol <table> <col>                            DROP COLUMN
-  renamecol <table> <from> <to>                    RENAME COLUMN
-  exec <SMO statement>                             full statement language, e.g.
-                                                   exec MERGE TABLES s, t INTO r
-  run <file.smo>                                   plan + execute an SMO script atomically
-                                                   (validated up front; all-or-nothing commit)
+                                                   chooser; a..b = a segment-index range
   plan <file.smo>                                  validate a script and print its DAG,
                                                    fusion decisions, and elided intermediates
-  explain agg <table> <cols|-> <op:col,…> [where <col><op><lit>]
-  explain join <left> <right> <lcol=rcol,…>        per-operator row estimates from resident
-                                                   segment metadata, with the cost model's
-                                                   chosen strategy and ranked rejected
-                                                   alternatives (key packing, build side,
-                                                   partition passes)
   history                                          executed SMOs with timings, grouped per plan
   save <file> | open <file>                        persist / restore the catalog (open is
-                                                   lazy: segment payloads load on demand;
-                                                   re-saving appends only what changed)
-  vacuum <file>                                    compact a saved catalog's payload heap,
-                                                   reclaiming bytes append-saves left dead
-                                                   (re-open afterwards to pick up the
-                                                   compacted layout)
+                                                   lazy; re-saving appends only what changed)
+  vacuum <file>                                    compact a saved catalog's payload heap
+                                                   (re-open afterwards to pick it up)
   wal <file>                                       durability status of a saved catalog:
-                                                   rollback-journal state plus the commit
-                                                   log's records / torn bytes / spill files
-  help | quit
+                                                   rollback journal and commit log
+cods connect only:
+  ping | refresh | metrics | stats <table>         liveness, re-pin the session snapshot,
+                                                   server counters, table statistics
+help | quit
 ";
 
-fn parse_schema(spec: &str, key: Option<&str>) -> Result<Schema, String> {
+/// Per-batch callback of a read: (output columns, batch rows).
+pub type BatchFn<'a> = dyn FnMut(&[(String, ValueType)], Vec<Vec<Value>>) + 'a;
+
+/// What a shell runs the shared statements against: the local platform or
+/// a server connection. Errors are the text the shell prints.
+pub trait Backend {
+    /// Plans and commits SMO script text atomically; returns the report
+    /// to print.
+    fn script(&mut self, text: &str) -> Result<String, String>;
+    /// Runs one read, handing each row batch to `on_batch` as it is
+    /// produced.
+    fn query(&mut self, query: Query, on_batch: &mut BatchFn<'_>) -> Result<QueryReply, String>;
+}
+
+impl Backend for Cods {
+    /// The whole script goes through the planner: validated up front,
+    /// committed atomically, the catalog untouched by any failure. The
+    /// report is the demo's "Data Evolution Status" log.
+    fn script(&mut self, text: &str) -> Result<String, String> {
+        let plan = self.plan_script(text).map_err(|e| e.to_string())?;
+        let report = plan.execute().map_err(|e| e.to_string())?;
+        let mut text = String::new();
+        for rec in &report.records {
+            text += &format!("{}\n{}", rec.operator, rec.status.render());
+        }
+        Ok(format!(
+            "{text}{} operator(s) committed ({} put(s), {} drop(s), {} intermediate(s) elided); \
+             catalog v{}",
+            report.records.len(),
+            report.committed_puts,
+            report.committed_drops,
+            report.elided.len(),
+            self.catalog().version()
+        ))
+    }
+
+    fn query(&mut self, query: Query, on_batch: &mut BatchFn<'_>) -> Result<QueryReply, String> {
+        let snapshot = self.catalog().snapshot_view();
+        let resolved = query.resolve(&snapshot).map_err(|e| e.to_string())?;
+        Ok(match resolved.run().map_err(|e| e.to_string())? {
+            QueryOutput::Count { rows, selected } => {
+                QueryReply::Count((rows, selected, snapshot.version()))
+            }
+            QueryOutput::Rows {
+                columns,
+                total,
+                batches,
+            } => {
+                let (mut sent, mut rows) = (0, 0);
+                for batch in batches {
+                    sent += 1;
+                    rows += batch.len() as u64;
+                    on_batch(&columns, batch);
+                }
+                QueryReply::Rows(ScanSummary {
+                    columns,
+                    total_rows: total.unwrap_or(rows),
+                    batches: sent,
+                    rows,
+                })
+            }
+        })
+    }
+}
+
+/// Runs one statement of the language both shells share: a read, `run
+/// <file.smo>`, or — anything else — a bare SMO statement.
+pub fn run_statement(
+    backend: &mut impl Backend,
+    line: &str,
+    out: &mut impl Write,
+) -> Result<(), String> {
+    let (verb, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+    let report = match verb.to_ascii_lowercase().as_str() {
+        "count" | "scan" | "agg" | "join" => {
+            let mut print = |columns: &[(String, ValueType)], rows: Vec<Vec<Value>>| {
+                for row in rows {
+                    let cells: Vec<String> = columns
+                        .iter()
+                        .zip(&row)
+                        .map(|((name, _), v)| format!("{name}={v}"))
+                        .collect();
+                    writeln!(out, "  {}", cells.join(", ")).ok();
+                }
+            };
+            match backend.query(parse_query(line)?, &mut print)? {
+                QueryReply::Count((rows, selected, version)) => {
+                    format!("{selected} of {rows} rows satisfy (catalog v{version})")
+                }
+                QueryReply::Rows(s) => format!("{} row(s) in {} batch(es)", s.rows, s.batches),
+            }
+        }
+        "run" => {
+            let file = rest.trim();
+            let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
+            backend.script(&text)?
+        }
+        _ => backend.script(line)?,
+    };
+    writeln!(out, "{report}").ok();
+    Ok(())
+}
+
+/// The read-eval-print loop of both shells: one command per line, blank
+/// lines and `#` comments skipped, failures printed as `error:` lines.
+/// Returns how many lines failed.
+pub fn repl<W: Write>(
+    prompt: &str,
+    input: impl BufRead,
+    out: &mut W,
+    interactive: bool,
+    mut run: impl FnMut(&str, &mut W) -> Result<Outcome, String>,
+) -> usize {
+    let mut failed = 0;
+    let show_prompt = |out: &mut W| {
+        if interactive {
+            write!(out, "{prompt}").ok();
+            out.flush().ok();
+        }
+    };
+    show_prompt(out);
+    for line in input.lines() {
+        let Ok(line) = line else { break };
+        let line = line.trim();
+        if !line.is_empty() && !line.starts_with('#') {
+            match run(line, out) {
+                Ok(Outcome::Quit) => break,
+                Ok(Outcome::Continue) => {}
+                Err(msg) => {
+                    failed += 1;
+                    writeln!(out, "error: {msg}").ok();
+                }
+            }
+        }
+        show_prompt(out);
+    }
+    failed
+}
+
+fn parse_schema(spec: &str) -> Result<Schema, String> {
     let mut cols = Vec::new();
     for part in spec.split(',') {
         let (name, ty) = part
@@ -79,68 +219,7 @@ fn parse_schema(spec: &str, key: Option<&str>) -> Result<Schema, String> {
             cods::parser::parse_type(ty.trim()).map_err(|e| e.to_string())?,
         ));
     }
-    let keys: Vec<&str> = key
-        .map(|k| k.split(',').map(str::trim).collect())
-        .unwrap_or_default();
-    let col_refs: Vec<(&str, ValueType)> = cols.clone();
-    Schema::build(&col_refs, &keys).map_err(|e| e.to_string())
-}
-
-fn parse_predicate(expr: &str, table: &cods_storage::Table) -> Result<Predicate, String> {
-    for op_str in ["!=", "<=", ">=", "=", "<", ">"] {
-        if let Some((col, lit)) = expr.split_once(op_str) {
-            let col = col.trim();
-            let lit = lit.trim();
-            let def = table.schema().column(col).map_err(|e| e.to_string())?;
-            let literal = Value::parse(lit, def.ty).map_err(|e| e.to_string())?;
-            let op = match op_str {
-                "=" => CmpOp::Eq,
-                "!=" => CmpOp::Ne,
-                "<" => CmpOp::Lt,
-                "<=" => CmpOp::Le,
-                ">" => CmpOp::Gt,
-                ">=" => CmpOp::Ge,
-                _ => unreachable!(),
-            };
-            return Ok(Predicate::Compare {
-                column: col.to_string(),
-                op,
-                literal,
-            });
-        }
-    }
-    Err(format!("cannot parse predicate {expr:?}"))
-}
-
-fn cols_of(spec: &str) -> Vec<String> {
-    spec.split(',').map(|s| s.trim().to_string()).collect()
-}
-
-const EXPLAIN_USAGE: &str = "usage: explain agg <table> <cols|-> <op:col,…> [where <pred>] \
-                             | explain join <left> <right> <lcol=rcol,…>";
-
-/// `op:col` → aggregate spec; ops: count, distinct, sum, min, max.
-pub(crate) fn parse_agg_spec(spec: &str) -> Result<(AggOp, String), String> {
-    let (op, col) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("bad aggregate {spec:?}, want op:col"))?;
-    let op = match op {
-        "count" => AggOp::Count,
-        "distinct" => AggOp::CountDistinct,
-        "sum" => AggOp::Sum,
-        "min" => AggOp::Min,
-        "max" => AggOp::Max,
-        other => return Err(format!("unknown aggregate op {other:?}")),
-    };
-    Ok((op, col.to_string()))
-}
-
-/// [`parse_agg_spec`] as a plan expression, aliased like the server's agg
-/// output (`count(skill)`).
-fn parse_agg_expr(spec: &str) -> Result<AggExpr, String> {
-    let (op, col) = parse_agg_spec(spec)?;
-    let alias = format!("{op:?}({col})").to_lowercase();
-    Ok(AggExpr::new(op, col, alias))
+    Schema::build(&cols, &[]).map_err(|e| e.to_string())
 }
 
 /// Renders the `stats` output: per-column segment-encoding histogram (a
@@ -299,55 +378,47 @@ fn parse_segment_range(spec: &str) -> Result<std::ops::Range<usize>, String> {
     Ok(from..to)
 }
 
-/// Executes one command line against the platform.
-pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
+/// Executes one local-shell command line: a meta command, or — anything
+/// else — a shared statement ([`run_statement`]) against the platform.
+pub fn run_command(cods: &mut Cods, line: &str, out: &mut impl Write) -> Result<Outcome, String> {
     let mut parts = line.split_whitespace();
     let Some(cmd) = parts.next() else {
         return Ok(Outcome::Continue);
     };
     let args: Vec<&str> = parts.collect();
     match cmd {
-        "help" => print!("{HELP}"),
+        "help" => {
+            write!(out, "{HELP}").ok();
+        }
         "quit" | "exit" => return Ok(Outcome::Quit),
         "demo" => {
             cods.catalog()
                 .create(figure1::table_r())
                 .map_err(|e| e.to_string())?;
-            println!("loaded Figure 1 table R (7 rows)");
+            writeln!(out, "loaded Figure 1 table R (7 rows)").ok();
         }
         "tables" => {
             for name in cods.catalog().table_names() {
                 let t = cods.table(&name).map_err(|e| e.to_string())?;
-                println!(
+                writeln!(
+                    out,
                     "  {name}: {} rows, columns [{}]",
                     t.rows(),
                     t.schema().names().join(", ")
-                );
+                )
+                .ok();
             }
-        }
-        "create" => {
-            let [name, spec, rest @ ..] = args.as_slice() else {
-                return Err("usage: create <table> <name:type,...> [key=cols]".into());
-            };
-            let key = rest.first().and_then(|s| s.strip_prefix("key="));
-            let schema = parse_schema(spec, key)?;
-            cods.execute(Smo::CreateTable {
-                name: name.to_string(),
-                schema,
-            })
-            .map_err(|e| e.to_string())?;
-            println!("created {name}");
         }
         "load" => {
             let [name, file, spec] = args.as_slice() else {
                 return Err("usage: load <table> <file.csv> <name:type,...>".into());
             };
-            let schema = parse_schema(spec, None)?;
+            let schema = parse_schema(spec)?;
             let t = load_file(name, &schema, file, &LoadOptions::default())
                 .map_err(|e| e.to_string())?;
             let rows = t.rows();
             cods.catalog().create(t).map_err(|e| e.to_string())?;
-            println!("loaded {rows} rows into {name}");
+            writeln!(out, "loaded {rows} rows into {name}").ok();
         }
         "display" => {
             let Some(name) = args.first() else {
@@ -355,13 +426,13 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
             };
             let limit: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(20);
             let t = cods.table(name).map_err(|e| e.to_string())?;
-            println!("{}", t.schema().names().join(" | "));
+            writeln!(out, "{}", t.schema().names().join(" | ")).ok();
             for i in 0..t.rows().min(limit) {
                 let cells: Vec<String> = t.row(i).iter().map(|v| v.to_string()).collect();
-                println!("{}", cells.join(" | "));
+                writeln!(out, "{}", cells.join(" | ")).ok();
             }
             if t.rows() > limit {
-                println!("… ({} more rows)", t.rows() - limit);
+                writeln!(out, "… ({} more rows)", t.rows() - limit).ok();
             }
         }
         "stats" => {
@@ -369,17 +440,19 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
                 return Err("usage: stats <table>".into());
             };
             let t = cods.table(name).map_err(|e| e.to_string())?;
-            print!("{}", render_stats(name, &t));
+            write!(out, "{}", render_stats(name, &t)).ok();
         }
         "cache" => match args.as_slice() {
-            [] => print!("{}", render_cache()),
+            [] => {
+                write!(out, "{}", render_cache()).ok();
+            }
             [spec] => {
                 let budget = parse_budget(spec)?;
                 segment_cache().set_budget(budget);
                 if budget == u64::MAX {
-                    println!("buffer cache budget: unlimited");
+                    writeln!(out, "buffer cache budget: unlimited").ok();
                 } else {
-                    println!("buffer cache budget: {budget} bytes");
+                    writeln!(out, "buffer cache budget: {budget} bytes").ok();
                 }
             }
             _ => return Err("usage: cache [<bytes>|unlimited]".into()),
@@ -400,16 +473,17 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
                     return Err("segment ranges need a named column, not *".into());
                 }
                 if *enc == "auto" {
-                    let out = t
+                    let recoded = t
                         .auto_encode_column_range(col, range.clone())
                         .map_err(|e| e.to_string())?;
-                    let c = out.column_by_name(col).map_err(|e| e.to_string())?;
+                    let c = recoded.column_by_name(col).map_err(|e| e.to_string())?;
                     let (b, r) = c.encoding_counts();
-                    cods.catalog().put(out);
-                    println!(
+                    cods.catalog().put(recoded);
+                    writeln!(
+                        out,
                         "recoded {name}.{col} segments {}..{} by chooser: now {b}\u{d7}bitmap/{r}\u{d7}rle",
                         range.start, range.end
-                    );
+                    ).ok();
                     return Ok(Outcome::Continue);
                 }
                 let encoding = match *enc {
@@ -419,34 +493,40 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
                         return Err(format!("unknown encoding {other:?} (use rle/bitmap/auto)"))
                     }
                 };
-                let out = t
+                let recoded = t
                     .with_column_segment_range_encoding(col, encoding, range.clone())
                     .map_err(|e| e.to_string())?;
-                cods.catalog().put(out);
-                println!(
+                cods.catalog().put(recoded);
+                writeln!(
+                    out,
                     "recoded {name}.{col} segments {}..{} to {encoding} (pinned)",
                     range.start, range.end
-                );
+                )
+                .ok();
                 return Ok(Outcome::Continue);
             }
             if *enc == "auto" {
                 // Hand the column(s) back to the stats-driven chooser:
                 // clear any pin and apply its pick.
-                let mut out = (*t).clone();
+                let mut recoded = (*t).clone();
                 if *col == "*" {
-                    let names: Vec<String> =
-                        out.schema().names().iter().map(|s| s.to_string()).collect();
+                    let names: Vec<String> = recoded
+                        .schema()
+                        .names()
+                        .iter()
+                        .map(|s| s.to_string())
+                        .collect();
                     for n in names {
-                        out = out.auto_encode_column(&n).map_err(|e| e.to_string())?;
+                        recoded = recoded.auto_encode_column(&n).map_err(|e| e.to_string())?;
                     }
                 } else {
-                    out = out.auto_encode_column(col).map_err(|e| e.to_string())?;
+                    recoded = recoded.auto_encode_column(col).map_err(|e| e.to_string())?;
                 }
-                let picks: Vec<String> = out
+                let picks: Vec<String> = recoded
                     .schema()
                     .names()
                     .iter()
-                    .zip(out.columns())
+                    .zip(recoded.columns())
                     .filter(|(n, _)| *col == "*" || *n == col)
                     .map(|(n, c)| match c.uniform_encoding() {
                         Some(e) => format!("{n}={e}"),
@@ -456,8 +536,8 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
                         }
                     })
                     .collect();
-                cods.catalog().put(out);
-                println!("recoded {name}.{col} by chooser: {}", picks.join(", "));
+                cods.catalog().put(recoded);
+                writeln!(out, "recoded {name}.{col} by chooser: {}", picks.join(", ")).ok();
                 return Ok(Outcome::Continue);
             }
             let encoding = match *enc {
@@ -473,168 +553,7 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
             }
             .map_err(|e| e.to_string())?;
             cods.catalog().put(recoded);
-            println!("recoded {name}.{col} to {encoding} (pinned)");
-        }
-        "decompose" => {
-            let [input, out1, cols1, out2, cols2] = args.as_slice() else {
-                return Err("usage: decompose <in> <out1> <a,b> <out2> <a,c>".into());
-            };
-            let status = cods
-                .execute(Smo::DecomposeTable {
-                    input: input.to_string(),
-                    spec: DecomposeSpec {
-                        unchanged_name: out1.to_string(),
-                        unchanged_cols: cols_of(cols1),
-                        changed_name: out2.to_string(),
-                        changed_cols: cols_of(cols2),
-                        verify_fd: true,
-                    },
-                })
-                .map_err(|e| e.to_string())?;
-            print!("{}", status.render());
-        }
-        "merge" => {
-            let [left, right, out] = args.as_slice() else {
-                return Err("usage: merge <left> <right> <out>".into());
-            };
-            let status = cods
-                .execute(Smo::MergeTables {
-                    left: left.to_string(),
-                    right: right.to_string(),
-                    output: out.to_string(),
-                    strategy: MergeStrategy::Auto,
-                })
-                .map_err(|e| e.to_string())?;
-            print!("{}", status.render());
-        }
-        "partition" => {
-            let [input, pred, out1, out2] = args.as_slice() else {
-                return Err("usage: partition <in> <col><op><lit> <out1> <out2>".into());
-            };
-            let t = cods.table(input).map_err(|e| e.to_string())?;
-            let predicate = parse_predicate(pred, &t)?;
-            let status = cods
-                .execute(Smo::PartitionTable {
-                    input: input.to_string(),
-                    predicate,
-                    satisfying: out1.to_string(),
-                    rest: out2.to_string(),
-                })
-                .map_err(|e| e.to_string())?;
-            print!("{}", status.render());
-        }
-        "union" => {
-            let [left, right, out] = args.as_slice() else {
-                return Err("usage: union <left> <right> <out>".into());
-            };
-            let status = cods
-                .execute(Smo::UnionTables {
-                    left: left.to_string(),
-                    right: right.to_string(),
-                    output: out.to_string(),
-                    drop_inputs: false,
-                })
-                .map_err(|e| e.to_string())?;
-            print!("{}", status.render());
-        }
-        "copy" => {
-            let [from, to] = args.as_slice() else {
-                return Err("usage: copy <from> <to>".into());
-            };
-            cods.execute(Smo::CopyTable {
-                from: from.to_string(),
-                to: to.to_string(),
-            })
-            .map_err(|e| e.to_string())?;
-        }
-        "rename" => {
-            let [from, to] = args.as_slice() else {
-                return Err("usage: rename <from> <to>".into());
-            };
-            cods.execute(Smo::RenameTable {
-                from: from.to_string(),
-                to: to.to_string(),
-            })
-            .map_err(|e| e.to_string())?;
-        }
-        "drop" => {
-            let [name] = args.as_slice() else {
-                return Err("usage: drop <table>".into());
-            };
-            cods.execute(Smo::DropTable {
-                name: name.to_string(),
-            })
-            .map_err(|e| e.to_string())?;
-        }
-        "addcol" => {
-            let [table, spec, default] = args.as_slice() else {
-                return Err("usage: addcol <table> <name:type> <default>".into());
-            };
-            let (name, ty) = spec
-                .split_once(':')
-                .ok_or("column spec must be name:type")?;
-            let ty = cods::parser::parse_type(ty).map_err(|e| e.to_string())?;
-            let value = Value::parse(default, ty).map_err(|e| e.to_string())?;
-            cods.execute(Smo::AddColumn {
-                table: table.to_string(),
-                column: ColumnDef::new(name, ty),
-                fill: ColumnFill::Default(value),
-            })
-            .map_err(|e| e.to_string())?;
-        }
-        "dropcol" => {
-            let [table, col] = args.as_slice() else {
-                return Err("usage: dropcol <table> <col>".into());
-            };
-            cods.execute(Smo::DropColumn {
-                table: table.to_string(),
-                column: col.to_string(),
-            })
-            .map_err(|e| e.to_string())?;
-        }
-        "renamecol" => {
-            let [table, from, to] = args.as_slice() else {
-                return Err("usage: renamecol <table> <from> <to>".into());
-            };
-            cods.execute(Smo::RenameColumn {
-                table: table.to_string(),
-                from: from.to_string(),
-                to: to.to_string(),
-            })
-            .map_err(|e| e.to_string())?;
-        }
-        "exec" => {
-            // Full SMO statement language (see cods::parser), e.g.
-            //   exec DECOMPOSE TABLE R INTO S (employee, skill), T (employee, address)
-            let stmt = line["exec".len()..].trim();
-            let smo = cods::parse_smo(stmt).map_err(|e| e.to_string())?;
-            let status = cods.execute(smo).map_err(|e| e.to_string())?;
-            print!("{}", status.render());
-        }
-        "run" => {
-            // The whole script goes through the planner: validated against
-            // one catalog snapshot up front, executed with fusion and DAG
-            // parallelism, committed atomically. A failure anywhere — parse,
-            // validation, or a data-dependent error mid-script — leaves the
-            // catalog untouched.
-            let [file] = args.as_slice() else {
-                return Err("usage: run <script.smo>".into());
-            };
-            let text = std::fs::read_to_string(file).map_err(|e| e.to_string())?;
-            let plan = cods.plan_script(&text).map_err(|e| e.to_string())?;
-            let n = plan.nodes().len();
-            let report = plan.execute().map_err(|e| e.to_string())?;
-            print!("{}", report.log.render());
-            println!(
-                "executed {n} operator{} from {file} (atomic commit: {} put{}, {} drop{}, {} intermediate{} elided)",
-                if n == 1 { "" } else { "s" },
-                report.committed_puts,
-                if report.committed_puts == 1 { "" } else { "s" },
-                report.committed_drops,
-                if report.committed_drops == 1 { "" } else { "s" },
-                report.elided.len(),
-                if report.elided.len() == 1 { "" } else { "s" },
-            );
+            writeln!(out, "recoded {name}.{col} to {encoding} (pinned)").ok();
         }
         "plan" => {
             let [file] = args.as_slice() else {
@@ -642,73 +561,7 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
             };
             let text = std::fs::read_to_string(file).map_err(|e| e.to_string())?;
             let plan = cods.plan_script(&text).map_err(|e| e.to_string())?;
-            print!("{}", plan.describe());
-        }
-        "explain" => {
-            let plan = match args.as_slice() {
-                ["agg", table, groups, specs, rest @ ..] => {
-                    let t = cods.table(table).map_err(|e| e.to_string())?;
-                    let pred = match rest {
-                        [] => Predicate::True,
-                        ["where", expr @ ..] if !expr.is_empty() => {
-                            parse_predicate(&expr.join(" "), &t)?
-                        }
-                        _ => return Err(EXPLAIN_USAGE.into()),
-                    };
-                    let group_by: Vec<String> = if *groups == "-" {
-                        Vec::new()
-                    } else {
-                        cols_of(groups)
-                    };
-                    let aggs: Vec<AggExpr> = specs
-                        .split(',')
-                        .map(parse_agg_expr)
-                        .collect::<Result<_, _>>()?;
-                    let scan = Plan::ScanColumn {
-                        table: table.to_string(),
-                    };
-                    let input = if matches!(pred, Predicate::True) {
-                        scan
-                    } else {
-                        scan.filter(pred)
-                    };
-                    Plan::Aggregate {
-                        input: Box::new(input),
-                        group_by,
-                        aggs,
-                    }
-                }
-                ["join", left, right, pairs] => {
-                    let mut left_keys = Vec::new();
-                    let mut right_keys = Vec::new();
-                    for pair in pairs.split(',') {
-                        let (lk, rk) = pair
-                            .split_once('=')
-                            .ok_or_else(|| format!("bad key pair {pair:?}, want lcol=rcol"))?;
-                        left_keys.push(lk.trim().to_string());
-                        right_keys.push(rk.trim().to_string());
-                    }
-                    Plan::HashJoin {
-                        left: Box::new(Plan::ScanColumn {
-                            table: left.to_string(),
-                        }),
-                        right: Box::new(Plan::ScanColumn {
-                            table: right.to_string(),
-                        }),
-                        left_keys,
-                        right_keys,
-                    }
-                }
-                _ => return Err(EXPLAIN_USAGE.into()),
-            };
-            let ctx = ExecContext {
-                catalog: Some(cods.catalog()),
-                row_db: None,
-            };
-            print!(
-                "{}",
-                cods_query::explain(&plan, ctx).map_err(|e| e.to_string())?
-            );
+            write!(out, "{}", plan.describe()).ok();
         }
         "history" => {
             // Records of one plan are contiguous and share a plan id;
@@ -722,24 +575,30 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
                     j += 1;
                 }
                 if j - i > 1 {
-                    println!(
+                    writeln!(
+                        out,
                         "  plan #{} ({} operators, atomic commit):",
                         id.expect("grouped records carry a plan id"),
                         j - i
-                    );
+                    )
+                    .ok();
                     for rec in &hist[i..j] {
-                        println!(
+                        writeln!(
+                            out,
                             "    {:<58} {:>9.3} ms",
                             rec.operator,
                             rec.status.total.as_secs_f64() * 1e3
-                        );
+                        )
+                        .ok();
                     }
                 } else {
-                    println!(
+                    writeln!(
+                        out,
                         "  {:<60} {:>9.3} ms",
                         hist[i].operator,
                         hist[i].status.total.as_secs_f64() * 1e3
-                    );
+                    )
+                    .ok();
                 }
                 i = j;
             }
@@ -749,7 +608,7 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
                 return Err("usage: save <file>".into());
             };
             save_catalog(cods.catalog(), file).map_err(|e| e.to_string())?;
-            println!("saved catalog to {file}");
+            writeln!(out, "saved catalog to {file}").ok();
         }
         "open" => {
             let [file] = args.as_slice() else {
@@ -757,29 +616,29 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
             };
             let catalog = read_catalog(file).map_err(|e| e.to_string())?;
             *cods = Cods::with_catalog(catalog);
-            println!("opened catalog from {file}");
+            writeln!(out, "opened catalog from {file}").ok();
         }
         "wal" => {
             let [file] = args.as_slice() else {
                 return Err("usage: wal <file>".into());
             };
             let path = std::path::Path::new(file);
-            match cods_storage::journal_status(path) {
-                cods_storage::JournalStatus::Absent => {
-                    println!("journal: none (no save in progress)")
+            let journal = match cods_storage::journal_status(path) {
+                cods_storage::JournalStatus::Absent => "none (no save in progress)".to_string(),
+                cods_storage::JournalStatus::Sealed { bytes } => {
+                    format!("sealed, {bytes} bytes (an interrupted save will roll back on open)")
                 }
-                cods_storage::JournalStatus::Sealed { bytes } => println!(
-                    "journal: sealed, {bytes} bytes (an interrupted save will roll back on open)"
-                ),
-                cods_storage::JournalStatus::Torn { bytes } => println!(
-                    "journal: torn, {bytes} bytes (crashed before seal; discarded on open)"
-                ),
-            }
+                cods_storage::JournalStatus::Torn { bytes } => {
+                    format!("torn, {bytes} bytes (crashed before seal; discarded on open)")
+                }
+            };
+            writeln!(out, "journal: {journal}").ok();
             let s = cods_storage::log_status(path).map_err(|e| e.to_string())?;
             if !s.exists {
-                println!("commit log: none (catalog not opened durably)");
+                writeln!(out, "commit log: none (catalog not opened durably)").ok();
             } else {
-                println!(
+                writeln!(
+                    out,
                     "commit log: {} record(s) pending checkpoint, {} valid bytes{}",
                     s.records,
                     s.valid_bytes,
@@ -788,8 +647,14 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
                     } else {
                         String::new()
                     }
-                );
-                println!("spills: {} file(s), {} bytes", s.spill_files, s.spill_bytes);
+                )
+                .ok();
+                writeln!(
+                    out,
+                    "spills: {} file(s), {} bytes",
+                    s.spill_files, s.spill_bytes
+                )
+                .ok();
             }
         }
         "vacuum" => {
@@ -797,16 +662,23 @@ pub fn run_command(cods: &mut Cods, line: &str) -> Result<Outcome, String> {
                 return Err("usage: vacuum <file>".into());
             };
             let report = cods_storage::vacuum_file(file).map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "vacuumed {file}: {} -> {} bytes ({} reclaimed; {} live payload bytes across {} segments)",
                 report.before_bytes,
                 report.after_bytes,
                 report.reclaimed_bytes(),
                 report.live_payload_bytes,
                 report.segments
-            );
+            ).ok();
         }
-        other => return Err(format!("unknown command {other:?} (try: help)")),
+        "explain" => {
+            let query = parse_query(line["explain".len()..].trim())?;
+            let snapshot = cods.catalog().snapshot_view();
+            let resolved = query.resolve(&snapshot).map_err(|e| e.to_string())?;
+            write!(out, "{}", resolved.explain()).ok();
+        }
+        _ => run_statement(cods, line, out)?,
     }
     Ok(Outcome::Continue)
 }
@@ -819,55 +691,96 @@ mod tests {
         Cods::new()
     }
 
-    fn run(cods: &mut Cods, line: &str) {
-        run_command(cods, line).unwrap_or_else(|e| panic!("{line:?} failed: {e}"));
+    /// Runs one line, which must succeed, and returns what it printed.
+    fn run(cods: &mut Cods, line: &str) -> String {
+        let mut out = Vec::new();
+        if let Err(e) = run_command(cods, line, &mut out) {
+            panic!("{line:?} failed: {e}");
+        }
+        String::from_utf8(out).unwrap()
+    }
+
+    /// Runs one line, which must fail, and returns the error text.
+    fn fails(cods: &mut Cods, line: &str) -> String {
+        match run_command(cods, line, &mut Vec::new()) {
+            Err(e) => e,
+            Ok(_) => panic!("{line:?} must fail"),
+        }
     }
 
     #[test]
-    fn explain_command_parses_both_shapes() {
+    fn explain_prints_estimates_rankings_and_the_columns_a_run_reports() {
         let mut cods = shell();
         run(&mut cods, "demo");
-        run(&mut cods, "copy R R2");
-        // Output goes to stdout; here we only check the commands parse,
-        // resolve columns, and execute without error. Rendering is
-        // covered by cods_query's explain tests.
-        run(&mut cods, "explain agg R employee count:skill");
-        run(
+        run(&mut cods, "COPY TABLE R TO R2");
+        let text = run(&mut cods, "explain agg R by employee count:skill");
+        assert!(text.contains("-> [employee, count(skill)]"), "{text}");
+        assert!(text.contains("group-by strategy"), "{text}");
+        let ran = run(&mut cods, "agg R by employee count:skill");
+        assert!(ran.contains("employee=Jones, count(skill)=3"), "{ran}");
+        let text = run(
             &mut cods,
-            "explain agg R - count:skill where employee=Jones",
+            "explain agg R by - count:skill where employee = Jones",
         );
-        run(&mut cods, "explain join R R2 employee=employee");
-        assert!(run_command(&mut cods, "explain agg").is_err());
-        assert!(run_command(&mut cods, "explain join R R2 employee").is_err());
-        assert!(run_command(&mut cods, "explain agg R employee bogus:skill").is_err());
+        assert!(text.contains("selectivity 0.429"), "{text}");
+        let text = run(&mut cods, "explain join R R2 on employee=employee");
+        assert!(text.contains("join build side"), "{text}");
+        let text = run(
+            &mut cods,
+            "explain scan R select skill where employee != Jones",
+        );
+        assert!(text.starts_with("Scan R -> [skill] where"), "{text}");
+        assert!(text.contains("~4 rows"), "{text}");
+        fails(&mut cods, "explain agg");
+        fails(&mut cods, "explain join R R2 on employee");
+        fails(&mut cods, "explain agg R by employee bogus:skill");
+        assert_eq!(
+            fails(&mut cods, "explain count nope"),
+            "unknown table: nope"
+        );
+        // Explaining evolution is not a thing.
+        fails(&mut cods, "explain DROP TABLE R");
     }
 
     #[test]
     fn demo_decompose_merge_flow() {
         let mut cods = shell();
-        run(&mut cods, "demo");
-        run(&mut cods, "decompose R S employee,skill T employee,address");
+        assert!(run(&mut cods, "demo").contains("7 rows"));
+        let status = run(
+            &mut cods,
+            "DECOMPOSE TABLE R INTO S (employee, skill), T (employee, address)",
+        );
+        // The demo's status panel: the operator, its steps, the commit.
+        assert!(status.contains("DECOMPOSE TABLE R INTO S"), "{status}");
+        assert!(status.contains("total:"), "{status}");
+        assert!(status.contains("1 operator(s) committed"), "{status}");
         assert!(cods.catalog().contains("S"));
         assert_eq!(cods.table("T").unwrap().rows(), 4);
-        run(&mut cods, "merge S T R2");
+        run(&mut cods, "merge tables S, T into R2");
         assert_eq!(cods.table("R2").unwrap().rows(), 7);
         assert_eq!(cods.history().len(), 2);
+        let tables = run(&mut cods, "tables");
+        assert!(tables.contains("R2: 7 rows, columns [employee, skill, address]"));
+        assert_eq!(
+            fails(&mut cods, "NONSENSE"),
+            "invalid operator: line 1: unrecognized statement \"NONSENSE\""
+        );
     }
 
     #[test]
-    fn create_and_column_commands() {
+    fn table_and_column_statements() {
         let mut cods = shell();
-        run(&mut cods, "create t id:int,name:str key=id");
+        run(&mut cods, "CREATE TABLE t (id int, name str, KEY id)");
         assert!(cods.catalog().contains("t"));
-        run(&mut cods, "addcol t dept:str eng");
+        run(&mut cods, "ADD COLUMN dept str DEFAULT eng TO t");
         assert!(cods.table("t").unwrap().schema().contains("dept"));
-        run(&mut cods, "renamecol t dept division");
+        run(&mut cods, "RENAME COLUMN dept TO division IN t");
         assert!(cods.table("t").unwrap().schema().contains("division"));
-        run(&mut cods, "dropcol t division");
+        run(&mut cods, "DROP COLUMN division FROM t");
         assert_eq!(cods.table("t").unwrap().arity(), 2);
-        run(&mut cods, "copy t t2");
-        run(&mut cods, "rename t2 t3");
-        run(&mut cods, "drop t3");
+        run(&mut cods, "COPY TABLE t TO t2");
+        run(&mut cods, "RENAME TABLE t2 TO t3");
+        run(&mut cods, "DROP TABLE t3");
         assert_eq!(cods.catalog().table_names(), vec!["t"]);
     }
 
@@ -913,8 +826,8 @@ mod tests {
             .all(|c| c.is_uniform(cods_storage::Encoding::Bitmap)));
         assert_eq!(cods.table("R").unwrap().rows(), 7);
         // Bad arguments are rejected.
-        assert!(run_command(&mut cods, "recode R skill zigzag").is_err());
-        assert!(run_command(&mut cods, "recode missing skill rle").is_err());
+        fails(&mut cods, "recode R skill zigzag");
+        fails(&mut cods, "recode missing skill rle");
     }
 
     #[test]
@@ -982,9 +895,9 @@ mod tests {
         assert!(!col.segment_pinned(0));
         assert_eq!(col.segment_encoding(0), col.choose_segment_encoding(0));
         // Bad ranges and `*` with a range are rejected.
-        assert!(run_command(&mut cods, "recode R skill rle 5..9").is_err());
-        assert!(run_command(&mut cods, "recode R skill rle 1").is_err());
-        assert!(run_command(&mut cods, "recode R * rle 0..1").is_err());
+        fails(&mut cods, "recode R skill rle 5..9");
+        fails(&mut cods, "recode R skill rle 1");
+        fails(&mut cods, "recode R * rle 0..1");
     }
 
     #[test]
@@ -1014,67 +927,67 @@ mod tests {
     }
 
     #[test]
-    fn partition_and_union_commands() {
-        let mut cods = shell();
-        run(&mut cods, "demo");
-        run(&mut cods, "partition R employee=Jones jones others");
-        assert_eq!(cods.table("jones").unwrap().rows(), 3);
-        assert_eq!(cods.table("others").unwrap().rows(), 4);
-        run(&mut cods, "union jones others R");
-        assert_eq!(cods.table("R").unwrap().rows(), 7);
-    }
-
-    #[test]
-    fn predicate_operators_parse() {
-        let mut cods = shell();
-        run(&mut cods, "create t v:int");
-        let table = cods.table("t").unwrap();
-        for (expr, op) in [
-            ("v=3", CmpOp::Eq),
-            ("v!=3", CmpOp::Ne),
-            ("v<3", CmpOp::Lt),
-            ("v<=3", CmpOp::Le),
-            ("v>3", CmpOp::Gt),
-            ("v>=3", CmpOp::Ge),
-        ] {
-            match parse_predicate(expr, &table).unwrap() {
-                Predicate::Compare { op: got, .. } => assert_eq!(got, op, "{expr}"),
-                other => panic!("unexpected predicate {other:?}"),
-            }
-        }
-        assert!(parse_predicate("nonsense", &table).is_err());
-        assert!(parse_predicate("missing=1", &table).is_err());
-    }
-
-    #[test]
-    fn exec_statement_language() {
+    fn partition_and_union_statements_and_the_reads_that_check_them() {
         let mut cods = shell();
         run(&mut cods, "demo");
         run(
             &mut cods,
-            "exec DECOMPOSE TABLE R INTO S (employee, skill), T (employee, address)",
+            "PARTITION TABLE R WHERE employee = Jones INTO jones, others",
         );
-        assert_eq!(cods.table("T").unwrap().rows(), 4);
-        run(&mut cods, "exec MERGE TABLES S, T INTO R2");
-        assert_eq!(cods.table("R2").unwrap().rows(), 7);
-        assert!(run_command(&mut cods, "exec NONSENSE").is_err());
+        let count = run(&mut cods, "count jones");
+        assert!(count.starts_with("3 of 3 rows satisfy"), "{count}");
+        let scan = run(
+            &mut cods,
+            "scan others select employee where skill = 'Alchemy'",
+        );
+        assert_eq!(scan, "  employee=Ellis\n1 row(s) in 1 batch(es)\n");
+        run(&mut cods, "UNION TABLES jones, others INTO R");
+        assert_eq!(cods.table("R").unwrap().rows(), 7);
+        let join = run(&mut cods, "join jones others on skill=skill");
+        assert!(join.ends_with("0 row(s) in 0 batch(es)\n"), "{join}");
+        assert_eq!(fails(&mut cods, "scan R select zip"), "unknown column: zip");
+        assert_eq!(
+            fails(&mut cods, "join jones others on employee=employee,skill"),
+            "bad key pair at \"skill\", want lcol=rcol"
+        );
     }
 
     #[test]
     fn errors_are_reported_not_panicked() {
         let mut cods = shell();
-        assert!(run_command(&mut cods, "display nope").is_err());
-        assert!(run_command(&mut cods, "create").is_err());
-        assert!(run_command(&mut cods, "frobnicate").is_err());
-        // Empty lines and comments are no-ops.
+        assert!(fails(&mut cods, "display nope").contains("unknown table: nope"));
+        fails(&mut cods, "load");
+        fails(&mut cods, "frobnicate");
+        fails(&mut cods, "run /nonexistent/script.smo");
+        // Empty lines are no-ops.
+        assert_eq!(run(&mut cods, ""), "");
         assert!(matches!(
-            run_command(&mut cods, "").unwrap(),
-            Outcome::Continue
-        ));
-        assert!(matches!(
-            run_command(&mut cods, "quit").unwrap(),
+            run_command(&mut cods, "quit", &mut Vec::new()).unwrap(),
             Outcome::Quit
         ));
+    }
+
+    #[test]
+    fn repl_counts_failed_lines_and_prints_them_as_errors() {
+        let mut cods = shell();
+        let script = "demo\n# a comment\n\ncount R\ncount nope\nfrobnicate\nquit\ncount nope\n";
+        let mut out = Vec::new();
+        let failed = repl("cods> ", script.as_bytes(), &mut out, false, |line, out| {
+            run_command(&mut cods, line, out)
+        });
+        let out = String::from_utf8(out).unwrap();
+        assert_eq!(failed, 2, "{out}");
+        assert!(out.contains("7 of 7 rows satisfy"), "{out}");
+        assert!(out.contains("error: unknown table: nope\n"), "{out}");
+        assert_eq!(
+            out.matches("error:").count(),
+            2,
+            "nothing runs after quit: {out}"
+        );
+        assert!(
+            !out.contains("cods> "),
+            "no prompt unless interactive: {out}"
+        );
     }
 
     #[test]
@@ -1108,7 +1021,7 @@ mod tests {
         .unwrap();
         let names_before = cods.catalog().table_names();
         let v1 = cods.catalog().version();
-        assert!(run_command(&mut cods, &format!("run {}", bad.display())).is_err());
+        fails(&mut cods, &format!("run {}", bad.display()));
         assert_eq!(cods.catalog().table_names(), names_before);
         assert_eq!(cods.catalog().version(), v1);
 
@@ -1129,13 +1042,10 @@ mod tests {
         let mut cods = shell();
         run(&mut cods, "demo");
         // `plan` only validates and prints; nothing executes.
-        run(&mut cods, &format!("plan {}", file.display()));
+        let described = run(&mut cods, &format!("plan {}", file.display()));
+        assert!(described.contains("FUSED COLUMN PASS ON R"), "{described}");
         assert_eq!(cods.table("R").unwrap().arity(), 3);
         assert!(cods.history().is_empty());
-        let plan = cods
-            .plan_script(&std::fs::read_to_string(&file).unwrap())
-            .unwrap();
-        assert!(plan.describe().contains("FUSED COLUMN PASS ON R"));
         std::fs::remove_file(&file).ok();
     }
 
@@ -1150,13 +1060,14 @@ mod tests {
             .unwrap();
         let id = report.records[0].plan_id.unwrap();
         assert!(report.records.iter().all(|r| r.plan_id == Some(id)));
-        run(&mut cods, "drop A");
+        run(&mut cods, "DROP TABLE A");
         let hist = cods.history();
         assert_eq!(hist.len(), 3);
         assert_eq!(hist[0].plan_id, hist[1].plan_id);
         assert_ne!(hist[2].plan_id, hist[0].plan_id);
-        // The grouped renderer must not panic on mixed histories.
-        run(&mut cods, "history");
+        let shown = run(&mut cods, "history");
+        assert!(shown.contains("(2 operators, atomic commit):"), "{shown}");
+        assert_eq!(shown.matches(" ms").count(), 3, "{shown}");
     }
 
     /// Serialises the tests that set or observe the process-wide buffer
@@ -1193,9 +1104,9 @@ mod tests {
         assert!(out.contains("misses"), "cache: {out}");
         assert!(out.contains("evictions"), "cache: {out}");
         // Bad arguments are rejected.
-        assert!(run_command(&mut cods, "cache nonsense").is_err());
-        assert!(run_command(&mut cods, "cache 1 2").is_err());
-        run(&mut cods, "cache"); // bare form prints, never errors
+        fails(&mut cods, "cache nonsense");
+        fails(&mut cods, "cache 1 2");
+        assert_eq!(run(&mut cods, "cache"), render_cache());
     }
 
     #[test]
@@ -1266,8 +1177,8 @@ mod tests {
         assert_eq!(fresh.table("R").unwrap().rows(), 7);
 
         // Bad arguments are rejected.
-        assert!(run_command(&mut cods, "vacuum").is_err());
-        assert!(run_command(&mut cods, "vacuum /nonexistent/x.catalog").is_err());
+        fails(&mut cods, "vacuum");
+        fails(&mut cods, "vacuum /nonexistent/x.catalog");
         std::fs::remove_file(&file).ok();
     }
 

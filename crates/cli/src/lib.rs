@@ -1,8 +1,10 @@
 //! # cods-cli
 //!
-//! The interactive CODS shell (library part). `commands` implements the
-//! command language the binary REPL drives; exposing it as a library makes
-//! the whole demo workflow scriptable and testable.
+//! The interactive CODS shells (library part). `commands` implements the
+//! statements both shells share, the local back end and the local shell's
+//! meta commands; `remote` hosts `cods serve` and the `cods connect` back
+//! end. Exposing them as a library makes the whole demo workflow
+//! scriptable and testable.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -10,5 +12,5 @@
 pub mod commands;
 pub mod remote;
 
-pub use commands::{run_command, Outcome, HELP};
+pub use commands::{repl, run_command, run_statement, Backend, Outcome, HELP};
 pub use remote::{connect_command, connect_repl, serve, ServeOptions};

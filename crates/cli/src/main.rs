@@ -6,16 +6,26 @@
 //! ```text
 //! cargo run -p cods-cli
 //! cods> demo
-//! cods> decompose R S employee,skill T employee,address
-//! cods> display T
+//! cods> DECOMPOSE TABLE R INTO S (employee, skill), T (employee, address)
+//! cods> scan T where employee = Jones
 //! ```
 //!
 //! Non-interactive use: pipe commands on stdin or pass a script file as the
-//! first argument.
+//! first argument; the exit status is then the number of lines that failed.
+//! `cods serve` hosts a platform over TCP and `cods connect` runs the same
+//! statements against it.
 
 use cods::Cods;
-use cods_cli::{run_command, Outcome, HELP};
-use std::io::{BufRead, Write};
+use cods_cli::{repl, run_command, HELP};
+use std::io::{BufRead, IsTerminal};
+
+/// Ends a non-interactive session: the exit status counts failed lines.
+fn exit_with(failed: usize) -> ! {
+    if failed > 0 {
+        eprintln!("{failed} line(s) failed");
+    }
+    std::process::exit(failed.min(255) as i32);
+}
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -71,19 +81,22 @@ fn main() {
                 std::process::exit(1);
             };
             let stdin = std::io::stdin();
-            let mut stdout = std::io::stdout();
-            if let Err(e) = cods_cli::connect_repl(addr, stdin.lock(), &mut stdout, true) {
-                eprintln!("{e}");
-                std::process::exit(1);
+            let interactive = stdin.is_terminal();
+            match cods_cli::connect_repl(addr, stdin.lock(), &mut std::io::stdout(), interactive) {
+                Ok(failed) if !interactive => exit_with(failed),
+                Ok(_) => return,
+                Err(e) => {
+                    eprintln!("{e}");
+                    std::process::exit(1);
+                }
             }
-            return;
         }
         _ => {}
     }
 
     let mut cods = Cods::new();
     let script = std::env::args().nth(1);
-    let interactive = script.is_none();
+    let interactive = script.is_none() && std::io::stdin().is_terminal();
 
     println!("CODS — Column Oriented Database Schema update (VLDB 2010 reproduction)");
     if interactive {
@@ -99,28 +112,12 @@ fn main() {
         )),
         None => Box::new(std::io::BufReader::new(std::io::stdin())),
     };
-
-    if interactive {
-        print!("cods> ");
-        std::io::stdout().flush().ok();
-    }
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
-        let trimmed = line.trim();
-        if !trimmed.is_empty() && !trimmed.starts_with('#') {
-            match run_command(&mut cods, trimmed) {
-                Ok(Outcome::Quit) => break,
-                Ok(Outcome::Continue) => {}
-                Err(msg) => eprintln!("error: {msg}"),
-            }
-        }
-        if interactive {
-            print!("cods> ");
-            std::io::stdout().flush().ok();
-        }
-    }
+    let mut out = std::io::stdout();
+    let failed = repl("cods> ", reader, &mut out, interactive, |line, out| {
+        run_command(&mut cods, line, out)
+    });
     println!();
+    if !interactive {
+        exit_with(failed);
+    }
 }

@@ -2,26 +2,13 @@
 //! behind the framed TCP protocol, `cods connect <addr>` is a small
 //! client REPL over [`cods_server::Client`].
 //!
-//! The connect command language (one command per line):
-//!
-//! ```text
-//! ping                                    liveness probe
-//! refresh                                 re-pin the session snapshot
-//! metrics                                 server counters + buffer cache
-//! stats <table>                           table statistics at the snapshot
-//! tables? use `metrics` / `stats`; the catalog listing is script-side
-//! count <table> [where <col> <op> <lit>]  predicate-selected row count
-//! scan <table> [select c1,c2] [where …]   stream selected rows
-//! agg <table> by <c1,c2|-> <op:col,…> [where …]
-//! join <left> <right> on <lcol=rcol,…>    partition-wise hash join
-//! run <smo script>                        execute an SMO line remotely
-//! quit
-//! ```
+//! `connect` accepts the statements both shells share (see
+//! [`crate::commands::HELP`]) plus four meta commands of its own: `ping`,
+//! `refresh`, `metrics` and `stats <table>`.
 
-use crate::commands::parse_agg_spec;
-use cods_query::{AggOp, CmpOp, Predicate};
-use cods_server::{Client, ClientError, ServerConfig};
-use cods_storage::Value;
+use crate::commands::{repl, run_statement, Backend, BatchFn, Outcome, HELP};
+use cods_query::Query;
+use cods_server::{Client, ClientError, QueryReply, ServerConfig};
 use std::io::Write;
 use std::time::Duration;
 
@@ -71,7 +58,7 @@ pub fn serve(addr: &str, opts: &ServeOptions) -> Result<(), String> {
         None => (cods::Cods::new(), None),
     };
     if opts.preload_demo {
-        crate::run_command(&mut cods, "demo")?;
+        crate::run_command(&mut cods, "demo", &mut std::io::stdout())?;
     }
     let config = ServerConfig {
         idle_timeout: opts.idle_timeout,
@@ -105,13 +92,13 @@ pub fn serve(addr: &str, opts: &ServeOptions) -> Result<(), String> {
 }
 
 /// Runs the connect REPL against `addr`, reading commands from `input`
-/// and writing results to `out`.
+/// and writing results to `out`. Returns how many lines failed.
 pub fn connect_repl(
     addr: &str,
     input: impl std::io::BufRead,
     out: &mut impl Write,
     interactive: bool,
-) -> Result<(), String> {
+) -> Result<usize, String> {
     let mut client = Client::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
     writeln!(
         out,
@@ -119,41 +106,35 @@ pub fn connect_repl(
         client.catalog_version()
     )
     .ok();
-    if interactive {
-        write!(out, "cods@{addr}> ").ok();
-        out.flush().ok();
-    }
-    for line in input.lines() {
-        let Ok(line) = line else { break };
-        let line = line.trim();
-        if !line.is_empty() && !line.starts_with('#') {
-            match connect_command(&mut client, line, out) {
-                Ok(true) => break,
-                Ok(false) => {}
-                Err(msg) => {
-                    writeln!(out, "error: {msg}").ok();
-                }
-            }
-        }
-        if interactive {
-            write!(out, "cods@{addr}> ").ok();
-            out.flush().ok();
-        }
-    }
-    Ok(())
+    let prompt = format!("cods@{addr}> ");
+    Ok(repl(&prompt, input, out, interactive, |line, out| {
+        connect_command(&mut client, line, out)
+    }))
 }
 
-/// Executes one connect-REPL command. Returns `true` to quit.
+impl Backend for Client {
+    fn script(&mut self, text: &str) -> Result<String, String> {
+        Client::script(self, text).map_err(fmt_err)
+    }
+
+    fn query(&mut self, query: Query, on_batch: &mut BatchFn<'_>) -> Result<QueryReply, String> {
+        Client::query(self, query, on_batch).map_err(fmt_err)
+    }
+}
+
+/// Executes one connect-REPL command line: a meta command, or — anything
+/// else — a shared statement ([`run_statement`]) against the server.
 pub fn connect_command(
     client: &mut Client,
     line: &str,
     out: &mut impl Write,
-) -> Result<bool, String> {
+) -> Result<Outcome, String> {
     let mut words = line.split_whitespace();
-    let cmd = words.next().unwrap_or("");
-    let rest: Vec<&str> = words.collect();
-    match cmd {
-        "quit" | "exit" => return Ok(true),
+    match words.next().unwrap_or("") {
+        "quit" | "exit" => return Ok(Outcome::Quit),
+        "help" => {
+            write!(out, "{HELP}").ok();
+        }
         "ping" => {
             client.ping().map_err(fmt_err)?;
             writeln!(out, "pong").ok();
@@ -203,7 +184,7 @@ pub fn connect_command(
             }
         }
         "stats" => {
-            let table = rest.first().ok_or("usage: stats <table>")?;
+            let table = words.next().ok_or("usage: stats <table>")?;
             let s = client.stats(table).map_err(fmt_err)?;
             writeln!(
                 out,
@@ -217,181 +198,18 @@ pub fn connect_command(
             )
             .ok();
         }
-        "count" => {
-            let (table, tail) = rest.split_first().ok_or("usage: count <table> [where …]")?;
-            let pred = parse_where(tail)?;
-            let (rows, selected, v) = client.mask(table, pred).map_err(fmt_err)?;
-            writeln!(out, "{selected} of {rows} rows satisfy (catalog v{v})").ok();
-        }
-        "scan" => {
-            let (table, tail) = rest.split_first().ok_or("usage: scan <table> …")?;
-            let (projection, tail) = parse_select(tail)?;
-            let pred = parse_where(tail)?;
-            let summary = client
-                .scan_with(table, pred, projection, |cols, rows| {
-                    for row in rows {
-                        let cells: Vec<String> = cols
-                            .iter()
-                            .zip(&row)
-                            .map(|((name, _), v)| format!("{name}={v}"))
-                            .collect();
-                        writeln!(out, "  {}", cells.join(", ")).ok();
-                    }
-                })
-                .map_err(fmt_err)?;
-            writeln!(
-                out,
-                "{} row(s) in {} batch(es)",
-                summary.rows, summary.batches
-            )
-            .ok();
-        }
-        "agg" => {
-            // agg <table> by <c1,c2|-> <op:col,…> [where …]
-            let (table, tail) = rest.split_first().ok_or(AGG_USAGE)?;
-            let tail = match tail.split_first() {
-                Some((&"by", t)) => t,
-                _ => return Err(AGG_USAGE.into()),
-            };
-            let (groups, tail) = tail.split_first().ok_or(AGG_USAGE)?;
-            let group_by: Vec<String> = if *groups == "-" {
-                Vec::new()
-            } else {
-                groups.split(',').map(str::to_string).collect()
-            };
-            let (specs, tail) = tail.split_first().ok_or(AGG_USAGE)?;
-            let aggs: Vec<(AggOp, String)> = specs
-                .split(',')
-                .map(parse_agg_spec)
-                .collect::<Result<_, String>>()?;
-            let pred = parse_where(tail)?;
-            let (cols, rows) = client
-                .group_by(table, pred, group_by, aggs)
-                .map_err(fmt_err)?;
-            let names: Vec<&str> = cols.iter().map(|(n, _)| n.as_str()).collect();
-            writeln!(out, "  {}", names.join(" | ")).ok();
-            for row in &rows {
-                let cells: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
-                writeln!(out, "  {}", cells.join(" | ")).ok();
-            }
-            writeln!(out, "{} group(s)", rows.len()).ok();
-        }
-        "join" => {
-            // join <left> <right> on <lcol=rcol,…>
-            let (left, right, pairs) = match rest.as_slice() {
-                [l, r, on, p] if *on == "on" => (*l, *r, *p),
-                _ => return Err(JOIN_USAGE.into()),
-            };
-            let mut left_keys = Vec::new();
-            let mut right_keys = Vec::new();
-            for pair in pairs.split(',') {
-                let (lk, rk) = pair
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad key pair {pair:?}, want lcol=rcol"))?;
-                left_keys.push(lk.to_string());
-                right_keys.push(rk.to_string());
-            }
-            let summary = client
-                .join_with(left, right, left_keys, right_keys, |cols, rows| {
-                    for row in rows {
-                        let cells: Vec<String> = cols
-                            .iter()
-                            .zip(&row)
-                            .map(|((name, _), v)| format!("{name}={v}"))
-                            .collect();
-                        writeln!(out, "  {}", cells.join(", ")).ok();
-                    }
-                })
-                .map_err(fmt_err)?;
-            writeln!(
-                out,
-                "{} match(es) in {} batch(es)",
-                summary.rows, summary.batches
-            )
-            .ok();
-        }
-        "run" => {
-            if rest.is_empty() {
-                return Err("usage: run <smo script line>".into());
-            }
-            let script = rest.join(" ");
-            let msg = client.script(&script).map_err(fmt_err)?;
-            writeln!(out, "{msg}").ok();
-        }
-        "help" => {
-            writeln!(
-                out,
-                "commands: ping refresh metrics stats count scan agg join run quit"
-            )
-            .ok();
-        }
-        other => return Err(format!("unknown command: {other} (try help)")),
+        _ => run_statement(client, line, out)?,
     }
-    Ok(false)
+    Ok(Outcome::Continue)
 }
 
-const AGG_USAGE: &str = "usage: agg <table> by <c1,c2|-> <op:col,…> [where …]";
-const JOIN_USAGE: &str = "usage: join <left> <right> on <lcol=rcol,…>";
-
+/// A server-side failure prints as its message alone, so both shells
+/// report the same text for the same mistake.
 fn fmt_err(e: ClientError) -> String {
-    e.to_string()
-}
-
-/// Optional `select c1,c2` prefix; returns the projection and the rest.
-fn parse_select<'a>(words: &'a [&'a str]) -> Result<(Option<Vec<String>>, &'a [&'a str]), String> {
-    match words.split_first() {
-        Some((&"select", tail)) => {
-            let (cols, tail) = tail
-                .split_first()
-                .ok_or("select needs a column list: select c1,c2")?;
-            Ok((Some(cols.split(',').map(str::to_string).collect()), tail))
-        }
-        _ => Ok((None, words)),
+    match e {
+        ClientError::Server { message, .. } => message,
+        other => other.to_string(),
     }
-}
-
-/// Optional `where <col> <op> <literal>` suffix → predicate.
-fn parse_where(words: &[&str]) -> Result<Predicate, String> {
-    match words.split_first() {
-        None => Ok(Predicate::True),
-        Some((&"where", tail)) => match tail {
-            [col, op, lit @ ..] if !lit.is_empty() => {
-                let op = match *op {
-                    "=" | "==" => CmpOp::Eq,
-                    "!=" | "<>" => CmpOp::Ne,
-                    "<" => CmpOp::Lt,
-                    "<=" => CmpOp::Le,
-                    ">" => CmpOp::Gt,
-                    ">=" => CmpOp::Ge,
-                    other => return Err(format!("unknown comparison {other:?}")),
-                };
-                Ok(Predicate::Compare {
-                    column: (*col).to_string(),
-                    op,
-                    literal: parse_literal(&lit.join(" ")),
-                })
-            }
-            _ => Err("usage: where <column> <op> <literal>".into()),
-        },
-        Some((other, _)) => Err(format!("expected `where`, got {other:?}")),
-    }
-}
-
-/// Untyped literal parsing: null / bool / int / float, else string.
-fn parse_literal(s: &str) -> Value {
-    match s {
-        "null" | "NULL" => return Value::Null,
-        "true" => return Value::Bool(true),
-        "false" => return Value::Bool(false),
-        _ => {}
-    }
-    if let Ok(i) = s.parse::<i64>() {
-        return Value::int(i);
-    }
-    if let Ok(f) = s.parse::<f64>() {
-        return Value::float(f);
-    }
-    Value::str(s.trim_matches('\''))
 }
 
 #[cfg(test)]
@@ -402,24 +220,23 @@ mod tests {
 
     fn demo_server() -> cods_server::ServerHandle {
         let mut cods = cods::Cods::new();
-        crate::run_command(&mut cods, "demo").unwrap();
+        crate::run_command(&mut cods, "demo", &mut Vec::new()).unwrap();
         Server::bind("127.0.0.1:0", Arc::new(cods), ServerConfig::default()).unwrap()
     }
 
     fn run(client: &mut Client, line: &str) -> String {
         let mut out = Vec::new();
-        connect_command(client, line, &mut out).unwrap();
+        if let Err(e) = connect_command(client, line, &mut out) {
+            panic!("{line:?} failed: {e}");
+        }
         String::from_utf8(out).unwrap()
     }
 
-    #[test]
-    fn literal_parsing_is_untyped_but_sensible() {
-        assert_eq!(parse_literal("null"), Value::Null);
-        assert_eq!(parse_literal("true"), Value::Bool(true));
-        assert_eq!(parse_literal("42"), Value::int(42));
-        assert_eq!(parse_literal("4.5"), Value::float(4.5));
-        assert_eq!(parse_literal("'Jones'"), Value::str("Jones"));
-        assert_eq!(parse_literal("Jones"), Value::str("Jones"));
+    fn fails(client: &mut Client, line: &str) -> String {
+        match connect_command(client, line, &mut Vec::new()) {
+            Err(e) => e,
+            Ok(_) => panic!("{line:?} must fail"),
+        }
     }
 
     #[test]
@@ -435,14 +252,14 @@ mod tests {
         assert!(scan.contains("3 row(s)"), "got: {scan}");
 
         let agg = run(&mut client, "agg R by employee count:skill");
-        assert!(agg.contains("count(skill)"), "got: {agg}");
-        assert!(agg.contains("4 group(s)"), "got: {agg}");
+        assert!(agg.contains("count(skill)="), "got: {agg}");
+        assert!(agg.contains("4 row(s)"), "got: {agg}");
 
         let stats = run(&mut client, "stats R");
         assert!(stats.contains("7 rows x 3 cols"), "got: {stats}");
 
-        // The metrics satellite: counters visible through the REPL, with
-        // the rows we just streamed accounted for.
+        // Counters visible through the REPL, with the rows we just
+        // streamed accounted for.
         let metrics = run(&mut client, "metrics");
         assert!(metrics.contains("connections: 1 open"), "got: {metrics}");
         assert!(metrics.contains("admitted"), "got: {metrics}");
@@ -452,6 +269,7 @@ mod tests {
             .find(|l| l.starts_with("streamed:"))
             .expect("streamed line");
         assert!(!rows_line.contains("streamed: 0 rows"), "got: {metrics}");
+        assert_eq!(run(&mut client, "help"), HELP);
     }
 
     #[test]
@@ -459,29 +277,34 @@ mod tests {
         let server = demo_server();
         let mut client = Client::connect(server.local_addr()).unwrap();
         // Second table to join against: a copy of the demo table.
-        run(&mut client, "run COPY TABLE R TO R2");
+        run(&mut client, "COPY TABLE R TO R2");
         let joined = run(&mut client, "join R R2 on employee=employee");
         // Jones has 3 skill rows on each side: 9 Jones matches, plus
-        // Ellis 1x1 and the remaining singletons.
-        assert!(joined.contains("match(es)"), "got: {joined}");
+        // Roberts 2x2, Ellis and Harrison 1x1.
+        assert!(joined.contains("15 row(s)"), "got: {joined}");
         assert!(joined.contains("employee=Jones"), "got: {joined}");
-        let mut out = Vec::new();
-        assert!(connect_command(&mut client, "join R R2 on", &mut out).is_err());
-        assert!(connect_command(&mut client, "join R R2 on employee", &mut out).is_err());
+        fails(&mut client, "join R R2 on");
+        fails(&mut client, "join R R2 on employee");
     }
 
     #[test]
-    fn repl_runs_scripts_and_sees_its_own_writes() {
+    fn repl_runs_statements_and_script_files_and_sees_its_own_writes() {
         let server = demo_server();
         let mut client = Client::connect(server.local_addr()).unwrap();
-        let msg = run(&mut client, "run COPY TABLE R TO R2");
+        let msg = run(&mut client, "COPY TABLE R TO R2");
         assert!(msg.contains("1 operator(s) committed"), "got: {msg}");
         // Read-your-writes: the session snapshot moved with the script.
         let stats = run(&mut client, "stats R2");
         assert!(stats.contains("7 rows"), "got: {stats}");
-        // Unknown commands and server-side errors surface as Err.
-        let mut out = Vec::new();
-        assert!(connect_command(&mut client, "bogus", &mut out).is_err());
-        assert!(connect_command(&mut client, "stats nope", &mut out).is_err());
+        // `run <file>` sends a local script file as one atomic script.
+        let file = std::env::temp_dir().join("cods_cli_remote_run_test.smo");
+        std::fs::write(&file, "COPY TABLE R TO R3\nDROP TABLE R2 -- done\n").unwrap();
+        let msg = run(&mut client, &format!("run {}", file.display()));
+        assert!(msg.contains("2 operator(s) committed"), "got: {msg}");
+        std::fs::remove_file(&file).ok();
+        // Unknown statements and server-side errors surface as the
+        // server's message, without the wire's error class.
+        assert_eq!(fails(&mut client, "stats R2"), "unknown table: R2");
+        assert!(fails(&mut client, "bogus").contains("unrecognized statement"));
     }
 }

@@ -24,7 +24,7 @@ use crate::error::{EvolutionError, Result};
 use crate::merge::MergeStrategy;
 use crate::simple_ops::ColumnFill;
 use crate::smo::Smo;
-use cods_query::pred::{CmpOp, Predicate};
+use cods_query::text::{find_unquoted, parse_predicate};
 use cods_storage::{ColumnDef, Schema, Value, ValueType};
 
 fn err(msg: impl Into<String>) -> EvolutionError {
@@ -64,13 +64,11 @@ pub fn parse_type(s: &str) -> Result<ValueType> {
     }
 }
 
-/// Case-insensitive split on the first occurrence of ` <kw> ` as a word.
+/// Case-insensitive split on the first occurrence of ` <kw> ` as a word
+/// outside single quotes.
 fn split_keyword<'a>(s: &'a str, kw: &str) -> Option<(&'a str, &'a str)> {
-    let lower = s.to_ascii_lowercase();
-    let pat = format!(" {} ", kw.to_ascii_lowercase());
-    lower
-        .find(&pat)
-        .map(|i| (s[..i].trim(), s[i + pat.len()..].trim()))
+    let pat = format!(" {kw} ");
+    find_unquoted(s, &pat).map(|i| (s[..i].trim(), s[i + pat.len()..].trim()))
 }
 
 fn parse_name_cols(part: &str) -> Result<(String, Vec<String>)> {
@@ -95,53 +93,6 @@ fn parse_name_cols(part: &str) -> Result<(String, Vec<String>)> {
         return Err(err(format!("no columns listed for {name:?}")));
     }
     Ok((name.to_string(), cols))
-}
-
-fn parse_predicate(s: &str) -> Result<Predicate> {
-    // `col <op> literal`, with AND/OR/NOT combinators, left-associative.
-    let lower = s.to_ascii_lowercase();
-    if let Some(i) = lower.find(" or ") {
-        return Ok(parse_predicate(&s[..i])?.or(parse_predicate(&s[i + 4..])?));
-    }
-    if let Some(i) = lower.find(" and ") {
-        return Ok(parse_predicate(&s[..i])?.and(parse_predicate(&s[i + 5..])?));
-    }
-    let t = s.trim();
-    if let Some(rest) = t.strip_prefix("NOT ").or_else(|| t.strip_prefix("not ")) {
-        return Ok(parse_predicate(rest)?.not());
-    }
-    for (sym, op) in [
-        ("!=", CmpOp::Ne),
-        ("<=", CmpOp::Le),
-        (">=", CmpOp::Ge),
-        ("=", CmpOp::Eq),
-        ("<", CmpOp::Lt),
-        (">", CmpOp::Gt),
-    ] {
-        if let Some((col, lit)) = t.split_once(sym) {
-            let col = col.trim();
-            let lit = lit.trim().trim_matches('\'');
-            if col.is_empty() || lit.is_empty() {
-                return Err(err(format!("malformed comparison {t:?}")));
-            }
-            // Literal type inference: int → float → string.
-            let literal = if let Ok(i) = lit.parse::<i64>() {
-                Value::int(i)
-            } else if let Ok(f) = lit.parse::<f64>() {
-                Value::float(f)
-            } else if lit.eq_ignore_ascii_case("true") || lit.eq_ignore_ascii_case("false") {
-                Value::Bool(lit.eq_ignore_ascii_case("true"))
-            } else {
-                Value::str(lit)
-            };
-            return Ok(Predicate::Compare {
-                column: col.to_string(),
-                op,
-                literal,
-            });
-        }
-    }
-    Err(err(format!("cannot parse predicate {t:?}")))
 }
 
 /// Parses one SMO statement.
@@ -211,15 +162,18 @@ pub fn parse_smo(stmt: &str) -> Result<Smo> {
         let rest = s["partition table ".len()..].trim();
         let (input, where_into) =
             split_keyword(rest, "where").ok_or_else(|| err("PARTITION TABLE needs `WHERE`"))?;
-        let (pred_text, outputs) =
-            split_keyword(where_into, "into").ok_or_else(|| err("PARTITION TABLE needs `INTO`"))?;
+        let (predicate, tail) = parse_predicate(where_into).map_err(err)?;
+        let outputs = match tail.split_once(char::is_whitespace) {
+            Some((kw, outputs)) if kw.eq_ignore_ascii_case("into") => outputs,
+            _ => return Err(err("PARTITION TABLE needs `INTO`")),
+        };
         let parts = split_top_level_commas(outputs);
         let [sat, rest_name] = parts.as_slice() else {
             return Err(err("PARTITION TABLE needs two outputs"));
         };
         return Ok(Smo::PartitionTable {
             input: input.to_string(),
-            predicate: parse_predicate(pred_text)?,
+            predicate,
             satisfying: sat.to_string(),
             rest: rest_name.to_string(),
         });
@@ -307,23 +261,23 @@ pub fn parse_smo(stmt: &str) -> Result<Smo> {
 }
 
 /// Parses a script: one statement per line (or `;`-separated); `#` and `--`
-/// start comments. Errors carry the 1-based source line, so a planner
-/// rejecting statement 40 of a script points at the offending line.
+/// start comments, except inside single quotes. Errors carry the 1-based
+/// source line, so a planner rejecting statement 40 of a script points at
+/// the offending line.
 pub fn parse_script(text: &str) -> Result<Vec<Smo>> {
     let mut smos = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("");
-        let line = line.split("--").next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        for stmt in line.split(';') {
-            if !stmt.trim().is_empty() {
-                smos.push(parse_smo(stmt).map_err(|e| match e {
+        let comment = [find_unquoted(raw, "#"), find_unquoted(raw, "--")];
+        let mut line = &raw[..comment.into_iter().flatten().min().unwrap_or(raw.len())];
+        while !line.trim().is_empty() {
+            let end = find_unquoted(line, ";").unwrap_or(line.len());
+            if !line[..end].trim().is_empty() {
+                smos.push(parse_smo(&line[..end]).map_err(|e| match e {
                     EvolutionError::InvalidOperator(m) => err(format!("line {}: {m}", lineno + 1)),
                     other => other,
                 })?);
             }
+            line = line.get(end + 1..).unwrap_or("");
         }
     }
     Ok(smos)
@@ -332,6 +286,7 @@ pub fn parse_script(text: &str) -> Result<Vec<Smo>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cods_query::Predicate;
 
     #[test]
     fn parses_create_with_key() {
@@ -424,34 +379,69 @@ mod tests {
         ));
     }
 
+    /// The literal of `PARTITION TABLE t WHERE <c> INTO a, b`, which must be
+    /// the script's only statement.
+    fn partition_literal(script: &str) -> Value {
+        match parse_script(script).unwrap().as_slice() {
+            [Smo::PartitionTable {
+                predicate: Predicate::Compare { literal, .. },
+                satisfying,
+                rest,
+                ..
+            }] if satisfying == "a" && rest == "b" => literal.clone(),
+            other => panic!("{script:?} parsed to {other:?}"),
+        }
+    }
+
     #[test]
-    fn predicate_literal_inference() {
-        let p = parse_predicate("k = 5").unwrap();
-        assert!(matches!(
-            p,
-            Predicate::Compare {
-                literal: Value::Int(5),
-                ..
+    fn quoted_or_is_not_a_disjunction() {
+        let v = partition_literal("PARTITION TABLE t WHERE note = 'this or that' INTO a, b");
+        assert_eq!(v, Value::str("this or that"));
+    }
+
+    #[test]
+    fn quoted_operator_is_not_a_comparison() {
+        let v = partition_literal("PARTITION TABLE t WHERE tag = 'a<=b' INTO a, b");
+        assert_eq!(v, Value::str("a<=b"));
+    }
+
+    #[test]
+    fn quoted_hash_is_not_a_comment() {
+        let v = partition_literal("PARTITION TABLE t WHERE addr = '12 #4 Main' INTO a, b # tail");
+        assert_eq!(v, Value::str("12 #4 Main"));
+    }
+
+    #[test]
+    fn quoted_semicolon_is_not_a_statement_break() {
+        let v = partition_literal("PARTITION TABLE t WHERE v = 'x;y' INTO a, b;");
+        assert_eq!(v, Value::str("x;y"));
+    }
+
+    #[test]
+    fn quoted_dashes_are_not_a_comment() {
+        let v = partition_literal("PARTITION TABLE t WHERE v = 'a--b' INTO a, b -- tail");
+        assert_eq!(v, Value::str("a--b"));
+    }
+
+    #[test]
+    fn quoted_digits_are_a_string() {
+        let v = partition_literal("PARTITION TABLE t WHERE k = '5' INTO a, b");
+        assert_eq!(v, Value::str("5"));
+        let v = partition_literal("PARTITION TABLE t WHERE k = 5 INTO a, b");
+        assert_eq!(v, Value::int(5));
+    }
+
+    #[test]
+    fn quoted_keywords_do_not_split_a_statement() {
+        let v = partition_literal("PARTITION TABLE t WHERE v = 'put into a where b' INTO a, b");
+        assert_eq!(v, Value::str("put into a where b"));
+        match parse_smo("ADD COLUMN c str DEFAULT 'up to you' TO t").unwrap() {
+            Smo::AddColumn { table, fill, .. } => {
+                assert_eq!(table, "t");
+                assert!(matches!(fill, ColumnFill::Default(v) if v == Value::str("up to you")));
             }
-        ));
-        let p = parse_predicate("k = 2.5").unwrap();
-        assert!(matches!(
-            p,
-            Predicate::Compare {
-                literal: Value::Float(_),
-                ..
-            }
-        ));
-        let p = parse_predicate("k = 'hello'").unwrap();
-        assert!(matches!(
-            p,
-            Predicate::Compare {
-                literal: Value::Str(_),
-                ..
-            }
-        ));
-        let p = parse_predicate("NOT k = true").unwrap();
-        assert!(matches!(p, Predicate::Not(_)));
+            other => panic!("{other}"),
+        }
     }
 
     #[test]

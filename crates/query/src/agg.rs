@@ -1,18 +1,18 @@
 //! Grouped aggregation: COUNT / SUM / MIN / MAX / COUNT DISTINCT, used by
 //! the warehouse examples and exposed through
-//! [`crate::plan::Plan::Aggregate`].
+//! [`crate::query::Query::GroupBy`].
 //!
 //! Two evaluation strategies share one semantics:
 //!
 //! * [`aggregate`] — the row kernel, over already-materialized tuples
-//!   (joins, unions, anything mid-plan). Group keys are interned into
-//!   per-column dense ids so each distinct value is cloned once per
-//!   column, not once per row, and accumulators live in a vector indexed
-//!   by group.
+//!   (the test oracle and the query-level baselines). Group keys are
+//!   interned into per-column dense ids so each distinct value is cloned
+//!   once per column, not once per row, and accumulators live in a vector
+//!   indexed by group.
 //! * [`aggregate_table`] / [`aggregate_table_masked`] — the vectorized
-//!   columnar kernel, directly over a column-store table (the
-//!   `Aggregate ∘ ScanColumn` pushdown, with an optional predicate mask
-//!   pushed into the walk). No row is ever materialized: group keys are
+//!   columnar kernel, directly over a column-store table (with an
+//!   optional predicate mask pushed into the walk). No row is ever
+//!   materialized: group keys are
 //!   composed from per-column dictionary ids ([`GroupKeySpace`] packs
 //!   them into one `u64` when the id widths fit, else falls back to a
 //!   compact composite tuple), every aggregate consumes maximal
@@ -58,28 +58,6 @@ impl AggOp {
             AggOp::Count | AggOp::CountDistinct => ValueType::Int,
             AggOp::Sum => input,
             AggOp::Min | AggOp::Max => input,
-        }
-    }
-}
-
-/// One aggregate expression: `op(column) AS alias`.
-#[derive(Clone, Debug)]
-pub struct AggExpr {
-    /// The function.
-    pub op: AggOp,
-    /// Input column name.
-    pub column: String,
-    /// Output column name.
-    pub alias: String,
-}
-
-impl AggExpr {
-    /// Convenience constructor.
-    pub fn new(op: AggOp, column: impl Into<String>, alias: impl Into<String>) -> Self {
-        AggExpr {
-            op,
-            column: column.into(),
-            alias: alias.into(),
         }
     }
 }

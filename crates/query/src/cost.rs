@@ -2,7 +2,7 @@
 //!
 //! Every estimate here reads only what a lazily opened catalog keeps in
 //! memory — zone maps, per-segment present-id/ones stats, run counts,
-//! dictionary sizes — so costing a plan never faults a payload through the
+//! dictionary sizes — so costing a query never faults a payload through the
 //! buffer cache. The estimates drive three concrete choices:
 //!
 //! * the group-by key representation (packed `u64` vs composite tuples,
@@ -14,7 +14,7 @@
 //!   count its matching rows), boolean combinations use the usual
 //!   independence algebra.
 //!
-//! [`crate::plan::explain`] renders each [`RankedChoice`] with the
+//! [`crate::query::ResolvedQuery::explain`] renders each [`RankedChoice`] with the
 //! alternatives the estimate rejected, in rank order.
 
 use crate::agg::GroupKeySpace;

@@ -8,7 +8,10 @@
 //!
 //! * [`tuple`](mod@tuple) — project / distinct / hash join / union over materialized rows;
 //! * [`pred`] — the predicate language shared with PARTITION TABLE;
-//! * [`plan`] — a small logical-plan layer over both storage engines;
+//! * [`query`] — the one read request: [`Query`] (count, scan, group-by,
+//!   join) with its `resolve` → `run` / `explain` path, shared by the local
+//!   shell, the connect REPL and the server;
+//! * [`text`] — the text grammar of predicates and read statements;
 //! * [`agg`] — grouped aggregation: a row kernel plus a vectorized,
 //!   dictionary-native columnar kernel (`aggregate_table_masked`);
 //! * [`join`] — the partition-wise hash join over dictionary-encoded
@@ -32,14 +35,13 @@ pub mod cost;
 pub mod evolution;
 pub mod join;
 pub mod par;
-pub mod plan;
 pub mod pred;
+pub mod query;
 pub mod stream;
+pub mod text;
 pub mod tuple;
 
-pub use agg::{
-    aggregate, aggregate_table, aggregate_table_masked, validity, AggExpr, AggOp, GroupKeySpace,
-};
+pub use agg::{aggregate, aggregate_table, aggregate_table_masked, validity, AggOp, GroupKeySpace};
 pub use bitmap_scan::{filter_table, predicate_mask};
 pub use cost::{CostEstimate, RankedChoice};
 pub use evolution::{
@@ -47,6 +49,7 @@ pub use evolution::{
     EvolutionReport,
 };
 pub use join::{join_collect, join_stream, plan_join, BuildSide, JoinPlan, JoinStream};
-pub use plan::{execute, explain, ExecContext, Plan, ResultSet};
 pub use pred::{CmpOp, CompiledPredicate, Predicate};
+pub use query::{Query, QueryError, QueryOutput, ResolvedQuery, STREAM_BATCH_ROWS};
 pub use stream::{RowBatch, ScanStream};
+pub use text::{find_unquoted, parse_predicate, parse_query};

@@ -79,6 +79,15 @@ impl ScanStream {
                 .map(|n| table.schema().index_of(n))
                 .collect::<Result<_, _>>()?,
         };
+        Self::with_projection(table, pred, projection)
+    }
+
+    /// [`ScanStream::new`] over already-resolved column positions.
+    pub fn with_projection(
+        table: Arc<Table>,
+        pred: &Predicate,
+        projection: Vec<usize>,
+    ) -> Result<Self, StorageError> {
         let mask = crate::predicate_mask(&table, pred)?;
         let selected = mask.count_ones();
         let intervals: Vec<(u64, u64)> = mask
@@ -112,17 +121,6 @@ impl ScanStream {
     /// from the selection mask).
     pub fn total_selected(&self) -> u64 {
         self.selected
-    }
-
-    /// The projected column indices, in output order.
-    pub fn projection(&self) -> &[usize] {
-        &self.projection
-    }
-
-    /// The table version this stream scans. Holding the stream holds the
-    /// version alive regardless of later catalog commits.
-    pub fn table(&self) -> &Arc<Table> {
-        &self.table
     }
 
     /// Drains the stream into one materialized row set — the
@@ -288,7 +286,7 @@ mod tests {
         let proj = ["f".to_string(), "k".to_string()];
         let pred = Predicate::lt("k", 3i64);
         let stream = ScanStream::new(Arc::clone(&t), &pred, Some(&proj)).unwrap();
-        assert_eq!(stream.projection(), &[2, 0]);
+        assert_eq!(stream.projection, [2, 0]);
         assert_eq!(stream.collect_rows(), expected(&t, &pred, &[2, 0]));
         // Unknown projection column fails up front.
         assert!(ScanStream::new(

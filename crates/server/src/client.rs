@@ -5,7 +5,7 @@ use crate::frame::{disable_nagle, read_frame, read_preamble, write_frame, FrameE
 use crate::proto::{
     decode_reply, encode_command, Command, MetricsReply, Reply, StatsReply, TOTAL_UNKNOWN,
 };
-use cods_query::{AggOp, Predicate};
+use cods_query::{AggOp, Predicate, Query};
 use cods_storage::{Value, ValueType};
 use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -92,6 +92,15 @@ pub struct ScanSummary {
     /// Rows received (must equal `total_rows` — verified against the
     /// closing `Done` frame).
     pub rows: u64,
+}
+
+/// What [`Client::query`] returned, after any row stream is drained.
+#[derive(Debug, Clone, PartialEq)]
+pub enum QueryReply {
+    /// `(table rows, selected rows, snapshot version)` of a count.
+    Count((u64, u64, u64)),
+    /// The drained row stream's summary.
+    Rows(ScanSummary),
 }
 
 /// A blocking protocol client over one TCP connection.
@@ -224,6 +233,23 @@ impl Client {
         }
     }
 
+    /// Runs one read statement at the pinned snapshot — what both shells'
+    /// remote back end sends. A count answers at once; the other shapes
+    /// hand each batch to `on_batch` as it arrives.
+    pub fn query(
+        &mut self,
+        query: Query,
+        mut on_batch: impl FnMut(&[(String, ValueType)], Vec<Vec<Value>>),
+    ) -> Result<QueryReply, ClientError> {
+        let count = matches!(query, Query::Count { .. });
+        self.send(&Command::Query(query))?;
+        if count {
+            self.read_count().map(QueryReply::Count)
+        } else {
+            self.drain_stream(&mut on_batch).map(QueryReply::Rows)
+        }
+    }
+
     /// Counts predicate-satisfying rows; returns `(table rows, selected,
     /// snapshot version)`.
     pub fn mask(
@@ -231,10 +257,14 @@ impl Client {
         table: &str,
         predicate: Predicate,
     ) -> Result<(u64, u64, u64), ClientError> {
-        self.send(&Command::Mask {
+        self.send(&Command::Query(Query::Count {
             table: table.to_string(),
             predicate,
-        })?;
+        }))?;
+        self.read_count()
+    }
+
+    fn read_count(&mut self) -> Result<(u64, u64, u64), ClientError> {
         match self.expect_reply()? {
             Reply::MaskSummary {
                 rows,
@@ -254,11 +284,11 @@ impl Client {
         projection: Option<Vec<String>>,
         mut on_batch: impl FnMut(&[(String, ValueType)], Vec<Vec<Value>>),
     ) -> Result<ScanSummary, ClientError> {
-        self.send(&Command::Scan {
+        self.send(&Command::Query(Query::Scan {
             table: table.to_string(),
             predicate,
             projection,
-        })?;
+        }))?;
         self.drain_stream(&mut on_batch)
     }
 
@@ -287,12 +317,12 @@ impl Client {
         group_by: Vec<String>,
         aggs: Vec<(AggOp, String)>,
     ) -> Result<(Vec<(String, ValueType)>, Vec<Vec<Value>>), ClientError> {
-        self.send(&Command::GroupBy {
+        self.send(&Command::Query(Query::GroupBy {
             table: table.to_string(),
             predicate,
             group_by,
             aggs,
-        })?;
+        }))?;
         let mut all = Vec::new();
         let summary =
             self.drain_stream(&mut |_: &[(String, ValueType)], rows: Vec<Vec<Value>>| {
@@ -313,12 +343,12 @@ impl Client {
         right_keys: Vec<String>,
         mut on_batch: impl FnMut(&[(String, ValueType)], Vec<Vec<Value>>),
     ) -> Result<ScanSummary, ClientError> {
-        self.send(&Command::Join {
+        self.send(&Command::Query(Query::Join {
             left: left.to_string(),
             right: right.to_string(),
             left_keys,
             right_keys,
-        })?;
+        }))?;
         self.drain_stream(&mut on_batch)
     }
 

@@ -43,7 +43,7 @@ pub mod server;
 pub mod session;
 
 pub use admission::{Gate, Permit, Rejected};
-pub use client::{Client, ClientError, ScanSummary};
+pub use client::{Client, ClientError, QueryReply, ScanSummary};
 pub use frame::{FrameError, DEFAULT_MAX_FRAME_BYTES, PROTO_VERSION};
 pub use metrics::ServerMetrics;
 pub use proto::{error_code, Command, DurabilityReply, MetricsReply, Reply, StatsReply, WireError};

@@ -8,7 +8,7 @@
 //! checksum happens to pass.
 
 use crate::frame::FrameError;
-use cods_query::{AggOp, CmpOp, Predicate};
+use cods_query::{AggOp, CmpOp, Predicate, Query};
 use cods_storage::{CacheStats, OrderedF64, Value, ValueType};
 use std::sync::Arc;
 
@@ -79,50 +79,12 @@ pub enum Command {
         /// Script text, one operator per line.
         text: String,
     },
-    /// Stream selected, projected rows of a table at the pinned snapshot.
-    Scan {
-        /// Table name.
-        table: String,
-        /// Row filter.
-        predicate: Predicate,
-        /// Projected column names in output order; `None` = all columns.
-        projection: Option<Vec<String>>,
-    },
-    /// Count predicate-satisfying rows without streaming them.
-    Mask {
-        /// Table name.
-        table: String,
-        /// Row filter.
-        predicate: Predicate,
-    },
-    /// Grouped aggregation over the predicate-selected rows; result
-    /// groups arrive in bounded `Rows` batches, so large group counts
-    /// never need one giant frame.
-    GroupBy {
-        /// Table name.
-        table: String,
-        /// Row filter applied before grouping (pushed into the kernel as
-        /// a WAH mask, never materialized).
-        predicate: Predicate,
-        /// Grouping column names.
-        group_by: Vec<String>,
-        /// Aggregate expressions as `(op, input column)` pairs.
-        aggs: Vec<(AggOp, String)>,
-    },
-    /// Partition-wise hash equi-join of two tables at the pinned
-    /// snapshot; output = left columns ++ right non-key columns, streamed
-    /// with a [`TOTAL_UNKNOWN`] header.
-    Join {
-        /// Left table name.
-        left: String,
-        /// Right table name.
-        right: String,
-        /// Join key column names on the left, paired positionally with
-        /// `right_keys`.
-        left_keys: Vec<String>,
-        /// Join key column names on the right.
-        right_keys: Vec<String>,
-    },
+    /// One read at the pinned snapshot. A [`Query::Count`] answers with a
+    /// `MaskSummary`; the other three shapes answer with a row stream —
+    /// scans in segment-aligned batches under an exact header total,
+    /// group-bys in bounded batches, joins under a [`TOTAL_UNKNOWN`]
+    /// header.
+    Query(Query),
 }
 
 impl Command {
@@ -134,11 +96,13 @@ impl Command {
             Command::Metrics => 0x03,
             Command::Stats { .. } => 0x04,
             Command::Script { .. } => 0x05,
-            Command::Scan { .. } => 0x06,
-            Command::Mask { .. } => 0x07,
-            // 0x08 is reserved: a retired command's kind, never reused.
-            Command::GroupBy { .. } => 0x09,
-            Command::Join { .. } => 0x0A,
+            // The kind byte follows the query's shape, as in protocol
+            // version 1. 0x08 is reserved: a retired command's kind, never
+            // reused.
+            Command::Query(Query::Scan { .. }) => 0x06,
+            Command::Query(Query::Count { .. }) => 0x07,
+            Command::Query(Query::GroupBy { .. }) => 0x09,
+            Command::Query(Query::Join { .. }) => 0x0A,
         }
     }
 
@@ -270,7 +234,7 @@ pub enum Reply {
         /// Rows sent across all batches.
         rows: u64,
     },
-    /// Answer to [`Command::Mask`].
+    /// Answer to a [`Query::Count`].
     MaskSummary {
         /// Rows in the table.
         rows: u64,
@@ -561,11 +525,11 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
         Command::Ping | Command::Refresh | Command::Metrics => {}
         Command::Stats { table } => e.str(table),
         Command::Script { text } => e.str(text),
-        Command::Scan {
+        Command::Query(Query::Scan {
             table,
             predicate,
             projection,
-        } => {
+        }) => {
             e.str(table);
             e.pred(predicate);
             match projection {
@@ -579,16 +543,16 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
                 }
             }
         }
-        Command::Mask { table, predicate } => {
+        Command::Query(Query::Count { table, predicate }) => {
             e.str(table);
             e.pred(predicate);
         }
-        Command::GroupBy {
+        Command::Query(Query::GroupBy {
             table,
             predicate,
             group_by,
             aggs,
-        } => {
+        }) => {
             e.str(table);
             e.pred(predicate);
             e.u32(group_by.len() as u32);
@@ -601,12 +565,12 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
                 e.str(col);
             }
         }
-        Command::Join {
+        Command::Query(Query::Join {
             left,
             right,
             left_keys,
             right_keys,
-        } => {
+        }) => {
             e.str(left);
             e.str(right);
             e.u32(left_keys.len() as u32);
@@ -646,16 +610,16 @@ pub fn decode_command(kind: u8, payload: &[u8]) -> DecResult<Command> {
                 }
                 b => return Err(WireError::BadTag("projection", b)),
             };
-            Command::Scan {
+            Command::Query(Query::Scan {
                 table,
                 predicate,
                 projection,
-            }
+            })
         }
-        0x07 => Command::Mask {
+        0x07 => Command::Query(Query::Count {
             table: d.str()?,
             predicate: d.pred(0)?,
-        },
+        }),
         0x09 => {
             let table = d.str()?;
             let predicate = d.pred(0)?;
@@ -670,12 +634,12 @@ pub fn decode_command(kind: u8, payload: &[u8]) -> DecResult<Command> {
                 let op = agg_op_from(d.u8()?)?;
                 aggs.push((op, d.str()?));
             }
-            Command::GroupBy {
+            Command::Query(Query::GroupBy {
                 table,
                 predicate,
                 group_by,
                 aggs,
-            }
+            })
         }
         0x0A => {
             let left = d.str()?;
@@ -690,12 +654,12 @@ pub fn decode_command(kind: u8, payload: &[u8]) -> DecResult<Command> {
             for _ in 0..n {
                 right_keys.push(d.str()?);
             }
-            Command::Join {
+            Command::Query(Query::Join {
                 left,
                 right,
                 left_keys,
                 right_keys,
-            }
+            })
         }
         b => return Err(WireError::BadTag("command kind", b)),
     };
@@ -890,27 +854,27 @@ mod tests {
         rt_cmd(Command::Script {
             text: "DROP TABLE x\nCREATE TABLE y (a INT)".into(),
         });
-        rt_cmd(Command::Scan {
+        rt_cmd(Command::Query(Query::Scan {
             table: "emp".into(),
             predicate: Predicate::lt("k", 3i64).and(Predicate::eq("v", "s0").not()),
             projection: Some(vec!["v".into(), "k".into()]),
-        });
-        rt_cmd(Command::Scan {
+        }));
+        rt_cmd(Command::Query(Query::Scan {
             table: "emp".into(),
             predicate: Predicate::True,
             projection: None,
-        });
-        rt_cmd(Command::Mask {
+        }));
+        rt_cmd(Command::Query(Query::Count {
             table: "t".into(),
             predicate: Predicate::ge("f", 1.5f64),
-        });
-        rt_cmd(Command::GroupBy {
+        }));
+        rt_cmd(Command::Query(Query::GroupBy {
             table: "t".into(),
             predicate: Predicate::True,
             group_by: vec!["dept".into()],
             aggs: vec![(AggOp::Count, "dept".into()), (AggOp::Sum, "pay".into())],
-        });
-        rt_cmd(Command::GroupBy {
+        }));
+        rt_cmd(Command::Query(Query::GroupBy {
             table: "t".into(),
             predicate: Predicate::lt("pay", 100i64),
             group_by: vec!["dept".into(), "site".into()],
@@ -918,29 +882,29 @@ mod tests {
                 (AggOp::CountDistinct, "emp".into()),
                 (AggOp::Max, "pay".into()),
             ],
-        });
-        rt_cmd(Command::GroupBy {
+        }));
+        rt_cmd(Command::Query(Query::GroupBy {
             table: "t".into(),
             predicate: Predicate::True,
             group_by: vec![],
             aggs: vec![(AggOp::Count, "dept".into())],
-        });
-        rt_cmd(Command::Join {
+        }));
+        rt_cmd(Command::Query(Query::Join {
             left: "orders".into(),
             right: "people".into(),
             left_keys: vec!["who".into(), "region".into()],
             right_keys: vec!["name".into(), "region".into()],
-        });
+        }));
     }
 
     #[test]
     fn retired_kind_0x08_decodes_as_an_unknown_command() {
-        let body = encode_command(&Command::GroupBy {
+        let body = encode_command(&Command::Query(Query::GroupBy {
             table: "t".into(),
             predicate: Predicate::True,
             group_by: vec!["g".into()],
             aggs: vec![(AggOp::Count, "g".into())],
-        });
+        }));
         assert_eq!(
             decode_command(0x08, &body),
             Err(WireError::BadTag("command kind", 0x08))
@@ -1076,10 +1040,10 @@ mod tests {
         for _ in 0..=MAX_PRED_DEPTH {
             pred = Predicate::Not(Box::new(pred));
         }
-        let cmd = Command::Mask {
+        let cmd = Command::Query(Query::Count {
             table: "t".into(),
             predicate: pred,
-        };
+        });
         let bytes = encode_command(&cmd);
         assert_eq!(decode_command(0x07, &bytes), Err(WireError::TooDeep));
     }

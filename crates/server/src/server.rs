@@ -11,16 +11,13 @@ use crate::proto::{
 };
 use crate::session::Session;
 use cods::{Cods, EvolutionError};
-use cods_query::{
-    aggregate_table_masked, join_stream, plan_join, predicate_mask, AggOp, Predicate, ScanStream,
-};
-use cods_storage::{
-    segment_cache, CommitLog, RetryPolicy, StorageError, Table, TableStats, Value, ValueType,
-};
+use cods_query::{QueryError, QueryOutput};
+use cods_storage::{CommitLog, RetryPolicy, StorageError, TableStats, Value, ValueType};
+use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -76,8 +73,11 @@ struct Shared {
     config: ServerConfig,
     gate: Arc<Gate>,
     metrics: ServerMetrics,
-    /// Clones of live connection streams, so shutdown can unblock reads.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Live connections by id: a clone of the stream, so shutdown can
+    /// unblock its read, and the serving thread's handle. A connection
+    /// thread removes its own entry as its last act, so a long-lived
+    /// server holds descriptors and handles for open connections only.
+    conns: Mutex<HashMap<u64, (TcpStream, JoinHandle<()>)>>,
     stopping: AtomicBool,
 }
 
@@ -88,9 +88,13 @@ impl Shared {
             cods,
             config,
             metrics: ServerMetrics::default(),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             stopping: AtomicBool::new(false),
         }
+    }
+
+    fn registry(&self) -> MutexGuard<'_, HashMap<u64, (TcpStream, JoinHandle<()>)>> {
+        self.conns.lock().expect("connection registry poisoned")
     }
 }
 
@@ -99,7 +103,6 @@ pub struct ServerHandle {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 /// The serving entry point.
@@ -117,38 +120,38 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared::new(cods, config));
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
         let accept_thread = {
             let shared = Arc::clone(&shared);
-            let conn_threads = Arc::clone(&conn_threads);
             std::thread::spawn(move || {
-                for stream in listener.incoming() {
+                for (id, stream) in (0u64..).zip(listener.incoming()) {
                     if shared.stopping.load(Ordering::Acquire) {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
                     // A socket that refuses TCP_NODELAY would bring the
-                    // delayed-ACK stall back silently: drop it instead.
-                    if disable_nagle(&stream).is_err() {
+                    // delayed-ACK stall back silently, and one without a
+                    // registry clone could not be unblocked at shutdown:
+                    // drop it instead.
+                    let (Ok(()), Ok(clone)) = (disable_nagle(&stream), stream.try_clone()) else {
                         continue;
-                    }
+                    };
                     let _ = stream.set_read_timeout(shared.config.idle_timeout);
                     let _ = stream.set_write_timeout(shared.config.write_timeout);
                     ServerMetrics::add(&shared.metrics.connections_total, 1);
                     ServerMetrics::add(&shared.metrics.connections_open, 1);
-                    if let Ok(clone) = stream.try_clone() {
-                        shared.conns.lock().unwrap().push(clone);
-                    }
-                    let shared = Arc::clone(&shared);
+                    // Registered under the lock the thread's own removal
+                    // takes, so a connection that ends at once still finds
+                    // its entry.
+                    let mut conns = shared.registry();
+                    let worker = Arc::clone(&shared);
                     let handle = std::thread::spawn(move || {
-                        let _ = Connection::run(&shared, &stream);
-                        // The clone in `conns` keeps the descriptor open
-                        // until shutdown: hang up here, or the peer never
-                        // sees the session end.
-                        let _ = stream.shutdown(Shutdown::Both);
-                        ServerMetrics::dec(&shared.metrics.connections_open);
+                        let _ = Connection::run(&worker, &stream);
+                        ServerMetrics::dec(&worker.metrics.connections_open);
+                        // Dropping the entry closes the registry's clone of
+                        // the descriptor and detaches this (ending) thread.
+                        worker.registry().remove(&id);
                     });
-                    conn_threads.lock().unwrap().push(handle);
+                    conns.insert(id, (clone, handle));
                 }
             })
         };
@@ -156,7 +159,6 @@ impl Server {
             local_addr,
             shared,
             accept_thread: Some(accept_thread),
-            conn_threads,
         })
     }
 }
@@ -179,13 +181,14 @@ impl ServerHandle {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        // Unblock connection threads parked in read_frame.
-        for conn in self.shared.conns.lock().unwrap().drain(..) {
-            let _ = conn.shutdown(Shutdown::Both);
+        // Unblock the live connection threads parked in read_frame, then
+        // join them (outside the lock their own removal takes).
+        let live: Vec<_> = self.shared.registry().drain().collect();
+        for (_, (stream, _)) in &live {
+            let _ = stream.shutdown(Shutdown::Both);
         }
-        let threads: Vec<_> = self.conn_threads.lock().unwrap().drain(..).collect();
-        for t in threads {
-            let _ = t.join();
+        for (_, (_, thread)) in live {
+            let _ = thread.join();
         }
     }
 }
@@ -444,124 +447,35 @@ impl<'a, W: Write> Connection<'a, W> {
                     }
                 }
             }
-            Command::Scan {
-                table,
-                predicate,
-                projection,
-            } => {
-                let t = match self.session.table(&table) {
-                    Ok(t) => t,
-                    Err(e) => return self.storage_error(&e),
-                };
-                let stream = match ScanStream::new(t, &predicate, projection.as_deref()) {
-                    Ok(s) => s,
-                    Err(e) => return self.storage_error(&e),
-                };
-                self.stream_scan(stream)
-            }
-            Command::Mask { table, predicate } => {
-                let t = match self.session.table(&table) {
-                    Ok(t) => t,
-                    Err(e) => return self.storage_error(&e),
-                };
-                match predicate_mask(&t, &predicate) {
-                    Ok(mask) => self.reply(&Reply::MaskSummary {
-                        rows: t.rows(),
-                        selected: mask.count_ones(),
+            Command::Query(query) => {
+                let output = query
+                    .resolve(self.session.snapshot())
+                    .and_then(|resolved| Ok(resolved.run()?));
+                match output {
+                    Ok(QueryOutput::Count { rows, selected }) => self.reply(&Reply::MaskSummary {
+                        rows,
+                        selected,
                         catalog_version: self.session.version(),
                     }),
-                    Err(e) => self.storage_error(&e),
-                }
-            }
-            Command::GroupBy {
-                table,
-                predicate,
-                group_by,
-                aggs,
-            } => {
-                let t = match self.session.table(&table) {
-                    Ok(t) => t,
-                    Err(e) => return self.storage_error(&e),
-                };
-                match run_agg(&t, &predicate, &group_by, &aggs) {
-                    // Chunked reply stream: bounded frames however many
-                    // groups come back.
-                    Ok((columns, rows)) => {
-                        let total = rows.len() as u64;
-                        self.stream_rows(columns, total, chunked(rows.into_iter()))
-                    }
-                    Err(e) => self.storage_error(&e),
-                }
-            }
-            Command::Join {
-                left,
-                right,
-                left_keys,
-                right_keys,
-            } => {
-                let l = match self.session.table(&left) {
-                    Ok(t) => t,
-                    Err(e) => return self.storage_error(&e),
-                };
-                let r = match self.session.table(&right) {
-                    Ok(t) => t,
-                    Err(e) => return self.storage_error(&e),
-                };
-                let resolve = |t: &Table, names: &[String]| -> Result<Vec<usize>, StorageError> {
-                    names.iter().map(|n| t.schema().index_of(n)).collect()
-                };
-                let lk = match resolve(&l, &left_keys) {
-                    Ok(v) => v,
-                    Err(e) => return self.storage_error(&e),
-                };
-                let rk = match resolve(&r, &right_keys) {
-                    Ok(v) => v,
-                    Err(e) => return self.storage_error(&e),
-                };
-                if lk.len() != rk.len() {
-                    return self.reply(&Reply::Error {
+                    // A join's match count is unknown until the probe
+                    // finishes — it streams under the sentinel total; Done
+                    // carries the truth.
+                    Ok(QueryOutput::Rows {
+                        columns,
+                        total,
+                        batches,
+                    }) => self.stream_rows(columns, total.unwrap_or(TOTAL_UNKNOWN), batches),
+                    Err(QueryError::Storage(e)) => self.storage_error(&e),
+                    Err(e @ QueryError::KeyArity) => self.reply(&Reply::Error {
                         code: error_code::BAD_REQUEST,
-                        message: "join key lists differ in length".into(),
-                    });
+                        message: e.to_string(),
+                    }),
                 }
-                // Output schema: left columns ++ right non-key columns.
-                let mut columns: Vec<(String, ValueType)> = l
-                    .schema()
-                    .columns()
-                    .iter()
-                    .map(|c| (c.name.clone(), c.ty))
-                    .collect();
-                for (i, c) in r.schema().columns().iter().enumerate() {
-                    if !rk.contains(&i) {
-                        columns.push((c.name.clone(), c.ty));
-                    }
-                }
-                let plan = plan_join(&l, &r, &lk, &rk, segment_cache().stats().budget);
-                let matches = join_stream(l, r, &lk, &rk, &plan);
-                // The match count is unknown until the probe finishes —
-                // stream under the sentinel total; Done carries the truth.
-                self.stream_rows(columns, TOTAL_UNKNOWN, chunked(matches))
             }
             Command::Ping | Command::Refresh | Command::Metrics => {
                 unreachable!("data-plane commands only")
             }
         }
-    }
-
-    /// Streams one scan: one `Rows` frame per non-empty segment-aligned
-    /// batch, under the selected-row count the mask already knows.
-    fn stream_scan(&mut self, stream: ScanStream) -> Result<(), FrameError> {
-        let t = stream.table();
-        let columns: Vec<(String, ValueType)> = stream
-            .projection()
-            .iter()
-            .map(|&ci| {
-                let def = &t.schema().columns()[ci];
-                (def.name.clone(), def.ty)
-            })
-            .collect();
-        let total = stream.total_selected();
-        self.stream_rows(columns, total, stream.map(|batch| batch.rows))
     }
 
     /// Maps a storage error onto an error reply, keeping the session.
@@ -578,69 +492,13 @@ impl<'a, W: Write> Connection<'a, W> {
     }
 }
 
-/// Rows per `Rows` frame for chunked result streams (GroupBy, Join).
-const STREAM_BATCH_ROWS: usize = 4096;
-
-/// Regroups a row iterator into batches of [`STREAM_BATCH_ROWS`] (the
-/// last one shorter, none empty), moving the rows.
-fn chunked(rows: impl Iterator<Item = Vec<Value>>) -> impl Iterator<Item = Vec<Vec<Value>>> {
-    let mut rows = rows.fuse();
-    std::iter::from_fn(move || {
-        let batch: Vec<_> = rows.by_ref().take(STREAM_BATCH_ROWS).collect();
-        (!batch.is_empty()).then_some(batch)
-    })
-}
-
-/// Aggregation over the predicate-selected rows: output schema plus
-/// result rows (group keys first, aggregates after, both in request
-/// order).
-#[allow(clippy::type_complexity)]
-fn run_agg(
-    t: &Table,
-    predicate: &Predicate,
-    group_by: &[String],
-    aggs: &[(AggOp, String)],
-) -> Result<(Vec<(String, ValueType)>, Vec<Vec<Value>>), StorageError> {
-    let group_idx: Vec<usize> = group_by
-        .iter()
-        .map(|g| t.schema().index_of(g))
-        .collect::<Result<_, _>>()?;
-    let agg_specs: Vec<(AggOp, usize, ValueType)> = aggs
-        .iter()
-        .map(|(op, col)| {
-            let idx = t.schema().index_of(col)?;
-            Ok((*op, idx, t.schema().columns()[idx].ty))
-        })
-        .collect::<Result<_, StorageError>>()?;
-    let mut columns: Vec<(String, ValueType)> = group_idx
-        .iter()
-        .map(|&g| {
-            let def = &t.schema().columns()[g];
-            (def.name.clone(), def.ty)
-        })
-        .collect();
-    for (op, idx, ty) in &agg_specs {
-        let name = format!("{:?}({})", op, t.schema().columns()[*idx].name).to_lowercase();
-        columns.push((name, op.output_type(*ty)));
-    }
-    // Mask pushdown: the predicate becomes a WAH mask and the columnar
-    // kernel aggregates under it — the filtered table is never built.
-    let rows = match predicate {
-        Predicate::True => aggregate_table_masked(t, &group_idx, &agg_specs, None)?,
-        p => {
-            let mask = predicate_mask(t, p)?;
-            aggregate_table_masked(t, &group_idx, &agg_specs, Some(&mask))?
-        }
-    };
-    Ok((columns, rows))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::Client;
     use crate::proto::decode_reply;
-    use cods_storage::Schema;
+    use cods_query::{Predicate, Query};
+    use cods_storage::{Schema, Table};
 
     /// A transport that records every write that reaches it.
     #[derive(Clone, Default)]
@@ -698,11 +556,11 @@ mod tests {
         let mut conn = Connection::open(&shared, sink.clone()).unwrap();
         assert_eq!(sink.writes(), 1, "preamble and Hello leave together");
 
-        conn.respond(Command::Scan {
+        conn.respond(Command::Query(Query::Scan {
             table: "t".into(),
             predicate: Predicate::True,
             projection: None,
-        })
+        }))
         .unwrap();
         assert_eq!(sink.writes(), 2, "header, batch and closer coalesce");
         let replies = replies_in(&sink.last_write());
@@ -728,10 +586,10 @@ mod tests {
         let cases: [(Command, Expected); 4] = [
             (Command::Ping, |r| matches!(r, Reply::Pong)),
             (
-                Command::Mask {
+                Command::Query(Query::Count {
                     table: "t".into(),
                     predicate: Predicate::True,
-                },
+                }),
                 |r| matches!(r, Reply::MaskSummary { selected: 5, .. }),
             ),
             (
@@ -808,10 +666,47 @@ mod tests {
         client.ping().unwrap();
         assert!(client.nodelay().unwrap(), "client socket");
         // The accept loop registers each socket before it serves it.
-        let conns = handle.shared.conns.lock().unwrap();
+        let conns = handle.shared.registry();
         assert_eq!(conns.len(), 1);
-        assert!(conns[0].nodelay().unwrap(), "accepted socket");
+        let (accepted, _) = conns.values().next().unwrap();
+        assert!(accepted.nodelay().unwrap(), "accepted socket");
         drop(conns);
         handle.shutdown();
+    }
+
+    #[test]
+    fn finished_connections_leave_the_registry() {
+        let mut handle = Server::bind(
+            "127.0.0.1:0",
+            Arc::new(Cods::new()),
+            ServerConfig::default(),
+        )
+        .unwrap();
+        for _ in 0..200 {
+            Client::connect(handle.local_addr())
+                .unwrap()
+                .ping()
+                .unwrap();
+        }
+        let shared = Arc::clone(&handle.shared);
+        let open = || shared.metrics.connections_open.load(Ordering::Relaxed);
+        // Each hang-up is noticed by its own serving thread; wait them out.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while (open() > 0 || !shared.registry().is_empty()) && std::time::Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(open(), 0);
+        assert!(shared.registry().is_empty(), "descriptors leaked");
+        let total = &shared.metrics.connections_total;
+        assert_eq!(total.load(Ordering::Relaxed), 200);
+
+        // A live connection is registered, and shutdown still joins it.
+        let mut live = Client::connect(handle.local_addr()).unwrap();
+        live.ping().unwrap();
+        assert_eq!(shared.registry().len(), 1);
+        handle.shutdown();
+        assert!(shared.registry().is_empty());
+        assert_eq!(open(), 0, "the live connection's thread was joined");
     }
 }

@@ -34,6 +34,11 @@ impl Session {
         self.snapshot.version()
     }
 
+    /// The pinned view itself — what a query resolves against.
+    pub fn snapshot(&self) -> &CatalogSnapshot {
+        &self.snapshot
+    }
+
     /// Fetches a table from the pinned view. A table created after the
     /// pin is invisible; a table dropped after the pin is still served.
     pub fn table(&self, name: &str) -> Result<Arc<Table>, StorageError> {

@@ -3,7 +3,7 @@
 //! truncation/corruption must never be silently accepted — mirroring the
 //! WAL's torn-frame guarantees at the network boundary.
 
-use cods_query::{AggOp, CmpOp, Predicate};
+use cods_query::{AggOp, CmpOp, Predicate, Query};
 use cods_server::proto::{
     decode_command, decode_reply, encode_command, encode_reply, Command, DurabilityReply,
     MetricsReply, Reply, StatsReply,
@@ -76,13 +76,21 @@ fn agg_op() -> impl Strategy<Value = AggOp> {
     ]
 }
 
+/// Half of the cases are reads, so each of the four shapes keeps a share
+/// of the cases comparable to a control command's.
 fn command() -> BoxedStrategy<Command> {
-    prop_oneof![
+    let control = prop_oneof![
         Just(Command::Ping),
         Just(Command::Refresh),
         Just(Command::Metrics),
         name().prop_map(|table| Command::Stats { table }),
         name().prop_map(|text| Command::Script { text }),
+    ];
+    prop_oneof![control, query().prop_map(Command::Query)].boxed()
+}
+
+fn query() -> BoxedStrategy<Query> {
+    prop_oneof![
         (
             name(),
             predicate(3),
@@ -91,19 +99,19 @@ fn command() -> BoxedStrategy<Command> {
                 prop::collection::vec(name(), 0..4).prop_map(Some)
             ]
         )
-            .prop_map(|(table, predicate, projection)| Command::Scan {
+            .prop_map(|(table, predicate, projection)| Query::Scan {
                 table,
                 predicate,
                 projection,
             }),
-        (name(), predicate(3)).prop_map(|(table, predicate)| Command::Mask { table, predicate }),
+        (name(), predicate(3)).prop_map(|(table, predicate)| Query::Count { table, predicate }),
         (
             name(),
             predicate(2),
             prop::collection::vec(name(), 0..3),
             prop::collection::vec((agg_op(), name()), 0..3)
         )
-            .prop_map(|(table, predicate, group_by, aggs)| Command::GroupBy {
+            .prop_map(|(table, predicate, group_by, aggs)| Query::GroupBy {
                 table,
                 predicate,
                 group_by,
@@ -115,7 +123,7 @@ fn command() -> BoxedStrategy<Command> {
             prop::collection::vec(name(), 0..3),
             prop::collection::vec(name(), 0..3)
         )
-            .prop_map(|(left, right, left_keys, right_keys)| Command::Join {
+            .prop_map(|(left, right, left_keys, right_keys)| Query::Join {
                 left,
                 right,
                 left_keys,

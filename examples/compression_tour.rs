@@ -9,7 +9,7 @@
 //! cargo run --release --example compression_tour
 //! ```
 
-use cods_query::{execute, AggExpr, AggOp, ExecContext, Plan};
+use cods_query::{AggOp, Predicate, Query, QueryOutput};
 use cods_storage::{Catalog, TableStats};
 use cods_workload::GenConfig;
 
@@ -87,28 +87,33 @@ fn main() {
     // 4. A grouped aggregate over the clustered table: rows per entity range.
     let catalog = Catalog::new();
     catalog.create(clustered).unwrap();
-    let plan = Plan::Aggregate {
-        input: Box::new(Plan::ScanColumn { table: "R".into() }),
+    let query = Query::GroupBy {
+        table: "R".into(),
+        predicate: Predicate::True,
         group_by: vec!["detail".into()],
         aggs: vec![
-            AggExpr::new(AggOp::Count, "entity", "rows"),
-            AggExpr::new(AggOp::CountDistinct, "entity", "entities"),
-            AggExpr::new(AggOp::Min, "attr", "min_attr"),
-            AggExpr::new(AggOp::Max, "attr", "max_attr"),
+            (AggOp::Count, "entity".into()),
+            (AggOp::CountDistinct, "entity".into()),
+            (AggOp::Min, "attr".into()),
+            (AggOp::Max, "attr".into()),
         ],
     };
-    let ctx = ExecContext {
-        catalog: Some(&catalog),
-        row_db: None,
+    let resolved = query.resolve(&catalog.snapshot_view()).unwrap();
+    let QueryOutput::Rows {
+        columns, batches, ..
+    } = resolved.run().unwrap()
+    else {
+        unreachable!("a group-by yields rows");
     };
-    let rs = execute(&plan, ctx).unwrap();
-    println!("\nper-detail report ({} groups):", rs.rows.len());
-    println!("  {}", rs.schema.names().join(" | "));
-    for row in rs.rows.iter().take(5) {
+    let rows: Vec<_> = batches.flatten().collect();
+    println!("\nper-detail report ({} groups):", rows.len());
+    let names: Vec<&str> = columns.iter().map(|(n, _)| n.as_str()).collect();
+    println!("  {}", names.join(" | "));
+    for row in rows.iter().take(5) {
         let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
         println!("  {}", cells.join(" | "));
     }
-    if rs.rows.len() > 5 {
-        println!("  … ({} more groups)", rs.rows.len() - 5);
+    if rows.len() > 5 {
+        println!("  … ({} more groups)", rows.len() - 5);
     }
 }

@@ -15,7 +15,7 @@
 //! ```
 
 use cods::{Cods, DecomposeSpec, MergeStrategy, Smo};
-use cods_query::{execute, ExecContext, Plan, Predicate};
+use cods_query::{filter_table, join_collect, tuple, Predicate, ScanStream};
 use cods_storage::{EncodedColumn, Table, Value};
 use cods_workload::GenConfig;
 use std::sync::Arc;
@@ -24,31 +24,25 @@ use std::time::{Duration, Instant};
 const ROWS: u64 = 200_000;
 const DISTINCT: u64 = 5_000;
 
-/// The hot query: distinct details of rows with a given attr.
+/// The hot query: distinct details of rows with a given attr — one
+/// filtered, projected scan on the wide schema; a filter, a join and a
+/// projection on the decomposed one.
 fn hot_query(cods: &Cods, wide: bool, skill: i64) -> usize {
-    let ctx = ExecContext {
-        catalog: Some(cods.catalog()),
-        row_db: None,
-    };
-    let plan = if wide {
-        Plan::ScanColumn { table: "R".into() }
-            .project(&["attr", "detail"])
-            .filter(Predicate::eq("attr", skill))
-            .project(&["detail"])
-            .distinct()
+    let with_skill = Predicate::eq("attr", skill);
+    let details = if wide {
+        let r = cods.table("R").unwrap();
+        ScanStream::new(r, &with_skill, Some(&["detail".to_string()]))
+            .unwrap()
+            .collect_rows()
     } else {
-        Plan::HashJoin {
-            left: Box::new(
-                Plan::ScanColumn { table: "S".into() }.filter(Predicate::eq("attr", skill)),
-            ),
-            right: Box::new(Plan::ScanColumn { table: "T".into() }),
-            left_keys: vec!["entity".into()],
-            right_keys: vec!["entity".into()],
-        }
-        .project(&["detail"])
-        .distinct()
+        let s = Arc::new(filter_table(&cods.table("S").unwrap(), &with_skill).unwrap());
+        let t = cods.table("T").unwrap();
+        let key = |t: &Table| vec![t.schema().index_of("entity").unwrap()];
+        let (_, joined) = join_collect(&s, &t, &key(&s), &key(&t));
+        // Output = S's columns, then T's non-key columns: detail is last.
+        tuple::project(&joined, &[s.arity()])
     };
-    execute(&plan, ctx).unwrap().rows.len()
+    tuple::distinct(details).len()
 }
 
 /// Updates the `detail` of every entity below `threshold` in `table` —

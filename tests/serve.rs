@@ -4,8 +4,8 @@
 //! network serving layer.
 
 use cods::Cods;
-use cods_query::Predicate;
-use cods_server::{Client, ClientError, Server, ServerConfig};
+use cods_query::{Predicate, Query};
+use cods_server::{Client, ClientError, Command, Server, ServerConfig};
 use cods_storage::{Schema, Table, Value, ValueType};
 use std::sync::Arc;
 use std::time::Duration;
@@ -264,12 +264,12 @@ fn retired_command_kind_0x08_gets_a_typed_farewell() {
     let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
     read_preamble(&mut reader).unwrap();
     read_frame(&mut reader, 1 << 20).unwrap(); // Hello
-    let body = cods_server::proto::encode_command(&cods_server::Command::GroupBy {
+    let body = cods_server::proto::encode_command(&Command::Query(Query::GroupBy {
         table: "t".into(),
         predicate: Predicate::True,
         group_by: vec!["grp".into()],
         aggs: vec![(cods_query::AggOp::Count, "k".into())],
-    });
+    }));
     write_frame(&mut raw, 0x08, &body).unwrap();
     let (kind, payload) = read_frame(&mut reader, 1 << 20).unwrap();
     match cods_server::proto::decode_reply(kind, &payload).unwrap() {
@@ -501,7 +501,7 @@ struct Exchange {
 fn exchange(
     stream: &mut std::net::TcpStream,
     reader: &mut impl std::io::Read,
-    cmd: &cods_server::Command,
+    cmd: &Command,
 ) -> Exchange {
     use cods_server::frame::{fnv1a64, read_frame, write_frame, DEFAULT_MAX_FRAME_BYTES};
     use cods_server::proto::{decode_reply, encode_command};
@@ -546,31 +546,31 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_1() {
     let scan = exchange(
         &mut raw,
         &mut reader,
-        &cods_server::Command::Scan {
+        &Command::Query(Query::Scan {
             table: "t".into(),
             predicate: Predicate::lt("grp", 3i64),
             projection: None,
-        },
+        }),
     );
     let group_by = exchange(
         &mut raw,
         &mut reader,
-        &cods_server::Command::GroupBy {
+        &Command::Query(Query::GroupBy {
             table: "t".into(),
             predicate: Predicate::True,
             group_by: vec!["k".into()],
             aggs: vec![(cods_query::AggOp::Count, "v".into())],
-        },
+        }),
     );
     let join = exchange(
         &mut raw,
         &mut reader,
-        &cods_server::Command::Join {
+        &Command::Query(Query::Join {
             left: "t".into(),
             right: "dim".into(),
             left_keys: vec!["grp".into()],
             right_keys: vec!["grp".into()],
-        },
+        }),
     );
     assert_eq!(
         scan,
