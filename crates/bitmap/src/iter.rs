@@ -168,36 +168,49 @@ impl Iterator for OnesIter<'_> {
 }
 
 /// Iterator over maximal intervals of consecutive ones, as `(start, len)`.
+///
+/// At most one interval is ever open, and a literal's intervals are
+/// yielded as they close, so the iterator holds no queue; literals are
+/// stepped a run at a time (`trailing_ones` / `trailing_zeros`), never a
+/// bit at a time.
 pub struct IntervalIter<'a> {
     runs: RunIter<'a>,
-    base: u64,
-    /// Interval under construction: (start, len).
+    /// Position of the first bit not yet consumed.
+    pos: u64,
+    /// Interval under construction: (start, len). It always ends at `pos`.
     open: Option<(u64, u64)>,
-    /// Completed intervals not yet handed out (a single literal can close
-    /// several).
-    ready: std::collections::VecDeque<(u64, u64)>,
+    /// Unconsumed part of the current literal, shifted so that bit 0 sits
+    /// at `pos`; bits at and above `lit_len` are zero.
+    lit: u64,
+    /// Number of unconsumed bits in `lit`.
+    lit_len: u64,
 }
 
 impl<'a> IntervalIter<'a> {
     pub(crate) fn new(w: &'a Wah) -> Self {
         IntervalIter {
             runs: RunIter::new(w),
-            base: 0,
+            pos: 0,
             open: None,
-            ready: std::collections::VecDeque::new(),
+            lit: 0,
+            lit_len: 0,
         }
     }
 
-    fn stretch(&mut self, bit: bool, len: u64) {
+    /// Consumes `len` copies of `bit`; returns the interval this closes.
+    #[inline]
+    fn stretch(&mut self, bit: bool, len: u64) -> Option<(u64, u64)> {
+        let start = self.pos;
+        self.pos += len;
         if bit {
             match self.open.as_mut() {
                 Some((_, l)) => *l += len,
-                None => self.open = Some((self.base, len)),
+                None => self.open = Some((start, len)),
             }
-        } else if let Some(done) = self.open.take() {
-            self.ready.push_back(done);
+            None
+        } else {
+            self.open.take()
         }
-        self.base += len;
     }
 }
 
@@ -206,23 +219,33 @@ impl Iterator for IntervalIter<'_> {
 
     fn next(&mut self) -> Option<(u64, u64)> {
         loop {
-            if let Some(iv) = self.ready.pop_front() {
-                return Some(iv);
+            if self.lit_len > 0 {
+                let bit = self.lit & 1 == 1;
+                let same = if bit {
+                    self.lit.trailing_ones()
+                } else {
+                    self.lit.trailing_zeros()
+                };
+                // Zeros above `lit_len` belong to no run (an all-zero rest
+                // reads as 64 trailing zeros); ones never reach that far.
+                let n = u64::from(same).min(self.lit_len);
+                self.lit >>= n; // n <= lit_len <= 63
+                self.lit_len -= n;
+                if let Some(done) = self.stretch(bit, n) {
+                    return Some(done);
+                }
+                continue;
             }
             match self.runs.next() {
                 None => return self.open.take(),
-                Some(Run::Fill { bit, len }) => self.stretch(bit, len),
-                Some(Run::Literal { word, len }) => {
-                    let mut i = 0u64;
-                    while i < len {
-                        let bit = (word >> i) & 1 == 1;
-                        let mut j = i + 1;
-                        while j < len && ((word >> j) & 1 == 1) == bit {
-                            j += 1;
-                        }
-                        self.stretch(bit, j - i);
-                        i = j;
+                Some(Run::Fill { bit, len }) => {
+                    if let Some(done) = self.stretch(bit, len) {
+                        return Some(done);
                     }
+                }
+                Some(Run::Literal { word, len }) => {
+                    self.lit = word;
+                    self.lit_len = len;
                 }
             }
         }
@@ -243,6 +266,28 @@ impl Wah {
     /// Iterates maximal intervals of consecutive ones as `(start, len)`.
     pub fn iter_intervals(&self) -> IntervalIter<'_> {
         IntervalIter::new(self)
+    }
+
+    /// Number of maximal intervals of consecutive ones — how many items
+    /// [`Wah::iter_intervals`] yields — a word at a time: an interval
+    /// starts at every set bit whose predecessor is clear, so a literal
+    /// contributes `popcount(w & !((w << 1) | carry))` with `carry` the
+    /// last bit of the previous group, and a fill is O(1).
+    pub fn count_intervals(&self) -> u64 {
+        let mut count = 0u64;
+        let mut carry = 0u64;
+        for &w in &self.words {
+            if is_fill(w) {
+                let bit = u64::from(fill_bit(w));
+                count += bit & !carry;
+                carry = bit;
+            } else {
+                count += u64::from((w & !((w << 1) | carry)).count_ones());
+                carry = w >> (GROUP_BITS - 1);
+            }
+        }
+        let tail = self.active & lsb_mask(u64::from(self.active_bits));
+        count + u64::from((tail & !((tail << 1) | carry)).count_ones())
     }
 
     /// Iterates every bit (decompressing). Intended for tests and small data.
@@ -327,6 +372,7 @@ mod tests {
                 }
             }
             assert_eq!(intervals, expect, "positions {pos:?}");
+            assert_eq!(w.count_intervals(), expect.len() as u64);
             let covered: u64 = intervals.iter().map(|&(_, l)| l).sum();
             assert_eq!(covered, w.count_ones());
         }
@@ -353,6 +399,40 @@ mod tests {
             w.iter_intervals().collect::<Vec<_>>(),
             vec![(0, 64), (65, 1)]
         );
+    }
+
+    #[test]
+    fn count_intervals_carries_across_words() {
+        // A run of ones leaving a literal, crossing a fill, entering the
+        // next literal and ending in the active tail is one interval.
+        let mut w = Wah::new();
+        w.append_run(false, 60);
+        w.append_run(true, 3 + 63 * 4 + 5); // literal | fill | literal…
+        w.append_run(false, 58);
+        w.append_run(true, 10); // …| active tail
+        w.check_invariants().unwrap();
+        assert_eq!(w.iter_intervals().count(), 2);
+        assert_eq!(w.count_intervals(), 2);
+        assert_eq!(Wah::new().count_intervals(), 0);
+        assert_eq!(Wah::zeros(1_000).count_intervals(), 0);
+        assert_eq!(Wah::ones(1_000).count_intervals(), 1);
+    }
+
+    #[test]
+    fn count_intervals_fuses_split_fills() {
+        // A fill longer than one word can count is split at
+        // MAX_FILL_GROUPS into adjacent same-valued fill words: still one
+        // interval. (Built by hand — its length does not fit `len`, which
+        // the count never reads.)
+        let w = Wah {
+            words: vec![make_fill(true, MAX_FILL_GROUPS), make_fill(true, 2), 0b101],
+            active: 0b11,
+            active_bits: 2,
+            len: 0,
+            ones: 0,
+        };
+        // fill+fill+bit 0 of the literal | bit 2 | the active tail.
+        assert_eq!(w.count_intervals(), 3);
     }
 
     #[test]

@@ -186,4 +186,53 @@ proptest! {
         by_run.check_invariants().unwrap();
         prop_assert_eq!(by_run, by_push);
     }
+
+    #[test]
+    fn intervals_re_expand_to_the_bits(bits in bit_vector()) {
+        let w = to_wah(&bits);
+        let intervals: Vec<(u64, u64)> = w.iter_intervals().collect();
+        // Maximal and in order: a gap of at least one zero between two.
+        for pair in intervals.windows(2) {
+            prop_assert!(pair[0].0 + pair[0].1 < pair[1].0);
+        }
+        let mut expanded = vec![false; bits.len()];
+        for &(start, len) in &intervals {
+            prop_assert!(len > 0);
+            expanded[start as usize..(start + len) as usize].fill(true);
+        }
+        prop_assert_eq!(expanded, w.iter_bits().collect::<Vec<_>>());
+        prop_assert_eq!(w.count_intervals(), intervals.len() as u64);
+    }
+
+    #[test]
+    fn interval_count_and_iterator_agree_across_long_fills(
+        runs in prop::collection::vec(
+            (
+                any::<bool>(),
+                prop_oneof![
+                    0u64..200,
+                    // Whole groups, up to fills far too long to expand.
+                    (0u64..(1 << 40)).prop_map(|groups| groups * 63),
+                    1u64..(1 << 46),
+                ],
+            ),
+            0..12,
+        ),
+    ) {
+        let mut w = Wah::new();
+        let mut expected: Vec<(u64, u64)> = Vec::new();
+        for &(bit, n) in &runs {
+            let at = w.len();
+            w.append_run(bit, n);
+            if bit && n > 0 {
+                match expected.last_mut() {
+                    Some((start, len)) if *start + *len == at => *len += n,
+                    _ => expected.push((at, n)),
+                }
+            }
+        }
+        w.check_invariants().unwrap();
+        prop_assert_eq!(w.count_intervals(), expected.len() as u64);
+        prop_assert_eq!(w.iter_intervals().collect::<Vec<_>>(), expected);
+    }
 }

@@ -1,31 +1,47 @@
 //! Data-level selection: evaluate a predicate *on the compressed
 //! representation* — once per distinct dictionary value, never per row —
-//! producing a row-selection [`Wah`] mask. The plan executor uses this as
-//! the fast path for `Filter ∘ ScanColumn`, and PARTITION TABLE builds its
-//! split masks the same way.
+//! producing a row-selection [`Wah`] mask. Every read ([`Query`]'s count,
+//! scan, group-by and join filters) and PARTITION TABLE build their masks
+//! here.
 //!
-//! The scan is stats-driven end to end:
+//! Evaluation is **range-major**. The predicate is compiled once against
+//! the table — column names resolved, each comparison's satisfying value
+//! set resolved to a contiguous *rank interval* in the dictionary's value
+//! order ([`CmpOp::sat_rank_interval`]: two binary searches; only
+//! `Ne <non-null>` falls back to a per-value boolean table), and a
+//! same-column conjunction of two intervals fused into one (BETWEEN). The
+//! table is then walked in *row ranges* — the boundaries common to every
+//! predicate column's segment directory, i.e. segment by segment whenever
+//! the directories agree — and the whole tree is evaluated bottom-up on
+//! one range before the next is touched. A segment's payload is faulted at
+//! most once per query however many leaves read it, and is held only while
+//! its range is evaluated.
 //!
-//! 1. **Satisfying set.** Range and equality comparisons resolve their
-//!    satisfying value set to a contiguous *rank interval* in the
-//!    dictionary's value order ([`CmpOp::sat_rank_interval`]) — two binary
-//!    searches instead of one predicate evaluation per distinct value.
-//!    Only `Ne <non-null>` falls back to a per-value boolean table.
-//! 2. **Zone pruning.** Each segment carries a zone map (min/max present
-//!    value in value order). A segment whose zone's rank span misses the
-//!    satisfying interval is emitted as a zero fill in O(1) — neither its
-//!    present-id stats nor its payload are touched.
-//! 3. **Present-id pruning.** Surviving segments still skip to a zero fill
-//!    when none of their present ids satisfies, exactly as before.
+//! Each leaf decides a segment by the cheapest of four tiers:
 //!
-//! Pruning never changes results: a pruned segment is one the unpruned walk
-//! would have emitted as the same zero fill, so
-//! [`predicate_mask`] and [`predicate_mask_unpruned`] are bit-identical
-//! (locked by the differential proptest `tests/proptest_scan_pruning.rs`).
+//! 1. **Zone.** A segment whose zone map's rank span misses the satisfying
+//!    interval is a zero fill in O(1) — neither stats nor payload touched.
+//! 2. **Present ids, none satisfy.** The resident per-id stats show no
+//!    satisfying value in the range: zero fill, payload untouched.
+//! 3. **Present ids, all satisfy.** Every row of the range carries a
+//!    satisfying value: one fill, payload untouched.
+//! 4. **Mask build.** Only now is the payload faulted in and the mask
+//!    built on the segment's native encoding.
+//!
+//! A child that comes out as a constant fill short-circuits its `AND` /
+//! `OR`: the other side is not evaluated, so its payload is never faulted.
+//!
+//! Pruning never changes results: tiers 1–3 emit exactly the fill tier 4
+//! would have built, so [`predicate_mask`] and [`predicate_mask_unpruned`]
+//! (the same evaluator with tier 1 off) are bit-identical (locked by the
+//! differential proptest `tests/proptest_scan_pruning.rs`).
+//!
+//! [`Query`]: crate::Query
 
 use crate::pred::{CmpOp, CompiledPredicate, Predicate};
 use cods_bitmap::Wah;
 use cods_storage::{EncodedColumn, SegmentEnc, StorageError, Table, Value, Zone};
+use std::ops::Range;
 
 /// The satisfying value set of one comparison, in whichever form the
 /// operator admits: a rank interval in value order (everything except
@@ -74,10 +90,10 @@ impl SatSet<'_> {
     }
 }
 
-/// Builds the selection mask of `pred` over `table` at data level, with
-/// zone-map pruning (see the module docs for the three pruning tiers).
+/// Builds the selection mask of `pred` over `table` at data level (see the
+/// module docs for the range-major walk and the four pruning tiers).
 pub fn predicate_mask(table: &Table, pred: &Predicate) -> Result<Wah, StorageError> {
-    mask_rec(table, pred, true)
+    eval_mask(table, pred, true)
 }
 
 /// [`predicate_mask`] with zone pruning disabled: every segment's
@@ -85,11 +101,139 @@ pub fn predicate_mask(table: &Table, pred: &Predicate) -> Result<Wah, StorageErr
 /// Exists for the differential test harness — the two functions are
 /// bit-identical by construction.
 pub fn predicate_mask_unpruned(table: &Table, pred: &Predicate) -> Result<Wah, StorageError> {
-    mask_rec(table, pred, false)
+    eval_mask(table, pred, false)
 }
 
-fn mask_rec(table: &Table, pred: &Predicate, zones: bool) -> Result<Wah, StorageError> {
+/// A predicate compiled against one table. Leaves name their column by
+/// position in the evaluator's column list.
+enum Node<'a> {
+    Leaf { col: usize, sat: SatSet<'a> },
+    And(Box<Node<'a>>, Box<Node<'a>>),
+    Or(Box<Node<'a>>, Box<Node<'a>>),
+    Not(Box<Node<'a>>),
+    True,
+}
+
+/// The value of a subtree over one row range: a constant, or a mask as
+/// long as the range. Constants are what `AND`/`OR` short-circuit on.
+enum RangeMask {
+    Fill(bool),
+    Mask(Wah),
+}
+
+impl RangeMask {
+    /// Normalizes an all-zero or all-one mask to its constant.
+    fn of(mask: Wah) -> RangeMask {
+        if !mask.any() {
+            RangeMask::Fill(false)
+        } else if mask.count_ones() == mask.len() {
+            RangeMask::Fill(true)
+        } else {
+            RangeMask::Mask(mask)
+        }
+    }
+}
+
+/// One predicate column during the walk: the segments of the current row
+/// range and the payloads faulted for it so far.
+struct ColRange<'a> {
+    col: &'a EncodedColumn,
+    /// Directory entries covering the current range.
+    segs: Range<usize>,
+    /// Row at which `segs` ends.
+    end: u64,
+    /// Payloads of `segs` (parallel to it), faulted on first use by any
+    /// leaf and dropped when the walk moves on — so a segment costs one
+    /// fault per query and at most one range's payloads are held.
+    held: Vec<Option<SegmentEnc>>,
+}
+
+impl ColRange<'_> {
+    /// Extends the range by one directory entry.
+    fn take_segment(&mut self) {
+        self.end += self.col.segments()[self.segs.end].rows();
+        self.segs.end += 1;
+        self.held.push(None);
+    }
+
+    /// Starts the next range at the current end.
+    fn start_next(&mut self) {
+        self.segs.start = self.segs.end;
+        self.held.clear();
+    }
+
+    /// The payload of directory entry `seg` (inside the current range);
+    /// a clone shares the decoded segment.
+    fn payload(&mut self, seg: usize) -> Result<SegmentEnc, StorageError> {
+        let held = &mut self.held[seg - self.segs.start];
+        if let Some(enc) = held {
+            return Ok(enc.clone());
+        }
+        let enc = self.col.segments()[seg].try_enc()?;
+        *held = Some(enc.clone());
+        Ok(enc)
+    }
+}
+
+fn eval_mask(table: &Table, pred: &Predicate, zones: bool) -> Result<Wah, StorageError> {
+    let mut cols: Vec<ColRange<'_>> = Vec::new();
+    let root = compile(table, pred, &mut cols)?;
+    let mut mask = Wah::new();
+    if let Node::Leaf { col, sat } = &root {
+        // A lone comparison (or BETWEEN) has nothing to combine: append
+        // each segment's mask straight into the output.
+        let col = cols[*col].col;
+        for (seg, slot) in col.segments().iter().enumerate() {
+            append_segment_mask(&mut mask, col, seg, sat, zones, || slot.try_enc())?;
+        }
+        return Ok(mask);
+    }
     let rows = table.rows();
+    let mut start = 0u64;
+    while start < rows {
+        // The next boundary common to every predicate column: each takes
+        // one segment, then laggards catch up until all ends agree (the
+        // table's last row at the latest). Directories that agree — any
+        // loaded or saved table — give one segment per column per range.
+        let mut end = if cols.is_empty() { rows } else { start };
+        for c in &mut cols {
+            c.start_next();
+            c.take_segment();
+            end = end.max(c.end);
+        }
+        while let Some(c) = cols.iter_mut().find(|c| c.end < end) {
+            c.take_segment();
+            end = end.max(c.end);
+        }
+        match eval_range(&root, &mut cols, zones)? {
+            RangeMask::Fill(bit) => mask.append_run(bit, end - start),
+            RangeMask::Mask(m) => mask.append_bitmap(&m),
+        }
+        start = end;
+    }
+    Ok(mask)
+}
+
+/// Resolves `pred` against `table`: names to columns (registered in `cols`
+/// on first mention), comparisons to satisfying sets.
+fn compile<'a>(
+    table: &'a Table,
+    pred: &Predicate,
+    cols: &mut Vec<ColRange<'a>>,
+) -> Result<Node<'a>, StorageError> {
+    let mut leaf = |col: &'a EncodedColumn, sat| {
+        let known = cols.iter().position(|c| std::ptr::eq(c.col, col));
+        let col = known.unwrap_or_else(|| {
+            cols.push(ColRange {
+                col,
+                segs: 0..0,
+                end: 0,
+                held: Vec::new(),
+            });
+            cols.len() - 1
+        });
+        Node::Leaf { col, sat }
+    };
     Ok(match pred {
         Predicate::Compare {
             column,
@@ -97,33 +241,37 @@ fn mask_rec(table: &Table, pred: &Predicate, zones: bool) -> Result<Wah, Storage
             literal,
         } => {
             let col = table.column_by_name(column)?;
-            let sat = sat_set(col, *op, literal);
-            column_mask(col, &sat, zones)
+            leaf(col, sat_set(col, *op, literal))
         }
-        Predicate::And(a, b) => match fused_range_mask(table, a, b, zones)? {
-            Some(mask) => mask,
-            None => mask_rec(table, a, zones)?.and(&mask_rec(table, b, zones)?),
+        Predicate::And(a, b) => match fused_range(table, a, b)? {
+            Some((col, sat)) => leaf(col, sat),
+            None => Node::And(
+                Box::new(compile(table, a, cols)?),
+                Box::new(compile(table, b, cols)?),
+            ),
         },
-        Predicate::Or(a, b) => mask_rec(table, a, zones)?.or(&mask_rec(table, b, zones)?),
-        Predicate::Not(p) => mask_rec(table, p, zones)?.not(),
-        Predicate::True => Wah::ones(rows),
+        Predicate::Or(a, b) => Node::Or(
+            Box::new(compile(table, a, cols)?),
+            Box::new(compile(table, b, cols)?),
+        ),
+        Predicate::Not(p) => Node::Not(Box::new(compile(table, p, cols)?)),
+        Predicate::True => Node::True,
     })
 }
 
 /// BETWEEN fusion: a conjunction of two interval-admitting comparisons on
 /// the *same column* (`k >= a AND k < b` and friends) is one rank interval
-/// — the intersection — so it scans the column once instead of building and
-/// AND-ing two half-range masks that each touch most of the table. Each row
-/// holds exactly one value, so satisfying both comparisons is exactly
-/// having its rank in both intervals; the fused mask is bit-identical to
-/// the composed one. This is what makes zone maps decisive for range
-/// scans: only the segments overlapping `[a, b)` are ever visited.
-fn fused_range_mask(
-    table: &Table,
+/// — the intersection — so it is one leaf instead of two half-range masks
+/// that each touch most of the table. Each row holds exactly one value, so
+/// satisfying both comparisons is exactly having its rank in both
+/// intervals; the fused mask is bit-identical to the composed one. This is
+/// what makes zone maps decisive for range scans: only the segments
+/// overlapping `[a, b)` are ever visited.
+fn fused_range<'a>(
+    table: &'a Table,
     a: &Predicate,
     b: &Predicate,
-    zones: bool,
-) -> Result<Option<Wah>, StorageError> {
+) -> Result<Option<(&'a EncodedColumn, SatSet<'a>)>, StorageError> {
     let (
         Predicate::Compare {
             column: col_a,
@@ -155,7 +303,7 @@ fn fused_range_mask(
         lo: lo_a.max(lo_b),
         hi: hi_a.min(hi_b),
     };
-    Ok(Some(column_mask(col, &sat, zones)))
+    Ok(Some((col, sat)))
 }
 
 /// Resolves one comparison's satisfying set against a column's dictionary:
@@ -179,84 +327,131 @@ pub(crate) fn sat_set<'a>(col: &'a EncodedColumn, op: CmpOp, literal: &Value) ->
     }
 }
 
-/// Emits the selection mask of the satisfying value set over one column,
-/// walking its unified segment directory with zone- and stat-based pruning
-/// and dispatching the mask build on each segment's own encoding — a mixed
+/// Evaluates a subtree over the current row range, bottom-up. A constant
+/// child that decides its `AND`/`OR` (zero for `AND`, one for `OR`) ends
+/// the evaluation there: the other child is not visited, so no payload of
+/// its columns is faulted for this range.
+fn eval_range(
+    node: &Node<'_>,
+    cols: &mut [ColRange<'_>],
+    zones: bool,
+) -> Result<RangeMask, StorageError> {
+    let (a, b, deciding, op): (_, _, _, fn(&Wah, &Wah) -> Wah) = match node {
+        Node::True => return Ok(RangeMask::Fill(true)),
+        Node::Leaf { col, sat } => {
+            let c = &mut cols[*col];
+            let column = c.col;
+            let mut mask = Wah::new();
+            for seg in c.segs.clone() {
+                append_segment_mask(&mut mask, column, seg, sat, zones, || c.payload(seg))?;
+            }
+            return Ok(RangeMask::of(mask));
+        }
+        Node::Not(p) => {
+            return Ok(match eval_range(p, cols, zones)? {
+                RangeMask::Fill(bit) => RangeMask::Fill(!bit),
+                RangeMask::Mask(m) => RangeMask::Mask(m.not()),
+            })
+        }
+        Node::And(a, b) => (a, b, false, Wah::and),
+        Node::Or(a, b) => (a, b, true, Wah::or),
+    };
+    let left = match eval_range(a, cols, zones)? {
+        RangeMask::Fill(bit) if bit == deciding => return Ok(RangeMask::Fill(bit)),
+        RangeMask::Fill(_) => return eval_range(b, cols, zones),
+        RangeMask::Mask(m) => m,
+    };
+    Ok(match eval_range(b, cols, zones)? {
+        RangeMask::Fill(bit) if bit == deciding => RangeMask::Fill(bit),
+        RangeMask::Fill(_) => RangeMask::Mask(left),
+        RangeMask::Mask(right) => RangeMask::of(op(&left, &right)),
+    })
+}
+
+/// Appends the selection mask of the satisfying value set over one segment
+/// of `col` to `mask`, by the cheapest tier that decides it (module docs);
+/// the mask build dispatches on the segment's own encoding — a mixed
 /// directory's bitmap and RLE segments each take their native path, and
 /// the resulting mask is byte-identical whatever the mix.
 ///
-/// Both pruning tiers run on the slot's *resident metadata* (zone, present
-/// ids, cached ones): a pruned segment of a lazily opened column is never
-/// faulted in — only survivors touch the buffer cache.
-fn column_mask(col: &EncodedColumn, sat: &SatSet<'_>, zones: bool) -> Wah {
-    let mut mask = Wah::new();
-    for (i, slot) in col.segments().iter().enumerate() {
-        if zones && !sat.zone_may_match(col.zone(i)) {
-            // Zone-pruned: neither stats nor payload touched.
-            mask.append_run(false, slot.rows());
-            continue;
+/// Tiers 1–3 run on the slot's *resident metadata* (zone, present ids,
+/// cached ones): `payload` is called — and a lazily opened segment faulted
+/// in — only for a segment some but not all of whose rows satisfy.
+fn append_segment_mask(
+    mask: &mut Wah,
+    col: &EncodedColumn,
+    seg: usize,
+    sat: &SatSet<'_>,
+    zones: bool,
+    payload: impl FnOnce() -> Result<SegmentEnc, StorageError>,
+) -> Result<(), StorageError> {
+    let slot = &col.segments()[seg];
+    if zones && !sat.zone_may_match(col.zone(seg)) {
+        // Zone-pruned: neither stats nor payload touched.
+        mask.append_run(false, slot.rows());
+        return Ok(());
+    }
+    // Present-id tiers, still metadata-only: stats show how many
+    // satisfying values live in this row range, and on how many rows.
+    let mut sat_rows = 0u64;
+    let mut sat_ids = 0usize;
+    for (&id, &ones) in slot.present_ids().iter().zip(slot.ones().iter()) {
+        if sat.contains(id) {
+            sat_ids += 1;
+            sat_rows += ones;
         }
-        // Present-id tier, still metadata-only: stats show whether any
-        // satisfying value lives in this row range, and how many rows.
-        let mut sat_rows = 0u64;
-        let mut sat_ids = 0usize;
-        for (&id, &ones) in slot.present_ids().iter().zip(slot.ones().iter()) {
-            if sat.contains(id) {
-                sat_ids += 1;
-                sat_rows += ones;
-            }
-        }
-        if sat_ids == 0 {
-            // Pruned: no satisfying value in this range; payload untouched.
-            mask.append_run(false, slot.rows());
-            continue;
-        }
-        // Survivor: fault the payload in (through the buffer cache) and
-        // build this range's mask on its native encoding.
-        match &slot.enc() {
-            SegmentEnc::Bitmap(seg) => {
-                let mut satisfying: Vec<&Wah> = Vec::with_capacity(sat_ids);
-                for (&id, bm) in seg.present_ids().iter().zip(seg.bitmaps()) {
-                    if sat.contains(id) {
-                        satisfying.push(bm);
-                    }
-                }
-                if satisfying.len() <= 64 {
-                    mask.append_bitmap(&Wah::union_many(satisfying, seg.rows()));
-                } else if sat_rows * 8 <= seg.rows() {
-                    // Many values but few rows (the cached ones say so up
-                    // front): merge the set positions — O(selected · log)
-                    // instead of paging a dense bit-vector over the whole
-                    // segment. This is the hot shape of a range scan over a
-                    // wide dictionary.
-                    let mut positions: Vec<u64> = Vec::with_capacity(sat_rows as usize);
-                    for bm in &satisfying {
-                        positions.extend(bm.iter_ones());
-                    }
-                    positions.sort_unstable();
-                    mask.append_bitmap(&Wah::from_sorted_positions(positions, seg.rows()));
-                } else {
-                    // Many satisfying values and dense selection: one pass
-                    // over the segment's set bits instead of a wide union.
-                    let mut bits = vec![false; seg.rows() as usize];
-                    for bm in satisfying {
-                        for pos in bm.iter_ones() {
-                            bits[pos as usize] = true;
-                        }
-                    }
-                    for b in bits {
-                        mask.push(b);
-                    }
+    }
+    if sat_ids == 0 || sat_rows == slot.rows() {
+        // No row of the range satisfies, or (each row carrying exactly one
+        // present id) every row does: a fill, payload untouched.
+        mask.append_run(sat_ids != 0, slot.rows());
+        return Ok(());
+    }
+    // Survivor: fault the payload in (through the buffer cache) and build
+    // this range's mask on its native encoding.
+    match &payload()? {
+        SegmentEnc::Bitmap(seg) => {
+            let mut satisfying: Vec<&Wah> = Vec::with_capacity(sat_ids);
+            for (&id, bm) in seg.present_ids().iter().zip(seg.bitmaps()) {
+                if sat.contains(id) {
+                    satisfying.push(bm);
                 }
             }
-            SegmentEnc::Rle(seg) => {
-                for &(id, n) in seg.seq().runs() {
-                    mask.append_run(sat.contains(id), n);
+            if satisfying.len() <= 64 {
+                mask.append_bitmap(&Wah::union_many(satisfying, seg.rows()));
+            } else if sat_rows * 8 <= seg.rows() {
+                // Many values but few rows (the cached ones say so up
+                // front): merge the set positions — O(selected · log)
+                // instead of paging a dense bit-vector over the whole
+                // segment. This is the hot shape of a range scan over a
+                // wide dictionary.
+                let mut positions: Vec<u64> = Vec::with_capacity(sat_rows as usize);
+                for bm in &satisfying {
+                    positions.extend(bm.iter_ones());
                 }
+                positions.sort_unstable();
+                mask.append_bitmap(&Wah::from_sorted_positions(positions, seg.rows()));
+            } else {
+                // Many satisfying values and dense selection: one pass
+                // over the segment's set bits instead of a wide union.
+                let mut bits = vec![false; seg.rows() as usize];
+                for bm in satisfying {
+                    for pos in bm.iter_ones() {
+                        bits[pos as usize] = true;
+                    }
+                }
+                for b in bits {
+                    mask.push(b);
+                }
+            }
+        }
+        SegmentEnc::Rle(seg) => {
+            for &(id, n) in seg.seq().runs() {
+                mask.append_run(sat.contains(id), n);
             }
         }
     }
-    mask
+    Ok(())
 }
 
 /// Data-level table filter: bitmap-filters every column by the predicate

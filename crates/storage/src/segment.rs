@@ -252,7 +252,7 @@ impl Segment {
             debug_assert_eq!(bm.len(), rows, "bitmap length mismatch in segment");
             ones.push(bm.count_ones());
             bytes += bm.size_bytes();
-            runs += bm.iter_intervals().count() as u64;
+            runs += bm.count_intervals();
             ids.push(id);
             bitmaps.push(bm);
         }
@@ -353,8 +353,9 @@ impl Segment {
     /// Each present value's maximal set-bit intervals are exactly its value
     /// runs, so the sum over present values is the segment's run count
     /// (what an RLE re-encoding would store). Cached at construction from
-    /// one compressed interval walk, so the chooser's repeated consults
-    /// are O(1).
+    /// one word-at-a-time pass over the compressed form
+    /// ([`Wah::count_intervals`]), so the chooser's repeated consults are
+    /// O(1).
     pub fn run_count(&self) -> u64 {
         self.runs
     }
@@ -404,7 +405,7 @@ impl Segment {
             bytes += bm.size_bytes();
             // Runs cannot be spliced from the parts (a run crossing the
             // boundary fuses), so recount on the compressed form.
-            runs += bm.iter_intervals().count() as u64;
+            runs += bm.count_intervals();
             ids.push(id);
             bitmaps.push(bm);
             ones.push(n);
@@ -503,11 +504,7 @@ impl Segment {
         if bytes != self.bytes {
             return Err("stale byte-size cache".into());
         }
-        let runs: u64 = self
-            .bitmaps
-            .iter()
-            .map(|bm| bm.iter_intervals().count() as u64)
-            .sum();
+        let runs: u64 = self.bitmaps.iter().map(Wah::count_intervals).sum();
         if runs != self.runs {
             return Err("stale run-count cache".into());
         }

@@ -32,16 +32,15 @@ fn int_table(name: &str, cols: [&str; 2], seg_rows: u64, rows: &[Vec<Value>]) ->
     Table::from_rows_with_segment_rows(name, schema, rows, seg_rows).unwrap()
 }
 
-/// A lazy open decodes no payload byte, and a clustered range scan over
-/// the demand-paged table then faults in exactly the segments the zone
-/// tier lets through — one cache miss each, everything else stays on disk.
-#[test]
-fn pruned_scan_over_a_lazy_table_faults_exactly_the_zone_survivors() {
-    const ROWS: u64 = 1 << 16;
-    const SEG_ROWS: u64 = 1 << 10; // 64 segments per column
-    const PER_KEY: u64 = 4; // clustered: key k holds rows 4k..4k+4
-    let _g = serialized();
-    let rows: Vec<Vec<Value>> = (0..ROWS)
+const SEG_ROWS: u64 = 1 << 10;
+const PER_KEY: u64 = 4;
+
+/// `rows` rows of M(k, v) in segments of 1,024: `k` clustered (key `i / 4`,
+/// so segment `s` holds keys `256·s .. 256·(s+1)`), `v` scattered over 256
+/// values present in every segment. Returns the resident table and its
+/// lazily reopened twin; the counters are reset just before the open.
+fn clustered_and_scattered(tag: &str, rows: u64) -> (Table, Table, PathBuf) {
+    let rows: Vec<Vec<Value>> = (0..rows)
         .map(|i| {
             vec![
                 Value::int((i / PER_KEY) as i64),
@@ -49,13 +48,25 @@ fn pruned_scan_over_a_lazy_table_faults_exactly_the_zone_survivors() {
             ]
         })
         .collect();
-    let resident = int_table("C", ["k", "v"], SEG_ROWS, &rows);
-    let path = scratch("zones");
+    let resident = int_table("M", ["k", "v"], SEG_ROWS, &rows);
+    let path = scratch(tag);
     save_table(&resident, &path).unwrap();
-    let cache = segment_cache();
-
-    cache.reset_counters();
+    segment_cache().reset_counters();
     let lazy = read_table(&path).unwrap();
+    (resident, lazy, path)
+}
+
+/// A lazy open decodes no payload byte, and a clustered range scan over
+/// the demand-paged table then faults in exactly the zone tier's survivors
+/// that the range covers only partly — one cache miss each. A survivor the
+/// range covers entirely is a one-fill from its resident stats; everything
+/// else stays on disk.
+#[test]
+fn pruned_scan_over_a_lazy_table_faults_exactly_the_zone_survivors() {
+    const ROWS: u64 = 1 << 16; // 64 segments per column
+    let _g = serialized();
+    let (resident, lazy, path) = clustered_and_scattered("zones", ROWS);
+    let cache = segment_cache();
     let opened = cache.stats();
     assert_eq!((opened.misses, opened.decoded_bytes), (0, 0));
 
@@ -65,24 +76,79 @@ fn pruned_scan_over_a_lazy_table_faults_exactly_the_zone_survivors() {
         lo as u64 * PER_KEY / SEG_ROWS,
         (hi as u64 * PER_KEY - 1) / SEG_ROWS,
     );
-    let survivors = last - first + 1;
-    assert_eq!(survivors, 3);
+    assert_eq!((first, last), (31, 33));
     let pred = Predicate::ge("k", lo).and(Predicate::lt("k", hi));
     let mask = predicate_mask(&lazy, &pred).unwrap();
     let scanned = cache.stats();
     assert_eq!(
-        scanned.misses, survivors,
-        "a pruned scan faults the zone survivors and nothing else"
+        scanned.misses, 2,
+        "a pruned scan faults the partly covered zone survivors and nothing else"
+    );
+    // Segment 32 lies inside the range: all ones, and still on disk.
+    assert!(!lazy.column(0).segments()[32].is_resident());
+    assert_eq!(
+        mask.rank1(33 * SEG_ROWS) - mask.rank1(32 * SEG_ROWS),
+        SEG_ROWS
     );
     assert_eq!(mask, predicate_mask(&resident, &pred).unwrap());
 
-    // Faulting the rest in decodes every payload: the scan paid for 3 of
+    // Faulting the rest in decodes every payload: the scan paid for 2 of
     // the 128 segments, well under a tenth of the bytes.
     lazy.fault_in_all();
     let full = cache.stats();
     assert_eq!(full.misses, 2 * ROWS / SEG_ROWS);
     assert!(scanned.decoded_bytes > 0);
     assert!(scanned.decoded_bytes * 10 <= full.decoded_bytes);
+    std::fs::remove_file(&path).ok();
+}
+
+/// Range-major evaluation pays for a segment once per query: an OR of
+/// eight leaves on one column, under a budget that cannot hold that
+/// column, faults each of its segments once — not once per leaf.
+#[test]
+fn eight_leaf_or_faults_each_segment_of_its_column_once() {
+    let _g = serialized();
+    let (resident, lazy, path) = clustered_and_scattered("or8", 8 * SEG_ROWS);
+    let v = lazy.column_by_name("v").unwrap();
+    let cache = segment_cache();
+    // Room for one segment of `v`: every fault evicts the one before it.
+    cache.set_budget(v.segments()[0].compressed_bytes() as u64);
+    let pred = (1..8i64).fold(Predicate::eq("v", 0i64), |acc, c| {
+        acc.or(Predicate::eq("v", 31 * c))
+    });
+    let mask = predicate_mask(&lazy, &pred);
+    let stats = cache.stats();
+    cache.set_budget(u64::MAX);
+    assert_eq!(stats.misses, v.segment_count() as u64);
+    assert!(stats.evictions > 0, "the budget must have been binding");
+    assert_eq!(mask.unwrap(), predicate_mask(&resident, &pred).unwrap());
+    std::fs::remove_file(&path).ok();
+}
+
+/// A side that comes out constant decides its AND / OR for that range, and
+/// the other side's segment is never faulted.
+#[test]
+fn short_circuited_side_is_never_faulted() {
+    let _g = serialized();
+    let (resident, lazy, path) = clustered_and_scattered("short", 8 * SEG_ROWS);
+    let cache = segment_cache();
+
+    // k < 600: segments 0–1 satisfy entirely (metadata says so), segment 2
+    // partly, 3–7 are zone-pruned — so `v` is read for ranges 0–2 only,
+    // and `k`'s payload for range 2 only.
+    let and = Predicate::lt("k", 600i64).and(Predicate::eq("v", 5i64));
+    let mask = predicate_mask(&lazy, &and).unwrap();
+    assert_eq!(cache.stats().misses, 3 + 1);
+    assert_eq!(mask, predicate_mask(&resident, &and).unwrap());
+
+    // The mirror: k >= 600 is all-ones on ranges 3–7, which decides the
+    // OR there; `v` is read for ranges 0–2, `k` for range 2.
+    let lazy = read_table(&path).unwrap();
+    cache.reset_counters();
+    let or = Predicate::ge("k", 600i64).or(Predicate::eq("v", 5i64));
+    let mask = predicate_mask(&lazy, &or).unwrap();
+    assert_eq!(cache.stats().misses, 3 + 1);
+    assert_eq!(mask, predicate_mask(&resident, &or).unwrap());
     std::fs::remove_file(&path).ok();
 }
 

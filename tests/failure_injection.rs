@@ -3,6 +3,8 @@
 //! never silently wrong data.
 
 use cods::{Cods, DecomposeSpec, EvolutionError, MergeStrategy, Smo};
+use cods_query::bitmap_scan::predicate_mask;
+use cods_query::{Predicate, Query};
 use cods_storage::commitlog::spill_dir;
 use cods_storage::persist::{
     decode_table, encode_table, read_catalog, read_table, save_catalog, save_table,
@@ -608,6 +610,45 @@ fn torn_tail_without_journal_is_typed_corrupt_with_hint() {
             other => panic!("cut {cut}: wanted Corrupt, got {other:?}"),
         }
     }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A payload that cannot be faulted in — here the file shrinks under the
+/// open handle of a lazily opened table — fails the read with a typed
+/// error on the served path (`predicate_mask` directly, and `Query::Count`
+/// over a catalog snapshot as a connection thread runs it); it must not
+/// panic the thread.
+#[test]
+fn truncated_file_under_a_lazy_table_fails_reads_with_a_typed_error() {
+    let dir = sweep_dir("truncated_lazy");
+    let pred = Predicate::eq("v", "x"); // some rows of every segment
+    let truncate = |path: &Path| {
+        let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+        file.set_len(8).unwrap();
+    };
+
+    let table_path = dir.join("t.tbl");
+    save_table(&tiny("t", 64), &table_path).unwrap();
+    let lazy = read_table(&table_path).unwrap();
+    truncate(&table_path);
+    assert!(matches!(
+        predicate_mask(&lazy, &pred),
+        Err(StorageError::PersistError(_))
+    ));
+
+    let catalog_path = dir.join("c.catalog");
+    let cat = Catalog::new();
+    cat.create(tiny("t", 64)).unwrap();
+    save_catalog(&cat, &catalog_path).unwrap();
+    let snapshot = read_catalog(&catalog_path).unwrap().snapshot_view();
+    truncate(&catalog_path);
+    let count = Query::Count {
+        table: "t".into(),
+        predicate: pred,
+    };
+    let resolved = count.resolve(&snapshot).unwrap();
+    assert!(matches!(resolved.run(), Err(StorageError::PersistError(_))));
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,77 +9,107 @@
 use cods::simple_ops::{partition_table, union_tables};
 use cods_query::bitmap_scan::{predicate_mask, predicate_mask_unpruned};
 use cods_query::{CmpOp, Predicate};
-use cods_storage::{Encoding, Schema, Table, Value, ValueType};
+use cods_storage::{EncodedColumn, Encoding, Schema, Table, Value, ValueType};
 use proptest::prelude::*;
+use std::sync::Arc;
 
-/// Random table R(k, v): clustered-ish k (sorted with noise) so zones have
-/// something to prune, scattered v with NULLs, random segment size.
-fn base_table() -> impl Strategy<Value = Table> {
-    (
-        prop::collection::vec((0i64..40, 0i64..12, 0u8..16), 1usize..300),
-        4u64..64,
-    )
-        .prop_map(|(trips, seg_rows)| {
-            let schema =
-                Schema::build(&[("k", ValueType::Int), ("v", ValueType::Int)], &[]).unwrap();
-            let mut rows: Vec<Vec<Value>> = trips
-                .into_iter()
-                .map(|(k, v, null)| {
-                    vec![
-                        Value::int(k),
-                        if null == 0 {
-                            Value::Null
-                        } else {
-                            Value::int(v)
-                        },
-                    ]
-                })
-                .collect();
-            // Sort by k so segments get distinct value ranges (what zone
-            // pruning exploits); v stays scattered.
-            rows.sort_by(|a, b| a[0].cmp(&b[0]));
-            Table::from_rows_with_segment_rows("R", schema, &rows, seg_rows).unwrap()
-        })
+fn schema() -> Schema {
+    Schema::build(&[("k", ValueType::Int), ("v", ValueType::Int)], &[]).unwrap()
 }
 
-/// A random comparison, range, or boolean combination over k and v,
-/// including literals outside every value range and NULL literals.
+/// Random rows of R(k, v): clustered-ish k (sorted with noise) so zones
+/// have something to prune, scattered v with NULLs.
+fn sorted_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
+    prop::collection::vec((0i64..40, 0i64..12, 0u8..16), 1usize..300).prop_map(|trips| {
+        let mut rows: Vec<Vec<Value>> = trips
+            .into_iter()
+            .map(|(k, v, null)| {
+                vec![
+                    Value::int(k),
+                    if null == 0 {
+                        Value::Null
+                    } else {
+                        Value::int(v)
+                    },
+                ]
+            })
+            .collect();
+        // Sort by k so segments get distinct value ranges (what zone
+        // pruning exploits); v stays scattered.
+        rows.sort_by(|a, b| a[0].cmp(&b[0]));
+        rows
+    })
+}
+
+/// [`sorted_rows`] as a table with a random segment size shared by both
+/// columns (the directories agree, as for any loaded or saved table).
+fn base_table() -> impl Strategy<Value = Table> {
+    (sorted_rows(), 4u64..64).prop_map(|(rows, seg_rows)| {
+        Table::from_rows_with_segment_rows("R", schema(), &rows, seg_rows).unwrap()
+    })
+}
+
+/// A random predicate tree of depth ≤ 4 over k and v: `AND`/`OR`/`NOT`
+/// mixes that repeat columns, all six operators (so `Ne`'s boolean-table
+/// path too), literals outside every value range, NULL literals, and
+/// fusable BETWEEN pairs on k.
 fn pred() -> impl Strategy<Value = Predicate> {
-    let cmp = (0usize..6, 0usize..2, -5i64..50, 0u8..12).prop_map(|(op, col, lit, null)| {
-        let op = [
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ][op];
-        Predicate::Compare {
-            column: if col == 0 { "k" } else { "v" }.into(),
-            op,
-            literal: if null == 0 {
-                Value::Null
-            } else {
-                Value::int(lit)
-            },
-        }
-    });
-    (
-        prop::collection::vec(cmp, 1usize..4),
-        -5i64..45,
-        0i64..20,
-        0usize..4,
+    let leaf = (
+        (0usize..6, 0usize..2, -5i64..50, 0u8..12),
+        (0i64..20, 0u8..4),
     )
-        .prop_map(|(cmps, lo, width, shape)| {
-            let between = Predicate::ge("k", lo).and(Predicate::lt("k", lo + width));
-            let mut it = cmps.into_iter();
-            let first = it.next().unwrap();
-            match shape {
-                0 => first,
-                1 => it.fold(first, |acc, c| acc.and(c)),
-                2 => it.fold(first, |acc, c| acc.or(c)).or(between),
-                _ => between.and(first.not()),
+        .prop_map(|((op, col, lit, null), (width, between))| {
+            if between == 0 {
+                return Predicate::ge("k", lit).and(Predicate::lt("k", lit + width));
             }
+            let op = [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ][op];
+            Predicate::Compare {
+                column: if col == 0 { "k" } else { "v" }.into(),
+                op,
+                literal: if null == 0 {
+                    Value::Null
+                } else {
+                    Value::int(lit)
+                },
+            }
+        });
+    (
+        prop::collection::vec(leaf, 16usize),
+        prop::collection::vec(0u8..8, 15usize),
+    )
+        .prop_map(|(leaves, shapes)| {
+            fn build(
+                depth: u32,
+                leaves: &mut std::vec::IntoIter<Predicate>,
+                shapes: &mut std::vec::IntoIter<u8>,
+            ) -> Predicate {
+                let shape = if depth == 4 {
+                    0
+                } else {
+                    shapes.next().unwrap()
+                };
+                let mut sub = || build(depth + 1, leaves, shapes);
+                match shape {
+                    0 | 1 => leaves.next().unwrap(),
+                    2..=4 => {
+                        let a = sub();
+                        a.and(sub())
+                    }
+                    5 | 6 => {
+                        let a = sub();
+                        a.or(sub())
+                    }
+                    _ => sub().not(),
+                }
+            }
+            build(0, &mut leaves.into_iter(), &mut shapes.into_iter())
         })
 }
 
@@ -175,7 +205,7 @@ proptest! {
                         let hi = if piece == 3 { rows } else { lo + quarter };
                         acc = acc.concat(&c.slice(lo, hi)).unwrap();
                     }
-                    std::sync::Arc::new(acc.compacted())
+                    Arc::new(acc.compacted())
                 })
                 .collect();
             let rebuilt = Table::new("C", table.schema().clone(), cols).unwrap();
@@ -183,5 +213,32 @@ proptest! {
             assert_eq!(rebuilt.to_rows(), table.to_rows());
             assert_masks_agree(&rebuilt, &p);
         }
+    }
+
+    #[test]
+    fn range_major_scan_matches_oracles_on_disagreeing_directories(
+        rows in sorted_rows(),
+        p in pred(),
+        k_seg in 3u64..64,
+        v_seg in 3u64..64,
+        cut in 0u64..300,
+        pattern in proptest::prelude::any::<u64>(),
+    ) {
+        // Per-column segment sizes, and one extra boundary in v from a
+        // slice/concat pair: the columns' directories share few boundaries
+        // (the last row at the least), so a range spans several segments
+        // of each column — the common-boundary fallback.
+        let column = |i: usize, seg_rows: u64| {
+            let values: Vec<Value> = rows.iter().map(|r| r[i].clone()).collect();
+            EncodedColumn::from_values_with(ValueType::Int, &values, seg_rows).unwrap()
+        };
+        let (k, v) = (column(0, k_seg), column(1, v_seg));
+        let cut = cut % (v.rows() + 1);
+        let v = v.slice(0, cut).concat(&v.slice(cut, v.rows())).unwrap();
+        let table = Table::new("D", schema(), vec![Arc::new(k), Arc::new(v)]).unwrap();
+        let table = mix_column(&mix_column(&table, "k", pattern), "v", pattern.rotate_left(23));
+        table.check_invariants().unwrap();
+        assert_eq!(table.to_rows(), rows);
+        assert_masks_agree(&table, &p);
     }
 }
