@@ -5,10 +5,10 @@
 //! [`run_command`] adds the local shell's meta commands.
 
 use cods::Cods;
-use cods_query::{parse_query, Query, QueryOutput};
+use cods_query::{parse_query, Query, QueryOutput, RowSet};
 use cods_server::{QueryReply, ScanSummary};
 use cods_storage::persist::{read_catalog, save_catalog};
-use cods_storage::{load_file, segment_cache, LoadOptions, Schema, Value, ValueType};
+use cods_storage::{load_file, segment_cache, LoadOptions, Schema, ValueType};
 use cods_workload::figure1;
 use std::io::{BufRead, Write};
 
@@ -69,8 +69,10 @@ cods connect only:
 help | quit
 ";
 
-/// Per-batch callback of a read: (output columns, batch rows).
-pub type BatchFn<'a> = dyn FnMut(&[(String, ValueType)], Vec<Vec<Value>>) + 'a;
+/// Per-batch callback of a read: (output columns, batch rows). The local
+/// back end hands over the kernel's batch as it is — cells are read through
+/// its dictionaries; the remote one wraps what the wire decoder built.
+pub type BatchFn<'a> = dyn FnMut(&[(String, ValueType)], &RowSet) + 'a;
 
 /// What a shell runs the shared statements against: the local platform or
 /// a server connection. Errors are the text the shell prints.
@@ -119,9 +121,10 @@ impl Backend for Cods {
             } => {
                 let (mut sent, mut rows) = (0, 0);
                 for batch in batches {
+                    let batch = batch.map_err(|e| e.to_string())?;
                     sent += 1;
                     rows += batch.len() as u64;
-                    on_batch(&columns, batch);
+                    on_batch(&columns, &batch);
                 }
                 QueryReply::Rows(ScanSummary {
                     columns,
@@ -144,12 +147,12 @@ pub fn run_statement(
     let (verb, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
     let report = match verb.to_ascii_lowercase().as_str() {
         "count" | "scan" | "agg" | "join" => {
-            let mut print = |columns: &[(String, ValueType)], rows: Vec<Vec<Value>>| {
-                for row in rows {
+            let mut print = |columns: &[(String, ValueType)], rows: &RowSet| {
+                for r in 0..rows.len() {
                     let cells: Vec<String> = columns
                         .iter()
-                        .zip(&row)
-                        .map(|((name, _), v)| format!("{name}={v}"))
+                        .enumerate()
+                        .map(|(c, (name, _))| format!("{name}={}", rows.cell(r, c)))
                         .collect();
                     writeln!(out, "  {}", cells.join(", ")).ok();
                 }

@@ -7,8 +7,9 @@
 //! `refresh`, `metrics` and `stats <table>`.
 
 use crate::commands::{repl, run_statement, Backend, BatchFn, Outcome, HELP};
-use cods_query::Query;
+use cods_query::{Query, RowSet};
 use cods_server::{Client, ClientError, QueryReply, ServerConfig};
+use cods_storage::ValueType;
 use std::io::Write;
 use std::time::Duration;
 
@@ -118,7 +119,10 @@ impl Backend for Client {
     }
 
     fn query(&mut self, query: Query, on_batch: &mut BatchFn<'_>) -> Result<QueryReply, String> {
-        Client::query(self, query, on_batch).map_err(fmt_err)
+        let wrapped = |columns: &[(String, ValueType)], rows| {
+            on_batch(columns, &RowSet::from_rows(columns.len(), rows))
+        };
+        Client::query(self, query, wrapped).map_err(fmt_err)
     }
 }
 

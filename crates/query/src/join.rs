@@ -29,9 +29,12 @@
 use crate::agg::GroupKeySpace;
 use crate::cost::{self, RankedChoice};
 use crate::pred::Predicate;
+use crate::query::STREAM_BATCH_ROWS;
+use crate::rowset::{RowColumn, RowSet};
 use crate::stream::ScanStream;
-use cods_storage::{segment_cache, Table, Value};
-use std::collections::{HashMap, VecDeque};
+use cods_storage::{segment_cache, EncodedColumn, StorageError, Table, Value};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// Which input the hash table is built over.
@@ -82,11 +85,54 @@ pub fn plan_join(
 }
 
 /// Join key in the **build** dictionary id space.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 enum JoinKey {
     Packed(u64),
     Composite(Box<[u32]>),
 }
+
+/// One join uses one representation, so the variant is not hashed: a
+/// packed key is a single `write_u64`.
+impl Hash for JoinKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            JoinKey::Packed(v) => state.write_u64(*v),
+            JoinKey::Composite(ids) => ids.iter().for_each(|&id| state.write_u32(id)),
+        }
+    }
+}
+
+/// Hashes a [`JoinKey`] with [`splitmix64`] instead of SipHash. The keys
+/// are dictionary ids — dense integers this engine assigned, not bytes a
+/// client chose — so the default hasher's collision resistance buys
+/// nothing here, and the probe pays for it once per row. Seeded apart from
+/// [`key_partition`], which splits the same keys by the same mixer: within
+/// one pass every key agrees on `splitmix64(key) % partitions`.
+struct KeyHasher(u64);
+
+impl Default for KeyHasher {
+    fn default() -> Self {
+        KeyHasher(0x2545_F491_4F6C_DD1D)
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = splitmix64(self.0 ^ v);
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v.into());
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+}
+
+/// Key -> bucket of build-row ordinals, in build-row order.
+type KeyMap = HashMap<JoinKey, Vec<u32>, BuildHasherDefault<KeyHasher>>;
 
 /// How key ids combine into a [`JoinKey`].
 enum KeyRep {
@@ -156,20 +202,23 @@ pub fn partition_of(
     Some(key_partition(&rep.key_of(&ids), partitions.max(1)))
 }
 
-/// Where an output column's values come from while probing.
+/// Where an output column's ids come from while probing.
 enum Src {
-    /// Index into the probe row (already-materialized values).
+    /// Index into the probe scan's columns (every probe column, in order).
     Probe(usize),
-    /// Index into the build payload arrays (value ids, decoded on emit).
+    /// Index into the build payload arrays.
     Payload(usize),
 }
 
 const BUILD_BATCH: u64 = 8_192;
 
-/// Streaming partition-wise hash join. Yields output rows
-/// (`left columns ++ right non-key columns`) one at a time; peak memory is
-/// one partition's build state plus ~one resident segment per probe
-/// column. Construct via [`join_stream`].
+/// Streaming partition-wise hash join. Yields the output rows
+/// (`left columns ++ right non-key columns`) as [`RowSet`]s of
+/// [`STREAM_BATCH_ROWS`] rows (the last one shorter, none empty) that never
+/// leave the id domain: a matched row is one probe id or one build payload
+/// id per output column. Peak memory is one partition's build state, ~one
+/// resident segment per probe column, and one probe batch's matches.
+/// Construct via [`join_stream`].
 pub struct JoinStream {
     probe: Arc<Table>,
     build: Arc<Table>,
@@ -182,12 +231,14 @@ pub struct JoinStream {
     payload_src: Vec<usize>,
     partitions: u32,
     pass: u32,
-    /// Key -> bucket of build-row ordinals, in build-row order.
-    table_map: HashMap<JoinKey, Vec<u32>>,
+    table_map: KeyMap,
     /// Per payload column: value id per bucket ordinal.
     payload: Vec<Vec<u32>>,
     scan: Option<ScanStream>,
-    out_buf: VecDeque<Vec<Value>>,
+    /// Matched rows not yet emitted, one id vector per output column;
+    /// `out_ids[c][..out_at]` has been emitted already.
+    out_ids: Vec<Vec<u32>>,
+    out_at: usize,
     done: bool,
 }
 
@@ -245,14 +296,15 @@ pub fn join_stream(
         build_keys: build_keys.to_vec(),
         remaps,
         rep,
+        out_ids: vec![Vec::new(); out_src.len()],
         out_src,
         payload_src,
         partitions: plan.partitions.max(1),
         pass: 0,
-        table_map: HashMap::new(),
+        table_map: KeyMap::default(),
         payload: Vec::new(),
         scan: None,
-        out_buf: VecDeque::new(),
+        out_at: 0,
         done: false,
     }
 }
@@ -260,24 +312,29 @@ pub fn join_stream(
 impl JoinStream {
     /// (Re)builds the hash table for partition `pass`, dropping the
     /// previous pass's state first.
-    fn build_pass(&mut self) {
-        self.table_map.clear();
-        self.payload = vec![Vec::new(); self.payload_src.len()];
+    fn build_pass(&mut self) -> Result<(), StorageError> {
         let rows = self.build.rows();
+        // A pass holds about its share of the build rows, in at most one
+        // bucket per combination of key values.
+        let key_space = self
+            .build_keys
+            .iter()
+            .map(|&c| self.build.column(c).dict().len() as u64)
+            .fold(1u64, u64::saturating_mul);
+        let expect = (rows / u64::from(self.partitions)).min(key_space) as usize;
+        self.table_map = KeyMap::with_capacity_and_hasher(expect, Default::default());
+        self.payload = vec![Vec::new(); self.payload_src.len()];
+        let ids_of = |cols: &[usize], lo, hi| -> Result<Vec<Vec<u32>>, StorageError> {
+            cols.iter()
+                .map(|&c| self.build.column(c).try_ids_range(lo..hi))
+                .collect()
+        };
         let mut ord: u32 = 0;
         let mut lo = 0u64;
         while lo < rows {
             let hi = rows.min(lo + BUILD_BATCH);
-            let key_ids: Vec<Vec<u32>> = self
-                .build_keys
-                .iter()
-                .map(|&c| self.build.column(c).ids_range(lo..hi))
-                .collect();
-            let pay_ids: Vec<Vec<u32>> = self
-                .payload_src
-                .iter()
-                .map(|&c| self.build.column(c).ids_range(lo..hi))
-                .collect();
+            let key_ids = ids_of(&self.build_keys, lo, hi)?;
+            let pay_ids = ids_of(&self.payload_src, lo, hi)?;
             let mut ids = vec![0u32; self.build_keys.len()];
             for r in 0..(hi - lo) as usize {
                 for (slot, col_ids) in ids.iter_mut().zip(&key_ids) {
@@ -295,20 +352,24 @@ impl JoinStream {
             }
             lo = hi;
         }
+        Ok(())
     }
 
-    /// Probes one streamed batch against the current pass's table and
-    /// queues the matches.
-    fn match_batch(&mut self, range: std::ops::Range<u64>, rows: &[Vec<Value>]) {
-        let key_ids: Vec<Vec<u32>> = self
-            .probe_keys
-            .iter()
-            .map(|&c| self.probe.column(c).ids_range(range.clone()))
-            .collect();
+    /// Probes one scanned batch — `probe_ids[c][r]` is probe column `c`'s
+    /// id at the batch's row `r` — against the current pass's table and
+    /// appends the matches' ids to the pending output, column by column.
+    fn match_batch(&mut self, rows: usize, probe_ids: &[Vec<u32>]) {
+        // What was emitted is dropped before the buffers grow again.
+        for ids in &mut self.out_ids {
+            ids.drain(..self.out_at);
+        }
+        self.out_at = 0;
+        // The matches as (probe row, build ordinal) pairs, in output order.
+        let (mut probe_rows, mut ords) = (Vec::new(), Vec::new());
         let mut ids = vec![0u32; self.probe_keys.len()];
-        'row: for (r, probe_row) in rows.iter().enumerate() {
-            for ((slot, col_ids), remap) in ids.iter_mut().zip(&key_ids).zip(&self.remaps) {
-                match remap[col_ids[r] as usize] {
+        'row: for r in 0..rows {
+            for ((slot, &c), remap) in ids.iter_mut().zip(&self.probe_keys).zip(&self.remaps) {
+                match remap[probe_ids[c][r] as usize] {
                     // Key value absent from the build dictionary: no match.
                     None => continue 'row,
                     Some(b) => *slot = b,
@@ -321,56 +382,83 @@ impl JoinStream {
             let Some(bucket) = self.table_map.get(&key) else {
                 continue;
             };
-            for &ord in bucket {
-                let row: Vec<Value> = self
-                    .out_src
-                    .iter()
-                    .map(|src| match *src {
-                        Src::Probe(i) => probe_row[i].clone(),
-                        Src::Payload(p) => self
-                            .build
-                            .column(self.payload_src[p])
-                            .dict()
-                            .value(self.payload[p][ord as usize])
-                            .clone(),
-                    })
-                    .collect();
-                self.out_buf.push_back(row);
+            probe_rows.extend(std::iter::repeat_n(r, bucket.len()));
+            ords.extend_from_slice(bucket);
+        }
+        for (out, src) in self.out_ids.iter_mut().zip(&self.out_src) {
+            match *src {
+                Src::Probe(c) => out.extend(probe_rows.iter().map(|&r| probe_ids[c][r])),
+                Src::Payload(p) => out.extend(ords.iter().map(|&o| self.payload[p][o as usize])),
             }
         }
     }
-}
 
-impl Iterator for JoinStream {
-    type Item = Vec<Value>;
+    /// The table column behind output column `c`: its dictionary gives the
+    /// emitted ids meaning.
+    fn out_column(&self, c: usize) -> &Arc<EncodedColumn> {
+        match self.out_src[c] {
+            Src::Probe(i) => self.probe.column(i),
+            Src::Payload(p) => self.build.column(self.payload_src[p]),
+        }
+    }
 
-    fn next(&mut self) -> Option<Vec<Value>> {
+    /// Rows matched and not yet emitted.
+    fn pending(&self) -> usize {
+        self.out_ids.first().map_or(0, Vec::len) - self.out_at
+    }
+
+    /// The next batch of matches, or the typed error of a build or probe
+    /// segment that could not be faulted in — what the served path drives.
+    /// A stream that returned an error is finished with.
+    pub fn try_next(&mut self) -> Result<Option<RowSet>, StorageError> {
         loop {
-            if let Some(row) = self.out_buf.pop_front() {
-                return Some(row);
+            let pending = self.pending();
+            if pending >= STREAM_BATCH_ROWS || (self.done && pending > 0) {
+                let (at, len) = (self.out_at, pending.min(STREAM_BATCH_ROWS));
+                self.out_at += len;
+                let columns = (0..self.out_src.len())
+                    .map(|c| RowColumn::Dict {
+                        column: Arc::clone(self.out_column(c)),
+                        ids: self.out_ids[c][at..at + len].to_vec(),
+                    })
+                    .collect();
+                return Ok(Some(RowSet::new(len, columns)));
             }
             if self.done {
-                return None;
+                return Ok(None);
             }
             if self.scan.is_none() {
                 if self.pass >= self.partitions {
                     self.done = true;
                     continue;
                 }
-                self.build_pass();
-                self.scan = Some(
-                    ScanStream::new(self.probe.clone(), &Predicate::True, None)
-                        .expect("unfiltered unprojected scan cannot fail"),
-                );
+                self.build_pass()?;
+                self.scan = Some(ScanStream::new(self.probe.clone(), &Predicate::True, None)?);
             }
-            match self.scan.as_mut().and_then(|s| s.next()) {
-                Some(batch) => self.match_batch(batch.range, &batch.rows),
+            let batch = match &mut self.scan {
+                Some(scan) => scan.next_ids()?,
+                None => None,
+            };
+            match batch {
+                Some(batch) => self.match_batch(batch.len, &batch.ids),
                 None => {
                     self.scan = None;
                     self.pass += 1;
                 }
             }
         }
+    }
+}
+
+/// [`JoinStream::try_next`] for in-process callers over resident or
+/// trusted tables: a failed fault-in panics, as
+/// [`cods_storage::SegSlot::enc`] does.
+impl Iterator for JoinStream {
+    type Item = RowSet;
+
+    fn next(&mut self) -> Option<RowSet> {
+        self.try_next()
+            .unwrap_or_else(|e| panic!("segment fault failed: {e}"))
     }
 }
 
@@ -389,7 +477,9 @@ pub fn join_collect(
         right_keys,
         segment_cache().stats().budget,
     );
-    let rows = join_stream(left.clone(), right.clone(), left_keys, right_keys, &plan).collect();
+    let rows = join_stream(left.clone(), right.clone(), left_keys, right_keys, &plan)
+        .flat_map(|batch| batch.to_rows())
+        .collect();
     (plan, rows)
 }
 
@@ -439,6 +529,10 @@ mod tests {
         tuple::hash_join(&left.to_rows(), &right.to_rows(), lk, rk)
     }
 
+    fn rows(stream: JoinStream) -> Vec<Vec<Value>> {
+        stream.flat_map(|batch| batch.to_rows()).collect()
+    }
+
     fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
         rows.sort();
         rows
@@ -454,7 +548,7 @@ mod tests {
             est_build_bytes: 0,
             ranking: plan_join(&left, &right, &[0], &[0], u64::MAX).ranking,
         };
-        let got: Vec<_> = join_stream(left.clone(), right.clone(), &[0], &[0], &plan).collect();
+        let got = rows(join_stream(left.clone(), right.clone(), &[0], &[0], &plan));
         assert_eq!(got, oracle(&left, &right, &[0], &[0]));
         // NULL keys joined (the oracle treats Null == Null).
         assert!(got.iter().any(|r| r[0] == Value::Null));
@@ -472,7 +566,7 @@ mod tests {
             est_build_bytes: 0,
             ranking: plan_join(&left, &right, &[0], &[0], u64::MAX).ranking,
         };
-        let got: Vec<_> = join_stream(left.clone(), right.clone(), &[0], &[0], &plan).collect();
+        let got = rows(join_stream(left.clone(), right.clone(), &[0], &[0], &plan));
         assert_eq!(sorted(got), sorted(oracle(&left, &right, &[0], &[0])));
     }
 
@@ -482,7 +576,7 @@ mod tests {
         let mut plan = plan_join(&left, &right, &[0], &[0], 64);
         assert!(plan.partitions > 1, "tiny budget must force partitioning");
         plan.build = BuildSide::Right;
-        let got: Vec<_> = join_stream(left.clone(), right.clone(), &[0], &[0], &plan).collect();
+        let got = rows(join_stream(left.clone(), right.clone(), &[0], &[0], &plan));
         // Replicate pass-major order on the row oracle via partition_of.
         let all = oracle(&left, &right, &[0], &[0]);
         let mut expect = Vec::new();
@@ -522,9 +616,46 @@ mod tests {
                 .collect(),
         );
         let plan = plan_join(&left, &right, &[0, 1], &[0, 1], u64::MAX);
-        let got: Vec<_> =
-            join_stream(left.clone(), right.clone(), &[0, 1], &[0, 1], &plan).collect();
+        let got = rows(join_stream(
+            left.clone(),
+            right.clone(),
+            &[0, 1],
+            &[0, 1],
+            &plan,
+        ));
         assert_eq!(sorted(got), sorted(oracle(&left, &right, &[0, 1], &[0, 1])));
+    }
+
+    #[test]
+    fn matches_leave_in_full_batches_whatever_the_probe_batches_yield() {
+        // Every 64-row probe segment matches 64 x 100 build rows: more than
+        // one output batch per probe batch, and a remainder carried into
+        // the next.
+        let ints = [("k", ValueType::Int), ("x", ValueType::Int)];
+        let left = arc_table(
+            "l",
+            &ints,
+            (0..300)
+                .map(|i| vec![Value::int(0), Value::int(i)])
+                .collect(),
+        );
+        let right = arc_table(
+            "r",
+            &ints,
+            (0..100)
+                .map(|i| vec![Value::int(0), Value::int(-i)])
+                .collect(),
+        );
+        let mut plan = plan_join(&left, &right, &[0], &[0], u64::MAX);
+        plan.build = BuildSide::Right;
+        let batches: Vec<RowSet> =
+            join_stream(left.clone(), right.clone(), &[0], &[0], &plan).collect();
+        let (last, full) = batches.split_last().unwrap();
+        assert!(full.iter().all(|b| b.len() == STREAM_BATCH_ROWS));
+        assert_eq!(last.len(), 300 * 100 % STREAM_BATCH_ROWS);
+        assert!(batches.iter().all(|b| b.arity() == 3));
+        let got: Vec<_> = batches.iter().flat_map(RowSet::to_rows).collect();
+        assert_eq!(got, oracle(&left, &right, &[0], &[0]));
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! * [`query`] — the one read request: [`Query`] (count, scan, group-by,
 //!   join) with its `resolve` → `run` / `explain` path, shared by the local
 //!   shell, the connect REPL and the server;
+//! * [`rowset`] — [`RowSet`], the column-major batch every row-producing
+//!   read yields: dictionary ids until the edge, values only on request;
 //! * [`text`] — the text grammar of predicates and read statements;
 //! * [`agg`] — grouped aggregation: a row kernel plus a vectorized,
 //!   dictionary-native columnar kernel (`aggregate_table_masked`);
@@ -37,6 +39,7 @@ pub mod join;
 pub mod par;
 pub mod pred;
 pub mod query;
+pub mod rowset;
 pub mod stream;
 pub mod text;
 pub mod tuple;
@@ -51,5 +54,6 @@ pub use evolution::{
 pub use join::{join_collect, join_stream, plan_join, BuildSide, JoinPlan, JoinStream};
 pub use pred::{CmpOp, CompiledPredicate, Predicate};
 pub use query::{Query, QueryError, QueryOutput, ResolvedQuery, STREAM_BATCH_ROWS};
+pub use rowset::{RowColumn, RowSet};
 pub use stream::{RowBatch, ScanStream};
 pub use text::{find_unquoted, parse_predicate, parse_query};

@@ -12,6 +12,7 @@ use crate::bitmap_scan::predicate_mask;
 use crate::cost::{groupby_ranking, predicate_selectivity};
 use crate::join::{join_stream, plan_join};
 use crate::pred::Predicate;
+use crate::rowset::RowSet;
 use crate::stream::ScanStream;
 use cods_storage::{segment_cache, CatalogSnapshot, StorageError, Table, Value, ValueType};
 use std::fmt::Write as _;
@@ -70,6 +71,10 @@ pub enum QueryError {
     Storage(StorageError),
     /// The two key lists of a join differ in length.
     KeyArity,
+    /// The query's output has no columns (a scan projected to nothing, a
+    /// group-by with neither grouping column nor aggregate): its rows
+    /// would carry nothing, and a batch without columns carries no rows.
+    NoColumns,
 }
 
 impl std::fmt::Display for QueryError {
@@ -77,6 +82,7 @@ impl std::fmt::Display for QueryError {
         match self {
             QueryError::Storage(e) => write!(f, "{e}"),
             QueryError::KeyArity => write!(f, "join key lists differ in length"),
+            QueryError::NoColumns => write!(f, "the query selects no output column"),
         }
     }
 }
@@ -110,8 +116,10 @@ enum Shape {
     Join(Arc<Table>, Arc<Table>, Vec<usize>, Vec<usize>),
 }
 
-/// Non-empty row batches, produced on demand.
-pub type Batches = Box<dyn Iterator<Item = Vec<Vec<Value>>>>;
+/// Non-empty row batches, produced on demand. A batch that needed a
+/// paged-out segment which could not be faulted back in is that typed
+/// error instead, and ends the stream.
+pub type Batches = Box<dyn Iterator<Item = Result<RowSet, StorageError>>>;
 
 /// What running a query yields.
 pub enum QueryOutput {
@@ -138,13 +146,14 @@ pub enum QueryOutput {
 /// Rows per batch of a group-by or join result.
 pub const STREAM_BATCH_ROWS: usize = 4096;
 
-/// Regroups a row iterator into batches of [`STREAM_BATCH_ROWS`] (the last
-/// one shorter, none empty), moving the rows.
-fn chunked(rows: impl Iterator<Item = Vec<Value>> + 'static) -> Batches {
-    let mut rows = rows.fuse();
+/// Wraps an aggregate's rows of `arity` values in plain-column batches of
+/// [`STREAM_BATCH_ROWS`] (the last one shorter, none empty), moving the
+/// values.
+fn chunked(arity: usize, rows: Vec<Vec<Value>>) -> Batches {
+    let mut rows = rows.into_iter();
     Box::new(std::iter::from_fn(move || {
-        let batch: Vec<_> = rows.by_ref().take(STREAM_BATCH_ROWS).collect();
-        (!batch.is_empty()).then_some(batch)
+        let batch = RowSet::from_rows(arity, rows.by_ref().take(STREAM_BATCH_ROWS));
+        (!batch.is_empty()).then_some(Ok(batch))
     }))
 }
 
@@ -226,6 +235,9 @@ impl Query {
                 (columns, Shape::Join(l, r, lk, rk))
             }
         };
+        if columns.is_empty() && !matches!(shape, Shape::Count(..)) {
+            return Err(QueryError::NoColumns);
+        }
         Ok(ResolvedQuery { columns, shape })
     }
 }
@@ -253,9 +265,13 @@ impl ResolvedQuery {
                 selected: predicate_mask(&t, &predicate)?.count_ones(),
             },
             Shape::Scan(t, predicate, projection) => {
-                let stream = ScanStream::with_projection(t, &predicate, projection)?;
+                let mut stream = ScanStream::with_projection(t, &predicate, projection)?;
                 let total = stream.total_selected();
-                rows(Some(total), Box::new(stream.map(|batch| batch.rows)))
+                let batches = std::iter::from_fn(move || stream.try_next().transpose());
+                rows(
+                    Some(total),
+                    Box::new(batches.map(|b| b.map(|batch| batch.rows))),
+                )
             }
             Shape::GroupBy(t, predicate, group_by, aggs) => {
                 let mask = match &predicate {
@@ -263,11 +279,16 @@ impl ResolvedQuery {
                     p => Some(predicate_mask(&t, p)?),
                 };
                 let groups = aggregate_table_masked(&t, &group_by, &aggs, mask.as_ref())?;
-                rows(Some(groups.len() as u64), chunked(groups.into_iter()))
+                let arity = group_by.len() + aggs.len();
+                rows(Some(groups.len() as u64), chunked(arity, groups))
             }
             Shape::Join(l, r, lk, rk) => {
                 let plan = plan_join(&l, &r, &lk, &rk, segment_cache().stats().budget);
-                rows(None, chunked(join_stream(l, r, &lk, &rk, &plan)))
+                let mut stream = join_stream(l, r, &lk, &rk, &plan);
+                rows(
+                    None,
+                    Box::new(std::iter::from_fn(move || stream.try_next().transpose())),
+                )
             }
         })
     }
@@ -373,7 +394,7 @@ mod tests {
                 columns, batches, ..
             } => (
                 columns.into_iter().map(|(n, _)| n).collect(),
-                batches.flatten().collect(),
+                batches.flat_map(|b| b.unwrap().to_rows()).collect(),
             ),
             QueryOutput::Count { .. } => panic!("not a row query"),
         }
@@ -491,6 +512,20 @@ mod tests {
             right_keys: vec!["name".into()],
         };
         assert_eq!(err(join), QueryError::KeyArity);
+        // Output without columns: nothing a row could carry.
+        let scan = Query::Scan {
+            table: "R".into(),
+            predicate: Predicate::True,
+            projection: Some(vec![]),
+        };
+        assert_eq!(err(scan), QueryError::NoColumns);
+        let group_by = Query::GroupBy {
+            table: "R".into(),
+            predicate: Predicate::True,
+            group_by: vec![],
+            aggs: vec![],
+        };
+        assert_eq!(err(group_by), QueryError::NoColumns);
     }
 
     #[test]

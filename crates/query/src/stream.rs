@@ -12,8 +12,9 @@
 //!    is held as its maximal one-intervals — bounded by the mask's run
 //!    count, never by the selected row count;
 //! 2. each batch decodes only the segments overlapping its row range
-//!    ([`cods_storage::EncodedColumn::ids_range`]), so peak memory is one
-//!    segment's ids per projected column;
+//!    ([`cods_storage::EncodedColumn::try_ids_range`]) and gathers the
+//!    selected ids per projected column into a [`RowSet`] — peak memory is
+//!    one segment's ids per projected column, and no value is touched;
 //! 3. batches with no selected rows are skipped without touching any
 //!    payload — zone- and stat-pruned ranges stream at metadata speed.
 //!
@@ -22,6 +23,7 @@
 //! over TCP, by `tests/serve.rs`).
 
 use crate::pred::Predicate;
+use crate::rowset::{RowColumn, RowSet};
 use cods_storage::{StorageError, Table, Value};
 use std::ops::Range;
 use std::sync::Arc;
@@ -35,7 +37,15 @@ pub struct RowBatch {
     pub range: Range<u64>,
     /// Selected tuples in row order, each projected to the stream's
     /// column selection.
-    pub rows: Vec<Vec<Value>>,
+    pub rows: RowSet,
+}
+
+/// A batch before it is a [`RowSet`]: `len` selected rows of `range`, their
+/// value ids in one vector per projected column.
+pub(crate) struct IdBatch {
+    pub(crate) range: Range<u64>,
+    pub(crate) len: usize,
+    pub(crate) ids: Vec<Vec<u32>>,
 }
 
 /// A pull-based streaming scan: predicate once, then segment-sized
@@ -66,7 +76,8 @@ impl ScanStream {
     /// Plans a streaming scan of `table`: rows satisfying `pred`, projected
     /// to `projection` (column names, output order) or to the full schema
     /// when `None`. Fails on unknown column names; the predicate is
-    /// evaluated here, so a returned stream cannot fail mid-flight.
+    /// evaluated here, so all that can fail mid-flight is faulting a
+    /// paged-out segment back in ([`ScanStream::try_next`]).
     pub fn new(
         table: Arc<Table>,
         pred: &Predicate,
@@ -127,16 +138,12 @@ impl ScanStream {
     /// anti-streaming baseline; tests use it to check batch concatenation
     /// against [`crate::filter_table`].
     pub fn collect_rows(self) -> Vec<Vec<Value>> {
-        let mut out = Vec::new();
-        for batch in self {
-            out.extend(batch.rows);
-        }
-        out
+        self.flat_map(|batch| batch.rows.to_rows()).collect()
     }
 
-    /// Selected row ids inside `lo..hi`, advancing the interval cursor past
-    /// every interval that ends at or before `hi`.
-    fn selected_in(&mut self, lo: u64, hi: u64) -> Vec<u64> {
+    /// The selected stretches of `lo..hi` as offsets from `lo`, advancing
+    /// the interval cursor past every interval that ends at or before `hi`.
+    fn selected_in(&mut self, lo: u64, hi: u64) -> Vec<Range<usize>> {
         while self.iv_cursor < self.intervals.len() && self.intervals[self.iv_cursor].1 <= lo {
             self.iv_cursor += 1;
         }
@@ -144,7 +151,7 @@ impl ScanStream {
         let mut i = self.iv_cursor;
         while i < self.intervals.len() && self.intervals[i].0 < hi {
             let (start, end) = self.intervals[i];
-            sel.extend(start.max(lo)..end.min(hi));
+            sel.push((start.max(lo) - lo) as usize..(end.min(hi) - lo) as usize);
             if end <= hi {
                 i += 1;
             } else {
@@ -155,12 +162,10 @@ impl ScanStream {
         self.iv_cursor = i;
         sel
     }
-}
 
-impl Iterator for ScanStream {
-    type Item = RowBatch;
-
-    fn next(&mut self) -> Option<RowBatch> {
+    /// The next non-empty batch in the id domain — what [`Self::try_next`]
+    /// wraps into a [`RowSet`] and what a join probes directly.
+    pub(crate) fn next_ids(&mut self) -> Result<Option<IdBatch>, StorageError> {
         while self.next_batch + 1 < self.bounds.len() {
             let lo = self.bounds[self.next_batch];
             let hi = self.bounds[self.next_batch + 1];
@@ -170,31 +175,61 @@ impl Iterator for ScanStream {
                 // Nothing selected in this row range: no payload faulted.
                 continue;
             }
+            let whole = sel[0] == (0..(hi - lo) as usize);
             // Decode each projected column's overlapping segments once.
-            let ids_per_col: Vec<Vec<u32>> = self
+            let ids = self
                 .projection
                 .iter()
-                .map(|&ci| self.table.column(ci).ids_range(lo..hi))
-                .collect();
-            let rows: Vec<Vec<Value>> = sel
-                .iter()
-                .map(|&r| {
-                    self.projection
-                        .iter()
-                        .zip(&ids_per_col)
-                        .map(|(&ci, ids)| {
-                            let id = ids[(r - lo) as usize];
-                            self.table.column(ci).dict().value(id).clone()
-                        })
-                        .collect()
+                .map(|&ci| {
+                    let ids = self.table.column(ci).try_ids_range(lo..hi)?;
+                    Ok(match whole {
+                        true => ids,
+                        false => sel.iter().flat_map(|r| &ids[r.clone()]).copied().collect(),
+                    })
                 })
-                .collect();
-            return Some(RowBatch {
+                .collect::<Result<_, StorageError>>()?;
+            return Ok(Some(IdBatch {
                 range: lo..hi,
-                rows,
-            });
+                len: sel.iter().map(ExactSizeIterator::len).sum(),
+                ids,
+            }));
         }
-        None
+        Ok(None)
+    }
+
+    /// The next non-empty batch, or the typed error of a segment that
+    /// could not be faulted in — what the served path drives, so a failed
+    /// fault ends the reply instead of the connection thread. A stream
+    /// that returned an error is finished with.
+    pub fn try_next(&mut self) -> Result<Option<RowBatch>, StorageError> {
+        let Some(IdBatch { range, len, ids }) = self.next_ids()? else {
+            return Ok(None);
+        };
+        let columns = self
+            .projection
+            .iter()
+            .zip(ids)
+            .map(|(&ci, ids)| RowColumn::Dict {
+                column: Arc::clone(self.table.column(ci)),
+                ids,
+            })
+            .collect();
+        Ok(Some(RowBatch {
+            range,
+            rows: RowSet::new(len, columns),
+        }))
+    }
+}
+
+/// [`ScanStream::try_next`] for in-process callers over resident or
+/// trusted tables: a failed fault-in panics, as
+/// [`cods_storage::SegSlot::enc`] does.
+impl Iterator for ScanStream {
+    type Item = RowBatch;
+
+    fn next(&mut self) -> Option<RowBatch> {
+        self.try_next()
+            .unwrap_or_else(|e| panic!("segment fault failed: {e}"))
     }
 }
 
@@ -276,7 +311,7 @@ mod tests {
         let batches: Vec<RowBatch> = stream.collect();
         assert!(batches.iter().all(|b| !b.rows.is_empty()));
         assert!(batches.len() < 125, "empty segment ranges must be skipped");
-        let got: Vec<Vec<Value>> = batches.into_iter().flat_map(|b| b.rows).collect();
+        let got: Vec<Vec<Value>> = batches.iter().flat_map(|b| b.rows.to_rows()).collect();
         assert_eq!(got, expected(&t, &pred, &[0, 1, 2]));
     }
 
@@ -318,7 +353,7 @@ mod tests {
         let mut stream = ScanStream::new(Arc::clone(&t), &pred, None).unwrap();
         let first = stream.next().unwrap();
         drop(t);
-        let rest: Vec<Vec<Value>> = stream.flat_map(|b| b.rows).collect();
+        let rest = stream.collect_rows();
         assert_eq!(first.rows.len() + rest.len(), 500);
     }
 }

@@ -6,7 +6,8 @@
 //! ```text
 //! connection preamble (server → client, once):
 //!   magic   u32 LE   0xC0D5_7C9A
-//!   version u16 LE   wire-protocol version (1)
+//!   version u16 LE   wire-protocol version (2; a peer that announces
+//!                    any other is refused before a frame is read)
 //!
 //! frame (either direction):
 //!   kind    u8       message discriminant (see `proto`)
@@ -32,8 +33,10 @@ use std::net::TcpStream;
 
 /// Connection preamble magic (`C0DS-7C9A`, "serve").
 pub const SERVE_MAGIC: u32 = 0xC0D5_7C9A;
-/// Wire-protocol version carried in the preamble.
-pub const PROTO_VERSION: u16 = 1;
+/// Wire-protocol version carried in the preamble. Version 2 changed the
+/// body of a `Rows` reply (column-major, a dictionary per batch — see
+/// [`crate::proto`]); framing and every other message are those of 1.
+pub const PROTO_VERSION: u16 = 2;
 /// Default cap on a single frame's payload, generous enough for a
 /// segment-sized row batch yet small enough to bound a malicious peer.
 pub const DEFAULT_MAX_FRAME_BYTES: u32 = 32 * 1024 * 1024;

@@ -6,10 +6,33 @@
 //! Command kinds live in `0x01..=0x1F`, reply kinds in `0x81..=0x9F`, so a
 //! desynchronized peer is caught by the kind check even when a frame's
 //! checksum happens to pass.
+//!
+//! # The `Rows` body (protocol version 2)
+//!
+//! A batch of result rows travels column-major, each column as the
+//! distinct values of *this batch* followed by one small id per row:
+//!
+//! ```text
+//! rows   := n_rows:u32  n_cols:u16  column{n_cols}
+//! column := n_local:u32  value{n_local}  width:u8  id{n_rows}
+//! value  := tag:u8 body        (0 NULL | 1 bool:u8 | 2 int:i64
+//!                               | 3 float bits:u64 | 4 str len:u32 utf-8)
+//! id     := `width` bytes LE   (width = 1, 2 or 4: the narrowest that
+//!                               holds n_local - 1)
+//! ```
+//!
+//! The values stand in first-seen order, so `id[0] = 0` and every id is
+//! below `n_local`; `NULL` is a value like any other (no validity field).
+//! A batch without columns has no rows. The server writes a batch straight
+//! from a [`RowSet`]'s dictionary ids ([`RowsEncoder`]): a string that
+//! occurs in a thousand rows of a batch is written, and allocated by the
+//! client, once. The decoder checks every count against the bytes that
+//! remain before it allocates for it.
 
 use crate::frame::FrameError;
-use cods_query::{AggOp, CmpOp, Predicate, Query};
+use cods_query::{AggOp, CmpOp, Predicate, Query, RowColumn, RowSet};
 use cods_storage::{CacheStats, OrderedF64, Value, ValueType};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Decode failures: the frame was intact but its payload is not a valid
@@ -26,6 +49,9 @@ pub enum WireError {
     TooDeep,
     /// Payload had trailing bytes after the message.
     Trailing,
+    /// Two fields of the message contradict each other (the description
+    /// says which): a well-formed peer never sends this.
+    Inconsistent(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -36,6 +62,7 @@ impl std::fmt::Display for WireError {
             WireError::Utf8 => write!(f, "invalid utf-8 in string field"),
             WireError::TooDeep => write!(f, "predicate nested too deeply"),
             WireError::Trailing => write!(f, "trailing bytes after message"),
+            WireError::Inconsistent(what) => write!(f, "inconsistent message: {what}"),
         }
     }
 }
@@ -222,9 +249,11 @@ pub enum Reply {
         /// Total rows the stream will carry.
         total_rows: u64,
     },
-    /// One batch of result rows.
+    /// One batch of result rows (see the module docs for its body). The
+    /// server encodes batches from a [`RowSet`] without building this
+    /// variant; it is what a client decodes.
     Rows {
-        /// The batch's tuples.
+        /// The batch's tuples, all of one arity.
         rows: Vec<Vec<Value>>,
     },
     /// Stream closer with totals for integrity checking.
@@ -266,6 +295,9 @@ pub mod error_code {
     pub const TIMEOUT: u16 = 6;
 }
 
+/// Frame kind of a [`Reply::Rows`] batch.
+pub const ROWS_KIND: u8 = 0x88;
+
 impl Reply {
     /// The frame kind byte of this reply.
     pub fn kind(&self) -> u8 {
@@ -277,7 +309,7 @@ impl Reply {
             Reply::Error { .. } => 0x85,
             Reply::Overloaded { .. } => 0x86,
             Reply::RowHeader { .. } => 0x87,
-            Reply::Rows { .. } => 0x88,
+            Reply::Rows { .. } => ROWS_KIND,
             Reply::Done { .. } => 0x89,
             Reply::MaskSummary { .. } => 0x8A,
             Reply::Metrics(_) => 0x8B,
@@ -375,12 +407,115 @@ impl Enc {
             Predicate::True => self.u8(4),
         }
     }
-    fn rows(&mut self, rows: &[Vec<Value>]) {
-        self.u32(rows.len() as u32);
-        for row in rows {
-            self.u32(row.len() as u32);
-            for v in row {
-                self.value(v);
+}
+
+/// One column of a `Rows` body as the encoder reads it.
+enum ColumnSrc<'a> {
+    /// `ids[r]` indexes `values`: a dictionary-backed column.
+    Dict { values: &'a [Value], ids: &'a [u32] },
+    /// One value per row.
+    Cells(Box<dyn Iterator<Item = &'a Value> + 'a>),
+}
+
+/// Marks a dictionary id no row of the current column has carried yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// The encoder of `Rows` bodies. One serves a whole reply stream, so the
+/// table that renumbers a column's dictionary ids per batch is sized once
+/// per stream, not once per batch.
+#[derive(Default)]
+pub struct RowsEncoder {
+    /// Dictionary id -> local id within the column being encoded;
+    /// [`UNSEEN`] everywhere between columns.
+    local_of: Vec<u32>,
+    /// Local id per row of the column being encoded.
+    local: Vec<u32>,
+}
+
+impl RowsEncoder {
+    /// The `Rows` body of `set`. A set without columns must be empty (the
+    /// decoder refuses rows that carry nothing; [`Query::resolve`] never
+    /// produces them).
+    pub fn encode(&mut self, set: &RowSet) -> Vec<u8> {
+        let mut e = Enc::default();
+        self.rows(&mut e, set.len(), set.arity(), |c| {
+            match &set.columns()[c] {
+                RowColumn::Dict { column, ids } => ColumnSrc::Dict {
+                    values: column.dict().values(),
+                    ids,
+                },
+                RowColumn::Plain(values) => ColumnSrc::Cells(Box::new(values.iter())),
+            }
+        });
+        e.buf
+    }
+
+    fn rows<'a>(
+        &mut self,
+        e: &mut Enc,
+        n_rows: usize,
+        n_cols: usize,
+        column: impl Fn(usize) -> ColumnSrc<'a>,
+    ) {
+        debug_assert!(n_cols > 0 || n_rows == 0, "rows without columns");
+        e.u32(n_rows as u32);
+        e.u16(n_cols as u16);
+        for c in 0..n_cols {
+            // The values are written as rows first carry them; their count
+            // is patched in once the column has been walked.
+            let count_at = e.buf.len();
+            e.u32(0);
+            let mut n_local = 0u32;
+            self.local.clear();
+            match column(c) {
+                ColumnSrc::Dict { values, ids } => {
+                    if self.local_of.len() < values.len() {
+                        self.local_of.resize(values.len(), UNSEEN);
+                    }
+                    for &id in ids {
+                        let slot = &mut self.local_of[id as usize];
+                        if *slot == UNSEEN {
+                            *slot = n_local;
+                            n_local += 1;
+                            e.value(&values[id as usize]);
+                        }
+                        self.local.push(*slot);
+                    }
+                    for &id in ids {
+                        self.local_of[id as usize] = UNSEEN;
+                    }
+                }
+                ColumnSrc::Cells(cells) => {
+                    let mut seen: HashMap<&Value, u32> = HashMap::new();
+                    for v in cells {
+                        let id = *seen.entry(v).or_insert_with(|| {
+                            e.value(v);
+                            n_local += 1;
+                            n_local - 1
+                        });
+                        self.local.push(id);
+                    }
+                }
+            }
+            debug_assert_eq!(self.local.len(), n_rows, "one cell per row");
+            e.buf[count_at..count_at + 4].copy_from_slice(&n_local.to_le_bytes());
+            match n_local {
+                0..=0x100 => {
+                    e.u8(1);
+                    e.buf.extend(self.local.iter().map(|&id| id as u8));
+                }
+                0x101..=0x1_0000 => {
+                    e.u8(2);
+                    for &id in &self.local {
+                        e.u16(id as u16);
+                    }
+                }
+                _ => {
+                    e.u8(4);
+                    for &id in &self.local {
+                        e.u32(id);
+                    }
+                }
             }
         }
     }
@@ -434,8 +569,8 @@ impl<'a> Dec<'a> {
             1 => Value::Bool(self.u8()? != 0),
             2 => Value::Int(self.i64()?),
             3 => Value::Float(OrderedF64(f64::from_bits(self.u64()?))),
-            // One allocation per string cell: straight from the frame
-            // into the `Arc<str>`, no `String` in between.
+            // Straight from the frame into the `Arc<str>`, no `String` in
+            // between.
             4 => Value::Str(Arc::from(self.str_ref()?)),
             b => return Err(WireError::BadTag("value", b)),
         })
@@ -475,18 +610,69 @@ impl<'a> Dec<'a> {
             b => return Err(WireError::BadTag("predicate", b)),
         })
     }
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.at
+    }
+    /// A `Rows` body as rows of values: each column's distinct values are
+    /// decoded once, and a cell is a clone of one of them (a reference
+    /// count for a string, not an allocation). Every count is held against
+    /// the bytes that remain before anything is allocated for it.
     fn rows(&mut self) -> DecResult<Vec<Vec<Value>>> {
-        let n = self.u32()? as usize;
-        let mut rows = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let arity = self.u32()? as usize;
-            let mut row = Vec::with_capacity(arity.min(1 << 12));
-            for _ in 0..arity {
-                row.push(self.value()?);
-            }
-            rows.push(row);
+        let n_rows = self.u32()? as usize;
+        let n_cols = self.u16()? as usize;
+        if n_cols == 0 {
+            // Rows of nothing would cost no bytes to claim.
+            return match n_rows {
+                0 => Ok(Vec::new()),
+                _ => Err(WireError::Inconsistent("rows without columns")),
+            };
         }
-        Ok(rows)
+        // A column spends five bytes on its count and id width, and at
+        // least one per row on ids.
+        if n_rows > self.remaining() || n_cols > self.remaining() / 5 {
+            return Err(WireError::Truncated);
+        }
+        let mut columns = Vec::with_capacity(n_cols);
+        for _ in 0..n_cols {
+            let n_local = self.u32()? as usize;
+            if n_local > n_rows {
+                return Err(WireError::Inconsistent("more distinct values than rows"));
+            }
+            let mut values = Vec::with_capacity(n_local);
+            for _ in 0..n_local {
+                values.push(self.value()?);
+            }
+            let width = self.u8()?;
+            if !matches!(width, 1 | 2 | 4) {
+                return Err(WireError::BadTag("id width", width));
+            }
+            let bytes = self.take(n_rows * width as usize)?;
+            let ids: Vec<u32> = match width {
+                1 => bytes.iter().map(|&b| b.into()).collect(),
+                2 => bytes
+                    .chunks_exact(2)
+                    .map(|b| u16::from_le_bytes([b[0], b[1]]).into())
+                    .collect(),
+                _ => bytes
+                    .chunks_exact(4)
+                    .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                    .collect(),
+            };
+            if ids.iter().any(|&id| id as usize >= n_local) {
+                return Err(WireError::Inconsistent(
+                    "local id beyond the batch dictionary",
+                ));
+            }
+            columns.push((values, ids));
+        }
+        Ok((0..n_rows)
+            .map(|r| {
+                columns
+                    .iter()
+                    .map(|(values, ids)| values[ids[r] as usize].clone())
+                    .collect()
+            })
+            .collect())
     }
     fn finish(self) -> DecResult<()> {
         if self.at == self.buf.len() {
@@ -695,7 +881,17 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
             }
             e.u64(*total_rows);
         }
-        Reply::Rows { rows } => e.rows(rows),
+        Reply::Rows { rows } => {
+            // The same encoder as the server's, over the borrowed rows.
+            let arity = rows.first().map_or(0, Vec::len);
+            assert!(
+                rows.iter().all(|row| row.len() == arity),
+                "the rows of a batch share one arity"
+            );
+            RowsEncoder::default().rows(&mut e, rows.len(), arity, |c| {
+                ColumnSrc::Cells(Box::new(rows.iter().map(move |row| &row[c])))
+            });
+        }
         Reply::Done { batches, rows } => {
             e.u64(*batches);
             e.u64(*rows);
@@ -1007,6 +1203,98 @@ mod tests {
                 ref v => panic!("wrong value {v:?}"),
             },
             r => panic!("wrong reply {r:?}"),
+        }
+    }
+
+    /// A hand-built `Rows` body: `(n_local, values, width, id bytes)` per
+    /// column, each field written as given, consistent or not.
+    fn rows_body(n_rows: u32, columns: &[(u32, &[Value], u8, &[u8])]) -> Vec<u8> {
+        let mut e = Enc::default();
+        e.u32(n_rows);
+        e.u16(columns.len() as u16);
+        for (n_local, values, width, ids) in columns {
+            e.u32(*n_local);
+            values.iter().for_each(|v| e.value(v));
+            e.u8(*width);
+            e.buf.extend_from_slice(ids);
+        }
+        e.buf
+    }
+
+    #[test]
+    fn a_rows_body_is_column_major_with_a_dictionary_per_batch() {
+        let rows = vec![
+            vec![Value::str("a"), Value::Null],
+            vec![Value::str("b"), Value::Null],
+            vec![Value::str("a"), Value::int(7)],
+        ];
+        let by_hand = rows_body(
+            3,
+            &[
+                (2, &[Value::str("a"), Value::str("b")], 1, &[0, 1, 0]),
+                (2, &[Value::Null, Value::int(7)], 1, &[0, 0, 1]),
+            ],
+        );
+        assert_eq!(encode_reply(&Reply::Rows { rows: rows.clone() }), by_hand);
+        // The server's entry point writes the same bytes from a row set.
+        let set = RowSet::from_rows(2, rows.clone());
+        assert_eq!(RowsEncoder::default().encode(&set), by_hand);
+        assert_eq!(decode_reply(ROWS_KIND, &by_hand), Ok(Reply::Rows { rows }));
+        // Any of the three widths decodes; the encoder picks the narrowest.
+        let wide = rows_body(2, &[(1, &[Value::Null], 4, &[0; 8])]);
+        let rows = vec![vec![Value::Null]; 2];
+        assert_eq!(decode_reply(ROWS_KIND, &wide), Ok(Reply::Rows { rows }));
+    }
+
+    #[test]
+    fn hostile_rows_bodies_are_typed_errors_before_anything_is_allocated() {
+        let null: &[Value] = &[Value::Null];
+        let mut many_columns = rows_body(1, &[(1, null, 1, &[0])]);
+        many_columns[4..6].copy_from_slice(&u16::MAX.to_le_bytes());
+        let cases: [(&str, Vec<u8>, WireError); 8] = [
+            (
+                "four billion rows claimed by ten bytes",
+                rows_body(u32::MAX, &[(0, &[], 1, &[])])[..10].to_vec(),
+                WireError::Truncated,
+            ),
+            (
+                "more columns than the payload could hold",
+                many_columns,
+                WireError::Truncated,
+            ),
+            (
+                "rows without columns",
+                rows_body(3, &[]),
+                WireError::Inconsistent("rows without columns"),
+            ),
+            (
+                "a dictionary larger than the batch",
+                rows_body(1, &[(2, &[Value::Null, Value::int(1)], 1, &[0])]),
+                WireError::Inconsistent("more distinct values than rows"),
+            ),
+            (
+                "a local id past the dictionary",
+                rows_body(2, &[(1, null, 1, &[0, 1])]),
+                WireError::Inconsistent("local id beyond the batch dictionary"),
+            ),
+            (
+                "an id width that is none of 1, 2, 4",
+                rows_body(2, &[(1, null, 3, &[0; 6])]),
+                WireError::BadTag("id width", 3),
+            ),
+            (
+                "an id array shorter than the row count",
+                rows_body(3, &[(1, null, 2, &[0; 4])]),
+                WireError::Truncated,
+            ),
+            (
+                "bytes after the last column",
+                rows_body(1, &[(1, null, 1, &[0, 0])]),
+                WireError::Trailing,
+            ),
+        ];
+        for (what, payload, want) in cases {
+            assert_eq!(decode_reply(ROWS_KIND, &payload), Err(want), "{what}");
         }
     }
 

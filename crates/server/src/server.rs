@@ -7,12 +7,13 @@ use crate::frame::{
 };
 use crate::metrics::ServerMetrics;
 use crate::proto::{
-    decode_command, encode_reply, error_code, Command, Reply, StatsReply, TOTAL_UNKNOWN,
+    decode_command, encode_reply, error_code, Command, Reply, RowsEncoder, StatsReply, ROWS_KIND,
+    TOTAL_UNKNOWN,
 };
 use crate::session::Session;
 use cods::{Cods, EvolutionError};
-use cods_query::{QueryError, QueryOutput};
-use cods_storage::{CommitLog, RetryPolicy, StorageError, TableStats, Value, ValueType};
+use cods_query::{QueryError, QueryOutput, RowSet};
+use cods_storage::{CommitLog, RetryPolicy, StorageError, TableStats, ValueType};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -297,7 +298,13 @@ impl<'a, W: Write> Connection<'a, W> {
         }
     }
 
-    /// Encodes and frames one reply into the connection's window,
+    /// Encodes and frames one reply into the connection's window — see
+    /// [`Self::frame`].
+    fn reply(&mut self, reply: &Reply) -> Result<(), FrameError> {
+        self.frame(reply.kind(), &encode_reply(reply))
+    }
+
+    /// Frames one encoded reply body into the connection's window,
     /// counting its bytes. It never flushes: frames of one reply coalesce
     /// (a header, a small batch and the closer leave as one segment, so
     /// no frame waits on the peer's ACK of the one before), and the
@@ -306,36 +313,44 @@ impl<'a, W: Write> Connection<'a, W> {
     /// socket write is the backpressure: a slow client stalls only its
     /// own connection thread (and the one admission slot it holds), never
     /// the server. The end of the reply is flushed by [`Self::respond`].
-    fn reply(&mut self, reply: &Reply) -> Result<(), FrameError> {
-        let bytes = write_frame(&mut self.writer, reply.kind(), &encode_reply(reply))?;
+    fn frame(&mut self, kind: u8, body: &[u8]) -> Result<(), FrameError> {
+        let bytes = write_frame(&mut self.writer, kind, body)?;
         ServerMetrics::add(&self.shared.metrics.bytes_streamed, bytes);
         Ok(())
     }
 
     /// Sends one row stream — the only place the `RowHeader → Rows* →
     /// Done` sequence is written: header, one `Rows` frame per batch
-    /// (`batches` yields no empty ones), closer with the totals the
-    /// client verifies. Batches are pulled one at a time, so peak memory
-    /// is one batch plus the window, whatever the result size, and a
-    /// reply longer than the window reaches the client while later
-    /// batches are still being produced.
+    /// (`batches` yields no empty ones) encoded from its dictionary ids,
+    /// closer with the totals the client verifies. Batches are pulled one
+    /// at a time, so peak memory is one batch plus the window, whatever
+    /// the result size, and a reply longer than the window reaches the
+    /// client while later batches are still being produced. A batch that
+    /// could not be produced (a segment failed to fault in) ends the
+    /// stream with a typed error where `Done` would stand; the connection
+    /// goes on.
     fn stream_rows(
         &mut self,
         columns: Vec<(String, ValueType)>,
         total_rows: u64,
-        batches: impl Iterator<Item = Vec<Vec<Value>>>,
+        batches: impl Iterator<Item = Result<RowSet, StorageError>>,
     ) -> Result<(), FrameError> {
         self.reply(&Reply::RowHeader {
             columns,
             total_rows,
         })?;
+        let mut encoder = RowsEncoder::default();
         let mut sent = 0u64;
         let mut rows_sent = 0u64;
-        for rows in batches {
+        for batch in batches {
+            let rows = match batch {
+                Ok(rows) => rows,
+                Err(e) => return self.storage_error(&e),
+            };
             sent += 1;
             rows_sent += rows.len() as u64;
             ServerMetrics::add(&self.shared.metrics.rows_streamed, rows.len() as u64);
-            self.reply(&Reply::Rows { rows })?;
+            self.frame(ROWS_KIND, &encoder.encode(&rows))?;
         }
         self.reply(&Reply::Done {
             batches: sent,
@@ -466,10 +481,12 @@ impl<'a, W: Write> Connection<'a, W> {
                         batches,
                     }) => self.stream_rows(columns, total.unwrap_or(TOTAL_UNKNOWN), batches),
                     Err(QueryError::Storage(e)) => self.storage_error(&e),
-                    Err(e @ QueryError::KeyArity) => self.reply(&Reply::Error {
-                        code: error_code::BAD_REQUEST,
-                        message: e.to_string(),
-                    }),
+                    Err(e @ (QueryError::KeyArity | QueryError::NoColumns)) => {
+                        self.reply(&Reply::Error {
+                            code: error_code::BAD_REQUEST,
+                            message: e.to_string(),
+                        })
+                    }
                 }
             }
             Command::Ping | Command::Refresh | Command::Metrics => {
@@ -498,7 +515,7 @@ mod tests {
     use crate::client::Client;
     use crate::proto::decode_reply;
     use cods_query::{Predicate, Query};
-    use cods_storage::{Schema, Table};
+    use cods_storage::{Schema, Table, Value};
 
     /// A transport that records every write that reaches it.
     #[derive(Clone, Default)]
@@ -645,7 +662,7 @@ mod tests {
                 );
             }
             produced += 1;
-            Some(vec![vec![Value::str(&cell)]])
+            Some(Ok(RowSet::from_rows(1, [vec![Value::str(&cell)]])))
         });
         conn.stream_rows(vec![("v".into(), ValueType::Str)], FRAMES, batches)
             .unwrap();

@@ -1032,7 +1032,17 @@ impl EncodedColumn {
     /// the streaming scan surface: a server streaming a table in
     /// segment-sized batches touches (and faults in) one batch worth of
     /// payload at a time, never the whole column.
+    ///
+    /// Panics when a paged-out segment cannot be faulted back in; the
+    /// served read path uses [`EncodedColumn::try_ids_range`] instead.
     pub fn ids_range(&self, range: Range<u64>) -> Vec<u32> {
+        self.try_ids_range(range)
+            .unwrap_or_else(|e| panic!("segment fault failed: {e}"))
+    }
+
+    /// [`EncodedColumn::ids_range`] that reports a failed fault-in (I/O
+    /// error, corrupt payload) as a typed error instead of panicking.
+    pub fn try_ids_range(&self, range: Range<u64>) -> Result<Vec<u32>, StorageError> {
         assert!(
             range.start <= range.end && range.end <= self.rows,
             "range {range:?} out of bounds for {} rows",
@@ -1050,7 +1060,7 @@ impl EncodedColumn {
             let lo = range.start.max(start);
             let hi = range.end.min(seg_end);
             let dst = &mut out[(lo - range.start) as usize..(hi - range.start) as usize];
-            match seg.enc() {
+            match seg.try_enc()? {
                 SegmentEnc::Bitmap(s) => {
                     if lo == start && hi == seg_end {
                         s.fill_ids(dst);
@@ -1080,7 +1090,7 @@ impl EncodedColumn {
             }
         }
         debug_assert!(out.iter().all(|&i| i != u32::MAX), "uncovered row");
-        out
+        Ok(out)
     }
 
     /// Decodes `range` as maximal `(value id, length)` runs, coalesced

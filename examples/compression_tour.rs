@@ -105,7 +105,9 @@ fn main() {
     else {
         unreachable!("a group-by yields rows");
     };
-    let rows: Vec<_> = batches.flatten().collect();
+    let rows: Vec<_> = batches
+        .flat_map(|batch| batch.expect("a resident table").to_rows())
+        .collect();
     println!("\nper-detail report ({} groups):", rows.len());
     let names: Vec<&str> = columns.iter().map(|(n, _)| n.as_str()).collect();
     println!("  {}", names.join(" | "));

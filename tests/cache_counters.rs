@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use cods_query::bitmap_scan::predicate_mask;
-use cods_query::{join_stream, plan_join, tuple, Predicate};
+use cods_query::{join_stream, plan_join, tuple, BuildSide, Predicate};
 use cods_storage::persist::{read_table, save_table};
 use cods_storage::{segment_cache, Schema, Table, Value, ValueType};
 
@@ -191,7 +191,9 @@ fn starved_join_runs_multi_pass_and_ends_within_budget() {
     );
     // The tables outlive the join, so their segments stay charged to the
     // cache unless it evicts them.
-    let mut got: Vec<_> = join_stream(probe.clone(), dim.clone(), &[0], &[0], &plan).collect();
+    let mut got: Vec<_> = join_stream(probe.clone(), dim.clone(), &[0], &[0], &plan)
+        .flat_map(|batch| batch.to_rows())
+        .collect();
     let stats = cache.stats();
     cache.set_budget(u64::MAX);
     got.sort();
@@ -204,4 +206,45 @@ fn starved_join_runs_multi_pass_and_ends_within_budget() {
     );
     std::fs::remove_file(&lp).ok();
     std::fs::remove_file(&rp).ok();
+}
+
+/// A single-pass join reads each probe segment once: the scan that streams
+/// the probe side is the only decode of it, the key column included — one
+/// cache touch (a miss here, the table was just opened) per probe
+/// `(column, segment)`, and the build side, resident, touches nothing.
+#[test]
+fn single_pass_join_touches_each_probe_segment_once() {
+    const ROWS: u64 = 1 << 14; // 16 segments per column
+    let _g = serialized();
+    let (resident, lazy, path) = clustered_and_scattered("join_touch", ROWS);
+    let dim_rows: Vec<Vec<Value>> = (0..(ROWS / PER_KEY) as i64)
+        .step_by(2)
+        .map(|k| vec![Value::int(k), Value::int(k * 3)])
+        .collect();
+    let dim = Arc::new(int_table("D", ["k", "w"], 256, &dim_rows));
+    let mut want = tuple::hash_join(&resident.to_rows(), &dim_rows, &[0], &[0]);
+    want.sort();
+
+    let probe = Arc::new(lazy);
+    let mut plan = plan_join(&probe, &dim, &[0], &[0], u64::MAX);
+    plan.build = BuildSide::Right;
+    assert_eq!(plan.partitions, 1);
+    let cache = segment_cache();
+    let before = cache.stats();
+    let mut got: Vec<_> = join_stream(probe.clone(), dim, &[0], &[0], &plan)
+        .flat_map(|batch| batch.to_rows())
+        .collect();
+    let after = cache.stats();
+    got.sort();
+    assert_eq!(got, want);
+    let segments: u64 = probe
+        .columns()
+        .iter()
+        .map(|c| c.segment_count() as u64)
+        .sum();
+    assert_eq!(segments, 2 * ROWS / SEG_ROWS);
+    let touches = (after.hits - before.hits) + (after.misses - before.misses);
+    assert_eq!(touches, segments, "each probe (column, segment) once");
+    assert_eq!(after.misses - before.misses, segments);
+    std::fs::remove_file(&path).ok();
 }

@@ -4,7 +4,7 @@
 
 use cods::{Cods, DecomposeSpec, EvolutionError, MergeStrategy, Smo};
 use cods_query::bitmap_scan::predicate_mask;
-use cods_query::{Predicate, Query};
+use cods_query::{Predicate, Query, QueryOutput};
 use cods_storage::commitlog::spill_dir;
 use cods_storage::persist::{
     decode_table, encode_table, read_catalog, read_table, save_catalog, save_table,
@@ -616,9 +616,10 @@ fn torn_tail_without_journal_is_typed_corrupt_with_hint() {
 
 /// A payload that cannot be faulted in — here the file shrinks under the
 /// open handle of a lazily opened table — fails the read with a typed
-/// error on the served path (`predicate_mask` directly, and `Query::Count`
-/// over a catalog snapshot as a connection thread runs it); it must not
-/// panic the thread.
+/// error on the served path (`predicate_mask` directly, and `Query::Count`,
+/// `Query::Scan` and `Query::Join` over a catalog snapshot as a connection
+/// thread runs them: the count fails as a whole, the two row streams at
+/// the first batch that needs a payload); it must not panic the thread.
 #[test]
 fn truncated_file_under_a_lazy_table_fails_reads_with_a_typed_error() {
     let dir = sweep_dir("truncated_lazy");
@@ -649,6 +650,31 @@ fn truncated_file_under_a_lazy_table_fails_reads_with_a_typed_error() {
     };
     let resolved = count.resolve(&snapshot).unwrap();
     assert!(matches!(resolved.run(), Err(StorageError::PersistError(_))));
+
+    // An unfiltered scan needs no payload for its mask and a join none for
+    // its plan: both start, and fail where they first decode a segment.
+    let scan = Query::Scan {
+        table: "t".into(),
+        predicate: Predicate::True,
+        projection: None,
+    };
+    let join = Query::Join {
+        left: "t".into(),
+        right: "t".into(),
+        left_keys: vec!["k".into()],
+        right_keys: vec!["k".into()],
+    };
+    for query in [scan, join] {
+        let QueryOutput::Rows { mut batches, .. } =
+            query.resolve(&snapshot).unwrap().run().unwrap()
+        else {
+            panic!("{query:?} yields rows");
+        };
+        assert!(
+            matches!(batches.next(), Some(Err(StorageError::PersistError(_)))),
+            "{query:?}"
+        );
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -486,16 +486,80 @@ fn join_streams_over_the_wire_with_verified_totals() {
     handle.shutdown();
 }
 
+/// A segment that cannot be faulted back in while a reply is streaming
+/// (here: the catalog file truncated under a lazily opened table) ends
+/// that reply with a typed error where `Done` would stand — mid-scan and
+/// mid-join alike — and the connection thread lives to answer the next
+/// command.
+#[test]
+fn failed_fault_mid_stream_is_a_typed_error_on_a_connection_that_still_answers() {
+    use cods_storage::persist::{read_catalog, save_catalog};
+    let path = std::env::temp_dir().join(format!("cods_it_serve_fault_{}", std::process::id()));
+    save_catalog(platform(64, 16).catalog(), &path).unwrap();
+    let lazy = read_catalog(&path).unwrap();
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.set_len(8).unwrap();
+
+    let cods = Arc::new(Cods::with_catalog(lazy));
+    let mut handle = Server::bind("127.0.0.1:0", cods, ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let internal = |err: ClientError| match err {
+        ClientError::Server { code, message } => {
+            assert_eq!(code, cods_server::error_code::INTERNAL, "{message}")
+        }
+        other => panic!("expected a typed server error, got {other:?}"),
+    };
+    // The header is out before the first segment is touched.
+    internal(client.scan_collect("t", Predicate::True, None).unwrap_err());
+    client.ping().expect("the scan's connection still answers");
+    let keys = || vec!["grp".to_string()];
+    internal(client.join("t", "t", keys(), keys()).unwrap_err());
+    client.ping().expect("the join's connection still answers");
+    handle.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
 /// What one raw exchange put on the wire: every reply frame until the
 /// closing `Done`, as the server framed it.
 #[derive(Debug, PartialEq)]
 struct Exchange {
     frames: u64,
     bytes: u64,
-    /// FNV-1a 64 over every frame's kind and payload, concatenated.
+    /// FNV-1a 64 over every frame's kind and content, concatenated. The
+    /// content of a `Rows` frame is its decoded rows written in protocol
+    /// version 1's row-major layout, of any other frame its payload — so
+    /// the digest follows what a reply says, not how a batch is packed.
     digest: u64,
     done_batches: u64,
     done_rows: u64,
+}
+
+/// Protocol version 1's `Rows` body: `n:u32`, then per row `arity:u32` and
+/// the cells as `tag:u8 body` (the value encoding version 2 kept).
+fn rows_in_v1_layout(rows: &[Vec<Value>], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    for row in rows {
+        out.extend_from_slice(&(row.len() as u32).to_le_bytes());
+        for cell in row {
+            match cell {
+                Value::Null => out.push(0),
+                Value::Bool(b) => out.extend_from_slice(&[1, u8::from(*b)]),
+                Value::Int(i) => {
+                    out.push(2);
+                    out.extend_from_slice(&i.to_le_bytes());
+                }
+                Value::Float(f) => {
+                    out.push(3);
+                    out.extend_from_slice(&f.0.to_bits().to_le_bytes());
+                }
+                Value::Str(s) => {
+                    out.push(4);
+                    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                    out.extend_from_slice(s.as_bytes());
+                }
+            }
+        }
+    }
 }
 
 fn exchange(
@@ -506,31 +570,41 @@ fn exchange(
     use cods_server::frame::{fnv1a64, read_frame, write_frame, DEFAULT_MAX_FRAME_BYTES};
     use cods_server::proto::{decode_reply, encode_command};
     write_frame(stream, cmd.kind(), &encode_command(cmd)).unwrap();
-    let mut frames = 0;
+    let (mut frames, mut bytes) = (0, 0);
     let mut content = Vec::new();
     loop {
         let (kind, payload) = read_frame(reader, DEFAULT_MAX_FRAME_BYTES).unwrap();
         frames += 1;
+        // Each frame adds a kind byte, a 4-byte length and an 8-byte checksum.
+        bytes += payload.len() as u64 + 13;
         content.push(kind);
-        content.extend_from_slice(&payload);
-        if let cods_server::Reply::Done { batches, rows } = decode_reply(kind, &payload).unwrap() {
-            return Exchange {
-                frames,
-                // Each frame adds a 4-byte length and an 8-byte checksum.
-                bytes: content.len() as u64 + 12 * frames,
-                digest: fnv1a64(&content),
-                done_batches: batches,
-                done_rows: rows,
-            };
+        match decode_reply(kind, &payload).unwrap() {
+            cods_server::Reply::Rows { rows } => rows_in_v1_layout(&rows, &mut content),
+            cods_server::Reply::Done { batches, rows } => {
+                content.extend_from_slice(&payload);
+                return Exchange {
+                    frames,
+                    bytes,
+                    digest: fnv1a64(&content),
+                    done_batches: batches,
+                    done_rows: rows,
+                };
+            }
+            _ => content.extend_from_slice(&payload),
         }
     }
 }
 
+/// Protocol version 1's totals for the three exchanges below: version 2
+/// must say the same in fewer bytes.
+const V1_BYTES: [u64; 3] = [77_923, 110_107, 241_270];
+
 #[test]
-fn reply_bytes_frames_and_totals_are_those_of_protocol_version_1() {
-    // Constants recorded at the commit before the reply writer was
-    // windowed: the flush policy may change when bytes leave, never
-    // which bytes.
+fn reply_bytes_frames_and_totals_are_those_of_protocol_version_2() {
+    // Frame counts, `Done` totals and content digests are the constants
+    // recorded under protocol version 1: neither the windowed reply writer
+    // nor the columnar `Rows` body changed which rows a reply carries, in
+    // which order, in which batches. The byte totals are version 2's.
     let cods = platform(5_000, 512);
     add_dim(&cods);
     let mut handle =
@@ -539,7 +613,7 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_1() {
     let mut raw = std::net::TcpStream::connect(handle.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
-    cods_server::frame::read_preamble(&mut reader).unwrap();
+    assert_eq!(cods_server::frame::read_preamble(&mut reader).unwrap(), 2);
     let (hello, _) = cods_server::frame::read_frame(&mut reader, 1 << 20).unwrap();
     assert_eq!(hello, 0x81);
 
@@ -576,7 +650,7 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_1() {
         scan,
         Exchange {
             frames: 12,
-            bytes: 77_923,
+            bytes: 28_262,
             digest: 11858813980843628085,
             done_batches: 10,
             done_rows: 2_144,
@@ -586,7 +660,7 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_1() {
         group_by,
         Exchange {
             frames: 4,
-            bytes: 110_107,
+            bytes: 60_149,
             digest: 3352937161572489144,
             done_batches: 2,
             done_rows: 5_000,
@@ -597,12 +671,18 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_1() {
         Exchange { digest: 0, ..join },
         Exchange {
             frames: 4,
-            bytes: 241_270,
+            bytes: 70_826,
             digest: 0,
             done_batches: 2,
             done_rows: 5_000,
         }
     );
+    for (now, v1) in [scan.bytes, group_by.bytes, join.bytes]
+        .iter()
+        .zip(V1_BYTES)
+    {
+        assert!(*now < v1, "{now} bytes against version 1's {v1}");
+    }
     // The server's own byte counter agrees: the three streams plus the
     // two sessions' 21-byte `Hello` frames.
     let streamed = Client::connect(handle.local_addr())
@@ -610,6 +690,21 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_1() {
         .metrics()
         .unwrap()
         .bytes_streamed;
-    assert_eq!(streamed, 77_923 + 110_107 + 241_270 + 2 * 21);
+    assert_eq!(streamed, scan.bytes + group_by.bytes + join.bytes + 2 * 21);
     handle.shutdown();
+}
+
+/// A peer that announces any other protocol version is refused at the
+/// preamble, before a reply of it is decoded.
+#[test]
+fn a_version_1_preamble_is_refused() {
+    use cods_server::frame::{read_preamble, FrameError, SERVE_MAGIC};
+    let mut preamble = SERVE_MAGIC.to_le_bytes().to_vec();
+    preamble.extend_from_slice(&1u16.to_le_bytes());
+    // A version-1 `Rows` frame follows; it is never looked at.
+    preamble.extend_from_slice(&[0x88, 4, 0, 0, 0, 0, 0, 0, 0]);
+    assert!(matches!(
+        read_preamble(&mut preamble.as_slice()),
+        Err(FrameError::Corrupt)
+    ));
 }
