@@ -652,6 +652,26 @@ pub fn run_command(cods: &mut Cods, line: &str, out: &mut impl Write) -> Result<
                     }
                 )
                 .ok();
+                for r in &s.pending {
+                    let puts: Vec<String> = r
+                        .puts
+                        .iter()
+                        .map(|p| {
+                            format!(
+                                "{} ({} referenced, {} carried, {} bytes)",
+                                p.table, p.referenced, p.carried, p.carried_bytes
+                            )
+                        })
+                        .collect();
+                    writeln!(
+                        out,
+                        "  v{}: drops [{}], puts [{}]",
+                        r.version,
+                        r.drops.join(", "),
+                        puts.join(", ")
+                    )
+                    .ok();
+                }
                 writeln!(
                     out,
                     "spills: {} file(s), {} bytes",
@@ -709,6 +729,32 @@ mod tests {
             Err(e) => e,
             Ok(_) => panic!("{line:?} must fail"),
         }
+    }
+
+    #[test]
+    fn wal_lists_what_each_pending_record_holds() {
+        let dir = std::env::temp_dir().join(format!("cods_cli_wal_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("w.cods");
+        let mut cods = shell();
+        run(&mut cods, "demo");
+        run(&mut cods, &format!("save {}", file.display()));
+        let (catalog, _log, _replay) = cods_storage::open_durable(&file).unwrap();
+        let mut durable = Cods::with_catalog(catalog);
+        run(&mut durable, "RENAME TABLE R TO R2");
+        run(&mut durable, "ADD COLUMN note str DEFAULT 'n/a' TO R2");
+        let text = run(&mut durable, &format!("wal {}", file.display()));
+        assert!(text.contains("2 record(s) pending checkpoint"), "{text}");
+        assert!(
+            text.contains("drops [R], puts [R2 (3 referenced, 0 carried, 0 bytes)]"),
+            "{text}"
+        );
+        assert!(
+            text.contains("puts [R2 (3 referenced, 1 carried, "),
+            "{text}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //!
 //! Property 2 (the key functionally determines `T`'s other attributes, so
 //! any representative row suffices) is optionally verified in the same pass.
+//!
+//! When distinction keeps every row, the common attributes are already a
+//! key of `R`: `T` is a column subset as well, and shares its columns with
+//! `R` exactly as `S` does — step 3 and the Property 2 pass are skipped.
 
 use crate::error::{EvolutionError, Result};
 use crate::schema_tools::check_decomposition_shape;
@@ -339,9 +343,14 @@ pub fn decompose(input: &Table, spec: &DecomposeSpec) -> Result<DecomposeOutcome
     let (positions, groups) = distinction(input, &key_idx, spec.verify_fd);
     tracker.step_items("distinction", positions.len() as u64);
 
+    // Distinction kept every row: the common columns are already a key of
+    // `R`, so the changed table is a column subset too. Property 2 holds
+    // vacuously (every key group has one row) and nothing needs filtering.
+    let key_is_unique = positions.len() as u64 == input.rows();
+
     // Property 2 — every row of a key group must agree with its
     // representative on the changed table's non-key columns.
-    if let Some(groups) = groups {
+    if let Some(groups) = groups.filter(|_| !key_is_unique) {
         for name in spec.changed_cols.iter().filter(|c| !common.contains(c)) {
             let ids = input.column_by_name(name)?.value_ids();
             let rep: Vec<u32> = positions.iter().map(|&p| ids[p as usize]).collect();
@@ -357,23 +366,32 @@ pub fn decompose(input: &Table, spec: &DecomposeSpec) -> Result<DecomposeOutcome
         tracker.step("verify functional dependency");
     }
 
-    // Step 2 — bitmap filtering of every changed-side column, fanned out as
-    // one task per (column × input segment). Each task shrinks one
-    // segment's bitmaps to the positions falling in its row range; the
-    // chunks are then spliced back into segment directories per column.
     let changed_names: Vec<&str> = spec.changed_cols.iter().map(String::as_str).collect();
     let common_refs: Vec<&str> = common.iter().map(String::as_str).collect();
     let changed_schema = input.schema().project(&changed_names, &common_refs)?;
-    let to_filter: Vec<&EncodedColumn> = changed_names
+    let changed_inputs: Vec<&Arc<EncodedColumn>> = changed_names
         .iter()
-        .map(|n| Ok(input.column_by_name(n)?.as_ref()))
+        .map(|n| Ok(input.column_by_name(n)?))
         .collect::<Result<_>>()?;
-    let changed_columns = filter_columns_by_positions(&to_filter, &positions);
+    let changed_columns = if key_is_unique {
+        // Reuse, as for the unchanged side.
+        tracker.step_items("reuse changed columns", changed_inputs.len() as u64);
+        changed_inputs.into_iter().map(Arc::clone).collect()
+    } else {
+        // Step 2 — bitmap filtering of every changed-side column, fanned
+        // out as one task per (column × input segment). Each task shrinks
+        // one segment's bitmaps to the positions falling in its row range;
+        // the chunks are then spliced back into segment directories per
+        // column.
+        let to_filter: Vec<&EncodedColumn> = changed_inputs.iter().map(|c| c.as_ref()).collect();
+        let filtered = filter_columns_by_positions(&to_filter, &positions);
+        tracker.step_items(
+            "bitmap filtering",
+            (filtered.len() as u64) * positions.len() as u64,
+        );
+        filtered
+    };
     let changed = Table::new(&spec.changed_name, changed_schema, changed_columns)?;
-    tracker.step_items(
-        "bitmap filtering",
-        (changed.arity() as u64) * positions.len() as u64,
-    );
 
     Ok(DecomposeOutcome {
         unchanged,
@@ -448,6 +466,56 @@ mod tests {
         let out = decompose(&r, &figure1_spec()).unwrap();
         assert!(r.shares_column_with(&out.unchanged, "employee"));
         assert!(r.shares_column_with(&out.unchanged, "skill"));
+    }
+
+    #[test]
+    fn unique_key_shares_the_changed_side_too() {
+        let schema = Schema::build(
+            &[
+                ("id", ValueType::Int),
+                ("name", ValueType::Str),
+                ("region", ValueType::Str),
+            ],
+            &[],
+        )
+        .unwrap();
+        let rows = |ids: &[i64]| -> Vec<Vec<Value>> {
+            ids.iter()
+                .map(|&i| {
+                    vec![
+                        Value::int(i),
+                        Value::str(format!("n{i}")),
+                        Value::str(format!("r{}", i % 3)),
+                    ]
+                })
+                .collect()
+        };
+        let spec = DecomposeSpec::new("S", &["id", "name"], "T", &["id", "region"]);
+
+        // `id` is unique: T is a column subset of R, no filtering, no FD pass.
+        let r = Table::from_rows("R", schema.clone(), &rows(&[0, 1, 2, 3, 4, 5, 6])).unwrap();
+        let out = decompose(&r, &spec).unwrap();
+        assert_eq!(out.distinct_keys, 7);
+        for name in ["id", "region"] {
+            assert!(r.shares_column_with(&out.changed, name), "{name}");
+        }
+        assert_eq!(out.changed.schema().key_names(), vec!["id"]);
+        out.changed.verify_key().unwrap();
+        assert_eq!(
+            out.changed.to_rows(),
+            r.to_rows_projected(&["id", "region"]).unwrap()
+        );
+        assert!(out.status.step("bitmap filtering").is_none());
+        assert!(out.status.step("verify functional dependency").is_none());
+
+        // One repeated key and T shrinks: its columns are built, not shared.
+        let r = Table::from_rows("R", schema, &rows(&[0, 1, 2, 3, 4, 5, 0])).unwrap();
+        let out = decompose(&r, &spec).unwrap();
+        assert_eq!(out.changed.rows(), 6);
+        for name in ["id", "region"] {
+            assert!(!r.shares_column_with(&out.changed, name), "{name}");
+        }
+        assert!(out.status.step("bitmap filtering").is_some());
     }
 
     #[test]

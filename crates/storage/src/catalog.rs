@@ -81,8 +81,8 @@ impl CatalogSnapshot {
 /// shared with concurrent committers).
 pub trait DurabilitySink: Send + Sync + std::fmt::Debug {
     /// Sequences the commit diff for appending. `version` is the catalog
-    /// version the commit produced. Returns an opaque ticket for
-    /// [`wait`](DurabilitySink::wait).
+    /// version the commit produced; versions passed to one sink strictly
+    /// increase. Returns an opaque ticket for [`wait`](DurabilitySink::wait).
     fn stage(
         &self,
         version: u64,
@@ -130,6 +130,18 @@ impl Catalog {
     /// Creates an empty catalog.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A catalog holding `tables` at `version` — what a catalog file, or a
+    /// catalog file plus the commit records past it, rebuilds. Starting at
+    /// the stored version rather than 0 is what lets a commit record's
+    /// version say whether a given file already covers it.
+    pub(crate) fn from_parts(version: u64, tables: BTreeMap<String, Arc<Table>>) -> Catalog {
+        Catalog {
+            tables: RwLock::new(tables),
+            version: AtomicU64::new(version),
+            sink: RwLock::new(None),
+        }
     }
 
     /// The current mutation count. Two equal observations bracket a span in
@@ -270,22 +282,6 @@ impl Catalog {
     /// `true` when a durability sink is attached.
     pub fn is_durable(&self) -> bool {
         self.sink.read().is_some()
-    }
-
-    /// Re-applies a recovered commit record during replay: the same
-    /// write-locked drop/put step as a commit, but with no conflict check
-    /// and no staging (the record *came from* the log). Returns the catalog
-    /// version the replayed commit produced in this process.
-    pub(crate) fn apply_replay(&self, drops: &[String], puts: Vec<Arc<Table>>) -> u64 {
-        let mut map = self.tables.write();
-        for name in drops {
-            map.remove(name);
-        }
-        for t in puts {
-            map.insert(t.name().to_string(), t);
-        }
-        self.bump();
-        self.version.load(Ordering::Acquire)
     }
 
     /// Fetches a table snapshot.

@@ -4,35 +4,69 @@
 //! module makes *commits* crash-safe. Every successful
 //! [`Catalog::commit_evolution`] appends one checksummed commit record to a
 //! sidecar log (`<file>.clog`) describing the catalog diff — the tables the
-//! commit dropped and the full images of the tables it put — and the commit
-//! is acknowledged only once the record is on disk. On the next open,
-//! [`open_durable`] loads the checkpoint (the catalog file itself) and
-//! replays every sealed record past it, so an acknowledged commit survives
-//! any crash.
+//! commit dropped and the tables it put — and the commit is acknowledged
+//! only once the record is on disk. On the next open, [`open_durable`]
+//! loads the checkpoint (the catalog file itself) and replays every sealed
+//! record past it, so an acknowledged commit survives any crash.
 //!
 //! ## Record format
 //!
-//! The log reuses the WAL's frame format (`tag len payload fnv`, FNV-1a-64
-//! checksums — see [`crate::wal`]) behind a distinct magic:
+//! The log reuses the WAL's frame format (`tag len payload fnv` — see
+//! [`crate::wal`]) behind a distinct magic:
 //!
 //! ```text
 //! log     := magic:u32 version:u16 frame*
 //! frame   := COMMIT_TAG:u32 len:u64 record fnv:u64
 //! record  := version:u64 drops:u32 str* puts:u32 put*
-//! put     := str(name) mode:u8 body
-//! body    := 0 img_len:u64 image                      (inline)
+//! put     := str(name) schema rows:u64 ncols:u16 src* body
+//! src     := 0 str(table) col:u16                     (reused column)
+//!          | 1                                        (next image column)
+//! body    := 2                                        (no image)
+//!          | 0 img_len:u64 image                      (inline)
 //!          | 1 str(file) img_len:u64 img_fnv:u64      (spilled)
 //! str     := len:u32 bytes
+//! schema  := as in a table file ([`crate::persist`])
 //! ```
 //!
-//! A put's `image` is a self-contained v6 table image
-//! ([`crate::persist::encode_table`]): payloads travel in the image's own
-//! payload heap, so records never reference offsets inside the catalog
-//! file — a checkpoint or a vacuum can rewrite and rebind the catalog heap
-//! freely without stranding a pending record. Images at or below the spill
-//! threshold ride inline in the record; larger ones are spilled to
-//! `<file>.clog.d/sN.spill` (written and fsynced *before* the record that
-//! references them, and verified by length + checksum at replay).
+//! A put costs what it changed. Evolution hands out its input's columns by
+//! reference (a `DECOMPOSE`'s unchanged side *is* columns of its input), and
+//! the record says so: `src 0` is "column `col` of `table` in the state this
+//! record applies to", `src 1` is "the next column of my image", and the
+//! image is a self-contained table image ([`crate::persist::encode_table`])
+//! of the carried columns only — absent (`body 2`) when every column is
+//! reused. A put that reuses nothing is the all-`1` case of the same
+//! grammar. Payloads travel in the image's own heap and a reference is a
+//! table name and a column index, so records never hold offsets into the
+//! catalog file — a checkpoint or a vacuum can rewrite and rebind the
+//! catalog heap freely without stranding a pending record. Images at or
+//! below the spill threshold ride inline in the record; larger ones are
+//! spilled to `<file>.clog.d/sN.spill` (written and fsynced *before* the
+//! record that references them, and verified by length + checksum at
+//! replay).
+//!
+//! ## The durable view
+//!
+//! Which columns a put reuses is decided when the record is staged
+//! ([`DurabilitySink::stage`], under the catalog write lock), by pointer
+//! identity against the log's **durable view**: the name → table map that
+//! `catalog file + log so far` reconstructs. The view starts as what
+//! [`open_durable`] rebuilt and has every staged record applied to it — it
+//! is never the live catalog. A table that reached the catalog past the log
+//! (`Catalog::create` / `put` stay unlogged) is not in the view, so its
+//! columns are carried the first time a logged commit uses them; a
+//! reference is only ever written to something replay will have, which is
+//! why it is always resolvable.
+//!
+//! References resolve against the state before the record, overlaid put by
+//! put with the record's own earlier puts; the record's drops apply last. A
+//! `DECOMPOSE` therefore references the table it drops, and a column new to
+//! the record that two of its puts share is carried by the first and
+//! referenced by the second. Staging and replay run the same two steps
+//! (each put into the state as it is settled, `remove_dropped` after the
+//! last), so they agree by construction.
+//! Replay checks every resolved column's type and row count against the
+//! put's schema and turns any miss into [`StorageError::Corrupt`] — a sealed
+//! record is never skipped over and never panics.
 //!
 //! ## Group commit
 //!
@@ -51,23 +85,52 @@
 //!        → truncate (drop records the checkpoint covers)
 //! ```
 //!
-//! Replay applies sealed records in log order; the first torn or
+//! Replay walks sealed records in log order; the first torn or
 //! mis-checksummed frame ends the valid prefix and everything past it is
 //! discarded and physically truncated — **acknowledged-prefix semantics**:
 //! every acknowledged commit is in the valid prefix (its fsync covered it),
-//! and no torn record can ever apply (its checksum cannot seal). A crash
-//! between checkpoint and truncate merely leaves records the checkpoint
-//! already covers; re-applying them is idempotent because records carry
-//! full table images, not deltas.
+//! and no torn record can ever apply (its checksum cannot seal).
+//!
+//! A record's `version` is the catalog version its commit produced, and a
+//! catalog file carries the version of the content it holds
+//! ([`crate::persist`]). **Replay applies a record only if its version is
+//! greater than the catalog's so far, and then sets the catalog's version
+//! to it.** That is what makes the three crash windows of a checkpoint
+//! safe now that a record may refer to state instead of restating it:
+//!
+//! * before the save's commit point — the file is the old base, every
+//!   record is past it, all replay;
+//! * save committed, log not yet truncated — the records are present *and*
+//!   covered; their versions are at most the file's, so they are skipped
+//!   (re-applying one could resolve its references against tables a later
+//!   record replaced);
+//! * log truncated — only records past the snapshot remain.
+//!
+//! A record staged while a checkpoint is between its snapshot and the end
+//! of its save cannot know which of the two bases it will be replayed on,
+//! and the saved tables may differ from the view (they include unlogged
+//! tables). It carries all its columns. Once the save has committed the
+//! view becomes the saved tables plus those records; if the save fails the
+//! view is untouched (a save is taken at its word: one that reports failure
+//! is treated as not having replaced the base).
+//!
+//! The target file of a live log is written through
+//! [`CommitLog::checkpoint`]. Another writer of the same catalog's content
+//! (a `vacuum_catalog`, a plain `save_catalog`) stamps the version it
+//! wrote, so replay stays exact; it does not refresh the view, which then
+//! matches the file only as far as the catalog took no unlogged change.
 
 use crate::catalog::{Catalog, DurabilitySink};
+use crate::encoded::EncodedColumn;
 use crate::error::StorageError;
 use crate::fault;
-use crate::persist;
+use crate::persist::{self, Content};
+use crate::schema::Schema;
 use crate::table::Table;
 use crate::wal;
 use bytes::Bytes;
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -77,14 +140,27 @@ use std::time::Instant;
 
 /// Commit-log file magic ("CODS CLOG").
 const CLOG_MAGIC: u32 = 0xC0D5_C106;
-/// Commit-log format version.
-const CLOG_VERSION: u16 = 1;
+/// Commit-log format version (2: column-reference puts, word-at-a-time
+/// frame checksum).
+const CLOG_VERSION: u16 = 2;
 /// Frame tag of a commit record.
 const COMMIT_TAG: u32 = 2;
 /// Bytes of the log file header (magic + version).
 const CLOG_HEADER_BYTES: u64 = 6;
 /// Default inline-vs-spill threshold for put images.
 pub const DEFAULT_SPILL_THRESHOLD: usize = 64 * 1024;
+
+/// `src` tags of a put's column list.
+const SRC_REUSED: u8 = 0;
+const SRC_CARRIED: u8 = 1;
+/// `body` tags of a put.
+const BODY_INLINE: u8 = 0;
+const BODY_SPILLED: u8 = 1;
+const BODY_NONE: u8 = 2;
+
+/// The name → table state a record applies to: the log's durable view
+/// while staging, the catalog rebuilt so far during replay.
+type View = BTreeMap<String, Arc<Table>>;
 
 /// The sidecar commit-log path for a catalog file: `<file>.clog`.
 pub fn clog_path(target: &Path) -> PathBuf {
@@ -111,6 +187,13 @@ pub struct CommitLogStats {
     pub max_batch: u64,
     /// Cumulative wall time spent inside the group fsyncs, microseconds.
     pub fsync_micros: u64,
+    /// Put columns written as a reference to a column of the durable view.
+    pub columns_referenced: u64,
+    /// Put columns written out in an image — the ones that were not
+    /// pointer-identical to any column of the durable view.
+    pub columns_carried: u64,
+    /// Bytes the commits wrote: record frames plus spill files.
+    pub bytes_appended: u64,
     /// Records currently in the log, i.e. not yet checkpointed (gauge).
     pub pending_records: u64,
     /// Bytes of the log file (gauge).
@@ -120,7 +203,9 @@ pub struct CommitLogStats {
 /// What [`open_durable`] found and did during recovery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayReport {
-    /// Sealed commit records replayed onto the checkpoint.
+    /// Sealed commit records replayed onto the checkpoint. Records the
+    /// checkpoint already covers (a crash cut its truncation) are not
+    /// replayed and not counted.
     pub replayed: u64,
     /// `true` when a torn tail (a record whose append was cut by the
     /// crash) was discarded and truncated away.
@@ -130,9 +215,33 @@ pub struct ReplayReport {
     pub orphan_spills: u64,
 }
 
+/// One put of a pending record, as [`log_status`] lists it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PutSummary {
+    /// The table the put writes.
+    pub table: String,
+    /// Columns the put reuses from the state it applies to.
+    pub referenced: usize,
+    /// Columns the put carries in its image.
+    pub carried: usize,
+    /// Bytes of that image (inline or spilled); 0 without one.
+    pub carried_bytes: u64,
+}
+
+/// One pending record, as [`log_status`] lists it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecordSummary {
+    /// The catalog version the commit produced.
+    pub version: u64,
+    /// Tables the commit dropped.
+    pub drops: Vec<String>,
+    /// Tables the commit put.
+    pub puts: Vec<PutSummary>,
+}
+
 /// Read-only inspection of a catalog file's commit log — the data behind
 /// the CLI's `wal` status command. Produced by [`log_status`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LogStatus {
     /// `true` when `<file>.clog` exists.
     pub exists: bool,
@@ -147,6 +256,19 @@ pub struct LogStatus {
     pub spill_files: u64,
     /// Total bytes of those spill files.
     pub spill_bytes: u64,
+    /// What each sealed record holds, in log order.
+    pub pending: Vec<RecordSummary>,
+}
+
+/// Where one column of a staged put comes from: `Some((table, col))` names
+/// a column of the durable view, `None` is carried in the put's image.
+type Src = Option<(String, u16)>;
+
+/// One put of a staged record, with the reuse decisions made at staging.
+#[derive(Debug)]
+struct StagedPut {
+    table: Arc<Table>,
+    srcs: Vec<Src>,
 }
 
 /// One record staged by a committer, waiting for the group fsync.
@@ -155,10 +277,20 @@ struct Pending {
     ticket: u64,
     version: u64,
     drops: Vec<String>,
+    puts: Vec<StagedPut>,
+}
+
+/// A commit staged while a checkpoint was in flight, kept to rebuild the
+/// view on top of the saved tables.
+#[derive(Debug)]
+struct Raced {
+    version: u64,
+    drops: Vec<String>,
     puts: Vec<Arc<Table>>,
 }
 
-/// Scheduler state: the staging queue and the group-commit protocol.
+/// Scheduler state: the staging queue, the group-commit protocol and the
+/// durable view the queue is staged against.
 #[derive(Debug, Default)]
 struct Sched {
     queue: Vec<Pending>,
@@ -170,13 +302,22 @@ struct Sched {
     /// Set on the first append/checkpoint failure: the modeled process can
     /// no longer guarantee durability, so every later stage/wait fails.
     poisoned: Option<String>,
+    /// What `catalog file + every record staged so far` reconstructs.
+    view: View,
+    /// Version of the last record staged (of the recovered catalog, before
+    /// the first): a record's version must pass it, or replay would take
+    /// the record for one its base already covers.
+    last_version: u64,
+    /// `Some` while a checkpoint is between its snapshot and the end of
+    /// its save: the commits staged meanwhile, which carry every column.
+    raced: Option<Vec<Raced>>,
 }
 
 /// Index entry for one durable record in the log file.
 #[derive(Debug)]
 struct Entry {
-    /// Catalog version the commit produced *in this process* — compared
-    /// against the checkpoint's snapshot version to decide truncation.
+    /// Catalog version the commit produced — compared against the
+    /// checkpoint's snapshot version to decide truncation.
     version: u64,
     offset: u64,
     len: u64,
@@ -201,11 +342,17 @@ struct Inner {
     sched: Mutex<Sched>,
     done: Condvar,
     io: Mutex<LogIo>,
+    /// Held for the length of a checkpoint: one snapshot-save-truncate at
+    /// a time.
+    checkpointing: Mutex<()>,
     spill_seq: AtomicU64,
     commits: AtomicU64,
     fsyncs: AtomicU64,
     max_batch: AtomicU64,
     fsync_micros: AtomicU64,
+    columns_referenced: AtomicU64,
+    columns_carried: AtomicU64,
+    bytes_appended: AtomicU64,
 }
 
 /// A live commit log attached to one catalog file. Cheap to clone (shared
@@ -217,7 +364,7 @@ pub struct CommitLog {
 }
 
 /// Opens `target` durably: recovers any interrupted save, loads the
-/// checkpoint, replays the commit log's sealed records onto it (discarding
+/// checkpoint, replays the commit log's sealed records past it (discarding
 /// and truncating a torn tail), removes orphan spills, and attaches the
 /// log to the catalog as its [`DurabilitySink`]. Returns the recovered
 /// catalog, the live log, and what replay found.
@@ -233,12 +380,13 @@ pub fn open_durable_with(
     let lock = wal::path_lock(target);
     let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
 
-    // Checkpoint: the catalog file itself, save-recovered first.
+    // Checkpoint: the catalog file itself, save-recovered first. It says
+    // which commit it covers; records up to that version are skipped.
     wal::recover(target)?;
-    let catalog = if target.exists() {
-        persist::read_catalog_raw(target)?
+    let (mut version, mut view) = if target.exists() {
+        persist::read_catalog_raw(target)?.begin_evolution()
     } else {
-        Catalog::new()
+        (0, View::new())
     };
 
     let log_path = clog_path(target);
@@ -253,9 +401,7 @@ pub fn open_durable_with(
             recreate_header(&log_path)?;
             report.discarded_torn = !bytes.is_empty();
             len = CLOG_HEADER_BYTES;
-        } else if u32::from_le_bytes(bytes[..4].try_into().unwrap()) != CLOG_MAGIC
-            || u16::from_le_bytes(bytes[4..6].try_into().unwrap()) != CLOG_VERSION
-        {
+        } else if !is_clog_header(&bytes) {
             return Err(StorageError::Corrupt(format!(
                 "{} is not a commit log (bad magic/version)",
                 log_path.display()
@@ -265,6 +411,7 @@ pub fn open_durable_with(
             let valid_len = CLOG_HEADER_BYTES + used as u64;
             report.discarded_torn = valid_len < bytes.len() as u64;
             let mut offset = CLOG_HEADER_BYTES;
+            let mut prev_version = 0;
             for (tag, payload) in frames {
                 let frame_len = wal::FRAME_OVERHEAD_BYTES + payload.len() as u64;
                 if tag != COMMIT_TAG {
@@ -274,41 +421,41 @@ pub fn open_durable_with(
                     )));
                 }
                 let record = decode_record(&payload)?;
-                let mut puts = Vec::with_capacity(record.puts.len());
-                let mut rec_spills = Vec::new();
-                for put in record.puts {
-                    let image = match put.body {
-                        PutBody::Inline(img) => img,
-                        PutBody::Spill { file, len, fnv } => {
-                            let path = spills.join(&file);
-                            let img = std::fs::read(&path).map_err(|e| {
-                                StorageError::Corrupt(format!(
-                                    "sealed record references missing spill {}: {e}",
-                                    path.display()
-                                ))
-                            })?;
-                            if img.len() as u64 != len || wal::fnv1a64(&[&img]) != fnv {
-                                return Err(StorageError::Corrupt(format!(
-                                    "spill {} does not match its sealed record",
-                                    path.display()
-                                )));
-                            }
-                            rec_spills.push(path);
-                            Bytes::from(img)
-                        }
-                    };
-                    // Decode from owned bytes: the replayed table is backed
-                    // by memory, never by the (deletable) spill file.
-                    puts.push(Arc::new(persist::decode_table(image)?));
+                if record.version <= prev_version {
+                    return Err(StorageError::Corrupt(format!(
+                        "commit record {} follows record {prev_version} in {}",
+                        record.version,
+                        log_path.display()
+                    )));
                 }
-                let version = catalog.apply_replay(&record.drops, puts);
+                prev_version = record.version;
                 entries.push(Entry {
-                    version,
+                    version: record.version,
                     offset,
                     len: frame_len,
-                    spills: rec_spills,
+                    spills: record
+                        .puts
+                        .iter()
+                        .filter_map(|p| match &p.body {
+                            Some(PutBody::Spill { file, .. }) => Some(spills.join(file)),
+                            _ => None,
+                        })
+                        .collect(),
                 });
                 offset += frame_len;
+                if record.version <= version {
+                    // The checkpoint covers it (a crash cut the truncation
+                    // that follows a save): the next checkpoint drops it.
+                    continue;
+                }
+                let mut puts = Vec::with_capacity(record.puts.len());
+                for put in record.puts {
+                    let t = Arc::new(resolve_put(put, &view, &spills)?);
+                    view.insert(t.name().to_string(), Arc::clone(&t));
+                    puts.push(t);
+                }
+                remove_dropped(&mut view, &record.drops, &puts);
+                version = record.version;
                 report.replayed += 1;
             }
             if report.discarded_torn {
@@ -345,6 +492,7 @@ pub fn open_durable_with(
         }
     }
 
+    let catalog = Catalog::from_parts(version, view.clone());
     let file = fault::open_rw(&log_path)?;
     let log = CommitLog {
         inner: Arc::new(Inner {
@@ -352,45 +500,73 @@ pub fn open_durable_with(
             log_path,
             spill_dir: spills,
             spill_threshold,
-            sched: Mutex::new(Sched::default()),
+            sched: Mutex::new(Sched {
+                view,
+                last_version: version,
+                ..Sched::default()
+            }),
             done: Condvar::new(),
             io: Mutex::new(LogIo { file, len, entries }),
+            checkpointing: Mutex::new(()),
             spill_seq: AtomicU64::new(max_seq + 1),
             commits: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             max_batch: AtomicU64::new(0),
             fsync_micros: AtomicU64::new(0),
+            columns_referenced: AtomicU64::new(0),
+            columns_carried: AtomicU64::new(0),
+            bytes_appended: AtomicU64::new(0),
         }),
     };
     catalog.set_durability(Some(Arc::new(log.clone())));
     Ok((catalog, log, report))
 }
 
-/// (Re)creates the log file as a bare header, durably.
-fn recreate_header(log_path: &Path) -> Result<(), StorageError> {
-    let mut f = fault::create(log_path)?;
+/// `true` when `bytes` opens with this build's log header.
+fn is_clog_header(bytes: &[u8]) -> bool {
+    bytes.len() >= CLOG_HEADER_BYTES as usize
+        && bytes[..4] == CLOG_MAGIC.to_le_bytes()
+        && bytes[4..6] == CLOG_VERSION.to_le_bytes()
+}
+
+/// The log file header: magic + version.
+fn clog_header() -> [u8; CLOG_HEADER_BYTES as usize] {
     let mut header = [0u8; CLOG_HEADER_BYTES as usize];
     header[..4].copy_from_slice(&CLOG_MAGIC.to_le_bytes());
     header[4..6].copy_from_slice(&CLOG_VERSION.to_le_bytes());
-    fault::write_all(&mut f, &header)?;
+    header
+}
+
+/// (Re)creates the log file as a bare header, durably.
+fn recreate_header(log_path: &Path) -> Result<(), StorageError> {
+    let mut f = fault::create(log_path)?;
+    fault::write_all(&mut f, &clog_header())?;
     fault::sync(&f)?;
     Ok(())
 }
 
 /// Inspects the commit log of `target` without opening or mutating it.
+///
+/// # Errors
+/// [`StorageError::Corrupt`] when a sealed record does not decode.
 pub fn log_status(target: &Path) -> Result<LogStatus, StorageError> {
     let log_path = clog_path(target);
     let mut status = LogStatus::default();
     if let Ok(bytes) = std::fs::read(&log_path) {
         status.exists = true;
-        if bytes.len() >= CLOG_HEADER_BYTES as usize
-            && u32::from_le_bytes(bytes[..4].try_into().unwrap()) == CLOG_MAGIC
-            && u16::from_le_bytes(bytes[4..6].try_into().unwrap()) == CLOG_VERSION
-        {
+        if is_clog_header(&bytes) {
             let (frames, used) = wal::scan_frame_prefix(&bytes[CLOG_HEADER_BYTES as usize..]);
             status.records = frames.len() as u64;
             status.valid_bytes = CLOG_HEADER_BYTES + used as u64;
             status.torn_bytes = bytes.len() as u64 - status.valid_bytes;
+            for (_, payload) in &frames {
+                let record = decode_record(payload)?;
+                status.pending.push(RecordSummary {
+                    version: record.version,
+                    drops: record.drops,
+                    puts: record.puts.iter().map(PutRecord::summary).collect(),
+                });
+            }
         } else {
             status.torn_bytes = bytes.len() as u64;
         }
@@ -402,6 +578,27 @@ pub fn log_status(target: &Path) -> Result<LogStatus, StorageError> {
         }
     }
     Ok(status)
+}
+
+/// The last step of applying a record to `state`, shared by staging and
+/// replay: the record's puts are already in (each inserted as soon as it
+/// was resolved, so later puts could refer to it), and its drops go now —
+/// after every reference to a dropped table has been resolved. A name both
+/// dropped and put stays put, as in [`Catalog::commit_evolution`].
+fn remove_dropped(state: &mut View, drops: &[String], puts: &[Arc<Table>]) {
+    for d in drops {
+        if !puts.iter().any(|t| t.name() == d) {
+            state.remove(d);
+        }
+    }
+}
+
+/// Finds `col` in `state` by pointer identity.
+fn find_column(state: &View, col: &Arc<EncodedColumn>) -> Src {
+    state.values().find_map(|t| {
+        let at = t.columns().iter().position(|c| Arc::ptr_eq(c, col))?;
+        Some((t.name().to_string(), u16::try_from(at).ok()?))
+    })
 }
 
 impl CommitLog {
@@ -422,6 +619,9 @@ impl CommitLog {
             fsyncs: inner.fsyncs.load(Ordering::Relaxed),
             max_batch: inner.max_batch.load(Ordering::Relaxed),
             fsync_micros: inner.fsync_micros.load(Ordering::Relaxed),
+            columns_referenced: inner.columns_referenced.load(Ordering::Relaxed),
+            columns_carried: inner.columns_carried.load(Ordering::Relaxed),
+            bytes_appended: inner.bytes_appended.load(Ordering::Relaxed),
             pending_records,
             log_bytes,
         }
@@ -431,17 +631,52 @@ impl CommitLog {
     /// target file, then truncation of every log record the save covers.
     /// Returns the number of records truncated.
     ///
-    /// The snapshot version is read *before* the save, so a commit racing
-    /// the checkpoint can only leave its record in the log (to be replayed
-    /// idempotently or truncated next time) — never be truncated without
-    /// being in the save.
+    /// The save writes one `(version, tables)` snapshot, so the file says
+    /// exactly which records it covers: a commit racing the checkpoint is
+    /// either in the snapshot (and truncated with it) or past it (and kept,
+    /// carrying every column — see the module docs).
     pub fn checkpoint(&self, catalog: &Catalog) -> Result<u64, StorageError> {
-        let inner = &self.inner;
-        if let Some(msg) = &inner.sched.lock().poisoned {
+        let _one_at_a_time = self.inner.checkpointing.lock();
+        let (snap_version, tables) = self.begin_checkpoint(catalog)?;
+        self.finish_checkpoint(snap_version, tables)
+    }
+
+    /// First half of a checkpoint: from here until [`finish_checkpoint`]
+    /// has saved (or failed to), staged records carry every column; then
+    /// the snapshot the save will write.
+    ///
+    /// [`finish_checkpoint`]: CommitLog::finish_checkpoint
+    fn begin_checkpoint(&self, catalog: &Catalog) -> Result<(u64, View), StorageError> {
+        let mut sched = self.inner.sched.lock();
+        if let Some(msg) = &sched.poisoned {
             return Err(StorageError::Durability(msg.clone()));
         }
-        let snap_version = catalog.version();
-        persist::save_catalog(catalog, &inner.target)?;
+        sched.raced = Some(Vec::new());
+        drop(sched); // a committer holds the catalog lock while it stages
+        Ok(catalog.begin_evolution())
+    }
+
+    /// Second half: saves the snapshot, restarts the view from it, and
+    /// truncates the records it covers.
+    fn finish_checkpoint(&self, snap_version: u64, tables: View) -> Result<u64, StorageError> {
+        let inner = &self.inner;
+        let content = Content::Catalog(snap_version, tables.values().cloned().collect());
+        let saved = persist::save_content(&content, &inner.target);
+        {
+            let mut sched = inner.sched.lock();
+            let raced = sched.raced.take().unwrap_or_default();
+            saved?;
+            // The file is the recovery base now, and it holds the live
+            // catalog's tables, logged or not: the view restarts from them.
+            let mut view = tables;
+            for r in raced.iter().filter(|r| r.version > snap_version) {
+                for t in &r.puts {
+                    view.insert(t.name().to_string(), Arc::clone(t));
+                }
+                remove_dropped(&mut view, &r.drops, &r.puts);
+            }
+            sched.view = view;
+        }
         let res = self.truncate_covered(snap_version);
         if let Err(e) = &res {
             let mut sched = inner.sched.lock();
@@ -488,10 +723,7 @@ impl CommitLog {
             }
             let tmp = inner.log_path.with_extension("clog.tmp");
             let mut f = fault::create(&tmp)?;
-            let mut header = [0u8; CLOG_HEADER_BYTES as usize];
-            header[..4].copy_from_slice(&CLOG_MAGIC.to_le_bytes());
-            header[4..6].copy_from_slice(&CLOG_VERSION.to_le_bytes());
-            fault::write_all(&mut f, &header)?;
+            fault::write_all(&mut f, &clog_header())?;
             fault::write_all(&mut f, &retained)?;
             fault::sync(&f)?;
             drop_file(f);
@@ -514,21 +746,49 @@ impl CommitLog {
     /// Serializes one staged record, spilling oversized images. Spill files
     /// are durable before this returns — a sealed record never references
     /// an unsynced spill.
-    fn encode_record(&self, p: &Pending) -> Result<(Vec<u8>, Vec<PathBuf>), StorageError> {
+    fn encode_record(&self, p: &Pending) -> Result<Encoded, StorageError> {
         let inner = &self.inner;
-        let mut out = Vec::new();
+        let mut enc = Encoded::default();
+        let out = &mut enc.payload;
         out.extend_from_slice(&p.version.to_le_bytes());
         out.extend_from_slice(&(p.drops.len() as u32).to_le_bytes());
         for d in &p.drops {
-            put_str(&mut out, d);
+            put_str(out, d);
         }
         out.extend_from_slice(&(p.puts.len() as u32).to_le_bytes());
-        let mut spills = Vec::new();
-        for t in &p.puts {
-            put_str(&mut out, t.name());
-            let img = persist::encode_table(t);
+        for put in &p.puts {
+            let t = &put.table;
+            put_str(out, t.name());
+            persist::put_schema(out, t.schema());
+            out.extend_from_slice(&t.rows().to_le_bytes());
+            out.extend_from_slice(&(put.srcs.len() as u16).to_le_bytes());
+            let mut carried_defs = Vec::new();
+            let mut carried_cols = Vec::new();
+            for (i, src) in put.srcs.iter().enumerate() {
+                match src {
+                    Some((table, col)) => {
+                        out.push(SRC_REUSED);
+                        put_str(out, table);
+                        out.extend_from_slice(&col.to_le_bytes());
+                    }
+                    None => {
+                        out.push(SRC_CARRIED);
+                        carried_defs.push(t.schema().columns()[i].clone());
+                        carried_cols.push(Arc::clone(t.column(i)));
+                    }
+                }
+            }
+            enc.referenced += (put.srcs.len() - carried_cols.len()) as u64;
+            enc.carried += carried_cols.len() as u64;
+            if carried_cols.is_empty() {
+                out.push(BODY_NONE);
+                continue;
+            }
+            // The image is a table of the carried columns alone.
+            let carried = Table::new(t.name(), Schema::new(carried_defs)?, carried_cols)?;
+            let img = persist::encode_table(&carried);
             if img.len() <= inner.spill_threshold {
-                out.push(0);
+                out.push(BODY_INLINE);
                 out.extend_from_slice(&(img.len() as u64).to_le_bytes());
                 out.extend_from_slice(&img);
             } else {
@@ -540,14 +800,15 @@ impl CommitLog {
                 let mut f = fault::create(&path)?;
                 fault::write_all(&mut f, &img)?;
                 fault::sync(&f)?;
-                out.push(1);
-                put_str(&mut out, &name);
+                out.push(BODY_SPILLED);
+                put_str(out, &name);
                 out.extend_from_slice(&(img.len() as u64).to_le_bytes());
-                out.extend_from_slice(&wal::fnv1a64(&[&img]).to_le_bytes());
-                spills.push(path);
+                out.extend_from_slice(&wal::checksum(&[&img]).to_le_bytes());
+                enc.spills.push(path);
+                enc.spill_bytes += img.len() as u64;
             }
         }
-        Ok((out, spills))
+        Ok(enc)
     }
 
     /// Leader path: encodes and appends a whole batch of staged records,
@@ -556,11 +817,15 @@ impl CommitLog {
         let inner = &self.inner;
         let mut buf = Vec::new();
         let mut metas = Vec::with_capacity(batch.len());
+        let (mut referenced, mut carried, mut spill_bytes) = (0, 0, 0);
         for p in batch {
-            let (payload, spills) = self.encode_record(p)?;
-            let frame = wal::encode_frame(COMMIT_TAG, &payload);
-            metas.push((p.version, buf.len() as u64, frame.len() as u64, spills));
+            let enc = self.encode_record(p)?;
+            let frame = wal::encode_frame(COMMIT_TAG, &enc.payload);
+            metas.push((p.version, buf.len() as u64, frame.len() as u64, enc.spills));
             buf.extend_from_slice(&frame);
+            referenced += enc.referenced;
+            carried += enc.carried;
+            spill_bytes += enc.spill_bytes;
         }
         let mut io = inner.io.lock();
         let base = io.len;
@@ -578,6 +843,13 @@ impl CommitLog {
         inner
             .max_batch
             .fetch_max(batch.len() as u64, Ordering::Relaxed);
+        inner
+            .columns_referenced
+            .fetch_add(referenced, Ordering::Relaxed);
+        inner.columns_carried.fetch_add(carried, Ordering::Relaxed);
+        inner
+            .bytes_appended
+            .fetch_add(buf.len() as u64 + spill_bytes, Ordering::Relaxed);
         for (version, off, len, spills) in metas {
             io.entries.push(Entry {
                 version,
@@ -591,6 +863,16 @@ impl CommitLog {
     }
 }
 
+/// What [`CommitLog::encode_record`] produced for one record.
+#[derive(Default)]
+struct Encoded {
+    payload: Vec<u8>,
+    spills: Vec<PathBuf>,
+    spill_bytes: u64,
+    referenced: u64,
+    carried: u64,
+}
+
 impl DurabilitySink for CommitLog {
     fn stage(
         &self,
@@ -602,13 +884,46 @@ impl DurabilitySink for CommitLog {
         if let Some(msg) = &sched.poisoned {
             return Err(StorageError::Durability(msg.clone()));
         }
+        if version <= sched.last_version {
+            return Err(StorageError::Durability(format!(
+                "commit version {version} does not pass {}, the last one logged",
+                sched.last_version
+            )));
+        }
+        sched.last_version = version;
+        // Reuse is decided here, against the view as of the records staged
+        // before this one — and not at all while a checkpoint is replacing
+        // the base those references would resolve on.
+        let carry_all = sched.raced.is_some();
+        let mut staged = Vec::with_capacity(puts.len());
+        for t in puts {
+            let srcs = if carry_all {
+                vec![None; t.arity()]
+            } else {
+                let view = &sched.view;
+                t.columns().iter().map(|c| find_column(view, c)).collect()
+            };
+            sched.view.insert(t.name().to_string(), Arc::clone(t));
+            staged.push(StagedPut {
+                table: Arc::clone(t),
+                srcs,
+            });
+        }
+        remove_dropped(&mut sched.view, drops, puts);
+        if let Some(raced) = &mut sched.raced {
+            raced.push(Raced {
+                version,
+                drops: drops.to_vec(),
+                puts: puts.to_vec(),
+            });
+        }
         sched.next_ticket += 1;
         let ticket = sched.next_ticket;
         sched.queue.push(Pending {
             ticket,
             version,
             drops: drops.to_vec(),
-            puts: puts.to_vec(),
+            puts: staged,
         });
         Ok(ticket)
     }
@@ -669,55 +984,198 @@ enum PutBody {
     Spill { file: String, len: u64, fnv: u64 },
 }
 
-struct PutRef {
-    body: PutBody,
+/// One decoded put: well-formed on its own, not yet checked against any
+/// state.
+struct PutRecord {
+    name: String,
+    schema: Schema,
+    rows: u64,
+    /// One entry per schema column.
+    srcs: Vec<Src>,
+    /// The image of the carried columns; `None` exactly when every column
+    /// is a reference.
+    body: Option<PutBody>,
 }
 
-struct RecordDiff {
+impl PutRecord {
+    fn summary(&self) -> PutSummary {
+        let carried = self.srcs.iter().filter(|s| s.is_none()).count();
+        PutSummary {
+            table: self.name.clone(),
+            referenced: self.srcs.len() - carried,
+            carried,
+            carried_bytes: match &self.body {
+                None => 0,
+                Some(PutBody::Inline(img)) => img.len() as u64,
+                Some(PutBody::Spill { len, .. }) => *len,
+            },
+        }
+    }
+}
+
+struct Record {
+    version: u64,
     drops: Vec<String>,
-    puts: Vec<PutRef>,
+    puts: Vec<PutRecord>,
+}
+
+fn corrupt(msg: String) -> StorageError {
+    StorageError::Corrupt(msg)
 }
 
 /// Decodes a sealed record payload. A sealed-but-undecodable record is a
 /// hard corruption, never silently skipped — the frame checksum already
-/// passed, so the bytes are what was written.
-fn decode_record(payload: &[u8]) -> Result<RecordDiff, StorageError> {
+/// passed, so the bytes are what was written. No count read here sizes an
+/// allocation before the bytes behind it have been seen.
+fn decode_record(payload: &[u8]) -> Result<Record, StorageError> {
     let mut c = Cursor {
         bytes: payload,
         at: 0,
     };
-    let _version = c.u64()?;
+    let version = c.u64()?;
     let drops = (0..c.u32()?)
         .map(|_| c.str())
         .collect::<Result<Vec<_>, _>>()?;
-    let n_puts = c.u32()?;
-    let mut puts = Vec::with_capacity(n_puts.min(1 << 16) as usize);
-    for _ in 0..n_puts {
-        let _name = c.str()?;
+    let mut puts = Vec::new();
+    for _ in 0..c.u32()? {
+        let name = c.str()?;
+        let schema = c.schema()?;
+        let rows = c.u64()?;
+        let ncols = c.u16()? as usize;
+        if ncols != schema.arity() {
+            return Err(corrupt(format!(
+                "put {name:?} lists {ncols} columns for a schema of {}",
+                schema.arity()
+            )));
+        }
+        let mut srcs = Vec::with_capacity(ncols);
+        for _ in 0..ncols {
+            srcs.push(match c.u8()? {
+                SRC_REUSED => Some((c.str()?, c.u16()?)),
+                SRC_CARRIED => None,
+                tag => return Err(corrupt(format!("unknown commit-record src tag {tag}"))),
+            });
+        }
         let body = match c.u8()? {
-            0 => {
-                let len = c.u64()? as usize;
-                PutBody::Inline(Bytes::from(c.take(len)?.to_vec()))
+            BODY_NONE => None,
+            BODY_INLINE => {
+                let len = usize::try_from(c.u64()?)
+                    .map_err(|_| corrupt("inline image beyond address space".into()))?;
+                Some(PutBody::Inline(Bytes::from(c.take(len)?.to_vec())))
             }
-            1 => PutBody::Spill {
+            BODY_SPILLED => Some(PutBody::Spill {
                 file: c.str()?,
                 len: c.u64()?,
                 fnv: c.u64()?,
-            },
-            m => {
-                return Err(StorageError::Corrupt(format!(
-                    "unknown commit-record put mode {m}"
+            }),
+            tag => return Err(corrupt(format!("unknown commit-record body tag {tag}"))),
+        };
+        match (body.is_some(), srcs.iter().any(|s| s.is_none())) {
+            (true, false) => {
+                return Err(corrupt(format!(
+                    "put {name:?} has an image and no column to take from it"
                 )))
             }
-        };
-        puts.push(PutRef { body });
+            (false, true) => {
+                return Err(corrupt(format!(
+                    "put {name:?} takes columns from an image it does not have"
+                )))
+            }
+            _ => {}
+        }
+        puts.push(PutRecord {
+            name,
+            schema,
+            rows,
+            srcs,
+            body,
+        });
     }
     if c.at != payload.len() {
-        return Err(StorageError::Corrupt(
-            "trailing bytes after commit record".into(),
-        ));
+        return Err(corrupt("trailing bytes after commit record".into()));
     }
-    Ok(RecordDiff { drops, puts })
+    Ok(Record {
+        version,
+        drops,
+        puts,
+    })
+}
+
+/// Rebuilds one put's table over `state`: reused columns are looked up by
+/// table name and column index, carried ones taken in order from the image
+/// (read back and verified when it was spilled). Anything that does not
+/// fit — an unknown table, an index past its arity, an image of the wrong
+/// width, a column whose type or row count is not the schema's — is
+/// [`StorageError::Corrupt`].
+fn resolve_put(put: PutRecord, state: &View, spills: &Path) -> Result<Table, StorageError> {
+    let image = match put.body {
+        None => None,
+        Some(PutBody::Inline(img)) => Some(img),
+        Some(PutBody::Spill { file, len, fnv }) => {
+            let path = spills.join(&file);
+            let img = std::fs::read(&path).map_err(|e| {
+                corrupt(format!(
+                    "sealed record references missing spill {}: {e}",
+                    path.display()
+                ))
+            })?;
+            if img.len() as u64 != len || wal::checksum(&[&img]) != fnv {
+                return Err(corrupt(format!(
+                    "spill {} does not match its sealed record",
+                    path.display()
+                )));
+            }
+            Some(Bytes::from(img))
+        }
+    };
+    // Decoded from owned bytes: the replayed columns are backed by memory,
+    // never by the (deletable) spill file.
+    let image = image.map(persist::decode_table).transpose()?;
+    let carried = put.srcs.iter().filter(|s| s.is_none()).count();
+    if image.as_ref().map_or(0, Table::arity) != carried {
+        return Err(corrupt(format!(
+            "put {:?} takes {carried} columns from an image of {}",
+            put.name,
+            image.as_ref().map_or(0, Table::arity)
+        )));
+    }
+    let mut from_image = image.iter().flat_map(|t| t.columns());
+    let mut columns = Vec::with_capacity(put.srcs.len());
+    for src in &put.srcs {
+        let col = match src {
+            None => from_image.next().expect("image width checked above"),
+            Some((table, col)) => state
+                .get(table)
+                .ok_or_else(|| {
+                    corrupt(format!(
+                        "put {:?} reuses a column of {table:?}, which does not exist",
+                        put.name
+                    ))
+                })?
+                .columns()
+                .get(*col as usize)
+                .ok_or_else(|| {
+                    corrupt(format!(
+                        "put {:?} reuses column {col} of {table:?}, which is narrower",
+                        put.name
+                    ))
+                })?,
+        };
+        columns.push(Arc::clone(col));
+    }
+    // `Table::new` holds every column to the schema's type and to one row
+    // count; the record says which.
+    let t = Table::new(put.name, put.schema, columns)
+        .map_err(|e| corrupt(format!("commit record does not assemble: {e}")))?;
+    if t.rows() != put.rows {
+        return Err(corrupt(format!(
+            "put {:?} claims {} rows, its columns have {}",
+            t.name(),
+            put.rows,
+            t.rows()
+        )));
+    }
+    Ok(t)
 }
 
 /// Bounds-checked little-endian reader over a record payload.
@@ -732,7 +1190,7 @@ impl<'a> Cursor<'a> {
             .at
             .checked_add(n)
             .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| StorageError::Corrupt("truncated commit record".into()))?;
+            .ok_or_else(|| corrupt("truncated commit record".into()))?;
         let s = &self.bytes[self.at..end];
         self.at = end;
         Ok(s)
@@ -740,6 +1198,10 @@ impl<'a> Cursor<'a> {
 
     fn u8(&mut self) -> Result<u8, StorageError> {
         Ok(self.take(1)?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, StorageError> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     fn u32(&mut self) -> Result<u32, StorageError> {
@@ -753,14 +1215,22 @@ impl<'a> Cursor<'a> {
     fn str(&mut self) -> Result<String, StorageError> {
         let len = self.u32()? as usize;
         String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| StorageError::Corrupt("non-UTF-8 name in commit record".into()))
+            .map_err(|_| corrupt("non-UTF-8 name in commit record".into()))
+    }
+
+    /// A schema in the table-file encoding.
+    fn schema(&mut self) -> Result<Schema, StorageError> {
+        let mut rest = &self.bytes[self.at..];
+        let schema = persist::get_schema(&mut rest)
+            .map_err(|e| corrupt(format!("bad schema in commit record: {e}")))?;
+        self.at = self.bytes.len() - rest.len();
+        Ok(schema)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Schema;
     use crate::value::{Value, ValueType};
 
     fn scratch(name: &str) -> PathBuf {
@@ -940,6 +1410,435 @@ mod tests {
         let (cat2, _log2, replay) = open_durable(&path).unwrap();
         assert_eq!(replay.replayed, 3);
         assert_eq!(cat2.table_names(), vec!["c"]);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    // -- column references ------------------------------------------------
+
+    /// A saved catalog file holding `r` (10 rows) and `s` (4 rows), both
+    /// `(k Int, v Str)`, at catalog version 2 — the base the hand-built
+    /// records below apply to.
+    fn saved_base(name: &str) -> PathBuf {
+        let path = scratch(name);
+        let cat = Catalog::new();
+        cat.create(tiny("r", 10)).unwrap();
+        cat.create(tiny("s", 4)).unwrap();
+        persist::save_catalog(&cat, &path).unwrap();
+        path
+    }
+
+    #[test]
+    fn a_put_names_the_columns_it_reuses_and_carries_the_rest() {
+        let path = saved_base("refs.catalog");
+        let (cat, log, _r) = open_durable(&path).unwrap();
+        assert_eq!(
+            cat.version(),
+            2,
+            "a reopened catalog starts at the file's version"
+        );
+
+        // Rename: both columns are columns of the view's `r`.
+        let (base, snap) = cat.begin_evolution();
+        let renamed = Arc::new(snap["r"].renamed("r2"));
+        cat.commit_evolution(base, &["r".to_string()], vec![renamed])
+            .unwrap();
+        let stats = log.stats();
+        assert_eq!((stats.columns_referenced, stats.columns_carried), (2, 0));
+        assert_eq!(stats.bytes_appended, stats.log_bytes - CLOG_HEADER_BYTES);
+
+        // One reused column, one new: the new one alone is carried — and a
+        // second put of the same record refers to it through the first.
+        let (base, snap) = cat.begin_evolution();
+        let fresh = Arc::clone(tiny("x", 10).column(1));
+        let schema = snap["r2"].schema().clone();
+        let mixed = |name: &str| {
+            let cols = vec![Arc::clone(snap["r2"].column(0)), Arc::clone(&fresh)];
+            Arc::new(Table::new(name, schema.clone(), cols).unwrap())
+        };
+        cat.commit_evolution(base, &[], vec![mixed("m1"), mixed("m2")])
+            .unwrap();
+        let stats = log.stats();
+        assert_eq!((stats.columns_referenced, stats.columns_carried), (5, 1));
+
+        let status = log_status(&path).unwrap();
+        assert_eq!(status.pending.len(), 2);
+        assert_eq!(status.pending[0].version, 3);
+        assert_eq!(status.pending[0].drops, vec!["r"]);
+        let puts = &status.pending[1].puts;
+        assert_eq!(
+            (puts[0].referenced, puts[0].carried),
+            (1, 1),
+            "{:?}",
+            puts[0]
+        );
+        assert!(puts[0].carried_bytes > 0);
+        assert_eq!(
+            (puts[1].referenced, puts[1].carried, puts[1].carried_bytes),
+            (2, 0, 0)
+        );
+
+        // Replay resolves every reference: images equal, sharing restored.
+        let (cat2, _log2, replay) = open_durable(&path).unwrap();
+        assert_eq!(replay.replayed, 2);
+        assert_eq!(cat2.version(), cat.version());
+        for name in cat.table_names() {
+            assert_eq!(
+                persist::encode_table(&cat2.get(&name).unwrap()).as_slice(),
+                persist::encode_table(&cat.get(&name).unwrap()).as_slice(),
+                "{name}"
+            );
+        }
+        let (m1, m2) = (cat2.get("m1").unwrap(), cat2.get("m2").unwrap());
+        assert!(Arc::ptr_eq(m1.column(1), m2.column(1)));
+        assert!(Arc::ptr_eq(m1.column(0), cat2.get("r2").unwrap().column(0)));
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn an_unlogged_table_is_not_in_the_view_and_is_carried_once() {
+        let path = saved_base("unlogged.catalog");
+        let (cat, log, _r) = open_durable(&path).unwrap();
+        // `r` is replaced past the log: same name, same shape, other data.
+        let schema = tiny("r", 10).schema().clone();
+        let rows: Vec<Vec<Value>> = (0..10)
+            .map(|i| vec![Value::Int(100 + i), Value::str("z")])
+            .collect();
+        cat.put(Table::from_rows("r", schema, &rows).unwrap());
+
+        let (base, snap) = cat.begin_evolution();
+        let copy = Arc::new(snap["r"].renamed("copy"));
+        cat.commit_evolution(base, &[], vec![Arc::clone(&copy)])
+            .unwrap();
+        assert_eq!(log.stats().columns_carried, 2, "never the view's `r`");
+        // The logged table is in the view now; a second copy reuses it.
+        let (base, _) = cat.begin_evolution();
+        cat.commit_evolution(base, &[], vec![Arc::new(copy.renamed("copy2"))])
+            .unwrap();
+        assert_eq!(log.stats().columns_carried, 2);
+        assert_eq!(log.stats().columns_referenced, 2);
+
+        let (cat2, _log2, _r) = open_durable(&path).unwrap();
+        assert_eq!(cat2.get("copy").unwrap().to_rows(), copy.to_rows());
+        assert_eq!(cat2.get("copy2").unwrap().to_rows(), copy.to_rows());
+        assert_eq!(cat2.get("r").unwrap().to_rows(), tiny("r", 10).to_rows());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn a_commit_inside_a_checkpoint_carries_everything_and_survives_it() {
+        let path = saved_base("raced.catalog");
+        let (cat, log, _r) = open_durable(&path).unwrap();
+        let rename = |from: &str, to: &str| {
+            let (base, snap) = cat.begin_evolution();
+            let t = Arc::new(snap[from].renamed(to));
+            cat.commit_evolution(base, &[from.to_string()], vec![t])
+                .unwrap();
+        };
+        rename("r", "r2");
+        assert_eq!(log.stats().columns_carried, 0);
+
+        // Snapshot taken, save not yet run: the racing commit could be
+        // replayed on either base.
+        let (snap_version, tables) = log.begin_checkpoint(&cat).unwrap();
+        rename("s", "s2");
+        assert_eq!(log.stats().columns_carried, 2);
+        assert_eq!(log.finish_checkpoint(snap_version, tables).unwrap(), 1);
+        assert_eq!(log.stats().pending_records, 1, "the racing record is kept");
+
+        // The view is the saved tables plus that record: reuse works again.
+        rename("s2", "s3");
+        assert_eq!(log.stats().columns_carried, 2);
+        let (cat2, _log2, replay) = open_durable(&path).unwrap();
+        assert_eq!(replay.replayed, 2);
+        assert_eq!(cat2.table_names(), vec!["r2", "s3"]);
+        assert_eq!(cat2.get("s3").unwrap().to_rows(), tiny("s", 4).to_rows());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn records_the_file_covers_are_skipped_not_reapplied() {
+        let path = saved_base("covered.catalog");
+        let (cat, log, _r) = open_durable(&path).unwrap();
+        let (base, snap) = cat.begin_evolution();
+        let r2 = Arc::new(snap["r"].renamed("r2"));
+        cat.commit_evolution(base, &["r".to_string()], vec![r2])
+            .unwrap();
+        // A crash between the save and the truncation: the file covers the
+        // record, the record is still there — and it refers to `r`, which
+        // the covered state no longer has.
+        let log_bytes = std::fs::read(clog_path(&path)).unwrap();
+        log.checkpoint(&cat).unwrap();
+        std::fs::write(clog_path(&path), &log_bytes).unwrap();
+
+        let (cat2, log2, replay) = open_durable(&path).unwrap();
+        assert_eq!(replay.replayed, 0);
+        assert_eq!(cat2.version(), cat.version());
+        assert_eq!(cat2.table_names(), vec!["r2", "s"]);
+        // It is still the next checkpoint's to truncate.
+        assert_eq!(log2.stats().pending_records, 1);
+        assert_eq!(log2.checkpoint(&cat2).unwrap(), 1);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn a_version_that_does_not_advance_is_refused_at_staging() {
+        let path = saved_base("stale.catalog");
+        let (_cat, log, _r) = open_durable(&path).unwrap();
+        let t = Arc::new(tiny("t", 2));
+        for stale in [0, 2] {
+            assert!(matches!(
+                log.stage(stale, &[], &[Arc::clone(&t)]),
+                Err(StorageError::Durability(_))
+            ));
+        }
+        let ticket = log.stage(3, &[], &[t]).unwrap();
+        log.wait(ticket).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    // -- hostile sealed records -------------------------------------------
+
+    const INT: ValueType = ValueType::Int;
+    const STR: ValueType = ValueType::Str;
+
+    /// One `src` entry of a hand-built put.
+    enum RawSrc {
+        Reuse(&'static str, u16),
+        Carry,
+        Tag(u8),
+    }
+    use RawSrc::{Carry, Reuse};
+
+    /// A hand-built put: every field is written as given, consistent or not.
+    struct RawPut {
+        schema: Vec<(&'static str, ValueType)>,
+        rows: u64,
+        ncols: u16,
+        srcs: Vec<RawSrc>,
+        body: Vec<u8>,
+    }
+
+    fn body_none() -> Vec<u8> {
+        vec![BODY_NONE]
+    }
+
+    /// An inline body holding the image of `cols` columns of `tiny("i", rows)`.
+    fn body_image(rows: i64, cols: &[usize]) -> Vec<u8> {
+        let t = tiny("i", rows);
+        let defs = cols.iter().map(|&c| t.schema().columns()[c].clone());
+        let image = Table::new(
+            "i",
+            Schema::new(defs.collect()).unwrap(),
+            cols.iter().map(|&c| Arc::clone(t.column(c))).collect(),
+        )
+        .unwrap();
+        let img = persist::encode_table(&image);
+        let mut out = vec![BODY_INLINE];
+        out.extend_from_slice(&(img.len() as u64).to_le_bytes());
+        out.extend_from_slice(&img);
+        out
+    }
+
+    fn raw_record(version: u64, puts: &[RawPut]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes()); // no drops
+        out.extend_from_slice(&(puts.len() as u32).to_le_bytes());
+        for p in puts {
+            put_str(&mut out, "out");
+            persist::put_schema(&mut out, &Schema::build(&p.schema, &[]).unwrap());
+            out.extend_from_slice(&p.rows.to_le_bytes());
+            out.extend_from_slice(&p.ncols.to_le_bytes());
+            for src in &p.srcs {
+                match src {
+                    Reuse(table, col) => {
+                        out.push(SRC_REUSED);
+                        put_str(&mut out, table);
+                        out.extend_from_slice(&col.to_le_bytes());
+                    }
+                    Carry => out.push(SRC_CARRIED),
+                    RawSrc::Tag(t) => out.push(*t),
+                }
+            }
+            out.extend_from_slice(&p.body);
+        }
+        out
+    }
+
+    /// Seals `payload` as the only record of `path`'s log and reopens.
+    fn reopen_with_record(
+        path: &Path,
+        payload: &[u8],
+    ) -> Result<(Catalog, CommitLog, ReplayReport), StorageError> {
+        let mut log = clog_header().to_vec();
+        log.extend_from_slice(&wal::encode_frame(COMMIT_TAG, payload));
+        std::fs::write(clog_path(path), log).unwrap();
+        open_durable(path)
+    }
+
+    fn two_col(srcs: Vec<RawSrc>, body: Vec<u8>) -> RawPut {
+        RawPut {
+            schema: vec![("k", INT), ("v", STR)],
+            rows: 10,
+            ncols: 2,
+            srcs,
+            body,
+        }
+    }
+
+    #[test]
+    fn a_well_formed_hand_built_record_replays() {
+        let path = saved_base("wellformed.catalog");
+        let put = two_col(vec![Reuse("r", 0), Carry], body_image(10, &[1]));
+        let (cat, _log, replay) = reopen_with_record(&path, &raw_record(3, &[put])).unwrap();
+        assert_eq!(replay.replayed, 1);
+        assert_eq!(cat.version(), 3);
+        assert_eq!(cat.get("out").unwrap().to_rows(), tiny("r", 10).to_rows());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn hostile_sealed_records_are_typed_corrupt() {
+        let path = saved_base("hostile.catalog");
+        let int_col = |rows, srcs, body| RawPut {
+            schema: vec![("k", INT)],
+            rows,
+            ncols: 1,
+            srcs,
+            body,
+        };
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            (
+                "src 0 names an unknown table",
+                raw_record(
+                    3,
+                    &[two_col(vec![Reuse("ghost", 0), Reuse("r", 1)], body_none())],
+                ),
+            ),
+            (
+                "col is the table's arity",
+                raw_record(
+                    3,
+                    &[two_col(vec![Reuse("r", 0), Reuse("r", 2)], body_none())],
+                ),
+            ),
+            (
+                "a reused column of another type",
+                raw_record(
+                    3,
+                    &[two_col(vec![Reuse("r", 1), Reuse("r", 1)], body_none())],
+                ),
+            ),
+            (
+                "a carried column of another type",
+                raw_record(
+                    3,
+                    &[two_col(vec![Reuse("r", 0), Carry], body_image(10, &[0]))],
+                ),
+            ),
+            (
+                "reused columns of two row counts",
+                raw_record(
+                    3,
+                    &[two_col(vec![Reuse("r", 0), Reuse("s", 1)], body_none())],
+                ),
+            ),
+            (
+                "a row count the columns do not have",
+                raw_record(3, &[int_col(7, vec![Reuse("r", 0)], body_none())]),
+            ),
+            (
+                "a carried column of another row count",
+                raw_record(
+                    3,
+                    &[two_col(vec![Reuse("r", 0), Carry], body_image(9, &[1]))],
+                ),
+            ),
+            ("ncols below the schema's arity", {
+                let mut p = two_col(vec![Reuse("r", 0)], body_none());
+                p.ncols = 1;
+                raw_record(3, &[p])
+            }),
+            ("ncols = u16::MAX with nothing behind it", {
+                let mut p = int_col(10, vec![], vec![]);
+                p.ncols = u16::MAX;
+                raw_record(3, &[p])
+            }),
+            (
+                "an image narrower than the src 1 entries",
+                raw_record(3, &[two_col(vec![Carry, Carry], body_image(10, &[0]))]),
+            ),
+            (
+                "an image wider than the src 1 entries",
+                raw_record(
+                    3,
+                    &[two_col(vec![Reuse("r", 0), Carry], body_image(10, &[0, 1]))],
+                ),
+            ),
+            (
+                "body 2 with a src 1 present",
+                raw_record(3, &[two_col(vec![Reuse("r", 0), Carry], body_none())]),
+            ),
+            (
+                "body 0 with no src 1",
+                raw_record(
+                    3,
+                    &[two_col(
+                        vec![Reuse("r", 0), Reuse("r", 1)],
+                        body_image(10, &[1]),
+                    )],
+                ),
+            ),
+            (
+                "an unknown src tag",
+                raw_record(
+                    3,
+                    &[two_col(vec![Reuse("r", 0), RawSrc::Tag(7)], body_none())],
+                ),
+            ),
+            (
+                "an unknown body tag",
+                raw_record(3, &[two_col(vec![Reuse("r", 0), Reuse("r", 1)], vec![9])]),
+            ),
+            ("trailing bytes", {
+                let mut rec = raw_record(
+                    3,
+                    &[two_col(vec![Reuse("r", 0), Reuse("r", 1)], body_none())],
+                );
+                rec.push(0);
+                rec
+            }),
+            ("a put count with no puts behind it", {
+                let mut rec = raw_record(3, &[]);
+                let at = rec.len() - 4;
+                rec[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+                rec
+            }),
+            ("a drop count with no names behind it", {
+                let mut rec = raw_record(3, &[]);
+                rec[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+                rec
+            }),
+        ];
+        for (what, payload) in cases {
+            match reopen_with_record(&path, &payload) {
+                Err(StorageError::Corrupt(_)) => {}
+                other => panic!("{what}: wanted Corrupt, got {:?}", other.map(|r| r.2)),
+            }
+        }
+        // Two sealed records whose versions do not increase.
+        let ok = || {
+            raw_record(
+                3,
+                &[two_col(vec![Reuse("r", 0), Reuse("r", 1)], body_none())],
+            )
+        };
+        let mut log = clog_header().to_vec();
+        for rec in [ok(), ok()] {
+            log.extend_from_slice(&wal::encode_frame(COMMIT_TAG, &rec));
+        }
+        std::fs::write(clog_path(&path), log).unwrap();
+        assert!(matches!(open_durable(&path), Err(StorageError::Corrupt(_))));
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

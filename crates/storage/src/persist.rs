@@ -1,6 +1,6 @@
 //! Binary persistence of tables and catalogs.
 //!
-//! There is one on-disk format (version 6). A file is a payload heap plus a
+//! There is one on-disk format (version 7). A file is a payload heap plus a
 //! metadata region, so a column opens as *metadata only* — schema,
 //! dictionary, per-segment stats, zone maps, encoding/pin tags — while
 //! segment payloads stay on disk behind a footer index and fault in through
@@ -11,7 +11,7 @@
 //! preamble := magic:u32 version:u16
 //! footer   := meta_off:u64 magic:u32               (the last 12 bytes)
 //! metadata := table                                (table file)
-//! metadata := table_count:u32 table*               (catalog file)
+//! metadata := version:u64 table_count:u32 table*   (catalog file)
 //! table    := name:str schema rows:u64 column*
 //! schema   := arity:u16 (name:str tag:u8)* key_len:u16 key_idx:u16*
 //! column   := dict flags:u8 seg_rows:u64 seg_count:u32 segment* zone*
@@ -33,6 +33,12 @@
 //! table versions reference it, and a catalog decode re-shares slots with
 //! identical locations.
 //!
+//! A catalog file's `version` is the [`Catalog::version`] of the content it
+//! holds, written by every writer of a catalog file (append-save, rewrite,
+//! vacuum) from the same snapshot as the tables. A catalog read back starts
+//! at that version, and [`crate::commitlog::open_durable`] replays only the
+//! commit records past it — the file says which commits it already covers.
+//!
 //! Saving onto a file that already backs some of the table's segments is
 //! an *append*: reused payloads keep their offsets, only new segments'
 //! payloads are appended at the old metadata offset, and the metadata
@@ -43,6 +49,7 @@
 //! A preamble carrying any other version is refused with
 //! `PersistError("unsupported version N")`.
 
+use crate::catalog::Catalog;
 use crate::dictionary::Dictionary;
 use crate::encoded::{EncodedColumn, Encoding};
 use crate::error::StorageError;
@@ -62,9 +69,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const MAGIC: u32 = 0xC0D5_0001;
-/// The on-disk format version (demand-paged payload heap + footer) — the
-/// only one this build reads or writes.
-pub const VERSION: u16 = 6;
+/// The on-disk format version (demand-paged payload heap + footer, catalog
+/// files stamped with the catalog version they hold) — the only one this
+/// build reads or writes.
+pub const VERSION: u16 = 7;
 
 /// `magic:u32 version:u16`.
 pub(crate) const PREAMBLE_LEN: usize = 6;
@@ -158,7 +166,7 @@ fn get_value<B: Buf>(buf: &mut B) -> Result<Value, StorageError> {
     })
 }
 
-fn put_schema<B: BufMut>(buf: &mut B, s: &Schema) {
+pub(crate) fn put_schema<B: BufMut>(buf: &mut B, s: &Schema) {
     buf.put_u16_le(s.arity() as u16);
     for c in s.columns() {
         put_str(buf, &c.name);
@@ -170,11 +178,15 @@ fn put_schema<B: BufMut>(buf: &mut B, s: &Schema) {
     }
 }
 
-fn get_schema<B: Buf>(buf: &mut B) -> Result<Schema, StorageError> {
+pub(crate) fn get_schema<B: Buf>(buf: &mut B) -> Result<Schema, StorageError> {
     if buf.remaining() < 2 {
         return Err(eof());
     }
     let arity = buf.get_u16_le() as usize;
+    // A column record is at least its name's length and a type tag.
+    if arity > buf.remaining() / 5 {
+        return Err(eof());
+    }
     let mut cols = Vec::with_capacity(arity);
     for _ in 0..arity {
         let name = get_str(buf)?;
@@ -189,6 +201,9 @@ fn get_schema<B: Buf>(buf: &mut B) -> Result<Schema, StorageError> {
         return Err(eof());
     }
     let key_len = buf.get_u16_le() as usize;
+    if key_len > buf.remaining() / 2 {
+        return Err(eof());
+    }
     let mut key = Vec::with_capacity(key_len);
     for _ in 0..key_len {
         if buf.remaining() < 2 {
@@ -397,15 +412,22 @@ fn put_table<B: BufMut>(
 pub(crate) enum Content<'a> {
     /// A single-table file.
     Table(&'a Table),
-    /// A catalog file (table count + tables).
-    Catalog(Vec<Arc<Table>>),
+    /// A catalog file: the catalog version and the tables it holds at
+    /// that version, taken in one step ([`Catalog::begin_evolution`]).
+    Catalog(u64, Vec<Arc<Table>>),
 }
 
 impl Content<'_> {
+    /// One consistent `(version, tables)` snapshot of `cat`.
+    pub(crate) fn of_catalog(cat: &Catalog) -> Content<'static> {
+        let (version, tables) = cat.begin_evolution();
+        Content::Catalog(version, tables.into_values().collect())
+    }
+
     fn tables(&self) -> Vec<&Table> {
         match self {
             Content::Table(t) => vec![t],
-            Content::Catalog(ts) => ts.iter().map(|t| t.as_ref()).collect(),
+            Content::Catalog(_, ts) => ts.iter().map(|t| t.as_ref()).collect(),
         }
     }
 
@@ -414,7 +436,7 @@ impl Content<'_> {
     pub(crate) fn to_owned_content(&self) -> OwnedContent {
         match self {
             Content::Table(t) => OwnedContent::Table((*t).clone()),
-            Content::Catalog(ts) => OwnedContent::Catalog(ts.clone()),
+            Content::Catalog(v, ts) => OwnedContent::Catalog(*v, ts.clone()),
         }
     }
 }
@@ -425,7 +447,7 @@ pub(crate) enum OwnedContent {
     /// A single-table file.
     Table(Table),
     /// A catalog file.
-    Catalog(Vec<Arc<Table>>),
+    Catalog(u64, Vec<Arc<Table>>),
 }
 
 impl OwnedContent {
@@ -433,7 +455,7 @@ impl OwnedContent {
     pub(crate) fn as_content(&self) -> Content<'_> {
         match self {
             OwnedContent::Table(t) => Content::Table(t),
-            OwnedContent::Catalog(ts) => Content::Catalog(ts.clone()),
+            OwnedContent::Catalog(v, ts) => Content::Catalog(*v, ts.clone()),
         }
     }
 }
@@ -445,7 +467,8 @@ fn put_content<B: BufMut>(
 ) -> Result<(), StorageError> {
     match what {
         Content::Table(t) => put_table(meta, heap, t),
-        Content::Catalog(ts) => {
+        Content::Catalog(version, ts) => {
+            meta.put_u64_le(*version);
             meta.put_u32_le(ts.len() as u32);
             for t in ts {
                 put_table(meta, heap, t)?;
@@ -655,7 +678,7 @@ fn save_rewrite(what: &Content<'_>, path: &Path) -> Result<(), StorageError> {
     bind_placements(path, placements, SegSlot::attach_disk)
 }
 
-fn save_content(what: &Content<'_>, path: &Path) -> Result<(), StorageError> {
+pub(crate) fn save_content(what: &Content<'_>, path: &Path) -> Result<(), StorageError> {
     let lock = wal::path_lock(path);
     let stats = {
         let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
@@ -1033,27 +1056,27 @@ impl Opened {
     /// Decodes the metadata region of a catalog container. Records with
     /// identical heap locations come back as one shared slot, so columns
     /// shared across table versions stay shared — and cached once.
-    fn catalog(mut self) -> Result<crate::catalog::Catalog, StorageError> {
-        if self.meta.remaining() < 4 {
+    fn catalog(mut self) -> Result<Catalog, StorageError> {
+        if self.meta.remaining() < 8 + 4 {
             return Err(eof());
         }
+        let version = self.meta.get_u64_le();
         let count = self.meta.get_u32_le();
-        let cat = crate::catalog::Catalog::new();
+        let mut tables = std::collections::BTreeMap::new();
         let mut dedup = SlotDedup::new();
         for _ in 0..count {
-            cat.create(get_table(
-                &mut self.meta,
-                &self.source,
-                self.heap_end,
-                &mut dedup,
-            )?)?;
+            let t = get_table(&mut self.meta, &self.source, self.heap_end, &mut dedup)?;
+            let name = t.name().to_string();
+            if tables.insert(name.clone(), Arc::new(t)).is_some() {
+                return Err(StorageError::TableExists(name));
+            }
         }
         if self.meta.remaining() != 0 {
             return Err(StorageError::PersistError(
                 "trailing bytes after catalog metadata".into(),
             ));
         }
-        Ok(cat)
+        Ok(Catalog::from_parts(version, tables))
     }
 }
 
@@ -1125,31 +1148,29 @@ pub(crate) fn read_table_raw(path: &Path) -> Result<Table, StorageError> {
 ///
 /// # Panics
 /// See [`encode_table`].
-pub fn encode_catalog(cat: &crate::catalog::Catalog) -> Bytes {
-    let (image, _) = build_image(&Content::Catalog(cat.snapshot()))
+pub fn encode_catalog(cat: &Catalog) -> Bytes {
+    let (image, _) = build_image(&Content::of_catalog(cat))
         .unwrap_or_else(|e| panic!("encode_catalog: cannot re-read segment payloads: {e}"));
     image
 }
 
 /// Deserializes a catalog (lazily — see [`decode_table`]).
-pub fn decode_catalog(buf: Bytes) -> Result<crate::catalog::Catalog, StorageError> {
+pub fn decode_catalog(buf: Bytes) -> Result<Catalog, StorageError> {
     Opened::image(buf)?.catalog()
 }
 
 /// Writes a catalog to a file (append-save semantics — see [`save_table`]).
 /// This is what makes the CLI's `save` O(new data + metadata) instead of
-/// O(catalog).
-pub fn save_catalog(
-    cat: &crate::catalog::Catalog,
-    path: impl AsRef<Path>,
-) -> Result<(), StorageError> {
-    save_content(&Content::Catalog(cat.snapshot()), path.as_ref())
+/// O(catalog). The file is stamped with the catalog version of the tables
+/// it holds; both come from one [`Catalog::begin_evolution`] snapshot.
+pub fn save_catalog(cat: &Catalog, path: impl AsRef<Path>) -> Result<(), StorageError> {
+    save_content(&Content::of_catalog(cat), path.as_ref())
 }
 
 /// Reads a catalog from a file (lazily — see [`read_table`]). Detects an
 /// interrupted save first and rolls the file back to its last committed
 /// footer.
-pub fn read_catalog(path: impl AsRef<Path>) -> Result<crate::catalog::Catalog, StorageError> {
+pub fn read_catalog(path: impl AsRef<Path>) -> Result<Catalog, StorageError> {
     let path = path.as_ref();
     recover_before_read(path)?;
     read_catalog_raw(path)
@@ -1157,14 +1178,13 @@ pub fn read_catalog(path: impl AsRef<Path>) -> Result<crate::catalog::Catalog, S
 
 /// [`read_catalog`] without the recovery step — for callers (vacuum) that
 /// already hold the file's save lock and have recovered it.
-pub(crate) fn read_catalog_raw(path: &Path) -> Result<crate::catalog::Catalog, StorageError> {
+pub(crate) fn read_catalog_raw(path: &Path) -> Result<Catalog, StorageError> {
     Opened::file(path)?.catalog()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::Catalog;
     use crate::encoded::Encoding;
     use crate::store::budget_guard;
 
@@ -1666,6 +1686,65 @@ mod tests {
         buf.put_u32_le(MAGIC);
         buf.put_u16_le(VERSION + 1);
         assert!(decode_table(buf.freeze()).is_err());
+    }
+
+    #[test]
+    fn previous_version_is_refused_by_number() {
+        // Format 6 differs from 7 only in what a catalog's metadata opens
+        // with; it is refused like any other foreign version, not guessed at.
+        let mut raw = encode_catalog(&Catalog::new()).as_slice().to_vec();
+        raw[4..6].copy_from_slice(&6u16.to_le_bytes());
+        for err in [
+            decode_catalog(Bytes::from(raw.clone())).map(|_| ()),
+            decode_table(Bytes::from(raw)).map(|_| ()),
+        ] {
+            match err {
+                Err(StorageError::PersistError(m)) => assert_eq!(m, "unsupported version 6"),
+                other => panic!("wanted the unsupported-version error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn catalog_file_carries_the_version_of_its_content() {
+        let _g = budget_guard();
+        let cat = Catalog::new();
+        cat.create(sample()).unwrap();
+        cat.create(multi_segment()).unwrap();
+        cat.drop_table("multi").unwrap();
+        assert_eq!(cat.version(), 3);
+        let path = temp("catalog_version");
+        save_catalog(&cat, &path).unwrap();
+        let back = read_catalog(&path).unwrap();
+        assert_eq!(back.version(), 3, "a catalog read back starts where it was");
+        assert_eq!(back.table_names(), vec!["users"]);
+        // An append-save and a vacuum stamp what they write, too.
+        back.put(multi_segment());
+        save_catalog(&back, &path).unwrap();
+        assert_eq!(read_catalog(&path).unwrap().version(), 4);
+        crate::vacuum::vacuum_file(&path).unwrap();
+        assert_eq!(read_catalog(&path).unwrap().version(), 4);
+        assert_eq!(decode_catalog(encode_catalog(&back)).unwrap().version(), 4);
+
+        // The field sits at the metadata offset; a file cut inside it has
+        // lost its footer and is the typed torn tail.
+        let raw = std::fs::read(&path).unwrap();
+        let meta_off = footer_meta_off(&path) as usize;
+        assert_eq!(raw[meta_off..meta_off + 8], 4u64.to_le_bytes());
+        std::fs::write(&path, &raw[..meta_off + 5]).unwrap();
+        match read_catalog(&path) {
+            Err(StorageError::Corrupt(m)) => assert!(m.contains("torn tail"), "{m}"),
+            other => panic!(
+                "wanted the torn-tail error, got {:?}",
+                other.map(|c| c.len())
+            ),
+        }
+        // An image cut there has no path to hint at: a plain decode error.
+        assert!(matches!(
+            decode_catalog(Bytes::from(raw[..meta_off + 5].to_vec())),
+            Err(StorageError::PersistError(_))
+        ));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -27,12 +27,15 @@
 //! in the append path refuses to reuse extents of a replaced inode.
 //!
 //! The commit log ([`crate::commitlog`]) is likewise immune to vacuums by
-//! construction: its records carry *self-contained* table images whose
-//! payloads live in the record (or its spill file), never offsets into the
-//! catalog heap — so a vacuum that rewrites and rebinds the whole heap can
-//! neither strand nor reorder a pending, un-checkpointed record. The
-//! vacuum touches only `<file>` (and its `.wal`); `<file>.clog` and
-//! `<file>.clog.d/` pass through untouched.
+//! construction: a record names a reused column by *table and column
+//! index* and carries every other column as a self-contained image in the
+//! record (or its spill file) — never an offset into the catalog heap —
+//! so a vacuum that rewrites and rebinds the whole heap can neither strand
+//! nor reorder a pending, un-checkpointed record. A vacuum writes the
+//! catalog version of the content it writes, like any save, so replay
+//! still knows which records the compacted file covers. The vacuum touches
+//! only `<file>` (and its `.wal`); `<file>.clog` and `<file>.clog.d/` pass
+//! through untouched.
 
 use crate::catalog::Catalog;
 use crate::error::StorageError;
@@ -67,7 +70,7 @@ impl VacuumReport {
     }
 }
 
-/// Heap occupancy of one v6 file: how much of its payload heap is still
+/// Heap occupancy of one file: how much of its payload heap is still
 /// referenced by its own metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeapStats {
@@ -224,7 +227,7 @@ pub fn vacuum_catalog(cat: &Catalog, path: impl AsRef<Path>) -> Result<VacuumRep
     let path = path.as_ref();
     let lock = wal::path_lock(path);
     let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-    compact(&Content::Catalog(cat.snapshot()), path)
+    compact(&Content::of_catalog(cat), path)
 }
 
 /// Offline vacuum: opens `path` (as a catalog, falling back to a single
@@ -236,7 +239,7 @@ pub fn vacuum_file(path: impl AsRef<Path>) -> Result<VacuumReport, StorageError>
     let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
     wal::recover(path)?;
     let owned = match persist::read_catalog_raw(path) {
-        Ok(cat) => OwnedContent::Catalog(cat.snapshot()),
+        Ok(cat) => Content::of_catalog(&cat).to_owned_content(),
         Err(catalog_err) => match persist::read_table_raw(path) {
             Ok(t) => OwnedContent::Table(t),
             Err(_) => return Err(catalog_err),
@@ -245,7 +248,7 @@ pub fn vacuum_file(path: impl AsRef<Path>) -> Result<VacuumReport, StorageError>
     compact(&owned.as_content(), path)
 }
 
-/// Measures the heap occupancy of a v6 file: opens its metadata (lazily —
+/// Measures the heap occupancy of a file: opens its metadata (lazily —
 /// no payload is read) and sums the distinct extents it references.
 pub fn heap_stats(path: impl AsRef<Path>) -> Result<HeapStats, StorageError> {
     let path = path.as_ref();

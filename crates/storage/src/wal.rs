@@ -38,9 +38,16 @@
 //! seal  := SEAL_TAG:u32 0:u64 fnv:u64
 //! ```
 //!
-//! `fnv` is FNV-1a over `tag || len || payload`. A journal is *valid* only
-//! if every frame checksums and the seal is the final bytes of the file —
-//! anything else is torn and is treated as absent.
+//! `fnv` is the checksum (`checksum` below) of `tag || len || payload`. A
+//! journal is *valid* only if every frame checksums and the seal is the
+//! final bytes of the file — anything else is torn and is treated as absent.
+//!
+//! The checksum is FNV-1a's xor-multiply step taken one little-endian `u64`
+//! at a time (the bytes past the last whole word one at a time), closed by
+//! a fold of the length and of the high half into the low. Every step is a
+//! bijection of the running state, so a change confined to one word — any
+//! single flipped byte — always changes the result, at an eighth of the
+//! multiplies of the byte-wise loop (a checkpoint journals megabytes).
 
 use crate::error::StorageError;
 use crate::fault;
@@ -52,8 +59,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Journal file magic ("CODS WAL").
 const JOURNAL_MAGIC: u32 = 0xC0D5_0A11;
-/// Journal format version.
-const JOURNAL_VERSION: u16 = 1;
+/// Journal format version (2: word-at-a-time frame checksum).
+const JOURNAL_VERSION: u16 = 2;
 /// Tag of the closing seal frame.
 const SEAL_TAG: u32 = u32::MAX;
 /// Frame tag used by [`TailGuard`] for the saved tail before-image.
@@ -66,16 +73,45 @@ pub const FRAME_OVERHEAD_BYTES: u64 = 20;
 /// Bytes of the seal frame.
 pub const SEAL_BYTES: u64 = FRAME_OVERHEAD_BYTES;
 
-/// FNV-1a 64-bit over a list of byte chunks.
-pub(crate) fn fnv1a64(chunks: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The storage frame checksum of the concatenation of `chunks` (see the
+/// module docs) — journal frames, commit-log frames and spill files all
+/// verify with it. How the bytes are split into chunks does not matter.
+pub(crate) fn checksum(chunks: &[&[u8]]) -> u64 {
+    let step = |h: u64, x: u64| (h ^ x).wrapping_mul(FNV_PRIME);
+    let mut h = FNV_OFFSET;
+    let mut len = 0u64;
+    // Bytes of a word begun in one chunk and finished in a later one.
+    let mut carry = [0u8; 8];
+    let mut carried = 0usize;
     for chunk in chunks {
-        for &b in *chunk {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        len += chunk.len() as u64;
+        let mut rest = *chunk;
+        if carried > 0 {
+            let take = (8 - carried).min(rest.len());
+            carry[carried..carried + take].copy_from_slice(&rest[..take]);
+            carried += take;
+            rest = &rest[take..];
+            if carried < 8 {
+                continue;
+            }
+            h = step(h, u64::from_le_bytes(carry));
         }
+        let mut words = rest.chunks_exact(8);
+        for w in &mut words {
+            h = step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        carry[..tail.len()].copy_from_slice(tail);
+        carried = tail.len();
     }
-    h
+    for &b in &carry[..carried] {
+        h = step(h, b as u64);
+    }
+    h = step(h, len);
+    h ^ (h >> 32)
 }
 
 /// Serializes one frame (`tag len payload fnv`) — the unit both the
@@ -83,7 +119,7 @@ pub(crate) fn fnv1a64(chunks: &[&[u8]]) -> u64 {
 pub(crate) fn encode_frame(tag: u32, payload: &[u8]) -> Vec<u8> {
     let tag_b = tag.to_le_bytes();
     let len_b = (payload.len() as u64).to_le_bytes();
-    let sum = fnv1a64(&[&tag_b, &len_b, payload]).to_le_bytes();
+    let sum = checksum(&[&tag_b, &len_b, payload]).to_le_bytes();
     let mut frame = Vec::with_capacity(FRAME_OVERHEAD_BYTES as usize + payload.len());
     frame.extend_from_slice(&tag_b);
     frame.extend_from_slice(&len_b);
@@ -121,7 +157,7 @@ pub(crate) fn scan_frame_prefix(bytes: &[u8]) -> (Vec<(u32, Vec<u8>)>, usize) {
         }
         let payload = &bytes[at + 12..end - 8];
         let sum = u64::from_le_bytes(bytes[end - 8..end].try_into().unwrap());
-        if sum != fnv1a64(&[&bytes[at..at + 4], &bytes[at + 4..at + 12], payload]) {
+        if sum != checksum(&[&bytes[at..at + 4], &bytes[at + 4..at + 12], payload]) {
             return (frames, at);
         }
         frames.push((tag, payload.to_vec()));
@@ -186,8 +222,12 @@ impl JournalWriter {
     /// kind, …) but must not collide with the seal tag `u32::MAX`.
     pub fn append(&mut self, tag: u32, payload: &[u8]) -> std::io::Result<()> {
         debug_assert_ne!(tag, SEAL_TAG);
-        let frame = encode_frame(tag, payload);
-        fault::write_all(&mut self.file, &frame)?;
+        self.write_frame(&encode_frame(tag, payload))
+    }
+
+    /// Appends an already serialized frame.
+    fn write_frame(&mut self, frame: &[u8]) -> std::io::Result<()> {
+        fault::write_all(&mut self.file, frame)?;
         self.bytes += frame.len() as u64;
         Ok(())
     }
@@ -195,9 +235,7 @@ impl JournalWriter {
     /// Writes the seal frame and `fsync`s: after this returns, the journal
     /// is durably valid and will be honored by [`recover`].
     pub fn seal(&mut self) -> std::io::Result<()> {
-        let frame = encode_frame(SEAL_TAG, &[]);
-        fault::write_all(&mut self.file, &frame)?;
-        self.bytes += frame.len() as u64;
+        self.write_frame(&encode_frame(SEAL_TAG, &[]))?;
         fault::sync(&self.file)
     }
 
@@ -240,7 +278,7 @@ fn read_frames(path: &Path) -> Option<Vec<(u32, Vec<u8>)>> {
         let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().ok()?) as usize;
         if tag == SEAL_TAG {
             let sum = u64::from_le_bytes(bytes[at + 12..at + 20].try_into().ok()?);
-            if len != 0 || sum != fnv1a64(&[&bytes[at..at + 4], &bytes[at + 4..at + 12]]) {
+            if len != 0 || sum != checksum(&[&bytes[at..at + 4], &bytes[at + 4..at + 12]]) {
                 return None;
             }
             if at + FRAME_OVERHEAD_BYTES as usize != bytes.len() {
@@ -256,7 +294,7 @@ fn read_frames(path: &Path) -> Option<Vec<(u32, Vec<u8>)>> {
         }
         let payload = &bytes[at + 12..at + 12 + len];
         let sum = u64::from_le_bytes(bytes[end - 8..end].try_into().ok()?);
-        if sum != fnv1a64(&[&bytes[at..at + 4], &bytes[at + 4..at + 12], payload]) {
+        if sum != checksum(&[&bytes[at..at + 4], &bytes[at + 4..at + 12], payload]) {
             return None;
         }
         frames.push((tag, payload.to_vec()));
@@ -291,20 +329,30 @@ impl TailGuard {
                 target.display()
             )));
         }
+        // The frame is built around the tail where it is read: `tag len
+        // meta_off old_len`, then the tail straight off the file, then the
+        // checksum — the tail is megabytes at a checkpoint and is never
+        // copied again.
+        let tail_len = old_len - meta_off;
+        let mut frame = Vec::with_capacity((FRAME_OVERHEAD_BYTES + 16 + tail_len) as usize);
+        frame.extend_from_slice(&TAIL_TAG.to_le_bytes());
+        frame.extend_from_slice(&(16 + tail_len).to_le_bytes());
+        frame.extend_from_slice(&meta_off.to_le_bytes());
+        frame.extend_from_slice(&old_len.to_le_bytes());
         let mut f = File::open(target)?;
         f.seek(SeekFrom::Start(meta_off))?;
-        let mut tail = Vec::with_capacity((old_len - meta_off) as usize);
-        f.read_to_end(&mut tail)?;
-
-        // payload := meta_off:u64 old_len:u64 tail
-        let mut payload = Vec::with_capacity(16 + tail.len());
-        payload.extend_from_slice(&meta_off.to_le_bytes());
-        payload.extend_from_slice(&old_len.to_le_bytes());
-        payload.extend_from_slice(&tail);
+        if f.take(tail_len).read_to_end(&mut frame)? as u64 != tail_len {
+            return Err(StorageError::Corrupt(format!(
+                "{} shrank while its tail was being journaled",
+                target.display()
+            )));
+        }
+        let sum = checksum(&[&frame]);
+        frame.extend_from_slice(&sum.to_le_bytes());
 
         let wal = wal_path(target);
         let mut w = JournalWriter::create(&wal)?;
-        w.append(TAIL_TAG, &payload)?;
+        w.write_frame(&frame)?;
         w.seal()?; // durable before the target is touched
         Ok(TailGuard {
             target: target.to_path_buf(),
@@ -462,6 +510,29 @@ mod tests {
         std::fs::write(&p, &flipped).unwrap();
         assert!(read_frames(&p).is_none());
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn checksum_sees_every_single_byte_flip_and_ignores_chunking() {
+        let payload: Vec<u8> = (0..1usize << 20).map(|i| (i * 31 % 251) as u8).collect();
+        let len = payload.len();
+        let sum = checksum(&[&payload]);
+        for at in [0, 7, 8, len - 9, len - 1] {
+            let mut flipped = payload.clone();
+            flipped[at] ^= 0x01;
+            assert_ne!(checksum(&[&flipped]), sum, "flip at {at} went unseen");
+        }
+        // A frame is summed as three chunks when written and as slices of
+        // one buffer when read: the split must not matter, wherever it
+        // falls relative to the words.
+        for cut in [0, 1, 4, 8, 13, len - 3, len] {
+            let (a, b) = payload.split_at(cut);
+            assert_eq!(checksum(&[a, b]), sum, "split at {cut}");
+            assert_eq!(checksum(&[a, &[], b]), sum, "split at {cut}");
+        }
+        // Length is part of the sum: trailing zeros are not free.
+        assert_ne!(checksum(&[&[0u8; 8]]), checksum(&[&[0u8; 16]]));
+        assert_ne!(checksum(&[&[]]), checksum(&[&[0u8]]));
     }
 
     #[test]

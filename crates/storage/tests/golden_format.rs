@@ -1,10 +1,15 @@
 //! Pins the on-disk format: the committed fixtures under `tests/golden/`
-//! were produced by `encode_table` / `encode_catalog` at the last commit
-//! that still carried the v1–v5 layouts. The encoder must keep
-//! reproducing them byte for byte, the decoder must keep reading them back
-//! to the same rows, encodings, pins and zones, and every preamble version
-//! other than the current one must be refused with the typed
-//! unsupported-version error at every entry point.
+//! were produced by `encode_table` / `encode_catalog` at the commit that
+//! introduced format 7 (a catalog file carries the catalog version it
+//! holds). Against the v6 fixtures they replaced — checked byte by byte
+//! before the replacement — `table.cods` differs in the preamble's version
+//! number only, and `catalog.cods` in that and in the 8-byte `version`
+//! field (2: the fixture catalog's two `create`s) that now opens its
+//! metadata region. The encoder must keep reproducing them byte for byte,
+//! the decoder must keep reading them back to the same rows, encodings,
+//! pins and zones, and every preamble version other than the current one
+//! must be refused with the typed unsupported-version error at every entry
+//! point.
 //!
 //! To regenerate after a *deliberate* format change, write
 //! `encode_table(&golden_table())` and `encode_catalog(&golden_catalog())`
@@ -141,6 +146,11 @@ fn decoder_reads_the_golden_bytes() {
 
     let cat = decode_catalog(Bytes::from(GOLDEN_CATALOG.to_vec())).unwrap();
     let want_cat = golden_catalog();
+    assert_eq!(
+        cat.version(),
+        want_cat.version(),
+        "a catalog starts at the stored version"
+    );
     assert_eq!(cat.table_names(), want_cat.table_names());
     for name in cat.table_names() {
         assert_same_table(&cat.get(&name).unwrap(), &want_cat.get(&name).unwrap());
@@ -169,7 +179,7 @@ fn every_other_version_is_refused_at_every_entry_point() {
         }
     }
     let dir = std::env::temp_dir();
-    for version in [1u16, 2, 3, 4, 5, VERSION + 1] {
+    for version in [1u16, 2, 3, 4, 5, 6, VERSION + 1] {
         for (kind, golden) in [("table", GOLDEN_TABLE), ("catalog", GOLDEN_CATALOG)] {
             let mut raw = golden.to_vec();
             raw[4..6].copy_from_slice(&version.to_le_bytes());

@@ -1,11 +1,12 @@
 //! Integration tests of the SMO commit log: group commit batching,
-//! end-to-end durability through the platform's script path, and the
-//! vacuum interaction (a heap rewrite must never strand a pending,
-//! un-checkpointed commit record).
+//! end-to-end durability through the platform's script path, the vacuum
+//! interaction (a heap rewrite must never strand a pending,
+//! un-checkpointed commit record), and the counting gate: a commit appends
+//! what it changed — the columns it reuses are named, not written again.
 
 use cods::Cods;
 use cods_storage::commitlog::spill_dir;
-use cods_storage::persist::encode_table;
+use cods_storage::persist::{encode_table, save_catalog};
 use cods_storage::{
     clog_path, log_status, open_durable, open_durable_with, Catalog, DurabilitySink, Schema,
     StorageError, Table, Value, ValueType,
@@ -225,5 +226,121 @@ fn spilled_commits_round_trip_through_reopen() {
     let status = log_status(&path).unwrap();
     assert_eq!((status.records, status.spill_files), (0, 0));
     assert!(clog_path(&path).exists());
+    cleanup(&path);
+}
+
+/// 65,536 rows: a unique `id`, a clustered `grp` (64 runs of 1,024) and a
+/// `label` that `grp` determines.
+fn wide() -> Table {
+    let schema = Schema::build(
+        &[
+            ("id", ValueType::Int),
+            ("grp", ValueType::Int),
+            ("label", ValueType::Str),
+        ],
+        &[],
+    )
+    .unwrap();
+    let data: Vec<Vec<Value>> = (0..65_536i64)
+        .map(|i| {
+            vec![
+                Value::Int(i),
+                Value::Int(i / 1024),
+                Value::str(format!("g{}", i / 1024)),
+            ]
+        })
+        .collect();
+    Table::from_rows("t", schema, &data).unwrap()
+}
+
+/// The counting gate. Each SMO below is one durable script on a saved and
+/// durably reopened catalog; what its record referenced, carried and wrote
+/// is a count, repeats exactly, and is asserted with `==` — the image of
+/// `t` alone is about a megabyte, so a record that restated one reused
+/// column would fail the byte bound by three orders of magnitude.
+#[test]
+fn a_commit_appends_what_it_changed() {
+    let path = scratch("counts");
+    let base = Catalog::new();
+    base.create(wide()).unwrap();
+    save_catalog(&base, &path).unwrap();
+    drop(base);
+    let (catalog, log, _r) = open_durable(&path).unwrap();
+    let cods = Cods::with_catalog(catalog);
+
+    // (script, columns referenced, columns carried)
+    let steps: [(&str, u64, u64); 9] = [
+        ("RENAME TABLE t TO t1", 3, 0),
+        ("COPY TABLE t1 TO t2", 3, 0),
+        ("RENAME COLUMN label TO tag IN t2", 3, 0),
+        ("DROP COLUMN tag FROM t2", 2, 0),
+        // The default column is the one new thing.
+        ("ADD COLUMN note str DEFAULT 'n/a' TO t2", 2, 1),
+        // `grp` repeats: the changed side `g` is built (two columns), the
+        // unchanged side `s` is two columns of `t1`.
+        ("DECOMPOSE TABLE t1 INTO s (id, grp), g (grp, label)", 2, 2),
+        // Key-FK: `s`'s columns carry over, `g`'s payload is gathered.
+        ("MERGE TABLES s, g INTO t3", 2, 1),
+        // `id` is a key of `t3`: both sides are column subsets.
+        ("DECOMPOSE TABLE t3 INTO a (id, grp), b (id, label)", 4, 0),
+        ("MERGE TABLES a, b INTO t4", 2, 1),
+    ];
+    let (mut referenced, mut carried) = (0, 0);
+    for (script, want_referenced, want_carried) in steps {
+        let before = log.stats();
+        let report = cods
+            .run_script_with_retry(script, &cods_storage::RetryPolicy::default())
+            .unwrap();
+        assert!(report.log.durable, "{script}");
+        let after = log.stats();
+        assert_eq!(after.commits, before.commits + 1, "{script}: one record");
+        assert_eq!(
+            (
+                after.columns_referenced - before.columns_referenced,
+                after.columns_carried - before.columns_carried
+            ),
+            (want_referenced, want_carried),
+            "{script}: (referenced, carried)"
+        );
+        let appended = after.bytes_appended - before.bytes_appended;
+        assert_eq!(appended, after.log_bytes - before.log_bytes, "{script}");
+        if want_carried == 0 {
+            assert!(appended < 1024, "{script} appended {appended} bytes");
+        }
+        referenced += want_referenced;
+        carried += want_carried;
+    }
+    // No carried column here is large: nothing spilled, and nine scripts
+    // cost less than one restated column would have.
+    assert!(!spill_dir(&path).exists(), "no image reached the threshold");
+    let stats = log.stats();
+    assert_eq!(
+        (stats.columns_referenced, stats.columns_carried),
+        (referenced, carried)
+    );
+    assert!(stats.bytes_appended < 32 * 1024, "{stats:?}");
+    let pending = log_status(&path).unwrap().pending;
+    assert_eq!(pending.len(), steps.len());
+    assert_eq!(
+        pending
+            .iter()
+            .flat_map(|r| &r.puts)
+            .map(|p| p.carried as u64)
+            .sum::<u64>(),
+        carried
+    );
+
+    // And the references resolve: the reopened catalog is the live one.
+    let live = cods.catalog();
+    let (reopened, _log2, replay) = open_durable(&path).unwrap();
+    assert_eq!(replay.replayed, steps.len() as u64);
+    assert_eq!(reopened.table_names(), live.table_names());
+    for name in live.table_names() {
+        assert_eq!(
+            encode_table(&reopened.get(&name).unwrap()).as_slice(),
+            encode_table(&live.get(&name).unwrap()).as_slice(),
+            "{name}"
+        );
+    }
     cleanup(&path);
 }

@@ -485,8 +485,8 @@ fn crash_sweep_commit_append_preserves_acknowledged_prefix() {
 
 /// Kill a checkpoint (full save, log truncation, spill cleanup) at every
 /// boundary: whatever the crash point, the reopened catalog holds every
-/// acknowledged commit — from the checkpoint, the log, or both (replay of
-/// already-checkpointed records is idempotent).
+/// acknowledged commit — from the checkpoint or from the log (records the
+/// checkpoint already covers are skipped by version).
 #[test]
 fn crash_sweep_checkpoint_keeps_every_acknowledged_commit() {
     let dir = sweep_dir("crash_clog_ckpt");
@@ -527,6 +527,265 @@ fn crash_sweep_checkpoint_keeps_every_acknowledged_commit() {
         assert_eq!(tuples(&got, "b"), want_b, "budget {budget}: ack lost");
     }
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// Column-reference records: a record may name columns of the state it
+// applies to, so replaying it onto the wrong state is no longer harmless.
+// ---------------------------------------------------------------------------
+
+/// 32 rows, 16-row segments: a unique `id`, a `grp` that repeats and a
+/// `label` that `grp` determines — `DECOMPOSE … (id, grp), (grp, label)`
+/// builds its changed side, `COPY` and the unchanged side are all reuse.
+fn dim(name: &str, salt: i64) -> Table {
+    let schema = Schema::build(
+        &[
+            ("id", ValueType::Int),
+            ("grp", ValueType::Int),
+            ("label", ValueType::Str),
+        ],
+        &[],
+    )
+    .unwrap();
+    let data: Vec<Vec<Value>> = (0..32)
+        .map(|i| {
+            vec![
+                Value::Int(i + salt),
+                Value::Int(i % 4),
+                Value::str(format!("g{}", i % 4 + salt)),
+            ]
+        })
+        .collect();
+    Table::from_rows_with_segment_rows(name, schema, &data, 16).unwrap()
+}
+
+/// A catalog file holding `dim("t", 0)`, opened durably behind a platform.
+fn durable_dim(path: &Path) -> (Cods, cods_storage::CommitLog) {
+    if !path.exists() {
+        let base = Catalog::new();
+        base.create(dim("t", 0)).unwrap();
+        save_catalog(&base, path).unwrap();
+    }
+    let (catalog, log, _r) = open_durable_with(path, SWEEP_SPILL).unwrap();
+    (Cods::with_catalog(catalog), log)
+}
+
+fn script(cods: &Cods, text: &str) {
+    let report = cods
+        .run_script_with_retry(text, &cods_storage::RetryPolicy::default())
+        .unwrap_or_else(|e| panic!("{text}: {e}"));
+    assert!(report.log.durable, "{text}");
+}
+
+/// Three records that all reuse columns: a copy (all references), a
+/// decomposition (references the table it drops, carries its changed side)
+/// and a key–FK merge (references one put of an earlier record, carries the
+/// gathered payload).
+const REFERENCE_SCRIPTS: [&str; 3] = [
+    "COPY TABLE t TO t2",
+    "DECOMPOSE TABLE t INTO s (id, grp), g (grp, label)",
+    "MERGE TABLES s, g INTO m",
+];
+
+/// Every table's image, by name — the acknowledged state a reopen must
+/// reproduce byte for byte.
+fn images(cat: &Catalog) -> Vec<(String, Vec<u8>)> {
+    cat.snapshot()
+        .iter()
+        .map(|t| (t.name().to_string(), encode_table(t).as_slice().to_vec()))
+        .collect()
+}
+
+/// Kill a checkpoint at every boundary with three reference-carrying
+/// records pending. At the points after the save's journal is deleted and
+/// before the log is truncated, the records are present *and* covered:
+/// they must be skipped — re-applying the `DECOMPOSE` would look for the
+/// `t` it dropped. Whatever the point, the reopened catalog is the
+/// acknowledged one, image for image.
+#[test]
+fn crash_sweep_checkpoint_with_reference_records_pending() {
+    let dir = sweep_dir("crash_clog_refs");
+    let path = dir.join("sweep.catalog");
+    let (cods, log) = durable_dim(&path);
+    for text in REFERENCE_SCRIPTS {
+        script(&cods, text);
+    }
+    let stats = log.stats();
+    assert!(stats.columns_referenced >= 7 && stats.columns_carried == 3);
+    let want = images(cods.catalog());
+    drop((cods, log));
+    let state = capture_durable(&path);
+
+    let (cods, log) = durable_dim(&path);
+    fault::arm(u64::MAX);
+    log.checkpoint(cods.catalog()).unwrap();
+    fault::disarm();
+    let total = fault::units();
+    drop((cods, log));
+
+    let mut covered_points = 0;
+    for budget in 0..total {
+        restore_durable(&path, &state);
+        let (cods, log) = durable_dim(&path);
+        fault::arm(budget);
+        let res = log.checkpoint(cods.catalog());
+        fault::disarm();
+        assert!(
+            res.is_err(),
+            "budget {budget}/{total}: checkpoint survived the crash"
+        );
+        drop((cods, log));
+
+        let pending = cods_storage::log_status(&path).unwrap().records;
+        let (got, _log, replay) = open_durable_with(&path, SWEEP_SPILL)
+            .unwrap_or_else(|e| panic!("budget {budget}/{total}: recovery failed: {e}"));
+        assert_eq!(images(&got), want, "budget {budget}/{total}");
+        if pending == 3 && replay.replayed == 0 {
+            covered_points += 1;
+        } else {
+            assert_eq!(replay.replayed, pending, "budget {budget}/{total}");
+        }
+    }
+    println!(
+        "reference-record checkpoint sweep: {total} kill points, \
+         {covered_points} with the save committed and the log untruncated"
+    );
+    assert!(
+        covered_points > 0,
+        "the covered-records window was never hit"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Commits racing checkpoints from a second thread: each is either in a
+/// checkpoint's snapshot or carried whole past it, so after the last
+/// truncation — and a crash — every acknowledged one is there.
+#[test]
+fn commits_racing_checkpoints_survive_a_crash() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let dir = sweep_dir("clog_race");
+    let path = dir.join("race.catalog");
+    let (cods, log) = durable_dim(&path);
+    let cods = Arc::new(cods);
+    let done = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(std::sync::Barrier::new(2));
+
+    let committer = {
+        let (cods, done, start) = (Arc::clone(&cods), Arc::clone(&done), Arc::clone(&start));
+        std::thread::spawn(move || {
+            start.wait();
+            for i in 0..40 {
+                // All references, to the base or to an earlier racing commit.
+                let from = if i == 0 {
+                    "t".to_string()
+                } else {
+                    format!("c{}", i - 1)
+                };
+                script(&cods, &format!("COPY TABLE {from} TO c{i}"));
+            }
+            done.store(true, Ordering::SeqCst);
+        })
+    };
+    start.wait();
+    let mut checkpoints = 0;
+    while !done.load(Ordering::SeqCst) {
+        log.checkpoint(cods.catalog()).unwrap();
+        checkpoints += 1;
+    }
+    committer.join().unwrap();
+    assert!(checkpoints > 0);
+    let want = images(cods.catalog());
+    drop((cods, log));
+
+    let (got, _log, _replay) = open_durable_with(&path, SWEEP_SPILL).unwrap();
+    assert_eq!(got.len(), 41);
+    assert_eq!(images(&got), want);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A table replaced past the log between two logged commits. The log never
+/// saw the replacement, so the second commit must carry what it takes from
+/// it; replay yields both commits' acknowledged tables and never hands one
+/// a column of the other `t`. After a checkpoint the replacement is in the
+/// file, and reuse of it is sound again.
+#[test]
+fn unlogged_replacement_between_logged_commits_replays_exactly() {
+    let dir = sweep_dir("clog_unlogged");
+    let path = dir.join("u.catalog");
+    let (cods, log) = durable_dim(&path);
+    script(&cods, "COPY TABLE t TO before");
+    cods.catalog().put(dim("t", 100)); // same name, same shape, other data
+    script(&cods, "COPY TABLE t TO after");
+    assert_eq!(
+        log.stats().columns_carried,
+        3,
+        "the new `t` is not in the view"
+    );
+    let (old_t, new_t) = (dim("t", 0).to_rows(), dim("t", 100).to_rows());
+    drop((cods, log));
+
+    let (cods, log) = durable_dim(&path);
+    let cat = cods.catalog();
+    assert_eq!(cat.get("before").unwrap().to_rows(), old_t);
+    assert_eq!(cat.get("after").unwrap().to_rows(), new_t);
+    assert_eq!(
+        cat.get("t").unwrap().to_rows(),
+        old_t,
+        "the put was never logged"
+    );
+
+    cat.put(dim("t", 100));
+    log.checkpoint(cat).unwrap();
+    script(&cods, "COPY TABLE t TO later");
+    assert_eq!(
+        log.stats().columns_carried,
+        0,
+        "the file holds the new `t` now"
+    );
+    drop((cods, log));
+    let (got, _log, replay) = open_durable_with(&path, SWEEP_SPILL).unwrap();
+    assert_eq!(replay.replayed, 1);
+    assert_eq!(got.get("later").unwrap().to_rows(), new_t);
+    assert_eq!(got.get("t").unwrap().to_rows(), new_t);
+    assert_eq!(got.get("before").unwrap().to_rows(), old_t);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A vacuum under reference-carrying records. References are by table and
+/// column, not by heap offset, so a rebound heap cannot strand them —
+/// offline (the file keeps its version, all three replay) or live (the
+/// file takes the catalog's version, the three are covered and a fourth
+/// still resolves).
+#[test]
+fn vacuum_under_reference_records_replays_exactly() {
+    let dir = sweep_dir("clog_vacuum_refs");
+    let path = dir.join("v.catalog");
+    let (cods, log) = durable_dim(&path);
+    for text in REFERENCE_SCRIPTS {
+        script(&cods, text);
+    }
+    let want = images(cods.catalog());
+    drop((cods, log));
+    cods_storage::vacuum_file(&path).unwrap();
+    let (got, _log, replay) = open_durable_with(&path, SWEEP_SPILL).unwrap();
+    assert_eq!(replay.replayed, 3);
+    assert_eq!(images(&got), want);
+    drop(got);
+
+    let (cods, log) = durable_dim(&path);
+    cods_storage::vacuum_catalog(cods.catalog(), &path).unwrap();
+    script(&cods, "RENAME TABLE m TO m2");
+    assert_eq!(log.stats().columns_carried, 0);
+    let want = images(cods.catalog());
+    drop((cods, log));
+    let (got, _log, replay) = open_durable_with(&path, SWEEP_SPILL).unwrap();
+    assert_eq!(
+        replay.replayed, 1,
+        "the vacuumed file covers the first three"
+    );
+    assert_eq!(images(&got), want);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,42 +1,82 @@
-//! Differential property test of commit-log recovery: a random SMO
-//! commit sequence, killed at a random crash point, must reopen to a
-//! catalog **byte-identical** (per-table [`encode_table`]) to the
+//! Differential property test of commit-log recovery: a random sequence of
+//! SMO commits — fresh puts, and the evolutions whose records reuse columns
+//! of earlier state (`RENAME`, `COPY TABLE`, `ADD`/`DROP`/`RENAME COLUMN`,
+//! `DECOMPOSE`, `MERGE`) — with checkpoints at random positions, killed at a
+//! random crash point (inside a commit or inside a checkpoint), must reopen
+//! to a catalog **byte-identical** (per-table [`encode_table`]) to the
 //! acknowledged-prefix oracle — an in-memory catalog that applied exactly
 //! the commits the log acknowledged (plus, at most, the one in-flight
 //! commit whose record reached the disk complete before the kill).
 //!
 //! CI runs this suite at `PROPTEST_CASES=512`.
 
+use cods::Cods;
 use cods_storage::persist::encode_table;
 use cods_storage::{
-    fault, open_durable_with, Catalog, Schema, StorageError, Table, Value, ValueType,
+    fault, open_durable_with, Catalog, CommitLog, RetryPolicy, Schema, StorageError, Table, Value,
+    ValueType,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One randomly chosen catalog commit (SMO granularity).
+/// One randomly chosen step: a catalog commit (SMO granularity) or a
+/// checkpoint. Table operands are picked by index among the live tables,
+/// names by number (`t0`…`t5`, extra columns `x0`…`x2`).
 #[derive(Debug, Clone)]
 enum Op {
     /// Put table `name` (create, or replace if it exists) with
-    /// deterministic content derived from `(name, rows, salt)`.
+    /// deterministic content derived from `(name, rows, salt)`: fresh
+    /// columns, nothing to reuse.
     Put { name: u8, rows: u8, salt: u8 },
     /// Drop the `idx`-th live table (no-op on an empty catalog).
     Drop { idx: u8 },
-    /// Rename the `idx`-th live table to `to` (no-op on empty).
+    /// Rename the `idx`-th live table to `to`: every column reused.
     Rename { idx: u8, to: u8 },
+    /// `COPY TABLE`: every column reused, the source stays.
+    Copy { idx: u8, to: u8 },
+    /// `ADD COLUMN x<col> … DEFAULT`: one new column beside reused ones.
+    AddColumn { idx: u8, col: u8 },
+    /// `DROP COLUMN x<col>`: a narrower table of reused columns.
+    DropColumn { idx: u8, col: u8 },
+    /// `RENAME COLUMN x<col> TO x<to>`: reused columns, new schema.
+    RenameColumn { idx: u8, col: u8, to: u8 },
+    /// `DECOMPOSE … INTO t<a> (all but v), t<b> (g, v)`: references the
+    /// table it drops, builds the changed side.
+    Decompose { idx: u8, a: u8, b: u8 },
+    /// `MERGE TABLES … INTO t<out>` of a `(…, g, …)` table and a `(g, v)`
+    /// one: key–FK, one gathered column beside reused ones.
+    Merge { left: u8, right: u8, out: u8 },
+    /// Fold the log into the file (nothing to do for the oracle).
+    Checkpoint,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    // Puts listed three times to weight them (the in-tree `prop_oneof!`
-    // picks arms uniformly): mostly puts, so catalogs actually grow.
+    // The in-tree `prop_oneof!` picks arms uniformly, so arms are listed
+    // more than once to weight them: puts three times (catalogs must grow
+    // before they can evolve), and the two ops that need an earlier op to
+    // have set them up — a merge needs a decomposition's sides — twice.
+    let put =
+        || (0u8..6, 1u8..40, 0u8..4).prop_map(|(name, rows, salt)| Op::Put { name, rows, salt });
+    let decompose = || (0u8..6, 0u8..6, 0u8..6).prop_map(|(idx, a, b)| Op::Decompose { idx, a, b });
+    let merge =
+        || (0u8..6, 0u8..6, 0u8..6).prop_map(|(left, right, out)| Op::Merge { left, right, out });
     prop_oneof![
-        (0u8..6, 1u8..40, 0u8..4).prop_map(|(name, rows, salt)| Op::Put { name, rows, salt }),
-        (0u8..6, 1u8..40, 0u8..4).prop_map(|(name, rows, salt)| Op::Put { name, rows, salt }),
-        (0u8..6, 1u8..40, 0u8..4).prop_map(|(name, rows, salt)| Op::Put { name, rows, salt }),
+        put(),
+        put(),
+        put(),
         (0u8..6).prop_map(|idx| Op::Drop { idx }),
         (0u8..6, 0u8..6).prop_map(|(idx, to)| Op::Rename { idx, to }),
+        (0u8..6, 0u8..6).prop_map(|(idx, to)| Op::Copy { idx, to }),
+        (0u8..6, 0u8..3).prop_map(|(idx, col)| Op::AddColumn { idx, col }),
+        (0u8..6, 0u8..3).prop_map(|(idx, col)| Op::DropColumn { idx, col }),
+        (0u8..6, 0u8..3, 0u8..3).prop_map(|(idx, col, to)| Op::RenameColumn { idx, col, to }),
+        decompose(),
+        decompose(),
+        merge(),
+        merge(),
+        (0u8..1).prop_map(|_| Op::Checkpoint),
     ]
 }
 
@@ -45,53 +85,103 @@ fn table_name(n: u8) -> String {
 }
 
 /// Deterministic table content: both the durable run and the oracle build
-/// the exact same bytes from the same op.
+/// the exact same bytes from the same op. `g` determines `v`, so the table
+/// decomposes losslessly into `(k, g)` and `(g, v)`.
 fn build_table(name: &str, rows: u8, salt: u8) -> Table {
-    let schema = Schema::build(&[("k", ValueType::Int), ("v", ValueType::Str)], &[]).unwrap();
+    let schema = Schema::build(
+        &[
+            ("k", ValueType::Int),
+            ("g", ValueType::Int),
+            ("v", ValueType::Str),
+        ],
+        &[],
+    )
+    .unwrap();
     let data: Vec<Vec<Value>> = (0..rows as i64)
         .map(|i| {
+            let g = (i + salt as i64) % 3;
             vec![
                 Value::Int(i * (salt as i64 + 1)),
-                Value::str(if (i + salt as i64) % 3 == 0 {
-                    "x"
-                } else {
-                    "yy"
-                }),
+                Value::Int(g),
+                Value::str(if g == 0 { "x" } else { "yy" }),
             ]
         })
         .collect();
     Table::from_rows(name, schema, &data).unwrap()
 }
 
-/// Applies one op through the optimistic commit path. Returns `Ok(false)`
-/// for no-ops that commit nothing (same decision on both sides of the
-/// differential, so prefixes stay aligned).
-fn apply(cat: &Catalog, op: &Op) -> Result<bool, StorageError> {
+/// Applies one op: a checkpoint through `log` (the oracle has none), a
+/// `Put` straight through the optimistic commit path, everything else as
+/// the SMO script a client would send. Whether an op applies at all is
+/// decided from the snapshot alone — the same decision on both sides of
+/// the differential, so prefixes stay aligned. Returns `Ok(false)` for the
+/// ops that commit nothing.
+fn apply(cods: &Cods, log: Option<&CommitLog>, op: &Op) -> Result<bool, StorageError> {
+    let cat = cods.catalog();
     let (base, snap) = cat.begin_evolution();
-    let (drops, puts): (Vec<String>, Vec<Arc<Table>>) = match op {
-        Op::Put { name, rows, salt } => (
-            Vec::new(),
-            vec![Arc::new(build_table(&table_name(*name), *rows, *salt))],
-        ),
-        Op::Drop { idx } => {
-            let names: Vec<String> = snap.keys().cloned().collect();
-            if names.is_empty() {
-                return Ok(false);
-            }
-            (vec![names[*idx as usize % names.len()].clone()], Vec::new())
-        }
-        Op::Rename { idx, to } => {
-            let names: Vec<String> = snap.keys().cloned().collect();
-            if names.is_empty() {
-                return Ok(false);
-            }
-            let from = names[*idx as usize % names.len()].clone();
-            let renamed = snap.get(&from).unwrap().renamed(table_name(*to));
-            (vec![from], vec![Arc::new(renamed)])
-        }
+    let names: Vec<String> = snap.keys().cloned().collect();
+    let has = |t: &str, c: &str| snap[t].schema().contains(c);
+    let fresh = |n: u8| !snap.contains_key(&table_name(n));
+    // The `idx`-th of the live tables the op can apply to.
+    let pick = |idx: u8, applies: &dyn Fn(&str) -> bool| -> Option<&String> {
+        let eligible: Vec<&String> = names.iter().filter(|t| applies(t)).collect();
+        (!eligible.is_empty()).then(|| eligible[idx as usize % eligible.len()])
     };
-    cat.commit_evolution(base, &drops, puts)?;
-    Ok(true)
+    let script =
+        match op {
+            Op::Checkpoint => {
+                if let Some(log) = log {
+                    log.checkpoint(cat)?;
+                }
+                return Ok(false);
+            }
+            Op::Put { name, rows, salt } => {
+                let t = Arc::new(build_table(&table_name(*name), *rows, *salt));
+                cat.commit_evolution(base, &[], vec![t])?;
+                return Ok(true);
+            }
+            Op::Drop { idx } => pick(*idx, &|_| true).map(|t| format!("DROP TABLE {t}")),
+            Op::Rename { idx, to } => pick(*idx, &|_| fresh(*to))
+                .map(|t| format!("RENAME TABLE {t} TO {}", table_name(*to))),
+            Op::Copy { idx, to } => pick(*idx, &|_| fresh(*to))
+                .map(|t| format!("COPY TABLE {t} TO {}", table_name(*to))),
+            Op::AddColumn { idx, col } => pick(*idx, &|t| !has(t, &format!("x{col}")))
+                .map(|t| format!("ADD COLUMN x{col} int DEFAULT {col} TO {t}")),
+            Op::DropColumn { idx, col } => pick(*idx, &|t| has(t, &format!("x{col}")))
+                .map(|t| format!("DROP COLUMN x{col} FROM {t}")),
+            Op::RenameColumn { idx, col, to } => pick(*idx, &|t| {
+                has(t, &format!("x{col}")) && !has(t, &format!("x{to}"))
+            })
+            .map(|t| format!("RENAME COLUMN x{col} TO x{to} IN {t}")),
+            Op::Decompose { idx, a, b } => pick(*idx, &|t| {
+                a != b && fresh(*a) && fresh(*b) && ["k", "g", "v"].iter().all(|c| has(t, c))
+            })
+            .map(|t| {
+                let rest: Vec<&str> = snap[t].schema().names();
+                let rest: Vec<&str> = rest.into_iter().filter(|c| *c != "v").collect();
+                format!(
+                    "DECOMPOSE TABLE {t} INTO {} ({}), {} (g, v)",
+                    table_name(*a),
+                    rest.join(", "),
+                    table_name(*b)
+                )
+            }),
+            // A decomposition's two sides — of one table or of two: a key of
+            // one may then be missing from the other, which makes it a general
+            // mergence, still one deterministic commit.
+            Op::Merge { left, right, out } => pick(*left, &|t| has(t, "g") && !has(t, "v"))
+                .zip(pick(*right, &|t| snap[t].schema().names() == ["g", "v"]))
+                .filter(|_| fresh(*out))
+                .map(|(l, r)| format!("MERGE TABLES {l}, {r} INTO {}", table_name(*out))),
+        };
+    let Some(script) = script else {
+        return Ok(false);
+    };
+    match cods.run_script_with_retry(&script, &RetryPolicy::no_backoff(1)) {
+        Ok(_) => Ok(true),
+        Err(cods::EvolutionError::Storage(e)) => Err(e),
+        Err(e) => panic!("{script}: {e}"),
+    }
 }
 
 /// Per-table byte comparison against an oracle catalog.
@@ -129,61 +219,64 @@ proptest! {
     // complete-but-unacknowledged in-flight record).
     #[test]
     fn killed_commit_sequence_reopens_to_acknowledged_prefix(
-        ops in prop::collection::vec(op_strategy(), 1..12),
+        ops in prop::collection::vec(op_strategy(), 1..16),
         kill_permille in 0u64..1000,
     ) {
         // Probe: total crash points of the whole sequence.
         let probe_path = scratch();
-        let (cat, _log, _r) = open_durable_with(&probe_path, SPILL).unwrap();
+        let (cat, log, _r) = open_durable_with(&probe_path, SPILL).unwrap();
+        let cods = Cods::with_catalog(cat);
         fault::arm(u64::MAX);
         for op in &ops {
-            apply(&cat, op).unwrap();
+            apply(&cods, Some(&log), op).unwrap();
         }
         fault::disarm();
         let total = fault::units();
-        drop(cat);
+        drop((cods, log));
         std::fs::remove_dir_all(probe_path.parent().unwrap()).ok();
 
         // Real run: kill at a random point inside the sequence.
         let path = scratch();
         let budget = total * kill_permille / 1000;
-        let (cat, _log, _r) = open_durable_with(&path, SPILL).unwrap();
+        let (cat, log, _r) = open_durable_with(&path, SPILL).unwrap();
+        let cods = Cods::with_catalog(cat);
         fault::arm(budget);
         let mut acknowledged = 0usize;
         for op in &ops {
-            match apply(&cat, op) {
+            match apply(&cods, Some(&log), op) {
                 Ok(_) => acknowledged += 1,
                 Err(_) => break, // the modeled process died here
             }
         }
         fault::disarm();
-        drop(cat);
+        drop((cods, log));
 
         // Oracles: the acknowledged prefix, and (only when the kill hit
         // mid-commit) prefix + the in-flight commit — whose record may
-        // have reached the disk complete before the fsync/ack was cut.
-        let oracle_acked = Catalog::new();
+        // have reached the disk complete before the fsync/ack was cut. A
+        // kill inside a checkpoint changes neither: it commits nothing.
+        let oracle_acked = Cods::new();
         for op in &ops[..acknowledged] {
-            apply(&oracle_acked, op).unwrap();
+            apply(&oracle_acked, None, op).unwrap();
         }
         let oracle_next = (acknowledged < ops.len()).then(|| {
-            let oracle = Catalog::new();
+            let oracle = Cods::new();
             for op in &ops[..=acknowledged] {
-                apply(&oracle, op).unwrap();
+                apply(&oracle, None, op).unwrap();
             }
             oracle
         });
 
         // Recovery must never fail, and must land exactly on an oracle.
         let (got, _log, _replay) = open_durable_with(&path, SPILL).unwrap();
-        let ok = matches_oracle(&got, &oracle_acked)
-            || oracle_next.as_ref().is_some_and(|o| matches_oracle(&got, o));
+        let ok = matches_oracle(&got, oracle_acked.catalog())
+            || oracle_next.as_ref().is_some_and(|o| matches_oracle(&got, o.catalog()));
         prop_assert!(
             ok,
             "recovered catalog {:?} matches neither the {acknowledged}-commit \
              acknowledged oracle {:?} nor the in-flight oracle",
             got.table_names(),
-            oracle_acked.table_names(),
+            oracle_acked.catalog().table_names(),
         );
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
@@ -191,24 +284,25 @@ proptest! {
     // No kill at all: a clean close and reopen is always byte-identical.
     #[test]
     fn clean_reopen_is_byte_identical(
-        ops in prop::collection::vec(op_strategy(), 1..10),
-        checkpoint_at in 0usize..10,
+        ops in prop::collection::vec(op_strategy(), 1..16),
+        checkpoint_at in 0usize..16,
     ) {
         let path = scratch();
         let (cat, log, _r) = open_durable_with(&path, SPILL).unwrap();
-        let oracle = Catalog::new();
+        let cods = Cods::with_catalog(cat);
+        let oracle = Cods::new();
         for (i, op) in ops.iter().enumerate() {
-            apply(&cat, op).unwrap();
-            apply(&oracle, op).unwrap();
+            apply(&cods, Some(&log), op).unwrap();
+            apply(&oracle, None, op).unwrap();
             // A mid-sequence checkpoint must not change the outcome:
             // later records replay on top of the saved base.
             if i == checkpoint_at {
-                log.checkpoint(&cat).unwrap();
+                log.checkpoint(cods.catalog()).unwrap();
             }
         }
-        drop((cat, log));
+        drop((cods, log));
         let (got, _log, _replay) = open_durable_with(&path, SPILL).unwrap();
-        prop_assert!(matches_oracle(&got, &oracle));
+        prop_assert!(matches_oracle(&got, oracle.catalog()));
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }
