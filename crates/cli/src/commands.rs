@@ -672,12 +672,6 @@ pub fn run_command(cods: &mut Cods, line: &str, out: &mut impl Write) -> Result<
                     )
                     .ok();
                 }
-                writeln!(
-                    out,
-                    "spills: {} file(s), {} bytes",
-                    s.spill_files, s.spill_bytes
-                )
-                .ok();
             }
         }
         "vacuum" => {

@@ -41,17 +41,12 @@ pub fn serve(addr: &str, opts: &ServeOptions) -> Result<(), String> {
             let (catalog, log, replay) = cods_storage::open_durable(std::path::Path::new(file))
                 .map_err(|e| format!("cannot open {file} durably: {e}"))?;
             println!(
-                "opened {file} durably: {} commit(s) replayed{}{}",
+                "opened {file} durably: {} commit(s) replayed{}",
                 replay.replayed,
                 if replay.discarded_torn {
                     ", torn tail discarded"
                 } else {
                     ""
-                },
-                if replay.orphan_spills > 0 {
-                    format!(", {} orphan spill(s) removed", replay.orphan_spills)
-                } else {
-                    String::new()
                 },
             );
             (cods::Cods::with_catalog(catalog), Some(log))

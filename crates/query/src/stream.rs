@@ -155,7 +155,7 @@ impl ScanStream {
             if end <= hi {
                 i += 1;
             } else {
-                // The interval spills into the next batch: keep it current.
+                // The interval runs on into the next batch: keep it current.
                 break;
             }
         }

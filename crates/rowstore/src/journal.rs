@@ -25,7 +25,7 @@ use std::path::PathBuf;
 /// A rollback journal holding before-images of dirtied pages.
 #[derive(Default)]
 pub struct Journal {
-    /// Before-images spilled this transaction (page number, image).
+    /// Before-images saved this transaction (page number, image).
     images: Vec<(u32, Box<[u8; PAGE_SIZE]>)>,
     /// Pages already journaled this transaction.
     journaled: std::collections::HashSet<u32>,

@@ -22,8 +22,7 @@
 //! src     := 0 str(table) col:u16                     (reused column)
 //!          | 1                                        (next image column)
 //! body    := 2                                        (no image)
-//!          | 0 img_len:u64 image                      (inline)
-//!          | 1 str(file) img_len:u64 img_fnv:u64      (spilled)
+//!          | 0 img_len:u64 image
 //! str     := len:u32 bytes
 //! schema  := as in a table file ([`crate::persist`])
 //! ```
@@ -38,11 +37,10 @@
 //! grammar. Payloads travel in the image's own heap and a reference is a
 //! table name and a column index, so records never hold offsets into the
 //! catalog file — a checkpoint or a vacuum can rewrite and rebind the
-//! catalog heap freely without stranding a pending record. Images at or
-//! below the spill threshold ride inline in the record; larger ones are
-//! spilled to `<file>.clog.d/sN.spill` (written and fsynced *before* the
-//! record that references them, and verified by length + checksum at
-//! replay).
+//! catalog heap freely without stranding a pending record. An image,
+//! whatever its size, rides inside its record's frame: the frame's checksum
+//! and the group fsync cover it, and the log is the only file a commit
+//! writes.
 //!
 //! ## The durable view
 //!
@@ -73,9 +71,10 @@
 //! Concurrent committers stage records under the catalog write lock (which
 //! sequences them in commit order) and then park in [`CommitLog::wait`].
 //! The first waiter becomes the leader: it drains the whole queue, writes
-//! every staged record in one buffer, and issues **one** fsync for the
-//! batch — N commits, one `fsync(2)`. Followers wake when the leader
-//! advances the durable ticket.
+//! every staged record straight into one buffer (each record is encoded
+//! once, inside its frame — [`wal::encode_frame`]), and issues **one**
+//! fsync for the batch — N commits, one `fsync(2)`. Followers wake when the
+//! leader advances the durable ticket.
 //!
 //! ## Recovery state machine
 //!
@@ -132,7 +131,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
@@ -140,22 +139,21 @@ use std::time::Instant;
 
 /// Commit-log file magic ("CODS CLOG").
 const CLOG_MAGIC: u32 = 0xC0D5_C106;
-/// Commit-log format version (2: column-reference puts, word-at-a-time
-/// frame checksum).
-const CLOG_VERSION: u16 = 2;
+/// Commit-log format version (3: an image always rides in its record).
+const CLOG_VERSION: u16 = 3;
 /// Frame tag of a commit record.
 const COMMIT_TAG: u32 = 2;
 /// Bytes of the log file header (magic + version).
 const CLOG_HEADER_BYTES: u64 = 6;
-/// Default inline-vs-spill threshold for put images.
-pub const DEFAULT_SPILL_THRESHOLD: usize = 64 * 1024;
+/// Capacity the batch buffer keeps between batches: one that outgrew it is
+/// cut back, so a single large commit does not pin its size.
+const BATCH_BUF_KEEP: usize = 1 << 20;
 
 /// `src` tags of a put's column list.
 const SRC_REUSED: u8 = 0;
 const SRC_CARRIED: u8 = 1;
 /// `body` tags of a put.
-const BODY_INLINE: u8 = 0;
-const BODY_SPILLED: u8 = 1;
+const BODY_IMAGE: u8 = 0;
 const BODY_NONE: u8 = 2;
 
 /// The name → table state a record applies to: the log's durable view
@@ -169,7 +167,10 @@ pub fn clog_path(target: &Path) -> PathBuf {
     target.with_file_name(name)
 }
 
-/// The spill directory for a catalog file: `<file>.clog.d`.
+/// `<file>.clog.d`, where builds up to log format 2 kept oversized images.
+/// No build from this one on creates that directory — a durable catalog is
+/// `<file>` and `<file>.clog` — and nothing here calls this; it is kept for
+/// the benchmark harness, which still imports it.
 pub fn spill_dir(target: &Path) -> PathBuf {
     let mut name = target.file_name().unwrap_or_default().to_os_string();
     name.push(".clog.d");
@@ -192,7 +193,7 @@ pub struct CommitLogStats {
     /// Put columns written out in an image — the ones that were not
     /// pointer-identical to any column of the durable view.
     pub columns_carried: u64,
-    /// Bytes the commits wrote: record frames plus spill files.
+    /// Bytes the commits wrote (their record frames).
     pub bytes_appended: u64,
     /// Records currently in the log, i.e. not yet checkpointed (gauge).
     pub pending_records: u64,
@@ -210,9 +211,6 @@ pub struct ReplayReport {
     /// `true` when a torn tail (a record whose append was cut by the
     /// crash) was discarded and truncated away.
     pub discarded_torn: bool,
-    /// Orphan spill files (spilled images whose record never sealed)
-    /// removed.
-    pub orphan_spills: u64,
 }
 
 /// One put of a pending record, as [`log_status`] lists it.
@@ -224,7 +222,7 @@ pub struct PutSummary {
     pub referenced: usize,
     /// Columns the put carries in its image.
     pub carried: usize,
-    /// Bytes of that image (inline or spilled); 0 without one.
+    /// Bytes of that image; 0 without one.
     pub carried_bytes: u64,
 }
 
@@ -252,10 +250,6 @@ pub struct LogStatus {
     /// Bytes past the valid prefix — non-zero means a torn tail that the
     /// next open will discard.
     pub torn_bytes: u64,
-    /// Spill files currently on disk.
-    pub spill_files: u64,
-    /// Total bytes of those spill files.
-    pub spill_bytes: u64,
     /// What each sealed record holds, in log order.
     pub pending: Vec<RecordSummary>,
 }
@@ -319,9 +313,8 @@ struct Entry {
     /// Catalog version the commit produced — compared against the
     /// checkpoint's snapshot version to decide truncation.
     version: u64,
+    /// Where its frame starts.
     offset: u64,
-    len: u64,
-    spills: Vec<PathBuf>,
 }
 
 /// File-side state, guarded separately from the scheduler so a leader
@@ -337,15 +330,14 @@ struct LogIo {
 struct Inner {
     target: PathBuf,
     log_path: PathBuf,
-    spill_dir: PathBuf,
-    spill_threshold: usize,
     sched: Mutex<Sched>,
     done: Condvar,
     io: Mutex<LogIo>,
     /// Held for the length of a checkpoint: one snapshot-save-truncate at
     /// a time.
     checkpointing: Mutex<()>,
-    spill_seq: AtomicU64,
+    /// The leader's batch buffer, kept (cleared) between batches.
+    batch_buf: Mutex<Vec<u8>>,
     commits: AtomicU64,
     fsyncs: AtomicU64,
     max_batch: AtomicU64,
@@ -365,18 +357,10 @@ pub struct CommitLog {
 
 /// Opens `target` durably: recovers any interrupted save, loads the
 /// checkpoint, replays the commit log's sealed records past it (discarding
-/// and truncating a torn tail), removes orphan spills, and attaches the
-/// log to the catalog as its [`DurabilitySink`]. Returns the recovered
-/// catalog, the live log, and what replay found.
+/// and truncating a torn tail), and attaches the log to the catalog as its
+/// [`DurabilitySink`]. Returns the recovered catalog, the live log, and
+/// what replay found.
 pub fn open_durable(target: &Path) -> Result<(Catalog, CommitLog, ReplayReport), StorageError> {
-    open_durable_with(target, DEFAULT_SPILL_THRESHOLD)
-}
-
-/// [`open_durable`] with an explicit inline-vs-spill threshold (bytes).
-pub fn open_durable_with(
-    target: &Path,
-    spill_threshold: usize,
-) -> Result<(Catalog, CommitLog, ReplayReport), StorageError> {
     let lock = wal::path_lock(target);
     let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
 
@@ -390,107 +374,46 @@ pub fn open_durable_with(
     };
 
     let log_path = clog_path(target);
-    let spills = spill_dir(target);
-    let mut report = ReplayReport::default();
-    let mut entries: Vec<Entry> = Vec::new();
-    let len;
-    if log_path.exists() {
-        let bytes = std::fs::read(&log_path)?;
-        if bytes.len() < CLOG_HEADER_BYTES as usize {
-            // The initial header write itself was torn: an empty log.
-            recreate_header(&log_path)?;
-            report.discarded_torn = !bytes.is_empty();
-            len = CLOG_HEADER_BYTES;
-        } else if !is_clog_header(&bytes) {
-            return Err(StorageError::Corrupt(format!(
-                "{} is not a commit log (bad magic/version)",
-                log_path.display()
-            )));
-        } else {
-            let (frames, used) = wal::scan_frame_prefix(&bytes[CLOG_HEADER_BYTES as usize..]);
-            let valid_len = CLOG_HEADER_BYTES + used as u64;
-            report.discarded_torn = valid_len < bytes.len() as u64;
-            let mut offset = CLOG_HEADER_BYTES;
-            let mut prev_version = 0;
-            for (tag, payload) in frames {
-                let frame_len = wal::FRAME_OVERHEAD_BYTES + payload.len() as u64;
-                if tag != COMMIT_TAG {
-                    return Err(StorageError::Corrupt(format!(
-                        "unexpected frame tag {tag} in {}",
-                        log_path.display()
-                    )));
-                }
-                let record = decode_record(&payload)?;
-                if record.version <= prev_version {
-                    return Err(StorageError::Corrupt(format!(
-                        "commit record {} follows record {prev_version} in {}",
-                        record.version,
-                        log_path.display()
-                    )));
-                }
-                prev_version = record.version;
-                entries.push(Entry {
-                    version: record.version,
-                    offset,
-                    len: frame_len,
-                    spills: record
-                        .puts
-                        .iter()
-                        .filter_map(|p| match &p.body {
-                            Some(PutBody::Spill { file, .. }) => Some(spills.join(file)),
-                            _ => None,
-                        })
-                        .collect(),
-                });
-                offset += frame_len;
-                if record.version <= version {
-                    // The checkpoint covers it (a crash cut the truncation
-                    // that follows a save): the next checkpoint drops it.
-                    continue;
-                }
-                let mut puts = Vec::with_capacity(record.puts.len());
-                for put in record.puts {
-                    let t = Arc::new(resolve_put(put, &view, &spills)?);
-                    view.insert(t.name().to_string(), Arc::clone(&t));
-                    puts.push(t);
-                }
-                remove_dropped(&mut view, &record.drops, &puts);
-                version = record.version;
-                report.replayed += 1;
-            }
-            if report.discarded_torn {
-                let f = fault::open_rw(&log_path)?;
-                fault::set_len(&f, valid_len)?;
-                fault::sync(&f)?;
-            }
-            len = valid_len;
+    let read = read_log(&log_path)?.unwrap_or_default();
+    let mut report = ReplayReport {
+        replayed: 0,
+        discarded_torn: read.torn_bytes > 0,
+    };
+    let mut entries = Vec::with_capacity(read.records.len());
+    for (record, offset) in read.records {
+        entries.push(Entry {
+            version: record.version,
+            offset,
+        });
+        if record.version <= version {
+            // The checkpoint covers it (a crash cut the truncation that
+            // follows a save): the next checkpoint drops it.
+            continue;
         }
+        let mut puts = Vec::with_capacity(record.puts.len());
+        for put in record.puts {
+            let t = Arc::new(resolve_put(put, &view)?);
+            view.insert(t.name().to_string(), Arc::clone(&t));
+            puts.push(t);
+        }
+        remove_dropped(&mut view, &record.drops, &puts);
+        version = record.version;
+        report.replayed += 1;
+    }
+    let len = if read.valid_len < CLOG_HEADER_BYTES {
+        // No log yet, or its initial header write was torn: an empty log.
+        let mut f = fault::create(&log_path)?;
+        fault::write_all(&mut f, &clog_header())?;
+        fault::sync(&f)?;
+        CLOG_HEADER_BYTES
     } else {
-        recreate_header(&log_path)?;
-        len = CLOG_HEADER_BYTES;
-    }
-
-    // Spilled images whose record never sealed (or whose record was
-    // checkpointed away before a crash could delete them) are orphans.
-    let mut max_seq = 0u64;
-    for e in &entries {
-        for s in &e.spills {
-            if let Some(seq) = parse_spill_seq(s) {
-                max_seq = max_seq.max(seq);
-            }
+        if report.discarded_torn {
+            let f = fault::open_rw(&log_path)?;
+            fault::set_len(&f, read.valid_len)?;
+            fault::sync(&f)?;
         }
-    }
-    if spills.is_dir() {
-        let referenced: std::collections::HashSet<PathBuf> =
-            entries.iter().flat_map(|e| e.spills.clone()).collect();
-        for dirent in std::fs::read_dir(&spills)?.flatten() {
-            let path = dirent.path();
-            if !referenced.contains(&path) {
-                fault::remove_file(&path)?;
-                report.orphan_spills += 1;
-            }
-        }
-    }
+        read.valid_len
+    };
 
     let catalog = Catalog::from_parts(version, view.clone());
     let file = fault::open_rw(&log_path)?;
@@ -498,8 +421,6 @@ pub fn open_durable_with(
         inner: Arc::new(Inner {
             target: target.to_path_buf(),
             log_path,
-            spill_dir: spills,
-            spill_threshold,
             sched: Mutex::new(Sched {
                 view,
                 last_version: version,
@@ -508,7 +429,7 @@ pub fn open_durable_with(
             done: Condvar::new(),
             io: Mutex::new(LogIo { file, len, entries }),
             checkpointing: Mutex::new(()),
-            spill_seq: AtomicU64::new(max_seq + 1),
+            batch_buf: Mutex::new(Vec::new()),
             commits: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             max_batch: AtomicU64::new(0),
@@ -522,13 +443,6 @@ pub fn open_durable_with(
     Ok((catalog, log, report))
 }
 
-/// `true` when `bytes` opens with this build's log header.
-fn is_clog_header(bytes: &[u8]) -> bool {
-    bytes.len() >= CLOG_HEADER_BYTES as usize
-        && bytes[..4] == CLOG_MAGIC.to_le_bytes()
-        && bytes[4..6] == CLOG_VERSION.to_le_bytes()
-}
-
 /// The log file header: magic + version.
 fn clog_header() -> [u8; CLOG_HEADER_BYTES as usize] {
     let mut header = [0u8; CLOG_HEADER_BYTES as usize];
@@ -537,47 +451,109 @@ fn clog_header() -> [u8; CLOG_HEADER_BYTES as usize] {
     header
 }
 
-/// (Re)creates the log file as a bare header, durably.
-fn recreate_header(log_path: &Path) -> Result<(), StorageError> {
-    let mut f = fault::create(log_path)?;
-    fault::write_all(&mut f, &clog_header())?;
-    fault::sync(&f)?;
-    Ok(())
+/// A log file as [`read_log`] found it.
+#[derive(Default)]
+struct LogRead {
+    /// The sealed records of the valid prefix, in log order, each with the
+    /// offset of its frame.
+    records: Vec<(Record, u64)>,
+    /// Bytes of the valid prefix, header included — 0 when the file is too
+    /// short to hold a header (the header write itself was torn).
+    valid_len: u64,
+    /// Bytes past the valid prefix: a torn tail.
+    torn_bytes: u64,
+}
+
+/// The one reader of a log file, behind [`open_durable`] and
+/// [`log_status`]: `None` when there is no file; otherwise the header's
+/// verdict, the valid frame prefix and every record in it decoded. Images
+/// are slices of the one buffer the file was read into. Mutates nothing.
+///
+/// # Errors
+/// [`StorageError::Corrupt`] for a file that is not a commit log, a log of
+/// another format version (named), and a sealed record that is not a commit
+/// record, does not decode, or does not pass the version before it.
+fn read_log(log_path: &Path) -> Result<Option<LogRead>, StorageError> {
+    let bytes = match std::fs::read(log_path) {
+        Ok(bytes) => Bytes::from(bytes),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    let header = CLOG_HEADER_BYTES as usize;
+    if bytes.len() < header {
+        return Ok(Some(LogRead {
+            torn_bytes: bytes.len() as u64,
+            ..LogRead::default()
+        }));
+    }
+    if bytes[..4] != CLOG_MAGIC.to_le_bytes() {
+        return Err(corrupt(format!(
+            "{} is not a commit log (bad magic)",
+            log_path.display()
+        )));
+    }
+    let format = u16::from_le_bytes([bytes[4], bytes[5]]);
+    if format != CLOG_VERSION {
+        return Err(corrupt(format!(
+            "unsupported commit log version {format} in {}",
+            log_path.display()
+        )));
+    }
+    let (frames, used) = wal::scan_frame_prefix(&bytes[header..]);
+    let mut records = Vec::with_capacity(frames.len());
+    let mut offset = header;
+    let mut prev_version = 0;
+    for (tag, payload) in frames {
+        if tag != COMMIT_TAG {
+            return Err(corrupt(format!(
+                "unexpected frame tag {tag} in {}",
+                log_path.display()
+            )));
+        }
+        let at = offset + 12; // past the frame's tag and length
+        let record = decode_record(&bytes.slice(at..at + payload.len()))?;
+        if record.version <= prev_version {
+            return Err(corrupt(format!(
+                "commit record {} follows record {prev_version} in {}",
+                record.version,
+                log_path.display()
+            )));
+        }
+        prev_version = record.version;
+        records.push((record, offset as u64));
+        offset += wal::FRAME_OVERHEAD_BYTES as usize + payload.len();
+    }
+    let valid_len = header + used;
+    Ok(Some(LogRead {
+        records,
+        valid_len: valid_len as u64,
+        torn_bytes: (bytes.len() - valid_len) as u64,
+    }))
 }
 
 /// Inspects the commit log of `target` without opening or mutating it.
 ///
 /// # Errors
-/// [`StorageError::Corrupt`] when a sealed record does not decode.
+/// As [`read_log`]: whatever [`open_durable`] would refuse the log for.
 pub fn log_status(target: &Path) -> Result<LogStatus, StorageError> {
-    let log_path = clog_path(target);
-    let mut status = LogStatus::default();
-    if let Ok(bytes) = std::fs::read(&log_path) {
-        status.exists = true;
-        if is_clog_header(&bytes) {
-            let (frames, used) = wal::scan_frame_prefix(&bytes[CLOG_HEADER_BYTES as usize..]);
-            status.records = frames.len() as u64;
-            status.valid_bytes = CLOG_HEADER_BYTES + used as u64;
-            status.torn_bytes = bytes.len() as u64 - status.valid_bytes;
-            for (_, payload) in &frames {
-                let record = decode_record(payload)?;
-                status.pending.push(RecordSummary {
-                    version: record.version,
-                    drops: record.drops,
-                    puts: record.puts.iter().map(PutRecord::summary).collect(),
-                });
-            }
-        } else {
-            status.torn_bytes = bytes.len() as u64;
-        }
-    }
-    if let Ok(dir) = std::fs::read_dir(spill_dir(target)) {
-        for dirent in dir.flatten() {
-            status.spill_files += 1;
-            status.spill_bytes += dirent.metadata().map(|m| m.len()).unwrap_or(0);
-        }
-    }
-    Ok(status)
+    let Some(read) = read_log(&clog_path(target))? else {
+        return Ok(LogStatus::default());
+    };
+    Ok(LogStatus {
+        exists: true,
+        records: read.records.len() as u64,
+        valid_bytes: read.valid_len,
+        torn_bytes: read.torn_bytes,
+        pending: read
+            .records
+            .into_iter()
+            .map(|(record, ..)| RecordSummary {
+                version: record.version,
+                puts: record.puts.iter().map(PutRecord::summary).collect(),
+                drops: record.drops,
+            })
+            .collect(),
+    })
 }
 
 /// The last step of applying a record to `state`, shared by staging and
@@ -687,145 +663,62 @@ impl CommitLog {
     }
 
     /// Drops every entry with `version <= snap_version` from the log file.
+    /// Versions rise along the log, so those are its head.
     fn truncate_covered(&self, snap_version: u64) -> Result<u64, StorageError> {
         let inner = &self.inner;
         let mut io = inner.io.lock();
-        let (keep, drop): (Vec<Entry>, Vec<Entry>) = std::mem::take(&mut io.entries)
-            .into_iter()
-            .partition(|e| e.version > snap_version);
-        let truncated = drop.len() as u64;
+        let io = &mut *io;
+        let before = io.entries.len();
+        io.entries.retain(|e| e.version > snap_version);
+        let truncated = (before - io.entries.len()) as u64;
         if truncated == 0 {
-            io.entries = keep;
             return Ok(0);
         }
-        if keep.is_empty() {
+        let Some(first) = io.entries.first() else {
             // Nothing survives: truncate in place to a bare header.
             fault::set_len(&io.file, CLOG_HEADER_BYTES)?;
             fault::sync(&io.file)?;
             io.len = CLOG_HEADER_BYTES;
-        } else {
-            // Some records postdate the snapshot: rebuild the log as
-            // header + retained records in a temp file and rename it over
-            // the old one — atomic, like a rewrite save.
-            use std::io::Read;
-            let mut old = File::open(&inner.log_path)?;
-            let mut retained = Vec::new();
-            let mut new_entries = Vec::with_capacity(keep.len());
-            let mut offset = CLOG_HEADER_BYTES;
-            for mut e in keep {
-                let mut buf = vec![0u8; e.len as usize];
-                old.seek(SeekFrom::Start(e.offset))?;
-                old.read_exact(&mut buf)?;
-                retained.extend_from_slice(&buf);
-                e.offset = offset;
-                offset += e.len;
-                new_entries.push(e);
-            }
-            let tmp = inner.log_path.with_extension("clog.tmp");
-            let mut f = fault::create(&tmp)?;
-            fault::write_all(&mut f, &clog_header())?;
-            fault::write_all(&mut f, &retained)?;
-            fault::sync(&f)?;
-            drop_file(f);
-            fault::rename(&tmp, &inner.log_path)?;
-            io.file = fault::open_rw(&inner.log_path)?;
-            io.len = offset;
-            io.entries = new_entries;
-        }
-        // Only after the truncated log is durable may the spills of the
-        // dropped records go — the other order could lose acknowledged
-        // commits to a crash between the two steps.
-        for e in &drop {
-            for s in &e.spills {
-                fault::remove_file(s)?;
-            }
+            return Ok(truncated);
+        };
+        // Some records postdate the snapshot: rebuild the log as header +
+        // retained records in a temp file and rename it over the old one —
+        // atomic, like a rewrite save.
+        let cut = first.offset - CLOG_HEADER_BYTES;
+        let mut retained = vec![0u8; (io.len - first.offset) as usize];
+        io.file.seek(SeekFrom::Start(first.offset))?;
+        io.file.read_exact(&mut retained)?;
+        let tmp = inner.log_path.with_extension("clog.tmp");
+        let mut f = fault::create(&tmp)?;
+        fault::write_all(&mut f, &clog_header())?;
+        fault::write_all(&mut f, &retained)?;
+        fault::sync(&f)?;
+        drop(f);
+        fault::rename(&tmp, &inner.log_path)?;
+        io.file = fault::open_rw(&inner.log_path)?;
+        io.len -= cut;
+        for e in &mut io.entries {
+            e.offset -= cut;
         }
         Ok(truncated)
     }
 
-    /// Serializes one staged record, spilling oversized images. Spill files
-    /// are durable before this returns — a sealed record never references
-    /// an unsynced spill.
-    fn encode_record(&self, p: &Pending) -> Result<Encoded, StorageError> {
-        let inner = &self.inner;
-        let mut enc = Encoded::default();
-        let out = &mut enc.payload;
-        out.extend_from_slice(&p.version.to_le_bytes());
-        out.extend_from_slice(&(p.drops.len() as u32).to_le_bytes());
-        for d in &p.drops {
-            put_str(out, d);
-        }
-        out.extend_from_slice(&(p.puts.len() as u32).to_le_bytes());
-        for put in &p.puts {
-            let t = &put.table;
-            put_str(out, t.name());
-            persist::put_schema(out, t.schema());
-            out.extend_from_slice(&t.rows().to_le_bytes());
-            out.extend_from_slice(&(put.srcs.len() as u16).to_le_bytes());
-            let mut carried_defs = Vec::new();
-            let mut carried_cols = Vec::new();
-            for (i, src) in put.srcs.iter().enumerate() {
-                match src {
-                    Some((table, col)) => {
-                        out.push(SRC_REUSED);
-                        put_str(out, table);
-                        out.extend_from_slice(&col.to_le_bytes());
-                    }
-                    None => {
-                        out.push(SRC_CARRIED);
-                        carried_defs.push(t.schema().columns()[i].clone());
-                        carried_cols.push(Arc::clone(t.column(i)));
-                    }
-                }
-            }
-            enc.referenced += (put.srcs.len() - carried_cols.len()) as u64;
-            enc.carried += carried_cols.len() as u64;
-            if carried_cols.is_empty() {
-                out.push(BODY_NONE);
-                continue;
-            }
-            // The image is a table of the carried columns alone.
-            let carried = Table::new(t.name(), Schema::new(carried_defs)?, carried_cols)?;
-            let img = persist::encode_table(&carried);
-            if img.len() <= inner.spill_threshold {
-                out.push(BODY_INLINE);
-                out.extend_from_slice(&(img.len() as u64).to_le_bytes());
-                out.extend_from_slice(&img);
-            } else {
-                let name = format!("s{}.spill", inner.spill_seq.fetch_add(1, Ordering::Relaxed));
-                if !inner.spill_dir.is_dir() {
-                    fault::create_dir_all(&inner.spill_dir)?;
-                }
-                let path = inner.spill_dir.join(&name);
-                let mut f = fault::create(&path)?;
-                fault::write_all(&mut f, &img)?;
-                fault::sync(&f)?;
-                out.push(BODY_SPILLED);
-                put_str(out, &name);
-                out.extend_from_slice(&(img.len() as u64).to_le_bytes());
-                out.extend_from_slice(&wal::checksum(&[&img]).to_le_bytes());
-                enc.spills.push(path);
-                enc.spill_bytes += img.len() as u64;
-            }
-        }
-        Ok(enc)
-    }
-
-    /// Leader path: encodes and appends a whole batch of staged records,
+    /// Leader path: encodes a whole batch of staged records — each once,
+    /// straight into its frame in the batch buffer — and appends it,
     /// covering all of them with a single fsync.
     fn write_batch(&self, batch: &[Pending]) -> Result<(), StorageError> {
         let inner = &self.inner;
-        let mut buf = Vec::new();
-        let mut metas = Vec::with_capacity(batch.len());
-        let (mut referenced, mut carried, mut spill_bytes) = (0, 0, 0);
+        let mut buf = inner.batch_buf.lock();
+        let mut entries = Vec::with_capacity(batch.len());
+        let (mut referenced, mut carried) = (0, 0);
         for p in batch {
-            let enc = self.encode_record(p)?;
-            let frame = wal::encode_frame(COMMIT_TAG, &enc.payload);
-            metas.push((p.version, buf.len() as u64, frame.len() as u64, enc.spills));
-            buf.extend_from_slice(&frame);
-            referenced += enc.referenced;
-            carried += enc.carried;
-            spill_bytes += enc.spill_bytes;
+            entries.push(Entry {
+                version: p.version,
+                offset: buf.len() as u64, // in the batch: rebased below
+            });
+            let (r, c) = wal::encode_frame(&mut buf, COMMIT_TAG, |out| encode_record(out, p))?;
+            referenced += r;
+            carried += c;
         }
         let mut io = inner.io.lock();
         let base = io.len;
@@ -849,28 +742,65 @@ impl CommitLog {
         inner.columns_carried.fetch_add(carried, Ordering::Relaxed);
         inner
             .bytes_appended
-            .fetch_add(buf.len() as u64 + spill_bytes, Ordering::Relaxed);
-        for (version, off, len, spills) in metas {
-            io.entries.push(Entry {
-                version,
-                offset: base + off,
-                len,
-                spills,
-            });
-        }
+            .fetch_add(buf.len() as u64, Ordering::Relaxed);
+        io.entries.extend(entries.into_iter().map(|e| Entry {
+            offset: base + e.offset,
+            ..e
+        }));
         io.len = base + buf.len() as u64;
+        buf.clear();
+        buf.shrink_to(BATCH_BUF_KEEP);
         Ok(())
     }
 }
 
-/// What [`CommitLog::encode_record`] produced for one record.
-#[derive(Default)]
-struct Encoded {
-    payload: Vec<u8>,
-    spills: Vec<PathBuf>,
-    spill_bytes: u64,
-    referenced: u64,
-    carried: u64,
+/// Appends one staged record to `out`; a carried image is appended once,
+/// from the bytes [`persist::encode_table`] made. Returns how many of its
+/// put columns the record references and how many it carries.
+fn encode_record(out: &mut Vec<u8>, p: &Pending) -> Result<(u64, u64), StorageError> {
+    let (mut referenced, mut carried) = (0, 0);
+    out.extend_from_slice(&p.version.to_le_bytes());
+    out.extend_from_slice(&(p.drops.len() as u32).to_le_bytes());
+    for d in &p.drops {
+        put_str(out, d);
+    }
+    out.extend_from_slice(&(p.puts.len() as u32).to_le_bytes());
+    for put in &p.puts {
+        let t = &put.table;
+        put_str(out, t.name());
+        persist::put_schema(out, t.schema());
+        out.extend_from_slice(&t.rows().to_le_bytes());
+        out.extend_from_slice(&(put.srcs.len() as u16).to_le_bytes());
+        let mut carried_defs = Vec::new();
+        let mut carried_cols = Vec::new();
+        for (i, src) in put.srcs.iter().enumerate() {
+            match src {
+                Some((table, col)) => {
+                    out.push(SRC_REUSED);
+                    put_str(out, table);
+                    out.extend_from_slice(&col.to_le_bytes());
+                }
+                None => {
+                    out.push(SRC_CARRIED);
+                    carried_defs.push(t.schema().columns()[i].clone());
+                    carried_cols.push(Arc::clone(t.column(i)));
+                }
+            }
+        }
+        referenced += (put.srcs.len() - carried_cols.len()) as u64;
+        carried += carried_cols.len() as u64;
+        if carried_cols.is_empty() {
+            out.push(BODY_NONE);
+            continue;
+        }
+        // The image is a table of the carried columns alone.
+        let image = Table::new(t.name(), Schema::new(carried_defs)?, carried_cols)?;
+        let img = persist::encode_table(&image);
+        out.push(BODY_IMAGE);
+        out.extend_from_slice(&(img.len() as u64).to_le_bytes());
+        out.extend_from_slice(&img);
+    }
+    Ok((referenced, carried))
 }
 
 impl DurabilitySink for CommitLog {
@@ -969,21 +899,6 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Parses the `N` out of a `sN.spill` file name.
-fn parse_spill_seq(path: &Path) -> Option<u64> {
-    let name = path.file_name()?.to_str()?;
-    name.strip_prefix('s')?.strip_suffix(".spill")?.parse().ok()
-}
-
-fn drop_file(f: File) {
-    drop(f);
-}
-
-enum PutBody {
-    Inline(Bytes),
-    Spill { file: String, len: u64, fnv: u64 },
-}
-
 /// One decoded put: well-formed on its own, not yet checked against any
 /// state.
 struct PutRecord {
@@ -994,7 +909,7 @@ struct PutRecord {
     srcs: Vec<Src>,
     /// The image of the carried columns; `None` exactly when every column
     /// is a reference.
-    body: Option<PutBody>,
+    body: Option<Bytes>,
 }
 
 impl PutRecord {
@@ -1004,11 +919,7 @@ impl PutRecord {
             table: self.name.clone(),
             referenced: self.srcs.len() - carried,
             carried,
-            carried_bytes: match &self.body {
-                None => 0,
-                Some(PutBody::Inline(img)) => img.len() as u64,
-                Some(PutBody::Spill { len, .. }) => *len,
-            },
+            carried_bytes: self.body.as_ref().map_or(0, |img| img.len() as u64),
         }
     }
 }
@@ -1026,8 +937,9 @@ fn corrupt(msg: String) -> StorageError {
 /// Decodes a sealed record payload. A sealed-but-undecodable record is a
 /// hard corruption, never silently skipped — the frame checksum already
 /// passed, so the bytes are what was written. No count read here sizes an
-/// allocation before the bytes behind it have been seen.
-fn decode_record(payload: &[u8]) -> Result<Record, StorageError> {
+/// allocation before the bytes behind it have been seen, and an image is a
+/// slice of `payload`, not a copy.
+fn decode_record(payload: &Bytes) -> Result<Record, StorageError> {
     let mut c = Cursor {
         bytes: payload,
         at: 0,
@@ -1058,16 +970,13 @@ fn decode_record(payload: &[u8]) -> Result<Record, StorageError> {
         }
         let body = match c.u8()? {
             BODY_NONE => None,
-            BODY_INLINE => {
+            BODY_IMAGE => {
                 let len = usize::try_from(c.u64()?)
-                    .map_err(|_| corrupt("inline image beyond address space".into()))?;
-                Some(PutBody::Inline(Bytes::from(c.take(len)?.to_vec())))
+                    .map_err(|_| corrupt("image beyond address space".into()))?;
+                let start = c.at;
+                c.take(len)?;
+                Some(payload.slice(start..c.at))
             }
-            BODY_SPILLED => Some(PutBody::Spill {
-                file: c.str()?,
-                len: c.u64()?,
-                fnv: c.u64()?,
-            }),
             tag => return Err(corrupt(format!("unknown commit-record body tag {tag}"))),
         };
         match (body.is_some(), srcs.iter().any(|s| s.is_none())) {
@@ -1103,34 +1012,14 @@ fn decode_record(payload: &[u8]) -> Result<Record, StorageError> {
 
 /// Rebuilds one put's table over `state`: reused columns are looked up by
 /// table name and column index, carried ones taken in order from the image
-/// (read back and verified when it was spilled). Anything that does not
+/// (which the record's frame checksum already covered). Anything that does not
 /// fit — an unknown table, an index past its arity, an image of the wrong
 /// width, a column whose type or row count is not the schema's — is
 /// [`StorageError::Corrupt`].
-fn resolve_put(put: PutRecord, state: &View, spills: &Path) -> Result<Table, StorageError> {
-    let image = match put.body {
-        None => None,
-        Some(PutBody::Inline(img)) => Some(img),
-        Some(PutBody::Spill { file, len, fnv }) => {
-            let path = spills.join(&file);
-            let img = std::fs::read(&path).map_err(|e| {
-                corrupt(format!(
-                    "sealed record references missing spill {}: {e}",
-                    path.display()
-                ))
-            })?;
-            if img.len() as u64 != len || wal::checksum(&[&img]) != fnv {
-                return Err(corrupt(format!(
-                    "spill {} does not match its sealed record",
-                    path.display()
-                )));
-            }
-            Some(Bytes::from(img))
-        }
-    };
-    // Decoded from owned bytes: the replayed columns are backed by memory,
-    // never by the (deletable) spill file.
-    let image = image.map(persist::decode_table).transpose()?;
+fn resolve_put(put: PutRecord, state: &View) -> Result<Table, StorageError> {
+    // Decoded from memory — the buffer the log was read into — so the
+    // replayed columns never depend on a file a checkpoint will truncate.
+    let image = put.body.map(persist::decode_table).transpose()?;
     let carried = put.srcs.iter().filter(|s| s.is_none()).count();
     if image.as_ref().map_or(0, Table::arity) != carried {
         return Err(corrupt(format!(
@@ -1316,62 +1205,155 @@ mod tests {
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
+    /// What the directory of `path` holds, sorted.
+    fn files_beside(path: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// One Int column of `rows` distinct values: an image of about
+    /// `12 * rows` bytes.
+    fn big(name: &str, rows: i64) -> Table {
+        let schema = Schema::build(&[("k", ValueType::Int)], &[]).unwrap();
+        let data: Vec<Vec<Value>> = (0..rows).map(|i| vec![Value::Int(i * 7)]).collect();
+        Table::from_rows(name, schema, &data).unwrap()
+    }
+
     #[test]
-    fn large_images_spill_and_replay_verified() {
+    fn a_large_image_rides_in_its_record_and_the_log_is_the_only_file() {
         let path = scratch("c.catalog");
-        let (cat, log, _r) = open_durable_with(&path, 64).unwrap();
-        commit_put(&cat, tiny("big", 500));
+        let two = vec!["c.catalog".to_string(), "c.catalog.clog".to_string()];
+        let (cat, log, _r) = open_durable(&path).unwrap();
+        commit_put(&cat, tiny("small", 4));
+        let small_end = std::fs::metadata(clog_path(&path)).unwrap().len() as usize;
+        commit_put(&cat, big("big", 100_000));
+        let image = persist::encode_table(&cat.get("big").unwrap());
+        assert!(image.len() >= 1 << 20, "{} bytes", image.len());
+        assert_eq!(files_beside(&path), two[1..], "a commit writes the log");
         let status = log_status(&path).unwrap();
-        assert_eq!(status.spill_files, 1, "image above threshold must spill");
-        assert!(status.spill_bytes > 64);
+        assert_eq!(status.records, 2);
+        assert_eq!(status.pending[1].puts[0].carried_bytes, image.len() as u64);
+        assert_eq!(log.stats().bytes_appended, status.valid_bytes - 6);
+        // The batch that outgrew the buffer does not pin its size.
+        assert!(log.inner.batch_buf.lock().capacity() <= BATCH_BUF_KEEP);
+        drop((cat, log));
 
-        let (cat2, _log2, replay) = open_durable_with(&path, 64).unwrap();
-        assert_eq!(replay.replayed, 1);
+        // The big record ends `… body:u8 img_len:u64 image fnv:u64`. Cut at
+        // every 4 KiB inside it and at each byte around `img_len` and the
+        // checksum, or with one bit of the image flipped, it is a torn
+        // tail: discarded, the acknowledged commit before it intact, never
+        // a decoded table. Every tear is read (`log_status` shares the
+        // reader); recovery's fsync is paid around the fields and for a
+        // sample of the 4 KiB cuts.
+        let log_bytes = std::fs::read(clog_path(&path)).unwrap();
+        let sum_at = log_bytes.len() - 8;
+        let image_at = sum_at - image.len();
+        let len_at = image_at - 8;
+        assert_eq!(&log_bytes[image_at..sum_at], image.as_slice());
         assert_eq!(
-            cat2.get("big").unwrap().tuple_multiset(),
-            cat.get("big").unwrap().tuple_multiset()
+            log_bytes[len_at..image_at],
+            (image.len() as u64).to_le_bytes()
         );
+        let torn = |bytes: &[u8], reopen: bool, what: String| {
+            std::fs::write(clog_path(&path), bytes).unwrap();
+            let status = log_status(&path).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(
+                (status.records, status.valid_bytes, status.torn_bytes),
+                (1, small_end as u64, (bytes.len() - small_end) as u64),
+                "{what}"
+            );
+            if !reopen {
+                return;
+            }
+            let (got, _log, replay) = open_durable(&path).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(
+                (replay.replayed, replay.discarded_torn),
+                (1, true),
+                "{what}"
+            );
+            assert_eq!(got.table_names(), vec!["small"], "{what}");
+            assert_eq!(
+                got.get("small").unwrap().to_rows(),
+                tiny("small", 4).to_rows()
+            );
+            let len = std::fs::metadata(clog_path(&path)).unwrap().len();
+            assert_eq!(len as usize, small_end, "{what}: the tear is truncated");
+        };
+        for (i, cut) in (small_end + 1..log_bytes.len()).step_by(4096).enumerate() {
+            torn(&log_bytes[..cut], i % 32 == 0, format!("cut at {cut}"));
+        }
+        for cut in (len_at - 6..len_at + 14).chain(sum_at - 12..sum_at + 8) {
+            torn(&log_bytes[..cut], true, format!("cut at {cut}"));
+        }
+        for at in [image_at, image_at + image.len() / 2, sum_at - 1] {
+            let mut flipped = log_bytes.clone();
+            flipped[at] ^= 0x04;
+            torn(&flipped, true, format!("flip at {at}"));
+        }
+        std::fs::write(clog_path(&path), &log_bytes).unwrap();
 
-        // Checkpoint removes the spill with its record.
-        let (cat3, log3, _r) = open_durable_with(&path, 64).unwrap();
-        log3.checkpoint(&cat3).unwrap();
-        assert_eq!(log_status(&path).unwrap().spill_files, 0);
-        drop(log);
+        let (cat2, log2, replay) = open_durable(&path).unwrap();
+        assert_eq!(replay.replayed, 2);
+        assert_eq!(
+            persist::encode_table(&cat2.get("big").unwrap()).as_slice(),
+            image.as_slice()
+        );
+        assert_eq!(files_beside(&path), two[1..]);
+
+        // Checkpoint: the image moves into the catalog file, the log is a
+        // bare header again, and there is nothing else to clean up.
+        assert_eq!(log2.checkpoint(&cat2).unwrap(), 2);
+        assert_eq!(files_beside(&path), two);
+        assert_eq!(std::fs::read(clog_path(&path)).unwrap(), clog_header());
+        let (cat3, _log3, replay) = open_durable(&path).unwrap();
+        assert_eq!(replay.replayed, 0);
+        assert_eq!(
+            persist::encode_table(&cat3.get("big").unwrap()).as_slice(),
+            image.as_slice()
+        );
+        assert_eq!(files_beside(&path), two);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
+    /// A log of another format version is refused by number, a file that is
+    /// no log by its magic — from both entry points, touching nothing.
     #[test]
-    fn corrupted_spill_is_typed_corrupt() {
-        let path = scratch("d.catalog");
-        let (cat, _log, _r) = open_durable_with(&path, 64).unwrap();
-        commit_put(&cat, tiny("big", 500));
-        let spill = std::fs::read_dir(spill_dir(&path))
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap()
-            .path();
-        let mut bytes = std::fs::read(&spill).unwrap();
-        bytes[10] ^= 0xFF;
-        std::fs::write(&spill, &bytes).unwrap();
-        assert!(matches!(
-            open_durable_with(&path, 64),
-            Err(StorageError::Corrupt(_))
-        ));
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
-    }
-
-    #[test]
-    fn orphan_spills_are_swept_at_open() {
-        let path = scratch("e.catalog");
-        let (cat, _log, _r) = open_durable(&path).unwrap();
-        commit_put(&cat, tiny("r", 4));
-        let dir = spill_dir(&path);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("s999.spill"), b"never sealed").unwrap();
-        let (_cat2, _log2, replay) = open_durable(&path).unwrap();
-        assert_eq!(replay.orphan_spills, 1);
-        assert!(!dir.join("s999.spill").exists());
+    fn a_log_this_build_cannot_read_says_which_version_it_is() {
+        let path = saved_base("old.catalog");
+        let log_path = clog_path(&path);
+        let mut v2 = clog_header().to_vec();
+        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+        let put = two_col(vec![Reuse("r", 0), Carry], body_side_file());
+        let mut v2_record = v2.clone();
+        wal::encode_frame(&mut v2_record, COMMIT_TAG, |out| {
+            out.extend_from_slice(&raw_record(3, &[put]))
+        });
+        let mut not_a_log = v2.clone();
+        not_a_log[0] ^= 0xFF;
+        for (log, want) in [
+            (&v2, "unsupported commit log version 2"),
+            (&v2_record, "unsupported commit log version 2"),
+            (&not_a_log, "is not a commit log"),
+        ] {
+            std::fs::write(&log_path, log).unwrap();
+            let (names, catalog) = (files_beside(&path), std::fs::read(&path).unwrap());
+            for res in [
+                open_durable(&path).map(|_| ()),
+                log_status(&path).map(|_| ()),
+            ] {
+                match res {
+                    Err(StorageError::Corrupt(msg)) => assert!(msg.contains(want), "{msg}"),
+                    other => panic!("wanted Corrupt({want}), got {other:?}"),
+                }
+            }
+            assert_eq!(files_beside(&path), names);
+            assert_eq!(&std::fs::read(&log_path).unwrap(), log);
+            assert_eq!(std::fs::read(&path).unwrap(), catalog);
+        }
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
@@ -1622,7 +1604,16 @@ mod tests {
         vec![BODY_NONE]
     }
 
-    /// An inline body holding the image of `cols` columns of `tiny("i", rows)`.
+    /// Format 2's retired `body 1`: `str(file) img_len img_fnv`, the image
+    /// in a side file.
+    fn body_side_file() -> Vec<u8> {
+        let mut body = vec![1u8];
+        put_str(&mut body, "s1");
+        body.extend_from_slice(&[0; 16]);
+        body
+    }
+
+    /// A body holding the image of `cols` columns of `tiny("i", rows)`.
     fn body_image(rows: i64, cols: &[usize]) -> Vec<u8> {
         let t = tiny("i", rows);
         let defs = cols.iter().map(|&c| t.schema().columns()[c].clone());
@@ -1633,7 +1624,7 @@ mod tests {
         )
         .unwrap();
         let img = persist::encode_table(&image);
-        let mut out = vec![BODY_INLINE];
+        let mut out = vec![BODY_IMAGE];
         out.extend_from_slice(&(img.len() as u64).to_le_bytes());
         out.extend_from_slice(&img);
         out
@@ -1671,7 +1662,7 @@ mod tests {
         payload: &[u8],
     ) -> Result<(Catalog, CommitLog, ReplayReport), StorageError> {
         let mut log = clog_header().to_vec();
-        log.extend_from_slice(&wal::encode_frame(COMMIT_TAG, payload));
+        wal::encode_frame(&mut log, COMMIT_TAG, |out| out.extend_from_slice(payload));
         std::fs::write(clog_path(path), log).unwrap();
         open_durable(path)
     }
@@ -1800,6 +1791,27 @@ mod tests {
                 "an unknown body tag",
                 raw_record(3, &[two_col(vec![Reuse("r", 0), Reuse("r", 1)], vec![9])]),
             ),
+            (
+                "body 1, a tag no longer known",
+                raw_record(3, &[two_col(vec![Reuse("r", 0), Carry], body_side_file())]),
+            ),
+            ("img_len one more than the bytes that remain", {
+                let mut body = body_image(10, &[1]);
+                let len = body.len() as u64 - 9 + 1;
+                body[1..9].copy_from_slice(&len.to_le_bytes());
+                raw_record(3, &[two_col(vec![Reuse("r", 0), Carry], body)])
+            }),
+            ("img_len = u64::MAX", {
+                // Nothing is allocated by it: the cursor refuses first.
+                let mut body = body_image(10, &[1]);
+                body[1..9].copy_from_slice(&u64::MAX.to_le_bytes());
+                raw_record(3, &[two_col(vec![Reuse("r", 0), Carry], body)])
+            }),
+            ("an image followed by trailing bytes", {
+                let mut body = body_image(10, &[1]);
+                body.extend_from_slice(&[0; 3]);
+                raw_record(3, &[two_col(vec![Reuse("r", 0), Carry], body)])
+            }),
             ("trailing bytes", {
                 let mut rec = raw_record(
                     3,
@@ -1835,7 +1847,7 @@ mod tests {
         };
         let mut log = clog_header().to_vec();
         for rec in [ok(), ok()] {
-            log.extend_from_slice(&wal::encode_frame(COMMIT_TAG, &rec));
+            wal::encode_frame(&mut log, COMMIT_TAG, |out| out.extend_from_slice(&rec));
         }
         std::fs::write(clog_path(&path), log).unwrap();
         assert!(matches!(open_durable(&path), Err(StorageError::Corrupt(_))));

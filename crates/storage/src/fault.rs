@@ -140,12 +140,6 @@ pub(crate) fn create(path: &Path) -> io::Result<File> {
     File::create(path)
 }
 
-/// Faultable `fs::create_dir_all` (directory creation is a mutation).
-pub(crate) fn create_dir_all(path: &Path) -> io::Result<()> {
-    mutation()?;
-    std::fs::create_dir_all(path)
-}
-
 /// Open an existing file for read+write. Opening mutates nothing, but a
 /// dead modeled process cannot issue new syscalls either.
 pub(crate) fn open_rw(path: &Path) -> io::Result<File> {

@@ -74,8 +74,7 @@ pub mod wal;
 
 pub use catalog::{Catalog, CatalogSnapshot, CommitReceipt, DurabilitySink};
 pub use commitlog::{
-    clog_path, log_status, open_durable, open_durable_with, CommitLog, CommitLogStats, LogStatus,
-    ReplayReport,
+    clog_path, log_status, open_durable, CommitLog, CommitLogStats, LogStatus, ReplayReport,
 };
 pub use dictionary::{Dictionary, ValueOrder};
 pub use encoded::{

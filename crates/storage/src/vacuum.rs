@@ -29,13 +29,12 @@
 //! The commit log ([`crate::commitlog`]) is likewise immune to vacuums by
 //! construction: a record names a reused column by *table and column
 //! index* and carries every other column as a self-contained image in the
-//! record (or its spill file) — never an offset into the catalog heap —
-//! so a vacuum that rewrites and rebinds the whole heap can neither strand
-//! nor reorder a pending, un-checkpointed record. A vacuum writes the
+//! record — never an offset into the catalog heap — so a vacuum that
+//! rewrites and rebinds the whole heap can neither strand nor reorder a
+//! pending, un-checkpointed record. A vacuum writes the
 //! catalog version of the content it writes, like any save, so replay
 //! still knows which records the compacted file covers. The vacuum touches
-//! only `<file>` (and its `.wal`); `<file>.clog` and `<file>.clog.d/` pass
-//! through untouched.
+//! only `<file>` (and its `.wal`); `<file>.clog` passes through untouched.
 
 use crate::catalog::Catalog;
 use crate::error::StorageError;

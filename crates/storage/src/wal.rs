@@ -77,8 +77,8 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The storage frame checksum of the concatenation of `chunks` (see the
-/// module docs) — journal frames, commit-log frames and spill files all
-/// verify with it. How the bytes are split into chunks does not matter.
+/// module docs) — journal frames and commit-log frames both verify with
+/// it. How the bytes are split into chunks does not matter.
 pub(crate) fn checksum(chunks: &[&[u8]]) -> u64 {
     let step = |h: u64, x: u64| (h ^ x).wrapping_mul(FNV_PRIME);
     let mut h = FNV_OFFSET;
@@ -114,33 +114,42 @@ pub(crate) fn checksum(chunks: &[&[u8]]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// Serializes one frame (`tag len payload fnv`) — the unit both the
-/// rollback journal and the catalog commit log append.
-pub(crate) fn encode_frame(tag: u32, payload: &[u8]) -> Vec<u8> {
-    let tag_b = tag.to_le_bytes();
-    let len_b = (payload.len() as u64).to_le_bytes();
-    let sum = checksum(&[&tag_b, &len_b, payload]).to_le_bytes();
-    let mut frame = Vec::with_capacity(FRAME_OVERHEAD_BYTES as usize + payload.len());
-    frame.extend_from_slice(&tag_b);
-    frame.extend_from_slice(&len_b);
-    frame.extend_from_slice(payload);
-    frame.extend_from_slice(&sum);
-    frame
+/// Appends one frame (`tag len payload fnv`) to `out` — the unit both the
+/// rollback journal and the catalog commit log write. `payload` appends the
+/// payload straight to `out`, so it is built (or read off a file) where it
+/// will be written from and never copied; whatever it returns is handed
+/// back, and a caller whose `payload` failed discards `out`.
+pub(crate) fn encode_frame<R>(
+    out: &mut Vec<u8>,
+    tag: u32,
+    payload: impl FnOnce(&mut Vec<u8>) -> R,
+) -> R {
+    let start = out.len();
+    out.extend_from_slice(&tag.to_le_bytes());
+    out.extend_from_slice(&[0; 8]); // the length, once it is known
+    let res = payload(out);
+    let len = (out.len() - start - 12) as u64;
+    out[start + 4..start + 12].copy_from_slice(&len.to_le_bytes());
+    let sum = checksum(&[&out[start..]]);
+    out.extend_from_slice(&sum.to_le_bytes());
+    res
 }
 
 /// Scans a frame area (file header already stripped) for the longest valid
 /// frame prefix: frames are accepted until the first one that is
-/// incomplete or fails its checksum. Returns the accepted frames and the
-/// byte length of the valid prefix — anything past it is a torn tail.
+/// incomplete or fails its checksum. Returns the accepted frames — tag and
+/// payload, borrowed from `bytes` — and the byte length of the valid
+/// prefix; anything past it is a torn tail.
 ///
-/// This is the acknowledged-prefix reader of the commit log
-/// ([`crate::commitlog`]): unlike [`read_frames`], it requires no seal and
-/// never rejects the whole file because of a torn append at the end.
-pub(crate) fn scan_frame_prefix(bytes: &[u8]) -> (Vec<(u32, Vec<u8>)>, usize) {
+/// This is the one loop that walks frames. The commit log
+/// ([`crate::commitlog`]) takes the prefix as it is — acknowledged-prefix
+/// semantics, no seal, a torn append at the end is not an error;
+/// [`read_frames`] adds the journal's all-or-nothing rule on top.
+pub(crate) fn scan_frame_prefix(bytes: &[u8]) -> (Vec<(u32, &[u8])>, usize) {
     let mut frames = Vec::new();
     let mut at = 0usize;
     loop {
-        if bytes.len().saturating_sub(at) < FRAME_OVERHEAD_BYTES as usize {
+        if bytes.len() - at < FRAME_OVERHEAD_BYTES as usize {
             return (frames, at);
         }
         let tag = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
@@ -149,18 +158,15 @@ pub(crate) fn scan_frame_prefix(bytes: &[u8]) -> (Vec<(u32, Vec<u8>)>, usize) {
             .checked_add(FRAME_OVERHEAD_BYTES)
             .and_then(|v| v.checked_add(len))
             .and_then(|v| usize::try_from(v).ok())
+            .filter(|&end| end <= bytes.len())
         else {
             return (frames, at);
         };
-        if bytes.len() < end {
-            return (frames, at);
-        }
-        let payload = &bytes[at + 12..end - 8];
         let sum = u64::from_le_bytes(bytes[end - 8..end].try_into().unwrap());
-        if sum != checksum(&[&bytes[at..at + 4], &bytes[at + 4..at + 12], payload]) {
+        if sum != checksum(&[&bytes[at..end - 8]]) {
             return (frames, at);
         }
-        frames.push((tag, payload.to_vec()));
+        frames.push((tag, &bytes[at + 12..end - 8]));
         at = end;
     }
 }
@@ -191,7 +197,7 @@ pub fn journal_status(target: &Path) -> JournalStatus {
     let Ok(meta) = std::fs::metadata(&wal) else {
         return JournalStatus::Absent;
     };
-    match read_frames(&wal) {
+    match std::fs::read(&wal).ok().as_deref().and_then(read_frames) {
         Some(_) => JournalStatus::Sealed { bytes: meta.len() },
         None => JournalStatus::Torn { bytes: meta.len() },
     }
@@ -222,7 +228,9 @@ impl JournalWriter {
     /// kind, …) but must not collide with the seal tag `u32::MAX`.
     pub fn append(&mut self, tag: u32, payload: &[u8]) -> std::io::Result<()> {
         debug_assert_ne!(tag, SEAL_TAG);
-        self.write_frame(&encode_frame(tag, payload))
+        let mut frame = Vec::with_capacity(FRAME_OVERHEAD_BYTES as usize + payload.len());
+        encode_frame(&mut frame, tag, |out| out.extend_from_slice(payload));
+        self.write_frame(&frame)
     }
 
     /// Appends an already serialized frame.
@@ -235,7 +243,9 @@ impl JournalWriter {
     /// Writes the seal frame and `fsync`s: after this returns, the journal
     /// is durably valid and will be honored by [`recover`].
     pub fn seal(&mut self) -> std::io::Result<()> {
-        self.write_frame(&encode_frame(SEAL_TAG, &[]))?;
+        let mut seal = Vec::with_capacity(SEAL_BYTES as usize);
+        encode_frame(&mut seal, SEAL_TAG, |_| ());
+        self.write_frame(&seal)?;
         fault::sync(&self.file)
     }
 
@@ -253,53 +263,22 @@ impl JournalWriter {
     }
 }
 
-/// Reads back a journal. Returns the frame list, or `None` when the file
-/// is torn or invalid in any way (bad header, bad checksum, missing seal,
-/// trailing garbage) — a torn journal is treated as absent.
-fn read_frames(path: &Path) -> Option<Vec<(u32, Vec<u8>)>> {
-    let mut f = File::open(path).ok()?;
-    let mut bytes = Vec::new();
-    f.read_to_end(&mut bytes).ok()?;
-    if bytes.len() < JOURNAL_HEADER_BYTES as usize {
+/// Reads back a journal from its file's bytes. Returns the frame list, or
+/// `None` when the file is torn or invalid in any way (bad header, bad
+/// checksum, missing seal, trailing garbage) — a torn journal is treated
+/// as absent.
+fn read_frames(bytes: &[u8]) -> Option<Vec<(u32, &[u8])>> {
+    let body = bytes.get(JOURNAL_HEADER_BYTES as usize..)?;
+    if bytes[..4] != JOURNAL_MAGIC.to_le_bytes() || bytes[4..6] != JOURNAL_VERSION.to_le_bytes() {
         return None;
     }
-    if u32::from_le_bytes(bytes[..4].try_into().ok()?) != JOURNAL_MAGIC
-        || u16::from_le_bytes(bytes[4..6].try_into().ok()?) != JOURNAL_VERSION
-    {
-        return None;
-    }
-    let mut frames = Vec::new();
-    let mut at = JOURNAL_HEADER_BYTES as usize;
-    loop {
-        if bytes.len() < at + FRAME_OVERHEAD_BYTES as usize {
-            return None; // ran out before a seal: torn
-        }
-        let tag = u32::from_le_bytes(bytes[at..at + 4].try_into().ok()?);
-        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().ok()?) as usize;
-        if tag == SEAL_TAG {
-            let sum = u64::from_le_bytes(bytes[at + 12..at + 20].try_into().ok()?);
-            if len != 0 || sum != checksum(&[&bytes[at..at + 4], &bytes[at + 4..at + 12]]) {
-                return None;
-            }
-            if at + FRAME_OVERHEAD_BYTES as usize != bytes.len() {
-                return None; // trailing garbage after the seal
-            }
-            return Some(frames);
-        }
-        let end = at
-            .checked_add(FRAME_OVERHEAD_BYTES as usize)?
-            .checked_add(len)?;
-        if bytes.len() < end {
-            return None;
-        }
-        let payload = &bytes[at + 12..at + 12 + len];
-        let sum = u64::from_le_bytes(bytes[end - 8..end].try_into().ok()?);
-        if sum != checksum(&[&bytes[at..at + 4], &bytes[at + 4..at + 12], payload]) {
-            return None;
-        }
-        frames.push((tag, payload.to_vec()));
-        at = end;
-    }
+    // Valid only whole: every byte is a frame, and the seal — which nothing
+    // before it may look like — is the last of them.
+    let (mut frames, used) = scan_frame_prefix(body);
+    let sealed = used == body.len()
+        && frames.pop() == Some((SEAL_TAG, &[]))
+        && frames.iter().all(|(tag, _)| *tag != SEAL_TAG);
+    sealed.then_some(frames)
 }
 
 /// The sidecar journal path for a target file: `<file>.wal`.
@@ -329,26 +308,24 @@ impl TailGuard {
                 target.display()
             )));
         }
-        // The frame is built around the tail where it is read: `tag len
-        // meta_off old_len`, then the tail straight off the file, then the
-        // checksum — the tail is megabytes at a checkpoint and is never
-        // copied again.
+        // The frame is built around the tail where it is read — `meta_off
+        // old_len`, then the tail straight off the file: the tail is
+        // megabytes at a checkpoint and is never copied again.
         let tail_len = old_len - meta_off;
         let mut frame = Vec::with_capacity((FRAME_OVERHEAD_BYTES + 16 + tail_len) as usize);
-        frame.extend_from_slice(&TAIL_TAG.to_le_bytes());
-        frame.extend_from_slice(&(16 + tail_len).to_le_bytes());
-        frame.extend_from_slice(&meta_off.to_le_bytes());
-        frame.extend_from_slice(&old_len.to_le_bytes());
-        let mut f = File::open(target)?;
-        f.seek(SeekFrom::Start(meta_off))?;
-        if f.take(tail_len).read_to_end(&mut frame)? as u64 != tail_len {
+        let read = encode_frame(&mut frame, TAIL_TAG, |out| {
+            out.extend_from_slice(&meta_off.to_le_bytes());
+            out.extend_from_slice(&old_len.to_le_bytes());
+            let mut f = File::open(target)?;
+            f.seek(SeekFrom::Start(meta_off))?;
+            f.take(tail_len).read_to_end(out)
+        })?;
+        if read as u64 != tail_len {
             return Err(StorageError::Corrupt(format!(
                 "{} shrank while its tail was being journaled",
                 target.display()
             )));
         }
-        let sum = checksum(&[&frame]);
-        frame.extend_from_slice(&sum.to_le_bytes());
 
         let wal = wal_path(target);
         let mut w = JournalWriter::create(&wal)?;
@@ -398,20 +375,20 @@ pub fn recover(target: &Path) -> Result<Recovery, StorageError> {
     if !wal.exists() {
         return Ok(Recovery::Clean);
     }
-    let frames = read_frames(&wal);
-    let rollback = frames.as_ref().and_then(|fr| {
-        // Exactly one tail frame with a well-formed payload; anything else
-        // is not a tail journal we understand — discard it.
-        match fr.as_slice() {
-            [(TAIL_TAG, payload)] if payload.len() >= 16 => {
-                let meta_off = u64::from_le_bytes(payload[..8].try_into().ok()?);
-                let old_len = u64::from_le_bytes(payload[8..16].try_into().ok()?);
-                let tail = &payload[16..];
-                (meta_off + tail.len() as u64 == old_len).then_some((meta_off, old_len, tail))
-            }
-            _ => None,
+    let bytes = std::fs::read(&wal)?;
+    // Exactly one tail frame whose payload is consistent with itself;
+    // anything else — torn, foreign, or sealed by someone who did not write
+    // it (the checksum is no MAC) — is not a journal to roll back from.
+    let rollback = match read_frames(&bytes).as_deref() {
+        Some([(TAIL_TAG, payload)]) if payload.len() >= 16 => {
+            let meta_off = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
+            let old_len = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
+            let tail = &payload[16..];
+            (meta_off.checked_add(tail.len() as u64) == Some(old_len))
+                .then_some((meta_off, old_len, tail))
         }
-    });
+        _ => None,
+    };
     match rollback {
         None => {
             // Torn or foreign journal ⇒ the guarded overwrite never began
@@ -495,20 +472,28 @@ mod tests {
             w.bytes_written(),
             JOURNAL_HEADER_BYTES + (FRAME_OVERHEAD_BYTES + 3) + FRAME_OVERHEAD_BYTES + SEAL_BYTES
         );
-        let frames = read_frames(&p).unwrap();
-        assert_eq!(frames, vec![(7, b"abc".to_vec()), (9, Vec::new())]);
+        let bytes = std::fs::read(&p).unwrap();
+        let frames = read_frames(&bytes).unwrap();
+        assert_eq!(frames, vec![(7, &b"abc"[..]), (9, &[][..])]);
 
         // Chop one byte off the end: torn.
-        let bytes = std::fs::read(&p).unwrap();
         for cut in [bytes.len() - 1, bytes.len() - SEAL_BYTES as usize, 3, 0] {
-            std::fs::write(&p, &bytes[..cut]).unwrap();
-            assert!(read_frames(&p).is_none(), "cut at {cut} should be torn");
+            assert!(
+                read_frames(&bytes[..cut]).is_none(),
+                "cut at {cut} should be torn"
+            );
         }
         // Flip a payload byte: checksum failure.
         let mut flipped = bytes.clone();
         flipped[JOURNAL_HEADER_BYTES as usize + 12] ^= 0xff;
-        std::fs::write(&p, &flipped).unwrap();
-        assert!(read_frames(&p).is_none());
+        assert!(read_frames(&flipped).is_none());
+        // Bytes after the seal, or a second seal: not a journal.
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(read_frames(&trailing).is_none());
+        let mut resealed = bytes.clone();
+        encode_frame(&mut resealed, SEAL_TAG, |_| ());
+        assert!(read_frames(&resealed).is_none());
         std::fs::remove_file(&p).ok();
     }
 
@@ -576,6 +561,33 @@ mod tests {
         assert_eq!(recover(&p).unwrap(), Recovery::RolledBack);
         assert_eq!(std::fs::read(&p).unwrap(), b"HEAP|TAIL");
         assert!(!wal_path(&p).exists());
+        std::fs::remove_file(&p).ok();
+    }
+
+    /// A sealed journal anyone can write (the checksum is no MAC) whose
+    /// `meta_off + tail` overflows: foreign, discarded, target untouched.
+    #[test]
+    fn hostile_sealed_journal_is_discarded_not_a_panic() {
+        let p = scratch("t4.tbl");
+        let schema = crate::Schema::build(&[("k", crate::ValueType::Int)], &[]).unwrap();
+        let rows: Vec<_> = (0..8).map(|i| vec![crate::Value::Int(i)]).collect();
+        let table = crate::Table::from_rows("t", schema, &rows).unwrap();
+        crate::persist::save_table(&table, &p).unwrap();
+        let healthy = std::fs::read(&p).unwrap();
+
+        let mut w = JournalWriter::create(&wal_path(&p)).unwrap();
+        let mut payload = (u64::MAX - 3).to_le_bytes().to_vec(); // meta_off
+        payload.extend_from_slice(&4u64.to_le_bytes()); // old_len
+        payload.extend_from_slice(b"eight by"); // the "tail"
+        w.append(TAIL_TAG, &payload).unwrap();
+        w.seal().unwrap();
+        assert!(matches!(journal_status(&p), JournalStatus::Sealed { .. }));
+
+        assert_eq!(recover(&p).unwrap(), Recovery::DiscardedTornJournal);
+        assert!(!wal_path(&p).exists());
+        assert_eq!(std::fs::read(&p).unwrap(), healthy);
+        let back = crate::persist::read_table(&p).unwrap();
+        assert_eq!(back.to_rows(), table.to_rows());
         std::fs::remove_file(&p).ok();
     }
 

@@ -5,11 +5,10 @@
 //! what it changed — the columns it reuses are named, not written again.
 
 use cods::Cods;
-use cods_storage::commitlog::spill_dir;
 use cods_storage::persist::{encode_table, save_catalog};
 use cods_storage::{
-    clog_path, log_status, open_durable, open_durable_with, Catalog, DurabilitySink, Schema,
-    StorageError, Table, Value, ValueType,
+    clog_path, log_status, open_durable, Catalog, DurabilitySink, Schema, StorageError, Table,
+    Value, ValueType,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -36,6 +35,16 @@ fn tiny(name: &str, rows: i64) -> Table {
         })
         .collect();
     Table::from_rows(name, schema, &data).unwrap()
+}
+
+/// What the directory of `path` holds, sorted.
+fn files_beside(path: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(path.parent().unwrap())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
 }
 
 fn durable_put(cat: &Catalog, t: Table) -> Result<(), StorageError> {
@@ -205,27 +214,32 @@ fn vacuum_with_pending_commit_log_preserves_replay() {
     cleanup(&path);
 }
 
-/// Commits with images above the spill threshold survive a full
-/// open → commit → reopen cycle, and checkpointing reclaims the spills.
+/// A commit carrying an image over 1 MiB (100,000 distinct ints) survives a
+/// full open → commit → reopen cycle byte for byte and checkpoints to a bare
+/// header; the catalog is its file and its log at every step.
 #[test]
-fn spilled_commits_round_trip_through_reopen() {
-    let path = scratch("spill");
-    let (cat, _log, _r) = open_durable_with(&path, 128).unwrap();
-    durable_put(&cat, tiny("wide", 512)).unwrap();
+fn a_large_image_round_trips_through_reopen() {
+    let path = scratch("large");
+    let two = ["t.catalog".to_string(), "t.catalog.clog".to_string()];
+    let schema = Schema::build(&[("k", ValueType::Int)], &[]).unwrap();
+    let data: Vec<Vec<Value>> = (0..100_000).map(|i| vec![Value::Int(i * 7)]).collect();
+    let (cat, _log, _r) = open_durable(&path).unwrap();
+    durable_put(&cat, Table::from_rows("wide", schema, &data).unwrap()).unwrap();
     let oracle = encode_table(&cat.get("wide").unwrap());
-    assert!(spill_dir(&path).is_dir(), "image must have spilled");
+    assert!(oracle.len() >= 1 << 20, "{} bytes", oracle.len());
+    assert_eq!(files_beside(&path), two[1..]);
     drop(cat);
 
-    let (cat2, log2, replay) = open_durable_with(&path, 128).unwrap();
+    let (cat2, log2, replay) = open_durable(&path).unwrap();
     assert_eq!(replay.replayed, 1);
     assert_eq!(
         encode_table(&cat2.get("wide").unwrap()).as_slice(),
         oracle.as_slice()
     );
     log2.checkpoint(&cat2).unwrap();
-    let status = log_status(&path).unwrap();
-    assert_eq!((status.records, status.spill_files), (0, 0));
-    assert!(clog_path(&path).exists());
+    assert_eq!(log_status(&path).unwrap().records, 0);
+    assert_eq!(std::fs::metadata(clog_path(&path)).unwrap().len(), 6);
+    assert_eq!(files_beside(&path), two);
     cleanup(&path);
 }
 
@@ -286,6 +300,7 @@ fn a_commit_appends_what_it_changed() {
         ("MERGE TABLES a, b INTO t4", 2, 1),
     ];
     let (mut referenced, mut carried) = (0, 0);
+    let files = files_beside(&path);
     for (script, want_referenced, want_carried) in steps {
         let before = log.stats();
         let report = cods
@@ -307,12 +322,12 @@ fn a_commit_appends_what_it_changed() {
         if want_carried == 0 {
             assert!(appended < 1024, "{script} appended {appended} bytes");
         }
+        // No commit creates a file: the log is all it writes.
+        assert_eq!(files_beside(&path), files, "{script}");
         referenced += want_referenced;
         carried += want_carried;
     }
-    // No carried column here is large: nothing spilled, and nine scripts
-    // cost less than one restated column would have.
-    assert!(!spill_dir(&path).exists(), "no image reached the threshold");
+    // Nine scripts cost less than one restated column would have.
     let stats = log.stats();
     assert_eq!(
         (stats.columns_referenced, stats.columns_carried),

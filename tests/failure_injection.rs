@@ -5,12 +5,11 @@
 use cods::{Cods, DecomposeSpec, EvolutionError, MergeStrategy, Smo};
 use cods_query::bitmap_scan::predicate_mask;
 use cods_query::{Predicate, Query, QueryOutput};
-use cods_storage::commitlog::spill_dir;
 use cods_storage::persist::{
     decode_table, encode_table, read_catalog, read_table, save_catalog, save_table,
 };
 use cods_storage::{
-    clog_path, fault, load_str, open_durable_with, wal, Catalog, Encoding, LoadOptions, Schema,
+    clog_path, fault, load_str, open_durable, wal, Catalog, Encoding, LoadOptions, Schema,
     StorageError, Table, Value, ValueType,
 };
 use cods_workload::{figure1, GenConfig};
@@ -369,24 +368,16 @@ fn crash_sweep_rewrite_over_existing_keeps_old_until_rename() {
 }
 
 /// Everything the commit-log sweeps need to rewind one crash iteration:
-/// the catalog file (if any), the log, and the spill directory.
+/// the catalog file (if any) and the log.
 struct DurableState {
     catalog: Option<Vec<u8>>,
     log: Vec<u8>,
-    spills: Vec<(std::ffi::OsString, Vec<u8>)>,
 }
 
 fn capture_durable(path: &Path) -> DurableState {
-    let mut spills = Vec::new();
-    if let Ok(dir) = std::fs::read_dir(spill_dir(path)) {
-        for e in dir.flatten() {
-            spills.push((e.file_name(), std::fs::read(e.path()).unwrap()));
-        }
-    }
     DurableState {
         catalog: std::fs::read(path).ok(),
         log: std::fs::read(clog_path(path)).unwrap(),
-        spills,
     }
 }
 
@@ -401,14 +392,6 @@ fn restore_durable(path: &Path, s: &DurableState) {
     let log = clog_path(path);
     std::fs::write(&log, &s.log).unwrap();
     std::fs::remove_file(log.with_extension("clog.tmp")).ok();
-    let dir = spill_dir(path);
-    std::fs::remove_dir_all(&dir).ok();
-    if !s.spills.is_empty() {
-        std::fs::create_dir_all(&dir).unwrap();
-        for (name, bytes) in &s.spills {
-            std::fs::write(dir.join(name), bytes).unwrap();
-        }
-    }
 }
 
 /// One evolution commit of `t` through the catalog's optimistic path —
@@ -419,11 +402,25 @@ fn durable_put(cat: &Catalog, t: Table) -> Result<(), StorageError> {
     Ok(())
 }
 
-/// Spill threshold small enough that every tiny-table image spills, so the
-/// sweeps cross the spill-file write/sync crash points too.
-const SWEEP_SPILL: usize = 64;
+/// The acknowledged prefix of the sweeps below — two commits, `a` and `b`,
+/// fsynced and acked — as the files it left.
+fn two_acked_commits(path: &Path) -> DurableState {
+    let (cat, _log, _r) = open_durable(path).unwrap();
+    durable_put(&cat, tiny("a", 32)).unwrap();
+    durable_put(&cat, tiny("b", 16)).unwrap();
+    drop(cat);
+    capture_durable(path)
+}
 
-/// Kill a durable commit (spill write, record append, group fsync) at
+/// Both of those commits are in `got`, whole.
+fn assert_acked(got: &Catalog, budget: u64) {
+    for (name, rows) in [("a", 32), ("b", 16)] {
+        let want = tiny(name, rows).tuple_multiset();
+        assert_eq!(tuples(got, name), want, "budget {budget}: ack lost");
+    }
+}
+
+/// Kill a durable commit (record append, group fsync) at
 /// every byte/syscall boundary: every *acknowledged* commit must survive
 /// the reopen, and the crashed commit — never acknowledged — may appear
 /// only as its complete self, never torn.
@@ -432,18 +429,11 @@ fn crash_sweep_commit_append_preserves_acknowledged_prefix() {
     let dir = sweep_dir("crash_clog_append");
     let path = dir.join("sweep.catalog");
 
-    // Acknowledged prefix: two commits, fsynced and acked.
-    let (cat, _log, _r) = open_durable_with(&path, SWEEP_SPILL).unwrap();
-    durable_put(&cat, tiny("a", 32)).unwrap();
-    durable_put(&cat, tiny("b", 16)).unwrap();
-    drop(cat);
-    let state = capture_durable(&path);
-    let want_a = tiny("a", 32).tuple_multiset();
-    let want_b = tiny("b", 16).tuple_multiset();
+    let state = two_acked_commits(&path);
     let want_c = tiny("c", 16).tuple_multiset();
 
     // Probe: count the crash points of one full durable commit.
-    let (cat, _log, _r) = open_durable_with(&path, SWEEP_SPILL).unwrap();
+    let (cat, _log, _r) = open_durable(&path).unwrap();
     fault::arm(u64::MAX);
     durable_put(&cat, tiny("c", 16)).unwrap();
     fault::disarm();
@@ -457,7 +447,7 @@ fn crash_sweep_commit_append_preserves_acknowledged_prefix() {
 
     for budget in 0..total {
         restore_durable(&path, &state);
-        let (cat, log, replay) = open_durable_with(&path, SWEEP_SPILL).unwrap();
+        let (cat, log, replay) = open_durable(&path).unwrap();
         assert_eq!(replay.replayed, 2, "budget {budget}: bad starting state");
         fault::arm(budget);
         let res = durable_put(&cat, tiny("c", 16));
@@ -471,10 +461,9 @@ fn crash_sweep_commit_append_preserves_acknowledged_prefix() {
         // Reopen = crash recovery. The acknowledged prefix must be intact;
         // the unacknowledged commit may have reached its commit point
         // (record fully on disk) or not — but never a torn in-between.
-        let (got, _log, _r) = open_durable_with(&path, SWEEP_SPILL)
+        let (got, _log, _r) = open_durable(&path)
             .unwrap_or_else(|e| panic!("budget {budget}/{total}: recovery failed: {e}"));
-        assert_eq!(tuples(&got, "a"), want_a, "budget {budget}: ack lost");
-        assert_eq!(tuples(&got, "b"), want_b, "budget {budget}: ack lost");
+        assert_acked(&got, budget);
         if got.contains("c") {
             assert_eq!(tuples(&got, "c"), want_c, "budget {budget}: torn commit");
         }
@@ -483,7 +472,7 @@ fn crash_sweep_commit_append_preserves_acknowledged_prefix() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Kill a checkpoint (full save, log truncation, spill cleanup) at every
+/// Kill a checkpoint (full save, log truncation) at every
 /// boundary: whatever the crash point, the reopened catalog holds every
 /// acknowledged commit — from the checkpoint or from the log (records the
 /// checkpoint already covers are skipped by version).
@@ -492,15 +481,9 @@ fn crash_sweep_checkpoint_keeps_every_acknowledged_commit() {
     let dir = sweep_dir("crash_clog_ckpt");
     let path = dir.join("sweep.catalog");
 
-    let (cat, _log, _r) = open_durable_with(&path, SWEEP_SPILL).unwrap();
-    durable_put(&cat, tiny("a", 32)).unwrap();
-    durable_put(&cat, tiny("b", 16)).unwrap();
-    drop(cat);
-    let state = capture_durable(&path);
-    let want_a = tiny("a", 32).tuple_multiset();
-    let want_b = tiny("b", 16).tuple_multiset();
+    let state = two_acked_commits(&path);
 
-    let (cat, log, _r) = open_durable_with(&path, SWEEP_SPILL).unwrap();
+    let (cat, log, _r) = open_durable(&path).unwrap();
     fault::arm(u64::MAX);
     log.checkpoint(&cat).unwrap();
     fault::disarm();
@@ -511,7 +494,7 @@ fn crash_sweep_checkpoint_keeps_every_acknowledged_commit() {
 
     for budget in 0..total {
         restore_durable(&path, &state);
-        let (cat, log, _r) = open_durable_with(&path, SWEEP_SPILL).unwrap();
+        let (cat, log, _r) = open_durable(&path).unwrap();
         fault::arm(budget);
         let res = log.checkpoint(&cat);
         fault::disarm();
@@ -521,10 +504,9 @@ fn crash_sweep_checkpoint_keeps_every_acknowledged_commit() {
         );
         drop((cat, log));
 
-        let (got, _log, _r) = open_durable_with(&path, SWEEP_SPILL)
+        let (got, _log, _r) = open_durable(&path)
             .unwrap_or_else(|e| panic!("budget {budget}/{total}: recovery failed: {e}"));
-        assert_eq!(tuples(&got, "a"), want_a, "budget {budget}: ack lost");
-        assert_eq!(tuples(&got, "b"), want_b, "budget {budget}: ack lost");
+        assert_acked(&got, budget);
     }
 
     std::fs::remove_dir_all(&dir).ok();
@@ -567,7 +549,7 @@ fn durable_dim(path: &Path) -> (Cods, cods_storage::CommitLog) {
         base.create(dim("t", 0)).unwrap();
         save_catalog(&base, path).unwrap();
     }
-    let (catalog, log, _r) = open_durable_with(path, SWEEP_SPILL).unwrap();
+    let (catalog, log, _r) = open_durable(path).unwrap();
     (Cods::with_catalog(catalog), log)
 }
 
@@ -638,7 +620,7 @@ fn crash_sweep_checkpoint_with_reference_records_pending() {
         drop((cods, log));
 
         let pending = cods_storage::log_status(&path).unwrap().records;
-        let (got, _log, replay) = open_durable_with(&path, SWEEP_SPILL)
+        let (got, _log, replay) = open_durable(&path)
             .unwrap_or_else(|e| panic!("budget {budget}/{total}: recovery failed: {e}"));
         assert_eq!(images(&got), want, "budget {budget}/{total}");
         if pending == 3 && replay.replayed == 0 {
@@ -699,7 +681,7 @@ fn commits_racing_checkpoints_survive_a_crash() {
     let want = images(cods.catalog());
     drop((cods, log));
 
-    let (got, _log, _replay) = open_durable_with(&path, SWEEP_SPILL).unwrap();
+    let (got, _log, _replay) = open_durable(&path).unwrap();
     assert_eq!(got.len(), 41);
     assert_eq!(images(&got), want);
     std::fs::remove_dir_all(&dir).ok();
@@ -745,7 +727,7 @@ fn unlogged_replacement_between_logged_commits_replays_exactly() {
         "the file holds the new `t` now"
     );
     drop((cods, log));
-    let (got, _log, replay) = open_durable_with(&path, SWEEP_SPILL).unwrap();
+    let (got, _log, replay) = open_durable(&path).unwrap();
     assert_eq!(replay.replayed, 1);
     assert_eq!(got.get("later").unwrap().to_rows(), new_t);
     assert_eq!(got.get("t").unwrap().to_rows(), new_t);
@@ -769,7 +751,7 @@ fn vacuum_under_reference_records_replays_exactly() {
     let want = images(cods.catalog());
     drop((cods, log));
     cods_storage::vacuum_file(&path).unwrap();
-    let (got, _log, replay) = open_durable_with(&path, SWEEP_SPILL).unwrap();
+    let (got, _log, replay) = open_durable(&path).unwrap();
     assert_eq!(replay.replayed, 3);
     assert_eq!(images(&got), want);
     drop(got);
@@ -780,7 +762,7 @@ fn vacuum_under_reference_records_replays_exactly() {
     assert_eq!(log.stats().columns_carried, 0);
     let want = images(cods.catalog());
     drop((cods, log));
-    let (got, _log, replay) = open_durable_with(&path, SWEEP_SPILL).unwrap();
+    let (got, _log, replay) = open_durable(&path).unwrap();
     assert_eq!(
         replay.replayed, 1,
         "the vacuumed file covers the first three"
@@ -789,41 +771,30 @@ fn vacuum_under_reference_records_replays_exactly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Kill *recovery itself* (torn-tail truncation, orphan-spill sweep) at
-/// every boundary: a crash during replay must leave the state re-openable
+/// Kill *recovery itself* (torn-tail truncation) at every boundary: a crash during replay must leave the state re-openable
 /// with the full acknowledged prefix — recovery is idempotent.
 #[test]
 fn crash_sweep_replay_recovery_is_idempotent() {
     let dir = sweep_dir("crash_clog_replay");
     let path = dir.join("sweep.catalog");
 
-    let (cat, _log, _r) = open_durable_with(&path, SWEEP_SPILL).unwrap();
-    durable_put(&cat, tiny("a", 32)).unwrap();
-    durable_put(&cat, tiny("b", 16)).unwrap();
-    drop(cat);
-    // Model a crash mid-append: a torn half-record at the tail, plus a
-    // spill whose record never sealed.
-    let log_path = clog_path(&path);
-    let mut bytes = std::fs::read(&log_path).unwrap();
-    bytes.extend_from_slice(&[0xAB; 11]);
-    std::fs::write(&log_path, &bytes).unwrap();
-    std::fs::write(spill_dir(&path).join("s999.spill"), b"orphan").unwrap();
-    let state = capture_durable(&path);
-    let want_a = tiny("a", 32).tuple_multiset();
-    let want_b = tiny("b", 16).tuple_multiset();
+    // Model a crash mid-append: a torn half-record at the tail.
+    let mut state = two_acked_commits(&path);
+    state.log.extend_from_slice(&[0xAB; 11]);
+    restore_durable(&path, &state);
 
     fault::arm(u64::MAX);
-    let (_cat, _log, replay) = open_durable_with(&path, SWEEP_SPILL).unwrap();
+    let (_cat, _log, replay) = open_durable(&path).unwrap();
     fault::disarm();
     let total = fault::units();
-    assert!(replay.discarded_torn && replay.orphan_spills == 1);
+    assert!(replay.discarded_torn);
     assert!(total > 0, "recovery must pass through the fault layer");
     println!("replay-recovery sweep: {total} kill points");
 
     for budget in 0..total {
         restore_durable(&path, &state);
         fault::arm(budget);
-        let res = open_durable_with(&path, SWEEP_SPILL);
+        let res = open_durable(&path);
         fault::disarm();
         assert!(
             res.is_err(),
@@ -831,10 +802,9 @@ fn crash_sweep_replay_recovery_is_idempotent() {
         );
         drop(res);
 
-        let (got, _log, _r) = open_durable_with(&path, SWEEP_SPILL)
+        let (got, _log, _r) = open_durable(&path)
             .unwrap_or_else(|e| panic!("budget {budget}/{total}: re-recovery failed: {e}"));
-        assert_eq!(tuples(&got, "a"), want_a, "budget {budget}: ack lost");
-        assert_eq!(tuples(&got, "b"), want_b, "budget {budget}: ack lost");
+        assert_acked(&got, budget);
     }
 
     std::fs::remove_dir_all(&dir).ok();

@@ -13,7 +13,7 @@
 use cods::Cods;
 use cods_storage::persist::encode_table;
 use cods_storage::{
-    fault, open_durable_with, Catalog, CommitLog, RetryPolicy, Schema, StorageError, Table, Value,
+    fault, open_durable, Catalog, CommitLog, RetryPolicy, Schema, StorageError, Table, Value,
     ValueType,
 };
 use proptest::prelude::*;
@@ -28,8 +28,11 @@ use std::sync::Arc;
 enum Op {
     /// Put table `name` (create, or replace if it exists) with
     /// deterministic content derived from `(name, rows, salt)`: fresh
-    /// columns, nothing to reuse.
-    Put { name: u8, rows: u8, salt: u8 },
+    /// columns, nothing to reuse. A few dozen rows make a frame of a
+    /// kilobyte or two (an all-reference record is about 200 bytes),
+    /// [`BIG_ROWS`] one well past 64 KiB — the line at which
+    /// earlier log formats moved an image out of its record.
+    Put { name: u8, rows: u16, salt: u8 },
     /// Drop the `idx`-th live table (no-op on an empty catalog).
     Drop { idx: u8 },
     /// Rename the `idx`-th live table to `to`: every column reused.
@@ -55,17 +58,20 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     // The in-tree `prop_oneof!` picks arms uniformly, so arms are listed
     // more than once to weight them: puts three times (catalogs must grow
-    // before they can evolve), and the two ops that need an earlier op to
-    // have set them up — a merge needs a decomposition's sides — twice.
-    let put =
-        || (0u8..6, 1u8..40, 0u8..4).prop_map(|(name, rows, salt)| Op::Put { name, rows, salt });
+    // before they can evolve; one of the three is a big table, so a script
+    // interleaves small and large frames with its checkpoints), and the two
+    // ops that need an earlier op to have set them up — a merge needs a
+    // decomposition's sides — twice.
+    let put = |rows: std::ops::Range<u16>| {
+        (0u8..6, rows, 0u8..4).prop_map(|(name, rows, salt)| Op::Put { name, rows, salt })
+    };
     let decompose = || (0u8..6, 0u8..6, 0u8..6).prop_map(|(idx, a, b)| Op::Decompose { idx, a, b });
     let merge =
         || (0u8..6, 0u8..6, 0u8..6).prop_map(|(left, right, out)| Op::Merge { left, right, out });
     prop_oneof![
-        put(),
-        put(),
-        put(),
+        put(1..40),
+        put(1..40),
+        put(BIG_ROWS..BIG_ROWS + 400),
         (0u8..6).prop_map(|idx| Op::Drop { idx }),
         (0u8..6, 0u8..6).prop_map(|(idx, to)| Op::Rename { idx, to }),
         (0u8..6, 0u8..6).prop_map(|(idx, to)| Op::Copy { idx, to }),
@@ -87,7 +93,7 @@ fn table_name(n: u8) -> String {
 /// Deterministic table content: both the durable run and the oracle build
 /// the exact same bytes from the same op. `g` determines `v`, so the table
 /// decomposes losslessly into `(k, g)` and `(g, v)`.
-fn build_table(name: &str, rows: u8, salt: u8) -> Table {
+fn build_table(name: &str, rows: u16, salt: u8) -> Table {
     let schema = Schema::build(
         &[
             ("k", ValueType::Int),
@@ -208,8 +214,14 @@ fn scratch() -> PathBuf {
     dir.join("t.catalog")
 }
 
-/// Mixed inline/spill records: small enough that some tables spill.
-const SPILL: usize = 400;
+/// Rows of a big `Put`: its three-column image is over 64 KiB.
+const BIG_ROWS: u16 = 7000;
+
+#[test]
+fn big_puts_carry_an_image_past_64_kib() {
+    assert!(encode_table(&build_table("t0", BIG_ROWS, 0)).len() > 64 * 1024);
+    assert!(encode_table(&build_table("t0", 39, 3)).len() < 4096);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -224,7 +236,7 @@ proptest! {
     ) {
         // Probe: total crash points of the whole sequence.
         let probe_path = scratch();
-        let (cat, log, _r) = open_durable_with(&probe_path, SPILL).unwrap();
+        let (cat, log, _r) = open_durable(&probe_path).unwrap();
         let cods = Cods::with_catalog(cat);
         fault::arm(u64::MAX);
         for op in &ops {
@@ -238,7 +250,7 @@ proptest! {
         // Real run: kill at a random point inside the sequence.
         let path = scratch();
         let budget = total * kill_permille / 1000;
-        let (cat, log, _r) = open_durable_with(&path, SPILL).unwrap();
+        let (cat, log, _r) = open_durable(&path).unwrap();
         let cods = Cods::with_catalog(cat);
         fault::arm(budget);
         let mut acknowledged = 0usize;
@@ -268,7 +280,7 @@ proptest! {
         });
 
         // Recovery must never fail, and must land exactly on an oracle.
-        let (got, _log, _replay) = open_durable_with(&path, SPILL).unwrap();
+        let (got, _log, _replay) = open_durable(&path).unwrap();
         let ok = matches_oracle(&got, oracle_acked.catalog())
             || oracle_next.as_ref().is_some_and(|o| matches_oracle(&got, o.catalog()));
         prop_assert!(
@@ -288,7 +300,7 @@ proptest! {
         checkpoint_at in 0usize..16,
     ) {
         let path = scratch();
-        let (cat, log, _r) = open_durable_with(&path, SPILL).unwrap();
+        let (cat, log, _r) = open_durable(&path).unwrap();
         let cods = Cods::with_catalog(cat);
         let oracle = Cods::new();
         for (i, op) in ops.iter().enumerate() {
@@ -301,7 +313,7 @@ proptest! {
             }
         }
         drop((cods, log));
-        let (got, _log, _replay) = open_durable_with(&path, SPILL).unwrap();
+        let (got, _log, _replay) = open_durable(&path).unwrap();
         prop_assert!(matches_oracle(&got, oracle.catalog()));
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
