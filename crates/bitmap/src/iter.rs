@@ -290,6 +290,49 @@ impl Wah {
         count + u64::from((tail & !((tail << 1) | carry)).count_ones())
     }
 
+    /// Writes `v` to `out[p]` for every set position `p` — the positions
+    /// [`Wah::iter_ones`] yields — a word at a time: a 1-fill is one slice
+    /// `fill`, a 0-fill is skipped in O(1), and a literal (or the masked
+    /// active tail) is walked set bit by set bit with `trailing_zeros`.
+    /// Positions whose bit is clear are left as they were.
+    ///
+    /// # Panics
+    /// Panics if `out` is shorter than the bitmap.
+    pub fn scatter(&self, out: &mut [u32], v: u32) {
+        assert!(
+            self.len <= out.len() as u64,
+            "scatter of {} bits into {} slots",
+            self.len,
+            out.len()
+        );
+        fn literal(out: &mut [u32], mut bits: u64, v: u32) {
+            while bits != 0 {
+                out[bits.trailing_zeros() as usize] = v;
+                bits &= bits - 1;
+            }
+        }
+        let mut at = 0usize;
+        for &w in &self.words {
+            if is_fill(w) {
+                // `len` fits `out`, so every span and offset fits `usize`.
+                let span = (fill_groups(w) * GROUP_BITS) as usize;
+                if fill_bit(w) {
+                    out[at..at + span].fill(v);
+                }
+                at += span;
+            } else {
+                literal(&mut out[at..at + GROUP_BITS as usize], w, v);
+                at += GROUP_BITS as usize;
+            }
+        }
+        let tail_bits = u64::from(self.active_bits);
+        literal(
+            &mut out[at..at + tail_bits as usize],
+            self.active & lsb_mask(tail_bits),
+            v,
+        );
+    }
+
     /// Iterates every bit (decompressing). Intended for tests and small data.
     pub fn iter_bits(&self) -> impl Iterator<Item = bool> + '_ {
         self.iter_runs().flat_map(|run| {
@@ -433,6 +476,31 @@ mod tests {
         };
         // fill+fill+bit 0 of the literal | bit 2 | the active tail.
         assert_eq!(w.count_intervals(), 3);
+    }
+
+    #[test]
+    fn scatter_writes_the_set_positions_and_nothing_else() {
+        let mut w = Wah::new();
+        w.append_run(false, 70); // literal-straddling zeros, then a 0-fill
+        w.append_run(true, 63 * 3 + 5); // literal | 1-fill | literal
+        w.push(false);
+        w.append_run(true, 2); // …| active tail
+        let mut out = vec![7u32; w.len() as usize + 3];
+        w.scatter(&mut out, 1);
+        let ones: Vec<u64> = (0..out.len() as u64)
+            .filter(|&p| out[p as usize] == 1)
+            .collect();
+        assert_eq!(ones, w.iter_ones().collect::<Vec<_>>());
+        assert_eq!(
+            out.iter().filter(|&&x| x == 7).count() as u64,
+            w.count_zeros() + 3
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter of")]
+    fn scatter_into_a_short_slice_panics() {
+        Wah::ones(10).scatter(&mut [0; 9], 1);
     }
 
     #[test]

@@ -205,6 +205,52 @@ proptest! {
     }
 
     #[test]
+    fn scatter_writes_exactly_the_positions_iter_ones_yields(
+        runs in prop::collection::vec(
+            (
+                any::<bool>(),
+                prop_oneof![
+                    // Literal noise, group-boundary straddles, and fills of
+                    // many groups (the 1-fill arm writes whole slices).
+                    0u64..70,
+                    prop_oneof![Just(62u64), Just(63), Just(64), Just(126)],
+                    (1u64..200).prop_map(|groups| groups * 63),
+                    1u64..5_000,
+                ],
+            ),
+            0..10,
+        ),
+        literals in prop::collection::vec(any::<u64>(), 0..4),
+    ) {
+        // Runs (fills, or a tail of fewer than 63 bits) then random whole
+        // literal groups then runs again: covers empty, fill-only,
+        // literal-only, tail-only and `len % 63 != 0` bitmaps.
+        let mut w = Wah::new();
+        let half = runs.len() / 2;
+        for &(bit, n) in &runs[..half] {
+            w.append_run(bit, n);
+        }
+        for &lit in &literals {
+            for i in 0..63 {
+                w.push(lit >> i & 1 == 1);
+            }
+        }
+        for &(bit, n) in &runs[half..] {
+            w.append_run(bit, n);
+        }
+        let sentinel = u32::MAX;
+        let mut out = vec![sentinel; w.len() as usize];
+        w.scatter(&mut out, 5);
+        let written: Vec<u64> = out
+            .iter()
+            .enumerate()
+            .filter_map(|(p, &x)| (x != sentinel).then_some(p as u64))
+            .collect();
+        prop_assert!(out.iter().all(|&x| x == sentinel || x == 5));
+        prop_assert_eq!(written, w.iter_ones().collect::<Vec<_>>());
+    }
+
+    #[test]
     fn interval_count_and_iterator_agree_across_long_fills(
         runs in prop::collection::vec(
             (

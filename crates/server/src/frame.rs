@@ -1,19 +1,20 @@
-//! The wire framing: length-prefixed, FNV-1a-checksummed frames over any
-//! byte stream, mirroring the storage WAL's journal-frame idiom
+//! The wire framing: length-prefixed, checksummed frames over any byte
+//! stream, mirroring the storage WAL's journal-frame idiom
 //! (`cods_storage::wal`) — the same defensive posture, applied to a
-//! network peer instead of a crashed process.
+//! network peer instead of a crashed process, and the same checksum
+//! function ([`cods_storage::wal::checksum`], a word at a time).
 //!
 //! ```text
 //! connection preamble (server → client, once):
 //!   magic   u32 LE   0xC0D5_7C9A
-//!   version u16 LE   wire-protocol version (2; a peer that announces
+//!   version u16 LE   wire-protocol version (3; a peer that announces
 //!                    any other is refused before a frame is read)
 //!
 //! frame (either direction):
 //!   kind    u8       message discriminant (see `proto`)
 //!   len     u32 LE   payload length in bytes
 //!   payload [u8; len]
-//!   check   u64 LE   FNV-1a 64 over kind ‖ len ‖ payload
+//!   check   u64 LE   wal::checksum(kind ‖ len ‖ payload)
 //! ```
 //!
 //! A reader treats any violation as fatal for the connection and tells the
@@ -28,6 +29,7 @@
 //! * [`FrameError::TooLarge`] — declared length above the negotiated cap,
 //!   rejected *before* allocating.
 
+use cods_storage::wal::checksum;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
@@ -35,8 +37,10 @@ use std::net::TcpStream;
 pub const SERVE_MAGIC: u32 = 0xC0D5_7C9A;
 /// Wire-protocol version carried in the preamble. Version 2 changed the
 /// body of a `Rows` reply (column-major, a dictionary per batch — see
-/// [`crate::proto`]); framing and every other message are those of 1.
-pub const PROTO_VERSION: u16 = 2;
+/// [`crate::proto`]); version 3 changed every frame's check field from a
+/// byte-wise FNV-1a to the storage frame checksum. Frame layout and every
+/// message body are those of 2.
+pub const PROTO_VERSION: u16 = 3;
 /// Default cap on a single frame's payload, generous enough for a
 /// segment-sized row batch yet small enough to bound a malicious peer.
 pub const DEFAULT_MAX_FRAME_BYTES: u32 = 32 * 1024 * 1024;
@@ -94,28 +98,6 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// FNV-1a 64 over a byte slice — the same hash the WAL frames use.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn checksum(kind: u8, payload: &[u8]) -> u64 {
-    let mut head = [0u8; 5];
-    head[0] = kind;
-    head[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut h = fnv1a64(&head);
-    for &b in payload {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Turns Nagle's algorithm off (`TCP_NODELAY`) on a protocol socket. Both
 /// ends call this, the server on accept and the client on connect: each
 /// side already hands the socket whole frames or whole windows, and with
@@ -156,7 +138,8 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<u64, 
     buf.push(kind);
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(payload);
-    buf.extend_from_slice(&checksum(kind, payload).to_le_bytes());
+    let check = checksum(&[&buf[..5], payload]);
+    buf.extend_from_slice(&check.to_le_bytes());
     w.write_all(&buf)?;
     Ok(buf.len() as u64)
 }
@@ -181,7 +164,7 @@ pub fn read_frame(r: &mut impl Read, max_payload: u32) -> Result<(u8, Vec<u8>), 
     read_exact_or(r, &mut payload, FrameError::Torn)?;
     let mut check = [0u8; 8];
     read_exact_or(r, &mut check, FrameError::Torn)?;
-    if u64::from_le_bytes(check) != checksum(kind, &payload) {
+    if u64::from_le_bytes(check) != checksum(&[&head, &payload]) {
         return Err(FrameError::Corrupt);
     }
     Ok((kind, payload))
@@ -215,6 +198,26 @@ mod tests {
             let (kind, got) = read_frame(&mut Cursor::new(&buf), 1 << 20).unwrap();
             assert_eq!(kind, 7);
             assert_eq!(got, payload);
+        }
+    }
+
+    #[test]
+    fn check_field_is_the_storage_checksum_of_kind_len_payload() {
+        let payload: Vec<u8> = (0..1_001u32).map(|i| (i * 31 % 251) as u8).collect();
+        let buf = round_trip(0x88, &payload);
+        let (body, check) = buf.split_at(buf.len() - 8);
+        let mut kind_len = vec![0x88];
+        kind_len.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        let expected = checksum(&[&kind_len, &payload]);
+        assert_eq!(u64::from_le_bytes(check.try_into().unwrap()), expected);
+        // However the same bytes are cut into chunks, the sum is the same.
+        for cut in 0..=body.len() {
+            let (a, b) = body.split_at(cut);
+            assert_eq!(checksum(&[a, b]), expected, "split at {cut}");
+        }
+        for width in [1, 3, 7, 8, 13] {
+            let chunks: Vec<&[u8]> = body.chunks(width).collect();
+            assert_eq!(checksum(&chunks), expected, "chunks of {width}");
         }
     }
 

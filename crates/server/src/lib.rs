@@ -4,7 +4,8 @@
 //! query surface (scans, predicate masks, aggregation, statistics) over a
 //! length-prefixed, checksummed binary TCP protocol.
 //!
-//! * [`frame`] — WAL-idiom wire framing: `kind, len, payload, fnv1a64`,
+//! * [`frame`] — WAL-idiom wire framing: `kind, len, payload, check`, the
+//!   check being the storage frame checksum (`cods_storage::wal::checksum`),
 //!   with torn- and corrupt-frame detection ([`FrameError`]).
 //! * [`proto`] — typed [`Command`]s and [`Reply`]s plus their codec.
 //! * [`session`] — per-connection [`Session`]: a pinned copy-on-write

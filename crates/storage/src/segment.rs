@@ -420,24 +420,36 @@ impl Segment {
         }
     }
 
-    /// Writes each row's value id into `out` (segment-local coordinates).
+    /// Writes each row's value id into `out` (segment-local coordinates),
+    /// one [`Wah::scatter`] per present id. `out` holds one slot per row,
+    /// each `u32::MAX` on entry.
     pub(crate) fn fill_ids(&self, out: &mut [u32]) {
         for (&id, bm) in self.ids.iter().zip(&self.bitmaps) {
-            for pos in bm.iter_ones() {
-                debug_assert_eq!(out[pos as usize], u32::MAX, "overlapping bitmaps");
-                out[pos as usize] = id;
-            }
+            bm.scatter(out, id);
         }
+        self.debug_check_partition(out);
     }
 
     /// Writes each row's *local slot index* (position in `present_ids`)
-    /// into `out`.
+    /// into `out`, under [`Segment::fill_ids`]' contract.
     pub(crate) fn fill_local_slots(&self, out: &mut [u32]) {
         for (slot, bm) in self.bitmaps.iter().enumerate() {
-            for pos in bm.iter_ones() {
-                out[pos as usize] = slot as u32;
-            }
+            bm.scatter(out, slot as u32);
         }
+        self.debug_check_partition(out);
+    }
+
+    /// Debug builds: the bitmaps just scattered into `out` partitioned its
+    /// rows — their ones sum to the row count and no `u32::MAX` is left, so
+    /// no row was written twice.
+    fn debug_check_partition(&self, out: &[u32]) {
+        debug_assert_eq!(out.len() as u64, self.rows, "one slot per row");
+        debug_assert_eq!(
+            self.bitmaps.iter().map(Wah::count_ones).sum::<u64>(),
+            self.rows,
+            "bitmap ones do not sum to the row count"
+        );
+        debug_assert!(out.iter().all(|&x| x != u32::MAX), "uncovered row");
     }
 
     /// Re-expresses the segment as an unaligned [`SegmentChunk`] (bitmaps

@@ -47,7 +47,10 @@
 //! a fold of the length and of the high half into the low. Every step is a
 //! bijection of the running state, so a change confined to one word — any
 //! single flipped byte — always changes the result, at an eighth of the
-//! multiplies of the byte-wise loop (a checkpoint journals megabytes).
+//! multiplies of the byte-wise loop (a checkpoint journals megabytes). The
+//! same function also guards the network: `cods-server` checksums every
+//! wire frame (`kind ‖ len ‖ payload`) with [`checksum`], so storage and
+//! wire frames are verified by one function.
 
 use crate::error::StorageError;
 use crate::fault;
@@ -76,10 +79,10 @@ pub const SEAL_BYTES: u64 = FRAME_OVERHEAD_BYTES;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// The storage frame checksum of the concatenation of `chunks` (see the
-/// module docs) — journal frames and commit-log frames both verify with
-/// it. How the bytes are split into chunks does not matter.
-pub(crate) fn checksum(chunks: &[&[u8]]) -> u64 {
+/// The frame checksum of the concatenation of `chunks` (see the module
+/// docs) — journal frames, commit-log frames and the server's wire frames
+/// all verify with it. How the bytes are split into chunks does not matter.
+pub fn checksum(chunks: &[&[u8]]) -> u64 {
     let step = |h: u64, x: u64| (h ^ x).wrapping_mul(FNV_PRIME);
     let mut h = FNV_OFFSET;
     let mut len = 0u64;

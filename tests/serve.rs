@@ -330,22 +330,46 @@ fn server_death_mid_scan_surfaces_typed_torn_stream() {
     let cods = platform(20_000, 1_024);
     let mut handle =
         Server::bind("127.0.0.1:0", Arc::clone(&cods), ServerConfig::default()).unwrap();
-    let addr = handle.local_addr();
+    let upstream = handle.local_addr();
 
-    // Kill the server from inside the stream callback: the first batch
-    // has arrived intact, then every socket is shut down mid-stream.
+    // The client talks to the server through a relay that dies right
+    // after passing on the first `Rows` frame. Killing the server itself
+    // from the client's batch callback is a race the server can win: the
+    // whole reply fits in loopback's socket buffers, so a fast server may
+    // have written `Done` before the kill lands.
+    use cods_server::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME_BYTES};
+    use std::io::{Read, Write};
+    let relay = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = relay.local_addr().unwrap();
+    let relay = std::thread::spawn(move || {
+        let (mut client, _) = relay.accept().unwrap();
+        let mut server = std::net::TcpStream::connect(upstream).unwrap();
+        let relay_frame = |from: &mut std::net::TcpStream, to: &mut std::net::TcpStream| {
+            let (kind, payload) = read_frame(from, DEFAULT_MAX_FRAME_BYTES).unwrap();
+            write_frame(to, kind, &payload).unwrap();
+        };
+        let mut preamble = [0u8; 6];
+        server.read_exact(&mut preamble).unwrap();
+        client.write_all(&preamble).unwrap();
+        relay_frame(&mut server, &mut client); // Hello
+        relay_frame(&mut client, &mut server); // the scan
+        relay_frame(&mut server, &mut client); // RowHeader
+        relay_frame(&mut server, &mut client); // the first Rows batch
+                                               // Both sockets drop here: the stream dies mid-reply.
+    });
+
     let mut scanner = Client::connect(addr).unwrap();
     let mut delivered = 0u64;
     let result = scanner.scan_with("t", Predicate::True, None, |_, rows| {
         delivered += rows.len() as u64;
-        handle.shutdown();
     });
+    relay.join().unwrap();
+    handle.shutdown();
 
     match result {
         Err(ClientError::TornStream { rows_seen }) => {
             assert_eq!(rows_seen, delivered, "rows_seen counts delivered rows");
-            assert!(rows_seen > 0, "the kill landed after the first batch");
-            assert!(rows_seen < 20_000, "the stream must not have completed");
+            assert_eq!(rows_seen, 1_024, "exactly the first batch got through");
             let msg = ClientError::TornStream { rows_seen }.to_string();
             assert!(msg.contains(&rows_seen.to_string()));
             assert!(msg.contains("torn"));
@@ -534,6 +558,15 @@ struct Exchange {
     done_rows: u64,
 }
 
+/// Byte-wise FNV-1a 64, the content digest the recorded `Exchange`
+/// constants were taken with (frames no longer use it; the digest must not
+/// move with the frame checksum).
+fn content_digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Protocol version 1's `Rows` body: `n:u32`, then per row `arity:u32` and
 /// the cells as `tag:u8 body` (the value encoding version 2 kept).
 fn rows_in_v1_layout(rows: &[Vec<Value>], out: &mut Vec<u8>) {
@@ -567,7 +600,7 @@ fn exchange(
     reader: &mut impl std::io::Read,
     cmd: &Command,
 ) -> Exchange {
-    use cods_server::frame::{fnv1a64, read_frame, write_frame, DEFAULT_MAX_FRAME_BYTES};
+    use cods_server::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME_BYTES};
     use cods_server::proto::{decode_reply, encode_command};
     write_frame(stream, cmd.kind(), &encode_command(cmd)).unwrap();
     let (mut frames, mut bytes) = (0, 0);
@@ -585,7 +618,7 @@ fn exchange(
                 return Exchange {
                     frames,
                     bytes,
-                    digest: fnv1a64(&content),
+                    digest: content_digest(&content),
                     done_batches: batches,
                     done_rows: rows,
                 };
@@ -600,11 +633,12 @@ fn exchange(
 const V1_BYTES: [u64; 3] = [77_923, 110_107, 241_270];
 
 #[test]
-fn reply_bytes_frames_and_totals_are_those_of_protocol_version_2() {
+fn reply_bytes_frames_and_totals_are_those_of_protocol_version_3() {
     // Frame counts, `Done` totals and content digests are the constants
     // recorded under protocol version 1: neither the windowed reply writer
     // nor the columnar `Rows` body changed which rows a reply carries, in
-    // which order, in which batches. The byte totals are version 2's.
+    // which order, in which batches. The byte totals are version 2's, which
+    // version 3 keeps: it changed what the 8-byte check holds, not its size.
     let cods = platform(5_000, 512);
     add_dim(&cods);
     let mut handle =
@@ -613,7 +647,7 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_2() {
     let mut raw = std::net::TcpStream::connect(handle.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
-    assert_eq!(cods_server::frame::read_preamble(&mut reader).unwrap(), 2);
+    assert_eq!(cods_server::frame::read_preamble(&mut reader).unwrap(), 3);
     let (hello, _) = cods_server::frame::read_frame(&mut reader, 1 << 20).unwrap();
     assert_eq!(hello, 0x81);
 
@@ -699,12 +733,15 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_2() {
 #[test]
 fn a_version_1_preamble_is_refused() {
     use cods_server::frame::{read_preamble, FrameError, SERVE_MAGIC};
-    let mut preamble = SERVE_MAGIC.to_le_bytes().to_vec();
-    preamble.extend_from_slice(&1u16.to_le_bytes());
-    // A version-1 `Rows` frame follows; it is never looked at.
-    preamble.extend_from_slice(&[0x88, 4, 0, 0, 0, 0, 0, 0, 0]);
-    assert!(matches!(
-        read_preamble(&mut preamble.as_slice()),
-        Err(FrameError::Corrupt)
-    ));
+    // Version 2 differs from 3 only in the frame checksum: refused alike.
+    for version in [1u16, 2] {
+        let mut preamble = SERVE_MAGIC.to_le_bytes().to_vec();
+        preamble.extend_from_slice(&version.to_le_bytes());
+        // A `Rows` frame of that version follows; it is never looked at.
+        preamble.extend_from_slice(&[0x88, 4, 0, 0, 0, 0, 0, 0, 0]);
+        assert!(matches!(
+            read_preamble(&mut preamble.as_slice()),
+            Err(FrameError::Corrupt)
+        ));
+    }
 }
