@@ -57,17 +57,22 @@ impl Wah {
         }
         let mut words = Vec::with_capacity(word_count);
         let mut ones = 0u64;
+        let overflow = || CodecError::Corrupt("population count overflows".into());
         for _ in 0..word_count {
             let w = buf.get_u64_le();
-            ones += if crate::word::is_fill(w) {
+            let n = if crate::word::is_fill(w) {
                 crate::word::fill_groups(w)
-                    * crate::word::fill_ones_per_group(crate::word::fill_bit(w))
+                    .checked_mul(crate::word::fill_ones_per_group(crate::word::fill_bit(w)))
+                    .ok_or_else(overflow)?
             } else {
                 u64::from(w.count_ones())
             };
+            ones = ones.checked_add(n).ok_or_else(overflow)?;
             words.push(w);
         }
-        ones += u64::from(active.count_ones());
+        ones = ones
+            .checked_add(u64::from(active.count_ones()))
+            .ok_or_else(overflow)?;
         let wah = Wah {
             words,
             active,
@@ -113,6 +118,9 @@ impl RleSeq {
             let n = buf.get_u64_le();
             if n == 0 {
                 return Err(CodecError::Corrupt("zero-length run".into()));
+            }
+            if seq.len().checked_add(n).is_none() {
+                return Err(CodecError::Corrupt("run lengths overflow".into()));
             }
             seq.append_run(v, n);
         }

@@ -477,7 +477,13 @@ impl Wah {
                 if prev_fill == Some(fill_bit(w)) && g < MAX_FILL_GROUPS {
                     return Err("unmerged adjacent fills".into());
                 }
-                len += g * GROUP_BITS;
+                // A fill read off the disk may claim more groups than a
+                // `u64` length can count: a typed error, not an overflow.
+                let bits = g
+                    .checked_mul(GROUP_BITS)
+                    .and_then(|bits| len.checked_add(bits))
+                    .ok_or("fill length overflows")?;
+                len = bits;
                 ones += g * fill_ones_per_group(fill_bit(w));
                 prev_fill = Some(fill_bit(w));
             } else {
@@ -495,7 +501,9 @@ impl Wah {
         if self.active & !lsb_mask(u64::from(self.active_bits)) != 0 {
             return Err("active has bits beyond active_bits".into());
         }
-        len += u64::from(self.active_bits);
+        len = len
+            .checked_add(u64::from(self.active_bits))
+            .ok_or("length overflows")?;
         ones += u64::from(self.active.count_ones());
         if len != self.len {
             return Err(format!("len mismatch: computed {len}, stored {}", self.len));

@@ -80,7 +80,7 @@
 //!
 //! ```text
 //! append → seal (checksummed frame + group fsync) → ack
-//!        → checkpoint (full save = the new recovery base)
+//!        → checkpoint (a save of the catalog = the new recovery base)
 //!        → truncate (drop records the checkpoint covers)
 //! ```
 //!
@@ -401,10 +401,12 @@ pub fn open_durable(target: &Path) -> Result<(Catalog, CommitLog, ReplayReport),
         report.replayed += 1;
     }
     let len = if read.valid_len < CLOG_HEADER_BYTES {
-        // No log yet, or its initial header write was torn: an empty log.
+        // No log yet, or its initial header write was torn: an empty log,
+        // whose name must be as durable as the commits it will hold.
         let mut f = fault::create(&log_path)?;
         fault::write_all(&mut f, &clog_header())?;
         fault::sync(&f)?;
+        fault::sync_dir(&log_path)?;
         CLOG_HEADER_BYTES
     } else {
         if report.discarded_torn {
@@ -603,9 +605,10 @@ impl CommitLog {
         }
     }
 
-    /// Checkpoints the catalog: a full durable save of `catalog` to the
-    /// target file, then truncation of every log record the save covers.
-    /// Returns the number of records truncated.
+    /// Checkpoints the catalog: a durable save of `catalog` to the target
+    /// file — which encodes only the tables replaced since the file's last
+    /// save ([`persist::save_catalog`]) — then truncation of every log
+    /// record the save covers. Returns the number of records truncated.
     ///
     /// The save writes one `(version, tables)` snapshot, so the file says
     /// exactly which records it covers: a commit racing the checkpoint is
@@ -695,6 +698,7 @@ impl CommitLog {
         fault::sync(&f)?;
         drop(f);
         fault::rename(&tmp, &inner.log_path)?;
+        fault::sync_dir(&inner.log_path)?;
         io.file = fault::open_rw(&inner.log_path)?;
         io.len -= cut;
         for e in &mut io.entries {
@@ -1534,6 +1538,76 @@ mod tests {
         assert_eq!(replay.replayed, 2);
         assert_eq!(cat2.table_names(), vec!["r2", "s3"]);
         assert_eq!(cat2.get("s3").unwrap().to_rows(), tiny("s", 4).to_rows());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    /// The mutations of one append-save onto `file`: the journal is synced,
+    /// and its name with it, before the target is touched; its unlink —
+    /// the commit point — is made durable before the save returns.
+    fn append_save_trace(file: &str) -> Vec<fault::Mutation> {
+        use fault::Mutation::*;
+        let wal = format!("{file}.wal");
+        vec![
+            Create(wal.clone()),
+            Write, // journal header
+            Write, // the old tail's frame
+            Write, // seal
+            Sync,
+            SyncDir,
+            Write, // the new tail, from the cut
+            SetLen,
+            Sync,
+            Remove(wal),
+            SyncDir,
+        ]
+    }
+
+    #[test]
+    fn a_save_and_a_checkpoint_sync_each_step_in_order() {
+        use fault::Mutation::*;
+        let path = saved_base("order.catalog");
+        let (cat, log, _r) = open_durable(&path).unwrap();
+        commit_put(&cat, tiny("t", 6));
+
+        // A plain append-save.
+        fault::arm(u64::MAX);
+        persist::save_catalog(&cat, &path).unwrap();
+        fault::disarm();
+        assert_eq!(fault::trace(), append_save_trace("order.catalog"));
+
+        // A checkpoint that covers every record truncates the log in place.
+        commit_put(&cat, tiny("u", 6));
+        fault::arm(u64::MAX);
+        assert_eq!(log.checkpoint(&cat).unwrap(), 2);
+        fault::disarm();
+        let mut want = append_save_trace("order.catalog");
+        want.extend([SetLen, Sync]);
+        assert_eq!(fault::trace(), want);
+
+        // One with a record past its snapshot rebuilds the log by rename,
+        // and syncs the directory before the checkpoint returns.
+        let (snap_version, tables) = log.begin_checkpoint(&cat).unwrap();
+        commit_put(&cat, tiny("w", 6));
+        fault::arm(u64::MAX);
+        assert_eq!(log.finish_checkpoint(snap_version, tables).unwrap(), 0);
+        fault::disarm();
+        assert_eq!(fault::trace(), append_save_trace("order.catalog"));
+        commit_put(&cat, tiny("x", 6));
+        let (snap_version, tables) = log.begin_checkpoint(&cat).unwrap();
+        commit_put(&cat, tiny("y", 6));
+        fault::arm(u64::MAX);
+        assert_eq!(log.finish_checkpoint(snap_version, tables).unwrap(), 2);
+        fault::disarm();
+        let mut want = append_save_trace("order.catalog");
+        want.extend([
+            Create("order.catalog.clog.tmp".into()),
+            Write,
+            Write,
+            Sync,
+            Rename("order.catalog.clog.tmp".into(), "order.catalog.clog".into()),
+            SyncDir,
+        ]);
+        assert_eq!(fault::trace(), want);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

@@ -17,8 +17,14 @@
 //! keep saving normally. Reads are deliberately not faulted: a crash
 //! destroys in-flight writes, not the ability of the *next* process to
 //! read what reached the disk.
+//!
+//! While armed, the layer also keeps a per-thread [`trace`] of the
+//! mutations that went through, so a test can assert a protocol's exact
+//! order — that the journal is synced before the target is touched, or
+//! that every create, rename and unlink a commit depends on is followed by
+//! a sync of its directory ([`sync_dir`]).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
@@ -34,12 +40,42 @@ thread_local! {
     static DEAD: Cell<bool> = const { Cell::new(false) };
     /// Units consumed since the last [`arm`] — used by tests to size a sweep.
     static UNITS: Cell<u64> = const { Cell::new(0) };
+    /// Mutations performed since the last [`arm`].
+    static TRACE: RefCell<Vec<Mutation>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One filesystem mutation as [`trace`] records it. Paths are reduced to
+/// their file names.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Mutation {
+    /// A file created (or truncated by creation).
+    Create(String),
+    /// A complete `write_all` to an open file.
+    Write,
+    /// `File::set_len` on an open file.
+    SetLen,
+    /// `File::sync_all` on an open file.
+    Sync,
+    /// A sync of a file's parent directory.
+    SyncDir,
+    /// `fs::rename(from, to)`.
+    Rename(String, String),
+    /// `fs::remove_file`.
+    Remove(String),
+}
+
+fn file_name(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default()
 }
 
 /// Arm the layer on this thread: the next `budget` units of filesystem
-/// mutation succeed, everything after fails. Resets the [`units`] counter.
+/// mutation succeed, everything after fails. Resets the [`units`] counter
+/// and the [`trace`].
 pub fn arm(budget: u64) {
     UNITS.with(|u| u.set(0));
+    TRACE.with(|t| t.borrow_mut().clear());
     DEAD.with(|d| d.set(false));
     BUDGET.with(|b| b.set(budget.min(UNLIMITED as u64 - 1) as i64));
 }
@@ -55,6 +91,15 @@ pub fn disarm() {
 /// many crash points a sweep must cover.
 pub fn units() -> u64 {
     UNITS.with(|u| u.get())
+}
+
+/// The mutations this thread performed since the last [`arm`], in order.
+pub fn trace() -> Vec<Mutation> {
+    TRACE.with(|t| t.borrow().clone())
+}
+
+fn record(m: Mutation) {
+    TRACE.with(|t| t.borrow_mut().push(m));
 }
 
 fn armed() -> bool {
@@ -95,15 +140,17 @@ pub(crate) fn write_all(f: &mut File, buf: &[u8]) -> io::Result<()> {
     if granted < buf.len() {
         return Err(injected());
     }
+    record(Mutation::Write);
     Ok(())
 }
 
 /// Charge one unit for a non-write mutation, failing if the budget is gone.
-fn mutation() -> io::Result<()> {
+fn mutation(m: Mutation) -> io::Result<()> {
     if !armed() {
         return Ok(());
     }
     if charge(1) == 1 {
+        record(m);
         Ok(())
     } else {
         Err(injected())
@@ -112,31 +159,55 @@ fn mutation() -> io::Result<()> {
 
 /// Faultable `File::set_len`.
 pub(crate) fn set_len(f: &File, len: u64) -> io::Result<()> {
-    mutation()?;
+    mutation(Mutation::SetLen)?;
     f.set_len(len)
 }
 
 /// Faultable `File::sync_all`.
 pub(crate) fn sync(f: &File) -> io::Result<()> {
-    mutation()?;
+    mutation(Mutation::Sync)?;
     f.sync_all()
+}
+
+/// Faultable sync of `path`'s parent directory: makes a create, rename or
+/// unlink of `path` durable, which syncing the file itself does not. One
+/// unit, like any other non-write mutation.
+pub(crate) fn sync_dir(path: &Path) -> io::Result<()> {
+    mutation(Mutation::SyncDir)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    sync_dir_at(dir)
+}
+
+#[cfg(unix)]
+fn sync_dir_at(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
+/// Directories cannot be opened for syncing here; their entries are left
+/// to the platform.
+#[cfg(not(unix))]
+fn sync_dir_at(_dir: &Path) -> io::Result<()> {
+    Ok(())
 }
 
 /// Faultable `fs::rename`.
 pub(crate) fn rename(from: &Path, to: &Path) -> io::Result<()> {
-    mutation()?;
+    mutation(Mutation::Rename(file_name(from), file_name(to)))?;
     std::fs::rename(from, to)
 }
 
 /// Faultable `fs::remove_file`.
 pub(crate) fn remove_file(path: &Path) -> io::Result<()> {
-    mutation()?;
+    mutation(Mutation::Remove(file_name(path)))?;
     std::fs::remove_file(path)
 }
 
 /// Faultable `File::create` (creation truncates, so it is a mutation).
 pub(crate) fn create(path: &Path) -> io::Result<File> {
-    mutation()?;
+    mutation(Mutation::Create(file_name(path)))?;
     File::create(path)
 }
 
@@ -170,8 +241,18 @@ mod tests {
         let mut f = create(&path).unwrap();
         write_all(&mut f, b"hello world").unwrap();
         sync(&f).unwrap();
+        sync_dir(&path).unwrap();
         let total = units();
-        assert_eq!(total, 1 + 11 + 1); // create + bytes + sync
+        assert_eq!(total, 1 + 11 + 1 + 1); // create + bytes + sync + dir sync
+        assert_eq!(
+            trace(),
+            [
+                Mutation::Create("t.bin".into()),
+                Mutation::Write,
+                Mutation::Sync,
+                Mutation::SyncDir
+            ]
+        );
 
         arm(1 + 4); // crash 4 bytes into the payload
         let mut f = create(&path).unwrap();

@@ -26,8 +26,10 @@
 //!   the process-wide, byte-budgeted buffer cache behind it (see
 //!   [`segment_cache`]).
 //! * [`load`] — delimited-text ingest; [`persist`] — the binary table and
-//!   catalog file format (one version: segment payloads stay on disk behind
-//!   a footer index for lazy opens; any other version is refused).
+//!   catalog file format (one version: one metadata block per table behind
+//!   a catalog index, segment payloads left on disk for lazy opens, and
+//!   re-saves that encode only the tables that changed; any other version
+//!   is refused).
 //! * [`wal`] — the rollback journal that makes every save crash-safe
 //!   (journal-then-overwrite appends, temp+rename rewrites, recovery on
 //!   open); [`commitlog`] — the SMO-granularity commit log that makes every

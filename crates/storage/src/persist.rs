@@ -1,17 +1,21 @@
 //! Binary persistence of tables and catalogs.
 //!
-//! There is one on-disk format (version 7). A file is a payload heap plus a
-//! metadata region, so a column opens as *metadata only* — schema,
-//! dictionary, per-segment stats, zone maps, encoding/pin tags — while
-//! segment payloads stay on disk behind a footer index and fault in through
-//! the buffer cache ([`crate::store`]) on first touch:
+//! There is one on-disk format (version 8). A file is a heap of segment
+//! payloads and per-table metadata blocks, a small index naming the blocks,
+//! and a footer pointing at the index. A column opens as *metadata only* —
+//! schema, dictionary, per-segment stats, zone maps, encoding/pin tags —
+//! while segment payloads stay on disk and fault in through the buffer
+//! cache ([`crate::store`]) on first touch:
 //!
 //! ```text
-//! file     := preamble payload-heap metadata footer
+//! file     := preamble heap index footer
 //! preamble := magic:u32 version:u16
-//! footer   := meta_off:u64 magic:u32               (the last 12 bytes)
-//! metadata := table                                (table file)
-//! metadata := version:u64 table_count:u32 table*   (catalog file)
+//! heap     := (payload | block)*                   (below the index)
+//! footer   := index_off:u64 magic:u32              (the last 12 bytes)
+//! index    := entry                                (table file)
+//! index    := version:u64 table_count:u32 entry*   (catalog file)
+//! entry    := name:str block_off:u64 block_len:u64
+//! block    := table                                (one table's metadata)
 //! table    := name:str schema rows:u64 column*
 //! schema   := arity:u16 (name:str tag:u8)* key_len:u16 key_idx:u16*
 //! column   := dict flags:u8 seg_rows:u64 seg_count:u32 segment* zone*
@@ -25,13 +29,15 @@
 //! str      := len:u32 utf8-bytes
 //! ```
 //!
-//! `off`/`len` locate the segment's payload in the heap (bitmap segments
-//! are the concatenation of each present id's WAH stream in id order, RLE
-//! segments the run-sequence codec); `rows`/`runs`/`bytes`/ids/ones are
-//! the resident stats scans prune on without faulting. The heap stores
-//! each distinct (`Arc`-shared) segment once, however many columns or
-//! table versions reference it, and a catalog decode re-shares slots with
-//! identical locations.
+//! `off`/`len` locate a segment's payload in the heap (bitmap segments are
+//! the concatenation of each present id's WAH stream in id order, RLE
+//! segments the run-sequence codec); `rows`/`runs`/`bytes`/ids/ones are the
+//! resident stats scans prune on without faulting. The heap stores each
+//! distinct (`Arc`-shared) segment once, however many columns or table
+//! versions reference it, and a decode re-shares slots with identical
+//! locations. A block is self-contained: it decodes on its own and names
+//! the table its entry names. Every block lies below the index, no two
+//! overlap, and no two entries share a name.
 //!
 //! A catalog file's `version` is the [`Catalog::version`] of the content it
 //! holds, written by every writer of a catalog file (append-save, rewrite,
@@ -39,12 +45,16 @@
 //! at that version, and [`crate::commitlog::open_durable`] replays only the
 //! commit records past it — the file says which commits it already covers.
 //!
-//! Saving onto a file that already backs some of the table's segments is
-//! an *append*: reused payloads keep their offsets, only new segments'
-//! payloads are appended at the old metadata offset, and the metadata
-//! region plus footer are rewritten — O(new data + metadata), not O(file).
-//! After any save, freshly built segments adopt their new on-disk location
-//! and become evictable.
+//! Saving onto a file that already backs some of the content is an
+//! *append*, and it writes what changed. A table whose `Arc` is the one the
+//! file's committed index was written from or decoded into keeps its block,
+//! referenced by offset exactly like a reused payload; only the other
+//! tables are encoded. The save overwrites `[cut, EOF)` under the rollback
+//! journal ([`crate::wal`]), where `cut` is the end of the last extent that
+//! must survive: a reused block, or a payload that a live in-memory slot
+//! may still fault in from. From `cut` on it writes the new payloads, the
+//! new blocks, the index and the footer. After any save, freshly built
+//! segments adopt their new on-disk location and become evictable.
 //!
 //! A preamble carrying any other version is refused with
 //! `PersistError("unsupported version N")`.
@@ -61,23 +71,27 @@ use crate::store::{
     SegMeta, SegSlot,
 };
 use crate::table::Table;
+use crate::vacuum::HeapStats;
 use crate::value::{Value, ValueType};
 use crate::wal;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 const MAGIC: u32 = 0xC0D5_0001;
-/// The on-disk format version (demand-paged payload heap + footer, catalog
-/// files stamped with the catalog version they hold) — the only one this
-/// build reads or writes.
-pub const VERSION: u16 = 7;
+/// The on-disk format version (payload heap with one metadata block per
+/// table behind a catalog index; catalog files stamped with the catalog
+/// version they hold) — the only one this build reads or writes.
+pub const VERSION: u16 = 8;
 
 /// `magic:u32 version:u16`.
 pub(crate) const PREAMBLE_LEN: usize = 6;
-/// `meta_off:u64 magic:u32`.
+/// `index_off:u64 magic:u32`.
 const FOOTER_LEN: usize = 12;
+/// The least an index entry occupies: an empty name, `block_off`,
+/// `block_len`.
+const ENTRY_MIN: usize = 4 + 8 + 8;
 /// The fixed part of a segment record: `segtag off len rows runs bytes
 /// present` — the least a record can occupy.
 const SEG_RECORD_MIN: usize = 1 + 5 * 8 + 4;
@@ -272,12 +286,50 @@ fn get_dict<B: Buf>(buf: &mut B) -> Result<(ValueType, Dictionary), StorageError
 }
 
 // ---------------------------------------------------------------------------
-// Writer: payload heap + metadata region + footer.
+// Writer: payload heap + metadata blocks + index + footer.
 // ---------------------------------------------------------------------------
 
 /// A slot whose payload the current save placed (or will place) in the
 /// target file, with its heap location — the post-save adoption list.
 type Placement = (SegSlot, u64, u64);
+
+/// One table's metadata block in a file, with the payload extents its
+/// segment records name.
+#[derive(Clone, Debug)]
+struct BlockAt {
+    off: u64,
+    len: u64,
+    /// Distinct `(off, len)` payload extents, ascending.
+    payloads: Arc<[(u64, u64)]>,
+}
+
+impl BlockAt {
+    /// The end of the furthest byte this block keeps alive: its own, or
+    /// that of a payload it names.
+    fn reach(&self) -> u64 {
+        self.payloads
+            .iter()
+            .map(|&(off, len)| off + len)
+            .fold(self.off + self.len, u64::max)
+    }
+}
+
+/// `extents` without repeats, ascending.
+fn distinct(mut extents: Vec<(u64, u64)>) -> Arc<[(u64, u64)]> {
+    extents.sort_unstable();
+    extents.dedup();
+    extents.into()
+}
+
+/// The end of the furthest payload any of `blocks` names.
+fn payload_end<'b>(blocks: impl IntoIterator<Item = &'b BlockAt>) -> u64 {
+    blocks
+        .into_iter()
+        .flat_map(|b| b.payloads.iter())
+        .map(|&(off, len)| off + len)
+        .max()
+        .unwrap_or(0)
+}
 
 /// Accumulates the payload heap of one save: each distinct slot's payload
 /// is placed exactly once (keyed by slot identity), and on an append-save
@@ -296,9 +348,9 @@ struct HeapBuilder<'a> {
     /// was vacuumed/replaced since that slot was opened) must not donate
     /// its stale offsets — it gets copied like any foreign payload.
     reuse_id: Option<FileId>,
-    /// Distinct old-heap extents kept alive by this save (dead-space
-    /// accounting for the auto-vacuum trigger).
-    reused: std::collections::HashSet<(u64, u64)>,
+    /// Extents handed out since the last block was finished: the payloads
+    /// of the block being encoded.
+    extents: Vec<(u64, u64)>,
     placements: Vec<Placement>,
 }
 
@@ -310,26 +362,26 @@ impl<'a> HeapBuilder<'a> {
             placed: HashMap::new(),
             reuse,
             reuse_id,
-            reused: std::collections::HashSet::new(),
+            extents: Vec::new(),
             placements: Vec::new(),
         }
-    }
-
-    /// Old-heap bytes still referenced by the metadata this save writes.
-    fn reused_bytes(&self) -> u64 {
-        self.reused.iter().map(|&(_, len)| len).sum()
     }
 
     /// Returns the heap location of `slot`'s payload, placing it on first
     /// sight. Disk-backed slots are raw-copied from their source without
     /// decoding; fresh slots are encoded from their resident payload.
     fn place(&mut self, slot: &SegSlot) -> Result<(u64, u64), StorageError> {
+        let at = self.locate(slot)?;
+        self.extents.push(at);
+        Ok(at)
+    }
+
+    fn locate(&mut self, slot: &SegSlot) -> Result<(u64, u64), StorageError> {
         if let Some(loc) = slot.disk_loc() {
             if self.reuse.is_some()
                 && loc.source.path() == self.reuse
                 && (self.reuse_id.is_none() || loc.source.file_id() == self.reuse_id)
             {
-                self.reused.insert((loc.offset, loc.len));
                 return Ok((loc.offset, loc.len));
             }
         }
@@ -408,6 +460,12 @@ fn put_table<B: BufMut>(
     Ok(())
 }
 
+fn put_entry<B: BufMut>(index: &mut B, name: &str, block: &BlockAt) {
+    put_str(index, name);
+    index.put_u64_le(block.off);
+    index.put_u64_le(block.len);
+}
+
 /// What a save writes: one table, or a catalog snapshot.
 pub(crate) enum Content<'a> {
     /// A single-table file.
@@ -460,124 +518,174 @@ impl OwnedContent {
     }
 }
 
-fn put_content<B: BufMut>(
-    meta: &mut B,
-    heap: &mut HeapBuilder<'_>,
-    what: &Content<'_>,
-) -> Result<(), StorageError> {
-    match what {
-        Content::Table(t) => put_table(meta, heap, t),
-        Content::Catalog(version, ts) => {
-            meta.put_u64_le(*version);
-            meta.put_u32_le(ts.len() as u32);
-            for t in ts {
-                put_table(meta, heap, t)?;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// The product of [`build`]: the bytes to write at `base`, the adoption
-/// list, and the heap accounting the auto-vacuum trigger wants.
+/// The product of [`build`]: the bytes to write, the adoption list, and
+/// where every block, the index and the end of file landed.
 struct Built {
     bytes: Bytes,
     placements: Vec<Placement>,
-    /// Old-heap bytes the new metadata still references.
-    live_reused: u64,
-    /// Heap end (= new metadata offset) after this save.
-    heap_end: u64,
+    /// Every table's block, in content order.
+    blocks: Vec<BlockAt>,
+    /// The index as written (without the footer).
+    index: Bytes,
+    index_off: u64,
+    file_len: u64,
 }
 
-/// Serializes `what` from file offset `base` on: payloads not already in
-/// the append `target`, the metadata region, and the footer. Without a
-/// target this is a complete image — it opens with the preamble and `base`
-/// is [`PREAMBLE_LEN`]; with one it is the tail of an append-save,
-/// everything from the old metadata offset to the new end of file.
-fn build(
-    what: &Content<'_>,
-    base: u64,
-    target: Option<(&Path, Option<FileId>)>,
-) -> Result<Built, StorageError> {
-    let mut heap = HeapBuilder::new(base, target.map(|t| t.0), target.and_then(|t| t.1));
-    let mut meta = BytesMut::new();
-    put_content(&mut meta, &mut heap, what)?;
-    let meta_off = heap.next;
-    let live_reused = heap.reused_bytes();
+/// Serializes `what`. Without a plan this is a complete image: it opens
+/// with the preamble and payloads start at [`PREAMBLE_LEN`]. With one it is
+/// the tail of an append-save, everything from the plan's `cut` to the new
+/// end of file: the payloads not already in the target, the blocks of the
+/// tables the plan does not reuse, the index and the footer.
+fn build(what: &Content<'_>, plan: Option<&AppendPlan>) -> Result<Built, StorageError> {
+    let base = plan.map_or(PREAMBLE_LEN as u64, |p| p.cut);
+    let mut heap = HeapBuilder::new(
+        base,
+        plan.map(|p| p.canon.as_path()),
+        plan.and_then(|p| p.id),
+    );
+    // New blocks are encoded as their tables come, but land after every
+    // new payload: their offsets are relative to `fresh` until the heap is
+    // complete.
+    let mut fresh = BytesMut::new();
+    let mut blocks = Vec::new();
+    let mut new = Vec::new();
+    for t in what.tables() {
+        if let Some(b) = plan.and_then(|p| p.reuse.get(&(t as *const Table))) {
+            blocks.push(b.clone());
+            continue;
+        }
+        let start = fresh.len();
+        put_table(&mut fresh, &mut heap, t)?;
+        new.push(blocks.len());
+        blocks.push(BlockAt {
+            off: start as u64,
+            len: (fresh.len() - start) as u64,
+            payloads: distinct(std::mem::take(&mut heap.extents)),
+        });
+    }
+    let blocks_off = heap.next;
+    for &i in &new {
+        blocks[i].off += blocks_off;
+    }
+    let index_off = blocks_off + fresh.len() as u64;
+    let mut index = BytesMut::new();
+    match what {
+        Content::Table(t) => put_entry(&mut index, t.name(), &blocks[0]),
+        Content::Catalog(version, ts) => {
+            index.put_u64_le(*version);
+            index.put_u32_le(ts.len() as u32);
+            for (t, b) in ts.iter().zip(&blocks) {
+                put_entry(&mut index, t.name(), b);
+            }
+        }
+    }
+    let index = index.freeze();
     let HeapBuilder {
         buf, placements, ..
     } = heap;
     let mut out = BytesMut::new();
-    if target.is_none() {
+    if plan.is_none() {
         out.put_u32_le(MAGIC);
         out.put_u16_le(VERSION);
     }
     out.put_slice(buf.freeze().as_slice());
-    out.put_slice(meta.freeze().as_slice());
-    out.put_u64_le(meta_off);
+    out.put_slice(fresh.freeze().as_slice());
+    out.put_slice(index.as_slice());
+    out.put_u64_le(index_off);
     out.put_u32_le(MAGIC);
     Ok(Built {
         bytes: out.freeze(),
         placements,
-        live_reused,
-        heap_end: meta_off,
+        blocks,
+        file_len: index_off + (index.len() + FOOTER_LEN) as u64,
+        index,
+        index_off,
     })
 }
 
-/// Builds a complete image in memory (fresh saves, vacuum and the
-/// in-memory encode path).
-fn build_image(what: &Content<'_>) -> Result<(Bytes, Vec<Placement>), StorageError> {
-    let built = build(what, PREAMBLE_LEN as u64, None)?;
-    Ok((built.bytes, built.placements))
+/// Where an append-save lands: the target, the offset from which its tail
+/// is overwritten, and the committed blocks the new index references as
+/// they are (keyed by the table they hold).
+struct AppendPlan {
+    canon: PathBuf,
+    id: Option<FileId>,
+    cut: u64,
+    reuse: HashMap<*const Table, BlockAt>,
 }
 
 /// Decides whether saving `what` onto `path` can append: the target must
-/// be a healthy container that already backs at least one of the
-/// content's segments. Returns the old metadata offset (where appended
-/// payloads go) and the canonical target path. Any doubt falls back to a
-/// full rewrite.
-fn append_point(what: &Content<'_>, path: &Path) -> Option<(u64, PathBuf, Option<FileId>)> {
+/// be a healthy container that already holds one of the content's blocks
+/// or backs one of its segments. Any doubt falls back to a full rewrite.
+///
+/// The overwritten tail starts at `cut`, the end of the last extent that
+/// must survive: a block the new index reuses (with the payloads it names,
+/// taken from the committed index — a reused table's slots may live in
+/// another file), and every extent a live slot is bound to in this file
+/// (the new state's reused payloads among them, and those of older
+/// snapshots still in memory). Without a file identity nothing is known,
+/// and the tail starts at the committed index.
+fn append_plan(what: &Content<'_>, path: &Path) -> Option<AppendPlan> {
     let canon = std::fs::canonicalize(path).ok()?;
     // Identity of the inode currently at the path: a slot opened before a
     // vacuum replaced the file holds offsets into the *old* inode, and
     // must not be treated as already-present in the new one.
-    let target_id = std::fs::metadata(&canon).ok().and_then(|m| file_id_of(&m));
-    let referenced = what.tables().iter().any(|t| {
-        t.columns().iter().any(|c| {
-            c.segments().iter().any(|s| {
-                s.disk_loc().is_some_and(|l| {
-                    l.source.path() == Some(canon.as_path())
-                        && (target_id.is_none() || l.source.file_id() == target_id)
+    let id = std::fs::metadata(&canon).ok().and_then(|m| file_id_of(&m));
+    let tail = read_tail(&mut std::fs::File::open(path).ok()?, path).ok()?;
+    let reuse = match (what, id) {
+        (Content::Catalog(_, tables), Some(id)) => reusable(id, &tail, tables),
+        _ => HashMap::new(),
+    };
+    let backed = || {
+        what.tables().iter().any(|t| {
+            t.columns().iter().any(|c| {
+                c.segments().iter().any(|s| {
+                    s.disk_loc().is_some_and(|l| {
+                        l.source.path() == Some(canon.as_path())
+                            && (id.is_none() || l.source.file_id() == id)
+                    })
                 })
             })
         })
-    });
-    if !referenced {
+    };
+    if reuse.is_empty() && !backed() {
         return None;
     }
-    let (_, meta_off) = file_footer(path).ok()?;
-    Some((meta_off, canon, target_id))
+    let cut = match id {
+        Some(id) => reuse
+            .values()
+            .map(BlockAt::reach)
+            .fold(bound_end(id), u64::max)
+            .clamp(PREAMBLE_LEN as u64, tail.index_off),
+        None => tail.index_off,
+    };
+    Some(AppendPlan {
+        canon,
+        id,
+        cut,
+        reuse,
+    })
 }
 
-/// After a committed write: points every placed slot at its location in
-/// `path` through `bind` and enrols the newly backed ones in the buffer
-/// cache (making them evictable). A save binds with
-/// [`SegSlot::attach_disk`] — slots already backed elsewhere keep their
-/// original source; vacuum with [`SegSlot::rebind_disk`] — offsets moved,
-/// so existing `DiskLoc`s are overwritten.
-fn bind_placements(
+/// After a committed write of `built` to `path`: points every placed slot
+/// at its location through `bind` and enrols the newly backed ones in the
+/// buffer cache (making them evictable), then records what the file now
+/// holds. A save binds with [`SegSlot::attach_disk`] — slots already backed
+/// elsewhere keep their original source; vacuum with
+/// [`SegSlot::rebind_disk`] — offsets moved, so existing `DiskLoc`s are
+/// overwritten.
+fn settle(
     path: &Path,
-    placements: Vec<Placement>,
+    what: &Content<'_>,
+    built: Built,
     bind: fn(&SegSlot, DiskLoc) -> bool,
 ) -> Result<(), StorageError> {
-    if placements.is_empty() {
-        return Ok(());
-    }
     let file = std::fs::File::open(path)?;
     let canon = std::fs::canonicalize(path)?;
     let source = Arc::new(PayloadSource::for_file(file, canon));
     let store = segment_cache();
-    for (slot, offset, len) in placements {
+    let mut end = 0;
+    for (slot, offset, len) in built.placements {
+        end = end.max(offset + len);
         let loc = DiskLoc {
             source: Arc::clone(&source),
             offset,
@@ -587,13 +695,30 @@ fn bind_placements(
             store.adopt(&slot);
         }
     }
+    note_source(&source, end);
+    if let (Some(id), Content::Catalog(_, tables)) = (source.file_id(), what) {
+        note_committed(
+            id,
+            Committed {
+                file_len: built.file_len,
+                index_off: built.index_off,
+                index: built.index,
+                blocks: tables
+                    .iter()
+                    .map(Arc::downgrade)
+                    .zip(built.blocks)
+                    .collect(),
+            },
+        );
+    }
     Ok(())
 }
 
 /// Durable whole-file replacement: the image is written to a sibling temp
 /// file, synced, and atomically renamed over the target — the rename is
 /// the commit point, so a crash leaves either the old file or the new one,
-/// never a half-written hybrid.
+/// never a half-written hybrid. The directory is synced after the rename,
+/// so the new name survives a power cut too.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(format!(".tmp.{}", std::process::id()));
@@ -604,6 +729,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
         fault::sync(&f)?;
         drop(f);
         fault::rename(&tmp, path)?;
+        fault::sync_dir(path)?;
         Ok(())
     })();
     if res.is_err() {
@@ -615,40 +741,25 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
     res
 }
 
-/// What an append-save leaves behind, for the auto-vacuum trigger: heap
-/// accounting plus the exact `(file_len, meta_off)` it committed (so the
-/// background task can tell whether it is still looking at this save).
-struct AppendStats {
-    dead_bytes: u64,
-    heap_bytes: u64,
-    file_len: u64,
-    meta_off: u64,
-}
-
 /// In-place tail overwrite under a rollback journal (the append-save
-/// commit protocol; see [`crate::wal`]).
+/// commit protocol; see [`crate::wal`]). Returns the heap occupancy it
+/// committed and its index offset, for the auto-vacuum trigger.
 fn save_append(
     what: &Content<'_>,
     path: &Path,
-    base: u64,
-    canon: &Path,
-    target_id: Option<FileId>,
-) -> Result<AppendStats, StorageError> {
-    let Built {
-        bytes: tail,
-        placements,
-        live_reused,
-        heap_end,
-    } = build(what, base, Some((canon, target_id)))?;
-    // 1. Journal the old tail durably — before the target is touched.
-    let guard = wal::TailGuard::begin(path, base)?;
+    plan: AppendPlan,
+) -> Result<(HeapStats, u64), StorageError> {
+    let built = build(what, Some(&plan))?;
+    // 1. Journal the old tail `[cut, EOF)` durably — before the target is
+    //    touched.
+    let guard = wal::TailGuard::begin(path, plan.cut)?;
     // 2. Overwrite the tail and sync.
     let write = (|| -> Result<(), StorageError> {
         use std::io::{Seek, SeekFrom};
         let mut f = fault::open_rw(path)?;
-        f.seek(SeekFrom::Start(base))?;
-        fault::write_all(&mut f, tail.as_slice())?;
-        fault::set_len(&f, base + tail.len() as u64)?;
+        f.seek(SeekFrom::Start(plan.cut))?;
+        fault::write_all(&mut f, built.bytes.as_slice())?;
+        fault::set_len(&f, built.file_len)?;
         fault::sync(&f)?;
         Ok(())
     })();
@@ -661,34 +772,30 @@ fn save_append(
     guard.commit()?;
     // 4. Only now — the file is fully committed — may fresh slots adopt
     //    their on-disk locations.
-    bind_placements(path, placements, SegSlot::attach_disk)?;
-    let old_heap = base - PREAMBLE_LEN as u64;
-    Ok(AppendStats {
-        dead_bytes: old_heap.saturating_sub(live_reused),
-        heap_bytes: heap_end - PREAMBLE_LEN as u64,
-        file_len: base + tail.len() as u64,
-        meta_off: heap_end,
-    })
+    let stats = heap_stats_of(built.file_len, built.index_off, &built.blocks);
+    let index_off = built.index_off;
+    settle(path, what, built, SegSlot::attach_disk)?;
+    Ok((stats, index_off))
 }
 
 /// Full-rewrite save: a fresh image through [`write_atomic`].
 fn save_rewrite(what: &Content<'_>, path: &Path) -> Result<(), StorageError> {
-    let (image, placements) = build_image(what)?;
-    write_atomic(path, image.as_slice())?;
-    bind_placements(path, placements, SegSlot::attach_disk)
+    let built = build(what, None)?;
+    write_atomic(path, built.bytes.as_slice())?;
+    settle(path, what, built, SegSlot::attach_disk)
 }
 
 pub(crate) fn save_content(what: &Content<'_>, path: &Path) -> Result<(), StorageError> {
     let lock = wal::path_lock(path);
-    let stats = {
+    let appended = {
         let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
         // A previous save may have died here: honor its journal first, so
-        // `append_point` sees the last committed footer.
+        // `append_plan` sees the last committed footer.
         if path.exists() {
             wal::recover(path)?;
         }
-        match append_point(what, path) {
-            Some((base, canon, id)) => Some(save_append(what, path, base, &canon, id)?),
+        match append_plan(what, path) {
+            Some(plan) => Some(save_append(what, path, plan)?),
             None => {
                 save_rewrite(what, path)?;
                 None
@@ -696,14 +803,8 @@ pub(crate) fn save_content(what: &Content<'_>, path: &Path) -> Result<(), Storag
         }
     };
     // Outside the lock: the background vacuum takes it itself.
-    if let Some(s) = stats {
-        crate::vacuum::consider_auto(
-            what,
-            path,
-            s.dead_bytes,
-            s.heap_bytes,
-            (s.file_len, s.meta_off),
-        );
+    if let Some((stats, index_off)) = appended {
+        crate::vacuum::consider_auto(what, path, &stats, index_off);
     }
     Ok(())
 }
@@ -722,25 +823,25 @@ pub(crate) fn rewrite_compacted(
         wal::recover(path)?;
     }
     let before = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    let (image, placements) = build_image(what)?;
-    let after = image.len() as u64;
-    write_atomic(path, image.as_slice())?;
+    let built = build(what, None)?;
+    let after = built.file_len;
+    write_atomic(path, built.bytes.as_slice())?;
     // Rebind: every distinct slot was placed, so every live payload now
     // points into the compacted file. Slots opened from the *old* inode by
     // other snapshots keep their open handle (the unlinked inode stays
     // readable on unix) and fall back to copy-on-save thanks to the
-    // file-identity check in `append_point`/`HeapBuilder::place`.
-    let segments = placements.len();
-    let live = placements.iter().map(|&(_, _, len)| len).sum();
-    bind_placements(path, placements, SegSlot::rebind_disk)?;
+    // file-identity check in `append_plan`/`HeapBuilder::place`.
+    let segments = built.placements.len();
+    let live = built.placements.iter().map(|&(_, _, len)| len).sum();
+    settle(path, what, built, SegSlot::rebind_disk)?;
     Ok((before, after, live, segments))
 }
 
 /// The one footer parser — the save path, vacuum, the in-memory decode and
-/// the lazy file open all locate the metadata region through it. Checks
-/// the preamble (magic, version), then the last [`FOOTER_LEN`] bytes: tail
-/// magic, and `meta_off` within `[PREAMBLE_LEN, len - FOOTER_LEN]`. Reads
-/// nothing else. Returns `(len, meta_off)`.
+/// the lazy file open all locate the index through it. Checks the preamble
+/// (magic, version), then the last [`FOOTER_LEN`] bytes: tail magic, and
+/// `index_off` within `[PREAMBLE_LEN, len - FOOTER_LEN]`. Reads nothing
+/// else. Returns `(len, index_off)`.
 ///
 /// `path` names a file-backed source: a footer that fails to validate is
 /// then the typed [`torn_tail`] corruption with its recovery hint, where an
@@ -777,17 +878,17 @@ fn read_footer<R: std::io::Read + std::io::Seek>(
     let mut foot = [0u8; FOOTER_LEN];
     src.read_exact(&mut foot)?;
     let mut foot = &foot[..];
-    let meta_off = foot.get_u64_le();
+    let index_off = foot.get_u64_le();
     let tail_magic = foot.get_u32_le();
     if tail_magic != MAGIC {
         return Err(bad(format!("bad footer magic 0x{tail_magic:08x}")));
     }
-    if meta_off < PREAMBLE_LEN as u64 || meta_off > len - FOOTER_LEN as u64 {
+    if index_off < PREAMBLE_LEN as u64 || index_off > len - FOOTER_LEN as u64 {
         return Err(bad(format!(
-            "footer metadata offset {meta_off} outside file of {len} bytes"
+            "footer index offset {index_off} outside file of {len} bytes"
         )));
     }
-    Ok((len, meta_off))
+    Ok((len, index_off))
 }
 
 /// [`read_footer`] of the file at `path`, without decoding anything else.
@@ -808,8 +909,153 @@ fn torn_tail(path: &Path, detail: String) -> StorageError {
     ))
 }
 
+/// A container's footer and index: all a save or an open reads up front.
+struct Tail {
+    file_len: u64,
+    index_off: u64,
+    /// The index bytes, footer excluded.
+    index: Bytes,
+}
+
+/// Reads the footer and the index of `file` (at `path`), nothing else.
+fn read_tail(file: &mut std::fs::File, path: &Path) -> Result<Tail, StorageError> {
+    use std::io::{Read, Seek, SeekFrom};
+    let (file_len, index_off) = read_footer(file, Some(path))?;
+    file.seek(SeekFrom::Start(index_off))?;
+    let mut index = vec![0u8; (file_len - FOOTER_LEN as u64 - index_off) as usize];
+    file.read_exact(&mut index)?;
+    Ok(Tail {
+        file_len,
+        index_off,
+        index: Bytes::from(index),
+    })
+}
+
 // ---------------------------------------------------------------------------
-// Reader: metadata region, paged-out slots.
+// What this process knows about the files it wrote or read.
+// ---------------------------------------------------------------------------
+
+/// A catalog file's committed index, as this process wrote or decoded it.
+struct Committed {
+    /// The file's length, index offset and index bytes at the time: the
+    /// blocks are trusted only while the file still ends in exactly these.
+    file_len: u64,
+    index_off: u64,
+    index: Bytes,
+    /// Each block, with the table it was written from or decoded into.
+    blocks: Vec<(Weak<Table>, BlockAt)>,
+}
+
+/// What this process knows about one file, by inode.
+#[derive(Default)]
+struct Known {
+    committed: Option<Committed>,
+    /// Every payload source bound to the file, with the end of the
+    /// furthest extent bound through it. While a source lives, a slot may
+    /// still fault in below that end, so no save may overwrite it.
+    sources: Vec<(Weak<PayloadSource>, u64)>,
+}
+
+impl Known {
+    /// Forgets what no live table or slot can use; `false` when nothing is
+    /// left to know.
+    fn prune(&mut self) -> bool {
+        self.sources.retain(|(s, _)| s.strong_count() > 0);
+        if self
+            .committed
+            .as_ref()
+            .is_some_and(|c| c.blocks.iter().all(|(t, _)| t.strong_count() == 0))
+        {
+            self.committed = None;
+        }
+        self.committed.is_some() || !self.sources.is_empty()
+    }
+}
+
+/// Runs `f` on the pruned registry of known files.
+fn with_known<R>(f: impl FnOnce(&mut HashMap<FileId, Known>) -> R) -> R {
+    static KNOWN: OnceLock<Mutex<HashMap<FileId, Known>>> = OnceLock::new();
+    let mut known = KNOWN
+        .get_or_init(Default::default)
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    known.retain(|_, k| k.prune());
+    f(&mut known)
+}
+
+/// Records that slots bound through `source` reach up to `end`.
+fn note_source(source: &Arc<PayloadSource>, end: u64) {
+    if let Some(id) = source.file_id() {
+        with_known(|k| {
+            k.entry(id)
+                .or_default()
+                .sources
+                .push((Arc::downgrade(source), end))
+        });
+    }
+}
+
+fn note_committed(id: FileId, committed: Committed) {
+    with_known(|k| k.entry(id).or_default().committed = Some(committed));
+}
+
+/// The end of the furthest extent a live slot may fault in from in file
+/// `id`.
+fn bound_end(id: FileId) -> u64 {
+    with_known(|k| {
+        k.get(&id)
+            .and_then(|k| k.sources.iter().map(|&(_, end)| end).max())
+            .unwrap_or(0)
+    })
+}
+
+/// The committed blocks of file `id` that `tables` can reference as they
+/// are, keyed by table — none unless the file still ends in the index they
+/// were recorded with.
+fn reusable(id: FileId, tail: &Tail, tables: &[Arc<Table>]) -> HashMap<*const Table, BlockAt> {
+    with_known(|k| {
+        let Some(c) = k.get(&id).and_then(|k| k.committed.as_ref()) else {
+            return HashMap::new();
+        };
+        if (c.file_len, c.index_off) != (tail.file_len, tail.index_off)
+            || c.index.as_slice() != tail.index.as_slice()
+        {
+            return HashMap::new();
+        }
+        let by_table: HashMap<*const Table, &BlockAt> =
+            c.blocks.iter().map(|(t, b)| (t.as_ptr(), b)).collect();
+        tables
+            .iter()
+            .filter_map(|t| {
+                let at = Arc::as_ptr(t);
+                by_table.get(&at).map(|&b| (at, b.clone()))
+            })
+            .collect()
+    })
+}
+
+/// How a file of `file_len` bytes whose index starts at `index_off` and
+/// names `blocks` divides up (see [`HeapStats`]).
+fn heap_stats_of(file_len: u64, index_off: u64, blocks: &[BlockAt]) -> HeapStats {
+    let extents: HashSet<(u64, u64)> = blocks
+        .iter()
+        .flat_map(|b| b.payloads.iter().copied())
+        .collect();
+    let live_blocks: u64 = blocks.iter().map(|b| b.len).sum();
+    let heap_bytes = (index_off - PREAMBLE_LEN as u64).saturating_sub(live_blocks);
+    let live_bytes = extents.iter().map(|&(_, len)| len).sum();
+    HeapStats {
+        file_bytes: file_len,
+        heap_bytes,
+        meta_bytes: file_len - index_off + live_blocks,
+        live_bytes,
+        dead_bytes: heap_bytes.saturating_sub(live_bytes),
+        live_segments: extents.len(),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Reader: index, blocks, paged-out slots.
 // ---------------------------------------------------------------------------
 
 /// Slots decoded so far in this file, keyed by heap location — records
@@ -817,13 +1063,15 @@ fn torn_tail(path: &Path, detail: String) -> StorageError {
 /// back `Arc`-shared, so a cached payload keeps serving every snapshot.
 type SlotDedup = HashMap<(u64, u64), SegSlot>;
 
-/// Reads one segment's metadata record into a paged-out slot.
+/// Reads one segment's metadata record into a paged-out slot, noting its
+/// payload extent in `extents`.
 fn get_seg_slot<B: Buf>(
     buf: &mut B,
     dict_len: usize,
     source: &Arc<PayloadSource>,
     heap_end: u64,
     dedup: &mut SlotDedup,
+    extents: &mut Vec<(u64, u64)>,
 ) -> Result<(SegSlot, bool), StorageError> {
     let corrupt = |m: String| StorageError::PersistError(m);
     if buf.remaining() < SEG_RECORD_MIN {
@@ -909,6 +1157,7 @@ fn get_seg_slot<B: Buf>(
             .map_err(|_| corrupt("segment byte size beyond address space".into()))?,
         encoding,
     };
+    extents.push((off, len));
     if let Some(shared) = dedup.get(&(off, len)) {
         // A previously decoded record (a column shared across catalog
         // tables) already owns this payload; the stats must agree.
@@ -942,6 +1191,7 @@ fn get_column<B: Buf>(
     source: &Arc<PayloadSource>,
     heap_end: u64,
     dedup: &mut SlotDedup,
+    extents: &mut Vec<(u64, u64)>,
 ) -> Result<EncodedColumn, StorageError> {
     let (ty, dict) = get_dict(buf)?;
     if buf.remaining() < 1 + 8 + 4 {
@@ -964,7 +1214,7 @@ fn get_column<B: Buf>(
     let mut slots = Vec::with_capacity(seg_count);
     let mut pins = Vec::with_capacity(seg_count);
     for _ in 0..seg_count {
-        let (slot, pin) = get_seg_slot(buf, dict_len, source, heap_end, dedup)?;
+        let (slot, pin) = get_seg_slot(buf, dict_len, source, heap_end, dedup, extents)?;
         pins.push(pin);
         slots.push(slot);
     }
@@ -975,14 +1225,15 @@ fn get_column<B: Buf>(
     Ok(col)
 }
 
-/// Decodes one table's metadata record; its columns come back paged out.
-/// Runs the metadata tier of the invariants only — payloads are validated
-/// against their stats as they fault in.
+/// Decodes one table's block; its columns come back paged out. Runs the
+/// metadata tier of the invariants only — payloads are validated against
+/// their stats as they fault in.
 fn get_table<B: Buf>(
     buf: &mut B,
     source: &Arc<PayloadSource>,
     heap_end: u64,
     dedup: &mut SlotDedup,
+    extents: &mut Vec<(u64, u64)>,
 ) -> Result<Table, StorageError> {
     let name = get_str(buf)?;
     let schema = get_schema(buf)?;
@@ -992,7 +1243,7 @@ fn get_table<B: Buf>(
     let rows = buf.get_u64_le();
     let mut columns = Vec::with_capacity(schema.arity());
     for _ in 0..schema.arity() {
-        let col = get_column(buf, source, heap_end, dedup)?;
+        let col = get_column(buf, source, heap_end, dedup, extents)?;
         if col.rows() != rows {
             return Err(StorageError::PersistError(format!(
                 "column covers {} rows, table claims {rows}",
@@ -1005,125 +1256,220 @@ fn get_table<B: Buf>(
     Table::new(name, schema, columns)
 }
 
-/// An opened container: its metadata region (the only part read so far),
-/// the end of its payload heap, and where payloads fault in from.
+/// One index entry: a table's name and its block's extent.
+type Entry = (String, u64, u64);
+
+/// Reads and validates an index. Every count is bounded by the bytes left
+/// before anything is sized from it; every block must lie inside
+/// `[PREAMBLE_LEN, index_off)`, no two may overlap, no name may repeat and
+/// nothing may follow the last entry. Returns the catalog version (0 for a
+/// table file) and the entries in index order.
+fn get_index(
+    mut buf: Bytes,
+    catalog: bool,
+    index_off: u64,
+) -> Result<(u64, Vec<Entry>), StorageError> {
+    let bad = |m: String| StorageError::PersistError(m);
+    let (version, count) = if catalog {
+        if buf.remaining() < 8 + 4 {
+            return Err(eof());
+        }
+        (buf.get_u64_le(), buf.get_u32_le() as usize)
+    } else {
+        (0, 1)
+    };
+    if count > buf.remaining() / ENTRY_MIN {
+        return Err(eof());
+    }
+    let mut entries: Vec<Entry> = Vec::with_capacity(count);
+    let mut names = HashSet::with_capacity(count);
+    for _ in 0..count {
+        let name = get_str(&mut buf)?;
+        if buf.remaining() < 16 {
+            return Err(eof());
+        }
+        let (off, len) = (buf.get_u64_le(), buf.get_u64_le());
+        if off < PREAMBLE_LEN as u64
+            || len == 0
+            || off.checked_add(len).is_none_or(|end| end > index_off)
+        {
+            return Err(bad(format!(
+                "the block of `{name}` at {off} (+{len}) is outside the heap [{PREAMBLE_LEN}, {index_off})"
+            )));
+        }
+        if !names.insert(name.clone()) {
+            return Err(bad(format!("the index names `{name}` twice")));
+        }
+        entries.push((name, off, len));
+    }
+    if buf.remaining() != 0 {
+        return Err(bad("trailing bytes after the index".into()));
+    }
+    let mut spans: Vec<(u64, u64)> = entries
+        .iter()
+        .map(|&(_, off, len)| (off, off + len))
+        .collect();
+    spans.sort_unstable();
+    if let Some(w) = spans.windows(2).find(|w| w[0].1 > w[1].0) {
+        return Err(bad(format!(
+            "blocks [{}, {}) and [{}, {}) overlap",
+            w[0].0, w[0].1, w[1].0, w[1].1
+        )));
+    }
+    Ok((version, entries))
+}
+
+/// An opened container: its footer and index (all read so far), and the
+/// source its blocks and payloads are read from.
 struct Opened {
-    meta: Bytes,
-    heap_end: u64,
+    tail: Tail,
     source: Arc<PayloadSource>,
 }
 
 impl Opened {
-    /// Opens an in-memory image; payloads fault in from `buf` itself.
+    /// Opens an in-memory image; blocks and payloads come from `buf`.
     fn image(buf: Bytes) -> Result<Opened, StorageError> {
-        let (len, meta_off) = read_footer(&mut std::io::Cursor::new(buf.as_slice()), None)?;
+        let (file_len, index_off) = read_footer(&mut std::io::Cursor::new(buf.as_slice()), None)?;
+        let index = buf.slice(index_off as usize..file_len as usize - FOOTER_LEN);
         Ok(Opened {
-            meta: buf.slice(meta_off as usize..len as usize - FOOTER_LEN),
-            heap_end: meta_off,
+            tail: Tail {
+                file_len,
+                index_off,
+                index,
+            },
             source: Arc::new(PayloadSource::Bytes(buf)),
         })
     }
 
-    /// Opens `path`, reading *only* the preamble, footer and metadata
-    /// region — never the payload heap.
+    /// Opens `path`, reading *only* the preamble, footer and index — the
+    /// blocks are read by [`Opened::decode`], the payloads never.
     fn file(path: &Path) -> Result<Opened, StorageError> {
-        use std::io::{Read, Seek, SeekFrom};
         let mut file = std::fs::File::open(path)?;
-        let (len, meta_off) = read_footer(&mut file, Some(path))?;
-        file.seek(SeekFrom::Start(meta_off))?;
-        let mut meta = vec![0u8; (len - FOOTER_LEN as u64 - meta_off) as usize];
-        file.read_exact(&mut meta)?;
+        let tail = read_tail(&mut file, path)?;
         let canon = std::fs::canonicalize(path)?;
         Ok(Opened {
-            meta: Bytes::from(meta),
-            heap_end: meta_off,
+            tail,
             source: Arc::new(PayloadSource::for_file(file, canon)),
         })
     }
 
-    /// Decodes the metadata region of a single-table container.
-    fn table(mut self) -> Result<Table, StorageError> {
+    /// Decodes every block the index names, in index order: the catalog
+    /// version (0 for a table file) and each table with its block. Records
+    /// with identical heap locations come back as one shared slot, so
+    /// columns shared across tables stay shared — and cached once.
+    fn decode(&self, catalog: bool) -> Result<(u64, Vec<(Table, BlockAt)>), StorageError> {
+        let (version, entries) = get_index(self.tail.index.clone(), catalog, self.tail.index_off)?;
         let mut dedup = SlotDedup::new();
-        let t = get_table(&mut self.meta, &self.source, self.heap_end, &mut dedup)?;
-        if self.meta.remaining() != 0 {
-            return Err(StorageError::PersistError(
-                "trailing bytes after table metadata".into(),
-            ));
-        }
-        Ok(t)
-    }
-
-    /// Decodes the metadata region of a catalog container. Records with
-    /// identical heap locations come back as one shared slot, so columns
-    /// shared across table versions stay shared — and cached once.
-    fn catalog(mut self) -> Result<Catalog, StorageError> {
-        if self.meta.remaining() < 8 + 4 {
-            return Err(eof());
-        }
-        let version = self.meta.get_u64_le();
-        let count = self.meta.get_u32_le();
-        let mut tables = std::collections::BTreeMap::new();
-        let mut dedup = SlotDedup::new();
-        for _ in 0..count {
-            let t = get_table(&mut self.meta, &self.source, self.heap_end, &mut dedup)?;
-            let name = t.name().to_string();
-            if tables.insert(name.clone(), Arc::new(t)).is_some() {
-                return Err(StorageError::TableExists(name));
+        let mut tables = Vec::with_capacity(entries.len());
+        for (name, off, len) in entries {
+            let mut block = Bytes::from(self.source.read_at(off, len)?);
+            let mut extents = Vec::new();
+            let t = get_table(
+                &mut block,
+                &self.source,
+                self.tail.index_off,
+                &mut dedup,
+                &mut extents,
+            )?;
+            if block.remaining() != 0 {
+                return Err(StorageError::PersistError(format!(
+                    "trailing bytes after the block of `{name}`"
+                )));
             }
+            if t.name() != name {
+                return Err(StorageError::PersistError(format!(
+                    "the block of `{name}` holds table `{}`",
+                    t.name()
+                )));
+            }
+            let payloads = distinct(extents);
+            tables.push((t, BlockAt { off, len, payloads }));
         }
-        if self.meta.remaining() != 0 {
-            return Err(StorageError::PersistError(
-                "trailing bytes after catalog metadata".into(),
-            ));
-        }
-        Ok(Catalog::from_parts(version, tables))
+        Ok((version, tables))
     }
+}
+
+/// A decoded catalog's tables, each with its block.
+fn catalog_of(
+    version: u64,
+    decoded: Vec<(Table, BlockAt)>,
+) -> (Catalog, Vec<(Weak<Table>, BlockAt)>) {
+    let mut tables = BTreeMap::new();
+    let mut blocks = Vec::with_capacity(decoded.len());
+    for (t, b) in decoded {
+        let t = Arc::new(t);
+        blocks.push((Arc::downgrade(&t), b));
+        tables.insert(t.name().to_string(), t);
+    }
+    (Catalog::from_parts(version, tables), blocks)
+}
+
+/// The [`HeapStats`] of the file at `path` — a catalog file, else a table
+/// file — read under its save lock after recovery.
+pub(crate) fn file_heap_stats(path: &Path) -> Result<HeapStats, StorageError> {
+    recovered(path, |path| {
+        let opened = Opened::file(path)?;
+        let (_, tables) = match opened.decode(true) {
+            Ok(decoded) => decoded,
+            Err(catalog_err) => opened.decode(false).map_err(|_| catalog_err)?,
+        };
+        let blocks: Vec<BlockAt> = tables.into_iter().map(|(_, b)| b).collect();
+        Ok(heap_stats_of(
+            opened.tail.file_len,
+            opened.tail.index_off,
+            &blocks,
+        ))
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Public encode/decode/save/read entry points.
 // ---------------------------------------------------------------------------
 
-/// Serializes one table as a complete image (payload heap, metadata
-/// region, footer).
+/// Serializes one table as a complete image (payload heap, block, index,
+/// footer).
 ///
 /// # Panics
 /// Panics when a lazily opened segment's backing file can no longer be
 /// read (it changed or vanished under us) — the same contract as faulting
 /// the segment in. [`save_table`] reports such errors instead.
 pub fn encode_table(t: &Table) -> Bytes {
-    let (image, _) = build_image(&Content::Table(t))
-        .unwrap_or_else(|e| panic!("encode_table: cannot re-read segment payloads: {e}"));
-    image
+    build(&Content::Table(t), None)
+        .unwrap_or_else(|e| panic!("encode_table: cannot re-read segment payloads: {e}"))
+        .bytes
 }
 
 /// Deserializes one table. The image opens lazily: columns carry metadata
 /// only, and payloads fault in from the image on first touch.
 pub fn decode_table(buf: Bytes) -> Result<Table, StorageError> {
-    Opened::image(buf)?.table()
+    let (_, mut tables) = Opened::image(buf)?.decode(false)?;
+    tables.pop().map(|(t, _)| t).ok_or_else(eof)
 }
 
 /// Writes a table to a file. When the file already backs some of the
 /// table's segments (it was lazily opened from there, or saved there
-/// before), the save *appends*: reused payloads keep their offsets, new
-/// payloads go after the heap, and only the metadata region and footer are
-/// rewritten — O(new data + metadata). Freshly built segments then adopt
-/// their on-disk location and become evictable.
+/// before), the save *appends*: reused payloads keep their offsets, and new
+/// payloads, the block, the index and the footer overwrite the tail —
+/// O(new data + metadata). Freshly built segments then adopt their on-disk
+/// location and become evictable.
 pub fn save_table(t: &Table, path: impl AsRef<Path>) -> Result<(), StorageError> {
     save_content(&Content::Table(t), path.as_ref())
 }
 
-/// Runs crash recovery for `path` (under its save lock) before a read:
-/// a hot rollback journal from an interrupted save is applied — or, when
-/// torn, discarded — so the read sees the last committed state.
-fn recover_before_read(path: &Path) -> Result<(), StorageError> {
-    if !path.exists() && !wal::wal_path(path).exists() {
-        return Ok(());
-    }
+/// Runs `read` on `path` under its save lock, after crash recovery: a hot
+/// rollback journal from an interrupted save is applied — or, when torn,
+/// discarded — so the read sees the last committed state, and no save can
+/// overwrite what the read is decoding before its slots are known.
+fn recovered<T>(
+    path: &Path,
+    read: impl FnOnce(&Path) -> Result<T, StorageError>,
+) -> Result<T, StorageError> {
     let lock = wal::path_lock(path);
     let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-    wal::recover(path)?;
-    Ok(())
+    if path.exists() || wal::wal_path(path).exists() {
+        wal::recover(path)?;
+    }
+    read(path)
 }
 
 /// Reads a table from a file. The file opens as metadata only — segment
@@ -1131,15 +1477,17 @@ fn recover_before_read(path: &Path) -> Result<(), StorageError> {
 /// touch. Detects an interrupted save first and rolls the file back to its
 /// last committed footer.
 pub fn read_table(path: impl AsRef<Path>) -> Result<Table, StorageError> {
-    let path = path.as_ref();
-    recover_before_read(path)?;
-    read_table_raw(path)
+    recovered(path.as_ref(), read_table_raw)
 }
 
 /// [`read_table`] without the recovery step — for callers (vacuum) that
 /// already hold the file's save lock and have recovered it.
 pub(crate) fn read_table_raw(path: &Path) -> Result<Table, StorageError> {
-    Opened::file(path)?.table()
+    let opened = Opened::file(path)?;
+    let (_, mut tables) = opened.decode(false)?;
+    let (t, block) = tables.pop().ok_or_else(eof)?;
+    note_source(&opened.source, payload_end([&block]));
+    Ok(t)
 }
 
 /// Serializes all tables of a catalog as one image. Each distinct
@@ -1149,20 +1497,23 @@ pub(crate) fn read_table_raw(path: &Path) -> Result<Table, StorageError> {
 /// # Panics
 /// See [`encode_table`].
 pub fn encode_catalog(cat: &Catalog) -> Bytes {
-    let (image, _) = build_image(&Content::of_catalog(cat))
-        .unwrap_or_else(|e| panic!("encode_catalog: cannot re-read segment payloads: {e}"));
-    image
+    build(&Content::of_catalog(cat), None)
+        .unwrap_or_else(|e| panic!("encode_catalog: cannot re-read segment payloads: {e}"))
+        .bytes
 }
 
 /// Deserializes a catalog (lazily — see [`decode_table`]).
 pub fn decode_catalog(buf: Bytes) -> Result<Catalog, StorageError> {
-    Opened::image(buf)?.catalog()
+    let (version, tables) = Opened::image(buf)?.decode(true)?;
+    Ok(catalog_of(version, tables).0)
 }
 
-/// Writes a catalog to a file (append-save semantics — see [`save_table`]).
-/// This is what makes the CLI's `save` O(new data + metadata) instead of
-/// O(catalog). The file is stamped with the catalog version of the tables
-/// it holds; both come from one [`Catalog::begin_evolution`] snapshot.
+/// Writes a catalog to a file (append-save semantics — see [`save_table`]),
+/// re-encoding only the tables that are not, by `Arc`, the ones the file's
+/// committed index holds. This is what makes the CLI's `save` and a
+/// checkpoint O(changed tables) instead of O(catalog). The file is stamped
+/// with the catalog version of the tables it holds; both come from one
+/// [`Catalog::begin_evolution`] snapshot.
 pub fn save_catalog(cat: &Catalog, path: impl AsRef<Path>) -> Result<(), StorageError> {
     save_content(&Content::of_catalog(cat), path.as_ref())
 }
@@ -1171,15 +1522,35 @@ pub fn save_catalog(cat: &Catalog, path: impl AsRef<Path>) -> Result<(), Storage
 /// interrupted save first and rolls the file back to its last committed
 /// footer.
 pub fn read_catalog(path: impl AsRef<Path>) -> Result<Catalog, StorageError> {
-    let path = path.as_ref();
-    recover_before_read(path)?;
-    read_catalog_raw(path)
+    recovered(path.as_ref(), read_catalog_raw)
 }
 
-/// [`read_catalog`] without the recovery step — for callers (vacuum) that
-/// already hold the file's save lock and have recovered it.
+/// [`read_catalog`] without the recovery step — for callers (vacuum, the
+/// commit log) that already hold the file's save lock and have recovered
+/// it. The decoded tables become the file's committed index, so saving
+/// them back re-encodes only the ones replaced since.
 pub(crate) fn read_catalog_raw(path: &Path) -> Result<Catalog, StorageError> {
-    Opened::file(path)?.catalog()
+    let opened = Opened::file(path)?;
+    let (version, tables) = opened.decode(true)?;
+    note_source(&opened.source, payload_end(tables.iter().map(|(_, b)| b)));
+    let (catalog, blocks) = catalog_of(version, tables);
+    if let Some(id) = opened.source.file_id() {
+        let Tail {
+            file_len,
+            index_off,
+            index,
+        } = opened.tail;
+        note_committed(
+            id,
+            Committed {
+                file_len,
+                index_off,
+                index,
+                blocks,
+            },
+        );
+    }
+    Ok(catalog)
 }
 
 #[cfg(test)]
@@ -1254,10 +1625,21 @@ mod tests {
         })
     }
 
-    fn footer_meta_off(path: &Path) -> u64 {
+    fn footer_index_off(path: &Path) -> u64 {
         let raw = std::fs::read(path).unwrap();
         let n = raw.len();
         u64::from_le_bytes(raw[n - 12..n - 4].try_into().unwrap())
+    }
+
+    /// `[start, end)` of the one block of a table image, from its index.
+    fn table_block(raw: &[u8]) -> (usize, usize) {
+        let n = raw.len();
+        let index_off = u64::from_le_bytes(raw[n - 12..n - 4].try_into().unwrap()) as usize;
+        let mut index = &raw[index_off..n - 12];
+        let name_len = index.get_u32_le() as usize;
+        index.advance(name_len);
+        let off = index.get_u64_le() as usize;
+        (off, off + index.get_u64_le() as usize)
     }
 
     #[test]
@@ -1350,22 +1732,21 @@ mod tests {
         }
     }
 
-    /// Finds the first segment record of the first column in an image's
-    /// metadata region, returning the offset of its `segtag` byte. The
-    /// record is located by its distinctive `(off, len)` pair.
+    /// Finds the first segment record of the first column in a table
+    /// image's block, returning the offset of its `segtag` byte. The record
+    /// is located by its distinctive `(off, len)` pair.
     fn first_seg_record(raw: &[u8], t: &Table) -> usize {
-        let n = raw.len();
-        let meta_off = u64::from_le_bytes(raw[n - 12..n - 4].try_into().unwrap()) as usize;
+        let (block, _) = table_block(raw);
         let first = &t.column(0).segments()[0];
         let len0 = payload_encoded_len(&first.enc()) as u64;
         let mut pat = Vec::new();
         pat.extend_from_slice(&(PREAMBLE_LEN as u64).to_le_bytes());
         pat.extend_from_slice(&len0.to_le_bytes());
-        let pos = raw[meta_off..]
+        let pos = raw[block..]
             .windows(16)
             .position(|w| w == pat.as_slice())
             .expect("first segment record");
-        meta_off + pos - 1
+        block + pos - 1
     }
 
     #[test]
@@ -1410,19 +1791,28 @@ mod tests {
     }
 
     /// A well-formed container around one Int column whose record is the
-    /// given raw bytes — ~60 bytes of hostile file.
+    /// given raw bytes — ~80 bytes of hostile file.
     fn hostile_image(column: &[u8]) -> Bytes {
+        let mut block = BytesMut::new();
+        put_str(&mut block, "t");
+        put_schema(
+            &mut block,
+            &Schema::build(&[("c", ValueType::Int)], &[]).unwrap(),
+        );
+        block.put_u64_le(1);
+        block.put_slice(column);
         let mut buf = BytesMut::new();
         buf.put_u32_le(MAGIC);
         buf.put_u16_le(VERSION);
-        put_str(&mut buf, "t");
-        put_schema(
-            &mut buf,
-            &Schema::build(&[("c", ValueType::Int)], &[]).unwrap(),
-        );
-        buf.put_u64_le(1);
-        buf.put_slice(column);
-        buf.put_u64_le(PREAMBLE_LEN as u64);
+        let block = block.freeze();
+        buf.put_slice(block.as_slice());
+        let at = BlockAt {
+            off: PREAMBLE_LEN as u64,
+            len: block.len() as u64,
+            payloads: Arc::new([]),
+        };
+        put_entry(&mut buf, "t", &at);
+        buf.put_u64_le(at.off + at.len);
         buf.put_u32_le(MAGIC);
         buf.freeze()
     }
@@ -1487,11 +1877,10 @@ mod tests {
         let t = mixed_encoding();
         let bytes = encode_table(&t);
         let mut raw = bytes.as_slice().to_vec();
-        // The metadata region ends with the last column's zones, right
-        // before the 12-byte footer; its final segment holds only v = 3,
-        // so zone (0, 0) is in-range but wrong.
-        let n = raw.len();
-        raw[n - 20..n - 12].copy_from_slice(&[0u8; 8]);
+        // The block ends with the last column's zones; its final segment
+        // holds only v = 3, so zone (0, 0) is in-range but wrong.
+        let (_, end) = table_block(&raw);
+        raw[end - 8..end].copy_from_slice(&[0u8; 8]);
         let err = decode_table(Bytes::from(raw));
         assert!(
             matches!(err, Err(StorageError::Corrupt(_))),
@@ -1565,12 +1954,13 @@ mod tests {
         let t = multi_segment();
         let path = temp("append_noop");
         save_table(&t, &path).unwrap();
-        let meta_off = footer_meta_off(&path);
+        let index_off = footer_index_off(&path);
         let back = read_table(&path).unwrap();
-        // Re-saving the unchanged table reuses every payload: the heap
-        // does not grow and nothing faults in — O(metadata), not O(data).
+        // Re-saving the unchanged table reuses every payload and writes
+        // its block over the old one: the file does not grow and nothing
+        // faults in — O(metadata), not O(data).
         save_table(&back, &path).unwrap();
-        assert_eq!(footer_meta_off(&path), meta_off, "heap must not grow");
+        assert_eq!(footer_index_off(&path), index_off, "heap must not grow");
         assert_eq!(residency(&back).0, 0, "append-save must not fault");
         let again = read_table(&path).unwrap();
         assert_eq!(again.to_rows(), t.to_rows());
@@ -1583,16 +1973,17 @@ mod tests {
         let t = multi_segment();
         let path = temp("append_grow");
         save_table(&t, &path).unwrap();
-        let meta_off = footer_meta_off(&path);
+        let index_off = footer_index_off(&path);
         let back = read_table(&path).unwrap();
         // Recode two segments: two fresh payloads, the rest reused.
         let evolved = back
             .with_column_segment_range_encoding("k", Encoding::Rle, 0..2)
             .unwrap();
         save_table(&evolved, &path).unwrap();
-        let new_meta_off = footer_meta_off(&path);
-        assert!(new_meta_off > meta_off, "new payloads are appended");
-        let appended = new_meta_off - meta_off;
+        let new_index_off = footer_index_off(&path);
+        assert!(new_index_off > index_off, "new payloads are appended");
+        // The new block is as long as the old one it replaced.
+        let appended = new_index_off - index_off;
         let expected: u64 = evolved
             .column_by_name("k")
             .unwrap()
@@ -1607,6 +1998,41 @@ mod tests {
         assert!(on_disk > 0, "reused segments stay on disk");
         let again = read_table(&path).unwrap();
         assert_eq!(again.to_rows(), evolved.to_rows());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// An append-save overwrites the tail past the last extent it keeps —
+    /// but never an extent a live slot is bound to. A table an older
+    /// snapshot still holds keeps faulting in its own payloads after later
+    /// saves replaced it, even once evicted.
+    #[test]
+    fn a_slot_of_an_older_snapshot_survives_later_saves() {
+        let _g = budget_guard();
+        let path = temp("older_snapshot");
+        let cat = Catalog::new();
+        cat.create(multi_segment()).unwrap();
+        cat.create(sample()).unwrap();
+        save_catalog(&cat, &path).unwrap();
+        let recode = |enc| {
+            let t = cat.get("users").unwrap();
+            cat.put(t.with_column_encoding("name", enc).unwrap());
+            save_catalog(&cat, &path).unwrap();
+        };
+        recode(Encoding::Rle);
+        let older = cat.get("users").unwrap();
+        recode(Encoding::Bitmap);
+        let store = segment_cache();
+        for _ in 0..3 {
+            store.set_budget(0);
+        }
+        store.set_budget(u64::MAX);
+        assert!(residency(&older).1 > 0, "the older snapshot was paged out");
+        older.check_invariants().unwrap();
+        assert_eq!(older.to_rows(), sample().to_rows());
+        assert_eq!(
+            read_catalog(&path).unwrap().get("users").unwrap().to_rows(),
+            sample().to_rows()
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1690,16 +2116,17 @@ mod tests {
 
     #[test]
     fn previous_version_is_refused_by_number() {
-        // Format 6 differs from 7 only in what a catalog's metadata opens
-        // with; it is refused like any other foreign version, not guessed at.
+        // Format 7 kept one metadata region where 8 has blocks behind an
+        // index; it is refused like any other foreign version, not guessed
+        // at.
         let mut raw = encode_catalog(&Catalog::new()).as_slice().to_vec();
-        raw[4..6].copy_from_slice(&6u16.to_le_bytes());
+        raw[4..6].copy_from_slice(&7u16.to_le_bytes());
         for err in [
             decode_catalog(Bytes::from(raw.clone())).map(|_| ()),
             decode_table(Bytes::from(raw)).map(|_| ()),
         ] {
             match err {
-                Err(StorageError::PersistError(m)) => assert_eq!(m, "unsupported version 6"),
+                Err(StorageError::PersistError(m)) => assert_eq!(m, "unsupported version 7"),
                 other => panic!("wanted the unsupported-version error, got {other:?}"),
             }
         }
@@ -1726,12 +2153,12 @@ mod tests {
         assert_eq!(read_catalog(&path).unwrap().version(), 4);
         assert_eq!(decode_catalog(encode_catalog(&back)).unwrap().version(), 4);
 
-        // The field sits at the metadata offset; a file cut inside it has
-        // lost its footer and is the typed torn tail.
+        // The field opens the index; a file cut inside it has lost its
+        // footer and is the typed torn tail.
         let raw = std::fs::read(&path).unwrap();
-        let meta_off = footer_meta_off(&path) as usize;
-        assert_eq!(raw[meta_off..meta_off + 8], 4u64.to_le_bytes());
-        std::fs::write(&path, &raw[..meta_off + 5]).unwrap();
+        let index_off = footer_index_off(&path) as usize;
+        assert_eq!(raw[index_off..index_off + 8], 4u64.to_le_bytes());
+        std::fs::write(&path, &raw[..index_off + 5]).unwrap();
         match read_catalog(&path) {
             Err(StorageError::Corrupt(m)) => assert!(m.contains("torn tail"), "{m}"),
             other => panic!(
@@ -1741,7 +2168,7 @@ mod tests {
         }
         // An image cut there has no path to hint at: a plain decode error.
         assert!(matches!(
-            decode_catalog(Bytes::from(raw[..meta_off + 5].to_vec())),
+            decode_catalog(Bytes::from(raw[..index_off + 5].to_vec())),
             Err(StorageError::PersistError(_))
         ));
         std::fs::remove_file(&path).ok();

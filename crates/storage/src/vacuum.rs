@@ -1,8 +1,8 @@
 //! Background heap compaction (vacuum).
 //!
-//! Append-saves never reclaim superseded payloads: every evolved segment
-//! appends its new payload and the old extent just stops being referenced,
-//! so a long-lived file accretes dead heap space without bound. A vacuum
+//! Append-saves reclaim only the tail past the last extent they keep: a
+//! superseded payload or metadata block below that point just stops being
+//! referenced, so a long-lived file accretes dead heap space. A vacuum
 //! rewrites the *live* payloads into a fresh heap (via the same
 //! temp-file + atomic-rename commit as a full-rewrite save), then rebinds
 //! every in-memory slot to its new location — Arc-sharing across table
@@ -14,7 +14,7 @@
 //! * explicit — [`vacuum_table`] / [`vacuum_catalog`] / [`vacuum_file`]
 //!   (the CLI's `vacuum <file>`), which compact immediately and report
 //!   reclaimed bytes;
-//! * automatic — every append-save reports its dead/total heap bytes, and
+//! * automatic — every append-save reports its dead/heap bytes, and
 //!   when the configured [`AutoVacuum`] threshold is crossed a background
 //!   thread compacts the file off the save path. The thread re-checks the
 //!   file's footer under the save lock and skips itself if another save
@@ -69,19 +69,23 @@ impl VacuumReport {
     }
 }
 
-/// Heap occupancy of one file: how much of its payload heap is still
-/// referenced by its own metadata.
+/// Heap occupancy of one file: how much of what lies below its index is
+/// still referenced by the index. `file_bytes` is the preamble plus
+/// `heap_bytes` plus `meta_bytes`, and `heap_bytes` is `live_bytes` plus
+/// `dead_bytes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeapStats {
     /// Total file size.
     pub file_bytes: u64,
-    /// Payload-heap bytes (between preamble and metadata region).
+    /// Bytes below the index that are not live metadata blocks: live
+    /// payloads plus dead space.
     pub heap_bytes: u64,
-    /// Metadata-region + footer bytes.
+    /// Live metadata blocks + index + footer bytes.
     pub meta_bytes: u64,
-    /// Heap bytes referenced by the file's metadata.
+    /// Payload bytes the file's live blocks reference.
     pub live_bytes: u64,
-    /// Heap bytes no metadata references — what a vacuum reclaims.
+    /// Bytes below the index that no live payload or block occupies —
+    /// superseded payloads and blocks; what a vacuum reclaims.
     pub dead_bytes: u64,
     /// Distinct live payload extents.
     pub live_segments: usize,
@@ -150,24 +154,19 @@ pub fn wait_for_auto_vacuum() {
 }
 
 /// Evaluated by `save_content` after every append-save: spawn a background
-/// compaction when the dead-heap threshold is crossed. `expect` is the
-/// `(file_len, meta_off)` the triggering save left behind — the vacuum
+/// compaction when the dead-heap threshold is crossed. `stats` and
+/// `index_off` are what the triggering save left behind — the vacuum
 /// thread re-reads the footer under the save lock and backs off if
 /// another save has landed since (its own trigger re-fires as needed).
-pub(crate) fn consider_auto(
-    what: &Content<'_>,
-    path: &Path,
-    dead_bytes: u64,
-    heap_bytes: u64,
-    expect: (u64, u64),
-) {
+pub(crate) fn consider_auto(what: &Content<'_>, path: &Path, stats: &HeapStats, index_off: u64) {
     let Some(policy) = auto_vacuum() else { return };
-    if dead_bytes < policy.min_dead_bytes.max(1) {
+    if stats.dead_bytes < policy.min_dead_bytes.max(1) {
         return;
     }
-    if (dead_bytes as f64) < policy.dead_ratio * (heap_bytes.max(1) as f64) {
+    if (stats.dead_bytes as f64) < policy.dead_ratio * (stats.heap_bytes.max(1) as f64) {
         return;
     }
+    let expect = (stats.file_bytes, index_off);
     let lock = wal::path_lock(path);
     let key = Arc::as_ptr(&lock) as usize;
     {
@@ -247,41 +246,9 @@ pub fn vacuum_file(path: impl AsRef<Path>) -> Result<VacuumReport, StorageError>
     compact(&owned.as_content(), path)
 }
 
-/// Measures the heap occupancy of a file: opens its metadata (lazily —
-/// no payload is read) and sums the distinct extents it references.
+/// Measures the heap occupancy of a file: opens its index and blocks
+/// (lazily — no payload is read) and sums the distinct extents they
+/// reference.
 pub fn heap_stats(path: impl AsRef<Path>) -> Result<HeapStats, StorageError> {
-    let path = path.as_ref();
-    let tables: Vec<Arc<Table>> = match persist::read_catalog(path) {
-        Ok(cat) => cat.snapshot(),
-        Err(catalog_err) => match persist::read_table(path) {
-            Ok(t) => vec![Arc::new(t)],
-            Err(_) => return Err(catalog_err),
-        },
-    };
-    let (file_bytes, meta_off) = persist::file_footer(path)?;
-    let canon = std::fs::canonicalize(path)?;
-    let mut seen: HashSet<(u64, u64)> = HashSet::new();
-    let mut live_bytes = 0u64;
-    for t in &tables {
-        for c in t.columns() {
-            for s in c.segments() {
-                if let Some(loc) = s.disk_loc() {
-                    if loc.source.path() == Some(canon.as_path())
-                        && seen.insert((loc.offset, loc.len))
-                    {
-                        live_bytes += loc.len;
-                    }
-                }
-            }
-        }
-    }
-    let heap_bytes = meta_off - persist::PREAMBLE_LEN as u64;
-    Ok(HeapStats {
-        file_bytes,
-        heap_bytes,
-        meta_bytes: file_bytes - meta_off,
-        live_bytes,
-        dead_bytes: heap_bytes.saturating_sub(live_bytes),
-        live_segments: seen.len(),
-    })
+    persist::file_heap_stats(path.as_ref())
 }

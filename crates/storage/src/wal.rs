@@ -2,18 +2,21 @@
 //!
 //! ## Commit protocol
 //!
-//! An append-save overwrites `[meta_off, EOF)` of a live file in place
-//! (the old metadata region + footer). Before the first byte of the target
-//! is touched, [`TailGuard::begin`] copies the old tail into a sidecar
-//! journal (`<file>.wal`), checksums it, seals it, and `fsync`s it. Only
-//! then is the target written, truncated to its new length, and synced.
-//! **The commit point is the deletion of the journal** (SQLite hot-journal
-//! semantics): a reader that finds a sealed journal next to a file knows a
-//! save died mid-overwrite and [`recover`] rolls the tail back to the last
-//! durable footer; a reader that finds a *torn* journal knows the save
-//! died while journaling — before the target was modified — and simply
-//! discards it. Every crash point therefore lands on exactly the old or
-//! the new catalog:
+//! An append-save overwrites `[cut, EOF)` of a live file in place: the
+//! dead space past the last extent the new state keeps, the old index and
+//! the footer ([`crate::persist`]). Before the first byte of the target is
+//! touched, [`TailGuard::begin`] copies the old tail into a sidecar journal
+//! (`<file>.wal`), checksums it, seals it, `fsync`s it and syncs the
+//! directory, so the journal's name is as durable as its bytes. Only then
+//! is the target written, truncated to its new length, and synced. **The
+//! commit point is the deletion of the journal** (SQLite hot-journal
+//! semantics), made durable by a second directory sync before anything
+//! that depends on the new state — a checkpoint's log truncation — runs. A
+//! reader that finds a sealed journal next to a file knows a save died
+//! mid-overwrite and [`recover`] rolls the tail back to the last durable
+//! footer; a reader that finds a *torn* journal knows the save died while
+//! journaling — before the target was modified — and simply discards it.
+//! Every crash point therefore lands on exactly the old or the new catalog:
 //!
 //! ```text
 //! crash while journaling  → torn journal, target untouched   → new ignored, OLD wins
@@ -24,7 +27,7 @@
 //!
 //! Full rewrites don't need a journal: they build the new image in a
 //! sibling temp file, sync it, and `rename(2)` over the target — the
-//! rename is the commit point.
+//! rename is the commit point, and a directory sync makes it durable.
 //!
 //! ## The frame format
 //!
@@ -47,10 +50,10 @@
 //! a fold of the length and of the high half into the low. Every step is a
 //! bijection of the running state, so a change confined to one word — any
 //! single flipped byte — always changes the result, at an eighth of the
-//! multiplies of the byte-wise loop (a checkpoint journals megabytes). The
-//! same function also guards the network: `cods-server` checksums every
-//! wire frame (`kind ‖ len ‖ payload`) with [`checksum`], so storage and
-//! wire frames are verified by one function.
+//! multiplies of the byte-wise loop. The same function also guards the
+//! network: `cods-server` checksums every wire frame (`kind ‖ len ‖
+//! payload`) with [`checksum`], so storage and wire frames are verified by
+//! one function.
 
 use crate::error::StorageError;
 use crate::fault;
@@ -300,27 +303,27 @@ pub(crate) struct TailGuard {
 }
 
 impl TailGuard {
-    /// Journals the current `[meta_off, EOF)` tail of `target` durably.
-    /// After this returns the target may be overwritten from `meta_off`:
-    /// any crash will roll back to the state captured here.
-    pub(crate) fn begin(target: &Path, meta_off: u64) -> Result<TailGuard, StorageError> {
+    /// Journals the current `[cut, EOF)` tail of `target` durably. After
+    /// this returns the target may be overwritten from `cut`: any crash
+    /// will roll back to the state captured here.
+    pub(crate) fn begin(target: &Path, cut: u64) -> Result<TailGuard, StorageError> {
         let old_len = std::fs::metadata(target)?.len();
-        if meta_off > old_len {
+        if cut > old_len {
             return Err(StorageError::Corrupt(format!(
-                "cannot journal tail at {meta_off} past EOF {old_len} of {}",
+                "cannot journal tail at {cut} past EOF {old_len} of {}",
                 target.display()
             )));
         }
-        // The frame is built around the tail where it is read — `meta_off
-        // old_len`, then the tail straight off the file: the tail is
-        // megabytes at a checkpoint and is never copied again.
-        let tail_len = old_len - meta_off;
+        // The frame is built around the tail where it is read — `cut
+        // old_len`, then the tail straight off the file — and is never
+        // copied again.
+        let tail_len = old_len - cut;
         let mut frame = Vec::with_capacity((FRAME_OVERHEAD_BYTES + 16 + tail_len) as usize);
         let read = encode_frame(&mut frame, TAIL_TAG, |out| {
-            out.extend_from_slice(&meta_off.to_le_bytes());
+            out.extend_from_slice(&cut.to_le_bytes());
             out.extend_from_slice(&old_len.to_le_bytes());
             let mut f = File::open(target)?;
-            f.seek(SeekFrom::Start(meta_off))?;
+            f.seek(SeekFrom::Start(cut))?;
             f.take(tail_len).read_to_end(out)
         })?;
         if read as u64 != tail_len {
@@ -333,17 +336,21 @@ impl TailGuard {
         let wal = wal_path(target);
         let mut w = JournalWriter::create(&wal)?;
         w.write_frame(&frame)?;
-        w.seal()?; // durable before the target is touched
+        w.seal()?; // durable before the target is touched…
+        fault::sync_dir(&wal)?; // …and so is its name
         Ok(TailGuard {
             target: target.to_path_buf(),
             wal,
         })
     }
 
-    /// Commit point: deletes the journal. The overwrite it guarded must be
-    /// fully written *and synced* before calling this.
+    /// Commit point: deletes the journal, and syncs the directory so the
+    /// deletion cannot be undone by a power cut after the caller moved on.
+    /// The overwrite it guarded must be fully written *and synced* before
+    /// calling this.
     pub(crate) fn commit(self) -> std::io::Result<()> {
-        fault::remove_file(&self.wal)
+        fault::remove_file(&self.wal)?;
+        fault::sync_dir(&self.wal)
     }
 
     /// Rolls the target back in-process after a failed overwrite — the
@@ -384,11 +391,10 @@ pub fn recover(target: &Path) -> Result<Recovery, StorageError> {
     // it (the checksum is no MAC) — is not a journal to roll back from.
     let rollback = match read_frames(&bytes).as_deref() {
         Some([(TAIL_TAG, payload)]) if payload.len() >= 16 => {
-            let meta_off = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
+            let cut = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
             let old_len = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
             let tail = &payload[16..];
-            (meta_off.checked_add(tail.len() as u64) == Some(old_len))
-                .then_some((meta_off, old_len, tail))
+            (cut.checked_add(tail.len() as u64) == Some(old_len)).then_some((cut, old_len, tail))
         }
         _ => None,
     };
@@ -398,16 +404,18 @@ pub fn recover(target: &Path) -> Result<Recovery, StorageError> {
             // (the journal is synced before the target is touched), so the
             // target is intact as-is.
             fault::remove_file(&wal)?;
+            fault::sync_dir(&wal)?;
             Ok(Recovery::DiscardedTornJournal)
         }
-        Some((meta_off, old_len, tail)) => {
+        Some((cut, old_len, tail)) => {
             let mut f = fault::open_rw(target)?;
-            f.seek(SeekFrom::Start(meta_off))?;
+            f.seek(SeekFrom::Start(cut))?;
             fault::write_all(&mut f, tail)?;
             fault::set_len(&f, old_len)?;
             fault::sync(&f)?;
             drop(f);
             fault::remove_file(&wal)?;
+            fault::sync_dir(&wal)?;
             Ok(Recovery::RolledBack)
         }
     }
@@ -568,7 +576,7 @@ mod tests {
     }
 
     /// A sealed journal anyone can write (the checksum is no MAC) whose
-    /// `meta_off + tail` overflows: foreign, discarded, target untouched.
+    /// `cut + tail` overflows: foreign, discarded, target untouched.
     #[test]
     fn hostile_sealed_journal_is_discarded_not_a_panic() {
         let p = scratch("t4.tbl");
@@ -579,7 +587,7 @@ mod tests {
         let healthy = std::fs::read(&p).unwrap();
 
         let mut w = JournalWriter::create(&wal_path(&p)).unwrap();
-        let mut payload = (u64::MAX - 3).to_le_bytes().to_vec(); // meta_off
+        let mut payload = (u64::MAX - 3).to_le_bytes().to_vec(); // cut
         payload.extend_from_slice(&4u64.to_le_bytes()); // old_len
         payload.extend_from_slice(b"eight by"); // the "tail"
         w.append(TAIL_TAG, &payload).unwrap();

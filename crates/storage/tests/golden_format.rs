@@ -1,15 +1,18 @@
 //! Pins the on-disk format: the committed fixtures under `tests/golden/`
 //! were produced by `encode_table` / `encode_catalog` at the commit that
-//! introduced format 7 (a catalog file carries the catalog version it
-//! holds). Against the v6 fixtures they replaced — checked byte by byte
-//! before the replacement — `table.cods` differs in the preamble's version
-//! number only, and `catalog.cods` in that and in the 8-byte `version`
-//! field (2: the fixture catalog's two `create`s) that now opens its
-//! metadata region. The encoder must keep reproducing them byte for byte,
-//! the decoder must keep reading them back to the same rows, encodings,
-//! pins and zones, and every preamble version other than the current one
-//! must be refused with the typed unsupported-version error at every entry
-//! point.
+//! introduced format 8 (one metadata block per table behind a catalog
+//! index). Against the v7 fixtures they replaced — checked byte by byte
+//! before the replacement — the payload heap is identical, each table's
+//! block is byte-identical to its v7 metadata record (the v7 catalog
+//! region minus its 12-byte `version table_count` head), and what is new
+//! is the preamble's version number and the index between the blocks and
+//! the footer: `users (off, len)` for the table file (25 bytes),
+//! `version 2, count 2` and two entries for the catalog (67 bytes). The
+//! encoder must keep reproducing them byte for byte, the decoder must keep
+//! reading them back to the same rows, encodings, pins and zones, every
+//! preamble version other than the current one must be refused with the
+//! typed unsupported-version error at every entry point, and no mutation of
+//! their bytes may panic a decoder.
 //!
 //! To regenerate after a *deliberate* format change, write
 //! `encode_table(&golden_table())` and `encode_catalog(&golden_catalog())`
@@ -179,7 +182,7 @@ fn every_other_version_is_refused_at_every_entry_point() {
         }
     }
     let dir = std::env::temp_dir();
-    for version in [1u16, 2, 3, 4, 5, 6, VERSION + 1] {
+    for version in [1u16, 2, 3, 4, 5, 6, 7, VERSION + 1] {
         for (kind, golden) in [("table", GOLDEN_TABLE), ("catalog", GOLDEN_CATALOG)] {
             let mut raw = golden.to_vec();
             raw[4..6].copy_from_slice(&version.to_le_bytes());

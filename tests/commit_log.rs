@@ -1,14 +1,16 @@
 //! Integration tests of the SMO commit log: group commit batching,
 //! end-to-end durability through the platform's script path, the vacuum
 //! interaction (a heap rewrite must never strand a pending,
-//! un-checkpointed commit record), and the counting gate: a commit appends
-//! what it changed — the columns it reuses are named, not written again.
+//! un-checkpointed commit record), and the counting gates: a commit appends
+//! what it changed — the columns it reuses are named, not written again —
+//! and a checkpoint writes what changed — an unchanged table's metadata
+//! block is referenced, not re-encoded or journaled.
 
 use cods::Cods;
 use cods_storage::persist::{encode_table, save_catalog};
 use cods_storage::{
-    clog_path, log_status, open_durable, Catalog, DurabilitySink, Schema, StorageError, Table,
-    Value, ValueType,
+    clog_path, fault, log_status, open_durable, Catalog, DurabilitySink, Schema, StorageError,
+    Table, Value, ValueType,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -358,4 +360,62 @@ fn a_commit_appends_what_it_changed() {
         );
     }
     cleanup(&path);
+}
+
+/// A checkpoint writes what changed. Beside a large unchanged table, only a
+/// small one is replaced between checkpoints: what each checkpoint costs —
+/// the units the fault layer counts, one per byte written (journal and
+/// file) plus one per syscall — stays within the small table's image plus
+/// a constant for the first checkpoint (nothing of the old tail needs
+/// journaling but its index), within twice that once the previous
+/// checkpoint's block is the tail it overwrites, and does not move by a
+/// single unit when the large table doubles.
+#[test]
+fn a_checkpoint_writes_only_what_changed() {
+    let dim = |salt: i64| {
+        let schema = Schema::build(&[("k", ValueType::Int), ("v", ValueType::Int)], &[]).unwrap();
+        let rows: Vec<Vec<Value>> = (0..64)
+            .map(|i| vec![Value::Int(i), Value::Int((i + salt) % 7)])
+            .collect();
+        Table::from_rows("dim", schema, &rows).unwrap()
+    };
+    let image = encode_table(&dim(0)).len() as u64;
+    let checkpoints = |fact_rows: i64| -> Vec<u64> {
+        let path = scratch(&format!("only_changed_{fact_rows}"));
+        let base = Catalog::new();
+        base.create(tiny("fact", fact_rows)).unwrap();
+        base.create(dim(0)).unwrap();
+        save_catalog(&base, &path).unwrap();
+        drop(base);
+        let (cat, log, _r) = open_durable(&path).unwrap();
+        let units = (1..4)
+            .map(|salt| {
+                durable_put(&cat, dim(salt)).unwrap();
+                fault::arm(u64::MAX);
+                log.checkpoint(&cat).unwrap();
+                fault::disarm();
+                fault::units()
+            })
+            .collect();
+        assert_eq!(cat.get("dim").unwrap().to_rows(), dim(3).to_rows());
+        drop((cat, log));
+        let (cat, _log, _r) = open_durable(&path).unwrap();
+        assert_eq!(
+            cat.get("fact").unwrap().to_rows(),
+            tiny("fact", fact_rows).to_rows()
+        );
+        cleanup(&path);
+        units
+    };
+    let small = checkpoints(20_000);
+    assert_eq!(small, checkpoints(40_000), "the large table is not written");
+    let fact_image = encode_table(&tiny("fact", 20_000)).len() as u64;
+    assert!(small[0] < image + 512, "{small:?} vs a {image}-byte image");
+    for &units in &small[1..] {
+        assert!(units < 2 * image + 512, "{small:?} vs a {image}-byte image");
+    }
+    assert!(
+        image * 8 < fact_image,
+        "the unchanged table is the large one"
+    );
 }

@@ -189,16 +189,19 @@ fn crash_sweep_append_save_reopens_old_or_new() {
     let dir = sweep_dir("crash_append");
     let path = dir.join("sweep.catalog");
 
-    // Old state: one table, committed normally.
+    // Old state: two tables, committed normally.
     let cat = Catalog::new();
     cat.create(tiny("a", 32)).unwrap();
+    cat.create(tiny("c", 48)).unwrap();
     save_catalog(&cat, &path).unwrap();
     let old_a = tuples(&read_catalog(&path).unwrap(), "a");
+    let want_c = tiny("c", 48).tuple_multiset();
     let pristine = std::fs::read(&path).unwrap();
 
     // The evolved save under test: reopen from disk (so unchanged segments
-    // reuse their extents), recode a column (fresh payloads for an existing
-    // table) and create a brand-new table (fresh everything).
+    // reuse their extents, and the untouched `c` its block), recode a
+    // column (fresh payloads for an existing table) and create a brand-new
+    // table (fresh everything).
     let evolve = |path: &Path| -> Catalog {
         let cat = read_catalog(path).unwrap();
         let a = cat.get("a").unwrap();
@@ -227,6 +230,12 @@ fn crash_sweep_append_save_reopens_old_or_new() {
     let reopened = read_catalog(&path).unwrap();
     let new_a = tuples(&reopened, "a");
     let new_b = tuples(&reopened, "b");
+    // The restores below put the old bytes back under the new layout's
+    // extents. A live slot's extents are kept out of every later save's
+    // overwritten tail, so the new layout's slots must be gone, or each
+    // save would keep more of the file than the probe kept.
+    drop((probe, reopened));
+    println!("append-save sweep: {total} kill points");
 
     for budget in 0..total {
         // Back to the pristine old file. Overwrite in place (same inode, so
@@ -264,6 +273,11 @@ fn crash_sweep_append_save_reopens_old_or_new() {
         } else {
             assert_eq!(tuples(&got, "a"), old_a, "budget {budget}: old state torn");
         }
+        assert_eq!(
+            tuples(&got, "c"),
+            want_c,
+            "budget {budget}: reused block torn"
+        );
     }
 
     std::fs::remove_dir_all(&dir).ok();
@@ -287,6 +301,7 @@ fn crash_sweep_fresh_save_is_atomic() {
     fault::disarm();
     let total = fault::units();
     assert!(total > 0);
+    println!("fresh-save sweep: {total} kill points");
     let want = tuples(&read_catalog(&path).unwrap(), "a");
     std::fs::remove_file(&path).unwrap();
 
@@ -342,6 +357,7 @@ fn crash_sweep_rewrite_over_existing_keeps_old_until_rename() {
     fault::disarm();
     let total = fault::units();
     assert!(total > 0);
+    println!("rewrite sweep: {total} kill points");
     let new_c = tuples(&read_catalog(&path).unwrap(), "c");
 
     for budget in 0..total {

@@ -5,10 +5,10 @@
 
 use cods_query::bitmap_scan::predicate_mask;
 use cods_query::Predicate;
-use cods_storage::persist::{read_catalog, save_catalog};
+use cods_storage::persist::{encode_table, read_catalog, save_catalog};
 use cods_storage::{
-    heap_stats, set_auto_vacuum, vacuum_catalog, vacuum_file, wait_for_auto_vacuum, AutoVacuum,
-    Catalog, Encoding, Schema, Table, Value, ValueType,
+    heap_stats, open_durable, set_auto_vacuum, vacuum_catalog, vacuum_file, wait_for_auto_vacuum,
+    AutoVacuum, Catalog, Encoding, Schema, Table, Value, ValueType,
 };
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -210,6 +210,59 @@ fn auto_vacuum_compacts_in_the_background() {
     });
     set_auto_vacuum(Some(AutoVacuum::default()));
     result.unwrap();
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Checkpoints that replace one small table beside a large unchanged one:
+/// each overwrites the previous checkpoint's tail, so the file stops
+/// growing after the second, and what stays dead is the small table's
+/// first block and payloads — which a vacuum then reclaims, to the byte.
+#[test]
+fn checkpoints_beside_an_unchanged_table_leave_one_superseded_block() {
+    let _serial = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = dir("checkpoints");
+    let path = dir.join("ckpt.catalog");
+
+    let base = Catalog::new();
+    base.create(table("fact", 4096)).unwrap();
+    base.create(table("dim", 256)).unwrap();
+    save_catalog(&base, &path).unwrap();
+    drop(base);
+    // The first `dim`'s payloads and block: its table image without the
+    // preamble (6 bytes), its one-entry index (name length, "dim", offset,
+    // length: 23 bytes) and the footer (12 bytes).
+    let superseded = encode_table(&table("dim", 256)).len() as u64 - 6 - 23 - 12;
+
+    let (cat, log, _r) = open_durable(&path).unwrap();
+    let mut lens = Vec::new();
+    for _ in 0..5 {
+        // Same content, new table: every payload and the block are new.
+        let (base, _) = cat.begin_evolution();
+        cat.commit_evolution(base, &[], vec![std::sync::Arc::new(table("dim", 256))])
+            .unwrap();
+        log.checkpoint(&cat).unwrap();
+        lens.push(std::fs::metadata(&path).unwrap().len());
+    }
+    assert!(lens[1..].iter().all(|&len| len == lens[1]), "{lens:?}");
+
+    let stats = heap_stats(&path).unwrap();
+    assert_eq!(stats.dead_bytes, superseded, "{stats:?}");
+    assert_eq!(stats.live_bytes + stats.dead_bytes, stats.heap_bytes);
+    assert_eq!(6 + stats.heap_bytes + stats.meta_bytes, stats.file_bytes);
+
+    let report = vacuum_catalog(&cat, &path).unwrap();
+    assert_eq!(report.reclaimed_bytes(), superseded);
+    assert_eq!(heap_stats(&path).unwrap().dead_bytes, 0);
+    drop((cat, log));
+    let (back, _log, replay) = open_durable(&path).unwrap();
+    assert_eq!(replay.replayed, 0);
+    for (name, rows) in [("fact", 4096), ("dim", 256)] {
+        assert_eq!(
+            back.get(name).unwrap().tuple_multiset(),
+            table(name, rows).tuple_multiset()
+        );
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
