@@ -1,9 +1,13 @@
 //! Binary serialization of compressed bitmaps (used by the storage engine's
 //! on-disk table format). The layout is: `len: u64 | active: u64 |
 //! active_bits: u32 | word_count: u32 | words…`, all little-endian.
+//!
+//! One decoder, [`decode_words`], reads that layout for both
+//! [`Wah::decode`] and the storage engine, which decodes a segment's
+//! back-to-back streams straight into one shared word arena.
 
 use crate::rle::RleSeq;
-use crate::wah::Wah;
+use crate::wah::{Wah, WahRef, WordScan};
 use bytes::{Buf, BufMut};
 
 /// Errors raised while decoding a serialized bitmap.
@@ -26,62 +30,121 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-impl Wah {
+/// The header of one stream [`decode_words`] read, and the statistics its
+/// words encode — everything of the bitmap but the words themselves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DecodedStream {
+    /// Number of words appended.
+    pub words: usize,
+    /// The trailing partial group.
+    pub active: u64,
+    /// Valid bits in `active` (`0..63`).
+    pub active_bits: u32,
+    /// Logical length in bits.
+    pub len: u64,
+    /// Set bits.
+    pub ones: u64,
+    /// Maximal intervals of consecutive ones
+    /// ([`WahRef::count_intervals`]).
+    pub intervals: u64,
+}
+
+/// Decodes one serialized bitmap from the front of `buf` in one pass,
+/// appending its words to `words`: each word is validated (canonical form,
+/// overflow-checked length) and counted (ones, intervals) as it is copied,
+/// and the tail and stored length are checked at the end. Nothing is
+/// allocated when `words` already has room.
+///
+/// `keep` is the number of bytes the caller still needs behind this
+/// stream; the stored word count must fit in what remains before it, so a
+/// hostile count is refused before anything is reserved. The words are read
+/// from [`Buf::chunk`], which must hold them contiguously, as every buffer
+/// of this workspace does.
+pub fn decode_words<B: Buf>(
+    buf: &mut B,
+    words: &mut Vec<u64>,
+    keep: usize,
+) -> Result<DecodedStream, CodecError> {
+    let room = buf
+        .remaining()
+        .checked_sub(keep)
+        .and_then(|n| n.checked_sub(24))
+        .ok_or(CodecError::UnexpectedEof)?;
+    let len = buf.get_u64_le();
+    let active = buf.get_u64_le();
+    let active_bits = buf.get_u32_le();
+    let count = buf.get_u32_le() as usize;
+    let bytes = count
+        .checked_mul(8)
+        .filter(|&n| n <= room)
+        .ok_or(CodecError::UnexpectedEof)?;
+    let corrupt = |m: &str| CodecError::Corrupt(m.into());
+    words.reserve_exact(count);
+    let mut scan = WordScan::default();
+    for le in buf.chunk()[..bytes].chunks_exact(8) {
+        let w = u64::from_le_bytes(le.try_into().expect("chunks of eight bytes"));
+        scan.word(w).map_err(corrupt)?;
+        words.push(w);
+    }
+    buf.advance(bytes);
+    let scan = scan.tail(active, active_bits).map_err(corrupt)?;
+    if scan.len != len {
+        return Err(CodecError::Corrupt(format!(
+            "len mismatch: computed {}, stored {len}",
+            scan.len
+        )));
+    }
+    Ok(DecodedStream {
+        words: count,
+        active,
+        active_bits,
+        len,
+        ones: scan.ones,
+        intervals: scan.intervals,
+    })
+}
+
+impl WahRef<'_> {
     /// Serializes the bitmap into `buf`.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
+    pub fn encode<B: BufMut>(self, buf: &mut B) {
         buf.put_u64_le(self.len);
         buf.put_u64_le(self.active);
         buf.put_u32_le(self.active_bits);
         buf.put_u32_le(self.words.len() as u32);
-        for &w in &self.words {
+        for &w in self.words {
             buf.put_u64_le(w);
         }
     }
 
     /// Serialized size in bytes.
-    pub fn encoded_len(&self) -> usize {
+    pub fn encoded_len(self) -> usize {
         8 + 8 + 4 + 4 + self.words.len() * 8
     }
+}
 
-    /// Deserializes a bitmap from `buf`, validating all invariants.
+impl Wah {
+    /// Serializes the bitmap into `buf` ([`WahRef::encode`]).
+    pub fn encode<B: BufMut>(&self, buf: &mut B) {
+        self.view().encode(buf)
+    }
+
+    /// Serialized size in bytes.
+    pub fn encoded_len(&self) -> usize {
+        self.view().encoded_len()
+    }
+
+    /// Deserializes a bitmap from `buf`, validating all invariants
+    /// ([`decode_words`]).
     pub fn decode<B: Buf>(buf: &mut B) -> Result<Wah, CodecError> {
-        if buf.remaining() < 24 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let len = buf.get_u64_le();
-        let active = buf.get_u64_le();
-        let active_bits = buf.get_u32_le();
-        let word_count = buf.get_u32_le() as usize;
-        if buf.remaining() < word_count * 8 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let mut words = Vec::with_capacity(word_count);
-        let mut ones = 0u64;
-        let overflow = || CodecError::Corrupt("population count overflows".into());
-        for _ in 0..word_count {
-            let w = buf.get_u64_le();
-            let n = if crate::word::is_fill(w) {
-                crate::word::fill_groups(w)
-                    .checked_mul(crate::word::fill_ones_per_group(crate::word::fill_bit(w)))
-                    .ok_or_else(overflow)?
-            } else {
-                u64::from(w.count_ones())
-            };
-            ones = ones.checked_add(n).ok_or_else(overflow)?;
-            words.push(w);
-        }
-        ones = ones
-            .checked_add(u64::from(active.count_ones()))
-            .ok_or_else(overflow)?;
-        let wah = Wah {
+        let mut words = Vec::new();
+        let d = decode_words(buf, &mut words, 0)?;
+        Ok(Wah {
             words,
-            active,
-            active_bits,
-            len,
-            ones,
-        };
-        wah.check_invariants().map_err(CodecError::Corrupt)?;
-        Ok(wah)
+            active: d.active,
+            active_bits: d.active_bits,
+            len: d.len,
+            ones: d.ones,
+        })
     }
 }
 

@@ -3,14 +3,14 @@
 //! given list of positions, producing a new compressed bitmap directly,
 //! without decompressing either input.
 //!
-//! Two drivers are provided: a sorted position list ([`Wah::filter_positions`])
-//! and a selection mask ([`Wah::filter_bitmap`]), plus range extraction
-//! ([`Wah::slice`]). All run in time linear in the number of compressed words
+//! Two drivers are provided: a sorted position list
+//! ([`WahRef::filter_positions`]) and a selection mask
+//! ([`WahRef::filter_bitmap`]), plus range extraction ([`WahRef::slice`]). All run in time linear in the number of compressed words
 //! plus the number of selected positions that fall inside literal words —
 //! fills are processed wholesale.
 
 use crate::iter::{Run, RunIter};
-use crate::wah::{lsb_mask, Wah};
+use crate::wah::{lsb_mask, Wah, WahRef};
 
 /// Cursor over a bitmap's runs that can hand out arbitrary-length chunks,
 /// splitting runs as needed.
@@ -22,7 +22,7 @@ pub(crate) struct RunCursor<'a> {
 }
 
 impl<'a> RunCursor<'a> {
-    pub(crate) fn new(w: &'a Wah) -> Self {
+    pub(crate) fn new(w: WahRef<'a>) -> Self {
         RunCursor {
             iter: w.iter_runs(),
             cur: None,
@@ -91,7 +91,7 @@ fn append_chunk(out: &mut Wah, chunk: Run) {
     }
 }
 
-impl Wah {
+impl WahRef<'_> {
     /// Gathers the bits at `positions` (non-decreasing, each `< self.len()`)
     /// into a new bitmap of length `positions.len()`.
     ///
@@ -103,14 +103,14 @@ impl Wah {
     /// ```
     /// use cods_bitmap::Wah;
     /// let b = Wah::from_sorted_positions([2u64, 5, 9].into_iter(), 12);
-    /// let f = b.filter_positions(&[0, 2, 5, 9, 11]);
+    /// let f = b.view().filter_positions(&[0, 2, 5, 9, 11]);
     /// assert_eq!(f.len(), 5);
     /// assert_eq!(f.to_positions(), vec![1, 2, 3]); // bits at 2, 5, 9 were set
     /// ```
     ///
     /// # Panics
     /// Panics if positions are decreasing or out of range.
-    pub fn filter_positions(&self, positions: &[u64]) -> Wah {
+    pub fn filter_positions(self, positions: &[u64]) -> Wah {
         let mut out = Wah::new();
         let n = positions.len();
         let mut idx = 0usize;
@@ -155,7 +155,7 @@ impl Wah {
     ///
     /// # Panics
     /// Panics if the lengths differ.
-    pub fn filter_bitmap(&self, mask: &Wah) -> Wah {
+    pub fn filter_bitmap(self, mask: WahRef<'_>) -> Wah {
         assert_eq!(
             self.len(),
             mask.len(),
@@ -207,7 +207,7 @@ impl Wah {
     ///
     /// # Panics
     /// Panics if `start > end` or `end > self.len()`.
-    pub fn slice(&self, start: u64, end: u64) -> Wah {
+    pub fn slice(self, start: u64, end: u64) -> Wah {
         assert!(start <= end && end <= self.len(), "invalid slice range");
         let mut out = Wah::new();
         let mut cur = RunCursor::new(self);
@@ -222,6 +222,34 @@ impl Wah {
             remaining -= n;
         }
         out
+    }
+}
+
+impl Wah {
+    /// Gathers the bits at `positions` ([`WahRef::filter_positions`]).
+    ///
+    /// # Panics
+    /// Panics if positions are decreasing or out of range.
+    pub fn filter_positions(&self, positions: &[u64]) -> Wah {
+        self.view().filter_positions(positions)
+    }
+
+    /// Gathers the bits of `self` at the set positions of `mask`
+    /// ([`WahRef::filter_bitmap`]).
+    ///
+    /// # Panics
+    /// Panics if the lengths differ.
+    pub fn filter_bitmap(&self, mask: &Wah) -> Wah {
+        self.view().filter_bitmap(mask.view())
+    }
+
+    /// Extracts the bit range `[start, end)` as a new bitmap
+    /// ([`WahRef::slice`]).
+    ///
+    /// # Panics
+    /// Panics if `start > end` or `end > self.len()`.
+    pub fn slice(&self, start: u64, end: u64) -> Wah {
+        self.view().slice(start, end)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Iteration over compressed bitmaps: run view and set-bit iterator.
 
-use crate::wah::{lsb_mask, Wah};
+use crate::wah::{interval_starts, lsb_mask, Wah, WahRef};
 use crate::word::*;
 
 /// One maximal homogeneous piece of a bitmap, as exposed by [`RunIter`].
@@ -68,7 +68,7 @@ pub struct RunIter<'a> {
 }
 
 impl<'a> RunIter<'a> {
-    pub(crate) fn new(w: &'a Wah) -> Self {
+    pub(crate) fn new(w: WahRef<'a>) -> Self {
         RunIter {
             words: w.words.iter(),
             active: w.active,
@@ -118,7 +118,7 @@ pub struct OnesIter<'a> {
 }
 
 impl<'a> OnesIter<'a> {
-    pub(crate) fn new(w: &'a Wah) -> Self {
+    pub(crate) fn new(w: WahRef<'a>) -> Self {
         OnesIter {
             runs: RunIter::new(w),
             base: 0,
@@ -187,7 +187,7 @@ pub struct IntervalIter<'a> {
 }
 
 impl<'a> IntervalIter<'a> {
-    pub(crate) fn new(w: &'a Wah) -> Self {
+    pub(crate) fn new(w: WahRef<'a>) -> Self {
         IntervalIter {
             runs: RunIter::new(w),
             pos: 0,
@@ -252,53 +252,53 @@ impl Iterator for IntervalIter<'_> {
     }
 }
 
-impl Wah {
+impl<'a> WahRef<'a> {
     /// Iterates the bitmap as maximal homogeneous [`Run`]s.
-    pub fn iter_runs(&self) -> RunIter<'_> {
+    pub fn iter_runs(self) -> RunIter<'a> {
         RunIter::new(self)
     }
 
     /// Iterates the positions of all set bits in ascending order.
-    pub fn iter_ones(&self) -> OnesIter<'_> {
+    pub fn iter_ones(self) -> OnesIter<'a> {
         OnesIter::new(self)
     }
 
     /// Iterates maximal intervals of consecutive ones as `(start, len)`.
-    pub fn iter_intervals(&self) -> IntervalIter<'_> {
+    pub fn iter_intervals(self) -> IntervalIter<'a> {
         IntervalIter::new(self)
     }
 
     /// Number of maximal intervals of consecutive ones — how many items
-    /// [`Wah::iter_intervals`] yields — a word at a time: an interval
+    /// [`WahRef::iter_intervals`] yields — a word at a time: an interval
     /// starts at every set bit whose predecessor is clear, so a literal
     /// contributes `popcount(w & !((w << 1) | carry))` with `carry` the
     /// last bit of the previous group, and a fill is O(1).
-    pub fn count_intervals(&self) -> u64 {
+    pub fn count_intervals(self) -> u64 {
         let mut count = 0u64;
         let mut carry = 0u64;
-        for &w in &self.words {
+        for &w in self.words {
             if is_fill(w) {
                 let bit = u64::from(fill_bit(w));
                 count += bit & !carry;
                 carry = bit;
             } else {
-                count += u64::from((w & !((w << 1) | carry)).count_ones());
+                count += interval_starts(w, carry);
                 carry = w >> (GROUP_BITS - 1);
             }
         }
-        let tail = self.active & lsb_mask(u64::from(self.active_bits));
-        count + u64::from((tail & !((tail << 1) | carry)).count_ones())
+        count + interval_starts(self.active & lsb_mask(u64::from(self.active_bits)), carry)
     }
 
     /// Writes `v` to `out[p]` for every set position `p` — the positions
-    /// [`Wah::iter_ones`] yields — a word at a time: a 1-fill is one slice
-    /// `fill`, a 0-fill is skipped in O(1), and a literal (or the masked
-    /// active tail) is walked set bit by set bit with `trailing_zeros`.
-    /// Positions whose bit is clear are left as they were.
+    /// [`WahRef::iter_ones`] yields — a word at a time: a 1-fill is one
+    /// slice `fill`, a 0-fill is skipped in O(1), and a literal (or the
+    /// masked active tail) is walked set bit by set bit with
+    /// `trailing_zeros`. Positions whose bit is clear are left as they were.
     ///
     /// # Panics
     /// Panics if `out` is shorter than the bitmap.
-    pub fn scatter(&self, out: &mut [u32], v: u32) {
+    #[inline]
+    pub fn scatter(self, out: &mut [u32], v: u32) {
         assert!(
             self.len <= out.len() as u64,
             "scatter of {} bits into {} slots",
@@ -312,7 +312,7 @@ impl Wah {
             }
         }
         let mut at = 0usize;
-        for &w in &self.words {
+        for &w in self.words {
             if is_fill(w) {
                 // `len` fits `out`, so every span and offset fits `usize`.
                 let span = (fill_groups(w) * GROUP_BITS) as usize;
@@ -334,7 +334,7 @@ impl Wah {
     }
 
     /// Iterates every bit (decompressing). Intended for tests and small data.
-    pub fn iter_bits(&self) -> impl Iterator<Item = bool> + '_ {
+    pub fn iter_bits(self) -> impl Iterator<Item = bool> + 'a {
         self.iter_runs().flat_map(|run| {
             let (len, f): (u64, Box<dyn Fn(u64) -> bool>) = match run {
                 Run::Fill { bit, len } => (len, Box::new(move |_| bit)),
@@ -342,6 +342,43 @@ impl Wah {
             };
             (0..len).map(f)
         })
+    }
+}
+
+impl Wah {
+    /// Iterates the bitmap as maximal homogeneous [`Run`]s.
+    pub fn iter_runs(&self) -> RunIter<'_> {
+        self.view().iter_runs()
+    }
+
+    /// Iterates the positions of all set bits in ascending order.
+    pub fn iter_ones(&self) -> OnesIter<'_> {
+        self.view().iter_ones()
+    }
+
+    /// Iterates maximal intervals of consecutive ones as `(start, len)`.
+    pub fn iter_intervals(&self) -> IntervalIter<'_> {
+        self.view().iter_intervals()
+    }
+
+    /// Number of maximal intervals of consecutive ones
+    /// ([`WahRef::count_intervals`]).
+    pub fn count_intervals(&self) -> u64 {
+        self.view().count_intervals()
+    }
+
+    /// Writes `v` to `out[p]` for every set position `p`
+    /// ([`WahRef::scatter`]).
+    ///
+    /// # Panics
+    /// Panics if `out` is shorter than the bitmap.
+    pub fn scatter(&self, out: &mut [u32], v: u32) {
+        self.view().scatter(out, v)
+    }
+
+    /// Iterates every bit (decompressing). Intended for tests and small data.
+    pub fn iter_bits(&self) -> impl Iterator<Item = bool> + '_ {
+        self.view().iter_bits()
     }
 }
 

@@ -6,9 +6,11 @@
 //!
 //! The centerpiece is [`Wah`], a 64-bit Word-Aligned Hybrid compressed bitmap
 //! (Wu, Otoo & Shoshani, TODS 2006 — reference \[9\] of the paper). Every
-//! column of the CODS column store is a dictionary plus one `Wah` bitmap per
+//! column of the CODS column store is a dictionary plus one WAH bitmap per
 //! distinct value, and every data-level evolution operator is expressed in
-//! the algebra provided here:
+//! the algebra provided here. Each read algorithm is written once, on
+//! [`WahRef`], the borrowed view a storage segment hands out over the one
+//! word arena its bitmaps share; `Wah`'s read methods delegate to it:
 //!
 //! * **logical ops on compressed form** — [`Wah::and`], [`Wah::or`],
 //!   [`Wah::xor`], [`Wah::and_not`], [`Wah::not`] ([`ops`]);
@@ -59,9 +61,9 @@ pub mod wah;
 pub mod word;
 
 pub use builder::{OneStreamBuilder, ValueStreamBuilder};
-pub use codec::CodecError;
+pub use codec::{decode_words, CodecError, DecodedStream};
 pub use iter::{IntervalIter, OnesIter, Run, RunIter};
 pub use ops::BinOp;
 pub use plain::PlainBitmap;
 pub use rle::RleSeq;
-pub use wah::Wah;
+pub use wah::{Wah, WahRef};

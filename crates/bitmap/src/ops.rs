@@ -3,7 +3,7 @@
 //! Shoshani, TODS 2006). No operand is ever decompressed to a bit vector;
 //! the cost is linear in the number of compressed words of the inputs.
 
-use crate::wah::{lsb_mask, Wah};
+use crate::wah::{lsb_mask, Wah, WahRef};
 use crate::word::*;
 
 /// A decoded view of one compressed word, with fills still run-length coded.
@@ -88,7 +88,7 @@ impl BinOp {
     }
 }
 
-fn binary(a: &Wah, b: &Wah, op: BinOp) -> Wah {
+fn binary(a: WahRef<'_>, b: WahRef<'_>, op: BinOp) -> Wah {
     assert_eq!(
         a.len(),
         b.len(),
@@ -97,8 +97,8 @@ fn binary(a: &Wah, b: &Wah, op: BinOp) -> Wah {
         b.len()
     );
     let mut out = Wah::new();
-    let mut da = GroupDecoder::new(&a.words);
-    let mut db = GroupDecoder::new(&b.words);
+    let mut da = GroupDecoder::new(a.words);
+    let mut db = GroupDecoder::new(b.words);
     loop {
         match (da.peek(), db.peek()) {
             (None, None) => break,
@@ -149,57 +149,35 @@ fn binary(a: &Wah, b: &Wah, op: BinOp) -> Wah {
     out
 }
 
-impl Wah {
+impl<'a> WahRef<'a> {
     /// Bitwise AND. Both operands must have the same length.
-    pub fn and(&self, other: &Wah) -> Wah {
+    pub fn and(self, other: WahRef<'_>) -> Wah {
         binary(self, other, BinOp::And)
     }
 
     /// Bitwise OR. Both operands must have the same length.
-    pub fn or(&self, other: &Wah) -> Wah {
+    pub fn or(self, other: WahRef<'_>) -> Wah {
         binary(self, other, BinOp::Or)
     }
 
     /// Bitwise XOR. Both operands must have the same length.
-    pub fn xor(&self, other: &Wah) -> Wah {
+    pub fn xor(self, other: WahRef<'_>) -> Wah {
         binary(self, other, BinOp::Xor)
     }
 
     /// Bitwise `self AND NOT other`. Both operands must have the same length.
-    pub fn and_not(&self, other: &Wah) -> Wah {
+    pub fn and_not(self, other: WahRef<'_>) -> Wah {
         binary(self, other, BinOp::AndNot)
-    }
-
-    /// Bitwise complement over the full length.
-    pub fn not(&self) -> Wah {
-        let mut out = Wah::new();
-        for &w in &self.words {
-            if is_fill(w) {
-                out.push_fill(!fill_bit(w), fill_groups(w));
-            } else {
-                out.push_group(w ^ LIT_MASK);
-            }
-        }
-        let tail = u64::from(self.active_bits);
-        if tail > 0 {
-            out.push_bits(!self.active & lsb_mask(tail), tail);
-        }
-        out
-    }
-
-    /// In-place OR (`*self = *self | other`).
-    pub fn or_with(&mut self, other: &Wah) {
-        *self = self.or(other);
     }
 
     /// Returns `true` if the two bitmaps share no set position.
     ///
     /// Short-circuits on the first overlapping group, so disjoint probing is
-    /// usually cheaper than a full [`Wah::and`].
-    pub fn is_disjoint(&self, other: &Wah) -> bool {
+    /// usually cheaper than a full [`WahRef::and`].
+    pub fn is_disjoint(self, other: WahRef<'_>) -> bool {
         assert_eq!(self.len(), other.len(), "bitmap length mismatch");
-        let mut da = GroupDecoder::new(&self.words);
-        let mut db = GroupDecoder::new(&other.words);
+        let mut da = GroupDecoder::new(self.words);
+        let mut db = GroupDecoder::new(other.words);
         loop {
             match (da.peek(), db.peek()) {
                 (None, None) => break,
@@ -233,15 +211,79 @@ impl Wah {
 
     /// OR of many bitmaps (all the same length). Returns a zero bitmap of
     /// length `len` when the iterator is empty.
-    pub fn union_many<'a, I: IntoIterator<Item = &'a Wah>>(bitmaps: I, len: u64) -> Wah {
+    pub fn union_many<I: IntoIterator<Item = WahRef<'a>>>(bitmaps: I, len: u64) -> Wah {
         let mut acc: Option<Wah> = None;
         for b in bitmaps {
             acc = Some(match acc {
-                None => b.clone(),
-                Some(a) => a.or(b),
+                None => b.to_wah(),
+                Some(a) => a.view().or(b),
             });
         }
         acc.unwrap_or_else(|| Wah::zeros(len))
+    }
+}
+
+/// Bitwise complement over the full length.
+impl std::ops::Not for WahRef<'_> {
+    type Output = Wah;
+
+    fn not(self) -> Wah {
+        let mut out = Wah::new();
+        for &w in self.words {
+            if is_fill(w) {
+                out.push_fill(!fill_bit(w), fill_groups(w));
+            } else {
+                out.push_group(w ^ LIT_MASK);
+            }
+        }
+        let tail = u64::from(self.active_bits);
+        if tail > 0 {
+            out.push_bits(!self.active & lsb_mask(tail), tail);
+        }
+        out
+    }
+}
+
+impl Wah {
+    /// Bitwise AND. Both operands must have the same length.
+    pub fn and(&self, other: &Wah) -> Wah {
+        self.view().and(other.view())
+    }
+
+    /// Bitwise OR. Both operands must have the same length.
+    pub fn or(&self, other: &Wah) -> Wah {
+        self.view().or(other.view())
+    }
+
+    /// Bitwise XOR. Both operands must have the same length.
+    pub fn xor(&self, other: &Wah) -> Wah {
+        self.view().xor(other.view())
+    }
+
+    /// Bitwise `self AND NOT other`. Both operands must have the same length.
+    pub fn and_not(&self, other: &Wah) -> Wah {
+        self.view().and_not(other.view())
+    }
+
+    /// Bitwise complement over the full length.
+    pub fn not(&self) -> Wah {
+        !self.view()
+    }
+
+    /// In-place OR (`*self = *self | other`).
+    pub fn or_with(&mut self, other: &Wah) {
+        *self = self.or(other);
+    }
+
+    /// Returns `true` if the two bitmaps share no set position
+    /// ([`WahRef::is_disjoint`]).
+    pub fn is_disjoint(&self, other: &Wah) -> bool {
+        self.view().is_disjoint(other.view())
+    }
+
+    /// OR of many bitmaps ([`WahRef::union_many`]).
+    pub fn union_many<'a, I: IntoIterator<Item = &'a Wah>>(bitmaps: I, len: u64) -> Wah {
+        WahRef::union_many(bitmaps.into_iter().map(Wah::view), len)
     }
 }
 

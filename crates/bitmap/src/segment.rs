@@ -6,15 +6,15 @@
 //! splices compressed words without decompressing.
 
 use crate::iter::Run;
-use crate::wah::{lsb_mask, Wah};
+use crate::wah::{lsb_mask, Wah, WahRef};
 
-impl Wah {
+impl WahRef<'_> {
     /// Splits the bitmap into consecutive chunks of `chunk_len` bits (the
     /// last chunk may be shorter). One pass over the compressed form.
     ///
     /// # Panics
     /// Panics if `chunk_len == 0`.
-    pub fn split_into(&self, chunk_len: u64) -> Vec<Wah> {
+    pub fn split_into(self, chunk_len: u64) -> Vec<Wah> {
         assert!(chunk_len > 0, "chunk length must be positive");
         if self.is_empty() {
             return Vec::new();
@@ -56,7 +56,7 @@ impl Wah {
     ///
     /// # Panics
     /// Panics if any size is zero or the sizes do not sum to `len()`.
-    pub fn split_sizes(&self, sizes: &[u64]) -> Vec<Wah> {
+    pub fn split_sizes(self, sizes: &[u64]) -> Vec<Wah> {
         assert_eq!(
             sizes.iter().sum::<u64>(),
             self.len(),
@@ -99,6 +99,26 @@ impl Wah {
             }
         }
         out
+    }
+}
+
+impl Wah {
+    /// Splits the bitmap into consecutive chunks of `chunk_len` bits
+    /// ([`WahRef::split_into`]).
+    ///
+    /// # Panics
+    /// Panics if `chunk_len == 0`.
+    pub fn split_into(&self, chunk_len: u64) -> Vec<Wah> {
+        self.view().split_into(chunk_len)
+    }
+
+    /// Splits the bitmap into consecutive chunks of the given sizes
+    /// ([`WahRef::split_sizes`]).
+    ///
+    /// # Panics
+    /// Panics if any size is zero or the sizes do not sum to `len()`.
+    pub fn split_sizes(&self, sizes: &[u64]) -> Vec<Wah> {
+        self.view().split_sizes(sizes)
     }
 
     /// Concatenates `parts` in order into one bitmap.

@@ -8,7 +8,7 @@
 //! ([`Wah::strided`]). All three shapes are emitted as fills and short
 //! literals without touching individual rows.
 
-use crate::wah::Wah;
+use crate::wah::{Wah, WahRef};
 
 impl Wah {
     /// Bitmap of length `len` with ones exactly in `[offset, offset + ones)`.
@@ -45,8 +45,21 @@ impl Wah {
     }
 
     /// Bitmap of length `len * factor` where every bit of `self` is repeated
-    /// `factor` times in place (`abc` → `aabbcc` for factor 2).
+    /// `factor` times in place ([`WahRef::repeat_each`]).
     pub fn repeat_each(&self, factor: u64) -> Wah {
+        self.view().repeat_each(factor)
+    }
+
+    /// Bitmap consisting of `self` repeated `times` times back to back.
+    pub fn tile(&self, times: u64) -> Wah {
+        self.view().tile(times)
+    }
+}
+
+impl WahRef<'_> {
+    /// Bitmap of length `len * factor` where every bit of `self` is repeated
+    /// `factor` times in place (`abc` → `aabbcc` for factor 2).
+    pub fn repeat_each(self, factor: u64) -> Wah {
         let mut out = Wah::new();
         if factor == 0 {
             return out;
@@ -65,7 +78,7 @@ impl Wah {
     }
 
     /// Bitmap consisting of `self` repeated `times` times back to back.
-    pub fn tile(&self, times: u64) -> Wah {
+    pub fn tile(self, times: u64) -> Wah {
         let mut out = Wah::new();
         for _ in 0..times {
             out.append_bitmap(self);

@@ -1,4 +1,4 @@
-//! The [`Wah`] compressed bitmap type.
+//! The [`Wah`] compressed bitmap type and its borrowed view [`WahRef`].
 //!
 //! `Wah` stores a bit vector as canonical WAH words (see [`crate::word`]) plus
 //! an *active* partial group for the trailing `len % 63` bits. The canonical
@@ -10,6 +10,11 @@
 //!
 //! Because the form is canonical, two `Wah` values are equal as bit vectors
 //! iff they are structurally equal, so `PartialEq`/`Hash` can be derived.
+//!
+//! Every read-only algorithm is written once, on [`WahRef`]: the same form
+//! with its words borrowed, which is what a storage segment hands out over
+//! the one word arena all its bitmaps share. `Wah`'s read methods delegate
+//! through [`Wah::view`].
 
 use crate::word::*;
 
@@ -45,6 +50,33 @@ pub struct Wah {
     pub(crate) ones: u64,
 }
 
+/// A borrowed, read-only WAH bitmap: canonical words plus the active tail
+/// and the cached counts of a [`Wah`], with the words living elsewhere — in
+/// a `Wah`, or in an arena shared by many bitmaps. It is `Copy`; methods
+/// take it by value and return iterators that borrow only the words.
+///
+/// ```
+/// use cods_bitmap::{Wah, WahRef};
+/// let owned = Wah::from_sorted_positions([1u64, 64, 70], 100);
+/// let view: WahRef<'_> = owned.view();
+/// assert_eq!(view.iter_ones().collect::<Vec<_>>(), vec![1, 64, 70]);
+/// assert_eq!(view.to_wah(), owned);
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct WahRef<'a> {
+    pub(crate) words: &'a [u64],
+    pub(crate) active: u64,
+    pub(crate) active_bits: u32,
+    pub(crate) len: u64,
+    pub(crate) ones: u64,
+}
+
+impl<'a> From<&'a Wah> for WahRef<'a> {
+    fn from(w: &'a Wah) -> WahRef<'a> {
+        w.view()
+    }
+}
+
 impl Wah {
     /// Creates an empty bitmap.
     pub fn new() -> Self {
@@ -63,6 +95,19 @@ impl Wah {
         let mut w = Self::new();
         w.append_run(true, len);
         w
+    }
+
+    /// The bitmap as a borrowed [`WahRef`], the form every read algorithm
+    /// runs on.
+    #[inline]
+    pub fn view(&self) -> WahRef<'_> {
+        WahRef {
+            words: &self.words,
+            active: self.active,
+            active_bits: self.active_bits,
+            len: self.len,
+            ones: self.ones,
+        }
     }
 
     /// Logical length in bits.
@@ -86,7 +131,7 @@ impl Wah {
     /// Number of clear bits.
     #[inline]
     pub fn count_zeros(&self) -> u64 {
-        self.len - self.ones
+        self.view().count_zeros()
     }
 
     /// Returns `true` if at least one bit is set.
@@ -104,13 +149,13 @@ impl Wah {
 
     /// Approximate heap size of the compressed representation in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.words.len() * 8 + 24
+        self.view().size_bytes()
     }
 
     /// Number of physical 64-bit words used (including the active tail word
     /// when non-empty).
     pub fn physical_words(&self) -> usize {
-        self.words.len() + usize::from(self.active_bits > 0)
+        self.view().physical_words()
     }
 
     // ------------------------------------------------------------------
@@ -278,13 +323,15 @@ impl Wah {
         }
     }
 
-    /// Appends all bits of `other` to `self` (concatenation).
+    /// Appends all bits of `other` to `self` (concatenation). `other` is a
+    /// `&Wah` or a [`WahRef`].
     ///
     /// When `self` ends on a group boundary this is a near-O(words) splice;
     /// otherwise every group of `other` is re-aligned with two shifts.
-    pub fn append_bitmap(&mut self, other: &Wah) {
+    pub fn append_bitmap<'b>(&mut self, other: impl Into<WahRef<'b>>) {
+        let other = other.into();
         if self.active_bits == 0 {
-            for &w in &other.words {
+            for &w in other.words {
                 if is_fill(w) {
                     self.push_fill(fill_bit(w), fill_groups(w));
                 } else {
@@ -298,7 +345,7 @@ impl Wah {
                 self.ones += u64::from(other.active.count_ones());
             }
         } else {
-            for &w in &other.words {
+            for &w in other.words {
                 if is_fill(w) {
                     self.append_run(fill_bit(w), fill_groups(w) * GROUP_BITS);
                 } else {
@@ -327,103 +374,27 @@ impl Wah {
     /// # Panics
     /// Panics if `pos >= self.len()`.
     pub fn get(&self, pos: u64) -> bool {
-        assert!(pos < self.len, "bit index {pos} out of range {}", self.len);
-        let mut base = 0u64;
-        for &w in &self.words {
-            let span = if is_fill(w) {
-                fill_groups(w) * GROUP_BITS
-            } else {
-                GROUP_BITS
-            };
-            if pos < base + span {
-                return if is_fill(w) {
-                    fill_bit(w)
-                } else {
-                    (w >> (pos - base)) & 1 == 1
-                };
-            }
-            base += span;
-        }
-        (self.active >> (pos - base)) & 1 == 1
+        self.view().get(pos)
     }
 
     /// Number of set bits strictly before `pos`.
     pub fn rank1(&self, pos: u64) -> u64 {
-        assert!(
-            pos <= self.len,
-            "rank index {pos} out of range {}",
-            self.len
-        );
-        let mut base = 0u64;
-        let mut ones = 0u64;
-        for &w in &self.words {
-            let (span, word_ones) = if is_fill(w) {
-                let g = fill_groups(w);
-                (g * GROUP_BITS, g * fill_ones_per_group(fill_bit(w)))
-            } else {
-                (GROUP_BITS, u64::from(w.count_ones()))
-            };
-            if pos <= base + span {
-                let within = pos - base;
-                return ones
-                    + if is_fill(w) {
-                        if fill_bit(w) {
-                            within
-                        } else {
-                            0
-                        }
-                    } else {
-                        u64::from((w & lsb_mask(within)).count_ones())
-                    };
-            }
-            base += span;
-            ones += word_ones;
-        }
-        ones + u64::from((self.active & lsb_mask(pos - base)).count_ones())
+        self.view().rank1(pos)
     }
 
     /// Position of the `k`-th (0-based) set bit, or `None` if `k >= count_ones()`.
     pub fn select1(&self, k: u64) -> Option<u64> {
-        if k >= self.ones {
-            return None;
-        }
-        let mut base = 0u64;
-        let mut remaining = k;
-        for &w in &self.words {
-            if is_fill(w) {
-                let g = fill_groups(w);
-                if fill_bit(w) {
-                    let span_ones = g * GROUP_BITS;
-                    if remaining < span_ones {
-                        return Some(base + remaining);
-                    }
-                    remaining -= span_ones;
-                }
-                base += g * GROUP_BITS;
-            } else {
-                let word_ones = u64::from(w.count_ones());
-                if remaining < word_ones {
-                    return Some(base + u64::from(nth_set_bit(w, remaining as u32)));
-                }
-                remaining -= word_ones;
-                base += GROUP_BITS;
-            }
-        }
-        Some(base + u64::from(nth_set_bit(self.active, remaining as u32)))
+        self.view().select1(k)
     }
 
     /// Position of the first set bit, if any.
     pub fn first_one(&self) -> Option<u64> {
-        self.select1(0)
+        self.view().first_one()
     }
 
     /// Position of the last set bit, if any.
     pub fn last_one(&self) -> Option<u64> {
-        if self.ones == 0 {
-            None
-        } else {
-            self.select1(self.ones - 1)
-        }
+        self.view().last_one()
     }
 
     // ------------------------------------------------------------------
@@ -460,62 +431,325 @@ impl Wah {
 
     /// Collects the positions of all set bits into a vector.
     pub fn to_positions(&self) -> Vec<u64> {
-        self.iter_ones().collect()
+        self.view().to_positions()
     }
 
     /// Internal consistency check used by tests and debug assertions.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut len = 0u64;
+        self.view().check_invariants()
+    }
+}
+
+impl<'a> WahRef<'a> {
+    /// Assembles a view from its parts: `words` must be canonical (no zero
+    /// or all-one literal, no two same-valued fills in a row unless the
+    /// first is full), `active` must hold only its low `active_bits < 63`
+    /// bits, and `len`/`ones` must be the length and population they
+    /// encode — as a [`Wah`] or a validating decode
+    /// ([`decode_words`](crate::codec::decode_words)) produces them.
+    /// [`WahRef::check_invariants`] verifies all of it.
+    #[inline]
+    pub fn from_parts(
+        words: &'a [u64],
+        active: u64,
+        active_bits: u32,
+        len: u64,
+        ones: u64,
+    ) -> WahRef<'a> {
+        WahRef {
+            words,
+            active,
+            active_bits,
+            len,
+            ones,
+        }
+    }
+
+    /// Copies the view into an owned [`Wah`].
+    pub fn to_wah(self) -> Wah {
+        Wah {
+            words: self.words.to_vec(),
+            active: self.active,
+            active_bits: self.active_bits,
+            len: self.len,
+            ones: self.ones,
+        }
+    }
+
+    /// Logical length in bits.
+    #[inline]
+    pub fn len(self) -> u64 {
+        self.len
+    }
+
+    /// Returns `true` if the bitmap has no bits.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of set bits (O(1), cached).
+    #[inline]
+    pub fn count_ones(self) -> u64 {
+        self.ones
+    }
+
+    /// Number of clear bits.
+    #[inline]
+    pub fn count_zeros(self) -> u64 {
+        self.len - self.ones
+    }
+
+    /// Returns `true` if at least one bit is set.
+    #[inline]
+    pub fn any(self) -> bool {
+        self.ones > 0
+    }
+
+    /// The compressed words (without the active tail).
+    #[inline]
+    pub fn words(self) -> &'a [u64] {
+        self.words
+    }
+
+    /// The trailing partial group (LSB-first), zero at and above
+    /// [`WahRef::active_bits`].
+    #[inline]
+    pub fn active(self) -> u64 {
+        self.active
+    }
+
+    /// Number of valid bits in [`WahRef::active`] (`0..63`).
+    #[inline]
+    pub fn active_bits(self) -> u32 {
+        self.active_bits
+    }
+
+    /// Approximate heap size of the compressed representation in bytes:
+    /// eight per word plus a fixed 24 for the tail and counts.
+    pub fn size_bytes(self) -> usize {
+        self.words.len() * 8 + 24
+    }
+
+    /// Number of physical 64-bit words used (including the active tail word
+    /// when non-empty).
+    pub fn physical_words(self) -> usize {
+        self.words.len() + usize::from(self.active_bits > 0)
+    }
+
+    /// Reads bit `pos`. O(compressed words).
+    ///
+    /// # Panics
+    /// Panics if `pos >= self.len()`.
+    pub fn get(self, pos: u64) -> bool {
+        assert!(pos < self.len, "bit index {pos} out of range {}", self.len);
+        let mut base = 0u64;
+        for &w in self.words {
+            let span = if is_fill(w) {
+                fill_groups(w) * GROUP_BITS
+            } else {
+                GROUP_BITS
+            };
+            if pos < base + span {
+                return if is_fill(w) {
+                    fill_bit(w)
+                } else {
+                    (w >> (pos - base)) & 1 == 1
+                };
+            }
+            base += span;
+        }
+        (self.active >> (pos - base)) & 1 == 1
+    }
+
+    /// Number of set bits strictly before `pos`.
+    pub fn rank1(self, pos: u64) -> u64 {
+        assert!(
+            pos <= self.len,
+            "rank index {pos} out of range {}",
+            self.len
+        );
+        let mut base = 0u64;
         let mut ones = 0u64;
-        let mut prev_fill: Option<bool> = None;
-        for &w in &self.words {
+        for &w in self.words {
+            let (span, word_ones) = if is_fill(w) {
+                let g = fill_groups(w);
+                (g * GROUP_BITS, g * fill_ones_per_group(fill_bit(w)))
+            } else {
+                (GROUP_BITS, u64::from(w.count_ones()))
+            };
+            if pos <= base + span {
+                let within = pos - base;
+                return ones
+                    + if is_fill(w) {
+                        if fill_bit(w) {
+                            within
+                        } else {
+                            0
+                        }
+                    } else {
+                        u64::from((w & lsb_mask(within)).count_ones())
+                    };
+            }
+            base += span;
+            ones += word_ones;
+        }
+        ones + u64::from((self.active & lsb_mask(pos - base)).count_ones())
+    }
+
+    /// Position of the `k`-th (0-based) set bit, or `None` if `k >= count_ones()`.
+    pub fn select1(self, k: u64) -> Option<u64> {
+        if k >= self.ones {
+            return None;
+        }
+        let mut base = 0u64;
+        let mut remaining = k;
+        for &w in self.words {
             if is_fill(w) {
                 let g = fill_groups(w);
-                if g == 0 {
-                    return Err("empty fill word".into());
+                if fill_bit(w) {
+                    let span_ones = g * GROUP_BITS;
+                    if remaining < span_ones {
+                        return Some(base + remaining);
+                    }
+                    remaining -= span_ones;
                 }
-                if prev_fill == Some(fill_bit(w)) && g < MAX_FILL_GROUPS {
-                    return Err("unmerged adjacent fills".into());
-                }
-                // A fill read off the disk may claim more groups than a
-                // `u64` length can count: a typed error, not an overflow.
-                let bits = g
-                    .checked_mul(GROUP_BITS)
-                    .and_then(|bits| len.checked_add(bits))
-                    .ok_or("fill length overflows")?;
-                len = bits;
-                ones += g * fill_ones_per_group(fill_bit(w));
-                prev_fill = Some(fill_bit(w));
+                base += g * GROUP_BITS;
             } else {
-                if w == 0 || w == ALL_ONES_LITERAL {
-                    return Err("non-canonical literal".into());
+                let word_ones = u64::from(w.count_ones());
+                if remaining < word_ones {
+                    return Some(base + u64::from(nth_set_bit(w, remaining as u32)));
                 }
-                len += GROUP_BITS;
-                ones += u64::from(w.count_ones());
-                prev_fill = None;
+                remaining -= word_ones;
+                base += GROUP_BITS;
             }
         }
-        if self.active_bits as u64 >= GROUP_BITS {
-            return Err("active_bits out of range".into());
+        Some(base + u64::from(nth_set_bit(self.active, remaining as u32)))
+    }
+
+    /// Position of the first set bit, if any.
+    pub fn first_one(self) -> Option<u64> {
+        self.select1(0)
+    }
+
+    /// Position of the last set bit, if any.
+    pub fn last_one(self) -> Option<u64> {
+        if self.ones == 0 {
+            None
+        } else {
+            self.select1(self.ones - 1)
         }
-        if self.active & !lsb_mask(u64::from(self.active_bits)) != 0 {
-            return Err("active has bits beyond active_bits".into());
+    }
+
+    /// Collects the positions of all set bits into a vector.
+    pub fn to_positions(self) -> Vec<u64> {
+        self.iter_ones().collect()
+    }
+
+    /// Checks the canonical form and that `len`/`ones` are what the words
+    /// and tail encode.
+    pub fn check_invariants(self) -> Result<(), String> {
+        let mut scan = WordScan::default();
+        for &w in self.words {
+            scan.word(w)?;
         }
-        len = len
-            .checked_add(u64::from(self.active_bits))
-            .ok_or("length overflows")?;
-        ones += u64::from(self.active.count_ones());
-        if len != self.len {
-            return Err(format!("len mismatch: computed {len}, stored {}", self.len));
-        }
-        if ones != self.ones {
+        let scan = scan.tail(self.active, self.active_bits)?;
+        if scan.len != self.len {
             return Err(format!(
-                "ones mismatch: computed {ones}, stored {}",
-                self.ones
+                "len mismatch: computed {}, stored {}",
+                scan.len, self.len
+            ));
+        }
+        if scan.ones != self.ones {
+            return Err(format!(
+                "ones mismatch: computed {}, stored {}",
+                scan.ones, self.ones
             ));
         }
         Ok(())
     }
+}
+
+/// One validating pass over WAH words: it accumulates the length,
+/// population and interval count they encode, and rejects the first word
+/// that breaks the canonical form. [`WahRef::check_invariants`] and the
+/// stream decoder ([`crate::codec::decode_words`]) both run on it, so a
+/// bitmap read off the disk is held to exactly the rules of one checked in
+/// memory.
+#[derive(Default)]
+pub(crate) struct WordScan {
+    pub(crate) len: u64,
+    pub(crate) ones: u64,
+    pub(crate) intervals: u64,
+    /// The last bit of the previous word (see [`interval_starts`]).
+    carry: u64,
+    /// The previous word when it was a fill, else 0 (never a fill word).
+    prev_fill: u64,
+}
+
+impl WordScan {
+    /// Folds in one word of the compressed sequence.
+    #[inline]
+    pub(crate) fn word(&mut self, w: u64) -> Result<(), &'static str> {
+        if is_fill(w) {
+            let g = fill_groups(w);
+            if g == 0 {
+                return Err("empty fill word");
+            }
+            let p = self.prev_fill;
+            if p != 0 && fill_bit(p) == fill_bit(w) && fill_groups(p) < MAX_FILL_GROUPS {
+                return Err("unmerged adjacent fills");
+            }
+            // A fill read off the disk may claim more groups than a `u64`
+            // length can count: a typed error, not an overflow. Ones never
+            // exceed the length, so bounding it bounds them too.
+            let len = g
+                .checked_mul(GROUP_BITS)
+                .and_then(|bits| self.len.checked_add(bits))
+                .ok_or("fill length overflows")?;
+            let bit = u64::from(fill_bit(w));
+            self.ones += (len - self.len) * bit;
+            self.len = len;
+            self.intervals += bit & !self.carry;
+            self.carry = bit;
+            self.prev_fill = w;
+        } else {
+            if w == 0 || w == ALL_ONES_LITERAL {
+                return Err("non-canonical literal");
+            }
+            self.len = self.len.checked_add(GROUP_BITS).ok_or("length overflows")?;
+            self.ones += u64::from(w.count_ones());
+            self.intervals += interval_starts(w, self.carry);
+            self.carry = w >> (GROUP_BITS - 1);
+            self.prev_fill = 0;
+        }
+        Ok(())
+    }
+
+    /// Folds in the active tail and returns the totals.
+    pub(crate) fn tail(mut self, active: u64, active_bits: u32) -> Result<WordScan, &'static str> {
+        if u64::from(active_bits) >= GROUP_BITS {
+            return Err("active_bits out of range");
+        }
+        if active & !lsb_mask(u64::from(active_bits)) != 0 {
+            return Err("active has bits beyond active_bits");
+        }
+        self.len = self
+            .len
+            .checked_add(u64::from(active_bits))
+            .ok_or("length overflows")?;
+        self.ones += u64::from(active.count_ones());
+        self.intervals += interval_starts(active, self.carry);
+        Ok(self)
+    }
+}
+
+/// Number of maximal runs of ones that start inside the group `w`, given
+/// `carry`, the bit just before it: an interval starts at every set bit
+/// whose predecessor is clear.
+#[inline(always)]
+pub(crate) fn interval_starts(w: u64, carry: u64) -> u64 {
+    u64::from((w & !((w << 1) | carry)).count_ones())
 }
 
 /// Mask with the low `n` bits set (`n <= 64`).

@@ -398,16 +398,17 @@ fn push_run(out: &mut Vec<(u32, u64)>, id: u32, n: u64) {
 /// The maximal `(id, run)` stream of one column over the selected
 /// intervals, with runs coalesced across interval gaps (selected rows are
 /// logically concatenated). Every column of a batch uses the same `sel`,
-/// so all streams cover the same virtual row count and stay aligned.
-fn column_runs(col: &EncodedColumn, sel: &[(u64, u64)]) -> Vec<(u32, u64)> {
+/// so all streams cover the same virtual row count and stay aligned. A
+/// segment that cannot be faulted in is a typed error.
+fn column_runs(col: &EncodedColumn, sel: &[(u64, u64)]) -> Result<Vec<(u32, u64)>, StorageError> {
     if sel.len() == 1 {
-        return col.runs_range(sel[0].0..sel[0].1);
+        return col.try_runs_range(sel[0].0..sel[0].1);
     }
     let mut out = Vec::new();
     if sel.len() <= 8 {
         // Few intervals: per-interval run slices keep RLE input O(runs).
         for &(a, b) in sel {
-            for (id, n) in col.runs_range(a..b) {
+            for (id, n) in col.try_runs_range(a..b)? {
                 push_run(&mut out, id, n);
             }
         }
@@ -417,14 +418,14 @@ fn column_runs(col: &EncodedColumn, sel: &[(u64, u64)]) -> Vec<(u32, u64)> {
         // segment once per interval.
         let lo = sel[0].0;
         let hi = sel[sel.len() - 1].1;
-        let ids = col.ids_range(lo..hi);
+        let ids = col.try_ids_range(lo..hi)?;
         for &(a, b) in sel {
             for r in a..b {
                 push_run(&mut out, ids[(r - lo) as usize], 1);
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// Zips per-column run streams (all covering `total` virtual rows) into
@@ -573,15 +574,15 @@ fn run_batch<K: Eq + Hash + Clone>(
     aggs: &[(AggOp, usize, ValueType)],
     work: &BatchWork,
     make_key: &(impl Fn(&[u32]) -> K + Sync),
-) -> Partial<K> {
+) -> Result<Partial<K>, StorageError> {
     let total: u64 = work.sel.iter().map(|&(a, b)| b - a).sum();
     let key_runs: Vec<(K, u64)> = if group_by.is_empty() {
         vec![(make_key(&[]), total)]
     } else {
-        let col_runs: Vec<Vec<(u32, u64)>> = group_by
+        let col_runs = group_by
             .iter()
             .map(|&g| column_runs(t.column(g), &work.sel))
-            .collect();
+            .collect::<Result<Vec<_>, _>>()?;
         zip_key_runs(&col_runs, total, make_key)
     };
     let mut lookup: HashMap<K, u32> = HashMap::new();
@@ -610,10 +611,10 @@ fn run_batch<K: Eq + Hash + Clone>(
             }
             continue;
         }
-        let runs = column_runs(t.column(col), &work.sel);
+        let runs = column_runs(t.column(col), &work.sel)?;
         accumulate(ctx, &grouped, &runs, &mut accs, agg);
     }
-    Partial { keys, accs }
+    Ok(Partial { keys, accs })
 }
 
 /// Merges per-batch partials in batch order, preserving global
@@ -685,11 +686,14 @@ fn drive<K: Eq + Hash + Clone + Send>(
     aggs: &[(AggOp, usize, ValueType)],
     batches: Vec<BatchWork>,
     make_key: impl Fn(&[u32]) -> K + Sync,
-) -> (Vec<K>, Vec<Vec<PAcc>>) {
+) -> Result<(Vec<K>, Vec<Vec<PAcc>>), StorageError> {
     let parts = par::map_parallel(batches, |work| {
         run_batch(t, group_by, ctxs, aggs, &work, &make_key)
     });
-    merge_partials(parts, ctxs)
+    Ok(merge_partials(
+        parts.into_iter().collect::<Result<_, _>>()?,
+        ctxs,
+    ))
 }
 
 /// Groups a column-store table by the columns at `group_by` and evaluates
@@ -751,7 +755,7 @@ pub fn aggregate_table_masked(
                     .zip(&shifts)
                     .fold(0u64, |k, (&id, &s)| k | (id as u64) << s)
             };
-            let (keys, accs) = drive(t, group_by, &ctxs, aggs, batches, pack);
+            let (keys, accs) = drive(t, group_by, &ctxs, aggs, batches, pack)?;
             let unpack = |g: usize, c: usize| -> u32 {
                 let w = widths[c];
                 let mask = if w == 0 { 0 } else { (1u64 << w) - 1 };
@@ -761,7 +765,7 @@ pub fn aggregate_table_masked(
         }
         GroupKeySpace::Composite => {
             let make = |ids: &[u32]| -> Box<[u32]> { ids.into() };
-            let (keys, accs) = drive(t, group_by, &ctxs, aggs, batches, make);
+            let (keys, accs) = drive(t, group_by, &ctxs, aggs, batches, make)?;
             let index = |g: usize, c: usize| -> u32 { keys[g][c] };
             Ok(emit(&index, keys.len(), accs))
         }

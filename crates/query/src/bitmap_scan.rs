@@ -39,7 +39,7 @@
 //! [`Query`]: crate::Query
 
 use crate::pred::{CmpOp, CompiledPredicate, Predicate};
-use cods_bitmap::Wah;
+use cods_bitmap::{Wah, WahRef};
 use cods_storage::{EncodedColumn, SegmentEnc, StorageError, Table, Value, Zone};
 use std::ops::Range;
 
@@ -392,11 +392,22 @@ fn append_segment_mask(
         return Ok(());
     }
     // Present-id tiers, still metadata-only: stats show how many
-    // satisfying values live in this row range, and on how many rows.
+    // satisfying values live in this row range, on how many rows, and
+    // between which present-id positions.
     let mut sat_rows = 0u64;
     let mut sat_ids = 0usize;
-    for (&id, &ones) in slot.present_ids().iter().zip(slot.ones().iter()) {
+    let (mut first, mut last) = (0usize, 0usize);
+    for (i, (&id, &ones)) in slot
+        .present_ids()
+        .iter()
+        .zip(slot.ones().iter())
+        .enumerate()
+    {
         if sat.contains(id) {
+            if sat_ids == 0 {
+                first = i;
+            }
+            last = i;
             sat_ids += 1;
             sat_rows += ones;
         }
@@ -411,14 +422,17 @@ fn append_segment_mask(
     // this range's mask on its native encoding.
     match &payload()? {
         SegmentEnc::Bitmap(seg) => {
-            let mut satisfying: Vec<&Wah> = Vec::with_capacity(sat_ids);
-            for (&id, bm) in seg.present_ids().iter().zip(seg.bitmaps()) {
+            // The payload's present ids are the metadata's (a fault checks
+            // them), so the positions found above index its bitmaps.
+            debug_assert_eq!(seg.present_ids(), slot.present_ids());
+            let mut satisfying: Vec<WahRef<'_>> = Vec::with_capacity(sat_ids);
+            for (i, &id) in (first..).zip(&seg.present_ids()[first..=last]) {
                 if sat.contains(id) {
-                    satisfying.push(bm);
+                    satisfying.push(seg.bitmap(i));
                 }
             }
             if satisfying.len() <= 64 {
-                mask.append_bitmap(&Wah::union_many(satisfying, seg.rows()));
+                mask.append_bitmap(&WahRef::union_many(satisfying, seg.rows()));
             } else if sat_rows * 8 <= seg.rows() {
                 // Many values but few rows (the cached ones say so up
                 // front): merge the set positions — O(selected · log)

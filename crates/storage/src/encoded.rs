@@ -485,7 +485,7 @@ impl EncodedAssembler {
                     Piece::Bitmap(c) => {
                         for (&id, bm) in c.ids.iter().zip(&c.bitmaps) {
                             if bm.any() {
-                                acc.append_bitmap(id, bm, offset);
+                                acc.append_bitmap(id, bm.view(), offset);
                             }
                         }
                     }
@@ -1098,7 +1098,17 @@ impl EncodedColumn {
     /// O(overlapping runs) without touching per-row data; bitmap segments
     /// decode and coalesce. This is the accessor the vectorized group-by
     /// kernel aggregates over: clustered columns cost O(runs), not O(rows).
+    ///
+    /// Panics when a paged-out segment cannot be faulted back in; the
+    /// served read path uses [`EncodedColumn::try_runs_range`] instead.
     pub fn runs_range(&self, range: Range<u64>) -> Vec<(u32, u64)> {
+        self.try_runs_range(range)
+            .unwrap_or_else(|e| panic!("segment fault failed: {e}"))
+    }
+
+    /// [`EncodedColumn::runs_range`] that reports a failed fault-in (I/O
+    /// error, corrupt payload) as a typed error instead of panicking.
+    pub fn try_runs_range(&self, range: Range<u64>) -> Result<Vec<(u32, u64)>, StorageError> {
         assert!(
             range.start <= range.end && range.end <= self.rows,
             "range {range:?} out of bounds for {} rows",
@@ -1124,7 +1134,7 @@ impl EncodedColumn {
             }
             let lo = range.start.max(start);
             let hi = range.end.min(seg_end);
-            match seg.enc() {
+            match seg.try_enc()? {
                 SegmentEnc::Bitmap(s) => {
                     let mut scratch = vec![u32::MAX; seg.rows() as usize];
                     s.fill_ids(&mut scratch);
@@ -1154,7 +1164,7 @@ impl EncodedColumn {
             range.end - range.start,
             "runs must cover the range"
         );
-        out
+        Ok(out)
     }
 
     /// Decodes all rows to values (display/test helper).
@@ -1233,7 +1243,7 @@ impl EncodedColumn {
                 let mut bitmaps = Vec::new();
                 if v * m <= 8 * seg.rows().max(1) {
                     // Few present values: filter each compressed bitmap.
-                    for (&id, bm) in seg.present_ids().iter().zip(seg.bitmaps()) {
+                    for (id, bm) in seg.iter() {
                         let f = bm.filter_positions(&local);
                         if f.any() {
                             ids.push(id);
@@ -1285,8 +1295,8 @@ impl EncodedColumn {
                 if v * m <= 8 * seg.rows().max(1) {
                     let mut ids = Vec::new();
                     let mut bitmaps = Vec::new();
-                    for (&id, bm) in seg.present_ids().iter().zip(seg.bitmaps()) {
-                        let f = bm.filter_bitmap(mask_seg);
+                    for (id, bm) in seg.iter() {
+                        let f = bm.filter_bitmap(mask_seg.view());
                         if f.any() {
                             ids.push(id);
                             bitmaps.push(f);
@@ -1453,7 +1463,7 @@ impl EncodedColumn {
                 let rebuilt = match seg.enc() {
                     SegmentEnc::Bitmap(s) => {
                         let mut pairs = Vec::new();
-                        for (&id, bm) in s.present_ids().iter().zip(s.bitmaps()) {
+                        for (id, bm) in s.iter() {
                             let piece = bm.slice(lo, hi);
                             if piece.any() {
                                 pairs.push((id, piece));

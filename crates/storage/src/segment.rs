@@ -6,16 +6,19 @@
 //! [`DEFAULT_SEGMENT_ROWS`] rows) in its own encoding. The bitmap
 //! [`Segment`] defined here stores one WAH bitmap per value id *that occurs
 //! in its range* — sparse, so a value concentrated in one part of the table
-//! costs nothing elsewhere — along with per-segment statistics (row count,
-//! present ids, per-id ones, compressed size) that scans use to prune
-//! entire segments without touching bitmap words. Its RLE twin lives in
+//! costs nothing elsewhere — all of them in one word arena, along with
+//! per-segment statistics (row count, present ids, per-id ones, compressed
+//! size) that scans use to prune entire segments without touching bitmap
+//! words. Its RLE twin lives in
 //! [`rle_segment`](crate::rle_segment).
 //!
 //! Segments are immutable and `Arc`-shared: appending tables (UNION) and
 //! row-range extraction reuse existing segments by reference instead of
 //! rewriting bitmaps.
 
-use cods_bitmap::Wah;
+use crate::error::StorageError;
+use crate::store::SegMeta;
+use cods_bitmap::{decode_words, Wah, WahRef};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -217,23 +220,53 @@ pub(crate) fn position_spans(seg_sizes: &[u64], positions: &[u64]) -> Vec<(usize
     spans
 }
 
+/// Where one present id's bitmap lives in its segment's word arena, and its
+/// active tail. Its length is the segment's `rows` and its population the
+/// parallel `ones` entry, so neither is stored again here.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Head {
+    off: u32,
+    nwords: u32,
+    active: u64,
+    active_bits: u32,
+}
+
 /// One immutable row-range segment: sparse per-value bitmaps over the
 /// segment's rows, plus cached statistics.
+///
+/// The bitmaps are one allocation: their WAH words lie back to back, in id
+/// order, in an arena sized exactly, and [`Segment::bitmap`] /
+/// [`Segment::iter`] hand each out as a borrowed [`WahRef`] — so a segment
+/// costs the same four allocations (words, heads, `ids`, `ones`) however
+/// many values it holds, and a fault-in decodes its payload straight into
+/// the arena (`Segment::decode`), sharing the resident metadata's `ids`
+/// and `ones`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Segment {
     rows: u64,
     /// Ascending global value ids present in this segment (`Arc`-shared so
     /// the buffer manager's resident metadata can alias them zero-copy).
     ids: Arc<[u32]>,
-    /// One bitmap per present id (parallel to `ids`), each of length `rows`.
-    bitmaps: Vec<Wah>,
     /// Cached `count_ones` per bitmap (parallel to `ids`).
     ones: Arc<[u64]>,
+    /// Every present id's WAH words, back to back in id order.
+    words: Box<[u64]>,
+    /// Each present id's slice of `words` and active tail (parallel to
+    /// `ids`); the slices tile `words` in order.
+    heads: Box<[Head]>,
     /// Cached total compressed bytes of the bitmaps.
     bytes: usize,
     /// Cached total maximal constant-value runs (summed set-bit interval
     /// counts) — the chooser consults this repeatedly.
     runs: u64,
+}
+
+/// An arena offset or length as stored in a [`Head`].
+///
+/// # Panics
+/// Panics past `u32::MAX` words — a single segment of billions of rows.
+fn arena_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("segment arena exceeds u32::MAX words")
 }
 
 impl Segment {
@@ -242,28 +275,108 @@ impl Segment {
     /// drop them before constructing).
     pub fn new(rows: u64, mut pairs: Vec<(u32, Wah)>) -> Segment {
         pairs.sort_unstable_by_key(|(id, _)| *id);
-        let mut ids = Vec::with_capacity(pairs.len());
-        let mut bitmaps = Vec::with_capacity(pairs.len());
-        let mut ones = Vec::with_capacity(pairs.len());
-        let mut bytes = 0;
-        let mut runs = 0u64;
-        for (id, bm) in pairs {
+        for (id, bm) in &pairs {
             debug_assert!(bm.any(), "empty bitmap for id {id} in segment");
             debug_assert_eq!(bm.len(), rows, "bitmap length mismatch in segment");
+        }
+        let ids = pairs.iter().map(|&(id, _)| id).collect();
+        Segment::pack(rows, ids, pairs.iter().map(|(_, bm)| bm.view()))
+    }
+
+    /// Copies `bitmaps` (parallel to `ids`, each `rows` long) into one
+    /// arena sized exactly, deriving the cached stats from them.
+    fn pack<'a, I>(rows: u64, ids: Arc<[u32]>, bitmaps: I) -> Segment
+    where
+        I: Iterator<Item = WahRef<'a>> + Clone,
+    {
+        let total = bitmaps.clone().map(|bm| bm.words().len()).sum();
+        let mut words = Vec::with_capacity(total);
+        let mut heads = Vec::with_capacity(ids.len());
+        let mut ones = Vec::with_capacity(ids.len());
+        let mut runs = 0u64;
+        for bm in bitmaps {
+            heads.push(Head {
+                off: arena_u32(words.len()),
+                nwords: arena_u32(bm.words().len()),
+                active: bm.active(),
+                active_bits: bm.active_bits(),
+            });
+            words.extend_from_slice(bm.words());
             ones.push(bm.count_ones());
-            bytes += bm.size_bytes();
             runs += bm.count_intervals();
-            ids.push(id);
-            bitmaps.push(bm);
         }
         Segment {
             rows,
-            ids: ids.into(),
-            bitmaps,
+            bytes: words.len() * 8 + 24 * heads.len(),
+            ids,
             ones: ones.into(),
-            bytes,
+            words: words.into_boxed_slice(),
+            heads: heads.into_boxed_slice(),
             runs,
         }
+    }
+
+    /// Decodes a bitmap payload — each present id's WAH stream, back to
+    /// back in id order — straight into the arena, against the resident
+    /// metadata it must match. Every word is validated and counted as it is
+    /// copied ([`decode_words`]); each stream must be exactly `rows` long
+    /// and non-empty, its ones must equal the metadata's, no byte may
+    /// trail, and the recounted runs and bytes must equal the metadata's.
+    /// The segment shares `meta`'s id and ones slices.
+    pub(crate) fn decode(meta: &SegMeta, raw: &[u8]) -> Result<Segment, StorageError> {
+        let corrupt = |m: &str| StorageError::PersistError(format!("segment payload: {m}"));
+        let n = meta.present_ids.len();
+        if meta.ones.len() != n {
+            return Err(corrupt("ids and ones differ in length"));
+        }
+        // Every stream is a 24-byte header and its words, so the words fit
+        // in what the headers leave: the exact size for a payload its
+        // metadata describes, and never more than the bytes read. Each
+        // stream keeps back the headers still to come, so the arena never
+        // grows past this.
+        let mut words = Vec::with_capacity(raw.len().saturating_sub(24 * n) / 8);
+        let mut heads = Vec::with_capacity(n);
+        let mut buf = raw;
+        let mut runs = 0u64;
+        for (i, &ones) in meta.ones.iter().enumerate() {
+            let off = words.len();
+            let d = decode_words(&mut buf, &mut words, 24 * (n - 1 - i))
+                .map_err(|e| corrupt(&e.to_string()))?;
+            if d.len != meta.rows {
+                return Err(corrupt("bitmap length does not match segment rows"));
+            }
+            if d.ones == 0 {
+                return Err(corrupt("empty bitmap for a present id"));
+            }
+            if d.ones != ones {
+                return Err(corrupt("decoded ones do not match the footer metadata"));
+            }
+            heads.push(Head {
+                off: u32::try_from(off).map_err(|_| corrupt("arena past u32 offsets"))?,
+                nwords: u32::try_from(d.words).map_err(|_| corrupt("arena past u32 offsets"))?,
+                active: d.active,
+                active_bits: d.active_bits,
+            });
+            runs += d.intervals;
+        }
+        if !buf.is_empty() {
+            return Err(corrupt("trailing bytes after payload"));
+        }
+        let bytes = words.len() * 8 + 24 * n;
+        if runs != meta.runs || bytes != meta.bytes {
+            return Err(corrupt(
+                "decoded runs or bytes do not match the footer metadata",
+            ));
+        }
+        Ok(Segment {
+            rows: meta.rows,
+            ids: Arc::clone(&meta.present_ids),
+            ones: Arc::clone(&meta.ones),
+            words: words.into_boxed_slice(),
+            heads: heads.into_boxed_slice(),
+            bytes,
+            runs,
+        })
     }
 
     /// Number of rows covered.
@@ -284,10 +397,44 @@ impl Segment {
         self.ids.len()
     }
 
-    /// The per-id bitmaps, parallel to [`Segment::present_ids`].
     #[inline]
-    pub fn bitmaps(&self) -> &[Wah] {
-        &self.bitmaps
+    fn view(&self, h: &Head, ones: u64) -> WahRef<'_> {
+        let at = h.off as usize;
+        WahRef::from_parts(
+            &self.words[at..at + h.nwords as usize],
+            h.active,
+            h.active_bits,
+            self.rows,
+            ones,
+        )
+    }
+
+    /// The bitmap of the `i`-th present id (parallel to
+    /// [`Segment::present_ids`]).
+    ///
+    /// # Panics
+    /// Panics if `i >= self.distinct_count()`.
+    #[inline]
+    pub fn bitmap(&self, i: usize) -> WahRef<'_> {
+        self.view(&self.heads[i], self.ones[i])
+    }
+
+    /// Every present id with its bitmap, in id order. The heads tile the
+    /// arena in that order, so the walk just cuts it front to back.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u32, WahRef<'_>)> + '_ {
+        let mut rest: &[u64] = &self.words;
+        let rows = self.rows;
+        self.ids
+            .iter()
+            .zip(self.heads.iter().zip(self.ones.iter()))
+            .map(move |(&id, (h, &ones))| {
+                let (words, tail) = rest.split_at(h.nwords as usize);
+                rest = tail;
+                (
+                    id,
+                    WahRef::from_parts(words, h.active, h.active_bits, rows, ones),
+                )
+            })
     }
 
     /// Index of `id` within the present-id list, if present.
@@ -303,8 +450,8 @@ impl Segment {
     }
 
     /// The bitmap of `id`, if present.
-    pub fn bitmap_for(&self, id: u32) -> Option<&Wah> {
-        self.position_of(id).map(|i| &self.bitmaps[i])
+    pub fn bitmap_for(&self, id: u32) -> Option<WahRef<'_>> {
+        self.position_of(id).map(|i| self.bitmap(i))
     }
 
     /// Number of rows carrying `id` (0 when absent; O(log present)).
@@ -332,7 +479,8 @@ impl Segment {
         Arc::clone(&self.ones)
     }
 
-    /// Total compressed bitmap bytes (cached).
+    /// Total compressed bitmap bytes (cached): eight per word plus 24 per
+    /// present id — also the length of the segment's serialized payload.
     #[inline]
     pub fn compressed_bytes(&self) -> usize {
         self.bytes
@@ -341,11 +489,7 @@ impl Segment {
     /// The value id at segment-local `row` (O(present) bitmap probes).
     pub fn id_at(&self, row: u64) -> Option<u32> {
         debug_assert!(row < self.rows);
-        self.ids
-            .iter()
-            .zip(&self.bitmaps)
-            .find(|(_, bm)| bm.get(row))
-            .map(|(&id, _)| id)
+        self.iter().find(|(_, bm)| bm.get(row)).map(|(id, _)| id)
     }
 
     /// Total maximal constant-value runs in row order — the statistic the
@@ -354,77 +498,38 @@ impl Segment {
     /// runs, so the sum over present values is the segment's run count
     /// (what an RLE re-encoding would store). Cached at construction from
     /// one word-at-a-time pass over the compressed form
-    /// ([`Wah::count_intervals`]), so the chooser's repeated consults are
+    /// ([`WahRef::count_intervals`]), so the chooser's repeated consults are
     /// O(1).
     pub fn run_count(&self) -> u64 {
         self.runs
     }
 
-    /// Splices consecutive segments into one, combining cached statistics
-    /// from the parts instead of recounting them: per-id ones are summed,
-    /// present ids merged, and bitmaps concatenated with zero fills — the
-    /// compaction merge path (undersized directory fragments after long
-    /// UNION chains) never rescans payload to rebuild stats.
+    /// Splices consecutive segments into one: each id's bitmaps are
+    /// concatenated on the compressed form, with zero fills where the id is
+    /// absent — the compaction merge path (undersized directory fragments
+    /// after long UNION chains) never decompresses. Runs are recounted,
+    /// since a run crossing a boundary fuses.
     pub fn splice(parts: &[&Segment]) -> Segment {
         if parts.len() == 1 {
             return parts[0].clone();
         }
         let rows: u64 = parts.iter().map(|s| s.rows).sum();
-        // id → (bitmap so far, rows emitted so far, summed ones).
-        let mut acc: HashMap<u32, (Wah, u64, u64)> = HashMap::new();
+        let mut acc = PaddedBitmaps::new();
         let mut offset = 0u64;
         for part in parts {
-            for ((&id, bm), &ones) in part.ids.iter().zip(&part.bitmaps).zip(part.ones.iter()) {
-                let (out, emitted, total) = acc.entry(id).or_insert_with(|| (Wah::new(), 0, 0));
-                if *emitted < offset {
-                    out.append_run(false, offset - *emitted);
-                }
-                out.append_bitmap(bm);
-                *emitted = offset + part.rows;
-                *total += ones;
+            for (id, bm) in part.iter() {
+                acc.append_bitmap(id, bm, offset);
             }
             offset += part.rows;
         }
-        let mut entries: Vec<(u32, Wah, u64)> = acc
-            .into_iter()
-            .map(|(id, (mut bm, emitted, ones))| {
-                if emitted < rows {
-                    bm.append_run(false, rows - emitted);
-                }
-                (id, bm, ones)
-            })
-            .collect();
-        entries.sort_unstable_by_key(|&(id, _, _)| id);
-        let mut ids = Vec::with_capacity(entries.len());
-        let mut bitmaps = Vec::with_capacity(entries.len());
-        let mut ones = Vec::with_capacity(entries.len());
-        let mut bytes = 0usize;
-        let mut runs = 0u64;
-        for (id, bm, n) in entries {
-            debug_assert_eq!(bm.count_ones(), n, "spliced ones stat for id {id}");
-            bytes += bm.size_bytes();
-            // Runs cannot be spliced from the parts (a run crossing the
-            // boundary fuses), so recount on the compressed form.
-            runs += bm.count_intervals();
-            ids.push(id);
-            bitmaps.push(bm);
-            ones.push(n);
-        }
-        Segment {
-            rows,
-            ids: ids.into(),
-            bitmaps,
-            ones: ones.into(),
-            bytes,
-            runs,
-        }
+        Segment::new(rows, acc.finish(rows))
     }
 
     /// Writes each row's value id into `out` (segment-local coordinates),
-    /// one [`Wah::scatter`] per present id. `out` holds one slot per row,
+    /// one [`WahRef::scatter`] per present id. `out` holds one slot per row,
     /// each `u32::MAX` on entry.
     pub(crate) fn fill_ids(&self, out: &mut [u32]) {
-        for (&id, bm) in self.ids.iter().zip(&self.bitmaps) {
+        for (id, bm) in self.iter() {
             bm.scatter(out, id);
         }
         self.debug_check_partition(out);
@@ -433,7 +538,7 @@ impl Segment {
     /// Writes each row's *local slot index* (position in `present_ids`)
     /// into `out`, under [`Segment::fill_ids`]' contract.
     pub(crate) fn fill_local_slots(&self, out: &mut [u32]) {
-        for (slot, bm) in self.bitmaps.iter().enumerate() {
+        for (slot, (_, bm)) in self.iter().enumerate() {
             bm.scatter(out, slot as u32);
         }
         self.debug_check_partition(out);
@@ -445,20 +550,20 @@ impl Segment {
     fn debug_check_partition(&self, out: &[u32]) {
         debug_assert_eq!(out.len() as u64, self.rows, "one slot per row");
         debug_assert_eq!(
-            self.bitmaps.iter().map(Wah::count_ones).sum::<u64>(),
+            self.ones.iter().sum::<u64>(),
             self.rows,
             "bitmap ones do not sum to the row count"
         );
         debug_assert!(out.iter().all(|&x| x != u32::MAX), "uncovered row");
     }
 
-    /// Re-expresses the segment as an unaligned [`SegmentChunk`] (bitmaps
-    /// cloned), the form compaction feeds back through an assembler when
+    /// Re-expresses the segment as an unaligned [`SegmentChunk`] of owned
+    /// bitmaps, the form compaction feeds back through an assembler when
     /// regrouping.
     pub fn to_chunk(&self) -> SegmentChunk {
         SegmentChunk {
             ids: self.ids.to_vec(),
-            bitmaps: self.bitmaps.clone(),
+            bitmaps: self.iter().map(|(_, bm)| bm.to_wah()).collect(),
             rows: self.rows,
         }
     }
@@ -467,45 +572,48 @@ impl Segment {
     /// or `None` to drop the value's rows — only valid when the bitmap is
     /// unused). Used by dictionary merges and compaction.
     pub(crate) fn remap(&self, map: &[Option<u32>]) -> Segment {
-        let pairs: Vec<(u32, Wah)> = self
+        let mut order: Vec<(u32, usize)> = self
             .ids
             .iter()
-            .zip(&self.bitmaps)
-            .filter_map(|(&old, bm)| map[old as usize].map(|new| (new, bm.clone())))
+            .enumerate()
+            .filter_map(|(i, &old)| map[old as usize].map(|new| (new, i)))
             .collect();
-        Segment::new(self.rows, pairs)
+        order.sort_unstable_by_key(|&(new, _)| new);
+        let ids = order.iter().map(|&(new, _)| new).collect();
+        Segment::pack(self.rows, ids, order.iter().map(|&(_, i)| self.bitmap(i)))
     }
 
-    /// Validates the per-segment invariants: sorted unique ids, bitmap
-    /// lengths, non-empty bitmaps, cached stats, and the partition property
-    /// (each row covered exactly once).
+    /// Validates the per-segment invariants: sorted unique ids, an arena
+    /// its heads tile exactly, canonical bitmaps of the segment's length,
+    /// non-empty bitmaps, cached stats, and the partition property (each
+    /// row covered exactly once).
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.ids.len() != self.bitmaps.len() || self.ids.len() != self.ones.len() {
-            return Err("ids/bitmaps/ones length mismatch".into());
+        if self.ids.len() != self.heads.len() || self.ids.len() != self.ones.len() {
+            return Err("ids/heads/ones length mismatch".into());
         }
         if self.ids.windows(2).any(|w| w[0] >= w[1]) {
             return Err("present ids not strictly ascending".into());
         }
+        let mut at = 0usize;
+        for h in self.heads.iter() {
+            if h.off as usize != at {
+                return Err("bitmap heads do not tile the word arena".into());
+            }
+            at += h.nwords as usize;
+        }
+        if at != self.words.len() {
+            return Err("word arena holds words no bitmap owns".into());
+        }
         let mut total_ones = 0u64;
-        let mut bytes = 0usize;
-        for ((id, bm), &ones) in self.ids.iter().zip(&self.bitmaps).zip(self.ones.iter()) {
+        let mut runs = 0u64;
+        for (id, bm) in self.iter() {
             bm.check_invariants()
                 .map_err(|e| format!("bitmap of id {id}: {e}"))?;
-            if bm.len() != self.rows {
-                return Err(format!(
-                    "bitmap of id {id} has length {}, segment has {} rows",
-                    bm.len(),
-                    self.rows
-                ));
-            }
             if !bm.any() {
                 return Err(format!("empty bitmap for id {id} (segment not sparse)"));
             }
-            if bm.count_ones() != ones {
-                return Err(format!("stale ones cache for id {id}"));
-            }
-            total_ones += ones;
-            bytes += bm.size_bytes();
+            total_ones += bm.count_ones();
+            runs += bm.count_intervals();
         }
         if total_ones != self.rows {
             return Err(format!(
@@ -513,17 +621,16 @@ impl Segment {
                 self.rows
             ));
         }
-        if bytes != self.bytes {
+        if self.words.len() * 8 + 24 * self.heads.len() != self.bytes {
             return Err("stale byte-size cache".into());
         }
-        let runs: u64 = self.bitmaps.iter().map(Wah::count_intervals).sum();
         if runs != self.runs {
             return Err("stale run-count cache".into());
         }
         // Ones totalling rows plus full coverage implies disjointness;
         // verify coverage on small segments via an OR-fold.
         if self.rows > 0 && self.rows <= 10_000 {
-            let union = Wah::union_many(self.bitmaps.iter(), self.rows);
+            let union = WahRef::union_many(self.iter().map(|(_, bm)| bm), self.rows);
             if union.count_ones() != self.rows {
                 return Err("partition invariant violated: overlapping bitmaps".into());
             }
@@ -560,7 +667,7 @@ impl PaddedBitmaps {
 
     /// Appends an existing bitmap piece of value `id` covering absolute
     /// rows `[offset, offset + piece.len())`.
-    pub(crate) fn append_bitmap(&mut self, id: u32, piece: &Wah, offset: u64) {
+    pub(crate) fn append_bitmap(&mut self, id: u32, piece: WahRef<'_>, offset: u64) {
         let (bm, emitted) = self.acc.entry(id).or_insert_with(|| (Wah::new(), 0));
         if *emitted < offset {
             bm.append_run(false, offset - *emitted);

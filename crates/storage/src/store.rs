@@ -25,8 +25,8 @@ use crate::encoded::{Encoding, SegmentEnc};
 use crate::error::StorageError;
 use crate::rle_segment::RleSegment;
 use crate::segment::Segment;
-use bytes::{Buf, BufMut, Bytes};
-use cods_bitmap::{RleSeq, Wah};
+use bytes::{BufMut, Bytes};
+use cods_bitmap::RleSeq;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -349,7 +349,7 @@ impl SegSlot {
                 .clone()
                 .expect("paged-out slot without a disk location");
             let raw = loc.source.read_at(loc.offset, loc.len)?;
-            let enc = decode_payload(&self.0.meta, raw)?;
+            let enc = decode_payload(&self.0.meta, &raw)?;
             *guard = Some(enc.clone());
             self.0.touched.store(true, Ordering::Relaxed);
             enc
@@ -483,13 +483,13 @@ impl PartialEq for SegSlot {
     }
 }
 
-/// Serializes a segment payload in the v6 heap format: bitmap segments as
+/// Serializes a segment payload in the heap format: bitmap segments as
 /// the concatenation of each present id's WAH stream in id order, RLE
 /// segments as the run-sequence codec.
-pub(crate) fn encode_payload<B: BufMut>(enc: &SegmentEnc, buf: &mut B) {
+pub fn encode_payload<B: BufMut>(enc: &SegmentEnc, buf: &mut B) {
     match enc {
         SegmentEnc::Bitmap(s) => {
-            for bm in s.bitmaps() {
+            for (_, bm) in s.iter() {
                 bm.encode(buf);
             }
         }
@@ -500,47 +500,35 @@ pub(crate) fn encode_payload<B: BufMut>(enc: &SegmentEnc, buf: &mut B) {
 /// Encoded length of [`encode_payload`]'s output.
 pub(crate) fn payload_encoded_len(enc: &SegmentEnc) -> usize {
     match enc {
-        SegmentEnc::Bitmap(s) => s.bitmaps().iter().map(|bm| bm.encoded_len()).sum(),
+        SegmentEnc::Bitmap(s) => s.compressed_bytes(),
         SegmentEnc::Rle(s) => s.seq().encoded_len(),
     }
 }
 
 /// Decodes a payload against its resident metadata, validating that the
 /// recomputed stats match (a mismatch means the bytes are not the segment
-/// the footer index promised).
-pub(crate) fn decode_payload(meta: &SegMeta, raw: Vec<u8>) -> Result<SegmentEnc, StorageError> {
+/// the footer index promised). A bitmap payload decodes in one pass
+/// straight into its segment's word arena (`Segment::decode`).
+pub fn decode_payload(meta: &SegMeta, raw: &[u8]) -> Result<SegmentEnc, StorageError> {
     let corrupt = |m: &str| StorageError::PersistError(format!("segment payload: {m}"));
-    let mut buf = Bytes::from(raw);
-    let enc = match meta.encoding {
-        Encoding::Bitmap => {
-            let mut pairs = Vec::with_capacity(meta.present_ids.len());
-            for &id in meta.present_ids.iter() {
-                let bm = Wah::decode(&mut buf)?;
-                if bm.len() != meta.rows {
-                    return Err(corrupt("bitmap length does not match segment rows"));
-                }
-                if !bm.any() {
-                    return Err(corrupt("empty bitmap for a present id"));
-                }
-                pairs.push((id, bm));
-            }
-            SegmentEnc::Bitmap(Arc::new(Segment::new(meta.rows, pairs)))
-        }
+    match meta.encoding {
+        Encoding::Bitmap => Ok(SegmentEnc::Bitmap(Arc::new(Segment::decode(meta, raw)?))),
         Encoding::Rle => {
-            let seq = RleSeq::decode(&mut buf)?;
+            let mut buf = raw;
+            let seq = RleSeq::decode(&mut buf).map_err(|e| corrupt(&e.to_string()))?;
             if seq.len() != meta.rows {
                 return Err(corrupt("run sequence does not cover segment rows"));
             }
-            SegmentEnc::Rle(Arc::new(RleSegment::new(seq)))
+            if !buf.is_empty() {
+                return Err(corrupt("trailing bytes after payload"));
+            }
+            let enc = SegmentEnc::Rle(Arc::new(RleSegment::new(seq)));
+            if enc.present_ids() != &*meta.present_ids || enc.ones() != &*meta.ones {
+                return Err(corrupt("decoded stats do not match the footer metadata"));
+            }
+            Ok(enc)
         }
-    };
-    if buf.remaining() != 0 {
-        return Err(corrupt("trailing bytes after payload"));
     }
-    if enc.present_ids() != &*meta.present_ids || enc.ones() != &*meta.ones {
-        return Err(corrupt("decoded stats do not match the footer metadata"));
-    }
-    Ok(enc)
 }
 
 /// A snapshot of the buffer cache's telemetry.
@@ -765,7 +753,7 @@ mod tests {
             for enc in [slot.enc(), slot.enc().recoded(Encoding::Rle)] {
                 let mut raw = Vec::new();
                 encode_payload(&enc, &mut raw);
-                let back = decode_payload(&SegMeta::of(&enc), raw).unwrap();
+                let back = decode_payload(&SegMeta::of(&enc), &raw).unwrap();
                 assert_eq!(back, enc);
             }
         }
@@ -778,12 +766,12 @@ mod tests {
         let mut raw = Vec::new();
         encode_payload(&enc, &mut raw);
         // Truncation and bit flips both fail decode or the stat check.
-        let cut = raw[..raw.len() / 2].to_vec();
+        let cut = &raw[..raw.len() / 2];
         assert!(decode_payload(&SegMeta::of(&enc), cut).is_err());
         let mut flipped = raw.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0xFF;
-        assert!(decode_payload(&SegMeta::of(&enc), flipped).is_err());
+        assert!(decode_payload(&SegMeta::of(&enc), &flipped).is_err());
     }
 
     #[test]

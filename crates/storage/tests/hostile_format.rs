@@ -1,5 +1,6 @@
 //! Hostile bytes for format 8: a seeded, in-tree mutation loop over the
-//! golden table and catalog fixtures, plus hand-built hostile indexes.
+//! golden table and catalog fixtures, plus hand-built hostile indexes and
+//! bitmap payloads.
 //!
 //! Every mutated image goes through both decoders. Whatever comes back must
 //! be a typed error or a table that can be used to the end without a
@@ -9,8 +10,12 @@
 //! sized from it, so no mutation can ask for an unbounded allocation.
 
 use bytes::Bytes;
+use cods_bitmap::word::{make_fill, ALL_ONES_LITERAL, FILL_FLAG, LIT_MASK, MAX_FILL_GROUPS};
+use cods_bitmap::Wah;
 use cods_storage::persist::{decode_catalog, decode_table};
-use cods_storage::{StorageError, Table};
+use cods_storage::store::{decode_payload, encode_payload, SegMeta};
+use cods_storage::{Encoding, Segment, SegmentEnc, StorageError, Table};
+use std::sync::Arc;
 
 const GOLDEN_TABLE: &[u8] = include_bytes!("golden/table.cods");
 const GOLDEN_CATALOG: &[u8] = include_bytes!("golden/catalog.cods");
@@ -237,4 +242,148 @@ fn hostile_indexes_are_typed_errors() {
         other => panic!("a huge name length: {:?}", other.map(|t| t.rows())),
     }
     assert!(PREAMBLE_LEN < *a_off as usize);
+}
+
+// ---- Bitmap payloads: the one-pass arena decoder ----
+
+/// One serialized WAH stream: `len active active_bits word_count words…`.
+fn stream(len: u64, active: u64, active_bits: u32, words: &[u64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&active.to_le_bytes());
+    out.extend_from_slice(&active_bits.to_le_bytes());
+    out.extend_from_slice(&(words.len() as u32).to_le_bytes());
+    for w in words {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+    out
+}
+
+/// The metadata of a one-value bitmap segment of `rows` rows whose payload
+/// is one `words`-word stream.
+fn one_value_meta(rows: u64, words: usize) -> SegMeta {
+    SegMeta {
+        rows,
+        present_ids: vec![0u32].into(),
+        ones: vec![rows].into(),
+        runs: 1,
+        bytes: 24 + 8 * words,
+        encoding: Encoding::Bitmap,
+    }
+}
+
+fn payload_refused(what: &str, meta: &SegMeta, raw: &[u8]) {
+    match decode_payload(meta, raw) {
+        Err(StorageError::PersistError(m)) => assert!(m.contains("segment payload"), "{what}: {m}"),
+        Err(other) => panic!("{what}: wanted a PersistError, got {other:?}"),
+        Ok(_) => panic!("{what}: accepted"),
+    }
+}
+
+#[test]
+fn hostile_bitmap_payloads_are_typed_errors() {
+    // Three values over 200 rows: fills, literals and an active tail.
+    let bitmaps = [
+        Wah::from_sorted_positions((0..200).filter(|p| p % 3 == 0), 200),
+        Wah::from_sorted_positions((0..200).filter(|p| p % 3 == 1 && *p < 130), 200),
+        Wah::from_sorted_positions(
+            (0..200).filter(|p| p % 3 == 2 || (*p >= 130 && p % 3 == 1)),
+            200,
+        ),
+    ];
+    let seg = Segment::new(
+        200,
+        vec![
+            (2, bitmaps[0].clone()),
+            (5, bitmaps[1].clone()),
+            (9, bitmaps[2].clone()),
+        ],
+    );
+    let enc = SegmentEnc::Bitmap(Arc::new(seg));
+    let meta = SegMeta::of(&enc);
+    let mut good = Vec::new();
+    encode_payload(&enc, &mut good);
+    assert_eq!(
+        decode_payload(&meta, &good).unwrap(),
+        enc,
+        "the untouched payload decodes"
+    );
+
+    // A word count far past the bytes, in the first and in the last stream.
+    for at in [20, good.len() - bitmaps[2].words().len() * 8 - 4] {
+        let mut raw = good.clone();
+        raw[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        payload_refused("a huge word_count", &meta, &raw);
+    }
+    // A count that fits the bytes but eats the next stream's header.
+    let mut raw = good.clone();
+    let n0 = bitmaps[0].words().len() as u32;
+    raw[20..24].copy_from_slice(&(n0 + 2).to_le_bytes());
+    payload_refused("a word_count past its stream", &meta, &raw);
+
+    let mut raw = good.clone();
+    raw.extend_from_slice(&[0; 8]);
+    payload_refused("trailing bytes", &meta, &raw);
+    payload_refused("a cut payload", &meta, &good[..good.len() - 8]);
+
+    let mut swapped = meta.clone();
+    let ones = [
+        bitmaps[0].count_ones(),
+        bitmaps[1].count_ones(),
+        bitmaps[2].count_ones(),
+    ];
+    swapped.ones = vec![ones[0] + 1, ones[1] - 1, ones[2]].into();
+    payload_refused("ones that do not match the metadata", &swapped, &good);
+    let mut runs = meta.clone();
+    runs.runs += 1;
+    payload_refused("runs that do not match the metadata", &runs, &good);
+
+    // One-value segments whose single stream breaks one rule each.
+    let zero_groups = FILL_FLAG; // a fill word of zero groups
+    for (what, rows, raw) in [
+        ("len != rows", 126, stream(189, 0, 0, &[make_fill(true, 3)])),
+        (
+            "an empty bitmap",
+            126,
+            stream(126, 0, 0, &[make_fill(false, 2)]),
+        ),
+        (
+            "a zero-group fill",
+            126,
+            stream(126, 0, 0, &[zero_groups, make_fill(true, 2)]),
+        ),
+        (
+            "an unmerged fill",
+            126,
+            stream(126, 0, 0, &[make_fill(true, 1), make_fill(true, 1)]),
+        ),
+        (
+            "a zero literal",
+            126,
+            stream(126, 0, 0, &[0, make_fill(true, 1)]),
+        ),
+        (
+            "an all-one literal",
+            126,
+            stream(126, 0, 0, &[ALL_ONES_LITERAL, make_fill(true, 1)]),
+        ),
+        ("active_bits = 63", 63, stream(63, LIT_MASK, 63, &[])),
+        ("active_bits past 63", 70, stream(70, 1, 70, &[])),
+        (
+            "active bits beyond active_bits",
+            5,
+            stream(5, 0b11_1111, 5, &[]),
+        ),
+        (
+            "a length that overflows",
+            63,
+            stream(63, 0, 0, &[make_fill(true, MAX_FILL_GROUPS)]),
+        ),
+    ] {
+        let words = (raw.len() - 24) / 8;
+        payload_refused(what, &one_value_meta(rows, words), &raw);
+    }
+    // Sanity: the same shape with nothing wrong decodes.
+    let ok = stream(126, 0, 0, &[make_fill(true, 2)]);
+    assert!(decode_payload(&one_value_meta(126, 1), &ok).is_ok());
 }

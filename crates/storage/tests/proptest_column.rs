@@ -363,6 +363,68 @@ proptest! {
         }
     }
 
+    // ---- Segment word arena vs per-id bitmaps ----
+
+    #[test]
+    fn arena_segments_match_a_per_id_reconstruction(
+        vals in values(),
+        seg in seg_sizes(),
+        pattern in any::<u64>(),
+    ) {
+        use cods_bitmap::Wah;
+        use cods_storage::store::{decode_payload, encode_payload, SegMeta};
+        use cods_storage::SegmentEnc;
+        let col = mix(&bitmap_col(&vals, seg), pattern);
+        let mut start = 0u64;
+        for slot in col.segments() {
+            let rows = slot.rows();
+            let ids = col.ids_range(start..start + rows);
+            start += rows;
+            let enc = slot.enc();
+            let SegmentEnc::Bitmap(mem) = &enc else { continue };
+            // The oracle: one owned bitmap per present id, from the rows.
+            let per_id: Vec<Wah> = mem
+                .present_ids()
+                .iter()
+                .map(|&id| {
+                    let at = (0..rows).filter(|&r| ids[r as usize] == id);
+                    Wah::from_sorted_positions(at, rows)
+                })
+                .collect();
+            // The payload is what one `Wah::encode` per id, in id order, writes.
+            let mut raw = Vec::new();
+            encode_payload(&enc, &mut raw);
+            let mut oracle_bytes = Vec::new();
+            for w in &per_id {
+                w.encode(&mut oracle_bytes);
+            }
+            prop_assert_eq!(&raw, &oracle_bytes);
+            // Decoded into the arena, and per id by `Wah::decode`, it agrees.
+            let SegmentEnc::Bitmap(arena) = decode_payload(&SegMeta::of(&enc), &raw).unwrap() else {
+                panic!("a bitmap payload decodes to a bitmap segment");
+            };
+            let mut buf = raw.as_slice();
+            for w in &per_id {
+                prop_assert_eq!(&Wah::decode(&mut buf).unwrap(), w);
+            }
+            prop_assert!(buf.is_empty());
+            for s in [&arena, mem] {
+                s.check_invariants().unwrap();
+                prop_assert_eq!(s.present_ids(), mem.present_ids());
+                let ones: Vec<u64> = per_id.iter().map(Wah::count_ones).collect();
+                prop_assert_eq!(s.ones(), &ones[..]);
+                prop_assert_eq!(s.run_count(), per_id.iter().map(Wah::count_intervals).sum::<u64>());
+                prop_assert_eq!(s.compressed_bytes(), per_id.iter().map(Wah::size_bytes).sum::<usize>());
+                prop_assert_eq!(s.iter().len(), per_id.len());
+                for ((_, bm), w) in s.iter().zip(&per_id) {
+                    prop_assert_eq!(bm.to_positions(), w.to_positions());
+                    prop_assert_eq!(bm, w.view());
+                }
+            }
+            prop_assert_eq!(&arena, mem);
+        }
+    }
+
     #[test]
     fn mixed_persist_round_trip(vals in values(), seg in seg_sizes(), pattern in any::<u64>()) {
         use cods_storage::persist::{decode_table, encode_table};

@@ -543,6 +543,50 @@ fn failed_fault_mid_stream_is_a_typed_error_on_a_connection_that_still_answers()
     std::fs::remove_file(&path).ok();
 }
 
+/// A group-by over a segment whose payload no longer decodes (one payload
+/// corrupted in the file of a lazily opened catalog, so its first touch is
+/// the failing fault) answers with a typed error, not a dead connection
+/// thread, and the connection answers the next command.
+#[test]
+fn failed_fault_in_a_group_by_is_a_typed_error_on_a_connection_that_still_answers() {
+    use cods_storage::persist::{read_catalog, save_catalog};
+    let path = std::env::temp_dir().join(format!("cods_it_serve_agg_{}", std::process::id()));
+    save_catalog(platform(64, 16).catalog(), &path).unwrap();
+    let mut raw = std::fs::read(&path).unwrap();
+    // The heap starts behind the 6-byte preamble with a payload, and every
+    // payload (WAH or run stream) opens with its length: 16 rows.
+    assert_eq!(u64::from_le_bytes(raw[6..14].try_into().unwrap()), 16);
+    raw[6] ^= 0x40;
+    std::fs::write(&path, &raw).unwrap();
+    let lazy = read_catalog(&path).unwrap();
+
+    let cods = Arc::new(Cods::with_catalog(lazy));
+    let mut handle = Server::bind("127.0.0.1:0", cods, ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    // Grouping on two columns and summing the third walks every segment of
+    // every column, the corrupted one among them.
+    let err = client
+        .group_by(
+            "t",
+            Predicate::True,
+            vec!["grp".into(), "v".into()],
+            vec![(cods_query::AggOp::Sum, "k".into())],
+        )
+        .unwrap_err();
+    match err {
+        ClientError::Server { code, message } => {
+            assert_eq!(code, cods_server::error_code::INTERNAL, "{message}");
+            assert!(message.contains("segment payload"), "{message}");
+        }
+        other => panic!("expected a typed server error, got {other:?}"),
+    }
+    client
+        .ping()
+        .expect("the group-by's connection still answers");
+    handle.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
 /// What one raw exchange put on the wire: every reply frame until the
 /// closing `Done`, as the server framed it.
 #[derive(Debug, PartialEq)]
