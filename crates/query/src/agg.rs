@@ -12,14 +12,18 @@
 //! * [`aggregate_table`] / [`aggregate_table_masked`] — the vectorized
 //!   columnar kernel, directly over a column-store table (with an
 //!   optional predicate mask pushed into the walk). No row is ever
-//!   materialized: group keys are
-//!   composed from per-column dictionary ids ([`GroupKeySpace`] packs
-//!   them into one `u64` when the id widths fit, else falls back to a
-//!   compact composite tuple), every aggregate consumes maximal
-//!   `(id, run length)` runs straight off the segment payloads — so
-//!   RLE-clustered input costs O(runs), not O(rows) — and segments fan
-//!   out on the worker pool with one ordered merge of the partial tables
-//!   at the end.
+//!   materialized. With one grouping column, a row's group slot is found
+//!   by indexing an array by its dictionary id — no key is built and
+//!   nothing is hashed. With several, group keys are composed from
+//!   per-column dictionary ids ([`GroupKeySpace`] packs them into one
+//!   `u64` when the id widths fit, else falls back to a compact composite
+//!   tuple) and mapped to slots through a `splitmix64`-hashed map.
+//!   Aggregates consume maximal `(id, run length)` runs straight off the
+//!   segment payloads — so RLE-clustered input costs O(runs), not
+//!   O(rows) — except where a one-column group-by meets a bitmap segment,
+//!   whose decode yields one id per row anyway: that batch walks rows.
+//!   Segments fan out on the worker pool with one ordered merge of the
+//!   partial tables at the end.
 //!
 //! NULL handling follows the `valid: Option<…>` dual-path idiom
 //! ([`validity`]): whether the dictionary holds a NULL is decided once,
@@ -31,10 +35,10 @@
 
 use crate::par;
 use cods_bitmap::Wah;
-use cods_storage::{EncodedColumn, OrderedF64, StorageError, Table, Value, ValueType};
-use std::collections::hash_map::Entry;
+use cods_storage::{EncodedColumn, Encoding, OrderedF64, StorageError, Table, Value, ValueType};
 use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Mutex;
 
 /// An aggregate function.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -201,7 +205,7 @@ pub fn validity(col: &EncodedColumn) -> Option<Wah> {
 pub enum GroupKeySpace {
     /// The grouping columns' id widths sum to ≤ 64 bits: keys pack into a
     /// single `u64` (column *c*'s id lands at `shifts[c]`, `widths[c]`
-    /// bits wide). One integer hash per run.
+    /// bits wide).
     Packed {
         /// Bit offset of each grouping column within the packed key.
         shifts: Vec<u32>,
@@ -242,6 +246,140 @@ impl GroupKeySpace {
 /// (0 for a 0/1-entry dictionary: the id carries no information).
 fn bits_for(len: usize) -> u32 {
     64 - (len.saturating_sub(1) as u64).leading_zeros()
+}
+
+/// The SplitMix64 finalizer: the one mixer behind every id-keyed map and
+/// every join partition split.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// Hashes keys made of dictionary ids with [`splitmix64`] instead of
+/// SipHash. The ids are dense integers this engine assigned, not bytes a
+/// client chose, so the default hasher's collision resistance buys nothing
+/// here, and a group-by or join probe pays for it once per run or row.
+/// Seeded apart from the join's partition split, which applies the same
+/// mixer to the same keys: within one pass every key agrees on
+/// `splitmix64(key) % partitions`.
+pub(crate) struct IdHasher(u64);
+
+impl Default for IdHasher {
+    fn default() -> Self {
+        IdHasher(0x2545_F491_4F6C_DD1D)
+    }
+}
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = splitmix64(self.0 ^ v);
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v.into());
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+}
+
+/// The `BuildHasher` of every map keyed by dictionary ids.
+pub(crate) type IdHash = BuildHasherDefault<IdHasher>;
+
+/// Marks a dictionary id no row of the current batch has carried yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// Maps a batch's group keys to dense slots, in first-appearance order.
+trait GroupSlots<K> {
+    /// The slot of `key`; a key not seen yet gets `fresh`.
+    fn slot(&mut self, key: &K, fresh: u32) -> u32;
+    /// Forgets `keys`, every key seen since the last reset, so the index
+    /// can serve the next batch.
+    fn reset(&mut self, keys: &[K]);
+
+    /// A batch's key runs as slot runs, with the batch's keys in slot
+    /// order; the index is left reset.
+    fn group(&mut self, key_runs: Vec<(K, u64)>) -> (Vec<K>, Vec<(u32, u64)>) {
+        let mut keys: Vec<K> = Vec::new();
+        let mut grouped = Vec::with_capacity(key_runs.len());
+        for (key, len) in key_runs {
+            let fresh = keys.len() as u32;
+            let g = self.slot(&key, fresh);
+            if g == fresh {
+                keys.push(key);
+            }
+            grouped.push((g, len));
+        }
+        self.reset(&keys);
+        (keys, grouped)
+    }
+}
+
+/// One grouping column: the slot of dictionary id `id` is `slot_of[id]`,
+/// [`UNSEEN`] between batches. One is filled per worker and query, and
+/// reset by walking the ids a batch touched.
+struct IdSlots {
+    slot_of: Vec<u32>,
+}
+
+impl GroupSlots<u32> for IdSlots {
+    fn slot(&mut self, &id: &u32, fresh: u32) -> u32 {
+        let slot = &mut self.slot_of[id as usize];
+        if *slot == UNSEEN {
+            *slot = fresh;
+        }
+        *slot
+    }
+    fn reset(&mut self, keys: &[u32]) {
+        for &id in keys {
+            self.slot_of[id as usize] = UNSEEN;
+        }
+    }
+
+    /// A run's key is an id: its slot overwrites it in place.
+    fn group(&mut self, mut runs: Vec<(u32, u64)>) -> (Vec<u32>, Vec<(u32, u64)>) {
+        let keys = self.assign(runs.iter_mut().map(|(id, _)| id));
+        (keys, runs)
+    }
+}
+
+impl IdSlots {
+    /// Overwrites every id with its slot and returns the ids in slot
+    /// order; the index is left reset.
+    fn assign<'a>(&mut self, ids: impl Iterator<Item = &'a mut u32>) -> Vec<u32> {
+        let mut keys = Vec::new();
+        for id in ids {
+            let fresh = keys.len() as u32;
+            let g = self.slot(id, fresh);
+            if g == fresh {
+                keys.push(*id);
+            }
+            *id = g;
+        }
+        self.reset(&keys);
+        keys
+    }
+}
+
+/// Several grouping columns: a map from composed key to slot.
+impl<K: Eq + Hash + Clone> GroupSlots<K> for HashMap<K, u32, IdHash> {
+    fn slot(&mut self, key: &K, fresh: u32) -> u32 {
+        if let Some(&slot) = self.get(key) {
+            return slot;
+        }
+        self.insert(key.clone(), fresh);
+        fresh
+    }
+    fn reset(&mut self, _: &[K]) {
+        self.clear();
+    }
 }
 
 /// Per-aggregate read-only context, built once before the segment
@@ -376,6 +514,9 @@ impl PAcc {
 /// driving column.
 struct BatchWork {
     sel: Vec<(u64, u64)>,
+    /// The driving column's segment is run-length encoded: its runs are
+    /// its payload, where a bitmap segment decodes one id per row.
+    rle: bool,
 }
 
 /// Per-batch partial result: locally-grouped keys in first-appearance
@@ -428,6 +569,22 @@ fn column_runs(col: &EncodedColumn, sel: &[(u64, u64)]) -> Result<Vec<(u32, u64)
     Ok(out)
 }
 
+/// The ids of one column at the selected intervals, concatenated — the
+/// per-row twin of [`column_runs`]. A segment that cannot be faulted in is
+/// a typed error.
+fn column_ids(col: &EncodedColumn, sel: &[(u64, u64)]) -> Result<Vec<u32>, StorageError> {
+    let (lo, hi) = (sel[0].0, sel[sel.len() - 1].1);
+    let ids = col.try_ids_range(lo..hi)?;
+    if sel.len() == 1 {
+        return Ok(ids);
+    }
+    let mut out = Vec::with_capacity(sel.iter().map(|&(a, b)| (b - a) as usize).sum());
+    for &(a, b) in sel {
+        out.extend_from_slice(&ids[(a - lo) as usize..(b - lo) as usize]);
+    }
+    Ok(out)
+}
+
 /// Zips per-column run streams (all covering `total` virtual rows) into
 /// composed-key runs: each output run is the longest stretch on which
 /// every column's id is constant. Output runs are maximal because each
@@ -463,6 +620,22 @@ fn zip_key_runs<K>(
     out
 }
 
+/// One batch's composed-key runs over the grouping columns `group_by`
+/// (one run of the empty key when there are none).
+fn key_runs<K>(
+    t: &Table,
+    group_by: &[usize],
+    work: &BatchWork,
+    make_key: impl Fn(&[u32]) -> K,
+) -> Result<Vec<(K, u64)>, StorageError> {
+    let total: u64 = work.sel.iter().map(|&(a, b)| b - a).sum();
+    let col_runs = group_by
+        .iter()
+        .map(|&g| column_runs(t.column(g), &work.sel))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(zip_key_runs(&col_runs, total, make_key))
+}
+
 /// Walks two aligned run streams and emits the piecewise-constant
 /// intersection: `f(group, id, len)` for every maximal stretch on which
 /// both are constant.
@@ -485,24 +658,51 @@ fn merge_runs(groups: &[(u32, u64)], ids: &[(u32, u64)], mut f: impl FnMut(u32, 
     }
 }
 
+/// A batch's rows in row order as `(group slot, value id, rows)` steps,
+/// each step a stretch on which both are constant.
+trait Steps {
+    fn each(&self, f: impl FnMut(u32, u32, u64));
+}
+
+/// Slot runs merged with a column's id runs.
+struct RunSteps<'a>(&'a [(u32, u64)], &'a [(u32, u64)]);
+
+impl Steps for RunSteps<'_> {
+    fn each(&self, f: impl FnMut(u32, u32, u64)) {
+        merge_runs(self.0, self.1, f)
+    }
+}
+
+/// A slot and a column's id per row.
+struct RowSteps<'a>(&'a [u32], &'a [u32]);
+
+impl Steps for RowSteps<'_> {
+    fn each(&self, mut f: impl FnMut(u32, u32, u64)) {
+        for (&g, &id) in self.0.iter().zip(self.1) {
+            f(g, id, 1);
+        }
+    }
+}
+
+/// A batch's group side: the slot of every selected row, as runs or one
+/// per row.
+enum Grouped {
+    Runs(Vec<(u32, u64)>),
+    Rows(Vec<u32>),
+}
+
 /// Accumulates one aggregate over one batch. The NULL test and the
 /// op dispatch are hoisted out here — each arm is a dedicated loop over
-/// the `(group, id, run)` stream, branch-free when `null_id` is `None`.
-fn accumulate(
-    ctx: &AggCtx<'_>,
-    grouped: &[(u32, u64)],
-    runs: &[(u32, u64)],
-    accs: &mut [Vec<PAcc>],
-    agg: usize,
-) {
+/// the `(group, id, rows)` steps, branch-free when `null_id` is `None`.
+fn accumulate(ctx: &AggCtx<'_>, steps: &impl Steps, accs: &mut [Vec<PAcc>], agg: usize) {
     match ctx {
         AggCtx::Count => unreachable!("COUNT needs no column runs"),
-        AggCtx::SumInt { add } => merge_runs(grouped, runs, |g, id, len| {
+        AggCtx::SumInt { add } => steps.each(|g, id, len| {
             if let PAcc::SumInt(s) = &mut accs[g as usize][agg] {
                 *s = s.wrapping_add(add[id as usize].wrapping_mul(len as i64));
             }
         }),
-        AggCtx::SumFloat { add } => merge_runs(grouped, runs, |g, id, len| {
+        AggCtx::SumFloat { add } => steps.each(|g, id, len| {
             if let PAcc::SumFloat(s) = &mut accs[g as usize][agg] {
                 *s += add[id as usize] * len as f64;
             }
@@ -532,11 +732,11 @@ fn accumulate(
             };
             match null_id {
                 // All-valid: no test at all on the run loop.
-                None => merge_runs(grouped, runs, |g, id, _| consider(g, id)),
+                None => steps.each(|g, id, _| consider(g, id)),
                 // One id comparison per run — not per row.
                 Some(nid) => {
                     let nid = *nid;
-                    merge_runs(grouped, runs, |g, id, _| {
+                    steps.each(|g, id, _| {
                         if id != nid {
                             consider(g, id);
                         }
@@ -551,10 +751,10 @@ fn accumulate(
                 }
             };
             match null_id {
-                None => merge_runs(grouped, runs, |g, id, _| insert(g, id)),
+                None => steps.each(|g, id, _| insert(g, id)),
                 Some(nid) => {
                     let nid = *nid;
-                    merge_runs(grouped, runs, |g, id, _| {
+                    steps.each(|g, id, _| {
                         if id != nid {
                             insert(g, id);
                         }
@@ -565,81 +765,62 @@ fn accumulate(
     }
 }
 
-/// Runs one batch: compose key runs, assign local group ids
-/// (first-appearance), accumulate every aggregate over the run streams.
-fn run_batch<K: Eq + Hash + Clone>(
+/// Accumulates every aggregate of one batch whose selected rows fall into
+/// the slots of `keys` as `grouped` says.
+fn run_batch<K>(
     t: &Table,
-    group_by: &[usize],
     ctxs: &[AggCtx<'_>],
     aggs: &[(AggOp, usize, ValueType)],
     work: &BatchWork,
-    make_key: &(impl Fn(&[u32]) -> K + Sync),
+    keys: Vec<K>,
+    grouped: Grouped,
 ) -> Result<Partial<K>, StorageError> {
-    let total: u64 = work.sel.iter().map(|&(a, b)| b - a).sum();
-    let key_runs: Vec<(K, u64)> = if group_by.is_empty() {
-        vec![(make_key(&[]), total)]
-    } else {
-        let col_runs = group_by
-            .iter()
-            .map(|&g| column_runs(t.column(g), &work.sel))
-            .collect::<Result<Vec<_>, _>>()?;
-        zip_key_runs(&col_runs, total, make_key)
-    };
-    let mut lookup: HashMap<K, u32> = HashMap::new();
-    let mut keys: Vec<K> = Vec::new();
-    let mut accs: Vec<Vec<PAcc>> = Vec::new();
-    let mut grouped: Vec<(u32, u64)> = Vec::with_capacity(key_runs.len());
-    for (key, len) in key_runs {
-        let g = match lookup.entry(key) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let g = keys.len() as u32;
-                keys.push(e.key().clone());
-                accs.push(ctxs.iter().map(AggCtx::fresh).collect());
-                e.insert(g);
-                g
+    let mut accs: Vec<Vec<PAcc>> = (0..keys.len())
+        .map(|_| ctxs.iter().map(AggCtx::fresh).collect())
+        .collect();
+    for (agg, (ctx, &(_, col, _))) in ctxs.iter().zip(aggs).enumerate() {
+        let mut count = |g: u32, rows: u64| {
+            if let PAcc::Count(n) = &mut accs[g as usize][agg] {
+                *n += rows;
             }
         };
-        grouped.push((g, len));
-    }
-    for (agg, (ctx, &(_, col, _))) in ctxs.iter().zip(aggs).enumerate() {
-        if let AggCtx::Count = ctx {
-            for &(g, len) in &grouped {
-                if let PAcc::Count(n) = &mut accs[g as usize][agg] {
-                    *n += len;
-                }
+        match (ctx, &grouped) {
+            (AggCtx::Count, Grouped::Runs(runs)) => runs.iter().for_each(|&(g, n)| count(g, n)),
+            (AggCtx::Count, Grouped::Rows(rows)) => rows.iter().for_each(|&g| count(g, 1)),
+            (_, Grouped::Runs(runs)) => {
+                let ids = column_runs(t.column(col), &work.sel)?;
+                accumulate(ctx, &RunSteps(runs, &ids), &mut accs, agg);
             }
-            continue;
+            (_, Grouped::Rows(rows)) => {
+                let ids = column_ids(t.column(col), &work.sel)?;
+                accumulate(ctx, &RowSteps(rows, &ids), &mut accs, agg);
+            }
         }
-        let runs = column_runs(t.column(col), &work.sel)?;
-        accumulate(ctx, &grouped, &runs, &mut accs, agg);
     }
     Ok(Partial { keys, accs })
 }
 
-/// Merges per-batch partials in batch order, preserving global
-/// first-appearance group order.
-fn merge_partials<K: Eq + Hash + Clone>(
+/// Merges per-batch partials in batch order through a reset `slots`,
+/// preserving global first-appearance group order.
+fn merge_partials<K>(
     parts: Vec<Partial<K>>,
     ctxs: &[AggCtx<'_>],
+    slots: &mut impl GroupSlots<K>,
 ) -> (Vec<K>, Vec<Vec<PAcc>>) {
-    let mut lookup: HashMap<K, u32> = HashMap::new();
     let mut keys: Vec<K> = Vec::new();
     let mut accs: Vec<Vec<PAcc>> = Vec::new();
     for part in parts {
         for (key, row) in part.keys.into_iter().zip(part.accs) {
-            match lookup.entry(key) {
-                Entry::Occupied(e) => {
-                    let g = *e.get() as usize;
-                    for (into, (from, ctx)) in accs[g].iter_mut().zip(row.into_iter().zip(ctxs)) {
-                        into.merge(from, ctx);
-                    }
-                }
-                Entry::Vacant(e) => {
-                    let g = keys.len() as u32;
-                    keys.push(e.key().clone());
-                    accs.push(row);
-                    e.insert(g);
+            let fresh = keys.len() as u32;
+            let g = slots.slot(&key, fresh);
+            if g == fresh {
+                keys.push(key);
+                accs.push(row);
+            } else {
+                for (into, (from, ctx)) in
+                    accs[g as usize].iter_mut().zip(row.into_iter().zip(ctxs))
+                {
+                    into.merge(from, ctx);
                 }
             }
         }
@@ -672,36 +853,46 @@ fn make_batches(t: &Table, drive: usize, sel: &[(u64, u64)]) -> Vec<BatchWork> {
             }
         }
         if !cur.is_empty() {
-            out.push(BatchWork { sel: cur });
+            out.push(BatchWork {
+                sel: cur,
+                rle: slot.encoding() == Encoding::Rle,
+            });
         }
     }
     out
 }
 
-/// Fan out, run, merge — generic over the key representation.
-fn drive<K: Eq + Hash + Clone + Send>(
-    t: &Table,
-    group_by: &[usize],
+/// Fan out, run, merge — generic over the key representation and its slot
+/// index. `run` runs one batch with a slot index it leaves reset;
+/// `new_slots` makes an empty one. Indexes are pooled, so each worker
+/// fills one per query.
+fn drive<K: Send, S: GroupSlots<K> + Send>(
     ctxs: &[AggCtx<'_>],
-    aggs: &[(AggOp, usize, ValueType)],
     batches: Vec<BatchWork>,
-    make_key: impl Fn(&[u32]) -> K + Sync,
+    run: impl Fn(&BatchWork, &mut S) -> Result<Partial<K>, StorageError> + Sync,
+    new_slots: impl Fn() -> S + Sync,
 ) -> Result<(Vec<K>, Vec<Vec<PAcc>>), StorageError> {
+    let pool: Mutex<Vec<S>> = Mutex::new(Vec::new());
+    let take = || {
+        let pooled = pool.lock().expect("slot pool poisoned").pop();
+        pooled.unwrap_or_else(&new_slots)
+    };
     let parts = par::map_parallel(batches, |work| {
-        run_batch(t, group_by, ctxs, aggs, &work, &make_key)
+        let mut slots = take();
+        let part = run(&work, &mut slots);
+        pool.lock().expect("slot pool poisoned").push(slots);
+        part
     });
-    Ok(merge_partials(
-        parts.into_iter().collect::<Result<_, _>>()?,
-        ctxs,
-    ))
+    let parts = parts.into_iter().collect::<Result<_, _>>()?;
+    Ok(merge_partials(parts, ctxs, &mut take()))
 }
 
 /// Groups a column-store table by the columns at `group_by` and evaluates
-/// `aggs` entirely on dictionary-id runs — the vectorized twin of
+/// `aggs` entirely on dictionary ids — the vectorized twin of
 /// [`aggregate`], with identical output (same first-appearance group
 /// order over the selected rows, same NULL semantics). `mask` restricts
 /// the aggregation to its set rows (`None` = all rows): the predicate is
-/// pushed into the run walk instead of materializing a filtered table.
+/// pushed into the walk instead of materializing a filtered table.
 /// See the module docs for the kernel design.
 pub fn aggregate_table_masked(
     t: &Table,
@@ -730,8 +921,8 @@ pub fn aggregate_table_masked(
         .map(|&(op, col, ty)| AggCtx::new(op, t.column(col), ty))
         .collect();
     let dict_sizes: Vec<usize> = group_by.iter().map(|&g| t.column(g).dict().len()).collect();
-    let emit = |ids_of_key: &dyn Fn(usize, usize) -> u32, keys: usize, accs: Vec<Vec<PAcc>>| {
-        let mut out = Vec::with_capacity(keys);
+    let emit = |ids_of_key: &dyn Fn(usize, usize) -> u32, accs: Vec<Vec<PAcc>>| {
+        let mut out = Vec::with_capacity(accs.len());
         for (g, row_accs) in accs.into_iter().enumerate() {
             let mut row: Vec<Value> = group_by
                 .iter()
@@ -748,26 +939,68 @@ pub fn aggregate_table_masked(
         }
         out
     };
-    match GroupKeySpace::choose(&dict_sizes) {
-        GroupKeySpace::Packed { shifts, widths } => {
+    let ctxs = &ctxs;
+    match (group_by, GroupKeySpace::choose(&dict_sizes)) {
+        // One grouping column: a row's or a run's key is its dictionary
+        // id, and the id indexes the slot array. A bitmap segment decodes
+        // to one id per row, so its batch walks rows; an RLE segment's
+        // runs are its payload, so its batch walks runs.
+        (&[g], _) => {
+            let (keys, accs) = drive(
+                ctxs,
+                batches,
+                |work, slots: &mut IdSlots| {
+                    let (keys, grouped) = if work.rle {
+                        let (keys, runs) = slots.group(column_runs(t.column(g), &work.sel)?);
+                        (keys, Grouped::Runs(runs))
+                    } else {
+                        let mut rows = column_ids(t.column(g), &work.sel)?;
+                        (slots.assign(rows.iter_mut()), Grouped::Rows(rows))
+                    };
+                    run_batch(t, ctxs, aggs, work, keys, grouped)
+                },
+                || IdSlots {
+                    slot_of: vec![UNSEEN; dict_sizes[0]],
+                },
+            )?;
+            Ok(emit(&|g, _| keys[g], accs))
+        }
+        // Several grouping columns: composed-key runs, mapped to slots by
+        // hash.
+        (_, GroupKeySpace::Packed { shifts, widths }) => {
             let pack = |ids: &[u32]| -> u64 {
                 ids.iter()
                     .zip(&shifts)
                     .fold(0u64, |k, (&id, &s)| k | (id as u64) << s)
             };
-            let (keys, accs) = drive(t, group_by, &ctxs, aggs, batches, pack)?;
+            let (keys, accs) = drive(
+                ctxs,
+                batches,
+                |work, slots: &mut HashMap<u64, u32, IdHash>| {
+                    let (keys, runs) = slots.group(key_runs(t, group_by, work, pack)?);
+                    run_batch(t, ctxs, aggs, work, keys, Grouped::Runs(runs))
+                },
+                HashMap::default,
+            )?;
             let unpack = |g: usize, c: usize| -> u32 {
                 let w = widths[c];
                 let mask = if w == 0 { 0 } else { (1u64 << w) - 1 };
                 ((keys[g] >> shifts[c]) & mask) as u32
             };
-            Ok(emit(&unpack, keys.len(), accs))
+            Ok(emit(&unpack, accs))
         }
-        GroupKeySpace::Composite => {
+        (_, GroupKeySpace::Composite) => {
             let make = |ids: &[u32]| -> Box<[u32]> { ids.into() };
-            let (keys, accs) = drive(t, group_by, &ctxs, aggs, batches, make)?;
-            let index = |g: usize, c: usize| -> u32 { keys[g][c] };
-            Ok(emit(&index, keys.len(), accs))
+            let (keys, accs) = drive(
+                ctxs,
+                batches,
+                |work, slots: &mut HashMap<Box<[u32]>, u32, IdHash>| {
+                    let (keys, runs) = slots.group(key_runs(t, group_by, work, make)?);
+                    run_batch(t, ctxs, aggs, work, keys, Grouped::Runs(runs))
+                },
+                HashMap::default,
+            )?;
+            Ok(emit(&|g, c| keys[g][c], accs))
         }
     }
 }

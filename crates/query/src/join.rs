@@ -4,10 +4,13 @@
 //! are reconciled **once** up front: each probe-side key dictionary is
 //! remapped into the build-side key dictionary ([`Dictionary::remap_to`]),
 //! so a probe row whose key value is absent from the build dictionary is
-//! rejected by a single array lookup, and every surviving comparison is a
-//! `u32`/`u64` hash-map probe. Build keys pack into one `u64` when the
-//! combined dictionary widths fit ([`GroupKeySpace`]), falling back to
-//! composite id tuples.
+//! rejected by a single array lookup. A pass's build rows are bucketed as
+//! a CSR by key slot (`Buckets`). With one key column a key's slot *is*
+//! its build dictionary id, so a probe is `remap[id]`, then `start` — no
+//! hash. With several, the pass's distinct keys (packed into one `u64`
+//! when the combined dictionary widths fit, [`GroupKeySpace`], else
+//! composite id tuples) map to dense slots through one map hashed with
+//! `splitmix64`.
 //!
 //! Memory is bounded on both sides:
 //!
@@ -25,8 +28,10 @@
 //! keep the output multiset identical. NULL keys join (matching the
 //! oracle's `Value::Null == Value::Null` semantics): NULL is just another
 //! dictionary id here.
+//!
+//! [`Dictionary::remap_to`]: cods_storage::Dictionary::remap_to
 
-use crate::agg::GroupKeySpace;
+use crate::agg::{splitmix64, GroupKeySpace, IdHash};
 use crate::cost::{self, RankedChoice};
 use crate::pred::Predicate;
 use crate::query::STREAM_BATCH_ROWS;
@@ -34,7 +39,7 @@ use crate::rowset::{RowColumn, RowSet};
 use crate::stream::ScanStream;
 use cods_storage::{segment_cache, EncodedColumn, StorageError, Table, Value};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Which input the hash table is built over.
@@ -102,38 +107,6 @@ impl Hash for JoinKey {
     }
 }
 
-/// Hashes a [`JoinKey`] with [`splitmix64`] instead of SipHash. The keys
-/// are dictionary ids — dense integers this engine assigned, not bytes a
-/// client chose — so the default hasher's collision resistance buys
-/// nothing here, and the probe pays for it once per row. Seeded apart from
-/// [`key_partition`], which splits the same keys by the same mixer: within
-/// one pass every key agrees on `splitmix64(key) % partitions`.
-struct KeyHasher(u64);
-
-impl Default for KeyHasher {
-    fn default() -> Self {
-        KeyHasher(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = splitmix64(self.0 ^ v);
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v.into());
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(b.into()));
-    }
-}
-
-/// Key -> bucket of build-row ordinals, in build-row order.
-type KeyMap = HashMap<JoinKey, Vec<u32>, BuildHasherDefault<KeyHasher>>;
-
 /// How key ids combine into a [`JoinKey`].
 enum KeyRep {
     Packed { shifts: Vec<u32> },
@@ -164,13 +137,8 @@ impl KeyRep {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
+/// The pass a key's rows are built and probed in. A one-column key packs
+/// to its id, so its pass is `splitmix64(id) % partitions`.
 fn key_partition(key: &JoinKey, partitions: u32) -> u32 {
     let h = match key {
         JoinKey::Packed(v) => splitmix64(*v),
@@ -202,6 +170,58 @@ pub fn partition_of(
     Some(key_partition(&rep.key_of(&ids), partitions.max(1)))
 }
 
+/// How a row's key ids find their bucket slot.
+enum Slots {
+    /// One key column: the slot is the build dictionary id itself.
+    ById,
+    /// Several key columns: each distinct key of the pass has a dense slot,
+    /// numbered in first-appearance order.
+    ByKey {
+        rep: KeyRep,
+        map: HashMap<JoinKey, u32, IdHash>,
+    },
+}
+
+/// One pass's build rows bucketed by slot, as a CSR: the build-row
+/// ordinals of slot `s` are `ords[start[s]..start[s + 1]]`, in build-row
+/// order — the order the row oracle emits a probe row's matches in.
+#[derive(Default)]
+struct Buckets {
+    start: Vec<u32>,
+    ords: Vec<u32>,
+}
+
+impl Buckets {
+    /// Counting sort of build rows `0..slots.len()` into `n_slots` slots,
+    /// row `ord` under slot `slots[ord]`.
+    fn new(slots: &[u32], n_slots: usize) -> Buckets {
+        let mut start = vec![0u32; n_slots + 1];
+        for &s in slots {
+            start[s as usize] += 1;
+        }
+        // Running sums leave `start[s]` where slot `s` ends...
+        let mut end = 0;
+        for n in &mut start {
+            end += *n;
+            *n = end;
+        }
+        // ...and placing the rows back to front moves it to where the slot
+        // begins, each slot's rows in build-row order.
+        let mut ords = vec![0u32; slots.len()];
+        for (ord, &s) in slots.iter().enumerate().rev() {
+            let at = &mut start[s as usize];
+            *at -= 1;
+            ords[*at as usize] = ord as u32;
+        }
+        Buckets { start, ords }
+    }
+
+    /// The build-row ordinals of `slot`.
+    fn of(&self, slot: usize) -> &[u32] {
+        &self.ords[self.start[slot] as usize..self.start[slot + 1] as usize]
+    }
+}
+
 /// Where an output column's ids come from while probing.
 enum Src {
     /// Index into the probe scan's columns (every probe column, in order).
@@ -209,8 +229,6 @@ enum Src {
     /// Index into the build payload arrays.
     Payload(usize),
 }
-
-const BUILD_BATCH: u64 = 8_192;
 
 /// Streaming partition-wise hash join. Yields the output rows
 /// (`left columns ++ right non-key columns`) as [`RowSet`]s of
@@ -226,19 +244,26 @@ pub struct JoinStream {
     build_keys: Vec<usize>,
     /// Per probe key column: probe dictionary id -> build dictionary id.
     remaps: Vec<Vec<Option<u32>>>,
-    rep: KeyRep,
+    slots: Slots,
     out_src: Vec<Src>,
     payload_src: Vec<usize>,
     partitions: u32,
     pass: u32,
-    table_map: KeyMap,
-    /// Per payload column: value id per bucket ordinal.
+    buckets: Buckets,
+    /// Per payload column: value id per build-row ordinal.
     payload: Vec<Vec<u32>>,
     scan: Option<ScanStream>,
-    /// Matched rows not yet emitted, one id vector per output column;
-    /// `out_ids[c][..out_at]` has been emitted already.
-    out_ids: Vec<Vec<u32>>,
-    out_at: usize,
+    /// The probe batch being matched, one id vector per probe column, and
+    /// its matches as (probe row, build ordinal) pairs in output order, of
+    /// which `matched_at..` are not in an output batch yet. The pair
+    /// buffers serve every probe batch.
+    probe_ids: Vec<Vec<u32>>,
+    match_rows: Vec<u32>,
+    match_ords: Vec<u32>,
+    matched_at: usize,
+    /// The output batch being filled, one id vector per output column:
+    /// fewer than [`STREAM_BATCH_ROWS`] rows between calls.
+    fill: Vec<Vec<u32>>,
     done: bool,
 }
 
@@ -267,7 +292,13 @@ pub fn join_stream(
         .zip(build_keys)
         .map(|(&p, &b)| probe.column(p).dict().remap_to(build.column(b).dict()))
         .collect();
-    let rep = KeyRep::choose(&build, build_keys);
+    let slots = match build_keys {
+        [_] => Slots::ById,
+        _ => Slots::ByKey {
+            rep: KeyRep::choose(&build, build_keys),
+            map: HashMap::default(),
+        },
+    };
     let (out_src, payload_src) = match plan.build {
         BuildSide::Right => {
             // Payload: right non-key columns; probe rows carry all of left.
@@ -295,102 +326,177 @@ pub fn join_stream(
         probe_keys: probe_keys.to_vec(),
         build_keys: build_keys.to_vec(),
         remaps,
-        rep,
-        out_ids: vec![Vec::new(); out_src.len()],
+        slots,
+        fill: vec![Vec::with_capacity(STREAM_BATCH_ROWS); out_src.len()],
         out_src,
         payload_src,
         partitions: plan.partitions.max(1),
         pass: 0,
-        table_map: KeyMap::default(),
+        buckets: Buckets::default(),
         payload: Vec::new(),
         scan: None,
-        out_at: 0,
+        probe_ids: Vec::new(),
+        match_rows: Vec::new(),
+        match_ords: Vec::new(),
+        matched_at: 0,
         done: false,
     }
 }
 
+/// Whether rows with `key` are built and probed in pass `pass` of
+/// `partitions`.
+fn in_pass(key: &JoinKey, partitions: u32, pass: u32) -> bool {
+    partitions == 1 || key_partition(key, partitions) == pass
+}
+
 impl JoinStream {
-    /// (Re)builds the hash table for partition `pass`, dropping the
-    /// previous pass's state first.
+    /// (Re)builds the buckets for partition `pass`, dropping the previous
+    /// pass's state first.
     fn build_pass(&mut self) -> Result<(), StorageError> {
-        let rows = self.build.rows();
-        // A pass holds about its share of the build rows, in at most one
-        // bucket per combination of key values.
-        let key_space = self
-            .build_keys
-            .iter()
-            .map(|&c| self.build.column(c).dict().len() as u64)
-            .fold(1u64, u64::saturating_mul);
-        let expect = (rows / u64::from(self.partitions)).min(key_space) as usize;
-        self.table_map = KeyMap::with_capacity_and_hasher(expect, Default::default());
+        self.buckets = Buckets::default();
         self.payload = vec![Vec::new(); self.payload_src.len()];
+        let rows = self.build.rows();
+        if let Slots::ByKey { map, .. } = &mut self.slots {
+            // A pass holds about its share of the build rows, in at most
+            // one slot per combination of key values.
+            let key_space = self
+                .build_keys
+                .iter()
+                .map(|&c| self.build.column(c).dict().len() as u64)
+                .fold(1u64, u64::saturating_mul);
+            let expect = (rows / u64::from(self.partitions)).min(key_space) as usize;
+            *map = HashMap::with_capacity_and_hasher(expect, IdHash::default());
+        }
         let ids_of = |cols: &[usize], lo, hi| -> Result<Vec<Vec<u32>>, StorageError> {
             cols.iter()
                 .map(|&c| self.build.column(c).try_ids_range(lo..hi))
                 .collect()
         };
-        let mut ord: u32 = 0;
+        let (partitions, pass) = (self.partitions, self.pass);
+        // The slot of every build row of the pass, in build-row order.
+        let mut slots: Vec<u32> = Vec::new();
+        let mut ids = vec![0u32; self.build_keys.len()];
+        // One segment of the (first) key column at a time, so each of its
+        // segments decodes once.
+        let bounds: Vec<u64> = self
+            .build
+            .column(self.build_keys.first().copied().unwrap_or(0))
+            .segments()
+            .iter()
+            .map(|slot| slot.rows())
+            .collect();
         let mut lo = 0u64;
-        while lo < rows {
-            let hi = rows.min(lo + BUILD_BATCH);
+        for seg_rows in bounds {
+            let hi = lo + seg_rows;
             let key_ids = ids_of(&self.build_keys, lo, hi)?;
             let pay_ids = ids_of(&self.payload_src, lo, hi)?;
-            let mut ids = vec![0u32; self.build_keys.len()];
             for r in 0..(hi - lo) as usize {
                 for (slot, col_ids) in ids.iter_mut().zip(&key_ids) {
                     *slot = col_ids[r];
                 }
-                let key = self.rep.key_of(&ids);
-                if self.partitions > 1 && key_partition(&key, self.partitions) != self.pass {
-                    continue;
-                }
-                self.table_map.entry(key).or_default().push(ord);
+                let slot = match &mut self.slots {
+                    Slots::ById => {
+                        if !in_pass(&JoinKey::Packed(ids[0].into()), partitions, pass) {
+                            continue;
+                        }
+                        ids[0]
+                    }
+                    Slots::ByKey { rep, map } => {
+                        let key = rep.key_of(&ids);
+                        if !in_pass(&key, partitions, pass) {
+                            continue;
+                        }
+                        let fresh = map.len() as u32;
+                        *map.entry(key).or_insert(fresh)
+                    }
+                };
+                slots.push(slot);
                 for (p, col_ids) in self.payload.iter_mut().zip(&pay_ids) {
                     p.push(col_ids[r]);
                 }
-                ord += 1;
             }
             lo = hi;
         }
+        let n_slots = match &self.slots {
+            Slots::ById => self.build.column(self.build_keys[0]).dict().len(),
+            Slots::ByKey { map, .. } => map.len(),
+        };
+        self.buckets = Buckets::new(&slots, n_slots);
         Ok(())
     }
 
     /// Probes one scanned batch — `probe_ids[c][r]` is probe column `c`'s
-    /// id at the batch's row `r` — against the current pass's table and
-    /// appends the matches' ids to the pending output, column by column.
-    fn match_batch(&mut self, rows: usize, probe_ids: &[Vec<u32>]) {
-        // What was emitted is dropped before the buffers grow again.
-        for ids in &mut self.out_ids {
-            ids.drain(..self.out_at);
-        }
-        self.out_at = 0;
-        // The matches as (probe row, build ordinal) pairs, in output order.
-        let (mut probe_rows, mut ords) = (Vec::new(), Vec::new());
-        let mut ids = vec![0u32; self.probe_keys.len()];
-        'row: for r in 0..rows {
-            for ((slot, &c), remap) in ids.iter_mut().zip(&self.probe_keys).zip(&self.remaps) {
-                match remap[probe_ids[c][r] as usize] {
-                    // Key value absent from the build dictionary: no match.
-                    None => continue 'row,
-                    Some(b) => *slot = b,
+    /// id at the batch's row `r` — against the current pass's buckets,
+    /// leaving its matches to be gathered into output batches.
+    fn match_batch(&mut self, rows: usize, probe_ids: Vec<Vec<u32>>) {
+        let (match_rows, match_ords) = (&mut self.match_rows, &mut self.match_ords);
+        match_rows.clear();
+        match_ords.clear();
+        self.matched_at = 0;
+        let mut push = |r: usize, bucket: &[u32]| {
+            for &ord in bucket {
+                match_rows.push(r as u32);
+                match_ords.push(ord);
+            }
+        };
+        match &self.slots {
+            Slots::ById => {
+                let remap = &self.remaps[0];
+                let keys = &probe_ids[self.probe_keys[0]][..rows];
+                for (r, &id) in keys.iter().enumerate() {
+                    // A key value absent from the build dictionary: no match.
+                    let Some(b) = remap[id as usize] else {
+                        continue;
+                    };
+                    if in_pass(&JoinKey::Packed(b.into()), self.partitions, self.pass) {
+                        push(r, self.buckets.of(b as usize));
+                    }
                 }
             }
-            let key = self.rep.key_of(&ids);
-            if self.partitions > 1 && key_partition(&key, self.partitions) != self.pass {
-                continue;
+            Slots::ByKey { rep, map } => {
+                let mut ids = vec![0u32; self.probe_keys.len()];
+                'row: for r in 0..rows {
+                    for ((slot, &c), remap) in
+                        ids.iter_mut().zip(&self.probe_keys).zip(&self.remaps)
+                    {
+                        match remap[probe_ids[c][r] as usize] {
+                            None => continue 'row,
+                            Some(b) => *slot = b,
+                        }
+                    }
+                    let key = rep.key_of(&ids);
+                    if !in_pass(&key, self.partitions, self.pass) {
+                        continue;
+                    }
+                    if let Some(&slot) = map.get(&key) {
+                        push(r, self.buckets.of(slot as usize));
+                    }
+                }
             }
-            let Some(bucket) = self.table_map.get(&key) else {
-                continue;
-            };
-            probe_rows.extend(std::iter::repeat_n(r, bucket.len()));
-            ords.extend_from_slice(bucket);
         }
-        for (out, src) in self.out_ids.iter_mut().zip(&self.out_src) {
+        self.probe_ids = probe_ids;
+    }
+
+    /// Moves matches into the output batch being filled, column by column,
+    /// until it is full or the probe batch's matches run out.
+    fn gather(&mut self) {
+        let filled = self.fill.first().map_or(0, Vec::len);
+        let take = (STREAM_BATCH_ROWS - filled).min(self.match_rows.len() - self.matched_at);
+        let at = self.matched_at..self.matched_at + take;
+        let (rows, ords) = (&self.match_rows[at.clone()], &self.match_ords[at]);
+        for (out, src) in self.fill.iter_mut().zip(&self.out_src) {
             match *src {
-                Src::Probe(c) => out.extend(probe_rows.iter().map(|&r| probe_ids[c][r])),
-                Src::Payload(p) => out.extend(ords.iter().map(|&o| self.payload[p][o as usize])),
+                Src::Probe(c) => {
+                    let ids = &self.probe_ids[c];
+                    out.extend(rows.iter().map(|&r| ids[r as usize]))
+                }
+                Src::Payload(p) => {
+                    let payload = &self.payload[p];
+                    out.extend(ords.iter().map(|&o| payload[o as usize]))
+                }
             }
         }
+        self.matched_at += take;
     }
 
     /// The table column behind output column `c`: its dictionary gives the
@@ -402,30 +508,31 @@ impl JoinStream {
         }
     }
 
-    /// Rows matched and not yet emitted.
-    fn pending(&self) -> usize {
-        self.out_ids.first().map_or(0, Vec::len) - self.out_at
-    }
-
     /// The next batch of matches, or the typed error of a build or probe
     /// segment that could not be faulted in — what the served path drives.
     /// A stream that returned an error is finished with.
     pub fn try_next(&mut self) -> Result<Option<RowSet>, StorageError> {
         loop {
-            let pending = self.pending();
-            if pending >= STREAM_BATCH_ROWS || (self.done && pending > 0) {
-                let (at, len) = (self.out_at, pending.min(STREAM_BATCH_ROWS));
-                self.out_at += len;
-                let columns = (0..self.out_src.len())
-                    .map(|c| RowColumn::Dict {
+            if self.matched_at < self.match_rows.len() {
+                self.gather();
+            }
+            let filled = self.fill.first().map_or(0, Vec::len);
+            if filled == STREAM_BATCH_ROWS || (self.done && filled > 0) {
+                let mut columns = Vec::with_capacity(self.fill.len());
+                for c in 0..self.fill.len() {
+                    let fresh = Vec::with_capacity(STREAM_BATCH_ROWS);
+                    columns.push(RowColumn::Dict {
                         column: Arc::clone(self.out_column(c)),
-                        ids: self.out_ids[c][at..at + len].to_vec(),
-                    })
-                    .collect();
-                return Ok(Some(RowSet::new(len, columns)));
+                        ids: std::mem::replace(&mut self.fill[c], fresh),
+                    });
+                }
+                return Ok(Some(RowSet::new(filled, columns)));
             }
             if self.done {
                 return Ok(None);
+            }
+            if self.matched_at < self.match_rows.len() {
+                continue;
             }
             if self.scan.is_none() {
                 if self.pass >= self.partitions {
@@ -440,7 +547,7 @@ impl JoinStream {
                 None => None,
             };
             match batch {
-                Some(batch) => self.match_batch(batch.len, &batch.ids),
+                Some(batch) => self.match_batch(batch.len, batch.ids),
                 None => {
                     self.scan = None;
                     self.pass += 1;

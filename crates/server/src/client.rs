@@ -3,7 +3,8 @@
 
 use crate::frame::{disable_nagle, read_frame, read_preamble, write_frame, FrameError};
 use crate::proto::{
-    decode_reply, encode_command, Command, MetricsReply, Reply, StatsReply, TOTAL_UNKNOWN,
+    decode_reply, encode_command, Command, MetricsReply, Reply, RowsDecoder, StatsReply, ROWS_KIND,
+    TOTAL_UNKNOWN,
 };
 use cods_query::{AggOp, Predicate, Query};
 use cods_storage::{Value, ValueType};
@@ -132,7 +133,7 @@ impl Client {
             max_frame_bytes,
             catalog_version: 0,
         };
-        match client.read_reply()? {
+        match client.read_reply(None)? {
             Reply::Hello { catalog_version } => {
                 client.catalog_version = catalog_version;
                 Ok(client)
@@ -159,16 +160,23 @@ impl Client {
         Ok(())
     }
 
-    fn read_reply(&mut self) -> Result<Reply, ClientError> {
+    /// Reads one reply; a `Rows` frame of a stream decodes against the
+    /// stream's reply dictionaries in `stream`.
+    fn read_reply(&mut self, stream: Option<&mut RowsDecoder>) -> Result<Reply, ClientError> {
         let (kind, payload) = read_frame(&mut self.reader, self.max_frame_bytes)?;
-        decode_reply(kind, &payload)
-            .map_err(|e| ClientError::Protocol(format!("undecodable reply: {e}")))
+        match stream {
+            Some(decoder) if kind == ROWS_KIND => {
+                decoder.decode(&payload).map(|rows| Reply::Rows { rows })
+            }
+            _ => decode_reply(kind, &payload),
+        }
+        .map_err(|e| ClientError::Protocol(format!("undecodable reply: {e}")))
     }
 
     /// Reads a reply, converting `Error` and `Overloaded` frames into
     /// typed client errors.
-    fn expect_reply(&mut self) -> Result<Reply, ClientError> {
-        match self.read_reply()? {
+    fn expect_reply(&mut self, stream: Option<&mut RowsDecoder>) -> Result<Reply, ClientError> {
+        match self.read_reply(stream)? {
             Reply::Error { code, message } => Err(ClientError::Server { code, message }),
             Reply::Overloaded { in_flight, queued } => {
                 Err(ClientError::Overloaded { in_flight, queued })
@@ -184,7 +192,7 @@ impl Client {
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
         self.send(&Command::Ping)?;
-        match self.expect_reply()? {
+        match self.expect_reply(None)? {
             Reply::Pong => Ok(()),
             r => Err(Client::unexpected("Pong", &r)),
         }
@@ -193,7 +201,7 @@ impl Client {
     /// Re-pins the server-side session snapshot; returns the new version.
     pub fn refresh(&mut self) -> Result<u64, ClientError> {
         self.send(&Command::Refresh)?;
-        match self.expect_reply()? {
+        match self.expect_reply(None)? {
             Reply::Refreshed { catalog_version } => {
                 self.catalog_version = catalog_version;
                 Ok(catalog_version)
@@ -205,7 +213,7 @@ impl Client {
     /// Fetches server-wide counters.
     pub fn metrics(&mut self) -> Result<MetricsReply, ClientError> {
         self.send(&Command::Metrics)?;
-        match self.expect_reply()? {
+        match self.expect_reply(None)? {
             Reply::Metrics(m) => Ok(m),
             r => Err(Client::unexpected("Metrics", &r)),
         }
@@ -216,7 +224,7 @@ impl Client {
         self.send(&Command::Stats {
             table: table.to_string(),
         })?;
-        match self.expect_reply()? {
+        match self.expect_reply(None)? {
             Reply::Stats(s) => Ok(s),
             r => Err(Client::unexpected("Stats", &r)),
         }
@@ -227,7 +235,7 @@ impl Client {
         self.send(&Command::Script {
             text: text.to_string(),
         })?;
-        match self.expect_reply()? {
+        match self.expect_reply(None)? {
             Reply::Ok { message } => Ok(message),
             r => Err(Client::unexpected("Ok", &r)),
         }
@@ -265,7 +273,7 @@ impl Client {
     }
 
     fn read_count(&mut self) -> Result<(u64, u64, u64), ClientError> {
-        match self.expect_reply()? {
+        match self.expect_reply(None)? {
             Reply::MaskSummary {
                 rows,
                 selected,
@@ -275,8 +283,11 @@ impl Client {
         }
     }
 
-    /// Streams a scan, handing each batch to `on_batch` as it arrives —
-    /// constant client memory. Returns the drained stream's summary.
+    /// Streams a scan, handing each batch to `on_batch` as it arrives.
+    /// Client memory is bounded whatever the result size: one batch, plus
+    /// each column's reply dictionary, which holds at most
+    /// [`crate::proto::REPLY_DICT_MAX`] values (or one batch's own).
+    /// Returns the drained stream's summary.
     pub fn scan_with(
         &mut self,
         table: &str,
@@ -370,21 +381,25 @@ impl Client {
     }
 
     /// Drains one RowHeader / Rows* / Done exchange, verifying the totals
-    /// the server promised — any mismatch is a protocol violation.
+    /// the server promised — any mismatch is a protocol violation. The
+    /// batches decode with one stream decoder sized from the header, so a
+    /// batch of any other column count is a protocol violation too, and
+    /// `on_batch` only ever sees rows of the header's arity.
     fn drain_stream(&mut self, on_batch: &mut BatchFn<'_>) -> Result<ScanSummary, ClientError> {
-        let (columns, total_rows) = match self.expect_reply()? {
+        let (columns, total_rows) = match self.expect_reply(None)? {
             Reply::RowHeader {
                 columns,
                 total_rows,
             } => (columns, total_rows),
             r => return Err(Client::unexpected("RowHeader", &r)),
         };
+        let mut decoder = RowsDecoder::new(columns.len());
         let mut batches = 0u64;
         let mut rows_seen = 0u64;
         loop {
             // Mid-stream, a dead transport is not a generic frame error:
             // type it as a torn stream carrying how far the prefix got.
-            let reply = match self.expect_reply() {
+            let reply = match self.expect_reply(Some(&mut decoder)) {
                 Err(ClientError::Frame(FrameError::Eof | FrameError::Torn))
                 | Err(ClientError::Frame(FrameError::Io(_))) => {
                     return Err(ClientError::TornStream { rows_seen })

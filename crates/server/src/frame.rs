@@ -7,7 +7,7 @@
 //! ```text
 //! connection preamble (server → client, once):
 //!   magic   u32 LE   0xC0D5_7C9A
-//!   version u16 LE   wire-protocol version (3; a peer that announces
+//!   version u16 LE   wire-protocol version (4; a peer that announces
 //!                    any other is refused before a frame is read)
 //!
 //! frame (either direction):
@@ -36,11 +36,13 @@ use std::net::TcpStream;
 /// Connection preamble magic (`C0DS-7C9A`, "serve").
 pub const SERVE_MAGIC: u32 = 0xC0D5_7C9A;
 /// Wire-protocol version carried in the preamble. Version 2 changed the
-/// body of a `Rows` reply (column-major, a dictionary per batch — see
-/// [`crate::proto`]); version 3 changed every frame's check field from a
-/// byte-wise FNV-1a to the storage frame checksum. Frame layout and every
-/// message body are those of 2.
-pub const PROTO_VERSION: u16 = 3;
+/// body of a `Rows` reply (column-major, a dictionary per batch); version
+/// 3 changed every frame's check field from a byte-wise FNV-1a to the
+/// storage frame checksum; version 4 made a `Rows` body's dictionary
+/// reply-scoped (a batch carries only the values its stream has not sent
+/// yet — see [`crate::proto`]). Frame layout and every other message body
+/// are those of 2.
+pub const PROTO_VERSION: u16 = 4;
 /// Default cap on a single frame's payload, generous enough for a
 /// segment-sized row batch yet small enough to bound a malicious peer.
 pub const DEFAULT_MAX_FRAME_BYTES: u32 = 32 * 1024 * 1024;

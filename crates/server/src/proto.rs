@@ -7,31 +7,54 @@
 //! desynchronized peer is caught by the kind check even when a frame's
 //! checksum happens to pass.
 //!
-//! # The `Rows` body (protocol version 2)
+//! # The `Rows` body (protocol version 4)
 //!
-//! A batch of result rows travels column-major, each column as the
-//! distinct values of *this batch* followed by one small id per row:
+//! A batch of result rows travels column-major, each column as the values
+//! it adds to the column's *reply dictionary* followed by one small id per
+//! row into that dictionary:
 //!
 //! ```text
 //! rows   := n_rows:u32  n_cols:u16  column{n_cols}
-//! column := n_local:u32  value{n_local}  width:u8  id{n_rows}
+//! column := head:u32  value{n_new}  width:u8  id{n_rows}
+//! head   := restart << 31 | n_new
 //! value  := tag:u8 body        (0 NULL | 1 bool:u8 | 2 int:i64
 //!                               | 3 float bits:u64 | 4 str len:u32 utf-8)
 //! id     := `width` bytes LE   (width = 1, 2 or 4: the narrowest that
-//!                               holds n_local - 1)
+//!                               holds the reply dictionary's size - 1)
 //! ```
 //!
-//! The values stand in first-seen order, so `id[0] = 0` and every id is
-//! below `n_local`; `NULL` is a value like any other (no validity field).
-//! A batch without columns has no rows. The server writes a batch straight
-//! from a [`RowSet`]'s dictionary ids ([`RowsEncoder`]): a string that
-//! occurs in a thousand rows of a batch is written, and allocated by the
-//! client, once. The decoder checks every count against the bytes that
-//! remain before it allocates for it.
+//! Every column of a reply stream has a reply dictionary, empty when the
+//! stream opens. A batch appends its `n_new` values, those its rows carry
+//! that no earlier batch of the stream sent, in first-seen order, and its
+//! ids index the whole dictionary: a value that recurs across a reply's
+//! batches crosses the wire, and is allocated by the client, once.
+//! `NULL` is a value like any other (no validity field). A batch without
+//! columns has no rows.
+//!
+//! The dictionary is bounded: it never grows past [`REPLY_DICT_MAX`]
+//! values, so its ids stay within two bytes. The batch that would pass
+//! the bound sets `restart` instead: the column's dictionary is emptied
+//! before the batch's values are appended, so the batch carries every
+//! value its rows use, as the first batch of a stream does. Only one
+//! batch whose own distinct values outnumber the bound holds a larger
+//! dictionary, until the column next grows. The encoder also restarts a
+//! column whose backing dictionary changed between batches (a different
+//! table column, by pointer identity), and one whose batch uses no value
+//! sent before — keeping those would only widen the batch's ids, so a
+//! column of unique values costs what a dictionary per batch did.
+//! `restart` is never set on an empty dictionary.
+//!
+//! A body decoded on its own ([`decode_reply`]) decodes against empty
+//! dictionaries, so a lone batch is laid out as in protocol versions 2 and
+//! 3 (a per-batch dictionary of `n_local` values). A stream's batches
+//! decode with one [`RowsDecoder`], sized from the stream's `RowHeader`.
+//! The server encodes a stream with one [`RowsEncoder`], straight from its
+//! [`RowSet`]s' dictionary ids. The decoder checks every count against the
+//! bytes that remain before it allocates for it.
 
 use crate::frame::FrameError;
 use cods_query::{AggOp, CmpOp, Predicate, Query, RowColumn, RowSet};
-use cods_storage::{CacheStats, OrderedF64, Value, ValueType};
+use cods_storage::{CacheStats, EncodedColumn, OrderedF64, Value, ValueType};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -409,42 +432,166 @@ impl Enc {
     }
 }
 
+/// Values a column's reply dictionary may hold, so that its ids fit two
+/// bytes: the batch that would grow it past this restarts the column (see
+/// the module docs).
+pub const REPLY_DICT_MAX: usize = 1 << 16;
+
+/// The bit of a column's `head` that restarts its reply dictionary.
+const RESTART: u32 = 1 << 31;
+
 /// One column of a `Rows` body as the encoder reads it.
 enum ColumnSrc<'a> {
-    /// `ids[r]` indexes `values`: a dictionary-backed column.
-    Dict { values: &'a [Value], ids: &'a [u32] },
-    /// One value per row.
-    Cells(Box<dyn Iterator<Item = &'a Value> + 'a>),
+    /// `ids[r]` indexes `column`'s dictionary.
+    Dict {
+        column: &'a Arc<EncodedColumn>,
+        ids: &'a [u32],
+    },
+    /// The value of row `r`.
+    Cells(Box<dyn Fn(usize) -> &'a Value + 'a>),
 }
 
-/// Marks a dictionary id no row of the current column has carried yet.
-const UNSEEN: u32 = u32::MAX;
+/// One column's reply dictionary on the encoding side: what the values
+/// sent so far were, so that a batch writes only the new ones.
+enum ReplyDict {
+    /// Ids into `column`'s dictionary. `reply_of[id]` is 0 for an id not
+    /// sent yet and its reply id + 1 otherwise (a zeroed table costs no
+    /// fill); `sent` lists the sent ids in reply-id order, so the table is
+    /// reset by walking them.
+    Ids {
+        column: Arc<EncodedColumn>,
+        reply_of: Vec<u32>,
+        sent: Vec<u32>,
+    },
+    /// Plain cells: each sent value with its reply id.
+    Values(HashMap<Value, u32>),
+}
 
-/// The encoder of `Rows` bodies. One serves a whole reply stream, so the
-/// table that renumbers a column's dictionary ids per batch is sized once
-/// per stream, not once per batch.
+impl Default for ReplyDict {
+    fn default() -> Self {
+        ReplyDict::Values(HashMap::new())
+    }
+}
+
+impl ReplyDict {
+    fn len(&self) -> usize {
+        match self {
+            ReplyDict::Ids { sent, .. } => sent.len(),
+            ReplyDict::Values(sent) => sent.len(),
+        }
+    }
+
+    /// Forgets the first `n` values sent; the others' reply ids move down
+    /// by `n`.
+    fn forget_first(&mut self, n: usize) {
+        match self {
+            ReplyDict::Ids { reply_of, sent, .. } => {
+                for id in sent.drain(..n) {
+                    reply_of[id as usize] = 0;
+                }
+                for &id in sent.iter() {
+                    reply_of[id as usize] -= n as u32;
+                }
+            }
+            ReplyDict::Values(sent) => {
+                sent.retain(|_, id| *id as usize >= n);
+                sent.values_mut().for_each(|id| *id -= n as u32);
+            }
+        }
+    }
+
+    /// Makes the dictionary one of `src`'s kind and backing dictionary.
+    /// Returns `true` when that dropped values already sent — the batch
+    /// then restarts the column.
+    fn bind(&mut self, src: &ColumnSrc<'_>) -> bool {
+        let same = match (&*self, src) {
+            (ReplyDict::Ids { column: bound, .. }, ColumnSrc::Dict { column, .. }) => {
+                Arc::ptr_eq(bound, column)
+            }
+            (ReplyDict::Values(_), ColumnSrc::Cells(_)) => true,
+            _ => false,
+        };
+        if same {
+            return false;
+        }
+        let dropped = self.len() > 0;
+        *self = match src {
+            ColumnSrc::Dict { column, .. } => ReplyDict::Ids {
+                column: Arc::clone(column),
+                reply_of: vec![0; column.dict().len()],
+                sent: Vec::new(),
+            },
+            ColumnSrc::Cells(_) => ReplyDict::Values(HashMap::new()),
+        };
+        dropped
+    }
+
+    /// Pushes the reply id of each of the `n_rows` cells of `src` to
+    /// `local`, adding to the dictionary, and writing to `e`, the values
+    /// it does not hold yet. `src` is the kind [`Self::bind`] made it.
+    fn walk(&mut self, src: &ColumnSrc<'_>, n_rows: usize, local: &mut Vec<u32>, e: &mut Enc) {
+        match (self, src) {
+            (
+                ReplyDict::Ids {
+                    column,
+                    reply_of,
+                    sent,
+                },
+                ColumnSrc::Dict { ids, .. },
+            ) => {
+                let values = column.dict().values();
+                for &id in *ids {
+                    let slot = &mut reply_of[id as usize];
+                    if *slot == 0 {
+                        sent.push(id);
+                        *slot = sent.len() as u32;
+                        e.value(&values[id as usize]);
+                    }
+                    local.push(*slot - 1);
+                }
+            }
+            (ReplyDict::Values(sent), ColumnSrc::Cells(cell)) => {
+                for r in 0..n_rows {
+                    let v = cell(r);
+                    let id = match sent.get(v) {
+                        Some(&id) => id,
+                        None => {
+                            let id = sent.len() as u32;
+                            e.value(v);
+                            sent.insert(v.clone(), id);
+                            id
+                        }
+                    };
+                    local.push(id);
+                }
+            }
+            _ => unreachable!("the column was bound to its source"),
+        }
+    }
+}
+
+/// The encoder of one reply stream's `Rows` bodies: it keeps each column's
+/// reply dictionary across the stream's batches, so a batch carries only
+/// the values the stream has not sent yet. A fresh encoder writes a body
+/// that decodes on its own.
 #[derive(Default)]
 pub struct RowsEncoder {
-    /// Dictionary id -> local id within the column being encoded;
-    /// [`UNSEEN`] everywhere between columns.
-    local_of: Vec<u32>,
-    /// Local id per row of the column being encoded.
+    /// Per column: its reply dictionary so far.
+    dicts: Vec<ReplyDict>,
+    /// Reply id per row of the column being encoded.
     local: Vec<u32>,
 }
 
 impl RowsEncoder {
-    /// The `Rows` body of `set`. A set without columns must be empty (the
-    /// decoder refuses rows that carry nothing; [`Query::resolve`] never
-    /// produces them).
+    /// The `Rows` body of `set`, the stream's next batch. A set without
+    /// columns must be empty (the decoder refuses rows that carry nothing;
+    /// [`Query::resolve`] never produces them).
     pub fn encode(&mut self, set: &RowSet) -> Vec<u8> {
         let mut e = Enc::default();
         self.rows(&mut e, set.len(), set.arity(), |c| {
             match &set.columns()[c] {
-                RowColumn::Dict { column, ids } => ColumnSrc::Dict {
-                    values: column.dict().values(),
-                    ids,
-                },
-                RowColumn::Plain(values) => ColumnSrc::Cells(Box::new(values.iter())),
+                RowColumn::Dict { column, ids } => ColumnSrc::Dict { column, ids },
+                RowColumn::Plain(values) => ColumnSrc::Cells(Box::new(move |r| &values[r])),
             }
         });
         e.buf
@@ -458,53 +605,47 @@ impl RowsEncoder {
         column: impl Fn(usize) -> ColumnSrc<'a>,
     ) {
         debug_assert!(n_cols > 0 || n_rows == 0, "rows without columns");
+        if self.dicts.len() != n_cols {
+            self.dicts = (0..n_cols).map(|_| ReplyDict::default()).collect();
+        }
         e.u32(n_rows as u32);
         e.u16(n_cols as u16);
-        for c in 0..n_cols {
-            // The values are written as rows first carry them; their count
-            // is patched in once the column has been walked.
-            let count_at = e.buf.len();
+        for (c, dict) in self.dicts.iter_mut().enumerate() {
+            let src = column(c);
+            // The head is patched in once the column has been walked.
+            let head_at = e.buf.len();
             e.u32(0);
-            let mut n_local = 0u32;
+            let mut restart = dict.bind(&src);
+            let before = dict.len();
             self.local.clear();
-            match column(c) {
-                ColumnSrc::Dict { values, ids } => {
-                    if self.local_of.len() < values.len() {
-                        self.local_of.resize(values.len(), UNSEEN);
-                    }
-                    for &id in ids {
-                        let slot = &mut self.local_of[id as usize];
-                        if *slot == UNSEEN {
-                            *slot = n_local;
-                            n_local += 1;
-                            e.value(&values[id as usize]);
-                        }
-                        self.local.push(*slot);
-                    }
-                    for &id in ids {
-                        self.local_of[id as usize] = UNSEEN;
-                    }
-                }
-                ColumnSrc::Cells(cells) => {
-                    let mut seen: HashMap<&Value, u32> = HashMap::new();
-                    for v in cells {
-                        let id = *seen.entry(v).or_insert_with(|| {
-                            e.value(v);
-                            n_local += 1;
-                            n_local - 1
-                        });
-                        self.local.push(id);
-                    }
+            dict.walk(&src, n_rows, &mut self.local, e);
+            if before > 0 && dict.len() > before {
+                if self.local.iter().all(|&id| id as usize >= before) {
+                    // The batch used no value sent before, so keeping them
+                    // only widens its ids: the column restarts with the
+                    // batch's own values, already written in order.
+                    dict.forget_first(before);
+                    self.local.iter_mut().for_each(|id| *id -= before as u32);
+                    restart = true;
+                } else if dict.len() > REPLY_DICT_MAX {
+                    // Past the bound: start the column over from this batch.
+                    dict.forget_first(dict.len());
+                    e.buf.truncate(head_at + 4);
+                    self.local.clear();
+                    dict.walk(&src, n_rows, &mut self.local, e);
+                    restart = true;
                 }
             }
+            let n_new = dict.len() - if restart { 0 } else { before };
             debug_assert_eq!(self.local.len(), n_rows, "one cell per row");
-            e.buf[count_at..count_at + 4].copy_from_slice(&n_local.to_le_bytes());
-            match n_local {
+            let head = n_new as u32 | if restart { RESTART } else { 0 };
+            e.buf[head_at..head_at + 4].copy_from_slice(&head.to_le_bytes());
+            match dict.len() {
                 0..=0x100 => {
                     e.u8(1);
                     e.buf.extend(self.local.iter().map(|&id| id as u8));
                 }
-                0x101..=0x1_0000 => {
+                0x101..=REPLY_DICT_MAX => {
                     e.u8(2);
                     for &id in &self.local {
                         e.u16(id as u16);
@@ -518,6 +659,32 @@ impl RowsEncoder {
                 }
             }
         }
+    }
+}
+
+/// The decoder of one reply stream's `Rows` bodies: each column's reply
+/// dictionary, accumulated across the stream's batches (at most
+/// [`REPLY_DICT_MAX`] values per column, or one batch's own). Sized from
+/// the stream's `RowHeader`: a batch of any other column count is refused.
+#[derive(Clone, Debug)]
+pub struct RowsDecoder {
+    dicts: Vec<Vec<Value>>,
+}
+
+impl RowsDecoder {
+    /// A decoder for a stream of `n_cols` columns, every dictionary empty.
+    pub fn new(n_cols: usize) -> RowsDecoder {
+        RowsDecoder {
+            dicts: vec![Vec::new(); n_cols],
+        }
+    }
+
+    /// Decodes the stream's next `Rows` body into rows of values.
+    pub fn decode(&mut self, payload: &[u8]) -> Result<Vec<Vec<Value>>, WireError> {
+        let mut d = Dec::new(payload);
+        let rows = d.rows(Some(self))?;
+        d.finish()?;
+        Ok(rows)
     }
 }
 
@@ -613,13 +780,20 @@ impl<'a> Dec<'a> {
     fn remaining(&self) -> usize {
         self.buf.len() - self.at
     }
-    /// A `Rows` body as rows of values: each column's distinct values are
-    /// decoded once, and a cell is a clone of one of them (a reference
-    /// count for a string, not an allocation). Every count is held against
-    /// the bytes that remain before anything is allocated for it.
-    fn rows(&mut self) -> DecResult<Vec<Vec<Value>>> {
+    /// A `Rows` body as rows of values, decoded against `stream`'s reply
+    /// dictionaries (`None`: a body on its own, against empty ones). A
+    /// value is decoded once per stream, and a cell is a clone of it (a
+    /// reference count for a string, not an allocation). Every count is
+    /// held against the bytes that remain before anything is allocated for
+    /// it.
+    fn rows(&mut self, stream: Option<&mut RowsDecoder>) -> DecResult<Vec<Vec<Value>>> {
         let n_rows = self.u32()? as usize;
         let n_cols = self.u16()? as usize;
+        if stream.as_ref().is_some_and(|s| s.dicts.len() != n_cols) {
+            return Err(WireError::Inconsistent(
+                "column count differs from the stream's",
+            ));
+        }
         if n_cols == 0 {
             // Rows of nothing would cost no bytes to claim.
             return match n_rows {
@@ -627,20 +801,47 @@ impl<'a> Dec<'a> {
                 _ => Err(WireError::Inconsistent("rows without columns")),
             };
         }
-        // A column spends five bytes on its count and id width, and at
+        // A column spends five bytes on its head and id width, and at
         // least one per row on ids.
         if n_rows > self.remaining() || n_cols > self.remaining() / 5 {
             return Err(WireError::Truncated);
         }
-        let mut columns = Vec::with_capacity(n_cols);
-        for _ in 0..n_cols {
-            let n_local = self.u32()? as usize;
-            if n_local > n_rows {
-                return Err(WireError::Inconsistent("more distinct values than rows"));
+        let mut own;
+        let dicts = match stream {
+            Some(stream) => &mut stream.dicts,
+            None => {
+                own = vec![Vec::new(); n_cols];
+                &mut own
             }
-            let mut values = Vec::with_capacity(n_local);
-            for _ in 0..n_local {
-                values.push(self.value()?);
+        };
+        let mut columns = Vec::with_capacity(n_cols);
+        for dict in dicts.iter_mut() {
+            let head = self.u32()?;
+            let (restart, n_new) = (head & RESTART != 0, (head & !RESTART) as usize);
+            if n_new > n_rows {
+                return Err(WireError::Inconsistent("more new values than rows"));
+            }
+            if restart {
+                if dict.is_empty() {
+                    return Err(WireError::Inconsistent(
+                        "restart of an empty reply dictionary",
+                    ));
+                }
+                dict.clear();
+            } else if n_new > 0 && !dict.is_empty() && dict.len() + n_new > REPLY_DICT_MAX {
+                // Only an empty dictionary (or a restarted one) takes a
+                // batch whose own values outnumber the bound.
+                return Err(WireError::Inconsistent(
+                    "reply dictionary past its bound without a restart",
+                ));
+            }
+            // A value spends at least its tag byte.
+            if n_new > self.remaining() {
+                return Err(WireError::Truncated);
+            }
+            dict.reserve(n_new);
+            for _ in 0..n_new {
+                dict.push(self.value()?);
             }
             let width = self.u8()?;
             if !matches!(width, 1 | 2 | 4) {
@@ -658,18 +859,17 @@ impl<'a> Dec<'a> {
                     .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
                     .collect(),
             };
-            if ids.iter().any(|&id| id as usize >= n_local) {
-                return Err(WireError::Inconsistent(
-                    "local id beyond the batch dictionary",
-                ));
+            if ids.iter().any(|&id| id as usize >= dict.len()) {
+                return Err(WireError::Inconsistent("id beyond the reply dictionary"));
             }
-            columns.push((values, ids));
+            columns.push(ids);
         }
         Ok((0..n_rows)
             .map(|r| {
                 columns
                     .iter()
-                    .map(|(values, ids)| values[ids[r] as usize].clone())
+                    .zip(dicts.iter())
+                    .map(|(ids, dict)| dict[ids[r] as usize].clone())
                     .collect()
             })
             .collect())
@@ -889,7 +1089,7 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
                 "the rows of a batch share one arity"
             );
             RowsEncoder::default().rows(&mut e, rows.len(), arity, |c| {
-                ColumnSrc::Cells(Box::new(rows.iter().map(move |row| &row[c])))
+                ColumnSrc::Cells(Box::new(move |r| &rows[r][c]))
             });
         }
         Reply::Done { batches, rows } => {
@@ -973,7 +1173,9 @@ pub fn decode_reply(kind: u8, payload: &[u8]) -> DecResult<Reply> {
                 total_rows: d.u64()?,
             }
         }
-        0x88 => Reply::Rows { rows: d.rows()? },
+        0x88 => Reply::Rows {
+            rows: d.rows(None)?,
+        },
         0x89 => Reply::Done {
             batches: d.u64()?,
             rows: d.u64()?,
@@ -1206,14 +1408,14 @@ mod tests {
         }
     }
 
-    /// A hand-built `Rows` body: `(n_local, values, width, id bytes)` per
+    /// A hand-built `Rows` body: `(head, values, width, id bytes)` per
     /// column, each field written as given, consistent or not.
     fn rows_body(n_rows: u32, columns: &[(u32, &[Value], u8, &[u8])]) -> Vec<u8> {
         let mut e = Enc::default();
         e.u32(n_rows);
         e.u16(columns.len() as u16);
-        for (n_local, values, width, ids) in columns {
-            e.u32(*n_local);
+        for (head, values, width, ids) in columns {
+            e.u32(*head);
             values.iter().for_each(|v| e.value(v));
             e.u8(*width);
             e.buf.extend_from_slice(ids);
@@ -1246,6 +1448,129 @@ mod tests {
         assert_eq!(decode_reply(ROWS_KIND, &wide), Ok(Reply::Rows { rows }));
     }
 
+    /// A column of `values` (distinct), as a table column holds it.
+    fn dict_column(values: &[Value]) -> Arc<EncodedColumn> {
+        Arc::new(EncodedColumn::from_values(ValueType::Str, values).unwrap())
+    }
+
+    /// A one-column batch of the values at `ids` of `column`.
+    fn dict_set(column: &Arc<EncodedColumn>, ids: &[u32]) -> RowSet {
+        let ids = ids.to_vec();
+        let column = Arc::clone(column);
+        RowSet::new(ids.len(), vec![RowColumn::Dict { column, ids }])
+    }
+
+    #[test]
+    fn a_stream_sends_each_value_once() {
+        let abc = [Value::str("a"), Value::str("b"), Value::str("c")];
+        let column = dict_column(&abc);
+        let ids = |set: &RowSet| match &set.columns()[0] {
+            RowColumn::Dict { column, ids } => ids
+                .iter()
+                .map(|&id| column.dict().value(id).clone())
+                .collect::<Vec<_>>(),
+            RowColumn::Plain(values) => values.clone(),
+        };
+        let (first, second) = (dict_set(&column, &[1, 0, 1]), dict_set(&column, &[0, 2, 1]));
+        let mut encoder = RowsEncoder::default();
+        let bodies = [encoder.encode(&first), encoder.encode(&second)];
+        // The first batch is laid out as a body on its own; the second
+        // carries only "c", and its ids index the reply dictionary b, a, c.
+        assert_eq!(bodies[0], RowsEncoder::default().encode(&first));
+        assert_eq!(bodies[1], rows_body(3, &[(1, &abc[2..], 1, &[1, 2, 0])]));
+        let mut decoder = RowsDecoder::new(1);
+        for (body, set) in bodies.iter().zip([&first, &second]) {
+            let rows = decoder.decode(body).unwrap();
+            assert_eq!(rows.concat(), ids(set));
+        }
+        // On its own, the second body names values it never sent.
+        assert_eq!(
+            decode_reply(ROWS_KIND, &bodies[1]),
+            Err(WireError::Inconsistent("id beyond the reply dictionary"))
+        );
+        // Plain cells share values across batches alike.
+        let plain =
+            |cells: &[&str]| RowSet::from_rows(1, cells.iter().map(|&c| vec![Value::str(c)]));
+        let mut encoder = RowsEncoder::default();
+        encoder.encode(&plain(&["x", "y"]));
+        let body = encoder.encode(&plain(&["y", "z", "x"]));
+        assert_eq!(
+            body,
+            rows_body(3, &[(1, &[Value::str("z")], 1, &[1, 2, 0])])
+        );
+    }
+
+    #[test]
+    fn a_column_restarts_when_its_backing_dictionary_changes_or_goes_unused() {
+        let abc = [Value::str("a"), Value::str("b"), Value::str("c")];
+        let (one, other) = (dict_column(&abc), dict_column(&abc));
+        let mut encoder = RowsEncoder::default();
+        encoder.encode(&dict_set(&one, &[0, 1]));
+        // The same values behind another table column: sent again, under
+        // the restart flag.
+        let body = encoder.encode(&dict_set(&other, &[0]));
+        assert_eq!(body, rows_body(1, &[(RESTART | 1, &abc[..1], 1, &[0])]));
+        // A batch that uses nothing sent before drops it: its ids start at
+        // zero rather than past the values it does not use.
+        let body = encoder.encode(&dict_set(&other, &[2, 1]));
+        assert_eq!(
+            body,
+            rows_body(
+                2,
+                &[(RESTART | 2, &[abc[2].clone(), abc[1].clone()], 1, &[0, 1])]
+            )
+        );
+        let mut decoder = RowsDecoder::new(1);
+        let mut encoder = RowsEncoder::default();
+        for (column, ids) in [
+            (&one, &[0, 1][..]),
+            (&other, &[0]),
+            (&other, &[2, 1]),
+            (&other, &[1, 0]),
+        ] {
+            let set = dict_set(column, ids);
+            let want: Vec<Vec<Value>> = ids
+                .iter()
+                .map(|&id| vec![abc[id as usize].clone()])
+                .collect();
+            assert_eq!(decoder.decode(&encoder.encode(&set)).unwrap(), want);
+        }
+    }
+
+    #[test]
+    fn a_reply_dictionary_restarts_rather_than_pass_its_bound() {
+        let values: Vec<Value> = (0..REPLY_DICT_MAX as i64 + 100).map(Value::int).collect();
+        let column = Arc::new(EncodedColumn::from_values(ValueType::Int, &values).unwrap());
+        let max = REPLY_DICT_MAX as u32;
+        // The first batch fills the dictionary but for 10 values; the second
+        // reuses one value and brings 20 new ones.
+        let first: Vec<u32> = (0..max - 10).collect();
+        let second: Vec<u32> = std::iter::once(0).chain(max..max + 20).collect();
+        let mut encoder = RowsEncoder::default();
+        let mut decoder = RowsDecoder::new(1);
+        for ids in [&first, &second] {
+            let body = encoder.encode(&dict_set(&column, ids));
+            let head = u32::from_le_bytes(body[6..10].try_into().unwrap());
+            let rows = decoder.decode(&body).unwrap();
+            assert_eq!(rows.len(), ids.len());
+            assert!(rows
+                .iter()
+                .zip(ids.iter())
+                .all(|(row, &id)| row[0] == values[id as usize]));
+            if ids == &second {
+                // Past the bound: the whole batch once more, under one-byte
+                // ids into its own 21 values.
+                assert_eq!(head, RESTART | 21);
+                assert_eq!(body[body.len() - ids.len() - 1], 1);
+            } else {
+                // Two-byte ids while the dictionary fills.
+                let width = body[body.len() - 2 * ids.len() - 1];
+                assert_eq!((head, width), (max - 10, 2));
+            }
+        }
+        assert_eq!(decoder.dicts[0].len(), 21);
+    }
+
     #[test]
     fn hostile_rows_bodies_are_typed_errors_before_anything_is_allocated() {
         let null: &[Value] = &[Value::Null];
@@ -1270,12 +1595,12 @@ mod tests {
             (
                 "a dictionary larger than the batch",
                 rows_body(1, &[(2, &[Value::Null, Value::int(1)], 1, &[0])]),
-                WireError::Inconsistent("more distinct values than rows"),
+                WireError::Inconsistent("more new values than rows"),
             ),
             (
                 "a local id past the dictionary",
                 rows_body(2, &[(1, null, 1, &[0, 1])]),
-                WireError::Inconsistent("local id beyond the batch dictionary"),
+                WireError::Inconsistent("id beyond the reply dictionary"),
             ),
             (
                 "an id width that is none of 1, 2, 4",

@@ -321,11 +321,13 @@ impl<'a, W: Write> Connection<'a, W> {
 
     /// Sends one row stream — the only place the `RowHeader → Rows* →
     /// Done` sequence is written: header, one `Rows` frame per batch
-    /// (`batches` yields no empty ones) encoded from its dictionary ids,
-    /// closer with the totals the client verifies. Batches are pulled one
-    /// at a time, so peak memory is one batch plus the window, whatever
-    /// the result size, and a reply longer than the window reaches the
-    /// client while later batches are still being produced. A batch that
+    /// (`batches` yields no empty ones) encoded from its dictionary ids by
+    /// the stream's one [`RowsEncoder`] (so a value travels once per
+    /// stream), closer with the totals the client verifies. Batches are
+    /// pulled one at a time, so peak memory is one batch, the window and
+    /// the bounded reply dictionaries, whatever the result size, and a
+    /// reply longer than the window reaches the client while later batches
+    /// are still being produced. A batch that
     /// could not be produced (a segment failed to fault in) ends the
     /// stream with a typed error where `Done` would stand; the connection
     /// goes on.
@@ -640,9 +642,10 @@ mod tests {
         // The preamble is the only thing the byte counter leaves out.
         let preamble = sink.bytes() - encoded();
 
-        // Sixteen batches of one 256 KiB cell each: every frame is larger
-        // than the window. The iterator runs between frames, so it sees
-        // what the connection holds at each step.
+        // Sixteen batches of one distinct 256 KiB cell each (a value the
+        // stream has sent travels once, so each batch's must be new): every
+        // frame is larger than the window. The iterator runs between
+        // frames, so it sees what the connection holds at each step.
         const FRAMES: u64 = 16;
         let cell = "x".repeat(256 * 1024);
         let mut produced = 0u64;
@@ -662,7 +665,8 @@ mod tests {
                 );
             }
             produced += 1;
-            Some(Ok(RowSet::from_rows(1, [vec![Value::str(&cell)]])))
+            let distinct = format!("{produced}{cell}");
+            Some(Ok(RowSet::from_rows(1, [vec![Value::str(distinct)]])))
         });
         conn.stream_rows(vec![("v".into(), ValueType::Str)], FRAMES, batches)
             .unwrap();

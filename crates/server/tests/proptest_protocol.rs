@@ -1,12 +1,15 @@
 //! Property tests for the wire layer: random commands and replies must
-//! survive encode → frame → read → decode byte-exactly, and random
+//! survive encode → frame → read → decode byte-exactly, random row-set
+//! streams must survive one encoder and one decoder, and random
 //! truncation/corruption must never be silently accepted — mirroring the
-//! WAL's torn-frame guarantees at the network boundary.
+//! WAL's torn-frame guarantees at the network boundary. Hand-built hostile
+//! `Rows` streams must each end in a typed error.
 
 use cods_query::{AggOp, CmpOp, Predicate, Query, RowColumn, RowSet};
 use cods_server::proto::{
     decode_command, decode_reply, encode_command, encode_reply, Command, DurabilityReply,
-    MetricsReply, Reply, RowsEncoder, StatsReply, WireError, ROWS_KIND,
+    MetricsReply, Reply, RowsDecoder, RowsEncoder, StatsReply, WireError, REPLY_DICT_MAX,
+    ROWS_KIND,
 };
 use cods_server::{frame, FrameError};
 use cods_storage::{CacheStats, EncodedColumn, OrderedF64, Value, ValueType};
@@ -209,6 +212,67 @@ fn row_set() -> impl Strategy<Value = RowSet> {
     })
 }
 
+/// Two table columns of one type.
+fn column_pair() -> BoxedStrategy<[Arc<EncodedColumn>; 2]> {
+    value_type()
+        .prop_flat_map(|ty| {
+            let pool = || prop::collection::vec(typed_value(ty), 1..12);
+            (pool(), pool()).prop_map(move |(a, b)| {
+                let column =
+                    |pool: &[Value]| Arc::new(EncodedColumn::from_values(ty, pool).unwrap());
+                [column(&a), column(&b)]
+            })
+        })
+        .boxed()
+}
+
+/// One reply stream's batches, all of one arity. Each column draws from
+/// two table columns of one type — so values recur across batches, and a
+/// batch that switches between the two changes the backing dictionary —
+/// or is plain cells of those values.
+fn row_set_stream() -> impl Strategy<Value = Vec<RowSet>> {
+    (1usize..4)
+        .prop_flat_map(|arity| {
+            let batch = (
+                0usize..40,
+                prop::collection::vec((0u8..3, prop::collection::vec(any::<u64>(), 40)), arity),
+            );
+            (
+                prop::collection::vec(column_pair(), arity),
+                prop::collection::vec(batch, 1..6),
+            )
+        })
+        .prop_map(|(backing, batches)| {
+            batches
+                .into_iter()
+                .map(|(len, columns)| {
+                    let columns = columns
+                        .into_iter()
+                        .zip(&backing)
+                        .map(|((choice, picks), pair)| {
+                            let column = &pair[usize::from(choice % 2)];
+                            let distinct = column.dict().len() as u64;
+                            let ids: Vec<u32> =
+                                picks[..len].iter().map(|p| (p % distinct) as u32).collect();
+                            match choice {
+                                2 => RowColumn::Plain(
+                                    ids.iter()
+                                        .map(|&id| column.dict().value(id).clone())
+                                        .collect(),
+                                ),
+                                _ => RowColumn::Dict {
+                                    column: Arc::clone(column),
+                                    ids,
+                                },
+                            }
+                        })
+                        .collect();
+                    RowSet::new(len, columns)
+                })
+                .collect()
+        })
+}
+
 fn decode_rows(payload: &[u8]) -> Result<Vec<Vec<Value>>, WireError> {
     decode_reply(ROWS_KIND, payload).map(|reply| match reply {
         Reply::Rows { rows } => rows,
@@ -350,6 +414,58 @@ proptest! {
     }
 
     #[test]
+    fn row_set_streams_round_trip_through_one_encoder_and_one_decoder(
+        stream in row_set_stream(),
+    ) {
+        let mut encoder = RowsEncoder::default();
+        let mut decoder = RowsDecoder::new(stream[0].arity());
+        for set in &stream {
+            prop_assert_eq!(decoder.decode(&encoder.encode(set)).unwrap(), set.to_rows());
+        }
+    }
+
+    #[test]
+    fn cut_or_flipped_stream_frames_never_decode(
+        stream in row_set_stream(),
+        pick in any::<u64>(),
+        at in UnitF64,
+        flip in 1u32..256,
+    ) {
+        let mut encoder = RowsEncoder::default();
+        let bodies: Vec<Vec<u8>> = stream.iter().map(|set| encoder.encode(set)).collect();
+        // Any frame of the stream, with the reply dictionaries the frames
+        // before it built.
+        let k = (pick % bodies.len() as u64) as usize;
+        let mut decoder = RowsDecoder::new(stream[0].arity());
+        for body in &bodies[..k] {
+            decoder.decode(body).unwrap();
+        }
+        let payload = &bodies[k];
+        // A body cut short is a typed decode error, whatever the cut.
+        let cut = (payload.len() as f64 * at) as usize;
+        prop_assert_eq!(decoder.clone().decode(&payload[..cut]), Err(WireError::Truncated));
+        // A frame cut short is torn; one with a flipped byte fails its
+        // checksum (or its length field) before the body is looked at.
+        let mut wire = Vec::new();
+        frame::write_frame(&mut wire, ROWS_KIND, payload).unwrap();
+        let read = |bytes: &[u8]| {
+            frame::read_frame(&mut Cursor::new(bytes), frame::DEFAULT_MAX_FRAME_BYTES)
+        };
+        let cut = 1 + ((wire.len() - 1) as f64 * at) as usize;
+        if cut < wire.len() {
+            prop_assert!(matches!(read(&wire[..cut]), Err(FrameError::Torn)));
+        }
+        let idx = ((wire.len() - 1) as f64 * at) as usize;
+        wire[idx] ^= flip as u8;
+        prop_assert!(matches!(
+            read(&wire),
+            Err(FrameError::Corrupt | FrameError::Torn | FrameError::TooLarge { .. })
+        ));
+        // The intact frame still decodes where the stream left off.
+        prop_assert_eq!(decoder.decode(payload).unwrap(), stream[k].to_rows());
+    }
+
+    #[test]
     fn truncated_frames_read_as_torn(cmd in command(), keep in UnitF64) {
         let mut wire = Vec::new();
         frame::write_frame(&mut wire, cmd.kind(), &encode_command(&cmd)).unwrap();
@@ -415,4 +531,124 @@ fn id_width_follows_the_distinct_count_of_the_batch() {
         assert_eq!(payload.len(), expected, "{distinct} distinct values");
         assert_eq!(decode_rows(&payload).unwrap(), set.to_rows());
     }
+}
+
+/// A hand-built `Rows` body over int values: `(head, values, width, id
+/// bytes)` per column, each field written as given, consistent or not.
+fn int_body(n_rows: u32, columns: &[(u32, &[i64], u8, &[u8])]) -> Vec<u8> {
+    let mut out = n_rows.to_le_bytes().to_vec();
+    out.extend_from_slice(&(columns.len() as u16).to_le_bytes());
+    for (head, values, width, ids) in columns {
+        out.extend_from_slice(&head.to_le_bytes());
+        for v in *values {
+            out.push(2);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out.push(*width);
+        out.extend_from_slice(ids);
+    }
+    out
+}
+
+/// The `head` bit that restarts a column's reply dictionary.
+const RESTART: u32 = 1 << 31;
+
+/// Each hand-built hostile stream ends in a typed error at its last body,
+/// never a panic, and no count is trusted past the bytes that remain: the
+/// bodies that claim billions of values are a few bytes long.
+#[test]
+fn hostile_row_streams_are_typed_errors() {
+    // A full reply dictionary, sent by a well-formed first batch.
+    let full: Vec<Value> = (0..REPLY_DICT_MAX as i64).map(Value::int).collect();
+    let full_body =
+        RowsEncoder::default().encode(&RowSet::from_rows(1, full.iter().map(|v| vec![v.clone()])));
+    let two = int_body(2, &[(2, &[10, 20], 1, &[0, 1])]);
+    let cases: Vec<(&str, usize, Vec<Vec<u8>>, WireError)> = vec![
+        (
+            "an id at the reply dictionary's size",
+            1,
+            vec![two.clone(), int_body(1, &[(0, &[], 1, &[2])])],
+            WireError::Inconsistent("id beyond the reply dictionary"),
+        ),
+        (
+            "an id past the reply dictionary's size",
+            1,
+            vec![two.clone(), int_body(2, &[(1, &[30], 1, &[0, 9])])],
+            WireError::Inconsistent("id beyond the reply dictionary"),
+        ),
+        (
+            "more new values than rows",
+            1,
+            vec![two.clone(), int_body(2, &[(3, &[1, 2, 3], 1, &[0, 1])])],
+            WireError::Inconsistent("more new values than rows"),
+        ),
+        (
+            "four billion rows claimed by a few bytes",
+            1,
+            vec![int_body(u32::MAX, &[(RESTART - 1, &[], 1, &[])])],
+            WireError::Truncated,
+        ),
+        (
+            "more new values than the bytes left could hold",
+            1,
+            vec![int_body(12, &[(12, &[], 1, &[0; 7])])],
+            WireError::Truncated,
+        ),
+        (
+            "a restart claiming two billion values in a few bytes",
+            1,
+            vec![two.clone(), int_body(3, &[(u32::MAX, &[], 1, &[])])],
+            WireError::Inconsistent("more new values than rows"),
+        ),
+        (
+            "a dictionary that passes its bound without a restart",
+            1,
+            vec![full_body.clone(), int_body(1, &[(1, &[-1], 4, &[0; 4])])],
+            WireError::Inconsistent("reply dictionary past its bound without a restart"),
+        ),
+        (
+            "a restart flag on a stream's first batch",
+            1,
+            vec![int_body(1, &[(RESTART | 1, &[5], 1, &[0])])],
+            WireError::Inconsistent("restart of an empty reply dictionary"),
+        ),
+        (
+            "a column count that changes mid-stream",
+            2,
+            vec![
+                int_body(1, &[(1, &[1], 1, &[0]), (1, &[2], 1, &[0])]),
+                int_body(1, &[(0, &[], 1, &[0])]),
+            ],
+            WireError::Inconsistent("column count differs from the stream's"),
+        ),
+        (
+            "a first batch of another column count than the header's",
+            2,
+            vec![int_body(1, &[(1, &[1], 1, &[0])])],
+            WireError::Inconsistent("column count differs from the stream's"),
+        ),
+    ];
+    for (what, arity, bodies, want) in cases {
+        let mut decoder = RowsDecoder::new(arity);
+        let (last, before) = bodies.split_last().unwrap();
+        for body in before {
+            decoder
+                .decode(body)
+                .unwrap_or_else(|e| panic!("{what}: setup body: {e}"));
+        }
+        assert_eq!(decoder.decode(last), Err(want), "{what}");
+    }
+    // The restart the bound calls for is accepted: the dictionary then
+    // holds the batch's one value.
+    let mut decoder = RowsDecoder::new(1);
+    decoder.decode(&full_body).unwrap();
+    let restarted = int_body(2, &[(RESTART | 1, &[-1], 1, &[0, 0])]);
+    assert_eq!(
+        decoder.decode(&restarted),
+        Ok(vec![vec![Value::int(-1)]; 2])
+    );
+    assert_eq!(
+        decoder.decode(&int_body(1, &[(0, &[], 1, &[1])])),
+        Err(WireError::Inconsistent("id beyond the reply dictionary"))
+    );
 }

@@ -6,16 +6,22 @@
 //! case also replays against a demand-paged copy starved by a tiny buffer-
 //! cache budget, so multi-pass join partitioning and run-stream faulting
 //! both get exercised. Float columns hold dyadic rationals only, so sums
-//! are exact and byte-comparable regardless of accumulation order. Runs in
-//! CI's differential proptest job at `PROPTEST_CASES=512`.
+//! are exact and byte-comparable regardless of accumulation order. Forced
+//! join plans (either build side, one to four partition passes, one- and
+//! two-column keys) pin the id-indexed buckets' row order, and a grouping
+//! column whose dictionary outgrows every batch pins the id-indexed group
+//! slots under a fragmented mask. Runs in CI's differential proptest job
+//! at `PROPTEST_CASES=512`, with fanned-out and serial kernels.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use cods_bitmap::Wah;
+use cods_query::join::partition_of;
 use cods_query::{
-    aggregate, aggregate_table, aggregate_table_masked, join_collect, predicate_mask, tuple, AggOp,
-    BuildSide, CmpOp, Predicate,
+    aggregate, aggregate_table, aggregate_table_masked, join_collect, join_stream, plan_join,
+    predicate_mask, tuple, AggOp, BuildSide, CmpOp, Predicate,
 };
 use cods_storage::persist::{read_table, save_table};
 use cods_storage::{segment_cache, Encoding, Schema, Table, Value, ValueType};
@@ -310,5 +316,111 @@ proptest! {
         segment_cache().set_budget(u64::MAX);
         std::fs::remove_file(&lp).ok();
         std::fs::remove_file(&rp).ok();
+    }
+
+    // Every plan, forced rather than chosen: build-right output is the
+    // oracle's rows pass by pass — probe rows in table order, a key's
+    // duplicate build rows in build-row order, NULL keys joined, dangling
+    // keys dropped — so one pass is row-identical to the oracle; build-left
+    // output is the oracle's multiset.
+    #[test]
+    fn forced_join_plans_match_the_row_oracle(
+        fact in fact_table(),
+        dim in dim_table(),
+        enc in 0usize..5,
+        pattern in any::<u64>(),
+        composite in any::<bool>(),
+        build_left in any::<bool>(),
+        partitions in 1u32..5,
+    ) {
+        let left = encode_variant(fact, enc, pattern);
+        let (lk, rk): (&[usize], &[usize]) = if composite {
+            (&[2, 0], &[0, 1])
+        } else {
+            (&[2], &[0])
+        };
+        let want = tuple::hash_join(&left.to_rows(), &dim.to_rows(), lk, rk);
+        let (l, r) = (Arc::new(left), Arc::new(dim));
+        let mut plan = plan_join(&l, &r, lk, rk, u64::MAX);
+        plan.build = if build_left { BuildSide::Left } else { BuildSide::Right };
+        plan.partitions = partitions;
+        let got: Vec<Vec<Value>> = join_stream(Arc::clone(&l), Arc::clone(&r), lk, rk, &plan)
+            .flat_map(|batch| batch.to_rows())
+            .collect();
+        if build_left {
+            let (mut got, mut want) = (got, want);
+            got.sort();
+            want.sort();
+            prop_assert_eq!(got, want);
+        } else {
+            // A matched row's left key columns hold its key.
+            let pass_of = |row: &Vec<Value>| {
+                let key: Vec<Value> = lk.iter().map(|&c| row[c].clone()).collect();
+                partition_of(&r, rk, partitions, &key)
+            };
+            let expect: Vec<Vec<Value>> = (0..partitions)
+                .flat_map(|pass| want.iter().filter(move |row| pass_of(row) == Some(pass)))
+                .cloned()
+                .collect();
+            prop_assert_eq!(got, expect);
+        }
+    }
+
+    // One grouping column whose dictionary is larger than any batch (tens
+    // to hundreds of values over segments of at most 16 rows), bitmap, RLE
+    // or mixed segments, under a mask that keeps a random half of the rows: the
+    // id-indexed slots give byte-identical groups, in first-appearance
+    // order, to the row oracle over the kept rows.
+    #[test]
+    fn one_column_group_by_over_a_wide_dictionary_matches_the_row_oracle(
+        pairs in prop::collection::vec((0i64..400, -64i64..64, 0u8..6), 32usize..300),
+        seg_rows in 4u64..16,
+        keep in prop::collection::vec(any::<bool>(), 300),
+        enc in 0usize..3,
+        pattern in any::<u64>(),
+    ) {
+        let schema = Schema::build(&[("g", ValueType::Int), ("v", ValueType::Int)], &[]).unwrap();
+        let rows: Vec<Vec<Value>> = pairs
+            .iter()
+            .map(|&(g, v, null)| {
+                let v = if null == 0 { Value::Null } else { Value::int(v) };
+                vec![Value::int(g), v]
+            })
+            .collect();
+        let table = Table::from_rows_with_segment_rows("W", schema, &rows, seg_rows).unwrap();
+        let table = match enc {
+            0 => table,
+            1 => table.recoded(Encoding::Rle).unwrap(),
+            _ => {
+                let mut mixed = table.clone();
+                for i in 0..table.column(0).segment_count() {
+                    if pattern & (1 << (i % 64)) != 0 {
+                        mixed = mixed
+                            .with_column_segment_range_encoding("g", Encoding::Rle, i..i + 1)
+                            .unwrap();
+                    }
+                }
+                mixed
+            }
+        };
+        let n = rows.len() as u64;
+        let positions: Vec<u64> = (0..n).filter(|&r| keep[r as usize]).collect();
+        let mask = Wah::from_sorted_positions(positions.iter().copied(), n);
+        let kept: Vec<Vec<Value>> = positions.iter().map(|&r| rows[r as usize].clone()).collect();
+        let aggs = [
+            (AggOp::Count, 1, ValueType::Int),
+            (AggOp::CountDistinct, 1, ValueType::Int),
+            (AggOp::Sum, 1, ValueType::Int),
+            (AggOp::Min, 1, ValueType::Int),
+            (AggOp::Max, 1, ValueType::Int),
+        ];
+        prop_assert_eq!(
+            aggregate_table_masked(&table, &[0], &aggs, Some(&mask)).unwrap(),
+            aggregate(&kept, &[0], &aggs).unwrap()
+        );
+        prop_assert_eq!(
+            aggregate_table(&table, &[0], &aggs).unwrap(),
+            aggregate(&rows, &[0], &aggs).unwrap()
+        );
     }
 }

@@ -587,6 +587,55 @@ fn failed_fault_in_a_group_by_is_a_typed_error_on_a_connection_that_still_answer
     std::fs::remove_file(&path).ok();
 }
 
+/// A server that answers a scan with a `Rows` batch whose column count is
+/// not its `RowHeader`'s — one column short, then one too many — gets a
+/// protocol error, and the caller never sees a row of the wrong arity.
+#[test]
+fn a_batch_of_another_arity_than_its_header_is_a_protocol_error() {
+    use cods_server::frame::{read_frame, write_frame, write_preamble, DEFAULT_MAX_FRAME_BYTES};
+    use cods_server::proto::encode_reply;
+    use cods_server::Reply;
+    for arity in [1usize, 3] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut peer, _) = listener.accept().unwrap();
+            write_preamble(&mut peer).unwrap();
+            let mut reader = peer.try_clone().unwrap();
+            let mut send = |reply: Reply| {
+                write_frame(&mut peer, reply.kind(), &encode_reply(&reply)).unwrap();
+            };
+            send(Reply::Hello { catalog_version: 1 });
+            read_frame(&mut reader, DEFAULT_MAX_FRAME_BYTES).unwrap(); // the scan
+            send(Reply::RowHeader {
+                columns: vec![("k".into(), ValueType::Int), ("v".into(), ValueType::Str)],
+                total_rows: 1,
+            });
+            send(Reply::Rows {
+                rows: vec![vec![Value::int(7); arity]],
+            });
+            send(Reply::Done {
+                batches: 1,
+                rows: 1,
+            });
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let mut delivered = 0;
+        let result = client.scan_with("t", Predicate::True, None, |_, _| delivered += 1);
+        server.join().unwrap();
+        match result {
+            Err(ClientError::Protocol(message)) => {
+                assert!(message.contains("column count"), "{message}")
+            }
+            other => panic!("{arity} column(s): expected a protocol error, got {other:?}"),
+        }
+        assert_eq!(
+            delivered, 0,
+            "no batch of the wrong arity reaches the caller"
+        );
+    }
+}
+
 /// What one raw exchange put on the wire: every reply frame until the
 /// closing `Done`, as the server framed it.
 #[derive(Debug, PartialEq)]
@@ -645,18 +694,29 @@ fn exchange(
     cmd: &Command,
 ) -> Exchange {
     use cods_server::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME_BYTES};
-    use cods_server::proto::{decode_reply, encode_command};
+    use cods_server::proto::{decode_reply, encode_command, RowsDecoder, ROWS_KIND};
     write_frame(stream, cmd.kind(), &encode_command(cmd)).unwrap();
     let (mut frames, mut bytes) = (0, 0);
     let mut content = Vec::new();
+    // The stream's batches decode against the reply dictionaries the
+    // header sizes.
+    let mut decoder = None;
     loop {
         let (kind, payload) = read_frame(reader, DEFAULT_MAX_FRAME_BYTES).unwrap();
         frames += 1;
         // Each frame adds a kind byte, a 4-byte length and an 8-byte checksum.
         bytes += payload.len() as u64 + 13;
         content.push(kind);
+        if kind == ROWS_KIND {
+            let decoder: &mut RowsDecoder = decoder.as_mut().expect("a header opens the stream");
+            rows_in_v1_layout(&decoder.decode(&payload).unwrap(), &mut content);
+            continue;
+        }
         match decode_reply(kind, &payload).unwrap() {
-            cods_server::Reply::Rows { rows } => rows_in_v1_layout(&rows, &mut content),
+            cods_server::Reply::RowHeader { columns, .. } => {
+                decoder = Some(RowsDecoder::new(columns.len()));
+                content.extend_from_slice(&payload);
+            }
             cods_server::Reply::Done { batches, rows } => {
                 content.extend_from_slice(&payload);
                 return Exchange {
@@ -672,17 +732,22 @@ fn exchange(
     }
 }
 
-/// Protocol version 1's totals for the three exchanges below: version 2
-/// must say the same in fewer bytes.
+/// Protocol version 1's totals for the three exchanges below: every later
+/// version must say the same in fewer bytes.
 const V1_BYTES: [u64; 3] = [77_923, 110_107, 241_270];
 
+/// Version 3's totals (version 2's bytes under another checksum), the
+/// last with a dictionary per batch: version 4's reply-scoped dictionary
+/// must shrink the multi-batch join and never grow an exchange.
+const V3_BYTES: [u64; 3] = [28_262, 60_149, 70_826];
+
 #[test]
-fn reply_bytes_frames_and_totals_are_those_of_protocol_version_3() {
+fn reply_bytes_frames_and_totals_are_those_of_protocol_version_4() {
     // Frame counts, `Done` totals and content digests are the constants
-    // recorded under protocol version 1: neither the windowed reply writer
-    // nor the columnar `Rows` body changed which rows a reply carries, in
-    // which order, in which batches. The byte totals are version 2's, which
-    // version 3 keeps: it changed what the 8-byte check holds, not its size.
+    // recorded under protocol version 1: neither the windowed reply writer,
+    // the columnar `Rows` body nor its reply-scoped dictionary changed
+    // which rows a reply carries, in which order, in which batches. The
+    // byte totals are version 4's.
     let cods = platform(5_000, 512);
     add_dim(&cods);
     let mut handle =
@@ -691,7 +756,7 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_3() {
     let mut raw = std::net::TcpStream::connect(handle.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
-    assert_eq!(cods_server::frame::read_preamble(&mut reader).unwrap(), 3);
+    assert_eq!(cods_server::frame::read_preamble(&mut reader).unwrap(), 4);
     let (hello, _) = cods_server::frame::read_frame(&mut reader, 1 << 20).unwrap();
     assert_eq!(hello, 0x81);
 
@@ -728,7 +793,7 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_3() {
         scan,
         Exchange {
             frames: 12,
-            bytes: 28_262,
+            bytes: 26_354,
             digest: 11858813980843628085,
             done_batches: 10,
             done_rows: 2_144,
@@ -738,7 +803,7 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_3() {
         group_by,
         Exchange {
             frames: 4,
-            bytes: 60_149,
+            bytes: 60_140,
             digest: 3352937161572489144,
             done_batches: 2,
             done_rows: 5_000,
@@ -749,18 +814,21 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_3() {
         Exchange { digest: 0, ..join },
         Exchange {
             frames: 4,
-            bytes: 70_826,
+            bytes: 70_494,
             digest: 0,
             done_batches: 2,
             done_rows: 5_000,
         }
     );
-    for (now, v1) in [scan.bytes, group_by.bytes, join.bytes]
+    for ((now, v1), v3) in [scan.bytes, group_by.bytes, join.bytes]
         .iter()
         .zip(V1_BYTES)
+        .zip(V3_BYTES)
     {
         assert!(*now < v1, "{now} bytes against version 1's {v1}");
+        assert!(*now <= v3, "{now} bytes against version 3's {v3}");
     }
+    assert!(join.bytes < V3_BYTES[2], "the join's batches share values");
     // The server's own byte counter agrees: the three streams plus the
     // two sessions' 21-byte `Hello` frames.
     let streamed = Client::connect(handle.local_addr())
@@ -777,8 +845,9 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_3() {
 #[test]
 fn a_version_1_preamble_is_refused() {
     use cods_server::frame::{read_preamble, FrameError, SERVE_MAGIC};
-    // Version 2 differs from 3 only in the frame checksum: refused alike.
-    for version in [1u16, 2] {
+    // Version 2 differs from 3 only in the frame checksum, and 3 from 4
+    // only in how a `Rows` body's dictionary is scoped: refused alike.
+    for version in [1u16, 2, 3] {
         let mut preamble = SERVE_MAGIC.to_le_bytes().to_vec();
         preamble.extend_from_slice(&version.to_le_bytes());
         // A `Rows` frame of that version follows; it is never looked at.
