@@ -9,7 +9,10 @@
 //!    away using the existing columns in R without any data operation").
 //! 2. **Distinction** — one pass over the key columns' value ids finds, for
 //!    every distinct key combination, the position of its first occurrence
-//!    in `R`. The result is a sorted tuple-position list.
+//!    in `R`. The result is a sorted tuple-position list. A single key
+//!    column numbers its keys through an array indexed by dictionary id,
+//!    whatever the dictionary's width; several go through one table over
+//!    flat id tuples. No key is allocated on its own.
 //! 3. **Bitmap filtering** — every bitmap of every `T` column is shrunk to
 //!    that position list (`Wah::filter_positions`), producing `T`'s
 //!    compressed bitmaps directly: no tuples are materialized, nothing is
@@ -21,13 +24,16 @@
 //! When distinction keeps every row, the common attributes are already a
 //! key of `R`: `T` is a column subset as well, and shares its columns with
 //! `R` exactly as `S` does — step 3 and the Property 2 pass are skipped.
+//! Otherwise filtering keeps every key value, so `T`'s key column still
+//! holds `R`'s key dictionary (the same shared handle as `S`'s): a MERGE of
+//! `S` and `T` maps its join ids without hashing a value.
 
 use crate::error::{EvolutionError, Result};
+use crate::keys::KeyIndex;
 use crate::schema_tools::check_decomposition_shape;
 use crate::status::{EvolutionStatus, StatusTracker};
-use cods_query::par::map_parallel;
+use cods_query::par::{map_parallel, map_parallel_pooled};
 use cods_storage::{EncodedColumn, Table};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Specification of a decomposition.
@@ -92,8 +98,12 @@ pub struct DecomposeOutcome {
 ///
 /// Works purely on value ids — dictionary values are never touched — and
 /// fans out per row chunk (the key column's nominal segment size): each
-/// pool task builds a *partial* map of the distinct keys in its chunk, in
-/// local first-occurrence order, and the partials are merged in chunk order
+/// pool task numbers the distinct keys in its chunk, in local
+/// first-occurrence order, through a [`KeyIndex`] it borrows from a
+/// per-call pool and hands back cleared — with one key column an array
+/// indexed by dictionary id, reset through the ids the chunk touched, so no
+/// chunk pays for the whole dictionary. The partials (first offsets, and
+/// the keys' ids flat) are merged in chunk order through one more index,
 /// so group numbering and first-occurrence positions come out exactly as a
 /// single sequential scan would produce them. A second fan-out rewrites
 /// each chunk's local group ids to global ones.
@@ -110,117 +120,74 @@ pub fn distinction(
         .iter()
         .map(|&c| table.column(c).value_ids())
         .collect();
-    let distinct = table.column(key_cols[0]).distinct_count();
+    let width = key_cols.len();
     let chunk_rows = (table.column(key_cols[0]).nominal_segment_rows().max(1) as usize).min(rows);
     let starts: Vec<usize> = (0..rows).step_by(chunk_rows).collect();
 
     // Per-chunk partials: the chunk's distinct keys in local first-occurrence
-    // order — (first row offset within the chunk, key ids) — plus, when
-    // groups are requested, each row's local group index.
+    // order — their first row offsets within the chunk, and their ids flat,
+    // `width` per key — plus, when groups are requested, each row's local
+    // group index.
     struct Partial {
-        firsts: Vec<(u32, Vec<u32>)>,
+        firsts: Vec<u32>,
+        keys: Vec<u32>,
         local_groups: Option<Vec<u32>>,
     }
-    let single = key_cols.len() == 1;
-    // A dense per-chunk group table costs O(distinct) zeroing per chunk —
-    // fine while the dictionary is small relative to a chunk, ruinous for
-    // high-cardinality keys (distinct ≈ rows would make the fan-out
-    // O(chunks × rows)); fall back to a hash map keyed by ids actually
-    // seen, like `SegmentChunk::from_ids`.
-    let dense = distinct as u64 <= (chunk_rows as u64).max(4096);
-    let partials: Vec<Partial> = map_parallel(starts.clone(), |start| {
-        let end = (start + chunk_rows).min(rows);
-        let mut firsts: Vec<(u32, Vec<u32>)> = Vec::new();
-        let mut local_groups: Option<Vec<u32>> =
-            want_groups.then(|| Vec::with_capacity(end - start));
-        if single && dense {
-            // Fast path: group identity is the single column's value id.
-            let ids = &id_cols[0][start..end];
-            let mut group_of_id: Vec<u32> = vec![u32::MAX; distinct];
-            for (off, &id) in ids.iter().enumerate() {
-                let slot = &mut group_of_id[id as usize];
-                if *slot == u32::MAX {
-                    *slot = firsts.len() as u32;
-                    firsts.push((off as u32, vec![id]));
-                }
-                if let Some(g) = local_groups.as_mut() {
-                    g.push(*slot);
-                }
-            }
-        } else if single {
-            let ids = &id_cols[0][start..end];
-            let mut seen: HashMap<u32, u32> = HashMap::new();
-            for (off, &id) in ids.iter().enumerate() {
-                let next = seen.len() as u32;
-                let group = *seen.entry(id).or_insert_with(|| {
-                    firsts.push((off as u32, vec![id]));
-                    next
-                });
-                if let Some(g) = local_groups.as_mut() {
-                    g.push(group);
-                }
-            }
-        } else {
-            let mut seen: HashMap<Vec<u32>, u32> = HashMap::new();
-            let mut key: Vec<u32> = vec![0; id_cols.len()];
+    let mut pool = Vec::new();
+    let partials: Vec<Partial> = map_parallel_pooled(
+        starts.clone(),
+        &mut pool,
+        || KeyIndex::new(table, key_cols, 0),
+        |start, index| {
+            let end = (start + chunk_rows).min(rows);
+            let mut firsts: Vec<u32> = Vec::new();
+            let mut local_groups: Option<Vec<u32>> =
+                want_groups.then(|| Vec::with_capacity(end - start));
+            let mut key: Vec<u32> = vec![0; width];
             for row in start..end {
                 for (slot, c) in key.iter_mut().zip(&id_cols) {
                     *slot = c[row];
                 }
-                // One clone per *miss* (new distinct key), not per row.
-                let group = match seen.get(&key) {
-                    Some(&g) => g,
-                    None => {
-                        let g = seen.len() as u32;
-                        firsts.push(((row - start) as u32, key.clone()));
-                        seen.insert(key.clone(), g);
-                        g
-                    }
-                };
+                let (group, fresh) = index.intern(&key);
+                if fresh {
+                    firsts.push((row - start) as u32);
+                }
                 if let Some(g) = local_groups.as_mut() {
                     g.push(group);
                 }
             }
-        }
-        Partial {
-            firsts,
-            local_groups,
-        }
-    });
+            let keys = index.keys().to_vec();
+            index.clear();
+            Partial {
+                firsts,
+                keys,
+                local_groups,
+            }
+        },
+    );
 
-    // Sequential merge over the partial maps only — O(distinct keys per
+    // Sequential merge over the partials only — O(distinct keys per
     // chunk), not O(rows): chunks are visited in row order, so the first
     // chunk containing a key fixes its global group id and position.
+    let mut global = pool
+        .pop()
+        .unwrap_or_else(|| KeyIndex::new(table, key_cols, 0));
     let mut positions: Vec<u64> = Vec::new();
     let mut local_to_global: Vec<Vec<u32>> = Vec::with_capacity(partials.len());
-    if single {
-        let mut group_of_id: Vec<u32> = vec![u32::MAX; distinct];
-        for (&start, partial) in starts.iter().zip(&partials) {
-            let mut map = Vec::with_capacity(partial.firsts.len());
-            for (off, key) in &partial.firsts {
-                let slot = &mut group_of_id[key[0] as usize];
-                if *slot == u32::MAX {
-                    *slot = positions.len() as u32;
-                    positions.push(start as u64 + *off as u64);
+    for (&start, partial) in starts.iter().zip(&partials) {
+        let map = partial
+            .firsts
+            .iter()
+            .zip(partial.keys.chunks_exact(width))
+            .map(|(&off, key)| {
+                let (group, fresh) = global.intern(key);
+                if fresh {
+                    positions.push(start as u64 + off as u64);
                 }
-                map.push(*slot);
-            }
-            local_to_global.push(map);
-        }
-    } else {
-        let mut seen: HashMap<&[u32], u32> = HashMap::new();
-        for (&start, partial) in starts.iter().zip(&partials) {
-            let mut map = Vec::with_capacity(partial.firsts.len());
-            for (off, key) in &partial.firsts {
-                let next = positions.len() as u32;
-                let group = *seen.entry(key.as_slice()).or_insert_with(|| {
-                    positions.push(start as u64 + *off as u64);
-                    next
-                });
-                map.push(group);
-            }
-            local_to_global.push(map);
-        }
+                group
+            })
+            .collect();
+        local_to_global.push(map);
     }
 
     // Second fan-out: rewrite each chunk's local groups through its
@@ -466,6 +433,27 @@ mod tests {
         let out = decompose(&r, &figure1_spec()).unwrap();
         assert!(r.shares_column_with(&out.unchanged, "employee"));
         assert!(r.shares_column_with(&out.unchanged, "skill"));
+    }
+
+    #[test]
+    fn changed_side_keeps_the_input_dictionaries() {
+        // Filtering keeps every key value, and (by the FD) every value of
+        // the changed side's other columns: both hold the input's
+        // dictionaries, so a MERGE back maps its ids for free.
+        let r = figure1();
+        let out = decompose(&r, &figure1_spec()).unwrap();
+        assert!(!r.shares_column_with(&out.changed, "employee"));
+        for name in ["employee", "address"] {
+            let input = r.column_by_name(name).unwrap().dict();
+            assert!(out
+                .changed
+                .column_by_name(name)
+                .unwrap()
+                .dict()
+                .same_as(input));
+        }
+        let key = |t: &Table| t.column_by_name("employee").unwrap().dict().clone();
+        assert!(key(&out.unchanged).same_as(&key(&out.changed)));
     }
 
     #[test]

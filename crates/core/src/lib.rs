@@ -38,6 +38,7 @@
 pub mod decompose;
 pub mod error;
 pub mod exec;
+mod keys;
 pub mod merge;
 pub mod parser;
 pub mod plan;

@@ -7,6 +7,13 @@
 //!   columns become the output's columns by reference. Only `T`'s payload
 //!   attributes need new bitmaps, built in one sequential scan of `S`'s key
 //!   ids; the scan works on dictionary ids and compressed bitmaps only.
+//!   `T`'s rows are first indexed by key — with one join column an array
+//!   indexed by `T`'s dictionary id — and building that key table is what
+//!   proves `T` keyed: a key met twice stops it. `Auto` builds it once and
+//!   the mergence uses it, so uniqueness is decided once and logged as the
+//!   merge's first step. With one join column the scan is one load per
+//!   row, `row_of[map[id]]`, and the id map costs nothing when `S` and `T`
+//!   hold one dictionary, as a DECOMPOSE's outputs do.
 //!
 //! * **General mergence** (§2.5.2) — an arbitrary equi-join. A two-pass
 //!   algorithm: pass 1 counts the occurrences `n1(v)`, `n2(v)` of every
@@ -19,12 +26,20 @@
 //!   directly.
 
 use crate::error::{EvolutionError, Result};
+use crate::keys::{KeyIndex, NONE};
 use crate::status::{EvolutionStatus, StatusTracker};
 use cods_bitmap::RleSeq;
 use cods_query::par::map_parallel;
 use cods_storage::{ColumnDef, EncodedAssembler, EncodedChunk, EncodedColumn, Schema, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// In the one-column scan's array: the reusable id's value is missing from
+/// the keyed side's dictionary.
+const NO_VALUE: u32 = NONE;
+/// In the one-column scan's array: the value is in the keyed side's
+/// dictionary, but on no keyed row.
+const NO_ROW: u32 = NONE - 1;
 
 /// Strategy selection for MERGE TABLES.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -61,16 +76,6 @@ pub struct MergeOutcome {
     pub strategy: UsedStrategy,
     /// Step log.
     pub status: EvolutionStatus,
-}
-
-/// For each dictionary id of `from`, the id of the same value in `to`
-/// (`None` when absent). Cost: O(distinct values), never O(rows).
-fn id_mapping(from: &EncodedColumn, to: &EncodedColumn) -> Vec<Option<u32>> {
-    from.dict()
-        .values()
-        .iter()
-        .map(|v| to.dict().id_of(v))
-        .collect()
 }
 
 /// An output-chunk emitter that accumulates value-id **runs** — run
@@ -154,10 +159,53 @@ pub(crate) fn validate_join_schemas(
     Ok(())
 }
 
+/// The keyed side of a key–FK mergence indexed by key: key number `n` is
+/// keyed row `n`. Building it decides uniqueness — `None` at the first key
+/// met twice — so no separate pass proves the side keyed. Key numbers are
+/// `u32` rows, so a table of [`NO_ROW`] rows or more is never keyed (a
+/// unique one-column key has at most one row per dictionary id anyway).
+fn key_table(keyed: &Table, k_join: &[usize]) -> Option<KeyIndex> {
+    let rows = keyed.rows() as usize;
+    if rows >= NO_ROW as usize {
+        return None;
+    }
+    let ids: Vec<Vec<u32>> = k_join
+        .iter()
+        .map(|&c| keyed.column(c).value_ids())
+        .collect();
+    let mut index = KeyIndex::new(keyed, k_join, rows);
+    let mut key: Vec<u32> = vec![0; k_join.len()];
+    for row in 0..rows {
+        for (slot, c) in key.iter_mut().zip(&ids) {
+            *slot = c[row];
+        }
+        if !index.intern(&key).1 {
+            return None;
+        }
+    }
+    Some(index)
+}
+
+/// [`key_table`] as a logged step: the first step of every key–FK attempt.
+fn key_table_step(
+    keyed: &Table,
+    join_cols: &[String],
+    tracker: &mut StatusTracker,
+) -> Result<Option<KeyIndex>> {
+    let k_join = join_indices(keyed.schema(), join_cols)?;
+    let keys = key_table(keyed, &k_join);
+    let step = if keys.is_some() {
+        "build key table"
+    } else {
+        "build key table: not unique"
+    };
+    tracker.step_items(step, keyed.rows());
+    Ok(keys)
+}
+
 /// Returns `true` if `table` has no duplicate combination of `cols`.
 pub fn is_unique_on(table: &Table, cols: &[usize]) -> bool {
-    let (positions, _) = crate::decompose::distinction(table, cols, false);
-    positions.len() as u64 == table.rows()
+    key_table(table, cols).is_some()
 }
 
 /// Output schema of a mergence: the reusable/left columns followed by the
@@ -192,43 +240,64 @@ pub fn merge_key_fk(
 ) -> Result<MergeOutcome> {
     let mut tracker = StatusTracker::new();
     validate_join(reusable, keyed, join_cols)?;
-    let r_join = join_indices(reusable.schema(), join_cols)?;
-    let k_join = join_indices(keyed.schema(), join_cols)?;
-
-    if !is_unique_on(keyed, &k_join) {
+    let Some(keys) = key_table_step(keyed, join_cols, &mut tracker)? else {
         return Err(EvolutionError::InvalidOperator(format!(
             "table {:?} is not unique on {:?}; use general mergence",
             keyed.name(),
             join_cols
         )));
-    }
-    tracker.step("verify key uniqueness");
+    };
+    let output = key_fk_with(reusable, keyed, output_name, join_cols, keys, &mut tracker)?;
+    Ok(MergeOutcome {
+        output,
+        strategy: UsedStrategy::KeyForeignKey,
+        status: tracker.finish(),
+    })
+}
 
-    // Dictionary-level id maps, one per join column: reusable id → keyed id.
+/// §2.5.1 over an already built key table of `keyed`, logging into
+/// `tracker`.
+fn key_fk_with(
+    reusable: &Table,
+    keyed: &Table,
+    output_name: &str,
+    join_cols: &[String],
+    keys: KeyIndex,
+    tracker: &mut StatusTracker,
+) -> Result<Table> {
+    let r_join = join_indices(reusable.schema(), join_cols)?;
+    let k_join = join_indices(keyed.schema(), join_cols)?;
+
+    // Dictionary-level id maps, one per join column: reusable id → keyed id
+    // (`None` when the keyed side lacks the value). O(distinct values), and
+    // no hashing at all when both columns hold one dictionary, as a
+    // DECOMPOSE's outputs do.
     let maps: Vec<Vec<Option<u32>>> = r_join
         .iter()
         .zip(&k_join)
-        .map(|(&rc, &kc)| id_mapping(reusable.column(rc), keyed.column(kc)))
+        .map(|(&rc, &kc)| reusable.column(rc).dict().remap_to(keyed.column(kc).dict()))
         .collect();
+    // One join column: the id map and the key table compose into one array
+    // indexed by the reusable side's id, so the scan is one load per row.
+    let target_of_id: Option<Vec<u32>> = match &keys {
+        KeyIndex::ById { number_of, .. } => Some(
+            maps[0]
+                .iter()
+                .map(|m| match m.map(|kid| number_of[kid as usize]) {
+                    None => NO_VALUE,
+                    Some(NONE) => NO_ROW,
+                    Some(row) => row,
+                })
+                .collect(),
+        ),
+        KeyIndex::ByTuple(_) => None,
+    };
     tracker.step("map join dictionaries");
-
-    // keyed-side: key combination → its unique row.
-    let k_ids: Vec<Vec<u32>> = k_join
-        .iter()
-        .map(|&c| keyed.column(c).value_ids())
-        .collect();
-    let keyed_rows = keyed.rows() as usize;
-    let mut row_of_key: HashMap<Vec<u32>, u64> = HashMap::with_capacity(keyed_rows);
-    for row in 0..keyed_rows {
-        let key: Vec<u32> = k_ids.iter().map(|c| c[row]).collect();
-        row_of_key.insert(key, row as u64);
-    }
-    tracker.step_items("index key rows", keyed_rows as u64);
 
     // Sequential scan of the reusable side: every row is mapped to the
     // keyed row providing its payload values. Parallelized per row chunk
     // (the key column's nominal segment size): each pool task scans its
-    // range serially against the shared id maps and key index, and the
+    // range serially against the shared id maps and key table, and the
     // per-chunk results are spliced back in row order — bit-identical to
     // the serial scan, including which row reports a violation first
     // (chunks are joined in order, and each chunk scans its rows in
@@ -238,44 +307,48 @@ pub fn merge_key_fk(
         .map(|&c| reusable.column(c).value_ids())
         .collect();
     let n = reusable.rows() as usize;
+    let violation = |row: usize, missing: u32| {
+        let what = if missing == NO_VALUE {
+            "join value"
+        } else {
+            "join combination"
+        };
+        EvolutionError::ForeignKeyViolation(format!(
+            "row {row} of {:?} has a {what} missing from {:?}",
+            reusable.name(),
+            keyed.name()
+        ))
+    };
     let chunk_rows =
         (reusable.column(r_join[0]).nominal_segment_rows().max(1) as usize).min(n.max(1));
     let starts: Vec<usize> = (0..n).step_by(chunk_rows).collect();
-    let chunks: Vec<Result<Vec<u64>>> = map_parallel(starts, |start| {
+    let chunks: Vec<Result<Vec<u32>>> = map_parallel(starts, |start| {
         let end = (start + chunk_rows).min(n);
-        let mut out: Vec<u64> = Vec::with_capacity(end - start);
-        let mut key_buf: Vec<u32> = vec![0; r_join.len()];
+        let mut out: Vec<u32> = Vec::with_capacity(end - start);
+        if let Some(target_of_id) = &target_of_id {
+            for (row, &rid) in (start..end).zip(&r_ids[0][start..end]) {
+                let t = target_of_id[rid as usize];
+                if t >= NO_ROW {
+                    return Err(violation(row, t));
+                }
+                out.push(t);
+            }
+            return Ok(out);
+        }
+        let mut key: Vec<u32> = vec![0; r_join.len()];
         for row in start..end {
-            for (slot, (ids, map)) in key_buf.iter_mut().zip(r_ids.iter().zip(&maps)) {
-                let rid = ids[row];
-                match map[rid as usize] {
-                    Some(mapped) => *slot = mapped,
-                    None => {
-                        return Err(EvolutionError::ForeignKeyViolation(format!(
-                            "row {row} of {:?} has a join value missing from {:?}",
-                            reusable.name(),
-                            keyed.name()
-                        )));
-                    }
-                }
+            for (slot, (ids, map)) in key.iter_mut().zip(r_ids.iter().zip(&maps)) {
+                *slot = map[ids[row] as usize].ok_or_else(|| violation(row, NO_VALUE))?;
             }
-            match row_of_key.get(&key_buf) {
-                Some(&t_row) => out.push(t_row),
-                None => {
-                    return Err(EvolutionError::ForeignKeyViolation(format!(
-                        "row {row} of {:?} has a join combination missing from {:?}",
-                        reusable.name(),
-                        keyed.name()
-                    )));
-                }
-            }
+            out.push(keys.get(&key).ok_or_else(|| violation(row, NO_ROW))?);
         }
         Ok(out)
     });
-    let mut target_row: Vec<u64> = Vec::with_capacity(n);
+    let mut target_row: Vec<u32> = Vec::with_capacity(n);
     for chunk in chunks {
         target_row.extend(chunk?);
     }
+    drop(r_ids);
     tracker.step_items("sequential scan (parallel per chunk)", n as u64);
 
     // Build the payload columns (keyed-side non-join attributes) directly
@@ -306,6 +379,7 @@ pub fn merge_key_fk(
         }
         new_columns.push(Arc::new(col.from_assembler_compacting(asm)));
     }
+    drop(target_row);
     tracker.step_items("build payload bitmaps", payload_cols.len() as u64);
 
     // Output: reusable columns shared by reference + new payload columns.
@@ -314,12 +388,7 @@ pub fn merge_key_fk(
     columns.extend(new_columns);
     let output = Table::new(output_name, schema, columns).map_err(EvolutionError::Storage)?;
     tracker.step("assemble output table");
-
-    Ok(MergeOutcome {
-        output,
-        strategy: UsedStrategy::KeyForeignKey,
-        status: tracker.finish(),
-    })
+    Ok(output)
 }
 
 // ---------------------------------------------------------------------
@@ -335,6 +404,22 @@ pub fn merge_general(
     join_cols: &[String],
 ) -> Result<MergeOutcome> {
     let mut tracker = StatusTracker::new();
+    let output = general_with(left, right, output_name, join_cols, &mut tracker)?;
+    Ok(MergeOutcome {
+        output,
+        strategy: UsedStrategy::General,
+        status: tracker.finish(),
+    })
+}
+
+/// §2.5.2, logging into `tracker`.
+fn general_with(
+    left: &Table,
+    right: &Table,
+    output_name: &str,
+    join_cols: &[String],
+    tracker: &mut StatusTracker,
+) -> Result<Table> {
     validate_join(left, right, join_cols)?;
     let l_join = join_indices(left.schema(), join_cols)?;
     let r_join = join_indices(right.schema(), join_cols)?;
@@ -362,7 +447,7 @@ pub fn merge_general(
     let maps: Vec<Vec<Option<u32>>> = r_join
         .iter()
         .zip(&l_join)
-        .map(|(&rc, &lc)| id_mapping(right.column(rc), left.column(lc)))
+        .map(|(&rc, &lc)| right.column(rc).dict().remap_to(left.column(lc).dict()))
         .collect();
     let r_ids: Vec<Vec<u32>> = r_join
         .iter()
@@ -571,12 +656,7 @@ pub fn merge_general(
     let schema = merged_schema(left.schema(), right.schema(), join_cols)?;
     let output = Table::new(output_name, schema, out_columns).map_err(EvolutionError::Storage)?;
     tracker.step_items("assemble output table", total);
-
-    Ok(MergeOutcome {
-        output,
-        strategy: UsedStrategy::General,
-        status: tracker.finish(),
-    })
+    Ok(output)
 }
 
 // ---------------------------------------------------------------------
@@ -585,9 +665,10 @@ pub fn merge_general(
 
 /// Reorders a mergence output to the canonical left-first column layout
 /// (left's columns, then right's non-join columns). `Auto` runs this after
-/// a key–FK mergence that reused the *right* side, so the output schema is
-/// the same whichever input turns out to be keyed — a property the
-/// evolution planner relies on to predict schemas ahead of the data.
+/// every key–FK mergence; it moves columns only when the mergence reused
+/// the *right* side, so the output schema is the same whichever input
+/// turns out to be keyed — a property the evolution planner relies on to
+/// predict schemas ahead of the data.
 /// O(arity): columns are shared by reference.
 fn reordered_left_first(
     out: MergeOutcome,
@@ -614,6 +695,10 @@ fn reordered_left_first(
 
 /// Merges `left` and `right` into `output_name`, joining on their common
 /// columns, with the given strategy.
+///
+/// `Auto` tries `right` as the keyed side, then `left`: building a side's
+/// key table is what decides whether it is keyed, so the table it builds is
+/// the one the mergence uses, and its status log starts with that build.
 pub fn merge(
     left: &Table,
     right: &Table,
@@ -645,30 +730,40 @@ pub fn merge(
             }
         }
         MergeStrategy::Auto => {
-            let r_join = join_indices(right.schema(), &join_cols)?;
-            if is_unique_on(right, &r_join) {
-                match merge_key_fk(left, right, output_name, &join_cols) {
+            let mut tracker = StatusTracker::new();
+            validate_join(left, right, &join_cols)?;
+            for (reusable, keyed) in [(left, right), (right, left)] {
+                let Some(keys) = key_table_step(keyed, &join_cols, &mut tracker)? else {
+                    continue;
+                };
+                match key_fk_with(reusable, keyed, output_name, &join_cols, keys, &mut tracker) {
+                    // A foreign-key value without a match: inner-join
+                    // semantics need the general algorithm.
                     Err(EvolutionError::ForeignKeyViolation(_)) => {
-                        merge_general(left, right, output_name, &join_cols)
+                        tracker.step("key-foreign-key scan: unmatched value");
+                        break;
                     }
-                    other => other,
-                }
-            } else {
-                let l_join = join_indices(left.schema(), &join_cols)?;
-                if is_unique_on(left, &l_join) {
-                    match merge_key_fk(right, left, output_name, &join_cols) {
-                        Err(EvolutionError::ForeignKeyViolation(_)) => {
-                            merge_general(left, right, output_name, &join_cols)
-                        }
-                        Ok(out) => {
-                            reordered_left_first(out, left.schema(), right.schema(), &join_cols)
-                        }
-                        other => other,
+                    output => {
+                        let out = MergeOutcome {
+                            output: output?,
+                            strategy: UsedStrategy::KeyForeignKey,
+                            status: tracker.finish(),
+                        };
+                        return reordered_left_first(
+                            out,
+                            left.schema(),
+                            right.schema(),
+                            &join_cols,
+                        );
                     }
-                } else {
-                    merge_general(left, right, output_name, &join_cols)
                 }
             }
+            let output = general_with(left, right, output_name, &join_cols, &mut tracker)?;
+            Ok(MergeOutcome {
+                output,
+                strategy: UsedStrategy::General,
+                status: tracker.finish(),
+            })
         }
     }
 }

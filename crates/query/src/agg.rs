@@ -38,7 +38,6 @@ use cods_bitmap::Wah;
 use cods_storage::{EncodedColumn, Encoding, OrderedF64, StorageError, Table, Value, ValueType};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::Mutex;
 
 /// An aggregate function.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -257,14 +256,15 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Hashes keys made of dictionary ids with [`splitmix64`] instead of
+/// Hashes keys made of dictionary ids with `splitmix64` instead of
 /// SipHash. The ids are dense integers this engine assigned, not bytes a
 /// client chose, so the default hasher's collision resistance buys nothing
-/// here, and a group-by or join probe pays for it once per run or row.
+/// here, and a group-by or join probe pays for it once per run or row —
+/// as do the SMO executors' multi-column key tables in `cods`.
 /// Seeded apart from the join's partition split, which applies the same
 /// mixer to the same keys: within one pass every key agrees on
 /// `splitmix64(key) % partitions`.
-pub(crate) struct IdHasher(u64);
+pub struct IdHasher(u64);
 
 impl Default for IdHasher {
     fn default() -> Self {
@@ -872,19 +872,13 @@ fn drive<K: Send, S: GroupSlots<K> + Send>(
     run: impl Fn(&BatchWork, &mut S) -> Result<Partial<K>, StorageError> + Sync,
     new_slots: impl Fn() -> S + Sync,
 ) -> Result<(Vec<K>, Vec<Vec<PAcc>>), StorageError> {
-    let pool: Mutex<Vec<S>> = Mutex::new(Vec::new());
-    let take = || {
-        let pooled = pool.lock().expect("slot pool poisoned").pop();
-        pooled.unwrap_or_else(&new_slots)
-    };
-    let parts = par::map_parallel(batches, |work| {
-        let mut slots = take();
-        let part = run(&work, &mut slots);
-        pool.lock().expect("slot pool poisoned").push(slots);
-        part
+    let mut pool = Vec::new();
+    let parts = par::map_parallel_pooled(batches, &mut pool, &new_slots, |work, slots| {
+        run(&work, slots)
     });
     let parts = parts.into_iter().collect::<Result<_, _>>()?;
-    Ok(merge_partials(parts, ctxs, &mut take()))
+    let mut slots = pool.pop().unwrap_or_else(new_slots);
+    Ok(merge_partials(parts, ctxs, &mut slots))
 }
 
 /// Groups a column-store table by the columns at `group_by` and evaluates

@@ -12,7 +12,7 @@
 //! `CODS_QUERY_THREADS` sizes **both** fan-outs: the override below also
 //! decides whether the SMO operators fan out or run serially.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Worker count the fan-out is sized against. `CODS_QUERY_THREADS`
 /// overrides the pool's native width — the thread-scaling smoke's knob, so a
@@ -55,6 +55,37 @@ where
         .collect()
 }
 
+/// [`map_parallel`] where each task borrows a scratch value — a slot table
+/// indexed by dictionary id, say — from `pool`, creating one with
+/// `new_scratch` only when every pooled one is in use. `f` must hand its
+/// scratch back reset (an id table by walking the ids it touched), so a
+/// worker fills at most one per call instead of one per item, and with a
+/// single worker every item reuses the same one. The scratch values stay
+/// in `pool` afterwards.
+pub fn map_parallel_pooled<T, R, S, F>(
+    items: Vec<T>,
+    pool: &mut Vec<S>,
+    new_scratch: impl Fn() -> S + Sync,
+    f: F,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    S: Send,
+    F: Fn(T, &mut S) -> R + Sync,
+{
+    let shared = Mutex::new(std::mem::take(pool));
+    let out = map_parallel(items, |item| {
+        let pooled = shared.lock().expect("scratch pool poisoned").pop();
+        let mut scratch = pooled.unwrap_or_else(&new_scratch);
+        let r = f(item, &mut scratch);
+        shared.lock().expect("scratch pool poisoned").push(scratch);
+        r
+    });
+    *pool = shared.into_inner().expect("scratch pool poisoned");
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,6 +101,21 @@ mod tests {
         let out: Vec<i32> = map_parallel(Vec::<i32>::new(), |x| x);
         assert!(out.is_empty());
         assert_eq!(map_parallel(vec![7], |x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn pooled_scratch_is_reused_and_kept() {
+        let mut pool: Vec<Vec<u32>> = Vec::new();
+        let out = map_parallel_pooled((0..64u32).collect(), &mut pool, Vec::new, |x, s| {
+            assert!(s.is_empty(), "scratch handed back dirty");
+            s.push(x);
+            let r = s[0] * 2;
+            s.clear();
+            r
+        });
+        assert_eq!(out, (0..64).map(|x| x * 2).collect::<Vec<_>>());
+        // At most one per pool worker, plus the caller, which helps drain.
+        assert!(!pool.is_empty() && pool.len() <= rayon::current_num_threads() + 1);
     }
 
     #[test]

@@ -1334,8 +1334,9 @@ impl EncodedColumn {
     }
 
     /// Finalizes an assembler's directory into a column sharing this
-    /// column's type, dictionary (compacted to the surviving values),
-    /// nominal segment size, and column-level pin.
+    /// column's type, dictionary (compacted to the surviving values; the
+    /// same handle when every value survives), nominal segment size, and
+    /// column-level pin.
     pub fn from_assembler_compacting(&self, asm: EncodedAssembler) -> EncodedColumn {
         Self::from_segments_compacting(self.ty, self.dict.clone(), asm.finish(), self.segment_rows)
             .with_meta_of(self)
@@ -1599,8 +1600,10 @@ impl EncodedColumn {
         }
     }
 
-    /// [`EncodedColumn::compacted`] when fragmented, otherwise a cheap
-    /// clone — the threshold-triggered form hooked in after UNION concat.
+    /// [`EncodedColumn::compacted`] when fragmented, otherwise a clone,
+    /// which shares the segments and the dictionary and copies only the
+    /// directory — the threshold-triggered form hooked in after UNION
+    /// concat.
     pub fn maybe_compacted(&self) -> EncodedColumn {
         if self.needs_compaction() {
             self.compacted()
@@ -2114,6 +2117,45 @@ mod tests {
         assert_eq!(s.segments()[1].encoding(), Encoding::Rle);
         let expect: Vec<Value> = (50..950).map(|i| Value::int(i % 4)).collect();
         assert_eq!(s.values(), expect);
+    }
+
+    #[test]
+    fn derivations_that_keep_every_value_share_the_dictionary() {
+        let values: Vec<Value> = (0..300).map(|i| Value::int(i % 7)).collect();
+        let col = mixed(&values, 64);
+        let shares = |c: &EncodedColumn| {
+            c.check_invariants().unwrap();
+            c.dict().same_as(col.dict())
+        };
+        let evens: Vec<u64> = (0..300).step_by(2).collect();
+        assert!(shares(&col.clone()));
+        assert!(shares(&col.filter_positions(&evens)));
+        assert!(shares(&col.filter_bitmap(&Wah::from_sorted_positions(
+            evens.iter().copied(),
+            300
+        ))));
+        assert!(shares(&col.gather(&[6, 5, 4, 3, 2, 1, 0, 299])));
+        assert!(shares(&col.slice(10, 200)));
+        let fragmented = col.slice(0, 10).concat(&col.slice(10, 300)).unwrap();
+        assert!(shares(&fragmented));
+        assert!(shares(&fragmented.compacted()));
+        assert!(shares(&fragmented.maybe_compacted()));
+        let ids = col.value_ids();
+        let mut asm = col.assembler();
+        for chunk in ids.chunks(50) {
+            asm.push_chunk(EncodedChunk::from_ids_for(
+                &col,
+                chunk.iter().copied(),
+                chunk.len() as u64,
+            ));
+        }
+        assert!(shares(&col.from_assembler_compacting(asm)));
+
+        // Dropping a value compacts into a dictionary of its own.
+        let narrowed = col.filter_positions(&[0, 1]);
+        assert!(!shares(&narrowed));
+        assert_eq!(narrowed.distinct_count(), 2);
+        assert_eq!(col.distinct_count(), 7);
     }
 
     #[test]
