@@ -33,7 +33,7 @@ use crate::keys::KeyIndex;
 use crate::schema_tools::check_decomposition_shape;
 use crate::status::{EvolutionStatus, StatusTracker};
 use cods_query::par::{map_parallel, map_parallel_pooled};
-use cods_storage::{EncodedColumn, Table};
+use cods_storage::{EncodedChunk, EncodedColumn, Table};
 use std::sync::Arc;
 
 /// Specification of a decomposition.
@@ -227,24 +227,9 @@ pub(crate) fn filter_columns_by_positions(
             tasks.push((ci, seg_idx, range));
         }
     }
-    let chunks = map_parallel(tasks, |(ci, seg_idx, range)| {
-        (
-            ci,
-            columns[ci].filter_segment_chunk(seg_idx, &positions[range]),
-        )
-    });
-    // Tasks were generated in ascending (column, segment) order and
-    // map_parallel preserves order, so chunks splice back sequentially.
-    let mut assemblers: Vec<cods_storage::EncodedAssembler> =
-        columns.iter().map(|c| c.assembler()).collect();
-    for (ci, chunk) in chunks {
-        assemblers[ci].push_chunk(chunk);
-    }
-    columns
-        .iter()
-        .zip(assemblers)
-        .map(|(col, asm)| Arc::new(col.from_assembler_compacting(asm)))
-        .collect()
+    filter_columns(columns, tasks, |col, seg_idx, range| {
+        col.filter_segment_chunk(seg_idx, &positions[range])
+    })
 }
 
 /// Mask-driven variant of [`filter_columns_by_positions`]: splits the
@@ -262,14 +247,25 @@ pub(crate) fn filter_columns_by_mask(
             tasks.push((ci, seg_idx, mask_seg));
         }
     }
-    let chunks = map_parallel(tasks, |(ci, seg_idx, mask_seg)| {
-        (
-            ci,
-            columns[ci].filter_segment_mask_chunk(seg_idx, &mask_seg),
-        )
+    filter_columns(columns, tasks, |col, seg_idx, mask_seg| {
+        col.filter_segment_mask_chunk(seg_idx, &mask_seg)
+    })
+}
+
+/// The tail both filters share: runs `filter` as one pool task per
+/// `(column index, segment index, selection)` entry of `tasks`, then
+/// splices each column's chunks into a fresh segment directory. Tasks come
+/// in ascending (column, segment) order and `map_parallel` keeps it, so
+/// the chunks splice back sequentially.
+fn filter_columns<S: Send>(
+    columns: &[&EncodedColumn],
+    tasks: Vec<(usize, usize, S)>,
+    filter: impl Fn(&EncodedColumn, usize, S) -> EncodedChunk + Sync,
+) -> Vec<Arc<EncodedColumn>> {
+    let chunks = map_parallel(tasks, |(ci, seg_idx, sel)| {
+        (ci, filter(columns[ci], seg_idx, sel))
     });
-    let mut assemblers: Vec<cods_storage::EncodedAssembler> =
-        columns.iter().map(|c| c.assembler()).collect();
+    let mut assemblers: Vec<_> = columns.iter().map(|c| c.assembler()).collect();
     for (ci, chunk) in chunks {
         assemblers[ci].push_chunk(chunk);
     }

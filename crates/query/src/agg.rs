@@ -18,12 +18,17 @@
 //!   per-column dictionary ids ([`GroupKeySpace`] packs them into one
 //!   `u64` when the id widths fit, else falls back to a compact composite
 //!   tuple) and mapped to slots through a `splitmix64`-hashed map.
-//!   Aggregates consume maximal `(id, run length)` runs straight off the
-//!   segment payloads — so RLE-clustered input costs O(runs), not
-//!   O(rows) — except where a one-column group-by meets a bitmap segment,
-//!   whose decode yields one id per row anyway: that batch walks rows.
-//!   Segments fan out on the worker pool with one ordered merge of the
-//!   partial tables at the end.
+//!   The selection (the mask's one-intervals) is split once along the
+//!   first grouping column's segments, one batch each
+//!   ([`EncodedColumn::split_by_segment`]). A batch reads every column it
+//!   needs through the column's selection walker, which faults each
+//!   segment once however fragmented the mask is: aggregates consume
+//!   maximal `(id, run length)` runs ([`EncodedColumn::try_runs_in`]) — so
+//!   RLE-clustered input costs O(runs), not O(rows) — except where a
+//!   one-column group-by meets a bitmap segment, whose decode yields one
+//!   id per row anyway: that batch walks rows
+//!   ([`EncodedColumn::try_ids_in`]). Batches fan out on the worker pool
+//!   with one ordered merge of the partial tables at the end.
 //!
 //! NULL handling follows the `valid: Option<…>` dual-path idiom
 //! ([`validity`]): whether the dictionary holds a NULL is decided once,
@@ -526,65 +531,6 @@ struct Partial<K> {
     accs: Vec<Vec<PAcc>>,
 }
 
-fn push_run(out: &mut Vec<(u32, u64)>, id: u32, n: u64) {
-    if n == 0 {
-        return;
-    }
-    match out.last_mut() {
-        Some((last, len)) if *last == id => *len += n,
-        _ => out.push((id, n)),
-    }
-}
-
-/// The maximal `(id, run)` stream of one column over the selected
-/// intervals, with runs coalesced across interval gaps (selected rows are
-/// logically concatenated). Every column of a batch uses the same `sel`,
-/// so all streams cover the same virtual row count and stay aligned. A
-/// segment that cannot be faulted in is a typed error.
-fn column_runs(col: &EncodedColumn, sel: &[(u64, u64)]) -> Result<Vec<(u32, u64)>, StorageError> {
-    if sel.len() == 1 {
-        return col.try_runs_range(sel[0].0..sel[0].1);
-    }
-    let mut out = Vec::new();
-    if sel.len() <= 8 {
-        // Few intervals: per-interval run slices keep RLE input O(runs).
-        for &(a, b) in sel {
-            for (id, n) in col.try_runs_range(a..b)? {
-                push_run(&mut out, id, n);
-            }
-        }
-    } else {
-        // Fragmented mask: one contiguous decode, then gather. The mask
-        // already made the work O(selected rows); avoid re-decoding the
-        // segment once per interval.
-        let lo = sel[0].0;
-        let hi = sel[sel.len() - 1].1;
-        let ids = col.try_ids_range(lo..hi)?;
-        for &(a, b) in sel {
-            for r in a..b {
-                push_run(&mut out, ids[(r - lo) as usize], 1);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// The ids of one column at the selected intervals, concatenated — the
-/// per-row twin of [`column_runs`]. A segment that cannot be faulted in is
-/// a typed error.
-fn column_ids(col: &EncodedColumn, sel: &[(u64, u64)]) -> Result<Vec<u32>, StorageError> {
-    let (lo, hi) = (sel[0].0, sel[sel.len() - 1].1);
-    let ids = col.try_ids_range(lo..hi)?;
-    if sel.len() == 1 {
-        return Ok(ids);
-    }
-    let mut out = Vec::with_capacity(sel.iter().map(|&(a, b)| (b - a) as usize).sum());
-    for &(a, b) in sel {
-        out.extend_from_slice(&ids[(a - lo) as usize..(b - lo) as usize]);
-    }
-    Ok(out)
-}
-
 /// Zips per-column run streams (all covering `total` virtual rows) into
 /// composed-key runs: each output run is the longest stretch on which
 /// every column's id is constant. Output runs are maximal because each
@@ -629,9 +575,11 @@ fn key_runs<K>(
     make_key: impl Fn(&[u32]) -> K,
 ) -> Result<Vec<(K, u64)>, StorageError> {
     let total: u64 = work.sel.iter().map(|&(a, b)| b - a).sum();
+    // Every column reads the same selection, so every run stream covers
+    // the same `total` rows and they stay aligned.
     let col_runs = group_by
         .iter()
-        .map(|&g| column_runs(t.column(g), &work.sel))
+        .map(|&g| t.column(g).try_runs_in(&work.sel))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(zip_key_runs(&col_runs, total, make_key))
 }
@@ -788,11 +736,11 @@ fn run_batch<K>(
             (AggCtx::Count, Grouped::Runs(runs)) => runs.iter().for_each(|&(g, n)| count(g, n)),
             (AggCtx::Count, Grouped::Rows(rows)) => rows.iter().for_each(|&g| count(g, 1)),
             (_, Grouped::Runs(runs)) => {
-                let ids = column_runs(t.column(col), &work.sel)?;
+                let ids = t.column(col).try_runs_in(&work.sel)?;
                 accumulate(ctx, &RunSteps(runs, &ids), &mut accs, agg);
             }
             (_, Grouped::Rows(rows)) => {
-                let ids = column_ids(t.column(col), &work.sel)?;
+                let ids = t.column(col).try_ids_in(&work.sel)?;
                 accumulate(ctx, &RowSteps(rows, &ids), &mut accs, agg);
             }
         }
@@ -826,40 +774,6 @@ fn merge_partials<K>(
         }
     }
     (keys, accs)
-}
-
-/// Splits the selected intervals along the driving column's segment
-/// directory: one [`BatchWork`] per segment with any selected row.
-/// Zone-pruned or fully-masked-out segments never appear, so they are
-/// skipped at metadata speed.
-fn make_batches(t: &Table, drive: usize, sel: &[(u64, u64)]) -> Vec<BatchWork> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    let mut start = 0u64;
-    for slot in t.column(drive).segments() {
-        let (lo, hi) = (start, start + slot.rows());
-        start = hi;
-        let mut cur = Vec::new();
-        while i < sel.len() && sel[i].0 < hi {
-            let a = sel[i].0.max(lo);
-            let b = sel[i].1.min(hi);
-            if a < b {
-                cur.push((a, b));
-            }
-            if sel[i].1 <= hi {
-                i += 1;
-            } else {
-                break;
-            }
-        }
-        if !cur.is_empty() {
-            out.push(BatchWork {
-                sel: cur,
-                rle: slot.encoding() == Encoding::Rle,
-            });
-        }
-    }
-    out
 }
 
 /// Fan out, run, merge — generic over the key representation and its slot
@@ -908,8 +822,17 @@ pub fn aggregate_table_masked(
     if sel.is_empty() {
         return Ok(Vec::new());
     }
-    let drive_col = group_by.first().copied().unwrap_or(0);
-    let batches = make_batches(t, drive_col, &sel);
+    // One batch per segment of the driving column holding a selected row:
+    // zone-pruned or masked-out segments are skipped at metadata speed.
+    let driving = t.column(group_by.first().copied().unwrap_or(0));
+    let batches: Vec<BatchWork> = driving
+        .split_by_segment(&sel)
+        .into_iter()
+        .map(|(seg, sel)| BatchWork {
+            sel,
+            rle: driving.segment_encoding(seg) == Encoding::Rle,
+        })
+        .collect();
     let ctxs: Vec<AggCtx<'_>> = aggs
         .iter()
         .map(|&(op, col, ty)| AggCtx::new(op, t.column(col), ty))
@@ -945,10 +868,10 @@ pub fn aggregate_table_masked(
                 batches,
                 |work, slots: &mut IdSlots| {
                     let (keys, grouped) = if work.rle {
-                        let (keys, runs) = slots.group(column_runs(t.column(g), &work.sel)?);
+                        let (keys, runs) = slots.group(t.column(g).try_runs_in(&work.sel)?);
                         (keys, Grouped::Runs(runs))
                     } else {
-                        let mut rows = column_ids(t.column(g), &work.sel)?;
+                        let mut rows = t.column(g).try_ids_in(&work.sel)?;
                         (slots.assign(rows.iter_mut()), Grouped::Rows(rows))
                     };
                     run_batch(t, ctxs, aggs, work, keys, grouped)

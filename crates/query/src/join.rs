@@ -36,7 +36,7 @@ use crate::cost::{self, RankedChoice};
 use crate::pred::Predicate;
 use crate::query::STREAM_BATCH_ROWS;
 use crate::rowset::{RowColumn, RowSet};
-use crate::stream::ScanStream;
+use crate::stream::{ids_in, ScanStream};
 use cods_storage::{segment_cache, EncodedColumn, StorageError, Table, Value};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -367,30 +367,18 @@ impl JoinStream {
             let expect = (rows / u64::from(self.partitions)).min(key_space) as usize;
             *map = HashMap::with_capacity_and_hasher(expect, IdHash::default());
         }
-        let ids_of = |cols: &[usize], lo, hi| -> Result<Vec<Vec<u32>>, StorageError> {
-            cols.iter()
-                .map(|&c| self.build.column(c).try_ids_range(lo..hi))
-                .collect()
-        };
         let (partitions, pass) = (self.partitions, self.pass);
         // The slot of every build row of the pass, in build-row order.
         let mut slots: Vec<u32> = Vec::new();
         let mut ids = vec![0u32; self.build_keys.len()];
         // One segment of the (first) key column at a time, so each of its
         // segments decodes once.
-        let bounds: Vec<u64> = self
-            .build
-            .column(self.build_keys.first().copied().unwrap_or(0))
-            .segments()
-            .iter()
-            .map(|slot| slot.rows())
-            .collect();
-        let mut lo = 0u64;
-        for seg_rows in bounds {
-            let hi = lo + seg_rows;
-            let key_ids = ids_of(&self.build_keys, lo, hi)?;
-            let pay_ids = ids_of(&self.payload_src, lo, hi)?;
-            for r in 0..(hi - lo) as usize {
+        let whole = [(0, rows)];
+        let all = if rows == 0 { &[][..] } else { &whole[..] };
+        for (_, sel) in self.build.column(self.build_keys[0]).split_by_segment(all) {
+            let key_ids = ids_in(&self.build, &self.build_keys, &sel)?;
+            let pay_ids = ids_in(&self.build, &self.payload_src, &sel)?;
+            for r in 0..key_ids[0].len() {
                 for (slot, col_ids) in ids.iter_mut().zip(&key_ids) {
                     *slot = col_ids[r];
                 }
@@ -415,7 +403,6 @@ impl JoinStream {
                     p.push(col_ids[r]);
                 }
             }
-            lo = hi;
         }
         let n_slots = match &self.slots {
             Slots::ById => self.build.column(self.build_keys[0]).dict().len(),

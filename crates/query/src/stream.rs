@@ -8,15 +8,17 @@
 //! scanned table's **segment directory** (column 0's row-range shards):
 //!
 //! 1. the predicate is evaluated once on the compressed representation
-//!    ([`predicate_mask`](crate::predicate_mask)), and the resulting mask
-//!    is held as its maximal one-intervals — bounded by the mask's run
-//!    count, never by the selected row count;
-//! 2. each batch decodes only the segments overlapping its row range
-//!    ([`cods_storage::EncodedColumn::try_ids_range`]) and gathers the
-//!    selected ids per projected column into a [`RowSet`] — peak memory is
-//!    one segment's ids per projected column, and no value is touched;
-//! 3. batches with no selected rows are skipped without touching any
-//!    payload — zone- and stat-pruned ranges stream at metadata speed.
+//!    ([`predicate_mask`](crate::predicate_mask)), and the resulting mask's
+//!    maximal one-intervals are split once along column 0's segments
+//!    ([`cods_storage::EncodedColumn::split_by_segment`]) — bounded by the
+//!    mask's run count, never by the selected row count;
+//! 2. each batch reads its intervals' ids off every projected column
+//!    ([`cods_storage::EncodedColumn::try_ids_in`], one decode per
+//!    overlapping segment) into a [`RowSet`] — peak memory is one
+//!    segment's ids per projected column, and no value is touched;
+//! 3. a segment with no selected row is never a batch, so its payload is
+//!    never touched — zone- and stat-pruned ranges stream at metadata
+//!    speed.
 //!
 //! The concatenation of all batches is row-for-row identical to
 //! `filter_table(...)` followed by projection (locked by tests here and,
@@ -29,8 +31,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// One streamed slice of a scan result: the selected, projected tuples
-/// whose row ids fall inside `range` (a run of whole segments of the
-/// scanned table).
+/// whose row ids fall inside `range` (one segment of the scanned table's
+/// column 0).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowBatch {
     /// Row-id range of the underlying table this batch was decoded from.
@@ -48,6 +50,16 @@ pub(crate) struct IdBatch {
     pub(crate) ids: Vec<Vec<u32>>,
 }
 
+/// The ids of columns `cols` of `t` at the selection `sel`, one vector per
+/// column — what a scan batch and a join build pass read.
+pub(crate) fn ids_in(
+    t: &Table,
+    cols: &[usize],
+    sel: &[(u64, u64)],
+) -> Result<Vec<Vec<u32>>, StorageError> {
+    cols.iter().map(|&c| t.column(c).try_ids_in(sel)).collect()
+}
+
 /// A pull-based streaming scan: predicate once, then segment-sized
 /// [`RowBatch`]es on demand.
 ///
@@ -58,18 +70,11 @@ pub struct ScanStream {
     table: Arc<Table>,
     /// Projected column indices, in output order.
     projection: Vec<usize>,
-    /// Batch boundaries: `bounds[i]..bounds[i + 1]` is batch `i`'s row
-    /// range, aligned to column 0's segment directory.
-    bounds: Vec<u64>,
-    /// Maximal one-intervals of the selection mask as half-open
-    /// `(start, end)` row-id ranges, ascending and disjoint.
-    intervals: Vec<(u64, u64)>,
+    /// The batches still to emit: each segment of column 0 holding a
+    /// selected row, with the selection mask's one-intervals inside it.
+    batches: std::vec::IntoIter<(usize, Vec<(u64, u64)>)>,
     /// Total selected rows (the mask's ones count).
     selected: u64,
-    /// Next batch index to emit.
-    next_batch: usize,
-    /// First interval that can still overlap the next batch.
-    iv_cursor: usize,
 }
 
 impl ScanStream {
@@ -105,26 +110,16 @@ impl ScanStream {
             .iter_intervals()
             .map(|(start, len)| (start, start + len))
             .collect();
-        let rows = table.rows();
-        let mut bounds = Vec::new();
-        bounds.push(0);
-        if let Some(col) = table.columns().first() {
-            let mut at = 0u64;
-            for slot in col.segments() {
-                at += slot.rows();
-                bounds.push(at);
-            }
-        } else if rows > 0 {
-            bounds.push(rows);
-        }
+        // A table without columns has no rows, so nothing to batch.
+        let batches = match table.columns().first() {
+            Some(col) => col.split_by_segment(&intervals),
+            None => Vec::new(),
+        };
         Ok(ScanStream {
             table,
             projection,
-            bounds,
-            intervals,
+            batches: batches.into_iter(),
             selected,
-            next_batch: 0,
-            iv_cursor: 0,
         })
     }
 
@@ -141,60 +136,17 @@ impl ScanStream {
         self.flat_map(|batch| batch.rows.to_rows()).collect()
     }
 
-    /// The selected stretches of `lo..hi` as offsets from `lo`, advancing
-    /// the interval cursor past every interval that ends at or before `hi`.
-    fn selected_in(&mut self, lo: u64, hi: u64) -> Vec<Range<usize>> {
-        while self.iv_cursor < self.intervals.len() && self.intervals[self.iv_cursor].1 <= lo {
-            self.iv_cursor += 1;
-        }
-        let mut sel = Vec::new();
-        let mut i = self.iv_cursor;
-        while i < self.intervals.len() && self.intervals[i].0 < hi {
-            let (start, end) = self.intervals[i];
-            sel.push((start.max(lo) - lo) as usize..(end.min(hi) - lo) as usize);
-            if end <= hi {
-                i += 1;
-            } else {
-                // The interval runs on into the next batch: keep it current.
-                break;
-            }
-        }
-        self.iv_cursor = i;
-        sel
-    }
-
     /// The next non-empty batch in the id domain — what [`Self::try_next`]
     /// wraps into a [`RowSet`] and what a join probes directly.
     pub(crate) fn next_ids(&mut self) -> Result<Option<IdBatch>, StorageError> {
-        while self.next_batch + 1 < self.bounds.len() {
-            let lo = self.bounds[self.next_batch];
-            let hi = self.bounds[self.next_batch + 1];
-            self.next_batch += 1;
-            let sel = self.selected_in(lo, hi);
-            if sel.is_empty() {
-                // Nothing selected in this row range: no payload faulted.
-                continue;
-            }
-            let whole = sel[0] == (0..(hi - lo) as usize);
-            // Decode each projected column's overlapping segments once.
-            let ids = self
-                .projection
-                .iter()
-                .map(|&ci| {
-                    let ids = self.table.column(ci).try_ids_range(lo..hi)?;
-                    Ok(match whole {
-                        true => ids,
-                        false => sel.iter().flat_map(|r| &ids[r.clone()]).copied().collect(),
-                    })
-                })
-                .collect::<Result<_, StorageError>>()?;
-            return Ok(Some(IdBatch {
-                range: lo..hi,
-                len: sel.iter().map(ExactSizeIterator::len).sum(),
-                ids,
-            }));
-        }
-        Ok(None)
+        let Some((seg, sel)) = self.batches.next() else {
+            return Ok(None);
+        };
+        Ok(Some(IdBatch {
+            range: self.table.column(0).segment_range(seg),
+            len: sel.iter().map(|&(a, b)| (b - a) as usize).sum(),
+            ids: ids_in(&self.table, &self.projection, &sel)?,
+        }))
     }
 
     /// The next non-empty batch, or the typed error of a segment that

@@ -256,6 +256,29 @@ impl EncodedChunk {
         }
     }
 
+    /// Extracts the row range `[lo, hi)` of this chunk.
+    fn slice(&self, lo: u64, hi: u64) -> EncodedChunk {
+        match self {
+            EncodedChunk::Bitmap(c) => {
+                let mut ids = Vec::new();
+                let mut bitmaps = Vec::new();
+                for (&id, bm) in c.ids.iter().zip(&c.bitmaps) {
+                    let piece = bm.slice(lo, hi);
+                    if piece.any() {
+                        ids.push(id);
+                        bitmaps.push(piece);
+                    }
+                }
+                EncodedChunk::Bitmap(SegmentChunk {
+                    ids,
+                    bitmaps,
+                    rows: hi - lo,
+                })
+            }
+            EncodedChunk::Rle(s) => EncodedChunk::Rle(s.slice(lo, hi)),
+        }
+    }
+
     /// Builds a chunk from a stream of value ids, one per output row in
     /// order, in an explicitly requested encoding.
     pub fn from_ids<I: IntoIterator<Item = u32>>(
@@ -318,45 +341,6 @@ impl EncodedChunk {
 // The unified assembler
 // ---------------------------------------------------------------------
 
-/// One not-yet-sealed piece of the current output segment.
-#[derive(Debug)]
-enum Piece {
-    Bitmap(SegmentChunk),
-    Rle(RleSeq),
-}
-
-impl Piece {
-    fn rows(&self) -> u64 {
-        match self {
-            Piece::Bitmap(c) => c.rows,
-            Piece::Rle(s) => s.len(),
-        }
-    }
-
-    /// Extracts the row range `[lo, hi)` of this piece.
-    fn slice(&self, lo: u64, hi: u64) -> Piece {
-        match self {
-            Piece::Bitmap(c) => {
-                let mut ids = Vec::new();
-                let mut bitmaps = Vec::new();
-                for (&id, bm) in c.ids.iter().zip(&c.bitmaps) {
-                    let piece = bm.slice(lo, hi);
-                    if piece.any() {
-                        ids.push(id);
-                        bitmaps.push(piece);
-                    }
-                }
-                Piece::Bitmap(SegmentChunk {
-                    ids,
-                    bitmaps,
-                    rows: hi - lo,
-                })
-            }
-            Piece::Rle(s) => Piece::Rle(s.slice(lo, hi)),
-        }
-    }
-}
-
 /// Splices a stream of [`EncodedChunk`]s into a unified segment directory.
 /// Chunks may arrive in either encoding; each sealed output segment keeps
 /// the encoding of its pieces — all-RLE pieces seal as an RLE segment,
@@ -368,7 +352,8 @@ pub struct EncodedAssembler {
     /// Explicit piece-size schedule (compaction regrouping); when present,
     /// each sealed segment consumes the next entry.
     schedule: Option<std::collections::VecDeque<u64>>,
-    cur: Vec<Piece>,
+    /// The not-yet-sealed pieces of the current output segment.
+    cur: Vec<EncodedChunk>,
     cur_len: u64,
     segments: Vec<SegmentEnc>,
 }
@@ -413,16 +398,12 @@ impl EncodedAssembler {
 
     /// Appends a chunk, splitting it across segment boundaries as needed.
     pub fn push_chunk(&mut self, chunk: EncodedChunk) {
-        let piece = match chunk {
-            EncodedChunk::Bitmap(c) => Piece::Bitmap(c),
-            EncodedChunk::Rle(s) => Piece::Rle(s),
-        };
-        let rows = piece.rows();
+        let rows = chunk.rows();
         if rows == 0 {
             return;
         }
         let mut offset = 0u64;
-        let mut whole = Some(piece);
+        let mut whole = Some(chunk);
         while offset < rows {
             let room = self.target - self.cur_len;
             let take = room.min(rows - offset);
@@ -449,12 +430,12 @@ impl EncodedAssembler {
         }
         let len = self.cur_len;
         let pieces = std::mem::take(&mut self.cur);
-        let seg = if pieces.iter().all(|p| matches!(p, Piece::Rle(_))) {
+        let seg = if pieces.iter().all(|p| matches!(p, EncodedChunk::Rle(_))) {
             let mut seq = RleSeq::new();
             for p in pieces {
                 match p {
-                    Piece::Rle(s) => seq.append_seq(&s),
-                    Piece::Bitmap(_) => unreachable!("checked all-RLE"),
+                    EncodedChunk::Rle(s) => seq.append_seq(&s),
+                    EncodedChunk::Bitmap(_) => unreachable!("checked all-RLE"),
                 }
             }
             debug_assert_eq!(seq.len(), len);
@@ -462,7 +443,7 @@ impl EncodedAssembler {
         } else if pieces.len() == 1 {
             // Single bitmap piece exactly filling the segment: move it.
             match pieces.into_iter().next().expect("one piece") {
-                Piece::Bitmap(c) => {
+                EncodedChunk::Bitmap(c) => {
                     let pairs: Vec<(u32, Wah)> = c
                         .ids
                         .into_iter()
@@ -471,7 +452,7 @@ impl EncodedAssembler {
                         .collect();
                     SegmentEnc::Bitmap(Arc::new(Segment::new(len, pairs)))
                 }
-                Piece::Rle(_) => unreachable!("single RLE piece took the all-RLE path"),
+                EncodedChunk::Rle(_) => unreachable!("single RLE piece took the all-RLE path"),
             }
         } else {
             // Mixed or multi-piece: accumulate per-id bitmaps with lazy
@@ -482,14 +463,14 @@ impl EncodedAssembler {
             for p in &pieces {
                 let piece_rows = p.rows();
                 match p {
-                    Piece::Bitmap(c) => {
+                    EncodedChunk::Bitmap(c) => {
                         for (&id, bm) in c.ids.iter().zip(&c.bitmaps) {
                             if bm.any() {
                                 acc.append_bitmap(id, bm.view(), offset);
                             }
                         }
                     }
-                    Piece::Rle(s) => {
+                    EncodedChunk::Rle(s) => {
                         for (id, start, run_len) in s.iter_runs() {
                             acc.append_run(id, offset + start, run_len);
                         }
@@ -1023,148 +1004,143 @@ impl EncodedColumn {
     /// compressed payloads (O(rows + compressed words)). The
     /// sequential-scan primitive of the CODS algorithms: it never touches
     /// dictionary values, only ids.
+    ///
+    /// Panics when a paged-out segment cannot be faulted back in; the
+    /// served read paths use [`EncodedColumn::try_ids_in`] instead.
     pub fn value_ids(&self) -> Vec<u32> {
-        self.ids_range(0..self.rows)
-    }
-
-    /// Materializes the row → value-id array of `range` only, decoding
-    /// just the segments that overlap it — the batch-decode primitive of
-    /// the streaming scan surface: a server streaming a table in
-    /// segment-sized batches touches (and faults in) one batch worth of
-    /// payload at a time, never the whole column.
-    ///
-    /// Panics when a paged-out segment cannot be faulted back in; the
-    /// served read path uses [`EncodedColumn::try_ids_range`] instead.
-    pub fn ids_range(&self, range: Range<u64>) -> Vec<u32> {
-        self.try_ids_range(range)
+        let whole = [(0, self.rows)];
+        let sel = if self.rows == 0 { &[][..] } else { &whole[..] };
+        self.try_ids_in(sel)
             .unwrap_or_else(|e| panic!("segment fault failed: {e}"))
     }
 
-    /// [`EncodedColumn::ids_range`] that reports a failed fault-in (I/O
-    /// error, corrupt payload) as a typed error instead of panicking.
-    pub fn try_ids_range(&self, range: Range<u64>) -> Result<Vec<u32>, StorageError> {
-        assert!(
-            range.start <= range.end && range.end <= self.rows,
-            "range {range:?} out of bounds for {} rows",
-            self.rows
-        );
-        let mut out = vec![u32::MAX; (range.end - range.start) as usize];
-        for (seg, &start) in self.segments.iter().zip(&self.starts) {
-            let seg_end = start + seg.rows();
-            if seg_end <= range.start {
-                continue;
-            }
-            if start >= range.end {
-                break;
-            }
-            let lo = range.start.max(start);
-            let hi = range.end.min(seg_end);
-            let dst = &mut out[(lo - range.start) as usize..(hi - range.start) as usize];
-            match seg.try_enc()? {
-                SegmentEnc::Bitmap(s) => {
-                    if lo == start && hi == seg_end {
-                        s.fill_ids(dst);
-                    } else {
-                        // Partial overlap: bitmap payloads decode whole
-                        // segments; clip through a scratch buffer.
-                        let mut scratch = vec![u32::MAX; seg.rows() as usize];
-                        s.fill_ids(&mut scratch);
-                        dst.copy_from_slice(&scratch[(lo - start) as usize..(hi - start) as usize]);
-                    }
-                }
-                SegmentEnc::Rle(s) => {
-                    let mut pos = start;
-                    for &(id, n) in s.seq().runs() {
-                        let run_end = pos + n;
-                        if run_end > lo && pos < hi {
-                            let a = lo.max(pos);
-                            let b = hi.min(run_end);
-                            dst[(a - lo) as usize..(b - lo) as usize].fill(id);
-                        }
-                        pos = run_end;
-                        if pos >= hi {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        debug_assert!(out.iter().all(|&i| i != u32::MAX), "uncovered row");
-        Ok(out)
+    // ---- the selection walker ----
+    //
+    // A *selection* is a list of ascending, disjoint, non-empty `(start,
+    // end)` row intervals — what `Wah::iter_intervals` yields for a mask.
+    // Every read of a column's ids or runs maps its selection onto the
+    // segment directory in `split_by_segment`, and faults each overlapping
+    // segment once.
+
+    /// The row range segment `idx` covers.
+    pub fn segment_range(&self, idx: usize) -> Range<u64> {
+        self.starts[idx]..self.starts[idx] + self.segments[idx].rows()
     }
 
-    /// Decodes `range` as maximal `(value id, length)` runs, coalesced
-    /// across segment boundaries. RLE segments contribute their runs in
-    /// O(overlapping runs) without touching per-row data; bitmap segments
-    /// decode and coalesce. This is the accessor the vectorized group-by
-    /// kernel aggregates over: clustered columns cost O(runs), not O(rows).
+    /// Splits a selection along the segment directory — the overlap walk
+    /// under every selection read: one entry per segment holding a
+    /// selected row, in order, with its index and the selection's
+    /// intervals clipped to its rows. Reads metadata only, and jumps the
+    /// segments between intervals by binary search, so a segment with no
+    /// selected row costs nothing.
     ///
-    /// Panics when a paged-out segment cannot be faulted back in; the
-    /// served read path uses [`EncodedColumn::try_runs_range`] instead.
-    pub fn runs_range(&self, range: Range<u64>) -> Vec<(u32, u64)> {
-        self.try_runs_range(range)
-            .unwrap_or_else(|e| panic!("segment fault failed: {e}"))
+    /// # Panics
+    /// Panics when the selection reaches past the last row.
+    pub fn split_by_segment(&self, sel: &[(u64, u64)]) -> Vec<(usize, Vec<(u64, u64)>)> {
+        debug_assert!(
+            sel.iter().all(|&(a, b)| a < b) && sel.windows(2).all(|w| w[0].1 <= w[1].0),
+            "a selection is ascending, disjoint and non-empty: {sel:?}"
+        );
+        if let Some(&(_, end)) = sel.last() {
+            assert!(
+                end <= self.rows,
+                "selection ending at {end} out of bounds for {} rows",
+                self.rows
+            );
+        }
+        let mut out = Vec::new();
+        let (mut i, mut walked) = (0usize, 0u64);
+        while i < sel.len() {
+            let seg = self.segment_of_row(sel[i].0.max(walked));
+            let Range { start, end } = self.segment_range(seg);
+            let mut piece = Vec::new();
+            while i < sel.len() && sel[i].0 < end {
+                let (a, b) = sel[i];
+                piece.push((a.max(start), b.min(end)));
+                if b > end {
+                    // Runs on into the next segment.
+                    break;
+                }
+                i += 1;
+            }
+            out.push((seg, piece));
+            walked = end;
+        }
+        out
     }
 
-    /// [`EncodedColumn::runs_range`] that reports a failed fault-in (I/O
-    /// error, corrupt payload) as a typed error instead of panicking.
-    pub fn try_runs_range(&self, range: Range<u64>) -> Result<Vec<(u32, u64)>, StorageError> {
-        assert!(
-            range.start <= range.end && range.end <= self.rows,
-            "range {range:?} out of bounds for {} rows",
-            self.rows
-        );
-        fn push(out: &mut Vec<(u32, u64)>, id: u32, n: u64) {
-            if n == 0 {
-                return;
-            }
-            match out.last_mut() {
-                Some((last, len)) if *last == id => *len += n,
-                _ => out.push((id, n)),
-            }
-        }
-        let mut out: Vec<(u32, u64)> = Vec::new();
-        for (seg, &start) in self.segments.iter().zip(&self.starts) {
-            let seg_end = start + seg.rows();
-            if seg_end <= range.start {
-                continue;
-            }
-            if start >= range.end {
-                break;
-            }
-            let lo = range.start.max(start);
-            let hi = range.end.min(seg_end);
-            match seg.try_enc()? {
+    /// The value ids of the selected rows, concatenated in row order. A
+    /// segment that cannot be faulted in (I/O error, corrupt payload) is a
+    /// typed error; panics as [`EncodedColumn::split_by_segment`].
+    pub fn try_ids_in(&self, sel: &[(u64, u64)]) -> Result<Vec<u32>, StorageError> {
+        let selected: u64 = sel.iter().map(|&(a, b)| b - a).sum();
+        let mut out = Vec::with_capacity(selected as usize);
+        self.read_in(sel, &mut out)?;
+        Ok(out)
+    }
+
+    /// The selected rows as maximal `(value id, length)` runs, coalesced
+    /// across segment boundaries and across the gaps between intervals
+    /// (the selected rows are read as one sequence). RLE segments hand over
+    /// their runs without touching per-row data, so a clustered column
+    /// costs O(runs), not O(rows) — the accessor the group-by kernel
+    /// aggregates over. Errors and panics as [`EncodedColumn::try_ids_in`].
+    pub fn try_runs_in(&self, sel: &[(u64, u64)]) -> Result<Vec<(u32, u64)>, StorageError> {
+        let mut out = Vec::new();
+        self.read_in(sel, &mut out)?;
+        Ok(out)
+    }
+
+    /// Reads the selected rows into `sink`, one fault per overlapping
+    /// segment. A bitmap segment decodes once — straight into the sink
+    /// when it is wholly selected and the sink keeps ids, else into one
+    /// segment-sized scratch buffer the selected pieces are copied from.
+    /// An RLE segment's runs are merged against the intervals, in
+    /// O(runs + intervals).
+    fn read_in(&self, sel: &[(u64, u64)], sink: &mut impl SelSink) -> Result<(), StorageError> {
+        let mut scratch: Vec<u32> = Vec::new();
+        for (seg, piece) in self.split_by_segment(sel) {
+            let start = self.starts[seg];
+            match self.segments[seg].try_enc()? {
                 SegmentEnc::Bitmap(s) => {
-                    let mut scratch = vec![u32::MAX; seg.rows() as usize];
-                    s.fill_ids(&mut scratch);
-                    for &id in &scratch[(lo - start) as usize..(hi - start) as usize] {
-                        push(&mut out, id, 1);
+                    let rows = s.rows() as usize;
+                    if piece == [(start, start + rows as u64)] {
+                        if let Some(dst) = sink.whole_segment(rows) {
+                            fill_covering(&s, dst, seg)?;
+                            continue;
+                        }
+                    }
+                    scratch.clear();
+                    scratch.resize(rows, u32::MAX);
+                    fill_covering(&s, &mut scratch, seg)?;
+                    for (a, b) in piece {
+                        sink.ids(&scratch[(a - start) as usize..(b - start) as usize]);
                     }
                 }
                 SegmentEnc::Rle(s) => {
+                    let mut ivs = piece.into_iter().peekable();
                     let mut pos = start;
                     for &(id, n) in s.seq().runs() {
-                        let run_end = pos + n;
-                        if run_end > lo && pos < hi {
-                            let a = lo.max(pos);
-                            let b = hi.min(run_end);
-                            push(&mut out, id, b - a);
+                        let end = pos + n;
+                        while let Some(&(a, b)) = ivs.peek() {
+                            if a >= end {
+                                break;
+                            }
+                            sink.run(id, b.min(end) - a.max(pos));
+                            if b > end {
+                                break;
+                            }
+                            ivs.next();
                         }
-                        pos = run_end;
-                        if pos >= hi {
+                        if ivs.peek().is_none() {
                             break;
                         }
+                        pos = end;
                     }
                 }
             }
         }
-        debug_assert_eq!(
-            out.iter().map(|&(_, n)| n).sum::<u64>(),
-            range.end - range.start,
-            "runs must cover the range"
-        );
-        Ok(out)
+        Ok(())
     }
 
     /// Decodes all rows to values (display/test helper).
@@ -1741,6 +1717,64 @@ impl EncodedColumn {
     }
 }
 
+/// What a selection read collects: the selected rows' ids, concatenated
+/// (`Vec<u32>`), or their maximal runs (`Vec<(u32, u64)>`).
+trait SelSink {
+    /// Takes `n` consecutive selected rows of value `id`.
+    fn run(&mut self, id: u32, n: u64);
+    /// Takes the ids of consecutive selected rows.
+    fn ids(&mut self, ids: &[u32]);
+    /// `rows` fresh `u32::MAX` slots a wholly selected bitmap segment can
+    /// decode straight into, when the sink keeps ids.
+    fn whole_segment(&mut self, rows: usize) -> Option<&mut [u32]>;
+}
+
+impl SelSink for Vec<u32> {
+    fn run(&mut self, id: u32, n: u64) {
+        self.resize(self.len() + n as usize, id);
+    }
+    fn ids(&mut self, ids: &[u32]) {
+        self.extend_from_slice(ids);
+    }
+    fn whole_segment(&mut self, rows: usize) -> Option<&mut [u32]> {
+        let at = self.len();
+        self.resize(at + rows, u32::MAX);
+        Some(&mut self[at..])
+    }
+}
+
+impl SelSink for Vec<(u32, u64)> {
+    fn run(&mut self, id: u32, n: u64) {
+        match self.last_mut() {
+            Some((last, len)) if *last == id => *len += n,
+            _ => self.push((id, n)),
+        }
+    }
+    fn ids(&mut self, ids: &[u32]) {
+        for &id in ids {
+            self.run(id, 1);
+        }
+    }
+    fn whole_segment(&mut self, _: usize) -> Option<&mut [u32]> {
+        None
+    }
+}
+
+/// Decodes bitmap segment `seg`'s ids into `out` (one `u32::MAX` slot per
+/// row) and checks every row got one. Bitmaps that overlap pass every
+/// per-bitmap check of the payload decoder and still leave some row
+/// unset: that is corrupt data, so it is a typed error here rather than a
+/// sentinel id for the next dictionary lookup to panic on.
+fn fill_covering(s: &Segment, out: &mut [u32], seg: usize) -> Result<(), StorageError> {
+    s.fill_ids(out);
+    if out.contains(&u32::MAX) {
+        return Err(StorageError::Corrupt(format!(
+            "segment {seg}: its bitmaps leave a row uncovered"
+        )));
+    }
+    Ok(())
+}
+
 /// Splices a compaction merge group into one segment. A uniform group
 /// splices natively, combining cached stats; a mixed group transcodes each
 /// part to the encoding the chooser picks for the combined statistics —
@@ -1920,55 +1954,62 @@ mod tests {
         out
     }
 
+    /// Aligned, partial, cross-segment, fragmented, empty and whole-column
+    /// selections over a 500-row column in 64-row segments.
+    fn selections() -> Vec<Vec<(u64, u64)>> {
+        vec![
+            vec![(0, 64)],
+            vec![(64, 128)],
+            vec![(10, 20)],
+            vec![(60, 70)],
+            vec![(100, 317)],
+            vec![],
+            vec![(499, 500)],
+            vec![(0, 500)],
+            vec![(0, 3), (5, 9), (62, 66), (127, 129), (300, 450)],
+            (0..20).map(|i| (3 * i, 3 * i + 1)).collect(),
+        ]
+    }
+
     #[test]
-    fn ids_range_matches_value_ids_on_mixed_directories() {
+    fn ids_in_matches_value_ids_on_mixed_directories() {
         let values: Vec<Value> = (0..500).map(|i| Value::int(i / 7 % 11)).collect();
         let col = mixed(&values, 64);
         assert!(col.encoding_counts().0 > 0 && col.encoding_counts().1 > 0);
         let full = col.value_ids();
-        // Aligned, partial, cross-segment, empty, and total ranges.
-        for range in [
-            0..64,
-            64..128,
-            10..20,
-            60..70,
-            100..317,
-            0..0,
-            499..500,
-            0..500,
-        ] {
-            assert_eq!(
-                col.ids_range(range.clone()),
-                full[range.start as usize..range.end as usize],
-                "{range:?}"
-            );
+        for sel in selections() {
+            let want: Vec<u32> = sel
+                .iter()
+                .flat_map(|&(a, b)| full[a as usize..b as usize].iter().copied())
+                .collect();
+            assert_eq!(col.try_ids_in(&sel).unwrap(), want, "{sel:?}");
         }
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn ids_range_rejects_out_of_bounds() {
+    fn ids_in_rejects_out_of_bounds() {
         let (bitmap, _) = both(&vals(10));
-        bitmap.ids_range(5..11);
+        let _ = bitmap.try_ids_in(&[(5, 11)]);
     }
 
     #[test]
-    fn runs_range_coalesces_and_matches_ids_range() {
-        // Clustered values so runs span segment boundaries.
+    fn runs_in_coalesces_and_matches_ids_in() {
+        // Clustered values so runs span segment boundaries and gaps.
         let values: Vec<Value> = (0..500).map(|i| Value::int(i / 90)).collect();
         let col = mixed(&values, 64);
         assert!(col.encoding_counts().0 > 0 && col.encoding_counts().1 > 0);
-        for range in [0..64, 64..128, 10..20, 60..70, 100..317, 0..0, 0..500] {
-            let runs = col.runs_range(range.clone());
+        for sel in selections() {
+            let runs = col.try_runs_in(&sel).unwrap();
             // Maximal: no two adjacent runs share an id.
             for pair in runs.windows(2) {
-                assert_ne!(pair[0].0, pair[1].0, "{range:?} not coalesced");
+                assert_ne!(pair[0].0, pair[1].0, "{sel:?} not coalesced");
             }
             let expanded: Vec<u32> = runs
                 .iter()
                 .flat_map(|&(id, n)| std::iter::repeat_n(id, n as usize))
                 .collect();
-            assert_eq!(expanded, col.ids_range(range.clone()), "{range:?}");
+            assert_eq!(expanded, col.try_ids_in(&sel).unwrap(), "{sel:?}");
         }
     }
 

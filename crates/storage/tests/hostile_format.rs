@@ -12,9 +12,13 @@
 use bytes::Bytes;
 use cods_bitmap::word::{make_fill, ALL_ONES_LITERAL, FILL_FLAG, LIT_MASK, MAX_FILL_GROUPS};
 use cods_bitmap::Wah;
+use cods_query::{Predicate, ScanStream};
 use cods_storage::persist::{decode_catalog, decode_table};
 use cods_storage::store::{decode_payload, encode_payload, SegMeta};
-use cods_storage::{Encoding, Segment, SegmentEnc, StorageError, Table};
+use cods_storage::{
+    Dictionary, EncodedColumn, Encoding, Schema, Segment, SegmentEnc, StorageError, Table, Value,
+    ValueType,
+};
 use std::sync::Arc;
 
 const GOLDEN_TABLE: &[u8] = include_bytes!("golden/table.cods");
@@ -386,4 +390,31 @@ fn hostile_bitmap_payloads_are_typed_errors() {
     // Sanity: the same shape with nothing wrong decodes.
     let ok = stream(126, 0, 0, &[make_fill(true, 2)]);
     assert!(decode_payload(&one_value_meta(126, 1), &ok).is_ok());
+
+    overlapping_bitmaps_are_a_typed_error_on_every_read();
+}
+
+/// Two bitmaps that both set row 0 of a 2-row segment match an honest
+/// segment's metadata (ids {0, 1}, one set bit each), so the payload
+/// decodes; row 1 is then covered by neither. Every read of the segment's
+/// ids or runs must answer with a typed error, not a sentinel id.
+fn overlapping_bitmaps_are_a_typed_error_on_every_read() {
+    let row = |r: u64| Wah::from_sorted_positions([r], 2);
+    let honest = SegmentEnc::Bitmap(Arc::new(Segment::new(2, vec![(0, row(0)), (1, row(1))])));
+    let mut raw = Vec::new();
+    row(0).encode(&mut raw);
+    row(0).encode(&mut raw);
+    let decoded = decode_payload(&SegMeta::of(&honest), &raw).expect("each bitmap is well formed");
+    let dict = Dictionary::from_values(vec![Value::int(10), Value::int(20)]).unwrap();
+    let col = EncodedColumn::from_segments(ValueType::Int, dict, vec![decoded], 2);
+    let corrupt = |what: &str, r: Result<(), StorageError>| match r {
+        Err(StorageError::Corrupt(m)) => assert!(m.contains("uncovered"), "{what}: {m}"),
+        other => panic!("{what}: wanted a Corrupt error, got {other:?}"),
+    };
+    corrupt("try_ids_in", col.try_ids_in(&[(0, 2)]).map(drop));
+    corrupt("try_runs_in", col.try_runs_in(&[(1, 2)]).map(drop));
+    let schema = Schema::build(&[("c", ValueType::Int)], &[]).unwrap();
+    let t = Arc::new(Table::new("t", schema, vec![Arc::new(col)]).unwrap());
+    let mut scan = ScanStream::new(t, &Predicate::True, None).unwrap();
+    corrupt("ScanStream::try_next", scan.try_next().map(drop));
 }

@@ -363,6 +363,88 @@ proptest! {
         }
     }
 
+    // ---- The selection walker vs the row oracle ----
+
+    #[test]
+    fn selection_reads_match_the_row_oracle(
+        vals in values(),
+        seg in 1u64..80,
+        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+        layout in 0u8..3,
+        pattern in any::<u64>(),
+        steps in prop::collection::vec((0u64..48, 1u64..16), 0..48),
+        whole in any::<bool>(),
+    ) {
+        // An irregular directory: the column cut at random rows and glued
+        // back, then mixed, pinned RLE as a whole, or left bitmap.
+        let rows = vals.len() as u64;
+        let base = bitmap_col(&vals, seg);
+        let mut at: Vec<u64> = cuts.iter().map(|c| c.index(vals.len() + 1) as u64).collect();
+        at.extend([0, rows]);
+        at.sort_unstable();
+        at.dedup();
+        let glued = at
+            .windows(2)
+            .map(|w| base.slice(w[0], w[1]))
+            .reduce(|a, b| a.concat(&b).unwrap())
+            .unwrap_or(base);
+        let col = match layout {
+            0 => mix(&glued, pattern),
+            1 => {
+                let mut pinned = glued.recode(Encoding::Rle).unwrap();
+                pinned.set_encoding_pinned(true);
+                pinned
+            }
+            _ => glued,
+        };
+        // Gaps from none to several segments, fragments shorter than a
+        // segment or straddling its end, or the whole column.
+        let sel: Vec<(u64, u64)> = if whole && rows > 0 {
+            vec![(0, rows)]
+        } else {
+            let mut sel = Vec::new();
+            let mut end = 0u64;
+            for &(gap, len) in &steps {
+                let start = end + gap;
+                end = (start + len).min(rows);
+                if start >= end {
+                    break;
+                }
+                sel.push((start, end));
+            }
+            sel
+        };
+        let selected_rows = |sel: &[(u64, u64)]| -> Vec<u64> {
+            sel.iter().flat_map(|&(a, b)| a..b).collect()
+        };
+
+        let ids = col.try_ids_in(&sel).unwrap();
+        let got: Vec<&Value> = ids.iter().map(|&id| col.dict().value(id)).collect();
+        let want: Vec<&Value> = selected_rows(&sel).iter().map(|&r| &vals[r as usize]).collect();
+        prop_assert_eq!(got, want);
+
+        let runs = col.try_runs_in(&sel).unwrap();
+        prop_assert!(runs.iter().all(|&(_, n)| n > 0), "empty run in {:?}", runs);
+        prop_assert!(runs.windows(2).all(|w| w[0].0 != w[1].0), "runs not maximal: {:?}", runs);
+        let expanded: Vec<u32> = runs
+            .iter()
+            .flat_map(|&(id, n)| std::iter::repeat_n(id, n as usize))
+            .collect();
+        prop_assert_eq!(expanded, ids);
+
+        let split = col.split_by_segment(&sel);
+        prop_assert!(split.windows(2).all(|w| w[0].0 < w[1].0), "one entry per segment, in order");
+        for (seg, piece) in &split {
+            let range = col.segment_range(*seg);
+            prop_assert!(!piece.is_empty());
+            for &(a, b) in piece {
+                prop_assert!(range.start <= a && a < b && b <= range.end, "{:?} outside {:?}", (a, b), range);
+            }
+        }
+        let tiles: Vec<(u64, u64)> = split.iter().flat_map(|(_, piece)| piece.iter().copied()).collect();
+        prop_assert_eq!(selected_rows(&tiles), selected_rows(&sel));
+    }
+
     // ---- Segment word arena vs per-id bitmaps ----
 
     #[test]
@@ -375,11 +457,10 @@ proptest! {
         use cods_storage::store::{decode_payload, encode_payload, SegMeta};
         use cods_storage::SegmentEnc;
         let col = mix(&bitmap_col(&vals, seg), pattern);
-        let mut start = 0u64;
-        for slot in col.segments() {
+        for (i, slot) in col.segments().iter().enumerate() {
             let rows = slot.rows();
-            let ids = col.ids_range(start..start + rows);
-            start += rows;
+            let range = col.segment_range(i);
+            let ids = col.try_ids_in(&[(range.start, range.end)]).unwrap();
             let enc = slot.enc();
             let SegmentEnc::Bitmap(mem) = &enc else { continue };
             // The oracle: one owned bitmap per present id, from the rows.

@@ -8,10 +8,13 @@
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use cods_bitmap::Wah;
 use cods_query::bitmap_scan::predicate_mask;
-use cods_query::{join_stream, plan_join, tuple, BuildSide, Predicate};
+use cods_query::{
+    aggregate_table_masked, join_stream, plan_join, tuple, AggOp, BuildSide, Predicate,
+};
 use cods_storage::persist::{read_table, save_table};
-use cods_storage::{segment_cache, Schema, Table, Value, ValueType};
+use cods_storage::{segment_cache, Encoding, Schema, Table, Value, ValueType};
 
 static COUNTERS: Mutex<()> = Mutex::new(());
 
@@ -206,6 +209,51 @@ fn starved_join_runs_multi_pass_and_ends_within_budget() {
     );
     std::fs::remove_file(&lp).ok();
     std::fs::remove_file(&rp).ok();
+}
+
+/// A masked group-by reads each segment it needs once, however the mask
+/// cuts it: over a lazily opened table, grouped by a bitmap or an RLE
+/// column, with one or two grouping columns, under a mask leaving three
+/// intervals in each of segments 0–2, sixteen in each of 3–5 and none in
+/// 6–7, every (column, segment) the query reads is one cache miss and
+/// none is touched twice.
+#[test]
+fn masked_group_by_faults_each_segment_it_reads_once() {
+    const ROWS: u64 = 8 * SEG_ROWS;
+    let _g = serialized();
+    let (resident, _, path) = clustered_and_scattered("agg", ROWS);
+    let selected = |r: u64| {
+        let (seg, at) = (r / SEG_ROWS, r % SEG_ROWS);
+        match seg {
+            0..=2 => (10..20).contains(&at) || (100..150).contains(&at) || (500..510).contains(&at),
+            3..=5 => at % 64 < 3,
+            _ => false,
+        }
+    };
+    let mask = Wah::from_sorted_positions((0..ROWS).filter(|&r| selected(r)), ROWS);
+    assert_eq!(mask.count_intervals(), 3 * 3 + 3 * 16);
+    let cache = segment_cache();
+    for enc in [Encoding::Bitmap, Encoding::Rle] {
+        let table = resident.recoded(enc).unwrap();
+        save_table(&table, &path).unwrap();
+        for (group_by, agg) in [(&[0][..], AggOp::Sum), (&[0, 1][..], AggOp::Count)] {
+            let aggs = [(agg, 1, ValueType::Int)];
+            let lazy = read_table(&path).unwrap();
+            cache.reset_counters();
+            let got = aggregate_table_masked(&lazy, group_by, &aggs, Some(&mask)).unwrap();
+            let stats = cache.stats();
+            assert_eq!(
+                got,
+                aggregate_table_masked(&table, group_by, &aggs, Some(&mask)).unwrap()
+            );
+            // Six segments hold a selected row; the query reads `k` and `v`
+            // there.
+            let what = format!("{enc} grouping by {group_by:?}");
+            assert_eq!(stats.misses, 2 * 6, "{what}: one miss per segment read");
+            assert_eq!(stats.hits, 0, "{what}: no segment read twice");
+        }
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// A single-pass join reads each probe segment once: the scan that streams
