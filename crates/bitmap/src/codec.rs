@@ -5,17 +5,30 @@
 //! One decoder, [`decode_words`], reads that layout for both
 //! [`Wah::decode`] and the storage engine, which decodes a segment's
 //! back-to-back streams straight into one shared word arena.
+//!
+//! [`Reader`] is the checked little-endian reader every decoder of the
+//! workspace is written on — table files, the commit log, the wire and the
+//! row store as much as the bitmap codecs here: a length is checked before
+//! the bytes behind it are sliced, and a count read from the bytes is held
+//! against what remains ([`Reader::count`]) before anything is sized from
+//! it.
 
 use crate::rle::RleSeq;
 use crate::wah::{Wah, WahRef, WordScan};
 use bytes::{Buf, BufMut};
 
-/// Errors raised while decoding a serialized bitmap.
+/// Errors raised while decoding bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// The buffer ended before the structure was complete.
     UnexpectedEof,
-    /// The decoded structure violates a WAH invariant.
+    /// Bytes remained after the structure was complete.
+    Trailing,
+    /// A string field was not valid UTF-8.
+    Utf8,
+    /// An unknown discriminant byte: what it tags, and the byte.
+    BadTag(&'static str, u8),
+    /// The decoded structure violates an invariant.
     Corrupt(String),
 }
 
@@ -23,12 +36,137 @@ impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CodecError::UnexpectedEof => write!(f, "unexpected end of buffer"),
+            CodecError::Trailing => write!(f, "trailing bytes"),
+            CodecError::Utf8 => write!(f, "invalid UTF-8 in a string field"),
+            CodecError::BadTag(what, b) => write!(f, "bad {what} tag 0x{b:02x}"),
             CodecError::Corrupt(msg) => write!(f, "corrupt bitmap: {msg}"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
+
+/// A checked little-endian reader over a byte slice: the slice and a
+/// position, where every read returns a `Result` and nothing panics.
+#[derive(Clone, Copy, Debug)]
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `buf`.
+    #[inline]
+    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+        Reader { buf, at: 0 }
+    }
+
+    /// Bytes not read yet.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.at
+    }
+
+    /// Bytes read so far.
+    #[inline]
+    pub fn position(&self) -> usize {
+        self.at
+    }
+
+    /// The next `n` bytes, borrowed from the buffer.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        if n > self.remaining() {
+            return Err(CodecError::UnexpectedEof);
+        }
+        let s = &self.buf[self.at..self.at + n];
+        self.at += n;
+        Ok(s)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.take(N)?.try_into().expect("took N bytes"))
+    }
+
+    /// Reads one byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// Reads a `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// Reads a `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// Reads a `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads an `i64`.
+    #[inline]
+    pub fn i64(&mut self) -> Result<i64, CodecError> {
+        self.array().map(i64::from_le_bytes)
+    }
+
+    /// Reads an `f64` from its raw bits.
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, CodecError> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// Reads a `u32` count of items that take at least `min_bytes_each`
+    /// bytes each, refusing one the remaining bytes cannot hold
+    /// ([`Reader::fits`]) — so the count can size an allocation.
+    #[inline]
+    pub fn count(&mut self, min_bytes_each: usize) -> Result<usize, CodecError> {
+        let n = self.u32()? as usize;
+        self.fits(n, min_bytes_each)
+    }
+
+    /// `n`, when `n` items of at least `min_bytes_each` bytes fit in the
+    /// remaining bytes; the check behind [`Reader::count`], for a count
+    /// read in another width.
+    #[inline]
+    pub fn fits(&self, n: usize, min_bytes_each: usize) -> Result<usize, CodecError> {
+        match n.checked_mul(min_bytes_each) {
+            Some(bytes) if bytes <= self.remaining() => Ok(n),
+            _ => Err(CodecError::UnexpectedEof),
+        }
+    }
+
+    /// Ends the read: every byte must have been consumed.
+    #[inline]
+    pub fn finish(self) -> Result<(), CodecError> {
+        match self.remaining() {
+            0 => Ok(()),
+            _ => Err(CodecError::Trailing),
+        }
+    }
+}
+
+/// Runs `read` over the contiguous bytes of `buf` and advances `buf` past
+/// what it consumed — how the `Buf`-taking decoders use a [`Reader`].
+fn read_from<B: Buf, T>(
+    buf: &mut B,
+    read: impl FnOnce(&mut Reader<'_>) -> Result<T, CodecError>,
+) -> Result<T, CodecError> {
+    let mut r = Reader::new(buf.chunk());
+    let out = read(&mut r)?;
+    let used = r.position();
+    buf.advance(used);
+    Ok(out)
+}
 
 /// The header of one stream [`decode_words`] read, and the statistics its
 /// words encode — everything of the bitmap but the words themselves.
@@ -49,44 +187,42 @@ pub struct DecodedStream {
     pub intervals: u64,
 }
 
-/// Decodes one serialized bitmap from the front of `buf` in one pass,
-/// appending its words to `words`: each word is validated (canonical form,
-/// overflow-checked length) and counted (ones, intervals) as it is copied,
-/// and the tail and stored length are checked at the end. Nothing is
-/// allocated when `words` already has room.
+/// Decodes one serialized bitmap from `r` in one pass, appending its words
+/// to `words`: each word is validated (canonical form, overflow-checked
+/// length) and counted (ones, intervals) as it is copied, and the tail and
+/// stored length are checked at the end. Nothing is allocated when `words`
+/// already has room.
 ///
 /// `keep` is the number of bytes the caller still needs behind this
 /// stream; the stored word count must fit in what remains before it, so a
-/// hostile count is refused before anything is reserved. The words are read
-/// from [`Buf::chunk`], which must hold them contiguously, as every buffer
-/// of this workspace does.
-pub fn decode_words<B: Buf>(
-    buf: &mut B,
+/// hostile count is refused before anything is reserved. The words are one
+/// bulk slice of the reader's buffer.
+pub fn decode_words(
+    r: &mut Reader<'_>,
     words: &mut Vec<u64>,
     keep: usize,
 ) -> Result<DecodedStream, CodecError> {
-    let room = buf
+    let room = r
         .remaining()
         .checked_sub(keep)
         .and_then(|n| n.checked_sub(24))
         .ok_or(CodecError::UnexpectedEof)?;
-    let len = buf.get_u64_le();
-    let active = buf.get_u64_le();
-    let active_bits = buf.get_u32_le();
-    let count = buf.get_u32_le() as usize;
-    let bytes = count
-        .checked_mul(8)
-        .filter(|&n| n <= room)
-        .ok_or(CodecError::UnexpectedEof)?;
+    let len = r.u64()?;
+    let active = r.u64()?;
+    let active_bits = r.u32()?;
+    let count = r.u32()? as usize;
+    if count > room / 8 {
+        return Err(CodecError::UnexpectedEof);
+    }
+    let raw = r.take(count * 8)?;
     let corrupt = |m: &str| CodecError::Corrupt(m.into());
     words.reserve_exact(count);
     let mut scan = WordScan::default();
-    for le in buf.chunk()[..bytes].chunks_exact(8) {
+    for le in raw.chunks_exact(8) {
         let w = u64::from_le_bytes(le.try_into().expect("chunks of eight bytes"));
         scan.word(w).map_err(corrupt)?;
         words.push(w);
     }
-    buf.advance(bytes);
     let scan = scan.tail(active, active_bits).map_err(corrupt)?;
     if scan.len != len {
         return Err(CodecError::Corrupt(format!(
@@ -137,7 +273,7 @@ impl Wah {
     /// ([`decode_words`]).
     pub fn decode<B: Buf>(buf: &mut B) -> Result<Wah, CodecError> {
         let mut words = Vec::new();
-        let d = decode_words(buf, &mut words, 0)?;
+        let d = read_from(buf, |r| decode_words(r, &mut words, 0))?;
         Ok(Wah {
             words,
             active: d.active,
@@ -167,33 +303,29 @@ impl RleSeq {
 
     /// Deserializes a sequence from `buf`.
     pub fn decode<B: Buf>(buf: &mut B) -> Result<RleSeq, CodecError> {
-        if buf.remaining() < 12 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let len = buf.get_u64_le();
-        let run_count = buf.get_u32_le() as usize;
-        if buf.remaining() < run_count * 12 {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let mut seq = RleSeq::new();
-        for _ in 0..run_count {
-            let v = buf.get_u32_le();
-            let n = buf.get_u64_le();
-            if n == 0 {
-                return Err(CodecError::Corrupt("zero-length run".into()));
+        read_from(buf, |r| {
+            let len = r.u64()?;
+            let run_count = r.count(12)?;
+            let mut seq = RleSeq::new();
+            for _ in 0..run_count {
+                let v = r.u32()?;
+                let n = r.u64()?;
+                if n == 0 {
+                    return Err(CodecError::Corrupt("zero-length run".into()));
+                }
+                if seq.len().checked_add(n).is_none() {
+                    return Err(CodecError::Corrupt("run lengths overflow".into()));
+                }
+                seq.append_run(v, n);
             }
-            if seq.len().checked_add(n).is_none() {
-                return Err(CodecError::Corrupt("run lengths overflow".into()));
+            if seq.len() != len {
+                return Err(CodecError::Corrupt(format!(
+                    "length mismatch: header {len}, runs {}",
+                    seq.len()
+                )));
             }
-            seq.append_run(v, n);
-        }
-        if seq.len() != len {
-            return Err(CodecError::Corrupt(format!(
-                "length mismatch: header {len}, runs {}",
-                seq.len()
-            )));
-        }
-        Ok(seq)
+            Ok(seq)
+        })
     }
 }
 

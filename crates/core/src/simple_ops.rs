@@ -70,7 +70,7 @@ pub fn union_tables(
             // just paid for a directory rewrite, so run the stats-driven
             // encoding chooser on the result too.
             let col = if col.needs_compaction() {
-                col.compacted().auto_recoded()?
+                col.compacted()?.auto_recoded()?
             } else {
                 col
             };

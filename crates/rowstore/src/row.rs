@@ -5,33 +5,15 @@
 //! baseline's honest query-level evolution price: every tuple the evolution
 //! query touches is decoded, and every output tuple re-encoded.
 
-use bytes::{Buf, BufMut};
+use cods_storage::codec::{put_value, read_value, BufMut, Reader};
 use cods_storage::{StorageError, Value};
 
-/// Serializes a row into `buf`.
+/// Serializes a row into `buf`: its arity, then each value in the one
+/// value codec ([`cods_storage::codec`]).
 pub fn encode_row<B: BufMut>(buf: &mut B, row: &[Value]) {
     buf.put_u16_le(row.len() as u16);
     for v in row {
-        match v {
-            Value::Null => buf.put_u8(0),
-            Value::Bool(b) => {
-                buf.put_u8(1);
-                buf.put_u8(u8::from(*b));
-            }
-            Value::Int(i) => {
-                buf.put_u8(2);
-                buf.put_i64_le(*i);
-            }
-            Value::Float(f) => {
-                buf.put_u8(3);
-                buf.put_f64_le(f.0);
-            }
-            Value::Str(s) => {
-                buf.put_u8(4);
-                buf.put_u32_le(s.len() as u32);
-                buf.put_slice(s.as_bytes());
-            }
-        }
+        put_value(buf, v);
     }
 }
 
@@ -48,58 +30,16 @@ pub fn encoded_row_len(row: &[Value]) -> usize {
         .sum::<usize>()
 }
 
-/// Deserializes a row from `buf`.
-pub fn decode_row<B: Buf>(buf: &mut B) -> Result<Vec<Value>, StorageError> {
-    let eof = || StorageError::Corrupt("truncated row".into());
-    if buf.remaining() < 2 {
-        return Err(eof());
-    }
-    let arity = buf.get_u16_le() as usize;
-    let mut row = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        if buf.remaining() < 1 {
-            return Err(eof());
-        }
-        row.push(match buf.get_u8() {
-            0 => Value::Null,
-            1 => {
-                if buf.remaining() < 1 {
-                    return Err(eof());
-                }
-                Value::Bool(buf.get_u8() != 0)
-            }
-            2 => {
-                if buf.remaining() < 8 {
-                    return Err(eof());
-                }
-                Value::Int(buf.get_i64_le())
-            }
-            3 => {
-                if buf.remaining() < 8 {
-                    return Err(eof());
-                }
-                Value::float(buf.get_f64_le())
-            }
-            4 => {
-                if buf.remaining() < 4 {
-                    return Err(eof());
-                }
-                let len = buf.get_u32_le() as usize;
-                if buf.remaining() < len {
-                    return Err(eof());
-                }
-                let mut bytes = vec![0u8; len];
-                buf.copy_to_slice(&mut bytes);
-                Value::Str(
-                    String::from_utf8(bytes)
-                        .map_err(|e| StorageError::Corrupt(format!("bad utf8: {e}")))?
-                        .into(),
-                )
-            }
-            k => return Err(StorageError::Corrupt(format!("unknown value kind {k}"))),
-        });
-    }
-    Ok(row)
+/// Deserializes a row from the front of `record`.
+pub fn decode_row(record: &[u8]) -> Result<Vec<Value>, StorageError> {
+    let mut r = Reader::new(record);
+    let bad = |e| StorageError::Corrupt(format!("row: {e}"));
+    // A value is at least its tag byte.
+    let arity = r.u16().map_err(bad)? as usize;
+    let arity = r.fits(arity, 1).map_err(bad)?;
+    (0..arity)
+        .map(|_| read_value(&mut r).map_err(bad))
+        .collect()
 }
 
 #[cfg(test)]
@@ -119,7 +59,7 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_row(&mut buf, &row);
         assert_eq!(buf.len(), encoded_row_len(&row));
-        let back = decode_row(&mut buf.freeze()).unwrap();
+        let back = decode_row(&buf.freeze()).unwrap();
         assert_eq!(back, row);
     }
 
@@ -127,7 +67,7 @@ mod tests {
     fn empty_row() {
         let mut buf = BytesMut::new();
         encode_row(&mut buf, &[]);
-        let back = decode_row(&mut buf.freeze()).unwrap();
+        let back = decode_row(&buf.freeze()).unwrap();
         assert!(back.is_empty());
     }
 
@@ -138,7 +78,7 @@ mod tests {
         encode_row(&mut buf, &row);
         let bytes = buf.freeze();
         for cut in [0, 1, 3, bytes.len() - 1] {
-            assert!(decode_row(&mut bytes.slice(0..cut)).is_err(), "cut {cut}");
+            assert!(decode_row(&bytes.slice(0..cut)).is_err(), "cut {cut}");
         }
     }
 }

@@ -63,8 +63,7 @@ impl RowTable {
         }
         let mut idx = BTreeIndex::new(key_columns);
         for (rid, rec) in self.heap.scan() {
-            let mut bytes = rec;
-            let row = decode_row(&mut bytes)?;
+            let row = decode_row(rec)?;
             idx.insert(&row, rid);
         }
         self.indexes.push(idx);
@@ -131,14 +130,14 @@ impl RowTable {
 
     /// Reads one row by id.
     pub fn row(&self, rid: RowId) -> Result<Vec<Value>, StorageError> {
-        decode_row(&mut self.heap.record(rid))
+        decode_row(self.heap.record(rid))
     }
 
     /// Full scan decoding every tuple — the access path query-level
     /// evolution is forced to use.
     pub fn scan(&self) -> impl Iterator<Item = (RowId, Vec<Value>)> + '_ {
-        self.heap.scan().map(|(rid, mut rec)| {
-            let row = decode_row(&mut rec).expect("heap row decodes");
+        self.heap.scan().map(|(rid, rec)| {
+            let row = decode_row(rec).expect("heap row decodes");
             (rid, row)
         })
     }

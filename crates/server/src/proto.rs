@@ -1,7 +1,9 @@
 //! The message layer on top of [`crate::frame`]: typed commands and
-//! replies with a hand-rolled little-endian codec (the container has no
-//! serde). Each message maps to one frame; the frame `kind` byte is the
-//! message discriminant, the frame payload is the message body.
+//! replies in little-endian bodies, written with `BufMut` and read with the
+//! storage engine's checked reader and value codec
+//! ([`cods_storage::codec`]), whose byte faults surface here as
+//! [`WireError`]. Each message maps to one frame; the frame `kind` byte is
+//! the message discriminant, the frame payload is the message body.
 //!
 //! Command kinds live in `0x01..=0x1F`, reply kinds in `0x81..=0x9F`, so a
 //! desynchronized peer is caught by the kind check even when a frame's
@@ -17,7 +19,7 @@
 //! rows   := n_rows:u32  n_cols:u16  column{n_cols}
 //! column := head:u32  value{n_new}  width:u8  id{n_rows}
 //! head   := restart << 31 | n_new
-//! value  := tag:u8 body        (0 NULL | 1 bool:u8 | 2 int:i64
+//! value  := the value codec    (0 NULL | 1 bool:u8 | 2 int:i64
 //!                               | 3 float bits:u64 | 4 str len:u32 utf-8)
 //! id     := `width` bytes LE   (width = 1, 2 or 4: the narrowest that
 //!                               holds the reply dictionary's size - 1)
@@ -50,11 +52,15 @@
 //! decode with one [`RowsDecoder`], sized from the stream's `RowHeader`.
 //! The server encodes a stream with one [`RowsEncoder`], straight from its
 //! [`RowSet`]s' dictionary ids. The decoder checks every count against the
-//! bytes that remain before it allocates for it.
+//! bytes that remain before it allocates for it, and reads a column's ids
+//! as one slice.
 
 use crate::frame::FrameError;
 use cods_query::{AggOp, CmpOp, Predicate, Query, RowColumn, RowSet};
-use cods_storage::{CacheStats, EncodedColumn, OrderedF64, Value, ValueType};
+use cods_storage::codec::{
+    put_str, put_value, read_str, read_type, read_value, BufMut, CodecError, Reader,
+};
+use cods_storage::{CacheStats, EncodedColumn, Value, ValueType};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -342,93 +348,57 @@ impl Reply {
 }
 
 // ---------------------------------------------------------------- codec --
+//
+// Every body is written with `BufMut` on a `Vec<u8>` and read with the one
+// checked reader, `cods_storage::codec::Reader`; values, strings and types
+// go through the one value codec beside it.
 
-/// Little-endian byte writer.
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::UnexpectedEof => WireError::Truncated,
+            CodecError::Trailing => WireError::Trailing,
+            CodecError::Utf8 => WireError::Utf8,
+            CodecError::BadTag(what, b) => WireError::BadTag(what, b),
+            CodecError::Corrupt(_) => WireError::Inconsistent("corrupt field"),
+        }
+    }
 }
 
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.u8(0),
-            Value::Bool(b) => {
-                self.u8(1);
-                self.u8(u8::from(*b));
-            }
-            Value::Int(i) => {
-                self.u8(2);
-                self.i64(*i);
-            }
-            // Bit-exact round-trip, NaN payloads included.
-            Value::Float(OrderedF64(f)) => {
-                self.u8(3);
-                self.u64(f.to_bits());
-            }
-            Value::Str(s) => {
-                self.u8(4);
-                self.str(s);
-            }
+fn put_pred(e: &mut Vec<u8>, p: &Predicate) {
+    match p {
+        Predicate::Compare {
+            column,
+            op,
+            literal,
+        } => {
+            e.put_u8(0);
+            put_str(e, column);
+            e.put_u8(match op {
+                CmpOp::Eq => 0,
+                CmpOp::Ne => 1,
+                CmpOp::Lt => 2,
+                CmpOp::Le => 3,
+                CmpOp::Gt => 4,
+                CmpOp::Ge => 5,
+            });
+            put_value(e, literal);
         }
-    }
-    fn value_type(&mut self, t: ValueType) {
-        self.u8(t.tag());
-    }
-    fn pred(&mut self, p: &Predicate) {
-        match p {
-            Predicate::Compare {
-                column,
-                op,
-                literal,
-            } => {
-                self.u8(0);
-                self.str(column);
-                self.u8(match op {
-                    CmpOp::Eq => 0,
-                    CmpOp::Ne => 1,
-                    CmpOp::Lt => 2,
-                    CmpOp::Le => 3,
-                    CmpOp::Gt => 4,
-                    CmpOp::Ge => 5,
-                });
-                self.value(literal);
-            }
-            Predicate::And(a, b) => {
-                self.u8(1);
-                self.pred(a);
-                self.pred(b);
-            }
-            Predicate::Or(a, b) => {
-                self.u8(2);
-                self.pred(a);
-                self.pred(b);
-            }
-            Predicate::Not(a) => {
-                self.u8(3);
-                self.pred(a);
-            }
-            Predicate::True => self.u8(4),
+        Predicate::And(a, b) => {
+            e.put_u8(1);
+            put_pred(e, a);
+            put_pred(e, b);
         }
+        Predicate::Or(a, b) => {
+            e.put_u8(2);
+            put_pred(e, a);
+            put_pred(e, b);
+        }
+        Predicate::Not(a) => {
+            e.put_u8(3);
+            put_pred(e, a);
+        }
+        Predicate::True => e.put_u8(4),
     }
 }
 
@@ -529,7 +499,7 @@ impl ReplyDict {
     /// Pushes the reply id of each of the `n_rows` cells of `src` to
     /// `local`, adding to the dictionary, and writing to `e`, the values
     /// it does not hold yet. `src` is the kind [`Self::bind`] made it.
-    fn walk(&mut self, src: &ColumnSrc<'_>, n_rows: usize, local: &mut Vec<u32>, e: &mut Enc) {
+    fn walk(&mut self, src: &ColumnSrc<'_>, n_rows: usize, local: &mut Vec<u32>, e: &mut Vec<u8>) {
         match (self, src) {
             (
                 ReplyDict::Ids {
@@ -545,7 +515,7 @@ impl ReplyDict {
                     if *slot == 0 {
                         sent.push(id);
                         *slot = sent.len() as u32;
-                        e.value(&values[id as usize]);
+                        put_value(e, &values[id as usize]);
                     }
                     local.push(*slot - 1);
                 }
@@ -557,7 +527,7 @@ impl ReplyDict {
                         Some(&id) => id,
                         None => {
                             let id = sent.len() as u32;
-                            e.value(v);
+                            put_value(e, v);
                             sent.insert(v.clone(), id);
                             id
                         }
@@ -587,19 +557,19 @@ impl RowsEncoder {
     /// columns must be empty (the decoder refuses rows that carry nothing;
     /// [`Query::resolve`] never produces them).
     pub fn encode(&mut self, set: &RowSet) -> Vec<u8> {
-        let mut e = Enc::default();
+        let mut e = Vec::new();
         self.rows(&mut e, set.len(), set.arity(), |c| {
             match &set.columns()[c] {
                 RowColumn::Dict { column, ids } => ColumnSrc::Dict { column, ids },
                 RowColumn::Plain(values) => ColumnSrc::Cells(Box::new(move |r| &values[r])),
             }
         });
-        e.buf
+        e
     }
 
     fn rows<'a>(
         &mut self,
-        e: &mut Enc,
+        e: &mut Vec<u8>,
         n_rows: usize,
         n_cols: usize,
         column: impl Fn(usize) -> ColumnSrc<'a>,
@@ -608,13 +578,13 @@ impl RowsEncoder {
         if self.dicts.len() != n_cols {
             self.dicts = (0..n_cols).map(|_| ReplyDict::default()).collect();
         }
-        e.u32(n_rows as u32);
-        e.u16(n_cols as u16);
+        e.put_u32_le(n_rows as u32);
+        e.put_u16_le(n_cols as u16);
         for (c, dict) in self.dicts.iter_mut().enumerate() {
             let src = column(c);
             // The head is patched in once the column has been walked.
-            let head_at = e.buf.len();
-            e.u32(0);
+            let head_at = e.len();
+            e.put_u32_le(0);
             let mut restart = dict.bind(&src);
             let before = dict.len();
             self.local.clear();
@@ -630,7 +600,7 @@ impl RowsEncoder {
                 } else if dict.len() > REPLY_DICT_MAX {
                     // Past the bound: start the column over from this batch.
                     dict.forget_first(dict.len());
-                    e.buf.truncate(head_at + 4);
+                    e.truncate(head_at + 4);
                     self.local.clear();
                     dict.walk(&src, n_rows, &mut self.local, e);
                     restart = true;
@@ -639,22 +609,22 @@ impl RowsEncoder {
             let n_new = dict.len() - if restart { 0 } else { before };
             debug_assert_eq!(self.local.len(), n_rows, "one cell per row");
             let head = n_new as u32 | if restart { RESTART } else { 0 };
-            e.buf[head_at..head_at + 4].copy_from_slice(&head.to_le_bytes());
+            e[head_at..head_at + 4].copy_from_slice(&head.to_le_bytes());
             match dict.len() {
                 0..=0x100 => {
-                    e.u8(1);
-                    e.buf.extend(self.local.iter().map(|&id| id as u8));
+                    e.put_u8(1);
+                    e.extend(self.local.iter().map(|&id| id as u8));
                 }
                 0x101..=REPLY_DICT_MAX => {
-                    e.u8(2);
+                    e.put_u8(2);
                     for &id in &self.local {
-                        e.u16(id as u16);
+                        e.put_u16_le(id as u16);
                     }
                 }
                 _ => {
-                    e.u8(4);
+                    e.put_u8(4);
                     for &id in &self.local {
-                        e.u32(id);
+                        e.put_u32_le(id);
                     }
                 }
             }
@@ -681,206 +651,150 @@ impl RowsDecoder {
 
     /// Decodes the stream's next `Rows` body into rows of values.
     pub fn decode(&mut self, payload: &[u8]) -> Result<Vec<Vec<Value>>, WireError> {
-        let mut d = Dec::new(payload);
-        let rows = d.rows(Some(self))?;
-        d.finish()?;
+        let mut r = Reader::new(payload);
+        let rows = read_rows(&mut r, Some(self))?;
+        r.finish()?;
         Ok(rows)
     }
 }
 
-/// Little-endian byte reader over a message payload.
-struct Dec<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
 type DecResult<T> = Result<T, WireError>;
 
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, at: 0 }
+fn read_string(r: &mut Reader<'_>) -> DecResult<String> {
+    Ok(read_str(r)?.to_owned())
+}
+
+/// A `u32`-counted list of strings.
+fn read_strings(r: &mut Reader<'_>) -> DecResult<Vec<String>> {
+    let n = r.count(4)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(read_string(r)?);
     }
-    fn take(&mut self, n: usize) -> DecResult<&'a [u8]> {
-        if self.buf.len() - self.at < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
+    Ok(out)
+}
+
+fn read_pred(r: &mut Reader<'_>, depth: u32) -> DecResult<Predicate> {
+    if depth > MAX_PRED_DEPTH {
+        return Err(WireError::TooDeep);
     }
-    fn u8(&mut self) -> DecResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> DecResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> DecResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> DecResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> DecResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn str_ref(&mut self) -> DecResult<&'a str> {
-        let n = self.u32()? as usize;
-        std::str::from_utf8(self.take(n)?).map_err(|_| WireError::Utf8)
-    }
-    fn str(&mut self) -> DecResult<String> {
-        self.str_ref().map(str::to_owned)
-    }
-    fn value(&mut self) -> DecResult<Value> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Bool(self.u8()? != 0),
-            2 => Value::Int(self.i64()?),
-            3 => Value::Float(OrderedF64(f64::from_bits(self.u64()?))),
-            // Straight from the frame into the `Arc<str>`, no `String` in
-            // between.
-            4 => Value::Str(Arc::from(self.str_ref()?)),
-            b => return Err(WireError::BadTag("value", b)),
-        })
-    }
-    fn value_type(&mut self) -> DecResult<ValueType> {
-        let b = self.u8()?;
-        ValueType::from_tag(b).ok_or(WireError::BadTag("value type", b))
-    }
-    fn pred(&mut self, depth: u32) -> DecResult<Predicate> {
-        if depth > MAX_PRED_DEPTH {
-            return Err(WireError::TooDeep);
-        }
-        Ok(match self.u8()? {
-            0 => Predicate::Compare {
-                column: self.str()?,
-                op: match self.u8()? {
-                    0 => CmpOp::Eq,
-                    1 => CmpOp::Ne,
-                    2 => CmpOp::Lt,
-                    3 => CmpOp::Le,
-                    4 => CmpOp::Gt,
-                    5 => CmpOp::Ge,
-                    b => return Err(WireError::BadTag("cmp op", b)),
-                },
-                literal: self.value()?,
+    Ok(match r.u8()? {
+        0 => Predicate::Compare {
+            column: read_string(r)?,
+            op: match r.u8()? {
+                0 => CmpOp::Eq,
+                1 => CmpOp::Ne,
+                2 => CmpOp::Lt,
+                3 => CmpOp::Le,
+                4 => CmpOp::Gt,
+                5 => CmpOp::Ge,
+                b => return Err(WireError::BadTag("cmp op", b)),
             },
-            1 => Predicate::And(
-                Box::new(self.pred(depth + 1)?),
-                Box::new(self.pred(depth + 1)?),
-            ),
-            2 => Predicate::Or(
-                Box::new(self.pred(depth + 1)?),
-                Box::new(self.pred(depth + 1)?),
-            ),
-            3 => Predicate::Not(Box::new(self.pred(depth + 1)?)),
-            4 => Predicate::True,
-            b => return Err(WireError::BadTag("predicate", b)),
-        })
+            literal: read_value(r)?,
+        },
+        1 => Predicate::And(
+            Box::new(read_pred(r, depth + 1)?),
+            Box::new(read_pred(r, depth + 1)?),
+        ),
+        2 => Predicate::Or(
+            Box::new(read_pred(r, depth + 1)?),
+            Box::new(read_pred(r, depth + 1)?),
+        ),
+        3 => Predicate::Not(Box::new(read_pred(r, depth + 1)?)),
+        4 => Predicate::True,
+        b => return Err(WireError::BadTag("predicate", b)),
+    })
+}
+
+/// A `Rows` body as rows of values, decoded against `stream`'s reply
+/// dictionaries (`None`: a body on its own, against empty ones). A value is
+/// decoded once per stream, and a cell is a clone of it (a reference count
+/// for a string, not an allocation). Every count is held against the bytes
+/// that remain before anything is allocated for it, and a column's ids are
+/// one bulk slice.
+fn read_rows(r: &mut Reader<'_>, stream: Option<&mut RowsDecoder>) -> DecResult<Vec<Vec<Value>>> {
+    let n_rows = r.u32()? as usize;
+    let n_cols = r.u16()? as usize;
+    if stream.as_ref().is_some_and(|s| s.dicts.len() != n_cols) {
+        return Err(WireError::Inconsistent(
+            "column count differs from the stream's",
+        ));
     }
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.at
-    }
-    /// A `Rows` body as rows of values, decoded against `stream`'s reply
-    /// dictionaries (`None`: a body on its own, against empty ones). A
-    /// value is decoded once per stream, and a cell is a clone of it (a
-    /// reference count for a string, not an allocation). Every count is
-    /// held against the bytes that remain before anything is allocated for
-    /// it.
-    fn rows(&mut self, stream: Option<&mut RowsDecoder>) -> DecResult<Vec<Vec<Value>>> {
-        let n_rows = self.u32()? as usize;
-        let n_cols = self.u16()? as usize;
-        if stream.as_ref().is_some_and(|s| s.dicts.len() != n_cols) {
-            return Err(WireError::Inconsistent(
-                "column count differs from the stream's",
-            ));
-        }
-        if n_cols == 0 {
-            // Rows of nothing would cost no bytes to claim.
-            return match n_rows {
-                0 => Ok(Vec::new()),
-                _ => Err(WireError::Inconsistent("rows without columns")),
-            };
-        }
-        // A column spends five bytes on its head and id width, and at
-        // least one per row on ids.
-        if n_rows > self.remaining() || n_cols > self.remaining() / 5 {
-            return Err(WireError::Truncated);
-        }
-        let mut own;
-        let dicts = match stream {
-            Some(stream) => &mut stream.dicts,
-            None => {
-                own = vec![Vec::new(); n_cols];
-                &mut own
-            }
+    if n_cols == 0 {
+        // Rows of nothing would cost no bytes to claim.
+        return match n_rows {
+            0 => Ok(Vec::new()),
+            _ => Err(WireError::Inconsistent("rows without columns")),
         };
-        let mut columns = Vec::with_capacity(n_cols);
-        for dict in dicts.iter_mut() {
-            let head = self.u32()?;
-            let (restart, n_new) = (head & RESTART != 0, (head & !RESTART) as usize);
-            if n_new > n_rows {
-                return Err(WireError::Inconsistent("more new values than rows"));
-            }
-            if restart {
-                if dict.is_empty() {
-                    return Err(WireError::Inconsistent(
-                        "restart of an empty reply dictionary",
-                    ));
-                }
-                dict.clear();
-            } else if n_new > 0 && !dict.is_empty() && dict.len() + n_new > REPLY_DICT_MAX {
-                // Only an empty dictionary (or a restarted one) takes a
-                // batch whose own values outnumber the bound.
+    }
+    // A column spends five bytes on its head and id width, and at least
+    // one per row on ids.
+    r.fits(n_rows, 1)?;
+    r.fits(n_cols, 5)?;
+    let mut own;
+    let dicts = match stream {
+        Some(stream) => &mut stream.dicts,
+        None => {
+            own = vec![Vec::new(); n_cols];
+            &mut own
+        }
+    };
+    let mut columns = Vec::with_capacity(n_cols);
+    for dict in dicts.iter_mut() {
+        let head = r.u32()?;
+        let (restart, n_new) = (head & RESTART != 0, (head & !RESTART) as usize);
+        if n_new > n_rows {
+            return Err(WireError::Inconsistent("more new values than rows"));
+        }
+        if restart {
+            if dict.is_empty() {
                 return Err(WireError::Inconsistent(
-                    "reply dictionary past its bound without a restart",
+                    "restart of an empty reply dictionary",
                 ));
             }
-            // A value spends at least its tag byte.
-            if n_new > self.remaining() {
-                return Err(WireError::Truncated);
-            }
-            dict.reserve(n_new);
-            for _ in 0..n_new {
-                dict.push(self.value()?);
-            }
-            let width = self.u8()?;
-            if !matches!(width, 1 | 2 | 4) {
-                return Err(WireError::BadTag("id width", width));
-            }
-            let bytes = self.take(n_rows * width as usize)?;
-            let ids: Vec<u32> = match width {
-                1 => bytes.iter().map(|&b| b.into()).collect(),
-                2 => bytes
-                    .chunks_exact(2)
-                    .map(|b| u16::from_le_bytes([b[0], b[1]]).into())
-                    .collect(),
-                _ => bytes
-                    .chunks_exact(4)
-                    .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                    .collect(),
-            };
-            if ids.iter().any(|&id| id as usize >= dict.len()) {
-                return Err(WireError::Inconsistent("id beyond the reply dictionary"));
-            }
-            columns.push(ids);
+            dict.clear();
+        } else if n_new > 0 && !dict.is_empty() && dict.len() + n_new > REPLY_DICT_MAX {
+            // Only an empty dictionary (or a restarted one) takes a batch
+            // whose own values outnumber the bound.
+            return Err(WireError::Inconsistent(
+                "reply dictionary past its bound without a restart",
+            ));
         }
-        Ok((0..n_rows)
-            .map(|r| {
-                columns
-                    .iter()
-                    .zip(dicts.iter())
-                    .map(|(ids, dict)| dict[ids[r] as usize].clone())
-                    .collect()
-            })
-            .collect())
-    }
-    fn finish(self) -> DecResult<()> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Trailing)
+        // A value spends at least its tag byte.
+        dict.reserve(r.fits(n_new, 1)?);
+        for _ in 0..n_new {
+            dict.push(read_value(r)?);
         }
+        let width = r.u8()?;
+        if !matches!(width, 1 | 2 | 4) {
+            return Err(WireError::BadTag("id width", width));
+        }
+        let bytes = r.take(n_rows * width as usize)?;
+        let ids: Vec<u32> = match width {
+            1 => bytes.iter().map(|&b| b.into()).collect(),
+            2 => bytes
+                .chunks_exact(2)
+                .map(|b| u16::from_le_bytes([b[0], b[1]]).into())
+                .collect(),
+            _ => bytes
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                .collect(),
+        };
+        if ids.iter().any(|&id| id as usize >= dict.len()) {
+            return Err(WireError::Inconsistent("id beyond the reply dictionary"));
+        }
+        columns.push(ids);
     }
+    Ok((0..n_rows)
+        .map(|row| {
+            columns
+                .iter()
+                .zip(dicts.iter())
+                .map(|(ids, dict)| dict[ids[row] as usize].clone())
+                .collect()
+        })
+        .collect())
 }
 
 fn agg_op_tag(op: AggOp) -> u8 {
@@ -904,34 +818,39 @@ fn agg_op_from(b: u8) -> DecResult<AggOp> {
     })
 }
 
+/// Writes a `u32`-counted list of strings.
+fn put_strs(e: &mut Vec<u8>, strs: &[String]) {
+    e.put_u32_le(strs.len() as u32);
+    for s in strs {
+        put_str(e, s);
+    }
+}
+
 /// Encodes a command body (the frame kind comes from [`Command::kind`]).
 pub fn encode_command(cmd: &Command) -> Vec<u8> {
-    let mut e = Enc::default();
+    let mut e = Vec::new();
     match cmd {
         Command::Ping | Command::Refresh | Command::Metrics => {}
-        Command::Stats { table } => e.str(table),
-        Command::Script { text } => e.str(text),
+        Command::Stats { table } => put_str(&mut e, table),
+        Command::Script { text } => put_str(&mut e, text),
         Command::Query(Query::Scan {
             table,
             predicate,
             projection,
         }) => {
-            e.str(table);
-            e.pred(predicate);
+            put_str(&mut e, table);
+            put_pred(&mut e, predicate);
             match projection {
-                None => e.u8(0),
+                None => e.put_u8(0),
                 Some(cols) => {
-                    e.u8(1);
-                    e.u32(cols.len() as u32);
-                    for c in cols {
-                        e.str(c);
-                    }
+                    e.put_u8(1);
+                    put_strs(&mut e, cols);
                 }
             }
         }
         Command::Query(Query::Count { table, predicate }) => {
-            e.str(table);
-            e.pred(predicate);
+            put_str(&mut e, table);
+            put_pred(&mut e, predicate);
         }
         Command::Query(Query::GroupBy {
             table,
@@ -939,16 +858,13 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
             group_by,
             aggs,
         }) => {
-            e.str(table);
-            e.pred(predicate);
-            e.u32(group_by.len() as u32);
-            for g in group_by {
-                e.str(g);
-            }
-            e.u32(aggs.len() as u32);
+            put_str(&mut e, table);
+            put_pred(&mut e, predicate);
+            put_strs(&mut e, group_by);
+            e.put_u32_le(aggs.len() as u32);
             for (op, col) in aggs {
-                e.u8(agg_op_tag(*op));
-                e.str(col);
+                e.put_u8(agg_op_tag(*op));
+                put_str(&mut e, col);
             }
         }
         Command::Query(Query::Join {
@@ -957,129 +873,96 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
             left_keys,
             right_keys,
         }) => {
-            e.str(left);
-            e.str(right);
-            e.u32(left_keys.len() as u32);
-            for k in left_keys {
-                e.str(k);
-            }
-            e.u32(right_keys.len() as u32);
-            for k in right_keys {
-                e.str(k);
-            }
+            put_str(&mut e, left);
+            put_str(&mut e, right);
+            put_strs(&mut e, left_keys);
+            put_strs(&mut e, right_keys);
         }
     }
-    e.buf
+    e
 }
 
 /// Decodes a command from its frame `(kind, payload)`.
 pub fn decode_command(kind: u8, payload: &[u8]) -> DecResult<Command> {
-    let mut d = Dec::new(payload);
+    let mut r = Reader::new(payload);
+    let r = &mut r;
     let cmd = match kind {
         0x01 => Command::Ping,
         0x02 => Command::Refresh,
         0x03 => Command::Metrics,
-        0x04 => Command::Stats { table: d.str()? },
-        0x05 => Command::Script { text: d.str()? },
-        0x06 => {
-            let table = d.str()?;
-            let predicate = d.pred(0)?;
-            let projection = match d.u8()? {
+        0x04 => Command::Stats {
+            table: read_string(r)?,
+        },
+        0x05 => Command::Script {
+            text: read_string(r)?,
+        },
+        0x06 => Command::Query(Query::Scan {
+            table: read_string(r)?,
+            predicate: read_pred(r, 0)?,
+            projection: match r.u8()? {
                 0 => None,
-                1 => {
-                    let n = d.u32()? as usize;
-                    let mut cols = Vec::with_capacity(n.min(1 << 12));
-                    for _ in 0..n {
-                        cols.push(d.str()?);
-                    }
-                    Some(cols)
-                }
+                1 => Some(read_strings(r)?),
                 b => return Err(WireError::BadTag("projection", b)),
-            };
-            Command::Query(Query::Scan {
-                table,
-                predicate,
-                projection,
-            })
-        }
-        0x07 => Command::Query(Query::Count {
-            table: d.str()?,
-            predicate: d.pred(0)?,
+            },
         }),
-        0x09 => {
-            let table = d.str()?;
-            let predicate = d.pred(0)?;
-            let n = d.u32()? as usize;
-            let mut group_by = Vec::with_capacity(n.min(1 << 12));
-            for _ in 0..n {
-                group_by.push(d.str()?);
-            }
-            let n = d.u32()? as usize;
-            let mut aggs = Vec::with_capacity(n.min(1 << 12));
-            for _ in 0..n {
-                let op = agg_op_from(d.u8()?)?;
-                aggs.push((op, d.str()?));
-            }
-            Command::Query(Query::GroupBy {
-                table,
-                predicate,
-                group_by,
-                aggs,
-            })
-        }
-        0x0A => {
-            let left = d.str()?;
-            let right = d.str()?;
-            let n = d.u32()? as usize;
-            let mut left_keys = Vec::with_capacity(n.min(1 << 12));
-            for _ in 0..n {
-                left_keys.push(d.str()?);
-            }
-            let n = d.u32()? as usize;
-            let mut right_keys = Vec::with_capacity(n.min(1 << 12));
-            for _ in 0..n {
-                right_keys.push(d.str()?);
-            }
-            Command::Query(Query::Join {
-                left,
-                right,
-                left_keys,
-                right_keys,
-            })
-        }
+        0x07 => Command::Query(Query::Count {
+            table: read_string(r)?,
+            predicate: read_pred(r, 0)?,
+        }),
+        0x09 => Command::Query(Query::GroupBy {
+            table: read_string(r)?,
+            predicate: read_pred(r, 0)?,
+            group_by: read_strings(r)?,
+            aggs: {
+                // An op tag and a string length each.
+                let n = r.count(5)?;
+                let mut aggs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let op = agg_op_from(r.u8()?)?;
+                    aggs.push((op, read_string(r)?));
+                }
+                aggs
+            },
+        }),
+        0x0A => Command::Query(Query::Join {
+            left: read_string(r)?,
+            right: read_string(r)?,
+            left_keys: read_strings(r)?,
+            right_keys: read_strings(r)?,
+        }),
         b => return Err(WireError::BadTag("command kind", b)),
     };
-    d.finish()?;
+    r.finish()?;
     Ok(cmd)
 }
 
 /// Encodes a reply body (the frame kind comes from [`Reply::kind`]).
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    let mut e = Enc::default();
+    let mut e = Vec::new();
     match reply {
         Reply::Pong => {}
         Reply::Hello { catalog_version } | Reply::Refreshed { catalog_version } => {
-            e.u64(*catalog_version)
+            e.put_u64_le(*catalog_version)
         }
-        Reply::Ok { message } => e.str(message),
+        Reply::Ok { message } => put_str(&mut e, message),
         Reply::Error { code, message } => {
-            e.u16(*code);
-            e.str(message);
+            e.put_u16_le(*code);
+            put_str(&mut e, message);
         }
         Reply::Overloaded { in_flight, queued } => {
-            e.u64(*in_flight);
-            e.u64(*queued);
+            e.put_u64_le(*in_flight);
+            e.put_u64_le(*queued);
         }
         Reply::RowHeader {
             columns,
             total_rows,
         } => {
-            e.u32(columns.len() as u32);
+            e.put_u32_le(columns.len() as u32);
             for (name, ty) in columns {
-                e.str(name);
-                e.value_type(*ty);
+                put_str(&mut e, name);
+                e.put_u8(ty.tag());
             }
-            e.u64(*total_rows);
+            e.put_u64_le(*total_rows);
         }
         Reply::Rows { rows } => {
             // The same encoder as the server's, over the borrowed rows.
@@ -1093,57 +976,58 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
             });
         }
         Reply::Done { batches, rows } => {
-            e.u64(*batches);
-            e.u64(*rows);
+            e.put_u64_le(*batches);
+            e.put_u64_le(*rows);
         }
         Reply::MaskSummary {
             rows,
             selected,
             catalog_version,
         } => {
-            e.u64(*rows);
-            e.u64(*selected);
-            e.u64(*catalog_version);
+            e.put_u64_le(*rows);
+            e.put_u64_le(*selected);
+            e.put_u64_le(*catalog_version);
         }
         Reply::Metrics(m) => {
-            e.u64(m.connections_open);
-            e.u64(m.connections_total);
-            e.u64(m.in_flight);
-            e.u64(m.queued);
-            e.u64(m.admitted_total);
-            e.u64(m.rejected_total);
-            e.u64(m.bytes_streamed);
-            e.u64(m.rows_streamed);
-            e.u64(m.idle_evicted);
-            e.u64(m.cache.budget);
-            e.u64(m.cache.resident_bytes);
-            e.u64(m.cache.hits);
-            e.u64(m.cache.misses);
-            e.u64(m.cache.evictions);
-            e.u64(m.cache.decoded_bytes);
-            e.u64(m.durability.enabled);
-            e.u64(m.durability.commits);
-            e.u64(m.durability.fsyncs);
-            e.u64(m.durability.max_batch);
-            e.u64(m.durability.fsync_micros);
-            e.u64(m.durability.log_pending);
-            e.u64(m.durability.log_bytes);
+            e.put_u64_le(m.connections_open);
+            e.put_u64_le(m.connections_total);
+            e.put_u64_le(m.in_flight);
+            e.put_u64_le(m.queued);
+            e.put_u64_le(m.admitted_total);
+            e.put_u64_le(m.rejected_total);
+            e.put_u64_le(m.bytes_streamed);
+            e.put_u64_le(m.rows_streamed);
+            e.put_u64_le(m.idle_evicted);
+            e.put_u64_le(m.cache.budget);
+            e.put_u64_le(m.cache.resident_bytes);
+            e.put_u64_le(m.cache.hits);
+            e.put_u64_le(m.cache.misses);
+            e.put_u64_le(m.cache.evictions);
+            e.put_u64_le(m.cache.decoded_bytes);
+            e.put_u64_le(m.durability.enabled);
+            e.put_u64_le(m.durability.commits);
+            e.put_u64_le(m.durability.fsyncs);
+            e.put_u64_le(m.durability.max_batch);
+            e.put_u64_le(m.durability.fsync_micros);
+            e.put_u64_le(m.durability.log_pending);
+            e.put_u64_le(m.durability.log_bytes);
         }
         Reply::Stats(s) => {
-            e.u64(s.rows);
-            e.u64(s.arity);
-            e.u64(s.total_bytes);
-            e.u64(s.resident_segments);
-            e.u64(s.on_disk_segments);
-            e.u64(s.catalog_version);
+            e.put_u64_le(s.rows);
+            e.put_u64_le(s.arity);
+            e.put_u64_le(s.total_bytes);
+            e.put_u64_le(s.resident_segments);
+            e.put_u64_le(s.on_disk_segments);
+            e.put_u64_le(s.catalog_version);
         }
     }
-    e.buf
+    e
 }
 
 /// Decodes a reply from its frame `(kind, payload)`.
 pub fn decode_reply(kind: u8, payload: &[u8]) -> DecResult<Reply> {
-    let mut d = Dec::new(payload);
+    let mut r = Reader::new(payload);
+    let d = &mut r;
     let reply = match kind {
         0x81 => Reply::Hello {
             catalog_version: d.u64()?,
@@ -1152,21 +1036,24 @@ pub fn decode_reply(kind: u8, payload: &[u8]) -> DecResult<Reply> {
         0x83 => Reply::Refreshed {
             catalog_version: d.u64()?,
         },
-        0x84 => Reply::Ok { message: d.str()? },
+        0x84 => Reply::Ok {
+            message: read_string(d)?,
+        },
         0x85 => Reply::Error {
             code: d.u16()?,
-            message: d.str()?,
+            message: read_string(d)?,
         },
         0x86 => Reply::Overloaded {
             in_flight: d.u64()?,
             queued: d.u64()?,
         },
         0x87 => {
-            let n = d.u32()? as usize;
-            let mut columns = Vec::with_capacity(n.min(1 << 12));
+            // A string length and a type tag each.
+            let n = d.count(5)?;
+            let mut columns = Vec::with_capacity(n);
             for _ in 0..n {
-                let name = d.str()?;
-                columns.push((name, d.value_type()?));
+                let name = read_string(d)?;
+                columns.push((name, read_type(d)?));
             }
             Reply::RowHeader {
                 columns,
@@ -1174,7 +1061,7 @@ pub fn decode_reply(kind: u8, payload: &[u8]) -> DecResult<Reply> {
             }
         }
         0x88 => Reply::Rows {
-            rows: d.rows(None)?,
+            rows: read_rows(d, None)?,
         },
         0x89 => Reply::Done {
             batches: d.u64()?,
@@ -1223,13 +1110,14 @@ pub fn decode_reply(kind: u8, payload: &[u8]) -> DecResult<Reply> {
         }),
         b => return Err(WireError::BadTag("reply kind", b)),
     };
-    d.finish()?;
+    r.finish()?;
     Ok(reply)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cods_storage::OrderedF64;
 
     fn rt_cmd(cmd: Command) {
         let bytes = encode_command(&cmd);
@@ -1411,16 +1299,16 @@ mod tests {
     /// A hand-built `Rows` body: `(head, values, width, id bytes)` per
     /// column, each field written as given, consistent or not.
     fn rows_body(n_rows: u32, columns: &[(u32, &[Value], u8, &[u8])]) -> Vec<u8> {
-        let mut e = Enc::default();
-        e.u32(n_rows);
-        e.u16(columns.len() as u16);
+        let mut e = Vec::new();
+        e.put_u32_le(n_rows);
+        e.put_u16_le(columns.len() as u16);
         for (head, values, width, ids) in columns {
-            e.u32(*head);
-            values.iter().for_each(|v| e.value(v));
-            e.u8(*width);
-            e.buf.extend_from_slice(ids);
+            e.put_u32_le(*head);
+            values.iter().for_each(|v| put_value(&mut e, v));
+            e.put_u8(*width);
+            e.put_slice(ids);
         }
-        e.buf
+        e
     }
 
     #[test]

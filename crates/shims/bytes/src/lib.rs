@@ -1,9 +1,11 @@
 //! Minimal in-tree stand-in for the `bytes` crate.
 //!
 //! The build environment has no access to a crates registry, so this shim
-//! provides exactly the subset the workspace uses: the [`Buf`] / [`BufMut`]
-//! cursor traits with little-endian accessors, a cheaply cloneable [`Bytes`]
-//! handle, and a growable [`BytesMut`] that freezes into one.
+//! provides exactly the subset the workspace uses: the [`Buf`] read cursor
+//! (contiguous bytes and an advance — the workspace decodes through
+//! `cods_bitmap::Reader`, which checks every read), the [`BufMut`] writer
+//! with little-endian accessors, a cheaply cloneable [`Bytes`] handle, and
+//! a growable [`BytesMut`] that freezes into one.
 
 #![warn(missing_docs)]
 
@@ -12,65 +14,13 @@ use std::sync::Arc;
 
 /// Read cursor over a contiguous byte region.
 pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
     /// The unread bytes.
     fn chunk(&self) -> &[u8];
     /// Consumes `n` bytes.
     fn advance(&mut self, n: usize);
-
-    /// Copies `dst.len()` bytes into `dst`, advancing.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.remaining() >= dst.len(), "buffer underflow");
-        dst.copy_from_slice(&self.chunk()[..dst.len()]);
-        self.advance(dst.len());
-    }
-
-    /// Reads one byte.
-    fn get_u8(&mut self) -> u8 {
-        let mut b = [0u8; 1];
-        self.copy_to_slice(&mut b);
-        b[0]
-    }
-
-    /// Reads a little-endian `u16`.
-    fn get_u16_le(&mut self) -> u16 {
-        let mut b = [0u8; 2];
-        self.copy_to_slice(&mut b);
-        u16::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        u32::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `i64`.
-    fn get_i64_le(&mut self) -> i64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        i64::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `f64`.
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_bits(self.get_u64_le())
-    }
 }
 
 impl<B: Buf + ?Sized> Buf for &mut B {
-    fn remaining(&self) -> usize {
-        (**self).remaining()
-    }
     fn chunk(&self) -> &[u8] {
         (**self).chunk()
     }
@@ -80,9 +30,6 @@ impl<B: Buf + ?Sized> Buf for &mut B {
 }
 
 impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
     fn chunk(&self) -> &[u8] {
         self
     }
@@ -131,6 +78,9 @@ impl<B: BufMut + ?Sized> BufMut for &mut B {
 impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
+    }
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
     }
 }
 
@@ -194,9 +144,6 @@ impl std::ops::Deref for Bytes {
 }
 
 impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
     fn chunk(&self) -> &[u8] {
         self.as_slice()
     }
@@ -210,7 +157,6 @@ impl Buf for Bytes {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BytesMut {
     data: Vec<u8>,
-    read: usize,
 }
 
 impl BytesMut {
@@ -223,46 +169,28 @@ impl BytesMut {
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
             data: Vec::with_capacity(cap),
-            read: 0,
         }
     }
 
-    /// Unread length.
+    /// Length written so far.
     pub fn len(&self) -> usize {
-        self.data.len() - self.read
+        self.data.len()
     }
 
-    /// Returns `true` when no unread bytes remain.
+    /// Returns `true` when nothing was written.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.data.is_empty()
     }
 
-    /// Converts into an immutable [`Bytes`] (unread portion).
+    /// Converts into an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
-        if self.read == 0 {
-            Bytes::from(self.data)
-        } else {
-            Bytes::from(self.data[self.read..].to_vec())
-        }
+        Bytes::from(self.data)
     }
 }
 
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
-    }
-}
-
-impl Buf for BytesMut {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn chunk(&self) -> &[u8] {
-        &self.data[self.read..]
-    }
-    fn advance(&mut self, n: usize) {
-        assert!(n <= self.len(), "advance past end");
-        self.read += n;
     }
 }
 
@@ -280,17 +208,17 @@ mod tests {
         buf.put_i64_le(-42);
         buf.put_f64_le(1.5);
         buf.put_slice(b"xyz");
+        let mut want = vec![7];
+        want.extend_from_slice(&0xBEEFu16.to_le_bytes());
+        want.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+        want.extend_from_slice(&(u64::MAX - 1).to_le_bytes());
+        want.extend_from_slice(&(-42i64).to_le_bytes());
+        want.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
+        want.extend_from_slice(b"xyz");
         let mut b = buf.freeze();
-        assert_eq!(b.get_u8(), 7);
-        assert_eq!(b.get_u16_le(), 0xBEEF);
-        assert_eq!(b.get_u32_le(), 0xDEAD_BEEF);
-        assert_eq!(b.get_u64_le(), u64::MAX - 1);
-        assert_eq!(b.get_i64_le(), -42);
-        assert_eq!(b.get_f64_le(), 1.5);
-        let mut s = [0u8; 3];
-        b.copy_to_slice(&mut s);
-        assert_eq!(&s, b"xyz");
-        assert_eq!(b.remaining(), 0);
+        assert_eq!(b.chunk(), &want[..]);
+        b.advance(want.len());
+        assert!(b.is_empty());
     }
 
     #[test]

@@ -23,9 +23,12 @@
 //!          | 1                                        (next image column)
 //! body    := 2                                        (no image)
 //!          | 0 img_len:u64 image
-//! str     := len:u32 bytes
-//! schema  := as in a table file ([`crate::persist`])
+//! str     := len:u32 utf-8                            ([`crate::codec`])
+//! schema  := as in a table file                       ([`crate::codec`])
 //! ```
+//!
+//! A record is read with the one checked reader ([`crate::codec::Reader`]);
+//! a record that does not decode is [`StorageError::Corrupt`].
 //!
 //! A put costs what it changed. Evolution hands out its input's columns by
 //! reference (a `DECOMPOSE`'s unchanged side *is* columns of its input), and
@@ -120,6 +123,7 @@
 //! matches the file only as far as the catalog took no unlogged change.
 
 use crate::catalog::{Catalog, DurabilitySink};
+use crate::codec::{put_schema, put_str, read_schema, read_str, BufMut, Reader};
 use crate::encoded::EncodedColumn;
 use crate::error::StorageError;
 use crate::fault;
@@ -763,18 +767,18 @@ impl CommitLog {
 /// put columns the record references and how many it carries.
 fn encode_record(out: &mut Vec<u8>, p: &Pending) -> Result<(u64, u64), StorageError> {
     let (mut referenced, mut carried) = (0, 0);
-    out.extend_from_slice(&p.version.to_le_bytes());
-    out.extend_from_slice(&(p.drops.len() as u32).to_le_bytes());
+    out.put_u64_le(p.version);
+    out.put_u32_le(p.drops.len() as u32);
     for d in &p.drops {
         put_str(out, d);
     }
-    out.extend_from_slice(&(p.puts.len() as u32).to_le_bytes());
+    out.put_u32_le(p.puts.len() as u32);
     for put in &p.puts {
         let t = &put.table;
         put_str(out, t.name());
-        persist::put_schema(out, t.schema());
-        out.extend_from_slice(&t.rows().to_le_bytes());
-        out.extend_from_slice(&(put.srcs.len() as u16).to_le_bytes());
+        put_schema(out, t.schema());
+        out.put_u64_le(t.rows());
+        out.put_u16_le(put.srcs.len() as u16);
         let mut carried_defs = Vec::new();
         let mut carried_cols = Vec::new();
         for (i, src) in put.srcs.iter().enumerate() {
@@ -782,7 +786,7 @@ fn encode_record(out: &mut Vec<u8>, p: &Pending) -> Result<(u64, u64), StorageEr
                 Some((table, col)) => {
                     out.push(SRC_REUSED);
                     put_str(out, table);
-                    out.extend_from_slice(&col.to_le_bytes());
+                    out.put_u16_le(*col);
                 }
                 None => {
                     out.push(SRC_CARRIED);
@@ -801,8 +805,8 @@ fn encode_record(out: &mut Vec<u8>, p: &Pending) -> Result<(u64, u64), StorageEr
         let image = Table::new(t.name(), Schema::new(carried_defs)?, carried_cols)?;
         let img = persist::encode_table(&image);
         out.push(BODY_IMAGE);
-        out.extend_from_slice(&(img.len() as u64).to_le_bytes());
-        out.extend_from_slice(&img);
+        out.put_u64_le(img.len() as u64);
+        out.put_slice(&img);
     }
     Ok((referenced, carried))
 }
@@ -897,12 +901,6 @@ impl DurabilitySink for CommitLog {
     }
 }
 
-/// `len:u32 bytes` string encoding.
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
 /// One decoded put: well-formed on its own, not yet checked against any
 /// state.
 struct PutRecord {
@@ -940,24 +938,32 @@ fn corrupt(msg: String) -> StorageError {
 
 /// Decodes a sealed record payload. A sealed-but-undecodable record is a
 /// hard corruption, never silently skipped — the frame checksum already
-/// passed, so the bytes are what was written. No count read here sizes an
-/// allocation before the bytes behind it have been seen, and an image is a
-/// slice of `payload`, not a copy.
+/// passed, so the bytes are what was written: every fault of the bytes
+/// (the codec reports them as [`StorageError::PersistError`]) is
+/// [`StorageError::Corrupt`] here. No count read here sizes an allocation
+/// before the bytes behind it have been seen, and an image is a slice of
+/// `payload`, not a copy.
 fn decode_record(payload: &Bytes) -> Result<Record, StorageError> {
-    let mut c = Cursor {
-        bytes: payload,
-        at: 0,
-    };
-    let version = c.u64()?;
-    let drops = (0..c.u32()?)
-        .map(|_| c.str())
-        .collect::<Result<Vec<_>, _>>()?;
+    read_record(payload).map_err(|e| match e {
+        StorageError::PersistError(m) => corrupt(format!("commit record: {m}")),
+        e => e,
+    })
+}
+
+fn read_record(payload: &Bytes) -> Result<Record, StorageError> {
+    let mut r = Reader::new(payload);
+    let version = r.u64()?;
+    let n = r.count(4)?;
+    let mut drops = Vec::with_capacity(n);
+    for _ in 0..n {
+        drops.push(read_str(&mut r)?.to_owned());
+    }
     let mut puts = Vec::new();
-    for _ in 0..c.u32()? {
-        let name = c.str()?;
-        let schema = c.schema()?;
-        let rows = c.u64()?;
-        let ncols = c.u16()? as usize;
+    for _ in 0..r.count(1)? {
+        let name = read_str(&mut r)?.to_owned();
+        let schema = read_schema(&mut r)?;
+        let rows = r.u64()?;
+        let ncols = r.u16()? as usize;
         if ncols != schema.arity() {
             return Err(corrupt(format!(
                 "put {name:?} lists {ncols} columns for a schema of {}",
@@ -966,20 +972,20 @@ fn decode_record(payload: &Bytes) -> Result<Record, StorageError> {
         }
         let mut srcs = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            srcs.push(match c.u8()? {
-                SRC_REUSED => Some((c.str()?, c.u16()?)),
+            srcs.push(match r.u8()? {
+                SRC_REUSED => Some((read_str(&mut r)?.to_owned(), r.u16()?)),
                 SRC_CARRIED => None,
                 tag => return Err(corrupt(format!("unknown commit-record src tag {tag}"))),
             });
         }
-        let body = match c.u8()? {
+        let body = match r.u8()? {
             BODY_NONE => None,
             BODY_IMAGE => {
-                let len = usize::try_from(c.u64()?)
+                let len = usize::try_from(r.u64()?)
                     .map_err(|_| corrupt("image beyond address space".into()))?;
-                let start = c.at;
-                c.take(len)?;
-                Some(payload.slice(start..c.at))
+                let start = r.position();
+                r.take(len)?;
+                Some(payload.slice(start..r.position()))
             }
             tag => return Err(corrupt(format!("unknown commit-record body tag {tag}"))),
         };
@@ -1004,9 +1010,7 @@ fn decode_record(payload: &Bytes) -> Result<Record, StorageError> {
             body,
         });
     }
-    if c.at != payload.len() {
-        return Err(corrupt("trailing bytes after commit record".into()));
-    }
+    r.finish()?;
     Ok(Record {
         version,
         drops,
@@ -1069,56 +1073,6 @@ fn resolve_put(put: PutRecord, state: &View) -> Result<Table, StorageError> {
         )));
     }
     Ok(t)
-}
-
-/// Bounds-checked little-endian reader over a record payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| corrupt("truncated commit record".into()))?;
-        let s = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, StorageError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, StorageError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, StorageError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, StorageError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, StorageError> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| corrupt("non-UTF-8 name in commit record".into()))
-    }
-
-    /// A schema in the table-file encoding.
-    fn schema(&mut self) -> Result<Schema, StorageError> {
-        let mut rest = &self.bytes[self.at..];
-        let schema = persist::get_schema(&mut rest)
-            .map_err(|e| corrupt(format!("bad schema in commit record: {e}")))?;
-        self.at = self.bytes.len() - rest.len();
-        Ok(schema)
-    }
 }
 
 #[cfg(test)]
@@ -1711,7 +1665,7 @@ mod tests {
         out.extend_from_slice(&(puts.len() as u32).to_le_bytes());
         for p in puts {
             put_str(&mut out, "out");
-            persist::put_schema(&mut out, &Schema::build(&p.schema, &[]).unwrap());
+            put_schema(&mut out, &Schema::build(&p.schema, &[]).unwrap());
             out.extend_from_slice(&p.rows.to_le_bytes());
             out.extend_from_slice(&p.ncols.to_le_bytes());
             for src in &p.srcs {

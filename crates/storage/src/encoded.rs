@@ -169,16 +169,18 @@ impl SegmentEnc {
 
     /// Re-encodes this segment to `encoding` (shares the `Arc` when already
     /// there). O(runs) per present value toward bitmap, O(rows) toward RLE.
-    pub fn recoded(&self, encoding: Encoding) -> SegmentEnc {
-        match (self, encoding) {
+    /// A bitmap segment whose bitmaps leave a row uncovered is
+    /// [`StorageError::Corrupt`] ([`RleSegment::from_bitmap_segment`]).
+    pub fn recoded(&self, encoding: Encoding) -> Result<SegmentEnc, StorageError> {
+        Ok(match (self, encoding) {
             (SegmentEnc::Bitmap(s), Encoding::Rle) => {
-                SegmentEnc::Rle(Arc::new(RleSegment::from_bitmap_segment(s)))
+                SegmentEnc::Rle(Arc::new(RleSegment::from_bitmap_segment(s)?))
             }
             (SegmentEnc::Rle(s), Encoding::Bitmap) => {
                 SegmentEnc::Bitmap(Arc::new(s.to_bitmap_segment()))
             }
             _ => self.clone(),
-        }
+        })
     }
 
     /// Rewrites the segment under an id translation. O(payload).
@@ -914,7 +916,7 @@ impl EncodedColumn {
         let mut out = self.clone();
         for (seg, &pin) in out.segments.iter_mut().zip(&self.seg_pins) {
             if !pin {
-                *seg = seg.recoded(seg.choose_encoding());
+                *seg = seg.recoded(seg.choose_encoding())?;
             }
         }
         Ok(out)
@@ -929,7 +931,7 @@ impl EncodedColumn {
         }
         let mut out = self.clone();
         for seg in out.segments.iter_mut() {
-            *seg = seg.recoded(encoding);
+            *seg = seg.recoded(encoding)?;
         }
         Ok(out)
     }
@@ -953,7 +955,7 @@ impl EncodedColumn {
         }
         let mut out = self.clone();
         for idx in range {
-            out.segments[idx] = out.segments[idx].recoded(encoding);
+            out.segments[idx] = out.segments[idx].recoded(encoding)?;
             out.seg_pins[idx] = true;
             // An explicitly recoded segment is also pinned in the buffer
             // cache: the user singled it out, so it stays resident.
@@ -977,7 +979,7 @@ impl EncodedColumn {
         let mut out = self.clone();
         for idx in range {
             out.seg_pins[idx] = false;
-            out.segments[idx] = out.segments[idx].recoded(out.segments[idx].choose_encoding());
+            out.segments[idx] = out.segments[idx].recoded(out.segments[idx].choose_encoding())?;
             out.segments[idx].set_pinned(false);
         }
         Ok(out)
@@ -1106,13 +1108,13 @@ impl EncodedColumn {
                     let rows = s.rows() as usize;
                     if piece == [(start, start + rows as u64)] {
                         if let Some(dst) = sink.whole_segment(rows) {
-                            fill_covering(&s, dst, seg)?;
+                            s.fill_covering(dst)?;
                             continue;
                         }
                     }
                     scratch.clear();
                     scratch.resize(rows, u32::MAX);
-                    fill_covering(&s, &mut scratch, seg)?;
+                    s.fill_covering(&mut scratch)?;
                     for (a, b) in piece {
                         sink.ids(&scratch[(a - start) as usize..(b - start) as usize]);
                     }
@@ -1503,11 +1505,12 @@ impl EncodedColumn {
     /// natively ([`Segment::splice`] / [`RleSegment::splice`]); a **mixed**
     /// group transcodes its minority parts to the encoding the chooser
     /// picks for the group's combined run/row/distinct stats, then splices.
-    /// Only genuine splits re-derive stats through the assembler.
-    pub fn compacted(&self) -> EncodedColumn {
+    /// Only genuine splits re-derive stats through the assembler. A segment
+    /// that cannot be faulted in or transcoded is an error.
+    pub fn compacted(&self) -> Result<EncodedColumn, StorageError> {
         let sizes = self.segment_sizes();
         let Some(plan) = crate::segment::compaction_plan(&sizes, self.segment_rows) else {
-            return self.clone();
+            return Ok(self.clone());
         };
         let ranks = self.dict.value_order().ranks();
         let mut segments: Vec<SegSlot> = Vec::with_capacity(plan.len());
@@ -1537,7 +1540,7 @@ impl EncodedColumn {
                 });
             if group.pieces.len() == 1 {
                 let parts = &self.segments[group.segs.clone()];
-                segments.push(splice_group(parts, pinned_target));
+                segments.push(splice_group(parts, pinned_target)?);
                 zones.push(
                     self.zones[group.segs]
                         .iter()
@@ -1551,7 +1554,7 @@ impl EncodedColumn {
             let piece_count = group.pieces.len();
             let mut asm = EncodedAssembler::with_piece_sizes(group.pieces);
             for seg in &self.segments[group.segs] {
-                asm.push_chunk(match seg.enc() {
+                asm.push_chunk(match seg.try_enc()? {
                     SegmentEnc::Bitmap(s) => EncodedChunk::Bitmap(s.to_chunk()),
                     SegmentEnc::Rle(s) => EncodedChunk::Rle(s.seq().clone()),
                 });
@@ -1563,7 +1566,7 @@ impl EncodedColumn {
             segments.extend(pieces.into_iter().map(SegSlot::fresh));
         }
         let (starts, rows) = starts_of(&segments);
-        EncodedColumn {
+        Ok(EncodedColumn {
             ty: self.ty,
             dict: self.dict.clone(),
             segments,
@@ -1573,18 +1576,18 @@ impl EncodedColumn {
             segment_rows: self.segment_rows,
             rows,
             pinned: self.pinned,
-        }
+        })
     }
 
     /// [`EncodedColumn::compacted`] when fragmented, otherwise a clone,
     /// which shares the segments and the dictionary and copies only the
     /// directory — the threshold-triggered form hooked in after UNION
     /// concat.
-    pub fn maybe_compacted(&self) -> EncodedColumn {
+    pub fn maybe_compacted(&self) -> Result<EncodedColumn, StorageError> {
         if self.needs_compaction() {
             self.compacted()
         } else {
-            self.clone()
+            Ok(self.clone())
         }
     }
 
@@ -1760,28 +1763,16 @@ impl SelSink for Vec<(u32, u64)> {
     }
 }
 
-/// Decodes bitmap segment `seg`'s ids into `out` (one `u32::MAX` slot per
-/// row) and checks every row got one. Bitmaps that overlap pass every
-/// per-bitmap check of the payload decoder and still leave some row
-/// unset: that is corrupt data, so it is a typed error here rather than a
-/// sentinel id for the next dictionary lookup to panic on.
-fn fill_covering(s: &Segment, out: &mut [u32], seg: usize) -> Result<(), StorageError> {
-    s.fill_ids(out);
-    if out.contains(&u32::MAX) {
-        return Err(StorageError::Corrupt(format!(
-            "segment {seg}: its bitmaps leave a row uncovered"
-        )));
-    }
-    Ok(())
-}
-
 /// Splices a compaction merge group into one segment. A uniform group
 /// splices natively, combining cached stats; a mixed group transcodes each
 /// part to the encoding the chooser picks for the combined statistics —
 /// unless the range carries a pin, in which case `pinned_target` (the
 /// first pinned part's encoding) wins: the chooser must not reshape data
 /// a user recoded explicitly.
-fn splice_group(parts: &[SegSlot], pinned_target: Option<Encoding>) -> SegSlot {
+fn splice_group(
+    parts: &[SegSlot],
+    pinned_target: Option<Encoding>,
+) -> Result<SegSlot, StorageError> {
     debug_assert!(!parts.is_empty());
     let uniform = parts
         .iter()
@@ -1817,18 +1808,18 @@ fn splice_group(parts: &[SegSlot], pinned_target: Option<Encoding>) -> SegSlot {
             SegmentEnc::Bitmap(Arc::new(Segment::splice(&refs)))
         }
         Encoding::Rle => {
-            let converted: Vec<Arc<RleSegment>> = parts
+            let converted = parts
                 .iter()
-                .map(|s| match s.enc() {
-                    SegmentEnc::Rle(r) => r,
-                    SegmentEnc::Bitmap(b) => Arc::new(RleSegment::from_bitmap_segment(&b)),
+                .map(|s| match s.try_enc()? {
+                    SegmentEnc::Rle(r) => Ok(r),
+                    SegmentEnc::Bitmap(b) => RleSegment::from_bitmap_segment(&b).map(Arc::new),
                 })
-                .collect();
+                .collect::<Result<Vec<Arc<RleSegment>>, StorageError>>()?;
             let refs: Vec<&RleSegment> = converted.iter().map(|s| s.as_ref()).collect();
             SegmentEnc::Rle(Arc::new(RleSegment::splice(&refs)))
         }
     };
-    SegSlot::fresh(seg)
+    Ok(SegSlot::fresh(seg))
 }
 
 /// Incremental column builder: interns values and grows one
@@ -2179,8 +2170,8 @@ mod tests {
         assert!(shares(&col.slice(10, 200)));
         let fragmented = col.slice(0, 10).concat(&col.slice(10, 300)).unwrap();
         assert!(shares(&fragmented));
-        assert!(shares(&fragmented.compacted()));
-        assert!(shares(&fragmented.maybe_compacted()));
+        assert!(shares(&fragmented.compacted().unwrap()));
+        assert!(shares(&fragmented.maybe_compacted().unwrap()));
         let ids = col.value_ids();
         let mut asm = col.assembler();
         for chunk in ids.chunks(50) {
@@ -2305,7 +2296,7 @@ mod tests {
         assert!(r.filter_positions(&[0, 5, 9]).encoding_pinned());
         assert!(r.concat(&r).unwrap().encoding_pinned());
         assert!(r.slice(10, 900).encoding_pinned());
-        assert!(r.maybe_compacted().encoding_pinned());
+        assert!(r.maybe_compacted().unwrap().encoding_pinned());
         assert!(!c.encoding_pinned());
     }
 
@@ -2405,7 +2396,7 @@ mod tests {
         }
         assert_eq!(acc.rows(), 1_000);
         assert!(acc.needs_compaction());
-        let compacted = acc.compacted();
+        let compacted = acc.compacted().unwrap();
         compacted.check_invariants().unwrap();
         assert_eq!(compacted.values(), acc.values());
         assert_eq!(compacted.dict(), acc.dict());
@@ -2436,7 +2427,7 @@ mod tests {
             acc = acc.concat(&pinned.slice(i * 30, (i + 1) * 30)).unwrap();
         }
         assert!(acc.needs_compaction());
-        let compacted = acc.compacted();
+        let compacted = acc.compacted().unwrap();
         compacted.check_invariants().unwrap();
         assert_eq!(compacted.values(), acc.values());
         // Every output segment containing pinned rows stays RLE + pinned.

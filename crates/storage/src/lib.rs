@@ -56,6 +56,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod catalog;
+pub mod codec;
 pub mod commitlog;
 pub mod dictionary;
 pub mod encoded;

@@ -25,8 +25,7 @@
 //!             present:u32 (id:u32)* (ones:u64)*
 //! segtag   := bit 0: encoding (0 bitmap, 1 rle); bit 1: segment pinned
 //! zone     := min_id:u32 max_id:u32                (one per segment)
-//! value    := kind:u8 payload
-//! str      := len:u32 utf8-bytes
+//! value, str, schema                               ([`crate::codec`])
 //! ```
 //!
 //! `off`/`len` locate a segment's payload in the heap (bitmap segments are
@@ -57,14 +56,19 @@
 //! segments adopt their new on-disk location and become evictable.
 //!
 //! A preamble carrying any other version is refused with
-//! `PersistError("unsupported version N")`.
+//! `PersistError("unsupported version N")`. Every field is read with the
+//! one checked reader ([`crate::codec::Reader`]), so a count is held
+//! against the bytes left before anything is sized from it, and any fault
+//! of the bytes is a `PersistError`.
 
 use crate::catalog::Catalog;
+use crate::codec::{
+    put_schema, put_str, put_value, read_schema, read_str, read_type, read_value, Reader,
+};
 use crate::dictionary::Dictionary;
 use crate::encoded::{EncodedColumn, Encoding};
 use crate::error::StorageError;
 use crate::fault;
-use crate::schema::{ColumnDef, Schema};
 use crate::segment::Zone;
 use crate::store::{
     encode_payload, file_id_of, payload_encoded_len, segment_cache, DiskLoc, FileId, PayloadSource,
@@ -72,9 +76,9 @@ use crate::store::{
 };
 use crate::table::Table;
 use crate::vacuum::HeapStats;
-use crate::value::{Value, ValueType};
+use crate::value::ValueType;
 use crate::wal;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
@@ -103,129 +107,8 @@ const FLAG_PINNED: u8 = 1;
 /// Segment tag bit: this segment pinned by a segment-range recode.
 const SEG_FLAG_PINNED: u8 = 2;
 
-fn put_str<B: BufMut>(buf: &mut B, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str<B: Buf>(buf: &mut B) -> Result<String, StorageError> {
-    if buf.remaining() < 4 {
-        return Err(eof());
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(eof());
-    }
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|e| StorageError::PersistError(format!("invalid UTF-8: {e}")))
-}
-
 fn eof() -> StorageError {
     StorageError::PersistError("unexpected end of buffer".into())
-}
-
-fn put_value<B: BufMut>(buf: &mut B, v: &Value) {
-    match v {
-        Value::Null => buf.put_u8(0),
-        Value::Bool(b) => {
-            buf.put_u8(1);
-            buf.put_u8(u8::from(*b));
-        }
-        Value::Int(i) => {
-            buf.put_u8(2);
-            buf.put_i64_le(*i);
-        }
-        Value::Float(f) => {
-            buf.put_u8(3);
-            buf.put_f64_le(f.0);
-        }
-        Value::Str(s) => {
-            buf.put_u8(4);
-            put_str(buf, s);
-        }
-    }
-}
-
-fn get_value<B: Buf>(buf: &mut B) -> Result<Value, StorageError> {
-    if buf.remaining() < 1 {
-        return Err(eof());
-    }
-    Ok(match buf.get_u8() {
-        0 => Value::Null,
-        1 => {
-            if buf.remaining() < 1 {
-                return Err(eof());
-            }
-            Value::Bool(buf.get_u8() != 0)
-        }
-        2 => {
-            if buf.remaining() < 8 {
-                return Err(eof());
-            }
-            Value::Int(buf.get_i64_le())
-        }
-        3 => {
-            if buf.remaining() < 8 {
-                return Err(eof());
-            }
-            Value::float(buf.get_f64_le())
-        }
-        4 => Value::Str(get_str(buf)?.into()),
-        k => {
-            return Err(StorageError::PersistError(format!(
-                "unknown value kind {k}"
-            )))
-        }
-    })
-}
-
-pub(crate) fn put_schema<B: BufMut>(buf: &mut B, s: &Schema) {
-    buf.put_u16_le(s.arity() as u16);
-    for c in s.columns() {
-        put_str(buf, &c.name);
-        buf.put_u8(c.ty.tag());
-    }
-    buf.put_u16_le(s.key().len() as u16);
-    for &k in s.key() {
-        buf.put_u16_le(k as u16);
-    }
-}
-
-pub(crate) fn get_schema<B: Buf>(buf: &mut B) -> Result<Schema, StorageError> {
-    if buf.remaining() < 2 {
-        return Err(eof());
-    }
-    let arity = buf.get_u16_le() as usize;
-    // A column record is at least its name's length and a type tag.
-    if arity > buf.remaining() / 5 {
-        return Err(eof());
-    }
-    let mut cols = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        let name = get_str(buf)?;
-        if buf.remaining() < 1 {
-            return Err(eof());
-        }
-        let ty = ValueType::from_tag(buf.get_u8())
-            .ok_or_else(|| StorageError::PersistError("bad type tag".into()))?;
-        cols.push(ColumnDef::new(name, ty));
-    }
-    if buf.remaining() < 2 {
-        return Err(eof());
-    }
-    let key_len = buf.get_u16_le() as usize;
-    if key_len > buf.remaining() / 2 {
-        return Err(eof());
-    }
-    let mut key = Vec::with_capacity(key_len);
-    for _ in 0..key_len {
-        if buf.remaining() < 2 {
-            return Err(eof());
-        }
-        key.push(buf.get_u16_le() as usize);
-    }
-    Schema::with_key(cols, key).map_err(|e| StorageError::PersistError(e.to_string()))
 }
 
 fn put_dict<B: BufMut>(buf: &mut B, ty: ValueType, dict: &Dictionary) {
@@ -243,18 +126,11 @@ fn put_zones<B: BufMut>(buf: &mut B, zones: &[Zone]) {
     }
 }
 
-fn get_zones<B: Buf>(
-    buf: &mut B,
-    count: usize,
-    dict_len: usize,
-) -> Result<Vec<Zone>, StorageError> {
+fn get_zones(r: &mut Reader<'_>, count: usize, dict_len: usize) -> Result<Vec<Zone>, StorageError> {
     let mut zones = Vec::with_capacity(count);
     for _ in 0..count {
-        if buf.remaining() < 8 {
-            return Err(eof());
-        }
-        let min_id = buf.get_u32_le();
-        let max_id = buf.get_u32_le();
+        let min_id = r.u32()?;
+        let max_id = r.u32()?;
         if min_id as usize >= dict_len || max_id as usize >= dict_len {
             return Err(StorageError::PersistError(format!(
                 "zone ids ({min_id}, {max_id}) beyond dictionary of {dict_len}"
@@ -265,21 +141,13 @@ fn get_zones<B: Buf>(
     Ok(zones)
 }
 
-fn get_dict<B: Buf>(buf: &mut B) -> Result<(ValueType, Dictionary), StorageError> {
-    if buf.remaining() < 5 {
-        return Err(eof());
-    }
-    let ty = ValueType::from_tag(buf.get_u8())
-        .ok_or_else(|| StorageError::PersistError("bad column type tag".into()))?;
-    let dict_len = buf.get_u32_le() as usize;
-    // The count comes straight off the disk and a value is at least one
-    // byte: bound it by what the buffer could hold before allocating.
-    if dict_len > buf.remaining() {
-        return Err(eof());
-    }
+fn get_dict(r: &mut Reader<'_>) -> Result<(ValueType, Dictionary), StorageError> {
+    let ty = read_type(r)?;
+    // A value is at least its tag byte.
+    let dict_len = r.count(1)?;
     let mut values = Vec::with_capacity(dict_len);
     for _ in 0..dict_len {
-        values.push(get_value(buf)?);
+        values.push(read_value(r)?);
     }
     let dict = Dictionary::from_values(values).map_err(StorageError::PersistError)?;
     Ok((ty, dict))
@@ -857,14 +725,14 @@ fn read_footer<R: std::io::Read + std::io::Seek>(
     };
     let mut head = [0u8; PREAMBLE_LEN];
     src.read_exact(&mut head).map_err(|_| eof())?;
-    let mut head = &head[..];
-    let magic = head.get_u32_le();
+    let mut head = Reader::new(&head);
+    let magic = head.u32()?;
     if magic != MAGIC {
         return Err(StorageError::PersistError(format!(
             "bad magic 0x{magic:08x}"
         )));
     }
-    let version = head.get_u16_le();
+    let version = head.u16()?;
     if version != VERSION {
         return Err(StorageError::PersistError(format!(
             "unsupported version {version}"
@@ -877,9 +745,9 @@ fn read_footer<R: std::io::Read + std::io::Seek>(
     src.seek(SeekFrom::Start(len - FOOTER_LEN as u64))?;
     let mut foot = [0u8; FOOTER_LEN];
     src.read_exact(&mut foot)?;
-    let mut foot = &foot[..];
-    let index_off = foot.get_u64_le();
-    let tail_magic = foot.get_u32_le();
+    let mut foot = Reader::new(&foot);
+    let index_off = foot.u64()?;
+    let tail_magic = foot.u32()?;
     if tail_magic != MAGIC {
         return Err(bad(format!("bad footer magic 0x{tail_magic:08x}")));
     }
@@ -1065,8 +933,8 @@ type SlotDedup = HashMap<(u64, u64), SegSlot>;
 
 /// Reads one segment's metadata record into a paged-out slot, noting its
 /// payload extent in `extents`.
-fn get_seg_slot<B: Buf>(
-    buf: &mut B,
+fn get_seg_slot(
+    r: &mut Reader<'_>,
     dict_len: usize,
     source: &Arc<PayloadSource>,
     heap_end: u64,
@@ -1074,10 +942,7 @@ fn get_seg_slot<B: Buf>(
     extents: &mut Vec<(u64, u64)>,
 ) -> Result<(SegSlot, bool), StorageError> {
     let corrupt = |m: String| StorageError::PersistError(m);
-    if buf.remaining() < SEG_RECORD_MIN {
-        return Err(eof());
-    }
-    let tag = buf.get_u8();
+    let tag = r.u8()?;
     if tag & !(ENC_RLE | SEG_FLAG_PINNED) != 0 {
         return Err(corrupt(format!("unknown segment tag {tag:#04x}")));
     }
@@ -1087,12 +952,13 @@ fn get_seg_slot<B: Buf>(
     } else {
         Encoding::Bitmap
     };
-    let off = buf.get_u64_le();
-    let len = buf.get_u64_le();
-    let rows = buf.get_u64_le();
-    let runs = buf.get_u64_le();
-    let bytes = buf.get_u64_le();
-    let present = buf.get_u32_le() as usize;
+    let off = r.u64()?;
+    let len = r.u64()?;
+    let rows = r.u64()?;
+    let runs = r.u64()?;
+    let bytes = r.u64()?;
+    // An id and its row count per present value.
+    let present = r.count(4 + 8)?;
     let end = off
         .checked_add(len)
         .ok_or_else(|| corrupt("segment payload offset overflows".into()))?;
@@ -1115,12 +981,9 @@ fn get_seg_slot<B: Buf>(
             "segment of {rows} rows with no present values"
         )));
     }
-    if buf.remaining() < present * (4 + 8) {
-        return Err(eof());
-    }
     let mut ids = Vec::with_capacity(present);
     for _ in 0..present {
-        let id = buf.get_u32_le();
+        let id = r.u32()?;
         if id as usize >= dict_len {
             return Err(corrupt(format!(
                 "segment id {id} beyond dictionary of {dict_len}"
@@ -1134,7 +997,7 @@ fn get_seg_slot<B: Buf>(
     let mut ones = Vec::with_capacity(present);
     let mut total = 0u64;
     for _ in 0..present {
-        let n = buf.get_u64_le();
+        let n = r.u64()?;
         if n == 0 {
             return Err(corrupt("present id with zero rows".into()));
         }
@@ -1186,39 +1049,31 @@ fn get_seg_slot<B: Buf>(
     Ok((slot, pinned))
 }
 
-fn get_column<B: Buf>(
-    buf: &mut B,
+fn get_column(
+    r: &mut Reader<'_>,
     source: &Arc<PayloadSource>,
     heap_end: u64,
     dedup: &mut SlotDedup,
     extents: &mut Vec<(u64, u64)>,
 ) -> Result<EncodedColumn, StorageError> {
-    let (ty, dict) = get_dict(buf)?;
-    if buf.remaining() < 1 + 8 + 4 {
-        return Err(eof());
-    }
-    let flags = buf.get_u8();
-    let seg_rows = buf.get_u64_le();
+    let (ty, dict) = get_dict(r)?;
+    let flags = r.u8()?;
+    let seg_rows = r.u64()?;
     if seg_rows == 0 {
         return Err(StorageError::PersistError(
             "zero nominal segment size".into(),
         ));
     }
-    let seg_count = buf.get_u32_le() as usize;
-    // The count comes straight off the disk: bound it by what the buffer
-    // could hold before sizing anything from it.
-    if seg_count > buf.remaining() / SEG_RECORD_MIN {
-        return Err(eof());
-    }
+    let seg_count = r.count(SEG_RECORD_MIN)?;
     let dict_len = dict.len();
     let mut slots = Vec::with_capacity(seg_count);
     let mut pins = Vec::with_capacity(seg_count);
     for _ in 0..seg_count {
-        let (slot, pin) = get_seg_slot(buf, dict_len, source, heap_end, dedup, extents)?;
+        let (slot, pin) = get_seg_slot(r, dict_len, source, heap_end, dedup, extents)?;
         pins.push(pin);
         slots.push(slot);
     }
-    let zones = get_zones(buf, seg_count, dict_len)?;
+    let zones = get_zones(r, seg_count, dict_len)?;
     let mut col = EncodedColumn::from_slots_zoned(ty, dict, slots, zones, seg_rows);
     col.set_segment_pins(pins);
     col.set_encoding_pinned(flags & FLAG_PINNED != 0);
@@ -1228,22 +1083,19 @@ fn get_column<B: Buf>(
 /// Decodes one table's block; its columns come back paged out. Runs the
 /// metadata tier of the invariants only — payloads are validated against
 /// their stats as they fault in.
-fn get_table<B: Buf>(
-    buf: &mut B,
+fn get_table(
+    r: &mut Reader<'_>,
     source: &Arc<PayloadSource>,
     heap_end: u64,
     dedup: &mut SlotDedup,
     extents: &mut Vec<(u64, u64)>,
 ) -> Result<Table, StorageError> {
-    let name = get_str(buf)?;
-    let schema = get_schema(buf)?;
-    if buf.remaining() < 8 {
-        return Err(eof());
-    }
-    let rows = buf.get_u64_le();
+    let name = read_str(r)?.to_owned();
+    let schema = read_schema(r)?;
+    let rows = r.u64()?;
     let mut columns = Vec::with_capacity(schema.arity());
     for _ in 0..schema.arity() {
-        let col = get_column(buf, source, heap_end, dedup, extents)?;
+        let col = get_column(r, source, heap_end, dedup, extents)?;
         if col.rows() != rows {
             return Err(StorageError::PersistError(format!(
                 "column covers {} rows, table claims {rows}",
@@ -1265,30 +1117,22 @@ type Entry = (String, u64, u64);
 /// nothing may follow the last entry. Returns the catalog version (0 for a
 /// table file) and the entries in index order.
 fn get_index(
-    mut buf: Bytes,
+    index: &[u8],
     catalog: bool,
     index_off: u64,
 ) -> Result<(u64, Vec<Entry>), StorageError> {
     let bad = |m: String| StorageError::PersistError(m);
+    let mut r = Reader::new(index);
     let (version, count) = if catalog {
-        if buf.remaining() < 8 + 4 {
-            return Err(eof());
-        }
-        (buf.get_u64_le(), buf.get_u32_le() as usize)
+        (r.u64()?, r.count(ENTRY_MIN)?)
     } else {
         (0, 1)
     };
-    if count > buf.remaining() / ENTRY_MIN {
-        return Err(eof());
-    }
     let mut entries: Vec<Entry> = Vec::with_capacity(count);
     let mut names = HashSet::with_capacity(count);
     for _ in 0..count {
-        let name = get_str(&mut buf)?;
-        if buf.remaining() < 16 {
-            return Err(eof());
-        }
-        let (off, len) = (buf.get_u64_le(), buf.get_u64_le());
+        let name = read_str(&mut r)?.to_owned();
+        let (off, len) = (r.u64()?, r.u64()?);
         if off < PREAMBLE_LEN as u64
             || len == 0
             || off.checked_add(len).is_none_or(|end| end > index_off)
@@ -1302,9 +1146,8 @@ fn get_index(
         }
         entries.push((name, off, len));
     }
-    if buf.remaining() != 0 {
-        return Err(bad("trailing bytes after the index".into()));
-    }
+    r.finish()
+        .map_err(|_| bad("trailing bytes after the index".into()))?;
     let mut spans: Vec<(u64, u64)> = entries
         .iter()
         .map(|&(_, off, len)| (off, off + len))
@@ -1358,24 +1201,23 @@ impl Opened {
     /// with identical heap locations come back as one shared slot, so
     /// columns shared across tables stay shared — and cached once.
     fn decode(&self, catalog: bool) -> Result<(u64, Vec<(Table, BlockAt)>), StorageError> {
-        let (version, entries) = get_index(self.tail.index.clone(), catalog, self.tail.index_off)?;
+        let (version, entries) = get_index(&self.tail.index, catalog, self.tail.index_off)?;
         let mut dedup = SlotDedup::new();
         let mut tables = Vec::with_capacity(entries.len());
         for (name, off, len) in entries {
-            let mut block = Bytes::from(self.source.read_at(off, len)?);
+            let block = self.source.read_at(off, len)?;
+            let mut r = Reader::new(&block);
             let mut extents = Vec::new();
             let t = get_table(
-                &mut block,
+                &mut r,
                 &self.source,
                 self.tail.index_off,
                 &mut dedup,
                 &mut extents,
             )?;
-            if block.remaining() != 0 {
-                return Err(StorageError::PersistError(format!(
-                    "trailing bytes after the block of `{name}`"
-                )));
-            }
+            r.finish().map_err(|_| {
+                StorageError::PersistError(format!("trailing bytes after the block of `{name}`"))
+            })?;
             if t.name() != name {
                 return Err(StorageError::PersistError(format!(
                     "the block of `{name}` holds table `{}`",
@@ -1557,7 +1399,9 @@ pub(crate) fn read_catalog_raw(path: &Path) -> Result<Catalog, StorageError> {
 mod tests {
     use super::*;
     use crate::encoded::Encoding;
+    use crate::schema::Schema;
     use crate::store::budget_guard;
+    use crate::value::Value;
 
     fn sample() -> Table {
         let schema = Schema::build(
@@ -1635,11 +1479,10 @@ mod tests {
     fn table_block(raw: &[u8]) -> (usize, usize) {
         let n = raw.len();
         let index_off = u64::from_le_bytes(raw[n - 12..n - 4].try_into().unwrap()) as usize;
-        let mut index = &raw[index_off..n - 12];
-        let name_len = index.get_u32_le() as usize;
-        index.advance(name_len);
-        let off = index.get_u64_le() as usize;
-        (off, off + index.get_u64_le() as usize)
+        let mut index = Reader::new(&raw[index_off..n - 12]);
+        read_str(&mut index).unwrap();
+        let off = index.u64().unwrap() as usize;
+        (off, off + index.u64().unwrap() as usize)
     }
 
     #[test]

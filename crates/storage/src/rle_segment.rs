@@ -11,6 +11,7 @@
 //! [`EncodedColumn`](crate::encoded::EncodedColumn) — a clustered prefix of
 //! a column can be RLE while its high-churn suffix stays bitmap.
 
+use crate::error::StorageError;
 use crate::segment::Segment;
 use cods_bitmap::{RleSeq, Wah};
 use std::collections::HashMap;
@@ -174,15 +175,17 @@ impl RleSegment {
     }
 
     /// Builds an RLE segment from a bitmap one by decoding its row → id
-    /// assignment — the opposite transcoding direction. O(rows).
-    pub fn from_bitmap_segment(seg: &Segment) -> RleSegment {
+    /// assignment — the opposite transcoding direction. O(rows). Bitmaps
+    /// that leave a row uncovered are [`StorageError::Corrupt`]
+    /// ([`Segment::fill_covering`]).
+    pub fn from_bitmap_segment(seg: &Segment) -> Result<RleSegment, StorageError> {
         let mut local = vec![u32::MAX; seg.rows() as usize];
-        seg.fill_ids(&mut local);
+        seg.fill_covering(&mut local)?;
         let mut seq = RleSeq::new();
         for id in local {
             seq.push(id);
         }
-        RleSegment::new(seq)
+        Ok(RleSegment::new(seq))
     }
 
     /// Validates the per-segment invariants: non-empty, sorted unique
@@ -250,7 +253,7 @@ mod tests {
         bitmap.check_invariants().unwrap();
         assert_eq!(bitmap.rows(), 7);
         assert_eq!(bitmap.present_ids(), s.present_ids());
-        let back = RleSegment::from_bitmap_segment(&bitmap);
+        let back = RleSegment::from_bitmap_segment(&bitmap).unwrap();
         assert_eq!(back, s);
     }
 

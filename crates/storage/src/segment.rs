@@ -18,7 +18,7 @@
 
 use crate::error::StorageError;
 use crate::store::SegMeta;
-use cods_bitmap::{decode_words, Wah, WahRef};
+use cods_bitmap::{decode_words, Reader, Wah, WahRef};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -336,11 +336,11 @@ impl Segment {
         // grows past this.
         let mut words = Vec::with_capacity(raw.len().saturating_sub(24 * n) / 8);
         let mut heads = Vec::with_capacity(n);
-        let mut buf = raw;
+        let mut r = Reader::new(raw);
         let mut runs = 0u64;
         for (i, &ones) in meta.ones.iter().enumerate() {
             let off = words.len();
-            let d = decode_words(&mut buf, &mut words, 24 * (n - 1 - i))
+            let d = decode_words(&mut r, &mut words, 24 * (n - 1 - i))
                 .map_err(|e| corrupt(&e.to_string()))?;
             if d.len != meta.rows {
                 return Err(corrupt("bitmap length does not match segment rows"));
@@ -359,9 +359,8 @@ impl Segment {
             });
             runs += d.intervals;
         }
-        if !buf.is_empty() {
-            return Err(corrupt("trailing bytes after payload"));
-        }
+        r.finish()
+            .map_err(|_| corrupt("trailing bytes after payload"))?;
         let bytes = words.len() * 8 + 24 * n;
         if runs != meta.runs || bytes != meta.bytes {
             return Err(corrupt(
@@ -526,18 +525,28 @@ impl Segment {
     }
 
     /// Writes each row's value id into `out` (segment-local coordinates),
-    /// one [`WahRef::scatter`] per present id. `out` holds one slot per row,
-    /// each `u32::MAX` on entry; a slot no bitmap covers keeps it (the
-    /// column's selection walker turns that into a typed error).
-    pub(crate) fn fill_ids(&self, out: &mut [u32]) {
+    /// one [`WahRef::scatter`] per present id, then checks every row got
+    /// one. `out` holds one slot per row, each `u32::MAX` on entry. Bitmaps
+    /// that overlap pass every per-bitmap check of the payload decoder and
+    /// still leave some row unset: that is corrupt data, so it is a typed
+    /// error here rather than a sentinel id for the next dictionary lookup
+    /// to panic on. Every reader of a segment's ids goes through this.
+    pub(crate) fn fill_covering(&self, out: &mut [u32]) -> Result<(), StorageError> {
         for (id, bm) in self.iter() {
             bm.scatter(out, id);
         }
         self.debug_check_partition(out);
+        if out.contains(&u32::MAX) {
+            return Err(StorageError::Corrupt(format!(
+                "a bitmap segment of {} rows: its bitmaps leave a row uncovered",
+                self.rows
+            )));
+        }
+        Ok(())
     }
 
     /// Writes each row's *local slot index* (position in `present_ids`)
-    /// into `out`, under [`Segment::fill_ids`]' contract.
+    /// into `out`, under [`Segment::fill_covering`]'s contract (unchecked).
     pub(crate) fn fill_local_slots(&self, out: &mut [u32]) {
         for (slot, (_, bm)) in self.iter().enumerate() {
             bm.scatter(out, slot as u32);

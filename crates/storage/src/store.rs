@@ -430,11 +430,11 @@ impl SegSlot {
 
     /// Re-encodes to `encoding`, sharing the slot when already there.
     /// The result is a fresh (resident) slot when a transcode happens.
-    pub(crate) fn recoded(&self, encoding: Encoding) -> SegSlot {
+    pub(crate) fn recoded(&self, encoding: Encoding) -> Result<SegSlot, StorageError> {
         if self.encoding() == encoding {
-            self.clone()
+            Ok(self.clone())
         } else {
-            SegSlot::fresh(self.enc().recoded(encoding))
+            Ok(SegSlot::fresh(self.try_enc()?.recoded(encoding)?))
         }
     }
 
@@ -750,7 +750,7 @@ mod tests {
     fn payload_round_trips_through_the_heap_format() {
         let col = column(200, 64);
         for slot in col.segments() {
-            for enc in [slot.enc(), slot.enc().recoded(Encoding::Rle)] {
+            for enc in [slot.enc(), slot.enc().recoded(Encoding::Rle).unwrap()] {
                 let mut raw = Vec::new();
                 encode_payload(&enc, &mut raw);
                 let back = decode_payload(&SegMeta::of(&enc), &raw).unwrap();

@@ -1,24 +1,29 @@
-//! Hostile bytes for format 8: a seeded, in-tree mutation loop over the
-//! golden table and catalog fixtures, plus hand-built hostile indexes and
-//! bitmap payloads.
+//! Hostile bytes for format 8 and the format-3 commit log: seeded, in-tree
+//! mutation loops over the golden table and catalog fixtures and over a
+//! recorded `.clog`, targeted mutations of the fields inside a table's
+//! metadata block, plus hand-built hostile indexes and bitmap payloads.
 //!
 //! Every mutated image goes through both decoders. Whatever comes back must
 //! be a typed error or a table that can be used to the end without a
 //! panic: its invariants check (which faults every payload in and compares
 //! it with its stats) returns, and when they hold its rows come out. Every
 //! count read from disk is bounded by the bytes left before anything is
-//! sized from it, so no mutation can ask for an unbounded allocation.
+//! sized from it, so no mutation can ask for an unbounded allocation: a
+//! count set to its type's maximum would otherwise abort the test binary.
+//! Each loop prints how many mutated inputs it ran and how many decoded.
 
 use bytes::Bytes;
 use cods_bitmap::word::{make_fill, ALL_ONES_LITERAL, FILL_FLAG, LIT_MASK, MAX_FILL_GROUPS};
 use cods_bitmap::Wah;
 use cods_query::{Predicate, ScanStream};
+use cods_storage::codec::{read_str, read_value, Reader};
 use cods_storage::persist::{decode_catalog, decode_table};
 use cods_storage::store::{decode_payload, encode_payload, SegMeta};
 use cods_storage::{
-    Dictionary, EncodedColumn, Encoding, Schema, Segment, SegmentEnc, StorageError, Table, Value,
-    ValueType,
+    clog_path, log_status, open_durable, wal, Catalog, Dictionary, EncodedColumn, Encoding, Schema,
+    Segment, SegmentEnc, StorageError, Table, Value, ValueType,
 };
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const GOLDEN_TABLE: &[u8] = include_bytes!("golden/table.cods");
@@ -72,16 +77,24 @@ fn index_off(raw: &[u8]) -> usize {
 
 #[test]
 fn every_truncation_is_a_typed_error() {
+    let mut inputs = 0;
     for golden in [GOLDEN_TABLE, GOLDEN_CATALOG] {
         for cut in 0..golden.len() {
             assert!(!survives(&golden[..cut]), "cut at {cut} accepted");
+            inputs += 1;
         }
     }
+    println!("table-file truncations: {inputs} inputs, 0 decoded");
 }
 
 #[test]
 fn seeded_bit_flips_never_panic() {
     let mut rng = Rng(0x00C0_D508);
+    let (mut inputs, mut decoded) = (0, 0);
+    let mut survives = |raw: &[u8]| {
+        inputs += 1;
+        decoded += usize::from(survives(raw));
+    };
     for golden in [GOLDEN_TABLE, GOLDEN_CATALOG] {
         // Every bit of the index and the footer, where a flip moves or
         // renames a block…
@@ -106,6 +119,166 @@ fn seeded_bit_flips_never_panic() {
             survives(&raw);
         }
     }
+    println!("table-file bit flips: {inputs} inputs, {decoded} decoded");
+}
+
+/// File offsets of the fields of the golden table's block that a count or
+/// tag is read from, found by walking the block with the codec.
+struct BlockFields {
+    table_name_len: usize,
+    arity: usize,
+    key_len: usize,
+    /// Per column: the `dict_len`, its first value's tag, and its
+    /// `seg_count`.
+    dict_len: Vec<usize>,
+    first_value_tag: Vec<usize>,
+    seg_count: Vec<usize>,
+    /// The length of the first string of the first `Str` dictionary.
+    str_len: usize,
+    /// The first column's first segment record: `present` and its first
+    /// `ones`.
+    present: usize,
+    first_ones: usize,
+    /// The first column's first zone.
+    zone: usize,
+}
+
+fn block_fields(raw: &[u8]) -> BlockFields {
+    let mut index = Reader::new(&raw[index_off(raw)..raw.len() - 12]);
+    read_str(&mut index).unwrap();
+    let (block, len) = (index.u64().unwrap() as usize, index.u64().unwrap() as usize);
+    let mut r = Reader::new(&raw[block..block + len]);
+    let at = |r: &Reader<'_>| block + r.position();
+    let table_name_len = at(&r);
+    read_str(&mut r).unwrap();
+    let arity_at = at(&r);
+    let arity = r.u16().unwrap();
+    for _ in 0..arity {
+        read_str(&mut r).unwrap();
+        r.u8().unwrap();
+    }
+    let key_len = at(&r);
+    let keys = r.u16().unwrap();
+    r.take(2 * keys as usize).unwrap();
+    r.u64().unwrap();
+    let mut f = BlockFields {
+        table_name_len,
+        arity: arity_at,
+        key_len,
+        dict_len: Vec::new(),
+        first_value_tag: Vec::new(),
+        seg_count: Vec::new(),
+        str_len: 0,
+        present: 0,
+        first_ones: 0,
+        zone: 0,
+    };
+    for c in 0..arity {
+        r.u8().unwrap();
+        f.dict_len.push(at(&r));
+        let n = r.u32().unwrap();
+        f.first_value_tag.push(at(&r));
+        for _ in 0..n {
+            let tag_at = at(&r);
+            if let Value::Str(_) = read_value(&mut r).unwrap() {
+                if f.str_len == 0 {
+                    f.str_len = tag_at + 1;
+                }
+            }
+        }
+        r.take(1 + 8).unwrap();
+        f.seg_count.push(at(&r));
+        let segs = r.u32().unwrap();
+        for s in 0..segs {
+            r.take(1 + 5 * 8).unwrap();
+            let present_at = at(&r);
+            let present = r.u32().unwrap() as usize;
+            r.take(4 * present).unwrap();
+            if (c, s) == (0, 0) {
+                f.present = present_at;
+                f.first_ones = at(&r);
+            }
+            r.take(8 * present).unwrap();
+        }
+        if c == 0 {
+            f.zone = at(&r);
+        }
+        r.take(8 * segs as usize).unwrap();
+    }
+    r.finish().unwrap();
+    assert!(f.str_len > 0, "the golden table has a string dictionary");
+    f
+}
+
+#[test]
+fn targeted_metadata_mutations_are_typed_errors() {
+    let f = block_fields(GOLDEN_TABLE);
+    let put = |at: usize, bytes: &[u8]| {
+        let mut raw = GOLDEN_TABLE.to_vec();
+        raw[at..at + bytes.len()].copy_from_slice(bytes);
+        raw
+    };
+    let mut cases = vec![
+        (
+            "a huge table name length",
+            put(f.table_name_len, &u32::MAX.to_le_bytes()),
+        ),
+        ("a huge schema arity", put(f.arity, &u16::MAX.to_le_bytes())),
+        ("a zero schema arity", put(f.arity, &0u16.to_le_bytes())),
+        ("a huge key count", put(f.key_len, &u16::MAX.to_le_bytes())),
+        (
+            "a key count past the columns",
+            put(f.key_len, &5u16.to_le_bytes()),
+        ),
+        (
+            "a huge string length",
+            put(f.str_len, &u32::MAX.to_le_bytes()),
+        ),
+        (
+            "a string length past its value",
+            put(f.str_len, &64u32.to_le_bytes()),
+        ),
+        (
+            "a huge present-id count",
+            put(f.present, &u32::MAX.to_le_bytes()),
+        ),
+        (
+            "a zero present-id count",
+            put(f.present, &0u32.to_le_bytes()),
+        ),
+        ("a zero ones", put(f.first_ones, &0u64.to_le_bytes())),
+        ("a huge ones", put(f.first_ones, &u64::MAX.to_le_bytes())),
+        (
+            "a zone id past the dictionary",
+            put(f.zone, &u32::MAX.to_le_bytes()),
+        ),
+        (
+            "a zone max past the dictionary",
+            put(f.zone + 4, &u32::MAX.to_le_bytes()),
+        ),
+    ];
+    for c in 0..f.dict_len.len() {
+        cases.push(("an unknown value tag", put(f.first_value_tag[c], &[9])));
+        cases.push((
+            "a huge dictionary length",
+            put(f.dict_len[c], &u32::MAX.to_le_bytes()),
+        ));
+        cases.push((
+            "a huge segment count",
+            put(f.seg_count[c], &u32::MAX.to_le_bytes()),
+        ));
+    }
+    for (what, raw) in &cases {
+        match decode_table(Bytes::from(raw.clone())) {
+            Err(StorageError::PersistError(_)) => {}
+            Err(other) => panic!("{what}: wanted a PersistError, got {other:?}"),
+            Ok(_) => panic!("{what}: accepted"),
+        }
+    }
+    println!(
+        "targeted block mutations: {} inputs, 0 decoded",
+        cases.len()
+    );
 }
 
 /// `golden`'s heap (payloads and blocks) under a hand-built index.
@@ -396,25 +569,196 @@ fn hostile_bitmap_payloads_are_typed_errors() {
 
 /// Two bitmaps that both set row 0 of a 2-row segment match an honest
 /// segment's metadata (ids {0, 1}, one set bit each), so the payload
-/// decodes; row 1 is then covered by neither. Every read of the segment's
-/// ids or runs must answer with a typed error, not a sentinel id.
-fn overlapping_bitmaps_are_a_typed_error_on_every_read() {
-    let row = |r: u64| Wah::from_sorted_positions([r], 2);
+/// decodes; row 1 is then covered by neither.
+fn overlapping_segment() -> SegmentEnc {
     let honest = SegmentEnc::Bitmap(Arc::new(Segment::new(2, vec![(0, row(0)), (1, row(1))])));
     let mut raw = Vec::new();
     row(0).encode(&mut raw);
     row(0).encode(&mut raw);
-    let decoded = decode_payload(&SegMeta::of(&honest), &raw).expect("each bitmap is well formed");
-    let dict = Dictionary::from_values(vec![Value::int(10), Value::int(20)]).unwrap();
-    let col = EncodedColumn::from_segments(ValueType::Int, dict, vec![decoded], 2);
-    let corrupt = |what: &str, r: Result<(), StorageError>| match r {
+    decode_payload(&SegMeta::of(&honest), &raw).expect("each bitmap is well formed")
+}
+
+/// Row `r` of a 2-row segment.
+fn row(r: u64) -> Wah {
+    Wah::from_sorted_positions([r], 2)
+}
+
+fn two_ids() -> Dictionary {
+    Dictionary::from_values(vec![Value::int(10), Value::int(20)]).unwrap()
+}
+
+fn corrupt<T: std::fmt::Debug>(what: &str, r: Result<T, StorageError>) {
+    match r {
         Err(StorageError::Corrupt(m)) => assert!(m.contains("uncovered"), "{what}: {m}"),
         other => panic!("{what}: wanted a Corrupt error, got {other:?}"),
-    };
+    }
+}
+
+/// Every read of the overlapping segment's ids or runs must answer with a
+/// typed error, not a sentinel id.
+fn overlapping_bitmaps_are_a_typed_error_on_every_read() {
+    let decoded = overlapping_segment();
+    let col = EncodedColumn::from_segments(ValueType::Int, two_ids(), vec![decoded], 2);
     corrupt("try_ids_in", col.try_ids_in(&[(0, 2)]).map(drop));
     corrupt("try_runs_in", col.try_runs_in(&[(1, 2)]).map(drop));
     let schema = Schema::build(&[("c", ValueType::Int)], &[]).unwrap();
     let t = Arc::new(Table::new("t", schema, vec![Arc::new(col)]).unwrap());
     let mut scan = ScanStream::new(t, &Predicate::True, None).unwrap();
     corrupt("ScanStream::try_next", scan.try_next().map(drop));
+}
+
+/// Recoding the overlapping segment to RLE reads its ids too: the segment,
+/// a column recode, and a compaction whose group mixes it with a pinned
+/// RLE segment must each answer with the typed error, not runs of a
+/// sentinel id.
+#[test]
+fn an_overlapping_segment_recoded_to_rle_is_a_typed_error() {
+    let decoded = overlapping_segment();
+    corrupt("SegmentEnc::recoded", decoded.recoded(Encoding::Rle));
+    let col = EncodedColumn::from_segments(ValueType::Int, two_ids(), vec![decoded.clone()], 2);
+    corrupt("EncodedColumn::recode", col.recode(Encoding::Rle));
+    let honest = SegmentEnc::Bitmap(Arc::new(Segment::new(2, vec![(0, row(0)), (1, row(1))])));
+    let mixed = EncodedColumn::from_segments(ValueType::Int, two_ids(), vec![decoded, honest], 64)
+        .recode_segments(1..2, Encoding::Rle)
+        .unwrap();
+    corrupt("EncodedColumn::compacted", mixed.compacted());
+}
+
+// ---- The commit log: a recorded format-3 `.clog` ----
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("cods_hostile_{name}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join("c.cods")
+}
+
+fn commit(cat: &Catalog, drops: &[&str], puts: Vec<Table>) {
+    let (base, _) = cat.begin_evolution();
+    let drops: Vec<String> = drops.iter().map(|d| d.to_string()).collect();
+    cat.commit_evolution(base, &drops, puts.into_iter().map(Arc::new).collect())
+        .unwrap();
+}
+
+fn int_str_table(name: &str, cols: &[(&str, ValueType)], rows: i64) -> Table {
+    let schema = Schema::build(cols, &[]).unwrap();
+    let data: Vec<Vec<Value>> = (0..rows)
+        .map(|i| {
+            cols.iter()
+                .map(|(_, ty)| match ty {
+                    ValueType::Str => Value::str(format!("s{}", i % 3)),
+                    _ => Value::int(i % 5),
+                })
+                .collect()
+        })
+        .collect();
+    Table::from_rows(name, schema, &data).unwrap()
+}
+
+/// A log of three records: a put that carries its whole image; a put that
+/// references both columns of the table the same record drops and carries
+/// a third; a put that only references.
+fn recorded_clog() -> Vec<u8> {
+    let target = scratch("record");
+    let (cat, _log, _) = open_durable(&target).unwrap();
+    let kv = [("k", ValueType::Int), ("v", ValueType::Str)];
+    commit(&cat, &[], vec![int_str_table("r", &kv, 12)]);
+    let r = cat.begin_evolution().1["r"].clone();
+    let w = int_str_table("w", &[("w", ValueType::Int)], 12);
+    let kvw = [
+        ("k", ValueType::Int),
+        ("v", ValueType::Str),
+        ("w", ValueType::Int),
+    ];
+    let columns = vec![
+        r.column(0).clone(),
+        r.column(1).clone(),
+        w.column(0).clone(),
+    ];
+    let s = Table::new("s", Schema::build(&kvw, &[]).unwrap(), columns).unwrap();
+    commit(&cat, &["r"], vec![s]);
+    let s = cat.begin_evolution().1["s"].clone();
+    commit(&cat, &[], vec![s.renamed("t")]);
+    let status = log_status(&target).unwrap();
+    assert_eq!(status.records, 3);
+    let (referenced, carried) = status
+        .pending
+        .iter()
+        .flat_map(|r| &r.puts)
+        .fold((0, 0), |(r, c), p| (r + p.referenced, c + p.carried));
+    assert_eq!((referenced, carried), (5, 3), "{:?}", status.pending);
+    let raw = std::fs::read(clog_path(&target)).unwrap();
+    std::fs::remove_dir_all(target.parent().unwrap()).ok();
+    raw
+}
+
+/// `(start, end)` of each frame of a log: its tag, length and payload,
+/// which its checksum covers.
+fn frames(log: &[u8]) -> Vec<(usize, usize)> {
+    let mut r = Reader::new(&log[6..]);
+    let mut out = Vec::new();
+    while r.remaining() > 0 {
+        let start = 6 + r.position();
+        r.u32().unwrap();
+        let len = r.u64().unwrap() as usize;
+        r.take(len).unwrap();
+        out.push((start, 6 + r.position()));
+        r.u64().unwrap();
+    }
+    out
+}
+
+/// Opens `log` as the commit log of a fresh target both ways; returns
+/// whether the durable open succeeded. A replayed table is used to the
+/// end, as a decoded table file is.
+fn log_survives(target: &Path, log: &[u8]) -> bool {
+    std::fs::write(clog_path(target), log).unwrap();
+    let _ = log_status(target);
+    match open_durable(target) {
+        Ok((cat, _log, _)) => {
+            for t in cat.snapshot() {
+                exercise(&t);
+            }
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+#[test]
+fn hostile_commit_logs_are_typed_errors() {
+    let log = recorded_clog();
+    let target = scratch("replay");
+    let (mut inputs, mut opened) = (0, 0);
+    for cut in 0..log.len() {
+        inputs += 1;
+        opened += usize::from(log_survives(&target, &log[..cut]));
+    }
+    println!("clog truncations: {inputs} inputs, {opened} opened");
+
+    // Flips inside record payloads, each frame's checksum recomputed, so
+    // the record decoder (and the image decoder under it) sees them.
+    let frames = frames(&log);
+    assert_eq!(frames.len(), 3);
+    let mut rng = Rng(0x00C0_D5C1);
+    let (mut inputs, mut opened) = (0, 0);
+    for _ in 0..1500 {
+        let mut raw = log.clone();
+        let (start, end) = frames[rng.below(frames.len())];
+        let payload = start + 12..end;
+        let at = payload.start + rng.below(payload.len());
+        if rng.below(4) == 0 {
+            for b in &mut raw[at..(at + 1 + rng.below(8)).min(end)] {
+                *b = rng.next() as u8;
+            }
+        } else {
+            raw[at] ^= 1 << rng.below(8);
+        }
+        let sum = wal::checksum(&[&raw[start..end]]);
+        raw[end..end + 8].copy_from_slice(&sum.to_le_bytes());
+        inputs += 1;
+        opened += usize::from(log_survives(&target, &raw));
+    }
+    println!("clog payload flips: {inputs} inputs, {opened} opened");
+    std::fs::remove_dir_all(target.parent().unwrap()).ok();
 }

@@ -330,7 +330,7 @@ proptest! {
                 });
             }
             let acc = acc.unwrap();
-            let compacted = acc.compacted();
+            let compacted = acc.compacted().unwrap();
             compacted.check_invariants().unwrap();
             prop_assert_eq!(compacted.values(), acc.values());
             prop_assert_eq!(compacted.dict(), acc.dict());

@@ -175,7 +175,7 @@ proptest! {
                 .iter()
                 .map(|c| {
                     let acc = c.slice(0, half).concat(&c.slice(half, rows)).unwrap();
-                    std::sync::Arc::new(acc.compacted())
+                    std::sync::Arc::new(acc.compacted().unwrap())
                 })
                 .collect();
             let rebuilt = Table::new("C", oracle.schema().clone(), cols).unwrap();

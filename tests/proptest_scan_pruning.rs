@@ -205,7 +205,7 @@ proptest! {
                         let hi = if piece == 3 { rows } else { lo + quarter };
                         acc = acc.concat(&c.slice(lo, hi)).unwrap();
                     }
-                    Arc::new(acc.compacted())
+                    Arc::new(acc.compacted().unwrap())
                 })
                 .collect();
             let rebuilt = Table::new("C", table.schema().clone(), cols).unwrap();

@@ -198,7 +198,7 @@ fn union_chain_fragmentation_is_repaired_by_compaction() {
                 "{encoding}: chain should fragment the directory ({} segments)",
                 col.segment_count()
             );
-            let compacted = col.compacted();
+            let compacted = col.compacted().unwrap();
             compacted.check_invariants().unwrap();
             // Identical results...
             assert_eq!(compacted.values(), col.values());
