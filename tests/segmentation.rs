@@ -288,3 +288,178 @@ fn predicate_scan_prunes_but_stays_exact() {
     assert_eq!(lazy.residency_counts().0, 2);
     std::fs::remove_file(&path).ok();
 }
+
+// ---- Layout pin: every segment the operators write, byte for byte ----
+
+/// A mixed fixture: `entity` is clustered for 2,000 rows and scattered
+/// after, so the chooser leaves it part RLE and part bitmap; `attr` is
+/// scattered bitmap with segments 4..8 range-pinned RLE; `detail` is a
+/// column pinned RLE.
+fn layout_fixture() -> Table {
+    let rows: Vec<Vec<Value>> = (0..3_000i64)
+        .map(|i| {
+            let entity = if i < 2_000 { i / 100 } else { i * 7_919 % 30 };
+            vec![
+                Value::int(entity),
+                Value::int(i % 37),
+                Value::int(entity * 7 % 5),
+            ]
+        })
+        .collect();
+    Table::from_rows_with_segment_rows("R", r_schema(), &rows, SEG)
+        .unwrap()
+        .auto_encoded()
+        .unwrap()
+        .with_column_segment_range_encoding("attr", Encoding::Rle, 4..8)
+        .unwrap()
+        .with_column_encoding_pinned("detail", Encoding::Rle)
+        .unwrap()
+}
+
+fn cut(c: &cods_storage::EncodedColumn, lo: u64, hi: u64) -> cods_storage::EncodedColumn {
+    c.slice(lo, hi)
+}
+
+/// One line per column, `name: <rows><b|r>[*count] …`, then the FNV-1a
+/// digest of the table's encoded bytes.
+fn layout(t: &Table) -> String {
+    let mut out = String::new();
+    for (def, col) in t.schema().columns().iter().zip(t.columns()) {
+        out.push_str(&def.name);
+        out.push(':');
+        let segs: Vec<String> = (0..col.segment_count())
+            .map(|i| {
+                let e = match col.segment_encoding(i) {
+                    Encoding::Bitmap => 'b',
+                    Encoding::Rle => 'r',
+                };
+                format!("{}{e}", col.segments()[i].rows())
+            })
+            .collect();
+        let mut i = 0;
+        while i < segs.len() {
+            let n = segs[i..].iter().take_while(|s| **s == segs[i]).count();
+            out.push(' ');
+            out.push_str(&segs[i]);
+            if n > 1 {
+                out.push_str(&format!("*{n}"));
+            }
+            i += n;
+        }
+        out.push('\n');
+    }
+    let bytes = cods_storage::persist::encode_table(t);
+    let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    out.push_str(&format!("digest {digest:016x}"));
+    out
+}
+
+/// Every write path's output layout (segment sizes, per-segment
+/// encodings) and bytes, pinned to what the writer produced before it was
+/// unified: sealing through one writer must not move a byte.
+#[test]
+fn write_paths_keep_their_layout_and_bytes() {
+    use cods::simple_ops::add_column;
+    use cods::ColumnFill;
+    use cods_storage::ColumnDef;
+    use std::sync::Arc;
+
+    let t = layout_fixture();
+    let mut cases: Vec<(&str, Table)> = vec![("fixture", t.clone())];
+    let d = decompose(&t, &spec()).unwrap();
+    cases.push(("decompose.changed", d.changed.clone()));
+    let kfk = merge(
+        &d.unchanged,
+        &d.changed,
+        "R1",
+        &MergeStrategy::KeyForeignKey { keyed: "T".into() },
+    )
+    .unwrap();
+    cases.push(("merge.key_fk", kfk.output));
+    let general = merge_general(&d.unchanged, &d.changed, "R2", &["entity".into()]).unwrap();
+    cases.push(("merge.general", general.output));
+    let (lo, hi, _) = partition_table(&t, &Predicate::lt("entity", 13i64), "lo", "hi").unwrap();
+    let (back, _) = union_tables(&lo, &hi, "U").unwrap();
+    cases.push(("partition.lo", lo));
+    cases.push(("partition.hi", hi));
+    cases.push(("union", back));
+    cases.push(("cluster_by", t.cluster_by(&["attr"]).unwrap()));
+    let sliced: Vec<_> = t
+        .columns()
+        .iter()
+        .map(|c| Arc::new(cut(c, 50, 1_900)))
+        .collect();
+    cases.push((
+        "slice",
+        Table::new("S", t.schema().clone(), sliced).unwrap(),
+    ));
+    // Compaction: 20-row slices across the clustered/scattered boundary
+    // (merge groups that are uniform, pinned or mixed) glued to a column
+    // written in 700-row segments (split groups, the first of which also
+    // takes the last, 30-row slice).
+    let wide = Table::from_rows_with_segment_rows("W", r_schema(), &t.to_rows(), 700)
+        .unwrap()
+        .auto_encoded()
+        .unwrap();
+    let compacted: Vec<_> = t
+        .columns()
+        .iter()
+        .zip(wide.columns())
+        .map(|(c, w)| {
+            let mut acc = cut(c, 0, 20);
+            for i in 1..39u64 {
+                acc = acc.concat(&cut(c, i * 73, i * 73 + 20)).unwrap();
+            }
+            let acc = acc
+                .concat(&cut(c, 2_950, 2_980))
+                .unwrap()
+                .concat(w)
+                .unwrap();
+            assert!(acc.needs_compaction());
+            Arc::new(acc.compacted().unwrap())
+        })
+        .collect();
+    cases.push((
+        "compacted",
+        Table::new("C", t.schema().clone(), compacted).unwrap(),
+    ));
+    let (added, _) = add_column(
+        &t,
+        ColumnDef::new("note", ValueType::Int),
+        &ColumnFill::Default(Value::int(0)),
+    )
+    .unwrap();
+    cases.push(("add_column", added));
+    cases.push(("recode.rle", t.recoded(Encoding::Rle).unwrap()));
+    cases.push(("recode.bitmap", t.recoded(Encoding::Bitmap).unwrap()));
+
+    let got: Vec<String> = cases
+        .iter()
+        .map(|(name, t)| {
+            t.check_invariants().unwrap();
+            format!("{name}\n{}", layout(t))
+        })
+        .collect();
+    for (g, w) in got.iter().zip(LAYOUTS) {
+        assert_eq!(g, w, "\nall layouts:\n{got:#?}");
+    }
+    assert_eq!(got.len(), LAYOUTS.len(), "{got:#?}");
+}
+
+const LAYOUTS: &[&str] = &[
+    "fixture\nentity: 128r*16 128b*7 56b\nattr: 128b*4 128r*4 128b*15 56b\ndetail: 128r*23 56r\ndigest 495fdedb16786f1a",
+    "decompose.changed\nentity: 30r\ndetail: 30r\ndigest d5ccca100d7a4ba4",
+    "merge.key_fk\nentity: 128r*16 128b*7 56b\nattr: 128b*4 128r*4 128b*15 56b\ndetail: 128r*23 56r\ndigest ad0cd1137b210b84",
+    "merge.general\nentity: 128r*23 56r\nattr: 128b*23 56b\ndetail: 128r*23 56r\ndigest 502d893bd33ff6ae",
+    "partition.lo\nentity: 128r*10 128b*3 75b\nattr: 128b*4 128r*4 128b*5 75b\ndetail: 128r*13 75r\ndigest ecd124f6c0a4202d",
+    "partition.hi\nentity: 128r*5 128b*4 109b\nattr: 128b*9 109b\ndetail: 128r*9 109r\ndigest 690619cfa23d307f",
+    "union\nentity: 128r*10 128b*3 75b 128r*5 128b*4 109b\nattr: 128b*4 128r*4 128b*5 75b 128b*9 109b\ndetail: 128r*13 75r 128r*9 109r\ndigest 4eb0c06169113254",
+    "cluster_by\nentity: 128b*23 56b\nattr: 128r*23 56r\ndetail: 128r*23 56r\ndigest 4cfb0946c0b45ce1",
+    "slice\nentity: 78r 128r*13 108r\nattr: 78b 128b*3 128r*4 128b*6 108b\ndetail: 78r 128r*13 108r\ndigest 6800f6b494ff892e",
+    "compacted\nentity: 80r*7 80b 65b 75b 122b 122r*3 121r*2 117r*4 116r*2 117r*4 116r*2 117b*4 116b*2 200b\nattr: 80b 80r*3 80b*4 65b 75b 122b*4 121b*2 117b*4 116b*2 117b*4 116b*2 117b*4 116b*2 200b\ndetail: 80r*8 65r 75r 122r*4 121r*2 117r*4 116r*2 117r*4 116r*2 117b*4 116b*2 200b\ndigest 312994b3c1ffc2bb",
+    "add_column\nentity: 128r*16 128b*7 56b\nattr: 128b*4 128r*4 128b*15 56b\ndetail: 128r*23 56r\nnote: 3000b\ndigest ee5cc4f98e303e71",
+    "recode.rle\nentity: 128r*23 56r\nattr: 128r*23 56r\ndetail: 128r*23 56r\ndigest 96932bec01e3f031",
+    "recode.bitmap\nentity: 128b*23 56b\nattr: 128b*23 56b\ndetail: 128b*23 56b\ndigest 2517f2b620ab0b7f",
+];
