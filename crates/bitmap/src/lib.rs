@@ -55,7 +55,6 @@ pub mod iter;
 pub mod ops;
 pub mod plain;
 pub mod rle;
-pub mod segment;
 pub mod synth;
 pub mod wah;
 pub mod word;

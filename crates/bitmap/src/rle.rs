@@ -2,10 +2,10 @@
 //!
 //! The paper (Section 2.2) notes that sorted columns are sometimes stored
 //! run-length encoded instead of bitmap encoded. `RleSeq` is that encoding:
-//! a sequence of `(value_id, run_length)` pairs. The CODS storage engine uses
-//! it for clustered/sorted columns, and the evolution operators carry the
-//! same primitives as WAH bitmaps (gather by positions, slice, concat) so an
-//! RLE column can be evolved at data level too.
+//! a sequence of `(value_id, run_length)` pairs, kept maximal: an appended
+//! run merges with an equal trailing one. The CODS storage engine uses it
+//! for clustered/sorted segments, and as the form every segment it writes
+//! is sealed from.
 
 /// A run-length encoded sequence of `u32` value ids.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -96,57 +96,6 @@ impl RleSeq {
         })
     }
 
-    /// Gather: output entry `j` = `self[positions[j]]`, positions
-    /// non-decreasing. Runs of the input become runs of the output.
-    pub fn filter_positions(&self, positions: &[u64]) -> RleSeq {
-        let mut out = RleSeq::new();
-        let n = positions.len();
-        let mut idx = 0usize;
-        let mut base = 0u64;
-        for &(v, rlen) in &self.runs {
-            if idx == n {
-                break;
-            }
-            let end = base + rlen;
-            let start = idx;
-            while idx < n && positions[idx] < end {
-                debug_assert!(positions[idx] >= base, "positions must be sorted");
-                idx += 1;
-            }
-            out.append_run(v, (idx - start) as u64);
-            base = end;
-        }
-        assert!(idx == n, "position out of range (len {})", self.len);
-        out
-    }
-
-    /// Extracts entries `[start, end)`.
-    pub fn slice(&self, start: u64, end: u64) -> RleSeq {
-        assert!(start <= end && end <= self.len, "invalid slice range");
-        let mut out = RleSeq::new();
-        let mut base = 0u64;
-        for &(v, rlen) in &self.runs {
-            let rend = base + rlen;
-            let lo = base.max(start);
-            let hi = rend.min(end);
-            if lo < hi {
-                out.append_run(v, hi - lo);
-            }
-            base = rend;
-            if base >= end {
-                break;
-            }
-        }
-        out
-    }
-
-    /// Appends all entries of `other`.
-    pub fn append_seq(&mut self, other: &RleSeq) {
-        for &(v, n) in &other.runs {
-            self.append_run(v, n);
-        }
-    }
-
     /// Returns `true` if the sequence is sorted by value id.
     pub fn is_sorted(&self) -> bool {
         self.runs.windows(2).all(|w| w[0].0 <= w[1].0)
@@ -185,26 +134,6 @@ mod tests {
         let s: RleSeq = vals.iter().copied().collect();
         assert_eq!(s.iter().collect::<Vec<_>>(), vals);
         assert_eq!(s.num_runs(), 4);
-    }
-
-    #[test]
-    fn filter_positions_matches_naive() {
-        let vals: Vec<u32> = (0..100).map(|i| i / 10).collect();
-        let s: RleSeq = vals.iter().copied().collect();
-        let positions: Vec<u64> = (0..100).step_by(7).collect();
-        let f = s.filter_positions(&positions);
-        let expect: Vec<u32> = positions.iter().map(|&p| vals[p as usize]).collect();
-        assert_eq!(f.iter().collect::<Vec<_>>(), expect);
-    }
-
-    #[test]
-    fn slice_and_concat() {
-        let s: RleSeq = (0..50u32).map(|i| i / 5).collect();
-        let a = s.slice(0, 20);
-        let b = s.slice(20, 50);
-        let mut joined = a.clone();
-        joined.append_seq(&b);
-        assert_eq!(joined, s);
     }
 
     #[test]

@@ -110,6 +110,15 @@ impl Wah {
         }
     }
 
+    /// Empties the bitmap, keeping its word buffer for the next build.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.active = 0;
+        self.active_bits = 0;
+        self.len = 0;
+        self.ones = 0;
+    }
+
     /// Logical length in bits.
     #[inline]
     pub fn len(&self) -> u64 {

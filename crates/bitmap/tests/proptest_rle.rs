@@ -35,30 +35,6 @@ proptest! {
     }
 
     #[test]
-    fn filter_matches_model(ids in small_ids(), picks in prop::collection::vec(any::<u16>(), 0..50)) {
-        prop_assume!(!ids.is_empty());
-        let seq: RleSeq = ids.iter().copied().collect();
-        let mut positions: Vec<u64> = picks
-            .iter()
-            .map(|&p| u64::from(p) % ids.len() as u64)
-            .collect();
-        positions.sort_unstable();
-        let filtered = seq.filter_positions(&positions);
-        let expect: Vec<u32> = positions.iter().map(|&p| ids[p as usize]).collect();
-        prop_assert_eq!(filtered.iter().collect::<Vec<_>>(), expect);
-    }
-
-    #[test]
-    fn slice_concat_identity(ids in small_ids(), cut in any::<prop::sample::Index>()) {
-        prop_assume!(!ids.is_empty());
-        let seq: RleSeq = ids.iter().copied().collect();
-        let c = cut.index(ids.len()) as u64;
-        let mut joined = seq.slice(0, c);
-        joined.append_seq(&seq.slice(c, seq.len()));
-        prop_assert_eq!(joined, seq);
-    }
-
-    #[test]
     fn codec_round_trip(ids in small_ids()) {
         let seq: RleSeq = ids.iter().copied().collect();
         let mut buf = bytes::BytesMut::new();

@@ -33,7 +33,7 @@ use crate::keys::KeyIndex;
 use crate::schema_tools::check_decomposition_shape;
 use crate::status::{EvolutionStatus, StatusTracker};
 use cods_query::par::{map_parallel, map_parallel_pooled};
-use cods_storage::{EncodedChunk, EncodedColumn, Table};
+use cods_storage::{EncodedColumn, SealScratch, SegmentEnc, StorageError, Table};
 use std::sync::Arc;
 
 /// Specification of a decomposition.
@@ -106,20 +106,21 @@ pub struct DecomposeOutcome {
 /// the keys' ids flat) are merged in chunk order through one more index,
 /// so group numbering and first-occurrence positions come out exactly as a
 /// single sequential scan would produce them. A second fan-out rewrites
-/// each chunk's local group ids to global ones.
+/// each chunk's local group ids to global ones. A key segment that cannot
+/// be read is an error.
 pub fn distinction(
     table: &Table,
     key_cols: &[usize],
     want_groups: bool,
-) -> (Vec<u64>, Option<Vec<u32>>) {
+) -> Result<(Vec<u64>, Option<Vec<u32>>)> {
     let rows = table.rows() as usize;
     if rows == 0 {
-        return (Vec::new(), want_groups.then(Vec::new));
+        return Ok((Vec::new(), want_groups.then(Vec::new)));
     }
     let id_cols: Vec<Vec<u32>> = key_cols
         .iter()
-        .map(|&c| table.column(c).value_ids())
-        .collect();
+        .map(|&c| table.column(c).try_value_ids())
+        .collect::<std::result::Result<_, _>>()?;
     let width = key_cols.len();
     let chunk_rows = (table.column(key_cols[0]).nominal_segment_rows().max(1) as usize).min(rows);
     let starts: Vec<usize> = (0..rows).step_by(chunk_rows).collect();
@@ -208,72 +209,74 @@ pub fn distinction(
         }
         out
     });
-    (positions, groups)
+    Ok((positions, groups))
 }
 
-/// Bitmap-filters each column to `positions` with one pool task per
-/// (column × segment) — both encodings fan out the same way; each task
-/// produces a chunk in its column's encoding — then reassembles each
-/// column's chunks into a fresh segment directory. Shared by DECOMPOSE and
-/// PARTITION.
+/// Bitmap-filters each column to `positions` (non-decreasing): cut at each
+/// column's nominal segment size, one pool task per (column × output
+/// segment) writes that segment from the rows its slice of `positions`
+/// names ([`EncodedColumn::try_write_positions`]): DECOMPOSE's write side.
 pub(crate) fn filter_columns_by_positions(
     columns: &[&EncodedColumn],
     positions: &[u64],
-) -> Vec<Arc<EncodedColumn>> {
-    // Task list: (column index, segment index, span of `positions`).
+) -> Result<Vec<Arc<EncodedColumn>>> {
     let mut tasks = Vec::new();
     for (ci, col) in columns.iter().enumerate() {
-        for (seg_idx, range) in col.position_spans(positions) {
-            tasks.push((ci, seg_idx, range));
+        for slice in positions.chunks(col.nominal_segment_rows() as usize) {
+            tasks.push((ci, slice));
         }
     }
-    filter_columns(columns, tasks, |col, seg_idx, range| {
-        col.filter_segment_chunk(seg_idx, &positions[range])
+    write_columns(columns, tasks, |ci, slice, scratch| {
+        columns[ci].try_write_positions(slice, scratch)
     })
 }
 
-/// Mask-driven variant of [`filter_columns_by_positions`]: splits the
-/// selection mask along each column's segment boundaries (compressed-form,
-/// one pass) and fans out one task per (column × segment). Never
-/// materializes a whole-column position list, so PARTITION's memory stays
-/// O(segment) regardless of table size.
+/// Mask-driven variant of [`filter_columns_by_positions`]: the mask's set
+/// rows are cut into one selection per output segment
+/// ([`EncodedColumn::cut_mask`], on the compressed form), so PARTITION
+/// never materializes a whole-column position list.
 pub(crate) fn filter_columns_by_mask(
     columns: &[&EncodedColumn],
     mask: &cods_bitmap::Wah,
-) -> Vec<Arc<EncodedColumn>> {
+) -> Result<Vec<Arc<EncodedColumn>>> {
     let mut tasks = Vec::new();
     for (ci, col) in columns.iter().enumerate() {
-        for (seg_idx, mask_seg) in col.split_mask(mask).into_iter().enumerate() {
-            tasks.push((ci, seg_idx, mask_seg));
+        for sel in col.cut_mask(mask) {
+            tasks.push((ci, sel));
         }
     }
-    filter_columns(columns, tasks, |col, seg_idx, mask_seg| {
-        col.filter_segment_mask_chunk(seg_idx, &mask_seg)
+    write_columns(columns, tasks, |ci, sel, scratch| {
+        columns[ci].try_write(&sel, None, scratch)
     })
 }
 
-/// The tail both filters share: runs `filter` as one pool task per
-/// `(column index, segment index, selection)` entry of `tasks`, then
-/// splices each column's chunks into a fresh segment directory. Tasks come
-/// in ascending (column, segment) order and `map_parallel` keeps it, so
-/// the chunks splice back sequentially.
-fn filter_columns<S: Send>(
+/// The write side every operator shares: runs `write` as one pool task per
+/// `(column index, output segment)` entry of `tasks`, each sealing one
+/// segment with a pooled [`SealScratch`], then turns each column's
+/// segments, in task order, into a column derived from its input
+/// ([`EncodedColumn::derived`]). Tasks come in ascending (column, segment)
+/// order and the map keeps it.
+pub(crate) fn write_columns<S: Send>(
     columns: &[&EncodedColumn],
-    tasks: Vec<(usize, usize, S)>,
-    filter: impl Fn(&EncodedColumn, usize, S) -> EncodedChunk + Sync,
-) -> Vec<Arc<EncodedColumn>> {
-    let chunks = map_parallel(tasks, |(ci, seg_idx, sel)| {
-        (ci, filter(columns[ci], seg_idx, sel))
-    });
-    let mut assemblers: Vec<_> = columns.iter().map(|c| c.assembler()).collect();
-    for (ci, chunk) in chunks {
-        assemblers[ci].push_chunk(chunk);
+    tasks: Vec<(usize, S)>,
+    write: impl Fn(usize, S, &mut SealScratch) -> std::result::Result<SegmentEnc, StorageError> + Sync,
+) -> Result<Vec<Arc<EncodedColumn>>> {
+    let mut pool = Vec::new();
+    let written = map_parallel_pooled(
+        tasks,
+        &mut pool,
+        SealScratch::default,
+        |(ci, sel), scratch| (ci, write(ci, sel, scratch)),
+    );
+    let mut segments: Vec<Vec<SegmentEnc>> = vec![Vec::new(); columns.len()];
+    for (ci, seg) in written {
+        segments[ci].push(seg?);
     }
-    columns
+    Ok(columns
         .iter()
-        .zip(assemblers)
-        .map(|(col, asm)| Arc::new(col.from_assembler_compacting(asm)))
-        .collect()
+        .zip(segments)
+        .map(|(col, segs)| Arc::new(col.derived(segs)))
+        .collect())
 }
 
 /// Executes a data-level decomposition of `input`.
@@ -303,7 +306,7 @@ pub fn decompose(input: &Table, spec: &DecomposeSpec) -> Result<DecomposeOutcome
         .iter()
         .map(|n| Ok(input.schema().index_of(n)?))
         .collect::<Result<_>>()?;
-    let (positions, groups) = distinction(input, &key_idx, spec.verify_fd);
+    let (positions, groups) = distinction(input, &key_idx, spec.verify_fd)?;
     tracker.step_items("distinction", positions.len() as u64);
 
     // Distinction kept every row: the common columns are already a key of
@@ -315,7 +318,7 @@ pub fn decompose(input: &Table, spec: &DecomposeSpec) -> Result<DecomposeOutcome
     // representative on the changed table's non-key columns.
     if let Some(groups) = groups.filter(|_| !key_is_unique) {
         for name in spec.changed_cols.iter().filter(|c| !common.contains(c)) {
-            let ids = input.column_by_name(name)?.value_ids();
+            let ids = input.column_by_name(name)?.try_value_ids()?;
             let rep: Vec<u32> = positions.iter().map(|&p| ids[p as usize]).collect();
             for (row, &g) in groups.iter().enumerate() {
                 if ids[row] != rep[g as usize] {
@@ -342,12 +345,11 @@ pub fn decompose(input: &Table, spec: &DecomposeSpec) -> Result<DecomposeOutcome
         changed_inputs.into_iter().map(Arc::clone).collect()
     } else {
         // Step 2 — bitmap filtering of every changed-side column, fanned
-        // out as one task per (column × input segment). Each task shrinks
-        // one segment's bitmaps to the positions falling in its row range;
-        // the chunks are then spliced back into segment directories per
-        // column.
+        // out as one task per (column × output segment): each task writes
+        // one output segment from the rows its slice of the positions
+        // names.
         let to_filter: Vec<&EncodedColumn> = changed_inputs.iter().map(|c| c.as_ref()).collect();
-        let filtered = filter_columns_by_positions(&to_filter, &positions);
+        let filtered = filter_columns_by_positions(&to_filter, &positions)?;
         tracker.step_items(
             "bitmap filtering",
             (filtered.len() as u64) * positions.len() as u64,
@@ -570,7 +572,7 @@ mod tests {
     #[test]
     fn distinction_positions_are_first_occurrences() {
         let r = figure1();
-        let (positions, groups) = distinction(&r, &[0], true);
+        let (positions, groups) = distinction(&r, &[0], true).unwrap();
         assert_eq!(positions, vec![0, 2, 3, 6]); // Jones, Roberts, Ellis, Harrison
         let g = groups.unwrap();
         assert_eq!(g, vec![0, 0, 1, 2, 0, 2, 3]);
@@ -605,8 +607,8 @@ mod tests {
         assert_eq!(mono.column(0).segment_count(), 1);
         for key_cols in [vec![0usize], vec![0, 1], vec![2, 1, 0]] {
             for want_groups in [false, true] {
-                let (pc, gc) = distinction(&chunked, &key_cols, want_groups);
-                let (pm, gm) = distinction(&mono, &key_cols, want_groups);
+                let (pc, gc) = distinction(&chunked, &key_cols, want_groups).unwrap();
+                let (pm, gm) = distinction(&mono, &key_cols, want_groups).unwrap();
                 assert_eq!(pc, pm, "positions differ for key {key_cols:?}");
                 assert_eq!(gc, gm, "groups differ for key {key_cols:?}");
                 assert!(pc.windows(2).all(|w| w[0] < w[1]), "positions sorted");

@@ -25,12 +25,13 @@
 //!   the same distance" (stride `n2`), again writing compressed bitmaps
 //!   directly.
 
+use crate::decompose::write_columns;
 use crate::error::{EvolutionError, Result};
 use crate::keys::{KeyIndex, NONE};
 use crate::status::{EvolutionStatus, StatusTracker};
 use cods_bitmap::RleSeq;
 use cods_query::par::map_parallel;
-use cods_storage::{ColumnDef, EncodedAssembler, EncodedChunk, EncodedColumn, Schema, Table};
+use cods_storage::{ColumnDef, EncodedColumn, Schema, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -78,46 +79,6 @@ pub struct MergeOutcome {
     pub status: EvolutionStatus,
 }
 
-/// An output-chunk emitter that accumulates value-id **runs** — run
-/// detection is O(1) per pushed row or run — and decides the chunk's
-/// encoding only when the task finishes, through the per-segment chooser
-/// on the chunk's own run/row/distinct statistics
-/// ([`EncodedChunk::from_seq_for`]): run-level output (a clustered join's
-/// fill runs) lands as an RLE chunk, dense rewrites convert to a bitmap
-/// chunk in O(runs), and a pinned uniform source column forces its
-/// encoding. This is how the mergence operators emit mixed directories for
-/// free — each (column × output segment) task picks independently.
-struct RunSink {
-    seq: RleSeq,
-}
-
-impl RunSink {
-    fn new() -> RunSink {
-        RunSink { seq: RleSeq::new() }
-    }
-
-    fn rows(&self) -> u64 {
-        self.seq.len()
-    }
-
-    fn push_rows(&mut self, id: usize, count: u64) {
-        if count > 0 {
-            self.seq.append_run(id as u32, count);
-        }
-    }
-
-    fn push_row(&mut self, id: usize) {
-        self.push_rows(id, 1);
-    }
-
-    /// Finishes the chunk at exactly `len` rows (everything pushed so far)
-    /// in the encoding the chooser picks for it against `col`.
-    fn finish_chunk(self, col: &EncodedColumn, len: u64) -> EncodedChunk {
-        debug_assert_eq!(self.seq.len(), len);
-        EncodedChunk::from_seq_for(col, self.seq)
-    }
-}
-
 fn join_indices(schema: &Schema, join_cols: &[String]) -> Result<Vec<usize>> {
     join_cols.iter().map(|n| Ok(schema.index_of(n)?)).collect()
 }
@@ -163,16 +124,17 @@ pub(crate) fn validate_join_schemas(
 /// keyed row `n`. Building it decides uniqueness — `None` at the first key
 /// met twice — so no separate pass proves the side keyed. Key numbers are
 /// `u32` rows, so a table of [`NO_ROW`] rows or more is never keyed (a
-/// unique one-column key has at most one row per dictionary id anyway).
-fn key_table(keyed: &Table, k_join: &[usize]) -> Option<KeyIndex> {
+/// unique one-column key has at most one row per dictionary id anyway). A
+/// key segment that cannot be read is an error.
+fn key_table(keyed: &Table, k_join: &[usize]) -> Result<Option<KeyIndex>> {
     let rows = keyed.rows() as usize;
     if rows >= NO_ROW as usize {
-        return None;
+        return Ok(None);
     }
     let ids: Vec<Vec<u32>> = k_join
         .iter()
-        .map(|&c| keyed.column(c).value_ids())
-        .collect();
+        .map(|&c| keyed.column(c).try_value_ids())
+        .collect::<std::result::Result<_, _>>()?;
     let mut index = KeyIndex::new(keyed, k_join, rows);
     let mut key: Vec<u32> = vec![0; k_join.len()];
     for row in 0..rows {
@@ -180,10 +142,10 @@ fn key_table(keyed: &Table, k_join: &[usize]) -> Option<KeyIndex> {
             *slot = c[row];
         }
         if !index.intern(&key).1 {
-            return None;
+            return Ok(None);
         }
     }
-    Some(index)
+    Ok(Some(index))
 }
 
 /// [`key_table`] as a logged step: the first step of every key–FK attempt.
@@ -193,7 +155,7 @@ fn key_table_step(
     tracker: &mut StatusTracker,
 ) -> Result<Option<KeyIndex>> {
     let k_join = join_indices(keyed.schema(), join_cols)?;
-    let keys = key_table(keyed, &k_join);
+    let keys = key_table(keyed, &k_join)?;
     let step = if keys.is_some() {
         "build key table"
     } else {
@@ -204,8 +166,8 @@ fn key_table_step(
 }
 
 /// Returns `true` if `table` has no duplicate combination of `cols`.
-pub fn is_unique_on(table: &Table, cols: &[usize]) -> bool {
-    key_table(table, cols).is_some()
+pub fn is_unique_on(table: &Table, cols: &[usize]) -> Result<bool> {
+    Ok(key_table(table, cols)?.is_some())
 }
 
 /// Output schema of a mergence: the reusable/left columns followed by the
@@ -304,8 +266,8 @@ fn key_fk_with(
     // order).
     let r_ids: Vec<Vec<u32>> = r_join
         .iter()
-        .map(|&c| reusable.column(c).value_ids())
-        .collect();
+        .map(|&c| reusable.column(c).try_value_ids())
+        .collect::<std::result::Result<_, _>>()?;
     let n = reusable.rows() as usize;
     let violation = |row: usize, missing: u32| {
         let what = if missing == NO_VALUE {
@@ -352,32 +314,24 @@ fn key_fk_with(
     tracker.step_items("sequential scan (parallel per chunk)", n as u64);
 
     // Build the payload columns (keyed-side non-join attributes) directly
-    // in compressed form — each in its input column's encoding — over the
-    // reusable side's row space. Columns are processed one at a time so
-    // only one dense id array is alive at once (peak memory O(rows), not
-    // O(rows × payload columns)); within a column, one task per output
-    // segment gathers that segment's rows in parallel, spliced back in
-    // order.
+    // in compressed form over the reusable side's row space. Columns are
+    // processed one at a time so only one dense id array is alive at once
+    // (peak memory O(rows), not O(rows × payload columns)); within a
+    // column, one task per output segment gathers that segment's ids and
+    // seals it in the encoding the chooser picks for it.
     let payload_cols: Vec<usize> = (0..keyed.arity()).filter(|i| !k_join.contains(i)).collect();
     let mut new_columns: Vec<Arc<EncodedColumn>> = Vec::with_capacity(payload_cols.len());
     for &pc in &payload_cols {
         let col = keyed.column(pc).as_ref();
-        let ids = col.value_ids();
-        let step = col.nominal_segment_rows().max(1) as usize;
-        let starts: Vec<usize> = (0..n).step_by(step).collect();
-        let chunks = map_parallel(starts, |start| {
+        let ids = col.try_value_ids()?;
+        let step = col.nominal_segment_rows() as usize;
+        let tasks: Vec<(usize, usize)> = (0..n).step_by(step).map(|start| (0, start)).collect();
+        let written = write_columns(&[col], tasks, |_, start, scratch| {
             let end = (start + step).min(n);
-            EncodedChunk::from_ids_for(
-                col,
-                target_row[start..end].iter().map(|&t| ids[t as usize]),
-                (end - start) as u64,
-            )
-        });
-        let mut asm = col.assembler();
-        for chunk in chunks {
-            asm.push_chunk(chunk);
-        }
-        new_columns.push(Arc::new(col.from_assembler_compacting(asm)));
+            let seq = target_row[start..end].iter().map(|&t| ids[t as usize]);
+            Ok(col.seal_stream(seq.collect(), scratch))
+        })?;
+        new_columns.extend(written);
     }
     drop(target_row);
     tracker.step_items("build payload bitmaps", payload_cols.len() as u64);
@@ -426,7 +380,10 @@ fn general_with(
 
     // ---- Pass 1: occurrence counts of every distinct join combination ----
     // Left side grouping (combos live in left-id space).
-    let l_ids: Vec<Vec<u32>> = l_join.iter().map(|&c| left.column(c).value_ids()).collect();
+    let l_ids: Vec<Vec<u32>> = l_join
+        .iter()
+        .map(|&c| left.column(c).try_value_ids())
+        .collect::<std::result::Result<_, _>>()?;
     let l_rows = left.rows() as usize;
     let mut combo_index: HashMap<Vec<u32>, u32> = HashMap::new();
     let mut combos: Vec<Vec<u32>> = Vec::new();
@@ -451,8 +408,8 @@ fn general_with(
         .collect();
     let r_ids: Vec<Vec<u32>> = r_join
         .iter()
-        .map(|&c| right.column(c).value_ids())
-        .collect();
+        .map(|&c| right.column(c).try_value_ids())
+        .collect::<std::result::Result<_, _>>()?;
     let r_rows = right.rows() as usize;
     const NO_GROUP: u32 = u32::MAX;
     let mut n2: Vec<u64> = vec![0; combos.len()];
@@ -504,14 +461,13 @@ fn general_with(
         }
     }
 
-    // ---- Pass 2: emit every output column chunked per output segment ----
+    // ---- Pass 2: write every output column one output segment at a time ----
     // Join columns are pure fill runs; left payloads place values
     // consecutively (runs of n2); right payloads place values at stride n2
     // within each group. The output row space is cut at each column's
-    // nominal segment size, and one pool task emits one (column × output
-    // segment) chunk — run-level and clipped to its row range — exactly
-    // like the key-FK payload fan-out; the chunks are then spliced back
-    // into a segment directory per column through its assembler.
+    // nominal segment size, and one pool task pushes one (column × output
+    // segment)'s runs, clipped to its row range, and seals that segment —
+    // exactly like the key-FK payload fan-out.
     #[derive(Clone, Copy)]
     enum OutCol {
         Join { pos_in_join: usize, lc: usize },
@@ -538,7 +494,7 @@ fn general_with(
     };
     // Per-column preparation, itself one pool task per column: left
     // payloads materialize their dense id array once; right payloads
-    // additionally gather each group's output-order ids once (a chunk task
+    // additionally gather each group's output-order ids once (a segment task
     // would otherwise regather them for every segment overlapping the
     // group).
     enum ColPrep {
@@ -546,34 +502,37 @@ fn general_with(
         Left(Vec<u32>),
         Right(Vec<Vec<u32>>),
     }
-    let col_prep: Vec<ColPrep> = map_parallel(plan.clone(), |task| match task {
-        OutCol::Join { .. } => ColPrep::Join,
-        OutCol::LeftPayload { lc } => ColPrep::Left(left.column(lc).value_ids()),
-        OutCol::RightPayload { rc } => {
-            let ids = right.column(rc).value_ids();
-            let mut by_group: Vec<Vec<u32>> = vec![Vec::new(); combos.len()];
-            for &g in &active {
-                by_group[g] = t_rows[g].iter().map(|&r| ids[r as usize]).collect();
+    let col_prep = map_parallel(plan.clone(), |task| {
+        Ok(match task {
+            OutCol::Join { .. } => ColPrep::Join,
+            OutCol::LeftPayload { lc } => ColPrep::Left(left.column(lc).try_value_ids()?),
+            OutCol::RightPayload { rc } => {
+                let ids = right.column(rc).try_value_ids()?;
+                let mut by_group: Vec<Vec<u32>> = vec![Vec::new(); combos.len()];
+                for &g in &active {
+                    by_group[g] = t_rows[g].iter().map(|&r| ids[r as usize]).collect();
+                }
+                ColPrep::Right(by_group)
             }
-            ColPrep::Right(by_group)
-        }
+        })
     });
+    let col_prep: Vec<ColPrep> = col_prep.into_iter().collect::<Result<_>>()?;
     // Task list: (output column, output row range of one nominal segment).
-    let mut tasks: Vec<(usize, u64, u64)> = Vec::new();
+    let mut tasks: Vec<(usize, (u64, u64))> = Vec::new();
     for (ci, task) in plan.iter().enumerate() {
-        let step = col_of(task).nominal_segment_rows().max(1);
+        let step = col_of(task).nominal_segment_rows();
         let mut lo = 0u64;
         while lo < total {
             let hi = (lo + step).min(total);
-            tasks.push((ci, lo, hi));
+            tasks.push((ci, (lo, hi)));
             lo = hi;
         }
     }
     let group_end = |g: usize| offsets[g] + n1[g] * n2[g];
     let n_tasks = tasks.len() as u64;
-    let chunks: Vec<(usize, EncodedChunk)> = map_parallel(tasks, |(ci, lo, hi)| {
-        let col = col_of(&plan[ci]);
-        let mut sink = RunSink::new();
+    let columns: Vec<&EncodedColumn> = plan.iter().map(col_of).collect();
+    let out_columns = write_columns(&columns, tasks, |ci, (lo, hi), scratch| {
+        let mut seq = RleSeq::new();
         // Group offsets ascend, so the groups overlapping [lo, hi) form a
         // contiguous span of `active`, found by binary search.
         let first = active.partition_point(|&g| group_end(g) <= lo);
@@ -585,7 +544,7 @@ fn general_with(
                     }
                     let a = offsets[g].max(lo);
                     let b = group_end(g).min(hi);
-                    sink.push_rows(combos[g][*pos_in_join] as usize, b - a);
+                    seq.append_run(combos[g][*pos_in_join], b - a);
                 }
             }
             (OutCol::LeftPayload { .. }, ColPrep::Left(ids)) => {
@@ -604,7 +563,7 @@ fn general_with(
                         }
                         let a = row0.max(lo);
                         let b = (row0 + n2g).min(hi);
-                        sink.push_rows(ids[srow as usize] as usize, b - a);
+                        seq.append_run(ids[srow as usize], b - a);
                     }
                 }
             }
@@ -625,29 +584,17 @@ fn general_with(
                         let j0 = lo.saturating_sub(row0);
                         let j1 = n2g.min(hi - row0);
                         for j in j0..j1 {
-                            debug_assert_eq!(sink.rows(), row0 + j - lo);
-                            sink.push_row(group_ids[j as usize] as usize);
+                            debug_assert_eq!(seq.len(), row0 + j - lo);
+                            seq.push(group_ids[j as usize]);
                         }
                     }
                 }
             }
             _ => unreachable!("column preparation out of sync with the plan"),
         }
-        debug_assert_eq!(sink.rows(), hi - lo);
-        (ci, sink.finish_chunk(col, hi - lo))
-    });
-    // Tasks were generated in ascending (column, row range) order and
-    // map_parallel preserves order, so chunks splice back sequentially.
-    let mut assemblers: Vec<EncodedAssembler> =
-        plan.iter().map(|t| col_of(t).assembler()).collect();
-    for (ci, chunk) in chunks {
-        assemblers[ci].push_chunk(chunk);
-    }
-    let out_columns: Vec<Arc<EncodedColumn>> = plan
-        .iter()
-        .zip(assemblers)
-        .map(|(task, asm)| Arc::new(col_of(task).from_assembler_compacting(asm)))
-        .collect();
+        debug_assert_eq!(seq.len(), hi - lo);
+        Ok(columns[ci].seal_stream(seq, scratch))
+    })?;
     tracker.step_items(
         "pass 2: emit output columns (parallel per column x segment)",
         n_tasks,

@@ -3,22 +3,21 @@
 //! ADD / DROP / RENAME COLUMN — all executed at data level.
 //!
 //! Even these showcase the column store's advantage: COPY shares columns by
-//! reference, ADD COLUMN with a default is a single fill bitmap regardless
-//! of row count, and PARTITION evaluates its predicate once per *distinct
+//! reference, ADD COLUMN with a default is one fill run per segment, and PARTITION evaluates its predicate once per *distinct
 //! value* (over dictionaries) instead of once per row, then bitmap-filters.
 
 use crate::error::{EvolutionError, Result};
 use crate::status::{EvolutionStatus, StatusTracker};
 use cods_bitmap::Wah;
 use cods_query::pred::Predicate;
-use cods_storage::{ColumnDef, EncodedColumn, Schema, Table, Value};
+use cods_storage::{ColumnBuilder, ColumnDef, EncodedColumn, Schema, Table, Value};
 use std::sync::Arc;
 
 /// How ADD COLUMN fills the new column.
 #[derive(Clone, Debug)]
 pub enum ColumnFill {
-    /// Every row gets the same value. O(1) in the row count: a single fill
-    /// bitmap.
+    /// Every row gets the same value: one fill run per segment, never a
+    /// pass over the rows.
     Default(Value),
     /// Explicit per-row values (must match the row count).
     Values(Vec<Value>),
@@ -108,8 +107,8 @@ pub fn partition_table(
     // DECOMPOSE does, staying on the compressed form — no whole-column
     // position list is ever materialized.
     let col_refs: Vec<&EncodedColumn> = input.columns().iter().map(|c| c.as_ref()).collect();
-    let sat_cols = crate::decompose::filter_columns_by_mask(&col_refs, &mask);
-    let rest_cols = crate::decompose::filter_columns_by_mask(&col_refs, &not_mask);
+    let sat_cols = crate::decompose::filter_columns_by_mask(&col_refs, &mask)?;
+    let rest_cols = crate::decompose::filter_columns_by_mask(&col_refs, &not_mask)?;
     tracker.step("bitmap filtering into partitions");
 
     let sat =
@@ -204,14 +203,10 @@ pub(crate) fn build_fill_column(
                     def.ty
                 )));
             }
-            // One dictionary entry, one all-ones fill bitmap: O(1) in rows.
-            if rows == 0 {
-                EncodedColumn::from_values(def.ty, &[])?
-            } else {
-                let dict = cods_storage::Dictionary::from_values(vec![v.clone()])
-                    .map_err(cods_storage::StorageError::Corrupt)?;
-                EncodedColumn::from_parts(def.ty, dict, vec![Wah::ones(rows)], rows)?
-            }
+            // One dictionary entry, one run per segment: O(segments).
+            let mut b = ColumnBuilder::new(def.ty);
+            b.push_run(v.clone(), rows)?;
+            b.finish()
         }
         ColumnFill::Values(vals) => {
             if vals.len() as u64 != rows {
@@ -319,7 +314,7 @@ mod tests {
                 let cols = base
                     .columns()
                     .iter()
-                    .map(|c| Arc::new(c.slice(0, 20)))
+                    .map(|c| Arc::new(c.slice(0, 20).unwrap()))
                     .collect();
                 Table::new("u", schema.clone(), cols).unwrap()
             };
@@ -328,7 +323,7 @@ mod tests {
                 let cols = base
                     .columns()
                     .iter()
-                    .map(|c| Arc::new(c.slice(lo, lo + 20)))
+                    .map(|c| Arc::new(c.slice(lo, lo + 20).unwrap()))
                     .collect();
                 let piece = Table::new("p", schema.clone(), cols).unwrap();
                 acc = union_tables(&acc, &piece, "u").unwrap().0;

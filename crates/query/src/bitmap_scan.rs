@@ -478,8 +478,8 @@ pub fn filter_table(table: &Table, pred: &Predicate) -> Result<Table, StorageErr
     let columns: Vec<std::sync::Arc<EncodedColumn>> = table
         .columns()
         .iter()
-        .map(|c| std::sync::Arc::new(c.filter_bitmap(&mask)))
-        .collect();
+        .map(|c| Ok(std::sync::Arc::new(c.filter_bitmap(&mask)?)))
+        .collect::<Result<_, StorageError>>()?;
     let schema = cods_storage::Schema::new(table.schema().columns().to_vec())?;
     Table::new(table.name(), schema, columns)
 }

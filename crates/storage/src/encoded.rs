@@ -4,24 +4,26 @@
 //! while its high-churn suffix stays bitmap — the per-*segment* layout
 //! choice the per-column chooser of the previous design could not express.
 //!
-//! Every directory operation (filter, gather, concat, slice, id decode,
-//! compaction) dispatches per segment on its encoding; evolution operators
-//! fan out one task per (column × segment) and splice per-segment
-//! [`EncodedChunk`]s back through an [`EncodedAssembler`], which seals each
-//! output segment in the encoding its input pieces arrive in. Fresh chunks
-//! emitted by the operators pick their encoding through the stats-driven
-//! per-segment chooser ([`choose_encoding_from_stats`]): run-level output
-//! lands as RLE, dense rewrites as bitmap — so SMOs produce mixed
-//! directories for free.
+//! Every read of a column's ids or runs goes through one selection walker
+//! ([`EncodedColumn::split_by_segment`]), and every segment a write path
+//! produces is sealed from its runs by one function,
+//! [`SegmentEnc::seal`]. Writers cut their output at the column's nominal
+//! segment size, so each task of an evolution operator writes exactly one
+//! output segment: selection-driven writes (filters, slices, compaction,
+//! recodes) read one output segment's rows as runs and seal them
+//! ([`EncodedColumn::try_write`]) — RLE when every segment they draw from
+//! is RLE — and stream-driven writes (mergence payloads, gathers, builds)
+//! push ids or runs into one segment's [`RleSeq`] and seal it in the
+//! encoding the stats-driven chooser ([`choose_encoding_from_stats`]) picks
+//! for it, so SMOs produce mixed directories for free.
 
 use crate::dictionary::Dictionary;
 use crate::error::StorageError;
 use crate::rle_segment::RleSegment;
-use crate::segment::{Segment, SegmentChunk, Zone};
+use crate::segment::{SealScratch, Segment, Zone};
 use crate::store::SegSlot;
 use crate::value::{Value, ValueType};
-use cods_bitmap::{OneStreamBuilder, RleSeq, Wah};
-use std::collections::HashMap;
+use cods_bitmap::{RleSeq, Wah};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -44,7 +46,7 @@ impl std::fmt::Display for Encoding {
 }
 
 /// The stats-driven encoding choice, shared by the per-segment chooser, the
-/// operators' chunk emitters, and compaction's mixed-group transcoder.
+/// stream-driven writers, and compaction's mixed merge groups.
 ///
 /// RLE pays one fixed-size record per run; WAH bitmaps pay roughly two
 /// words per run plus a per-(segment × present value) overhead. RLE
@@ -167,20 +169,88 @@ impl SegmentEnc {
         )
     }
 
+    /// Seals one segment from the run sequence of its rows — the one
+    /// writer under every write path: a bitmap segment in one counting
+    /// pass ([`Segment::from_runs`]), or the runs themselves.
+    pub fn seal(seq: RleSeq, encoding: Encoding, scratch: &mut SealScratch) -> SegmentEnc {
+        match encoding {
+            Encoding::Bitmap => SegmentEnc::Bitmap(Arc::new(Segment::from_runs(&seq, scratch))),
+            Encoding::Rle => SegmentEnc::Rle(Arc::new(RleSegment::new(seq))),
+        }
+    }
+
     /// Re-encodes this segment to `encoding` (shares the `Arc` when already
-    /// there). O(runs) per present value toward bitmap, O(rows) toward RLE.
-    /// A bitmap segment whose bitmaps leave a row uncovered is
-    /// [`StorageError::Corrupt`] ([`RleSegment::from_bitmap_segment`]).
+    /// there): its rows read as runs and sealed in `encoding`. A bitmap
+    /// segment whose bitmaps leave a row uncovered is
+    /// [`StorageError::Corrupt`] ([`Segment::fill_covering`]).
     pub fn recoded(&self, encoding: Encoding) -> Result<SegmentEnc, StorageError> {
-        Ok(match (self, encoding) {
-            (SegmentEnc::Bitmap(s), Encoding::Rle) => {
-                SegmentEnc::Rle(Arc::new(RleSegment::from_bitmap_segment(s)?))
+        self.recoded_with(encoding, &mut SealScratch::default())
+    }
+
+    pub(crate) fn recoded_with(
+        &self,
+        encoding: Encoding,
+        scratch: &mut SealScratch,
+    ) -> Result<SegmentEnc, StorageError> {
+        if self.encoding() == encoding {
+            return Ok(self.clone());
+        }
+        let mut seq = RleSeq::new();
+        self.read_in(0, &[(0, self.rows())], &mut seq, &mut Vec::new())?;
+        Ok(SegmentEnc::seal(seq, encoding, scratch))
+    }
+
+    /// Reads the rows of `piece` — intervals of the column's rows, this
+    /// segment starting at row `start` — into `sink`. A bitmap segment
+    /// decodes once: straight into the sink when it is wholly selected and
+    /// the sink keeps ids, else into `scratch`, which the selected pieces
+    /// are copied from. An RLE segment's runs are merged against the
+    /// intervals, in O(runs + intervals).
+    fn read_in(
+        &self,
+        start: u64,
+        piece: &[(u64, u64)],
+        sink: &mut impl SelSink,
+        scratch: &mut Vec<u32>,
+    ) -> Result<(), StorageError> {
+        match self {
+            SegmentEnc::Bitmap(s) => {
+                let rows = s.rows() as usize;
+                if piece == [(start, start + rows as u64)] {
+                    if let Some(dst) = sink.whole_segment(rows) {
+                        return s.fill_covering(dst);
+                    }
+                }
+                scratch.clear();
+                scratch.resize(rows, u32::MAX);
+                s.fill_covering(scratch)?;
+                for &(a, b) in piece {
+                    sink.ids(&scratch[(a - start) as usize..(b - start) as usize]);
+                }
             }
-            (SegmentEnc::Rle(s), Encoding::Bitmap) => {
-                SegmentEnc::Bitmap(Arc::new(s.to_bitmap_segment()))
+            SegmentEnc::Rle(s) => {
+                let mut ivs = piece.iter().peekable();
+                let mut pos = start;
+                for &(id, n) in s.seq().runs() {
+                    let end = pos + n;
+                    while let Some(&&(a, b)) = ivs.peek() {
+                        if a >= end {
+                            break;
+                        }
+                        sink.run(id, b.min(end) - a.max(pos));
+                        if b > end {
+                            break;
+                        }
+                        ivs.next();
+                    }
+                    if ivs.peek().is_none() {
+                        break;
+                    }
+                    pos = end;
+                }
             }
-            _ => self.clone(),
-        })
+        }
+        Ok(())
     }
 
     /// Rewrites the segment under an id translation. O(payload).
@@ -197,300 +267,6 @@ impl SegmentEnc {
             SegmentEnc::Bitmap(s) => s.check_invariants(),
             SegmentEnc::Rle(s) => s.check_invariants(),
         }
-    }
-}
-
-/// The per-segment output of one operator task, in either encoding, not yet
-/// aligned to segment boundaries.
-#[derive(Debug)]
-pub enum EncodedChunk {
-    /// Sparse per-value bitmaps over a run of output rows.
-    Bitmap(SegmentChunk),
-    /// A run piece over global value ids.
-    Rle(RleSeq),
-}
-
-/// Converts a run sequence into a bitmap chunk: O(runs) builder appends via
-/// the same dense/sparse adaptive store as [`SegmentChunk::from_ids`], never
-/// one push per row.
-pub(crate) fn seq_to_bitmap_chunk(seq: &RleSeq, rows: u64, distinct_hint: usize) -> SegmentChunk {
-    debug_assert_eq!(seq.len(), rows);
-    let mut ids = Vec::new();
-    let mut bitmaps = Vec::new();
-    if (distinct_hint as u64) <= rows.max(4096) {
-        let mut builders: Vec<OneStreamBuilder> = Vec::new();
-        builders.resize_with(distinct_hint, OneStreamBuilder::new);
-        let mut active: Vec<u32> = Vec::new();
-        for (id, start, len) in seq.iter_runs() {
-            let b = &mut builders[id as usize];
-            if b.ones() == 0 {
-                active.push(id);
-            }
-            b.push_run(start, len);
-        }
-        active.sort_unstable();
-        for id in active {
-            let b = std::mem::replace(&mut builders[id as usize], OneStreamBuilder::new());
-            ids.push(id);
-            bitmaps.push(b.finish(rows));
-        }
-    } else {
-        let mut builders: HashMap<u32, OneStreamBuilder> = HashMap::new();
-        for (id, start, len) in seq.iter_runs() {
-            builders.entry(id).or_default().push_run(start, len);
-        }
-        let mut pairs: Vec<(u32, OneStreamBuilder)> = builders.into_iter().collect();
-        pairs.sort_unstable_by_key(|(id, _)| *id);
-        for (id, b) in pairs {
-            ids.push(id);
-            bitmaps.push(b.finish(rows));
-        }
-    }
-    SegmentChunk { ids, bitmaps, rows }
-}
-
-impl EncodedChunk {
-    /// Output rows covered by this chunk.
-    pub fn rows(&self) -> u64 {
-        match self {
-            EncodedChunk::Bitmap(c) => c.rows,
-            EncodedChunk::Rle(s) => s.len(),
-        }
-    }
-
-    /// Extracts the row range `[lo, hi)` of this chunk.
-    fn slice(&self, lo: u64, hi: u64) -> EncodedChunk {
-        match self {
-            EncodedChunk::Bitmap(c) => {
-                let mut ids = Vec::new();
-                let mut bitmaps = Vec::new();
-                for (&id, bm) in c.ids.iter().zip(&c.bitmaps) {
-                    let piece = bm.slice(lo, hi);
-                    if piece.any() {
-                        ids.push(id);
-                        bitmaps.push(piece);
-                    }
-                }
-                EncodedChunk::Bitmap(SegmentChunk {
-                    ids,
-                    bitmaps,
-                    rows: hi - lo,
-                })
-            }
-            EncodedChunk::Rle(s) => EncodedChunk::Rle(s.slice(lo, hi)),
-        }
-    }
-
-    /// Builds a chunk from a stream of value ids, one per output row in
-    /// order, in an explicitly requested encoding.
-    pub fn from_ids<I: IntoIterator<Item = u32>>(
-        encoding: Encoding,
-        ids: I,
-        rows: u64,
-        distinct_hint: usize,
-    ) -> EncodedChunk {
-        match encoding {
-            Encoding::Bitmap => {
-                EncodedChunk::Bitmap(SegmentChunk::from_ids(ids, rows, distinct_hint))
-            }
-            Encoding::Rle => {
-                let mut seq = RleSeq::new();
-                for id in ids {
-                    seq.push(id);
-                }
-                debug_assert_eq!(seq.len(), rows);
-                EncodedChunk::Rle(seq)
-            }
-        }
-    }
-
-    /// Builds a chunk from a value-id stream, letting the per-segment
-    /// chooser pick the encoding from the chunk's own run/row/distinct
-    /// statistics (a pinned uniform source column forces its encoding).
-    /// The ids are accumulated run-level first — run detection is O(1) per
-    /// row — and only converted to bitmaps when the chooser says so.
-    pub fn from_ids_for<I: IntoIterator<Item = u32>>(
-        col: &EncodedColumn,
-        ids: I,
-        rows: u64,
-    ) -> EncodedChunk {
-        let mut seq = RleSeq::new();
-        for id in ids {
-            seq.push(id);
-        }
-        debug_assert_eq!(seq.len(), rows);
-        Self::from_seq_for(col, seq)
-    }
-
-    /// Wraps an operator-emitted run sequence as a chunk in the encoding
-    /// the per-segment chooser picks for it: run-level output lands as RLE,
-    /// dense rewrites convert to a bitmap chunk (O(runs), not O(rows)).
-    pub fn from_seq_for(col: &EncodedColumn, seq: RleSeq) -> EncodedChunk {
-        let rows = seq.len();
-        let mut distinct_ids: Vec<u32> = seq.runs().iter().map(|&(id, _)| id).collect();
-        distinct_ids.sort_unstable();
-        distinct_ids.dedup();
-        match col.chunk_encoding(seq.num_runs() as u64, rows, distinct_ids.len() as u64) {
-            Encoding::Rle => EncodedChunk::Rle(seq),
-            Encoding::Bitmap => {
-                EncodedChunk::Bitmap(seq_to_bitmap_chunk(&seq, rows, col.distinct_count()))
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The unified assembler
-// ---------------------------------------------------------------------
-
-/// Splices a stream of [`EncodedChunk`]s into a unified segment directory.
-/// Chunks may arrive in either encoding; each sealed output segment keeps
-/// the encoding of its pieces — all-RLE pieces seal as an RLE segment,
-/// anything touched by a bitmap piece seals as a bitmap segment (RLE pieces
-/// are transcoded in O(their runs)). Values absent from a piece are
-/// zero-padded lazily, so cost is proportional to the values present.
-pub struct EncodedAssembler {
-    target: u64,
-    /// Explicit piece-size schedule (compaction regrouping); when present,
-    /// each sealed segment consumes the next entry.
-    schedule: Option<std::collections::VecDeque<u64>>,
-    /// The not-yet-sealed pieces of the current output segment.
-    cur: Vec<EncodedChunk>,
-    cur_len: u64,
-    segments: Vec<SegmentEnc>,
-}
-
-impl EncodedAssembler {
-    /// An assembler producing segments of `target` rows (last may be short).
-    pub fn new(target: u64) -> EncodedAssembler {
-        assert!(target > 0, "segment size must be positive");
-        EncodedAssembler {
-            target,
-            schedule: None,
-            cur: Vec::new(),
-            cur_len: 0,
-            segments: Vec::new(),
-        }
-    }
-
-    /// An assembler producing segments of the given explicit sizes, in
-    /// order. The pushed chunks must cover exactly `pieces.iter().sum()`
-    /// rows. Used by compaction to regroup a run of segments.
-    pub fn with_piece_sizes(pieces: Vec<u64>) -> EncodedAssembler {
-        assert!(
-            pieces.iter().all(|&p| p > 0),
-            "piece sizes must be positive"
-        );
-        let mut schedule: std::collections::VecDeque<u64> = pieces.into();
-        let target = schedule.pop_front().unwrap_or(u64::MAX);
-        EncodedAssembler {
-            target,
-            schedule: Some(schedule),
-            cur: Vec::new(),
-            cur_len: 0,
-            segments: Vec::new(),
-        }
-    }
-
-    fn advance_target(&mut self) {
-        if let Some(schedule) = &mut self.schedule {
-            self.target = schedule.pop_front().unwrap_or(u64::MAX);
-        }
-    }
-
-    /// Appends a chunk, splitting it across segment boundaries as needed.
-    pub fn push_chunk(&mut self, chunk: EncodedChunk) {
-        let rows = chunk.rows();
-        if rows == 0 {
-            return;
-        }
-        let mut offset = 0u64;
-        let mut whole = Some(chunk);
-        while offset < rows {
-            let room = self.target - self.cur_len;
-            let take = room.min(rows - offset);
-            let part = if offset == 0 && take == rows {
-                whole.take().expect("whole piece consumed once")
-            } else {
-                whole
-                    .as_ref()
-                    .expect("sliced pieces keep the original")
-                    .slice(offset, offset + take)
-            };
-            self.cur.push(part);
-            self.cur_len += take;
-            offset += take;
-            if self.cur_len == self.target {
-                self.seal();
-            }
-        }
-    }
-
-    fn seal(&mut self) {
-        if self.cur_len == 0 {
-            return;
-        }
-        let len = self.cur_len;
-        let pieces = std::mem::take(&mut self.cur);
-        let seg = if pieces.iter().all(|p| matches!(p, EncodedChunk::Rle(_))) {
-            let mut seq = RleSeq::new();
-            for p in pieces {
-                match p {
-                    EncodedChunk::Rle(s) => seq.append_seq(&s),
-                    EncodedChunk::Bitmap(_) => unreachable!("checked all-RLE"),
-                }
-            }
-            debug_assert_eq!(seq.len(), len);
-            SegmentEnc::Rle(Arc::new(RleSegment::new(seq)))
-        } else if pieces.len() == 1 {
-            // Single bitmap piece exactly filling the segment: move it.
-            match pieces.into_iter().next().expect("one piece") {
-                EncodedChunk::Bitmap(c) => {
-                    let pairs: Vec<(u32, Wah)> = c
-                        .ids
-                        .into_iter()
-                        .zip(c.bitmaps)
-                        .filter(|(_, bm)| bm.any())
-                        .collect();
-                    SegmentEnc::Bitmap(Arc::new(Segment::new(len, pairs)))
-                }
-                EncodedChunk::Rle(_) => unreachable!("single RLE piece took the all-RLE path"),
-            }
-        } else {
-            // Mixed or multi-piece: accumulate per-id bitmaps with lazy
-            // zero padding (the shared [`crate::segment::PaddedBitmaps`]
-            // idiom); RLE pieces contribute their runs directly.
-            let mut acc = crate::segment::PaddedBitmaps::new();
-            let mut offset = 0u64;
-            for p in &pieces {
-                let piece_rows = p.rows();
-                match p {
-                    EncodedChunk::Bitmap(c) => {
-                        for (&id, bm) in c.ids.iter().zip(&c.bitmaps) {
-                            if bm.any() {
-                                acc.append_bitmap(id, bm.view(), offset);
-                            }
-                        }
-                    }
-                    EncodedChunk::Rle(s) => {
-                        for (id, start, run_len) in s.iter_runs() {
-                            acc.append_run(id, offset + start, run_len);
-                        }
-                    }
-                }
-                offset += piece_rows;
-            }
-            SegmentEnc::Bitmap(Arc::new(Segment::new(len, acc.finish(len))))
-        };
-        self.segments.push(seg);
-        self.cur_len = 0;
-        self.advance_target();
-    }
-
-    /// Seals the trailing partial segment and returns the directory.
-    pub fn finish(mut self) -> Vec<SegmentEnc> {
-        self.seal();
-        self.segments
     }
 }
 
@@ -589,72 +365,15 @@ impl EncodedColumn {
         if let Some(&bad) = ids.iter().find(|&&id| id as usize >= dict.len()) {
             panic!("id {bad} out of range for dictionary of {}", dict.len());
         }
-        let mut asm = EncodedAssembler::new(segment_rows);
-        for chunk in ids.chunks(segment_rows as usize) {
-            asm.push_chunk(EncodedChunk::Bitmap(SegmentChunk::from_ids(
-                chunk.iter().copied(),
-                chunk.len() as u64,
-                dict.len(),
-            )));
-        }
-        Self::from_segments(ty, dict, asm.finish(), segment_rows)
-    }
-
-    /// Assembles a column from a dictionary and *full-length* per-value
-    /// bitmaps (one per dictionary id), segmenting them. Validates the
-    /// partition invariant in debug builds. This is the compatibility
-    /// constructor for callers holding the monolithic representation (the
-    /// version-1 on-disk format and O(1) default-fill columns).
-    pub fn from_parts(
-        ty: ValueType,
-        dict: Dictionary,
-        bitmaps: Vec<Wah>,
-        rows: u64,
-    ) -> Result<EncodedColumn, StorageError> {
-        if dict.len() != bitmaps.len() {
-            return Err(StorageError::Corrupt(format!(
-                "dictionary has {} values but {} bitmaps supplied",
-                dict.len(),
-                bitmaps.len()
-            )));
-        }
-        for (id, bm) in bitmaps.iter().enumerate() {
-            if bm.len() != rows {
-                return Err(StorageError::Corrupt(format!(
-                    "bitmap {id} has length {} but column has {rows} rows",
-                    bm.len()
-                )));
-            }
-        }
-        let segment_rows = crate::segment::DEFAULT_SEGMENT_ROWS;
-        let seg_count = rows.div_ceil(segment_rows) as usize;
-        let mut per_segment: Vec<Vec<(u32, Wah)>> = vec![Vec::new(); seg_count];
-        for (id, bm) in bitmaps.iter().enumerate() {
-            if !bm.any() {
-                continue;
-            }
-            for (s, piece) in bm.split_into(segment_rows).into_iter().enumerate() {
-                if piece.any() {
-                    per_segment[s].push((id as u32, piece));
-                }
-            }
-        }
-        let segments: Vec<SegmentEnc> = per_segment
-            .into_iter()
-            .enumerate()
-            .map(|(s, pairs)| {
-                let seg_rows = segment_rows.min(rows - s as u64 * segment_rows);
-                SegmentEnc::Bitmap(Arc::new(Segment::new(seg_rows, pairs)))
+        let mut scratch = SealScratch::default();
+        let segments = ids
+            .chunks(segment_rows as usize)
+            .map(|chunk| {
+                let seq = chunk.iter().copied().collect();
+                SegmentEnc::seal(seq, Encoding::Bitmap, &mut scratch)
             })
             .collect();
-        let col = Self::from_segments(ty, dict, segments, segment_rows);
-        debug_assert_eq!(col.rows, rows);
-        debug_assert!(
-            col.check_invariants().is_ok(),
-            "{:?}",
-            col.check_invariants()
-        );
-        Ok(col)
+        Self::from_segments(ty, dict, segments, segment_rows)
     }
 
     /// Assembles a column from a dictionary and segments assumed
@@ -879,8 +598,8 @@ impl EncodedColumn {
         self.segments[idx].choose_encoding()
     }
 
-    /// The encoding an operator should emit a fresh output chunk in, given
-    /// the chunk's own statistics: a pinned uniform column forces its
+    /// The encoding an operator should seal a fresh output segment in,
+    /// given the segment's own statistics: a pinned uniform column forces its
     /// encoding; otherwise the per-segment chooser decides.
     pub fn chunk_encoding(&self, runs: u64, rows: u64, distinct: u64) -> Encoding {
         if self.pinned {
@@ -914,9 +633,10 @@ impl EncodedColumn {
             return Ok(self.clone());
         }
         let mut out = self.clone();
+        let mut scratch = SealScratch::default();
         for (seg, &pin) in out.segments.iter_mut().zip(&self.seg_pins) {
             if !pin {
-                *seg = seg.recoded(seg.choose_encoding())?;
+                *seg = seg.recoded(seg.choose_encoding(), &mut scratch)?;
             }
         }
         Ok(out)
@@ -930,8 +650,9 @@ impl EncodedColumn {
             return Ok(self.clone());
         }
         let mut out = self.clone();
+        let mut scratch = SealScratch::default();
         for seg in out.segments.iter_mut() {
-            *seg = seg.recoded(encoding)?;
+            *seg = seg.recoded(encoding, &mut scratch)?;
         }
         Ok(out)
     }
@@ -954,8 +675,9 @@ impl EncodedColumn {
             )));
         }
         let mut out = self.clone();
+        let mut scratch = SealScratch::default();
         for idx in range {
-            out.segments[idx] = out.segments[idx].recoded(encoding)?;
+            out.segments[idx] = out.segments[idx].recoded(encoding, &mut scratch)?;
             out.seg_pins[idx] = true;
             // An explicitly recoded segment is also pinned in the buffer
             // cache: the user singled it out, so it stays resident.
@@ -977,9 +699,11 @@ impl EncodedColumn {
             )));
         }
         let mut out = self.clone();
+        let mut scratch = SealScratch::default();
         for idx in range {
             out.seg_pins[idx] = false;
-            out.segments[idx] = out.segments[idx].recoded(out.segments[idx].choose_encoding())?;
+            let encoding = out.segments[idx].choose_encoding();
+            out.segments[idx] = out.segments[idx].recoded(encoding, &mut scratch)?;
             out.segments[idx].set_pinned(false);
         }
         Ok(out)
@@ -1005,14 +729,17 @@ impl EncodedColumn {
     /// Materializes the dense row → value-id array in one pass over the
     /// compressed payloads (O(rows + compressed words)). The
     /// sequential-scan primitive of the CODS algorithms: it never touches
-    /// dictionary values, only ids.
-    ///
-    /// Panics when a paged-out segment cannot be faulted back in; the
-    /// served read paths use [`EncodedColumn::try_ids_in`] instead.
-    pub fn value_ids(&self) -> Vec<u32> {
+    /// dictionary values, only ids. A segment that cannot be faulted in or
+    /// whose bitmaps leave a row uncovered is a typed error.
+    pub fn try_value_ids(&self) -> Result<Vec<u32>, StorageError> {
         let whole = [(0, self.rows)];
-        let sel = if self.rows == 0 { &[][..] } else { &whole[..] };
-        self.try_ids_in(sel)
+        self.try_ids_in(if self.rows == 0 { &[] } else { &whole })
+    }
+
+    /// [`EncodedColumn::try_value_ids`] for display and tests: panics where
+    /// it errs.
+    pub fn value_ids(&self) -> Vec<u32> {
+        self.try_value_ids()
             .unwrap_or_else(|e| panic!("segment fault failed: {e}"))
     }
 
@@ -1094,53 +821,13 @@ impl EncodedColumn {
     }
 
     /// Reads the selected rows into `sink`, one fault per overlapping
-    /// segment. A bitmap segment decodes once — straight into the sink
-    /// when it is wholly selected and the sink keeps ids, else into one
-    /// segment-sized scratch buffer the selected pieces are copied from.
-    /// An RLE segment's runs are merged against the intervals, in
-    /// O(runs + intervals).
+    /// segment ([`SegmentEnc::read_in`]).
     fn read_in(&self, sel: &[(u64, u64)], sink: &mut impl SelSink) -> Result<(), StorageError> {
         let mut scratch: Vec<u32> = Vec::new();
         for (seg, piece) in self.split_by_segment(sel) {
-            let start = self.starts[seg];
-            match self.segments[seg].try_enc()? {
-                SegmentEnc::Bitmap(s) => {
-                    let rows = s.rows() as usize;
-                    if piece == [(start, start + rows as u64)] {
-                        if let Some(dst) = sink.whole_segment(rows) {
-                            s.fill_covering(dst)?;
-                            continue;
-                        }
-                    }
-                    scratch.clear();
-                    scratch.resize(rows, u32::MAX);
-                    s.fill_covering(&mut scratch)?;
-                    for (a, b) in piece {
-                        sink.ids(&scratch[(a - start) as usize..(b - start) as usize]);
-                    }
-                }
-                SegmentEnc::Rle(s) => {
-                    let mut ivs = piece.into_iter().peekable();
-                    let mut pos = start;
-                    for &(id, n) in s.seq().runs() {
-                        let end = pos + n;
-                        while let Some(&(a, b)) = ivs.peek() {
-                            if a >= end {
-                                break;
-                            }
-                            sink.run(id, b.min(end) - a.max(pos));
-                            if b > end {
-                                break;
-                            }
-                            ivs.next();
-                        }
-                        if ivs.peek().is_none() {
-                            break;
-                        }
-                        pos = end;
-                    }
-                }
-            }
+            self.segments[seg]
+                .try_enc()?
+                .read_in(self.starts[seg], &piece, sink, &mut scratch)?;
         }
         Ok(())
     }
@@ -1186,183 +873,175 @@ impl EncodedColumn {
         self.segments.iter().map(|s| s.count_for(id)).sum()
     }
 
-    /// Splits a non-decreasing global position list into per-segment spans:
-    /// `(segment index, range into positions)`. Shared by the serial filter
-    /// path and the segment-parallel executors in `cods` core.
-    pub fn position_spans(&self, positions: &[u64]) -> Vec<(usize, Range<usize>)> {
-        crate::segment::position_spans(&self.segment_sizes(), positions)
+    // ---- the writers ----
+    //
+    // A write produces one output segment per call, so operators fan out
+    // one task per (column × output segment): the rows of one segment,
+    // read as runs through the selection walker or pushed by a stream,
+    // sealed by `SegmentEnc::seal`. Output is cut at the nominal segment
+    // size, and `derived` turns a column's segments into the column.
+
+    /// The encoding a selection-driven write seals in by default: RLE when
+    /// every segment the selection draws rows from is RLE, else bitmap.
+    /// Reads metadata only.
+    fn drawn_encoding(&self, sel: &[(u64, u64)]) -> Encoding {
+        let all_rle = self
+            .split_by_segment(sel)
+            .iter()
+            .all(|(seg, _)| self.segments[*seg].encoding() == Encoding::Rle);
+        if all_rle {
+            Encoding::Rle
+        } else {
+            Encoding::Bitmap
+        }
     }
 
-    /// Splits a whole-column selection mask along this column's segment
-    /// boundaries (one pass over the mask's compressed runs).
-    pub fn split_mask(&self, mask: &Wah) -> Vec<Wah> {
+    /// Writes the selected rows as one segment: their runs, read through
+    /// the selection walker, sealed in `encoding` — by default RLE when
+    /// every segment they come from is RLE, else bitmap. The write side of
+    /// bitmap filtering, slicing, compaction and recoding. A segment that
+    /// cannot be faulted in or whose bitmaps leave a row uncovered is a
+    /// typed error; panics as [`EncodedColumn::split_by_segment`].
+    pub fn try_write(
+        &self,
+        sel: &[(u64, u64)],
+        encoding: Option<Encoding>,
+        scratch: &mut SealScratch,
+    ) -> Result<SegmentEnc, StorageError> {
+        let mut seq = RleSeq::new();
+        self.read_in(sel, &mut seq)?;
+        let encoding = encoding.unwrap_or_else(|| self.drawn_encoding(sel));
+        Ok(SegmentEnc::seal(seq, encoding, scratch))
+    }
+
+    /// [`EncodedColumn::try_write`] over the rows a non-decreasing position
+    /// list names, in the default encoding: the positions are deduped into
+    /// a selection, and a repeated position repeats its row.
+    ///
+    /// # Panics
+    /// Panics when the positions decrease, and as
+    /// [`EncodedColumn::split_by_segment`].
+    pub fn try_write_positions(
+        &self,
+        positions: &[u64],
+        scratch: &mut SealScratch,
+    ) -> Result<SegmentEnc, StorageError> {
+        let mut sel: Vec<(u64, u64)> = Vec::new();
+        for &p in positions {
+            match sel.last_mut() {
+                Some((_, end)) if *end == p => *end += 1,
+                Some((_, end)) if *end > p => {
+                    assert_eq!(*end, p + 1, "positions must be non-decreasing");
+                }
+                _ => sel.push((p, p + 1)),
+            }
+        }
+        let distinct: u64 = sel.iter().map(|&(a, b)| b - a).sum();
+        if distinct == positions.len() as u64 {
+            return self.try_write(&sel, None, scratch);
+        }
+        let ids = self.try_ids_in(&sel)?;
+        let mut seq = RleSeq::new();
+        let mut k = 0;
+        for (i, &p) in positions.iter().enumerate() {
+            if i > 0 && p != positions[i - 1] {
+                k += 1;
+            }
+            seq.push(ids[k]);
+        }
+        Ok(SegmentEnc::seal(seq, self.drawn_encoding(&sel), scratch))
+    }
+
+    /// Seals one output segment an operator computed as a stream of ids or
+    /// runs, in the encoding [`EncodedColumn::chunk_encoding`] picks for
+    /// the segment's own statistics.
+    pub fn seal_stream(&self, seq: RleSeq, scratch: &mut SealScratch) -> SegmentEnc {
+        let distinct = scratch.distinct(&seq);
+        let encoding = self.chunk_encoding(seq.num_runs() as u64, seq.len(), distinct);
+        SegmentEnc::seal(seq, encoding, scratch)
+    }
+
+    /// Cuts a selection mask into the selections of the output segments a
+    /// filter by it writes: its set rows in order, the nominal segment size
+    /// at a time. One pass over the mask's compressed intervals.
+    pub fn cut_mask(&self, mask: &Wah) -> Vec<Vec<(u64, u64)>> {
         assert_eq!(mask.len(), self.rows, "mask length mismatch");
-        mask.split_sizes(&self.segment_sizes())
-    }
-
-    // ---- per-segment filtering ----
-
-    /// The paper's *bitmap filtering* restricted to one segment: shrink
-    /// segment `seg_idx` to the rows listed in `positions` (global,
-    /// non-decreasing, all within the segment), producing an unaligned
-    /// chunk in **that segment's** encoding — the per-(column × segment)
-    /// task body of the parallel operators.
-    pub fn filter_segment_chunk(&self, seg_idx: usize, positions: &[u64]) -> EncodedChunk {
-        let start = self.starts[seg_idx];
-        match self.segments[seg_idx].enc() {
-            SegmentEnc::Bitmap(seg) => {
-                if positions.is_empty() {
-                    return EncodedChunk::Bitmap(SegmentChunk::empty());
+        let mut out = Vec::new();
+        let mut cur = Vec::new();
+        let mut room = self.segment_rows;
+        for (mut start, mut len) in mask.iter_intervals() {
+            while len > 0 {
+                let take = len.min(room);
+                cur.push((start, start + take));
+                start += take;
+                len -= take;
+                room -= take;
+                if room == 0 {
+                    out.push(std::mem::take(&mut cur));
+                    room = self.segment_rows;
                 }
-                let local: Vec<u64> = positions.iter().map(|&p| p - start).collect();
-                let m = local.len() as u64;
-                let v = seg.distinct_count() as u64;
-                let mut ids = Vec::new();
-                let mut bitmaps = Vec::new();
-                if v * m <= 8 * seg.rows().max(1) {
-                    // Few present values: filter each compressed bitmap.
-                    for (id, bm) in seg.iter() {
-                        let f = bm.filter_positions(&local);
-                        if f.any() {
-                            ids.push(id);
-                            bitmaps.push(f);
-                        }
-                    }
-                } else {
-                    // Many: one id-gather pass over the segment.
-                    let mut local_ids = vec![u32::MAX; seg.rows() as usize];
-                    seg.fill_local_slots(&mut local_ids);
-                    let mut builders: Vec<OneStreamBuilder> =
-                        vec![OneStreamBuilder::new(); seg.distinct_count()];
-                    for (out_row, &p) in local.iter().enumerate() {
-                        builders[local_ids[p as usize] as usize].push_one(out_row as u64);
-                    }
-                    for (&id, b) in seg.present_ids().iter().zip(builders) {
-                        if b.ones() > 0 {
-                            ids.push(id);
-                            bitmaps.push(b.finish(m));
-                        }
-                    }
-                }
-                EncodedChunk::Bitmap(SegmentChunk {
-                    ids,
-                    bitmaps,
-                    rows: m,
-                })
-            }
-            SegmentEnc::Rle(seg) => {
-                let local: Vec<u64> = positions.iter().map(|&p| p - start).collect();
-                EncodedChunk::Rle(seg.seq().filter_positions(&local))
             }
         }
-    }
-
-    /// Mask-driven variant of [`EncodedColumn::filter_segment_chunk`]:
-    /// shrink segment `seg_idx` to the set rows of `mask_seg`
-    /// (segment-local), staying on the compressed form where the encoding
-    /// allows.
-    pub fn filter_segment_mask_chunk(&self, seg_idx: usize, mask_seg: &Wah) -> EncodedChunk {
-        match self.segments[seg_idx].enc() {
-            SegmentEnc::Bitmap(seg) => {
-                assert_eq!(mask_seg.len(), seg.rows(), "segment mask length mismatch");
-                let m = mask_seg.count_ones();
-                if m == 0 {
-                    return EncodedChunk::Bitmap(SegmentChunk::empty());
-                }
-                let v = seg.distinct_count() as u64;
-                if v * m <= 8 * seg.rows().max(1) {
-                    let mut ids = Vec::new();
-                    let mut bitmaps = Vec::new();
-                    for (id, bm) in seg.iter() {
-                        let f = bm.filter_bitmap(mask_seg.view());
-                        if f.any() {
-                            ids.push(id);
-                            bitmaps.push(f);
-                        }
-                    }
-                    EncodedChunk::Bitmap(SegmentChunk {
-                        ids,
-                        bitmaps,
-                        rows: m,
-                    })
-                } else {
-                    let start = self.starts[seg_idx];
-                    let positions: Vec<u64> = mask_seg.iter_ones().map(|p| p + start).collect();
-                    self.filter_segment_chunk(seg_idx, &positions)
-                }
-            }
-            SegmentEnc::Rle(seg) => {
-                assert_eq!(mask_seg.len(), seg.rows(), "segment mask length mismatch");
-                // Run-level merge: each maximal selected interval of the
-                // mask extracts the matching run slice — O(mask intervals +
-                // selected runs), no per-row position materialization.
-                let mut out = RleSeq::new();
-                for (start, len) in mask_seg.iter_intervals() {
-                    out.append_seq(&seg.seq().slice(start, start + len));
-                }
-                EncodedChunk::Rle(out)
-            }
+        if !cur.is_empty() {
+            out.push(cur);
         }
+        out
     }
 
-    /// An assembler for this column's chunks, targeting its nominal segment
-    /// size.
-    pub fn assembler(&self) -> EncodedAssembler {
-        EncodedAssembler::new(self.nominal_segment_rows())
-    }
-
-    /// Finalizes an assembler's directory into a column sharing this
-    /// column's type, dictionary (compacted to the surviving values; the
-    /// same handle when every value survives), nominal segment size, and
-    /// column-level pin.
-    pub fn from_assembler_compacting(&self, asm: EncodedAssembler) -> EncodedColumn {
-        Self::from_segments_compacting(self.ty, self.dict.clone(), asm.finish(), self.segment_rows)
+    /// The column freshly written `segments` make, in order: this column's
+    /// type, nominal segment size and column pin, and its dictionary
+    /// compacted to the values the segments hold (the same handle when
+    /// every value survives).
+    pub fn derived(&self, segments: Vec<SegmentEnc>) -> EncodedColumn {
+        Self::from_segments_compacting(self.ty, self.dict.clone(), segments, self.segment_rows)
             .with_meta_of(self)
     }
 
     /// The paper's *bitmap filtering*: shrink the column to the rows listed
-    /// in `positions` (non-decreasing). Values that vanish are dropped and
-    /// the dictionary compacted. Each segment's piece stays in that
-    /// segment's encoding. Serial; the evolution operators in `cods` core
-    /// run the same per-segment chunks in parallel.
-    pub fn filter_positions(&self, positions: &[u64]) -> EncodedColumn {
-        let mut asm = self.assembler();
-        for (seg_idx, range) in self.position_spans(positions) {
-            asm.push_chunk(self.filter_segment_chunk(seg_idx, &positions[range]));
-        }
-        self.from_assembler_compacting(asm)
+    /// in `positions` (non-decreasing; a repeated position repeats its
+    /// row). Values that vanish are dropped and the dictionary compacted.
+    /// Serial; the evolution operators in `cods` core write the same
+    /// segments in parallel.
+    pub fn filter_positions(&self, positions: &[u64]) -> Result<EncodedColumn, StorageError> {
+        let mut scratch = SealScratch::default();
+        let segments = positions
+            .chunks(self.segment_rows as usize)
+            .map(|p| self.try_write_positions(p, &mut scratch))
+            .collect::<Result<_, _>>()?;
+        Ok(self.derived(segments))
+    }
+
+    /// Bitmap filtering driven by a selection mask.
+    pub fn filter_bitmap(&self, mask: &Wah) -> Result<EncodedColumn, StorageError> {
+        let mut scratch = SealScratch::default();
+        let segments = self
+            .cut_mask(mask)
+            .iter()
+            .map(|sel| self.try_write(sel, None, &mut scratch))
+            .collect::<Result<_, _>>()?;
+        Ok(self.derived(segments))
     }
 
     /// Gather by an arbitrary (not necessarily sorted) row selection:
     /// output row `j` carries the value of input row `positions[j]`. Used
-    /// by clustering/sorting. Chunks are emitted in the column's uniform
-    /// encoding when it has one; a mixed column's chunks go through the
-    /// per-segment chooser (structure is rebuilt anyway).
-    pub fn gather(&self, positions: &[u64]) -> EncodedColumn {
-        let ids = self.value_ids();
+    /// by clustering/sorting. Segments are sealed in the column's uniform
+    /// encoding when it has one; a mixed column's go through the chooser
+    /// (structure is rebuilt anyway).
+    pub fn gather(&self, positions: &[u64]) -> Result<EncodedColumn, StorageError> {
+        let ids = self.try_value_ids()?;
         let uniform = self.uniform_encoding();
-        let mut asm = self.assembler();
-        for chunk in positions.chunks(self.segment_rows.max(1) as usize) {
-            let it = chunk.iter().map(|&p| ids[p as usize]);
-            let rows = chunk.len() as u64;
-            asm.push_chunk(match uniform {
-                Some(enc) => EncodedChunk::from_ids(enc, it, rows, self.dict.len()),
-                None => EncodedChunk::from_ids_for(self, it, rows),
-            });
-        }
-        self.from_assembler_compacting(asm)
-    }
-
-    /// Bitmap filtering driven by a selection mask.
-    pub fn filter_bitmap(&self, mask: &Wah) -> EncodedColumn {
-        let masks = self.split_mask(mask);
-        let mut asm = self.assembler();
-        for (seg_idx, mask_seg) in masks.iter().enumerate() {
-            if mask_seg.any() {
-                asm.push_chunk(self.filter_segment_mask_chunk(seg_idx, mask_seg));
-            }
-        }
-        self.from_assembler_compacting(asm)
+        let mut scratch = SealScratch::default();
+        let segments = positions
+            .chunks(self.segment_rows as usize)
+            .map(|chunk| {
+                let seq: RleSeq = chunk.iter().map(|&p| ids[p as usize]).collect();
+                match uniform {
+                    Some(e) => SegmentEnc::seal(seq, e, &mut scratch),
+                    None => self.seal_stream(seq, &mut scratch),
+                }
+            })
+            .collect();
+        Ok(self.derived(segments))
     }
 
     // ---- concat / slice / compaction ----
@@ -1414,46 +1093,30 @@ impl EncodedColumn {
 
     /// Extracts the row range `[start, end)`. Fully covered segments are
     /// shared by reference (keeping their encoding, zone, and pin) when no
-    /// dictionary compaction is needed; partial segments rebuild in their
-    /// own encoding.
-    pub fn slice(&self, start: u64, end: u64) -> EncodedColumn {
+    /// dictionary compaction is needed; partial segments are rewritten in
+    /// their own encoding. A partial segment that cannot be read is a typed
+    /// error.
+    pub fn slice(&self, start: u64, end: u64) -> Result<EncodedColumn, StorageError> {
         assert!(start <= end && end <= self.rows, "slice out of range");
         let mut parts: Vec<SegSlot> = Vec::new();
         let mut zones: Vec<Zone> = Vec::new();
         let mut seg_pins: Vec<bool> = Vec::new();
         let mut present = vec![false; self.dict.len()];
         let ranks = self.dict.value_order().ranks();
+        let mut scratch = SealScratch::default();
         for (i, (seg, &seg_start)) in self.segments.iter().zip(&self.starts).enumerate() {
             let seg_end = seg_start + seg.rows();
-            if seg_end <= start || seg_start >= end {
+            let (lo, hi) = (start.max(seg_start), end.min(seg_end));
+            if lo >= hi {
                 continue;
             }
-            let lo = start.max(seg_start) - seg_start;
-            let hi = end.min(seg_end) - seg_start;
-            if lo == hi {
-                continue;
-            }
-            let part = if lo == 0 && hi == seg.rows() {
+            let part = if (lo, hi) == (seg_start, seg_end) {
                 // Fully covered: the slot (with its encoding, zone, pin, and
                 // residency state) carries over untouched — no fault.
                 zones.push(self.zones[i]);
                 seg.clone()
             } else {
-                let rebuilt = match seg.enc() {
-                    SegmentEnc::Bitmap(s) => {
-                        let mut pairs = Vec::new();
-                        for (id, bm) in s.iter() {
-                            let piece = bm.slice(lo, hi);
-                            if piece.any() {
-                                pairs.push((id, piece));
-                            }
-                        }
-                        SegmentEnc::Bitmap(Arc::new(Segment::new(hi - lo, pairs)))
-                    }
-                    SegmentEnc::Rle(s) => {
-                        SegmentEnc::Rle(Arc::new(RleSegment::new(s.seq().slice(lo, hi))))
-                    }
-                };
+                let rebuilt = self.try_write(&[(lo, hi)], None, &mut scratch)?;
                 // Partial coverage may narrow the value range: re-derive
                 // from the surviving present-id stats.
                 zones.push(Zone::of_ids(rebuilt.present_ids(), ranks));
@@ -1474,7 +1137,7 @@ impl EncodedColumn {
             (segments, dict, zones)
         };
         let (starts, rows) = starts_of(&segments);
-        EncodedColumn {
+        Ok(EncodedColumn {
             ty: self.ty,
             dict,
             segments,
@@ -1484,7 +1147,7 @@ impl EncodedColumn {
             segment_rows: self.segment_rows,
             rows,
             pinned: self.pinned,
-        }
+        })
     }
 
     /// Returns `true` when the directory is fragmented enough to benefit
@@ -1500,13 +1163,13 @@ impl EncodedColumn {
     /// whole column is smaller). Segments already within bounds are reused
     /// by reference with their encoding, zone, and pin.
     ///
-    /// Merge groups splice payload and stats from the sources instead of
-    /// recounting. A group whose segments share one encoding splices
-    /// natively ([`Segment::splice`] / [`RleSegment::splice`]); a **mixed**
-    /// group transcodes its minority parts to the encoding the chooser
-    /// picks for the group's combined run/row/distinct stats, then splices.
-    /// Only genuine splits re-derive stats through the assembler. A segment
-    /// that cannot be faulted in or transcoded is an error.
+    /// Every group covers a contiguous row range, written piece by piece
+    /// through [`EncodedColumn::try_write`]. A merge group keeps its
+    /// segments' encoding when they share one; a **mixed** group takes a
+    /// pinned part's encoding, else the one the chooser picks for the
+    /// group's combined run/row/distinct stats ([`group_encoding`]). A
+    /// split group's pieces take the default rule. A segment that cannot
+    /// be faulted in or read is an error.
     pub fn compacted(&self) -> Result<EncodedColumn, StorageError> {
         let sizes = self.segment_sizes();
         let Some(plan) = crate::segment::compaction_plan(&sizes, self.segment_rows) else {
@@ -1516,6 +1179,7 @@ impl EncodedColumn {
         let mut segments: Vec<SegSlot> = Vec::with_capacity(plan.len());
         let mut zones: Vec<Zone> = Vec::with_capacity(plan.len());
         let mut seg_pins: Vec<bool> = Vec::with_capacity(plan.len());
+        let mut scratch = SealScratch::default();
         for group in plan {
             if group.is_untouched(&sizes) {
                 segments.push(self.segments[group.segs.start].clone());
@@ -1524,46 +1188,19 @@ impl EncodedColumn {
                 continue;
             }
             // A pin anywhere in the group pins its output: compaction must
-            // not hand a user-pinned range back to the chooser. When the
-            // group mixes encodings, the pinned encoding wins — the first
-            // *pinned* part's, so an unpinned neighbor merged in cannot
-            // flip data a user recoded explicitly.
-            let group_pin = self.seg_pins[group.segs.clone()].iter().any(|&p| p);
-            let pinned_target = self.segments[group.segs.clone()]
-                .iter()
-                .zip(&self.seg_pins[group.segs.clone()])
-                .find(|(_, &pin)| pin)
-                .map(|(seg, _)| seg.encoding())
-                .or_else(|| {
-                    self.pinned
-                        .then(|| self.segments[group.segs.start].encoding())
-                });
-            if group.pieces.len() == 1 {
-                let parts = &self.segments[group.segs.clone()];
-                segments.push(splice_group(parts, pinned_target)?);
-                zones.push(
-                    self.zones[group.segs]
-                        .iter()
-                        .copied()
-                        .reduce(|a, b| a.merge(b, ranks))
-                        .expect("compaction group is non-empty"),
-                );
+            // not hand a user-pinned range back to the chooser.
+            let pins = &self.seg_pins[group.segs.clone()];
+            let group_pin = pins.iter().any(|&p| p);
+            let encoding = (group.pieces.len() == 1)
+                .then(|| group_encoding(&self.segments[group.segs.clone()], pins, self.pinned));
+            let mut lo = self.starts[group.segs.start];
+            for piece in group.pieces {
+                let seg = self.try_write(&[(lo, lo + piece)], encoding, &mut scratch)?;
+                lo += piece;
+                zones.push(Zone::of_ids(seg.present_ids(), ranks));
                 seg_pins.push(group_pin);
-                continue;
+                segments.push(SegSlot::fresh(seg));
             }
-            let piece_count = group.pieces.len();
-            let mut asm = EncodedAssembler::with_piece_sizes(group.pieces);
-            for seg in &self.segments[group.segs] {
-                asm.push_chunk(match seg.try_enc()? {
-                    SegmentEnc::Bitmap(s) => EncodedChunk::Bitmap(s.to_chunk()),
-                    SegmentEnc::Rle(s) => EncodedChunk::Rle(s.seq().clone()),
-                });
-            }
-            let pieces = asm.finish();
-            debug_assert_eq!(pieces.len(), piece_count);
-            zones.extend(pieces.iter().map(|s| Zone::of_ids(s.present_ids(), ranks)));
-            seg_pins.extend(std::iter::repeat_n(group_pin, pieces.len()));
-            segments.extend(pieces.into_iter().map(SegSlot::fresh));
         }
         let (starts, rows) = starts_of(&segments);
         Ok(EncodedColumn {
@@ -1721,7 +1358,8 @@ impl EncodedColumn {
 }
 
 /// What a selection read collects: the selected rows' ids, concatenated
-/// (`Vec<u32>`), or their maximal runs (`Vec<(u32, u64)>`).
+/// (`Vec<u32>`), or their maximal runs (`Vec<(u32, u64)>`, or the
+/// [`RleSeq`] a write seals).
 trait SelSink {
     /// Takes `n` consecutive selected rows of value `id`.
     fn run(&mut self, id: u32, n: u64);
@@ -1763,81 +1401,63 @@ impl SelSink for Vec<(u32, u64)> {
     }
 }
 
-/// Splices a compaction merge group into one segment. A uniform group
-/// splices natively, combining cached stats; a mixed group transcodes each
-/// part to the encoding the chooser picks for the combined statistics —
-/// unless the range carries a pin, in which case `pinned_target` (the
-/// first pinned part's encoding) wins: the chooser must not reshape data
-/// a user recoded explicitly.
-fn splice_group(
-    parts: &[SegSlot],
-    pinned_target: Option<Encoding>,
-) -> Result<SegSlot, StorageError> {
-    debug_assert!(!parts.is_empty());
-    let uniform = parts
-        .iter()
-        .all(|s| s.encoding() == parts[0].encoding())
-        .then(|| parts[0].encoding());
-    let target = match (uniform, pinned_target) {
-        (Some(e), _) => e,
-        (None, Some(e)) => e,
-        (None, None) => {
-            // The pick comes from resident metadata alone; only the splice
-            // itself below faults the group's payloads in.
-            let runs: u64 = parts.iter().map(|s| s.run_count()).sum();
-            let rows: u64 = parts.iter().map(|s| s.rows()).sum();
-            let mut distinct: Vec<u32> = parts
-                .iter()
-                .flat_map(|s| s.present_ids().iter().copied())
-                .collect();
-            distinct.sort_unstable();
-            distinct.dedup();
-            choose_encoding_from_stats(runs, rows, distinct.len() as u64, 1)
+impl SelSink for RleSeq {
+    fn run(&mut self, id: u32, n: u64) {
+        self.append_run(id, n);
+    }
+    fn ids(&mut self, ids: &[u32]) {
+        for &id in ids {
+            self.push(id);
         }
-    };
-    let seg = match target {
-        Encoding::Bitmap => {
-            let converted: Vec<Arc<Segment>> = parts
-                .iter()
-                .map(|s| match s.enc() {
-                    SegmentEnc::Bitmap(b) => b,
-                    SegmentEnc::Rle(r) => Arc::new(r.to_bitmap_segment()),
-                })
-                .collect();
-            let refs: Vec<&Segment> = converted.iter().map(|s| s.as_ref()).collect();
-            SegmentEnc::Bitmap(Arc::new(Segment::splice(&refs)))
-        }
-        Encoding::Rle => {
-            let converted = parts
-                .iter()
-                .map(|s| match s.try_enc()? {
-                    SegmentEnc::Rle(r) => Ok(r),
-                    SegmentEnc::Bitmap(b) => RleSegment::from_bitmap_segment(&b).map(Arc::new),
-                })
-                .collect::<Result<Vec<Arc<RleSegment>>, StorageError>>()?;
-            let refs: Vec<&RleSegment> = converted.iter().map(|s| s.as_ref()).collect();
-            SegmentEnc::Rle(Arc::new(RleSegment::splice(&refs)))
-        }
-    };
-    Ok(SegSlot::fresh(seg))
+    }
+    fn whole_segment(&mut self, _: usize) -> Option<&mut [u32]> {
+        None
+    }
 }
 
-/// Incremental column builder: interns values and grows one
-/// [`OneStreamBuilder`] per distinct value of the *current segment*,
-/// sealing a bitmap segment every `segment_rows` rows (the ingest path;
-/// the chooser re-encodes later where the stats say so).
+/// The encoding a compaction merge group is written in, from resident
+/// metadata alone: its parts' encoding when they share one. A mixed group
+/// takes the first *pinned* part's encoding — or, in a column-pinned
+/// column, its first part's — so an unpinned neighbor merged in cannot
+/// flip data a user recoded explicitly; else the one the chooser picks for
+/// the group's combined run/row/distinct stats.
+fn group_encoding(parts: &[SegSlot], pins: &[bool], column_pinned: bool) -> Encoding {
+    debug_assert!(!parts.is_empty());
+    if parts.iter().all(|s| s.encoding() == parts[0].encoding()) {
+        return parts[0].encoding();
+    }
+    let pinned = parts.iter().zip(pins).find(|(_, &pin)| pin);
+    if let Some((seg, _)) = pinned {
+        return seg.encoding();
+    }
+    if column_pinned {
+        return parts[0].encoding();
+    }
+    let runs: u64 = parts.iter().map(|s| s.run_count()).sum();
+    let rows: u64 = parts.iter().map(|s| s.rows()).sum();
+    let mut distinct: Vec<u32> = parts
+        .iter()
+        .flat_map(|s| s.present_ids().iter().copied())
+        .collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    choose_encoding_from_stats(runs, rows, distinct.len() as u64, 1)
+}
+
+/// Incremental column builder: interns values and pushes their ids into
+/// the current segment's runs, sealing a bitmap segment every
+/// `segment_rows` rows (the ingest path; the chooser re-encodes later
+/// where the stats say so).
 #[derive(Debug)]
 pub struct ColumnBuilder {
     ty: ValueType,
     dict: Dictionary,
     segment_rows: u64,
-    /// Per-global-id builders for the current segment (sparse via `active`).
-    builders: Vec<OneStreamBuilder>,
-    /// Ids with at least one row in the current segment.
-    active: Vec<u32>,
-    cur_rows: u64,
+    /// The current segment's runs.
+    cur: RleSeq,
     segments: Vec<SegmentEnc>,
     rows: u64,
+    scratch: SealScratch,
 }
 
 impl ColumnBuilder {
@@ -1854,54 +1474,49 @@ impl ColumnBuilder {
             ty,
             dict: Dictionary::new(),
             segment_rows,
-            builders: Vec::new(),
-            active: Vec::new(),
-            cur_rows: 0,
+            cur: RleSeq::new(),
             segments: Vec::new(),
             rows: 0,
+            scratch: SealScratch::default(),
         }
     }
 
     /// Appends one value as the next row.
     pub fn push(&mut self, v: Value) -> Result<(), StorageError> {
+        self.push_run(v, 1)
+    }
+
+    /// Appends `count` rows of one value — one run per segment they span,
+    /// whatever `count` is.
+    pub fn push_run(&mut self, v: Value, mut count: u64) -> Result<(), StorageError> {
         if !v.conforms_to(self.ty) {
             return Err(StorageError::RowMismatch(format!(
                 "value {v} does not conform to column type {}",
                 self.ty
             )));
         }
-        let id = self.dict.intern(v) as usize;
-        if id >= self.builders.len() {
-            self.builders.resize_with(id + 1, OneStreamBuilder::new);
+        if count == 0 {
+            return Ok(());
         }
-        if self.builders[id].ones() == 0 {
-            self.active.push(id as u32);
-        }
-        self.builders[id].push_one(self.cur_rows);
-        self.cur_rows += 1;
-        self.rows += 1;
-        if self.cur_rows == self.segment_rows {
-            self.seal_segment();
+        let id = self.dict.intern(v);
+        self.rows += count;
+        while count > 0 {
+            let take = count.min(self.segment_rows - self.cur.len());
+            self.cur.append_run(id, take);
+            count -= take;
+            if self.cur.len() == self.segment_rows {
+                self.seal_segment();
+            }
         }
         Ok(())
     }
 
     fn seal_segment(&mut self) {
-        if self.cur_rows == 0 {
-            return;
+        if !self.cur.is_empty() {
+            let seq = std::mem::take(&mut self.cur);
+            self.segments
+                .push(SegmentEnc::seal(seq, Encoding::Bitmap, &mut self.scratch));
         }
-        let rows = self.cur_rows;
-        let pairs: Vec<(u32, Wah)> = self
-            .active
-            .drain(..)
-            .map(|id| {
-                let b = std::mem::replace(&mut self.builders[id as usize], OneStreamBuilder::new());
-                (id, b.finish(rows))
-            })
-            .collect();
-        self.segments
-            .push(SegmentEnc::Bitmap(Arc::new(Segment::new(rows, pairs))));
-        self.cur_rows = 0;
     }
 
     /// Rows appended so far.
@@ -2082,7 +1697,7 @@ mod tests {
     fn filter_positions_drops_vanished_values() {
         let vals: Vec<Value> = ["a", "b", "c", "d", "a"].iter().map(Value::str).collect();
         let c = EncodedColumn::from_values(ValueType::Str, &vals).unwrap();
-        let f = c.filter_positions(&[0, 3, 4]);
+        let f = c.filter_positions(&[0, 3, 4]).unwrap();
         f.check_invariants().unwrap();
         assert_eq!(f.rows(), 3);
         assert_eq!(f.distinct_count(), 2);
@@ -2103,14 +1718,28 @@ mod tests {
     }
 
     #[test]
-    fn from_ids_and_from_parts() {
+    fn from_ids_matches_from_values() {
         let vals = vals(40);
         let by_values = EncodedColumn::from_values(ValueType::Int, &vals).unwrap();
         let ids = by_values.value_ids();
         let by_ids = EncodedColumn::from_ids(ValueType::Int, by_values.dict().clone(), &ids);
         assert_eq!(by_ids, by_values);
-        let dict = Dictionary::from_values(vec![Value::int(1)]).unwrap();
-        assert!(EncodedColumn::from_parts(ValueType::Int, dict, vec![], 0).is_err());
+    }
+
+    #[test]
+    fn push_run_writes_one_run_per_segment() {
+        let mut b = ColumnBuilder::with_segment_rows(ValueType::Int, 100);
+        b.push_run(Value::int(7), 0).unwrap();
+        b.push(Value::int(1)).unwrap();
+        b.push_run(Value::int(7), 250).unwrap();
+        let c = b.finish();
+        c.check_invariants().unwrap();
+        assert_eq!(c.distinct_count(), 2, "a zero-row run interns nothing");
+        assert_eq!(c.segment_sizes(), vec![100, 100, 51]);
+        assert_eq!(c.run_count(), 4);
+        let mut expect = vec![Value::int(1)];
+        expect.extend(std::iter::repeat_n(Value::int(7), 250));
+        assert_eq!(c.values(), expect);
     }
 
     #[test]
@@ -2140,7 +1769,7 @@ mod tests {
     fn slice_shares_interior_segments() {
         let vals: Vec<Value> = (0..1_000).map(|i| Value::int(i % 4)).collect();
         let c = mixed(&vals, 100);
-        let s = c.slice(50, 950);
+        let s = c.slice(50, 950).unwrap();
         s.check_invariants().unwrap();
         assert_eq!(s.rows(), 900);
         // Interior segments carry over untouched, keeping their encoding
@@ -2161,30 +1790,29 @@ mod tests {
         };
         let evens: Vec<u64> = (0..300).step_by(2).collect();
         assert!(shares(&col.clone()));
-        assert!(shares(&col.filter_positions(&evens)));
-        assert!(shares(&col.filter_bitmap(&Wah::from_sorted_positions(
-            evens.iter().copied(),
-            300
-        ))));
-        assert!(shares(&col.gather(&[6, 5, 4, 3, 2, 1, 0, 299])));
-        assert!(shares(&col.slice(10, 200)));
-        let fragmented = col.slice(0, 10).concat(&col.slice(10, 300)).unwrap();
+        assert!(shares(&col.filter_positions(&evens).unwrap()));
+        let mask = Wah::from_sorted_positions(evens.iter().copied(), 300);
+        assert!(shares(&col.filter_bitmap(&mask).unwrap()));
+        assert!(shares(&col.gather(&[6, 5, 4, 3, 2, 1, 0, 299]).unwrap()));
+        assert!(shares(&col.slice(10, 200).unwrap()));
+        let fragmented = col
+            .slice(0, 10)
+            .unwrap()
+            .concat(&col.slice(10, 300).unwrap())
+            .unwrap();
         assert!(shares(&fragmented));
         assert!(shares(&fragmented.compacted().unwrap()));
         assert!(shares(&fragmented.maybe_compacted().unwrap()));
         let ids = col.value_ids();
-        let mut asm = col.assembler();
-        for chunk in ids.chunks(50) {
-            asm.push_chunk(EncodedChunk::from_ids_for(
-                &col,
-                chunk.iter().copied(),
-                chunk.len() as u64,
-            ));
-        }
-        assert!(shares(&col.from_assembler_compacting(asm)));
+        let mut scratch = SealScratch::default();
+        let segments = ids
+            .chunks(50)
+            .map(|chunk| col.seal_stream(chunk.iter().copied().collect(), &mut scratch))
+            .collect();
+        assert!(shares(&col.derived(segments)));
 
         // Dropping a value compacts into a dictionary of its own.
-        let narrowed = col.filter_positions(&[0, 1]);
+        let narrowed = col.filter_positions(&[0, 1]).unwrap();
         assert!(!shares(&narrowed));
         assert_eq!(narrowed.distinct_count(), 2);
         assert_eq!(col.distinct_count(), 7);
@@ -2201,10 +1829,13 @@ mod tests {
             assert_eq!(b.segment_count(), col.segment_count());
             let positions: Vec<u64> = (0..500).step_by(3).collect();
             assert_eq!(
-                b.filter_positions(&positions).values(),
-                col.filter_positions(&positions).values()
+                b.filter_positions(&positions).unwrap().values(),
+                col.filter_positions(&positions).unwrap().values()
             );
-            assert_eq!(b.slice(100, 300).values(), col.slice(100, 300).values());
+            assert_eq!(
+                b.slice(100, 300).unwrap().values(),
+                col.slice(100, 300).unwrap().values()
+            );
             for id in 0..b.distinct_count() as u32 {
                 assert_eq!(b.value_bitmap(id), col.value_bitmap(id));
             }
@@ -2293,9 +1924,9 @@ mod tests {
         // The pin survives recode, filter, concat, slice, and compaction.
         let r = pinned.recode(Encoding::Rle).unwrap();
         assert!(r.encoding_pinned());
-        assert!(r.filter_positions(&[0, 5, 9]).encoding_pinned());
+        assert!(r.filter_positions(&[0, 5, 9]).unwrap().encoding_pinned());
         assert!(r.concat(&r).unwrap().encoding_pinned());
-        assert!(r.slice(10, 900).encoding_pinned());
+        assert!(r.slice(10, 900).unwrap().encoding_pinned());
         assert!(r.maybe_compacted().unwrap().encoding_pinned());
         assert!(!c.encoding_pinned());
     }
@@ -2378,7 +2009,7 @@ mod tests {
         let cat = b.concat(&r).unwrap();
         assert_eq!(cat.zones().len(), 4);
         assert_eq!(cat.zone(2), b.zone(0));
-        let s = b.slice(4, 6); // rows {20, 40} → one partial segment
+        let s = b.slice(4, 6).unwrap(); // rows {20, 40} → one partial segment
         assert_eq!(s.zones().len(), 1);
         s.check_invariants().unwrap();
     }
@@ -2390,9 +2021,11 @@ mod tests {
         // identical data, transcoding inside mixed groups.
         let values: Vec<Value> = (0..4_000).map(|i| Value::int(i % 6)).collect();
         let base = mixed(&values, 256);
-        let mut acc = base.slice(0, 10);
+        let mut acc = base.slice(0, 10).unwrap();
         for i in 1..100 {
-            acc = acc.concat(&base.slice(i * 10, i * 10 + 10)).unwrap();
+            acc = acc
+                .concat(&base.slice(i * 10, i * 10 + 10).unwrap())
+                .unwrap();
         }
         assert_eq!(acc.rows(), 1_000);
         assert!(acc.needs_compaction());
@@ -2422,9 +2055,11 @@ mod tests {
         let pinned = base.recode_segments(1..2, Encoding::Rle).unwrap();
         // Fragment into tiny slices so compaction merges across the pinned
         // range, then compact.
-        let mut acc = pinned.slice(0, 30);
+        let mut acc = pinned.slice(0, 30).unwrap();
         for i in 1..40 {
-            acc = acc.concat(&pinned.slice(i * 30, (i + 1) * 30)).unwrap();
+            acc = acc
+                .concat(&pinned.slice(i * 30, (i + 1) * 30).unwrap())
+                .unwrap();
         }
         assert!(acc.needs_compaction());
         let compacted = acc.compacted().unwrap();
@@ -2445,95 +2080,72 @@ mod tests {
     }
 
     #[test]
-    fn assembler_seals_pieces_in_their_encoding() {
-        // All-RLE pieces seal as RLE; a bitmap piece anywhere seals the
-        // segment as bitmap (RLE pieces transcoded).
-        let mut seq1 = RleSeq::new();
-        seq1.append_run(3, 4);
-        let mut seq2 = RleSeq::new();
-        seq2.append_run(1, 4);
-        let mut asm = EncodedAssembler::new(4);
-        asm.push_chunk(EncodedChunk::Rle(seq1));
-        asm.push_chunk(EncodedChunk::Bitmap(SegmentChunk::from_ids(
-            [0u32, 0, 1, 1],
-            4,
-            2,
-        )));
-        asm.push_chunk(EncodedChunk::Rle(seq2));
-        let segs = asm.finish();
-        assert_eq!(segs.len(), 3);
-        assert_eq!(segs[0].encoding(), Encoding::Rle);
-        assert_eq!(segs[1].encoding(), Encoding::Bitmap);
-        assert_eq!(segs[2].encoding(), Encoding::Rle);
-        for s in &segs {
-            s.check_invariants().unwrap();
-            assert_eq!(s.rows(), 4);
-        }
+    fn writes_draw_their_encoding_from_their_sources() {
+        // Segments of 4 rows: [0 0 1 1] bitmap, [2 2 2 2] RLE, [3 3 0 0] RLE.
+        let values: Vec<Value> = [0, 0, 1, 1, 2, 2, 2, 2, 3, 3, 0, 0]
+            .iter()
+            .map(|&i| Value::int(i))
+            .collect();
+        let col = EncodedColumn::from_values_with(ValueType::Int, &values, 4)
+            .unwrap()
+            .recode_segments(1..3, Encoding::Rle)
+            .unwrap();
+        let mut scratch = SealScratch::default();
+        let mut write = |sel: &[(u64, u64)], encoding| {
+            let seg = col.try_write(sel, encoding, &mut scratch).unwrap();
+            seg.check_invariants().unwrap();
+            seg
+        };
+        // Rows drawn from RLE segments only seal RLE, across a boundary.
+        let rle = write(&[(5, 7), (9, 11)], None);
+        assert_eq!(rle.encoding(), Encoding::Rle);
+        assert_eq!(rle.present_ids(), &[0, 2, 3]);
+        // A bitmap source anywhere seals bitmap, the runs joined in order.
+        let mixed = write(&[(2, 6)], None);
+        assert_eq!(mixed.encoding(), Encoding::Bitmap);
+        assert_eq!(mixed.present_ids(), &[1, 2]);
+        assert_eq!(mixed.count_for(2), 2);
+        assert_eq!(mixed.run_count(), 2);
+        // An explicit encoding wins.
+        assert_eq!(
+            write(&[(2, 6)], Some(Encoding::Rle)).encoding(),
+            Encoding::Rle
+        );
+        // A repeated position repeats its row; the segment is its run.
+        let seg = col
+            .try_write_positions(&[1, 2, 2, 2, 9], &mut scratch)
+            .unwrap();
+        let SegmentEnc::Bitmap(bitmap) = &seg else {
+            panic!("a bitmap source seals bitmap");
+        };
+        assert_eq!(bitmap.rows(), 5);
+        assert_eq!(bitmap.bitmap_for(1).unwrap().to_positions(), vec![1, 2, 3]);
+        assert_eq!(seg.run_count(), 3);
     }
 
     #[test]
-    fn assembler_splits_and_pads_across_boundaries() {
-        // A 6-row bitmap chunk and a 3-row RLE chunk over a 4-row target:
-        // the middle segment mixes pieces and must seal as bitmap with
-        // correct padding.
-        let mut asm = EncodedAssembler::new(4);
-        asm.push_chunk(EncodedChunk::Bitmap(SegmentChunk::from_ids(
-            [0u32, 0, 1, 1, 0, 1],
-            6,
-            3,
-        )));
-        let mut seq = RleSeq::new();
-        seq.append_run(2, 3);
-        asm.push_chunk(EncodedChunk::Rle(seq));
-        let segs = asm.finish();
-        assert_eq!(segs.len(), 3);
-        assert_eq!(segs[0].rows(), 4);
-        assert_eq!(segs[1].rows(), 4);
-        assert_eq!(segs[2].rows(), 1);
-        for s in &segs {
-            s.check_invariants().unwrap();
-        }
-        assert_eq!(segs[0].present_ids(), &[0, 1]);
-        // Second segment: rows 4..8 = [0, 1, 2, 2] — mixed pieces → bitmap.
-        assert_eq!(segs[1].encoding(), Encoding::Bitmap);
-        assert_eq!(segs[1].present_ids(), &[0, 1, 2]);
-        assert_eq!(segs[1].count_for(2), 2);
-        assert_eq!(segs[2].present_ids(), &[2]);
-        assert_eq!(segs[2].encoding(), Encoding::Rle);
-    }
-
-    #[test]
-    fn chunk_from_seq_follows_the_chooser() {
+    fn seal_stream_follows_the_chooser() {
         let col = EncodedColumn::from_values_with(ValueType::Int, &vals(100), 64).unwrap();
-        // Long runs → RLE chunk.
+        let mut scratch = SealScratch::default();
+        // Long runs → RLE.
         let mut runs = RleSeq::new();
         runs.append_run(0, 50);
         runs.append_run(1, 50);
-        assert!(matches!(
-            EncodedChunk::from_seq_for(&col, runs),
-            EncodedChunk::Rle(_)
-        ));
+        let seg = col.seal_stream(runs, &mut scratch);
+        assert_eq!(seg.encoding(), Encoding::Rle);
         // Alternating ids (runs ≈ rows, distinct small but runs > 2·(d+1))
-        // → bitmap chunk.
-        let mut alt = RleSeq::new();
-        for i in 0..100u32 {
-            alt.push(i % 4);
-        }
-        assert!(matches!(
-            EncodedChunk::from_seq_for(&col, alt),
-            EncodedChunk::Bitmap(_)
-        ));
-        // A pinned uniform column forces its encoding on fresh chunks.
+        // → bitmap.
+        let alt: RleSeq = (0..100u32).map(|i| i % 4).collect();
+        let seg = col.seal_stream(alt.clone(), &mut scratch);
+        assert_eq!(seg.encoding(), Encoding::Bitmap);
+        seg.check_invariants().unwrap();
+        // A pinned uniform column forces its encoding on fresh segments.
         let mut pinned = col.recode(Encoding::Rle).unwrap();
         pinned.set_encoding_pinned(true);
-        let mut alt = RleSeq::new();
-        for i in 0..100u32 {
-            alt.push(i % 4);
-        }
-        assert!(matches!(
-            EncodedChunk::from_seq_for(&pinned, alt),
-            EncodedChunk::Rle(_)
-        ));
+        assert_eq!(
+            pinned.seal_stream(alt, &mut scratch).encoding(),
+            Encoding::Rle
+        );
     }
 
     #[test]
@@ -2542,6 +2154,9 @@ mod tests {
         let b = EncodedColumn::from_values_with(ValueType::Int, &values, 64).unwrap();
         let m = mixed(&values, 64);
         let positions: Vec<u64> = (0..300).rev().step_by(7).collect();
-        assert_eq!(b.gather(&positions).values(), m.gather(&positions).values());
+        assert_eq!(
+            b.gather(&positions).unwrap().values(),
+            m.gather(&positions).unwrap().values()
+        );
     }
 }

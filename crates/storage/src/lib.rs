@@ -14,12 +14,14 @@
 //! * [`Schema`] — named, typed columns plus an optional candidate key.
 //! * [`EncodedColumn`] / [`ColumnBuilder`] — the unified segmented column:
 //!   one dictionary, one directory of [`SegmentEnc`] entries (bitmap | RLE
-//!   per segment), per-segment zone maps and encoding pins, and every
-//!   data-level primitive (filter, gather, concat, slice, compaction)
-//!   dispatched per segment on its encoding.
+//!   per segment), per-segment zone maps and encoding pins, one selection
+//!   walker under every read of its ids or runs, and every data-level
+//!   primitive (filter, gather, concat, slice, compaction) written one
+//!   output segment at a time.
 //! * [`Segment`] / [`RleSegment`] — the two row-range shard encodings;
-//!   [`EncodedAssembler`] splices per-segment operator outputs back into a
-//!   directory, sealing each output segment in its pieces' encoding.
+//!   [`SegmentEnc::seal`] writes every segment the engine builds from the
+//!   runs of its rows, a bitmap one in one counting pass
+//!   ([`Segment::from_runs`], with a reusable [`SealScratch`]).
 //! * [`Table`] — schema + `Arc`-shared columns.
 //! * [`Catalog`] — thread-safe table namespace.
 //! * [`SegSlot`] / [`SegmentStore`] — the demand-paged directory entry and
@@ -80,17 +82,14 @@ pub use commitlog::{
     clog_path, log_status, open_durable, CommitLog, CommitLogStats, LogStatus, ReplayReport,
 };
 pub use dictionary::{Dictionary, ValueOrder};
-pub use encoded::{
-    choose_encoding_from_stats, ColumnBuilder, EncodedAssembler, EncodedChunk, EncodedColumn,
-    Encoding, SegmentEnc,
-};
+pub use encoded::{choose_encoding_from_stats, ColumnBuilder, EncodedColumn, Encoding, SegmentEnc};
 pub use error::StorageError;
 pub use load::{load_file, load_str, LoadOptions};
 pub use retry::{RetryPolicy, Retryable};
 pub use rle_segment::RleSegment;
 pub use schema::{ColumnDef, Schema};
 pub use segment::{
-    compaction_plan, needs_compaction, CompactionGroup, Segment, SegmentChunk, Zone,
+    compaction_plan, needs_compaction, CompactionGroup, SealScratch, Segment, Zone,
     DEFAULT_SEGMENT_ROWS,
 };
 pub use stats::{ColumnStats, TableStats};

@@ -11,8 +11,6 @@
 //! [`EncodedColumn`](crate::encoded::EncodedColumn) — a clustered prefix of
 //! a column can be RLE while its high-churn suffix stays bitmap.
 
-use crate::error::StorageError;
-use crate::segment::Segment;
 use cods_bitmap::{RleSeq, Wah};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -113,32 +111,6 @@ impl RleSegment {
         self.seq.size_bytes()
     }
 
-    /// Splices consecutive segments into one, combining cached statistics
-    /// from the parts instead of recounting them: run sequences are
-    /// concatenated and per-id ones merged by id — the compaction merge
-    /// path never rescans runs to rebuild stats.
-    pub fn splice(parts: &[&RleSegment]) -> RleSegment {
-        if parts.len() == 1 {
-            return parts[0].clone();
-        }
-        let mut seq = RleSeq::new();
-        let mut counts: HashMap<u32, u64> = HashMap::new();
-        for part in parts {
-            seq.append_seq(&part.seq);
-            for (&id, &ones) in part.ids.iter().zip(part.ones.iter()) {
-                *counts.entry(id).or_insert(0) += ones;
-            }
-        }
-        let mut pairs: Vec<(u32, u64)> = counts.into_iter().collect();
-        pairs.sort_unstable_by_key(|&(id, _)| id);
-        let (ids, ones): (Vec<u32>, Vec<u64>) = pairs.into_iter().unzip();
-        RleSegment {
-            seq,
-            ids: ids.into(),
-            ones: ones.into(),
-        }
-    }
-
     /// Rewrites the segment under an id translation (`map[old] = Some(new)`;
     /// `None` is only valid for ids not present). O(runs).
     pub(crate) fn remap(&self, map: &[Option<u32>]) -> RleSegment {
@@ -160,32 +132,6 @@ impl RleSegment {
         for &(v, n) in self.seq.runs() {
             out.append_run(v == id, n);
         }
-    }
-
-    /// Re-encodes this segment as a bitmap [`Segment`] covering the same
-    /// rows — the transcoding path of per-segment recodes and of compaction
-    /// merges over mixed-encoding groups. O(runs) per present value.
-    pub fn to_bitmap_segment(&self) -> Segment {
-        let mut acc = crate::segment::PaddedBitmaps::new();
-        for (id, start, len) in self.seq.iter_runs() {
-            acc.append_run(id, start, len);
-        }
-        let rows = self.rows();
-        Segment::new(rows, acc.finish(rows))
-    }
-
-    /// Builds an RLE segment from a bitmap one by decoding its row → id
-    /// assignment — the opposite transcoding direction. O(rows). Bitmaps
-    /// that leave a row uncovered are [`StorageError::Corrupt`]
-    /// ([`Segment::fill_covering`]).
-    pub fn from_bitmap_segment(seg: &Segment) -> Result<RleSegment, StorageError> {
-        let mut local = vec![u32::MAX; seg.rows() as usize];
-        seg.fill_covering(&mut local)?;
-        let mut seq = RleSeq::new();
-        for id in local {
-            seq.push(id);
-        }
-        Ok(RleSegment::new(seq))
     }
 
     /// Validates the per-segment invariants: non-empty, sorted unique
@@ -231,30 +177,6 @@ mod tests {
         assert!(s.contains_id(2));
         assert!(!s.contains_id(3));
         assert_eq!(s.num_runs(), 3);
-    }
-
-    #[test]
-    fn splice_combines_stats() {
-        let a = RleSegment::new(seq_of(&[1, 1, 3]));
-        let b = RleSegment::new(seq_of(&[3, 8, 8]));
-        let s = RleSegment::splice(&[&a, &b]);
-        s.check_invariants().unwrap();
-        assert_eq!(s.rows(), 6);
-        assert_eq!(s.present_ids(), &[1, 3, 8]);
-        assert_eq!(s.count_for(3), 2);
-        // The run crossing the splice boundary fuses.
-        assert_eq!(s.num_runs(), 3);
-    }
-
-    #[test]
-    fn bitmap_round_trip() {
-        let s = RleSegment::new(seq_of(&[0, 0, 5, 5, 5, 0, 2]));
-        let bitmap = s.to_bitmap_segment();
-        bitmap.check_invariants().unwrap();
-        assert_eq!(bitmap.rows(), 7);
-        assert_eq!(bitmap.present_ids(), s.present_ids());
-        let back = RleSegment::from_bitmap_segment(&bitmap).unwrap();
-        assert_eq!(back, s);
     }
 
     #[test]

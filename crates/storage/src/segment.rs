@@ -18,8 +18,7 @@
 
 use crate::error::StorageError;
 use crate::store::SegMeta;
-use cods_bitmap::{decode_words, Reader, Wah, WahRef};
-use std::collections::HashMap;
+use cods_bitmap::{decode_words, Reader, RleSeq, Wah, WahRef};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -186,38 +185,58 @@ pub fn compaction_plan(sizes: &[u64], nominal: u64) -> Option<Vec<CompactionGrou
     }
 }
 
-/// Splits a non-decreasing global position list into per-segment spans:
-/// `(segment index, range into positions)`. Shared by both encodings'
-/// serial filter paths and the segment-parallel executors in `cods` core.
-///
-/// # Panics
-/// Panics when a position is outside the rows covered by `seg_sizes`.
-pub(crate) fn position_spans(seg_sizes: &[u64], positions: &[u64]) -> Vec<(usize, Range<usize>)> {
-    let mut spans = Vec::new();
-    let mut lo = 0usize;
-    let mut start = 0u64;
-    for (seg_idx, &rows) in seg_sizes.iter().enumerate() {
-        if lo == positions.len() {
-            break;
+/// The reusable scratch of [`Segment::from_runs`] and of the distinct-id
+/// count a stream-driven write takes before it picks an encoding: a table
+/// indexed by value id, zero between calls. Each call resets the slots it
+/// used by walking the ids it touched, so one scratch serves any number of
+/// segments at the cost of the ids present, not of the dictionary — keep
+/// one per worker (the operators pool them) for the length of a write. It
+/// grows to the largest id it has seen.
+#[derive(Debug, Default)]
+pub struct SealScratch {
+    /// Per id: its run count, then its span of `placed` (zero outside a
+    /// call).
+    slot: Vec<u32>,
+    /// The ids whose slot is in use.
+    touched: Vec<u32>,
+    /// The runs' `(start, len)`, grouped by id in ascending id order.
+    placed: Vec<(u64, u64)>,
+    /// The one bitmap every present id is encoded into in turn.
+    wah: Wah,
+    /// The arena under construction.
+    words: Vec<u64>,
+}
+
+impl SealScratch {
+    /// Counts the runs of each id of `seq` into `slot`, listing each id in
+    /// `touched` once.
+    fn count(&mut self, seq: &RleSeq) {
+        for &(id, _) in seq.runs() {
+            let i = id as usize;
+            if i >= self.slot.len() {
+                self.slot.resize(i + 1, 0);
+            }
+            if self.slot[i] == 0 {
+                self.touched.push(id);
+            }
+            self.slot[i] += 1;
         }
-        let end_row = start + rows;
-        let hi = lo + positions[lo..].partition_point(|&p| p < end_row);
-        if hi > lo {
-            spans.push((seg_idx, lo..hi));
-            lo = hi;
-        }
-        start = end_row;
     }
-    // Hard check (not debug-only): an out-of-range position must panic
-    // like a dense id-gather would, not silently shrink the output.
-    assert_eq!(
-        lo,
-        positions.len(),
-        "position {} out of range for {} rows",
-        positions[lo.min(positions.len().saturating_sub(1))],
-        seg_sizes.iter().sum::<u64>()
-    );
-    spans
+
+    fn reset(&mut self) {
+        for &id in &self.touched {
+            self.slot[id as usize] = 0;
+        }
+        self.touched.clear();
+    }
+
+    /// The number of distinct ids in `seq`. O(runs).
+    pub fn distinct(&mut self, seq: &RleSeq) -> u64 {
+        self.count(seq);
+        let n = self.touched.len() as u64;
+        self.reset();
+        n
+    }
 }
 
 /// Where one present id's bitmap lives in its segment's word arena, and its
@@ -270,9 +289,10 @@ fn arena_u32(n: usize) -> u32 {
 }
 
 impl Segment {
-    /// Assembles a segment from present ids and their bitmaps. `pairs` need
-    /// not be sorted; empty bitmaps are rejected in debug builds (callers
-    /// drop them before constructing).
+    /// Assembles a segment from present ids and their bitmaps — for tests
+    /// and hand-built fixtures; the engine seals its segments from runs
+    /// ([`Segment::from_runs`]). `pairs` need not be sorted; empty bitmaps
+    /// are rejected in debug builds.
     pub fn new(rows: u64, mut pairs: Vec<(u32, Wah)>) -> Segment {
         pairs.sort_unstable_by_key(|(id, _)| *id);
         for (id, bm) in &pairs {
@@ -281,6 +301,82 @@ impl Segment {
         }
         let ids = pairs.iter().map(|&(id, _)| id).collect();
         Segment::pack(rows, ids, pairs.iter().map(|(_, bm)| bm.view()))
+    }
+
+    /// Seals a bitmap segment from the run sequence of its rows, in one
+    /// counting pass: the runs are counted per id in `scratch`'s
+    /// id-indexed table and placed in id order, then each present id's
+    /// `(gap, run)` pairs are appended to one reused bitmap whose words are
+    /// copied into the arena. The ids, ones, heads, bytes and runs come out
+    /// of the same pass — `runs` is the run count, since an [`RleSeq`]'s
+    /// runs are maximal. WAH is canonical, so the same rows give the same
+    /// bytes whatever wrote them. O(runs + present ids · log + words).
+    ///
+    /// # Panics
+    /// Panics at `u32::MAX` runs or arena words.
+    pub fn from_runs(seq: &RleSeq, scratch: &mut SealScratch) -> Segment {
+        let rows = seq.len();
+        assert!(
+            seq.num_runs() < u32::MAX as usize,
+            "segment exceeds u32::MAX runs"
+        );
+        scratch.count(seq);
+        let SealScratch {
+            slot,
+            touched,
+            placed,
+            wah,
+            words,
+        } = scratch;
+        touched.sort_unstable();
+        // Each id's slot becomes the start of its span of `placed`, then,
+        // as its runs are placed, the span's end.
+        let mut at = 0u32;
+        for &id in touched.iter() {
+            let n = slot[id as usize];
+            slot[id as usize] = at;
+            at += n;
+        }
+        placed.clear();
+        placed.resize(seq.num_runs(), (0, 0));
+        for (id, start, len) in seq.iter_runs() {
+            let s = &mut slot[id as usize];
+            placed[*s as usize] = (start, len);
+            *s += 1;
+        }
+        words.clear();
+        let mut heads = Vec::with_capacity(touched.len());
+        let mut ones = Vec::with_capacity(touched.len());
+        let mut lo = 0usize;
+        for &id in touched.iter() {
+            let hi = slot[id as usize] as usize;
+            wah.clear();
+            for &(start, len) in &placed[lo..hi] {
+                wah.append_run(false, start - wah.len());
+                wah.append_run(true, len);
+            }
+            wah.append_run(false, rows - wah.len());
+            heads.push(Head {
+                off: arena_u32(words.len()),
+                nwords: arena_u32(wah.words().len()),
+                active: wah.view().active(),
+                active_bits: wah.view().active_bits(),
+            });
+            words.extend_from_slice(wah.words());
+            ones.push(wah.count_ones());
+            lo = hi;
+        }
+        let ids: Arc<[u32]> = touched.as_slice().into();
+        scratch.reset();
+        Segment {
+            rows,
+            bytes: scratch.words.len() * 8 + 24 * heads.len(),
+            ids,
+            ones: ones.into(),
+            words: scratch.words.as_slice().into(),
+            heads: heads.into_boxed_slice(),
+            runs: seq.num_runs() as u64,
+        }
     }
 
     /// Copies `bitmaps` (parallel to `ids`, each `rows` long) into one
@@ -503,27 +599,6 @@ impl Segment {
         self.runs
     }
 
-    /// Splices consecutive segments into one: each id's bitmaps are
-    /// concatenated on the compressed form, with zero fills where the id is
-    /// absent — the compaction merge path (undersized directory fragments
-    /// after long UNION chains) never decompresses. Runs are recounted,
-    /// since a run crossing a boundary fuses.
-    pub fn splice(parts: &[&Segment]) -> Segment {
-        if parts.len() == 1 {
-            return parts[0].clone();
-        }
-        let rows: u64 = parts.iter().map(|s| s.rows).sum();
-        let mut acc = PaddedBitmaps::new();
-        let mut offset = 0u64;
-        for part in parts {
-            for (id, bm) in part.iter() {
-                acc.append_bitmap(id, bm, offset);
-            }
-            offset += part.rows;
-        }
-        Segment::new(rows, acc.finish(rows))
-    }
-
     /// Writes each row's value id into `out` (segment-local coordinates),
     /// one [`WahRef::scatter`] per present id, then checks every row got
     /// one. `out` holds one slot per row, each `u32::MAX` on entry. Bitmaps
@@ -532,10 +607,15 @@ impl Segment {
     /// error here rather than a sentinel id for the next dictionary lookup
     /// to panic on. Every reader of a segment's ids goes through this.
     pub(crate) fn fill_covering(&self, out: &mut [u32]) -> Result<(), StorageError> {
+        debug_assert_eq!(out.len() as u64, self.rows, "one slot per row");
+        debug_assert_eq!(
+            self.ones.iter().sum::<u64>(),
+            self.rows,
+            "bitmap ones do not sum to the row count"
+        );
         for (id, bm) in self.iter() {
             bm.scatter(out, id);
         }
-        self.debug_check_partition(out);
         if out.contains(&u32::MAX) {
             return Err(StorageError::Corrupt(format!(
                 "a bitmap segment of {} rows: its bitmaps leave a row uncovered",
@@ -543,38 +623,6 @@ impl Segment {
             )));
         }
         Ok(())
-    }
-
-    /// Writes each row's *local slot index* (position in `present_ids`)
-    /// into `out`, under [`Segment::fill_covering`]'s contract (unchecked).
-    pub(crate) fn fill_local_slots(&self, out: &mut [u32]) {
-        for (slot, (_, bm)) in self.iter().enumerate() {
-            bm.scatter(out, slot as u32);
-        }
-        self.debug_check_partition(out);
-    }
-
-    /// Debug builds: one slot per row, and the bitmaps' ones sum to the
-    /// row count. Whether they also cover every row — with the sum right,
-    /// the same as no row written twice — is for the reader to check.
-    fn debug_check_partition(&self, out: &[u32]) {
-        debug_assert_eq!(out.len() as u64, self.rows, "one slot per row");
-        debug_assert_eq!(
-            self.ones.iter().sum::<u64>(),
-            self.rows,
-            "bitmap ones do not sum to the row count"
-        );
-    }
-
-    /// Re-expresses the segment as an unaligned [`SegmentChunk`] of owned
-    /// bitmaps, the form compaction feeds back through an assembler when
-    /// regrouping.
-    pub fn to_chunk(&self) -> SegmentChunk {
-        SegmentChunk {
-            ids: self.ids.to_vec(),
-            bitmaps: self.iter().map(|(_, bm)| bm.to_wah()).collect(),
-            rows: self.rows,
-        }
     }
 
     /// Rewrites the segment under an id translation (`map[old] = Some(new)`
@@ -648,131 +696,6 @@ impl Segment {
     }
 }
 
-/// Accumulates per-value bitmaps with lazy zero padding: values absent
-/// from a stretch of rows are back-filled with a zero run the next time
-/// they appear (and at finish), so cost is proportional to the values
-/// actually present. The one shared implementation of the idiom used by
-/// RLE→bitmap transcoding and the unified assembler's mixed-piece seal.
-pub(crate) struct PaddedBitmaps {
-    acc: HashMap<u32, (Wah, u64)>,
-}
-
-impl PaddedBitmaps {
-    pub(crate) fn new() -> PaddedBitmaps {
-        PaddedBitmaps {
-            acc: HashMap::new(),
-        }
-    }
-
-    /// Appends `len` set rows of value `id` starting at absolute row `at`.
-    pub(crate) fn append_run(&mut self, id: u32, at: u64, len: u64) {
-        let (bm, emitted) = self.acc.entry(id).or_insert_with(|| (Wah::new(), 0));
-        if *emitted < at {
-            bm.append_run(false, at - *emitted);
-        }
-        bm.append_run(true, len);
-        *emitted = at + len;
-    }
-
-    /// Appends an existing bitmap piece of value `id` covering absolute
-    /// rows `[offset, offset + piece.len())`.
-    pub(crate) fn append_bitmap(&mut self, id: u32, piece: WahRef<'_>, offset: u64) {
-        let (bm, emitted) = self.acc.entry(id).or_insert_with(|| (Wah::new(), 0));
-        if *emitted < offset {
-            bm.append_run(false, offset - *emitted);
-        }
-        bm.append_bitmap(piece);
-        *emitted = offset + piece.len();
-    }
-
-    /// Pads every bitmap to `rows` and returns the `(id, bitmap)` pairs.
-    pub(crate) fn finish(self, rows: u64) -> Vec<(u32, Wah)> {
-        self.acc
-            .into_iter()
-            .map(|(id, (mut bm, emitted))| {
-                if emitted < rows {
-                    bm.append_run(false, rows - emitted);
-                }
-                (id, bm)
-            })
-            .collect()
-    }
-}
-
-/// The output of one per-segment operation: sparse per-value bitmaps over a
-/// run of consecutive output rows, not yet aligned to segment boundaries.
-/// Chunks are produced independently (and in parallel) per input segment
-/// and spliced into output segments by a [`SegmentAssembler`].
-#[derive(Debug)]
-pub struct SegmentChunk {
-    /// Present value ids (need not be sorted).
-    pub ids: Vec<u32>,
-    /// One bitmap per id in `ids`, each `rows` long.
-    pub bitmaps: Vec<Wah>,
-    /// Output rows covered by this chunk.
-    pub rows: u64,
-}
-
-impl SegmentChunk {
-    /// A chunk covering zero rows.
-    pub fn empty() -> SegmentChunk {
-        SegmentChunk {
-            ids: Vec::new(),
-            bitmaps: Vec::new(),
-            rows: 0,
-        }
-    }
-
-    /// Builds a chunk from a stream of value ids, one per output row in
-    /// order. `distinct_hint` is the id-space size (dictionary length);
-    /// when it is small relative to the chunk a dense builder array is
-    /// used, otherwise a hash map — so cost is O(rows) either way without
-    /// a huge allocation for sparse chunks.
-    pub fn from_ids<I: IntoIterator<Item = u32>>(
-        ids: I,
-        rows: u64,
-        distinct_hint: usize,
-    ) -> SegmentChunk {
-        let mut out_ids = Vec::new();
-        let mut out_bitmaps = Vec::new();
-        if (distinct_hint as u64) <= rows.max(4096) {
-            let mut builders: Vec<cods_bitmap::OneStreamBuilder> = Vec::new();
-            builders.resize_with(distinct_hint, cods_bitmap::OneStreamBuilder::new);
-            let mut active: Vec<u32> = Vec::new();
-            for (row, id) in ids.into_iter().enumerate() {
-                let b = &mut builders[id as usize];
-                if b.ones() == 0 {
-                    active.push(id);
-                }
-                b.push_one(row as u64);
-            }
-            active.sort_unstable();
-            for id in active {
-                let b = std::mem::replace(
-                    &mut builders[id as usize],
-                    cods_bitmap::OneStreamBuilder::new(),
-                );
-                out_ids.push(id);
-                out_bitmaps.push(b.finish(rows));
-            }
-        } else {
-            let mut builders: HashMap<u32, cods_bitmap::OneStreamBuilder> = HashMap::new();
-            for (row, id) in ids.into_iter().enumerate() {
-                builders.entry(id).or_default().push_one(row as u64);
-            }
-            for (id, b) in builders {
-                out_ids.push(id);
-                out_bitmaps.push(b.finish(rows));
-            }
-        }
-        SegmentChunk {
-            ids: out_ids,
-            bitmaps: out_bitmaps,
-            rows,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -828,32 +751,27 @@ mod tests {
     }
 
     #[test]
-    fn splice_combines_stats_without_recounting() {
-        let a = Segment::new(
-            4,
-            vec![
-                (1, Wah::from_sorted_positions([0u64, 1], 4)),
-                (3, Wah::from_sorted_positions([2u64, 3], 4)),
-            ],
-        );
-        let b = Segment::new(
-            3,
-            vec![
-                (3, Wah::from_sorted_positions([0u64], 3)),
-                (8, Wah::from_sorted_positions([1u64, 2], 3)),
-            ],
-        );
-        let s = Segment::splice(&[&a, &b]);
-        s.check_invariants().unwrap();
-        assert_eq!(s.rows(), 7);
-        assert_eq!(s.present_ids(), &[1, 3, 8]);
-        assert_eq!(s.count_for(3), 3);
-        assert_eq!(
-            s.bitmap_for(3).unwrap().to_positions(),
-            vec![2, 3, 4],
-            "value 3 spans the splice boundary"
-        );
-        assert_eq!(s.bitmap_for(8).unwrap().to_positions(), vec![5, 6]);
+    fn from_runs_seals_each_id_in_one_pass() {
+        // Rows 1 1 3 3 3 8 8: id 3's run crosses where two pieces met.
+        let seq: RleSeq = [1u32, 1, 3, 3, 3, 8, 8].into_iter().collect();
+        let mut scratch = SealScratch::default();
+        for _ in 0..2 {
+            let s = Segment::from_runs(&seq, &mut scratch);
+            s.check_invariants().unwrap();
+            assert_eq!(s.rows(), 7);
+            assert_eq!(s.present_ids(), &[1, 3, 8]);
+            assert_eq!(s.ones(), &[2, 3, 2]);
+            assert_eq!(s.run_count(), 3);
+            assert_eq!(s.bitmap_for(3).unwrap().to_positions(), vec![2, 3, 4]);
+            assert_eq!(s.bitmap_for(8).unwrap().to_positions(), vec![5, 6]);
+        }
+        // An id seen by an earlier seal is gone from the next one.
+        let other: RleSeq = [8u32, 2, 8].into_iter().collect();
+        let s = Segment::from_runs(&other, &mut scratch);
+        assert_eq!(s.present_ids(), &[2, 8]);
+        assert_eq!(s.bitmap_for(8).unwrap().to_positions(), vec![0, 2]);
+        assert_eq!(s.run_count(), 3);
+        assert_eq!(scratch.distinct(&seq), 3);
     }
 
     #[test]

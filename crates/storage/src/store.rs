@@ -24,7 +24,7 @@
 use crate::encoded::{Encoding, SegmentEnc};
 use crate::error::StorageError;
 use crate::rle_segment::RleSegment;
-use crate::segment::Segment;
+use crate::segment::{SealScratch, Segment};
 use bytes::{BufMut, Bytes};
 use cods_bitmap::RleSeq;
 use parking_lot::{Mutex, RwLock};
@@ -430,11 +430,17 @@ impl SegSlot {
 
     /// Re-encodes to `encoding`, sharing the slot when already there.
     /// The result is a fresh (resident) slot when a transcode happens.
-    pub(crate) fn recoded(&self, encoding: Encoding) -> Result<SegSlot, StorageError> {
+    pub(crate) fn recoded(
+        &self,
+        encoding: Encoding,
+        scratch: &mut SealScratch,
+    ) -> Result<SegSlot, StorageError> {
         if self.encoding() == encoding {
             Ok(self.clone())
         } else {
-            Ok(SegSlot::fresh(self.try_enc()?.recoded(encoding)?))
+            Ok(SegSlot::fresh(
+                self.try_enc()?.recoded_with(encoding, scratch)?,
+            ))
         }
     }
 

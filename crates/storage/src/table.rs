@@ -333,7 +333,7 @@ impl Table {
             for (r, &id) in order.iter().enumerate() {
                 rank[id as usize] = r as u32;
             }
-            rank_cols.push((col.value_ids(), rank));
+            rank_cols.push((col.try_value_ids()?, rank));
         }
         let mut perm: Vec<u64> = (0..self.rows).collect();
         perm.sort_by_key(|&row| {
@@ -345,8 +345,8 @@ impl Table {
         let columns: Vec<Arc<EncodedColumn>> = self
             .columns
             .iter()
-            .map(|c| Arc::new(c.gather(&perm)))
-            .collect();
+            .map(|c| Ok(Arc::new(c.gather(&perm)?)))
+            .collect::<Result<_, StorageError>>()?;
         Table::new(&self.name, self.schema.clone(), columns)?.auto_encoded()
     }
 

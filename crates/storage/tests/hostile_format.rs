@@ -567,14 +567,18 @@ fn hostile_bitmap_payloads_are_typed_errors() {
     overlapping_bitmaps_are_a_typed_error_on_every_read();
 }
 
-/// Two bitmaps that both set row 0 of a 2-row segment match an honest
-/// segment's metadata (ids {0, 1}, one set bit each), so the payload
-/// decodes; row 1 is then covered by neither.
-fn overlapping_segment() -> SegmentEnc {
-    let honest = SegmentEnc::Bitmap(Arc::new(Segment::new(2, vec![(0, row(0)), (1, row(1))])));
+/// A `rows`-row segment of one value per row whose every bitmap sets row
+/// 0: it matches an honest segment's metadata (ids `0..rows`, one set bit
+/// each, one word or none per bitmap), so the payload decodes; rows `1..`
+/// are then covered by no bitmap.
+fn overlapping_segment(rows: u64) -> SegmentEnc {
+    let bit = |r| Wah::from_sorted_positions([r], rows);
+    let pairs = (0..rows).map(|r| (r as u32, bit(r))).collect();
+    let honest = SegmentEnc::Bitmap(Arc::new(Segment::new(rows, pairs)));
     let mut raw = Vec::new();
-    row(0).encode(&mut raw);
-    row(0).encode(&mut raw);
+    for _ in 0..rows {
+        bit(0).encode(&mut raw);
+    }
     decode_payload(&SegMeta::of(&honest), &raw).expect("each bitmap is well formed")
 }
 
@@ -583,8 +587,8 @@ fn row(r: u64) -> Wah {
     Wah::from_sorted_positions([r], 2)
 }
 
-fn two_ids() -> Dictionary {
-    Dictionary::from_values(vec![Value::int(10), Value::int(20)]).unwrap()
+fn ids(n: u64) -> Dictionary {
+    Dictionary::from_values((0..n as i64).map(|i| Value::int(10 * (i + 1))).collect()).unwrap()
 }
 
 fn corrupt<T: std::fmt::Debug>(what: &str, r: Result<T, StorageError>) {
@@ -595,16 +599,29 @@ fn corrupt<T: std::fmt::Debug>(what: &str, r: Result<T, StorageError>) {
 }
 
 /// Every read of the overlapping segment's ids or runs must answer with a
-/// typed error, not a sentinel id.
+/// typed error, not a sentinel id — the write paths' reads too: filtering,
+/// gathering and slicing read the rows they write. Two sizes: the 2-row
+/// segment, and a 64-row one of 64 values, where filtering every row
+/// costs `v·m > 8·rows`.
 fn overlapping_bitmaps_are_a_typed_error_on_every_read() {
-    let decoded = overlapping_segment();
-    let col = EncodedColumn::from_segments(ValueType::Int, two_ids(), vec![decoded], 2);
-    corrupt("try_ids_in", col.try_ids_in(&[(0, 2)]).map(drop));
-    corrupt("try_runs_in", col.try_runs_in(&[(1, 2)]).map(drop));
-    let schema = Schema::build(&[("c", ValueType::Int)], &[]).unwrap();
-    let t = Arc::new(Table::new("t", schema, vec![Arc::new(col)]).unwrap());
-    let mut scan = ScanStream::new(t, &Predicate::True, None).unwrap();
-    corrupt("ScanStream::try_next", scan.try_next().map(drop));
+    for rows in [2u64, 64] {
+        let segment = vec![overlapping_segment(rows)];
+        let col = EncodedColumn::from_segments(ValueType::Int, ids(rows), segment, rows);
+        corrupt("try_ids_in", col.try_ids_in(&[(0, rows)]).map(drop));
+        corrupt("try_runs_in", col.try_runs_in(&[(1, 2)]).map(drop));
+        let every: Vec<u64> = (0..rows).collect();
+        corrupt("filter_positions", col.filter_positions(&every).map(drop));
+        corrupt(
+            "filter_bitmap",
+            col.filter_bitmap(&Wah::ones(rows)).map(drop),
+        );
+        corrupt("gather", col.gather(&every).map(drop));
+        corrupt("slice", col.slice(1, rows).map(drop));
+        let schema = Schema::build(&[("c", ValueType::Int)], &[]).unwrap();
+        let t = Arc::new(Table::new("t", schema, vec![Arc::new(col)]).unwrap());
+        let mut scan = ScanStream::new(t, &Predicate::True, None).unwrap();
+        corrupt("ScanStream::try_next", scan.try_next().map(drop));
+    }
 }
 
 /// Recoding the overlapping segment to RLE reads its ids too: the segment,
@@ -613,12 +630,12 @@ fn overlapping_bitmaps_are_a_typed_error_on_every_read() {
 /// sentinel id.
 #[test]
 fn an_overlapping_segment_recoded_to_rle_is_a_typed_error() {
-    let decoded = overlapping_segment();
+    let decoded = overlapping_segment(2);
     corrupt("SegmentEnc::recoded", decoded.recoded(Encoding::Rle));
-    let col = EncodedColumn::from_segments(ValueType::Int, two_ids(), vec![decoded.clone()], 2);
+    let col = EncodedColumn::from_segments(ValueType::Int, ids(2), vec![decoded.clone()], 2);
     corrupt("EncodedColumn::recode", col.recode(Encoding::Rle));
     let honest = SegmentEnc::Bitmap(Arc::new(Segment::new(2, vec![(0, row(0)), (1, row(1))])));
-    let mixed = EncodedColumn::from_segments(ValueType::Int, two_ids(), vec![decoded, honest], 64)
+    let mixed = EncodedColumn::from_segments(ValueType::Int, ids(2), vec![decoded, honest], 64)
         .recode_segments(1..2, Encoding::Rle)
         .unwrap();
     corrupt("EncodedColumn::compacted", mixed.compacted());

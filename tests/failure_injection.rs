@@ -882,6 +882,20 @@ fn truncated_file_under_a_lazy_table_fails_reads_with_a_typed_error() {
         predicate_mask(&lazy, &pred),
         Err(StorageError::PersistError(_))
     ));
+    // The operators read their key columns through the same fallible
+    // walker: DECOMPOSE's distinction and a key–FK MERGE's key table.
+    let storage_error = |r: Result<(), EvolutionError>| {
+        matches!(
+            r,
+            Err(EvolutionError::Storage(StorageError::PersistError(_)))
+        )
+    };
+    let spec = DecomposeSpec::new("S", &["k"], "T", &["k", "v"]);
+    assert!(storage_error(cods::decompose(&lazy, &spec).map(drop)));
+    let key_fk = MergeStrategy::KeyForeignKey { keyed: "t".into() };
+    assert!(storage_error(
+        cods::merge(&lazy, &lazy, "m", &key_fk).map(drop)
+    ));
 
     let catalog_path = dir.join("c.catalog");
     let cat = Catalog::new();

@@ -494,10 +494,13 @@ proptest! {
                 groups.push(g);
             }
             prop_assert_eq!(
-                distinction(&table, &key_cols, true),
+                distinction(&table, &key_cols, true).unwrap(),
                 (positions.clone(), Some(groups))
             );
-            prop_assert_eq!(distinction(&table, &key_cols, false), (positions, None));
+            prop_assert_eq!(
+                distinction(&table, &key_cols, false).unwrap(),
+                (positions, None)
+            );
         }
     }
 

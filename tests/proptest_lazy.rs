@@ -174,7 +174,7 @@ proptest! {
                 .columns()
                 .iter()
                 .map(|c| {
-                    let acc = c.slice(0, half).concat(&c.slice(half, rows)).unwrap();
+                    let acc = c.slice(0, half).unwrap().concat(&c.slice(half, rows).unwrap()).unwrap();
                     std::sync::Arc::new(acc.compacted().unwrap())
                 })
                 .collect();

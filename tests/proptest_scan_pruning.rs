@@ -199,11 +199,11 @@ proptest! {
                 .columns()
                 .iter()
                 .map(|c| {
-                    let mut acc = c.slice(0, quarter);
+                    let mut acc = c.slice(0, quarter).unwrap();
                     for piece in 1..4 {
                         let lo = piece * quarter;
                         let hi = if piece == 3 { rows } else { lo + quarter };
-                        acc = acc.concat(&c.slice(lo, hi)).unwrap();
+                        acc = acc.concat(&c.slice(lo, hi).unwrap()).unwrap();
                     }
                     Arc::new(acc.compacted().unwrap())
                 })
@@ -234,7 +234,7 @@ proptest! {
         };
         let (k, v) = (column(0, k_seg), column(1, v_seg));
         let cut = cut % (v.rows() + 1);
-        let v = v.slice(0, cut).concat(&v.slice(cut, v.rows())).unwrap();
+        let v = v.slice(0, cut).unwrap().concat(&v.slice(cut, v.rows()).unwrap()).unwrap();
         let table = Table::new("D", schema(), vec![Arc::new(k), Arc::new(v)]).unwrap();
         let table = mix_column(&mix_column(&table, "k", pattern), "v", pattern.rotate_left(23));
         table.check_invariants().unwrap();

@@ -184,11 +184,11 @@ fn union_chain_fragmentation_is_repaired_by_compaction() {
         // itself already compacts behind the threshold trigger.
         let cols: Vec<_> = base.columns().to_vec();
         let mut acc: Vec<cods_storage::EncodedColumn> =
-            cols.iter().map(|c| c.slice(0, 20)).collect();
+            cols.iter().map(|c| c.slice(0, 20).unwrap()).collect();
         for i in 1..200 {
             let lo = (i * 20) % 3_900;
             for (a, c) in acc.iter_mut().zip(&cols) {
-                *a = a.concat(&c.slice(lo, lo + 20)).unwrap();
+                *a = a.concat(&c.slice(lo, lo + 20).unwrap()).unwrap();
             }
         }
         for col in &acc {
@@ -223,7 +223,7 @@ fn union_chain_fragmentation_is_repaired_by_compaction() {
                 let cols = base
                     .columns()
                     .iter()
-                    .map(|c| std::sync::Arc::new(c.slice(lo, lo + 20)))
+                    .map(|c| std::sync::Arc::new(c.slice(lo, lo + 20).unwrap()))
                     .collect();
                 Table::new("P", base.schema().clone(), cols).unwrap()
             })
@@ -317,7 +317,7 @@ fn layout_fixture() -> Table {
 }
 
 fn cut(c: &cods_storage::EncodedColumn, lo: u64, hi: u64) -> cods_storage::EncodedColumn {
-    c.slice(lo, hi)
+    c.slice(lo, hi).unwrap()
 }
 
 /// One line per column, `name: <rows><b|r>[*count] …`, then the FNV-1a
