@@ -6,27 +6,34 @@
 //!
 //! Evaluation is **range-major**. The predicate is compiled once against
 //! the table — column names resolved, each comparison's satisfying value
-//! set resolved to a contiguous *rank interval* in the dictionary's value
-//! order ([`CmpOp::sat_rank_interval`]: two binary searches; only
-//! `Ne <non-null>` falls back to a per-value boolean table), and a
-//! same-column conjunction of two intervals fused into one (BETWEEN). The
-//! table is then walked in *row ranges* — the boundaries common to every
-//! predicate column's segment directory, i.e. segment by segment whenever
-//! the directories agree — and the whole tree is evaluated bottom-up on
-//! one range before the next is touched. A segment's payload is faulted at
-//! most once per query however many leaves read it, and is held only while
-//! its range is evaluated.
+//! set resolved to the ids an equality names (one binary search of the
+//! dictionary's value order), to a contiguous *rank interval* for a range
+//! ([`CmpOp::sat_rank_interval`]: two binary searches), or, for `Ne
+//! <non-null>` only, to a per-value boolean table. Two same-column
+//! rewrites merge leaves: a conjunction of two intervals fuses into one
+//! (BETWEEN), and an `OR` tree of equalities of any shape folds into one
+//! sorted id set (IN). The table is then walked in *row ranges* — the
+//! boundaries common to every predicate column's segment directory, i.e.
+//! segment by segment whenever the directories agree — and the whole tree
+//! is evaluated bottom-up on one range before the next is touched. A
+//! segment's payload is faulted at most once per query however many leaves
+//! read it, and is held only while its range is evaluated.
 //!
 //! Each leaf decides a segment by the cheapest of four tiers:
 //!
-//! 1. **Zone.** A segment whose zone map's rank span misses the satisfying
-//!    interval is a zero fill in O(1) — neither stats nor payload touched.
+//! 1. **Zone.** A segment whose zone map's rank span holds no satisfying
+//!    rank is a zero fill — one comparison for an interval, one binary
+//!    search for an id set; neither stats nor payload touched.
 //! 2. **Present ids, none satisfy.** The resident per-id stats show no
-//!    satisfying value in the range: zero fill, payload untouched.
+//!    satisfying value in the range: zero fill, payload untouched. An id
+//!    set finds its ids among the segment's ascending present ids by
+//!    galloping search, O(k·log(p/k)) for k ids in p; an interval or
+//!    boolean table walks all p.
 //! 3. **Present ids, all satisfy.** Every row of the range carries a
 //!    satisfying value: one fill, payload untouched.
 //! 4. **Mask build.** Only now is the payload faulted in and the mask
-//!    built on the segment's native encoding.
+//!    built on the segment's native encoding, from exactly the bitmaps of
+//!    the satisfying positions tiers 2–3 found.
 //!
 //! A child that comes out as a constant fill short-circuits its `AND` /
 //! `OR`: the other side is not evaluated, so its payload is never faulted.
@@ -40,13 +47,24 @@
 
 use crate::pred::{CmpOp, CompiledPredicate, Predicate};
 use cods_bitmap::{Wah, WahRef};
-use cods_storage::{EncodedColumn, SegmentEnc, StorageError, Table, Value, Zone};
+use cods_storage::{Dictionary, EncodedColumn, SegmentEnc, StorageError, Table, Value, Zone};
 use std::ops::Range;
 
 /// The satisfying value set of one comparison, in whichever form the
-/// operator admits: a rank interval in value order (everything except
-/// `Ne`), or a per-id boolean table.
+/// operator admits: a few named ids (an equality, or a folded same-column
+/// `OR` of equalities), a rank interval in value order (the ranges), or a
+/// per-id boolean table (`Ne <non-null>`).
 pub(crate) enum SatSet<'a> {
+    /// Exactly these ids satisfy.
+    Ids {
+        /// The satisfying ids, ascending and distinct.
+        ids: Vec<u32>,
+        /// Their value-order ranks, ascending (what the zone test searches).
+        sorted_ranks: Vec<u32>,
+        /// `ranks[id]` = value-order rank (the dictionary's cached
+        /// [`cods_storage::ValueOrder`]), to place a zone's bounds.
+        ranks: &'a [u32],
+    },
     /// Ids whose value-order rank lies in `[lo, hi)` satisfy.
     Interval {
         /// `ranks[id]` = value-order rank (borrowed from the dictionary's
@@ -61,10 +79,47 @@ pub(crate) enum SatSet<'a> {
     Bools(Vec<bool>),
 }
 
+/// Where a segment's satisfying present ids sit (tiers 2–3 find them, tier
+/// 4 takes their bitmaps).
+enum Hits {
+    /// Their positions in the present ids, found by an id set's search.
+    At(Vec<usize>),
+    /// A walk's `count` satisfying ids, all inside positions
+    /// `first..=last`; tier 4 re-tests that span.
+    Span {
+        count: usize,
+        first: usize,
+        last: usize,
+    },
+}
+
+impl Hits {
+    fn count(&self) -> usize {
+        match self {
+            Hits::At(at) => at.len(),
+            Hits::Span { count, .. } => *count,
+        }
+    }
+}
+
 impl SatSet<'_> {
+    /// The id set of the ids in `ids` (any order, repeats allowed).
+    fn of_ids(mut ids: Vec<u32>, ranks: &[u32]) -> SatSet<'_> {
+        ids.sort_unstable();
+        ids.dedup();
+        let mut sorted_ranks: Vec<u32> = ids.iter().map(|&id| ranks[id as usize]).collect();
+        sorted_ranks.sort_unstable();
+        SatSet::Ids {
+            ids,
+            sorted_ranks,
+            ranks,
+        }
+    }
+
     #[inline]
     pub(crate) fn contains(&self, id: u32) -> bool {
         match self {
+            SatSet::Ids { ids, .. } => ids.binary_search(&id).is_ok(),
             SatSet::Interval { ranks, lo, hi } => {
                 let r = ranks[id as usize];
                 *lo <= r && r < *hi
@@ -74,20 +129,97 @@ impl SatSet<'_> {
     }
 
     /// Zone test: `false` only when *no* value inside the zone's
-    /// `[min, max]` value interval can satisfy — sound because the
-    /// satisfying set is a rank interval and every present id's rank lies
-    /// within the zone's span. The boolean fallback never zone-prunes.
+    /// `[min, max]` value interval can satisfy — sound because every
+    /// present id's rank lies within the zone's span, and decided by one
+    /// comparison for an interval, one binary search for an id set. The
+    /// boolean fallback never zone-prunes.
     #[inline]
     pub(crate) fn zone_may_match(&self, zone: Zone) -> bool {
+        let span = |ranks: &[u32]| (ranks[zone.min_id as usize], ranks[zone.max_id as usize]);
         match self {
+            SatSet::Ids {
+                sorted_ranks,
+                ranks,
+                ..
+            } => {
+                let (zone_lo, zone_hi) = span(ranks);
+                let i = sorted_ranks.partition_point(|&r| r < zone_lo);
+                i < sorted_ranks.len() && sorted_ranks[i] <= zone_hi
+            }
             SatSet::Interval { ranks, lo, hi } => {
-                let zone_lo = ranks[zone.min_id as usize];
-                let zone_hi = ranks[zone.max_id as usize];
+                let (zone_lo, zone_hi) = span(ranks);
                 zone_hi >= *lo && zone_lo < *hi
             }
             SatSet::Bools(_) => true,
         }
     }
+
+    /// Rows of `col` carrying a satisfying value, from resident metadata
+    /// alone: what tiers 1–2 read, no payload faulted.
+    pub(crate) fn rows_in(&self, col: &EncodedColumn) -> u64 {
+        col.segments()
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| self.zone_may_match(col.zone(i)))
+            .map(|(_, slot)| self.hits(slot.present_ids(), slot.ones()).0)
+            .sum()
+    }
+
+    /// Reads one segment's resident stats (its ascending `present` ids and
+    /// their `ones`): the rows carrying a satisfying id, and where those
+    /// ids sit. An id set intersects with `present` by galloping search,
+    /// O(k·log(p/k)) for k ids; the other forms walk every present id.
+    fn hits(&self, present: &[u32], ones: &[u64]) -> (u64, Hits) {
+        if let SatSet::Ids { ids, .. } = self {
+            let at = gallop_intersect(ids, present);
+            return (at.iter().map(|&i| ones[i]).sum(), Hits::At(at));
+        }
+        let (mut rows, mut count) = (0u64, 0usize);
+        let (mut first, mut last) = (0usize, 0usize);
+        for (i, (&id, &ones)) in present.iter().zip(ones).enumerate() {
+            if self.contains(id) {
+                if count == 0 {
+                    first = i;
+                }
+                last = i;
+                count += 1;
+                rows += ones;
+            }
+        }
+        (rows, Hits::Span { count, first, last })
+    }
+}
+
+/// The positions in `present` of the ids of `ids` that it holds, ascending.
+/// Both slices are ascending and distinct. Each id is found by an
+/// exponential probe from just past the previous hit, then a binary search
+/// of the bracket it found: O(k·log(p/k)) for k ids in p, never worse than
+/// the O(k + p) merge.
+fn gallop_intersect(ids: &[u32], present: &[u32]) -> Vec<usize> {
+    let mut at = Vec::new();
+    let mut base = 0usize;
+    for &id in ids {
+        let rest = &present[base..];
+        if rest.is_empty() {
+            break;
+        }
+        // Double `end` while `rest[end]` is still below `id`: then
+        // `rest[end / 2] < id` (or `end` is 1) and the answer lies in
+        // `end / 2 ..= end`.
+        let mut end = 1;
+        while end < rest.len() && rest[end] < id {
+            end *= 2;
+        }
+        let begin = end / 2;
+        let found = begin + rest[begin..(end + 1).min(rest.len())].partition_point(|&p| p < id);
+        if found < rest.len() && rest[found] == id {
+            at.push(base + found);
+            base += found + 1;
+        } else {
+            base += found;
+        }
+    }
+    at
 }
 
 /// Builds the selection mask of `pred` over `table` at data level (see the
@@ -234,6 +366,9 @@ fn compile<'a>(
         });
         Node::Leaf { col, sat }
     };
+    if let Some((col, sat)) = fused_leaf(table, pred)? {
+        return Ok(leaf(col, sat));
+    }
     Ok(match pred {
         Predicate::Compare {
             column,
@@ -243,13 +378,10 @@ fn compile<'a>(
             let col = table.column_by_name(column)?;
             leaf(col, sat_set(col, *op, literal))
         }
-        Predicate::And(a, b) => match fused_range(table, a, b)? {
-            Some((col, sat)) => leaf(col, sat),
-            None => Node::And(
-                Box::new(compile(table, a, cols)?),
-                Box::new(compile(table, b, cols)?),
-            ),
-        },
+        Predicate::And(a, b) => Node::And(
+            Box::new(compile(table, a, cols)?),
+            Box::new(compile(table, b, cols)?),
+        ),
         Predicate::Or(a, b) => Node::Or(
             Box::new(compile(table, a, cols)?),
             Box::new(compile(table, b, cols)?),
@@ -257,6 +389,19 @@ fn compile<'a>(
         Predicate::Not(p) => Node::Not(Box::new(compile(table, p, cols)?)),
         Predicate::True => Node::True,
     })
+}
+
+/// The one leaf an `AND` or `OR` of comparisons on one column comes down
+/// to, when it does: a BETWEEN ([`fused_range`]) or an IN ([`folded_in`]).
+pub(crate) fn fused_leaf<'a>(
+    table: &'a Table,
+    pred: &Predicate,
+) -> Result<Option<(&'a EncodedColumn, SatSet<'a>)>, StorageError> {
+    match pred {
+        Predicate::And(a, b) => fused_range(table, a, b),
+        Predicate::Or(..) => folded_in(table, pred),
+        _ => Ok(None),
+    }
 }
 
 /// BETWEEN fusion: a conjunction of two interval-admitting comparisons on
@@ -306,10 +451,62 @@ fn fused_range<'a>(
     Ok(Some((col, sat)))
 }
 
+/// IN folding, BETWEEN fusion's dual: an `OR` tree of any shape whose every
+/// leaf is an equality on the *same column* (`k = a OR k = b OR …`) is one
+/// id set — the union of the ids its literals name — so it is one leaf
+/// instead of one full-length mask per literal ORed together. Each row
+/// holds exactly one value, so satisfying some equality is exactly having
+/// its id in the union; the folded mask is bit-identical to the composed
+/// one. The tree is walked with an explicit stack, so a chain's length
+/// costs no recursion.
+fn folded_in<'a>(
+    table: &'a Table,
+    pred: &Predicate,
+) -> Result<Option<(&'a EncodedColumn, SatSet<'a>)>, StorageError> {
+    let mut column: Option<&String> = None;
+    let mut literals = Vec::new();
+    let mut stack = vec![pred];
+    while let Some(p) = stack.pop() {
+        match p {
+            Predicate::Or(a, b) => stack.extend([b.as_ref(), a.as_ref()]),
+            Predicate::Compare {
+                column: c,
+                op: CmpOp::Eq,
+                literal,
+            } if *column.get_or_insert(c) == c => literals.push(literal),
+            _ => return Ok(None),
+        }
+    }
+    let Some(column) = column else {
+        return Ok(None);
+    };
+    let col = table.column_by_name(column)?;
+    let dict = col.dict();
+    let ids = literals
+        .into_iter()
+        .flat_map(|literal| eq_ids(dict, literal))
+        .copied()
+        .collect();
+    Ok(Some((col, SatSet::of_ids(ids, dict.value_order().ranks()))))
+}
+
+/// The ids equal to `literal`: its rank interval, which holds at most one
+/// id (a dictionary's values are distinct), read off the value order.
+fn eq_ids<'d>(dict: &'d Dictionary, literal: &Value) -> &'d [u32] {
+    match CmpOp::Eq.sat_rank_interval(dict, literal) {
+        Some((lo, hi)) => &dict.value_order().ordered()[lo as usize..hi as usize],
+        None => &[],
+    }
+}
+
 /// Resolves one comparison's satisfying set against a column's dictionary:
-/// rank interval when the operator admits one, per-value booleans otherwise.
+/// the named id for an equality, a rank interval when the operator admits
+/// one, per-value booleans otherwise.
 pub(crate) fn sat_set<'a>(col: &'a EncodedColumn, op: CmpOp, literal: &Value) -> SatSet<'a> {
     let dict = col.dict();
+    if op == CmpOp::Eq {
+        return SatSet::of_ids(eq_ids(dict, literal).to_vec(), dict.value_order().ranks());
+    }
     match op.sat_rank_interval(dict, literal) {
         Some((lo, hi)) => SatSet::Interval {
             ranks: dict.value_order().ranks(),
@@ -392,30 +589,13 @@ fn append_segment_mask(
         return Ok(());
     }
     // Present-id tiers, still metadata-only: stats show how many
-    // satisfying values live in this row range, on how many rows, and
-    // between which present-id positions.
-    let mut sat_rows = 0u64;
-    let mut sat_ids = 0usize;
-    let (mut first, mut last) = (0usize, 0usize);
-    for (i, (&id, &ones)) in slot
-        .present_ids()
-        .iter()
-        .zip(slot.ones().iter())
-        .enumerate()
-    {
-        if sat.contains(id) {
-            if sat_ids == 0 {
-                first = i;
-            }
-            last = i;
-            sat_ids += 1;
-            sat_rows += ones;
-        }
-    }
-    if sat_ids == 0 || sat_rows == slot.rows() {
+    // satisfying values live in this row range, on how many rows, and at
+    // which present-id positions.
+    let (sat_rows, hits) = sat.hits(slot.present_ids(), slot.ones());
+    if hits.count() == 0 || sat_rows == slot.rows() {
         // No row of the range satisfies, or (each row carrying exactly one
         // present id) every row does: a fill, payload untouched.
-        mask.append_run(sat_ids != 0, slot.rows());
+        mask.append_run(hits.count() != 0, slot.rows());
         return Ok(());
     }
     // Survivor: fault the payload in (through the buffer cache) and build
@@ -425,12 +605,13 @@ fn append_segment_mask(
             // The payload's present ids are the metadata's (a fault checks
             // them), so the positions found above index its bitmaps.
             debug_assert_eq!(seg.present_ids(), slot.present_ids());
-            let mut satisfying: Vec<WahRef<'_>> = Vec::with_capacity(sat_ids);
-            for (i, &id) in (first..).zip(&seg.present_ids()[first..=last]) {
-                if sat.contains(id) {
-                    satisfying.push(seg.bitmap(i));
-                }
-            }
+            let satisfying: Vec<WahRef<'_>> = match hits {
+                Hits::At(at) => at.into_iter().map(|i| seg.bitmap(i)).collect(),
+                Hits::Span { first, last, .. } => (first..=last)
+                    .filter(|&i| sat.contains(seg.present_ids()[i]))
+                    .map(|i| seg.bitmap(i))
+                    .collect(),
+            };
             if satisfying.len() <= 64 {
                 mask.append_bitmap(&WahRef::union_many(satisfying, seg.rows()));
             } else if sat_rows * 8 <= seg.rows() {
@@ -678,6 +859,137 @@ mod tests {
             for (row, tuple) in t.to_rows().iter().enumerate() {
                 assert_eq!(m.get(row as u64), compiled.eval(tuple), "row {row}");
             }
+        }
+    }
+
+    /// The merge [`gallop_intersect`] must agree with.
+    fn merged_hits(ids: &[u32], present: &[u32]) -> Vec<usize> {
+        let (mut i, mut at) = (0, Vec::new());
+        for (pos, &p) in present.iter().enumerate() {
+            while i < ids.len() && ids[i] < p {
+                i += 1;
+            }
+            if i < ids.len() && ids[i] == p {
+                at.push(pos);
+            }
+        }
+        at
+    }
+
+    #[test]
+    fn galloping_intersection_matches_a_merge() {
+        let present: Vec<u32> = (0..200).map(|i| 3 * i + 1).collect();
+        let last = *present.last().unwrap();
+        let cases: Vec<Vec<u32>> = vec![
+            vec![],                                // empty id set
+            vec![0, 2, 3, 5, 599, 600, 10_000],    // none hit
+            present.clone(),                       // k = p, all hit
+            (0..=last + 5).collect(),              // k > p, every present id hit
+            vec![1],                               // the first present id
+            vec![last],                            // the last present id
+            vec![1, last],                         // both ends
+            vec![0, 1, 4, 5, 300, 301, 302, last], // hits and misses interleaved
+            (0..600).step_by(7).collect(),         // spread, some hit
+            (550..700).collect(),                  // a tail run past the end
+        ];
+        for ids in &cases {
+            assert_eq!(
+                gallop_intersect(ids, &present),
+                merged_hits(ids, &present),
+                "{ids:?}"
+            );
+            assert!(gallop_intersect(ids, &[]).is_empty());
+        }
+        // Every pair of small sets over a small universe.
+        for a in 0u32..64 {
+            for b in [0u32, 1, 0b1010_1010, 0xffff_ffff, 0x8000_0001, 0x0f0f_0f0f] {
+                let ids: Vec<u32> = (0..6).filter(|i| a & (1 << i) != 0).collect();
+                let present: Vec<u32> = (0..32).filter(|i| b & (1 << i) != 0).collect();
+                assert_eq!(
+                    gallop_intersect(&ids, &present),
+                    merged_hits(&ids, &present),
+                    "{ids:?} in {present:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_id_set_leaf_builds_the_boolean_leafs_mask() {
+        // One segment of 500 rows over 40 values, bitmap and RLE.
+        let schema = Schema::build(&[("k", ValueType::Int)], &[]).unwrap();
+        let rows: Vec<Vec<Value>> = (0..500)
+            .map(|i| vec![Value::int((i * 7 + i / 50) % 40)])
+            .collect();
+        let bitmap = Table::from_rows_with_segment_rows("t", schema, &rows, 500).unwrap();
+        let rle = bitmap.recoded(cods_storage::Encoding::Rle).unwrap();
+        for t in [&bitmap, &rle] {
+            let col = t.column(0);
+            assert_eq!(col.segment_count(), 1);
+            let ranks = col.dict().value_order().ranks();
+            let n = col.dict().len() as u32;
+            for ids in [
+                vec![],
+                vec![3],
+                vec![0, n - 1],
+                (0..n).step_by(3).collect(),
+                (0..n).collect(),
+            ] {
+                let bools = (0..n).map(|id| ids.contains(&id)).collect();
+                let mut masks = Vec::new();
+                for sat in [SatSet::of_ids(ids.clone(), ranks), SatSet::Bools(bools)] {
+                    for zones in [true, false] {
+                        let mut mask = Wah::new();
+                        let slot = &col.segments()[0];
+                        append_segment_mask(&mut mask, col, 0, &sat, zones, || slot.try_enc())
+                            .unwrap();
+                        masks.push(mask);
+                    }
+                }
+                assert!(masks.windows(2).all(|w| w[0] == w[1]), "{ids:?}");
+                let want = col.value_ids().iter().filter(|id| ids.contains(id)).count();
+                assert_eq!(masks[0].count_ones(), want as u64, "{ids:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_same_column_or_of_equalities_folds_into_one_leaf() {
+        let t = table();
+        let eq = |k: i64| Predicate::eq("k", k);
+        let ks = [7i64, 2, 7, 11, 0];
+        let left_deep = ks[1..].iter().fold(eq(ks[0]), |acc, &k| acc.or(eq(k)));
+        let right_deep = ks[..4]
+            .iter()
+            .rev()
+            .fold(eq(ks[4]), |acc, &k| eq(k).or(acc));
+        let mixed = eq(7).or(eq(2)).or(eq(7).or(eq(11).or(eq(0))));
+        let composed = ks
+            .iter()
+            .map(|&k| predicate_mask(&t, &eq(k)).unwrap())
+            .reduce(|a, b| a.or(&b))
+            .unwrap();
+        for pred in [&left_deep, &right_deep, &mixed] {
+            let mut cols = Vec::new();
+            match compile(&t, pred, &mut cols).unwrap() {
+                Node::Leaf {
+                    sat: SatSet::Ids { ids, .. },
+                    ..
+                } => assert_eq!(ids.len(), 3, "7, 2 and 0 are present; 11 is not"),
+                _ => panic!("{pred:?} did not fold"),
+            }
+            assert_eq!(predicate_mask(&t, pred).unwrap(), composed);
+            assert_eq!(predicate_mask_unpruned(&t, pred).unwrap(), composed);
+        }
+        // Another column, another operator, or a NOT inside: no fold.
+        for pred in [
+            eq(1).or(Predicate::eq("v", "s0")),
+            eq(1).or(Predicate::lt("k", 3i64)),
+            eq(1).or(eq(2).not()),
+        ] {
+            let mut cols = Vec::new();
+            let node = compile(&t, &pred, &mut cols).unwrap();
+            assert!(matches!(node, Node::Or(..)), "{pred:?} folded");
         }
     }
 

@@ -10,15 +10,15 @@
 //! * the hash join's build side and its partition-pass count against the
 //!   buffer cache's byte budget ([`join_costing`]);
 //! * predicate selectivity ([`predicate_selectivity`]) feeding both — a
-//!   single comparison is costed *exactly* (the per-segment `ones` stats
-//!   count its matching rows), boolean combinations use the usual
-//!   independence algebra.
+//!   single comparison, BETWEEN or IN is costed *exactly* (the per-segment
+//!   `ones` stats count its matching rows), other boolean combinations use
+//!   the usual independence algebra.
 //!
 //! [`crate::query::ResolvedQuery::explain`] renders each [`RankedChoice`] with the
 //! alternatives the estimate rejected, in rank order.
 
 use crate::agg::GroupKeySpace;
-use crate::bitmap_scan::sat_set;
+use crate::bitmap_scan::{fused_leaf, sat_set};
 use crate::pred::Predicate;
 use cods_storage::{EncodedColumn, Table};
 use std::cmp::Ordering;
@@ -87,45 +87,38 @@ impl RankedChoice {
 
 /// Estimated fraction of `t`'s rows satisfying `pred`, in `[0, 1]`.
 ///
-/// A single comparison is exact: its satisfying value set is resolved
-/// against the dictionary once, zone-mismatched segments contribute zero,
-/// and surviving segments sum the resident `ones` stats of their
-/// satisfying present ids — no payload is faulted. `And`/`Or`/`Not`
-/// combine by independence.
+/// Whatever the mask evaluator takes as one leaf is exact: a comparison, a
+/// same-column BETWEEN and a same-column `OR` of equalities (an IN) each
+/// resolve to one satisfying set ([`fused_leaf`]), zone-mismatched
+/// segments contribute zero, and surviving segments sum the resident
+/// `ones` stats of their satisfying present ids — no payload is faulted.
+/// Other `And`/`Or`/`Not` trees combine by independence.
 pub fn predicate_selectivity(t: &Table, pred: &Predicate) -> f64 {
     if t.rows() == 0 {
         return 0.0;
     }
-    match pred {
-        Predicate::True => 1.0,
+    let leaf = match pred {
         Predicate::Compare {
             column,
             op,
             literal,
-        } => {
-            let Ok(col) = t.column_by_name(column) else {
-                return 1.0;
-            };
-            let sat = sat_set(col, *op, literal);
-            let mut hit = 0u64;
-            for (i, slot) in col.segments().iter().enumerate() {
-                if !sat.zone_may_match(col.zone(i)) {
-                    continue;
-                }
-                for (&id, &ones) in slot.present_ids().iter().zip(slot.ones().iter()) {
-                    if sat.contains(id) {
-                        hit += ones;
-                    }
-                }
-            }
-            hit as f64 / t.rows() as f64
-        }
-        Predicate::And(a, b) => predicate_selectivity(t, a) * predicate_selectivity(t, b),
-        Predicate::Or(a, b) => {
+        } => t
+            .column_by_name(column)
+            .ok()
+            .map(|col| (&**col, sat_set(col, *op, literal))),
+        // An error names a column the table does not have.
+        _ => fused_leaf(t, pred).unwrap_or(None),
+    };
+    match (leaf, pred) {
+        (Some((col, sat)), _) => sat.rows_in(col) as f64 / t.rows() as f64,
+        (None, Predicate::And(a, b)) => predicate_selectivity(t, a) * predicate_selectivity(t, b),
+        (None, Predicate::Or(a, b)) => {
             let (sa, sb) = (predicate_selectivity(t, a), predicate_selectivity(t, b));
             (sa + sb - sa * sb).min(1.0)
         }
-        Predicate::Not(p) => 1.0 - predicate_selectivity(t, p),
+        (None, Predicate::Not(p)) => 1.0 - predicate_selectivity(t, p),
+        // `True`, or a column the table does not have.
+        (None, _) => 1.0,
     }
 }
 
@@ -300,6 +293,34 @@ mod tests {
         )
         .unwrap();
         assert_eq!(predicate_selectivity(&empty, &Predicate::True), 0.0);
+    }
+
+    #[test]
+    fn a_folded_in_is_costed_at_its_exact_row_fraction() {
+        // Two values on half the rows each: the IN of both selects every
+        // row (independence would say 0.75).
+        let schema = Schema::build(&[("k", ValueType::Int)], &[]).unwrap();
+        let halves: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::int(i % 2)]).collect();
+        let t = Table::from_rows_with_segment_rows("h", schema, &halves, 16).unwrap();
+        let both = Predicate::eq("k", 0i64).or(Predicate::eq("k", 1i64));
+        assert_eq!(predicate_selectivity(&t, &both), 1.0);
+
+        // Over several segments, with a repeat and an absent literal, in
+        // every shape: the fraction of rows the mask selects.
+        let t = table(1_000, 64);
+        let eq = |k: i64| Predicate::eq("k", k);
+        for pred in [
+            eq(3).or(eq(7)).or(eq(3)).or(eq(9999)),
+            eq(3).or(eq(7).or(eq(3).or(eq(9999)))),
+            eq(0).or(eq(19)),
+        ] {
+            let mask = crate::bitmap_scan::predicate_mask(&t, &pred).unwrap();
+            let exact = mask.count_ones() as f64 / t.rows() as f64;
+            assert_eq!(predicate_selectivity(&t, &pred), exact, "{pred:?}");
+        }
+        // A BETWEEN is one leaf too.
+        let between = Predicate::ge("k", 4i64).and(Predicate::lt("k", 6i64));
+        assert_eq!(predicate_selectivity(&t, &between), 0.1);
     }
 
     #[test]

@@ -128,6 +128,41 @@ fn eight_leaf_or_faults_each_segment_of_its_column_once() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A same-column OR of equalities is one id-set leaf, decided per segment
+/// from resident stats: an IN of the 256 keys that fill segment 3 makes it
+/// a one-fill and every other segment a zone-pruned zero-fill, with no
+/// fault at all (as separate leaves, each key would be partial there and
+/// fault the segment); an IN of keys in segments 2 and 5 faults those two.
+#[test]
+fn a_folded_in_faults_only_the_segments_it_partly_covers() {
+    let _g = serialized();
+    let (resident, lazy, path) = clustered_and_scattered("in", 8 * SEG_ROWS);
+    let cache = segment_cache();
+    let any_key = |keys: &mut dyn Iterator<Item = i64>| {
+        let first = Predicate::eq("k", keys.next().unwrap());
+        keys.fold(first, |acc, k| acc.or(Predicate::eq("k", k)))
+    };
+    let keys_per_seg = (SEG_ROWS / PER_KEY) as i64;
+
+    let whole = any_key(&mut (3 * keys_per_seg..4 * keys_per_seg));
+    let mask = predicate_mask(&lazy, &whole).unwrap();
+    assert_eq!(cache.stats().misses, 0, "the filled segment is a one-fill");
+    assert_eq!(mask.count_ones(), SEG_ROWS);
+    assert_eq!(
+        mask.rank1(4 * SEG_ROWS) - mask.rank1(3 * SEG_ROWS),
+        SEG_ROWS
+    );
+    assert_eq!(mask, predicate_mask(&resident, &whole).unwrap());
+
+    let two = any_key(&mut [600, 1_300, 601, 600].into_iter());
+    assert_eq!([600, 1_300].map(|k| k as u64 * PER_KEY / SEG_ROWS), [2, 5]);
+    let mask = predicate_mask(&lazy, &two).unwrap();
+    assert_eq!(cache.stats().misses, 2, "segments 2 and 5, nothing else");
+    assert_eq!(mask.count_ones(), 3 * PER_KEY);
+    assert_eq!(mask, predicate_mask(&resident, &two).unwrap());
+    std::fs::remove_file(&path).ok();
+}
+
 /// A side that comes out constant decides its AND / OR for that range, and
 /// the other side's segment is never faulted.
 #[test]

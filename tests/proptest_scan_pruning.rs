@@ -3,8 +3,9 @@
 //! directories), post-SMO, post-compaction — and random predicates, the
 //! pruned scan ([`predicate_mask`]) must be bit-identical to the
 //! exhaustive scan ([`predicate_mask_unpruned`]) and to a row-level
-//! evaluation oracle. Runs in CI's differential proptest job at
-//! `PROPTEST_CASES=512`.
+//! evaluation oracle. Same-column `OR` chains of equalities, which the
+//! evaluator folds into one id-set leaf, get an arm of their own. Runs in
+//! CI's differential proptest job at `PROPTEST_CASES=512`.
 
 use cods::simple_ops::{partition_table, union_tables};
 use cods_query::bitmap_scan::{predicate_mask, predicate_mask_unpruned};
@@ -113,6 +114,65 @@ fn pred() -> impl Strategy<Value = Predicate> {
         })
 }
 
+/// A same-column `OR` chain of 1–12 equalities (an IN), the way clients
+/// build one: left-deep, right-deep or split at random points. Literals
+/// repeat, include NULL, and fall outside every zone or the dictionary
+/// (k holds 0..40, v 0..12 and NULL). The chain stands alone, under `NOT`,
+/// inside an `AND` with a comparison on the other column, or ORed with an
+/// equality on the other column.
+fn in_pred() -> impl Strategy<Value = Predicate> {
+    (
+        (
+            0usize..2,
+            prop::collection::vec((-5i64..50, 0u8..12), 1usize..13),
+        ),
+        (0u8..3, any::<u64>(), 0u8..5, -5i64..50),
+    )
+        .prop_map(|((col, lits), (shape, splits, wrap, other))| {
+            let (name, other_name) = if col == 0 { ("k", "v") } else { ("v", "k") };
+            let mut eqs: Vec<Predicate> = lits
+                .into_iter()
+                .map(|(lit, null)| Predicate::Compare {
+                    column: name.into(),
+                    op: CmpOp::Eq,
+                    literal: if null == 0 {
+                        Value::Null
+                    } else {
+                        Value::int(lit)
+                    },
+                })
+                .collect();
+            fn mixed(mut eqs: Vec<Predicate>, splits: u64) -> Predicate {
+                if eqs.len() == 1 {
+                    return eqs.pop().unwrap();
+                }
+                let at = 1 + (splits % (eqs.len() as u64 - 1)) as usize;
+                let right = eqs.split_off(at);
+                let splits = splits.rotate_left(7) ^ 0x9e37_79b9;
+                mixed(eqs, splits).or(mixed(right, splits.rotate_left(13)))
+            }
+            let chain = match shape {
+                0 => {
+                    let first = eqs.remove(0);
+                    eqs.into_iter().fold(first, |acc, e| acc.or(e))
+                }
+                1 => {
+                    let last = eqs.pop().unwrap();
+                    eqs.into_iter().rev().fold(last, |acc, e| e.or(acc))
+                }
+                _ => mixed(eqs, splits),
+            };
+            match wrap {
+                0 => chain,
+                1 => chain.not(),
+                2 => chain.and(Predicate::lt(other_name, other)),
+                3 => Predicate::lt(other_name, other).and(chain.not()),
+                // An equality on the other column: the OR does not fold.
+                _ => chain.or(Predicate::eq(other_name, other)),
+            }
+        })
+}
+
 /// Recodes segments of the named column to RLE wherever `pattern` has a
 /// set bit — a random per-segment encoding assignment producing a
 /// genuinely mixed directory.
@@ -164,6 +224,25 @@ proptest! {
             _ => mix_column(&mix_column(&table, "k", pattern), "v", pattern.rotate_left(23)),
         };
         table.check_invariants().unwrap();
+        assert_masks_agree(&table, &p);
+    }
+
+    #[test]
+    fn in_chains_match_exhaustive_and_oracle_on_mixed_encodings(
+        table in base_table(),
+        p in in_pred(),
+        enc in 0usize..6,
+        pattern in proptest::prelude::any::<u64>(),
+    ) {
+        // A folded IN leaf against the same encodings as any predicate.
+        let table = match enc {
+            0 => table,
+            1 => table.recoded(Encoding::Rle).unwrap(),
+            2 => table.with_column_encoding("k", Encoding::Rle).unwrap(),
+            3 => table.with_column_encoding("v", Encoding::Rle).unwrap(),
+            4 => mix_column(&table, "k", pattern),
+            _ => mix_column(&mix_column(&table, "k", pattern), "v", pattern.rotate_left(23)),
+        };
         assert_masks_agree(&table, &p);
     }
 
