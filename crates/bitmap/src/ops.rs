@@ -270,11 +270,6 @@ impl Wah {
         !self.view()
     }
 
-    /// In-place OR (`*self = *self | other`).
-    pub fn or_with(&mut self, other: &Wah) {
-        *self = self.or(other);
-    }
-
     /// Returns `true` if the two bitmaps share no set position
     /// ([`WahRef::is_disjoint`]).
     pub fn is_disjoint(&self, other: &Wah) -> bool {

@@ -33,7 +33,7 @@ use crate::keys::KeyIndex;
 use crate::schema_tools::check_decomposition_shape;
 use crate::status::{EvolutionStatus, StatusTracker};
 use cods_query::par::{map_parallel, map_parallel_pooled};
-use cods_storage::{EncodedColumn, SealScratch, SegmentEnc, StorageError, Table};
+use cods_storage::{EncodedColumn, SealScratch, SegSlot, StorageError, Table};
 use std::sync::Arc;
 
 /// Specification of a decomposition.
@@ -259,7 +259,7 @@ pub(crate) fn filter_columns_by_mask(
 pub(crate) fn write_columns<S: Send>(
     columns: &[&EncodedColumn],
     tasks: Vec<(usize, S)>,
-    write: impl Fn(usize, S, &mut SealScratch) -> std::result::Result<SegmentEnc, StorageError> + Sync,
+    write: impl Fn(usize, S, &mut SealScratch) -> std::result::Result<SegSlot, StorageError> + Sync,
 ) -> Result<Vec<Arc<EncodedColumn>>> {
     let mut pool = Vec::new();
     let written = map_parallel_pooled(
@@ -268,7 +268,7 @@ pub(crate) fn write_columns<S: Send>(
         SealScratch::default,
         |(ci, sel), scratch| (ci, write(ci, sel, scratch)),
     );
-    let mut segments: Vec<Vec<SegmentEnc>> = vec![Vec::new(); columns.len()];
+    let mut segments: Vec<Vec<SegSlot>> = vec![Vec::new(); columns.len()];
     for (ci, seg) in written {
         segments[ci].push(seg?);
     }

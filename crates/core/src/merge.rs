@@ -165,11 +165,6 @@ fn key_table_step(
     Ok(keys)
 }
 
-/// Returns `true` if `table` has no duplicate combination of `cols`.
-pub fn is_unique_on(table: &Table, cols: &[usize]) -> Result<bool> {
-    Ok(key_table(table, cols)?.is_some())
-}
-
 /// Output schema of a mergence: the reusable/left columns followed by the
 /// other side's non-join columns. Shared with the evolution planner, which
 /// predicts output schemas without running the mergence.

@@ -64,6 +64,21 @@ pub fn parse_type(s: &str) -> Result<ValueType> {
     }
 }
 
+/// A table or column name: one word, without quotes, commas or
+/// parentheses. Anything else is refused, quoting the text that does not
+/// belong — a name no later statement could spell is never created.
+fn ident(s: &str) -> Result<String> {
+    let s = s.trim();
+    match s.find(|c: char| c.is_whitespace() || "',()".contains(c)) {
+        None if s.is_empty() => Err(err("missing name")),
+        None => Ok(s.to_string()),
+        Some(i) => Err(err(format!(
+            "unexpected {:?} in name {s:?}",
+            s[i..].trim_start()
+        ))),
+    }
+}
+
 /// Case-insensitive split on the first occurrence of ` <kw> ` as a word
 /// outside single quotes.
 fn split_keyword<'a>(s: &'a str, kw: &str) -> Option<(&'a str, &'a str)> {
@@ -79,11 +94,8 @@ fn parse_name_cols(part: &str) -> Result<(String, Vec<String>)> {
     if !part.trim_end().ends_with(')') {
         return Err(err(format!("missing `)` in {part:?}")));
     }
-    let name = part[..open].trim();
+    let name = ident(&part[..open])?;
     let inner = &part[open + 1..part.trim_end().len() - 1];
-    if name.is_empty() {
-        return Err(err("empty table name"));
-    }
     let cols: Vec<String> = inner
         .split(',')
         .map(|c| c.trim().to_string())
@@ -92,7 +104,7 @@ fn parse_name_cols(part: &str) -> Result<(String, Vec<String>)> {
     if cols.is_empty() {
         return Err(err(format!("no columns listed for {name:?}")));
     }
-    Ok((name.to_string(), cols))
+    Ok((name, cols))
 }
 
 /// Parses one SMO statement.
@@ -106,14 +118,14 @@ pub fn parse_smo(stmt: &str) -> Result<Smo> {
         let mut defs = Vec::new();
         let mut keys: Vec<String> = Vec::new();
         for c in cols {
-            if let Some(k) = c.strip_prefix("KEY ").or_else(|| c.strip_prefix("key ")) {
-                keys.extend(k.split_whitespace().map(str::to_string));
-                continue;
-            }
             let (cname, ty) = c
                 .split_once(' ')
                 .ok_or_else(|| err(format!("column def {c:?} must be `name type`")))?;
-            defs.push(ColumnDef::new(cname.trim(), parse_type(ty.trim())?));
+            if cname.eq_ignore_ascii_case("key") {
+                keys.extend(ty.split_whitespace().map(str::to_string));
+                continue;
+            }
+            defs.push(ColumnDef::new(ident(cname)?, parse_type(ty.trim())?));
         }
         let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
         let col_specs: Vec<(&str, ValueType)> =
@@ -122,25 +134,24 @@ pub fn parse_smo(stmt: &str) -> Result<Smo> {
         return Ok(Smo::CreateTable { name, schema });
     }
     if let Some(rest) = lower.strip_prefix("drop table ") {
-        let name = s[s.len() - rest.len()..].trim();
         return Ok(Smo::DropTable {
-            name: name.to_string(),
+            name: ident(&s[s.len() - rest.len()..])?,
         });
     }
     if lower.starts_with("rename table ") {
         let rest = s["rename table ".len()..].trim();
         let (from, to) = split_keyword(rest, "to").ok_or_else(|| err("RENAME TABLE needs `TO`"))?;
         return Ok(Smo::RenameTable {
-            from: from.to_string(),
-            to: to.to_string(),
+            from: ident(from)?,
+            to: ident(to)?,
         });
     }
     if lower.starts_with("copy table ") {
         let rest = s["copy table ".len()..].trim();
         let (from, to) = split_keyword(rest, "to").ok_or_else(|| err("COPY TABLE needs `TO`"))?;
         return Ok(Smo::CopyTable {
-            from: from.to_string(),
-            to: to.to_string(),
+            from: ident(from)?,
+            to: ident(to)?,
         });
     }
     if lower.starts_with("union tables ") {
@@ -152,9 +163,9 @@ pub fn parse_smo(stmt: &str) -> Result<Smo> {
             return Err(err("UNION TABLES needs exactly two inputs"));
         };
         return Ok(Smo::UnionTables {
-            left: left.to_string(),
-            right: right.to_string(),
-            output: output.to_string(),
+            left: ident(left)?,
+            right: ident(right)?,
+            output: ident(output)?,
             drop_inputs: false,
         });
     }
@@ -172,10 +183,10 @@ pub fn parse_smo(stmt: &str) -> Result<Smo> {
             return Err(err("PARTITION TABLE needs two outputs"));
         };
         return Ok(Smo::PartitionTable {
-            input: input.to_string(),
+            input: ident(input)?,
             predicate,
-            satisfying: sat.to_string(),
-            rest: rest_name.to_string(),
+            satisfying: ident(sat)?,
+            rest: ident(rest_name)?,
         });
     }
     if lower.starts_with("decompose table ") {
@@ -188,13 +199,14 @@ pub fn parse_smo(stmt: &str) -> Result<Smo> {
         };
         let (un_name, un_cols) = parse_name_cols(first)?;
         let (ch_name, ch_cols) = parse_name_cols(second)?;
+        let idents = |cols: Vec<String>| cols.iter().map(|c| ident(c)).collect::<Result<_>>();
         return Ok(Smo::DecomposeTable {
-            input: input.to_string(),
+            input: ident(input)?,
             spec: DecomposeSpec {
                 unchanged_name: un_name,
-                unchanged_cols: un_cols,
+                unchanged_cols: idents(un_cols)?,
                 changed_name: ch_name,
-                changed_cols: ch_cols,
+                changed_cols: idents(ch_cols)?,
                 verify_fd: true,
             },
         });
@@ -208,9 +220,9 @@ pub fn parse_smo(stmt: &str) -> Result<Smo> {
             return Err(err("MERGE TABLES needs exactly two inputs"));
         };
         return Ok(Smo::MergeTables {
-            left: left.to_string(),
-            right: right.to_string(),
-            output: output.to_string(),
+            left: ident(left)?,
+            right: ident(right)?,
+            output: ident(output)?,
             strategy: MergeStrategy::Auto,
         });
     }
@@ -231,8 +243,8 @@ pub fn parse_smo(stmt: &str) -> Result<Smo> {
             None => ColumnFill::Default(Value::Null),
         };
         return Ok(Smo::AddColumn {
-            table: table.to_string(),
-            column: ColumnDef::new(cname.trim(), ty),
+            table: ident(table)?,
+            column: ColumnDef::new(ident(cname)?, ty),
             fill,
         });
     }
@@ -241,8 +253,8 @@ pub fn parse_smo(stmt: &str) -> Result<Smo> {
         let (column, table) =
             split_keyword(rest, "from").ok_or_else(|| err("DROP COLUMN needs `FROM`"))?;
         return Ok(Smo::DropColumn {
-            table: table.to_string(),
-            column: column.to_string(),
+            table: ident(table)?,
+            column: ident(column)?,
         });
     }
     if lower.starts_with("rename column ") {
@@ -252,9 +264,9 @@ pub fn parse_smo(stmt: &str) -> Result<Smo> {
         let (to, table) =
             split_keyword(to_in, "in").ok_or_else(|| err("RENAME COLUMN needs `IN`"))?;
         return Ok(Smo::RenameColumn {
-            table: table.to_string(),
-            from: from.to_string(),
-            to: to.to_string(),
+            table: ident(table)?,
+            from: ident(from)?,
+            to: ident(to)?,
         });
     }
     Err(err(format!("unrecognized statement {s:?}")))
@@ -467,6 +479,40 @@ DROP TABLE r2
         assert!(parse_smo("DECOMPOSE TABLE R INTO S").is_err());
         assert!(parse_smo("CREATE TABLE t (id banana)").is_err());
         assert!(parse_smo("PARTITION TABLE t WHERE INTO a, b").is_err());
+    }
+
+    /// Each input must be refused, its error quoting `extra`.
+    fn refused(stmt: &str, extra: &str) {
+        let e = parse_smo(stmt).unwrap_err().to_string();
+        assert!(e.contains(&format!("{extra:?}")), "{stmt}: {e}");
+    }
+
+    #[test]
+    fn a_name_is_one_word() {
+        refused("DROP TABLE a b", "b");
+        refused("RENAME TABLE a TO b c", "c");
+        refused("COPY TABLE a TO b c", "c");
+        refused("DROP COLUMN c FROM t u", "u");
+        refused("DECOMPOSE TABLE r q INTO s (a, b), t (a, c)", "q");
+        refused("PARTITION TABLE r WHERE a < 1 INTO s, r extra", "extra");
+        refused("DROP TABLE 'a'", "'a'");
+        refused("MERGE TABLES s, t INTO r x", "x");
+        refused("DECOMPOSE TABLE r INTO s (a b, c), t (a, c)", "b");
+        let e = parse_smo("NONSENSE").unwrap_err().to_string();
+        assert!(e.contains("unrecognized statement \"NONSENSE\""), "{e}");
+    }
+
+    #[test]
+    fn key_is_case_insensitive() {
+        for stmt in [
+            "CREATE TABLE t (id int, Key id)",
+            "CREATE TABLE t (id int, key id)",
+        ] {
+            match parse_smo(stmt).unwrap() {
+                Smo::CreateTable { schema, .. } => assert_eq!(schema.key_names(), vec!["id"]),
+                other => panic!("{other}"),
+            }
+        }
     }
 
     #[test]

@@ -107,16 +107,6 @@ pub enum Smo {
 }
 
 impl Smo {
-    /// Returns `true` for the column-level operators (ADD / DROP / RENAME
-    /// COLUMN) — the ones the planner fuses into a single per-table pass
-    /// when they form an uninterrupted chain.
-    pub fn is_column_op(&self) -> bool {
-        matches!(
-            self,
-            Smo::AddColumn { .. } | Smo::DropColumn { .. } | Smo::RenameColumn { .. }
-        )
-    }
-
     /// For column-level operators, the table they modify in place.
     pub fn column_op_table(&self) -> Option<&str> {
         match self {

@@ -161,7 +161,7 @@ impl SatSet<'_> {
             .iter()
             .enumerate()
             .filter(|&(i, _)| self.zone_may_match(col.zone(i)))
-            .map(|(_, slot)| self.hits(slot.present_ids(), slot.ones()).0)
+            .map(|(_, slot)| self.hits(&slot.meta().present_ids, &slot.meta().ones).0)
             .sum()
     }
 
@@ -283,7 +283,7 @@ struct ColRange<'a> {
 impl ColRange<'_> {
     /// Extends the range by one directory entry.
     fn take_segment(&mut self) {
-        self.end += self.col.segments()[self.segs.end].rows();
+        self.end += self.col.segments()[self.segs.end].meta().rows;
         self.segs.end += 1;
         self.held.push(None);
     }
@@ -582,39 +582,39 @@ fn append_segment_mask(
     zones: bool,
     payload: impl FnOnce() -> Result<SegmentEnc, StorageError>,
 ) -> Result<(), StorageError> {
-    let slot = &col.segments()[seg];
+    let meta = col.segments()[seg].meta();
+    let rows = meta.rows;
     if zones && !sat.zone_may_match(col.zone(seg)) {
         // Zone-pruned: neither stats nor payload touched.
-        mask.append_run(false, slot.rows());
+        mask.append_run(false, rows);
         return Ok(());
     }
     // Present-id tiers, still metadata-only: stats show how many
     // satisfying values live in this row range, on how many rows, and at
     // which present-id positions.
-    let (sat_rows, hits) = sat.hits(slot.present_ids(), slot.ones());
-    if hits.count() == 0 || sat_rows == slot.rows() {
+    let (sat_rows, hits) = sat.hits(&meta.present_ids, &meta.ones);
+    if hits.count() == 0 || sat_rows == rows {
         // No row of the range satisfies, or (each row carrying exactly one
         // present id) every row does: a fill, payload untouched.
-        mask.append_run(hits.count() != 0, slot.rows());
+        mask.append_run(hits.count() != 0, rows);
         return Ok(());
     }
     // Survivor: fault the payload in (through the buffer cache) and build
     // this range's mask on its native encoding.
     match &payload()? {
         SegmentEnc::Bitmap(seg) => {
-            // The payload's present ids are the metadata's (a fault checks
-            // them), so the positions found above index its bitmaps.
-            debug_assert_eq!(seg.present_ids(), slot.present_ids());
+            // The payload's bitmaps are in the order of the metadata's
+            // present ids, so the positions found above index them.
             let satisfying: Vec<WahRef<'_>> = match hits {
                 Hits::At(at) => at.into_iter().map(|i| seg.bitmap(i)).collect(),
                 Hits::Span { first, last, .. } => (first..=last)
-                    .filter(|&i| sat.contains(seg.present_ids()[i]))
+                    .filter(|&i| sat.contains(meta.present_ids[i]))
                     .map(|i| seg.bitmap(i))
                     .collect(),
             };
             if satisfying.len() <= 64 {
-                mask.append_bitmap(&WahRef::union_many(satisfying, seg.rows()));
-            } else if sat_rows * 8 <= seg.rows() {
+                mask.append_bitmap(&WahRef::union_many(satisfying, rows));
+            } else if sat_rows * 8 <= rows {
                 // Many values but few rows (the cached ones say so up
                 // front): merge the set positions — O(selected · log)
                 // instead of paging a dense bit-vector over the whole
@@ -625,11 +625,11 @@ fn append_segment_mask(
                     positions.extend(bm.iter_ones());
                 }
                 positions.sort_unstable();
-                mask.append_bitmap(&Wah::from_sorted_positions(positions, seg.rows()));
+                mask.append_bitmap(&Wah::from_sorted_positions(positions, rows));
             } else {
                 // Many satisfying values and dense selection: one pass
                 // over the segment's set bits instead of a wide union.
-                let mut bits = vec![false; seg.rows() as usize];
+                let mut bits = vec![false; rows as usize];
                 for bm in satisfying {
                     for pos in bm.iter_ones() {
                         bits[pos as usize] = true;

@@ -128,8 +128,8 @@ pub fn predicate_selectivity(t: &Table, pred: &Predicate) -> f64 {
 fn run_fraction(col: &EncodedColumn) -> f64 {
     let (mut runs, mut rows) = (0u64, 0u64);
     for slot in col.segments() {
-        runs += slot.run_count();
-        rows += slot.rows();
+        runs += slot.meta().runs;
+        rows += slot.meta().rows;
     }
     if rows == 0 {
         0.0

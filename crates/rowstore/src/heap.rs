@@ -86,11 +86,6 @@ impl HeapFile {
         })
     }
 
-    /// Mutable access to a page (journaling).
-    pub fn page_mut(&mut self, page: u32) -> &mut Page {
-        &mut self.pages[page as usize]
-    }
-
     /// Shared access to a page.
     pub fn page(&self, page: u32) -> &Page {
         &self.pages[page as usize]

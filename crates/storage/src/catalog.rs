@@ -279,11 +279,6 @@ impl Catalog {
         *self.sink.write() = sink;
     }
 
-    /// `true` when a durability sink is attached.
-    pub fn is_durable(&self) -> bool {
-        self.sink.read().is_some()
-    }
-
     /// Fetches a table snapshot.
     pub fn get(&self, name: &str) -> Result<Arc<Table>, StorageError> {
         self.tables

@@ -7,10 +7,16 @@
 //! Every read of a column's ids or runs goes through one selection walker
 //! ([`EncodedColumn::split_by_segment`]), and every segment a write path
 //! produces is sealed from its runs by one function,
-//! [`SegmentEnc::seal`]. Writers cut their output at the column's nominal
-//! segment size, so each task of an evolution operator writes exactly one
-//! output segment: selection-driven writes (filters, slices, compaction,
-//! recodes) read one output segment's rows as runs and seal them
+//! [`SegmentEnc::seal`], which counts the segment's stats ([`SegMeta`]) in
+//! the same pass and hands them along in a fresh [`SegSlot`]. A
+//! [`SegmentEnc`] is payload only: every stat the column reads — zones,
+//! pruning, the chooser, compaction, sizes — comes from a slot's meta, and
+//! `SegmentEnc` is matched only where a payload is read.
+//!
+//! Writers cut their output at the column's nominal segment size, so each
+//! task of an evolution operator writes exactly one output segment:
+//! selection-driven writes (filters, slices, compaction, recodes) read one
+//! output segment's rows as runs and seal them
 //! ([`EncodedColumn::try_write`]) — RLE when every segment they draw from
 //! is RLE — and stream-driven writes (mergence payloads, gathers, builds)
 //! push ids or runs into one segment's [`RleSeq`] and seal it in the
@@ -21,7 +27,7 @@ use crate::dictionary::Dictionary;
 use crate::error::StorageError;
 use crate::rle_segment::RleSegment;
 use crate::segment::{SealScratch, Segment, Zone};
-use crate::store::SegSlot;
+use crate::store::{SegMeta, SegSlot};
 use crate::value::{Value, ValueType};
 use cods_bitmap::{RleSeq, Wah};
 use std::ops::Range;
@@ -72,8 +78,10 @@ pub fn choose_encoding_from_stats(runs: u64, rows: u64, distinct: u64, segments:
     }
 }
 
-/// One entry of the unified segment directory: an `Arc`-shared row-range
-/// segment in either encoding, with a common stats surface.
+/// The payload of one entry of the unified segment directory: an
+/// `Arc`-shared row-range segment in either encoding. It carries no
+/// statistics; the segment's [`SegMeta`] does, beside it in its
+/// [`SegSlot`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum SegmentEnc {
     /// Sparse per-value WAH bitmaps over the segment's rows.
@@ -83,131 +91,36 @@ pub enum SegmentEnc {
 }
 
 impl SegmentEnc {
-    /// This segment's physical encoding.
-    pub fn encoding(&self) -> Encoding {
-        match self {
-            SegmentEnc::Bitmap(_) => Encoding::Bitmap,
-            SegmentEnc::Rle(_) => Encoding::Rle,
-        }
-    }
-
-    /// Number of rows covered.
-    pub fn rows(&self) -> u64 {
-        match self {
-            SegmentEnc::Bitmap(s) => s.rows(),
-            SegmentEnc::Rle(s) => s.rows(),
-        }
-    }
-
-    /// The ascending value ids present in this segment.
-    pub fn present_ids(&self) -> &[u32] {
-        match self {
-            SegmentEnc::Bitmap(s) => s.present_ids(),
-            SegmentEnc::Rle(s) => s.present_ids(),
-        }
-    }
-
-    /// Cached per-present-id row counts, parallel to
-    /// [`SegmentEnc::present_ids`].
-    pub fn ones(&self) -> &[u64] {
-        match self {
-            SegmentEnc::Bitmap(s) => s.ones(),
-            SegmentEnc::Rle(s) => s.ones(),
-        }
-    }
-
-    /// Number of distinct values present.
-    pub fn distinct_count(&self) -> usize {
-        match self {
-            SegmentEnc::Bitmap(s) => s.distinct_count(),
-            SegmentEnc::Rle(s) => s.distinct_count(),
-        }
-    }
-
-    /// Returns `true` when `id` occurs in this segment (O(log present)).
-    pub fn contains_id(&self, id: u32) -> bool {
-        match self {
-            SegmentEnc::Bitmap(s) => s.contains_id(id),
-            SegmentEnc::Rle(s) => s.contains_id(id),
-        }
-    }
-
-    /// Number of rows carrying `id` (0 when absent).
-    pub fn count_for(&self, id: u32) -> u64 {
-        match self {
-            SegmentEnc::Bitmap(s) => s.count_for(id),
-            SegmentEnc::Rle(s) => s.count_for(id),
-        }
-    }
-
-    /// Compressed payload bytes (cached).
-    pub fn compressed_bytes(&self) -> usize {
-        match self {
-            SegmentEnc::Bitmap(s) => s.compressed_bytes(),
-            SegmentEnc::Rle(s) => s.compressed_bytes(),
-        }
-    }
-
-    /// Total maximal constant-value runs in row order — exact for RLE
-    /// (stored runs), computed from compressed WAH interval walks for
-    /// bitmap segments. Never decompresses per row.
-    pub fn run_count(&self) -> u64 {
-        match self {
-            SegmentEnc::Bitmap(s) => s.run_count(),
-            SegmentEnc::Rle(s) => s.num_runs() as u64,
-        }
-    }
-
-    /// What the stats-driven chooser would pick for this segment, from its
-    /// own run/row/distinct statistics.
-    pub fn choose_encoding(&self) -> Encoding {
-        choose_encoding_from_stats(
-            self.run_count(),
-            self.rows(),
-            self.distinct_count() as u64,
-            1,
-        )
-    }
-
     /// Seals one segment from the run sequence of its rows — the one
-    /// writer under every write path: a bitmap segment in one counting
-    /// pass ([`Segment::from_runs`]), or the runs themselves.
-    pub fn seal(seq: RleSeq, encoding: Encoding, scratch: &mut SealScratch) -> SegmentEnc {
-        match encoding {
-            Encoding::Bitmap => SegmentEnc::Bitmap(Arc::new(Segment::from_runs(&seq, scratch))),
-            Encoding::Rle => SegmentEnc::Rle(Arc::new(RleSegment::new(seq))),
-        }
-    }
-
-    /// Re-encodes this segment to `encoding` (shares the `Arc` when already
-    /// there): its rows read as runs and sealed in `encoding`. A bitmap
-    /// segment whose bitmaps leave a row uncovered is
-    /// [`StorageError::Corrupt`] ([`Segment::fill_covering`]).
-    pub fn recoded(&self, encoding: Encoding) -> Result<SegmentEnc, StorageError> {
-        self.recoded_with(encoding, &mut SealScratch::default())
-    }
-
-    pub(crate) fn recoded_with(
-        &self,
-        encoding: Encoding,
-        scratch: &mut SealScratch,
-    ) -> Result<SegmentEnc, StorageError> {
-        if self.encoding() == encoding {
-            return Ok(self.clone());
-        }
-        let mut seq = RleSeq::new();
-        self.read_in(0, &[(0, self.rows())], &mut seq, &mut Vec::new())?;
-        Ok(SegmentEnc::seal(seq, encoding, scratch))
+    /// writer under every write path. One counting pass over `scratch`'s
+    /// id-indexed tables gives the segment's stats (`SealScratch::count`);
+    /// a bitmap payload is then written from that count
+    /// (`Segment::from_runs`), an RLE one is the runs themselves. The
+    /// result is a fresh slot holding both.
+    pub fn seal(seq: RleSeq, encoding: Encoding, scratch: &mut SealScratch) -> SegSlot {
+        let mut meta = scratch.count(&seq, encoding);
+        let enc = match encoding {
+            Encoding::Bitmap => {
+                SegmentEnc::Bitmap(Arc::new(Segment::from_runs(&seq, &mut meta, scratch)))
+            }
+            Encoding::Rle => {
+                meta.bytes = seq.size_bytes();
+                SegmentEnc::Rle(Arc::new(RleSegment::new(seq)))
+            }
+        };
+        scratch.reset();
+        SegSlot::fresh(meta, enc)
     }
 
     /// Reads the rows of `piece` — intervals of the column's rows, this
-    /// segment starting at row `start` — into `sink`. A bitmap segment
-    /// decodes once: straight into the sink when it is wholly selected and
-    /// the sink keeps ids, else into `scratch`, which the selected pieces
-    /// are copied from. An RLE segment's runs are merged against the
-    /// intervals, in O(runs + intervals).
-    fn read_in(
+    /// `rows`-row segment starting at row `start` — into `sink`. A bitmap
+    /// segment decodes once: straight into the sink when it is wholly
+    /// selected and the sink keeps ids, else into `scratch`, which the
+    /// selected pieces are copied from. An RLE segment's runs are merged
+    /// against the intervals, in O(runs + intervals).
+    pub(crate) fn read_in(
         &self,
+        rows: u64,
         start: u64,
         piece: &[(u64, u64)],
         sink: &mut impl SelSink,
@@ -215,14 +128,13 @@ impl SegmentEnc {
     ) -> Result<(), StorageError> {
         match self {
             SegmentEnc::Bitmap(s) => {
-                let rows = s.rows() as usize;
-                if piece == [(start, start + rows as u64)] {
-                    if let Some(dst) = sink.whole_segment(rows) {
+                if piece == [(start, start + rows)] {
+                    if let Some(dst) = sink.whole_segment(rows as usize) {
                         return s.fill_covering(dst);
                     }
                 }
                 scratch.clear();
-                scratch.resize(rows, u32::MAX);
+                scratch.resize(rows as usize, u32::MAX);
                 s.fill_covering(scratch)?;
                 for &(a, b) in piece {
                     sink.ids(&scratch[(a - start) as usize..(b - start) as usize]);
@@ -253,19 +165,12 @@ impl SegmentEnc {
         Ok(())
     }
 
-    /// Rewrites the segment under an id translation. O(payload).
-    pub(crate) fn remap(&self, map: &[Option<u32>]) -> SegmentEnc {
+    /// Recounts the segment's stats from its payload
+    /// ([`Segment::recount`], [`RleSegment::recount`]).
+    pub fn recount(&self) -> Result<SegMeta, String> {
         match self {
-            SegmentEnc::Bitmap(s) => SegmentEnc::Bitmap(Arc::new(s.remap(map))),
-            SegmentEnc::Rle(s) => SegmentEnc::Rle(Arc::new(s.remap(map))),
-        }
-    }
-
-    /// Validates the per-segment invariants.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        match self {
-            SegmentEnc::Bitmap(s) => s.check_invariants(),
-            SegmentEnc::Rle(s) => s.check_invariants(),
+            SegmentEnc::Bitmap(s) => s.recount(),
+            SegmentEnc::Rle(s) => Ok(s.recount()),
         }
     }
 }
@@ -279,7 +184,7 @@ fn starts_of(segments: &[SegSlot]) -> (Vec<u64>, u64) {
     let mut total = 0u64;
     for s in segments {
         starts.push(total);
-        total += s.rows();
+        total += s.meta().rows;
     }
     (starts, total)
 }
@@ -287,14 +192,14 @@ fn starts_of(segments: &[SegSlot]) -> (Vec<u64>, u64) {
 /// Derives every segment's zone from its present-id stats via the
 /// dictionary's value order — the stats-level fallback for paths that
 /// cannot splice zones from inputs. Never touches payload.
-fn derive_zones(dict: &Dictionary, segments: &[SegmentEnc]) -> Vec<Zone> {
+fn derive_zones(dict: &Dictionary, segments: &[SegSlot]) -> Vec<Zone> {
     if segments.is_empty() {
         return Vec::new();
     }
     let ranks = dict.value_order().ranks();
     segments
         .iter()
-        .map(|s| Zone::of_ids(s.present_ids(), ranks))
+        .map(|s| Zone::of_ids(&s.meta().present_ids, ranks))
         .collect()
 }
 
@@ -383,12 +288,11 @@ impl EncodedColumn {
     pub fn from_segments(
         ty: ValueType,
         dict: Dictionary,
-        segments: Vec<SegmentEnc>,
+        segments: Vec<SegSlot>,
         segment_rows: u64,
     ) -> EncodedColumn {
         let zones = derive_zones(&dict, &segments);
-        let slots = segments.into_iter().map(SegSlot::fresh).collect();
-        Self::from_slots_zoned(ty, dict, slots, zones, segment_rows)
+        Self::from_slots_zoned(ty, dict, segments, zones, segment_rows)
     }
 
     /// [`EncodedColumn::from_segments`] over already-built directory slots
@@ -425,12 +329,12 @@ impl EncodedColumn {
     pub fn from_segments_compacting(
         ty: ValueType,
         dict: Dictionary,
-        segments: Vec<SegmentEnc>,
+        segments: Vec<SegSlot>,
         segment_rows: u64,
     ) -> EncodedColumn {
         let mut present = vec![false; dict.len()];
         for seg in &segments {
-            for &id in seg.present_ids() {
+            for &id in seg.meta().present_ids.iter() {
                 present[id as usize] = true;
             }
         }
@@ -438,7 +342,7 @@ impl EncodedColumn {
             return Self::from_segments(ty, dict, segments, segment_rows);
         }
         let (compact_dict, mapping) = dict.compact(|id| present[id as usize]);
-        let segments: Vec<SegmentEnc> = segments.iter().map(|s| s.remap(&mapping)).collect();
+        let segments = segments.iter().map(|s| s.remap(&mapping)).collect();
         Self::from_segments(ty, compact_dict, segments, segment_rows)
     }
 
@@ -477,12 +381,12 @@ impl EncodedColumn {
 
     /// Row counts of every segment, in order.
     pub fn segment_sizes(&self) -> Vec<u64> {
-        self.segments.iter().map(|s| s.rows()).collect()
+        self.segments.iter().map(|s| s.meta().rows).collect()
     }
 
     /// The physical encoding of segment `idx`.
     pub fn segment_encoding(&self, idx: usize) -> Encoding {
-        self.segments[idx].encoding()
+        self.segments[idx].meta().encoding
     }
 
     /// `(bitmap segments, RLE segments)` — the directory's encoding
@@ -491,7 +395,7 @@ impl EncodedColumn {
         let rle = self
             .segments
             .iter()
-            .filter(|s| s.encoding() == Encoding::Rle)
+            .filter(|s| s.meta().encoding == Encoding::Rle)
             .count();
         (self.segments.len() - rle, rle)
     }
@@ -500,7 +404,7 @@ impl EncodedColumn {
     /// homogeneous. An empty directory counts as uniformly bitmap (the
     /// default layout new data lands in).
     pub fn uniform_encoding(&self) -> Option<Encoding> {
-        let mut it = self.segments.iter().map(|s| s.encoding());
+        let mut it = self.segments.iter().map(|s| s.meta().encoding);
         let first = match it.next() {
             None => return Some(Encoding::Bitmap),
             Some(e) => e,
@@ -539,7 +443,7 @@ impl EncodedColumn {
     pub fn max_segment_distinct(&self) -> usize {
         self.segments
             .iter()
-            .map(|s| s.distinct_count())
+            .map(|s| s.meta().distinct_count())
             .max()
             .unwrap_or(0)
     }
@@ -547,7 +451,7 @@ impl EncodedColumn {
     /// Total maximal constant-value runs across the directory, summed from
     /// per-segment stats (exact RLE runs; compressed WAH interval walks).
     pub fn run_count(&self) -> u64 {
-        self.segments.iter().map(|s| s.run_count()).sum()
+        self.segments.iter().map(|s| s.meta().runs).sum()
     }
 
     // ---- pins and the chooser ----
@@ -595,7 +499,7 @@ impl EncodedColumn {
     /// What the per-segment chooser would pick for segment `idx`, from that
     /// segment's own run/row/distinct statistics.
     pub fn choose_segment_encoding(&self, idx: usize) -> Encoding {
-        self.segments[idx].choose_encoding()
+        self.segments[idx].meta().choose_encoding()
     }
 
     /// The encoding an operator should seal a fresh output segment in,
@@ -620,7 +524,7 @@ impl EncodedColumn {
         self.segments
             .iter()
             .zip(&self.seg_pins)
-            .any(|(s, &pin)| !pin && s.choose_encoding() != s.encoding())
+            .any(|(s, &pin)| !pin && s.meta().choose_encoding() != s.meta().encoding)
     }
 
     /// Re-encodes every unpinned segment to the per-segment chooser's pick
@@ -636,7 +540,7 @@ impl EncodedColumn {
         let mut scratch = SealScratch::default();
         for (seg, &pin) in out.segments.iter_mut().zip(&self.seg_pins) {
             if !pin {
-                *seg = seg.recoded(seg.choose_encoding(), &mut scratch)?;
+                *seg = seg.recoded_with(seg.meta().choose_encoding(), &mut scratch)?;
             }
         }
         Ok(out)
@@ -652,7 +556,7 @@ impl EncodedColumn {
         let mut out = self.clone();
         let mut scratch = SealScratch::default();
         for seg in out.segments.iter_mut() {
-            *seg = seg.recoded(encoding, &mut scratch)?;
+            *seg = seg.recoded_with(encoding, &mut scratch)?;
         }
         Ok(out)
     }
@@ -677,7 +581,7 @@ impl EncodedColumn {
         let mut out = self.clone();
         let mut scratch = SealScratch::default();
         for idx in range {
-            out.segments[idx] = out.segments[idx].recoded(encoding, &mut scratch)?;
+            out.segments[idx] = out.segments[idx].recoded_with(encoding, &mut scratch)?;
             out.seg_pins[idx] = true;
             // An explicitly recoded segment is also pinned in the buffer
             // cache: the user singled it out, so it stays resident.
@@ -702,8 +606,8 @@ impl EncodedColumn {
         let mut scratch = SealScratch::default();
         for idx in range {
             out.seg_pins[idx] = false;
-            let encoding = out.segments[idx].choose_encoding();
-            out.segments[idx] = out.segments[idx].recoded(encoding, &mut scratch)?;
+            let encoding = out.segments[idx].meta().choose_encoding();
+            out.segments[idx] = out.segments[idx].recoded_with(encoding, &mut scratch)?;
             out.segments[idx].set_pinned(false);
         }
         Ok(out)
@@ -753,7 +657,7 @@ impl EncodedColumn {
 
     /// The row range segment `idx` covers.
     pub fn segment_range(&self, idx: usize) -> Range<u64> {
-        self.starts[idx]..self.starts[idx] + self.segments[idx].rows()
+        self.starts[idx]..self.starts[idx] + self.segments[idx].meta().rows
     }
 
     /// Splits a selection along the segment directory — the overlap walk
@@ -825,9 +729,14 @@ impl EncodedColumn {
     fn read_in(&self, sel: &[(u64, u64)], sink: &mut impl SelSink) -> Result<(), StorageError> {
         let mut scratch: Vec<u32> = Vec::new();
         for (seg, piece) in self.split_by_segment(sel) {
-            self.segments[seg]
-                .try_enc()?
-                .read_in(self.starts[seg], &piece, sink, &mut scratch)?;
+            let slot = &self.segments[seg];
+            slot.try_enc()?.read_in(
+                slot.meta().rows,
+                self.starts[seg],
+                &piece,
+                sink,
+                &mut scratch,
+            )?;
         }
         Ok(())
     }
@@ -847,14 +756,15 @@ impl EncodedColumn {
         for seg in &self.segments {
             // Present-id stats answer "absent here" without faulting the
             // payload — a value probe only pages in segments that carry it.
-            if !seg.contains_id(id) {
-                out.append_run(false, seg.rows());
+            let meta = seg.meta();
+            if !meta.contains_id(id) {
+                out.append_run(false, meta.rows);
                 continue;
             }
             match seg.enc() {
                 SegmentEnc::Bitmap(s) => match s.bitmap_for(id) {
                     Some(bm) => out.append_bitmap(bm),
-                    None => out.append_run(false, s.rows()),
+                    None => out.append_run(false, meta.rows),
                 },
                 SegmentEnc::Rle(s) => s.append_value_bitmap(id, &mut out),
             }
@@ -870,7 +780,7 @@ impl EncodedColumn {
     /// Number of rows carrying value id `id` (from segment stats; never
     /// touches payload).
     pub fn value_count(&self, id: u32) -> u64 {
-        self.segments.iter().map(|s| s.count_for(id)).sum()
+        self.segments.iter().map(|s| s.meta().count_for(id)).sum()
     }
 
     // ---- the writers ----
@@ -888,7 +798,7 @@ impl EncodedColumn {
         let all_rle = self
             .split_by_segment(sel)
             .iter()
-            .all(|(seg, _)| self.segments[*seg].encoding() == Encoding::Rle);
+            .all(|(seg, _)| self.segments[*seg].meta().encoding == Encoding::Rle);
         if all_rle {
             Encoding::Rle
         } else {
@@ -907,7 +817,7 @@ impl EncodedColumn {
         sel: &[(u64, u64)],
         encoding: Option<Encoding>,
         scratch: &mut SealScratch,
-    ) -> Result<SegmentEnc, StorageError> {
+    ) -> Result<SegSlot, StorageError> {
         let mut seq = RleSeq::new();
         self.read_in(sel, &mut seq)?;
         let encoding = encoding.unwrap_or_else(|| self.drawn_encoding(sel));
@@ -925,7 +835,7 @@ impl EncodedColumn {
         &self,
         positions: &[u64],
         scratch: &mut SealScratch,
-    ) -> Result<SegmentEnc, StorageError> {
+    ) -> Result<SegSlot, StorageError> {
         let mut sel: Vec<(u64, u64)> = Vec::new();
         for &p in positions {
             match sel.last_mut() {
@@ -955,7 +865,7 @@ impl EncodedColumn {
     /// Seals one output segment an operator computed as a stream of ids or
     /// runs, in the encoding [`EncodedColumn::chunk_encoding`] picks for
     /// the segment's own statistics.
-    pub fn seal_stream(&self, seq: RleSeq, scratch: &mut SealScratch) -> SegmentEnc {
+    pub fn seal_stream(&self, seq: RleSeq, scratch: &mut SealScratch) -> SegSlot {
         let distinct = scratch.distinct(&seq);
         let encoding = self.chunk_encoding(seq.num_runs() as u64, seq.len(), distinct);
         SegmentEnc::seal(seq, encoding, scratch)
@@ -992,7 +902,7 @@ impl EncodedColumn {
     /// type, nominal segment size and column pin, and its dictionary
     /// compacted to the values the segments hold (the same handle when
     /// every value survives).
-    pub fn derived(&self, segments: Vec<SegmentEnc>) -> EncodedColumn {
+    pub fn derived(&self, segments: Vec<SegSlot>) -> EncodedColumn {
         Self::from_segments_compacting(self.ty, self.dict.clone(), segments, self.segment_rows)
             .with_meta_of(self)
     }
@@ -1105,7 +1015,7 @@ impl EncodedColumn {
         let ranks = self.dict.value_order().ranks();
         let mut scratch = SealScratch::default();
         for (i, (seg, &seg_start)) in self.segments.iter().zip(&self.starts).enumerate() {
-            let seg_end = seg_start + seg.rows();
+            let seg_end = seg_start + seg.meta().rows;
             let (lo, hi) = (start.max(seg_start), end.min(seg_end));
             if lo >= hi {
                 continue;
@@ -1119,10 +1029,10 @@ impl EncodedColumn {
                 let rebuilt = self.try_write(&[(lo, hi)], None, &mut scratch)?;
                 // Partial coverage may narrow the value range: re-derive
                 // from the surviving present-id stats.
-                zones.push(Zone::of_ids(rebuilt.present_ids(), ranks));
-                SegSlot::fresh(rebuilt)
+                zones.push(Zone::of_ids(&rebuilt.meta().present_ids, ranks));
+                rebuilt
             };
-            for &id in part.present_ids() {
+            for &id in part.meta().present_ids.iter() {
                 present[id as usize] = true;
             }
             seg_pins.push(self.seg_pins[i]);
@@ -1197,9 +1107,9 @@ impl EncodedColumn {
             for piece in group.pieces {
                 let seg = self.try_write(&[(lo, lo + piece)], encoding, &mut scratch)?;
                 lo += piece;
-                zones.push(Zone::of_ids(seg.present_ids(), ranks));
+                zones.push(Zone::of_ids(&seg.meta().present_ids, ranks));
                 seg_pins.push(group_pin);
-                segments.push(SegSlot::fresh(seg));
+                segments.push(seg);
             }
         }
         let (starts, rows) = starts_of(&segments);
@@ -1233,7 +1143,7 @@ impl EncodedColumn {
     /// Compressed payload bytes (bitmaps and run sequences, excluding the
     /// dictionary), summed from segment stats.
     pub fn payload_bytes(&self) -> usize {
-        self.segments.iter().map(|s| s.compressed_bytes()).sum()
+        self.segments.iter().map(|s| s.meta().bytes).sum()
     }
 
     /// Approximate total heap size (payload + dictionary).
@@ -1292,10 +1202,11 @@ impl EncodedColumn {
                     "segment {i} starts at {start}, expected {expected_start}"
                 )));
             }
-            if seg.rows() == 0 {
+            let meta = seg.meta();
+            if meta.rows == 0 {
                 return Err(StorageError::Corrupt(format!("segment {i} is empty")));
             }
-            for (&id, &ones) in seg.present_ids().iter().zip(seg.ones()) {
+            for (&id, &ones) in meta.present_ids.iter().zip(meta.ones.iter()) {
                 if id as usize >= self.dict.len() {
                     return Err(StorageError::Corrupt(format!(
                         "segment {i} references id {id} beyond dictionary"
@@ -1303,7 +1214,7 @@ impl EncodedColumn {
                 }
                 present[id as usize] += ones;
             }
-            expected_start += seg.rows();
+            expected_start += meta.rows;
         }
         if expected_start != self.rows {
             return Err(StorageError::Corrupt(format!(
@@ -1327,7 +1238,7 @@ impl EncodedColumn {
         }
         let ranks = self.dict.value_order().ranks();
         for (i, (seg, &zone)) in self.segments.iter().zip(&self.zones).enumerate() {
-            if Zone::of_ids(seg.present_ids(), ranks) != zone {
+            if Zone::of_ids(&seg.meta().present_ids, ranks) != zone {
                 return Err(StorageError::Corrupt(format!(
                     "segment {i} zone (min id {}, max id {}) does not match its present ids",
                     zone.min_id, zone.max_id
@@ -1360,7 +1271,7 @@ impl EncodedColumn {
 /// What a selection read collects: the selected rows' ids, concatenated
 /// (`Vec<u32>`), or their maximal runs (`Vec<(u32, u64)>`, or the
 /// [`RleSeq`] a write seals).
-trait SelSink {
+pub(crate) trait SelSink {
     /// Takes `n` consecutive selected rows of value `id`.
     fn run(&mut self, id: u32, n: u64);
     /// Takes the ids of consecutive selected rows.
@@ -1423,21 +1334,22 @@ impl SelSink for RleSeq {
 /// the group's combined run/row/distinct stats.
 fn group_encoding(parts: &[SegSlot], pins: &[bool], column_pinned: bool) -> Encoding {
     debug_assert!(!parts.is_empty());
-    if parts.iter().all(|s| s.encoding() == parts[0].encoding()) {
-        return parts[0].encoding();
+    let first = parts[0].meta().encoding;
+    if parts.iter().all(|s| s.meta().encoding == first) {
+        return first;
     }
     let pinned = parts.iter().zip(pins).find(|(_, &pin)| pin);
     if let Some((seg, _)) = pinned {
-        return seg.encoding();
+        return seg.meta().encoding;
     }
     if column_pinned {
-        return parts[0].encoding();
+        return first;
     }
-    let runs: u64 = parts.iter().map(|s| s.run_count()).sum();
-    let rows: u64 = parts.iter().map(|s| s.rows()).sum();
+    let runs: u64 = parts.iter().map(|s| s.meta().runs).sum();
+    let rows: u64 = parts.iter().map(|s| s.meta().rows).sum();
     let mut distinct: Vec<u32> = parts
         .iter()
-        .flat_map(|s| s.present_ids().iter().copied())
+        .flat_map(|s| s.meta().present_ids.iter().copied())
         .collect();
     distinct.sort_unstable();
     distinct.dedup();
@@ -1455,7 +1367,7 @@ pub struct ColumnBuilder {
     segment_rows: u64,
     /// The current segment's runs.
     cur: RleSeq,
-    segments: Vec<SegmentEnc>,
+    segments: Vec<SegSlot>,
     rows: u64,
     scratch: SealScratch,
 }
@@ -1643,8 +1555,8 @@ mod tests {
         let c = b.finish();
         c.check_invariants().unwrap();
         assert_eq!(c.segment_count(), 11);
-        assert_eq!(c.segments()[0].rows(), 100);
-        assert_eq!(c.segments()[10].rows(), 50);
+        assert_eq!(c.segments()[0].meta().rows, 100);
+        assert_eq!(c.segments()[10].meta().rows, 50);
         assert_eq!(c.starts[10], 1_000);
         let expect: Vec<Value> = (0..1_050).map(|i| Value::int(i % 7)).collect();
         assert_eq!(c.values(), expect);
@@ -1659,10 +1571,10 @@ mod tests {
         let c = b.finish();
         c.check_invariants().unwrap();
         assert_eq!(c.segment_count(), 2);
-        assert_eq!(c.segments()[0].present_ids(), &[0]);
-        assert_eq!(c.segments()[1].present_ids(), &[1]);
+        assert_eq!(&*c.segments()[0].meta().present_ids, &[0]);
+        assert_eq!(&*c.segments()[1].meta().present_ids, &[1]);
         assert_eq!(c.value_count(0), 100);
-        assert!(!c.segments()[1].contains_id(0));
+        assert!(!c.segments()[1].meta().contains_id(0));
     }
 
     #[test]
@@ -1755,9 +1667,9 @@ mod tests {
         // out of a mixed-encoding union, both reused by reference (the
         // shared slots mean a cached segment serves both table versions).
         assert!(c.segments()[0].ptr_eq(&a.segments()[0]));
-        assert_eq!(c.segments()[0].encoding(), Encoding::Bitmap);
+        assert_eq!(c.segments()[0].meta().encoding, Encoding::Bitmap);
         assert!(c.segments()[5].ptr_eq(&b.segments()[0]));
-        assert_eq!(c.segments()[5].encoding(), Encoding::Rle);
+        assert_eq!(c.segments()[5].meta().encoding, Encoding::Rle);
         assert_eq!(c.encoding_counts(), (5, 5));
         assert_eq!(c.uniform_encoding(), None);
         let mut expect = vals.clone();
@@ -1774,8 +1686,11 @@ mod tests {
         assert_eq!(s.rows(), 900);
         // Interior segments carry over untouched, keeping their encoding
         // (output segment 1 is input segment 1, which `mixed` made RLE).
-        assert_eq!(s.segments()[1].encoding(), c.segments()[1].encoding());
-        assert_eq!(s.segments()[1].encoding(), Encoding::Rle);
+        assert_eq!(
+            s.segments()[1].meta().encoding,
+            c.segments()[1].meta().encoding
+        );
+        assert_eq!(s.segments()[1].meta().encoding, Encoding::Rle);
         let expect: Vec<Value> = (50..950).map(|i| Value::int(i % 4)).collect();
         assert_eq!(s.values(), expect);
     }
@@ -2098,29 +2013,29 @@ mod tests {
         };
         // Rows drawn from RLE segments only seal RLE, across a boundary.
         let rle = write(&[(5, 7), (9, 11)], None);
-        assert_eq!(rle.encoding(), Encoding::Rle);
-        assert_eq!(rle.present_ids(), &[0, 2, 3]);
+        assert_eq!(rle.meta().encoding, Encoding::Rle);
+        assert_eq!(&*rle.meta().present_ids, &[0, 2, 3]);
         // A bitmap source anywhere seals bitmap, the runs joined in order.
         let mixed = write(&[(2, 6)], None);
-        assert_eq!(mixed.encoding(), Encoding::Bitmap);
-        assert_eq!(mixed.present_ids(), &[1, 2]);
-        assert_eq!(mixed.count_for(2), 2);
-        assert_eq!(mixed.run_count(), 2);
+        assert_eq!(mixed.meta().encoding, Encoding::Bitmap);
+        assert_eq!(&*mixed.meta().present_ids, &[1, 2]);
+        assert_eq!(mixed.meta().count_for(2), 2);
+        assert_eq!(mixed.meta().runs, 2);
         // An explicit encoding wins.
         assert_eq!(
-            write(&[(2, 6)], Some(Encoding::Rle)).encoding(),
+            write(&[(2, 6)], Some(Encoding::Rle)).meta().encoding,
             Encoding::Rle
         );
         // A repeated position repeats its row; the segment is its run.
         let seg = col
             .try_write_positions(&[1, 2, 2, 2, 9], &mut scratch)
             .unwrap();
-        let SegmentEnc::Bitmap(bitmap) = &seg else {
+        let SegmentEnc::Bitmap(bitmap) = seg.enc() else {
             panic!("a bitmap source seals bitmap");
         };
-        assert_eq!(bitmap.rows(), 5);
+        assert_eq!(seg.meta().rows, 5);
         assert_eq!(bitmap.bitmap_for(1).unwrap().to_positions(), vec![1, 2, 3]);
-        assert_eq!(seg.run_count(), 3);
+        assert_eq!(seg.meta().runs, 3);
     }
 
     #[test]
@@ -2132,18 +2047,18 @@ mod tests {
         runs.append_run(0, 50);
         runs.append_run(1, 50);
         let seg = col.seal_stream(runs, &mut scratch);
-        assert_eq!(seg.encoding(), Encoding::Rle);
+        assert_eq!(seg.meta().encoding, Encoding::Rle);
         // Alternating ids (runs ≈ rows, distinct small but runs > 2·(d+1))
         // → bitmap.
         let alt: RleSeq = (0..100u32).map(|i| i % 4).collect();
         let seg = col.seal_stream(alt.clone(), &mut scratch);
-        assert_eq!(seg.encoding(), Encoding::Bitmap);
+        assert_eq!(seg.meta().encoding, Encoding::Bitmap);
         seg.check_invariants().unwrap();
         // A pinned uniform column forces its encoding on fresh segments.
         let mut pinned = col.recode(Encoding::Rle).unwrap();
         pinned.set_encoding_pinned(true);
         assert_eq!(
-            pinned.seal_stream(alt, &mut scratch).encoding(),
+            pinned.seal_stream(alt, &mut scratch).meta().encoding,
             Encoding::Rle
         );
     }

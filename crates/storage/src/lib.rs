@@ -18,10 +18,13 @@
 //!   walker under every read of its ids or runs, and every data-level
 //!   primitive (filter, gather, concat, slice, compaction) written one
 //!   output segment at a time.
-//! * [`Segment`] / [`RleSegment`] — the two row-range shard encodings;
-//!   [`SegmentEnc::seal`] writes every segment the engine builds from the
-//!   runs of its rows, a bitmap one in one counting pass
-//!   ([`Segment::from_runs`], with a reusable [`SealScratch`]).
+//! * [`Segment`] / [`RleSegment`] — the two row-range shard encodings,
+//!   payload only; [`SegmentEnc::seal`] writes every segment the engine
+//!   builds from the runs of its rows, counting its stats in one pass over
+//!   a reusable [`SealScratch`].
+//! * [`SegMeta`] — a segment's stats (rows, present ids, per-id ones, runs,
+//!   bytes, encoding): their one owner, always resident, and the one check
+//!   a payload is held to when it is decoded or verified.
 //! * [`Table`] — schema + `Arc`-shared columns.
 //! * [`Catalog`] — thread-safe table namespace.
 //! * [`SegSlot`] / [`SegmentStore`] — the demand-paged directory entry and
@@ -93,7 +96,7 @@ pub use segment::{
     DEFAULT_SEGMENT_ROWS,
 };
 pub use stats::{ColumnStats, TableStats};
-pub use store::{segment_cache, CacheStats, SegSlot, SegmentStore};
+pub use store::{segment_cache, CacheStats, SegMeta, SegSlot, SegmentStore};
 pub use table::Table;
 pub use vacuum::{
     heap_stats, set_auto_vacuum, vacuum_catalog, vacuum_file, vacuum_table, wait_for_auto_vacuum,

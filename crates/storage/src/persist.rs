@@ -287,7 +287,8 @@ fn put_column<B: BufMut>(
     meta.put_u32_le(c.segment_count() as u32);
     for (i, slot) in c.segments().iter().enumerate() {
         let (off, len) = heap.place(slot)?;
-        let mut tag = match slot.encoding() {
+        let m = slot.meta();
+        let mut tag = match m.encoding {
             Encoding::Bitmap => ENC_BITMAP,
             Encoding::Rle => ENC_RLE,
         };
@@ -299,14 +300,14 @@ fn put_column<B: BufMut>(
         meta.put_u8(tag);
         meta.put_u64_le(off);
         meta.put_u64_le(len);
-        meta.put_u64_le(slot.rows());
-        meta.put_u64_le(slot.run_count());
-        meta.put_u64_le(slot.compressed_bytes() as u64);
-        meta.put_u32_le(slot.distinct_count() as u32);
-        for &id in slot.present_ids() {
+        meta.put_u64_le(m.rows);
+        meta.put_u64_le(m.runs);
+        meta.put_u64_le(m.bytes as u64);
+        meta.put_u32_le(m.distinct_count() as u32);
+        for &id in m.present_ids.iter() {
             meta.put_u32_le(id);
         }
-        for &n in slot.ones() {
+        for &n in m.ones.iter() {
             meta.put_u64_le(n);
         }
     }
@@ -989,28 +990,9 @@ fn get_seg_slot(
                 "segment id {id} beyond dictionary of {dict_len}"
             )));
         }
-        if ids.last().is_some_and(|&prev| prev >= id) {
-            return Err(corrupt("present ids not strictly ascending".into()));
-        }
         ids.push(id);
     }
-    let mut ones = Vec::with_capacity(present);
-    let mut total = 0u64;
-    for _ in 0..present {
-        let n = r.u64()?;
-        if n == 0 {
-            return Err(corrupt("present id with zero rows".into()));
-        }
-        total = total
-            .checked_add(n)
-            .ok_or_else(|| corrupt("per-id row counts overflow".into()))?;
-        ones.push(n);
-    }
-    if total != rows {
-        return Err(corrupt(format!(
-            "per-id row counts sum to {total}, segment has {rows} rows"
-        )));
-    }
+    let ones: Vec<u64> = (0..present).map(|_| r.u64()).collect::<Result<_, _>>()?;
     let meta = SegMeta {
         rows,
         present_ids: ids.into(),
@@ -1020,16 +1002,12 @@ fn get_seg_slot(
             .map_err(|_| corrupt("segment byte size beyond address space".into()))?,
         encoding,
     };
+    meta.check().map_err(corrupt)?;
     extents.push((off, len));
     if let Some(shared) = dedup.get(&(off, len)) {
         // A previously decoded record (a column shared across catalog
         // tables) already owns this payload; the stats must agree.
-        let m = shared.meta();
-        if m.rows != meta.rows
-            || m.encoding != meta.encoding
-            || *m.present_ids != *meta.present_ids
-            || *m.ones != *meta.ones
-        {
+        if *shared.meta() != meta {
             return Err(corrupt(
                 "records share a payload but disagree on its stats".into(),
             ));
@@ -1526,13 +1504,7 @@ mod tests {
             for i in 0..a.segment_count() {
                 assert_eq!(a.segment_encoding(i), b.segment_encoding(i));
                 assert_eq!(a.segment_pinned(i), b.segment_pinned(i), "segment {i} pin");
-                assert_eq!(a.segments()[i].present_ids(), b.segments()[i].present_ids());
-                assert_eq!(a.segments()[i].ones(), b.segments()[i].ones());
-                assert_eq!(
-                    a.segments()[i].compressed_bytes(),
-                    b.segments()[i].compressed_bytes()
-                );
-                assert_eq!(a.segments()[i].run_count(), b.segments()[i].run_count());
+                assert_eq!(a.segments()[i].meta(), b.segments()[i].meta());
             }
         }
         // Touching the data faults in and matches byte for byte.

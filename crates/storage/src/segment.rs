@@ -6,18 +6,21 @@
 //! [`DEFAULT_SEGMENT_ROWS`] rows) in its own encoding. The bitmap
 //! [`Segment`] defined here stores one WAH bitmap per value id *that occurs
 //! in its range* — sparse, so a value concentrated in one part of the table
-//! costs nothing elsewhere — all of them in one word arena, along with
-//! per-segment statistics (row count, present ids, per-id ones, compressed
-//! size) that scans use to prune entire segments without touching bitmap
-//! words. Its RLE twin lives in
+//! costs nothing elsewhere — all of them in one word arena. It is payload
+//! only: the segment's statistics (rows, present ids, per-id ones, runs,
+//! bytes), which scans use to prune entire segments without touching
+//! bitmap words, live in its [`SegMeta`], counted once by the seal
+//! ([`SealScratch`]) and recounted from the words ([`Segment::recount`])
+//! whenever the payload is checked. Its RLE twin lives in
 //! [`rle_segment`](crate::rle_segment).
 //!
 //! Segments are immutable and `Arc`-shared: appending tables (UNION) and
 //! row-range extraction reuse existing segments by reference instead of
 //! rewriting bitmaps.
 
+use crate::encoded::{Encoding, SegmentEnc};
 use crate::error::StorageError;
-use crate::store::SegMeta;
+use crate::store::{SegMeta, SegSlot};
 use cods_bitmap::{decode_words, Reader, RleSeq, Wah, WahRef};
 use std::ops::Range;
 use std::sync::Arc;
@@ -185,19 +188,19 @@ pub fn compaction_plan(sizes: &[u64], nominal: u64) -> Option<Vec<CompactionGrou
     }
 }
 
-/// The reusable scratch of [`Segment::from_runs`] and of the distinct-id
-/// count a stream-driven write takes before it picks an encoding: a table
-/// indexed by value id, zero between calls. Each call resets the slots it
-/// used by walking the ids it touched, so one scratch serves any number of
-/// segments at the cost of the ids present, not of the dictionary — keep
-/// one per worker (the operators pool them) for the length of a write. It
-/// grows to the largest id it has seen.
+/// The reusable scratch of every seal ([`SegmentEnc::seal`]) and of the
+/// distinct-id count a stream-driven write takes before it picks an
+/// encoding: a table indexed by value id, zero between calls. Each call
+/// resets the slots it used by walking the ids it touched, so one scratch
+/// serves any number of segments at the cost of the ids present, not of
+/// the dictionary — keep one per worker (the operators pool them) for the
+/// length of a write. It grows to the largest id it has seen.
 #[derive(Debug, Default)]
 pub struct SealScratch {
     /// Per id: its run count, then its span of `placed` (zero outside a
     /// call).
     slot: Vec<u32>,
-    /// The ids whose slot is in use.
+    /// The ids whose slots are in use.
     touched: Vec<u32>,
     /// The runs' `(start, len)`, grouped by id in ascending id order.
     placed: Vec<(u64, u64)>,
@@ -210,7 +213,7 @@ pub struct SealScratch {
 impl SealScratch {
     /// Counts the runs of each id of `seq` into `slot`, listing each id in
     /// `touched` once.
-    fn count(&mut self, seq: &RleSeq) {
+    fn count_runs(&mut self, seq: &RleSeq) {
         for &(id, _) in seq.runs() {
             let i = id as usize;
             if i >= self.slot.len() {
@@ -223,7 +226,8 @@ impl SealScratch {
         }
     }
 
-    fn reset(&mut self) {
+    /// Zeroes the slots the last count used.
+    pub(crate) fn reset(&mut self) {
         for &id in &self.touched {
             self.slot[id as usize] = 0;
         }
@@ -232,102 +236,35 @@ impl SealScratch {
 
     /// The number of distinct ids in `seq`. O(runs).
     pub fn distinct(&mut self, seq: &RleSeq) -> u64 {
-        self.count(seq);
+        self.count_runs(seq);
         let n = self.touched.len() as u64;
         self.reset();
         n
     }
-}
 
-/// Where one present id's bitmap lives in its segment's word arena, and its
-/// active tail. Its length is the segment's `rows` and its population the
-/// parallel `ones` entry, so neither is stored again here.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Head {
-    off: u32,
-    nwords: u32,
-    active: u64,
-    active_bits: u32,
-}
-
-/// One immutable row-range segment: sparse per-value bitmaps over the
-/// segment's rows, plus cached statistics.
-///
-/// The bitmaps are one allocation: their WAH words lie back to back, in id
-/// order, in an arena sized exactly, and [`Segment::bitmap`] /
-/// [`Segment::iter`] hand each out as a borrowed [`WahRef`] — so a segment
-/// costs the same four allocations (words, heads, `ids`, `ones`) however
-/// many values it holds, and a fault-in decodes its payload straight into
-/// the arena (`Segment::decode`), sharing the resident metadata's `ids`
-/// and `ones`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Segment {
-    rows: u64,
-    /// Ascending global value ids present in this segment (`Arc`-shared so
-    /// the buffer manager's resident metadata can alias them zero-copy).
-    ids: Arc<[u32]>,
-    /// Cached `count_ones` per bitmap (parallel to `ids`).
-    ones: Arc<[u64]>,
-    /// Every present id's WAH words, back to back in id order.
-    words: Box<[u64]>,
-    /// Each present id's slice of `words` and active tail (parallel to
-    /// `ids`); the slices tile `words` in order.
-    heads: Box<[Head]>,
-    /// Cached total compressed bytes of the bitmaps.
-    bytes: usize,
-    /// Cached total maximal constant-value runs (summed set-bit interval
-    /// counts) — the chooser consults this repeatedly.
-    runs: u64,
-}
-
-/// An arena offset or length as stored in a [`Head`].
-///
-/// # Panics
-/// Panics past `u32::MAX` words — a single segment of billions of rows.
-fn arena_u32(n: usize) -> u32 {
-    u32::try_from(n).expect("segment arena exceeds u32::MAX words")
-}
-
-impl Segment {
-    /// Assembles a segment from present ids and their bitmaps — for tests
-    /// and hand-built fixtures; the engine seals its segments from runs
-    /// ([`Segment::from_runs`]). `pairs` need not be sorted; empty bitmaps
-    /// are rejected in debug builds.
-    pub fn new(rows: u64, mut pairs: Vec<(u32, Wah)>) -> Segment {
-        pairs.sort_unstable_by_key(|(id, _)| *id);
-        for (id, bm) in &pairs {
-            debug_assert!(bm.any(), "empty bitmap for id {id} in segment");
-            debug_assert_eq!(bm.len(), rows, "bitmap length mismatch in segment");
-        }
-        let ids = pairs.iter().map(|&(id, _)| id).collect();
-        Segment::pack(rows, ids, pairs.iter().map(|(_, bm)| bm.view()))
-    }
-
-    /// Seals a bitmap segment from the run sequence of its rows, in one
-    /// counting pass: the runs are counted per id in `scratch`'s
-    /// id-indexed table and placed in id order, then each present id's
-    /// `(gap, run)` pairs are appended to one reused bitmap whose words are
-    /// copied into the arena. The ids, ones, heads, bytes and runs come out
-    /// of the same pass — `runs` is the run count, since an [`RleSeq`]'s
-    /// runs are maximal. WAH is canonical, so the same rows give the same
-    /// bytes whatever wrote them. O(runs + present ids · log + words).
+    /// The one count under every seal: the stats of `seq`'s rows in
+    /// `encoding`, with `bytes` left for the payload's writer. Each id's
+    /// runs are counted in `slot`, the touched ids sorted, the counts
+    /// turned into each id's span of `placed` and every run's `(start,
+    /// len)` placed in its id's span, so an id's rows are the sum over its
+    /// span and the runs, maximal in an [`RleSeq`], are the run count. The
+    /// bitmap writer encodes from the placed spans; [`SealScratch::reset`]
+    /// clears the table. O(runs + present ids · log).
     ///
     /// # Panics
-    /// Panics at `u32::MAX` runs or arena words.
-    pub fn from_runs(seq: &RleSeq, scratch: &mut SealScratch) -> Segment {
-        let rows = seq.len();
+    /// Panics at `u32::MAX` runs.
+    pub(crate) fn count(&mut self, seq: &RleSeq, encoding: Encoding) -> SegMeta {
         assert!(
             seq.num_runs() < u32::MAX as usize,
             "segment exceeds u32::MAX runs"
         );
-        scratch.count(seq);
+        self.count_runs(seq);
         let SealScratch {
             slot,
             touched,
             placed,
-            wah,
-            words,
-        } = scratch;
+            ..
+        } = self;
         touched.sort_unstable();
         // Each id's slot becomes the start of its span of `placed`, then,
         // as its runs are placed, the span's end.
@@ -344,11 +281,117 @@ impl Segment {
             placed[*s as usize] = (start, len);
             *s += 1;
         }
-        words.clear();
-        let mut heads = Vec::with_capacity(touched.len());
-        let mut ones = Vec::with_capacity(touched.len());
         let mut lo = 0usize;
-        for &id in touched.iter() {
+        let ones = touched
+            .iter()
+            .map(|&id| {
+                let hi = slot[id as usize] as usize;
+                let rows = placed[lo..hi].iter().map(|&(_, len)| len).sum();
+                lo = hi;
+                rows
+            })
+            .collect();
+        SegMeta {
+            rows: seq.len(),
+            present_ids: touched.as_slice().into(),
+            ones,
+            runs: seq.num_runs() as u64,
+            bytes: 0,
+            encoding,
+        }
+    }
+}
+
+/// Where one present id's bitmap lives in its segment's word arena, and its
+/// active tail. Its length is the segment's `rows` and its population the
+/// parallel `ones` entry, so neither is stored again here.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Head {
+    off: u32,
+    nwords: u32,
+    active: u64,
+    active_bits: u32,
+}
+
+/// One immutable row-range segment's payload: sparse per-value bitmaps
+/// over the segment's rows. Its stats live in its [`SegMeta`].
+///
+/// The bitmaps are one allocation: their WAH words lie back to back, in id
+/// order, in an arena sized exactly, and [`Segment::bitmap`] /
+/// [`Segment::iter`] hand each out as a borrowed [`WahRef`] — so a segment
+/// costs the same two allocations (words, heads) however many values it
+/// holds, and a fault-in decodes its payload straight into the arena
+/// (`Segment::decode`). The ids and ones the bitmaps are read with are the
+/// meta's own slices, shared.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Segment {
+    rows: u64,
+    /// The meta's present ids.
+    ids: Arc<[u32]>,
+    /// The meta's per-id rows, each bitmap's population.
+    ones: Arc<[u64]>,
+    /// Every present id's WAH words, back to back in id order.
+    words: Box<[u64]>,
+    /// Each present id's slice of `words` and active tail (parallel to
+    /// `ids`); the slices tile `words` in order.
+    heads: Box<[Head]>,
+}
+
+/// An arena offset or length as stored in a [`Head`].
+///
+/// # Panics
+/// Panics past `u32::MAX` words — a single segment of billions of rows.
+fn arena_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("segment arena exceeds u32::MAX words")
+}
+
+impl Segment {
+    /// A fresh slot holding the bitmap segment of `pairs` — present ids
+    /// with their bitmaps, each `rows` long, together covering every row —
+    /// for tests and hand-built fixtures: the rows are read back as runs
+    /// and sealed like every segment the engine builds
+    /// ([`SegmentEnc::seal`]). `pairs` need not be sorted.
+    ///
+    /// # Panics
+    /// Panics when a bitmap's length is not `rows` or a row is uncovered.
+    pub fn from_bitmaps(rows: u64, pairs: Vec<(u32, Wah)>) -> SegSlot {
+        let mut ids = vec![u32::MAX; rows as usize];
+        for (id, bm) in &pairs {
+            assert_eq!(bm.len(), rows, "bitmap length mismatch in segment");
+            bm.scatter(&mut ids, *id);
+        }
+        assert!(
+            !ids.contains(&u32::MAX),
+            "the bitmaps leave a row uncovered"
+        );
+        let seq = ids.into_iter().collect();
+        SegmentEnc::seal(seq, Encoding::Bitmap, &mut SealScratch::default())
+    }
+
+    /// Writes the bitmap segment of `seq` from the count `scratch` just
+    /// took of it ([`SealScratch::count`], which gave `meta`): each present
+    /// id's placed `(gap, run)` pairs are appended, in id order, to one
+    /// reused bitmap whose words are copied into the arena. Sets
+    /// `meta.bytes`; the segment shares `meta`'s ids and ones. WAH is
+    /// canonical, so the same rows give the same bytes whatever wrote them.
+    /// O(runs + words).
+    pub(crate) fn from_runs(
+        seq: &RleSeq,
+        meta: &mut SegMeta,
+        scratch: &mut SealScratch,
+    ) -> Segment {
+        let rows = seq.len();
+        let SealScratch {
+            slot,
+            placed,
+            wah,
+            words,
+            ..
+        } = scratch;
+        words.clear();
+        let mut heads = Vec::with_capacity(meta.present_ids.len());
+        let mut lo = 0usize;
+        for &id in meta.present_ids.iter() {
             let hi = slot[id as usize] as usize;
             wah.clear();
             for &(start, len) in &placed[lo..hi] {
@@ -363,68 +406,28 @@ impl Segment {
                 active_bits: wah.view().active_bits(),
             });
             words.extend_from_slice(wah.words());
-            ones.push(wah.count_ones());
             lo = hi;
         }
-        let ids: Arc<[u32]> = touched.as_slice().into();
-        scratch.reset();
+        meta.bytes = words.len() * 8 + 24 * heads.len();
         Segment {
             rows,
-            bytes: scratch.words.len() * 8 + 24 * heads.len(),
-            ids,
-            ones: ones.into(),
-            words: scratch.words.as_slice().into(),
+            ids: Arc::clone(&meta.present_ids),
+            ones: Arc::clone(&meta.ones),
+            words: words.as_slice().into(),
             heads: heads.into_boxed_slice(),
-            runs: seq.num_runs() as u64,
         }
     }
 
-    /// Copies `bitmaps` (parallel to `ids`, each `rows` long) into one
-    /// arena sized exactly, deriving the cached stats from them.
-    fn pack<'a, I>(rows: u64, ids: Arc<[u32]>, bitmaps: I) -> Segment
-    where
-        I: Iterator<Item = WahRef<'a>> + Clone,
-    {
-        let total = bitmaps.clone().map(|bm| bm.words().len()).sum();
-        let mut words = Vec::with_capacity(total);
-        let mut heads = Vec::with_capacity(ids.len());
-        let mut ones = Vec::with_capacity(ids.len());
-        let mut runs = 0u64;
-        for bm in bitmaps {
-            heads.push(Head {
-                off: arena_u32(words.len()),
-                nwords: arena_u32(bm.words().len()),
-                active: bm.active(),
-                active_bits: bm.active_bits(),
-            });
-            words.extend_from_slice(bm.words());
-            ones.push(bm.count_ones());
-            runs += bm.count_intervals();
-        }
-        Segment {
-            rows,
-            bytes: words.len() * 8 + 24 * heads.len(),
-            ids,
-            ones: ones.into(),
-            words: words.into_boxed_slice(),
-            heads: heads.into_boxed_slice(),
-            runs,
-        }
-    }
-
-    /// Decodes a bitmap payload — each present id's WAH stream, back to
-    /// back in id order — straight into the arena, against the resident
-    /// metadata it must match. Every word is validated and counted as it is
-    /// copied ([`decode_words`]); each stream must be exactly `rows` long
-    /// and non-empty, its ones must equal the metadata's, no byte may
-    /// trail, and the recounted runs and bytes must equal the metadata's.
-    /// The segment shares `meta`'s id and ones slices.
-    pub(crate) fn decode(meta: &SegMeta, raw: &[u8]) -> Result<Segment, StorageError> {
+    /// Decodes a bitmap payload — one WAH stream per present id of `meta`,
+    /// back to back in id order — straight into the arena. Every word is
+    /// validated and counted as it is copied ([`decode_words`]); each
+    /// stream must be exactly `rows` long, and no byte may trail. Returns
+    /// the segment, which shares `meta`'s id and ones slices, and what the
+    /// streams count to (ones, runs and bytes), which the caller holds to
+    /// `meta` ([`SegMeta::check_payload`]).
+    pub(crate) fn decode(meta: &SegMeta, raw: &[u8]) -> Result<(Segment, SegMeta), StorageError> {
         let corrupt = |m: &str| StorageError::PersistError(format!("segment payload: {m}"));
         let n = meta.present_ids.len();
-        if meta.ones.len() != n {
-            return Err(corrupt("ids and ones differ in length"));
-        }
         // Every stream is a 24-byte header and its words, so the words fit
         // in what the headers leave: the exact size for a payload its
         // metadata describes, and never more than the bytes read. Each
@@ -432,20 +435,17 @@ impl Segment {
         // grows past this.
         let mut words = Vec::with_capacity(raw.len().saturating_sub(24 * n) / 8);
         let mut heads = Vec::with_capacity(n);
+        // The streams' ones, kept only from the first that differs from the
+        // meta's: while every stream agrees, the recount is the meta's slice.
+        let mut ones: Option<Vec<u64>> = None;
         let mut r = Reader::new(raw);
         let mut runs = 0u64;
-        for (i, &ones) in meta.ones.iter().enumerate() {
+        for i in 0..n {
             let off = words.len();
             let d = decode_words(&mut r, &mut words, 24 * (n - 1 - i))
                 .map_err(|e| corrupt(&e.to_string()))?;
             if d.len != meta.rows {
                 return Err(corrupt("bitmap length does not match segment rows"));
-            }
-            if d.ones == 0 {
-                return Err(corrupt("empty bitmap for a present id"));
-            }
-            if d.ones != ones {
-                return Err(corrupt("decoded ones do not match the footer metadata"));
             }
             heads.push(Head {
                 off: u32::try_from(off).map_err(|_| corrupt("arena past u32 offsets"))?,
@@ -453,43 +453,37 @@ impl Segment {
                 active: d.active,
                 active_bits: d.active_bits,
             });
+            match &mut ones {
+                Some(v) => v.push(d.ones),
+                None if meta.ones.get(i) != Some(&d.ones) => {
+                    let mut v = meta.ones[..i.min(meta.ones.len())].to_vec();
+                    v.push(d.ones);
+                    ones = Some(v);
+                }
+                None => {}
+            }
             runs += d.intervals;
         }
         r.finish()
             .map_err(|_| corrupt("trailing bytes after payload"))?;
-        let bytes = words.len() * 8 + 24 * n;
-        if runs != meta.runs || bytes != meta.bytes {
-            return Err(corrupt(
-                "decoded runs or bytes do not match the footer metadata",
-            ));
-        }
-        Ok(Segment {
+        let found = SegMeta {
+            ones: match ones {
+                Some(v) => v.into(),
+                None if meta.ones.len() > n => meta.ones[..n].into(),
+                None => Arc::clone(&meta.ones),
+            },
+            runs,
+            bytes: words.len() * 8 + 24 * n,
+            ..meta.clone()
+        };
+        let seg = Segment {
             rows: meta.rows,
             ids: Arc::clone(&meta.present_ids),
             ones: Arc::clone(&meta.ones),
             words: words.into_boxed_slice(),
             heads: heads.into_boxed_slice(),
-            bytes,
-            runs,
-        })
-    }
-
-    /// Number of rows covered.
-    #[inline]
-    pub fn rows(&self) -> u64 {
-        self.rows
-    }
-
-    /// The ascending value ids present in this segment.
-    #[inline]
-    pub fn present_ids(&self) -> &[u32] {
-        &self.ids
-    }
-
-    /// Number of distinct values present.
-    #[inline]
-    pub fn distinct_count(&self) -> usize {
-        self.ids.len()
+        };
+        Ok((seg, found))
     }
 
     #[inline]
@@ -504,11 +498,11 @@ impl Segment {
         )
     }
 
-    /// The bitmap of the `i`-th present id (parallel to
-    /// [`Segment::present_ids`]).
+    /// The bitmap of the `i`-th present id (parallel to the meta's
+    /// `present_ids`).
     ///
     /// # Panics
-    /// Panics if `i >= self.distinct_count()`.
+    /// Panics if `i` is past the present ids.
     #[inline]
     pub fn bitmap(&self, i: usize) -> WahRef<'_> {
         self.view(&self.heads[i], self.ones[i])
@@ -532,71 +526,15 @@ impl Segment {
             })
     }
 
-    /// Index of `id` within the present-id list, if present.
-    #[inline]
-    pub fn position_of(&self, id: u32) -> Option<usize> {
-        self.ids.binary_search(&id).ok()
-    }
-
-    /// Returns `true` when `id` occurs in this segment (O(log present)).
-    #[inline]
-    pub fn contains_id(&self, id: u32) -> bool {
-        self.position_of(id).is_some()
-    }
-
-    /// The bitmap of `id`, if present.
+    /// The bitmap of `id`, if present (O(log present)).
     pub fn bitmap_for(&self, id: u32) -> Option<WahRef<'_>> {
-        self.position_of(id).map(|i| self.bitmap(i))
-    }
-
-    /// Number of rows carrying `id` (0 when absent; O(log present)).
-    pub fn count_for(&self, id: u32) -> u64 {
-        self.position_of(id).map_or(0, |i| self.ones[i])
-    }
-
-    /// Cached per-present-id set-bit counts, parallel to
-    /// [`Segment::present_ids`].
-    #[inline]
-    pub fn ones(&self) -> &[u64] {
-        &self.ones
-    }
-
-    /// `Arc` handle on the present-id list (zero-copy stat sharing with the
-    /// buffer manager's resident metadata).
-    #[inline]
-    pub(crate) fn ids_arc(&self) -> Arc<[u32]> {
-        Arc::clone(&self.ids)
-    }
-
-    /// `Arc` handle on the per-id ones counts.
-    #[inline]
-    pub(crate) fn ones_arc(&self) -> Arc<[u64]> {
-        Arc::clone(&self.ones)
-    }
-
-    /// Total compressed bitmap bytes (cached): eight per word plus 24 per
-    /// present id — also the length of the segment's serialized payload.
-    #[inline]
-    pub fn compressed_bytes(&self) -> usize {
-        self.bytes
+        self.ids.binary_search(&id).ok().map(|i| self.bitmap(i))
     }
 
     /// The value id at segment-local `row` (O(present) bitmap probes).
     pub fn id_at(&self, row: u64) -> Option<u32> {
         debug_assert!(row < self.rows);
         self.iter().find(|(_, bm)| bm.get(row)).map(|(id, _)| id)
-    }
-
-    /// Total maximal constant-value runs in row order — the statistic the
-    /// adaptive encoding chooser weighs against rows and distinct count.
-    /// Each present value's maximal set-bit intervals are exactly its value
-    /// runs, so the sum over present values is the segment's run count
-    /// (what an RLE re-encoding would store). Cached at construction from
-    /// one word-at-a-time pass over the compressed form
-    /// ([`WahRef::count_intervals`]), so the chooser's repeated consults are
-    /// O(1).
-    pub fn run_count(&self) -> u64 {
-        self.runs
     }
 
     /// Writes each row's value id into `out` (segment-local coordinates),
@@ -625,31 +563,38 @@ impl Segment {
         Ok(())
     }
 
-    /// Rewrites the segment under an id translation (`map[old] = Some(new)`
-    /// or `None` to drop the value's rows — only valid when the bitmap is
-    /// unused). Used by dictionary merges and compaction.
-    pub(crate) fn remap(&self, map: &[Option<u32>]) -> Segment {
-        let mut order: Vec<(u32, usize)> = self
-            .ids
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &old)| map[old as usize].map(|new| (new, i)))
-            .collect();
-        order.sort_unstable_by_key(|&(new, _)| new);
-        let ids = order.iter().map(|&(new, _)| new).collect();
-        Segment::pack(self.rows, ids, order.iter().map(|&(_, i)| self.bitmap(i)))
+    /// The segment under `meta`, the stats of an id translation of it:
+    /// the bitmaps of present-id positions `from`, in that order, copied
+    /// into a new arena (dictionary merges and compaction).
+    pub(crate) fn remap(&self, meta: &SegMeta, from: &[usize]) -> Segment {
+        let mut words = Vec::with_capacity(self.words.len());
+        let mut heads = Vec::with_capacity(from.len());
+        for &i in from {
+            let h = self.heads[i];
+            let at = h.off as usize;
+            heads.push(Head {
+                off: arena_u32(words.len()),
+                ..h
+            });
+            words.extend_from_slice(&self.words[at..at + h.nwords as usize]);
+        }
+        Segment {
+            rows: self.rows,
+            ids: Arc::clone(&meta.present_ids),
+            ones: Arc::clone(&meta.ones),
+            words: words.into_boxed_slice(),
+            heads: heads.into_boxed_slice(),
+        }
     }
 
-    /// Validates the per-segment invariants: sorted unique ids, an arena
-    /// its heads tile exactly, canonical bitmaps of the segment's length,
-    /// non-empty bitmaps, cached stats, and the partition property (each
-    /// row covered exactly once).
-    pub fn check_invariants(&self) -> Result<(), String> {
+    /// Recounts the stats from the bitmaps, after checking the arena: its
+    /// heads tile it exactly, every bitmap is canonical, `rows` long and
+    /// holds the ones it is read with, and — on segments of at most 10,000
+    /// rows, via an OR-fold — no two bitmaps overlap. The bitmap side of
+    /// the one payload check ([`SegMeta::check_payload`]).
+    pub fn recount(&self) -> Result<SegMeta, String> {
         if self.ids.len() != self.heads.len() || self.ids.len() != self.ones.len() {
             return Err("ids/heads/ones length mismatch".into());
-        }
-        if self.ids.windows(2).any(|w| w[0] >= w[1]) {
-            return Err("present ids not strictly ascending".into());
         }
         let mut at = 0usize;
         for h in self.heads.iter() {
@@ -661,38 +606,28 @@ impl Segment {
         if at != self.words.len() {
             return Err("word arena holds words no bitmap owns".into());
         }
-        let mut total_ones = 0u64;
         let mut runs = 0u64;
         for (id, bm) in self.iter() {
             bm.check_invariants()
                 .map_err(|e| format!("bitmap of id {id}: {e}"))?;
-            if !bm.any() {
-                return Err(format!("empty bitmap for id {id} (segment not sparse)"));
-            }
-            total_ones += bm.count_ones();
             runs += bm.count_intervals();
         }
-        if total_ones != self.rows {
-            return Err(format!(
-                "partition invariant violated: {total_ones} ones over {} rows",
-                self.rows
-            ));
-        }
-        if self.words.len() * 8 + 24 * self.heads.len() != self.bytes {
-            return Err("stale byte-size cache".into());
-        }
-        if runs != self.runs {
-            return Err("stale run-count cache".into());
-        }
-        // Ones totalling rows plus full coverage implies disjointness;
-        // verify coverage on small segments via an OR-fold.
+        // Ones totalling rows (the meta's check) plus full coverage implies
+        // disjointness; verify coverage on small segments.
         if self.rows > 0 && self.rows <= 10_000 {
             let union = WahRef::union_many(self.iter().map(|(_, bm)| bm), self.rows);
             if union.count_ones() != self.rows {
                 return Err("partition invariant violated: overlapping bitmaps".into());
             }
         }
-        Ok(())
+        Ok(SegMeta {
+            rows: self.rows,
+            present_ids: Arc::clone(&self.ids),
+            ones: Arc::clone(&self.ones),
+            runs,
+            bytes: self.words.len() * 8 + 24 * self.heads.len(),
+            encoding: Encoding::Bitmap,
+        })
     }
 }
 
@@ -700,9 +635,16 @@ impl Segment {
 mod tests {
     use super::*;
 
+    fn bitmap(slot: &SegSlot) -> Arc<Segment> {
+        match slot.enc() {
+            SegmentEnc::Bitmap(s) => s,
+            SegmentEnc::Rle(_) => panic!("a bitmap segment"),
+        }
+    }
+
     #[test]
     fn segment_stats_and_lookup() {
-        let s = Segment::new(
+        let s = Segment::from_bitmaps(
             6,
             vec![
                 (7, Wah::from_sorted_positions([0u64, 3, 5], 6)),
@@ -710,13 +652,14 @@ mod tests {
             ],
         );
         s.check_invariants().unwrap();
-        assert_eq!(s.present_ids(), &[2, 7]);
-        assert_eq!(s.count_for(7), 3);
-        assert_eq!(s.count_for(9), 0);
-        assert!(s.contains_id(2));
-        assert!(!s.contains_id(3));
-        assert_eq!(s.id_at(0), Some(7));
-        assert_eq!(s.id_at(1), Some(2));
+        let m = s.meta();
+        assert_eq!(&*m.present_ids, &[2, 7]);
+        assert_eq!(m.count_for(7), 3);
+        assert_eq!(m.count_for(9), 0);
+        assert!(m.contains_id(2));
+        assert!(!m.contains_id(3));
+        assert_eq!(bitmap(&s).id_at(0), Some(7));
+        assert_eq!(bitmap(&s).id_at(1), Some(2));
     }
 
     #[test]
@@ -756,40 +699,45 @@ mod tests {
         let seq: RleSeq = [1u32, 1, 3, 3, 3, 8, 8].into_iter().collect();
         let mut scratch = SealScratch::default();
         for _ in 0..2 {
-            let s = Segment::from_runs(&seq, &mut scratch);
-            s.check_invariants().unwrap();
-            assert_eq!(s.rows(), 7);
-            assert_eq!(s.present_ids(), &[1, 3, 8]);
-            assert_eq!(s.ones(), &[2, 3, 2]);
-            assert_eq!(s.run_count(), 3);
+            let slot = SegmentEnc::seal(seq.clone(), Encoding::Bitmap, &mut scratch);
+            slot.check_invariants().unwrap();
+            let (m, s) = (slot.meta(), bitmap(&slot));
+            assert_eq!(m.rows, 7);
+            assert_eq!(&*m.present_ids, &[1, 3, 8]);
+            assert_eq!(&*m.ones, &[2, 3, 2]);
+            assert_eq!(m.runs, 3);
             assert_eq!(s.bitmap_for(3).unwrap().to_positions(), vec![2, 3, 4]);
             assert_eq!(s.bitmap_for(8).unwrap().to_positions(), vec![5, 6]);
         }
         // An id seen by an earlier seal is gone from the next one.
         let other: RleSeq = [8u32, 2, 8].into_iter().collect();
-        let s = Segment::from_runs(&other, &mut scratch);
-        assert_eq!(s.present_ids(), &[2, 8]);
-        assert_eq!(s.bitmap_for(8).unwrap().to_positions(), vec![0, 2]);
-        assert_eq!(s.run_count(), 3);
+        let slot = SegmentEnc::seal(other, Encoding::Bitmap, &mut scratch);
+        assert_eq!(&*slot.meta().present_ids, &[2, 8]);
+        assert_eq!(
+            bitmap(&slot).bitmap_for(8).unwrap().to_positions(),
+            vec![0, 2]
+        );
+        assert_eq!(slot.meta().runs, 3);
         assert_eq!(scratch.distinct(&seq), 3);
     }
 
     #[test]
     fn run_count_counts_value_runs() {
         // Rows: 7 7 2 2 7 → runs [7, 2, 7] = 3.
-        let s = Segment::new(
+        let s = Segment::from_bitmaps(
             5,
             vec![
                 (7, Wah::from_sorted_positions([0u64, 1, 4], 5)),
                 (2, Wah::from_sorted_positions([2u64, 3], 5)),
             ],
         );
-        assert_eq!(s.run_count(), 3);
+        assert_eq!(s.meta().runs, 3);
+        assert_eq!(bitmap(&s).recount().unwrap().runs, 3);
     }
 
     #[test]
     fn remap_translates_and_resorts() {
-        let s = Segment::new(
+        let s = Segment::from_bitmaps(
             3,
             vec![
                 (0, Wah::from_sorted_positions([0u64], 3)),
@@ -798,8 +746,9 @@ mod tests {
         );
         let r = s.remap(&[Some(4), Some(1)]);
         r.check_invariants().unwrap();
-        assert_eq!(r.present_ids(), &[1, 4]);
-        assert_eq!(r.count_for(1), 2);
-        assert_eq!(r.count_for(4), 1);
+        assert_eq!(&*r.meta().present_ids, &[1, 4]);
+        assert_eq!(r.meta().count_for(1), 2);
+        assert_eq!(r.meta().count_for(4), 1);
+        assert_eq!(bitmap(&r).bitmap_for(4).unwrap().to_positions(), vec![0]);
     }
 }

@@ -102,7 +102,7 @@ impl ColumnStats {
             }
             if c.segment_pinned(i) {
                 pinned_segments += 1;
-            } else if pick != seg.encoding() {
+            } else if pick != seg.meta().encoding {
                 chooser_disagreements += 1;
             }
             if seg.is_resident() && (seg.pinned() || seg.disk_loc().is_none()) {

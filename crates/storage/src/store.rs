@@ -3,9 +3,12 @@
 //!
 //! Since format v6 a column opens as *metadata only* — schema, dictionary,
 //! per-segment stats, zones, encoding/pin tags — while segment payloads stay
-//! on disk. Each directory entry is a [`SegSlot`]: resident metadata
-//! ([`SegMeta`]) plus a payload that is either decoded in memory or a
-//! [`DiskLoc`] into the file's payload heap. The first payload touch faults
+//! on disk. Each directory entry is a [`SegSlot`]: the segment's stats
+//! ([`SegMeta`], their one owner, always resident) plus a payload that is
+//! either decoded in memory or a [`DiskLoc`] into the file's payload heap.
+//! A payload is held to its stats by one check, [`SegMeta::check_payload`],
+//! whenever it is decoded ([`decode_payload`]) or verified
+//! ([`SegSlot::check_invariants`]), whatever its encoding. The first payload touch faults
 //! the segment in through the global [`SegmentStore`], which runs a clock
 //! (second-chance) eviction sweep over decoded segments whenever the
 //! configured byte budget is exceeded.
@@ -21,7 +24,7 @@
 //! catalog snapshots), so a cached segment serves every snapshot that
 //! references it and is charged to the budget once.
 
-use crate::encoded::{Encoding, SegmentEnc};
+use crate::encoded::{choose_encoding_from_stats, Encoding, SegmentEnc};
 use crate::error::StorageError;
 use crate::rle_segment::RleSegment;
 use crate::segment::{SealScratch, Segment};
@@ -31,10 +34,13 @@ use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-/// Resident per-segment metadata: everything scans need to prune a segment
-/// without touching its payload. The id/ones slices are `Arc`-shared with
-/// the decoded segment when one exists (zero-copy for fresh columns).
-#[derive(Clone, Debug)]
+/// A segment's statistics, and the one place they live: what scans read
+/// to prune a segment without touching its payload, what the chooser
+/// weighs, and what the buffer cache charges. A seal counts them
+/// ([`SegmentEnc::seal`]), a table file stores them, and a payload is held
+/// to them whenever it is decoded or checked ([`SegMeta::check_payload`]).
+/// A decoded bitmap segment shares the id and ones slices.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SegMeta {
     /// Rows covered by the segment.
     pub rows: u64,
@@ -42,7 +48,8 @@ pub struct SegMeta {
     pub present_ids: Arc<[u32]>,
     /// Rows carrying each present id (parallel to `present_ids`).
     pub ones: Arc<[u64]>,
-    /// Total maximal constant-value runs (the chooser's statistic).
+    /// Total maximal constant-value runs in row order (the chooser's
+    /// statistic; what an RLE encoding stores).
     pub runs: u64,
     /// Compressed payload bytes — the cache charge of the decoded form.
     pub bytes: usize,
@@ -51,25 +58,77 @@ pub struct SegMeta {
 }
 
 impl SegMeta {
-    /// Captures the metadata of a decoded segment (stat slices shared).
-    pub fn of(enc: &SegmentEnc) -> SegMeta {
-        match enc {
-            SegmentEnc::Bitmap(s) => SegMeta {
-                rows: s.rows(),
-                present_ids: s.ids_arc(),
-                ones: s.ones_arc(),
-                runs: s.run_count(),
-                bytes: s.compressed_bytes(),
-                encoding: Encoding::Bitmap,
-            },
-            SegmentEnc::Rle(s) => SegMeta {
-                rows: s.rows(),
-                present_ids: s.ids_arc(),
-                ones: s.ones_arc(),
-                runs: s.num_runs() as u64,
-                bytes: s.compressed_bytes(),
-                encoding: Encoding::Rle,
-            },
+    /// Number of distinct values present.
+    #[inline]
+    pub fn distinct_count(&self) -> usize {
+        self.present_ids.len()
+    }
+
+    /// Index of `id` within the present ids, if present (O(log present)).
+    #[inline]
+    pub fn position_of(&self, id: u32) -> Option<usize> {
+        self.present_ids.binary_search(&id).ok()
+    }
+
+    /// Returns `true` when `id` occurs in the segment (O(log present)).
+    #[inline]
+    pub fn contains_id(&self, id: u32) -> bool {
+        self.position_of(id).is_some()
+    }
+
+    /// Number of rows carrying `id` (0 when absent; O(log present)).
+    pub fn count_for(&self, id: u32) -> u64 {
+        self.position_of(id).map_or(0, |i| self.ones[i])
+    }
+
+    /// What the stats-driven chooser picks for this segment alone.
+    pub fn choose_encoding(&self) -> Encoding {
+        choose_encoding_from_stats(self.runs, self.rows, self.distinct_count() as u64, 1)
+    }
+
+    /// The invariants of the stats themselves: strictly ascending ids, one
+    /// non-zero row count per id, and counts that sum to the rows.
+    pub fn check(&self) -> Result<(), String> {
+        if self.present_ids.len() != self.ones.len() {
+            return Err("ids and ones differ in length".into());
+        }
+        if self.present_ids.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("present ids not strictly ascending".into());
+        }
+        if self.ones.contains(&0) {
+            return Err("present id with zero rows".into());
+        }
+        let total = self
+            .ones
+            .iter()
+            .try_fold(0u64, |t, &n| t.checked_add(n))
+            .ok_or("per-id row counts overflow")?;
+        if total != self.rows {
+            return Err(format!(
+                "per-id row counts sum to {total}, segment has {} rows",
+                self.rows
+            ));
+        }
+        Ok(())
+    }
+
+    /// The one check that a payload is the segment its meta describes,
+    /// under both the payload decoder and [`SegSlot::check_invariants`]:
+    /// `found` is what the payload itself counts to — rows, present ids,
+    /// ones, runs and bytes, recounted by the pass that read it — and must
+    /// equal these stats field by field.
+    pub fn check_payload(&self, found: &SegMeta) -> Result<(), String> {
+        let differs = [
+            ("encoding", found.encoding != self.encoding),
+            ("rows", found.rows != self.rows),
+            ("present ids", found.present_ids != self.present_ids),
+            ("ones", found.ones != self.ones),
+            ("runs", found.runs != self.runs),
+            ("bytes", found.bytes != self.bytes),
+        ];
+        match differs.iter().find(|(_, d)| *d) {
+            Some((what, _)) => Err(format!("recounted {what} do not match the metadata")),
+            None => Ok(()),
         }
     }
 }
@@ -214,11 +273,13 @@ impl Drop for SlotInner {
 pub struct SegSlot(Arc<SlotInner>);
 
 impl SegSlot {
-    /// Wraps a freshly built (in-memory) segment. Fresh slots are resident
-    /// and stay resident: with no disk location they are never evicted.
-    pub(crate) fn fresh(enc: SegmentEnc) -> SegSlot {
+    /// Wraps a freshly built (in-memory) segment and its stats. Fresh slots
+    /// are resident and stay resident: with no disk location they are never
+    /// evicted. `meta` is trusted to describe `enc` (a seal counted it);
+    /// [`SegSlot::check_invariants`] verifies it for hand-built slots.
+    pub fn fresh(meta: SegMeta, enc: SegmentEnc) -> SegSlot {
         SegSlot(Arc::new(SlotInner {
-            meta: SegMeta::of(&enc),
+            meta,
             disk: RwLock::new(None),
             payload: RwLock::new(Some(enc)),
             pinned: AtomicBool::new(false),
@@ -238,9 +299,9 @@ impl SegSlot {
         }))
     }
 
-    /// The resident metadata.
+    /// The segment's stats: resident, so reading them never faults.
     #[inline]
-    pub(crate) fn meta(&self) -> &SegMeta {
+    pub fn meta(&self) -> &SegMeta {
         &self.0.meta
     }
 
@@ -358,115 +419,68 @@ impl SegSlot {
         Ok(enc)
     }
 
-    /// Number of rows covered (metadata; never faults).
-    #[inline]
-    pub fn rows(&self) -> u64 {
-        self.0.meta.rows
+    /// Re-encodes to `encoding`, sharing the slot when already there: its
+    /// rows read as runs and sealed in `encoding`, a fresh (resident) slot.
+    /// A bitmap segment whose bitmaps leave a row uncovered is
+    /// [`StorageError::Corrupt`] ([`Segment::fill_covering`]).
+    pub fn recoded(&self, encoding: Encoding) -> Result<SegSlot, StorageError> {
+        self.recoded_with(encoding, &mut SealScratch::default())
     }
 
-    /// The ascending value ids present in this segment (metadata).
-    #[inline]
-    pub fn present_ids(&self) -> &[u32] {
-        &self.0.meta.present_ids
-    }
-
-    /// Cached per-present-id row counts, parallel to
-    /// [`SegSlot::present_ids`] (metadata).
-    #[inline]
-    pub fn ones(&self) -> &[u64] {
-        &self.0.meta.ones
-    }
-
-    /// Number of distinct values present (metadata).
-    #[inline]
-    pub fn distinct_count(&self) -> usize {
-        self.0.meta.present_ids.len()
-    }
-
-    /// Returns `true` when `id` occurs in this segment (metadata,
-    /// O(log present)).
-    #[inline]
-    pub fn contains_id(&self, id: u32) -> bool {
-        self.0.meta.present_ids.binary_search(&id).is_ok()
-    }
-
-    /// Number of rows carrying `id` (0 when absent; metadata).
-    pub fn count_for(&self, id: u32) -> u64 {
-        self.0
-            .meta
-            .present_ids
-            .binary_search(&id)
-            .map_or(0, |i| self.0.meta.ones[i])
-    }
-
-    /// Compressed payload bytes (metadata).
-    #[inline]
-    pub fn compressed_bytes(&self) -> usize {
-        self.0.meta.bytes
-    }
-
-    /// Total maximal constant-value runs (metadata).
-    #[inline]
-    pub fn run_count(&self) -> u64 {
-        self.0.meta.runs
-    }
-
-    /// The segment's physical encoding (metadata).
-    #[inline]
-    pub fn encoding(&self) -> Encoding {
-        self.0.meta.encoding
-    }
-
-    /// What the stats-driven chooser would pick for this segment
-    /// (metadata; matches [`SegmentEnc::choose_encoding`]).
-    pub fn choose_encoding(&self) -> Encoding {
-        crate::encoded::choose_encoding_from_stats(
-            self.0.meta.runs,
-            self.0.meta.rows,
-            self.0.meta.present_ids.len() as u64,
-            1,
-        )
-    }
-
-    /// Re-encodes to `encoding`, sharing the slot when already there.
-    /// The result is a fresh (resident) slot when a transcode happens.
-    pub(crate) fn recoded(
+    pub(crate) fn recoded_with(
         &self,
         encoding: Encoding,
         scratch: &mut SealScratch,
     ) -> Result<SegSlot, StorageError> {
-        if self.encoding() == encoding {
-            Ok(self.clone())
-        } else {
-            Ok(SegSlot::fresh(
-                self.try_enc()?.recoded_with(encoding, scratch)?,
-            ))
+        if self.0.meta.encoding == encoding {
+            return Ok(self.clone());
         }
+        let mut seq = RleSeq::new();
+        let rows = self.0.meta.rows;
+        self.try_enc()?
+            .read_in(rows, 0, &[(0, rows)], &mut seq, &mut Vec::new())?;
+        Ok(SegmentEnc::seal(seq, encoding, scratch))
     }
 
-    /// Rewrites the segment under an id translation (faults in; the result
-    /// is a fresh resident slot).
+    /// Rewrites the segment under an id translation (`map[old] =
+    /// Some(new)`, injective on the present ids — a dictionary merge or
+    /// compaction), faulting it in; the result is a fresh resident slot.
+    /// Rows, runs and bytes carry over; the ids and ones are re-sorted.
+    ///
+    /// # Panics
+    /// Panics if the map drops a present id.
     pub(crate) fn remap(&self, map: &[Option<u32>]) -> SegSlot {
-        SegSlot::fresh(self.enc().remap(map))
+        let m = &self.0.meta;
+        let mut order: Vec<(u32, usize)> = m
+            .present_ids
+            .iter()
+            .enumerate()
+            .map(|(i, &old)| (map[old as usize].expect("remap drops a present value"), i))
+            .collect();
+        order.sort_unstable();
+        let meta = SegMeta {
+            present_ids: order.iter().map(|&(new, _)| new).collect(),
+            ones: order.iter().map(|&(_, i)| m.ones[i]).collect(),
+            ..m.clone()
+        };
+        debug_assert!(meta.check().is_ok(), "remap is not injective");
+        let enc = match self.enc() {
+            SegmentEnc::Bitmap(s) => {
+                let from: Vec<usize> = order.iter().map(|&(_, i)| i).collect();
+                SegmentEnc::Bitmap(Arc::new(s.remap(&meta, &from)))
+            }
+            SegmentEnc::Rle(s) => SegmentEnc::Rle(Arc::new(s.remap(map))),
+        };
+        SegSlot::fresh(meta, enc)
     }
 
-    /// Validates the payload against the resident metadata and the
-    /// per-segment invariants (faults the payload in).
+    /// Validates the stats ([`SegMeta::check`]) and the payload (faulting
+    /// it in): its own invariants, then the one payload check against the
+    /// stats.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.0.meta.check()?;
         let enc = self.try_enc().map_err(|e| e.to_string())?;
-        enc.check_invariants()?;
-        let m = &self.0.meta;
-        if enc.rows() != m.rows
-            || enc.present_ids() != &*m.present_ids
-            || enc.ones() != &*m.ones
-            || enc.encoding() != m.encoding
-        {
-            return Err("resident metadata does not match payload".into());
-        }
-        if enc.compressed_bytes() != m.bytes || enc.run_count() != m.runs {
-            return Err("stale payload-size/run metadata".into());
-        }
-        Ok(())
+        self.0.meta.check_payload(&enc.recount()?)
     }
 }
 
@@ -506,35 +520,36 @@ pub fn encode_payload<B: BufMut>(enc: &SegmentEnc, buf: &mut B) {
 /// Encoded length of [`encode_payload`]'s output.
 pub(crate) fn payload_encoded_len(enc: &SegmentEnc) -> usize {
     match enc {
-        SegmentEnc::Bitmap(s) => s.compressed_bytes(),
+        SegmentEnc::Bitmap(s) => s.iter().map(|(_, bm)| bm.encoded_len()).sum(),
         SegmentEnc::Rle(s) => s.seq().encoded_len(),
     }
 }
 
-/// Decodes a payload against its resident metadata, validating that the
-/// recomputed stats match (a mismatch means the bytes are not the segment
-/// the footer index promised). A bitmap payload decodes in one pass
-/// straight into its segment's word arena (`Segment::decode`).
+/// Decodes a payload against its resident metadata: the payload is read,
+/// its stats recounted by the same pass, and the recount held to the
+/// metadata ([`SegMeta::check_payload`]) — a mismatch means the bytes are
+/// not the segment the footer index promised. A bitmap payload decodes in
+/// one pass straight into its segment's word arena (`Segment::decode`).
 pub fn decode_payload(meta: &SegMeta, raw: &[u8]) -> Result<SegmentEnc, StorageError> {
     let corrupt = |m: &str| StorageError::PersistError(format!("segment payload: {m}"));
-    match meta.encoding {
-        Encoding::Bitmap => Ok(SegmentEnc::Bitmap(Arc::new(Segment::decode(meta, raw)?))),
+    let (enc, found) = match meta.encoding {
+        Encoding::Bitmap => {
+            let (seg, found) = Segment::decode(meta, raw)?;
+            (SegmentEnc::Bitmap(Arc::new(seg)), found)
+        }
         Encoding::Rle => {
             let mut buf = raw;
             let seq = RleSeq::decode(&mut buf).map_err(|e| corrupt(&e.to_string()))?;
-            if seq.len() != meta.rows {
-                return Err(corrupt("run sequence does not cover segment rows"));
-            }
             if !buf.is_empty() {
                 return Err(corrupt("trailing bytes after payload"));
             }
-            let enc = SegmentEnc::Rle(Arc::new(RleSegment::new(seq)));
-            if enc.present_ids() != &*meta.present_ids || enc.ones() != &*meta.ones {
-                return Err(corrupt("decoded stats do not match the footer metadata"));
-            }
-            Ok(enc)
+            let seg = RleSegment::new(seq);
+            let found = seg.recount();
+            (SegmentEnc::Rle(Arc::new(seg)), found)
         }
-    }
+    };
+    meta.check_payload(&found).map_err(|m| corrupt(&m))?;
+    Ok(enc)
 }
 
 /// A snapshot of the buffer cache's telemetry.
@@ -716,14 +731,15 @@ mod tests {
         EncodedColumn::from_values_with(ValueType::Int, &vals, seg_rows).unwrap()
     }
 
-    fn slot_on_bytes(enc: &SegmentEnc, pinned: bool) -> SegSlot {
+    fn slot_on_bytes(slot: &SegSlot, pinned: bool) -> SegSlot {
+        let enc = slot.enc();
         let mut raw = Vec::new();
-        encode_payload(enc, &mut raw);
-        assert_eq!(raw.len(), payload_encoded_len(enc));
+        encode_payload(&enc, &mut raw);
+        assert_eq!(raw.len(), payload_encoded_len(&enc));
         let len = raw.len() as u64;
         let source = Arc::new(PayloadSource::Bytes(Bytes::from(raw)));
         SegSlot::on_disk(
-            SegMeta::of(enc),
+            slot.meta().clone(),
             DiskLoc {
                 source,
                 offset: 0,
@@ -736,31 +752,30 @@ mod tests {
     #[test]
     fn fresh_slot_mirrors_its_payload_stats() {
         let col = column(100, 64);
-        let slot = &col.segments()[0];
-        let enc = slot.enc();
-        assert!(slot.is_resident());
-        assert_eq!(slot.rows(), enc.rows());
-        assert_eq!(slot.present_ids(), enc.present_ids());
-        assert_eq!(slot.ones(), enc.ones());
-        assert_eq!(slot.distinct_count(), enc.distinct_count());
-        assert_eq!(slot.compressed_bytes(), enc.compressed_bytes());
-        assert_eq!(slot.run_count(), enc.run_count());
-        assert_eq!(slot.encoding(), enc.encoding());
-        assert_eq!(slot.choose_encoding(), enc.choose_encoding());
-        assert!(slot.contains_id(0));
-        assert_eq!(slot.count_for(0), enc.count_for(0));
-        slot.check_invariants().unwrap();
+        for slot in [
+            col.segments()[0].clone(),
+            col.segments()[0].recoded(Encoding::Rle).unwrap(),
+        ] {
+            assert!(slot.is_resident());
+            let (meta, found) = (slot.meta(), slot.enc().recount().unwrap());
+            assert_eq!(meta, &found);
+            assert_eq!(meta.choose_encoding(), found.choose_encoding());
+            assert!(meta.contains_id(0));
+            assert_eq!(meta.count_for(0), 16);
+            assert_eq!(meta.count_for(9), 0);
+            slot.check_invariants().unwrap();
+        }
     }
 
     #[test]
     fn payload_round_trips_through_the_heap_format() {
         let col = column(200, 64);
         for slot in col.segments() {
-            for enc in [slot.enc(), slot.enc().recoded(Encoding::Rle).unwrap()] {
+            for s in [slot.clone(), slot.recoded(Encoding::Rle).unwrap()] {
                 let mut raw = Vec::new();
-                encode_payload(&enc, &mut raw);
-                let back = decode_payload(&SegMeta::of(&enc), &raw).unwrap();
-                assert_eq!(back, enc);
+                encode_payload(&s.enc(), &mut raw);
+                let back = decode_payload(s.meta(), &raw).unwrap();
+                assert_eq!(back, s.enc());
             }
         }
     }
@@ -768,16 +783,16 @@ mod tests {
     #[test]
     fn corrupt_payload_is_rejected() {
         let col = column(100, 64);
-        let enc = col.segments()[0].enc();
+        let slot = &col.segments()[0];
         let mut raw = Vec::new();
-        encode_payload(&enc, &mut raw);
+        encode_payload(&slot.enc(), &mut raw);
         // Truncation and bit flips both fail decode or the stat check.
         let cut = &raw[..raw.len() / 2];
-        assert!(decode_payload(&SegMeta::of(&enc), cut).is_err());
+        assert!(decode_payload(slot.meta(), cut).is_err());
         let mut flipped = raw.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0xFF;
-        assert!(decode_payload(&SegMeta::of(&enc), &flipped).is_err());
+        assert!(decode_payload(slot.meta(), &flipped).is_err());
     }
 
     #[test]
@@ -785,18 +800,17 @@ mod tests {
         let _g = budget_guard();
         let col = column(100, 64);
         let enc = col.segments()[0].enc();
-        let slot = slot_on_bytes(&enc, false);
+        let slot = slot_on_bytes(&col.segments()[0], false);
         assert!(!slot.is_resident());
         // Metadata works without faulting.
-        assert_eq!(slot.rows(), enc.rows());
-        assert_eq!(slot.present_ids(), enc.present_ids());
+        assert_eq!(slot.meta(), col.segments()[0].meta());
         assert!(!slot.is_resident(), "metadata access must not fault");
         let before = segment_cache().stats();
         assert_eq!(slot.enc(), enc);
         assert!(slot.is_resident());
         let after = segment_cache().stats();
         assert!(after.misses > before.misses);
-        assert!(after.decoded_bytes >= before.decoded_bytes + enc.compressed_bytes() as u64);
+        assert!(after.decoded_bytes >= before.decoded_bytes + slot.meta().bytes as u64);
         // Second touch is a hit.
         let _ = slot.enc();
         assert!(segment_cache().stats().hits > after.hits);
@@ -811,7 +825,7 @@ mod tests {
         let slots: Vec<SegSlot> = col
             .segments()
             .iter()
-            .map(|s| slot_on_bytes(&s.enc(), false))
+            .map(|s| slot_on_bytes(s, false))
             .collect();
         let one = slots[0].meta().bytes as u64;
         store.set_budget(one); // room for about one segment
@@ -839,7 +853,7 @@ mod tests {
         let pinned: Vec<SegSlot> = col
             .segments()
             .iter()
-            .map(|s| slot_on_bytes(&s.enc(), true))
+            .map(|s| slot_on_bytes(s, true))
             .collect();
         store.set_budget(1);
         for s in &pinned {

@@ -55,6 +55,7 @@
 //! payload`) with [`checksum`], so storage and wire frames are verified by
 //! one function.
 
+use crate::codec::Reader;
 use crate::error::StorageError;
 use crate::fault;
 use std::collections::HashMap;
@@ -153,28 +154,27 @@ pub(crate) fn encode_frame<R>(
 /// [`read_frames`] adds the journal's all-or-nothing rule on top.
 pub(crate) fn scan_frame_prefix(bytes: &[u8]) -> (Vec<(u32, &[u8])>, usize) {
     let mut frames = Vec::new();
-    let mut at = 0usize;
+    let mut r = Reader::new(bytes);
     loop {
-        if bytes.len() - at < FRAME_OVERHEAD_BYTES as usize {
-            return (frames, at);
+        let at = r.position();
+        match read_frame(&mut r) {
+            Some(frame) => frames.push(frame),
+            None => return (frames, at),
         }
-        let tag = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap());
-        let Some(end) = (at as u64)
-            .checked_add(FRAME_OVERHEAD_BYTES)
-            .and_then(|v| v.checked_add(len))
-            .and_then(|v| usize::try_from(v).ok())
-            .filter(|&end| end <= bytes.len())
-        else {
-            return (frames, at);
-        };
-        let sum = u64::from_le_bytes(bytes[end - 8..end].try_into().unwrap());
-        if sum != checksum(&[&bytes[at..end - 8]]) {
-            return (frames, at);
-        }
-        frames.push((tag, &bytes[at + 12..end - 8]));
-        at = end;
     }
+}
+
+/// Reads one frame through the checked reader: its tag and payload, when
+/// the bytes hold all of it and its checksum matches the tag, length and
+/// payload it covers.
+fn read_frame<'a>(r: &mut Reader<'a>) -> Option<(u32, &'a [u8])> {
+    let mut covered = *r;
+    let tag = r.u32().ok()?;
+    let len = usize::try_from(r.u64().ok()?).ok()?;
+    let payload = r.take(len).ok()?;
+    let sum = r.u64().ok()?;
+    let covered = covered.take(12 + len).ok()?;
+    (sum == checksum(&[covered])).then_some((tag, payload))
 }
 
 /// What [`journal_status`] found next to a target file — the read-only

@@ -21,7 +21,7 @@ use cods_storage::persist::{decode_catalog, decode_table};
 use cods_storage::store::{decode_payload, encode_payload, SegMeta};
 use cods_storage::{
     clog_path, log_status, open_durable, wal, Catalog, Dictionary, EncodedColumn, Encoding, Schema,
-    Segment, SegmentEnc, StorageError, Table, Value, ValueType,
+    SealScratch, SegSlot, Segment, SegmentEnc, StorageError, Table, Value, ValueType,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -468,7 +468,7 @@ fn hostile_bitmap_payloads_are_typed_errors() {
             200,
         ),
     ];
-    let seg = Segment::new(
+    let seg = Segment::from_bitmaps(
         200,
         vec![
             (2, bitmaps[0].clone()),
@@ -476,8 +476,8 @@ fn hostile_bitmap_payloads_are_typed_errors() {
             (9, bitmaps[2].clone()),
         ],
     );
-    let enc = SegmentEnc::Bitmap(Arc::new(seg));
-    let meta = SegMeta::of(&enc);
+    let enc = seg.enc();
+    let meta = seg.meta().clone();
     let mut good = Vec::new();
     encode_payload(&enc, &mut good);
     assert_eq!(
@@ -567,19 +567,74 @@ fn hostile_bitmap_payloads_are_typed_errors() {
     overlapping_bitmaps_are_a_typed_error_on_every_read();
 }
 
+// ---- RLE payloads: the run codec, recounted against its metadata ----
+
+/// Each stat of an RLE segment's metadata perturbed in turn — rows,
+/// present ids, ones, runs and bytes, each lie kept consistent with the
+/// metadata's own invariants so only the recount can catch it — and the
+/// payload's own bytes cut, padded and over-counted: every case is a typed
+/// `segment payload` error, never a segment whose stats lie to the cache
+/// budget and the chooser.
+#[test]
+fn hostile_rle_payloads_are_typed_errors() {
+    // Three runs over 48 rows: 5×10, 2×20, 5×18.
+    let mut seq = cods_bitmap::RleSeq::new();
+    for (id, n) in [(5, 10), (2, 20), (5, 18)] {
+        seq.append_run(id, n);
+    }
+    let slot = SegmentEnc::seal(seq, Encoding::Rle, &mut SealScratch::default());
+    let meta = slot.meta().clone();
+    assert_eq!((meta.rows, meta.runs, meta.bytes), (48, 3, 48));
+    let mut good = Vec::new();
+    encode_payload(&slot.enc(), &mut good);
+    assert_eq!(
+        decode_payload(&meta, &good).unwrap(),
+        slot.enc(),
+        "the untouched payload decodes"
+    );
+    let lie = |what: &str, edit: &dyn Fn(&mut SegMeta)| {
+        let mut m = meta.clone();
+        edit(&mut m);
+        payload_refused(what, &m, &good);
+    };
+    lie("rows", &|m| {
+        m.rows += 1;
+        m.ones = vec![m.ones[0], m.ones[1] + 1].into();
+    });
+    lie("present ids", &|m| m.present_ids = vec![2, 7].into());
+    lie("ones", &|m| {
+        m.ones = vec![m.ones[0] + 1, m.ones[1] - 1].into()
+    });
+    lie("runs", &|m| m.runs = 1);
+    lie("bytes", &|m| m.bytes = 0);
+    lie("encoding", &|m| m.encoding = Encoding::Bitmap);
+
+    let mut raw = good.clone();
+    raw.extend_from_slice(&[0; 12]);
+    payload_refused("trailing bytes", &meta, &raw);
+    payload_refused("a cut payload", &meta, &good[..good.len() - 12]);
+    let mut raw = good.clone();
+    raw[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+    payload_refused("a huge run count", &meta, &raw);
+    let mut raw = good.clone();
+    raw[0..8].copy_from_slice(&47u64.to_le_bytes());
+    payload_refused("a length that disagrees with the runs", &meta, &raw);
+}
+
 /// A `rows`-row segment of one value per row whose every bitmap sets row
 /// 0: it matches an honest segment's metadata (ids `0..rows`, one set bit
 /// each, one word or none per bitmap), so the payload decodes; rows `1..`
 /// are then covered by no bitmap.
-fn overlapping_segment(rows: u64) -> SegmentEnc {
+fn overlapping_segment(rows: u64) -> SegSlot {
     let bit = |r| Wah::from_sorted_positions([r], rows);
     let pairs = (0..rows).map(|r| (r as u32, bit(r))).collect();
-    let honest = SegmentEnc::Bitmap(Arc::new(Segment::new(rows, pairs)));
+    let honest = Segment::from_bitmaps(rows, pairs);
     let mut raw = Vec::new();
     for _ in 0..rows {
         bit(0).encode(&mut raw);
     }
-    decode_payload(&SegMeta::of(&honest), &raw).expect("each bitmap is well formed")
+    let enc = decode_payload(honest.meta(), &raw).expect("each bitmap is well formed");
+    SegSlot::fresh(honest.meta().clone(), enc)
 }
 
 /// Row `r` of a 2-row segment.
@@ -631,10 +686,10 @@ fn overlapping_bitmaps_are_a_typed_error_on_every_read() {
 #[test]
 fn an_overlapping_segment_recoded_to_rle_is_a_typed_error() {
     let decoded = overlapping_segment(2);
-    corrupt("SegmentEnc::recoded", decoded.recoded(Encoding::Rle));
+    corrupt("SegSlot::recoded", decoded.recoded(Encoding::Rle));
     let col = EncodedColumn::from_segments(ValueType::Int, ids(2), vec![decoded.clone()], 2);
     corrupt("EncodedColumn::recode", col.recode(Encoding::Rle));
-    let honest = SegmentEnc::Bitmap(Arc::new(Segment::new(2, vec![(0, row(0)), (1, row(1))])));
+    let honest = Segment::from_bitmaps(2, vec![(0, row(0)), (1, row(1))]);
     let mixed = EncodedColumn::from_segments(ValueType::Int, ids(2), vec![decoded, honest], 64)
         .recode_segments(1..2, Encoding::Rle)
         .unwrap();

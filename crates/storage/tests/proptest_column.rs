@@ -454,18 +454,19 @@ proptest! {
         pattern in any::<u64>(),
     ) {
         use cods_bitmap::Wah;
-        use cods_storage::store::{decode_payload, encode_payload, SegMeta};
+        use cods_storage::store::{decode_payload, encode_payload};
         use cods_storage::SegmentEnc;
         let col = mix(&bitmap_col(&vals, seg), pattern);
         for (i, slot) in col.segments().iter().enumerate() {
-            let rows = slot.rows();
+            let rows = slot.meta().rows;
             let range = col.segment_range(i);
             let ids = col.try_ids_in(&[(range.start, range.end)]).unwrap();
             let enc = slot.enc();
             let SegmentEnc::Bitmap(mem) = &enc else { continue };
             // The oracle: one owned bitmap per present id, from the rows.
-            let per_id: Vec<Wah> = mem
-                .present_ids()
+            let per_id: Vec<Wah> = slot
+                .meta()
+                .present_ids
                 .iter()
                 .map(|&id| {
                     let at = (0..rows).filter(|&r| ids[r as usize] == id);
@@ -481,7 +482,7 @@ proptest! {
             }
             prop_assert_eq!(&raw, &oracle_bytes);
             // Decoded into the arena, and per id by `Wah::decode`, it agrees.
-            let SegmentEnc::Bitmap(arena) = decode_payload(&SegMeta::of(&enc), &raw).unwrap() else {
+            let SegmentEnc::Bitmap(arena) = decode_payload(slot.meta(), &raw).unwrap() else {
                 panic!("a bitmap payload decodes to a bitmap segment");
             };
             let mut buf = raw.as_slice();
@@ -490,12 +491,12 @@ proptest! {
             }
             prop_assert!(buf.is_empty());
             for s in [&arena, mem] {
-                s.check_invariants().unwrap();
-                prop_assert_eq!(s.present_ids(), mem.present_ids());
+                let found = s.recount().unwrap();
+                prop_assert_eq!(&found, slot.meta());
                 let ones: Vec<u64> = per_id.iter().map(Wah::count_ones).collect();
-                prop_assert_eq!(s.ones(), &ones[..]);
-                prop_assert_eq!(s.run_count(), per_id.iter().map(Wah::count_intervals).sum::<u64>());
-                prop_assert_eq!(s.compressed_bytes(), per_id.iter().map(Wah::size_bytes).sum::<usize>());
+                prop_assert_eq!(&*found.ones, &ones[..]);
+                prop_assert_eq!(found.runs, per_id.iter().map(Wah::count_intervals).sum::<u64>());
+                prop_assert_eq!(found.bytes, per_id.iter().map(Wah::size_bytes).sum::<usize>());
                 prop_assert_eq!(s.iter().len(), per_id.len());
                 for ((_, bm), w) in s.iter().zip(&per_id) {
                     prop_assert_eq!(bm.to_positions(), w.to_positions());
@@ -578,17 +579,17 @@ proptest! {
         for _ in 0..2 {
             let sealed = SegmentEnc::seal(seq.clone(), encoding, &mut scratch);
             sealed.check_invariants().unwrap();
-            prop_assert_eq!(sealed.encoding(), encoding);
-            prop_assert_eq!(sealed.rows(), n);
-            prop_assert_eq!(sealed.present_ids(), &ids[..]);
-            prop_assert_eq!(sealed.ones(), &ones[..]);
-            prop_assert_eq!(sealed.run_count(), runs);
-            match &sealed {
-                SegmentEnc::Bitmap(s) => {
+            prop_assert_eq!(sealed.meta().encoding, encoding);
+            prop_assert_eq!(sealed.meta().rows, n);
+            prop_assert_eq!(&*sealed.meta().present_ids, &ids[..]);
+            prop_assert_eq!(&*sealed.meta().ones, &ones[..]);
+            prop_assert_eq!(sealed.meta().runs, runs);
+            match &sealed.enc() {
+                SegmentEnc::Bitmap(_) => {
                     let bytes: usize = per_id.iter().map(|(_, w)| w.size_bytes()).sum();
-                    prop_assert_eq!(s.compressed_bytes(), bytes);
+                    prop_assert_eq!(sealed.meta().bytes, bytes);
                     let mut raw = Vec::new();
-                    encode_payload(&sealed, &mut raw);
+                    encode_payload(&sealed.enc(), &mut raw);
                     let mut oracle = Vec::new();
                     for (_, w) in &per_id {
                         w.encode(&mut oracle);

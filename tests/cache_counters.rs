@@ -115,7 +115,7 @@ fn eight_leaf_or_faults_each_segment_of_its_column_once() {
     let v = lazy.column_by_name("v").unwrap();
     let cache = segment_cache();
     // Room for one segment of `v`: every fault evicts the one before it.
-    cache.set_budget(v.segments()[0].compressed_bytes() as u64);
+    cache.set_budget(v.segments()[0].meta().bytes as u64);
     let pred = (1..8i64).fold(Predicate::eq("v", 0i64), |acc, c| {
         acc.or(Predicate::eq("v", 31 * c))
     });

@@ -333,7 +333,7 @@ fn layout(t: &Table) -> String {
                     Encoding::Bitmap => 'b',
                     Encoding::Rle => 'r',
                 };
-                format!("{}{e}", col.segments()[i].rows())
+                format!("{}{e}", col.segments()[i].meta().rows)
             })
             .collect();
         let mut i = 0;
