@@ -20,6 +20,14 @@ trap 'test -z "$server" || kill "$server"; rm -rf "$tmp"' EXIT
     cat ci/drive.cods
     echo "explain join S T on employee=employee"
     echo "explain agg R by employee count:skill where employee != Jones"
+    # Every form of `recode` through its one path: whole column and segment
+    # range, explicit and chooser, one column and all.
+    echo "recode R skill rle"
+    echo "recode R skill auto"
+    echo "recode R skill rle 0..1"
+    echo "recode R skill auto 0..1"
+    echo "recode R * bitmap"
+    echo "stats R"
     echo "save $tmp/cat.cods"
     echo "open $tmp/cat.cods"
     echo "count R"

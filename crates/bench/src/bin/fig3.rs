@@ -19,7 +19,9 @@ use cods::{decompose, merge_general, merge_key_fk, Cods, ColumnFill, MergeStrate
 use cods_bench::*;
 use cods_bitmap::PlainBitmap;
 use cods_query::Predicate;
-use cods_storage::{ColumnDef, Table, TableStats, Value, ValueType};
+use cods_storage::{
+    ColumnDef, Encoding, RecodeScope, RecodeTarget, Table, TableStats, Value, ValueType,
+};
 use cods_workload::gen::r_schema;
 use cods_workload::{GenConfig, SweepSpec, System};
 use std::time::{Duration, Instant};
@@ -340,14 +342,16 @@ fn ablations(args: &Args) {
             "R",
             &GenConfig::sweep_point(rows_n, 1_000.min(rows_n / 2).max(2)),
         )
-        .recoded_pinned(cods_storage::Encoding::Bitmap)
+        .map_columns(None, |c| {
+            c.with_encoding(RecodeScope::Column, RecodeTarget::To(Encoding::Bitmap))
+        })
         .unwrap();
         let t0 = Instant::now();
         let clustered = unclustered.cluster_by(&["entity"]).unwrap();
         let cluster_time = t0.elapsed();
         let col_u = unclustered.column_by_name("entity").unwrap();
         let col_c = clustered.column_by_name("entity").unwrap();
-        let rle = col_c.recode(cods_storage::Encoding::Rle).unwrap();
+        let rle = col_c.recode(Encoding::Rle).unwrap();
         println!(
             "\n  clustering (rows = {rows_n}, sort cost {}):",
             fmt_dur(cluster_time)

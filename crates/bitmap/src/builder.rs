@@ -170,10 +170,7 @@ mod tests {
         b.push_run(100, 63);
         let w = b.finish(200);
         assert_eq!(w.count_ones(), 68);
-        assert_eq!(
-            w,
-            Wah::ones_run(10, 5, 200).or(&Wah::ones_run(100, 63, 200))
-        );
+        assert_eq!(w, Wah::from_sorted_positions((10..15).chain(100..163), 200));
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //! word arena its bitmaps share; `Wah`'s read methods delegate to it:
 //!
 //! * **logical ops on compressed form** — [`Wah::and`], [`Wah::or`],
-//!   [`Wah::xor`], [`Wah::and_not`], [`Wah::not`] ([`ops`]);
+//!   [`Wah::not`], [`Wah::union_many`] ([`ops`]);
 //! * **bitmap filtering** (the decomposition gather) —
 //!   [`Wah::filter_positions`], [`Wah::filter_bitmap`], [`Wah::slice`]
 //!   ([`filter`]);
-//! * **direct synthesis** (the mergence layouts) — [`Wah::ones_run`],
-//!   [`Wah::strided`], [`Wah::repeat_each`], [`Wah::tile`] ([`synth`]);
+//! * **run appends** (how a segment seal writes each value's bitmap) —
+//!   [`Wah::append_run`];
 //! * **single-pass construction** — [`OneStreamBuilder`],
 //!   [`ValueStreamBuilder`] ([`builder`]);
 //! * **concatenation** for UNION TABLES — [`Wah::append_bitmap`],
@@ -55,7 +55,6 @@ pub mod iter;
 pub mod ops;
 pub mod plain;
 pub mod rle;
-pub mod synth;
 pub mod wah;
 pub mod word;
 

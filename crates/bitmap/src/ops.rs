@@ -1,4 +1,4 @@
-//! Logical operations (AND / OR / XOR / AND-NOT / NOT) computed *directly on
+//! Logical operations (AND / OR / NOT) computed *directly on
 //! the compressed form*, the property WAH was designed for (Wu, Otoo &
 //! Shoshani, TODS 2006). No operand is ever decompressed to a bit vector;
 //! the cost is linear in the number of compressed words of the inputs.
@@ -70,10 +70,6 @@ pub enum BinOp {
     And,
     /// Bitwise disjunction.
     Or,
-    /// Bitwise exclusive or.
-    Xor,
-    /// `a AND NOT b`.
-    AndNot,
 }
 
 impl BinOp {
@@ -82,8 +78,6 @@ impl BinOp {
         match self {
             BinOp::And => a & b,
             BinOp::Or => a | b,
-            BinOp::Xor => a ^ b,
-            BinOp::AndNot => a & !b & LIT_MASK,
         }
     }
 }
@@ -160,55 +154,6 @@ impl<'a> WahRef<'a> {
         binary(self, other, BinOp::Or)
     }
 
-    /// Bitwise XOR. Both operands must have the same length.
-    pub fn xor(self, other: WahRef<'_>) -> Wah {
-        binary(self, other, BinOp::Xor)
-    }
-
-    /// Bitwise `self AND NOT other`. Both operands must have the same length.
-    pub fn and_not(self, other: WahRef<'_>) -> Wah {
-        binary(self, other, BinOp::AndNot)
-    }
-
-    /// Returns `true` if the two bitmaps share no set position.
-    ///
-    /// Short-circuits on the first overlapping group, so disjoint probing is
-    /// usually cheaper than a full [`WahRef::and`].
-    pub fn is_disjoint(self, other: WahRef<'_>) -> bool {
-        assert_eq!(self.len(), other.len(), "bitmap length mismatch");
-        let mut da = GroupDecoder::new(self.words);
-        let mut db = GroupDecoder::new(other.words);
-        loop {
-            match (da.peek(), db.peek()) {
-                (None, None) => break,
-                (Some(sa), Some(sb)) => {
-                    let (wa, wb, n) = match (sa, sb) {
-                        (
-                            Seg::Fill {
-                                bit: ba,
-                                groups: ga,
-                            },
-                            Seg::Fill {
-                                bit: bb,
-                                groups: gb,
-                            },
-                        ) => (fill_as_literal(ba), fill_as_literal(bb), ga.min(gb)),
-                        (Seg::Fill { bit, .. }, Seg::Literal(w)) => (fill_as_literal(bit), w, 1),
-                        (Seg::Literal(w), Seg::Fill { bit, .. }) => (w, fill_as_literal(bit), 1),
-                        (Seg::Literal(wa), Seg::Literal(wb)) => (wa, wb, 1),
-                    };
-                    if wa & wb != 0 {
-                        return false;
-                    }
-                    da.consume(n);
-                    db.consume(n);
-                }
-                _ => unreachable!(),
-            }
-        }
-        self.active & other.active == 0
-    }
-
     /// OR of many bitmaps (all the same length). Returns a zero bitmap of
     /// length `len` when the iterator is empty.
     pub fn union_many<I: IntoIterator<Item = WahRef<'a>>>(bitmaps: I, len: u64) -> Wah {
@@ -255,25 +200,9 @@ impl Wah {
         self.view().or(other.view())
     }
 
-    /// Bitwise XOR. Both operands must have the same length.
-    pub fn xor(&self, other: &Wah) -> Wah {
-        self.view().xor(other.view())
-    }
-
-    /// Bitwise `self AND NOT other`. Both operands must have the same length.
-    pub fn and_not(&self, other: &Wah) -> Wah {
-        self.view().and_not(other.view())
-    }
-
     /// Bitwise complement over the full length.
     pub fn not(&self) -> Wah {
         !self.view()
-    }
-
-    /// Returns `true` if the two bitmaps share no set position
-    /// ([`WahRef::is_disjoint`]).
-    pub fn is_disjoint(&self, other: &Wah) -> bool {
-        self.view().is_disjoint(other.view())
     }
 
     /// OR of many bitmaps ([`WahRef::union_many`]).
@@ -295,21 +224,11 @@ mod tests {
         let b = Wah::from_bits(b_bits.iter().copied());
         let and = a.and(&b);
         let or = a.or(&b);
-        let xor = a.xor(&b);
-        let andnot = a.and_not(&b);
         and.check_invariants().unwrap();
         or.check_invariants().unwrap();
-        xor.check_invariants().unwrap();
-        andnot.check_invariants().unwrap();
         for i in 0..a_bits.len() {
             assert_eq!(bits_of(&and)[i], a_bits[i] & b_bits[i], "and bit {i}");
             assert_eq!(bits_of(&or)[i], a_bits[i] | b_bits[i], "or bit {i}");
-            assert_eq!(bits_of(&xor)[i], a_bits[i] ^ b_bits[i], "xor bit {i}");
-            assert_eq!(
-                bits_of(&andnot)[i],
-                a_bits[i] & !b_bits[i],
-                "andnot bit {i}"
-            );
         }
     }
 
@@ -366,31 +285,6 @@ mod tests {
         let b = Wah::from_sorted_positions([1u64, 71, 300, 499], 500);
         assert_eq!(a.and(&b).not(), a.not().or(&b.not()));
         assert_eq!(a.or(&b).not(), a.not().and(&b.not()));
-    }
-
-    #[test]
-    fn and_not_equals_and_with_not() {
-        let a = Wah::from_sorted_positions([0u64, 64, 128, 300], 400);
-        let b = Wah::from_sorted_positions([64u64, 300], 400);
-        assert_eq!(a.and_not(&b), a.and(&b.not()));
-    }
-
-    #[test]
-    fn disjointness() {
-        let a = Wah::from_sorted_positions([0u64, 100, 200], 1000);
-        let b = Wah::from_sorted_positions([1u64, 101, 201], 1000);
-        assert!(a.is_disjoint(&b));
-        let c = Wah::from_sorted_positions([100u64], 1000);
-        assert!(!a.is_disjoint(&c));
-        assert!(Wah::zeros(1000).is_disjoint(&Wah::ones(1000)));
-        assert!(!Wah::ones(1000).is_disjoint(&Wah::ones(1000)));
-    }
-
-    #[test]
-    fn disjoint_tail_only_overlap() {
-        let a = Wah::from_sorted_positions([999u64], 1000);
-        let b = Wah::from_sorted_positions([999u64], 1000);
-        assert!(!a.is_disjoint(&b));
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl PlainBitmap {
         self.zip(other, |a, b| a | b)
     }
 
-    /// Bitwise XOR (lengths must match).
-    pub fn xor(&self, other: &PlainBitmap) -> PlainBitmap {
-        self.zip(other, |a, b| a ^ b)
-    }
-
     /// Bitwise complement.
     pub fn not(&self) -> PlainBitmap {
         let mut out = PlainBitmap {
@@ -213,7 +208,6 @@ mod tests {
         }
         assert_eq!(a.and(&b).to_wah(), a.to_wah().and(&b.to_wah()));
         assert_eq!(a.or(&b).to_wah(), a.to_wah().or(&b.to_wah()));
-        assert_eq!(a.xor(&b).to_wah(), a.to_wah().xor(&b.to_wah()));
         assert_eq!(a.not().to_wah(), a.to_wah().not());
     }
 

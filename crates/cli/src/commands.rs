@@ -8,7 +8,10 @@ use cods::Cods;
 use cods_query::{parse_query, Query, QueryOutput, RowSet};
 use cods_server::{QueryReply, ScanSummary};
 use cods_storage::persist::{read_catalog, save_catalog};
-use cods_storage::{load_file, segment_cache, LoadOptions, Schema, ValueType};
+use cods_storage::{
+    load_file, segment_cache, EncodedColumn, Encoding, LoadOptions, RecodeScope, RecodeTarget,
+    Schema, ValueType,
+};
 use cods_workload::figure1;
 use std::io::{BufRead, Write};
 
@@ -461,102 +464,67 @@ pub fn run_command(cods: &mut Cods, line: &str, out: &mut impl Write) -> Result<
             _ => return Err("usage: cache [<bytes>|unlimited]".into()),
         },
         "recode" => {
-            let (name, col, enc, range) = match args.as_slice() {
-                [name, col, enc] => (name, col, enc, None),
-                [name, col, enc, range] => (name, col, enc, Some(parse_segment_range(range)?)),
+            let (name, col, enc, scope) = match args.as_slice() {
+                [name, col, enc] => (name, col, enc, RecodeScope::Column),
+                [name, col, enc, range] => (
+                    name,
+                    col,
+                    enc,
+                    RecodeScope::Segments(parse_segment_range(range)?),
+                ),
                 _ => {
                     return Err("usage: recode <table> <col|*> <rle|bitmap|auto> [from..to]".into())
                 }
             };
             let t = cods.table(name).map_err(|e| e.to_string())?;
-            if let Some(range) = range {
-                // Segment-range form: touch only the named column's
-                // segments with indices in [from, to).
-                if *col == "*" {
-                    return Err("segment ranges need a named column, not *".into());
-                }
-                if *enc == "auto" {
-                    let recoded = t
-                        .auto_encode_column_range(col, range.clone())
-                        .map_err(|e| e.to_string())?;
-                    let c = recoded.column_by_name(col).map_err(|e| e.to_string())?;
-                    let (b, r) = c.encoding_counts();
-                    cods.catalog().put(recoded);
-                    writeln!(
-                        out,
-                        "recoded {name}.{col} segments {}..{} by chooser: now {b}\u{d7}bitmap/{r}\u{d7}rle",
-                        range.start, range.end
-                    ).ok();
-                    return Ok(Outcome::Continue);
-                }
-                let encoding = match *enc {
-                    "rle" => cods_storage::Encoding::Rle,
-                    "bitmap" => cods_storage::Encoding::Bitmap,
-                    other => {
-                        return Err(format!("unknown encoding {other:?} (use rle/bitmap/auto)"))
-                    }
-                };
-                let recoded = t
-                    .with_column_segment_range_encoding(col, encoding, range.clone())
-                    .map_err(|e| e.to_string())?;
-                cods.catalog().put(recoded);
-                writeln!(
-                    out,
-                    "recoded {name}.{col} segments {}..{} to {encoding} (pinned)",
-                    range.start, range.end
-                )
-                .ok();
-                return Ok(Outcome::Continue);
+            if *col == "*" && scope != RecodeScope::Column {
+                return Err("segment ranges need a named column, not *".into());
             }
-            if *enc == "auto" {
-                // Hand the column(s) back to the stats-driven chooser:
-                // clear any pin and apply its pick.
-                let mut recoded = (*t).clone();
-                if *col == "*" {
-                    let names: Vec<String> = recoded
+            let target = match *enc {
+                "auto" => RecodeTarget::Auto,
+                "rle" => RecodeTarget::To(Encoding::Rle),
+                "bitmap" => RecodeTarget::To(Encoding::Bitmap),
+                other => return Err(format!("unknown encoding {other:?} (use rle/bitmap/auto)")),
+            };
+            let only = (*col != "*").then_some(*col);
+            let changed = t
+                .map_columns(only, |c| c.with_encoding(scope.clone(), target))
+                .map_err(|e| e.to_string())?;
+            let mixed = |c: &EncodedColumn| {
+                let (b, r) = c.encoding_counts();
+                format!("{b}\u{d7}bitmap/{r}\u{d7}rle")
+            };
+            let done = match (&scope, target) {
+                (RecodeScope::Column, RecodeTarget::To(e)) => format!("to {e} (pinned)"),
+                (RecodeScope::Segments(r), RecodeTarget::To(e)) => {
+                    format!("segments {}..{} to {e} (pinned)", r.start, r.end)
+                }
+                (RecodeScope::Segments(r), RecodeTarget::Auto) => {
+                    let c = changed.column_by_name(col).map_err(|e| e.to_string())?;
+                    format!(
+                        "segments {}..{} by chooser: now {}",
+                        r.start,
+                        r.end,
+                        mixed(c)
+                    )
+                }
+                (RecodeScope::Column, RecodeTarget::Auto) => {
+                    let picks: Vec<String> = changed
                         .schema()
                         .names()
                         .iter()
-                        .map(|s| s.to_string())
+                        .zip(changed.columns())
+                        .filter(|(n, _)| only.is_none_or(|col| **n == col))
+                        .map(|(n, c)| match c.uniform_encoding() {
+                            Some(e) => format!("{n}={e}"),
+                            None => format!("{n}={}", mixed(c)),
+                        })
                         .collect();
-                    for n in names {
-                        recoded = recoded.auto_encode_column(&n).map_err(|e| e.to_string())?;
-                    }
-                } else {
-                    recoded = recoded.auto_encode_column(col).map_err(|e| e.to_string())?;
+                    format!("by chooser: {}", picks.join(", "))
                 }
-                let picks: Vec<String> = recoded
-                    .schema()
-                    .names()
-                    .iter()
-                    .zip(recoded.columns())
-                    .filter(|(n, _)| *col == "*" || *n == col)
-                    .map(|(n, c)| match c.uniform_encoding() {
-                        Some(e) => format!("{n}={e}"),
-                        None => {
-                            let (b, r) = c.encoding_counts();
-                            format!("{n}={b}\u{d7}bitmap/{r}\u{d7}rle")
-                        }
-                    })
-                    .collect();
-                cods.catalog().put(recoded);
-                writeln!(out, "recoded {name}.{col} by chooser: {}", picks.join(", ")).ok();
-                return Ok(Outcome::Continue);
-            }
-            let encoding = match *enc {
-                "rle" => cods_storage::Encoding::Rle,
-                "bitmap" => cods_storage::Encoding::Bitmap,
-                other => return Err(format!("unknown encoding {other:?} (use rle/bitmap/auto)")),
             };
-            // Explicit encodings pin the column against the chooser.
-            let recoded = if *col == "*" {
-                t.recoded_pinned(encoding)
-            } else {
-                t.with_column_encoding_pinned(col, encoding)
-            }
-            .map_err(|e| e.to_string())?;
-            cods.catalog().put(recoded);
-            writeln!(out, "recoded {name}.{col} to {encoding} (pinned)").ok();
+            cods.catalog().put(changed);
+            writeln!(out, "recoded {name}.{col} {done}").ok();
         }
         "plan" => {
             let [file] = args.as_slice() else {
@@ -904,15 +872,14 @@ mod tests {
         let col = t.column_by_name("skill").unwrap();
         assert!(!col.encoding_pinned());
         assert!((0..col.segment_count())
-            .all(|i| col.segment_encoding(i) == col.choose_segment_encoding(i)));
+            .all(|i| col.segment_encoding(i) == col.segments()[i].meta().choose_encoding()));
         // Whole-table auto brings every segment to the chooser's pick, so
         // no stats line flags a pending re-encode any more.
         run(&mut cods, "recode R * auto");
         let t = cods.table("R").unwrap();
-        assert!(t
-            .columns()
-            .iter()
-            .all(|c| !c.encoding_pinned() && !c.needs_auto_recode()));
+        assert!(t.columns().iter().all(|c| !c.encoding_pinned()
+            && (0..c.segment_count()).all(|i| c.segment_pinned(i)
+                || c.segment_encoding(i) == c.segments()[i].meta().choose_encoding())));
         let out = render_stats("R", &t);
         assert!(!out.contains("would re-encode"), "stats: {out}");
     }
@@ -936,7 +903,10 @@ mod tests {
         let t = cods.table("R").unwrap();
         let col = t.column_by_name("skill").unwrap();
         assert!(!col.segment_pinned(0));
-        assert_eq!(col.segment_encoding(0), col.choose_segment_encoding(0));
+        assert_eq!(
+            col.segment_encoding(0),
+            col.segments()[0].meta().choose_encoding()
+        );
         // Bad ranges and `*` with a range are rejected.
         fails(&mut cods, "recode R skill rle 5..9");
         fails(&mut cods, "recode R skill rle 1");

@@ -13,10 +13,11 @@
 //!    column numbers its keys through an array indexed by dictionary id,
 //!    whatever the dictionary's width; several go through one table over
 //!    flat id tuples. No key is allocated on its own.
-//! 3. **Bitmap filtering** — every bitmap of every `T` column is shrunk to
-//!    that position list (`Wah::filter_positions`), producing `T`'s
-//!    compressed bitmaps directly: no tuples are materialized, nothing is
-//!    decompressed or re-compressed, and no index needs rebuilding.
+//! 3. **Bitmap filtering** — every `T` column is cut to that position list,
+//!    one output segment at a time: each segment's selected rows are read
+//!    as runs and sealed straight into `T`'s compressed segments
+//!    (`EncodedColumn::try_write_positions`). No tuples are materialized,
+//!    no value is touched, only ids, and no index needs rebuilding.
 //!
 //! Property 2 (the key functionally determines `T`'s other attributes, so
 //! any representative row suffices) is optionally verified in the same pass.

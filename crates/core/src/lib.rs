@@ -15,8 +15,8 @@
 //!   (one position per distinct key) and *bitmap filtering* (§2.4);
 //! * [`merge`](merge::merge) — MERGE TABLES via key–foreign-key mergence
 //!   (reuses one input wholesale, §2.5.1) or the general two-pass algorithm
-//!   (emits the clustered output as fill runs and strided placements,
-//!   §2.5.2);
+//!   (emits the clustered output as value-id runs, sealed segment by
+//!   segment, §2.5.2);
 //! * [`simple_ops`] — the remaining Table 1 operators (CREATE/DROP/RENAME/
 //!   COPY TABLE, UNION, PARTITION, ADD/DROP/RENAME COLUMN);
 //! * [`Cods`] — the platform: a catalog plus SMO executor

@@ -5,7 +5,8 @@
 //! [`Cods::plan_script`] validate a whole script up front, fuse and
 //! parallelize it, and commit atomically (see [`crate::plan`]). The
 //! one-operator-at-a-time [`Cods::execute`] / [`Cods::execute_all`] remain
-//! as a compatibility path implemented over single-operator plans.
+//! as a compatibility path over single-operator plans, retried under
+//! [`RetryPolicy::default`].
 
 use crate::error::Result;
 use crate::exec::PlanReport;
@@ -128,18 +129,15 @@ impl Cods {
     /// snapshot — the old eager path's serialized semantics, minus its
     /// unbounded spin. Scripts should prefer `plan(...)` +
     /// [`EvolutionPlan::execute`], which validates the whole chain up
-    /// front and commits atomically.
+    /// front and commits atomically. Each attempt re-plans against the
+    /// then-current catalog, so a retry sees (and validates against)
+    /// whatever the winning writer committed.
     pub fn execute(&self, smo: Smo) -> Result<EvolutionStatus> {
-        self.execute_with_retry(smo, &RetryPolicy::default())
-    }
-
-    /// [`Cods::execute`] with an explicit conflict-retry policy. Each
-    /// attempt re-plans against the then-current catalog, so a retry sees
-    /// (and validates against) whatever the winning writer committed.
-    pub fn execute_with_retry(&self, smo: Smo, policy: &RetryPolicy) -> Result<EvolutionStatus> {
         let report = self
             .catalog
-            .commit_with_retry(policy, |_| self.plan(vec![smo.clone()])?.execute())?;
+            .commit_with_retry(&RetryPolicy::default(), |_| {
+                self.plan(vec![smo.clone()])?.execute()
+            })?;
         let rec = report.records.into_iter().next().expect("single-op plan");
         Ok(rec.status)
     }

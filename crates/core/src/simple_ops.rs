@@ -270,7 +270,7 @@ pub fn rename_column(table: &Table, from: &str, to: &str) -> Result<(Table, Evol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cods_storage::ValueType;
+    use cods_storage::{RecodeScope, RecodeTarget, ValueType};
 
     fn sample() -> Table {
         let schema =
@@ -349,7 +349,9 @@ mod tests {
         assert!(full.is_uniform(Encoding::Rle));
         // A pinned column opts out even across the same chain.
         let pinned = base
-            .with_column_encoding_pinned("k", Encoding::Bitmap)
+            .map_columns(Some("k"), |c| {
+                c.with_encoding(RecodeScope::Column, RecodeTarget::To(Encoding::Bitmap))
+            })
             .unwrap();
         let out = chain(&pinned);
         assert!(out.column(0).is_uniform(Encoding::Bitmap));

@@ -1117,12 +1117,19 @@ mod tests {
     #[test]
     fn columnar_agrees_across_encodings() {
         let t = table_with_nulls(true);
-        let rle = t.recoded(cods_storage::Encoding::Rle).unwrap();
+        let rle = t
+            .map_columns(None, |c| c.recode(cods_storage::Encoding::Rle))
+            .unwrap();
         let mut mixed = t.clone();
         let segs = mixed.column(1).segment_count();
         for i in (0..segs).step_by(2) {
             mixed = mixed
-                .with_column_segment_range_encoding("x", cods_storage::Encoding::Rle, i..i + 1)
+                .map_columns(Some("x"), |c| {
+                    c.with_encoding(
+                        cods_storage::RecodeScope::Segments(i..i + 1),
+                        cods_storage::RecodeTarget::To(cods_storage::Encoding::Rle),
+                    )
+                })
                 .unwrap();
         }
         for t in [&rle, &mixed] {

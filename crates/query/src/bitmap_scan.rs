@@ -731,7 +731,9 @@ mod tests {
     #[test]
     fn rle_masks_match_bitmap_masks() {
         let t = table();
-        let rle = t.recoded(cods_storage::Encoding::Rle).unwrap();
+        let rle = t
+            .map_columns(None, |c| c.recode(cods_storage::Encoding::Rle))
+            .unwrap();
         for pred in [
             Predicate::lt("k", 3i64),
             Predicate::eq("v", "s0"),
@@ -749,7 +751,9 @@ mod tests {
 
     #[test]
     fn rle_filter_preserves_encoding() {
-        let t = table().recoded(cods_storage::Encoding::Rle).unwrap();
+        let t = table()
+            .map_columns(None, |c| c.recode(cods_storage::Encoding::Rle))
+            .unwrap();
         let filtered = filter_table(&t, &Predicate::eq("v", "s1")).unwrap();
         filtered.check_invariants().unwrap();
         assert_eq!(filtered.rows(), 33);
@@ -778,7 +782,9 @@ mod tests {
             .collect();
         let bitmap =
             cods_storage::Table::from_rows_with_segment_rows("t", schema, &rows, 128).unwrap();
-        let rle = bitmap.recoded(cods_storage::Encoding::Rle).unwrap();
+        let rle = bitmap
+            .map_columns(None, |c| c.recode(cods_storage::Encoding::Rle))
+            .unwrap();
         let preds = [
             Predicate::lt("k", 7i64),
             Predicate::ge("k", 33i64),
@@ -833,7 +839,9 @@ mod tests {
             .collect();
         let bitmap =
             cods_storage::Table::from_rows_with_segment_rows("t", schema, &rows, 256).unwrap();
-        let rle = bitmap.recoded(cods_storage::Encoding::Rle).unwrap();
+        let rle = bitmap
+            .map_columns(None, |c| c.recode(cods_storage::Encoding::Rle))
+            .unwrap();
         for t in [&bitmap, &rle] {
             for (lo, hi) in [(10i64, 20i64), (0, 1), (95, 200), (-5, 3), (40, 30)] {
                 let between = Predicate::ge("k", lo).and(Predicate::lt("k", hi));
@@ -922,7 +930,9 @@ mod tests {
             .map(|i| vec![Value::int((i * 7 + i / 50) % 40)])
             .collect();
         let bitmap = Table::from_rows_with_segment_rows("t", schema, &rows, 500).unwrap();
-        let rle = bitmap.recoded(cods_storage::Encoding::Rle).unwrap();
+        let rle = bitmap
+            .map_columns(None, |c| c.recode(cods_storage::Encoding::Rle))
+            .unwrap();
         for t in [&bitmap, &rle] {
             let col = t.column(0);
             assert_eq!(col.segment_count(), 1);
@@ -1029,7 +1039,9 @@ mod tests {
         let schema = Schema::build(&[("k", ValueType::Int)], &[]).unwrap();
         let rows: Vec<Vec<Value>> = (0..1_000).map(|i| vec![Value::int(i / 250)]).collect();
         let t = cods_storage::Table::from_rows_with_segment_rows("t", schema, &rows, 100).unwrap();
-        let rle = t.recoded(cods_storage::Encoding::Rle).unwrap();
+        let rle = t
+            .map_columns(None, |c| c.recode(cods_storage::Encoding::Rle))
+            .unwrap();
         let pred = Predicate::eq("k", 0i64);
         let mask = predicate_mask(&rle, &pred).unwrap();
         assert_eq!(mask, predicate_mask(&t, &pred).unwrap());

@@ -287,7 +287,10 @@ mod tests {
     #[test]
     fn rle_and_bitmap_streams_agree() {
         let t = table(600, 100);
-        let rle = Arc::new(t.recoded(cods_storage::Encoding::Rle).unwrap());
+        let rle = Arc::new(
+            t.map_columns(None, |c| c.recode(cods_storage::Encoding::Rle))
+                .unwrap(),
+        );
         let pred = Predicate::lt("k", 9i64).or(Predicate::eq("v", "s4"));
         let a = ScanStream::new(Arc::clone(&t), &pred, None)
             .unwrap()

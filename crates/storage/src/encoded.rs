@@ -22,6 +22,15 @@
 //! push ids or runs into one segment's [`RleSeq`] and seal it in the
 //! encoding the stats-driven chooser ([`choose_encoding_from_stats`]) picks
 //! for it, so SMOs produce mixed directories for free.
+//!
+//! Which encoding a segment has, and whether the chooser may change it, is
+//! decided here and nowhere else. Every user-facing re-encode is one call,
+//! [`EncodedColumn::with_encoding`], over a [`RecodeScope`] (the column or
+//! a segment range) and a [`RecodeTarget`] (one encoding or the chooser);
+//! it owns the pin rule, including the cache pins of the slots a range
+//! recode keeps, which it never changes on a slot it shares. The chooser's
+//! own pass, [`EncodedColumn::auto_recoded`], is what `cluster_by` and
+//! UNION's compaction run.
 
 use crate::dictionary::Dictionary;
 use crate::error::StorageError;
@@ -49,6 +58,25 @@ impl std::fmt::Display for Encoding {
             Encoding::Rle => write!(f, "rle"),
         }
     }
+}
+
+/// The segments a recode ([`EncodedColumn::with_encoding`]) covers.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RecodeScope {
+    /// Every segment; the pin it sets or clears is the column's.
+    Column,
+    /// The segments with indices in the range; the pins it sets or clears
+    /// are theirs, and their cache slots'.
+    Segments(Range<usize>),
+}
+
+/// What a recode ([`EncodedColumn::with_encoding`]) sets its scope to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RecodeTarget {
+    /// One encoding for every segment, pinned against the chooser.
+    To(Encoding),
+    /// The chooser's pick for each segment, with the scope's pin cleared.
+    Auto,
 }
 
 /// The stats-driven encoding choice, shared by the per-segment chooser, the
@@ -454,7 +482,7 @@ impl EncodedColumn {
         self.segments.iter().map(|s| s.meta().runs).sum()
     }
 
-    // ---- pins and the chooser ----
+    // ---- pins, the chooser and the one recode ----
 
     /// Returns `true` when the whole column's encoding was pinned by an
     /// explicit recode (the adaptive chooser leaves pinned columns alone).
@@ -462,15 +490,28 @@ impl EncodedColumn {
         self.pinned
     }
 
-    /// Sets the column-level encoding pin.
-    pub fn set_encoding_pinned(&mut self, pinned: bool) {
-        self.pinned = pinned;
-    }
-
     /// Returns `true` when segment `idx` is pinned — by a segment-range
     /// recode or because the whole column is.
     pub fn segment_pinned(&self, idx: usize) -> bool {
         self.pinned || self.seg_pins[idx]
+    }
+
+    /// `true` when `other` is this column unchanged: the same dictionary,
+    /// the same slots in order, the same nominal segment size and the same
+    /// pins — what lets a table keep sharing the original
+    /// ([`crate::table::Table::map_columns`]).
+    pub(crate) fn same_as(&self, other: &EncodedColumn) -> bool {
+        self.ty == other.ty
+            && self.dict.same_as(&other.dict)
+            && self.segment_rows == other.segment_rows
+            && self.pinned == other.pinned
+            && self.seg_pins == other.seg_pins
+            && self.segments.len() == other.segments.len()
+            && self
+                .segments
+                .iter()
+                .zip(&other.segments)
+                .all(|(a, b)| a.ptr_eq(b))
     }
 
     /// Copies chooser-relevant metadata (the column pin) from the source
@@ -483,7 +524,8 @@ impl EncodedColumn {
 
     /// The column-aggregate chooser pick: weighs total runs against rows,
     /// distinct count, and segment count. Kept for `stats` display; the
-    /// chooser itself now decides segment by segment.
+    /// chooser itself decides segment by segment
+    /// ([`SegMeta::choose_encoding`]).
     pub fn choose_encoding(&self) -> Encoding {
         if self.rows == 0 {
             return Encoding::Bitmap;
@@ -496,16 +538,10 @@ impl EncodedColumn {
         )
     }
 
-    /// What the per-segment chooser would pick for segment `idx`, from that
-    /// segment's own run/row/distinct statistics.
-    pub fn choose_segment_encoding(&self, idx: usize) -> Encoding {
-        self.segments[idx].meta().choose_encoding()
-    }
-
-    /// The encoding an operator should seal a fresh output segment in,
-    /// given the segment's own statistics: a pinned uniform column forces its
+    /// The encoding an operator seals a fresh output segment in, given the
+    /// segment's own statistics: a pinned uniform column forces its
     /// encoding; otherwise the per-segment chooser decides.
-    pub fn chunk_encoding(&self, runs: u64, rows: u64, distinct: u64) -> Encoding {
+    fn chunk_encoding(&self, runs: u64, rows: u64, distinct: u64) -> Encoding {
         if self.pinned {
             if let Some(e) = self.uniform_encoding() {
                 return e;
@@ -514,62 +550,77 @@ impl EncodedColumn {
         choose_encoding_from_stats(runs, rows, distinct, 1)
     }
 
-    /// Returns `true` when [`EncodedColumn::auto_recoded`] would change
-    /// some segment — used by table-level passes to share untouched columns
-    /// by reference.
-    pub fn needs_auto_recode(&self) -> bool {
-        if self.pinned {
-            return false;
-        }
-        self.segments
-            .iter()
-            .zip(&self.seg_pins)
-            .any(|(s, &pin)| !pin && s.meta().choose_encoding() != s.meta().encoding)
-    }
-
-    /// Re-encodes every unpinned segment to the per-segment chooser's pick
-    /// (its own run/row/distinct stats). Pinned segments — and every
-    /// segment of a column-pinned column — are left alone. Invoked
-    /// automatically after `cluster_by` and threshold-triggered after
-    /// UNION's compaction.
-    pub fn auto_recoded(&self) -> Result<EncodedColumn, StorageError> {
-        if !self.needs_auto_recode() {
-            return Ok(self.clone());
-        }
+    /// Re-encodes every segment `pick` names an encoding for, sharing each
+    /// slot that is already in it. Values, dictionary, boundaries, zones
+    /// and pins are preserved.
+    fn transcoded(
+        &self,
+        pick: impl Fn(usize, &SegMeta) -> Option<Encoding>,
+    ) -> Result<EncodedColumn, StorageError> {
         let mut out = self.clone();
         let mut scratch = SealScratch::default();
-        for (seg, &pin) in out.segments.iter_mut().zip(&self.seg_pins) {
-            if !pin {
-                *seg = seg.recoded_with(seg.meta().choose_encoding(), &mut scratch)?;
+        for (idx, seg) in out.segments.iter_mut().enumerate() {
+            if let Some(encoding) = pick(idx, seg.meta()) {
+                *seg = seg.recoded_with(encoding, &mut scratch)?;
             }
         }
         Ok(out)
     }
 
-    /// Re-encodes every segment to `encoding` (a no-op clone when already
-    /// uniform there). Values, dictionary, segment boundaries, zones, and
-    /// pins are preserved.
-    pub fn recode(&self, encoding: Encoding) -> Result<EncodedColumn, StorageError> {
-        if self.is_uniform(encoding) {
+    /// The chooser pass: every unpinned segment re-encoded to its own pick
+    /// ([`SegMeta::choose_encoding`]); pinned segments, and every segment
+    /// of a column-pinned column, are left alone. `cluster_by` runs it
+    /// after its rewrite, UNION after its threshold-triggered compaction.
+    pub fn auto_recoded(&self) -> Result<EncodedColumn, StorageError> {
+        if self.pinned {
             return Ok(self.clone());
         }
-        let mut out = self.clone();
-        let mut scratch = SealScratch::default();
-        for seg in out.segments.iter_mut() {
-            *seg = seg.recoded_with(encoding, &mut scratch)?;
-        }
-        Ok(out)
+        self.transcoded(|idx, meta| (!self.seg_pins[idx]).then(|| meta.choose_encoding()))
     }
 
-    /// Re-encodes the segments with indices in `range` to `encoding` and
-    /// *pins* each of them against the chooser — the segment-range form of
-    /// an explicit recode. Boundaries, zones, and other segments are
-    /// untouched.
-    pub fn recode_segments(
+    /// Re-encodes every segment to `encoding`, setting no pin: the
+    /// transcode under an explicit whole-column recode, public for
+    /// fixtures that want a layout without a pin.
+    pub fn recode(&self, encoding: Encoding) -> Result<EncodedColumn, StorageError> {
+        self.transcoded(|_, _| Some(encoding))
+    }
+
+    /// The one user-facing re-encode (the CLI's `recode`), applying the
+    /// pin rule:
+    /// - an explicit whole-column recode pins the column;
+    /// - an explicit range recode pins those segments and their cache
+    ///   slots;
+    /// - [`RecodeTarget::Auto`] clears the pin at its own scope and
+    ///   re-chooses every segment in that scope that is not pinned at a
+    ///   finer level.
+    ///
+    /// A cache pin changes only on a slot this column owns: a slot kept
+    /// (already in the target encoding) whose pin must flip is replaced by
+    /// a slot of its own over the same payload and disk location
+    /// (`SegSlot::repinned`), so a table copy or an earlier version
+    /// sharing the old slot keeps its residency. A range past the last
+    /// segment is an error.
+    pub fn with_encoding(
         &self,
-        range: Range<usize>,
-        encoding: Encoding,
+        scope: RecodeScope,
+        target: RecodeTarget,
     ) -> Result<EncodedColumn, StorageError> {
+        let explicit = matches!(target, RecodeTarget::To(_));
+        let range = match scope {
+            RecodeScope::Column => {
+                let mut out = match target {
+                    RecodeTarget::To(encoding) => self.recode(encoding)?,
+                    RecodeTarget::Auto => EncodedColumn {
+                        pinned: false,
+                        ..self.clone()
+                    }
+                    .auto_recoded()?,
+                };
+                out.pinned = explicit;
+                return Ok(out);
+            }
+            RecodeScope::Segments(range) => range,
+        };
         if range.start > range.end || range.end > self.segments.len() {
             return Err(StorageError::RowMismatch(format!(
                 "segment range {}..{} out of bounds for {} segments",
@@ -578,37 +629,17 @@ impl EncodedColumn {
                 self.segments.len()
             )));
         }
-        let mut out = self.clone();
-        let mut scratch = SealScratch::default();
+        let mut out = self.transcoded(|idx, meta| {
+            range.contains(&idx).then_some(match target {
+                RecodeTarget::To(encoding) => encoding,
+                RecodeTarget::Auto => meta.choose_encoding(),
+            })
+        })?;
         for idx in range {
-            out.segments[idx] = out.segments[idx].recoded_with(encoding, &mut scratch)?;
-            out.seg_pins[idx] = true;
-            // An explicitly recoded segment is also pinned in the buffer
-            // cache: the user singled it out, so it stays resident.
-            out.segments[idx].set_pinned(true);
-        }
-        Ok(out)
-    }
-
-    /// Clears the pins of the segments in `range` and re-encodes each to
-    /// the per-segment chooser's pick — the segment-range form of
-    /// `recode … auto`.
-    pub fn auto_recode_segments(&self, range: Range<usize>) -> Result<EncodedColumn, StorageError> {
-        if range.start > range.end || range.end > self.segments.len() {
-            return Err(StorageError::RowMismatch(format!(
-                "segment range {}..{} out of bounds for {} segments",
-                range.start,
-                range.end,
-                self.segments.len()
-            )));
-        }
-        let mut out = self.clone();
-        let mut scratch = SealScratch::default();
-        for idx in range {
-            out.seg_pins[idx] = false;
-            let encoding = out.segments[idx].meta().choose_encoding();
-            out.segments[idx] = out.segments[idx].recoded_with(encoding, &mut scratch)?;
-            out.segments[idx].set_pinned(false);
+            out.seg_pins[idx] = explicit;
+            if out.segments[idx].pinned() != explicit {
+                out.segments[idx] = out.segments[idx].repinned(explicit);
+            }
         }
         Ok(out)
     }
@@ -863,8 +894,8 @@ impl EncodedColumn {
     }
 
     /// Seals one output segment an operator computed as a stream of ids or
-    /// runs, in the encoding [`EncodedColumn::chunk_encoding`] picks for
-    /// the segment's own statistics.
+    /// runs: in a pinned uniform column's encoding, else in the one the
+    /// chooser picks for the segment's own statistics.
     pub fn seal_stream(&self, seq: RleSeq, scratch: &mut SealScratch) -> SegSlot {
         let distinct = scratch.distinct(&seq);
         let encoding = self.chunk_encoding(seq.num_runs() as u64, seq.len(), distinct);
@@ -1248,16 +1279,13 @@ impl EncodedColumn {
         Ok(())
     }
 
-    /// Decoding helper: installs per-segment pins read from disk (must be
-    /// parallel to the directory).
-    pub(crate) fn set_segment_pins(&mut self, pins: Vec<bool>) {
-        debug_assert_eq!(pins.len(), self.segments.len());
-        for (slot, &pin) in self.segments.iter().zip(&pins) {
-            if pin {
-                slot.set_pinned(true);
-            }
-        }
-        self.seg_pins = pins;
+    /// Decoding helper: installs the column pin and the per-segment pins
+    /// read from disk (parallel to the directory; the decoder pinned the
+    /// slots already).
+    pub(crate) fn set_pins(&mut self, pinned: bool, seg_pins: Vec<bool>) {
+        debug_assert_eq!(seg_pins.len(), self.segments.len());
+        self.pinned = pinned;
+        self.seg_pins = seg_pins;
     }
 
     /// The raw segment-range pin bit of segment `idx`, without the
@@ -1467,7 +1495,12 @@ mod tests {
         let base = EncodedColumn::from_values_with(ValueType::Int, values, seg).unwrap();
         let mut out = base;
         for i in (1..out.segment_count()).step_by(2) {
-            out = out.recode_segments(i..i + 1, Encoding::Rle).unwrap();
+            out = out
+                .with_encoding(
+                    RecodeScope::Segments(i..i + 1),
+                    RecodeTarget::To(Encoding::Rle),
+                )
+                .unwrap();
         }
         out
     }
@@ -1781,7 +1814,7 @@ mod tests {
         assert_eq!(c.run_count(), 200 + 4); // one run per value, +1 per interior boundary
         assert_eq!(c.choose_encoding(), Encoding::Rle);
         for i in 0..c.segment_count() {
-            assert_eq!(c.choose_segment_encoding(i), Encoding::Rle);
+            assert_eq!(c.segments()[i].meta().choose_encoding(), Encoding::Rle);
         }
         assert!(c.auto_recoded().unwrap().is_uniform(Encoding::Rle));
 
@@ -1791,7 +1824,10 @@ mod tests {
             .collect();
         let u = EncodedColumn::from_values_with(ValueType::Int, &uniform, 4096).unwrap();
         assert_eq!(u.choose_encoding(), Encoding::Bitmap);
-        assert!(!u.needs_auto_recode());
+        assert!(u
+            .segments()
+            .iter()
+            .all(|s| s.meta().choose_encoding() == s.meta().encoding));
         assert!(u
             .recode(Encoding::Rle)
             .unwrap()
@@ -1834,7 +1870,7 @@ mod tests {
         assert!(c.auto_recoded().unwrap().is_uniform(Encoding::Rle));
         // Pinned: an explicit recode overrides the chooser.
         let mut pinned = c.clone();
-        pinned.set_encoding_pinned(true);
+        pinned.pinned = true;
         assert!(pinned.auto_recoded().unwrap().is_uniform(Encoding::Bitmap));
         // The pin survives recode, filter, concat, slice, and compaction.
         let r = pinned.recode(Encoding::Rle).unwrap();
@@ -1852,7 +1888,12 @@ mod tests {
         let c = EncodedColumn::from_values_with(ValueType::Int, &clustered, 500).unwrap();
         assert_eq!(c.segment_count(), 8);
         // Pin segments 2..5 to bitmap; the chooser may flip the rest.
-        let ranged = c.recode_segments(2..5, Encoding::Bitmap).unwrap();
+        let ranged = c
+            .with_encoding(
+                RecodeScope::Segments(2..5),
+                RecodeTarget::To(Encoding::Bitmap),
+            )
+            .unwrap();
         assert!(!ranged.encoding_pinned(), "column-level pin untouched");
         for i in 0..8 {
             assert_eq!(ranged.segment_pinned(i), (2..5).contains(&i));
@@ -1872,14 +1913,20 @@ mod tests {
         assert!(cat.segment_pinned(2) && cat.segment_pinned(10));
         assert!(!cat.segment_pinned(0) && !cat.segment_pinned(8));
         // `auto` over the range clears the pins and re-applies the chooser.
-        let cleared = auto.auto_recode_segments(2..5).unwrap();
+        let cleared = auto
+            .with_encoding(RecodeScope::Segments(2..5), RecodeTarget::Auto)
+            .unwrap();
         for i in 0..8 {
             assert!(!cleared.segment_pinned(i));
             assert_eq!(cleared.segment_encoding(i), Encoding::Rle);
         }
         // Out-of-bounds ranges are rejected.
-        assert!(c.recode_segments(7..9, Encoding::Rle).is_err());
-        assert!(c.auto_recode_segments(9..9).is_err());
+        assert!(c
+            .with_encoding(RecodeScope::Segments(7..9), RecodeTarget::To(Encoding::Rle))
+            .is_err());
+        assert!(c
+            .with_encoding(RecodeScope::Segments(9..9), RecodeTarget::Auto)
+            .is_err());
     }
 
     #[test]
@@ -1887,12 +1934,12 @@ mod tests {
         let values = vals(200);
         let (b, r) = both(&values);
         let mut pinned = b.clone();
-        pinned.set_encoding_pinned(true);
+        pinned.pinned = true;
         assert!(b.concat(&pinned).unwrap().encoding_pinned());
         assert!(pinned.concat(&b).unwrap().encoding_pinned());
         assert!(r.concat(&pinned).unwrap().encoding_pinned());
         let mut pinned_rle = r.clone();
-        pinned_rle.set_encoding_pinned(true);
+        pinned_rle.pinned = true;
         assert!(b.concat(&pinned_rle).unwrap().encoding_pinned());
         assert!(!b.concat(&r).unwrap().encoding_pinned());
         assert!(pinned.recode(Encoding::Rle).unwrap().encoding_pinned());
@@ -1967,7 +2014,9 @@ mod tests {
         assert_eq!(base.segment_count(), 3);
         // Pin the middle segment RLE; scattered data means the chooser
         // would pick bitmap for the merged group if the pin were ignored.
-        let pinned = base.recode_segments(1..2, Encoding::Rle).unwrap();
+        let pinned = base
+            .with_encoding(RecodeScope::Segments(1..2), RecodeTarget::To(Encoding::Rle))
+            .unwrap();
         // Fragment into tiny slices so compaction merges across the pinned
         // range, then compact.
         let mut acc = pinned.slice(0, 30).unwrap();
@@ -2003,7 +2052,7 @@ mod tests {
             .collect();
         let col = EncodedColumn::from_values_with(ValueType::Int, &values, 4)
             .unwrap()
-            .recode_segments(1..3, Encoding::Rle)
+            .with_encoding(RecodeScope::Segments(1..3), RecodeTarget::To(Encoding::Rle))
             .unwrap();
         let mut scratch = SealScratch::default();
         let mut write = |sel: &[(u64, u64)], encoding| {
@@ -2056,7 +2105,7 @@ mod tests {
         seg.check_invariants().unwrap();
         // A pinned uniform column forces its encoding on fresh segments.
         let mut pinned = col.recode(Encoding::Rle).unwrap();
-        pinned.set_encoding_pinned(true);
+        pinned.pinned = true;
         assert_eq!(
             pinned.seal_stream(alt, &mut scratch).meta().encoding,
             Encoding::Rle

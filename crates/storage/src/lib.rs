@@ -85,7 +85,10 @@ pub use commitlog::{
     clog_path, log_status, open_durable, CommitLog, CommitLogStats, LogStatus, ReplayReport,
 };
 pub use dictionary::{Dictionary, ValueOrder};
-pub use encoded::{choose_encoding_from_stats, ColumnBuilder, EncodedColumn, Encoding, SegmentEnc};
+pub use encoded::{
+    choose_encoding_from_stats, ColumnBuilder, EncodedColumn, Encoding, RecodeScope, RecodeTarget,
+    SegmentEnc,
+};
 pub use error::StorageError;
 pub use load::{load_file, load_str, LoadOptions};
 pub use retry::{RetryPolicy, Retryable};

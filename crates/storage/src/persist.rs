@@ -71,8 +71,8 @@ use crate::error::StorageError;
 use crate::fault;
 use crate::segment::Zone;
 use crate::store::{
-    encode_payload, file_id_of, payload_encoded_len, segment_cache, DiskLoc, FileId, PayloadSource,
-    SegMeta, SegSlot,
+    encode_payload, file_id_of, payload_encoded_len, segment_cache, DiskLoc, FileId, PayloadKey,
+    PayloadSource, SegMeta, SegSlot,
 };
 use crate::table::Table;
 use crate::vacuum::HeapStats;
@@ -199,15 +199,17 @@ fn payload_end<'b>(blocks: impl IntoIterator<Item = &'b BlockAt>) -> u64 {
         .unwrap_or(0)
 }
 
-/// Accumulates the payload heap of one save: each distinct slot's payload
-/// is placed exactly once (keyed by slot identity), and on an append-save
-/// slots already backed by the target file keep their existing offsets
-/// without being read at all.
+/// Accumulates the payload heap of one save: each distinct payload is
+/// placed exactly once (keyed by [`SegSlot::payload_key`], so slots
+/// sharing a payload share its bytes), and on an append-save slots already
+/// backed by the target file keep their existing offsets without being
+/// read at all.
 struct HeapBuilder<'a> {
     buf: BytesMut,
     /// Absolute file offset of the next placed payload.
     next: u64,
-    placed: HashMap<usize, (u64, u64)>,
+    /// Each placed payload and the slot that placed it.
+    placed: HashMap<PayloadKey, Placement>,
     /// Canonical path of the append target; slots whose payload source is
     /// this file are reused in place.
     reuse: Option<&'a Path>,
@@ -220,6 +222,8 @@ struct HeapBuilder<'a> {
     /// of the block being encoded.
     extents: Vec<(u64, u64)>,
     placements: Vec<Placement>,
+    /// Slots whose payload another slot in `placements` stored.
+    aliases: Vec<Placement>,
 }
 
 impl<'a> HeapBuilder<'a> {
@@ -232,6 +236,7 @@ impl<'a> HeapBuilder<'a> {
             reuse_id,
             extents: Vec::new(),
             placements: Vec::new(),
+            aliases: Vec::new(),
         }
     }
 
@@ -253,8 +258,12 @@ impl<'a> HeapBuilder<'a> {
                 return Ok((loc.offset, loc.len));
             }
         }
-        if let Some(&at) = self.placed.get(&slot.ident()) {
-            return Ok(at);
+        let key = slot.payload_key();
+        if let Some((first, off, len)) = self.placed.get(&key) {
+            if !first.ptr_eq(slot) {
+                self.aliases.push((slot.clone(), *off, *len));
+            }
+            return Ok((*off, *len));
         }
         let raw = match slot.disk_loc() {
             Some(loc) => loc.source.read_at(loc.offset, loc.len)?,
@@ -268,7 +277,7 @@ impl<'a> HeapBuilder<'a> {
         let at = (self.next, raw.len() as u64);
         self.buf.put_slice(&raw);
         self.next += at.1;
-        self.placed.insert(slot.ident(), at);
+        self.placed.insert(key, (slot.clone(), at.0, at.1));
         self.placements.push((slot.clone(), at.0, at.1));
         Ok(at)
     }
@@ -392,6 +401,7 @@ impl OwnedContent {
 struct Built {
     bytes: Bytes,
     placements: Vec<Placement>,
+    aliases: Vec<Placement>,
     /// Every table's block, in content order.
     blocks: Vec<BlockAt>,
     /// The index as written (without the footer).
@@ -450,7 +460,10 @@ fn build(what: &Content<'_>, plan: Option<&AppendPlan>) -> Result<Built, Storage
     }
     let index = index.freeze();
     let HeapBuilder {
-        buf, placements, ..
+        buf,
+        placements,
+        aliases,
+        ..
     } = heap;
     let mut out = BytesMut::new();
     if plan.is_none() {
@@ -465,6 +478,7 @@ fn build(what: &Content<'_>, plan: Option<&AppendPlan>) -> Result<Built, Storage
     Ok(Built {
         bytes: out.freeze(),
         placements,
+        aliases,
         blocks,
         file_len: index_off + (index.len() + FOOTER_LEN) as u64,
         index,
@@ -538,7 +552,9 @@ fn append_plan(what: &Content<'_>, path: &Path) -> Option<AppendPlan> {
 /// After a committed write of `built` to `path`: points every placed slot
 /// at its location through `bind` and enrols the newly backed ones in the
 /// buffer cache (making them evictable), then records what the file now
-/// holds. A save binds with [`SegSlot::attach_disk`] — slots already backed
+/// holds. A newly backed alias — a slot whose payload another placed slot
+/// stored — pages out instead, so the cache charges the payload once. A
+/// save binds with [`SegSlot::attach_disk`] — slots already backed
 /// elsewhere keep their original source; vacuum with
 /// [`SegSlot::rebind_disk`] — offsets moved, so existing `DiskLoc`s are
 /// overwritten.
@@ -553,15 +569,23 @@ fn settle(
     let source = Arc::new(PayloadSource::for_file(file, canon));
     let store = segment_cache();
     let mut end = 0;
-    for (slot, offset, len) in built.placements {
+    let aliases = built.aliases.into_iter().map(|p| (p, true));
+    for ((slot, offset, len), alias) in built
+        .placements
+        .into_iter()
+        .map(|p| (p, false))
+        .chain(aliases)
+    {
         end = end.max(offset + len);
         let loc = DiskLoc {
             source: Arc::clone(&source),
             offset,
             len,
         };
-        if bind(&slot, loc) {
-            store.adopt(&slot);
+        match bind(&slot, loc) {
+            true if alias => slot.release_payload(),
+            true => store.adopt(&slot),
+            false => {}
         }
     }
     note_source(&source, end);
@@ -927,10 +951,12 @@ fn heap_stats_of(file_len: u64, index_off: u64, blocks: &[BlockAt]) -> HeapStats
 // Reader: index, blocks, paged-out slots.
 // ---------------------------------------------------------------------------
 
-/// Slots decoded so far in this file, keyed by heap location — records
-/// with identical locations (columns shared across catalog tables) come
-/// back `Arc`-shared, so a cached payload keeps serving every snapshot.
-type SlotDedup = HashMap<(u64, u64), SegSlot>;
+/// Slots decoded so far in this file, keyed by heap location and cache
+/// pin — records with identical locations (columns shared across catalog
+/// tables) come back `Arc`-shared, so a cached payload keeps serving every
+/// snapshot, unless they disagree on the pin: each pin stays its own
+/// table's.
+type SlotDedup = HashMap<(u64, u64, bool), SegSlot>;
 
 /// Reads one segment's metadata record into a paged-out slot, noting its
 /// payload extent in `extents`.
@@ -1004,16 +1030,13 @@ fn get_seg_slot(
     };
     meta.check().map_err(corrupt)?;
     extents.push((off, len));
-    if let Some(shared) = dedup.get(&(off, len)) {
+    if let Some(shared) = dedup.get(&(off, len, pinned)) {
         // A previously decoded record (a column shared across catalog
         // tables) already owns this payload; the stats must agree.
         if *shared.meta() != meta {
             return Err(corrupt(
                 "records share a payload but disagree on its stats".into(),
             ));
-        }
-        if pinned {
-            shared.set_pinned(true);
         }
         return Ok((shared.clone(), pinned));
     }
@@ -1023,7 +1046,7 @@ fn get_seg_slot(
         len,
     };
     let slot = SegSlot::on_disk(meta, loc, pinned);
-    dedup.insert((off, len), slot.clone());
+    dedup.insert((off, len, pinned), slot.clone());
     Ok((slot, pinned))
 }
 
@@ -1053,8 +1076,7 @@ fn get_column(
     }
     let zones = get_zones(r, seg_count, dict_len)?;
     let mut col = EncodedColumn::from_slots_zoned(ty, dict, slots, zones, seg_rows);
-    col.set_segment_pins(pins);
-    col.set_encoding_pinned(flags & FLAG_PINNED != 0);
+    col.set_pins(flags & FLAG_PINNED != 0, pins);
     Ok(col)
 }
 
@@ -1376,7 +1398,7 @@ pub(crate) fn read_catalog_raw(path: &Path) -> Result<Catalog, StorageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoded::Encoding;
+    use crate::encoded::{Encoding, RecodeScope, RecodeTarget};
     use crate::schema::Schema;
     use crate::store::budget_guard;
     use crate::value::Value;
@@ -1421,7 +1443,7 @@ mod tests {
     /// `multi_segment` with one column uniformly re-encoded RLE.
     fn mixed_encoding() -> Table {
         multi_segment()
-            .with_column_encoding("v", Encoding::Rle)
+            .map_columns(Some("v"), |c| c.recode(Encoding::Rle))
             .unwrap()
     }
 
@@ -1430,8 +1452,13 @@ mod tests {
     fn mixed_directory() -> Table {
         let t = multi_segment();
         let segs = t.column_by_name("k").unwrap().segment_count();
-        t.with_column_segment_range_encoding("k", Encoding::Rle, 0..segs / 2)
-            .unwrap()
+        t.map_columns(Some("k"), |c| {
+            c.with_encoding(
+                RecodeScope::Segments(0..segs / 2),
+                RecodeTarget::To(Encoding::Rle),
+            )
+        })
+        .unwrap()
     }
 
     /// A unique temp path per test so parallel tests never collide.
@@ -1488,7 +1515,9 @@ mod tests {
     #[test]
     fn open_is_metadata_only() {
         let t = mixed_directory()
-            .with_column_encoding_pinned("v", Encoding::Rle)
+            .map_columns(Some("v"), |c| {
+                c.with_encoding(RecodeScope::Column, RecodeTarget::To(Encoding::Rle))
+            })
             .unwrap();
         let back = decode_table(encode_table(&t)).unwrap();
         // Nothing resident until something touches a payload...
@@ -1536,7 +1565,9 @@ mod tests {
     #[test]
     fn round_trip_preserves_zones_and_pins() {
         let t = mixed_encoding()
-            .with_column_encoding_pinned("k", Encoding::Bitmap)
+            .map_columns(Some("k"), |c| {
+                c.with_encoding(RecodeScope::Column, RecodeTarget::To(Encoding::Bitmap))
+            })
             .unwrap();
         let back = decode_table(encode_table(&t)).unwrap();
         back.check_invariants().unwrap();
@@ -1792,7 +1823,9 @@ mod tests {
         let back = read_table(&path).unwrap();
         // Recode two segments: two fresh payloads, the rest reused.
         let evolved = back
-            .with_column_segment_range_encoding("k", Encoding::Rle, 0..2)
+            .map_columns(Some("k"), |c| {
+                c.with_encoding(RecodeScope::Segments(0..2), RecodeTarget::To(Encoding::Rle))
+            })
             .unwrap();
         save_table(&evolved, &path).unwrap();
         let new_index_off = footer_index_off(&path);
@@ -1830,7 +1863,7 @@ mod tests {
         save_catalog(&cat, &path).unwrap();
         let recode = |enc| {
             let t = cat.get("users").unwrap();
-            cat.put(t.with_column_encoding("name", enc).unwrap());
+            cat.put(t.map_columns(Some("name"), |c| c.recode(enc)).unwrap());
             save_catalog(&cat, &path).unwrap();
         };
         recode(Encoding::Rle);

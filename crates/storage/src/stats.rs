@@ -95,7 +95,7 @@ impl ColumnStats {
         let mut pinned_segments = 0;
         let mut unevictable_segments = 0;
         for (i, seg) in c.segments().iter().enumerate() {
-            let pick = c.choose_segment_encoding(i);
+            let pick = seg.meta().choose_encoding();
             match pick {
                 Encoding::Bitmap => chooser_bitmap_segments += 1,
                 Encoding::Rle => chooser_rle_segments += 1,
@@ -184,6 +184,7 @@ impl TableStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoded::{RecodeScope, RecodeTarget};
     use crate::schema::Schema;
     use crate::value::{Value, ValueType};
 
@@ -254,7 +255,7 @@ mod tests {
         let rows: Vec<Vec<Value>> = (0..1_000).map(|i| vec![Value::int(i / 250)]).collect();
         let t = Table::from_rows_with_segment_rows("t", schema, &rows, 128)
             .unwrap()
-            .recoded(Encoding::Rle)
+            .map_columns(None, |c| c.recode(Encoding::Rle))
             .unwrap();
         let stats = TableStats::of(&t);
         assert_eq!(stats.columns[0].encoding, Some(Encoding::Rle));
@@ -300,7 +301,9 @@ mod tests {
         let rows: Vec<Vec<Value>> = (0..1_000).map(|i| vec![Value::int(i / 100)]).collect();
         let t = Table::from_rows_with_segment_rows("t", schema, &rows, 125).unwrap();
         let mixed = t
-            .with_column_segment_range_encoding("c", Encoding::Rle, 0..3)
+            .map_columns(Some("c"), |c| {
+                c.with_encoding(RecodeScope::Segments(0..3), RecodeTarget::To(Encoding::Rle))
+            })
             .unwrap();
         let s = &TableStats::of(&mixed).columns[0];
         assert_eq!(s.encoding, None, "mixed directory has no uniform encoding");

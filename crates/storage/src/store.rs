@@ -227,6 +227,15 @@ impl PayloadSource {
     }
 }
 
+/// What one stored payload is known by ([`SegSlot::payload_key`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum PayloadKey {
+    /// A disk location: the source's allocation, offset and length.
+    Disk(usize, u64, u64),
+    /// A resident payload's allocation.
+    Resident(usize),
+}
+
 /// The on-disk location of one segment payload.
 #[derive(Clone, Debug)]
 pub struct DiskLoc {
@@ -358,17 +367,46 @@ impl SegSlot {
         self.0.pinned.store(pinned, Ordering::Relaxed);
     }
 
+    /// A slot of its own over this one's stats, payload and disk location,
+    /// pinned `pinned` against eviction: how a directory changes a pin
+    /// without touching a slot that other directories (table copies,
+    /// earlier versions) share. A disk-backed sibling starts paged out, so
+    /// the cache charges each payload it holds to the one slot that
+    /// faulted it in; a fresh sibling shares the resident payload, which
+    /// no budget counts until a save.
+    pub(crate) fn repinned(&self, pinned: bool) -> SegSlot {
+        if let Some(loc) = self.disk_loc() {
+            return SegSlot::on_disk(self.0.meta.clone(), loc, pinned);
+        }
+        let slot = SegSlot::fresh(self.0.meta.clone(), self.enc());
+        slot.set_pinned(pinned);
+        slot
+    }
+
+    /// What the persist writer stores a payload once per: the disk
+    /// location of a disk-backed slot, else the resident payload's
+    /// allocation. Siblings over one payload ([`SegSlot::repinned`]) and
+    /// every directory entry sharing a slot have the same key.
+    pub(crate) fn payload_key(&self) -> PayloadKey {
+        match self.disk_loc() {
+            Some(loc) => PayloadKey::Disk(Arc::as_ptr(&loc.source) as usize, loc.offset, loc.len),
+            None => PayloadKey::Resident(match self.enc() {
+                SegmentEnc::Bitmap(s) => Arc::as_ptr(&s) as usize,
+                SegmentEnc::Rle(s) => Arc::as_ptr(&s) as usize,
+            }),
+        }
+    }
+
+    /// Drops the resident payload of a slot the cache does not charge —
+    /// a sibling a save just gave a disk location after storing its
+    /// payload through another slot: it pages in again on first touch.
+    pub(crate) fn release_payload(&self) {
+        *self.0.payload.write() = None;
+    }
+
     /// Identity comparison: do two directory entries share one slot?
     pub fn ptr_eq(&self, other: &SegSlot) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
-    }
-
-    /// A stable identity key for dedup maps (the shared allocation's
-    /// address) — the persist writer uses it to place each distinct slot's
-    /// payload in the heap exactly once, however many directory entries
-    /// (or table versions) share it.
-    pub(crate) fn ident(&self) -> usize {
-        Arc::as_ptr(&self.0) as usize
     }
 
     /// The decoded payload, faulting it in from disk on first touch.
@@ -423,10 +461,6 @@ impl SegSlot {
     /// rows read as runs and sealed in `encoding`, a fresh (resident) slot.
     /// A bitmap segment whose bitmaps leave a row uncovered is
     /// [`StorageError::Corrupt`] ([`Segment::fill_covering`]).
-    pub fn recoded(&self, encoding: Encoding) -> Result<SegSlot, StorageError> {
-        self.recoded_with(encoding, &mut SealScratch::default())
-    }
-
     pub(crate) fn recoded_with(
         &self,
         encoding: Encoding,
@@ -754,7 +788,9 @@ mod tests {
         let col = column(100, 64);
         for slot in [
             col.segments()[0].clone(),
-            col.segments()[0].recoded(Encoding::Rle).unwrap(),
+            col.segments()[0]
+                .recoded_with(Encoding::Rle, &mut SealScratch::default())
+                .unwrap(),
         ] {
             assert!(slot.is_resident());
             let (meta, found) = (slot.meta(), slot.enc().recount().unwrap());
@@ -771,7 +807,11 @@ mod tests {
     fn payload_round_trips_through_the_heap_format() {
         let col = column(200, 64);
         for slot in col.segments() {
-            for s in [slot.clone(), slot.recoded(Encoding::Rle).unwrap()] {
+            for s in [
+                slot.clone(),
+                slot.recoded_with(Encoding::Rle, &mut SealScratch::default())
+                    .unwrap(),
+            ] {
                 let mut raw = Vec::new();
                 encode_payload(&s.enc(), &mut raw);
                 let back = decode_payload(s.meta(), &raw).unwrap();
@@ -893,6 +933,26 @@ mod tests {
         assert!(!slot.is_resident(), "adopted slot pages out under pressure");
         assert_eq!(slot.enc(), enc, "and reloads from its new location");
         store.set_budget(u64::MAX);
+    }
+
+    #[test]
+    fn a_repinned_sibling_shares_the_payload_not_the_pin() {
+        let _g = budget_guard();
+        let fresh = column(512, 256).segments()[0].clone();
+        let backed = slot_on_bytes(&fresh, false);
+        backed.enc();
+        for slot in [fresh, backed] {
+            let twin = slot.repinned(true);
+            assert!(twin.pinned() && !slot.pinned() && !twin.ptr_eq(&slot));
+            assert_eq!(twin.payload_key(), slot.payload_key());
+            assert_eq!(twin.enc(), slot.enc());
+        }
+        let backed = slot_on_bytes(&column(512, 256).segments()[0], false);
+        backed.enc();
+        assert!(
+            !backed.repinned(true).is_resident(),
+            "a disk-backed sibling starts paged out: the cache charges a payload once"
+        );
     }
 
     #[test]

@@ -5,8 +5,13 @@
 //! Property 1 of lossless decompositions — "the unchanged output table can be
 //! created right away using the existing columns … without any data
 //! operation" — as literal pointer sharing.
+//!
+//! A table knows no encodings. Re-encoding, and the pins that go with it,
+//! belong to the column ([`EncodedColumn::with_encoding`]); a table only
+//! maps a function over its columns ([`Table::map_columns`]), sharing
+//! every column the function does not touch.
 
-use crate::encoded::{ColumnBuilder, EncodedColumn, Encoding};
+use crate::encoded::{ColumnBuilder, EncodedColumn};
 use crate::error::StorageError;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -100,135 +105,34 @@ impl Table {
         Table::new(name, schema, columns)
     }
 
-    /// Returns a copy with every column re-encoded to `encoding` (values,
-    /// dictionaries, and segment boundaries preserved). Columns already in
-    /// that encoding are shared by reference.
-    pub fn recoded(&self, encoding: Encoding) -> Result<Table, StorageError> {
+    /// Returns a copy with `f` applied to the named column, or to every
+    /// column when `only` is `None`. Every column `f` leaves unchanged, and
+    /// every other column, stays shared by `Arc` — what RENAME, COPY and
+    /// the commit log's column references rely on
+    /// ([`Table::shares_column_with`]). How a column is re-encoded is the
+    /// column's business ([`EncodedColumn::with_encoding`]).
+    pub fn map_columns(
+        &self,
+        only: Option<&str>,
+        mut f: impl FnMut(&EncodedColumn) -> Result<EncodedColumn, StorageError>,
+    ) -> Result<Table, StorageError> {
+        let only = only.map(|name| self.schema.index_of(name)).transpose()?;
         let columns = self
             .columns
             .iter()
-            .map(|c| {
-                Ok(if c.is_uniform(encoding) {
+            .enumerate()
+            .map(|(i, c)| {
+                if only.is_some_and(|idx| idx != i) {
+                    return Ok(Arc::clone(c));
+                }
+                let mapped = f(c)?;
+                Ok(if mapped.same_as(c) {
                     Arc::clone(c)
                 } else {
-                    Arc::new(c.recode(encoding)?)
+                    Arc::new(mapped)
                 })
             })
             .collect::<Result<_, StorageError>>()?;
-        Table::new(&self.name, self.schema.clone(), columns)
-    }
-
-    /// Returns a copy with the named column re-encoded to `encoding`; all
-    /// other columns are shared by reference.
-    pub fn with_column_encoding(
-        &self,
-        name: &str,
-        encoding: Encoding,
-    ) -> Result<Table, StorageError> {
-        let idx = self.schema.index_of(name)?;
-        let mut columns = self.columns.clone();
-        if !columns[idx].is_uniform(encoding) {
-            columns[idx] = Arc::new(columns[idx].recode(encoding)?);
-        }
-        Table::new(&self.name, self.schema.clone(), columns)
-    }
-
-    /// Re-encodes only the named column's segments with indices in `range`
-    /// to `encoding`, pinning each against the chooser — the segment-range
-    /// form of an explicit recode. All other columns (and segments) are
-    /// shared by reference.
-    pub fn with_column_segment_range_encoding(
-        &self,
-        name: &str,
-        encoding: Encoding,
-        range: std::ops::Range<usize>,
-    ) -> Result<Table, StorageError> {
-        let idx = self.schema.index_of(name)?;
-        let mut columns = self.columns.clone();
-        columns[idx] = Arc::new(columns[idx].recode_segments(range, encoding)?);
-        Table::new(&self.name, self.schema.clone(), columns)
-    }
-
-    /// Clears the pins of the named column's segments in `range` and
-    /// re-encodes each to the per-segment chooser's pick — the
-    /// segment-range form of `recode … auto`.
-    pub fn auto_encode_column_range(
-        &self,
-        name: &str,
-        range: std::ops::Range<usize>,
-    ) -> Result<Table, StorageError> {
-        let idx = self.schema.index_of(name)?;
-        let mut columns = self.columns.clone();
-        columns[idx] = Arc::new(columns[idx].auto_recode_segments(range)?);
-        Table::new(&self.name, self.schema.clone(), columns)
-    }
-
-    /// Like [`Table::recoded`], but *pins* every column's encoding so the
-    /// adaptive chooser leaves it alone — the explicit-`recode` CLI path.
-    pub fn recoded_pinned(&self, encoding: Encoding) -> Result<Table, StorageError> {
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| {
-                let mut col = if c.is_uniform(encoding) {
-                    (**c).clone()
-                } else {
-                    c.recode(encoding)?
-                };
-                col.set_encoding_pinned(true);
-                Ok(Arc::new(col))
-            })
-            .collect::<Result<_, StorageError>>()?;
-        Table::new(&self.name, self.schema.clone(), columns)
-    }
-
-    /// Like [`Table::with_column_encoding`], but pins the named column's
-    /// encoding against the adaptive chooser.
-    pub fn with_column_encoding_pinned(
-        &self,
-        name: &str,
-        encoding: Encoding,
-    ) -> Result<Table, StorageError> {
-        let idx = self.schema.index_of(name)?;
-        let mut columns = self.columns.clone();
-        let mut col = if columns[idx].is_uniform(encoding) {
-            (*columns[idx]).clone()
-        } else {
-            columns[idx].recode(encoding)?
-        };
-        col.set_encoding_pinned(true);
-        columns[idx] = Arc::new(col);
-        Table::new(&self.name, self.schema.clone(), columns)
-    }
-
-    /// Returns a copy with every unpinned segment of every column
-    /// re-encoded to the per-segment chooser's pick (columns the chooser
-    /// would leave untouched, and pinned ones, are shared by reference).
-    /// Columns whose data mixes clustered and scattered row ranges come
-    /// out with genuinely mixed directories.
-    pub fn auto_encoded(&self) -> Result<Table, StorageError> {
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| {
-                Ok(if c.needs_auto_recode() {
-                    Arc::new(c.auto_recoded()?)
-                } else {
-                    Arc::clone(c)
-                })
-            })
-            .collect::<Result<_, StorageError>>()?;
-        Table::new(&self.name, self.schema.clone(), columns)
-    }
-
-    /// Clears the named column's encoding pin and re-encodes it to the
-    /// chooser's pick — the `recode <table> <col> auto` CLI path.
-    pub fn auto_encode_column(&self, name: &str) -> Result<Table, StorageError> {
-        let idx = self.schema.index_of(name)?;
-        let mut columns = self.columns.clone();
-        let mut col = (*columns[idx]).clone();
-        col.set_encoding_pinned(false);
-        columns[idx] = Arc::new(col.auto_recoded()?);
         Table::new(&self.name, self.schema.clone(), columns)
     }
 
@@ -342,12 +246,7 @@ impl Table {
                 .map(|(ids, rank)| rank[ids[row as usize] as usize])
                 .collect::<Vec<u32>>()
         });
-        let columns: Vec<Arc<EncodedColumn>> = self
-            .columns
-            .iter()
-            .map(|c| Ok(Arc::new(c.gather(&perm)?)))
-            .collect::<Result<_, StorageError>>()?;
-        Table::new(&self.name, self.schema.clone(), columns)?.auto_encoded()
+        self.map_columns(None, |c| c.gather(&perm)?.auto_recoded())
     }
 
     /// Checks that the declared key is actually unique.
@@ -424,6 +323,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoded::{Encoding, RecodeScope, RecodeTarget};
     use crate::value::ValueType;
 
     pub(crate) fn figure1_r() -> Table {
@@ -625,28 +525,38 @@ mod tests {
 
         // A pinned column opts out of the chooser.
         let pinned = t
-            .with_column_encoding_pinned("k", Encoding::Bitmap)
+            .map_columns(Some("k"), |c| {
+                c.with_encoding(RecodeScope::Column, RecodeTarget::To(Encoding::Bitmap))
+            })
             .unwrap();
         let cp = pinned.cluster_by(&["k"]).unwrap();
         assert!(cp.column_by_name("k").unwrap().is_uniform(Encoding::Bitmap));
         assert!(cp.column_by_name("k").unwrap().encoding_pinned());
         // ...until re-set to auto.
-        let auto = cp.auto_encode_column("k").unwrap();
+        let auto = cp
+            .map_columns(Some("k"), |c| {
+                c.with_encoding(RecodeScope::Column, RecodeTarget::Auto)
+            })
+            .unwrap();
         assert!(auto.column_by_name("k").unwrap().is_uniform(Encoding::Rle));
         assert!(!auto.column_by_name("k").unwrap().encoding_pinned());
     }
 
     #[test]
-    fn recoded_pinned_pins_all_columns() {
+    fn an_explicit_recode_pins_every_column() {
         let r = figure1_r();
-        let p = r.recoded_pinned(Encoding::Rle).unwrap();
+        let p = r
+            .map_columns(None, |c| {
+                c.with_encoding(RecodeScope::Column, RecodeTarget::To(Encoding::Rle))
+            })
+            .unwrap();
         assert!(p
             .columns()
             .iter()
             .all(|c| c.is_uniform(Encoding::Rle) && c.encoding_pinned()));
         assert_eq!(p.to_rows(), r.to_rows());
-        let back = p.auto_encoded().unwrap();
-        // Pinned columns are untouched by the table-level chooser pass.
+        let back = p.map_columns(None, EncodedColumn::auto_recoded).unwrap();
+        // Pinned columns are untouched by the chooser pass.
         assert!(back.shares_column_with(&p, "employee"));
     }
 
@@ -660,17 +570,21 @@ mod tests {
     #[test]
     fn recoded_preserves_rows_and_shares_on_noop() {
         let r = figure1_r();
-        let rle = r.recoded(Encoding::Rle).unwrap();
+        let rle = r.map_columns(None, |c| c.recode(Encoding::Rle)).unwrap();
         rle.check_invariants().unwrap();
         assert_eq!(rle.to_rows(), r.to_rows());
         assert!(rle.columns().iter().all(|c| c.is_uniform(Encoding::Rle)));
-        let back = rle.recoded(Encoding::Bitmap).unwrap();
+        let back = rle
+            .map_columns(None, |c| c.recode(Encoding::Bitmap))
+            .unwrap();
         assert_eq!(back.to_rows(), r.to_rows());
         // Re-encoding to the current encoding shares columns by reference.
-        let same = rle.recoded(Encoding::Rle).unwrap();
+        let same = rle.map_columns(None, |c| c.recode(Encoding::Rle)).unwrap();
         assert!(rle.shares_column_with(&same, "employee"));
         // Single-column recode shares the rest.
-        let one = r.with_column_encoding("skill", Encoding::Rle).unwrap();
+        let one = r
+            .map_columns(Some("skill"), |c| c.recode(Encoding::Rle))
+            .unwrap();
         assert!(r.shares_column_with(&one, "employee"));
         assert!(one
             .column_by_name("skill")
@@ -685,7 +599,9 @@ mod tests {
         let t = Table::from_rows_with_segment_rows("t", schema, &rows, 100).unwrap();
         assert_eq!(t.column(0).segment_count(), 8);
         let m = t
-            .with_column_segment_range_encoding("k", Encoding::Rle, 0..4)
+            .map_columns(Some("k"), |c| {
+                c.with_encoding(RecodeScope::Segments(0..4), RecodeTarget::To(Encoding::Rle))
+            })
             .unwrap();
         m.check_invariants().unwrap();
         let col = m.column_by_name("k").unwrap();
@@ -694,11 +610,17 @@ mod tests {
         assert_eq!(m.to_rows(), t.to_rows());
         // `auto` over the range hands those segments back to the chooser
         // (clustered data: they stay RLE but the pins clear).
-        let back = m.auto_encode_column_range("k", 0..4).unwrap();
+        let back = m
+            .map_columns(Some("k"), |c| {
+                c.with_encoding(RecodeScope::Segments(0..4), RecodeTarget::Auto)
+            })
+            .unwrap();
         let col = back.column_by_name("k").unwrap();
         assert!(!col.segment_pinned(0));
         assert!(t
-            .with_column_segment_range_encoding("k", Encoding::Rle, 7..9)
+            .map_columns(Some("k"), |c| {
+                c.with_encoding(RecodeScope::Segments(7..9), RecodeTarget::To(Encoding::Rle))
+            })
             .is_err());
     }
 }

@@ -23,7 +23,8 @@ use cods_storage::persist::{
     decode_catalog, decode_table, encode_catalog, encode_table, read_catalog, read_table, VERSION,
 };
 use cods_storage::{
-    vacuum_file, Catalog, EncodedColumn, Encoding, Schema, StorageError, Table, Value, ValueType,
+    vacuum_file, Catalog, EncodedColumn, Encoding, RecodeScope, RecodeTarget, Schema, StorageError,
+    Table, Value, ValueType,
 };
 use std::sync::Arc;
 
@@ -61,11 +62,15 @@ fn golden_table() -> Table {
         .collect();
     Table::from_rows_with_segment_rows("users", schema, &rows, 128)
         .unwrap()
-        .with_column_segment_range_encoding("name", Encoding::Rle, 0..1)
+        .map_columns(Some("name"), |c| {
+            c.with_encoding(RecodeScope::Segments(0..1), RecodeTarget::To(Encoding::Rle))
+        })
         .unwrap()
-        .with_column_encoding("active", Encoding::Rle)
+        .map_columns(Some("active"), |c| c.recode(Encoding::Rle))
         .unwrap()
-        .with_column_encoding_pinned("score", Encoding::Bitmap)
+        .map_columns(Some("score"), |c| {
+            c.with_encoding(RecodeScope::Column, RecodeTarget::To(Encoding::Bitmap))
+        })
         .unwrap()
 }
 

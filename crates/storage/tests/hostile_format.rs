@@ -20,8 +20,9 @@ use cods_storage::codec::{read_str, read_value, Reader};
 use cods_storage::persist::{decode_catalog, decode_table};
 use cods_storage::store::{decode_payload, encode_payload, SegMeta};
 use cods_storage::{
-    clog_path, log_status, open_durable, wal, Catalog, Dictionary, EncodedColumn, Encoding, Schema,
-    SealScratch, SegSlot, Segment, SegmentEnc, StorageError, Table, Value, ValueType,
+    clog_path, log_status, open_durable, wal, Catalog, Dictionary, EncodedColumn, Encoding,
+    RecodeScope, RecodeTarget, Schema, SealScratch, SegSlot, Segment, SegmentEnc, StorageError,
+    Table, Value, ValueType,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -686,12 +687,15 @@ fn overlapping_bitmaps_are_a_typed_error_on_every_read() {
 #[test]
 fn an_overlapping_segment_recoded_to_rle_is_a_typed_error() {
     let decoded = overlapping_segment(2);
-    corrupt("SegSlot::recoded", decoded.recoded(Encoding::Rle));
     let col = EncodedColumn::from_segments(ValueType::Int, ids(2), vec![decoded.clone()], 2);
+    corrupt(
+        "EncodedColumn::with_encoding",
+        col.with_encoding(RecodeScope::Segments(0..1), RecodeTarget::To(Encoding::Rle)),
+    );
     corrupt("EncodedColumn::recode", col.recode(Encoding::Rle));
     let honest = Segment::from_bitmaps(2, vec![(0, row(0)), (1, row(1))]);
     let mixed = EncodedColumn::from_segments(ValueType::Int, ids(2), vec![decoded, honest], 64)
-        .recode_segments(1..2, Encoding::Rle)
+        .with_encoding(RecodeScope::Segments(1..2), RecodeTarget::To(Encoding::Rle))
         .unwrap();
     corrupt("EncodedColumn::compacted", mixed.compacted());
 }

@@ -6,7 +6,7 @@
 //! mixed** directories where bitmap and RLE segments interleave within one
 //! column.
 
-use cods_storage::{EncodedColumn, Encoding, Value, ValueType};
+use cods_storage::{EncodedColumn, Encoding, RecodeScope, RecodeTarget, Value, ValueType};
 use proptest::prelude::*;
 
 /// A segment size so large the column degenerates to one segment — the
@@ -42,7 +42,12 @@ fn mix(col: &EncodedColumn, pattern: u64) -> EncodedColumn {
     let mut out = col.clone();
     for i in 0..col.segment_count() {
         if pattern & (1 << (i % 64)) != 0 {
-            out = out.recode_segments(i..i + 1, Encoding::Rle).unwrap();
+            out = out
+                .with_encoding(
+                    RecodeScope::Segments(i..i + 1),
+                    RecodeTarget::To(Encoding::Rle),
+                )
+                .unwrap();
         }
     }
     out
@@ -351,7 +356,7 @@ proptest! {
         // Per-segment chooser picks are what the directory now holds.
         for i in 0..auto.segment_count() {
             if !auto.segment_pinned(i) {
-                prop_assert_eq!(auto.segment_encoding(i), auto.choose_segment_encoding(i));
+                prop_assert_eq!(auto.segment_encoding(i), auto.segments()[i].meta().choose_encoding());
             }
         }
         // Pinned ranges (the RLE segments were range-recoded, hence
@@ -390,11 +395,9 @@ proptest! {
             .unwrap_or(base);
         let col = match layout {
             0 => mix(&glued, pattern),
-            1 => {
-                let mut pinned = glued.recode(Encoding::Rle).unwrap();
-                pinned.set_encoding_pinned(true);
-                pinned
-            }
+            1 => glued
+                .with_encoding(RecodeScope::Column, RecodeTarget::To(Encoding::Rle))
+                .unwrap(),
             _ => glued,
         };
         // Gaps from none to several segments, fragments shorter than a

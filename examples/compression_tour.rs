@@ -55,7 +55,9 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    let clustered = auto.recoded(cods_storage::Encoding::Bitmap).unwrap();
+    let clustered = auto
+        .map_columns(None, |c| c.recode(cods_storage::Encoding::Bitmap))
+        .unwrap();
     let cstats = TableStats::of(&clustered);
     println!("\nclustered by entity:");
     for (def, c) in clustered.schema().columns().iter().zip(&cstats.columns) {

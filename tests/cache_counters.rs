@@ -13,8 +13,10 @@ use cods_query::bitmap_scan::predicate_mask;
 use cods_query::{
     aggregate_table_masked, join_stream, plan_join, tuple, AggOp, BuildSide, Predicate,
 };
-use cods_storage::persist::{read_table, save_table};
-use cods_storage::{segment_cache, Encoding, Schema, Table, Value, ValueType};
+use cods_storage::persist::{read_catalog, read_table, save_catalog, save_table};
+use cods_storage::{
+    segment_cache, Catalog, Encoding, RecodeScope, RecodeTarget, Schema, Table, Value, ValueType,
+};
 
 static COUNTERS: Mutex<()> = Mutex::new(());
 
@@ -269,7 +271,7 @@ fn masked_group_by_faults_each_segment_it_reads_once() {
     assert_eq!(mask.count_intervals(), 3 * 3 + 3 * 16);
     let cache = segment_cache();
     for enc in [Encoding::Bitmap, Encoding::Rle] {
-        let table = resident.recoded(enc).unwrap();
+        let table = resident.map_columns(None, |c| c.recode(enc)).unwrap();
         save_table(&table, &path).unwrap();
         for (group_by, agg) in [(&[0][..], AggOp::Sum), (&[0, 1][..], AggOp::Count)] {
             let aggs = [(agg, 1, ValueType::Int)];
@@ -330,4 +332,115 @@ fn single_pass_join_touches_each_probe_segment_once() {
     assert_eq!(touches, segments, "each probe (column, segment) once");
     assert_eq!(after.misses - before.misses, segments);
     std::fs::remove_file(&path).ok();
+}
+
+/// The (resident, on disk) segments of `t`'s column `k` after faulting it
+/// in and sweeping the cache to an empty budget.
+fn swept(t: &Table) -> (usize, usize) {
+    let cache = segment_cache();
+    let k = t.column_by_name("k").unwrap();
+    k.fault_in_all();
+    cache.set_budget(0);
+    let counts = k.residency_counts();
+    cache.set_budget(u64::MAX);
+    counts
+}
+
+/// Sixteen-row runs of `k` in 4 × 64-row segments, `k` recoded RLE.
+fn runs_table() -> Table {
+    let rows: Vec<Vec<Value>> = (0..256)
+        .map(|i| vec![Value::int(i / 16), Value::int(i)])
+        .collect();
+    int_table("R", ["k", "v"], 64, &rows)
+        .map_columns(Some("k"), |c| c.recode(Encoding::Rle))
+        .unwrap()
+}
+
+/// Recodes segment 0 of `t`'s column `k` to `target`.
+fn recode_first(t: &Table, target: RecodeTarget) -> Table {
+    t.map_columns(Some("k"), |c| {
+        c.with_encoding(RecodeScope::Segments(0..1), target)
+    })
+    .unwrap()
+}
+
+/// A cache pin belongs to the column that set it. COPY TABLE shares its
+/// source's segment slots (as earlier table versions do), and a range
+/// recode that keeps a slot — the segment is already in the target
+/// encoding, or the chooser agrees with it — must not flip the eviction
+/// pin the other table sees. Over a lazily opened 4 × 64-row table whose
+/// `k` (= row / 16) is RLE, an eviction sweep after faulting `k` in leaves
+/// resident exactly the segments its own table pinned.
+#[test]
+fn a_range_recode_pins_only_the_slots_its_column_owns() {
+    let _g = serialized();
+    let path = scratch("pins");
+    save_table(&runs_table(), &path).unwrap();
+    let recode = recode_first;
+
+    // R pins segment 0; its copy R2 hands that segment back to the chooser,
+    // which keeps it RLE.
+    let r = recode(&read_table(&path).unwrap(), RecodeTarget::To(Encoding::Rle));
+    let r2 = recode(&r.renamed("R2"), RecodeTarget::Auto);
+    assert!(r.column_by_name("k").unwrap().segment_pinned(0));
+    assert!(!r2.column_by_name("k").unwrap().segment_pinned(0));
+    assert_eq!(swept(&r), (1, 3), "R keeps its pinned segment resident");
+    assert_eq!(swept(&r2), (0, 4), "R2's segment 0 is not pinned");
+
+    // The other way round: pinning the copy's segment leaves R's evictable.
+    let r = read_table(&path).unwrap();
+    let r2 = recode(&r.renamed("R2"), RecodeTarget::To(Encoding::Rle));
+    assert!(!r.column_by_name("k").unwrap().segment_pinned(0));
+    assert_eq!(swept(&r), (0, 4), "R pinned nothing");
+    assert_eq!(swept(&r2), (1, 3), "R2 keeps its pinned segment resident");
+    std::fs::remove_file(&path).ok();
+}
+
+/// A slot of its own over a shared payload is still one payload. Saving a
+/// table and its copy after the copy pinned a segment it shares writes a
+/// file no larger than the same save before the pin — whether the shared
+/// slot is fresh or lazily opened — and reopening that file keeps each
+/// table's pin its own.
+#[test]
+fn a_repinned_payload_is_stored_once_and_reopens_with_its_own_pin() {
+    let _g = serialized();
+    for lazy in [false, true] {
+        let tag = |t: &str| scratch(&format!("repinned_{lazy}_{t}"));
+        let make = |t: &str| {
+            let table = runs_table();
+            if !lazy {
+                return table;
+            }
+            save_table(&table, tag(t)).unwrap();
+            read_table(tag(t)).unwrap()
+        };
+        let save = |r: &Table, r2: &Table, t: &str| {
+            let cat = Catalog::new();
+            cat.put(r.clone());
+            cat.put(r2.clone());
+            save_catalog(&cat, tag(t)).unwrap();
+            std::fs::metadata(tag(t)).unwrap().len()
+        };
+        let r = make("src_before");
+        let before = save(&r, &r.renamed("R2"), "before");
+        let r = make("src_after");
+        let r2 = recode_first(&r.renamed("R2"), RecodeTarget::To(Encoding::Rle));
+        let (k, k2) = (r.column_by_name("k"), r2.column_by_name("k"));
+        assert!(!k.unwrap().segments()[0].ptr_eq(&k2.unwrap().segments()[0]));
+        let after = save(&r, &r2, "after");
+        assert!(
+            after <= before,
+            "lazy={lazy}: {after} bytes after the pin, {before} before"
+        );
+
+        let back = read_catalog(tag("after")).unwrap();
+        let (r, r2) = (back.get("R").unwrap(), back.get("R2").unwrap());
+        assert!(!r.column_by_name("k").unwrap().segment_pinned(0));
+        assert!(r2.column_by_name("k").unwrap().segment_pinned(0));
+        assert_eq!(swept(&r), (0, 4), "lazy={lazy}: R pinned nothing");
+        assert_eq!(swept(&r2), (1, 3), "lazy={lazy}: R2 keeps its pin");
+        for t in ["src_before", "src_after", "before", "after"] {
+            std::fs::remove_file(tag(t)).ok();
+        }
+    }
 }

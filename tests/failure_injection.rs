@@ -205,7 +205,10 @@ fn crash_sweep_append_save_reopens_old_or_new() {
     let evolve = |path: &Path| -> Catalog {
         let cat = read_catalog(path).unwrap();
         let a = cat.get("a").unwrap();
-        cat.put(a.with_column_encoding("v", Encoding::Rle).unwrap());
+        cat.put(
+            a.map_columns(Some("v"), |c| c.recode(Encoding::Rle))
+                .unwrap(),
+        );
         cat.create(tiny("b", 16)).unwrap();
         cat
     };

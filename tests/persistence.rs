@@ -62,7 +62,7 @@ fn rle_encoded_catalog_round_trips_through_disk() {
     let base = cods_workload::generate_table("R", &GenConfig::sweep_point(2_000, 100));
     let clustered = base.cluster_by(&["entity"]).unwrap();
     let rle = clustered
-        .with_column_encoding("entity", Encoding::Rle)
+        .map_columns(Some("entity"), |c| c.recode(Encoding::Rle))
         .unwrap();
     let tuples = rle.tuple_multiset();
     cods.catalog().create(rle).unwrap();
@@ -98,7 +98,7 @@ fn rle_encoded_catalog_round_trips_through_disk() {
 #[test]
 fn zones_and_pins_survive_catalog_round_trip() {
     use cods_query::Predicate;
-    use cods_storage::Encoding;
+    use cods_storage::{Encoding, RecodeScope, RecodeTarget};
     let dir = std::env::temp_dir().join("cods_it_persist_zones");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("zones.catalog");
@@ -108,7 +108,9 @@ fn zones_and_pins_survive_catalog_round_trip() {
     let clustered = base
         .cluster_by(&["entity"])
         .unwrap()
-        .with_column_encoding_pinned("attr", Encoding::Bitmap)
+        .map_columns(Some("attr"), |c| {
+            c.with_encoding(RecodeScope::Column, RecodeTarget::To(Encoding::Bitmap))
+        })
         .unwrap();
     let zones_before: Vec<Vec<cods_storage::Zone>> = clustered
         .columns()

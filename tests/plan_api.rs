@@ -94,7 +94,11 @@ fn independent_branches_run_in_one_wave_with_identical_results() {
 #[test]
 fn fused_chain_preserves_column_encodings() {
     let cods = platform_with("R", 1_000);
-    let recoded = cods.table("R").unwrap().recoded(Encoding::Rle).unwrap();
+    let recoded = cods
+        .table("R")
+        .unwrap()
+        .map_columns(None, |c| c.recode(Encoding::Rle))
+        .unwrap();
     cods.catalog().put(recoded);
     cods.plan_script(
         "ADD COLUMN flag int DEFAULT 1 TO R\n\

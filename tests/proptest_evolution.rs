@@ -11,7 +11,9 @@ use cods::{
     UsedStrategy,
 };
 use cods_query::Predicate;
-use cods_storage::{Dictionary, EncodedColumn, Encoding, Schema, Table, Value, ValueType};
+use cods_storage::{
+    Dictionary, EncodedColumn, Encoding, RecodeScope, RecodeTarget, Schema, Table, Value, ValueType,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -314,7 +316,7 @@ proptest! {
 
     #[test]
     fn decompose_merge_round_trip_matches_across_encodings(table in fd_table()) {
-        let rle = table.recoded(Encoding::Rle).unwrap();
+        let rle = table.map_columns(None, |c| c.recode(Encoding::Rle)).unwrap();
         rle.check_invariants().unwrap();
         let spec = DecomposeSpec::new("S", &["k", "a"], "T", &["k", "d"]);
         let out_b = decompose(&table, &spec).unwrap();
@@ -347,8 +349,11 @@ proptest! {
         };
         // Pin the RLE side: fresh mergence output chunks go through the
         // per-segment chooser, and only a pin forces them to stay RLE.
-        let ra = a.recoded_pinned(Encoding::Rle).unwrap();
-        let rb = b.recoded_pinned(Encoding::Rle).unwrap();
+        let pin_rle = |c: &EncodedColumn| {
+            c.with_encoding(RecodeScope::Column, RecodeTarget::To(Encoding::Rle))
+        };
+        let ra = a.map_columns(None, pin_rle).unwrap();
+        let rb = b.map_columns(None, pin_rle).unwrap();
         let out_b = merge_general(&a, &b, "AB", &["k".into()]).unwrap();
         let out_r = merge_general(&ra, &rb, "AB", &["k".into()]).unwrap();
         out_r.output.check_invariants().unwrap();
@@ -364,7 +369,7 @@ proptest! {
 
     #[test]
     fn partition_and_union_match_across_encodings(table in any_table("R"), threshold in 0i64..15) {
-        let rle = table.recoded(Encoding::Rle).unwrap();
+        let rle = table.map_columns(None, |c| c.recode(Encoding::Rle)).unwrap();
         let pred = Predicate::lt("k", threshold);
         let (sat_b, rest_b, _) = partition_table(&table, &pred, "lo", "hi").unwrap();
         let (sat_r, rest_r, _) = partition_table(&rle, &pred, "lo", "hi").unwrap();
@@ -386,7 +391,7 @@ proptest! {
     fn mixed_encoding_tables_evolve_consistently(table in fd_table()) {
         // One RLE column among bitmap columns: operators must handle
         // per-column encodings independently.
-        let mixed = table.with_column_encoding("k", Encoding::Rle).unwrap();
+        let mixed = table.map_columns(Some("k"), |c| c.recode(Encoding::Rle)).unwrap();
         mixed.check_invariants().unwrap();
         let spec = DecomposeSpec::new("S", &["k", "a"], "T", &["k", "d"]);
         let out_b = decompose(&table, &spec).unwrap();

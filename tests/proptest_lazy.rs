@@ -13,7 +13,9 @@ use cods::{Cods, Smo};
 use cods_query::bitmap_scan::{predicate_mask, predicate_mask_unpruned};
 use cods_query::{CmpOp, Predicate};
 use cods_storage::persist::{read_catalog, read_table, save_catalog, save_table};
-use cods_storage::{segment_cache, Catalog, Encoding, Schema, Table, Value, ValueType};
+use cods_storage::{
+    segment_cache, Catalog, Encoding, RecodeScope, RecodeTarget, Schema, Table, Value, ValueType,
+};
 use proptest::prelude::*;
 
 /// A per-process-unique scratch file so parallel test binaries and
@@ -97,7 +99,12 @@ fn encode_variant(table: Table, enc: usize, pattern: u64) -> Table {
         for i in 0..segs {
             if pattern & (1 << (i % 64)) != 0 {
                 out = out
-                    .with_column_segment_range_encoding(name, Encoding::Rle, i..i + 1)
+                    .map_columns(Some(name), |c| {
+                        c.with_encoding(
+                            RecodeScope::Segments(i..i + 1),
+                            RecodeTarget::To(Encoding::Rle),
+                        )
+                    })
                     .unwrap();
             }
         }
@@ -105,9 +112,15 @@ fn encode_variant(table: Table, enc: usize, pattern: u64) -> Table {
     }
     match enc {
         0 => table,
-        1 => table.recoded(Encoding::Rle).unwrap(),
-        2 => table.with_column_encoding("k", Encoding::Rle).unwrap(),
-        3 => table.with_column_encoding("v", Encoding::Rle).unwrap(),
+        1 => table
+            .map_columns(None, |c| c.recode(Encoding::Rle))
+            .unwrap(),
+        2 => table
+            .map_columns(Some("k"), |c| c.recode(Encoding::Rle))
+            .unwrap(),
+        3 => table
+            .map_columns(Some("v"), |c| c.recode(Encoding::Rle))
+            .unwrap(),
         4 => mix_column(&table, "k", pattern),
         _ => mix_column(
             &mix_column(&table, "k", pattern),

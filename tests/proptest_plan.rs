@@ -145,7 +145,7 @@ fn platform(rle_r: bool, rle_b_k: bool) -> Cods {
         .collect();
     let mut r = Table::from_rows("R", r_schema, &r_rows).unwrap();
     if rle_r {
-        r = r.recoded(Encoding::Rle).unwrap();
+        r = r.map_columns(None, |c| c.recode(Encoding::Rle)).unwrap();
     }
     cods.catalog().create(r).unwrap();
 
@@ -155,7 +155,9 @@ fn platform(rle_r: bool, rle_b_k: bool) -> Cods {
         .collect();
     let mut b = Table::from_rows("B", b_schema, &b_rows).unwrap();
     if rle_b_k {
-        b = b.with_column_encoding("k", Encoding::Rle).unwrap();
+        b = b
+            .map_columns(Some("k"), |c| c.recode(Encoding::Rle))
+            .unwrap();
     }
     cods.catalog().create(b).unwrap();
     cods

@@ -24,7 +24,9 @@ use cods_query::{
     predicate_mask, tuple, AggOp, BuildSide, CmpOp, Predicate,
 };
 use cods_storage::persist::{read_table, save_table};
-use cods_storage::{segment_cache, Encoding, Schema, Table, Value, ValueType};
+use cods_storage::{
+    segment_cache, Encoding, RecodeScope, RecodeTarget, Schema, Table, Value, ValueType,
+};
 use proptest::prelude::*;
 
 /// A per-process-unique scratch file so parallel test binaries and
@@ -168,7 +170,12 @@ fn encode_variant(table: Table, enc: usize, pattern: u64) -> Table {
         for i in 0..segs {
             if pattern & (1 << (i % 64)) != 0 {
                 out = out
-                    .with_column_segment_range_encoding(name, Encoding::Rle, i..i + 1)
+                    .map_columns(Some(name), |c| {
+                        c.with_encoding(
+                            RecodeScope::Segments(i..i + 1),
+                            RecodeTarget::To(Encoding::Rle),
+                        )
+                    })
                     .unwrap();
             }
         }
@@ -176,8 +183,12 @@ fn encode_variant(table: Table, enc: usize, pattern: u64) -> Table {
     }
     match enc {
         0 => table,
-        1 => table.recoded(Encoding::Rle).unwrap(),
-        2 => table.with_column_encoding("g", Encoding::Rle).unwrap(),
+        1 => table
+            .map_columns(None, |c| c.recode(Encoding::Rle))
+            .unwrap(),
+        2 => table
+            .map_columns(Some("g"), |c| c.recode(Encoding::Rle))
+            .unwrap(),
         3 => mix_column(&table, "k", pattern),
         _ => mix_column(
             &mix_column(&table, "g", pattern),
@@ -390,13 +401,13 @@ proptest! {
         let table = Table::from_rows_with_segment_rows("W", schema, &rows, seg_rows).unwrap();
         let table = match enc {
             0 => table,
-            1 => table.recoded(Encoding::Rle).unwrap(),
+            1 => table.map_columns(None, |c| c.recode(Encoding::Rle)).unwrap(),
             _ => {
                 let mut mixed = table.clone();
                 for i in 0..table.column(0).segment_count() {
                     if pattern & (1 << (i % 64)) != 0 {
                         mixed = mixed
-                            .with_column_segment_range_encoding("g", Encoding::Rle, i..i + 1)
+                            .map_columns(Some("g"), |c| c.with_encoding(RecodeScope::Segments(i..i + 1), RecodeTarget::To(Encoding::Rle)))
                             .unwrap();
                     }
                 }

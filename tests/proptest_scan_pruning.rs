@@ -10,7 +10,9 @@
 use cods::simple_ops::{partition_table, union_tables};
 use cods_query::bitmap_scan::{predicate_mask, predicate_mask_unpruned};
 use cods_query::{CmpOp, Predicate};
-use cods_storage::{EncodedColumn, Encoding, Schema, Table, Value, ValueType};
+use cods_storage::{
+    EncodedColumn, Encoding, RecodeScope, RecodeTarget, Schema, Table, Value, ValueType,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -182,7 +184,12 @@ fn mix_column(t: &Table, name: &str, pattern: u64) -> Table {
     for i in 0..segs {
         if pattern & (1 << (i % 64)) != 0 {
             out = out
-                .with_column_segment_range_encoding(name, Encoding::Rle, i..i + 1)
+                .map_columns(Some(name), |c| {
+                    c.with_encoding(
+                        RecodeScope::Segments(i..i + 1),
+                        RecodeTarget::To(Encoding::Rle),
+                    )
+                })
                 .unwrap();
         }
     }
@@ -217,9 +224,9 @@ proptest! {
         // per-segment directories (one column, then both).
         let table = match enc {
             0 => table,
-            1 => table.recoded(Encoding::Rle).unwrap(),
-            2 => table.with_column_encoding("k", Encoding::Rle).unwrap(),
-            3 => table.with_column_encoding("v", Encoding::Rle).unwrap(),
+            1 => table.map_columns(None, |c| c.recode(Encoding::Rle)).unwrap(),
+            2 => table.map_columns(Some("k"), |c| c.recode(Encoding::Rle)).unwrap(),
+            3 => table.map_columns(Some("v"), |c| c.recode(Encoding::Rle)).unwrap(),
             4 => mix_column(&table, "k", pattern),
             _ => mix_column(&mix_column(&table, "k", pattern), "v", pattern.rotate_left(23)),
         };
@@ -237,9 +244,9 @@ proptest! {
         // A folded IN leaf against the same encodings as any predicate.
         let table = match enc {
             0 => table,
-            1 => table.recoded(Encoding::Rle).unwrap(),
-            2 => table.with_column_encoding("k", Encoding::Rle).unwrap(),
-            3 => table.with_column_encoding("v", Encoding::Rle).unwrap(),
+            1 => table.map_columns(None, |c| c.recode(Encoding::Rle)).unwrap(),
+            2 => table.map_columns(Some("k"), |c| c.recode(Encoding::Rle)).unwrap(),
+            3 => table.map_columns(Some("v"), |c| c.recode(Encoding::Rle)).unwrap(),
             4 => mix_column(&table, "k", pattern),
             _ => mix_column(&mix_column(&table, "k", pattern), "v", pattern.rotate_left(23)),
         };
@@ -255,7 +262,7 @@ proptest! {
         pattern in proptest::prelude::any::<u64>(),
     ) {
         let table = match rle {
-            1 => table.recoded(Encoding::Rle).unwrap(),
+            1 => table.map_columns(None, |c| c.recode(Encoding::Rle)).unwrap(),
             // Randomly mixed directories go through the same SMO and
             // compaction machinery as the uniform ones.
             2 => mix_column(&table, "k", pattern),

@@ -6,7 +6,9 @@
 use cods::simple_ops::{partition_table, union_tables};
 use cods::{decompose, merge, merge_general, DecomposeSpec, MergeStrategy};
 use cods_query::Predicate;
-use cods_storage::{Encoding, Schema, Table, Value, ValueType};
+use cods_storage::{
+    EncodedColumn, Encoding, RecodeScope, RecodeTarget, Schema, Table, Value, ValueType,
+};
 
 const SEG: u64 = 128;
 const MONO: u64 = 1 << 40;
@@ -67,8 +69,20 @@ fn decompose_is_segmentation_invariant() {
 
     // Run-length encoded directories take the same operators: bit-identical
     // to the bitmap result, segmented and single-segment alike.
-    let ra = decompose(&seg_t.recoded(Encoding::Rle).unwrap(), &spec()).unwrap();
-    let rb = decompose(&mono_t.recoded(Encoding::Rle).unwrap(), &spec()).unwrap();
+    let ra = decompose(
+        &seg_t
+            .map_columns(None, |c| c.recode(Encoding::Rle))
+            .unwrap(),
+        &spec(),
+    )
+    .unwrap();
+    let rb = decompose(
+        &mono_t
+            .map_columns(None, |c| c.recode(Encoding::Rle))
+            .unwrap(),
+        &spec(),
+    )
+    .unwrap();
     assert_eq!(ra.distinct_keys, a.distinct_keys);
     assert_eq!(ra.changed.to_rows(), a.changed.to_rows());
     assert_eq!(rb.changed.to_rows(), ra.changed.to_rows());
@@ -167,7 +181,12 @@ fn union_chain_fragmentation_is_repaired_by_compaction() {
         let segs = t.column(0).segment_count();
         for i in (1..segs).step_by(2) {
             t = t
-                .with_column_segment_range_encoding("entity", Encoding::Rle, i..i + 1)
+                .map_columns(Some("entity"), |c| {
+                    c.with_encoding(
+                        RecodeScope::Segments(i..i + 1),
+                        RecodeTarget::To(Encoding::Rle),
+                    )
+                })
                 .unwrap();
         }
         t
@@ -175,7 +194,12 @@ fn union_chain_fragmentation_is_repaired_by_compaction() {
     assert_eq!(mixed.column(0).uniform_encoding(), None);
     let variants = [
         ("bitmap", plain.clone()),
-        ("rle", plain.recoded(Encoding::Rle).unwrap()),
+        (
+            "rle",
+            plain
+                .map_columns(None, |c| c.recode(Encoding::Rle))
+                .unwrap(),
+        ),
         ("mixed", mixed),
     ];
     for (encoding, base) in variants {
@@ -308,11 +332,15 @@ fn layout_fixture() -> Table {
         .collect();
     Table::from_rows_with_segment_rows("R", r_schema(), &rows, SEG)
         .unwrap()
-        .auto_encoded()
+        .map_columns(None, EncodedColumn::auto_recoded)
         .unwrap()
-        .with_column_segment_range_encoding("attr", Encoding::Rle, 4..8)
+        .map_columns(Some("attr"), |c| {
+            c.with_encoding(RecodeScope::Segments(4..8), RecodeTarget::To(Encoding::Rle))
+        })
         .unwrap()
-        .with_column_encoding_pinned("detail", Encoding::Rle)
+        .map_columns(Some("detail"), |c| {
+            c.with_encoding(RecodeScope::Column, RecodeTarget::To(Encoding::Rle))
+        })
         .unwrap()
 }
 
@@ -401,7 +429,7 @@ fn write_paths_keep_their_layout_and_bytes() {
     // takes the last, 30-row slice).
     let wide = Table::from_rows_with_segment_rows("W", r_schema(), &t.to_rows(), 700)
         .unwrap()
-        .auto_encoded()
+        .map_columns(None, EncodedColumn::auto_recoded)
         .unwrap();
     let compacted: Vec<_> = t
         .columns()
@@ -432,8 +460,14 @@ fn write_paths_keep_their_layout_and_bytes() {
     )
     .unwrap();
     cases.push(("add_column", added));
-    cases.push(("recode.rle", t.recoded(Encoding::Rle).unwrap()));
-    cases.push(("recode.bitmap", t.recoded(Encoding::Bitmap).unwrap()));
+    cases.push((
+        "recode.rle",
+        t.map_columns(None, |c| c.recode(Encoding::Rle)).unwrap(),
+    ));
+    cases.push((
+        "recode.bitmap",
+        t.map_columns(None, |c| c.recode(Encoding::Bitmap)).unwrap(),
+    ));
 
     let got: Vec<String> = cases
         .iter()

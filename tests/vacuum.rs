@@ -49,7 +49,7 @@ fn churn(cat: &Catalog, path: &std::path::Path, rounds: usize) {
             Encoding::Bitmap
         };
         let t = cat.get("a").unwrap();
-        cat.put(t.with_column_encoding("v", enc).unwrap());
+        cat.put(t.map_columns(Some("v"), |c| c.recode(enc)).unwrap());
         save_catalog(cat, path).unwrap();
     }
 }
@@ -188,7 +188,7 @@ fn auto_vacuum_compacts_in_the_background() {
         // test wants to observe every one of them landing.
         for enc in [Encoding::Rle, Encoding::Bitmap] {
             let t = cat.get("a").unwrap();
-            cat.put(t.with_column_encoding("v", enc).unwrap());
+            cat.put(t.map_columns(Some("v"), |c| c.recode(enc)).unwrap());
             save_catalog(&cat, &path).unwrap();
             wait_for_auto_vacuum();
         }
