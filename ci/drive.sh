@@ -15,9 +15,13 @@ server=
 trap 'test -z "$server" || kill "$server"; rm -rf "$tmp"' EXIT
 
 # Local shell: the shared lines, then what only it has.
+printf '%s\n' "ADD COLUMN lang str DEFAULT C# TO R" \
+    "RENAME COLUMN lang TO tongue IN R" "DROP COLUMN tongue FROM R" > "$tmp/chain.smo"
 {
     echo demo
     cat ci/drive.cods
+    # A column chain plans to one node per operator.
+    echo "plan $tmp/chain.smo"
     echo "explain join S T on employee=employee"
     echo "explain agg R by employee count:skill where employee != Jones"
     # Every form of `recode` through its one path: whole column and segment

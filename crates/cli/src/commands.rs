@@ -58,7 +58,7 @@ local shell only:
                                                    rle/bitmap pins, auto hands back to the
                                                    chooser; a..b = a segment-index range
   plan <file.smo>                                  validate a script and print its DAG,
-                                                   fusion decisions, and elided intermediates
+                                                   one node per operator, and elided intermediates
   history                                          executed SMOs with timings, grouped per plan
   save <file> | open <file>                        persist / restore the catalog (open is
                                                    lazy; re-saving appends only what changed)
@@ -1056,7 +1056,17 @@ mod tests {
         run(&mut cods, "demo");
         // `plan` only validates and prints; nothing executes.
         let described = run(&mut cods, &format!("plan {}", file.display()));
-        assert!(described.contains("FUSED COLUMN PASS ON R"), "{described}");
+        // One node per column operator, and no fusion line.
+        assert!(described.contains("plan: 2 nodes"), "{described}");
+        assert!(
+            described.contains("[0] ADD COLUMN dept TO R"),
+            "{described}"
+        );
+        assert!(
+            described.contains("[1] DROP COLUMN dept FROM R"),
+            "{described}"
+        );
+        assert!(!described.contains("fusion:"), "{described}");
         assert_eq!(cods.table("R").unwrap().arity(), 3);
         assert!(cods.history().is_empty());
         std::fs::remove_file(&file).ok();

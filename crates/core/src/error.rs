@@ -58,6 +58,13 @@ impl From<StorageError> for EvolutionError {
     }
 }
 
+/// A statement the grammar refuses, in the token cursor's words.
+impl From<String> for EvolutionError {
+    fn from(msg: String) -> Self {
+        EvolutionError::InvalidOperator(msg)
+    }
+}
+
 impl cods_storage::Retryable for EvolutionError {
     /// Only an optimistic catalog-commit loss is transient; every other
     /// evolution error (validation, data, persistence) is deterministic

@@ -13,13 +13,13 @@
 use crate::decompose::decompose;
 use crate::error::{EvolutionError, Result};
 use crate::merge::merge;
-use crate::plan::{EvolutionPlan, PlanOp};
+use crate::plan::EvolutionPlan;
 use crate::platform::ExecutionRecord;
-use crate::simple_ops::{self, ColumnFill};
+use crate::simple_ops;
 use crate::smo::Smo;
-use crate::status::{EvolutionStatus, PlanLog, PlanStageLog, StatusTracker};
+use crate::status::{EvolutionStatus, PlanLog, PlanStageLog};
 use cods_query::par::map_parallel;
-use cods_storage::{ColumnDef, EncodedColumn, Schema, StorageError, Table};
+use cods_storage::{StorageError, Table};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -186,96 +186,6 @@ fn run_smo(smo: &Smo, ws: &Workspace) -> Result<NodeOutcome> {
     }
 }
 
-/// Where a fused output column comes from: carried over from the input
-/// table, or built fresh by a surviving ADD COLUMN.
-enum ColSource {
-    Input(usize),
-    Added { def: ColumnDef, fill: ColumnFill },
-}
-
-/// Runs a fused ADD / DROP / RENAME COLUMN chain as one per-table pass:
-/// the net column set is computed first, then carried columns are shared
-/// by reference and each *surviving* added column is built exactly once —
-/// an add that a later drop cancels costs nothing. The schema (including
-/// key-declaration behavior) comes out exactly as the sequential ops would
-/// produce it.
-fn run_fused(table: &str, ops: &[Smo], ws: &Workspace) -> Result<NodeOutcome> {
-    let input = get(ws, table)?;
-    let mut tracker = StatusTracker::new();
-
-    // Net effect: the running schema goes through the same
-    // `simple_ops::*_column_schema` appliers the sequential executors use
-    // (one source of truth for validation, ordering, and key behavior),
-    // while `entries` tracks where each surviving column's data comes
-    // from. The two stay position-aligned: add appends, drop removes in
-    // place, rename renames in place.
-    let mut schema: Schema = input.schema().clone();
-    let mut entries: Vec<ColSource> = (0..input.arity()).map(ColSource::Input).collect();
-    let mut cancelled = 0u64;
-    for op in ops {
-        match op {
-            Smo::AddColumn { column, fill, .. } => {
-                schema = simple_ops::add_column_schema(&schema, column, fill)?;
-                entries.push(ColSource::Added {
-                    def: column.clone(),
-                    fill: fill.clone(),
-                });
-            }
-            Smo::DropColumn { column, .. } => {
-                let idx = schema.index_of(column)?;
-                schema = simple_ops::drop_column_schema(&schema, column)?;
-                if matches!(entries[idx], ColSource::Added { .. }) {
-                    cancelled += 1;
-                }
-                entries.remove(idx);
-            }
-            Smo::RenameColumn { from, to, .. } => {
-                schema = simple_ops::rename_column_schema(&schema, from, to)?;
-            }
-            other => {
-                return Err(EvolutionError::InvalidOperator(format!(
-                    "non-column operator in fused pass: {other}"
-                )));
-            }
-        }
-    }
-    tracker.step_items("net column plan", ops.len() as u64);
-
-    let mut columns: Vec<Arc<EncodedColumn>> = Vec::with_capacity(entries.len());
-    let mut built = 0u64;
-    for src in &entries {
-        match src {
-            ColSource::Input(i) => columns.push(Arc::clone(input.column(*i))),
-            ColSource::Added { def, fill } => {
-                columns.push(Arc::new(simple_ops::build_fill_column(
-                    input.rows(),
-                    def,
-                    fill,
-                )?));
-                built += 1;
-            }
-        }
-    }
-    tracker.step_items("build surviving added columns", built);
-    if cancelled > 0 {
-        tracker.step_items("cancelled add-then-drop columns", cancelled);
-    }
-    let out = Table::new(table, schema, columns).map_err(EvolutionError::Storage)?;
-    tracker.step("assemble fused table");
-    Ok(NodeOutcome {
-        drops: vec![],
-        puts: vec![out],
-        status: tracker.finish(),
-    })
-}
-
-fn run_node(op: &PlanOp, ws: &Workspace) -> Result<NodeOutcome> {
-    match op {
-        PlanOp::Single(smo) => run_smo(smo, ws),
-        PlanOp::FusedColumns { table, ops } => run_fused(table, ops, ws),
-    }
-}
-
 /// Executes `plan`: waves run concurrently on the shared pool, mutations
 /// stage into the workspace, and the final state commits atomically.
 pub(crate) fn run(plan: &EvolutionPlan<'_>) -> Result<PlanReport> {
@@ -290,7 +200,7 @@ pub(crate) fn run(plan: &EvolutionPlan<'_>) -> Result<PlanReport> {
     for (wave_idx, wave) in plan.waves.iter().enumerate() {
         // Every node in a wave only reads tables produced by earlier waves,
         // so the whole wave runs against one immutable workspace.
-        let outcomes = map_parallel(wave.clone(), |i| run_node(&plan.nodes[i].op, &ws));
+        let outcomes = map_parallel(wave.clone(), |i| run_smo(&plan.nodes[i].smo, &ws));
         let mut stage = PlanStageLog {
             wave: wave_idx,
             operators: Vec::with_capacity(wave.len()),
@@ -306,7 +216,7 @@ pub(crate) fn run(plan: &EvolutionPlan<'_>) -> Result<PlanReport> {
             for t in outcome.puts {
                 ws.insert(t.name().to_string(), Arc::new(t));
             }
-            let operator = plan.nodes[i].op.to_string();
+            let operator = plan.nodes[i].smo.to_string();
             stage
                 .operators
                 .push((operator.clone(), outcome.status.clone()));
@@ -373,7 +283,8 @@ pub(crate) fn run(plan: &EvolutionPlan<'_>) -> Result<PlanReport> {
 mod tests {
     use super::*;
     use crate::platform::Cods;
-    use cods_storage::{Value, ValueType};
+    use crate::simple_ops::ColumnFill;
+    use cods_storage::{ColumnDef, Schema, Value, ValueType};
 
     fn platform() -> Cods {
         let cods = Cods::new();
@@ -393,57 +304,6 @@ mod tests {
             .create(Table::from_rows("R", schema, &rows).unwrap())
             .unwrap();
         cods
-    }
-
-    #[test]
-    fn fused_pass_matches_sequential_ops() {
-        let seq = platform();
-        seq.execute_all(
-            crate::parse_script(
-                "ADD COLUMN x int DEFAULT 9 TO R\n\
-             RENAME COLUMN x TO y IN R\n\
-             ADD COLUMN gone str DEFAULT 'z' TO R\n\
-             DROP COLUMN gone FROM R\n\
-             DROP COLUMN a FROM R",
-            )
-            .unwrap(),
-        )
-        .unwrap();
-
-        let fused = platform();
-        let report = fused
-            .plan_script(
-                "ADD COLUMN x int DEFAULT 9 TO R\n\
-                 RENAME COLUMN x TO y IN R\n\
-                 ADD COLUMN gone str DEFAULT 'z' TO R\n\
-                 DROP COLUMN gone FROM R\n\
-                 DROP COLUMN a FROM R",
-            )
-            .unwrap()
-            .execute()
-            .unwrap();
-        // One node, one staged table, and the cancelled add was never built.
-        assert_eq!(report.records.len(), 1);
-        assert_eq!(report.staged_puts, 1);
-        let status = &report.records[0].status;
-        assert_eq!(
-            status.step("build surviving added columns").unwrap().items,
-            Some(1)
-        );
-        assert_eq!(
-            status
-                .step("cancelled add-then-drop columns")
-                .unwrap()
-                .items,
-            Some(1)
-        );
-
-        let a = seq.table("R").unwrap();
-        let b = fused.table("R").unwrap();
-        assert_eq!(a.schema(), b.schema());
-        assert_eq!(a.to_rows(), b.to_rows());
-        // Carried columns are shared with the input, not copied.
-        assert!(b.schema().names().contains(&"k"));
     }
 
     #[test]

@@ -23,8 +23,10 @@
 //!   with the demo's status log;
 //! * [`plan`] / [`exec`] — the planned evolution surface:
 //!   [`Cods::plan`](platform::Cods::plan) validates a whole SMO script
-//!   against one catalog snapshot, fuses column-op chains, executes the
-//!   dependency DAG in parallel waves, and commits atomically;
+//!   against one catalog snapshot, executes the dependency DAG of its
+//!   operators in parallel waves, and commits atomically;
+//! * [`parser`] — the SMO statement and script grammar, on the read
+//!   grammar's token cursor (`cods_query::text`);
 //! * [`schema_tools`] — lossless-join and functional-dependency analysis;
 //! * [`verify`] — cross-engine result verification.
 //!
@@ -55,7 +57,7 @@ pub use error::{EvolutionError, Result};
 pub use exec::PlanReport;
 pub use merge::{merge, merge_general, merge_key_fk, MergeOutcome, MergeStrategy, UsedStrategy};
 pub use parser::{parse_script, parse_smo};
-pub use plan::{EvolutionPlan, PlanNode, PlanOp};
+pub use plan::{EvolutionPlan, PlanNode};
 pub use planner::{plan_decomposition, TargetSpec};
 pub use platform::{Cods, ExecutionRecord};
 pub use simple_ops::ColumnFill;

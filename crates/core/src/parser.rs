@@ -17,38 +17,23 @@
 //! RENAME COLUMN a TO b IN t
 //! ```
 //!
-//! Keywords are case-insensitive; identifiers are case-sensitive.
+//! Statements lex through the read grammar's token cursor
+//! ([`cods_query::text::Cursor`]) under its one lexical rule: keywords are
+//! case-insensitive, names are not, and `#` or `--` where a token would
+//! start begins a comment. A name is one word holding neither comment
+//! marker. A `DEFAULT` is one word or one quoted string, typed by the
+//! column's type.
 
 use crate::decompose::DecomposeSpec;
 use crate::error::{EvolutionError, Result};
 use crate::merge::MergeStrategy;
 use crate::simple_ops::ColumnFill;
 use crate::smo::Smo;
-use cods_query::text::{find_unquoted, parse_predicate};
+use cods_query::text::{statements, Cursor, Tok};
 use cods_storage::{ColumnDef, Schema, Value, ValueType};
 
 fn err(msg: impl Into<String>) -> EvolutionError {
     EvolutionError::InvalidOperator(msg.into())
-}
-
-/// Splits on commas that are not inside parentheses.
-fn split_top_level_commas(s: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, ch) in s.char_indices() {
-        match ch {
-            '(' => depth += 1,
-            ')' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                parts.push(s[start..i].trim());
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    parts.push(s[start..].trim());
-    parts
 }
 
 /// Parses a column type name, case-insensitively: `int`/`integer`,
@@ -64,232 +49,186 @@ pub fn parse_type(s: &str) -> Result<ValueType> {
     }
 }
 
-/// A table or column name: one word, without quotes, commas or
-/// parentheses. Anything else is refused, quoting the text that does not
-/// belong — a name no later statement could spell is never created.
-fn ident(s: &str) -> Result<String> {
-    let s = s.trim();
-    match s.find(|c: char| c.is_whitespace() || "',()".contains(c)) {
-        None if s.is_empty() => Err(err("missing name")),
-        None => Ok(s.to_string()),
-        Some(i) => Err(err(format!(
-            "unexpected {:?} in name {s:?}",
-            s[i..].trim_start()
-        ))),
+/// A table or column name: one word without a comment marker in it, so a
+/// name no later statement could spell is never created.
+fn name(cur: &mut Cursor<'_>, what: &str) -> Result<String> {
+    let w = cur.word(what)?;
+    if w.contains('#') || w.contains("--") {
+        return Err(err(format!(
+            "{w:?} is not a name: `#` and `--` start comments"
+        )));
+    }
+    Ok(w.to_string())
+}
+
+/// `name (col, …)`
+fn name_cols(cur: &mut Cursor<'_>) -> Result<(String, Vec<String>)> {
+    let table = name(cur, "a table name")?;
+    cur.expect("(")?;
+    let cols = cur.list(|c| name(c, "a column name"))?;
+    cur.expect(")")?;
+    Ok((table, cols))
+}
+
+/// Parses one SMO statement; a `;` may end it.
+pub fn parse_smo(text: &str) -> Result<Smo> {
+    match statements(text)?[..] {
+        [stmt] => statement(stmt),
+        ref all => Err(err(format!("expected one statement, got {}", all.len()))),
     }
 }
 
-/// Case-insensitive split on the first occurrence of ` <kw> ` as a word
-/// outside single quotes.
-fn split_keyword<'a>(s: &'a str, kw: &str) -> Option<(&'a str, &'a str)> {
-    let pat = format!(" {kw} ");
-    find_unquoted(s, &pat).map(|i| (s[..i].trim(), s[i + pat.len()..].trim()))
-}
-
-fn parse_name_cols(part: &str) -> Result<(String, Vec<String>)> {
-    // `name (a, b, c)`
-    let open = part
-        .find('(')
-        .ok_or_else(|| err(format!("expected `name (cols…)`, got {part:?}")))?;
-    if !part.trim_end().ends_with(')') {
-        return Err(err(format!("missing `)` in {part:?}")));
-    }
-    let name = ident(&part[..open])?;
-    let inner = &part[open + 1..part.trim_end().len() - 1];
-    let cols: Vec<String> = inner
-        .split(',')
-        .map(|c| c.trim().to_string())
-        .filter(|c| !c.is_empty())
-        .collect();
-    if cols.is_empty() {
-        return Err(err(format!("no columns listed for {name:?}")));
-    }
-    Ok((name, cols))
-}
-
-/// Parses one SMO statement.
-pub fn parse_smo(stmt: &str) -> Result<Smo> {
-    let s = stmt.trim().trim_end_matches(';').trim();
-    let lower = s.to_ascii_lowercase();
-
-    if let Some(rest) = lower.strip_prefix("create table ") {
-        let rest_orig = &s[s.len() - rest.len()..];
-        let (name, cols) = parse_name_cols(rest_orig)?;
-        let mut defs = Vec::new();
-        let mut keys: Vec<String> = Vec::new();
-        for c in cols {
-            let (cname, ty) = c
-                .split_once(' ')
-                .ok_or_else(|| err(format!("column def {c:?} must be `name type`")))?;
-            if cname.eq_ignore_ascii_case("key") {
-                keys.extend(ty.split_whitespace().map(str::to_string));
-                continue;
+/// Parses the source of one statement, as [`statements`] cut it out.
+fn statement(text: &str) -> Result<Smo> {
+    let mut cur = Cursor::new(text);
+    let verb = match [cur.token()?, cur.token()?] {
+        [Some(Tok::Word(a)), Some(Tok::Word(b))] => format!("{a} {b}").to_ascii_lowercase(),
+        _ => String::new(),
+    };
+    let smo = match verb.as_str() {
+        "create table" => {
+            let table = name(&mut cur, "a table name")?;
+            let (mut cols, mut keys) = (Vec::new(), Vec::new());
+            cur.expect("(")?;
+            cur.list(|c| {
+                let col = name(c, "a column name or KEY")?;
+                if col.eq_ignore_ascii_case("key") {
+                    keys.push(name(c, "a key column")?);
+                    while let Some(Tok::Word(_)) = c.peek()? {
+                        keys.push(name(c, "a key column")?);
+                    }
+                } else {
+                    cols.push((col, parse_type(c.word("a column type")?)?));
+                }
+                Ok::<_, EvolutionError>(())
+            })?;
+            cur.expect(")")?;
+            let cols: Vec<(&str, ValueType)> = cols.iter().map(|(c, t)| (c.as_str(), *t)).collect();
+            let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+            Smo::CreateTable {
+                name: table,
+                schema: Schema::build(&cols, &keys)?,
             }
-            defs.push(ColumnDef::new(ident(cname)?, parse_type(ty.trim())?));
         }
-        let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-        let col_specs: Vec<(&str, ValueType)> =
-            defs.iter().map(|d| (d.name.as_str(), d.ty)).collect();
-        let schema = Schema::build(&col_specs, &key_refs).map_err(EvolutionError::Storage)?;
-        return Ok(Smo::CreateTable { name, schema });
-    }
-    if let Some(rest) = lower.strip_prefix("drop table ") {
-        return Ok(Smo::DropTable {
-            name: ident(&s[s.len() - rest.len()..])?,
-        });
-    }
-    if lower.starts_with("rename table ") {
-        let rest = s["rename table ".len()..].trim();
-        let (from, to) = split_keyword(rest, "to").ok_or_else(|| err("RENAME TABLE needs `TO`"))?;
-        return Ok(Smo::RenameTable {
-            from: ident(from)?,
-            to: ident(to)?,
-        });
-    }
-    if lower.starts_with("copy table ") {
-        let rest = s["copy table ".len()..].trim();
-        let (from, to) = split_keyword(rest, "to").ok_or_else(|| err("COPY TABLE needs `TO`"))?;
-        return Ok(Smo::CopyTable {
-            from: ident(from)?,
-            to: ident(to)?,
-        });
-    }
-    if lower.starts_with("union tables ") {
-        let rest = s["union tables ".len()..].trim();
-        let (inputs, output) =
-            split_keyword(rest, "into").ok_or_else(|| err("UNION TABLES needs `INTO`"))?;
-        let parts = split_top_level_commas(inputs);
-        let [left, right] = parts.as_slice() else {
-            return Err(err("UNION TABLES needs exactly two inputs"));
-        };
-        return Ok(Smo::UnionTables {
-            left: ident(left)?,
-            right: ident(right)?,
-            output: ident(output)?,
-            drop_inputs: false,
-        });
-    }
-    if lower.starts_with("partition table ") {
-        let rest = s["partition table ".len()..].trim();
-        let (input, where_into) =
-            split_keyword(rest, "where").ok_or_else(|| err("PARTITION TABLE needs `WHERE`"))?;
-        let (predicate, tail) = parse_predicate(where_into).map_err(err)?;
-        let outputs = match tail.split_once(char::is_whitespace) {
-            Some((kw, outputs)) if kw.eq_ignore_ascii_case("into") => outputs,
-            _ => return Err(err("PARTITION TABLE needs `INTO`")),
-        };
-        let parts = split_top_level_commas(outputs);
-        let [sat, rest_name] = parts.as_slice() else {
-            return Err(err("PARTITION TABLE needs two outputs"));
-        };
-        return Ok(Smo::PartitionTable {
-            input: ident(input)?,
-            predicate,
-            satisfying: ident(sat)?,
-            rest: ident(rest_name)?,
-        });
-    }
-    if lower.starts_with("decompose table ") {
-        let rest = s["decompose table ".len()..].trim();
-        let (input, outputs) =
-            split_keyword(rest, "into").ok_or_else(|| err("DECOMPOSE TABLE needs `INTO`"))?;
-        let parts = split_top_level_commas(outputs);
-        let [first, second] = parts.as_slice() else {
-            return Err(err("DECOMPOSE TABLE needs exactly two outputs"));
-        };
-        let (un_name, un_cols) = parse_name_cols(first)?;
-        let (ch_name, ch_cols) = parse_name_cols(second)?;
-        let idents = |cols: Vec<String>| cols.iter().map(|c| ident(c)).collect::<Result<_>>();
-        return Ok(Smo::DecomposeTable {
-            input: ident(input)?,
-            spec: DecomposeSpec {
-                unchanged_name: un_name,
-                unchanged_cols: idents(un_cols)?,
-                changed_name: ch_name,
-                changed_cols: idents(ch_cols)?,
-                verify_fd: true,
-            },
-        });
-    }
-    if lower.starts_with("merge tables ") {
-        let rest = s["merge tables ".len()..].trim();
-        let (inputs, output) =
-            split_keyword(rest, "into").ok_or_else(|| err("MERGE TABLES needs `INTO`"))?;
-        let parts = split_top_level_commas(inputs);
-        let [left, right] = parts.as_slice() else {
-            return Err(err("MERGE TABLES needs exactly two inputs"));
-        };
-        return Ok(Smo::MergeTables {
-            left: ident(left)?,
-            right: ident(right)?,
-            output: ident(output)?,
-            strategy: MergeStrategy::Auto,
-        });
-    }
-    if lower.starts_with("add column ") {
-        let rest = s["add column ".len()..].trim();
-        let (def_part, table) =
-            split_keyword(rest, "to").ok_or_else(|| err("ADD COLUMN needs `TO`"))?;
-        let (col_part, default) = match split_keyword(def_part, "default") {
-            Some((c, d)) => (c, Some(d)),
-            None => (def_part, None),
-        };
-        let (cname, ty) = col_part
-            .split_once(' ')
-            .ok_or_else(|| err("ADD COLUMN needs `name type`"))?;
-        let ty = parse_type(ty.trim())?;
-        let fill = match default {
-            Some(d) => ColumnFill::Default(Value::parse(d.trim_matches('\''), ty).map_err(err)?),
-            None => ColumnFill::Default(Value::Null),
-        };
-        return Ok(Smo::AddColumn {
-            table: ident(table)?,
-            column: ColumnDef::new(ident(cname)?, ty),
-            fill,
-        });
-    }
-    if lower.starts_with("drop column ") {
-        let rest = s["drop column ".len()..].trim();
-        let (column, table) =
-            split_keyword(rest, "from").ok_or_else(|| err("DROP COLUMN needs `FROM`"))?;
-        return Ok(Smo::DropColumn {
-            table: ident(table)?,
-            column: ident(column)?,
-        });
-    }
-    if lower.starts_with("rename column ") {
-        let rest = s["rename column ".len()..].trim();
-        let (from, to_in) =
-            split_keyword(rest, "to").ok_or_else(|| err("RENAME COLUMN needs `TO`"))?;
-        let (to, table) =
-            split_keyword(to_in, "in").ok_or_else(|| err("RENAME COLUMN needs `IN`"))?;
-        return Ok(Smo::RenameColumn {
-            table: ident(table)?,
-            from: ident(from)?,
-            to: ident(to)?,
-        });
-    }
-    Err(err(format!("unrecognized statement {s:?}")))
+        "drop table" => Smo::DropTable {
+            name: name(&mut cur, "a table name")?,
+        },
+        "rename table" | "copy table" => {
+            let from = name(&mut cur, "a table name")?;
+            cur.expect("to")?;
+            let to = name(&mut cur, "a table name")?;
+            match verb.as_str() {
+                "rename table" => Smo::RenameTable { from, to },
+                _ => Smo::CopyTable { from, to },
+            }
+        }
+        "union tables" | "merge tables" => {
+            let left = name(&mut cur, "a table name")?;
+            cur.expect(",")?;
+            let right = name(&mut cur, "a table name")?;
+            cur.expect("into")?;
+            let output = name(&mut cur, "a table name")?;
+            match verb.as_str() {
+                "union tables" => Smo::UnionTables {
+                    left,
+                    right,
+                    output,
+                    drop_inputs: false,
+                },
+                _ => Smo::MergeTables {
+                    left,
+                    right,
+                    output,
+                    strategy: MergeStrategy::Auto,
+                },
+            }
+        }
+        "partition table" => {
+            let input = name(&mut cur, "a table name")?;
+            cur.expect("where")?;
+            let predicate = cur.predicate()?;
+            cur.expect("into")?;
+            let satisfying = name(&mut cur, "a table name")?;
+            cur.expect(",")?;
+            Smo::PartitionTable {
+                input,
+                predicate,
+                satisfying,
+                rest: name(&mut cur, "a table name")?,
+            }
+        }
+        "decompose table" => {
+            let input = name(&mut cur, "a table name")?;
+            cur.expect("into")?;
+            let (unchanged_name, unchanged_cols) = name_cols(&mut cur)?;
+            cur.expect(",")?;
+            let (changed_name, changed_cols) = name_cols(&mut cur)?;
+            Smo::DecomposeTable {
+                input,
+                spec: DecomposeSpec {
+                    unchanged_name,
+                    unchanged_cols,
+                    changed_name,
+                    changed_cols,
+                    verify_fd: true,
+                },
+            }
+        }
+        "add column" => {
+            let column = name(&mut cur, "a column name")?;
+            let ty = parse_type(cur.word("a column type")?)?;
+            let default = match cur.eat("default")? {
+                false => Value::Null,
+                true => match cur.token()? {
+                    Some(Tok::Word(v) | Tok::Quoted(v)) => Value::parse(v, ty).map_err(err)?,
+                    _ => return Err(err("expected a value after DEFAULT")),
+                },
+            };
+            cur.expect("to")?;
+            Smo::AddColumn {
+                table: name(&mut cur, "a table name")?,
+                column: ColumnDef::new(column, ty),
+                fill: ColumnFill::Default(default),
+            }
+        }
+        "drop column" => {
+            let column = name(&mut cur, "a column name")?;
+            cur.expect("from")?;
+            Smo::DropColumn {
+                table: name(&mut cur, "a table name")?,
+                column,
+            }
+        }
+        "rename column" => {
+            let from = name(&mut cur, "a column name")?;
+            cur.expect("to")?;
+            let to = name(&mut cur, "a column name")?;
+            cur.expect("in")?;
+            Smo::RenameColumn {
+                table: name(&mut cur, "a table name")?,
+                from,
+                to,
+            }
+        }
+        _ => return Err(err(format!("unrecognized statement {text:?}"))),
+    };
+    cur.end()?;
+    Ok(smo)
 }
 
-/// Parses a script: one statement per line (or `;`-separated); `#` and `--`
-/// start comments, except inside single quotes. Errors carry the 1-based
-/// source line, so a planner rejecting statement 40 of a script points at
-/// the offending line.
+/// Parses a script: one statement per line, or several split by `;`;
+/// `#` and `--` start comments. Errors carry the 1-based source line, so a
+/// planner rejecting statement 40 of a script points at the offending
+/// line.
 pub fn parse_script(text: &str) -> Result<Vec<Smo>> {
     let mut smos = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let comment = [find_unquoted(raw, "#"), find_unquoted(raw, "--")];
-        let mut line = &raw[..comment.into_iter().flatten().min().unwrap_or(raw.len())];
-        while !line.trim().is_empty() {
-            let end = find_unquoted(line, ";").unwrap_or(line.len());
-            if !line[..end].trim().is_empty() {
-                smos.push(parse_smo(&line[..end]).map_err(|e| match e {
-                    EvolutionError::InvalidOperator(m) => err(format!("line {}: {m}", lineno + 1)),
-                    other => other,
-                })?);
-            }
-            line = line.get(end + 1..).unwrap_or("");
+    for (lineno, line) in text.lines().enumerate() {
+        let at_line = |e| match e {
+            EvolutionError::InvalidOperator(m) => err(format!("line {}: {m}", lineno + 1)),
+            other => other,
+        };
+        for stmt in statements(line).map_err(|m| at_line(err(m)))? {
+            smos.push(statement(stmt).map_err(at_line)?);
         }
     }
     Ok(smos)

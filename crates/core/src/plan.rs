@@ -7,16 +7,13 @@
 //!    of predicted schemas (names, column existence and types, union
 //!    compatibility, decomposition shape, join attributes), so a malformed
 //!    statement anywhere in the script errors before any work runs.
-//! 2. **Fuse** — uninterrupted chains of ADD / DROP / RENAME COLUMN on the
-//!    same table collapse into a single per-table pass (an added column
-//!    that is later dropped is never built at all), and because execution
-//!    runs against an in-memory workspace, intermediate tables consumed
+//! 2. **Execute** — each operator is one node of a dependency DAG over
+//!    table names (read-after-write, write-after-read, write-after-write),
+//!    cut into waves; independent branches of each wave dispatch
+//!    concurrently on the shared worker pool (see [`crate::exec`]). Nodes
+//!    run against an in-memory workspace, so intermediate tables consumed
 //!    within the plan never enter the catalog.
-//! 3. **Execute** — a dependency DAG over table names (read-after-write,
-//!    write-after-read, write-after-write) is cut into waves; independent
-//!    branches of each wave dispatch concurrently on the shared worker
-//!    pool (see [`crate::exec`]).
-//! 4. **Commit** — all catalog mutations are staged and applied in one
+//! 3. **Commit** — all catalog mutations are staged and applied in one
 //!    atomic [`Catalog`](cods_storage::Catalog) transaction: a mid-script
 //!    failure (an FD violation three operators in, say) leaves the catalog
 //!    exactly as the snapshot saw it.
@@ -29,58 +26,21 @@ use crate::schema_tools::check_decomposition_shape;
 use crate::smo::Smo;
 use cods_storage::{Schema, StorageError, Table};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The work of one plan node: a single SMO, or a fused chain of
-/// column-level SMOs executed as one per-table pass.
-#[derive(Clone, Debug)]
-pub enum PlanOp {
-    /// One operator, exactly as written.
-    Single(Smo),
-    /// A chain of ADD / DROP / RENAME COLUMN on `table`, net-applied in a
-    /// single pass: carried columns are shared by reference once, added
-    /// columns are built once, and an add that a later drop cancels is
-    /// never materialized.
-    FusedColumns {
-        /// The table all fused operators target.
-        table: String,
-        /// The original operators, in script order.
-        ops: Vec<Smo>,
-    },
-}
-
-impl fmt::Display for PlanOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlanOp::Single(smo) => write!(f, "{smo}"),
-            PlanOp::FusedColumns { table, ops } => {
-                write!(f, "FUSED COLUMN PASS ON {table}: ")?;
-                for (i, op) in ops.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "; ")?;
-                    }
-                    write!(f, "{op}")?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
 
 /// One node of the plan DAG.
 #[derive(Clone, Debug)]
 pub struct PlanNode {
-    /// What the node executes.
-    pub op: PlanOp,
+    /// The operator the node executes.
+    pub smo: Smo,
     /// Indices of the nodes this one must run after.
     pub deps: Vec<usize>,
     /// The execution wave (0 = no dependencies).
     pub wave: usize,
 }
 
-/// A validated, fused, DAG-ordered evolution script bound to the catalog
+/// A validated, DAG-ordered evolution script bound to the catalog
 /// snapshot it was planned against. Run it with
 /// [`execute`](EvolutionPlan::execute); inspect it with
 /// [`describe`](EvolutionPlan::describe).
@@ -91,10 +51,8 @@ pub struct EvolutionPlan<'c> {
     pub(crate) nodes: Vec<PlanNode>,
     pub(crate) waves: Vec<Vec<usize>>,
     pub(crate) planning: Duration,
-    /// Human-readable fusion decisions, in discovery order.
-    fusion_notes: Vec<String>,
     /// Tables written during the plan that never reach the committed
-    /// catalog (consumed by later operators) — the fusion win.
+    /// catalog (consumed by later operators).
     elided: Vec<String>,
 }
 
@@ -275,8 +233,8 @@ fn shadow_apply(shadow: &mut BTreeMap<String, Schema>, smo: &Smo) -> Result<Effe
             Ok(eff(vec![left, right], vec![output]))
         }
         // The column operators share their validation + schema logic with
-        // the executor and the fused pass (`simple_ops::*_column_schema`),
-        // so the prediction here is the run-time schema by construction.
+        // the executor (`simple_ops::*_column_schema`), so the prediction
+        // here is the run-time schema by construction.
         Smo::AddColumn {
             table,
             column,
@@ -321,44 +279,10 @@ impl<'c> EvolutionPlan<'c> {
         let mut nodes: Vec<PlanNode> = Vec::with_capacity(smos.len());
         let mut names: HashMap<String, NameState> = HashMap::new();
         let mut written: BTreeSet<String> = BTreeSet::new();
-        let mut fusion_notes: Vec<String> = Vec::new();
 
         for smo in smos {
             let effect = shadow_apply(&mut shadow, &smo)?;
             written.extend(effect.writes.iter().cloned());
-
-            // Fusion: an uninterrupted chain of column ops on one table —
-            // the previous writer of the table is itself a column pass on
-            // it and nothing read the intermediate version — collapses
-            // into that node.
-            if let Some(t) = smo.column_op_table() {
-                let fuse_into = names.get(t).and_then(|st| {
-                    st.last_writer.filter(|&w| {
-                        st.readers.is_empty()
-                            && match &nodes[w].op {
-                                PlanOp::FusedColumns { table, .. } => table == t,
-                                PlanOp::Single(s) => s.column_op_table() == Some(t),
-                            }
-                    })
-                });
-                if let Some(w) = fuse_into {
-                    let node = &mut nodes[w];
-                    match &mut node.op {
-                        PlanOp::FusedColumns { ops, .. } => ops.push(smo),
-                        PlanOp::Single(prev) => {
-                            let prev = prev.clone();
-                            fusion_notes.push(format!(
-                                "column ops on {t:?} fused into one pass (node {w})"
-                            ));
-                            node.op = PlanOp::FusedColumns {
-                                table: t.to_string(),
-                                ops: vec![prev, smo],
-                            };
-                        }
-                    }
-                    continue;
-                }
-            }
 
             // New node: read-after-write, then write-after-(read|write).
             let idx = nodes.len();
@@ -387,7 +311,7 @@ impl<'c> EvolutionPlan<'c> {
                 st.readers.clear();
             }
             nodes.push(PlanNode {
-                op: PlanOp::Single(smo),
+                smo,
                 deps: deps.into_iter().collect(),
                 wave: 0,
             });
@@ -425,7 +349,6 @@ impl<'c> EvolutionPlan<'c> {
             nodes,
             waves,
             planning: t0.elapsed(),
-            fusion_notes,
             elided,
         })
     }
@@ -461,8 +384,8 @@ impl<'c> EvolutionPlan<'c> {
         Ok(report)
     }
 
-    /// Renders the DAG, the fusion decisions, and the staging summary —
-    /// what the CLI `plan` command prints.
+    /// Renders the DAG and the staging summary — what the CLI `plan`
+    /// command prints.
     pub fn describe(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -478,19 +401,16 @@ impl<'c> EvolutionPlan<'c> {
             for &i in wave {
                 let node = &self.nodes[i];
                 if node.deps.is_empty() {
-                    out.push_str(&format!("  [{i}] {}\n", node.op));
+                    out.push_str(&format!("  [{i}] {}\n", node.smo));
                 } else {
                     let deps: Vec<String> = node.deps.iter().map(|d| format!("{d}")).collect();
                     out.push_str(&format!(
                         "  [{i}] {}  (after {})\n",
-                        node.op,
+                        node.smo,
                         deps.join(", ")
                     ));
                 }
             }
-        }
-        for note in &self.fusion_notes {
-            out.push_str(&format!("fusion: {note}\n"));
         }
         if self.elided.is_empty() {
             out.push_str("no intermediate tables elided\n");
@@ -539,25 +459,6 @@ mod tests {
             .plan_script("COPY TABLE R TO R2\nDROP COLUMN a FROM R2\nRENAME COLUMN a TO b IN R2");
         assert!(err.is_err());
         assert_eq!(cods.catalog().table_names(), vec!["R"]);
-    }
-
-    #[test]
-    fn column_chains_fuse_into_one_node() {
-        let cods = platform();
-        let plan = cods
-            .plan_script(
-                "ADD COLUMN x int DEFAULT 0 TO R\n\
-                 RENAME COLUMN x TO y IN R\n\
-                 ADD COLUMN z str DEFAULT 'q' TO R\n\
-                 DROP COLUMN z FROM R",
-            )
-            .unwrap();
-        assert_eq!(plan.nodes().len(), 1);
-        assert!(matches!(
-            &plan.nodes()[0].op,
-            PlanOp::FusedColumns { ops, .. } if ops.len() == 4
-        ));
-        assert!(plan.describe().contains("FUSED COLUMN PASS ON R"));
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl Cods {
     /// Plans a sequence of operators: the whole chain is resolved and
     /// validated against one catalog snapshot (names, schemas,
     /// decomposition shapes, join attributes — errors surface before any
-    /// work), fused, and arranged into a dependency DAG. Execute the
+    /// work) and arranged into a dependency DAG. Execute the
     /// returned [`EvolutionPlan`] with
     /// [`execute`](EvolutionPlan::execute) for parallel, all-or-nothing
     /// application.

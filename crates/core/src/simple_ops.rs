@@ -119,9 +119,9 @@ pub fn partition_table(
 
 /// Schema-level ADD COLUMN: validation (duplicate name, default-value
 /// conformance) plus the resulting schema — note ADD, like DROP, rebuilds
-/// the schema without a key declaration. Shared by the executor, the plan
-/// validator's shadow catalog, and the fused column pass, so plan-time
-/// prediction can never drift from run-time behavior.
+/// the schema without a key declaration. Shared by the executor and the
+/// plan validator's shadow catalog, so plan-time prediction can never
+/// drift from run-time behavior.
 pub(crate) fn add_column_schema(s: &Schema, def: &ColumnDef, fill: &ColumnFill) -> Result<Schema> {
     if s.contains(&def.name) {
         return Err(EvolutionError::InvalidOperator(format!(
@@ -187,23 +187,19 @@ pub(crate) fn rename_column_schema(s: &Schema, from: &str, to: &str) -> Result<S
     Schema::with_key(defs, s.key().to_vec()).map_err(EvolutionError::Storage)
 }
 
-/// Builds the payload column ADD COLUMN attaches, per `fill` — shared by
-/// the single-operator path and the planner's fused column pass, which
-/// builds each surviving added column exactly once.
-pub(crate) fn build_fill_column(
-    rows: u64,
-    def: &ColumnDef,
+/// ADD COLUMN: appends a column filled per `fill`. Existing columns are
+/// shared by reference.
+pub fn add_column(
+    table: &Table,
+    def: ColumnDef,
     fill: &ColumnFill,
-) -> Result<EncodedColumn> {
-    let col = match fill {
+) -> Result<(Table, EvolutionStatus)> {
+    let mut tracker = StatusTracker::new();
+    let schema = add_column_schema(table.schema(), &def, fill)?;
+    let rows = table.rows();
+    let new_col = match fill {
+        // One dictionary entry, one run per segment: O(segments).
         ColumnFill::Default(v) => {
-            if !v.conforms_to(def.ty) {
-                return Err(EvolutionError::InvalidOperator(format!(
-                    "default value {v} does not conform to type {}",
-                    def.ty
-                )));
-            }
-            // One dictionary entry, one run per segment: O(segments).
             let mut b = ColumnBuilder::new(def.ty);
             b.push_run(v.clone(), rows)?;
             b.finish()
@@ -218,19 +214,6 @@ pub(crate) fn build_fill_column(
             EncodedColumn::from_values(def.ty, vals)?
         }
     };
-    Ok(col)
-}
-
-/// ADD COLUMN: appends a column filled per `fill`. Existing columns are
-/// shared by reference.
-pub fn add_column(
-    table: &Table,
-    def: ColumnDef,
-    fill: &ColumnFill,
-) -> Result<(Table, EvolutionStatus)> {
-    let mut tracker = StatusTracker::new();
-    let schema = add_column_schema(table.schema(), &def, fill)?;
-    let new_col = build_fill_column(table.rows(), &def, fill)?;
     tracker.step("build new column");
 
     let mut columns = table.columns().to_vec();

@@ -106,35 +106,6 @@ pub enum Smo {
     },
 }
 
-impl Smo {
-    /// For column-level operators, the table they modify in place.
-    pub fn column_op_table(&self) -> Option<&str> {
-        match self {
-            Smo::AddColumn { table, .. }
-            | Smo::DropColumn { table, .. }
-            | Smo::RenameColumn { table, .. } => Some(table),
-            _ => None,
-        }
-    }
-
-    /// The operator's name as listed in Table 1.
-    pub fn operator_name(&self) -> &'static str {
-        match self {
-            Smo::CreateTable { .. } => "CREATE TABLE",
-            Smo::DropTable { .. } => "DROP TABLE",
-            Smo::RenameTable { .. } => "RENAME TABLE",
-            Smo::CopyTable { .. } => "COPY TABLE",
-            Smo::UnionTables { .. } => "UNION TABLES",
-            Smo::PartitionTable { .. } => "PARTITION TABLE",
-            Smo::DecomposeTable { .. } => "DECOMPOSE TABLE",
-            Smo::MergeTables { .. } => "MERGE TABLES",
-            Smo::AddColumn { .. } => "ADD COLUMN",
-            Smo::DropColumn { .. } => "DROP COLUMN",
-            Smo::RenameColumn { .. } => "RENAME COLUMN",
-        }
-    }
-}
-
 impl fmt::Display for Smo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -196,7 +167,6 @@ mod tests {
             schema,
         };
         assert_eq!(smo.to_string(), "CREATE TABLE t (1 columns)");
-        assert_eq!(smo.operator_name(), "CREATE TABLE");
 
         let smo = Smo::DecomposeTable {
             input: "R".into(),

@@ -56,4 +56,4 @@ pub use pred::{CmpOp, CompiledPredicate, Predicate};
 pub use query::{Query, QueryError, QueryOutput, ResolvedQuery, STREAM_BATCH_ROWS};
 pub use rowset::{RowColumn, RowSet};
 pub use stream::{RowBatch, ScanStream};
-pub use text::{find_unquoted, parse_predicate, parse_query};
+pub use text::parse_query;

@@ -1,7 +1,7 @@
-//! The text grammar of reads and predicates — the one place statement
-//! text becomes a [`Predicate`] or a [`Query`]. Both shells parse the four
-//! read statements here, and `cods::parser` parses `PARTITION … WHERE`
-//! through [`parse_predicate`]:
+//! The text grammar of reads and predicates, and the workspace's one
+//! tokenizer. Both shells parse the four read statements here, and
+//! `cods::parser` parses the SMO statements and scripts on the same
+//! [`Cursor`], `PARTITION … WHERE` through [`Cursor::predicate`]:
 //!
 //! ```text
 //! count <table> [where <predicate>]
@@ -15,45 +15,47 @@
 //! agg op    := count | distinct | sum | min | max
 //! ```
 //!
-//! Keywords are case-insensitive, names are not. Text between single
-//! quotes is opaque to every rule here, comment and statement splitting
-//! included ([`find_unquoted`]).
+//! One lexical rule serves every statement. A token is a word, a
+//! `'quoted'` string, one of `= != < <= > >=`, or one of `, ( ) ;`. A word
+//! runs up to whitespace, a quote or one of those symbols. Keywords are
+//! case-insensitive, names are not. `#` or `--` where a token would start
+//! begins a comment that runs to the end of the line; inside a word both
+//! are ordinary characters, so `C#`, `x--y` and `-5` are words. An unquoted
+//! literal is one word. A read takes no `;`.
 
 use crate::agg::AggOp;
 use crate::pred::{CmpOp, Predicate};
 use crate::query::Query;
 use cods_storage::Value;
+use std::ops::Range;
 
-/// Byte offset of the first occurrence of `pat` (ASCII, matched
-/// case-insensitively) in `s` that lies outside single quotes.
-pub fn find_unquoted(s: &str, pat: &str) -> Option<usize> {
-    let (bytes, pat) = (s.as_bytes(), pat.as_bytes());
-    let mut quoted = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        let here = || bytes[i..].get(..pat.len());
-        if b == b'\'' {
-            quoted = !quoted;
-        } else if !quoted && here().is_some_and(|w| w.eq_ignore_ascii_case(pat)) {
-            return Some(i);
-        }
-    }
-    None
-}
-
+/// One token of statement text.
 #[derive(Clone, Copy, Debug, PartialEq)]
-enum Tok<'a> {
+pub enum Tok<'a> {
+    /// A word: a keyword, a name or an unquoted literal.
     Word(&'a str),
+    /// The text between single quotes.
     Quoted(&'a str),
+    /// A comparison operator.
     Cmp(CmpOp),
-    Comma,
+    /// One of `,`, `(`, `)` and `;`.
+    Punct(char),
 }
 
-/// The unparsed rest of a statement.
-struct Cursor<'a>(&'a str);
+/// A token cursor over statement text.
+pub struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
 
 impl<'a> Cursor<'a> {
-    /// The next token and the input after it; `None` at the end.
-    fn split(&self) -> Result<Option<(Tok<'a>, &'a str)>, String> {
+    /// A cursor at the start of `text`.
+    pub fn new(text: &'a str) -> Cursor<'a> {
+        Cursor { text, pos: 0 }
+    }
+
+    /// The next token and its source span; `None` at the end.
+    fn split(&self) -> Result<Option<(Tok<'a>, Range<usize>)>, String> {
         use CmpOp::*;
         let ops = [
             ("!=", Ne),
@@ -63,7 +65,14 @@ impl<'a> Cursor<'a> {
             ("<", Lt),
             (">", Gt),
         ];
-        let s = self.0.trim_start();
+        let mut s = &self.text[self.pos..];
+        loop {
+            s = s.trim_start();
+            if !(s.starts_with('#') || s.starts_with("--")) {
+                break;
+            }
+            s = s.find('\n').map_or("", |i| &s[i..]);
+        }
         let (tok, len) = if s.is_empty() {
             return Ok(None);
         } else if let Some(body) = s.strip_prefix('\'') {
@@ -71,54 +80,88 @@ impl<'a> Cursor<'a> {
                 .find('\'')
                 .ok_or_else(|| format!("unterminated quote in {s:?}"))?;
             (Tok::Quoted(&body[..end]), end + 2)
-        } else if s.starts_with(',') {
-            (Tok::Comma, 1)
+        } else if let Some(c) = s.chars().next().filter(|c| ",();".contains(*c)) {
+            (Tok::Punct(c), 1)
         } else if let Some((sym, op)) = ops.iter().find(|(sym, _)| s.starts_with(sym)) {
             (Tok::Cmp(*op), sym.len())
         } else {
-            let end = s.find(|c: char| c.is_whitespace() || "',=<>!".contains(c));
+            let end = s.find(|c: char| c.is_whitespace() || "',=<>!();".contains(c));
             match end.unwrap_or(s.len()) {
                 0 => return Err(format!("expected `!=` at {s:?}")),
                 end => (Tok::Word(&s[..end]), end),
             }
         };
-        Ok(Some((tok, &s[len..])))
+        let start = self.text.len() - s.len();
+        Ok(Some((tok, start..start + len)))
     }
 
-    fn next(&mut self) -> Result<Option<Tok<'a>>, String> {
-        Ok(self.split()?.map(|(tok, rest)| {
-            self.0 = rest;
+    /// `got <the next token>` for an error message.
+    fn got(&self) -> String {
+        match self.split() {
+            Ok(Some((_, span))) => format!("got {:?}", &self.text[span]),
+            Ok(None) => "got end of statement".into(),
+            Err(e) => e,
+        }
+    }
+
+    /// Consumes and returns the next token; `None` at the end.
+    pub fn token(&mut self) -> Result<Option<Tok<'a>>, String> {
+        Ok(self.split()?.map(|(tok, span)| {
+            self.pos = span.end;
             tok
         }))
     }
 
-    /// Consumes the next token when it is the keyword `kw`.
-    fn keyword(&mut self, kw: &str) -> Result<bool, String> {
+    /// The next token, not consumed.
+    pub fn peek(&self) -> Result<Option<Tok<'a>>, String> {
+        Ok(self.split()?.map(|(tok, _)| tok))
+    }
+
+    /// Consumes the next token when it is `what`: a keyword (matched
+    /// case-insensitively) or one of `, ( ) ;`.
+    pub fn eat(&mut self, what: &str) -> Result<bool, String> {
         match self.split()? {
-            Some((Tok::Word(w), rest)) if w.eq_ignore_ascii_case(kw) => {
-                self.0 = rest;
+            Some((Tok::Word(_) | Tok::Punct(_), span))
+                if self.text[span.clone()].eq_ignore_ascii_case(what) =>
+            {
+                self.pos = span.end;
                 Ok(true)
             }
             _ => Ok(false),
         }
     }
 
-    fn word(&mut self, what: &str) -> Result<&'a str, String> {
-        match self.next()? {
-            Some(Tok::Word(w)) => Ok(w),
-            Some(other) => Err(format!("expected {what}, got {other:?}")),
-            None => Err(format!("expected {what}, got end of statement")),
+    /// Consumes `what` (see [`eat`](Cursor::eat)) or says it is missing.
+    pub fn expect(&mut self, what: &str) -> Result<(), String> {
+        match self.eat(what)? {
+            true => Ok(()),
+            false => Err(format!(
+                "expected `{}`, {}",
+                what.to_ascii_uppercase(),
+                self.got()
+            )),
+        }
+    }
+
+    /// Consumes a word; `what` names it in the error when the next token
+    /// is not one.
+    pub fn word(&mut self, what: &str) -> Result<&'a str, String> {
+        match self.split()? {
+            Some((Tok::Word(w), span)) => {
+                self.pos = span.end;
+                Ok(w)
+            }
+            _ => Err(format!("expected {what}, {}", self.got())),
         }
     }
 
     /// `item (, item)*`
-    fn list<T>(
+    pub fn list<T, E: From<String>>(
         &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<T, String>,
-    ) -> Result<Vec<T>, String> {
+        mut item: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
         let mut items = vec![item(self)?];
-        while matches!(self.split()?, Some((Tok::Comma, _))) {
-            self.next()?;
+        while self.eat(",")? {
             items.push(item(self)?);
         }
         Ok(items)
@@ -128,34 +171,48 @@ impl<'a> Cursor<'a> {
         self.list(|c| c.word(what).map(str::to_string))
     }
 
-    // Both chains nest to the right: `a OR b OR c` is `a OR (b OR c)`.
-    fn or_expr(&mut self) -> Result<Predicate, String> {
+    /// Refuses any token left in the statement.
+    pub fn end(&self) -> Result<(), String> {
+        match self.split()? {
+            None => Ok(()),
+            Some((_, span)) => Err(format!(
+                "unexpected {:?} at the end of the statement",
+                &self.text[span]
+            )),
+        }
+    }
+
+    /// Parses a predicate, leaving the cursor at the first token it cannot
+    /// use. The only function in the workspace that turns predicate text
+    /// into a [`Predicate`]. Both chains nest to the right: `a OR b OR c`
+    /// is `a OR (b OR c)`.
+    pub fn predicate(&mut self) -> Result<Predicate, String> {
         let left = self.and_expr()?;
-        Ok(match self.keyword("or")? {
-            true => left.or(self.or_expr()?),
+        Ok(match self.eat("or")? {
+            true => left.or(self.predicate()?),
             false => left,
         })
     }
 
     fn and_expr(&mut self) -> Result<Predicate, String> {
         let left = self.not_expr()?;
-        Ok(match self.keyword("and")? {
+        Ok(match self.eat("and")? {
             true => left.and(self.and_expr()?),
             false => left,
         })
     }
 
     fn not_expr(&mut self) -> Result<Predicate, String> {
-        if self.keyword("not")? {
+        if self.eat("not")? {
             return Ok(self.not_expr()?.not());
         }
         let column = self.word("a column name")?.to_string();
-        let Some(Tok::Cmp(op)) = self.next()? else {
+        let Some(Tok::Cmp(op)) = self.token()? else {
             return Err(format!(
                 "expected one of = != < <= > >= after column {column:?}"
             ));
         };
-        let literal = match self.next()? {
+        let literal = match self.token()? {
             Some(Tok::Quoted(s)) => Value::str(s),
             Some(Tok::Word(w)) => {
                 if let Ok(i) = w.parse::<i64>() {
@@ -179,21 +236,27 @@ impl<'a> Cursor<'a> {
 
     /// `[where <predicate>]`
     fn where_clause(&mut self) -> Result<Predicate, String> {
-        match self.keyword("where")? {
-            true => self.or_expr(),
+        match self.eat("where")? {
+            true => self.predicate(),
             false => Ok(Predicate::True),
         }
     }
 }
 
-/// Parses the predicate at the start of `text` and returns it with the
-/// unparsed rest (for `PARTITION … WHERE <predicate> INTO …`). The only
-/// function in the workspace that turns predicate text into a
-/// [`Predicate`].
-pub fn parse_predicate(text: &str) -> Result<(Predicate, &str), String> {
-    let mut cur = Cursor(text);
-    let predicate = cur.or_expr()?;
-    Ok((predicate, cur.0.trim_start()))
+/// Splits `text` at its `;` tokens into the source of each statement that
+/// holds a token, comments left out.
+pub fn statements(text: &str) -> Result<Vec<&str>, String> {
+    let mut cur = Cursor::new(text);
+    let (mut out, mut span) = (Vec::new(), None::<Range<usize>>);
+    while let Some((tok, at)) = cur.split()? {
+        cur.pos = at.end;
+        match tok {
+            Tok::Punct(';') => out.extend(span.take().map(|s| &text[s])),
+            _ => span = Some(span.map_or(at.start, |s| s.start)..at.end),
+        }
+    }
+    out.extend(span.map(|s| &text[s]));
+    Ok(out)
 }
 
 /// `op:col` → aggregate spec.
@@ -216,7 +279,7 @@ fn agg_spec(cur: &mut Cursor<'_>) -> Result<(AggOp, String), String> {
 /// Parses one read statement (`count`, `scan`, `agg` or `join`; see the
 /// module docs for the syntax).
 pub fn parse_query(text: &str) -> Result<Query, String> {
-    let mut cur = Cursor(text);
+    let mut cur = Cursor::new(text);
     let verb = cur.word("count, scan, agg or join")?;
     let table = cur.word("a table name")?.to_string();
     let query = match verb.to_ascii_lowercase().as_str() {
@@ -225,7 +288,7 @@ pub fn parse_query(text: &str) -> Result<Query, String> {
             predicate: cur.where_clause()?,
         },
         "scan" => {
-            let projection = match cur.keyword("select")? {
+            let projection = match cur.eat("select")? {
                 true => Some(cur.names("a column name")?),
                 false => None,
             };
@@ -236,10 +299,10 @@ pub fn parse_query(text: &str) -> Result<Query, String> {
             }
         }
         "agg" => {
-            if !cur.keyword("by")? {
+            if !cur.eat("by")? {
                 return Err("usage: agg <table> by <c1,c2|-> <op:col,…> [where …]".into());
             }
-            let group_by = match cur.keyword("-")? {
+            let group_by = match cur.eat("-")? {
                 true => Vec::new(),
                 false => cur.names("a grouping column or -")?,
             };
@@ -252,12 +315,12 @@ pub fn parse_query(text: &str) -> Result<Query, String> {
         }
         "join" => {
             let right = cur.word("the right table name")?.to_string();
-            if !cur.keyword("on")? {
+            if !cur.eat("on")? {
                 return Err("usage: join <left> <right> on <lcol=rcol,…>".into());
             }
             let pairs = cur.list(|c| {
                 let left = c.word("a key pair lcol=rcol")?.to_string();
-                match (c.next()?, c.next()?) {
+                match (c.token()?, c.token()?) {
                     (Some(Tok::Cmp(CmpOp::Eq)), Some(Tok::Word(right))) => {
                         Ok((left, right.to_string()))
                     }
@@ -274,20 +337,24 @@ pub fn parse_query(text: &str) -> Result<Query, String> {
         }
         other => return Err(format!("{other:?} is not count, scan, agg or join")),
     };
-    match cur.0.trim() {
-        "" => Ok(query),
-        rest => Err(format!("unexpected {rest:?} at the end of the statement")),
-    }
+    cur.end()?;
+    Ok(query)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The predicate that is all of `text`.
+    fn parse_predicate(text: &str) -> Result<Predicate, String> {
+        let mut cur = Cursor::new(text);
+        let predicate = cur.predicate()?;
+        cur.end()?;
+        Ok(predicate)
+    }
+
     fn pred(text: &str) -> Predicate {
-        let (p, rest) = parse_predicate(text).unwrap();
-        assert_eq!(rest, "", "{text}");
-        p
+        parse_predicate(text).unwrap()
     }
 
     fn cmp(column: &str, op: CmpOp, literal: impl Into<Value>) -> Predicate {
@@ -363,20 +430,41 @@ mod tests {
 
     #[test]
     fn predicate_stops_at_the_first_token_it_cannot_use() {
-        let (p, rest) = parse_predicate("k < 10 AND v = 'into x' INTO lo, hi").unwrap();
+        let mut cur = Cursor::new("k < 10 AND v = 'into x' INTO lo, hi");
         assert_eq!(
-            p,
+            cur.predicate().unwrap(),
             cmp("k", CmpOp::Lt, 10i64).and(cmp("v", CmpOp::Eq, "into x"))
         );
-        assert_eq!(rest, "INTO lo, hi");
+        assert_eq!(cur.token().unwrap(), Some(Tok::Word("INTO")));
+        assert_eq!(cur.names("a name").unwrap(), ["lo", "hi"]);
+        cur.end().unwrap();
     }
 
     #[test]
-    fn find_unquoted_skips_quoted_text_and_ignores_case() {
-        assert_eq!(find_unquoted("a 'x -- y' -- c", "--"), Some(11));
-        assert_eq!(find_unquoted("'#'", "#"), None);
-        assert_eq!(find_unquoted("t WHERE k", " where "), Some(1));
-        assert_eq!(find_unquoted("né;", ";"), Some(3));
+    fn comments_start_only_where_a_token_would() {
+        let words = |text| {
+            let mut cur = Cursor::new(text);
+            std::iter::from_fn(|| cur.token().unwrap()).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            words("C# x--y -5 # note"),
+            [Tok::Word("C#"), Tok::Word("x--y"), Tok::Word("-5")]
+        );
+        assert_eq!(
+            words("a,-- note\n'#'(#\n)"),
+            [
+                Tok::Word("a"),
+                Tok::Punct(','),
+                Tok::Quoted("#"),
+                Tok::Punct('('),
+                Tok::Punct(')')
+            ]
+        );
+        assert_eq!(
+            statements("a 'x;y'; ;b # c; d\n").unwrap(),
+            ["a 'x;y'", "b"]
+        );
+        assert_eq!(statements("né;").unwrap(), ["né"]);
     }
 
     #[test]

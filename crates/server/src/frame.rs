@@ -29,6 +29,7 @@
 //! * [`FrameError::TooLarge`] — declared length above the negotiated cap,
 //!   rejected *before* allocating.
 
+use cods_storage::codec::Reader;
 use cods_storage::wal::checksum;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -124,12 +125,11 @@ pub fn read_preamble(r: &mut impl Read) -> Result<u16, FrameError> {
     // No bytes at all is a hang-up; a partial preamble is a torn stream.
     read_exact_or(r, &mut buf[..1], FrameError::Eof)?;
     read_exact_or(r, &mut buf[1..], FrameError::Torn)?;
-    let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-    let version = u16::from_le_bytes(buf[4..6].try_into().unwrap());
-    if magic != SERVE_MAGIC || version != PROTO_VERSION {
-        return Err(FrameError::Corrupt);
+    let mut fields = Reader::new(&buf);
+    match (fields.u32(), fields.u16()) {
+        (Ok(SERVE_MAGIC), Ok(PROTO_VERSION)) => Ok(PROTO_VERSION),
+        _ => Err(FrameError::Corrupt),
     }
-    Ok(version)
 }
 
 /// Writes one `kind` frame carrying `payload`, checksummed. The frame is
@@ -154,8 +154,10 @@ pub fn read_frame(r: &mut impl Read, max_payload: u32) -> Result<(u8, Vec<u8>), 
     // anywhere later is a torn frame.
     read_exact_or(r, &mut head[..1], FrameError::Eof)?;
     read_exact_or(r, &mut head[1..], FrameError::Torn)?;
-    let kind = head[0];
-    let len = u32::from_le_bytes(head[1..5].try_into().unwrap());
+    let mut fields = Reader::new(&head);
+    let (Ok(kind), Ok(len)) = (fields.u8(), fields.u32()) else {
+        return Err(FrameError::Torn);
+    };
     if len > max_payload {
         return Err(FrameError::TooLarge {
             declared: len,

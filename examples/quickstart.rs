@@ -64,8 +64,8 @@ fn main() {
     println!("round trip verified: R == decompose ∘ merge (R)");
 
     // 5. The same round trip as one *planned* script: validated up front
-    //    against a catalog snapshot, executed with fusion + DAG
-    //    parallelism, committed atomically — S2/T2 never enter the
+    //    against a catalog snapshot, executed as a DAG of one node per
+    //    operator, committed atomically — S2/T2 never enter the
     //    catalog, and a failure anywhere would have left it untouched.
     let fresh = Cods::new();
     fresh.catalog().create(figure1::table_r()).unwrap();

@@ -1,7 +1,8 @@
 //! Integration tests of the planned evolution surface: whole-script
-//! validation, DAG parallelism across independent branches, fusion over
-//! mixed-encoding tables, atomic commit semantics, and the documented
-//! partial-mutation behavior of the `execute_all` compatibility path.
+//! validation, DAG parallelism across independent branches, column
+//! operators over mixed-encoding tables, atomic commit semantics, and the
+//! documented partial-mutation behavior of the `execute_all` compatibility
+//! path.
 
 use cods::{Cods, EvolutionError, Smo};
 use cods_storage::{Encoding, StorageError};
@@ -41,8 +42,8 @@ fn planned_script_equals_sequential_on_generated_workload() {
 
     let planned = platform_with("R", 4_000);
     let plan = planned.plan_script(script).unwrap();
-    // Ten operators, nine nodes: the two column ops fused into one.
-    assert_eq!(plan.nodes().len(), 9);
+    // Ten operators, ten nodes: each operator runs through its own executor.
+    assert_eq!(plan.nodes().len(), 10);
     let report = plan.execute().unwrap();
     // Every intermediate lived in the plan's workspace only: one table
     // lands, in one catalog version bump (seed create + one commit),

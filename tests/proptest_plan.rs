@@ -205,7 +205,7 @@ proptest! {
                 // than the eager path did.
                 prop_assert!(report.committed_puts <= report.staged_puts);
                 // History carries one record per original operator on both
-                // sides (fused chains keep their per-plan grouping).
+                // sides.
                 prop_assert!(!planned.history().is_empty());
             }
             Err(_) => {
@@ -220,7 +220,7 @@ proptest! {
     }
 
     #[test]
-    fn planned_random_column_chains_fuse_correctly(
+    fn planned_random_column_chains_match_sequential(
         ops in prop::collection::vec(
             prop_oneof![
                 (0usize..6, -9i64..9).prop_map(|(c, v)| OpSpec::AddCol(0, c, v)),
@@ -231,10 +231,10 @@ proptest! {
         ),
         enc in 0u8..2,
     ) {
-        // Pure column chains on one table: the plan collapses to a single
-        // fused node, which must agree byte-for-byte with the sequential
-        // application whatever the add/drop/rename interleaving does —
-        // including cancelled adds and renames of renamed columns.
+        // Pure column chains on one table: one node per operator, and the
+        // plan must agree byte-for-byte with the sequential application
+        // whatever the add/drop/rename interleaving does — including
+        // cancelled adds and renames of renamed columns.
         let rle = enc & 1 != 0;
         let smos: Vec<Smo> = ops.iter().map(to_smo).collect();
         let sequential = platform(rle, false);
@@ -245,9 +245,9 @@ proptest! {
         match seq_result {
             Ok(_) => {
                 let plan = plan.expect("sequential succeeded, planning must too");
-                // An uninterrupted column chain on one table is one node.
-                prop_assert_eq!(plan.nodes().len(), 1);
-                plan.execute().expect("fused execution must succeed");
+                // A chain of n column operators is n nodes.
+                prop_assert_eq!(plan.nodes().len(), ops.len());
+                plan.execute().expect("planned execution must succeed");
                 prop_assert_eq!(catalog_bytes(&sequential), catalog_bytes(&planned));
             }
             Err(_) => {
