@@ -90,8 +90,9 @@ echo "wal $tmp/d/d.cods" > "$tmp/wal.cods"
 "$cods" "$tmp/wal.cods" > "$tmp/wal.out"
 cat "$tmp/wal.out"
 grep -q -E '^  v[0-9]+: ' "$tmp/wal.out"
-# The journal, the log and its records: there is no other file kind to list.
-test -z "$(grep -v -E '^(CODS |journal: |commit log: |  v[0-9]+: |$)' "$tmp/wal.out")"
+# The committed slot, the log and its records: there is no other file kind
+# to list.
+test -z "$(grep -v -E '^(CODS |committed: |commit log: |  v[0-9]+: |$)' "$tmp/wal.out")"
 "$cods" serve "$addr" --durable "$tmp/d/d.cods" &
 server=$!
 await

@@ -65,7 +65,7 @@ local shell only:
   vacuum <file>                                    compact a saved catalog's payload heap
                                                    (re-open afterwards to pick it up)
   wal <file>                                       durability status of a saved catalog:
-                                                   rollback journal and commit log
+                                                   committed slot and commit log
 cods connect only:
   ping | refresh | metrics | stats <table>         liveness, re-pin the session snapshot,
                                                    server counters, table statistics
@@ -594,16 +594,12 @@ pub fn run_command(cods: &mut Cods, line: &str, out: &mut impl Write) -> Result<
                 return Err("usage: wal <file>".into());
             };
             let path = std::path::Path::new(file);
-            let journal = match cods_storage::journal_status(path) {
-                cods_storage::JournalStatus::Absent => "none (no save in progress)".to_string(),
-                cods_storage::JournalStatus::Sealed { bytes } => {
-                    format!("sealed, {bytes} bytes (an interrupted save will roll back on open)")
-                }
-                cods_storage::JournalStatus::Torn { bytes } => {
-                    format!("torn, {bytes} bytes (crashed before seal; discarded on open)")
-                }
+            let committed = match cods_storage::persist::committed_slot(path) {
+                Ok((generation, slot)) => format!("generation {generation} in slot {slot}"),
+                Err(_) if !path.exists() => "none (no table file yet)".to_string(),
+                Err(e) => e.to_string(),
             };
-            writeln!(out, "journal: {journal}").ok();
+            writeln!(out, "committed: {committed}").ok();
             let s = cods_storage::log_status(path).map_err(|e| e.to_string())?;
             if !s.exists {
                 writeln!(out, "commit log: none (catalog not opened durably)").ok();
@@ -707,6 +703,7 @@ mod tests {
         run(&mut durable, "RENAME TABLE R TO R2");
         run(&mut durable, "ADD COLUMN note str DEFAULT 'n/a' TO R2");
         let text = run(&mut durable, &format!("wal {}", file.display()));
+        assert!(text.contains("committed: generation 1 in slot 0"), "{text}");
         assert!(text.contains("2 record(s) pending checkpoint"), "{text}");
         assert!(
             text.contains("drops [R], puts [R2 (3 referenced, 0 carried, 0 bytes)]"),

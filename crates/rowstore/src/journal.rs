@@ -11,12 +11,10 @@
 //! not the algorithms).
 //!
 //! The on-disk records are [`cods_storage::wal::JournalWriter`] frames —
-//! the same checksummed format the column store's crash-safe save protocol
-//! journals with — with the page number as the frame tag and the 8 KiB
-//! before-image as the payload. This journal never *seals* (sealing is
-//! the fsync this model elides), which also means a leftover file is
-//! always read back as torn and discarded, exactly what rollback-journal
-//! semantics want for a journal whose transaction never committed.
+//! the same checksummed format the column store's commit log appends —
+//! with the page number as the frame tag and the 8 KiB before-image as the
+//! payload. Nothing reads the file back: the fsync that would make it a
+//! recovery source is what this model elides.
 
 use crate::page::PAGE_SIZE;
 use cods_storage::wal::JournalWriter;

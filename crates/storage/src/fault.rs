@@ -1,6 +1,6 @@
-//! Crash-point fault injection for the durability test-suite.
+//! Crash-point and I/O-failure injection for the durability test-suite.
 //!
-//! Every filesystem *mutation* on the save / journal / vacuum paths goes
+//! Every filesystem *mutation* on the save / commit-log / vacuum paths goes
 //! through the wrappers in this module. When the layer is disarmed (the
 //! default) each wrapper is a thread-local read plus the real syscall, so
 //! production cost is negligible. A test arms the layer with a **unit
@@ -12,6 +12,14 @@
 //! save therefore simulates a power cut at every byte boundary *and* at
 //! every boundary between syscalls.
 //!
+//! [`arm_failure`] arms the same budget for a failure the process
+//! survives: the mutation at the first unit past the budget returns an
+//! `io::Error` — a write stops mid-buffer (a short write, failing like
+//! ENOSPC), any other mutation fails like EIO — and the layer disarms, so
+//! whatever the caller does next reaches the disk. Sweeping that budget
+//! checks that a failed operation leaves a state the same process can
+//! retry from.
+//!
 //! The state is thread-local on purpose: a crash test arms only its own
 //! thread, so concurrently running tests (and background vacuum threads)
 //! keep saving normally. Reads are deliberately not faulted: a crash
@@ -20,9 +28,9 @@
 //!
 //! While armed, the layer also keeps a per-thread [`trace`] of the
 //! mutations that went through, so a test can assert a protocol's exact
-//! order — that the journal is synced before the target is touched, or
-//! that every create, rename and unlink a commit depends on is followed by
-//! a sync of its directory ([`sync_dir`]).
+//! order — that a save's new bytes are synced before its commit slot is
+//! written, or that every create, rename and unlink a commit depends on is
+//! followed by a sync of its directory ([`sync_dir`]).
 
 use std::cell::{Cell, RefCell};
 use std::fs::File;
@@ -38,6 +46,9 @@ thread_local! {
     /// Set once the budget is exhausted: the modeled process is "dead" and
     /// every further mutation fails.
     static DEAD: Cell<bool> = const { Cell::new(false) };
+    /// Armed by [`arm_failure`]: the exhausting mutation fails and the
+    /// layer disarms instead of dying.
+    static SURVIVE: Cell<bool> = const { Cell::new(false) };
     /// Units consumed since the last [`arm`] — used by tests to size a sweep.
     static UNITS: Cell<u64> = const { Cell::new(0) };
     /// Mutations performed since the last [`arm`].
@@ -74,9 +85,21 @@ fn file_name(path: &Path) -> String {
 /// mutation succeed, everything after fails. Resets the [`units`] counter
 /// and the [`trace`].
 pub fn arm(budget: u64) {
+    arm_as(budget, false);
+}
+
+/// Arm the layer on this thread for one failure the process survives: the
+/// next `budget` units succeed, the mutation that needs the next one fails
+/// (a write after writing what fit), and the layer disarms itself.
+pub fn arm_failure(budget: u64) {
+    arm_as(budget, true);
+}
+
+fn arm_as(budget: u64, survive: bool) {
     UNITS.with(|u| u.set(0));
     TRACE.with(|t| t.borrow_mut().clear());
     DEAD.with(|d| d.set(false));
+    SURVIVE.with(|s| s.set(survive));
     BUDGET.with(|b| b.set(budget.min(UNLIMITED as u64 - 1) as i64));
 }
 
@@ -106,12 +129,23 @@ fn armed() -> bool {
     BUDGET.with(|b| b.get()) != UNLIMITED
 }
 
-fn injected() -> io::Error {
-    io::Error::other("injected crash (fault budget exhausted)")
+/// The error of the mutation that exhausted the budget: after
+/// [`arm_failure`], ENOSPC for a write and EIO for anything else; after
+/// [`arm`], the crash.
+fn injected(write: bool) -> io::Error {
+    match (SURVIVE.with(|s| s.get()), write) {
+        (true, true) => io::Error::new(
+            io::ErrorKind::StorageFull,
+            "injected short write (no space left on device)",
+        ),
+        (true, false) => io::Error::other("injected I/O error (EIO)"),
+        (false, _) => io::Error::other("injected crash (fault budget exhausted)"),
+    }
 }
 
-/// Charge `n` units against the budget. Returns how many of them fit;
-/// marks the modeled process dead if any did not.
+/// Charge `n` units against the budget. Returns how many of them fit; if
+/// any did not, marks the modeled process dead — or, armed by
+/// [`arm_failure`], disarms the layer.
 fn charge(n: u64) -> u64 {
     if DEAD.with(|d| d.get()) {
         return 0;
@@ -123,7 +157,11 @@ fn charge(n: u64) -> u64 {
     });
     let granted = (before.max(0) as u64).min(n);
     if granted < n {
-        DEAD.with(|d| d.set(true));
+        if SURVIVE.with(|s| s.get()) {
+            BUDGET.with(|b| b.set(UNLIMITED));
+        } else {
+            DEAD.with(|d| d.set(true));
+        }
     }
     UNITS.with(|u| u.set(u.get() + granted));
     granted
@@ -138,7 +176,7 @@ pub(crate) fn write_all(f: &mut File, buf: &[u8]) -> io::Result<()> {
     let granted = charge(buf.len() as u64) as usize;
     f.write_all(&buf[..granted])?;
     if granted < buf.len() {
-        return Err(injected());
+        return Err(injected(true));
     }
     record(Mutation::Write);
     Ok(())
@@ -153,7 +191,7 @@ fn mutation(m: Mutation) -> io::Result<()> {
         record(m);
         Ok(())
     } else {
-        Err(injected())
+        Err(injected(false))
     }
 }
 
@@ -215,7 +253,7 @@ pub(crate) fn create(path: &Path) -> io::Result<File> {
 /// dead modeled process cannot issue new syscalls either.
 pub(crate) fn open_rw(path: &Path) -> io::Result<File> {
     if armed() && DEAD.with(|d| d.get()) {
-        return Err(injected());
+        return Err(injected(false));
     }
     std::fs::OpenOptions::new()
         .read(true)
@@ -261,6 +299,20 @@ mod tests {
         assert!(set_len(&f, 0).is_err());
         disarm();
         assert_eq!(std::fs::read(&path).unwrap(), b"hell");
+
+        // A failure the process survives: the short write is an ENOSPC
+        // error, and the layer is disarmed after it.
+        arm_failure(1 + 4);
+        let mut f = create(&path).unwrap();
+        let err = write_all(&mut f, b"hello world").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        write_all(&mut f, b"!").unwrap();
+        sync(&f).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"hell!");
+        arm_failure(0);
+        assert!(sync(&f).is_err(), "EIO on the first unit");
+        sync(&f).unwrap();
+        disarm();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

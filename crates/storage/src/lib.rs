@@ -35,13 +35,16 @@
 //!   a catalog index, segment payloads left on disk for lazy opens, and
 //!   re-saves that encode only the tables that changed; any other version
 //!   is refused).
-//! * [`wal`] — the rollback journal that makes every save crash-safe
-//!   (journal-then-overwrite appends, temp+rename rewrites, recovery on
-//!   open); [`commitlog`] — the SMO-granularity commit log that makes every
+//!   A file commits itself: a save writes into free space, syncs, and then
+//!   overwrites the older of the file's two checksummed commit slots, and
+//!   an open reads the newer valid slot without writing anything.
+//! * [`wal`] — the checksummed frame format, its checksum and the per-file
+//!   save lock; [`commitlog`] — the SMO-granularity commit log that makes every
 //!   *evolution commit* crash-safe (group-commit appends, checkpoint +
 //!   replay recovery via [`open_durable`]); [`vacuum`] — explicit and
 //!   threshold-triggered background heap compaction; [`fault`] — the
-//!   crash-point injection layer the durability suite sweeps.
+//!   crash-point and I/O-failure injection layer the durability suite
+//!   sweeps.
 //!
 //! ```
 //! use cods_storage::{Schema, Table, Value, ValueType};
@@ -106,4 +109,4 @@ pub use vacuum::{
     AutoVacuum, HeapStats, VacuumReport,
 };
 pub use value::{OrderedF64, Value, ValueType};
-pub use wal::{journal_status, JournalStatus, JournalWriter, Recovery};
+pub use wal::JournalWriter;

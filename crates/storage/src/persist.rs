@@ -1,17 +1,18 @@
 //! Binary persistence of tables and catalogs.
 //!
-//! There is one on-disk format (version 8). A file is a heap of segment
-//! payloads and per-table metadata blocks, a small index naming the blocks,
-//! and a footer pointing at the index. A column opens as *metadata only* —
+//! There is one on-disk format (version 9). A file is a preamble, two
+//! commit slots, and a heap of segment payloads, per-table metadata blocks
+//! and the index naming the blocks. A column opens as *metadata only* —
 //! schema, dictionary, per-segment stats, zone maps, encoding/pin tags —
 //! while segment payloads stay on disk and fault in through the buffer
 //! cache ([`crate::store`]) on first touch:
 //!
 //! ```text
-//! file     := preamble heap index footer
+//! file     := preamble slot slot heap
 //! preamble := magic:u32 version:u16
-//! heap     := (payload | block)*                   (below the index)
-//! footer   := index_off:u64 magic:u32              (the last 12 bytes)
+//! slot     := generation:u64 index_off:u64 index_len:u64
+//!             index_sum:u64 slot_sum:u64
+//! heap     := (payload | block | index | free)*        (past the slots)
 //! index    := entry                                (table file)
 //! index    := version:u64 table_count:u32 entry*   (catalog file)
 //! entry    := name:str block_off:u64 block_len:u64
@@ -28,6 +29,16 @@
 //! value, str, schema                               ([`crate::codec`])
 //! ```
 //!
+//! A slot is valid when `slot_sum` is the checksum ([`wal::checksum`]) of
+//! its four fields. The file's committed state is the one the valid slot
+//! with the higher `generation` names: its index lies at `index_off`, is
+//! `index_len` bytes long and checksums to `index_sum`. A fresh image
+//! commits generation 1 in the first slot and leaves the second zeroed,
+//! which is invalid. Opening reads the two slots and that index and
+//! writes nothing; if neither slot is valid, both name one generation, or
+//! the newer one names an index the file does not hold, the open is
+//! [`StorageError::Corrupt`].
+//!
 //! `off`/`len` locate a segment's payload in the heap (bitmap segments are
 //! the concatenation of each present id's WAH stream in id order, RLE
 //! segments the run-sequence codec); `rows`/`runs`/`bytes`/ids/ones are the
@@ -35,8 +46,8 @@
 //! distinct (`Arc`-shared) segment once, however many columns or table
 //! versions reference it, and a decode re-shares slots with identical
 //! locations. A block is self-contained: it decodes on its own and names
-//! the table its entry names. Every block lies below the index, no two
-//! overlap, and no two entries share a name.
+//! the table its entry names. Every block lies in the heap, no two blocks
+//! overlap each other or the index, and no two entries share a name.
 //!
 //! A catalog file's `version` is the [`Catalog::version`] of the content it
 //! holds, written by every writer of a catalog file (append-save, rewrite,
@@ -48,18 +59,26 @@
 //! *append*, and it writes what changed. A table whose `Arc` is the one the
 //! file's committed index was written from or decoded into keeps its block,
 //! referenced by offset exactly like a reused payload; only the other
-//! tables are encoded. The save overwrites `[cut, EOF)` under the rollback
-//! journal ([`crate::wal`]), where `cut` is the end of the last extent that
-//! must survive: a reused block, or a payload that a live in-memory slot
-//! may still fault in from. From `cut` on it writes the new payloads, the
-//! new blocks, the index and the footer. After any save, freshly built
-//! segments adopt their new on-disk location and become evictable.
+//! tables are encoded. Free space is derived, never stored: every heap byte
+//! that neither the committed state references (its index, blocks and
+//! their payloads) nor a live in-memory slot may fault in from. Each new
+//! payload, each new block and the index go at the lowest free offset that
+//! holds them, else past the end. The save syncs them, then overwrites the
+//! slot holding the *older* generation with the next one and syncs again —
+//! that slot write is the commit point — and finally cuts the file after
+//! the last extent the new state or a live slot keeps. The protocol assumes
+//! a write cut short changes no byte outside its own range: the preamble
+//! and both slots share one sector, and a new extent may share a page with
+//! bytes the committed state needs. After any save, freshly built segments
+//! adopt their new on-disk location and become evictable. A first save, a
+//! save that shares nothing with its target, and a vacuum write a fresh
+//! image to a temp file and rename it over the target.
 //!
 //! A preamble carrying any other version is refused with
 //! `PersistError("unsupported version N")`. Every field is read with the
 //! one checked reader ([`crate::codec::Reader`]), so a count is held
 //! against the bytes left before anything is sized from it, and any fault
-//! of the bytes is a `PersistError`.
+//! of the bytes past the slots' own is a `PersistError`.
 
 use crate::catalog::Catalog;
 use crate::codec::{
@@ -71,28 +90,30 @@ use crate::error::StorageError;
 use crate::fault;
 use crate::segment::Zone;
 use crate::store::{
-    encode_payload, file_id_of, payload_encoded_len, segment_cache, DiskLoc, FileId, PayloadKey,
-    PayloadSource, SegMeta, SegSlot,
+    encode_payload, payload_encoded_len, segment_cache, DiskLoc, FileId, PayloadKey, PayloadSource,
+    SegMeta, SegSlot,
 };
 use crate::table::Table;
 use crate::vacuum::HeapStats;
 use crate::value::ValueType;
 use crate::wal;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 const MAGIC: u32 = 0xC0D5_0001;
-/// The on-disk format version (payload heap with one metadata block per
-/// table behind a catalog index; catalog files stamped with the catalog
-/// version they hold) — the only one this build reads or writes.
-pub const VERSION: u16 = 8;
+/// The on-disk format version (two commit slots naming the index of a
+/// heap with one metadata block per table; catalog files stamped with the
+/// catalog version they hold) — the only one this build reads or writes.
+pub const VERSION: u16 = 9;
 
 /// `magic:u32 version:u16`.
 pub(crate) const PREAMBLE_LEN: usize = 6;
-/// `index_off:u64 magic:u32`.
-const FOOTER_LEN: usize = 12;
+/// `generation index_off index_len index_sum slot_sum`, a `u64` each.
+const SLOT_LEN: usize = 40;
+/// The preamble and both slots: where the heap starts.
+const HEADER_LEN: u64 = (PREAMBLE_LEN + 2 * SLOT_LEN) as u64;
 /// The least an index entry occupies: an empty name, `block_off`,
 /// `block_len`.
 const ENTRY_MIN: usize = 4 + 8 + 8;
@@ -154,12 +175,171 @@ fn get_dict(r: &mut Reader<'_>) -> Result<(ValueType, Dictionary), StorageError>
 }
 
 // ---------------------------------------------------------------------------
-// Writer: payload heap + metadata blocks + index + footer.
+// Commit slots: which state of the file is committed.
+// ---------------------------------------------------------------------------
+
+/// One commit slot: the generation of the state it commits and where that
+/// state's index lies, with the index's checksum. Its bytes end in a
+/// checksum of the four fields, so a torn slot write reads as invalid.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Slot {
+    generation: u64,
+    index_off: u64,
+    index_len: u64,
+    index_sum: u64,
+}
+
+impl Slot {
+    fn to_bytes(self) -> [u8; SLOT_LEN] {
+        let mut out = [0u8; SLOT_LEN];
+        let fields = [
+            self.generation,
+            self.index_off,
+            self.index_len,
+            self.index_sum,
+        ];
+        for (at, field) in out.chunks_exact_mut(8).zip(fields) {
+            at.copy_from_slice(&field.to_le_bytes());
+        }
+        let sum = wal::checksum(&[&out[..SLOT_LEN - 8]]);
+        out[SLOT_LEN - 8..].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    /// The slot `raw` holds, when its checksum holds.
+    fn parse(raw: &[u8]) -> Option<Slot> {
+        let mut r = Reader::new(raw);
+        let slot = Slot {
+            generation: r.u64().ok()?,
+            index_off: r.u64().ok()?,
+            index_len: r.u64().ok()?,
+            index_sum: r.u64().ok()?,
+        };
+        (r.u64().ok()? == wal::checksum(&[&raw[..SLOT_LEN - 8]])).then_some(slot)
+    }
+
+    /// The index's extent.
+    fn index(&self) -> (u64, u64) {
+        (self.index_off, self.index_len)
+    }
+}
+
+/// A container's committed slot and index: all a save or an open reads up
+/// front.
+struct Tail {
+    file_len: u64,
+    slot: Slot,
+    /// Which of the two slots holds `slot` (0 or 1).
+    which: usize,
+    /// The index bytes.
+    index: Bytes,
+}
+
+/// The one header parser — the save path, vacuum, the in-memory decode and
+/// the lazy file open all find the committed index through it. Checks the
+/// preamble (magic, version), takes the newer of the two slots whose
+/// checksums hold, and reads the index that slot names, which must lie past
+/// the slots, inside the file, and match the slot's index checksum. Reads
+/// nothing else, and writes nothing.
+///
+/// Slot faults are [`StorageError::Corrupt`]: neither slot valid, both
+/// naming one generation, or a valid slot whose index the file does not
+/// hold. `path` names a file-backed source, whose error carries a recovery
+/// hint.
+fn read_tail(
+    src: &PayloadSource,
+    file_len: u64,
+    path: Option<&Path>,
+) -> Result<Tail, StorageError> {
+    let head = src.read_at(0, PREAMBLE_LEN as u64).map_err(|_| eof())?;
+    let mut head = Reader::new(&head);
+    let magic = head.u32()?;
+    if magic != MAGIC {
+        return Err(StorageError::PersistError(format!(
+            "bad magic 0x{magic:08x}"
+        )));
+    }
+    let version = head.u16()?;
+    if version != VERSION {
+        return Err(StorageError::PersistError(format!(
+            "unsupported version {version}"
+        )));
+    }
+    let torn = |detail: String| torn_tail(path, detail);
+    let slots = src
+        .read_at(PREAMBLE_LEN as u64, 2 * SLOT_LEN as u64)
+        .map_err(|_| torn(format!("file is only {file_len} bytes")))?;
+    let (which, slot) = match [0, 1].map(|i| Slot::parse(&slots[i * SLOT_LEN..])) {
+        [Some(a), Some(b)] if a.generation == b.generation => {
+            return Err(torn(format!(
+                "both commit slots name generation {}",
+                a.generation
+            )))
+        }
+        [Some(a), Some(b)] if a.generation > b.generation => (0, a),
+        [_, Some(b)] => (1, b),
+        [Some(a), None] => (0, a),
+        [None, None] => return Err(torn("neither commit slot is valid".into())),
+    };
+    let (off, len) = slot.index();
+    if off < HEADER_LEN || off.checked_add(len).is_none_or(|end| end > file_len) {
+        return Err(torn(format!(
+            "generation {}'s index at {off} (+{len}) is outside [{HEADER_LEN}, {file_len})",
+            slot.generation
+        )));
+    }
+    let index = src.read_at(off, len)?;
+    if wal::checksum(&[&index]) != slot.index_sum {
+        return Err(torn(format!(
+            "generation {}'s index fails its checksum",
+            slot.generation
+        )));
+    }
+    Ok(Tail {
+        file_len,
+        slot,
+        which,
+        index: Bytes::from(index),
+    })
+}
+
+/// The typed corruption error for a container whose committed state cannot
+/// be read: its slots are torn, or name an index the file does not hold.
+/// A file's error carries a recovery hint.
+fn torn_tail(path: Option<&Path>, detail: String) -> StorageError {
+    StorageError::Corrupt(match path {
+        Some(p) => format!(
+            "{}: torn tail ({detail}); no commit slot names a state the file holds — \
+             restore the file from a copy or re-create it with a fresh save",
+            p.display()
+        ),
+        None => format!("torn tail ({detail})"),
+    })
+}
+
+/// The committed generation of the table or catalog file at `path`, and
+/// which of its two commit slots holds it. Reads the preamble, the slots
+/// and the index; writes nothing.
+pub fn committed_slot(path: impl AsRef<Path>) -> Result<(u64, usize), StorageError> {
+    let tail = Opened::file(path.as_ref())?.tail;
+    Ok((tail.slot.generation, tail.which))
+}
+
+/// Whether `slot` is still the one that commits the file at `path`.
+pub(crate) fn still_committed(path: &Path, slot: &Slot) -> bool {
+    Opened::file(path).is_ok_and(|o| o.tail.slot == *slot)
+}
+
+// ---------------------------------------------------------------------------
+// Writer: payloads, metadata blocks and the index into free space.
 // ---------------------------------------------------------------------------
 
 /// A slot whose payload the current save placed (or will place) in the
 /// target file, with its heap location — the post-save adoption list.
 type Placement = (SegSlot, u64, u64);
+
+/// Distinct `(off, len)` extents of a file, ascending.
+type Extents = Arc<[(u64, u64)]>;
 
 /// One table's metadata block in a file, with the payload extents its
 /// segment records name.
@@ -167,47 +347,88 @@ type Placement = (SegSlot, u64, u64);
 struct BlockAt {
     off: u64,
     len: u64,
-    /// Distinct `(off, len)` payload extents, ascending.
-    payloads: Arc<[(u64, u64)]>,
-}
-
-impl BlockAt {
-    /// The end of the furthest byte this block keeps alive: its own, or
-    /// that of a payload it names.
-    fn reach(&self) -> u64 {
-        self.payloads
-            .iter()
-            .map(|&(off, len)| off + len)
-            .fold(self.off + self.len, u64::max)
-    }
+    payloads: Extents,
 }
 
 /// `extents` without repeats, ascending.
-fn distinct(mut extents: Vec<(u64, u64)>) -> Arc<[(u64, u64)]> {
+fn distinct(mut extents: Vec<(u64, u64)>) -> Extents {
     extents.sort_unstable();
     extents.dedup();
     extents.into()
 }
 
-/// The end of the furthest payload any of `blocks` names.
-fn payload_end<'b>(blocks: impl IntoIterator<Item = &'b BlockAt>) -> u64 {
-    blocks
-        .into_iter()
-        .flat_map(|b| b.payloads.iter())
+/// Every extent a state keeps: its index, its blocks and their payloads.
+fn state_extents<'b>(
+    slot: &Slot,
+    blocks: impl IntoIterator<Item = &'b BlockAt>,
+) -> Vec<(u64, u64)> {
+    let mut extents = vec![slot.index()];
+    for b in blocks {
+        extents.push((b.off, b.len));
+        extents.extend_from_slice(&b.payloads);
+    }
+    extents
+}
+
+/// The end of the furthest of `extents`.
+fn end_of(extents: &[(u64, u64)]) -> u64 {
+    extents
+        .iter()
         .map(|&(off, len)| off + len)
         .max()
         .unwrap_or(0)
 }
 
-/// Accumulates the payload heap of one save: each distinct payload is
-/// placed exactly once (keyed by [`SegSlot::payload_key`], so slots
-/// sharing a payload share its bytes), and on an append-save slots already
-/// backed by the target file keep their existing offsets without being
-/// read at all.
+/// The free space of a file being saved into: the gaps between the
+/// extents the save must keep, lowest first, and the offset from which on
+/// everything is free.
+#[derive(Clone, Debug)]
+struct FreeList {
+    /// `[start, end)` gaps, ascending.
+    gaps: Vec<(u64, u64)>,
+    tail: u64,
+}
+
+impl FreeList {
+    /// Everything past the commit slots except `kept`.
+    fn around(mut kept: Vec<(u64, u64)>) -> FreeList {
+        kept.sort_unstable();
+        let mut free = FreeList {
+            gaps: Vec::new(),
+            tail: HEADER_LEN,
+        };
+        for (off, len) in kept {
+            if off > free.tail {
+                free.gaps.push((free.tail, off));
+            }
+            free.tail = free.tail.max(off + len);
+        }
+        free
+    }
+
+    /// Takes `len` bytes at the lowest free offset that holds them.
+    fn take(&mut self, len: u64) -> u64 {
+        if let Some(i) = self.gaps.iter().position(|&(s, e)| e - s >= len) {
+            let at = self.gaps[i].0;
+            self.gaps[i].0 += len;
+            if self.gaps[i].0 == self.gaps[i].1 {
+                self.gaps.remove(i);
+            }
+            return at;
+        }
+        self.tail += len;
+        self.tail - len
+    }
+}
+
+/// Accumulates the new bytes of one save: each distinct payload is placed
+/// exactly once (keyed by [`SegSlot::payload_key`], so slots sharing a
+/// payload share its bytes), and on an append-save slots already backed by
+/// the target file keep their existing offsets without being read at all.
 struct HeapBuilder<'a> {
-    buf: BytesMut,
-    /// Absolute file offset of the next placed payload.
-    next: u64,
+    free: FreeList,
+    /// `(offset, bytes)` of everything placed so far.
+    writes: Vec<(u64, Vec<u8>)>,
     /// Each placed payload and the slot that placed it.
     placed: HashMap<PayloadKey, Placement>,
     /// Canonical path of the append target; slots whose payload source is
@@ -227,17 +448,11 @@ struct HeapBuilder<'a> {
 }
 
 impl<'a> HeapBuilder<'a> {
-    fn new(base: u64, reuse: Option<&'a Path>, reuse_id: Option<FileId>) -> HeapBuilder<'a> {
-        HeapBuilder {
-            buf: BytesMut::new(),
-            next: base,
-            placed: HashMap::new(),
-            reuse,
-            reuse_id,
-            extents: Vec::new(),
-            placements: Vec::new(),
-            aliases: Vec::new(),
-        }
+    /// Places `bytes` at the lowest free offset that holds them.
+    fn put(&mut self, bytes: Vec<u8>) -> (u64, u64) {
+        let at = (self.free.take(bytes.len() as u64), bytes.len() as u64);
+        self.writes.push((at.0, bytes));
+        at
     }
 
     /// Returns the heap location of `slot`'s payload, placing it on first
@@ -274,12 +489,10 @@ impl<'a> HeapBuilder<'a> {
                 v
             }
         };
-        let at = (self.next, raw.len() as u64);
-        self.buf.put_slice(&raw);
-        self.next += at.1;
-        self.placed.insert(key, (slot.clone(), at.0, at.1));
-        self.placements.push((slot.clone(), at.0, at.1));
-        Ok(at)
+        let (off, len) = self.put(raw);
+        self.placed.insert(key, (slot.clone(), off, len));
+        self.placements.push((slot.clone(), off, len));
+        Ok((off, len))
     }
 }
 
@@ -397,57 +610,85 @@ impl OwnedContent {
 }
 
 /// The product of [`build`]: the bytes to write, the adoption list, and
-/// where every block, the index and the end of file landed.
+/// the state they commit.
 struct Built {
-    bytes: Bytes,
+    /// `(offset, bytes)` runs in file order. Without a plan, one run from
+    /// offset 0: the whole image.
+    writes: Vec<(u64, Vec<u8>)>,
     placements: Vec<Placement>,
     aliases: Vec<Placement>,
     /// Every table's block, in content order.
     blocks: Vec<BlockAt>,
-    /// The index as written (without the footer).
-    index: Bytes,
-    index_off: u64,
-    file_len: u64,
+    /// The slot that commits this state.
+    slot: Slot,
 }
 
-/// Serializes `what`. Without a plan this is a complete image: it opens
-/// with the preamble and payloads start at [`PREAMBLE_LEN`]. With one it is
-/// the tail of an append-save, everything from the plan's `cut` to the new
-/// end of file: the payloads not already in the target, the blocks of the
-/// tables the plan does not reuse, the index and the footer.
-fn build(what: &Content<'_>, plan: Option<&AppendPlan>) -> Result<Built, StorageError> {
-    let base = plan.map_or(PREAMBLE_LEN as u64, |p| p.cut);
-    let mut heap = HeapBuilder::new(
-        base,
-        plan.map(|p| p.canon.as_path()),
-        plan.and_then(|p| p.id),
-    );
-    // New blocks are encoded as their tables come, but land after every
-    // new payload: their offsets are relative to `fresh` until the heap is
-    // complete.
-    let mut fresh = BytesMut::new();
+impl Built {
+    /// The whole image of a build without a plan.
+    fn image(&mut self) -> Vec<u8> {
+        match std::mem::take(&mut self.writes).pop() {
+            Some((0, image)) => image,
+            _ => unreachable!("a build without a plan is one run from offset 0"),
+        }
+    }
+}
+
+/// `writes` sorted by offset, with abutting ones joined.
+fn runs(mut writes: Vec<(u64, Vec<u8>)>) -> Vec<(u64, Vec<u8>)> {
+    writes.sort_unstable_by_key(|&(off, _)| off);
+    let mut runs: Vec<(u64, Vec<u8>)> = Vec::with_capacity(writes.len());
+    for (off, bytes) in writes {
+        match runs.last_mut() {
+            Some((at, run)) if *at + run.len() as u64 == off => run.extend_from_slice(&bytes),
+            _ => runs.push((off, bytes)),
+        }
+    }
+    runs
+}
+
+/// Serializes `what` as generation `generation`. Without a plan this is a
+/// complete image: the preamble, the slot that commits it, an empty second
+/// slot, then payloads, blocks and the index in that order. With one it is
+/// what an append-save writes: the payloads not already in the target, the
+/// blocks of the tables the plan does not reuse, and the index, each at
+/// the lowest free offset of the plan that holds it.
+fn build(
+    what: &Content<'_>,
+    plan: Option<&AppendPlan>,
+    generation: u64,
+) -> Result<Built, StorageError> {
+    let mut heap = HeapBuilder {
+        free: plan.map_or_else(|| FreeList::around(Vec::new()), |p| p.free.clone()),
+        writes: Vec::new(),
+        placed: HashMap::new(),
+        reuse: plan.map(|p| p.canon.as_path()),
+        reuse_id: plan.and_then(|p| p.id),
+        extents: Vec::new(),
+        placements: Vec::new(),
+        aliases: Vec::new(),
+    };
+    // A block is placed once every payload is: blocks follow the payloads
+    // in a fresh image.
     let mut blocks = Vec::new();
-    let mut new = Vec::new();
+    let mut fresh = Vec::new();
     for t in what.tables() {
         if let Some(b) = plan.and_then(|p| p.reuse.get(&(t as *const Table))) {
             blocks.push(b.clone());
             continue;
         }
-        let start = fresh.len();
-        put_table(&mut fresh, &mut heap, t)?;
-        new.push(blocks.len());
+        let mut block = Vec::new();
+        put_table(&mut block, &mut heap, t)?;
         blocks.push(BlockAt {
-            off: start as u64,
-            len: (fresh.len() - start) as u64,
+            off: 0,
+            len: block.len() as u64,
             payloads: distinct(std::mem::take(&mut heap.extents)),
         });
+        fresh.push((blocks.len() - 1, block));
     }
-    let blocks_off = heap.next;
-    for &i in &new {
-        blocks[i].off += blocks_off;
+    for (i, block) in fresh {
+        blocks[i].off = heap.put(block).0;
     }
-    let index_off = blocks_off + fresh.len() as u64;
-    let mut index = BytesMut::new();
+    let mut index = Vec::new();
     match what {
         Content::Table(t) => put_entry(&mut index, t.name(), &blocks[0]),
         Content::Catalog(version, ts) => {
@@ -458,65 +699,79 @@ fn build(what: &Content<'_>, plan: Option<&AppendPlan>) -> Result<Built, Storage
             }
         }
     }
-    let index = index.freeze();
-    let HeapBuilder {
-        buf,
-        placements,
-        aliases,
-        ..
-    } = heap;
-    let mut out = BytesMut::new();
-    if plan.is_none() {
-        out.put_u32_le(MAGIC);
-        out.put_u16_le(VERSION);
-    }
-    out.put_slice(buf.freeze().as_slice());
-    out.put_slice(fresh.freeze().as_slice());
-    out.put_slice(index.as_slice());
-    out.put_u64_le(index_off);
-    out.put_u32_le(MAGIC);
-    Ok(Built {
-        bytes: out.freeze(),
-        placements,
-        aliases,
-        blocks,
-        file_len: index_off + (index.len() + FOOTER_LEN) as u64,
-        index,
+    let index_sum = wal::checksum(&[&index]);
+    let (index_off, index_len) = heap.put(index);
+    let slot = Slot {
+        generation,
         index_off,
+        index_len,
+        index_sum,
+    };
+    if plan.is_none() {
+        let mut header = Vec::with_capacity(heap.free.tail as usize);
+        header.put_u32_le(MAGIC);
+        header.put_u16_le(VERSION);
+        header.put_slice(&slot.to_bytes());
+        header.put_slice(&[0; SLOT_LEN]);
+        heap.writes.push((0, header));
+    }
+    Ok(Built {
+        writes: runs(heap.writes),
+        placements: heap.placements,
+        aliases: heap.aliases,
+        blocks,
+        slot,
     })
 }
 
-/// Where an append-save lands: the target, the offset from which its tail
-/// is overwritten, and the committed blocks the new index references as
-/// they are (keyed by the table they hold).
+/// Where an append-save lands: the target, the committed state it
+/// replaces, the committed blocks the new index references as they are
+/// (keyed by the table they hold), and the space it may write into.
 struct AppendPlan {
     canon: PathBuf,
     id: Option<FileId>,
-    cut: u64,
+    committed: Tail,
     reuse: HashMap<*const Table, BlockAt>,
+    /// Everything past the slots that neither the committed state nor a
+    /// live slot keeps.
+    free: FreeList,
+    /// The end of the furthest extent a live slot is bound to.
+    live_end: u64,
 }
 
 /// Decides whether saving `what` onto `path` can append: the target must
 /// be a healthy container that already holds one of the content's blocks
 /// or backs one of its segments. Any doubt falls back to a full rewrite.
 ///
-/// The overwritten tail starts at `cut`, the end of the last extent that
-/// must survive: a block the new index reuses (with the payloads it names,
-/// taken from the committed index — a reused table's slots may live in
-/// another file), and every extent a live slot is bound to in this file
-/// (the new state's reused payloads among them, and those of older
-/// snapshots still in memory). Without a file identity nothing is known,
-/// and the tail starts at the committed index.
+/// Free space is derived, never stored: every byte past the slots that
+/// neither the committed state references (its index, its blocks and their
+/// payloads — as this process recorded them for that slot, else decoded
+/// from the file) nor a live in-memory slot is bound to. Without a file
+/// identity no binding is known, and only the bytes past the end of the
+/// file are free.
 fn append_plan(what: &Content<'_>, path: &Path) -> Option<AppendPlan> {
     let canon = std::fs::canonicalize(path).ok()?;
+    let opened = Opened::file(path).ok()?;
     // Identity of the inode currently at the path: a slot opened before a
     // vacuum replaced the file holds offsets into the *old* inode, and
     // must not be treated as already-present in the new one.
-    let id = std::fs::metadata(&canon).ok().and_then(|m| file_id_of(&m));
-    let tail = read_tail(&mut std::fs::File::open(path).ok()?, path).ok()?;
-    let reuse = match (what, id) {
-        (Content::Catalog(_, tables), Some(id)) => reusable(id, &tail, tables),
-        _ => HashMap::new(),
+    let id = opened.source.file_id();
+    let (blocks, reuse): (Vec<BlockAt>, _) = match (
+        what,
+        id.and_then(|id| committed_blocks(id, &opened.tail.slot)),
+    ) {
+        (Content::Catalog(_, tables), Some(known)) => {
+            let reuse = reusable(&known, tables);
+            (known.into_iter().map(|(_, b)| b).collect(), reuse)
+        }
+        _ => {
+            let catalog = matches!(what, Content::Catalog(..));
+            let decoded = opened.decode(catalog).ok()?.1;
+            (
+                decoded.into_iter().map(|(_, b)| b).collect(),
+                HashMap::new(),
+            )
+        }
     };
     let backed = || {
         what.tables().iter().any(|t| {
@@ -533,19 +788,20 @@ fn append_plan(what: &Content<'_>, path: &Path) -> Option<AppendPlan> {
     if reuse.is_empty() && !backed() {
         return None;
     }
-    let cut = match id {
-        Some(id) => reuse
-            .values()
-            .map(BlockAt::reach)
-            .fold(bound_end(id), u64::max)
-            .clamp(PREAMBLE_LEN as u64, tail.index_off),
-        None => tail.index_off,
+    let live = match id {
+        Some(id) => bound_extents(id),
+        None => vec![(HEADER_LEN, opened.tail.file_len - HEADER_LEN)],
     };
+    let live_end = end_of(&live);
+    let mut kept = state_extents(&opened.tail.slot, &blocks);
+    kept.extend(live);
     Some(AppendPlan {
         canon,
         id,
-        cut,
+        committed: opened.tail,
         reuse,
+        free: FreeList::around(kept),
+        live_end,
     })
 }
 
@@ -568,7 +824,7 @@ fn settle(
     let canon = std::fs::canonicalize(path)?;
     let source = Arc::new(PayloadSource::for_file(file, canon));
     let store = segment_cache();
-    let mut end = 0;
+    let mut bound = Vec::with_capacity(built.placements.len() + built.aliases.len());
     let aliases = built.aliases.into_iter().map(|p| (p, true));
     for ((slot, offset, len), alias) in built
         .placements
@@ -576,7 +832,7 @@ fn settle(
         .map(|p| (p, false))
         .chain(aliases)
     {
-        end = end.max(offset + len);
+        bound.push((offset, len));
         let loc = DiskLoc {
             source: Arc::clone(&source),
             offset,
@@ -588,14 +844,12 @@ fn settle(
             false => {}
         }
     }
-    note_source(&source, end);
+    note_source(&source, bound);
     if let (Some(id), Content::Catalog(_, tables)) = (source.file_id(), what) {
         note_committed(
             id,
             Committed {
-                file_len: built.file_len,
-                index_off: built.index_off,
-                index: built.index,
+                slot: built.slot,
                 blocks: tables
                     .iter()
                     .map(Arc::downgrade)
@@ -634,47 +888,73 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
     res
 }
 
-/// In-place tail overwrite under a rollback journal (the append-save
-/// commit protocol; see [`crate::wal`]). Returns the heap occupancy it
-/// committed and its index offset, for the auto-vacuum trigger.
+/// The append-save commit protocol: the new payloads, blocks and index go
+/// into free space and are synced; then the slot holding the *older*
+/// generation is overwritten with the next one and synced — that write is
+/// the commit point; then the file is cut after the last extent still
+/// kept. No file is created or removed. Returns the heap occupancy and the
+/// slot it committed, for the auto-vacuum trigger.
+///
+/// A failure after the slot write puts the overwritten slot's old bytes
+/// back, so the file opens to the state the save started from and the
+/// same process can retry at once. Nothing a failed save wrote is adopted.
 fn save_append(
     what: &Content<'_>,
     path: &Path,
     plan: AppendPlan,
-) -> Result<(HeapStats, u64), StorageError> {
-    let built = build(what, Some(&plan))?;
-    // 1. Journal the old tail `[cut, EOF)` durably — before the target is
-    //    touched.
-    let guard = wal::TailGuard::begin(path, plan.cut)?;
-    // 2. Overwrite the tail and sync.
-    let write = (|| -> Result<(), StorageError> {
-        use std::io::{Seek, SeekFrom};
-        let mut f = fault::open_rw(path)?;
-        f.seek(SeekFrom::Start(plan.cut))?;
-        fault::write_all(&mut f, built.bytes.as_slice())?;
-        fault::set_len(&f, built.file_len)?;
+) -> Result<(HeapStats, Slot), StorageError> {
+    use std::io::{Read, Seek, SeekFrom};
+    let built = build(what, Some(&plan), plan.committed.slot.generation + 1)?;
+    let slot_at = (PREAMBLE_LEN + SLOT_LEN * (1 - plan.committed.which)) as u64;
+    // Once committed, the superseded state keeps nothing.
+    let keep_end = plan
+        .live_end
+        .max(end_of(&state_extents(&built.slot, &built.blocks)));
+    let mut f = fault::open_rw(path)?;
+    let mut older = [0u8; SLOT_LEN];
+    f.seek(SeekFrom::Start(slot_at))?;
+    f.read_exact(&mut older)?;
+    for (off, bytes) in &built.writes {
+        f.seek(SeekFrom::Start(*off))?;
+        fault::write_all(&mut f, bytes)?;
+    }
+    fault::sync(&f)?;
+    let commit = (|| -> Result<(), StorageError> {
+        f.seek(SeekFrom::Start(slot_at))?;
+        fault::write_all(&mut f, &built.slot.to_bytes())?;
         fault::sync(&f)?;
+        fault::set_len(&f, keep_end)?;
         Ok(())
     })();
-    if let Err(e) = write {
-        guard.abort(); // roll back in-process; or at next open if we "died"
+    if let Err(e) = commit {
+        // Best-effort, like any undo: a process that died cannot, and then
+        // the slot it tore is invalid or names a state that is whole.
+        let undo = |f: &mut std::fs::File| -> std::io::Result<()> {
+            f.seek(SeekFrom::Start(slot_at))?;
+            fault::write_all(f, &older)?;
+            fault::sync(f)
+        };
+        let _ = undo(&mut f);
         return Err(e);
     }
-    // 3. Commit point: delete the journal. If even this fails, the next
-    //    open rolls back to the old catalog — so adoption must not happen.
-    guard.commit()?;
-    // 4. Only now — the file is fully committed — may fresh slots adopt
-    //    their on-disk locations.
-    let stats = heap_stats_of(built.file_len, built.index_off, &built.blocks);
-    let index_off = built.index_off;
+    // Only now — the file is committed — may fresh slots adopt their
+    // on-disk locations.
+    let stats = heap_stats_of(keep_end, &built.slot, &built.blocks);
+    let slot = built.slot;
     settle(path, what, built, SegSlot::attach_disk)?;
-    Ok((stats, index_off))
+    Ok((stats, slot))
+}
+
+/// The generation a full rewrite of `path` commits: one past the file it
+/// replaces, so a path's generations only ever rise.
+fn next_generation(path: &Path) -> u64 {
+    Opened::file(path).map_or(1, |o| o.tail.slot.generation + 1)
 }
 
 /// Full-rewrite save: a fresh image through [`write_atomic`].
 fn save_rewrite(what: &Content<'_>, path: &Path) -> Result<(), StorageError> {
-    let built = build(what, None)?;
-    write_atomic(path, built.bytes.as_slice())?;
+    let mut built = build(what, None, next_generation(path))?;
+    write_atomic(path, &built.image())?;
     settle(path, what, built, SegSlot::attach_disk)
 }
 
@@ -682,11 +962,6 @@ pub(crate) fn save_content(what: &Content<'_>, path: &Path) -> Result<(), Storag
     let lock = wal::path_lock(path);
     let appended = {
         let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-        // A previous save may have died here: honor its journal first, so
-        // `append_plan` sees the last committed footer.
-        if path.exists() {
-            wal::recover(path)?;
-        }
         match append_plan(what, path) {
             Some(plan) => Some(save_append(what, path, plan)?),
             None => {
@@ -696,13 +971,13 @@ pub(crate) fn save_content(what: &Content<'_>, path: &Path) -> Result<(), Storag
         }
     };
     // Outside the lock: the background vacuum takes it itself.
-    if let Some((stats, index_off)) = appended {
-        crate::vacuum::consider_auto(what, path, &stats, index_off);
+    if let Some((stats, slot)) = appended {
+        crate::vacuum::consider_auto(what, path, &stats, slot);
     }
     Ok(())
 }
 
-/// Compacts `what` into a fresh heap at `path` via [`write_atomic`], then
+/// Compacts `what` into a fresh image at `path` via [`write_atomic`], then
 /// *rebinds* every live slot to its location in the compacted file (the
 /// vacuum path — offsets move, so this overwrites existing `DiskLoc`s
 /// rather than attach-once). The caller must hold the file's
@@ -712,13 +987,10 @@ pub(crate) fn rewrite_compacted(
     what: &Content<'_>,
     path: &Path,
 ) -> Result<(u64, u64, u64, usize), StorageError> {
-    if path.exists() {
-        wal::recover(path)?;
-    }
     let before = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    let built = build(what, None)?;
-    let after = built.file_len;
-    write_atomic(path, built.bytes.as_slice())?;
+    let mut built = build(what, None, next_generation(path))?;
+    let image = built.image();
+    write_atomic(path, &image)?;
     // Rebind: every distinct slot was placed, so every live payload now
     // points into the compacted file. Slots opened from the *old* inode by
     // other snapshots keep their open handle (the unlinked inode stays
@@ -727,114 +999,18 @@ pub(crate) fn rewrite_compacted(
     let segments = built.placements.len();
     let live = built.placements.iter().map(|&(_, _, len)| len).sum();
     settle(path, what, built, SegSlot::rebind_disk)?;
-    Ok((before, after, live, segments))
-}
-
-/// The one footer parser — the save path, vacuum, the in-memory decode and
-/// the lazy file open all locate the index through it. Checks the preamble
-/// (magic, version), then the last [`FOOTER_LEN`] bytes: tail magic, and
-/// `index_off` within `[PREAMBLE_LEN, len - FOOTER_LEN]`. Reads nothing
-/// else. Returns `(len, index_off)`.
-///
-/// `path` names a file-backed source: a footer that fails to validate is
-/// then the typed [`torn_tail`] corruption with its recovery hint, where an
-/// in-memory image gets a plain `PersistError`.
-fn read_footer<R: std::io::Read + std::io::Seek>(
-    src: &mut R,
-    path: Option<&Path>,
-) -> Result<(u64, u64), StorageError> {
-    use std::io::SeekFrom;
-    let bad = |detail: String| match path {
-        Some(p) => torn_tail(p, detail),
-        None => StorageError::PersistError(detail),
-    };
-    let mut head = [0u8; PREAMBLE_LEN];
-    src.read_exact(&mut head).map_err(|_| eof())?;
-    let mut head = Reader::new(&head);
-    let magic = head.u32()?;
-    if magic != MAGIC {
-        return Err(StorageError::PersistError(format!(
-            "bad magic 0x{magic:08x}"
-        )));
-    }
-    let version = head.u16()?;
-    if version != VERSION {
-        return Err(StorageError::PersistError(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let len = src.seek(SeekFrom::End(0))?;
-    if len < (PREAMBLE_LEN + FOOTER_LEN) as u64 {
-        return Err(bad(format!("file is only {len} bytes")));
-    }
-    src.seek(SeekFrom::Start(len - FOOTER_LEN as u64))?;
-    let mut foot = [0u8; FOOTER_LEN];
-    src.read_exact(&mut foot)?;
-    let mut foot = Reader::new(&foot);
-    let index_off = foot.u64()?;
-    let tail_magic = foot.u32()?;
-    if tail_magic != MAGIC {
-        return Err(bad(format!("bad footer magic 0x{tail_magic:08x}")));
-    }
-    if index_off < PREAMBLE_LEN as u64 || index_off > len - FOOTER_LEN as u64 {
-        return Err(bad(format!(
-            "footer index offset {index_off} outside file of {len} bytes"
-        )));
-    }
-    Ok((len, index_off))
-}
-
-/// [`read_footer`] of the file at `path`, without decoding anything else.
-pub(crate) fn file_footer(path: &Path) -> Result<(u64, u64), StorageError> {
-    read_footer(&mut std::fs::File::open(path)?, Some(path))
-}
-
-/// The typed corruption error for a file whose footer does not validate:
-/// an interrupted save tore the tail and no rollback journal survives to
-/// repair it. Carries a recovery hint.
-fn torn_tail(path: &Path, detail: String) -> StorageError {
-    StorageError::Corrupt(format!(
-        "{}: torn tail ({detail}); an interrupted save corrupted the footer and \
-         no rollback journal ({}) is present to roll it back — restore the file \
-         from a copy or re-create it with a fresh save",
-        path.display(),
-        wal::wal_path(path).display(),
-    ))
-}
-
-/// A container's footer and index: all a save or an open reads up front.
-struct Tail {
-    file_len: u64,
-    index_off: u64,
-    /// The index bytes, footer excluded.
-    index: Bytes,
-}
-
-/// Reads the footer and the index of `file` (at `path`), nothing else.
-fn read_tail(file: &mut std::fs::File, path: &Path) -> Result<Tail, StorageError> {
-    use std::io::{Read, Seek, SeekFrom};
-    let (file_len, index_off) = read_footer(file, Some(path))?;
-    file.seek(SeekFrom::Start(index_off))?;
-    let mut index = vec![0u8; (file_len - FOOTER_LEN as u64 - index_off) as usize];
-    file.read_exact(&mut index)?;
-    Ok(Tail {
-        file_len,
-        index_off,
-        index: Bytes::from(index),
-    })
+    Ok((before, image.len() as u64, live, segments))
 }
 
 // ---------------------------------------------------------------------------
 // What this process knows about the files it wrote or read.
 // ---------------------------------------------------------------------------
 
-/// A catalog file's committed index, as this process wrote or decoded it.
+/// A catalog file's committed state, as this process wrote or decoded it.
 struct Committed {
-    /// The file's length, index offset and index bytes at the time: the
-    /// blocks are trusted only while the file still ends in exactly these.
-    file_len: u64,
-    index_off: u64,
-    index: Bytes,
+    /// The slot that committed it: the blocks are trusted only while the
+    /// file's committed slot is exactly this one.
+    slot: Slot,
     /// Each block, with the table it was written from or decoded into.
     blocks: Vec<(Weak<Table>, BlockAt)>,
 }
@@ -843,10 +1019,10 @@ struct Committed {
 #[derive(Default)]
 struct Known {
     committed: Option<Committed>,
-    /// Every payload source bound to the file, with the end of the
-    /// furthest extent bound through it. While a source lives, a slot may
-    /// still fault in below that end, so no save may overwrite it.
-    sources: Vec<(Weak<PayloadSource>, u64)>,
+    /// Every payload source bound to the file, with the extents bound
+    /// through it. While a source lives, a slot may still fault in from
+    /// any of them, so no save may overwrite them.
+    sources: Vec<(Weak<PayloadSource>, Extents)>,
 }
 
 impl Known {
@@ -876,14 +1052,15 @@ fn with_known<R>(f: impl FnOnce(&mut HashMap<FileId, Known>) -> R) -> R {
     f(&mut known)
 }
 
-/// Records that slots bound through `source` reach up to `end`.
-fn note_source(source: &Arc<PayloadSource>, end: u64) {
+/// Records that slots bound through `source` fault in from `extents`.
+fn note_source(source: &Arc<PayloadSource>, extents: Vec<(u64, u64)>) {
     if let Some(id) = source.file_id() {
+        let extents = distinct(extents);
         with_known(|k| {
             k.entry(id)
                 .or_default()
                 .sources
-                .push((Arc::downgrade(source), end))
+                .push((Arc::downgrade(source), extents))
         });
     }
 }
@@ -892,55 +1069,61 @@ fn note_committed(id: FileId, committed: Committed) {
     with_known(|k| k.entry(id).or_default().committed = Some(committed));
 }
 
-/// The end of the furthest extent a live slot may fault in from in file
-/// `id`.
-fn bound_end(id: FileId) -> u64 {
+/// Every extent a live slot may fault in from in file `id`.
+fn bound_extents(id: FileId) -> Vec<(u64, u64)> {
     with_known(|k| {
         k.get(&id)
-            .and_then(|k| k.sources.iter().map(|&(_, end)| end).max())
-            .unwrap_or(0)
-    })
-}
-
-/// The committed blocks of file `id` that `tables` can reference as they
-/// are, keyed by table — none unless the file still ends in the index they
-/// were recorded with.
-fn reusable(id: FileId, tail: &Tail, tables: &[Arc<Table>]) -> HashMap<*const Table, BlockAt> {
-    with_known(|k| {
-        let Some(c) = k.get(&id).and_then(|k| k.committed.as_ref()) else {
-            return HashMap::new();
-        };
-        if (c.file_len, c.index_off) != (tail.file_len, tail.index_off)
-            || c.index.as_slice() != tail.index.as_slice()
-        {
-            return HashMap::new();
-        }
-        let by_table: HashMap<*const Table, &BlockAt> =
-            c.blocks.iter().map(|(t, b)| (t.as_ptr(), b)).collect();
-        tables
-            .iter()
-            .filter_map(|t| {
-                let at = Arc::as_ptr(t);
-                by_table.get(&at).map(|&b| (at, b.clone()))
+            .map(|k| {
+                k.sources
+                    .iter()
+                    .flat_map(|(_, e)| e.iter().copied())
+                    .collect()
             })
-            .collect()
+            .unwrap_or_default()
     })
 }
 
-/// How a file of `file_len` bytes whose index starts at `index_off` and
-/// names `blocks` divides up (see [`HeapStats`]).
-fn heap_stats_of(file_len: u64, index_off: u64, blocks: &[BlockAt]) -> HeapStats {
+/// The blocks of file `id` as this process recorded them, when its
+/// committed slot is still `slot`.
+fn committed_blocks(id: FileId, slot: &Slot) -> Option<Vec<(Weak<Table>, BlockAt)>> {
+    with_known(|k| {
+        let c = k.get(&id)?.committed.as_ref()?;
+        (c.slot == *slot).then(|| c.blocks.clone())
+    })
+}
+
+/// The recorded blocks that `tables` can reference as they are, keyed by
+/// table.
+fn reusable(
+    known: &[(Weak<Table>, BlockAt)],
+    tables: &[Arc<Table>],
+) -> HashMap<*const Table, BlockAt> {
+    let by_table: HashMap<*const Table, &BlockAt> =
+        known.iter().map(|(t, b)| (t.as_ptr(), b)).collect();
+    tables
+        .iter()
+        .filter_map(|t| {
+            let at = Arc::as_ptr(t);
+            by_table.get(&at).map(|&b| (at, b.clone()))
+        })
+        .collect()
+}
+
+/// How a file of `file_len` bytes whose committed slot is `slot`, naming
+/// `blocks`, divides up (see [`HeapStats`]).
+fn heap_stats_of(file_len: u64, slot: &Slot, blocks: &[BlockAt]) -> HeapStats {
     let extents: HashSet<(u64, u64)> = blocks
         .iter()
         .flat_map(|b| b.payloads.iter().copied())
         .collect();
     let live_blocks: u64 = blocks.iter().map(|b| b.len).sum();
-    let heap_bytes = (index_off - PREAMBLE_LEN as u64).saturating_sub(live_blocks);
+    let meta_bytes = (2 * SLOT_LEN) as u64 + live_blocks + slot.index_len;
+    let heap_bytes = file_len.saturating_sub(PREAMBLE_LEN as u64 + meta_bytes);
     let live_bytes = extents.iter().map(|&(_, len)| len).sum();
     HeapStats {
         file_bytes: file_len,
         heap_bytes,
-        meta_bytes: file_len - index_off + live_blocks,
+        meta_bytes,
         live_bytes,
         dead_bytes: heap_bytes.saturating_sub(live_bytes),
         live_segments: extents.len(),
@@ -964,7 +1147,7 @@ fn get_seg_slot(
     r: &mut Reader<'_>,
     dict_len: usize,
     source: &Arc<PayloadSource>,
-    heap_end: u64,
+    file_len: u64,
     dedup: &mut SlotDedup,
     extents: &mut Vec<(u64, u64)>,
 ) -> Result<(SegSlot, bool), StorageError> {
@@ -989,10 +1172,9 @@ fn get_seg_slot(
     let end = off
         .checked_add(len)
         .ok_or_else(|| corrupt("segment payload offset overflows".into()))?;
-    if off < PREAMBLE_LEN as u64 || len == 0 || end > heap_end {
+    if off < HEADER_LEN || len == 0 || end > file_len {
         return Err(corrupt(format!(
-            "segment payload [{off}, {end}) outside the heap [{}, {heap_end})",
-            PREAMBLE_LEN
+            "segment payload [{off}, {end}) outside the heap [{HEADER_LEN}, {file_len})"
         )));
     }
     if rows == 0 {
@@ -1053,7 +1235,7 @@ fn get_seg_slot(
 fn get_column(
     r: &mut Reader<'_>,
     source: &Arc<PayloadSource>,
-    heap_end: u64,
+    file_len: u64,
     dedup: &mut SlotDedup,
     extents: &mut Vec<(u64, u64)>,
 ) -> Result<EncodedColumn, StorageError> {
@@ -1070,7 +1252,7 @@ fn get_column(
     let mut slots = Vec::with_capacity(seg_count);
     let mut pins = Vec::with_capacity(seg_count);
     for _ in 0..seg_count {
-        let (slot, pin) = get_seg_slot(r, dict_len, source, heap_end, dedup, extents)?;
+        let (slot, pin) = get_seg_slot(r, dict_len, source, file_len, dedup, extents)?;
         pins.push(pin);
         slots.push(slot);
     }
@@ -1086,7 +1268,7 @@ fn get_column(
 fn get_table(
     r: &mut Reader<'_>,
     source: &Arc<PayloadSource>,
-    heap_end: u64,
+    file_len: u64,
     dedup: &mut SlotDedup,
     extents: &mut Vec<(u64, u64)>,
 ) -> Result<Table, StorageError> {
@@ -1095,7 +1277,7 @@ fn get_table(
     let rows = r.u64()?;
     let mut columns = Vec::with_capacity(schema.arity());
     for _ in 0..schema.arity() {
-        let col = get_column(r, source, heap_end, dedup, extents)?;
+        let col = get_column(r, source, file_len, dedup, extents)?;
         if col.rows() != rows {
             return Err(StorageError::PersistError(format!(
                 "column covers {} rows, table claims {rows}",
@@ -1111,18 +1293,16 @@ fn get_table(
 /// One index entry: a table's name and its block's extent.
 type Entry = (String, u64, u64);
 
-/// Reads and validates an index. Every count is bounded by the bytes left
-/// before anything is sized from it; every block must lie inside
-/// `[PREAMBLE_LEN, index_off)`, no two may overlap, no name may repeat and
-/// nothing may follow the last entry. Returns the catalog version (0 for a
-/// table file) and the entries in index order.
-fn get_index(
-    index: &[u8],
-    catalog: bool,
-    index_off: u64,
-) -> Result<(u64, Vec<Entry>), StorageError> {
+/// Reads and validates the index `tail` names. Every count is bounded by
+/// the bytes left before anything is sized from it; every block must lie
+/// past the slots and inside the file, no two blocks may overlap each
+/// other or the index, no name may repeat and nothing may follow the last
+/// entry. Returns the catalog version (0 for a table file) and the entries
+/// in index order.
+fn get_index(tail: &Tail, catalog: bool) -> Result<(u64, Vec<Entry>), StorageError> {
     let bad = |m: String| StorageError::PersistError(m);
-    let mut r = Reader::new(index);
+    let file_len = tail.file_len;
+    let mut r = Reader::new(&tail.index);
     let (version, count) = if catalog {
         (r.u64()?, r.count(ENTRY_MIN)?)
     } else {
@@ -1133,12 +1313,9 @@ fn get_index(
     for _ in 0..count {
         let name = read_str(&mut r)?.to_owned();
         let (off, len) = (r.u64()?, r.u64()?);
-        if off < PREAMBLE_LEN as u64
-            || len == 0
-            || off.checked_add(len).is_none_or(|end| end > index_off)
-        {
+        if off < HEADER_LEN || len == 0 || off.checked_add(len).is_none_or(|end| end > file_len) {
             return Err(bad(format!(
-                "the block of `{name}` at {off} (+{len}) is outside the heap [{PREAMBLE_LEN}, {index_off})"
+                "the block of `{name}` at {off} (+{len}) is outside the heap [{HEADER_LEN}, {file_len})"
             )));
         }
         if !names.insert(name.clone()) {
@@ -1148,22 +1325,24 @@ fn get_index(
     }
     r.finish()
         .map_err(|_| bad("trailing bytes after the index".into()))?;
+    let (index_off, index_len) = tail.slot.index();
     let mut spans: Vec<(u64, u64)> = entries
         .iter()
         .map(|&(_, off, len)| (off, off + len))
+        .chain([(index_off, index_off + index_len)])
         .collect();
     spans.sort_unstable();
     if let Some(w) = spans.windows(2).find(|w| w[0].1 > w[1].0) {
         return Err(bad(format!(
-            "blocks [{}, {}) and [{}, {}) overlap",
+            "extents [{}, {}) and [{}, {}) of the index and its blocks overlap",
             w[0].0, w[0].1, w[1].0, w[1].1
         )));
     }
     Ok((version, entries))
 }
 
-/// An opened container: its footer and index (all read so far), and the
-/// source its blocks and payloads are read from.
+/// An opened container: its committed slot and index (all read so far),
+/// and the source its blocks and payloads are read from.
 struct Opened {
     tail: Tail,
     source: Arc<PayloadSource>,
@@ -1172,28 +1351,21 @@ struct Opened {
 impl Opened {
     /// Opens an in-memory image; blocks and payloads come from `buf`.
     fn image(buf: Bytes) -> Result<Opened, StorageError> {
-        let (file_len, index_off) = read_footer(&mut std::io::Cursor::new(buf.as_slice()), None)?;
-        let index = buf.slice(index_off as usize..file_len as usize - FOOTER_LEN);
-        Ok(Opened {
-            tail: Tail {
-                file_len,
-                index_off,
-                index,
-            },
-            source: Arc::new(PayloadSource::Bytes(buf)),
-        })
+        let len = buf.len() as u64;
+        let source = Arc::new(PayloadSource::Bytes(buf));
+        let tail = read_tail(&source, len, None)?;
+        Ok(Opened { tail, source })
     }
 
-    /// Opens `path`, reading *only* the preamble, footer and index — the
-    /// blocks are read by [`Opened::decode`], the payloads never.
+    /// Opens `path`, reading *only* the preamble, the slots and the index —
+    /// the blocks are read by [`Opened::decode`], the payloads never.
     fn file(path: &Path) -> Result<Opened, StorageError> {
-        let mut file = std::fs::File::open(path)?;
-        let tail = read_tail(&mut file, path)?;
+        let file = std::fs::File::open(path)?;
+        let len = file.metadata()?.len();
         let canon = std::fs::canonicalize(path)?;
-        Ok(Opened {
-            tail,
-            source: Arc::new(PayloadSource::for_file(file, canon)),
-        })
+        let source = Arc::new(PayloadSource::for_file(file, canon));
+        let tail = read_tail(&source, len, Some(path))?;
+        Ok(Opened { tail, source })
     }
 
     /// Decodes every block the index names, in index order: the catalog
@@ -1201,7 +1373,7 @@ impl Opened {
     /// with identical heap locations come back as one shared slot, so
     /// columns shared across tables stay shared — and cached once.
     fn decode(&self, catalog: bool) -> Result<(u64, Vec<(Table, BlockAt)>), StorageError> {
-        let (version, entries) = get_index(&self.tail.index, catalog, self.tail.index_off)?;
+        let (version, entries) = get_index(&self.tail, catalog)?;
         let mut dedup = SlotDedup::new();
         let mut tables = Vec::with_capacity(entries.len());
         for (name, off, len) in entries {
@@ -1211,7 +1383,7 @@ impl Opened {
             let t = get_table(
                 &mut r,
                 &self.source,
-                self.tail.index_off,
+                self.tail.file_len,
                 &mut dedup,
                 &mut extents,
             )?;
@@ -1247,9 +1419,9 @@ fn catalog_of(
 }
 
 /// The [`HeapStats`] of the file at `path` — a catalog file, else a table
-/// file — read under its save lock after recovery.
+/// file — read under its save lock.
 pub(crate) fn file_heap_stats(path: &Path) -> Result<HeapStats, StorageError> {
-    recovered(path, |path| {
+    locked(path, |path| {
         let opened = Opened::file(path)?;
         let (_, tables) = match opened.decode(true) {
             Ok(decoded) => decoded,
@@ -1258,7 +1430,7 @@ pub(crate) fn file_heap_stats(path: &Path) -> Result<HeapStats, StorageError> {
         let blocks: Vec<BlockAt> = tables.into_iter().map(|(_, b)| b).collect();
         Ok(heap_stats_of(
             opened.tail.file_len,
-            opened.tail.index_off,
+            &opened.tail.slot,
             &blocks,
         ))
     })
@@ -1276,9 +1448,10 @@ pub(crate) fn file_heap_stats(path: &Path) -> Result<HeapStats, StorageError> {
 /// read (it changed or vanished under us) — the same contract as faulting
 /// the segment in. [`save_table`] reports such errors instead.
 pub fn encode_table(t: &Table) -> Bytes {
-    build(&Content::Table(t), None)
+    build(&Content::Table(t), None, 1)
         .unwrap_or_else(|e| panic!("encode_table: cannot re-read segment payloads: {e}"))
-        .bytes
+        .image()
+        .into()
 }
 
 /// Deserializes one table. The image opens lazily: columns carry metadata
@@ -1298,37 +1471,33 @@ pub fn save_table(t: &Table, path: impl AsRef<Path>) -> Result<(), StorageError>
     save_content(&Content::Table(t), path.as_ref())
 }
 
-/// Runs `read` on `path` under its save lock, after crash recovery: a hot
-/// rollback journal from an interrupted save is applied — or, when torn,
-/// discarded — so the read sees the last committed state, and no save can
-/// overwrite what the read is decoding before its slots are known.
-fn recovered<T>(
+/// Runs `read` on `path` under its save lock, so no save can place bytes
+/// over what the read is decoding before its slots are known. Nothing is
+/// written: the newer valid commit slot names the state that is read.
+fn locked<T>(
     path: &Path,
     read: impl FnOnce(&Path) -> Result<T, StorageError>,
 ) -> Result<T, StorageError> {
     let lock = wal::path_lock(path);
     let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-    if path.exists() || wal::wal_path(path).exists() {
-        wal::recover(path)?;
-    }
     read(path)
 }
 
 /// Reads a table from a file. The file opens as metadata only — segment
 /// payloads stay on disk and fault in through the buffer cache on first
-/// touch. Detects an interrupted save first and rolls the file back to its
-/// last committed footer.
+/// touch. The state read is the one the newer valid commit slot names; an
+/// interrupted save left the older one, and opening writes nothing.
 pub fn read_table(path: impl AsRef<Path>) -> Result<Table, StorageError> {
-    recovered(path.as_ref(), read_table_raw)
+    locked(path.as_ref(), read_table_raw)
 }
 
-/// [`read_table`] without the recovery step — for callers (vacuum) that
-/// already hold the file's save lock and have recovered it.
+/// [`read_table`] without taking the save lock — for callers (vacuum) that
+/// already hold it.
 pub(crate) fn read_table_raw(path: &Path) -> Result<Table, StorageError> {
     let opened = Opened::file(path)?;
     let (_, mut tables) = opened.decode(false)?;
     let (t, block) = tables.pop().ok_or_else(eof)?;
-    note_source(&opened.source, payload_end([&block]));
+    note_source(&opened.source, block.payloads.to_vec());
     Ok(t)
 }
 
@@ -1339,9 +1508,10 @@ pub(crate) fn read_table_raw(path: &Path) -> Result<Table, StorageError> {
 /// # Panics
 /// See [`encode_table`].
 pub fn encode_catalog(cat: &Catalog) -> Bytes {
-    build(&Content::of_catalog(cat), None)
+    build(&Content::of_catalog(cat), None, 1)
         .unwrap_or_else(|e| panic!("encode_catalog: cannot re-read segment payloads: {e}"))
-        .bytes
+        .image()
+        .into()
 }
 
 /// Deserializes a catalog (lazily — see [`decode_table`]).
@@ -1360,34 +1530,26 @@ pub fn save_catalog(cat: &Catalog, path: impl AsRef<Path>) -> Result<(), Storage
     save_content(&Content::of_catalog(cat), path.as_ref())
 }
 
-/// Reads a catalog from a file (lazily — see [`read_table`]). Detects an
-/// interrupted save first and rolls the file back to its last committed
-/// footer.
+/// Reads a catalog from a file (lazily — see [`read_table`]).
 pub fn read_catalog(path: impl AsRef<Path>) -> Result<Catalog, StorageError> {
-    recovered(path.as_ref(), read_catalog_raw)
+    locked(path.as_ref(), read_catalog_raw)
 }
 
-/// [`read_catalog`] without the recovery step — for callers (vacuum, the
-/// commit log) that already hold the file's save lock and have recovered
-/// it. The decoded tables become the file's committed index, so saving
-/// them back re-encodes only the ones replaced since.
+/// [`read_catalog`] without taking the save lock — for callers (vacuum,
+/// the commit log) that already hold it. The decoded tables become the
+/// file's committed state, so saving them back re-encodes only the ones
+/// replaced since.
 pub(crate) fn read_catalog_raw(path: &Path) -> Result<Catalog, StorageError> {
     let opened = Opened::file(path)?;
     let (version, tables) = opened.decode(true)?;
-    note_source(&opened.source, payload_end(tables.iter().map(|(_, b)| b)));
+    let bound = tables.iter().flat_map(|(_, b)| b.payloads.iter().copied());
+    note_source(&opened.source, bound.collect());
     let (catalog, blocks) = catalog_of(version, tables);
     if let Some(id) = opened.source.file_id() {
-        let Tail {
-            file_len,
-            index_off,
-            index,
-        } = opened.tail;
         note_committed(
             id,
             Committed {
-                file_len,
-                index_off,
-                index,
+                slot: opened.tail.slot,
                 blocks,
             },
         );
@@ -1402,6 +1564,7 @@ mod tests {
     use crate::schema::Schema;
     use crate::store::budget_guard;
     use crate::value::Value;
+    use bytes::BytesMut;
 
     fn sample() -> Table {
         let schema = Schema::build(
@@ -1474,20 +1637,23 @@ mod tests {
         })
     }
 
-    fn footer_index_off(path: &Path) -> u64 {
-        let raw = std::fs::read(path).unwrap();
-        let n = raw.len();
-        u64::from_le_bytes(raw[n - 12..n - 4].try_into().unwrap())
+    /// The committed slot and index of an image or a file's bytes.
+    fn tail_of(raw: &[u8]) -> Tail {
+        let src = PayloadSource::Bytes(Bytes::from(raw.to_vec()));
+        read_tail(&src, raw.len() as u64, None).unwrap()
     }
 
     /// `[start, end)` of the one block of a table image, from its index.
     fn table_block(raw: &[u8]) -> (usize, usize) {
-        let n = raw.len();
-        let index_off = u64::from_le_bytes(raw[n - 12..n - 4].try_into().unwrap()) as usize;
-        let mut index = Reader::new(&raw[index_off..n - 12]);
+        let tail = tail_of(raw);
+        let mut index = Reader::new(&tail.index);
         read_str(&mut index).unwrap();
         let off = index.u64().unwrap() as usize;
         (off, off + index.u64().unwrap() as usize)
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
     }
 
     #[test]
@@ -1586,7 +1752,7 @@ mod tests {
         let first = &t.column(0).segments()[0];
         let len0 = payload_encoded_len(&first.enc()) as u64;
         let mut pat = Vec::new();
-        pat.extend_from_slice(&(PREAMBLE_LEN as u64).to_le_bytes());
+        pat.extend_from_slice(&HEADER_LEN.to_le_bytes());
         pat.extend_from_slice(&len0.to_le_bytes());
         let pos = raw[block..]
             .windows(16)
@@ -1647,19 +1813,27 @@ mod tests {
         );
         block.put_u64_le(1);
         block.put_slice(column);
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(VERSION);
         let block = block.freeze();
-        buf.put_slice(block.as_slice());
         let at = BlockAt {
-            off: PREAMBLE_LEN as u64,
+            off: HEADER_LEN,
             len: block.len() as u64,
             payloads: Arc::new([]),
         };
-        put_entry(&mut buf, "t", &at);
-        buf.put_u64_le(at.off + at.len);
+        let mut index = Vec::new();
+        put_entry(&mut index, "t", &at);
+        let slot = Slot {
+            generation: 1,
+            index_off: at.off + at.len,
+            index_len: index.len() as u64,
+            index_sum: wal::checksum(&[&index]),
+        };
+        let mut buf = BytesMut::new();
         buf.put_u32_le(MAGIC);
+        buf.put_u16_le(VERSION);
+        buf.put_slice(&slot.to_bytes());
+        buf.put_slice(&[0; SLOT_LEN]);
+        buf.put_slice(block.as_slice());
+        buf.put_slice(&index);
         buf.freeze()
     }
 
@@ -1694,24 +1868,6 @@ mod tests {
             matches!(err, Err(StorageError::PersistError(_))),
             "expected PersistError, got {err:?}"
         );
-    }
-
-    #[test]
-    fn corrupt_footer_is_rejected() {
-        let bytes = encode_table(&multi_segment());
-        let n = bytes.len();
-        // Footer magic flipped.
-        let mut raw = bytes.as_slice().to_vec();
-        raw[n - 1] ^= 0xFF;
-        assert!(decode_table(Bytes::from(raw)).is_err());
-        // Metadata offset beyond the file.
-        let mut raw = bytes.as_slice().to_vec();
-        raw[n - 12..n - 4].copy_from_slice(&(n as u64).to_le_bytes());
-        assert!(decode_table(Bytes::from(raw)).is_err());
-        // Metadata offset inside the preamble.
-        let mut raw = bytes.as_slice().to_vec();
-        raw[n - 12..n - 4].copy_from_slice(&0u64.to_le_bytes());
-        assert!(decode_table(Bytes::from(raw)).is_err());
     }
 
     #[test]
@@ -1800,13 +1956,19 @@ mod tests {
         let t = multi_segment();
         let path = temp("append_noop");
         save_table(&t, &path).unwrap();
-        let index_off = footer_index_off(&path);
+        let first = file_len(&path);
+        // A fresh image ends in its block and index.
+        let meta = first - table_block(&std::fs::read(&path).unwrap()).0 as u64;
         let back = read_table(&path).unwrap();
-        // Re-saving the unchanged table reuses every payload and writes
-        // its block over the old one: the file does not grow and nothing
-        // faults in — O(metadata), not O(data).
+        // Re-saving the unchanged table reuses every payload: it writes a
+        // block and an index, and nothing faults in — O(metadata), not
+        // O(data). The committed ones must survive until the new ones
+        // commit, so the first re-save lands past them; the second takes
+        // the space they freed, and the file is cut back.
         save_table(&back, &path).unwrap();
-        assert_eq!(footer_index_off(&path), index_off, "heap must not grow");
+        assert_eq!(file_len(&path), first + meta, "one block and index more");
+        save_table(&back, &path).unwrap();
+        assert_eq!(file_len(&path), first, "the freed space is reused");
         assert_eq!(residency(&back).0, 0, "append-save must not fault");
         let again = read_table(&path).unwrap();
         assert_eq!(again.to_rows(), t.to_rows());
@@ -1819,7 +1981,7 @@ mod tests {
         let t = multi_segment();
         let path = temp("append_grow");
         save_table(&t, &path).unwrap();
-        let index_off = footer_index_off(&path);
+        let first = file_len(&path);
         let back = read_table(&path).unwrap();
         // Recode two segments: two fresh payloads, the rest reused.
         let evolved = back
@@ -1828,11 +1990,9 @@ mod tests {
             })
             .unwrap();
         save_table(&evolved, &path).unwrap();
-        let new_index_off = footer_index_off(&path);
-        assert!(new_index_off > index_off, "new payloads are appended");
-        // The new block is as long as the old one it replaced.
-        let appended = new_index_off - index_off;
-        let expected: u64 = evolved
+        let raw = std::fs::read(&path).unwrap();
+        let (block, block_end) = table_block(&raw);
+        let recoded: u64 = evolved
             .column_by_name("k")
             .unwrap()
             .segments()
@@ -1840,7 +2000,9 @@ mod tests {
             .take(2)
             .map(|s| payload_encoded_len(&s.enc()) as u64)
             .sum();
-        assert_eq!(appended, expected, "only the recoded payloads");
+        // The new payloads, block and index went past the committed state.
+        let appended = (block_end - block) as u64 + tail_of(&raw).slot.index_len + recoded;
+        assert_eq!(raw.len() as u64, first + appended, "only what changed");
         // The untouched segments were never read during the save.
         let (_, on_disk) = residency(&back);
         assert!(on_disk > 0, "reused segments stay on disk");
@@ -1849,10 +2011,50 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// An append-save overwrites the tail past the last extent it keeps —
-    /// but never an extent a live slot is bound to. A table an older
-    /// snapshot still holds keeps faulting in its own payloads after later
-    /// saves replaced it, even once evicted.
+    /// Free space is first fit around what a save keeps: a gap that holds
+    /// an extent takes it, else the space past the end does.
+    #[test]
+    fn free_space_is_taken_lowest_first() {
+        let mut free = FreeList::around(vec![(HEADER_LEN + 40, 10), (HEADER_LEN, 20)]);
+        assert_eq!(free.gaps, vec![(HEADER_LEN + 20, HEADER_LEN + 40)]);
+        assert_eq!(free.take(30), HEADER_LEN + 50, "too big for the gap");
+        assert_eq!(free.take(15), HEADER_LEN + 20);
+        assert_eq!(free.take(5), HEADER_LEN + 35, "the gap's rest");
+        assert!(free.gaps.is_empty());
+        assert_eq!(free.take(1), HEADER_LEN + 80);
+    }
+
+    /// A file deleted and re-created restarts its generations, so the
+    /// background vacuum's staleness check compares the whole slot: the
+    /// same generation over other content is not the slot it was queued
+    /// for.
+    #[test]
+    fn a_recreated_file_at_the_same_generation_is_not_still_committed() {
+        let _g = budget_guard();
+        let path = temp("recreated");
+        let two_saves = |t: Table| {
+            let cat = Catalog::new();
+            cat.create(t).unwrap();
+            save_catalog(&cat, &path).unwrap();
+            let t = cat.get(&cat.table_names()[0]).unwrap();
+            cat.put(t.map_columns(None, |c| c.recode(Encoding::Rle)).unwrap());
+            save_catalog(&cat, &path).unwrap();
+            Opened::file(&path).unwrap().tail.slot
+        };
+        let queued = two_saves(sample());
+        assert!(still_committed(&path, &queued));
+        std::fs::remove_file(&path).unwrap();
+        let now = two_saves(multi_segment());
+        assert_eq!(now.generation, queued.generation);
+        assert!(!still_committed(&path, &queued));
+        assert!(still_committed(&path, &now));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// An append-save writes into free space — but never over an extent a
+    /// live slot is bound to. A table an older snapshot still holds keeps
+    /// faulting in its own payloads after later saves replaced it, even
+    /// once evicted.
     #[test]
     fn a_slot_of_an_older_snapshot_survives_later_saves() {
         let _g = budget_guard();
@@ -1964,17 +2166,16 @@ mod tests {
 
     #[test]
     fn previous_version_is_refused_by_number() {
-        // Format 7 kept one metadata region where 8 has blocks behind an
-        // index; it is refused like any other foreign version, not guessed
-        // at.
+        // Format 8 ended in a footer where 9 has two commit slots; it is
+        // refused like any other foreign version, not guessed at.
         let mut raw = encode_catalog(&Catalog::new()).as_slice().to_vec();
-        raw[4..6].copy_from_slice(&7u16.to_le_bytes());
+        raw[4..6].copy_from_slice(&8u16.to_le_bytes());
         for err in [
             decode_catalog(Bytes::from(raw.clone())).map(|_| ()),
             decode_table(Bytes::from(raw)).map(|_| ()),
         ] {
             match err {
-                Err(StorageError::PersistError(m)) => assert_eq!(m, "unsupported version 7"),
+                Err(StorageError::PersistError(m)) => assert_eq!(m, "unsupported version 8"),
                 other => panic!("wanted the unsupported-version error, got {other:?}"),
             }
         }
@@ -2001,10 +2202,10 @@ mod tests {
         assert_eq!(read_catalog(&path).unwrap().version(), 4);
         assert_eq!(decode_catalog(encode_catalog(&back)).unwrap().version(), 4);
 
-        // The field opens the index; a file cut inside it has lost its
-        // footer and is the typed torn tail.
+        // The field opens the index; a file cut inside it no longer holds
+        // what its committed slot names, and is the typed torn tail.
         let raw = std::fs::read(&path).unwrap();
-        let index_off = footer_index_off(&path) as usize;
+        let index_off = tail_of(&raw).slot.index_off as usize;
         assert_eq!(raw[index_off..index_off + 8], 4u64.to_le_bytes());
         std::fs::write(&path, &raw[..index_off + 5]).unwrap();
         match read_catalog(&path) {
@@ -2014,10 +2215,11 @@ mod tests {
                 other.map(|c| c.len())
             ),
         }
-        // An image cut there has no path to hint at: a plain decode error.
+        // An image cut there has no path to hint at, and is torn all the
+        // same.
         assert!(matches!(
             decode_catalog(Bytes::from(raw[..index_off + 5].to_vec())),
-            Err(StorageError::PersistError(_))
+            Err(StorageError::Corrupt(_))
         ));
         std::fs::remove_file(&path).ok();
     }

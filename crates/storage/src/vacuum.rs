@@ -1,8 +1,9 @@
 //! Background heap compaction (vacuum).
 //!
-//! Append-saves reclaim only the tail past the last extent they keep: a
-//! superseded payload or metadata block below that point just stops being
-//! referenced, so a long-lived file accretes dead heap space. A vacuum
+//! Append-saves write into the free space the committed state and the live
+//! slots leave, and cut the file after the last extent still kept; free
+//! space below that point that no later save fits into, and payloads live
+//! slots of older snapshots keep, stay in the file as dead heap. A vacuum
 //! rewrites the *live* payloads into a fresh heap (via the same
 //! temp-file + atomic-rename commit as a full-rewrite save), then rebinds
 //! every in-memory slot to its new location — Arc-sharing across table
@@ -16,10 +17,10 @@
 //!   reclaimed bytes;
 //! * automatic — every append-save reports its dead/heap bytes, and
 //!   when the configured [`AutoVacuum`] threshold is crossed a background
-//!   thread compacts the file off the save path. The thread re-checks the
-//!   file's footer under the save lock and skips itself if another save
-//!   landed in between (that save re-evaluates the trigger), so a stale
-//!   snapshot can never clobber a newer one.
+//!   thread compacts the file off the save path. The thread re-reads the
+//!   file's committed slot under the save lock and skips itself if
+//!   another save landed in between (that save re-evaluates the trigger),
+//!   so a stale snapshot can never clobber a newer one.
 //!
 //! Readers concurrent with a vacuum are safe on unix: they hold an open
 //! handle to the old inode, which the rename unlinks but does not destroy.
@@ -34,11 +35,12 @@
 //! pending, un-checkpointed record. A vacuum writes the
 //! catalog version of the content it writes, like any save, so replay
 //! still knows which records the compacted file covers. The vacuum touches
-//! only `<file>` (and its `.wal`); `<file>.clog` passes through untouched.
+//! only `<file>` (through a temp file renamed over it); `<file>.clog`
+//! passes through untouched.
 
 use crate::catalog::Catalog;
 use crate::error::StorageError;
-use crate::persist::{self, Content, OwnedContent};
+use crate::persist::{self, Content, OwnedContent, Slot};
 use crate::table::Table;
 use crate::wal;
 use std::collections::HashSet;
@@ -69,23 +71,22 @@ impl VacuumReport {
     }
 }
 
-/// Heap occupancy of one file: how much of what lies below its index is
-/// still referenced by the index. `file_bytes` is the preamble plus
-/// `heap_bytes` plus `meta_bytes`, and `heap_bytes` is `live_bytes` plus
-/// `dead_bytes`.
+/// Heap occupancy of one file: how much of its heap the committed index
+/// still references. `file_bytes` is the preamble plus `heap_bytes` plus
+/// `meta_bytes`, and `heap_bytes` is `live_bytes` plus `dead_bytes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeapStats {
     /// Total file size.
     pub file_bytes: u64,
-    /// Bytes below the index that are not live metadata blocks: live
+    /// Heap bytes that are not the index or a live metadata block: live
     /// payloads plus dead space.
     pub heap_bytes: u64,
-    /// Live metadata blocks + index + footer bytes.
+    /// The two commit slots, the live metadata blocks and the index.
     pub meta_bytes: u64,
     /// Payload bytes the file's live blocks reference.
     pub live_bytes: u64,
-    /// Bytes below the index that no live payload or block occupies —
-    /// superseded payloads and blocks; what a vacuum reclaims.
+    /// Heap bytes that no live payload, block or the index occupies —
+    /// superseded payloads, blocks and indexes; what a vacuum reclaims.
     pub dead_bytes: u64,
     /// Distinct live payload extents.
     pub live_segments: usize,
@@ -154,11 +155,13 @@ pub fn wait_for_auto_vacuum() {
 }
 
 /// Evaluated by `save_content` after every append-save: spawn a background
-/// compaction when the dead-heap threshold is crossed. `stats` and
-/// `index_off` are what the triggering save left behind — the vacuum
-/// thread re-reads the footer under the save lock and backs off if
-/// another save has landed since (its own trigger re-fires as needed).
-pub(crate) fn consider_auto(what: &Content<'_>, path: &Path, stats: &HeapStats, index_off: u64) {
+/// compaction when the dead-heap threshold is crossed. `stats` and `slot`
+/// are what the triggering save committed — the vacuum thread re-reads the
+/// committed slot under the save lock and backs off unless it is still
+/// this one, whole: generation, index location and index checksum (a
+/// file deleted and re-created restarts its generations). Another save
+/// that landed since re-fires its own trigger as needed.
+pub(crate) fn consider_auto(what: &Content<'_>, path: &Path, stats: &HeapStats, slot: Slot) {
     let Some(policy) = auto_vacuum() else { return };
     if stats.dead_bytes < policy.min_dead_bytes.max(1) {
         return;
@@ -166,7 +169,6 @@ pub(crate) fn consider_auto(what: &Content<'_>, path: &Path, stats: &HeapStats, 
     if (stats.dead_bytes as f64) < policy.dead_ratio * (stats.heap_bytes.max(1) as f64) {
         return;
     }
-    let expect = (stats.file_bytes, index_off);
     let lock = wal::path_lock(path);
     let key = Arc::as_ptr(&lock) as usize;
     {
@@ -180,8 +182,7 @@ pub(crate) fn consider_auto(what: &Content<'_>, path: &Path, stats: &HeapStats, 
     let handle = std::thread::spawn(move || {
         {
             let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-            let current = persist::file_footer(&path).ok();
-            if current == Some(expect) {
+            if persist::still_committed(&path, &slot) {
                 // Best-effort: a failure leaves the (committed) file as it
                 // was, and the next save's trigger tries again.
                 let _ = persist::rewrite_compacted(&owned.as_content(), &path);
@@ -229,13 +230,11 @@ pub fn vacuum_catalog(cat: &Catalog, path: impl AsRef<Path>) -> Result<VacuumRep
 }
 
 /// Offline vacuum: opens `path` (as a catalog, falling back to a single
-/// table), recovers any interrupted save, and compacts in place — the
-/// CLI's `vacuum <file>`.
+/// table) and compacts in place — the CLI's `vacuum <file>`.
 pub fn vacuum_file(path: impl AsRef<Path>) -> Result<VacuumReport, StorageError> {
     let path = path.as_ref();
     let lock = wal::path_lock(path);
     let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-    wal::recover(path)?;
     let owned = match persist::read_catalog_raw(path) {
         Ok(cat) => Content::of_catalog(&cat).to_owned_content(),
         Err(catalog_err) => match persist::read_table_raw(path) {

@@ -1,7 +1,9 @@
-//! Hostile bytes for format 8 and the format-3 commit log: seeded, in-tree
+//! Hostile bytes for format 9 and the format-3 commit log: seeded, in-tree
 //! mutation loops over the golden table and catalog fixtures and over a
 //! recorded `.clog`, targeted mutations of the fields inside a table's
-//! metadata block, plus hand-built hostile indexes and bitmap payloads.
+//! metadata block, every truncation and bit flip of the commit slots of a
+//! file that holds two generations, plus hand-built hostile slots, indexes
+//! and bitmap payloads.
 //!
 //! Every mutated image goes through both decoders. Whatever comes back must
 //! be a typed error or a table that can be used to the end without a
@@ -17,7 +19,7 @@ use cods_bitmap::word::{make_fill, ALL_ONES_LITERAL, FILL_FLAG, LIT_MASK, MAX_FI
 use cods_bitmap::Wah;
 use cods_query::{Predicate, ScanStream};
 use cods_storage::codec::{read_str, read_value, Reader};
-use cods_storage::persist::{decode_catalog, decode_table};
+use cods_storage::persist::{decode_catalog, decode_table, read_catalog, save_catalog};
 use cods_storage::store::{decode_payload, encode_payload, SegMeta};
 use cods_storage::{
     clog_path, log_status, open_durable, wal, Catalog, Dictionary, EncodedColumn, Encoding,
@@ -32,7 +34,10 @@ const GOLDEN_CATALOG: &[u8] = include_bytes!("golden/catalog.cods");
 
 /// `magic:u32 version:u16`.
 const PREAMBLE_LEN: usize = 6;
-const MAGIC: u32 = 0xC0D5_0001;
+/// `generation index_off index_len index_sum slot_sum`, a `u64` each.
+const SLOT_LEN: usize = 40;
+/// The preamble and both commit slots.
+const HEADER_LEN: usize = PREAMBLE_LEN + 2 * SLOT_LEN;
 
 /// xorshift64*: a fixed seed makes every run mutate the same bytes.
 struct Rng(u64);
@@ -71,9 +76,28 @@ fn survives(raw: &[u8]) -> bool {
     table.is_ok() || catalog.is_ok()
 }
 
-fn index_off(raw: &[u8]) -> usize {
-    let n = raw.len();
-    u64::from_le_bytes(raw[n - 12..n - 4].try_into().unwrap()) as usize
+/// The four fields of slot `which`: `generation index_off index_len
+/// index_sum`.
+fn slot_fields(raw: &[u8], which: usize) -> [u64; 4] {
+    let at = PREAMBLE_LEN + which * SLOT_LEN;
+    [0, 1, 2, 3].map(|i| u64::from_le_bytes(raw[at + 8 * i..at + 8 * i + 8].try_into().unwrap()))
+}
+
+/// A slot's bytes: its fields and their checksum.
+fn slot_bytes(fields: [u64; 4]) -> [u8; SLOT_LEN] {
+    let mut out = [0u8; SLOT_LEN];
+    for (at, field) in out.chunks_exact_mut(8).zip(fields) {
+        at.copy_from_slice(&field.to_le_bytes());
+    }
+    let sum = wal::checksum(&[&out[..SLOT_LEN - 8]]);
+    out[SLOT_LEN - 8..].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// `[start, end)` of the index a fixture's first slot commits.
+fn index_span(raw: &[u8]) -> (usize, usize) {
+    let [_, off, len, _] = slot_fields(raw, 0);
+    (off as usize, (off + len) as usize)
 }
 
 #[test]
@@ -97,9 +121,10 @@ fn seeded_bit_flips_never_panic() {
         decoded += usize::from(survives(raw));
     };
     for golden in [GOLDEN_TABLE, GOLDEN_CATALOG] {
-        // Every bit of the index and the footer, where a flip moves or
-        // renames a block…
-        for at in index_off(golden)..golden.len() {
+        // Every bit of the slots and the index, where a flip moves or
+        // renames a block or tears the commit…
+        let (index, end) = index_span(golden);
+        for at in (PREAMBLE_LEN..HEADER_LEN).chain(index..end) {
             for bit in 0..8 {
                 let mut raw = golden.to_vec();
                 raw[at] ^= 1 << bit;
@@ -145,7 +170,8 @@ struct BlockFields {
 }
 
 fn block_fields(raw: &[u8]) -> BlockFields {
-    let mut index = Reader::new(&raw[index_off(raw)..raw.len() - 12]);
+    let (index, end) = index_span(raw);
+    let mut index = Reader::new(&raw[index..end]);
     read_str(&mut index).unwrap();
     let (block, len) = (index.u64().unwrap() as usize, index.u64().unwrap() as usize);
     let mut r = Reader::new(&raw[block..block + len]);
@@ -282,13 +308,14 @@ fn targeted_metadata_mutations_are_typed_errors() {
     );
 }
 
-/// `golden`'s heap (payloads and blocks) under a hand-built index.
+/// `golden`'s payloads and blocks under a hand-built index, which its
+/// first slot commits.
 fn with_index(golden: &[u8], index: &[u8]) -> Vec<u8> {
-    let at = index_off(golden);
+    let at = index_span(golden).0;
     let mut raw = golden[..at].to_vec();
     raw.extend_from_slice(index);
-    raw.extend_from_slice(&(at as u64).to_le_bytes());
-    raw.extend_from_slice(&MAGIC.to_le_bytes());
+    let fields = [1, at as u64, index.len() as u64, wal::checksum(&[index])];
+    raw[PREAMBLE_LEN..PREAMBLE_LEN + SLOT_LEN].copy_from_slice(&slot_bytes(fields));
     raw
 }
 
@@ -301,7 +328,8 @@ fn entry(out: &mut Vec<u8>, name: &str, off: u64, len: u64) {
 
 /// The golden catalog's entries: `(name, off, len)` in index order.
 fn catalog_entries() -> Vec<(String, u64, u64)> {
-    let mut index = &GOLDEN_CATALOG[index_off(GOLDEN_CATALOG)..GOLDEN_CATALOG.len() - 12];
+    let (start, end) = index_span(GOLDEN_CATALOG);
+    let mut index = &GOLDEN_CATALOG[start..end];
     let mut take = |n: usize| {
         let (head, rest) = index.split_at(n);
         index = rest;
@@ -343,7 +371,7 @@ fn hostile_indexes_are_typed_errors() {
         panic!("the golden catalog holds two tables: {entries:?}");
     };
     let (a, b) = (a.as_str(), b.as_str());
-    let at = index_off(GOLDEN_CATALOG) as u64;
+    let at = index_span(GOLDEN_CATALOG).0 as u64;
     // Sanity: the index rebuilt as it is decodes.
     let good = catalog_index(2, &[(a, *a_off, *a_len), (b, *b_off, *b_len)]);
     assert!(decode_catalog(Bytes::from(with_index(GOLDEN_CATALOG, &good))).is_ok());
@@ -369,6 +397,10 @@ fn hostile_indexes_are_typed_errors() {
         (
             "a block in the preamble",
             catalog_index(2, &[(a, 0, *a_len), (b, *b_off, *b_len)]),
+        ),
+        (
+            "a block in the slots",
+            catalog_index(2, &[(a, PREAMBLE_LEN as u64, *a_len), (b, *b_off, *b_len)]),
         ),
         (
             "an empty block",
@@ -419,7 +451,143 @@ fn hostile_indexes_are_typed_errors() {
         Err(StorageError::PersistError(_)) => {}
         other => panic!("a huge name length: {:?}", other.map(|t| t.rows())),
     }
-    assert!(PREAMBLE_LEN < *a_off as usize);
+    assert!(HEADER_LEN < *a_off as usize);
+}
+
+// ---- The commit slots ----
+
+/// The fixture's first slot replaced by `first` and its second by
+/// `second`, read through both decoders: it must be `Corrupt`.
+fn slots_refused(what: &str, golden: &[u8], first: [u8; SLOT_LEN], second: [u8; SLOT_LEN]) {
+    let mut raw = golden.to_vec();
+    raw[PREAMBLE_LEN..PREAMBLE_LEN + SLOT_LEN].copy_from_slice(&first);
+    raw[PREAMBLE_LEN + SLOT_LEN..HEADER_LEN].copy_from_slice(&second);
+    let table = decode_table(Bytes::from(raw.clone())).map(|t| t.rows());
+    let catalog = decode_catalog(Bytes::from(raw)).map(|c| c.table_names());
+    for (decoder, err) in [("table", table.err()), ("catalog", catalog.err())] {
+        match err {
+            Some(StorageError::Corrupt(m)) => assert!(m.contains("torn tail"), "{what}: {m}"),
+            other => panic!("{what} ({decoder} decoder): wanted Corrupt, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn hostile_commit_slots_are_typed_errors() {
+    for golden in [GOLDEN_TABLE, GOLDEN_CATALOG] {
+        let committed = slot_fields(golden, 0);
+        let [generation, off, len, sum] = committed;
+        let good = slot_bytes(committed);
+        assert_eq!(
+            slot_fields(golden, 1),
+            [0; 4],
+            "a fresh image's second slot is empty"
+        );
+        let mut torn = good;
+        torn[3] ^= 0x10;
+        slots_refused("both slots invalid", golden, torn, [0; SLOT_LEN]);
+        slots_refused("both slots empty", golden, [0; SLOT_LEN], [0; SLOT_LEN]);
+        let file_len = golden.len() as u64;
+        for (what, fields) in [
+            ("an index past EOF", [generation, file_len, len, sum]),
+            (
+                "an index running past EOF",
+                [generation, off, file_len, sum],
+            ),
+            (
+                "an index whose end overflows",
+                [generation, off, u64::MAX, sum],
+            ),
+            (
+                "an index over the slots",
+                [generation, PREAMBLE_LEN as u64, len, sum],
+            ),
+            ("an index in the preamble", [generation, 0, len, sum]),
+            (
+                "an index that fails its checksum",
+                [generation, off, len, !sum],
+            ),
+            ("an index cut short", [generation, off, len - 1, sum]),
+        ] {
+            slots_refused(what, golden, slot_bytes(fields), [0; SLOT_LEN]);
+        }
+        // Two valid slots naming one generation: no writer makes them, and
+        // which state is committed is undefined, so the file is refused.
+        slots_refused("equal generations", golden, good, good);
+        // A newer generation in the second slot wins over the first slot,
+        // whatever the first one holds.
+        let mut raw = golden.to_vec();
+        raw[PREAMBLE_LEN + SLOT_LEN..HEADER_LEN].copy_from_slice(&slot_bytes([
+            generation + 1,
+            off,
+            len,
+            sum,
+        ]));
+        raw[PREAMBLE_LEN..PREAMBLE_LEN + SLOT_LEN]
+            .copy_from_slice(&slot_bytes([generation, file_len, 1, 0]));
+        assert!(survives(&raw), "the newer valid slot commits");
+    }
+    println!("hostile commit slots: 2 fixtures x 10 slot pairs, 0 decoded");
+}
+
+/// A catalog file with two generations: `a` committed, then `b` added by
+/// an append-save. Every truncation of the file into its slots and every
+/// bit flip of the slots opens the newer state, the older one (a flip
+/// tore the newer slot) or a typed error — never a panic, never a blend.
+#[test]
+fn every_slot_mutation_of_a_two_generation_file_opens_a_whole_state() {
+    let path = scratch("slots");
+    let kv = [("k", ValueType::Int), ("v", ValueType::Str)];
+    let cat = Catalog::new();
+    cat.create(int_str_table("a", &kv, 40)).unwrap();
+    save_catalog(&cat, &path).unwrap();
+    let cat = read_catalog(&path).unwrap();
+    cat.create(int_str_table("b", &kv, 24)).unwrap();
+    save_catalog(&cat, &path).unwrap();
+    drop(cat);
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(
+        (slot_fields(&bytes, 0)[0], slot_fields(&bytes, 1)[0]),
+        (1, 2),
+        "generation 2 went to the second slot"
+    );
+    let rows = |t: &str, n| int_str_table(t, &kv, n).to_rows();
+    let (mut inputs, mut newer, mut older) = (0, 0, 0);
+    let mut open = |raw: &[u8]| {
+        inputs += 1;
+        std::fs::write(&path, raw).unwrap();
+        match read_catalog(&path) {
+            Ok(cat) => {
+                assert_eq!(cat.get("a").unwrap().to_rows(), rows("a", 40));
+                match cat.get("b").ok() {
+                    Some(b) => {
+                        assert_eq!(b.to_rows(), rows("b", 24));
+                        newer += 1;
+                    }
+                    None => older += 1,
+                }
+            }
+            Err(StorageError::Corrupt(_) | StorageError::PersistError(_)) => {}
+            Err(other) => panic!("an untyped error: {other:?}"),
+        }
+    };
+    for cut in 0..HEADER_LEN {
+        let mut raw = bytes.clone();
+        raw.truncate(cut);
+        open(&raw);
+    }
+    for at in PREAMBLE_LEN..HEADER_LEN {
+        for bit in 0..8 {
+            let mut raw = bytes.clone();
+            raw[at] ^= 1 << bit;
+            open(&raw);
+        }
+    }
+    // Each slot's 320 bits: a flip in the older slot leaves the newer
+    // state, a flip in the newer one tears it and the older state opens.
+    assert_eq!((newer, older), (320, 320), "{inputs} inputs");
+    println!("two-generation slot mutations: {inputs} inputs, {newer} newer, {older} older");
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
 // ---- Bitmap payloads: the one-pass arena decoder ----

@@ -9,8 +9,8 @@ use cods_storage::persist::{
     decode_table, encode_table, read_catalog, read_table, save_catalog, save_table,
 };
 use cods_storage::{
-    clog_path, fault, load_str, open_durable, wal, Catalog, Encoding, LoadOptions, Schema,
-    StorageError, Table, Value, ValueType,
+    clog_path, fault, load_str, open_durable, Catalog, Encoding, LoadOptions, Schema, StorageError,
+    Table, Value, ValueType,
 };
 use cods_workload::{figure1, GenConfig};
 use std::collections::HashMap;
@@ -242,10 +242,8 @@ fn crash_sweep_append_save_reopens_old_or_new() {
 
     for budget in 0..total {
         // Back to the pristine old file. Overwrite in place (same inode, so
-        // handles held by earlier opens stay coherent) and drop any journal
-        // the previous iteration's crash left behind.
+        // handles held by earlier opens stay coherent).
         std::fs::write(&path, &pristine).unwrap();
-        std::fs::remove_file(wal::wal_path(&path)).ok();
 
         let cat = evolve(&path);
         fault::arm(budget);
@@ -267,9 +265,17 @@ fn crash_sweep_append_save_reopens_old_or_new() {
             "budget {budget}/{total}: failed save adopted fresh payloads"
         );
 
-        // Reopen = crash recovery. Must land on old or new, never an error.
-        let got = read_catalog(&path)
-            .unwrap_or_else(|e| panic!("budget {budget}/{total}: reopen failed: {e}"));
+        // Reopen = crash recovery: the newer valid slot names old or new,
+        // never an error, and opening writes nothing.
+        fault::arm(u64::MAX);
+        let got = read_catalog(&path);
+        fault::disarm();
+        assert_eq!(
+            fault::trace(),
+            [],
+            "budget {budget}/{total}: the open wrote"
+        );
+        let got = got.unwrap_or_else(|e| panic!("budget {budget}/{total}: reopen failed: {e}"));
         if got.contains("b") {
             assert_eq!(tuples(&got, "a"), new_a, "budget {budget}: new state torn");
             assert_eq!(tuples(&got, "b"), new_b, "budget {budget}: new state torn");
@@ -283,6 +289,80 @@ fn crash_sweep_append_save_reopens_old_or_new() {
         );
     }
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Fail an append-save with an I/O error the process survives — a short
+/// write (ENOSPC) or a failed sync, set-len or slot write (EIO) — at every
+/// unit of its mutations. Whatever the point, the save reports the error,
+/// adopts nothing, and leaves the old slot standing: the file reopens to
+/// the old state, and retrying the same catalog in the same process
+/// commits the new one.
+#[test]
+fn failed_append_save_keeps_the_old_slot_and_a_retry_commits() {
+    let dir = sweep_dir("fail_append");
+    let path = dir.join("sweep.catalog");
+    let cat = Catalog::new();
+    cat.create(tiny("a", 32)).unwrap();
+    cat.create(tiny("c", 48)).unwrap();
+    save_catalog(&cat, &path).unwrap();
+    drop(cat);
+    let old_a = tuples(&read_catalog(&path).unwrap(), "a");
+    let pristine = std::fs::read(&path).unwrap();
+    let evolve = |path: &Path| -> Catalog {
+        let cat = read_catalog(path).unwrap();
+        let a = cat.get("a").unwrap();
+        cat.put(
+            a.map_columns(Some("v"), |c| c.recode(Encoding::Rle))
+                .unwrap(),
+        );
+        cat.create(tiny("b", 16)).unwrap();
+        cat
+    };
+    let probe = evolve(&path);
+    fault::arm(u64::MAX);
+    save_catalog(&probe, &path).unwrap();
+    fault::disarm();
+    let total = fault::units();
+    let new_a = tuples(&probe, "a");
+    drop(probe);
+    println!("append-save failure sweep: {total} fail points");
+
+    for budget in 0..total {
+        std::fs::write(&path, &pristine).unwrap();
+        let cat = evolve(&path);
+        fault::arm_failure(budget);
+        let res = save_catalog(&cat, &path);
+        fault::disarm();
+        assert!(
+            res.is_err(),
+            "budget {budget}/{total}: the save did not fail"
+        );
+        assert!(
+            cat.get("b")
+                .unwrap()
+                .columns()
+                .iter()
+                .flat_map(|c| c.segments())
+                .all(|s| s.backing_path().is_none()),
+            "budget {budget}/{total}: a failed save adopted fresh payloads"
+        );
+        let got = read_catalog(&path)
+            .unwrap_or_else(|e| panic!("budget {budget}/{total}: reopen failed: {e}"));
+        assert!(
+            !got.contains("b"),
+            "budget {budget}/{total}: not the old state"
+        );
+        assert_eq!(tuples(&got, "a"), old_a, "budget {budget}/{total}");
+        drop(got);
+
+        save_catalog(&cat, &path)
+            .unwrap_or_else(|e| panic!("budget {budget}/{total}: the retry failed: {e}"));
+        let got = read_catalog(&path).unwrap();
+        assert_eq!(tuples(&got, "a"), new_a, "budget {budget}/{total}");
+        assert_eq!(tuples(&got, "b"), tiny("b", 16).tuple_multiset());
+        assert_eq!(tuples(&got, "c"), tiny("c", 48).tuple_multiset());
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -365,7 +445,6 @@ fn crash_sweep_rewrite_over_existing_keeps_old_until_rename() {
 
     for budget in 0..total {
         std::fs::write(&path, &pristine).unwrap();
-        std::fs::remove_file(wal::wal_path(&path)).ok();
         let cat = make();
         fault::arm(budget);
         let res = save_catalog(&cat, &path);
@@ -374,8 +453,15 @@ fn crash_sweep_rewrite_over_existing_keeps_old_until_rename() {
             res.is_err(),
             "budget {budget}/{total}: save survived the crash"
         );
-        let got = read_catalog(&path)
-            .unwrap_or_else(|e| panic!("budget {budget}/{total}: reopen failed: {e}"));
+        fault::arm(u64::MAX);
+        let got = read_catalog(&path);
+        fault::disarm();
+        assert_eq!(
+            fault::trace(),
+            [],
+            "budget {budget}/{total}: the open wrote"
+        );
+        let got = got.unwrap_or_else(|e| panic!("budget {budget}/{total}: reopen failed: {e}"));
         if got.contains("c") {
             assert_eq!(tuples(&got, "c"), new_c, "budget {budget}: new state torn");
         } else {
@@ -407,7 +493,6 @@ fn restore_durable(path: &Path, s: &DurableState) {
             std::fs::remove_file(path).ok();
         }
     }
-    std::fs::remove_file(wal::wal_path(path)).ok();
     let log = clog_path(path);
     std::fs::write(&log, &s.log).unwrap();
     std::fs::remove_file(log.with_extension("clog.tmp")).ok();
@@ -531,6 +616,76 @@ fn crash_sweep_checkpoint_keeps_every_acknowledged_commit() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Fail a checkpoint's save with an I/O error the process survives at
+/// every unit of its mutations. The checkpoint reports the error and the
+/// log is not poisoned: the file still holds the old checkpoint, the next
+/// durable commit and the next checkpoint succeed, and a reopen holds every
+/// acknowledged commit. (A failure in the log truncation that follows the
+/// save poisons the log; that is outside this sweep.)
+#[test]
+fn failed_checkpoint_save_leaves_the_log_usable() {
+    let dir = sweep_dir("fail_ckpt");
+    let path = dir.join("sweep.catalog");
+    let base = Catalog::new();
+    base.create(tiny("a", 32)).unwrap();
+    save_catalog(&base, &path).unwrap();
+    drop(base);
+    {
+        let (cat, _log, _r) = open_durable(&path).unwrap();
+        durable_put(&cat, tiny("b", 16)).unwrap();
+    }
+    let state = capture_durable(&path);
+
+    let (cat, log, _r) = open_durable(&path).unwrap();
+    fault::arm(u64::MAX);
+    log.checkpoint(&cat).unwrap();
+    fault::disarm();
+    // The save's mutations, then the truncation's: the log cut to its
+    // header and synced.
+    let trace = fault::trace();
+    assert_eq!(
+        trace[trace.len() - 2..],
+        [fault::Mutation::SetLen, fault::Mutation::Sync]
+    );
+    let save_units = fault::units() - 2;
+    drop((cat, log));
+    println!("checkpoint-save failure sweep: {save_units} fail points");
+
+    for budget in 0..save_units {
+        restore_durable(&path, &state);
+        let (cat, log, _r) = open_durable(&path).unwrap();
+        fault::arm_failure(budget);
+        let res = log.checkpoint(&cat);
+        fault::disarm();
+        assert!(
+            res.is_err(),
+            "budget {budget}/{save_units}: the checkpoint did not fail"
+        );
+        assert!(
+            !read_catalog(&path).unwrap().contains("b"),
+            "budget {budget}/{save_units}: the file is not the old checkpoint"
+        );
+        durable_put(&cat, tiny("c", 16))
+            .unwrap_or_else(|e| panic!("budget {budget}/{save_units}: the log is poisoned: {e}"));
+        assert_eq!(
+            log.checkpoint(&cat)
+                .unwrap_or_else(|e| panic!("budget {budget}/{save_units}: {e}")),
+            2
+        );
+        drop((cat, log));
+        let (got, _log, replay) = open_durable(&path).unwrap();
+        assert_eq!(replay.replayed, 0, "budget {budget}/{save_units}");
+        for (name, rows) in [("a", 32), ("b", 16), ("c", 16)] {
+            assert_eq!(
+                tuples(&got, name),
+                tiny(name, rows).tuple_multiset(),
+                "budget {budget}/{save_units}: {name}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Column-reference records: a record may name columns of the state it
 // applies to, so replaying it onto the wrong state is no longer harmless.
@@ -599,8 +754,8 @@ fn images(cat: &Catalog) -> Vec<(String, Vec<u8>)> {
 }
 
 /// Kill a checkpoint at every boundary with three reference-carrying
-/// records pending. At the points after the save's journal is deleted and
-/// before the log is truncated, the records are present *and* covered:
+/// records pending. At the points after the save's commit slot is written
+/// and before the log is truncated, the records are present *and* covered:
 /// they must be skipped — re-applying the `DECOMPOSE` would look for the
 /// `t` it dropped. Whatever the point, the reopened catalog is the
 /// acknowledged one, image for image.
@@ -829,10 +984,10 @@ fn crash_sweep_replay_recovery_is_idempotent() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A torn tail with no rollback journal to honor (e.g. the journal itself
-/// was lost) is unrecoverable — the reader must say so with a typed
-/// [`StorageError::Corrupt`] carrying a recovery hint, not a panic and not
-/// a generic decode error.
+/// A file cut short under its committed slot's index (the slot names bytes
+/// the file no longer holds) is unrecoverable — the reader must say so with
+/// a typed [`StorageError::Corrupt`] carrying a recovery hint, not a panic
+/// and not a generic decode error.
 #[test]
 fn torn_tail_without_journal_is_typed_corrupt_with_hint() {
     let dir = sweep_dir("torn_tail");
@@ -842,7 +997,7 @@ fn torn_tail_without_journal_is_typed_corrupt_with_hint() {
     save_catalog(&cat, &path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
 
-    // Cut mid-footer, just before the footer, and mid-metadata.
+    // Cut inside the index, which a fresh image ends with, and before it.
     for cut in [
         bytes.len() - 1,
         bytes.len() - 5,
@@ -853,7 +1008,10 @@ fn torn_tail_without_journal_is_typed_corrupt_with_hint() {
         match read_catalog(&path) {
             Err(StorageError::Corrupt(msg)) => {
                 assert!(msg.contains("torn tail"), "cut {cut}: {msg}");
-                assert!(msg.contains(".wal"), "cut {cut}: hint missing from {msg}");
+                assert!(
+                    msg.contains("restore the file from a copy"),
+                    "cut {cut}: hint missing from {msg}"
+                );
             }
             other => panic!("cut {cut}: wanted Corrupt, got {other:?}"),
         }

@@ -553,10 +553,11 @@ fn failed_fault_in_a_group_by_is_a_typed_error_on_a_connection_that_still_answer
     let path = std::env::temp_dir().join(format!("cods_it_serve_agg_{}", std::process::id()));
     save_catalog(platform(64, 16).catalog(), &path).unwrap();
     let mut raw = std::fs::read(&path).unwrap();
-    // The heap starts behind the 6-byte preamble with a payload, and every
-    // payload (WAH or run stream) opens with its length: 16 rows.
-    assert_eq!(u64::from_le_bytes(raw[6..14].try_into().unwrap()), 16);
-    raw[6] ^= 0x40;
+    // The heap starts behind the 6-byte preamble and the two 40-byte
+    // commit slots with a payload, and every payload (WAH or run stream)
+    // opens with its length: 16 rows.
+    assert_eq!(u64::from_le_bytes(raw[86..94].try_into().unwrap()), 16);
+    raw[86] ^= 0x40;
     std::fs::write(&path, &raw).unwrap();
     let lazy = read_catalog(&path).unwrap();
 

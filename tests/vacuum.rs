@@ -214,25 +214,35 @@ fn auto_vacuum_compacts_in_the_background() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Checkpoints that replace one small table beside a large unchanged one:
-/// each overwrites the previous checkpoint's tail, so the file stops
-/// growing after the second, and what stays dead is the small table's
-/// first block and payloads — which a vacuum then reclaims, to the byte.
+/// Checkpoints that replace one small table beside a large unchanged one.
+/// The open keeps the first `dim`'s payloads bound, so nothing is free at
+/// the first checkpoint; after it, each new `dim` goes first fit into what
+/// the generation before the last one left (a new generation never
+/// overlaps the committed one), and the file is cut after it. The file
+/// stops growing at the second checkpoint and then alternates between two
+/// lengths; what stays dead is the first `dim`'s payloads and block, less
+/// what the last generation placed in that block's hole — and a vacuum
+/// reclaims it to the byte.
 #[test]
 fn checkpoints_beside_an_unchanged_table_leave_one_superseded_block() {
     let _serial = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = dir("checkpoints");
     let path = dir.join("ckpt.catalog");
+    let file_len = |path: &std::path::Path| std::fs::metadata(path).unwrap().len();
 
     let base = Catalog::new();
     base.create(table("fact", 4096)).unwrap();
     base.create(table("dim", 256)).unwrap();
     save_catalog(&base, &path).unwrap();
     drop(base);
+    let first = file_len(&path);
     // The first `dim`'s payloads and block: its table image without the
-    // preamble (6 bytes), its one-entry index (name length, "dim", offset,
-    // length: 23 bytes) and the footer (12 bytes).
-    let superseded = encode_table(&table("dim", 256)).len() as u64 - 6 - 23 - 12;
+    // preamble and the two commit slots (6 + 80 bytes) and its one-entry
+    // index (name length, "dim", offset, length: 23 bytes).
+    let superseded = encode_table(&table("dim", 256)).len() as u64 - 86 - 23;
+    // The catalog's index: version, count, and the entries of "fact" and
+    // "dim" (24 and 23 bytes).
+    let index = 8 + 4 + 24 + 23;
 
     let (cat, log, _r) = open_durable(&path).unwrap();
     let mut lens = Vec::new();
@@ -242,18 +252,37 @@ fn checkpoints_beside_an_unchanged_table_leave_one_superseded_block() {
         cat.commit_evolution(base, &[], vec![std::sync::Arc::new(table("dim", 256))])
             .unwrap();
         log.checkpoint(&cat).unwrap();
-        lens.push(std::fs::metadata(&path).unwrap().len());
+        lens.push(file_len(&path));
     }
-    assert!(lens[1..].iter().all(|&len| len == lens[1]), "{lens:?}");
+    // The first checkpoint appends the new `dim` and the index whole. The
+    // second puts 4,480 bytes of payloads and the index into the first
+    // `dim`'s 6,038-byte block and appends the rest: 10,134 bytes. The
+    // third and fifth start where the first index was, right after
+    // `fact`'s block, and put one 384-byte payload and the index into
+    // what the second left of that block (443 bytes); the fourth repeats
+    // the second's placement, appending past the third's end.
+    let (spill, in_hole) = (10_134, 384 + index);
+    assert_eq!(
+        lens,
+        [
+            first + superseded + index,
+            first + superseded + index + spill,
+            first + superseded - in_hole,
+            first + superseded - in_hole + spill,
+            first + superseded - in_hole,
+        ],
+        "{lens:?}"
+    );
 
     let stats = heap_stats(&path).unwrap();
-    assert_eq!(stats.dead_bytes, superseded, "{stats:?}");
+    assert_eq!(stats.dead_bytes, superseded - in_hole, "{stats:?}");
     assert_eq!(stats.live_bytes + stats.dead_bytes, stats.heap_bytes);
     assert_eq!(6 + stats.heap_bytes + stats.meta_bytes, stats.file_bytes);
 
     let report = vacuum_catalog(&cat, &path).unwrap();
-    assert_eq!(report.reclaimed_bytes(), superseded);
+    assert_eq!(report.reclaimed_bytes(), superseded - in_hole);
     assert_eq!(heap_stats(&path).unwrap().dead_bytes, 0);
+    assert_eq!(file_len(&path), first);
     drop((cat, log));
     let (back, _log, replay) = open_durable(&path).unwrap();
     assert_eq!(replay.replayed, 0);
