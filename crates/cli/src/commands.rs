@@ -1090,6 +1090,79 @@ mod tests {
         assert_eq!(shown.matches(" ms").count(), 3, "{shown}");
     }
 
+    /// `text` with every `<spaces><digits>.<3 digits> ms` replaced by
+    /// ` <t> ms`: the timings and the padding their width decides.
+    fn untimed(text: &str) -> String {
+        let mut out = String::new();
+        let mut rest = text;
+        while let Some(at) = rest.find(" ms") {
+            let (head, tail) = rest.split_at(at);
+            let lead = head.trim_end_matches(|c: char| c.is_ascii_digit() || c == '.');
+            let timed = match head[lead.len()..].split_once('.') {
+                Some((int, frac)) => !int.is_empty() && frac.len() == 3 && !frac.contains('.'),
+                None => false,
+            };
+            if timed {
+                out.push_str(lead.trim_end_matches(' '));
+                out.push_str(" <t>");
+            } else {
+                out.push_str(head);
+            }
+            out.push_str(" ms");
+            rest = &tail[" ms".len()..];
+        }
+        out + rest
+    }
+
+    #[test]
+    fn operator_logs_and_history_keep_their_form() {
+        let file = std::env::temp_dir().join(format!("cods_cli_pin_{}.smo", std::process::id()));
+        std::fs::write(
+            &file,
+            "DECOMPOSE TABLE R INTO S (employee, skill), T (employee, address)\n\
+             MERGE TABLES S, T INTO R2\n\
+             ADD COLUMN note str DEFAULT 'n/a' TO R2\n",
+        )
+        .unwrap();
+        let mut cods = shell();
+        run(&mut cods, "demo");
+        let ran = untimed(&run(&mut cods, &format!("run {}", file.display())));
+        std::fs::remove_file(&file).ok();
+        let shown = untimed(&run(&mut cods, "history"));
+        assert_eq!(
+            ran,
+            "\
+DECOMPOSE TABLE R INTO S (employee, skill), T (employee, address)
+  validate decomposition shape: <t> ms
+  reuse unchanged columns (2 items): <t> ms
+  distinction (4 items): <t> ms
+  verify functional dependency: <t> ms
+  bitmap filtering (8 items): <t> ms
+  total: <t> ms
+MERGE TABLES S, T INTO R2
+  build key table (4 items): <t> ms
+  map join dictionaries: <t> ms
+  sequential scan (parallel per chunk) (7 items): <t> ms
+  build payload bitmaps (1 items): <t> ms
+  assemble output table: <t> ms
+  total: <t> ms
+ADD COLUMN note TO R2
+  build new column: <t> ms
+  attach column: <t> ms
+  total: <t> ms
+3 operator(s) committed (3 put(s), 1 drop(s), 0 intermediate(s) elided); catalog v2
+"
+        );
+        assert_eq!(
+            shown,
+            "  plan #0 (3 operators, atomic commit):
+    DECOMPOSE TABLE R INTO S (employee, skill), T (employee, address) <t> ms
+    MERGE TABLES S, T INTO R2 <t> ms
+    ADD COLUMN note TO R2 <t> ms
+"
+        );
+    }
+
     /// Serialises the tests that set or observe the process-wide buffer
     /// cache so a concurrently shrunk budget can't evict segments whose
     /// residency another test is asserting.
