@@ -32,9 +32,8 @@
 use crate::error::{EvolutionError, Result};
 use crate::keys::KeyIndex;
 use crate::schema_tools::check_decomposition_shape;
-use crate::status::{EvolutionStatus, StatusTracker};
 use cods_query::par::{map_parallel, map_parallel_pooled};
-use cods_storage::{EncodedColumn, SealScratch, SegSlot, StorageError, Table};
+use cods_storage::{EncodedColumn, SealScratch, SegSlot, StepLog, StorageError, Table};
 use std::sync::Arc;
 
 /// Specification of a decomposition.
@@ -90,7 +89,7 @@ pub struct DecomposeOutcome {
     /// Number of distinct key combinations found by distinction.
     pub distinct_keys: u64,
     /// Step log.
-    pub status: EvolutionStatus,
+    pub status: StepLog,
 }
 
 /// The *distinction* step: the sorted list of first-occurrence positions of
@@ -285,12 +284,12 @@ pub(crate) fn write_columns<S: Send>(
 /// Schema keys of the outputs: the changed table is keyed by the common
 /// columns; the unchanged table keeps no key declaration.
 pub fn decompose(input: &Table, spec: &DecomposeSpec) -> Result<DecomposeOutcome> {
-    let mut tracker = StatusTracker::new();
+    let mut log = StepLog::new();
 
     // Shape validation (coverage, overlap, existence).
     let common =
         check_decomposition_shape(input.schema(), &spec.unchanged_cols, &spec.changed_cols)?;
-    tracker.step("validate decomposition shape");
+    log.mark("validate decomposition shape");
 
     // Step 0 — reuse: the unchanged table shares the input's columns.
     let unchanged_names: Vec<&str> = spec.unchanged_cols.iter().map(String::as_str).collect();
@@ -300,7 +299,7 @@ pub fn decompose(input: &Table, spec: &DecomposeSpec) -> Result<DecomposeOutcome
         .map(|n| Ok(Arc::clone(input.column_by_name(n)?)))
         .collect::<Result<_>>()?;
     let unchanged = Table::new(&spec.unchanged_name, unchanged_schema, unchanged_columns)?;
-    tracker.step_items("reuse unchanged columns", unchanged.arity() as u64);
+    log.mark_items("reuse unchanged columns", unchanged.arity() as u64);
 
     // Step 1 — distinction over the common (key) columns.
     let key_idx: Vec<usize> = common
@@ -308,7 +307,7 @@ pub fn decompose(input: &Table, spec: &DecomposeSpec) -> Result<DecomposeOutcome
         .map(|n| Ok(input.schema().index_of(n)?))
         .collect::<Result<_>>()?;
     let (positions, groups) = distinction(input, &key_idx, spec.verify_fd)?;
-    tracker.step_items("distinction", positions.len() as u64);
+    log.mark_items("distinction", positions.len() as u64);
 
     // Distinction kept every row: the common columns are already a key of
     // `R`, so the changed table is a column subset too. Property 2 holds
@@ -330,7 +329,7 @@ pub fn decompose(input: &Table, spec: &DecomposeSpec) -> Result<DecomposeOutcome
                 }
             }
         }
-        tracker.step("verify functional dependency");
+        log.mark("verify functional dependency");
     }
 
     let changed_names: Vec<&str> = spec.changed_cols.iter().map(String::as_str).collect();
@@ -342,7 +341,7 @@ pub fn decompose(input: &Table, spec: &DecomposeSpec) -> Result<DecomposeOutcome
         .collect::<Result<_>>()?;
     let changed_columns = if key_is_unique {
         // Reuse, as for the unchanged side.
-        tracker.step_items("reuse changed columns", changed_inputs.len() as u64);
+        log.mark_items("reuse changed columns", changed_inputs.len() as u64);
         changed_inputs.into_iter().map(Arc::clone).collect()
     } else {
         // Step 2 — bitmap filtering of every changed-side column, fanned
@@ -351,7 +350,7 @@ pub fn decompose(input: &Table, spec: &DecomposeSpec) -> Result<DecomposeOutcome
         // names.
         let to_filter: Vec<&EncodedColumn> = changed_inputs.iter().map(|c| c.as_ref()).collect();
         let filtered = filter_columns_by_positions(&to_filter, &positions)?;
-        tracker.step_items(
+        log.mark_items(
             "bitmap filtering",
             (filtered.len() as u64) * positions.len() as u64,
         );
@@ -363,7 +362,7 @@ pub fn decompose(input: &Table, spec: &DecomposeSpec) -> Result<DecomposeOutcome
         unchanged,
         changed,
         distinct_keys: positions.len() as u64,
-        status: tracker.finish(),
+        status: log,
     })
 }
 

@@ -17,12 +17,10 @@ use crate::plan::EvolutionPlan;
 use crate::platform::ExecutionRecord;
 use crate::simple_ops;
 use crate::smo::Smo;
-use crate::status::{EvolutionStatus, PlanLog, PlanStageLog};
 use cods_query::par::map_parallel;
-use cods_storage::{StorageError, Table};
+use cods_storage::{StepLog, StorageError, Table};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The in-memory table namespace a plan executes against.
 pub(crate) type Workspace = BTreeMap<String, Arc<Table>>;
@@ -33,8 +31,12 @@ pub struct PlanReport {
     /// Per-node execution records, in node order (also appended to the
     /// platform history, grouped under one plan id).
     pub records: Vec<ExecutionRecord>,
-    /// Per-stage log: planning, waves, commit.
-    pub log: PlanLog,
+    /// The plan's step log: "planning", one step per wave (its items are
+    /// the wave's operators), then the commit.
+    pub log: StepLog,
+    /// `true` when the commit was acknowledged by a durability sink (the
+    /// catalog's commit log fsynced it) rather than being memory-only.
+    pub durable: bool,
     /// Tables the nodes produced in total — what an eager one-at-a-time
     /// execution would have materialized into the catalog.
     pub staged_puts: usize,
@@ -50,7 +52,7 @@ pub struct PlanReport {
 struct NodeOutcome {
     drops: Vec<String>,
     puts: Vec<Table>,
-    status: EvolutionStatus,
+    status: StepLog,
 }
 
 fn get(ws: &Workspace, name: &str) -> Result<Arc<Table>> {
@@ -60,7 +62,7 @@ fn get(ws: &Workspace, name: &str) -> Result<Arc<Table>> {
 }
 
 fn run_smo(smo: &Smo, ws: &Workspace) -> Result<NodeOutcome> {
-    let none = EvolutionStatus::default();
+    let none = StepLog::new();
     match smo {
         Smo::CreateTable { name, schema } => Ok(NodeOutcome {
             drops: vec![],
@@ -189,9 +191,10 @@ fn run_smo(smo: &Smo, ws: &Workspace) -> Result<NodeOutcome> {
 /// Executes `plan`: waves run concurrently on the shared pool, mutations
 /// stage into the workspace, and the final state commits atomically.
 pub(crate) fn run(plan: &EvolutionPlan<'_>) -> Result<PlanReport> {
-    let t0 = Instant::now();
+    // The time between planning and execution stays out of the log.
+    let mut log = plan.log.clone();
+    log.resume();
     let mut ws: Workspace = plan.snapshot.clone();
-    let mut stages: Vec<PlanStageLog> = Vec::with_capacity(plan.waves.len());
     let mut records: Vec<ExecutionRecord> = Vec::with_capacity(plan.nodes.len());
     let mut record_slots: Vec<Option<ExecutionRecord>> = Vec::new();
     record_slots.resize_with(plan.nodes.len(), || None);
@@ -201,10 +204,6 @@ pub(crate) fn run(plan: &EvolutionPlan<'_>) -> Result<PlanReport> {
         // Every node in a wave only reads tables produced by earlier waves,
         // so the whole wave runs against one immutable workspace.
         let outcomes = map_parallel(wave.clone(), |i| run_smo(&plan.nodes[i].smo, &ws));
-        let mut stage = PlanStageLog {
-            wave: wave_idx,
-            operators: Vec::with_capacity(wave.len()),
-        };
         for (&i, outcome) in wave.iter().zip(outcomes) {
             // First failure aborts the whole plan: the workspace is
             // discarded and the catalog was never touched.
@@ -216,21 +215,16 @@ pub(crate) fn run(plan: &EvolutionPlan<'_>) -> Result<PlanReport> {
             for t in outcome.puts {
                 ws.insert(t.name().to_string(), Arc::new(t));
             }
-            let operator = plan.nodes[i].smo.to_string();
-            stage
-                .operators
-                .push((operator.clone(), outcome.status.clone()));
             record_slots[i] = Some(ExecutionRecord {
-                operator,
+                operator: plan.nodes[i].smo.to_string(),
                 status: outcome.status,
                 plan_id: None,
             });
         }
-        stages.push(stage);
+        log.mark_items(format!("wave {wave_idx}"), wave.len() as u64);
     }
 
     // Stage the diff against the snapshot and commit it in one step.
-    let commit_start = Instant::now();
     let mut drops: Vec<String> = Vec::new();
     for name in plan.snapshot.keys() {
         if !ws.contains_key(name) {
@@ -258,20 +252,20 @@ pub(crate) fn run(plan: &EvolutionPlan<'_>) -> Result<PlanReport> {
             .map_err(EvolutionError::Storage)?;
         durable = receipt.durable;
     }
-    let commit = commit_start.elapsed();
+    let commit = if durable {
+        "commit (durable)"
+    } else {
+        "commit"
+    };
+    log.mark(commit);
 
     for slot in record_slots {
         records.push(slot.expect("every node executed"));
     }
     Ok(PlanReport {
         records,
-        log: PlanLog {
-            planning: plan.planning,
-            stages,
-            commit,
-            total: plan.planning + t0.elapsed(),
-            durable,
-        },
+        log,
+        durable,
         staged_puts,
         committed_puts,
         committed_drops,
@@ -285,6 +279,7 @@ mod tests {
     use crate::platform::Cods;
     use crate::simple_ops::ColumnFill;
     use cods_storage::{ColumnDef, Schema, Value, ValueType};
+    use std::time::Duration;
 
     fn platform() -> Cods {
         let cods = Cods::new();
@@ -361,6 +356,25 @@ mod tests {
         assert_eq!(cods.catalog().table_names(), vec!["R2"]);
         // One version bump for the whole script.
         assert_eq!(cods.catalog().version(), v0 + 1);
-        assert_eq!(report.log.stages.len(), 3);
+        // The plan log: planning, one step per wave whose items are its
+        // operators, then the commit; the steps tile the total.
+        let steps: Vec<(&str, Option<u64>)> = report
+            .log
+            .steps
+            .iter()
+            .map(|s| (s.name.as_str(), s.items))
+            .collect();
+        assert_eq!(
+            steps,
+            vec![
+                ("planning", None),
+                ("wave 0", Some(1)),
+                ("wave 1", Some(1)),
+                ("wave 2", Some(2)),
+                ("commit", None),
+            ]
+        );
+        let logged: Duration = report.log.steps.iter().map(|s| s.elapsed).sum();
+        assert_eq!(logged, report.log.total);
     }
 }

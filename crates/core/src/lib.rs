@@ -49,7 +49,6 @@ pub mod platform;
 pub mod schema_tools;
 pub mod simple_ops;
 pub mod smo;
-pub mod status;
 pub mod verify;
 
 pub use decompose::{decompose, DecomposeOutcome, DecomposeSpec};
@@ -62,4 +61,3 @@ pub use planner::{plan_decomposition, TargetSpec};
 pub use platform::{Cods, ExecutionRecord};
 pub use simple_ops::ColumnFill;
 pub use smo::Smo;
-pub use status::{EvolutionStatus, PlanLog, PlanStageLog, StatusTracker, Step};

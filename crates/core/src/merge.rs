@@ -28,10 +28,9 @@
 use crate::decompose::write_columns;
 use crate::error::{EvolutionError, Result};
 use crate::keys::{KeyIndex, NONE};
-use crate::status::{EvolutionStatus, StatusTracker};
 use cods_bitmap::RleSeq;
 use cods_query::par::map_parallel;
-use cods_storage::{ColumnDef, EncodedColumn, Schema, Table};
+use cods_storage::{ColumnDef, EncodedColumn, Schema, StepLog, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -76,7 +75,7 @@ pub struct MergeOutcome {
     /// Which algorithm ran.
     pub strategy: UsedStrategy,
     /// Step log.
-    pub status: EvolutionStatus,
+    pub status: StepLog,
 }
 
 fn join_indices(schema: &Schema, join_cols: &[String]) -> Result<Vec<usize>> {
@@ -152,7 +151,7 @@ fn key_table(keyed: &Table, k_join: &[usize]) -> Result<Option<KeyIndex>> {
 fn key_table_step(
     keyed: &Table,
     join_cols: &[String],
-    tracker: &mut StatusTracker,
+    log: &mut StepLog,
 ) -> Result<Option<KeyIndex>> {
     let k_join = join_indices(keyed.schema(), join_cols)?;
     let keys = key_table(keyed, &k_join)?;
@@ -161,7 +160,7 @@ fn key_table_step(
     } else {
         "build key table: not unique"
     };
-    tracker.step_items(step, keyed.rows());
+    log.mark_items(step, keyed.rows());
     Ok(keys)
 }
 
@@ -195,32 +194,32 @@ pub fn merge_key_fk(
     output_name: &str,
     join_cols: &[String],
 ) -> Result<MergeOutcome> {
-    let mut tracker = StatusTracker::new();
+    let mut log = StepLog::new();
     validate_join(reusable, keyed, join_cols)?;
-    let Some(keys) = key_table_step(keyed, join_cols, &mut tracker)? else {
+    let Some(keys) = key_table_step(keyed, join_cols, &mut log)? else {
         return Err(EvolutionError::InvalidOperator(format!(
             "table {:?} is not unique on {:?}; use general mergence",
             keyed.name(),
             join_cols
         )));
     };
-    let output = key_fk_with(reusable, keyed, output_name, join_cols, keys, &mut tracker)?;
+    let output = key_fk_with(reusable, keyed, output_name, join_cols, keys, &mut log)?;
     Ok(MergeOutcome {
         output,
         strategy: UsedStrategy::KeyForeignKey,
-        status: tracker.finish(),
+        status: log,
     })
 }
 
 /// §2.5.1 over an already built key table of `keyed`, logging into
-/// `tracker`.
+/// `log`.
 fn key_fk_with(
     reusable: &Table,
     keyed: &Table,
     output_name: &str,
     join_cols: &[String],
     keys: KeyIndex,
-    tracker: &mut StatusTracker,
+    log: &mut StepLog,
 ) -> Result<Table> {
     let r_join = join_indices(reusable.schema(), join_cols)?;
     let k_join = join_indices(keyed.schema(), join_cols)?;
@@ -249,7 +248,7 @@ fn key_fk_with(
         ),
         KeyIndex::ByTuple(_) => None,
     };
-    tracker.step("map join dictionaries");
+    log.mark("map join dictionaries");
 
     // Sequential scan of the reusable side: every row is mapped to the
     // keyed row providing its payload values. Parallelized per row chunk
@@ -306,7 +305,7 @@ fn key_fk_with(
         target_row.extend(chunk?);
     }
     drop(r_ids);
-    tracker.step_items("sequential scan (parallel per chunk)", n as u64);
+    log.mark_items("sequential scan (parallel per chunk)", n as u64);
 
     // Build the payload columns (keyed-side non-join attributes) directly
     // in compressed form over the reusable side's row space. Columns are
@@ -329,14 +328,14 @@ fn key_fk_with(
         new_columns.extend(written);
     }
     drop(target_row);
-    tracker.step_items("build payload bitmaps", payload_cols.len() as u64);
+    log.mark_items("build payload bitmaps", payload_cols.len() as u64);
 
     // Output: reusable columns shared by reference + new payload columns.
     let schema = merged_schema(reusable.schema(), keyed.schema(), join_cols)?;
     let mut columns: Vec<Arc<EncodedColumn>> = reusable.columns().to_vec();
     columns.extend(new_columns);
     let output = Table::new(output_name, schema, columns).map_err(EvolutionError::Storage)?;
-    tracker.step("assemble output table");
+    log.mark("assemble output table");
     Ok(output)
 }
 
@@ -352,22 +351,22 @@ pub fn merge_general(
     output_name: &str,
     join_cols: &[String],
 ) -> Result<MergeOutcome> {
-    let mut tracker = StatusTracker::new();
-    let output = general_with(left, right, output_name, join_cols, &mut tracker)?;
+    let mut log = StepLog::new();
+    let output = general_with(left, right, output_name, join_cols, &mut log)?;
     Ok(MergeOutcome {
         output,
         strategy: UsedStrategy::General,
-        status: tracker.finish(),
+        status: log,
     })
 }
 
-/// §2.5.2, logging into `tracker`.
+/// §2.5.2, logging into `log`.
 fn general_with(
     left: &Table,
     right: &Table,
     output_name: &str,
     join_cols: &[String],
-    tracker: &mut StatusTracker,
+    log: &mut StepLog,
 ) -> Result<Table> {
     validate_join(left, right, join_cols)?;
     let l_join = join_indices(left.schema(), join_cols)?;
@@ -428,7 +427,7 @@ fn general_with(
             None => r_group.push(NO_GROUP),
         }
     }
-    tracker.step_items("pass 1: count join occurrences", combos.len() as u64);
+    log.mark_items("pass 1: count join occurrences", combos.len() as u64);
 
     // Offsets: group g occupies rows [off[g], off[g] + n1[g] * n2[g]).
     let mut offsets: Vec<u64> = Vec::with_capacity(combos.len());
@@ -440,7 +439,7 @@ fn general_with(
     let active: Vec<usize> = (0..combos.len())
         .filter(|&g| n1[g] > 0 && n2[g] > 0)
         .collect();
-    tracker.step_items("cluster output by join value", active.len() as u64);
+    log.mark_items("cluster output by join value", active.len() as u64);
 
     // Bucket the matching rows of both sides per group.
     let mut s_rows: Vec<Vec<u64>> = vec![Vec::new(); combos.len()];
@@ -590,14 +589,14 @@ fn general_with(
         debug_assert_eq!(seq.len(), hi - lo);
         Ok(columns[ci].seal_stream(seq, scratch))
     })?;
-    tracker.step_items(
+    log.mark_items(
         "pass 2: emit output columns (parallel per column x segment)",
         n_tasks,
     );
 
     let schema = merged_schema(left.schema(), right.schema(), join_cols)?;
     let output = Table::new(output_name, schema, out_columns).map_err(EvolutionError::Storage)?;
-    tracker.step_items("assemble output table", total);
+    log.mark_items("assemble output table", total);
     Ok(output)
 }
 
@@ -672,24 +671,24 @@ pub fn merge(
             }
         }
         MergeStrategy::Auto => {
-            let mut tracker = StatusTracker::new();
+            let mut log = StepLog::new();
             validate_join(left, right, &join_cols)?;
             for (reusable, keyed) in [(left, right), (right, left)] {
-                let Some(keys) = key_table_step(keyed, &join_cols, &mut tracker)? else {
+                let Some(keys) = key_table_step(keyed, &join_cols, &mut log)? else {
                     continue;
                 };
-                match key_fk_with(reusable, keyed, output_name, &join_cols, keys, &mut tracker) {
+                match key_fk_with(reusable, keyed, output_name, &join_cols, keys, &mut log) {
                     // A foreign-key value without a match: inner-join
                     // semantics need the general algorithm.
                     Err(EvolutionError::ForeignKeyViolation(_)) => {
-                        tracker.step("key-foreign-key scan: unmatched value");
+                        log.mark("key-foreign-key scan: unmatched value");
                         break;
                     }
                     output => {
                         let out = MergeOutcome {
                             output: output?,
                             strategy: UsedStrategy::KeyForeignKey,
-                            status: tracker.finish(),
+                            status: log,
                         };
                         return reordered_left_first(
                             out,
@@ -700,11 +699,11 @@ pub fn merge(
                     }
                 }
             }
-            let output = general_with(left, right, output_name, &join_cols, &mut tracker)?;
+            let output = general_with(left, right, output_name, &join_cols, &mut log)?;
             Ok(MergeOutcome {
                 output,
                 strategy: UsedStrategy::General,
-                status: tracker.finish(),
+                status: log,
             })
         }
     }

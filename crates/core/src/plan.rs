@@ -24,10 +24,9 @@ use crate::merge;
 use crate::platform::Cods;
 use crate::schema_tools::check_decomposition_shape;
 use crate::smo::Smo;
-use cods_storage::{Schema, StorageError, Table};
+use cods_storage::{Schema, StepLog, StorageError, Table};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// One node of the plan DAG.
 #[derive(Clone, Debug)]
@@ -50,7 +49,8 @@ pub struct EvolutionPlan<'c> {
     pub(crate) snapshot: BTreeMap<String, Arc<Table>>,
     pub(crate) nodes: Vec<PlanNode>,
     pub(crate) waves: Vec<Vec<usize>>,
-    pub(crate) planning: Duration,
+    /// The plan's step log so far: its one step, "planning".
+    pub(crate) log: StepLog,
     /// Tables written during the plan that never reach the committed
     /// catalog (consumed by later operators).
     elided: Vec<String>,
@@ -269,7 +269,7 @@ fn shadow_apply(shadow: &mut BTreeMap<String, Schema>, smo: &Smo) -> Result<Effe
 impl<'c> EvolutionPlan<'c> {
     /// Validates and plans `smos` against a snapshot of `cods`'s catalog.
     pub(crate) fn new(cods: &'c Cods, smos: Vec<Smo>) -> Result<EvolutionPlan<'c>> {
-        let t0 = Instant::now();
+        let mut log = StepLog::new();
         let (base_version, snapshot) = cods.catalog().begin_evolution();
         let mut shadow: BTreeMap<String, Schema> = snapshot
             .iter()
@@ -342,13 +342,14 @@ impl<'c> EvolutionPlan<'c> {
             .cloned()
             .collect();
 
+        log.mark("planning");
         Ok(EvolutionPlan {
             cods,
             base_version,
             snapshot,
             nodes,
             waves,
-            planning: t0.elapsed(),
+            log,
             elided,
         })
     }
@@ -542,7 +543,8 @@ mod tests {
         );
         assert_eq!(plan.waves(), &[vec![0]]);
         let report = plan.execute().unwrap();
-        assert_eq!(report.log.stages.len(), 1);
+        // planning, one wave, commit
+        assert_eq!(report.log.steps.len(), 3);
         assert!(cods.catalog().contains("R") && cods.catalog().contains("rest"));
     }
 

@@ -2,18 +2,17 @@
 //! execution history / status log the demo exposes (Section 3).
 //!
 //! The primary surface is **planned** execution — [`Cods::plan`] /
-//! [`Cods::plan_script`] validate a whole script up front, fuse and
-//! parallelize it, and commit atomically (see [`crate::plan`]). The
-//! one-operator-at-a-time [`Cods::execute`] / [`Cods::execute_all`] remain
-//! as a compatibility path over single-operator plans, retried under
-//! [`RetryPolicy::default`].
+//! [`Cods::plan_script`] validate a whole script up front, run its
+//! independent operators in parallel waves, and commit atomically (see
+//! [`crate::plan`]). The one-operator-at-a-time [`Cods::execute`] /
+//! [`Cods::execute_all`] remain as a compatibility path over
+//! single-operator plans, retried under [`RetryPolicy::default`].
 
 use crate::error::Result;
 use crate::exec::PlanReport;
 use crate::plan::EvolutionPlan;
 use crate::smo::Smo;
-use crate::status::EvolutionStatus;
-use cods_storage::{Catalog, RetryPolicy, Table};
+use cods_storage::{Catalog, RetryPolicy, StepLog, Table};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,7 +23,7 @@ pub struct ExecutionRecord {
     /// Rendered operator (e.g. `DECOMPOSE TABLE R INTO S (…), T (…)`).
     pub operator: String,
     /// Step log with timings.
-    pub status: EvolutionStatus,
+    pub status: StepLog,
     /// The plan execution this record belongs to; records sharing an id
     /// were committed by the same atomic plan. `cods history` groups by it.
     pub plan_id: Option<u64>,
@@ -132,7 +131,7 @@ impl Cods {
     /// front and commits atomically. Each attempt re-plans against the
     /// then-current catalog, so a retry sees (and validates against)
     /// whatever the winning writer committed.
-    pub fn execute(&self, smo: Smo) -> Result<EvolutionStatus> {
+    pub fn execute(&self, smo: Smo) -> Result<StepLog> {
         let report = self
             .catalog
             .commit_with_retry(&RetryPolicy::default(), |_| {
@@ -165,10 +164,7 @@ impl Cods {
     /// effects of all earlier operators in the catalog. Use
     /// [`Cods::plan`] / [`Cods::plan_script`] for all-or-nothing script
     /// execution — a failing plan leaves the catalog untouched.
-    pub fn execute_all<I: IntoIterator<Item = Smo>>(
-        &self,
-        smos: I,
-    ) -> Result<Vec<EvolutionStatus>> {
+    pub fn execute_all<I: IntoIterator<Item = Smo>>(&self, smos: I) -> Result<Vec<StepLog>> {
         smos.into_iter().map(|s| self.execute(s)).collect()
     }
 }

@@ -7,10 +7,9 @@
 //! value* (over dictionaries) instead of once per row, then bitmap-filters.
 
 use crate::error::{EvolutionError, Result};
-use crate::status::{EvolutionStatus, StatusTracker};
 use cods_bitmap::Wah;
 use cods_query::pred::Predicate;
-use cods_storage::{ColumnBuilder, ColumnDef, EncodedColumn, Schema, Table, Value};
+use cods_storage::{ColumnBuilder, ColumnDef, EncodedColumn, Schema, StepLog, Table, Value};
 use std::sync::Arc;
 
 /// How ADD COLUMN fills the new column.
@@ -44,12 +43,8 @@ pub fn create_table(name: &str, schema: Schema) -> Result<Table> {
 /// unpinned column whose data shape has drifted (e.g. clustered halves
 /// unioned into runs) flips encoding here instead of waiting for a manual
 /// `recode`.
-pub fn union_tables(
-    left: &Table,
-    right: &Table,
-    output_name: &str,
-) -> Result<(Table, EvolutionStatus)> {
-    let mut tracker = StatusTracker::new();
+pub fn union_tables(left: &Table, right: &Table, output_name: &str) -> Result<(Table, StepLog)> {
+    let mut log = StepLog::new();
     if !left.schema().union_compatible(right.schema()) {
         return Err(EvolutionError::InvalidOperator(format!(
             "tables {:?} and {:?} are not union-compatible",
@@ -57,7 +52,7 @@ pub fn union_tables(
             right.name()
         )));
     }
-    tracker.step("validate union compatibility");
+    log.mark("validate union compatibility");
     let columns: Vec<Arc<EncodedColumn>> = left
         .columns()
         .iter()
@@ -76,10 +71,10 @@ pub fn union_tables(
             Ok(Arc::new(col))
         })
         .collect::<Result<_>>()?;
-    tracker.step_items("concatenate column payloads", columns.len() as u64);
+    log.mark_items("concatenate column payloads", columns.len() as u64);
     let schema = Schema::new(left.schema().columns().to_vec()).map_err(EvolutionError::Storage)?;
     let table = Table::new(output_name, schema, columns).map_err(EvolutionError::Storage)?;
-    Ok((table, tracker.finish()))
+    Ok((table, log))
 }
 
 /// Builds the row-selection mask of a predicate *at data level* (delegates
@@ -96,10 +91,10 @@ pub fn partition_table(
     pred: &Predicate,
     satisfying_name: &str,
     rest_name: &str,
-) -> Result<(Table, Table, EvolutionStatus)> {
-    let mut tracker = StatusTracker::new();
+) -> Result<(Table, Table, StepLog)> {
+    let mut log = StepLog::new();
     let mask = predicate_mask(input, pred)?;
-    tracker.step_items("build predicate mask over dictionaries", mask.count_ones());
+    log.mark_items("build predicate mask over dictionaries", mask.count_ones());
     let not_mask = mask.not();
 
     let schema = Schema::new(input.schema().columns().to_vec()).map_err(EvolutionError::Storage)?;
@@ -109,12 +104,12 @@ pub fn partition_table(
     let col_refs: Vec<&EncodedColumn> = input.columns().iter().map(|c| c.as_ref()).collect();
     let sat_cols = crate::decompose::filter_columns_by_mask(&col_refs, &mask)?;
     let rest_cols = crate::decompose::filter_columns_by_mask(&col_refs, &not_mask)?;
-    tracker.step("bitmap filtering into partitions");
+    log.mark("bitmap filtering into partitions");
 
     let sat =
         Table::new(satisfying_name, schema.clone(), sat_cols).map_err(EvolutionError::Storage)?;
     let rest = Table::new(rest_name, schema, rest_cols).map_err(EvolutionError::Storage)?;
-    Ok((sat, rest, tracker.finish()))
+    Ok((sat, rest, log))
 }
 
 /// Schema-level ADD COLUMN: validation (duplicate name, default-value
@@ -189,12 +184,8 @@ pub(crate) fn rename_column_schema(s: &Schema, from: &str, to: &str) -> Result<S
 
 /// ADD COLUMN: appends a column filled per `fill`. Existing columns are
 /// shared by reference.
-pub fn add_column(
-    table: &Table,
-    def: ColumnDef,
-    fill: &ColumnFill,
-) -> Result<(Table, EvolutionStatus)> {
-    let mut tracker = StatusTracker::new();
+pub fn add_column(table: &Table, def: ColumnDef, fill: &ColumnFill) -> Result<(Table, StepLog)> {
+    let mut log = StepLog::new();
     let schema = add_column_schema(table.schema(), &def, fill)?;
     let rows = table.rows();
     let new_col = match fill {
@@ -214,18 +205,18 @@ pub fn add_column(
             EncodedColumn::from_values(def.ty, vals)?
         }
     };
-    tracker.step("build new column");
+    log.mark("build new column");
 
     let mut columns = table.columns().to_vec();
     columns.push(Arc::new(new_col));
     let out = Table::new(table.name(), schema, columns).map_err(EvolutionError::Storage)?;
-    tracker.step("attach column");
-    Ok((out, tracker.finish()))
+    log.mark("attach column");
+    Ok((out, log))
 }
 
 /// DROP COLUMN: removes a column; all other columns are shared.
-pub fn drop_column(table: &Table, column: &str) -> Result<(Table, EvolutionStatus)> {
-    let mut tracker = StatusTracker::new();
+pub fn drop_column(table: &Table, column: &str) -> Result<(Table, StepLog)> {
+    let mut log = StepLog::new();
     let schema = drop_column_schema(table.schema(), column)?;
     let idx = table.schema().index_of(column)?;
     let columns: Vec<Arc<EncodedColumn>> = table
@@ -236,18 +227,18 @@ pub fn drop_column(table: &Table, column: &str) -> Result<(Table, EvolutionStatu
         .map(|(_, c)| Arc::clone(c))
         .collect();
     let out = Table::new(table.name(), schema, columns).map_err(EvolutionError::Storage)?;
-    tracker.step("detach column");
-    Ok((out, tracker.finish()))
+    log.mark("detach column");
+    Ok((out, log))
 }
 
 /// RENAME COLUMN: pure metadata.
-pub fn rename_column(table: &Table, from: &str, to: &str) -> Result<(Table, EvolutionStatus)> {
-    let mut tracker = StatusTracker::new();
+pub fn rename_column(table: &Table, from: &str, to: &str) -> Result<(Table, StepLog)> {
+    let mut log = StepLog::new();
     let schema = rename_column_schema(table.schema(), from, to)?;
     let out = Table::new(table.name(), schema, table.columns().to_vec())
         .map_err(EvolutionError::Storage)?;
-    tracker.step("rename column metadata");
-    Ok((out, tracker.finish()))
+    log.mark("rename column metadata");
+    Ok((out, log))
 }
 
 #[cfg(test)]

@@ -18,10 +18,9 @@
 
 use crate::tuple;
 use cods_rowstore::RowDb;
-use cods_storage::{Catalog, Schema, StorageError, Table, Value};
-use std::time::{Duration, Instant};
+use cods_storage::{Catalog, Schema, StepLog, StorageError, Table, Value};
 
-/// Work report for one evolution execution: step timings plus tuple counts.
+/// Work report for one evolution execution: tuple counts plus the step log.
 #[derive(Clone, Debug, Default)]
 pub struct EvolutionReport {
     /// Tuples read (materialized) from the inputs.
@@ -29,27 +28,7 @@ pub struct EvolutionReport {
     /// Tuples written into the outputs.
     pub tuples_written: u64,
     /// Named step timings, in execution order.
-    pub steps: Vec<(String, Duration)>,
-    /// Total wall time.
-    pub elapsed: Duration,
-}
-
-impl EvolutionReport {
-    fn step(&mut self, name: &str, started: Instant) -> Instant {
-        let now = Instant::now();
-        self.steps.push((name.to_string(), now - started));
-        now
-    }
-
-    /// Renders the step log, one line per step (the "Data Evolution Status"
-    /// panel of the demo).
-    pub fn status_log(&self) -> String {
-        let mut out = String::new();
-        for (name, d) in &self.steps {
-            out.push_str(&format!("{name}: {:.3} ms\n", d.as_secs_f64() * 1e3));
-        }
-        out
-    }
+    pub log: StepLog,
 }
 
 fn positions(schema: &Schema, names: &[&str]) -> Result<Vec<usize>, StorageError> {
@@ -77,14 +56,12 @@ pub fn decompose_row_level(
     with_indexes: bool,
 ) -> Result<EvolutionReport, StorageError> {
     let mut report = EvolutionReport::default();
-    let t0 = Instant::now();
-    let mut mark = t0;
 
     // Full scan, decoding every tuple.
     let input_schema = db.table(input)?.schema().clone();
     let rows: Vec<Vec<Value>> = db.table(input)?.scan().map(|(_, r)| r).collect();
     report.tuples_read = rows.len() as u64;
-    mark = report.step("scan input", mark);
+    report.log.mark("scan input");
 
     // CREATE TABLE left / right (+ indexes for C+I).
     let left_schema = input_schema.project(left_cols, &[])?;
@@ -97,24 +74,22 @@ pub fn decompose_row_level(
         let ri = positions(db.table(right_name)?.schema(), common_cols)?;
         db.table_mut(right_name)?.create_index(ri)?;
     }
-    mark = report.step("create output tables", mark);
+    report.log.mark("create output tables");
 
     // INSERT INTO left SELECT cols FROM input.
     let lpos = positions(&input_schema, left_cols)?;
     let left_rows = tuple::project(&rows, &lpos);
     report.tuples_written += left_rows.len() as u64;
     db.insert_many(left_name, left_rows.iter().map(|r| r.as_slice()))?;
-    mark = report.step("insert left (verbatim)", mark);
+    report.log.mark("insert left (verbatim)");
 
     // INSERT INTO right SELECT DISTINCT cols FROM input.
     let rpos = positions(&input_schema, right_cols)?;
     let right_rows = tuple::distinct(tuple::project(&rows, &rpos));
     report.tuples_written += right_rows.len() as u64;
     db.insert_many(right_name, right_rows.iter().map(|r| r.as_slice()))?;
-    mark = report.step("insert right (distinct)", mark);
+    report.log.mark("insert right (distinct)");
 
-    let _ = mark;
-    report.elapsed = t0.elapsed();
     Ok(report)
 }
 
@@ -130,20 +105,18 @@ pub fn merge_row_level(
     with_indexes: bool,
 ) -> Result<EvolutionReport, StorageError> {
     let mut report = EvolutionReport::default();
-    let t0 = Instant::now();
-    let mut mark = t0;
 
     let left_schema = db.table(left_name)?.schema().clone();
     let right_schema = db.table(right_name)?.schema().clone();
     let left_rows: Vec<Vec<Value>> = db.table(left_name)?.scan().map(|(_, r)| r).collect();
     let right_rows: Vec<Vec<Value>> = db.table(right_name)?.scan().map(|(_, r)| r).collect();
     report.tuples_read = (left_rows.len() + right_rows.len()) as u64;
-    mark = report.step("scan inputs", mark);
+    report.log.mark("scan inputs");
 
     let lk = positions(&left_schema, join_cols)?;
     let rk = positions(&right_schema, join_cols)?;
     let joined = tuple::hash_join(&left_rows, &right_rows, &lk, &rk);
-    mark = report.step("hash join", mark);
+    report.log.mark("hash join");
 
     // Output schema: left columns ++ right non-join columns.
     let mut out_cols: Vec<&str> = left_schema.names();
@@ -165,14 +138,12 @@ pub fn merge_row_level(
         let ji = positions(db.table(output)?.schema(), join_cols)?;
         db.table_mut(output)?.create_index(ji)?;
     }
-    mark = report.step("create output table", mark);
+    report.log.mark("create output table");
 
     report.tuples_written = joined.len() as u64;
     db.insert_many(output, joined.iter().map(|r| r.as_slice()))?;
-    mark = report.step("insert join result", mark);
+    report.log.mark("insert join result");
 
-    let _ = mark;
-    report.elapsed = t0.elapsed();
     Ok(report)
 }
 
@@ -193,36 +164,32 @@ pub fn decompose_column_level(
     common_cols: &[&str],
 ) -> Result<EvolutionReport, StorageError> {
     let mut report = EvolutionReport::default();
-    let t0 = Instant::now();
-    let mut mark = t0;
 
     let input_table = catalog.get(input)?;
     // Decompression: every column is decoded and merged into tuples.
     let rows = input_table.to_rows();
     report.tuples_read = rows.len() as u64;
-    mark = report.step("decompress input to tuples", mark);
+    report.log.mark("decompress input to tuples");
 
     let left_schema = input_table.schema().project(left_cols, &[])?;
     let lpos = positions(input_table.schema(), left_cols)?;
     let left_rows = tuple::project(&rows, &lpos);
-    mark = report.step("project left", mark);
+    report.log.mark("project left");
     // Re-compression: dictionaries and bitmaps rebuilt from scratch.
     let left_table = Table::from_rows(left_name, left_schema, &left_rows)?;
     report.tuples_written += left_rows.len() as u64;
-    mark = report.step("re-compress left", mark);
+    report.log.mark("re-compress left");
 
     let right_schema = input_table.schema().project(right_cols, common_cols)?;
     let rpos = positions(input_table.schema(), right_cols)?;
     let right_rows = tuple::distinct(tuple::project(&rows, &rpos));
-    mark = report.step("project + distinct right", mark);
+    report.log.mark("project + distinct right");
     let right_table = Table::from_rows(right_name, right_schema, &right_rows)?;
     report.tuples_written += right_rows.len() as u64;
-    mark = report.step("re-compress right", mark);
+    report.log.mark("re-compress right");
 
     catalog.create(left_table)?;
     catalog.create(right_table)?;
-    let _ = mark;
-    report.elapsed = t0.elapsed();
     Ok(report)
 }
 
@@ -236,20 +203,18 @@ pub fn merge_column_level(
     join_cols: &[&str],
 ) -> Result<EvolutionReport, StorageError> {
     let mut report = EvolutionReport::default();
-    let t0 = Instant::now();
-    let mut mark = t0;
 
     let left = catalog.get(left_name)?;
     let right = catalog.get(right_name)?;
     let left_rows = left.to_rows();
     let right_rows = right.to_rows();
     report.tuples_read = (left_rows.len() + right_rows.len()) as u64;
-    mark = report.step("decompress inputs to tuples", mark);
+    report.log.mark("decompress inputs to tuples");
 
     let lk = positions(left.schema(), join_cols)?;
     let rk = positions(right.schema(), join_cols)?;
     let joined = tuple::hash_join(&left_rows, &right_rows, &lk, &rk);
-    mark = report.step("hash join", mark);
+    report.log.mark("hash join");
 
     let mut combined = left.schema().columns().to_vec();
     for (i, c) in right.schema().columns().iter().enumerate() {
@@ -260,11 +225,9 @@ pub fn merge_column_level(
     let out_schema = Schema::new(combined)?;
     let out_table = Table::from_rows(output, out_schema, &joined)?;
     report.tuples_written = joined.len() as u64;
-    mark = report.step("re-compress result", mark);
+    report.log.mark("re-compress result");
 
     catalog.create(out_table)?;
-    let _ = mark;
-    report.elapsed = t0.elapsed();
     Ok(report)
 }
 
@@ -327,7 +290,7 @@ mod tests {
         assert_eq!(report.tuples_read, 7);
         assert_eq!(db.table("S").unwrap().row_count(), 7);
         assert_eq!(db.table("T").unwrap().row_count(), 4); // 4 distinct employees
-        assert!(report.status_log().contains("insert right (distinct)"));
+        assert!(report.log.render().contains("insert right (distinct)"));
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn every_tuple_is_read_and_written() {
     assert_eq!(report.tuples_read, 5_000);
     // S gets all 5k; T gets the 100 distinct entities.
     assert_eq!(report.tuples_written, 5_100);
-    let step_names: Vec<&str> = report.steps.iter().map(|(n, _)| n.as_str()).collect();
+    let step_names: Vec<&str> = report.log.steps.iter().map(|s| s.name.as_str()).collect();
     assert!(step_names.contains(&"scan input"));
     assert!(step_names.contains(&"insert right (distinct)"));
 }
@@ -96,11 +96,11 @@ fn merge_reads_both_sides_and_writes_the_join() {
 }
 
 #[test]
-fn report_status_log_renders_all_steps() {
+fn report_log_renders_all_steps() {
     let mut db = load(InsertPolicy::Batch, 500, 10);
     let report = run_decompose(&mut db, false);
-    let log = report.status_log();
-    for (name, _) in &report.steps {
-        assert!(log.contains(name.as_str()), "missing {name}");
+    let log = report.log.render();
+    for step in &report.log.steps {
+        assert!(log.contains(step.name.as_str()), "missing {}", step.name);
     }
 }

@@ -435,7 +435,7 @@ impl<'a, W: Write> Connection<'a, W> {
                             message: format!(
                                 "{} operator(s) committed{}; catalog v{version}",
                                 report.records.len(),
-                                if report.log.durable { " durably" } else { "" }
+                                if report.durable { " durably" } else { "" }
                             ),
                         })
                     }

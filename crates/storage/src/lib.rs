@@ -45,6 +45,8 @@
 //!   threshold-triggered background heap compaction; [`fault`] — the
 //!   crash-point and I/O-failure injection layer the durability suite
 //!   sweeps.
+//! * [`StepLog`] — the timed step list every evolution reports (the demo's
+//!   "Data Evolution Status" panel).
 //!
 //! ```
 //! use cods_storage::{Schema, Table, Value, ValueType};
@@ -77,6 +79,7 @@ pub mod rle_segment;
 pub mod schema;
 pub mod segment;
 pub mod stats;
+pub mod steplog;
 pub mod store;
 pub mod table;
 pub mod vacuum;
@@ -102,6 +105,7 @@ pub use segment::{
     DEFAULT_SEGMENT_ROWS,
 };
 pub use stats::{ColumnStats, TableStats};
+pub use steplog::{Step, StepLog};
 pub use store::{segment_cache, CacheStats, SegMeta, SegSlot, SegmentStore};
 pub use table::Table;
 pub use vacuum::{

@@ -152,7 +152,7 @@ fn platform_scripts_commit_durably_and_replay() {
             &cods_storage::RetryPolicy::default(),
         )
         .unwrap();
-    assert!(report.log.durable, "commit must be acknowledged durable");
+    assert!(report.durable, "commit must be acknowledged durable");
     assert!(report.log.render().contains("(durable)"));
     assert!(log.stats().commits >= 1);
 
@@ -308,7 +308,7 @@ fn a_commit_appends_what_it_changed() {
         let report = cods
             .run_script_with_retry(script, &cods_storage::RetryPolicy::default())
             .unwrap();
-        assert!(report.log.durable, "{script}");
+        assert!(report.durable, "{script}");
         let after = log.stats();
         assert_eq!(after.commits, before.commits + 1, "{script}: one record");
         assert_eq!(

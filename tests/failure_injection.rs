@@ -731,7 +731,7 @@ fn script(cods: &Cods, text: &str) {
     let report = cods
         .run_script_with_retry(text, &cods_storage::RetryPolicy::default())
         .unwrap_or_else(|e| panic!("{text}: {e}"));
-    assert!(report.log.durable, "{text}");
+    assert!(report.durable, "{text}");
 }
 
 /// Three records that all reuse columns: a copy (all references), a
