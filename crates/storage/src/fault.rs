@@ -21,8 +21,10 @@
 //! retry from.
 //!
 //! The state is thread-local on purpose: a crash test arms only its own
-//! thread, so concurrently running tests (and background vacuum threads)
-//! keep saving normally. Reads are deliberately not faulted: a crash
+//! thread, so concurrently running tests keep saving normally. Every
+//! mutation a save makes runs in the saving thread — the auto-vacuum
+//! included, which compacts inside the save that crosses its threshold —
+//! so arming that thread sweeps and traces all of them. Reads are deliberately not faulted: a crash
 //! destroys in-flight writes, not the ability of the *next* process to
 //! read what reached the disk.
 //!

@@ -41,8 +41,9 @@
 //! * [`wal`] — the checksummed frame format, its checksum and the per-file
 //!   save lock; [`commitlog`] — the SMO-granularity commit log that makes every
 //!   *evolution commit* crash-safe (group-commit appends, checkpoint +
-//!   replay recovery via [`open_durable`]); [`vacuum`] — explicit and
-//!   threshold-triggered background heap compaction; [`fault`] — the
+//!   replay recovery via [`open_durable`]); [`vacuum`] — heap
+//!   compaction, run explicitly or by the append-save that crosses the
+//!   dead-space threshold, always in the caller's thread; [`fault`] — the
 //!   crash-point and I/O-failure injection layer the durability suite
 //!   sweeps.
 //! * [`StepLog`] — the timed step list every evolution reports (the demo's
@@ -109,8 +110,8 @@ pub use steplog::{Step, StepLog};
 pub use store::{segment_cache, CacheStats, SegMeta, SegSlot, SegmentStore};
 pub use table::Table;
 pub use vacuum::{
-    heap_stats, set_auto_vacuum, vacuum_catalog, vacuum_file, vacuum_table, wait_for_auto_vacuum,
-    AutoVacuum, HeapStats, VacuumReport,
+    heap_stats, set_auto_vacuum, vacuum_catalog, vacuum_file, wait_for_auto_vacuum, AutoVacuum,
+    HeapStats, VacuumReport,
 };
 pub use value::{OrderedF64, Value, ValueType};
 pub use wal::JournalWriter;

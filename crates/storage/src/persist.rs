@@ -325,11 +325,6 @@ pub fn committed_slot(path: impl AsRef<Path>) -> Result<(u64, usize), StorageErr
     Ok((tail.slot.generation, tail.which))
 }
 
-/// Whether `slot` is still the one that commits the file at `path`.
-pub(crate) fn still_committed(path: &Path, slot: &Slot) -> bool {
-    Opened::file(path).is_ok_and(|o| o.tail.slot == *slot)
-}
-
 // ---------------------------------------------------------------------------
 // Writer: payloads, metadata blocks and the index into free space.
 // ---------------------------------------------------------------------------
@@ -577,34 +572,6 @@ impl Content<'_> {
         match self {
             Content::Table(t) => vec![t],
             Content::Catalog(_, ts) => ts.iter().map(|t| t.as_ref()).collect(),
-        }
-    }
-
-    /// An owning copy (cheap: tables share their columns by `Arc`) for the
-    /// background vacuum, which outlives the borrow a save holds.
-    pub(crate) fn to_owned_content(&self) -> OwnedContent {
-        match self {
-            Content::Table(t) => OwnedContent::Table((*t).clone()),
-            Content::Catalog(v, ts) => OwnedContent::Catalog(*v, ts.clone()),
-        }
-    }
-}
-
-/// An owning [`Content`] — what a background vacuum task carries across
-/// threads.
-pub(crate) enum OwnedContent {
-    /// A single-table file.
-    Table(Table),
-    /// A catalog file.
-    Catalog(u64, Vec<Arc<Table>>),
-}
-
-impl OwnedContent {
-    /// Borrows back as a [`Content`] for the writer paths.
-    pub(crate) fn as_content(&self) -> Content<'_> {
-        match self {
-            OwnedContent::Table(t) => Content::Table(t),
-            OwnedContent::Catalog(v, ts) => Content::Catalog(*v, ts.clone()),
         }
     }
 }
@@ -892,8 +859,8 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
 /// into free space and are synced; then the slot holding the *older*
 /// generation is overwritten with the next one and synced — that write is
 /// the commit point; then the file is cut after the last extent still
-/// kept. No file is created or removed. Returns the heap occupancy and the
-/// slot it committed, for the auto-vacuum trigger.
+/// kept. No file is created or removed. Returns the heap occupancy, for
+/// the auto-vacuum trigger.
 ///
 /// A failure after the slot write puts the overwritten slot's old bytes
 /// back, so the file opens to the state the save started from and the
@@ -902,7 +869,7 @@ fn save_append(
     what: &Content<'_>,
     path: &Path,
     plan: AppendPlan,
-) -> Result<(HeapStats, Slot), StorageError> {
+) -> Result<HeapStats, StorageError> {
     use std::io::{Read, Seek, SeekFrom};
     let built = build(what, Some(&plan), plan.committed.slot.generation + 1)?;
     let slot_at = (PREAMBLE_LEN + SLOT_LEN * (1 - plan.committed.which)) as u64;
@@ -940,9 +907,8 @@ fn save_append(
     // Only now — the file is committed — may fresh slots adopt their
     // on-disk locations.
     let stats = heap_stats_of(keep_end, &built.slot, &built.blocks);
-    let slot = built.slot;
     settle(path, what, built, SegSlot::attach_disk)?;
-    Ok((stats, slot))
+    Ok(stats)
 }
 
 /// The generation a full rewrite of `path` commits: one past the file it
@@ -958,23 +924,24 @@ fn save_rewrite(what: &Content<'_>, path: &Path) -> Result<(), StorageError> {
     settle(path, what, built, SegSlot::attach_disk)
 }
 
+/// Saves `what` to `path` under the file's save lock: an append-save when
+/// the file can take one, else a full rewrite. An append-save that leaves
+/// the file due for a vacuum ([`crate::vacuum::due`]) compacts it before
+/// the lock is released. The append has committed by then, so a failed
+/// compaction is not the save's failure: the file stays as the append
+/// left it, and the next save's trigger tries again.
 pub(crate) fn save_content(what: &Content<'_>, path: &Path) -> Result<(), StorageError> {
     let lock = wal::path_lock(path);
-    let appended = {
-        let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-        match append_plan(what, path) {
-            Some(plan) => Some(save_append(what, path, plan)?),
-            None => {
-                save_rewrite(what, path)?;
-                None
+    let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
+    match append_plan(what, path) {
+        Some(plan) => {
+            if crate::vacuum::due(&save_append(what, path, plan)?) {
+                let _ = rewrite_compacted(what, path);
             }
+            Ok(())
         }
-    };
-    // Outside the lock: the background vacuum takes it itself.
-    if let Some((stats, slot)) = appended {
-        crate::vacuum::consider_auto(what, path, &stats, slot);
+        None => save_rewrite(what, path),
     }
-    Ok(())
 }
 
 /// Compacts `what` into a fresh image at `path` via [`write_atomic`], then
@@ -2022,33 +1989,6 @@ mod tests {
         assert_eq!(free.take(5), HEADER_LEN + 35, "the gap's rest");
         assert!(free.gaps.is_empty());
         assert_eq!(free.take(1), HEADER_LEN + 80);
-    }
-
-    /// A file deleted and re-created restarts its generations, so the
-    /// background vacuum's staleness check compares the whole slot: the
-    /// same generation over other content is not the slot it was queued
-    /// for.
-    #[test]
-    fn a_recreated_file_at_the_same_generation_is_not_still_committed() {
-        let _g = budget_guard();
-        let path = temp("recreated");
-        let two_saves = |t: Table| {
-            let cat = Catalog::new();
-            cat.create(t).unwrap();
-            save_catalog(&cat, &path).unwrap();
-            let t = cat.get(&cat.table_names()[0]).unwrap();
-            cat.put(t.map_columns(None, |c| c.recode(Encoding::Rle)).unwrap());
-            save_catalog(&cat, &path).unwrap();
-            Opened::file(&path).unwrap().tail.slot
-        };
-        let queued = two_saves(sample());
-        assert!(still_committed(&path, &queued));
-        std::fs::remove_file(&path).unwrap();
-        let now = two_saves(multi_segment());
-        assert_eq!(now.generation, queued.generation);
-        assert!(!still_committed(&path, &queued));
-        assert!(still_committed(&path, &now));
-        std::fs::remove_file(&path).ok();
     }
 
     /// An append-save writes into free space — but never over an extent a

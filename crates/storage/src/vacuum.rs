@@ -1,4 +1,4 @@
-//! Background heap compaction (vacuum).
+//! Heap compaction (vacuum).
 //!
 //! Append-saves write into the free space the committed state and the live
 //! slots leave, and cut the file after the last extent still kept; free
@@ -11,16 +11,15 @@
 //! rebound slots re-adopt through the buffer cache exactly like a first
 //! save.
 //!
-//! Two entry points:
-//! * explicit — [`vacuum_table`] / [`vacuum_catalog`] / [`vacuum_file`]
-//!   (the CLI's `vacuum <file>`), which compact immediately and report
-//!   reclaimed bytes;
-//! * automatic — every append-save reports its dead/heap bytes, and
-//!   when the configured [`AutoVacuum`] threshold is crossed a background
-//!   thread compacts the file off the save path. The thread re-reads the
-//!   file's committed slot under the save lock and skips itself if
-//!   another save landed in between (that save re-evaluates the trigger),
-//!   so a stale snapshot can never clobber a newer one.
+//! There is one compaction, run in the caller's thread under the file's
+//! save lock. It is reached two ways:
+//! * explicit — [`vacuum_catalog`] / [`vacuum_file`] (the CLI's
+//!   `vacuum <file>`), which report reclaimed bytes;
+//! * automatic — every append-save reports its dead/heap bytes, and when
+//!   the configured [`AutoVacuum`] threshold is crossed (`due`) the same
+//!   save compacts the file before it releases the lock. The append has
+//!   committed by then, so a failed compaction leaves the committed file
+//!   as it was, and the save still succeeds.
 //!
 //! Readers concurrent with a vacuum are safe on unix: they hold an open
 //! handle to the old inode, which the rename unlinks but does not destroy.
@@ -40,13 +39,10 @@
 
 use crate::catalog::Catalog;
 use crate::error::StorageError;
-use crate::persist::{self, Content, OwnedContent, Slot};
-use crate::table::Table;
+use crate::persist::{self, Content};
 use crate::wal;
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, OnceLock};
 
 /// What a vacuum did to one file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,8 +112,9 @@ fn config() -> &'static Mutex<Option<AutoVacuum>> {
     CONFIG.get_or_init(|| Mutex::new(Some(AutoVacuum::default())))
 }
 
-/// Sets the auto-vacuum policy (`None` disables the background trigger;
-/// explicit vacuums are unaffected). Process-wide.
+/// Sets the auto-vacuum policy (`None` disables the trigger; explicit
+/// vacuums are unaffected). Process-wide: it applies to the next
+/// append-save in any thread.
 pub fn set_auto_vacuum(policy: Option<AutoVacuum>) {
     *config().lock().unwrap_or_else(|e| e.into_inner()) = policy;
 }
@@ -127,76 +124,18 @@ pub fn auto_vacuum() -> Option<AutoVacuum> {
     *config().lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn inflight() -> &'static Mutex<HashSet<usize>> {
-    static INFLIGHT: OnceLock<Mutex<HashSet<usize>>> = OnceLock::new();
-    INFLIGHT.get_or_init(|| Mutex::new(HashSet::new()))
-}
+/// Returns at once: the auto-vacuum runs inside the save that crosses its
+/// threshold, so none is ever pending. Kept for the callers that drain it
+/// before reading a file's size (the benchmark harness, `tests/vacuum.rs`).
+pub fn wait_for_auto_vacuum() {}
 
-fn tasks() -> &'static Mutex<Vec<JoinHandle<()>>> {
-    static TASKS: OnceLock<Mutex<Vec<JoinHandle<()>>>> = OnceLock::new();
-    TASKS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Blocks until every background vacuum spawned so far has finished —
-/// deterministic teardown for tests and benchmarks.
-pub fn wait_for_auto_vacuum() {
-    loop {
-        let drained: Vec<JoinHandle<()>> = {
-            let mut guard = tasks().lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *guard)
-        };
-        if drained.is_empty() {
-            return;
-        }
-        for handle in drained {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Evaluated by `save_content` after every append-save: spawn a background
-/// compaction when the dead-heap threshold is crossed. `stats` and `slot`
-/// are what the triggering save committed — the vacuum thread re-reads the
-/// committed slot under the save lock and backs off unless it is still
-/// this one, whole: generation, index location and index checksum (a
-/// file deleted and re-created restarts its generations). Another save
-/// that landed since re-fires its own trigger as needed.
-pub(crate) fn consider_auto(what: &Content<'_>, path: &Path, stats: &HeapStats, slot: Slot) {
-    let Some(policy) = auto_vacuum() else { return };
-    if stats.dead_bytes < policy.min_dead_bytes.max(1) {
-        return;
-    }
-    if (stats.dead_bytes as f64) < policy.dead_ratio * (stats.heap_bytes.max(1) as f64) {
-        return;
-    }
-    let lock = wal::path_lock(path);
-    let key = Arc::as_ptr(&lock) as usize;
-    {
-        let mut set = inflight().lock().unwrap_or_else(|e| e.into_inner());
-        if !set.insert(key) {
-            return; // a vacuum of this file is already queued
-        }
-    }
-    let owned = what.to_owned_content();
-    let path = path.to_path_buf();
-    let handle = std::thread::spawn(move || {
-        {
-            let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-            if persist::still_committed(&path, &slot) {
-                // Best-effort: a failure leaves the (committed) file as it
-                // was, and the next save's trigger tries again.
-                let _ = persist::rewrite_compacted(&owned.as_content(), &path);
-            }
-        }
-        inflight()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&key);
-    });
-    tasks()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(handle);
+/// Whether the current [`AutoVacuum`] policy asks for a compaction of a
+/// file whose append-save left `stats`.
+pub(crate) fn due(stats: &HeapStats) -> bool {
+    auto_vacuum().is_some_and(|policy| {
+        stats.dead_bytes >= policy.min_dead_bytes.max(1)
+            && stats.dead_bytes as f64 >= policy.dead_ratio * stats.heap_bytes.max(1) as f64
+    })
 }
 
 fn compact(what: &Content<'_>, path: &Path) -> Result<VacuumReport, StorageError> {
@@ -211,17 +150,9 @@ fn compact(what: &Content<'_>, path: &Path) -> Result<VacuumReport, StorageError
     })
 }
 
-/// Compacts the file backing `t` at `path`, keeping only the payloads the
-/// table still references. `t`'s slots are rebound to the new heap, so
-/// subsequent append-saves keep working at full reuse.
-pub fn vacuum_table(t: &Table, path: impl AsRef<Path>) -> Result<VacuumReport, StorageError> {
-    let path = path.as_ref();
-    let lock = wal::path_lock(path);
-    let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-    compact(&Content::Table(t), path)
-}
-
-/// Compacts the file backing `cat` at `path` (see [`vacuum_table`]).
+/// Compacts the file backing `cat` at `path`, keeping only the payloads
+/// the catalog still references. `cat`'s slots are rebound to the new
+/// heap, so subsequent append-saves keep working at full reuse.
 pub fn vacuum_catalog(cat: &Catalog, path: impl AsRef<Path>) -> Result<VacuumReport, StorageError> {
     let path = path.as_ref();
     let lock = wal::path_lock(path);
@@ -235,14 +166,13 @@ pub fn vacuum_file(path: impl AsRef<Path>) -> Result<VacuumReport, StorageError>
     let path = path.as_ref();
     let lock = wal::path_lock(path);
     let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-    let owned = match persist::read_catalog_raw(path) {
-        Ok(cat) => Content::of_catalog(&cat).to_owned_content(),
+    match persist::read_catalog_raw(path) {
+        Ok(cat) => compact(&Content::of_catalog(&cat), path),
         Err(catalog_err) => match persist::read_table_raw(path) {
-            Ok(t) => OwnedContent::Table(t),
-            Err(_) => return Err(catalog_err),
+            Ok(t) => compact(&Content::Table(&t), path),
+            Err(_) => Err(catalog_err),
         },
-    };
-    compact(&owned.as_content(), path)
+    }
 }
 
 /// Measures the heap occupancy of a file: opens its index and blocks

@@ -189,9 +189,10 @@ impl JournalWriter {
 }
 
 /// Per-path save lock. Serializes the saves, vacuums and opens of one file
-/// within this process, so a threshold-triggered background vacuum can
-/// never interleave with — or lose the update of — a concurrent save, and
-/// a save never places bytes where an open is still binding slots.
+/// within this process, so a vacuum never interleaves with — or loses the
+/// update of — a concurrent save, and a save never places bytes where an
+/// open is still binding slots. A save that triggers the auto-vacuum holds
+/// it through the compaction.
 pub(crate) fn path_lock(path: &Path) -> Arc<Mutex<()>> {
     static LOCKS: OnceLock<Mutex<HashMap<PathBuf, Arc<Mutex<()>>>>> = OnceLock::new();
     let key = normalize(path);

@@ -5,6 +5,7 @@
 
 use cods_query::bitmap_scan::predicate_mask;
 use cods_query::Predicate;
+use cods_storage::fault::{self, Mutation};
 use cods_storage::persist::{encode_table, read_catalog, save_catalog};
 use cods_storage::{
     heap_stats, open_durable, set_auto_vacuum, vacuum_catalog, vacuum_file, wait_for_auto_vacuum,
@@ -173,7 +174,7 @@ fn auto_vacuum_compacts_in_the_background() {
     let dir = dir("auto");
     let path = dir.join("auto.catalog");
 
-    // Hair-trigger policy: any dead byte schedules a background compaction.
+    // Hair-trigger policy: any dead byte makes the save compact the file.
     set_auto_vacuum(Some(AutoVacuum {
         dead_ratio: 0.01,
         min_dead_bytes: 1,
@@ -183,9 +184,8 @@ fn auto_vacuum_compacts_in_the_background() {
         cat.create(table("a", 512)).unwrap();
         save_catalog(&cat, &path).unwrap();
         let want = cat.get("a").unwrap().tuple_multiset();
-        // Wait out each round's background compaction before the next save:
-        // an inflight vacuum for the path dedupes later triggers, and this
-        // test wants to observe every one of them landing.
+        // Each round's save compacts before it returns; the wait returns at
+        // once.
         for enc in [Encoding::Rle, Encoding::Bitmap] {
             let t = cat.get("a").unwrap();
             cat.put(t.map_columns(Some("v"), |c| c.recode(enc)).unwrap());
@@ -211,6 +211,204 @@ fn auto_vacuum_compacts_in_the_background() {
     set_auto_vacuum(Some(AutoVacuum::default()));
     result.unwrap();
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `body` under a policy that compacts at the first dead byte, and
+/// restores the default policy even when `body` panics.
+fn with_hair_trigger(body: impl FnOnce() + std::panic::UnwindSafe) {
+    set_auto_vacuum(Some(AutoVacuum {
+        dead_ratio: 0.01,
+        min_dead_bytes: 1,
+    }));
+    let result = std::panic::catch_unwind(body);
+    set_auto_vacuum(Some(AutoVacuum::default()));
+    result.unwrap();
+}
+
+/// A catalog of one table with one 64-row segment per column and eight
+/// distinct keys (so the sweeps' images stay small), saved to `path`.
+fn saved_small(path: &std::path::Path) -> Catalog {
+    let schema = Schema::build(&[("k", ValueType::Int), ("v", ValueType::Str)], &[]).unwrap();
+    let data: Vec<Vec<Value>> = (0..64)
+        .map(|i| {
+            vec![
+                Value::Int(i / 8),
+                Value::str(["red", "blue"][(i % 2) as usize]),
+            ]
+        })
+        .collect();
+    let cat = Catalog::new();
+    cat.create(Table::from_rows_with_segment_rows("a", schema, &data, 64).unwrap())
+        .unwrap();
+    save_catalog(&cat, path).unwrap();
+    cat
+}
+
+/// The save that crosses the hair trigger: `v` recoded to RLE strands its
+/// bitmap payload as dead heap.
+fn recode_v(cat: &Catalog) {
+    let t = cat.get("a").unwrap();
+    cat.put(
+        t.map_columns(Some("v"), |c| c.recode(Encoding::Rle))
+            .unwrap(),
+    );
+}
+
+/// `(bitmap, RLE)` segment counts of `v`: what tells the state before the
+/// triggering save from the state after it.
+fn v_encodings(cat: &Catalog) -> (usize, usize) {
+    cat.get("a")
+        .unwrap()
+        .column_by_name("v")
+        .unwrap()
+        .encoding_counts()
+}
+
+/// The append-save that crosses the auto-vacuum threshold compacts the file
+/// itself, in the caller's thread and before it returns: the save's trace
+/// is the append (payload runs, sync, commit slot, sync, cut) followed by
+/// the compaction's temp file, sync, rename and directory sync, and no dead
+/// byte is left for anything to wait for.
+#[test]
+fn the_save_that_crosses_the_threshold_compacts_before_it_returns() {
+    let _serial = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = dir("inline");
+    let path = dir.join("inline.catalog");
+    with_hair_trigger(|| {
+        let cat = saved_small(&path);
+        let want = cat.get("a").unwrap().tuple_multiset();
+        recode_v(&cat);
+        fault::arm(u64::MAX);
+        save_catalog(&cat, &path).unwrap();
+        fault::disarm();
+        let name = "inline.catalog".to_string();
+        let tmp = format!("{name}.tmp.{}", std::process::id());
+        let trace = fault::trace();
+        let runs = trace.iter().take_while(|m| **m == Mutation::Write).count();
+        assert!(runs > 0, "{trace:?}");
+        let mut order = vec![Mutation::Write; runs];
+        order.extend([
+            Mutation::Sync,
+            Mutation::Write,
+            Mutation::Sync,
+            Mutation::SetLen,
+            Mutation::Create(tmp.clone()),
+            Mutation::Write,
+            Mutation::Sync,
+            Mutation::Rename(tmp, name),
+            Mutation::SyncDir,
+        ]);
+        assert_eq!(trace, order);
+        let stats = heap_stats(&path).unwrap();
+        assert_eq!(stats.dead_bytes, 0, "{stats:?}");
+        assert_eq!(cat.get("a").unwrap().tuple_multiset(), want);
+        let back = read_catalog(&path).unwrap();
+        assert_eq!(back.get("a").unwrap().tuple_multiset(), want);
+        assert_eq!(v_encodings(&back), (0, 1));
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Kill, then fail, the triggering save at every unit of its append and of
+/// its compaction. After a kill the file reopens to the old state or the
+/// new one, and the reopen writes nothing. After a failure, an error means
+/// the old state with nothing adopted, and success means the new state —
+/// also when the failure hit the compaction, which must not fail the save
+/// that already committed; either way the next save succeeds.
+#[test]
+fn crash_and_failure_sweeps_cover_the_auto_vacuum() {
+    let _serial = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = dir("sweeps");
+    let path = dir.join("sweep.catalog");
+    with_hair_trigger(|| {
+        let want = saved_small(&path).get("a").unwrap().tuple_multiset();
+        let pristine = std::fs::read(&path).unwrap();
+        let (old, new) = ((1, 0), (0, 1));
+        let evolve = || {
+            // Overwrite in place: the bytes of the old state, whatever file
+            // the last compaction renamed here.
+            std::fs::write(&path, &pristine).unwrap();
+            let cat = read_catalog(&path).unwrap();
+            assert_eq!(v_encodings(&cat), old);
+            recode_v(&cat);
+            cat
+        };
+        let reopen = |budget: u64| -> (usize, usize) {
+            fault::arm(u64::MAX);
+            let got = read_catalog(&path);
+            fault::disarm();
+            assert_eq!(fault::trace(), [], "budget {budget}: the open wrote");
+            let got = got.unwrap_or_else(|e| panic!("budget {budget}: reopen failed: {e}"));
+            assert_eq!(
+                got.get("a").unwrap().tuple_multiset(),
+                want,
+                "budget {budget}"
+            );
+            v_encodings(&got)
+        };
+
+        let probe = evolve();
+        fault::arm(u64::MAX);
+        save_catalog(&probe, &path).unwrap();
+        fault::disarm();
+        let total = fault::units();
+        assert!(fault::trace().contains(&Mutation::SyncDir), "no compaction");
+        drop(probe);
+
+        let mut compaction_kills = 0;
+        for budget in 0..total {
+            let cat = evolve();
+            fault::arm(budget);
+            let res = save_catalog(&cat, &path);
+            fault::disarm();
+            drop(cat);
+            let got = reopen(budget);
+            if res.is_ok() {
+                compaction_kills += 1;
+                assert_eq!(
+                    got, new,
+                    "budget {budget}/{total}: an Ok save left the old state"
+                );
+            } else {
+                assert!(got == old || got == new, "budget {budget}/{total}: {got:?}");
+            }
+        }
+        assert!(compaction_kills > 0, "no kill point hit the compaction");
+        println!(
+            "auto-vacuum save sweep: {total} kill points, {compaction_kills} in the compaction"
+        );
+
+        let mut compaction_fails = 0;
+        for budget in 0..total {
+            let cat = evolve();
+            fault::arm_failure(budget);
+            let res = save_catalog(&cat, &path);
+            fault::disarm();
+            let got = reopen(budget);
+            match res {
+                Ok(()) => {
+                    compaction_fails += 1;
+                    assert_eq!(got, new, "budget {budget}/{total}");
+                }
+                Err(_) => {
+                    assert_eq!(got, old, "budget {budget}/{total}");
+                    let a = cat.get("a").unwrap();
+                    let v = a.column_by_name("v").unwrap();
+                    assert!(
+                        v.segments().iter().all(|s| s.backing_path().is_none()),
+                        "budget {budget}/{total}: a failed save adopted fresh payloads"
+                    );
+                }
+            }
+            save_catalog(&cat, &path)
+                .unwrap_or_else(|e| panic!("budget {budget}/{total}: the next save failed: {e}"));
+            drop(cat);
+            assert_eq!(reopen(budget), new, "budget {budget}/{total}");
+        }
+        assert!(compaction_fails > 0, "no fail point hit the compaction");
+        println!("auto-vacuum save failure sweep: {total} fail points, {compaction_fails} in the compaction");
+    });
     std::fs::remove_dir_all(&dir).ok();
 }
 
