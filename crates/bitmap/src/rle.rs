@@ -95,11 +95,6 @@ impl RleSeq {
             (v, start, n)
         })
     }
-
-    /// Returns `true` if the sequence is sorted by value id.
-    pub fn is_sorted(&self) -> bool {
-        self.runs.windows(2).all(|w| w[0].0 <= w[1].0)
-    }
 }
 
 impl FromIterator<u32> for RleSeq {
@@ -134,14 +129,6 @@ mod tests {
         let s: RleSeq = vals.iter().copied().collect();
         assert_eq!(s.iter().collect::<Vec<_>>(), vals);
         assert_eq!(s.num_runs(), 4);
-    }
-
-    #[test]
-    fn sortedness() {
-        let sorted: RleSeq = [1u32, 1, 2, 3, 3].into_iter().collect();
-        assert!(sorted.is_sorted());
-        let unsorted: RleSeq = [2u32, 1].into_iter().collect();
-        assert!(!unsorted.is_sorted());
     }
 
     #[test]

@@ -44,7 +44,6 @@ mod keys;
 pub mod merge;
 pub mod parser;
 pub mod plan;
-pub mod planner;
 pub mod platform;
 pub mod schema_tools;
 pub mod simple_ops;
@@ -57,7 +56,6 @@ pub use exec::PlanReport;
 pub use merge::{merge, merge_general, merge_key_fk, MergeOutcome, MergeStrategy, UsedStrategy};
 pub use parser::{parse_script, parse_smo};
 pub use plan::{EvolutionPlan, PlanNode};
-pub use planner::{plan_decomposition, TargetSpec};
 pub use platform::{Cods, ExecutionRecord};
 pub use simple_ops::ColumnFill;
 pub use smo::Smo;

@@ -99,28 +99,6 @@ pub fn fd_holds(table: &Table, lhs: &[&str], rhs: &[&str]) -> Result<bool> {
     Ok(true)
 }
 
-/// Determines which output of a decomposition can be the *changed* (shrunk)
-/// side: the common columns must functionally determine its remaining
-/// columns (Property 2). Returns `true` if `candidate_cols \ common` is
-/// functionally determined by `common` in `input`.
-pub fn can_be_changed_side(
-    input: &Table,
-    candidate_cols: &[String],
-    common: &[String],
-) -> Result<bool> {
-    let rest: Vec<&str> = candidate_cols
-        .iter()
-        .filter(|c| !common.contains(c))
-        .map(String::as_str)
-        .collect();
-    if rest.is_empty() {
-        // The candidate is exactly the common columns — trivially valid.
-        return Ok(true);
-    }
-    let lhs: Vec<&str> = common.iter().map(String::as_str).collect();
-    fd_holds(input, &lhs, &rest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,15 +187,5 @@ mod tests {
         assert!(fd_holds(&r, &["employee"], &["address"]).unwrap());
         // …but employee does not determine skill.
         assert!(!fd_holds(&r, &["employee"], &["skill"]).unwrap());
-    }
-
-    #[test]
-    fn changed_side_detection() {
-        let r = figure1();
-        let common = vec!["employee".to_string()];
-        assert!(can_be_changed_side(&r, &["employee".into(), "address".into()], &common).unwrap());
-        assert!(!can_be_changed_side(&r, &["employee".into(), "skill".into()], &common).unwrap());
-        // Candidate equal to common is trivially fine.
-        assert!(can_be_changed_side(&r, &common, &common).unwrap());
     }
 }

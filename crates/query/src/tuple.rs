@@ -1,6 +1,6 @@
 //! Tuple-at-a-time operators over materialized rows — the machinery
 //! query-level evolution is forced to run (Figure 2, right-hand path):
-//! project, distinct, hash join, union.
+//! project, distinct, hash join.
 
 use cods_storage::Value;
 use std::collections::HashMap;
@@ -54,23 +54,6 @@ pub fn hash_join(
         }
     }
     out
-}
-
-/// Concatenates two row sets (UNION ALL).
-pub fn union_all(mut a: Vec<Vec<Value>>, b: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    a.extend(b);
-    a
-}
-
-/// Counts occurrences of each distinct key projection — the first pass of
-/// general mergence at query level, and a general GROUP BY COUNT.
-pub fn group_counts(rows: &[Vec<Value>], keys: &[usize]) -> HashMap<Vec<Value>, u64> {
-    let mut counts = HashMap::new();
-    for r in rows {
-        let key: Vec<Value> = keys.iter().map(|&k| r[k].clone()).collect();
-        *counts.entry(key).or_insert(0) += 1;
-    }
-    counts
 }
 
 #[cfg(test)]
@@ -134,20 +117,5 @@ mod tests {
         let rows = v(&[("a", 1)]);
         assert!(hash_join(&[], &rows, &[1], &[1]).is_empty());
         assert!(hash_join(&rows, &[], &[1], &[1]).is_empty());
-    }
-
-    #[test]
-    fn group_counts_counts() {
-        let rows = v(&[("a", 1), ("a", 2), ("b", 3)]);
-        let counts = group_counts(&rows, &[0]);
-        assert_eq!(counts[&vec![Value::str("a")]], 2);
-        assert_eq!(counts[&vec![Value::str("b")]], 1);
-    }
-
-    #[test]
-    fn union_all_concatenates() {
-        let a = v(&[("a", 1)]);
-        let b = v(&[("b", 2)]);
-        assert_eq!(union_all(a, b).len(), 2);
     }
 }

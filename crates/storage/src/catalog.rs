@@ -1,6 +1,7 @@
 //! The database catalog: a thread-safe name → table map with the
 //! schema-level operations (create/drop/rename/copy) that SMOs delegate to.
 
+use crate::commitlog::CommitLog;
 use crate::error::StorageError;
 use crate::retry::{RetryPolicy, Retryable};
 use crate::table::Table;
@@ -70,37 +71,13 @@ impl CatalogSnapshot {
     }
 }
 
-/// Where acknowledged evolution commits go to become durable — implemented
-/// by the catalog commit log ([`crate::commitlog::CommitLog`]).
-///
-/// The two-phase shape exists for ordering: [`stage`](DurabilitySink::stage)
-/// runs *under the catalog write lock*, so records are sequenced in exactly
-/// the order their commits were applied (it must only enqueue — no I/O);
-/// [`wait`](DurabilitySink::wait) runs after the lock is released and blocks
-/// until the staged record is on disk (typically riding a group `fsync`
-/// shared with concurrent committers).
-pub trait DurabilitySink: Send + Sync + std::fmt::Debug {
-    /// Sequences the commit diff for appending. `version` is the catalog
-    /// version the commit produced; versions passed to one sink strictly
-    /// increase. Returns an opaque ticket for [`wait`](DurabilitySink::wait).
-    fn stage(
-        &self,
-        version: u64,
-        drops: &[String],
-        puts: &[Arc<Table>],
-    ) -> Result<u64, StorageError>;
-
-    /// Blocks until the staged record is durable (or the log has failed).
-    fn wait(&self, ticket: u64) -> Result<(), StorageError>;
-}
-
 /// What [`Catalog::commit_evolution`] hands back for a successful commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitReceipt {
     /// The catalog version the commit produced.
     pub version: u64,
-    /// `true` when a [`DurabilitySink`] acknowledged the commit on disk —
-    /// the commit survives a crash. `false` means memory-only.
+    /// `true` when the catalog's [`CommitLog`] acknowledged the commit on
+    /// disk — the commit survives a crash. `false` means memory-only.
     pub durable: bool,
 }
 
@@ -119,11 +96,11 @@ pub struct Catalog {
     tables: RwLock<BTreeMap<String, Arc<Table>>>,
     /// Bumped on every successful mutation, always under the write lock.
     version: AtomicU64,
-    /// Optional durability hook: when set, every successful
+    /// Optional commit log: when set, every successful
     /// [`commit_evolution`](Catalog::commit_evolution) is staged with the
-    /// sink before the write lock is released and acknowledged only after
-    /// the sink reports it durable.
-    sink: RwLock<Option<Arc<dyn DurabilitySink>>>,
+    /// log before the write lock is released and acknowledged only after
+    /// the log reports it durable.
+    log: RwLock<Option<CommitLog>>,
 }
 
 impl Catalog {
@@ -140,7 +117,7 @@ impl Catalog {
         Catalog {
             tables: RwLock::new(tables),
             version: AtomicU64::new(version),
-            sink: RwLock::new(None),
+            log: RwLock::new(None),
         }
     }
 
@@ -224,16 +201,16 @@ impl Catalog {
     }
 
     /// Atomically applies a staged evolution: every drop and put lands in
-    /// one write-locked step, or none do. When a [`DurabilitySink`] is
+    /// one write-locked step, or none do. When a [`CommitLog`] is
     /// attached (see [`set_durability`](Catalog::set_durability)) the commit
     /// is staged under the write lock — sequencing it after every earlier
-    /// commit — and this call returns only once the sink has made it
+    /// commit — and this call returns only once the log has made it
     /// durable, so a successful return *is* the acknowledgment.
     ///
     /// # Errors
     /// [`StorageError::Conflict`] if the catalog has been mutated since
     /// `base_version` was observed; the staged state is then discarded and
-    /// the catalog is untouched. [`StorageError::Durability`] if the sink
+    /// the catalog is untouched. [`StorageError::Durability`] if the log
     /// failed: the commit is applied in memory but **not** durable — a
     /// caller that required durability must treat it as failed.
     pub fn commit_evolution(
@@ -250,10 +227,10 @@ impl Catalog {
                     "catalog at version {now}, snapshot taken at {base_version}"
                 )));
             }
-            // Stage before mutating: a sink that refuses (e.g. a failed
-            // log) vetoes the commit while the catalog is still untouched.
-            let staged = match &*self.sink.read() {
-                Some(sink) => Some((Arc::clone(sink), sink.stage(now + 1, drops, &puts)?)),
+            // Stage before mutating: a log that refuses (e.g. a poisoned
+            // one) vetoes the commit while the catalog is still untouched.
+            let staged = match &*self.log.read() {
+                Some(log) => Some((log.clone(), log.stage(now + 1, drops, &puts)?)),
                 None => None,
             };
             for name in drops {
@@ -267,16 +244,16 @@ impl Catalog {
         };
         let durable = staged.is_some();
         let version = base_version + 1;
-        if let Some((sink, ticket)) = staged {
-            sink.wait(ticket)?;
+        if let Some((log, ticket)) = staged {
+            log.wait(ticket)?;
         }
         Ok(CommitReceipt { version, durable })
     }
 
-    /// Attaches (or detaches) the durability sink consulted by
+    /// Attaches (or detaches) the commit log consulted by
     /// [`commit_evolution`](Catalog::commit_evolution).
-    pub fn set_durability(&self, sink: Option<Arc<dyn DurabilitySink>>) {
-        *self.sink.write() = sink;
+    pub fn set_durability(&self, log: Option<CommitLog>) {
+        *self.log.write() = log;
     }
 
     /// Fetches a table snapshot.

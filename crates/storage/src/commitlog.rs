@@ -48,7 +48,7 @@
 //! ## The durable view
 //!
 //! Which columns a put reuses is decided when the record is staged
-//! ([`DurabilitySink::stage`], under the catalog write lock), by pointer
+//! ([`CommitLog::stage`], under the catalog write lock), by pointer
 //! identity against the log's **durable view**: the name → table map that
 //! `catalog file + log so far` reconstructs. The view starts as what
 //! [`open_durable`] rebuilt and has every staged record applied to it — it
@@ -122,7 +122,7 @@
 //! wrote, so replay stays exact; it does not refresh the view, which then
 //! matches the file only as far as the catalog took no unlogged change.
 
-use crate::catalog::{Catalog, DurabilitySink};
+use crate::catalog::Catalog;
 use crate::codec::{put_schema, put_str, read_schema, read_str, BufMut, Reader};
 use crate::encoded::EncodedColumn;
 use crate::error::StorageError;
@@ -352,8 +352,9 @@ struct Inner {
 }
 
 /// A live commit log attached to one catalog file. Cheap to clone (shared
-/// handle); implements [`DurabilitySink`] so it plugs straight into
-/// [`Catalog::set_durability`] — [`open_durable`] does that wiring.
+/// handle); [`Catalog::set_durability`] attaches it to a catalog, whose
+/// commits then [`stage`](CommitLog::stage) and [`wait`](CommitLog::wait)
+/// — [`open_durable`] does that wiring.
 #[derive(Debug, Clone)]
 pub struct CommitLog {
     inner: Arc<Inner>,
@@ -361,8 +362,8 @@ pub struct CommitLog {
 
 /// Opens `target` durably: loads the checkpoint (the state the file's
 /// committed slot names), replays the commit log's sealed records past it (discarding
-/// and truncating a torn tail), and attaches the log to the catalog as its
-/// [`DurabilitySink`]. Returns the recovered catalog, the live log, and
+/// and truncating a torn tail), and attaches the log to the catalog.
+/// Returns the recovered catalog, the live log, and
 /// what replay found.
 pub fn open_durable(target: &Path) -> Result<(Catalog, CommitLog, ReplayReport), StorageError> {
     let lock = wal::path_lock(target);
@@ -444,7 +445,7 @@ pub fn open_durable(target: &Path) -> Result<(Catalog, CommitLog, ReplayReport),
             bytes_appended: AtomicU64::new(0),
         }),
     };
-    catalog.set_durability(Some(Arc::new(log.clone())));
+    catalog.set_durability(Some(log.clone()));
     Ok((catalog, log, report))
 }
 
@@ -810,8 +811,17 @@ fn encode_record(out: &mut Vec<u8>, p: &Pending) -> Result<(u64, u64), StorageEr
     Ok((referenced, carried))
 }
 
-impl DurabilitySink for CommitLog {
-    fn stage(
+/// A commit goes through the log in two phases, for ordering:
+/// [`stage`](CommitLog::stage) runs *under the catalog write lock*, so
+/// records are sequenced in exactly the order their commits were applied
+/// (it only enqueues — no I/O); [`wait`](CommitLog::wait) runs after the
+/// lock is released and blocks until the staged record is on disk, riding
+/// a group `fsync` shared with concurrent committers.
+impl CommitLog {
+    /// Sequences the commit diff for appending. `version` is the catalog
+    /// version the commit produced; versions staged with one log strictly
+    /// increase. Returns a ticket for [`wait`](CommitLog::wait).
+    pub fn stage(
         &self,
         version: u64,
         drops: &[String],
@@ -865,7 +875,8 @@ impl DurabilitySink for CommitLog {
         Ok(ticket)
     }
 
-    fn wait(&self, ticket: u64) -> Result<(), StorageError> {
+    /// Blocks until the staged record is durable (or the log has failed).
+    pub fn wait(&self, ticket: u64) -> Result<(), StorageError> {
         let inner = &self.inner;
         loop {
             let batch = {
@@ -1518,34 +1529,31 @@ mod tests {
 
         // A plain append-save. How many runs the new bytes take depends on
         // the gaps the states before left: these are this script's.
-        fault::arm(u64::MAX);
-        persist::save_catalog(&cat, &path).unwrap();
-        fault::disarm();
-        assert_eq!(fault::trace(), append_save_trace(1));
+        let ((), _, trace) = fault::probe(|| persist::save_catalog(&cat, &path).unwrap());
+        assert_eq!(trace, append_save_trace(1));
 
         // A checkpoint that covers every record truncates the log in place.
         commit_put(&cat, tiny("u", 6));
-        fault::arm(u64::MAX);
-        assert_eq!(log.checkpoint(&cat).unwrap(), 2);
-        fault::disarm();
+        let (covered, _, trace) = fault::probe(|| log.checkpoint(&cat).unwrap());
+        assert_eq!(covered, 2);
         let mut want = append_save_trace(2);
         want.extend([SetLen, Sync]);
-        assert_eq!(fault::trace(), want);
+        assert_eq!(trace, want);
 
         // One with a record past its snapshot rebuilds the log by rename,
         // and syncs the directory before the checkpoint returns.
         let (snap_version, tables) = log.begin_checkpoint(&cat).unwrap();
         commit_put(&cat, tiny("w", 6));
-        fault::arm(u64::MAX);
-        assert_eq!(log.finish_checkpoint(snap_version, tables).unwrap(), 0);
-        fault::disarm();
-        assert_eq!(fault::trace(), append_save_trace(1));
+        let (covered, _, trace) =
+            fault::probe(|| log.finish_checkpoint(snap_version, tables).unwrap());
+        assert_eq!(covered, 0);
+        assert_eq!(trace, append_save_trace(1));
         commit_put(&cat, tiny("x", 6));
         let (snap_version, tables) = log.begin_checkpoint(&cat).unwrap();
         commit_put(&cat, tiny("y", 6));
-        fault::arm(u64::MAX);
-        assert_eq!(log.finish_checkpoint(snap_version, tables).unwrap(), 2);
-        fault::disarm();
+        let (covered, _, trace) =
+            fault::probe(|| log.finish_checkpoint(snap_version, tables).unwrap());
+        assert_eq!(covered, 2);
         let mut want = append_save_trace(3);
         want.extend([
             Create("order.catalog.clog.tmp".into()),
@@ -1555,7 +1563,7 @@ mod tests {
             Rename("order.catalog.clog.tmp".into(), "order.catalog.clog".into()),
             SyncDir,
         ]);
-        assert_eq!(fault::trace(), want);
+        assert_eq!(trace, want);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

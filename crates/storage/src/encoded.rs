@@ -278,16 +278,11 @@ impl EncodedColumn {
         Ok(b.finish())
     }
 
-    /// Builds a column from a dictionary and a dense row → id array
-    /// (bitmap segments).
+    /// Builds a column from a dictionary and a dense row → id array, in
+    /// bitmap segments of `segment_rows` rows.
     ///
     /// # Panics
     /// Panics if any id is out of range for the dictionary.
-    pub fn from_ids(ty: ValueType, dict: Dictionary, ids: &[u32]) -> EncodedColumn {
-        Self::from_ids_with(ty, dict, ids, crate::segment::DEFAULT_SEGMENT_ROWS)
-    }
-
-    /// [`EncodedColumn::from_ids`] with an explicit segment size.
     pub fn from_ids_with(
         ty: ValueType,
         dict: Dictionary,
@@ -1157,18 +1152,6 @@ impl EncodedColumn {
         })
     }
 
-    /// [`EncodedColumn::compacted`] when fragmented, otherwise a clone,
-    /// which shares the segments and the dictionary and copies only the
-    /// directory — the threshold-triggered form hooked in after UNION
-    /// concat.
-    pub fn maybe_compacted(&self) -> Result<EncodedColumn, StorageError> {
-        if self.needs_compaction() {
-            self.compacted()
-        } else {
-            Ok(self.clone())
-        }
-    }
-
     // ---- sizes and invariants ----
 
     /// Compressed payload bytes (bitmaps and run sequences, excluding the
@@ -1182,8 +1165,8 @@ impl EncodedColumn {
         self.payload_bytes() + self.dict.size_bytes()
     }
 
-    /// Faults every paged-out segment into memory — the eager-open path
-    /// used by the v1 downgrade writer and fully-resident benchmarks.
+    /// Faults every paged-out segment into memory — the explicit warm-up
+    /// of a lazily opened column.
     pub fn fault_in_all(&self) {
         for seg in &self.segments {
             let _ = seg.enc();
@@ -1663,15 +1646,6 @@ mod tests {
     }
 
     #[test]
-    fn from_ids_matches_from_values() {
-        let vals = vals(40);
-        let by_values = EncodedColumn::from_values(ValueType::Int, &vals).unwrap();
-        let ids = by_values.value_ids();
-        let by_ids = EncodedColumn::from_ids(ValueType::Int, by_values.dict().clone(), &ids);
-        assert_eq!(by_ids, by_values);
-    }
-
-    #[test]
     fn push_run_writes_one_run_per_segment() {
         let mut b = ColumnBuilder::with_segment_rows(ValueType::Int, 100);
         b.push_run(Value::int(7), 0).unwrap();
@@ -1750,7 +1724,6 @@ mod tests {
             .unwrap();
         assert!(shares(&fragmented));
         assert!(shares(&fragmented.compacted().unwrap()));
-        assert!(shares(&fragmented.maybe_compacted().unwrap()));
         let ids = col.value_ids();
         let mut scratch = SealScratch::default();
         let segments = ids
@@ -1878,7 +1851,6 @@ mod tests {
         assert!(r.filter_positions(&[0, 5, 9]).unwrap().encoding_pinned());
         assert!(r.concat(&r).unwrap().encoding_pinned());
         assert!(r.slice(10, 900).unwrap().encoding_pinned());
-        assert!(r.maybe_compacted().unwrap().encoding_pinned());
         assert!(!c.encoding_pinned());
     }
 

@@ -12,13 +12,13 @@
 //! save therefore simulates a power cut at every byte boundary *and* at
 //! every boundary between syscalls.
 //!
-//! [`arm_failure`] arms the same budget for a failure the process
-//! survives: the mutation at the first unit past the budget returns an
-//! `io::Error` — a write stops mid-buffer (a short write, failing like
-//! ENOSPC), any other mutation fails like EIO — and the layer disarms, so
-//! whatever the caller does next reaches the disk. Sweeping that budget
-//! checks that a failed operation leaves a state the same process can
-//! retry from.
+//! The same budget can be armed for a failure the process survives
+//! ([`Point::Fail`]): the mutation at the first unit past the budget
+//! returns an `io::Error` — a write stops mid-buffer (a short write,
+//! failing like ENOSPC), any other mutation fails like EIO — and the layer
+//! disarms, so whatever the caller does next reaches the disk. Sweeping
+//! that budget checks that a failed operation leaves a state the same
+//! process can retry from.
 //!
 //! The state is thread-local on purpose: a crash test arms only its own
 //! thread, so concurrently running tests keep saving normally. Every
@@ -28,11 +28,21 @@
 //! destroys in-flight writes, not the ability of the *next* process to
 //! read what reached the disk.
 //!
-//! While armed, the layer also keeps a per-thread [`trace`] of the
+//! While armed, the layer also keeps a per-thread trace of the
 //! mutations that went through, so a test can assert a protocol's exact
 //! order — that a save's new bytes are synced before its commit slot is
 //! written, or that every create, rename and unlink a commit depends on is
 //! followed by a sync of its directory ([`sync_dir`]).
+//!
+//! Tests drive the layer through two functions rather than arming it by
+//! hand. [`probe`] runs an operation armed with no limit and returns its
+//! result, the units it used and its trace: the size of a sweep, the
+//! protocol order a test pins, or proof that an operation (a reopen) wrote
+//! nothing. [`sweep`] then runs the operation once per budget in
+//! `0..units`, killed ([`Point::Kill`]) or failed ([`Point::Fail`]) at that
+//! unit, hands each run to the test's check, and prints how many points it
+//! visited. The crash model lives here, in one place; each test keeps only
+//! what it asserts about the state a run left.
 
 use std::cell::{Cell, RefCell};
 use std::fs::File;
@@ -48,7 +58,7 @@ thread_local! {
     /// Set once the budget is exhausted: the modeled process is "dead" and
     /// every further mutation fails.
     static DEAD: Cell<bool> = const { Cell::new(false) };
-    /// Armed by [`arm_failure`]: the exhausting mutation fails and the
+    /// Armed for [`Point::Fail`]: the exhausting mutation fails and the
     /// layer disarms instead of dying.
     static SURVIVE: Cell<bool> = const { Cell::new(false) };
     /// Units consumed since the last [`arm`] — used by tests to size a sweep.
@@ -57,7 +67,7 @@ thread_local! {
     static TRACE: RefCell<Vec<Mutation>> = const { RefCell::new(Vec::new()) };
 }
 
-/// One filesystem mutation as [`trace`] records it. Paths are reduced to
+/// One filesystem mutation as the trace records it. Paths are reduced to
 /// their file names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Mutation {
@@ -85,16 +95,9 @@ fn file_name(path: &Path) -> String {
 
 /// Arm the layer on this thread: the next `budget` units of filesystem
 /// mutation succeed, everything after fails. Resets the [`units`] counter
-/// and the [`trace`].
+/// and the trace.
 pub fn arm(budget: u64) {
     arm_as(budget, false);
-}
-
-/// Arm the layer on this thread for one failure the process survives: the
-/// next `budget` units succeed, the mutation that needs the next one fails
-/// (a write after writing what fit), and the layer disarms itself.
-pub fn arm_failure(budget: u64) {
-    arm_as(budget, true);
 }
 
 fn arm_as(budget: u64, survive: bool) {
@@ -111,16 +114,62 @@ pub fn disarm() {
     DEAD.with(|d| d.set(false));
 }
 
-/// Units consumed since the last [`arm`] on this thread. Arm with
-/// `u64::MAX`, run the operation under test, and read this to learn how
-/// many crash points a sweep must cover.
+/// Units consumed since the last [`arm`] on this thread: how many crash
+/// points a sweep of the operation run since must cover. [`probe`] returns
+/// it with the trace.
 pub fn units() -> u64 {
     UNITS.with(|u| u.get())
 }
 
 /// The mutations this thread performed since the last [`arm`], in order.
-pub fn trace() -> Vec<Mutation> {
+fn trace() -> Vec<Mutation> {
     TRACE.with(|t| t.borrow().clone())
+}
+
+/// Run `f` with the layer armed and no limit, then disarm: returns what
+/// `f` returned, the units it used and the mutations it made, in order.
+pub fn probe<R>(f: impl FnOnce() -> R) -> (R, u64, Vec<Mutation>) {
+    arm(u64::MAX);
+    let result = f();
+    disarm();
+    (result, units(), trace())
+}
+
+/// What a [`sweep`] does at the first unit past each budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Point {
+    /// The process dies there ([`arm`]).
+    Kill,
+    /// The mutation that needs the unit fails (a write after writing
+    /// what fit), the process lives on, and the layer disarms itself.
+    Fail,
+}
+
+/// Run one operation once per budget in `0..units`, in order: `setup`
+/// builds a fresh state, the layer is armed at the budget as `point` says,
+/// `op` runs on the state, the layer is disarmed, and `check` gets the
+/// budget, the state and what `op` returned. At the end, prints `label`
+/// with the number of points visited.
+pub fn sweep<S, R>(
+    label: &str,
+    point: Point,
+    units: u64,
+    mut setup: impl FnMut() -> S,
+    mut op: impl FnMut(&mut S) -> R,
+    mut check: impl FnMut(u64, S, R),
+) {
+    for budget in 0..units {
+        let mut state = setup();
+        arm_as(budget, point == Point::Fail);
+        let result = op(&mut state);
+        disarm();
+        check(budget, state, result);
+    }
+    let kind = match point {
+        Point::Kill => "kill",
+        Point::Fail => "fail",
+    };
+    println!("{label} sweep: {units} {kind} points");
 }
 
 fn record(m: Mutation) {
@@ -131,8 +180,8 @@ fn armed() -> bool {
     BUDGET.with(|b| b.get()) != UNLIMITED
 }
 
-/// The error of the mutation that exhausted the budget: after
-/// [`arm_failure`], ENOSPC for a write and EIO for anything else; after
+/// The error of the mutation that exhausted the budget: armed for
+/// [`Point::Fail`], ENOSPC for a write and EIO for anything else; after
 /// [`arm`], the crash.
 fn injected(write: bool) -> io::Error {
     match (SURVIVE.with(|s| s.get()), write) {
@@ -146,8 +195,8 @@ fn injected(write: bool) -> io::Error {
 }
 
 /// Charge `n` units against the budget. Returns how many of them fit; if
-/// any did not, marks the modeled process dead — or, armed by
-/// [`arm_failure`], disarms the layer.
+/// any did not, marks the modeled process dead — or, armed for
+/// [`Point::Fail`], disarms the layer.
 fn charge(n: u64) -> u64 {
     if DEAD.with(|d| d.get()) {
         return 0;
@@ -304,17 +353,65 @@ mod tests {
 
         // A failure the process survives: the short write is an ENOSPC
         // error, and the layer is disarmed after it.
-        arm_failure(1 + 4);
+        arm_as(1 + 4, true);
         let mut f = create(&path).unwrap();
         let err = write_all(&mut f, b"hello world").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         write_all(&mut f, b"!").unwrap();
         sync(&f).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"hell!");
-        arm_failure(0);
+        arm_as(0, true);
         assert!(sync(&f).is_err(), "EIO on the first unit");
         sync(&f).unwrap();
         disarm();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sweep_runs_every_budget_in_order_and_disarms_after_each() {
+        let dir = std::env::temp_dir().join(format!(
+            "cods-fault-sweep-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.bin");
+        let write = |path: &Path| -> io::Result<()> {
+            let mut f = create(path)?;
+            write_all(&mut f, b"hello world")?;
+            sync(&f)
+        };
+
+        // What the hand-armed quartet reads: the units and the trace.
+        arm(u64::MAX);
+        write(&path).unwrap();
+        disarm();
+        let quartet = (units(), trace());
+        let ((), total, trace) = probe(|| write(&path).unwrap());
+        assert_eq!((total, trace), quartet);
+        assert_eq!(total, 1 + 11 + 1); // create + bytes + sync
+        assert!(!armed());
+
+        for point in [Point::Kill, Point::Fail] {
+            let mut seen = Vec::new();
+            sweep(
+                "synthetic",
+                point,
+                total,
+                || std::fs::remove_file(&path).ok(),
+                |_| write(&path),
+                |budget, _, res| {
+                    assert!(!armed(), "{point:?} {budget}: still armed");
+                    assert!(res.is_err(), "{point:?} {budget}: survived");
+                    seen.push(budget);
+                },
+            );
+            assert_eq!(seen, (0..total).collect::<Vec<_>>(), "{point:?}");
+            // The last budget, 12, lets the create and all 11 bytes
+            // through and stops the sync, killed or failed.
+            let len = std::fs::read(&path).map(|b| b.len()).unwrap_or(0);
+            assert_eq!(len as u64, total - 2, "{point:?}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

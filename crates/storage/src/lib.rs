@@ -87,7 +87,7 @@ pub mod vacuum;
 pub mod value;
 pub mod wal;
 
-pub use catalog::{Catalog, CatalogSnapshot, CommitReceipt, DurabilitySink};
+pub use catalog::{Catalog, CatalogSnapshot, CommitReceipt};
 pub use commitlog::{
     clog_path, log_status, open_durable, CommitLog, CommitLogStats, LogStatus, ReplayReport,
 };

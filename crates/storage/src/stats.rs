@@ -1,5 +1,6 @@
 //! Storage statistics: compression ratios and size accounting, feeding the
-//! ablation benchmarks and the CLI's `stats` command.
+//! CLI's and the server's `stats` command, the `fig3` harness and the
+//! compression examples.
 
 use crate::encoded::{EncodedColumn, Encoding};
 use crate::table::Table;

@@ -293,7 +293,7 @@ impl Table {
     }
 
     /// Faults every segment of every column in — the explicit warm-up for
-    /// a lazily opened table (and the v1 downgrade path).
+    /// a lazily opened table.
     pub fn fault_in_all(&self) {
         for c in &self.columns {
             c.fault_in_all();

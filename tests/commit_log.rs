@@ -9,8 +9,8 @@
 use cods::Cods;
 use cods_storage::persist::{encode_table, save_catalog};
 use cods_storage::{
-    clog_path, fault, log_status, open_durable, Catalog, DurabilitySink, Schema, StorageError,
-    Table, Value, ValueType,
+    clog_path, fault, log_status, open_durable, Catalog, Schema, StorageError, Table, Value,
+    ValueType,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -391,10 +391,7 @@ fn a_checkpoint_writes_only_what_changed() {
         let units = (1..4)
             .map(|salt| {
                 durable_put(&cat, dim(salt)).unwrap();
-                fault::arm(u64::MAX);
-                log.checkpoint(&cat).unwrap();
-                fault::disarm();
-                fault::units()
+                fault::probe(|| log.checkpoint(&cat).unwrap()).1
             })
             .collect();
         assert_eq!(cat.get("dim").unwrap().to_rows(), dim(3).to_rows());

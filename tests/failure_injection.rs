@@ -5,12 +5,13 @@
 use cods::{Cods, DecomposeSpec, EvolutionError, MergeStrategy, Smo};
 use cods_query::bitmap_scan::predicate_mask;
 use cods_query::{Predicate, Query, QueryOutput};
+use cods_storage::fault::{self, Point};
 use cods_storage::persist::{
     decode_table, encode_table, read_catalog, read_table, save_catalog, save_table,
 };
 use cods_storage::{
-    clog_path, fault, load_str, open_durable, Catalog, Encoding, LoadOptions, Schema, StorageError,
-    Table, Value, ValueType,
+    clog_path, load_str, open_durable, Catalog, Encoding, LoadOptions, Schema, StorageError, Table,
+    Value, ValueType,
 };
 use cods_workload::{figure1, GenConfig};
 use std::collections::HashMap;
@@ -180,6 +181,25 @@ fn tuples(cat: &Catalog, table: &str) -> Tuples {
     cat.get(table).unwrap().tuple_multiset()
 }
 
+/// No segment of `table` is backed by the file: a save that failed adopted
+/// none of its fresh payloads.
+fn unadopted(cat: &Catalog, table: &str) -> bool {
+    cat.get(table)
+        .unwrap()
+        .columns()
+        .iter()
+        .flat_map(|c| c.segments())
+        .all(|s| s.backing_path().is_none())
+}
+
+/// Reopen = crash recovery: the newer valid slot names a whole state, never
+/// an error, and opening writes nothing.
+fn reopen(path: &Path, budget: u64, total: u64) -> Catalog {
+    let (got, _, trace) = fault::probe(|| read_catalog(path));
+    assert_eq!(trace, [], "budget {budget}/{total}: the open wrote");
+    got.unwrap_or_else(|e| panic!("budget {budget}/{total}: reopen failed: {e}"))
+}
+
 /// Kill an append-save at every byte/syscall boundary. Whatever the crash
 /// point, reopening the file must recover to exactly the committed old
 /// state or the fully committed new state — never an error, never a blend —
@@ -198,12 +218,15 @@ fn crash_sweep_append_save_reopens_old_or_new() {
     let want_c = tiny("c", 48).tuple_multiset();
     let pristine = std::fs::read(&path).unwrap();
 
-    // The evolved save under test: reopen from disk (so unchanged segments
-    // reuse their extents, and the untouched `c` its block), recode a
-    // column (fresh payloads for an existing table) and create a brand-new
-    // table (fresh everything).
-    let evolve = |path: &Path| -> Catalog {
-        let cat = read_catalog(path).unwrap();
+    // The evolved save under test, from the pristine old file (overwritten
+    // in place: same inode, so handles held by earlier opens stay
+    // coherent): reopen from disk (so unchanged segments reuse their
+    // extents, and the untouched `c` its block), recode a column (fresh
+    // payloads for an existing table) and create a brand-new table (fresh
+    // everything).
+    let evolve = || -> Catalog {
+        std::fs::write(&path, &pristine).unwrap();
+        let cat = read_catalog(&path).unwrap();
         let a = cat.get("a").unwrap();
         cat.put(
             a.map_columns(Some("v"), |c| c.recode(Encoding::Rle))
@@ -215,11 +238,8 @@ fn crash_sweep_append_save_reopens_old_or_new() {
 
     // Probe run: count the crash points of one full save, and capture the
     // new state it commits.
-    let probe = evolve(&path);
-    fault::arm(u64::MAX);
-    save_catalog(&probe, &path).unwrap();
-    fault::disarm();
-    let total = fault::units();
+    let probe = evolve();
+    let ((), total, _) = fault::probe(|| save_catalog(&probe, &path).unwrap());
     assert!(total > 0, "append-save must pass through the fault layer");
     // Positive control for adopt-after-commit: the committed save adopted
     // the fresh table's payloads into the heap.
@@ -238,56 +258,36 @@ fn crash_sweep_append_save_reopens_old_or_new() {
     // overwritten tail, so the new layout's slots must be gone, or each
     // save would keep more of the file than the probe kept.
     drop((probe, reopened));
-    println!("append-save sweep: {total} kill points");
 
-    for budget in 0..total {
-        // Back to the pristine old file. Overwrite in place (same inode, so
-        // handles held by earlier opens stay coherent).
-        std::fs::write(&path, &pristine).unwrap();
-
-        let cat = evolve(&path);
-        fault::arm(budget);
-        let res = save_catalog(&cat, &path);
-        fault::disarm();
-        assert!(
-            res.is_err(),
-            "budget {budget}/{total}: save survived the crash"
-        );
-
-        // A failed save must not have adopted the new table's payloads.
-        assert!(
-            cat.get("b")
-                .unwrap()
-                .columns()
-                .iter()
-                .flat_map(|c| c.segments())
-                .all(|s| s.backing_path().is_none()),
-            "budget {budget}/{total}: failed save adopted fresh payloads"
-        );
-
-        // Reopen = crash recovery: the newer valid slot names old or new,
-        // never an error, and opening writes nothing.
-        fault::arm(u64::MAX);
-        let got = read_catalog(&path);
-        fault::disarm();
-        assert_eq!(
-            fault::trace(),
-            [],
-            "budget {budget}/{total}: the open wrote"
-        );
-        let got = got.unwrap_or_else(|e| panic!("budget {budget}/{total}: reopen failed: {e}"));
-        if got.contains("b") {
-            assert_eq!(tuples(&got, "a"), new_a, "budget {budget}: new state torn");
-            assert_eq!(tuples(&got, "b"), new_b, "budget {budget}: new state torn");
-        } else {
-            assert_eq!(tuples(&got, "a"), old_a, "budget {budget}: old state torn");
-        }
-        assert_eq!(
-            tuples(&got, "c"),
-            want_c,
-            "budget {budget}: reused block torn"
-        );
-    }
+    fault::sweep(
+        "append-save",
+        Point::Kill,
+        total,
+        evolve,
+        |cat| save_catalog(cat, &path),
+        |budget, cat, res| {
+            assert!(
+                res.is_err(),
+                "budget {budget}/{total}: save survived the crash"
+            );
+            assert!(
+                unadopted(&cat, "b"),
+                "budget {budget}/{total}: failed save adopted fresh payloads"
+            );
+            let got = reopen(&path, budget, total);
+            if got.contains("b") {
+                assert_eq!(tuples(&got, "a"), new_a, "budget {budget}: new state torn");
+                assert_eq!(tuples(&got, "b"), new_b, "budget {budget}: new state torn");
+            } else {
+                assert_eq!(tuples(&got, "a"), old_a, "budget {budget}: old state torn");
+            }
+            assert_eq!(
+                tuples(&got, "c"),
+                want_c,
+                "budget {budget}: reused block torn"
+            );
+        },
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -309,8 +309,9 @@ fn failed_append_save_keeps_the_old_slot_and_a_retry_commits() {
     drop(cat);
     let old_a = tuples(&read_catalog(&path).unwrap(), "a");
     let pristine = std::fs::read(&path).unwrap();
-    let evolve = |path: &Path| -> Catalog {
-        let cat = read_catalog(path).unwrap();
+    let evolve = || -> Catalog {
+        std::fs::write(&path, &pristine).unwrap();
+        let cat = read_catalog(&path).unwrap();
         let a = cat.get("a").unwrap();
         cat.put(
             a.map_columns(Some("v"), |c| c.recode(Encoding::Rle))
@@ -319,50 +320,43 @@ fn failed_append_save_keeps_the_old_slot_and_a_retry_commits() {
         cat.create(tiny("b", 16)).unwrap();
         cat
     };
-    let probe = evolve(&path);
-    fault::arm(u64::MAX);
-    save_catalog(&probe, &path).unwrap();
-    fault::disarm();
-    let total = fault::units();
+    let probe = evolve();
+    let ((), total, _) = fault::probe(|| save_catalog(&probe, &path).unwrap());
     let new_a = tuples(&probe, "a");
     drop(probe);
-    println!("append-save failure sweep: {total} fail points");
 
-    for budget in 0..total {
-        std::fs::write(&path, &pristine).unwrap();
-        let cat = evolve(&path);
-        fault::arm_failure(budget);
-        let res = save_catalog(&cat, &path);
-        fault::disarm();
-        assert!(
-            res.is_err(),
-            "budget {budget}/{total}: the save did not fail"
-        );
-        assert!(
-            cat.get("b")
-                .unwrap()
-                .columns()
-                .iter()
-                .flat_map(|c| c.segments())
-                .all(|s| s.backing_path().is_none()),
-            "budget {budget}/{total}: a failed save adopted fresh payloads"
-        );
-        let got = read_catalog(&path)
-            .unwrap_or_else(|e| panic!("budget {budget}/{total}: reopen failed: {e}"));
-        assert!(
-            !got.contains("b"),
-            "budget {budget}/{total}: not the old state"
-        );
-        assert_eq!(tuples(&got, "a"), old_a, "budget {budget}/{total}");
-        drop(got);
+    fault::sweep(
+        "append-save failure",
+        Point::Fail,
+        total,
+        evolve,
+        |cat| save_catalog(cat, &path),
+        |budget, cat, res| {
+            assert!(
+                res.is_err(),
+                "budget {budget}/{total}: the save did not fail"
+            );
+            assert!(
+                unadopted(&cat, "b"),
+                "budget {budget}/{total}: a failed save adopted fresh payloads"
+            );
+            let got = read_catalog(&path)
+                .unwrap_or_else(|e| panic!("budget {budget}/{total}: reopen failed: {e}"));
+            assert!(
+                !got.contains("b"),
+                "budget {budget}/{total}: not the old state"
+            );
+            assert_eq!(tuples(&got, "a"), old_a, "budget {budget}/{total}");
+            drop(got);
 
-        save_catalog(&cat, &path)
-            .unwrap_or_else(|e| panic!("budget {budget}/{total}: the retry failed: {e}"));
-        let got = read_catalog(&path).unwrap();
-        assert_eq!(tuples(&got, "a"), new_a, "budget {budget}/{total}");
-        assert_eq!(tuples(&got, "b"), tiny("b", 16).tuple_multiset());
-        assert_eq!(tuples(&got, "c"), tiny("c", 48).tuple_multiset());
-    }
+            save_catalog(&cat, &path)
+                .unwrap_or_else(|e| panic!("budget {budget}/{total}: the retry failed: {e}"));
+            let got = read_catalog(&path).unwrap();
+            assert_eq!(tuples(&got, "a"), new_a, "budget {budget}/{total}");
+            assert_eq!(tuples(&got, "b"), tiny("b", 16).tuple_multiset());
+            assert_eq!(tuples(&got, "c"), tiny("c", 48).tuple_multiset());
+        },
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -379,37 +373,37 @@ fn crash_sweep_fresh_save_is_atomic() {
         cat
     };
 
-    fault::arm(u64::MAX);
-    save_catalog(&make(), &path).unwrap();
-    fault::disarm();
-    let total = fault::units();
+    let ((), total, _) = fault::probe(|| save_catalog(&make(), &path).unwrap());
     assert!(total > 0);
-    println!("fresh-save sweep: {total} kill points");
     let want = tuples(&read_catalog(&path).unwrap(), "a");
     std::fs::remove_file(&path).unwrap();
 
-    for budget in 0..total {
-        let cat = make();
-        fault::arm(budget);
-        let res = save_catalog(&cat, &path);
-        fault::disarm();
-        assert!(
-            res.is_err(),
-            "budget {budget}/{total}: save survived the crash"
-        );
-        if path.exists() {
-            // Rename happened: the file must be the complete new image.
-            let got = read_catalog(&path)
-                .unwrap_or_else(|e| panic!("budget {budget}/{total}: partial file landed: {e}"));
-            assert_eq!(tuples(&got, "a"), want);
-            std::fs::remove_file(&path).unwrap();
-        } else {
-            assert!(matches!(
-                read_catalog(&path),
-                Err(StorageError::PersistError(_))
-            ));
-        }
-    }
+    fault::sweep(
+        "fresh-save",
+        Point::Kill,
+        total,
+        make,
+        |cat| save_catalog(cat, &path),
+        |budget, _cat, res| {
+            assert!(
+                res.is_err(),
+                "budget {budget}/{total}: save survived the crash"
+            );
+            if path.exists() {
+                // Rename happened: the file must be the complete new image.
+                let got = read_catalog(&path).unwrap_or_else(|e| {
+                    panic!("budget {budget}/{total}: partial file landed: {e}")
+                });
+                assert_eq!(tuples(&got, "a"), want);
+                std::fs::remove_file(&path).unwrap();
+            } else {
+                assert!(matches!(
+                    read_catalog(&path),
+                    Err(StorageError::PersistError(_))
+                ));
+            }
+        },
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -435,39 +429,32 @@ fn crash_sweep_rewrite_over_existing_keeps_old_until_rename() {
         cat.create(tiny("c", 16)).unwrap();
         cat
     };
-    fault::arm(u64::MAX);
-    save_catalog(&make(), &path).unwrap();
-    fault::disarm();
-    let total = fault::units();
+    let ((), total, _) = fault::probe(|| save_catalog(&make(), &path).unwrap());
     assert!(total > 0);
-    println!("rewrite sweep: {total} kill points");
     let new_c = tuples(&read_catalog(&path).unwrap(), "c");
 
-    for budget in 0..total {
-        std::fs::write(&path, &pristine).unwrap();
-        let cat = make();
-        fault::arm(budget);
-        let res = save_catalog(&cat, &path);
-        fault::disarm();
-        assert!(
-            res.is_err(),
-            "budget {budget}/{total}: save survived the crash"
-        );
-        fault::arm(u64::MAX);
-        let got = read_catalog(&path);
-        fault::disarm();
-        assert_eq!(
-            fault::trace(),
-            [],
-            "budget {budget}/{total}: the open wrote"
-        );
-        let got = got.unwrap_or_else(|e| panic!("budget {budget}/{total}: reopen failed: {e}"));
-        if got.contains("c") {
-            assert_eq!(tuples(&got, "c"), new_c, "budget {budget}: new state torn");
-        } else {
-            assert_eq!(tuples(&got, "a"), old_a, "budget {budget}: old state torn");
-        }
-    }
+    fault::sweep(
+        "rewrite",
+        Point::Kill,
+        total,
+        || {
+            std::fs::write(&path, &pristine).unwrap();
+            make()
+        },
+        |cat| save_catalog(cat, &path),
+        |budget, _cat, res| {
+            assert!(
+                res.is_err(),
+                "budget {budget}/{total}: save survived the crash"
+            );
+            let got = reopen(&path, budget, total);
+            if got.contains("c") {
+                assert_eq!(tuples(&got, "c"), new_c, "budget {budget}: new state torn");
+            } else {
+                assert_eq!(tuples(&got, "a"), old_a, "budget {budget}: old state torn");
+            }
+        },
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -538,40 +525,42 @@ fn crash_sweep_commit_append_preserves_acknowledged_prefix() {
 
     // Probe: count the crash points of one full durable commit.
     let (cat, _log, _r) = open_durable(&path).unwrap();
-    fault::arm(u64::MAX);
-    durable_put(&cat, tiny("c", 16)).unwrap();
-    fault::disarm();
-    let total = fault::units();
+    let ((), total, _) = fault::probe(|| durable_put(&cat, tiny("c", 16)).unwrap());
     assert!(
         total > 0,
         "durable commit must pass through the fault layer"
     );
-    println!("commit-append sweep: {total} kill points");
     drop(cat);
 
-    for budget in 0..total {
-        restore_durable(&path, &state);
-        let (cat, log, replay) = open_durable(&path).unwrap();
-        assert_eq!(replay.replayed, 2, "budget {budget}: bad starting state");
-        fault::arm(budget);
-        let res = durable_put(&cat, tiny("c", 16));
-        fault::disarm();
-        assert!(
-            res.is_err(),
-            "budget {budget}/{total}: commit survived the crash"
-        );
-        drop((cat, log));
+    fault::sweep(
+        "commit-append",
+        Point::Kill,
+        total,
+        || {
+            restore_durable(&path, &state);
+            open_durable(&path).unwrap()
+        },
+        |(cat, _, _)| durable_put(cat, tiny("c", 16)),
+        |budget, (cat, log, replay), res| {
+            assert_eq!(replay.replayed, 2, "budget {budget}: bad starting state");
+            assert!(
+                res.is_err(),
+                "budget {budget}/{total}: commit survived the crash"
+            );
+            drop((cat, log));
 
-        // Reopen = crash recovery. The acknowledged prefix must be intact;
-        // the unacknowledged commit may have reached its commit point
-        // (record fully on disk) or not — but never a torn in-between.
-        let (got, _log, _r) = open_durable(&path)
-            .unwrap_or_else(|e| panic!("budget {budget}/{total}: recovery failed: {e}"));
-        assert_acked(&got, budget);
-        if got.contains("c") {
-            assert_eq!(tuples(&got, "c"), want_c, "budget {budget}: torn commit");
-        }
-    }
+            // Reopen = crash recovery. The acknowledged prefix must be
+            // intact; the unacknowledged commit may have reached its commit
+            // point (record fully on disk) or not — but never a torn
+            // in-between.
+            let (got, _log, _r) = open_durable(&path)
+                .unwrap_or_else(|e| panic!("budget {budget}/{total}: recovery failed: {e}"));
+            assert_acked(&got, budget);
+            if got.contains("c") {
+                assert_eq!(tuples(&got, "c"), want_c, "budget {budget}: torn commit");
+            }
+        },
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -588,30 +577,31 @@ fn crash_sweep_checkpoint_keeps_every_acknowledged_commit() {
     let state = two_acked_commits(&path);
 
     let (cat, log, _r) = open_durable(&path).unwrap();
-    fault::arm(u64::MAX);
-    log.checkpoint(&cat).unwrap();
-    fault::disarm();
-    let total = fault::units();
+    let (_, total, _) = fault::probe(|| log.checkpoint(&cat).unwrap());
     assert!(total > 0, "checkpoint must pass through the fault layer");
-    println!("checkpoint sweep: {total} kill points");
     drop((cat, log));
 
-    for budget in 0..total {
-        restore_durable(&path, &state);
-        let (cat, log, _r) = open_durable(&path).unwrap();
-        fault::arm(budget);
-        let res = log.checkpoint(&cat);
-        fault::disarm();
-        assert!(
-            res.is_err(),
-            "budget {budget}/{total}: checkpoint survived the crash"
-        );
-        drop((cat, log));
+    fault::sweep(
+        "checkpoint",
+        Point::Kill,
+        total,
+        || {
+            restore_durable(&path, &state);
+            open_durable(&path).unwrap()
+        },
+        |(cat, log, _)| log.checkpoint(cat),
+        |budget, state, res| {
+            assert!(
+                res.is_err(),
+                "budget {budget}/{total}: checkpoint survived the crash"
+            );
+            drop(state);
 
-        let (got, _log, _r) = open_durable(&path)
-            .unwrap_or_else(|e| panic!("budget {budget}/{total}: recovery failed: {e}"));
-        assert_acked(&got, budget);
-    }
+            let (got, _log, _r) = open_durable(&path)
+                .unwrap_or_else(|e| panic!("budget {budget}/{total}: recovery failed: {e}"));
+            assert_acked(&got, budget);
+        },
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -637,52 +627,54 @@ fn failed_checkpoint_save_leaves_the_log_usable() {
     let state = capture_durable(&path);
 
     let (cat, log, _r) = open_durable(&path).unwrap();
-    fault::arm(u64::MAX);
-    log.checkpoint(&cat).unwrap();
-    fault::disarm();
+    let (_, units, trace) = fault::probe(|| log.checkpoint(&cat).unwrap());
     // The save's mutations, then the truncation's: the log cut to its
     // header and synced.
-    let trace = fault::trace();
     assert_eq!(
         trace[trace.len() - 2..],
         [fault::Mutation::SetLen, fault::Mutation::Sync]
     );
-    let save_units = fault::units() - 2;
+    let save_units = units - 2;
     drop((cat, log));
-    println!("checkpoint-save failure sweep: {save_units} fail points");
 
-    for budget in 0..save_units {
-        restore_durable(&path, &state);
-        let (cat, log, _r) = open_durable(&path).unwrap();
-        fault::arm_failure(budget);
-        let res = log.checkpoint(&cat);
-        fault::disarm();
-        assert!(
-            res.is_err(),
-            "budget {budget}/{save_units}: the checkpoint did not fail"
-        );
-        assert!(
-            !read_catalog(&path).unwrap().contains("b"),
-            "budget {budget}/{save_units}: the file is not the old checkpoint"
-        );
-        durable_put(&cat, tiny("c", 16))
-            .unwrap_or_else(|e| panic!("budget {budget}/{save_units}: the log is poisoned: {e}"));
-        assert_eq!(
-            log.checkpoint(&cat)
-                .unwrap_or_else(|e| panic!("budget {budget}/{save_units}: {e}")),
-            2
-        );
-        drop((cat, log));
-        let (got, _log, replay) = open_durable(&path).unwrap();
-        assert_eq!(replay.replayed, 0, "budget {budget}/{save_units}");
-        for (name, rows) in [("a", 32), ("b", 16), ("c", 16)] {
-            assert_eq!(
-                tuples(&got, name),
-                tiny(name, rows).tuple_multiset(),
-                "budget {budget}/{save_units}: {name}"
+    fault::sweep(
+        "checkpoint-save failure",
+        Point::Fail,
+        save_units,
+        || {
+            restore_durable(&path, &state);
+            open_durable(&path).unwrap()
+        },
+        |(cat, log, _)| log.checkpoint(cat),
+        |budget, (cat, log, _), res| {
+            assert!(
+                res.is_err(),
+                "budget {budget}/{save_units}: the checkpoint did not fail"
             );
-        }
-    }
+            assert!(
+                !read_catalog(&path).unwrap().contains("b"),
+                "budget {budget}/{save_units}: the file is not the old checkpoint"
+            );
+            durable_put(&cat, tiny("c", 16)).unwrap_or_else(|e| {
+                panic!("budget {budget}/{save_units}: the log is poisoned: {e}")
+            });
+            assert_eq!(
+                log.checkpoint(&cat)
+                    .unwrap_or_else(|e| panic!("budget {budget}/{save_units}: {e}")),
+                2
+            );
+            drop((cat, log));
+            let (got, _log, replay) = open_durable(&path).unwrap();
+            assert_eq!(replay.replayed, 0, "budget {budget}/{save_units}");
+            for (name, rows) in [("a", 32), ("b", 16), ("c", 16)] {
+                assert_eq!(
+                    tuples(&got, name),
+                    tiny(name, rows).tuple_multiset(),
+                    "budget {budget}/{save_units}: {name}"
+                );
+            }
+        },
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -774,38 +766,40 @@ fn crash_sweep_checkpoint_with_reference_records_pending() {
     let state = capture_durable(&path);
 
     let (cods, log) = durable_dim(&path);
-    fault::arm(u64::MAX);
-    log.checkpoint(cods.catalog()).unwrap();
-    fault::disarm();
-    let total = fault::units();
+    let (_, total, _) = fault::probe(|| log.checkpoint(cods.catalog()).unwrap());
     drop((cods, log));
 
     let mut covered_points = 0;
-    for budget in 0..total {
-        restore_durable(&path, &state);
-        let (cods, log) = durable_dim(&path);
-        fault::arm(budget);
-        let res = log.checkpoint(cods.catalog());
-        fault::disarm();
-        assert!(
-            res.is_err(),
-            "budget {budget}/{total}: checkpoint survived the crash"
-        );
-        drop((cods, log));
+    fault::sweep(
+        "reference-record checkpoint",
+        Point::Kill,
+        total,
+        || {
+            restore_durable(&path, &state);
+            durable_dim(&path)
+        },
+        |(cods, log)| log.checkpoint(cods.catalog()),
+        |budget, state, res| {
+            assert!(
+                res.is_err(),
+                "budget {budget}/{total}: checkpoint survived the crash"
+            );
+            drop(state);
 
-        let pending = cods_storage::log_status(&path).unwrap().records;
-        let (got, _log, replay) = open_durable(&path)
-            .unwrap_or_else(|e| panic!("budget {budget}/{total}: recovery failed: {e}"));
-        assert_eq!(images(&got), want, "budget {budget}/{total}");
-        if pending == 3 && replay.replayed == 0 {
-            covered_points += 1;
-        } else {
-            assert_eq!(replay.replayed, pending, "budget {budget}/{total}");
-        }
-    }
+            let pending = cods_storage::log_status(&path).unwrap().records;
+            let (got, _log, replay) = open_durable(&path)
+                .unwrap_or_else(|e| panic!("budget {budget}/{total}: recovery failed: {e}"));
+            assert_eq!(images(&got), want, "budget {budget}/{total}");
+            if pending == 3 && replay.replayed == 0 {
+                covered_points += 1;
+            } else {
+                assert_eq!(replay.replayed, pending, "budget {budget}/{total}");
+            }
+        },
+    );
     println!(
-        "reference-record checkpoint sweep: {total} kill points, \
-         {covered_points} with the save committed and the log untruncated"
+        "reference-record checkpoint sweep: {covered_points} kill points \
+         with the save committed and the log untruncated"
     );
     assert!(
         covered_points > 0,
@@ -957,29 +951,28 @@ fn crash_sweep_replay_recovery_is_idempotent() {
     state.log.extend_from_slice(&[0xAB; 11]);
     restore_durable(&path, &state);
 
-    fault::arm(u64::MAX);
-    let (_cat, _log, replay) = open_durable(&path).unwrap();
-    fault::disarm();
-    let total = fault::units();
+    let ((_cat, _log, replay), total, _) = fault::probe(|| open_durable(&path).unwrap());
     assert!(replay.discarded_torn);
     assert!(total > 0, "recovery must pass through the fault layer");
-    println!("replay-recovery sweep: {total} kill points");
 
-    for budget in 0..total {
-        restore_durable(&path, &state);
-        fault::arm(budget);
-        let res = open_durable(&path);
-        fault::disarm();
-        assert!(
-            res.is_err(),
-            "budget {budget}/{total}: recovery survived the crash"
-        );
-        drop(res);
+    fault::sweep(
+        "replay-recovery",
+        Point::Kill,
+        total,
+        || restore_durable(&path, &state),
+        |()| open_durable(&path),
+        |budget, (), res| {
+            assert!(
+                res.is_err(),
+                "budget {budget}/{total}: recovery survived the crash"
+            );
+            drop(res);
 
-        let (got, _log, _r) = open_durable(&path)
-            .unwrap_or_else(|e| panic!("budget {budget}/{total}: re-recovery failed: {e}"));
-        assert_acked(&got, budget);
-    }
+            let (got, _log, _r) = open_durable(&path)
+                .unwrap_or_else(|e| panic!("budget {budget}/{total}: re-recovery failed: {e}"));
+            assert_acked(&got, budget);
+        },
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

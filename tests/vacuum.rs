@@ -5,7 +5,7 @@
 
 use cods_query::bitmap_scan::predicate_mask;
 use cods_query::Predicate;
-use cods_storage::fault::{self, Mutation};
+use cods_storage::fault::{self, Mutation, Point};
 use cods_storage::persist::{encode_table, read_catalog, save_catalog};
 use cods_storage::{
     heap_stats, open_durable, set_auto_vacuum, vacuum_catalog, vacuum_file, wait_for_auto_vacuum,
@@ -279,12 +279,9 @@ fn the_save_that_crosses_the_threshold_compacts_before_it_returns() {
         let cat = saved_small(&path);
         let want = cat.get("a").unwrap().tuple_multiset();
         recode_v(&cat);
-        fault::arm(u64::MAX);
-        save_catalog(&cat, &path).unwrap();
-        fault::disarm();
+        let ((), _, trace) = fault::probe(|| save_catalog(&cat, &path).unwrap());
         let name = "inline.catalog".to_string();
         let tmp = format!("{name}.tmp.{}", std::process::id());
-        let trace = fault::trace();
         let runs = trace.iter().take_while(|m| **m == Mutation::Write).count();
         assert!(runs > 0, "{trace:?}");
         let mut order = vec![Mutation::Write; runs];
@@ -335,10 +332,8 @@ fn crash_and_failure_sweeps_cover_the_auto_vacuum() {
             cat
         };
         let reopen = |budget: u64| -> (usize, usize) {
-            fault::arm(u64::MAX);
-            let got = read_catalog(&path);
-            fault::disarm();
-            assert_eq!(fault::trace(), [], "budget {budget}: the open wrote");
+            let (got, _, trace) = fault::probe(|| read_catalog(&path));
+            assert_eq!(trace, [], "budget {budget}: the open wrote");
             let got = got.unwrap_or_else(|e| panic!("budget {budget}: reopen failed: {e}"));
             assert_eq!(
                 got.get("a").unwrap().tuple_multiset(),
@@ -349,65 +344,69 @@ fn crash_and_failure_sweeps_cover_the_auto_vacuum() {
         };
 
         let probe = evolve();
-        fault::arm(u64::MAX);
-        save_catalog(&probe, &path).unwrap();
-        fault::disarm();
-        let total = fault::units();
-        assert!(fault::trace().contains(&Mutation::SyncDir), "no compaction");
+        let ((), total, trace) = fault::probe(|| save_catalog(&probe, &path).unwrap());
+        assert!(trace.contains(&Mutation::SyncDir), "no compaction");
         drop(probe);
 
         let mut compaction_kills = 0;
-        for budget in 0..total {
-            let cat = evolve();
-            fault::arm(budget);
-            let res = save_catalog(&cat, &path);
-            fault::disarm();
-            drop(cat);
-            let got = reopen(budget);
-            if res.is_ok() {
-                compaction_kills += 1;
-                assert_eq!(
-                    got, new,
-                    "budget {budget}/{total}: an Ok save left the old state"
-                );
-            } else {
-                assert!(got == old || got == new, "budget {budget}/{total}: {got:?}");
-            }
-        }
-        assert!(compaction_kills > 0, "no kill point hit the compaction");
-        println!(
-            "auto-vacuum save sweep: {total} kill points, {compaction_kills} in the compaction"
+        fault::sweep(
+            "auto-vacuum save",
+            Point::Kill,
+            total,
+            evolve,
+            |cat| save_catalog(cat, &path),
+            |budget, cat, res| {
+                drop(cat);
+                let got = reopen(budget);
+                if res.is_ok() {
+                    compaction_kills += 1;
+                    assert_eq!(
+                        got, new,
+                        "budget {budget}/{total}: an Ok save left the old state"
+                    );
+                } else {
+                    assert!(got == old || got == new, "budget {budget}/{total}: {got:?}");
+                }
+            },
         );
+        assert!(compaction_kills > 0, "no kill point hit the compaction");
+        println!("auto-vacuum save sweep: {compaction_kills} kill points in the compaction");
 
         let mut compaction_fails = 0;
-        for budget in 0..total {
-            let cat = evolve();
-            fault::arm_failure(budget);
-            let res = save_catalog(&cat, &path);
-            fault::disarm();
-            let got = reopen(budget);
-            match res {
-                Ok(()) => {
-                    compaction_fails += 1;
-                    assert_eq!(got, new, "budget {budget}/{total}");
+        fault::sweep(
+            "auto-vacuum save failure",
+            Point::Fail,
+            total,
+            evolve,
+            |cat| save_catalog(cat, &path),
+            |budget, cat, res| {
+                let got = reopen(budget);
+                match res {
+                    Ok(()) => {
+                        compaction_fails += 1;
+                        assert_eq!(got, new, "budget {budget}/{total}");
+                    }
+                    Err(_) => {
+                        assert_eq!(got, old, "budget {budget}/{total}");
+                        let a = cat.get("a").unwrap();
+                        let v = a.column_by_name("v").unwrap();
+                        assert!(
+                            v.segments().iter().all(|s| s.backing_path().is_none()),
+                            "budget {budget}/{total}: a failed save adopted fresh payloads"
+                        );
+                    }
                 }
-                Err(_) => {
-                    assert_eq!(got, old, "budget {budget}/{total}");
-                    let a = cat.get("a").unwrap();
-                    let v = a.column_by_name("v").unwrap();
-                    assert!(
-                        v.segments().iter().all(|s| s.backing_path().is_none()),
-                        "budget {budget}/{total}: a failed save adopted fresh payloads"
-                    );
-                }
-            }
-            save_catalog(&cat, &path)
-                .unwrap_or_else(|e| panic!("budget {budget}/{total}: the next save failed: {e}"));
-            drop(cat);
-            assert_eq!(reopen(budget), new, "budget {budget}/{total}");
-        }
+                save_catalog(&cat, &path).unwrap_or_else(|e| {
+                    panic!("budget {budget}/{total}: the next save failed: {e}")
+                });
+                drop(cat);
+                assert_eq!(reopen(budget), new, "budget {budget}/{total}");
+            },
+        );
         assert!(compaction_fails > 0, "no fail point hit the compaction");
-        println!("auto-vacuum save failure sweep: {total} fail points, {compaction_fails} in the compaction");
+        println!(
+            "auto-vacuum save failure sweep: {compaction_fails} fail points in the compaction"
+        );
     });
     std::fs::remove_dir_all(&dir).ok();
 }
