@@ -1,10 +1,16 @@
-//! Binary serialization of compressed bitmaps (used by the storage engine's
-//! on-disk table format). The layout is: `len: u64 | active: u64 |
-//! active_bits: u32 | word_count: u32 | words…`, all little-endian.
+//! Binary serialization of compressed bitmaps, in two layouts, all
+//! little-endian:
 //!
-//! One decoder, [`decode_words`], reads that layout for both
-//! [`Wah::decode`] and the storage engine, which decodes a segment's
-//! back-to-back streams straight into one shared word arena.
+//! * a **stream** ([`Wah::encode`] / [`Wah::decode`]) stands alone: `len:
+//!   u64 | active: u64 | active_bits: u32 | word_count: u32 | words…`;
+//! * a **body** ([`scan_body`]) is only the words, the active word last:
+//!   how the storage engine's bitmap payload stores each present id behind
+//!   a head table of word offsets. The length is the segment's row count,
+//!   which fixes the active word's valid bits (`len mod 63`), and the word
+//!   count is the difference of two head entries, so a body carries no
+//!   header at all.
+//!
+//! Both decoders run every word through the same validating pass.
 //!
 //! [`Reader`] is the checked little-endian reader every decoder of the
 //! workspace is written on — table files, the commit log, the wire and the
@@ -15,6 +21,7 @@
 
 use crate::rle::RleSeq;
 use crate::wah::{Wah, WahRef, WordScan};
+use crate::word::GROUP_BITS;
 use bytes::{Buf, BufMut};
 
 /// Errors raised while decoding bytes.
@@ -168,12 +175,11 @@ fn read_from<B: Buf, T>(
     Ok(out)
 }
 
-/// The header of one stream [`decode_words`] read, and the statistics its
-/// words encode — everything of the bitmap but the words themselves.
+/// What one bitmap's check found ([`scan_body`]): its tail and length,
+/// and the statistics its words encode — everything of the bitmap but the
+/// words themselves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DecodedStream {
-    /// Number of words appended.
-    pub words: usize,
     /// The trailing partial group.
     pub active: u64,
     /// Valid bits in `active` (`0..63`).
@@ -187,41 +193,19 @@ pub struct DecodedStream {
     pub intervals: u64,
 }
 
-/// Decodes one serialized bitmap from `r` in one pass, appending its words
-/// to `words`: each word is validated (canonical form, overflow-checked
-/// length) and counted (ones, intervals) as it is copied, and the tail and
-/// stored length are checked at the end. Nothing is allocated when `words`
-/// already has room.
-///
-/// `keep` is the number of bytes the caller still needs behind this
-/// stream; the stored word count must fit in what remains before it, so a
-/// hostile count is refused before anything is reserved. The words are one
-/// bulk slice of the reader's buffer.
-pub fn decode_words(
-    r: &mut Reader<'_>,
-    words: &mut Vec<u64>,
-    keep: usize,
+/// Validates (canonical form, overflow-checked length) and counts (ones,
+/// intervals) `words`, then folds in the active tail and holds the encoded
+/// length to `len`: the one check under both layouts.
+fn scan(
+    words: &[u64],
+    active: u64,
+    active_bits: u32,
+    len: u64,
 ) -> Result<DecodedStream, CodecError> {
-    let room = r
-        .remaining()
-        .checked_sub(keep)
-        .and_then(|n| n.checked_sub(24))
-        .ok_or(CodecError::UnexpectedEof)?;
-    let len = r.u64()?;
-    let active = r.u64()?;
-    let active_bits = r.u32()?;
-    let count = r.u32()? as usize;
-    if count > room / 8 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let raw = r.take(count * 8)?;
     let corrupt = |m: &str| CodecError::Corrupt(m.into());
-    words.reserve_exact(count);
     let mut scan = WordScan::default();
-    for le in raw.chunks_exact(8) {
-        let w = u64::from_le_bytes(le.try_into().expect("chunks of eight bytes"));
+    for &w in words {
         scan.word(w).map_err(corrupt)?;
-        words.push(w);
     }
     let scan = scan.tail(active, active_bits).map_err(corrupt)?;
     if scan.len != len {
@@ -231,13 +215,38 @@ pub fn decode_words(
         )));
     }
     Ok(DecodedStream {
-        words: count,
         active,
         active_bits,
         len,
         ones: scan.ones,
         intervals: scan.intervals,
     })
+}
+
+/// Checks one body already in memory — `body` is a bitmap's words with its
+/// active word last, as a bitmap payload stores each present id — of a
+/// bitmap `len` bits long: every word is validated and counted, the active
+/// word may hold only its low `len mod 63` bits, and the words must encode
+/// exactly `len` bits.
+pub fn scan_body(body: &[u64], len: u64) -> Result<DecodedStream, CodecError> {
+    let Some((&active, words)) = body.split_last() else {
+        return Err(CodecError::Corrupt("an empty bitmap body".into()));
+    };
+    scan(words, active, (len % GROUP_BITS) as u32, len)
+}
+
+/// The words of a little-endian byte string, checked to be whole words:
+/// one bulk conversion, allocating exactly what `raw` holds.
+pub fn words_of(raw: &[u8]) -> Result<Vec<u64>, CodecError> {
+    if !raw.len().is_multiple_of(8) {
+        return Err(CodecError::Corrupt(
+            "bitmap words are not a whole number of words".into(),
+        ));
+    }
+    Ok(raw
+        .chunks_exact(8)
+        .map(|le| u64::from_le_bytes(le.try_into().expect("chunks of eight bytes")))
+        .collect())
 }
 
 impl WahRef<'_> {
@@ -269,16 +278,38 @@ impl Wah {
         self.view().encoded_len()
     }
 
-    /// Deserializes a bitmap from `buf`, validating all invariants
-    /// ([`decode_words`]).
+    /// Deserializes a bitmap from `buf`, validating all invariants. The
+    /// stored word count must fit in the bytes that remain, so a hostile
+    /// count is refused before anything is reserved.
     pub fn decode<B: Buf>(buf: &mut B) -> Result<Wah, CodecError> {
-        let mut words = Vec::new();
-        let d = read_from(buf, |r| decode_words(r, &mut words, 0))?;
+        read_from(buf, |r| {
+            let len = r.u64()?;
+            let active = r.u64()?;
+            let active_bits = r.u32()?;
+            let count = r.u32()? as usize;
+            let words = words_of(r.take(r.fits(count, 8)? * 8)?)?;
+            let d = scan(&words, active, active_bits, len)?;
+            Ok(Wah {
+                words,
+                active,
+                active_bits,
+                len,
+                ones: d.ones,
+            })
+        })
+    }
+
+    /// Decodes the body `raw` of a bitmap `len` bits long: its words, the
+    /// active word last, little-endian ([`scan_body`]).
+    pub fn decode_body(raw: &[u8], len: u64) -> Result<Wah, CodecError> {
+        let mut words = words_of(raw)?;
+        let d = scan_body(&words, len)?;
+        words.pop();
         Ok(Wah {
             words,
             active: d.active,
             active_bits: d.active_bits,
-            len: d.len,
+            len,
             ones: d.ones,
         })
     }

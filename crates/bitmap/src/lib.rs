@@ -59,7 +59,7 @@ pub mod wah;
 pub mod word;
 
 pub use builder::{OneStreamBuilder, ValueStreamBuilder};
-pub use codec::{decode_words, CodecError, DecodedStream, Reader};
+pub use codec::{scan_body, words_of, CodecError, DecodedStream, Reader};
 pub use iter::{IntervalIter, OnesIter, Run, RunIter};
 pub use ops::BinOp;
 pub use plain::PlainBitmap;

@@ -455,7 +455,7 @@ impl<'a> WahRef<'a> {
     /// first is full), `active` must hold only its low `active_bits < 63`
     /// bits, and `len`/`ones` must be the length and population they
     /// encode — as a [`Wah`] or a validating decode
-    /// ([`decode_words`](crate::codec::decode_words)) produces them.
+    /// ([`scan_body`](crate::codec::scan_body)) produces them.
     /// [`WahRef::check_invariants`] verifies all of it.
     #[inline]
     pub fn from_parts(
@@ -472,6 +472,21 @@ impl<'a> WahRef<'a> {
             len,
             ones,
         }
+    }
+
+    /// The view of a bitmap body as [`scan_body`](crate::codec::scan_body)
+    /// validated it: `body` is its words with the active word last, `len`
+    /// its length (so the active word holds `len mod 63` valid bits) and
+    /// `ones` its population.
+    ///
+    /// # Panics
+    /// Panics if `body` is empty.
+    #[inline]
+    pub fn from_body(body: &'a [u64], len: u64, ones: u64) -> WahRef<'a> {
+        let (&active, words) = body
+            .split_last()
+            .expect("a bitmap body holds its active word");
+        WahRef::from_parts(words, active, (len % GROUP_BITS) as u32, len, ones)
     }
 
     /// Copies the view into an owned [`Wah`].
@@ -682,7 +697,7 @@ impl<'a> WahRef<'a> {
 /// One validating pass over WAH words: it accumulates the length,
 /// population and interval count they encode, and rejects the first word
 /// that breaks the canonical form. [`WahRef::check_invariants`] and the
-/// stream decoder ([`crate::codec::decode_words`]) both run on it, so a
+/// decoders of [`crate::codec`] both run on it, so a
 /// bitmap read off the disk is held to exactly the rules of one checked in
 /// memory.
 #[derive(Default)]

@@ -31,9 +31,15 @@
 //!    boolean table walks all p.
 //! 3. **Present ids, all satisfy.** Every row of the range carries a
 //!    satisfying value: one fill, payload untouched.
-//! 4. **Mask build.** Only now is the payload faulted in and the mask
-//!    built on the segment's native encoding, from exactly the bitmaps of
-//!    the satisfying positions tiers 2–3 found.
+//! 4. **Mask build.** Only now is the payload read and the mask built on
+//!    the segment's native encoding, from exactly the bitmaps of the
+//!    satisfying positions tiers 2–3 found. An id-set leaf (an equality or
+//!    a folded IN) of at most 64 ids over a bitmap segment that is not
+//!    resident, while the cache has a budget, reads only those positions'
+//!    bitmaps from disk — a few bytes of head table and each bitmap's
+//!    words ([`SegSlot::try_bitmaps`]) — and leaves the segment paged
+//!    out; the read counts as one cache miss. Every other survivor faults
+//!    the whole payload in, once per range however many leaves use it.
 //!
 //! A child that comes out as a constant fill short-circuits its `AND` /
 //! `OR`: the other side is not evaluated, so its payload is never faulted.
@@ -44,11 +50,17 @@
 //! differential proptest `tests/proptest_scan_pruning.rs`).
 //!
 //! [`Query`]: crate::Query
+//! [`SegSlot::try_bitmaps`]: cods_storage::SegSlot::try_bitmaps
 
 use crate::pred::{CmpOp, CompiledPredicate, Predicate};
 use cods_bitmap::{Wah, WahRef};
 use cods_storage::{Dictionary, EncodedColumn, SegmentEnc, StorageError, Table, Value, Zone};
 use std::ops::Range;
+
+/// The most bitmaps one segment's mask is built from by a k-way union
+/// ([`WahRef::union_many`]), and the most ids an id-set leaf may name for
+/// tier 4 to read just their bitmaps from a paged-out segment.
+const UNION_MAX: usize = 64;
 
 /// The satisfying value set of one comparison, in whichever form the
 /// operator admits: a few named ids (an equality, or a folded same-column
@@ -293,18 +305,6 @@ impl ColRange<'_> {
         self.segs.start = self.segs.end;
         self.held.clear();
     }
-
-    /// The payload of directory entry `seg` (inside the current range);
-    /// a clone shares the decoded segment.
-    fn payload(&mut self, seg: usize) -> Result<SegmentEnc, StorageError> {
-        let held = &mut self.held[seg - self.segs.start];
-        if let Some(enc) = held {
-            return Ok(enc.clone());
-        }
-        let enc = self.col.segments()[seg].try_enc()?;
-        *held = Some(enc.clone());
-        Ok(enc)
-    }
 }
 
 fn eval_mask(table: &Table, pred: &Predicate, zones: bool) -> Result<Wah, StorageError> {
@@ -315,8 +315,8 @@ fn eval_mask(table: &Table, pred: &Predicate, zones: bool) -> Result<Wah, Storag
         // A lone comparison (or BETWEEN) has nothing to combine: append
         // each segment's mask straight into the output.
         let col = cols[*col].col;
-        for (seg, slot) in col.segments().iter().enumerate() {
-            append_segment_mask(&mut mask, col, seg, sat, zones, || slot.try_enc())?;
+        for seg in 0..col.segment_count() {
+            append_segment_mask(&mut mask, col, seg, sat, zones, &mut None)?;
         }
         return Ok(mask);
     }
@@ -539,8 +539,8 @@ fn eval_range(
             let c = &mut cols[*col];
             let column = c.col;
             let mut mask = Wah::new();
-            for seg in c.segs.clone() {
-                append_segment_mask(&mut mask, column, seg, sat, zones, || c.payload(seg))?;
+            for (seg, held) in c.segs.clone().zip(&mut c.held) {
+                append_segment_mask(&mut mask, column, seg, sat, zones, held)?;
             }
             return Ok(RangeMask::of(mask));
         }
@@ -572,17 +572,19 @@ fn eval_range(
 /// the resulting mask is byte-identical whatever the mix.
 ///
 /// Tiers 1–3 run on the slot's *resident metadata* (zone, present ids,
-/// cached ones): `payload` is called — and a lazily opened segment faulted
-/// in — only for a segment some but not all of whose rows satisfy.
+/// cached ones): only a segment some but not all of whose rows satisfy is
+/// read, into `held` unless it reads selectively — the payload this range
+/// already holds, else faulted in.
 fn append_segment_mask(
     mask: &mut Wah,
     col: &EncodedColumn,
     seg: usize,
     sat: &SatSet<'_>,
     zones: bool,
-    payload: impl FnOnce() -> Result<SegmentEnc, StorageError>,
+    held: &mut Option<SegmentEnc>,
 ) -> Result<(), StorageError> {
-    let meta = col.segments()[seg].meta();
+    let slot = &col.segments()[seg];
+    let meta = slot.meta();
     let rows = meta.rows;
     if zones && !sat.zone_may_match(col.zone(seg)) {
         // Zone-pruned: neither stats nor payload touched.
@@ -599,9 +601,25 @@ fn append_segment_mask(
         mask.append_run(hits.count() != 0, rows);
         return Ok(());
     }
-    // Survivor: fault the payload in (through the buffer cache) and build
-    // this range's mask on its native encoding.
-    match &payload()? {
+    // Survivor. A leaf of a few ids over a paged-out bitmap segment reads
+    // just their bitmaps from disk, leaving the slot paged out, when the
+    // slot says that pays (a budgeted cache).
+    if let (Hits::At(at), None, SatSet::Ids { ids, .. }) = (&hits, &held, sat) {
+        if ids.len() <= UNION_MAX {
+            if let Some(bitmaps) = slot.try_bitmaps(at)? {
+                mask.append_bitmap(&WahRef::union_many(bitmaps.iter().map(Wah::view), rows));
+                return Ok(());
+            }
+        }
+    }
+    // Otherwise fault the payload in (through the buffer cache), once per
+    // range however many leaves read it, and build this range's mask on
+    // its native encoding.
+    let enc = match held {
+        Some(enc) => enc.clone(),
+        None => held.insert(slot.try_enc()?).clone(),
+    };
+    match &enc {
         SegmentEnc::Bitmap(seg) => {
             // The payload's bitmaps are in the order of the metadata's
             // present ids, so the positions found above index them.
@@ -612,7 +630,7 @@ fn append_segment_mask(
                     .map(|i| seg.bitmap(i))
                     .collect(),
             };
-            if satisfying.len() <= 64 {
+            if satisfying.len() <= UNION_MAX {
                 mask.append_bitmap(&WahRef::union_many(satisfying, rows));
             } else if sat_rows * 8 <= rows {
                 // Many values but few rows (the cached ones say so up
@@ -950,9 +968,7 @@ mod tests {
                 for sat in [SatSet::of_ids(ids.clone(), ranks), SatSet::Bools(bools)] {
                     for zones in [true, false] {
                         let mut mask = Wah::new();
-                        let slot = &col.segments()[0];
-                        append_segment_mask(&mut mask, col, 0, &sat, zones, || slot.try_enc())
-                            .unwrap();
+                        append_segment_mask(&mut mask, col, 0, &sat, zones, &mut None).unwrap();
                         masks.push(mask);
                     }
                 }

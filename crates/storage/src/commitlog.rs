@@ -1554,7 +1554,7 @@ mod tests {
         let (covered, _, trace) =
             fault::probe(|| log.finish_checkpoint(snap_version, tables).unwrap());
         assert_eq!(covered, 2);
-        let mut want = append_save_trace(3);
+        let mut want = append_save_trace(4);
         want.extend([
             Create("order.catalog.clog.tmp".into()),
             Write,
@@ -1715,6 +1715,36 @@ mod tests {
         assert_eq!(replay.replayed, 1);
         assert_eq!(cat.version(), 3);
         assert_eq!(cat.get("out").unwrap().to_rows(), tiny("r", 10).to_rows());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    /// A sealed record whose image is a table file of an older format
+    /// (its preamble names version 9) is refused by that number at replay,
+    /// not read as this format's bytes.
+    #[test]
+    fn a_record_image_of_another_format_is_refused_by_number() {
+        let path = saved_base("oldimage.catalog");
+        let mut body = body_image(10, &[1]);
+        // `BODY_IMAGE img_len:u64`, then the image: `magic:u32 version:u16`.
+        body[13..15].copy_from_slice(&9u16.to_le_bytes());
+        let put = two_col(vec![Reuse("r", 0), Carry], body);
+        let log = {
+            let mut log = clog_header().to_vec();
+            wal::encode_frame(&mut log, COMMIT_TAG, |out| {
+                out.extend_from_slice(&raw_record(3, &[put]))
+            });
+            log
+        };
+        std::fs::write(clog_path(&path), &log).unwrap();
+        match open_durable(&path) {
+            Err(StorageError::PersistError(m)) => assert_eq!(m, "unsupported version 9"),
+            other => panic!("wanted the version refused, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(
+            std::fs::read(clog_path(&path)).unwrap(),
+            log,
+            "nothing touched"
+        );
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

@@ -1,6 +1,6 @@
 //! Binary persistence of tables and catalogs.
 //!
-//! There is one on-disk format (version 9). A file is a preamble, two
+//! There is one on-disk format (version 10). A file is a preamble, two
 //! commit slots, and a heap of segment payloads, per-table metadata blocks
 //! and the index naming the blocks. A column opens as *metadata only* —
 //! schema, dictionary, per-segment stats, zone maps, encoding/pin tags —
@@ -26,6 +26,9 @@
 //!             present:u32 (id:u32)* (ones:u64)*
 //! segtag   := bit 0: encoding (0 bitmap, 1 rle); bit 1: segment pinned
 //! zone     := min_id:u32 max_id:u32                (one per segment)
+//! payload  := bitmaps | runs                       (as `segtag` says)
+//! bitmaps  := (end:u32)^present (word:u64)*        (bitmap segment)
+//! runs     := rows:u64 run_count:u32 (id:u32 len:u64)*   (RLE segment)
 //! value, str, schema                               ([`crate::codec`])
 //! ```
 //!
@@ -39,10 +42,18 @@
 //! the newer one names an index the file does not hold, the open is
 //! [`StorageError::Corrupt`].
 //!
-//! `off`/`len` locate a segment's payload in the heap (bitmap segments are
-//! the concatenation of each present id's WAH stream in id order, RLE
-//! segments the run-sequence codec); `rows`/`runs`/`bytes`/ids/ones are the
-//! resident stats scans prune on without faulting. The heap stores each
+//! `off`/`len` locate a segment's payload in the heap;
+//! `rows`/`runs`/`bytes`/ids/ones are the resident stats scans prune on
+//! without faulting. A bitmap payload is a head table, one `end` per
+//! present id, and then every present id's WAH words in id order, each
+//! id's active word last: id `i`'s words are `end[i-1]..end[i]` (from 0 for
+//! the first), so the ends rise strictly and the last closes the payload.
+//! Nothing else of a bitmap is stored: its length is the segment's `rows`,
+//! which fixes its active word's valid bits (`rows mod 63`), and its
+//! population is its `ones` entry. A few ids' bitmaps can therefore be read
+//! without the rest ([`crate::store::SegSlot::try_bitmaps`]). `bytes` is
+//! the decoded segment's cache charge — eight per word before an active
+//! word plus 24 per present id — not the payload's length. The heap stores each
 //! distinct (`Arc`-shared) segment once, however many columns or table
 //! versions reference it, and a decode re-shares slots with identical
 //! locations. A block is self-contained: it decodes on its own and names
@@ -105,8 +116,9 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 const MAGIC: u32 = 0xC0D5_0001;
 /// The on-disk format version (two commit slots naming the index of a
 /// heap with one metadata block per table; catalog files stamped with the
-/// catalog version they hold) — the only one this build reads or writes.
-pub const VERSION: u16 = 9;
+/// catalog version they hold; bitmap payloads a head table and header-free
+/// words) — the only one this build reads or writes.
+pub const VERSION: u16 = 10;
 
 /// `magic:u32 version:u16`.
 pub(crate) const PREAMBLE_LEN: usize = 6;

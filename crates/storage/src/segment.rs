@@ -21,7 +21,8 @@
 use crate::encoded::{Encoding, SegmentEnc};
 use crate::error::StorageError;
 use crate::store::{SegMeta, SegSlot};
-use cods_bitmap::{decode_words, Reader, RleSeq, Wah, WahRef};
+use bytes::BufMut;
+use cods_bitmap::{scan_body, words_of, Reader, RleSeq, Wah, WahRef};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -302,26 +303,18 @@ impl SealScratch {
     }
 }
 
-/// Where one present id's bitmap lives in its segment's word arena, and its
-/// active tail. Its length is the segment's `rows` and its population the
-/// parallel `ones` entry, so neither is stored again here.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Head {
-    off: u32,
-    nwords: u32,
-    active: u64,
-    active_bits: u32,
-}
-
 /// One immutable row-range segment's payload: sparse per-value bitmaps
 /// over the segment's rows. Its stats live in its [`SegMeta`].
 ///
-/// The bitmaps are one allocation: their WAH words lie back to back, in id
-/// order, in an arena sized exactly, and [`Segment::bitmap`] /
-/// [`Segment::iter`] hand each out as a borrowed [`WahRef`] — so a segment
-/// costs the same two allocations (words, heads) however many values it
-/// holds, and a fault-in decodes its payload straight into the arena
-/// (`Segment::decode`). The ids and ones the bitmaps are read with are the
+/// The bitmaps are one allocation laid out as the payload stores them
+/// (format 10): each present id's WAH words, its active word last, back to
+/// back in id order, and a head table of each id's end in that arena.
+/// [`Segment::bitmap`] / [`Segment::iter`] hand each out as a borrowed
+/// [`WahRef`] — so a segment costs the same two allocations (words, ends)
+/// however many values it holds, and a fault-in decodes its payload
+/// straight into the arena (`Segment::decode`). A bitmap's length is the
+/// segment's `rows` and its population the meta's `ones` entry, so neither
+/// is stored again; the ids and ones the bitmaps are read with are the
 /// meta's own slices, shared.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Segment {
@@ -330,19 +323,82 @@ pub struct Segment {
     ids: Arc<[u32]>,
     /// The meta's per-id rows, each bitmap's population.
     ones: Arc<[u64]>,
-    /// Every present id's WAH words, back to back in id order.
+    /// Every present id's words, active word last, back to back in id
+    /// order.
     words: Box<[u64]>,
-    /// Each present id's slice of `words` and active tail (parallel to
-    /// `ids`); the slices tile `words` in order.
-    heads: Box<[Head]>,
+    /// Each present id's end in `words` (parallel to `ids`), ascending: id
+    /// `i`'s words are `ends[i - 1]..ends[i]`, from 0 for the first.
+    ends: Box<[u32]>,
 }
 
-/// An arena offset or length as stored in a [`Head`].
+/// An arena offset as stored in a head table.
 ///
 /// # Panics
 /// Panics past `u32::MAX` words — a single segment of billions of rows.
 fn arena_u32(n: usize) -> u32 {
     u32::try_from(n).expect("segment arena exceeds u32::MAX words")
+}
+
+/// The cache charge ([`SegMeta::bytes`]) of an arena of `words` words,
+/// active words included, over `ids` bitmaps: eight bytes for each word
+/// before an active one and 24 per bitmap — what format 9 stored, a
+/// 24-byte header per bitmap in place of the active word and head entry.
+/// The charge outlived that layout so a faulted segment costs the budget
+/// what it always did.
+fn charge(words: usize, ids: usize) -> usize {
+    8 * words + 16 * ids
+}
+
+/// Bytes of a head table entry.
+const HEAD_BYTES: u64 = 4;
+
+/// The typed error of a payload that is not the segment its metadata
+/// describes.
+pub(crate) fn corrupt(m: &str) -> StorageError {
+    StorageError::PersistError(format!("segment payload: {m}"))
+}
+
+/// Reads the bitmap of present-id position `i` out of a bitmap payload of
+/// `len` bytes without reading the rest of it: the head entries around `i`
+/// (eight bytes, four for the first), then its words. `read(offset, n)`
+/// returns the `n` payload bytes at `offset`. Every offset is checked
+/// against `len` before anything is read, so nothing is sized past the
+/// payload, and the bitmap is checked on its own: canonical words, `rows`
+/// long, holding the `ones` the meta gives it.
+///
+/// # Panics
+/// Panics if `i` is past the present ids.
+pub(crate) fn read_bitmap(
+    meta: &SegMeta,
+    i: usize,
+    len: u64,
+    read: &mut impl FnMut(u64, u64) -> Result<Vec<u8>, StorageError>,
+) -> Result<Wah, StorageError> {
+    let head = HEAD_BYTES * meta.present_ids.len() as u64;
+    if head > len {
+        return Err(corrupt("head table past the payload"));
+    }
+    let at = HEAD_BYTES * i.saturating_sub(1) as u64;
+    let entries = read(at, HEAD_BYTES * (1 + u64::from(i > 0)))?;
+    let entry =
+        |k: usize| u32::from_le_bytes(entries[4 * k..4 * k + 4].try_into().expect("four bytes"));
+    let (lo, hi) = match i {
+        0 => (0, entry(0)),
+        _ => (entry(0), entry(1)),
+    };
+    if hi <= lo {
+        return Err(corrupt("head entries do not increase"));
+    }
+    let (lo, hi) = (u64::from(lo) * 8, u64::from(hi) * 8);
+    if hi > len - head {
+        return Err(corrupt("head entry past the words region"));
+    }
+    let raw = read(head + lo, hi - lo)?;
+    let bm = Wah::decode_body(&raw, meta.rows).map_err(|e| corrupt(&e.to_string()))?;
+    if bm.count_ones() != meta.ones[i] {
+        return Err(corrupt("recounted ones do not match the metadata"));
+    }
+    Ok(bm)
 }
 
 impl Segment {
@@ -371,8 +427,8 @@ impl Segment {
     /// Writes the bitmap segment of `seq` from the count `scratch` just
     /// took of it ([`SealScratch::count`], which gave `meta`): each present
     /// id's placed `(gap, run)` pairs are appended, in id order, to one
-    /// reused bitmap whose words are copied into the arena. Sets
-    /// `meta.bytes`; the segment shares `meta`'s ids and ones. WAH is
+    /// reused bitmap whose words and active word are copied into the arena.
+    /// Sets `meta.bytes`; the segment shares `meta`'s ids and ones. WAH is
     /// canonical, so the same rows give the same bytes whatever wrote them.
     /// O(runs + words).
     pub(crate) fn from_runs(
@@ -389,7 +445,7 @@ impl Segment {
             ..
         } = scratch;
         words.clear();
-        let mut heads = Vec::with_capacity(meta.present_ids.len());
+        let mut ends = Vec::with_capacity(meta.present_ids.len());
         let mut lo = 0usize;
         for &id in meta.present_ids.iter() {
             let hi = slot[id as usize] as usize;
@@ -399,60 +455,57 @@ impl Segment {
                 wah.append_run(true, len);
             }
             wah.append_run(false, rows - wah.len());
-            heads.push(Head {
-                off: arena_u32(words.len()),
-                nwords: arena_u32(wah.words().len()),
-                active: wah.view().active(),
-                active_bits: wah.view().active_bits(),
-            });
             words.extend_from_slice(wah.words());
+            words.push(wah.view().active());
+            ends.push(arena_u32(words.len()));
             lo = hi;
         }
-        meta.bytes = words.len() * 8 + 24 * heads.len();
+        meta.bytes = charge(words.len(), ends.len());
         Segment {
             rows,
             ids: Arc::clone(&meta.present_ids),
             ones: Arc::clone(&meta.ones),
             words: words.as_slice().into(),
-            heads: heads.into_boxed_slice(),
+            ends: ends.into_boxed_slice(),
         }
     }
 
-    /// Decodes a bitmap payload — one WAH stream per present id of `meta`,
-    /// back to back in id order — straight into the arena. Every word is
-    /// validated and counted as it is copied ([`decode_words`]); each
-    /// stream must be exactly `rows` long, and no byte may trail. Returns
-    /// the segment, which shares `meta`'s id and ones slices, and what the
-    /// streams count to (ones, runs and bytes), which the caller holds to
-    /// `meta` ([`SegMeta::check_payload`]).
+    /// Decodes a bitmap payload — a head table of one `end:u32` per present
+    /// id of `meta`, then every id's words, active word last, in id order —
+    /// straight into the arena. The ends must rise strictly and the last
+    /// must close the words region exactly; the words are copied in one
+    /// pass, then each bitmap's are validated and counted ([`scan_body`])
+    /// and it must be exactly `rows` long. Returns the segment, which
+    /// shares `meta`'s id and ones slices, and what the bitmaps count to
+    /// (ones, runs and bytes), which the caller holds to `meta`
+    /// ([`SegMeta::check_payload`]).
     pub(crate) fn decode(meta: &SegMeta, raw: &[u8]) -> Result<(Segment, SegMeta), StorageError> {
-        let corrupt = |m: &str| StorageError::PersistError(format!("segment payload: {m}"));
         let n = meta.present_ids.len();
-        // Every stream is a 24-byte header and its words, so the words fit
-        // in what the headers leave: the exact size for a payload its
-        // metadata describes, and never more than the bytes read. Each
-        // stream keeps back the headers still to come, so the arena never
-        // grows past this.
-        let mut words = Vec::with_capacity(raw.len().saturating_sub(24 * n) / 8);
-        let mut heads = Vec::with_capacity(n);
-        // The streams' ones, kept only from the first that differs from the
-        // meta's: while every stream agrees, the recount is the meta's slice.
-        let mut ones: Option<Vec<u64>> = None;
         let mut r = Reader::new(raw);
+        let head = r
+            .take(HEAD_BYTES as usize * n)
+            .map_err(|_| corrupt("head table past the payload"))?;
+        let body = r.take(r.remaining()).expect("the rest of the payload");
+        // The arena is the words region, converted in one pass, so it is
+        // sized from the bytes read and never grows.
+        let words = words_of(body).map_err(|e| corrupt(&e.to_string()))?;
+        let total = words.len();
+        let mut ends = Vec::with_capacity(n);
+        // The bitmaps' ones, kept only from the first that differs from the
+        // meta's: while every bitmap agrees, the recount is the meta's slice.
+        let mut ones: Option<Vec<u64>> = None;
         let mut runs = 0u64;
-        for i in 0..n {
-            let off = words.len();
-            let d = decode_words(&mut r, &mut words, 24 * (n - 1 - i))
-                .map_err(|e| corrupt(&e.to_string()))?;
-            if d.len != meta.rows {
-                return Err(corrupt("bitmap length does not match segment rows"));
+        let mut lo = 0usize;
+        for (i, entry) in head.chunks_exact(4).enumerate() {
+            let end = u32::from_le_bytes(entry.try_into().expect("four bytes"));
+            let hi = end as usize;
+            if hi <= lo {
+                return Err(corrupt("head entries do not increase"));
             }
-            heads.push(Head {
-                off: u32::try_from(off).map_err(|_| corrupt("arena past u32 offsets"))?,
-                nwords: u32::try_from(d.words).map_err(|_| corrupt("arena past u32 offsets"))?,
-                active: d.active,
-                active_bits: d.active_bits,
-            });
+            if hi > total {
+                return Err(corrupt("head entry past the words region"));
+            }
+            let d = scan_body(&words[lo..hi], meta.rows).map_err(|e| corrupt(&e.to_string()))?;
             match &mut ones {
                 Some(v) => v.push(d.ones),
                 None if meta.ones.get(i) != Some(&d.ones) => {
@@ -463,9 +516,12 @@ impl Segment {
                 None => {}
             }
             runs += d.intervals;
+            ends.push(end);
+            lo = hi;
         }
-        r.finish()
-            .map_err(|_| corrupt("trailing bytes after payload"))?;
+        if lo != total {
+            return Err(corrupt("trailing bytes after payload"));
+        }
         let found = SegMeta {
             ones: match ones {
                 Some(v) => v.into(),
@@ -473,7 +529,7 @@ impl Segment {
                 None => Arc::clone(&meta.ones),
             },
             runs,
-            bytes: words.len() * 8 + 24 * n,
+            bytes: charge(words.len(), n),
             ..meta.clone()
         };
         let seg = Segment {
@@ -481,21 +537,32 @@ impl Segment {
             ids: Arc::clone(&meta.present_ids),
             ones: Arc::clone(&meta.ones),
             words: words.into_boxed_slice(),
-            heads: heads.into_boxed_slice(),
+            ends: ends.into_boxed_slice(),
         };
         Ok((seg, found))
     }
 
+    /// Writes the payload [`Segment::decode`] reads: the head table, then
+    /// the arena.
+    pub(crate) fn encode<B: BufMut>(&self, buf: &mut B) {
+        for &end in self.ends.iter() {
+            buf.put_u32_le(end);
+        }
+        for &w in self.words.iter() {
+            buf.put_u64_le(w);
+        }
+    }
+
+    /// The length of [`Segment::encode`]'s output.
+    pub(crate) fn encoded_len(&self) -> usize {
+        HEAD_BYTES as usize * self.ends.len() + 8 * self.words.len()
+    }
+
+    /// The arena span of the `i`-th present id.
     #[inline]
-    fn view(&self, h: &Head, ones: u64) -> WahRef<'_> {
-        let at = h.off as usize;
-        WahRef::from_parts(
-            &self.words[at..at + h.nwords as usize],
-            h.active,
-            h.active_bits,
-            self.rows,
-            ones,
-        )
+    fn span(&self, i: usize) -> Range<usize> {
+        let lo = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        lo..self.ends[i] as usize
     }
 
     /// The bitmap of the `i`-th present id (parallel to the meta's
@@ -505,24 +572,23 @@ impl Segment {
     /// Panics if `i` is past the present ids.
     #[inline]
     pub fn bitmap(&self, i: usize) -> WahRef<'_> {
-        self.view(&self.heads[i], self.ones[i])
+        WahRef::from_body(&self.words[self.span(i)], self.rows, self.ones[i])
     }
 
-    /// Every present id with its bitmap, in id order. The heads tile the
-    /// arena in that order, so the walk just cuts it front to back.
+    /// Every present id with its bitmap, in id order. The ends cut the
+    /// arena front to back, so the walk just splits it as it goes.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (u32, WahRef<'_>)> + '_ {
         let mut rest: &[u64] = &self.words;
+        let mut at = 0u32;
         let rows = self.rows;
         self.ids
             .iter()
-            .zip(self.heads.iter().zip(self.ones.iter()))
-            .map(move |(&id, (h, &ones))| {
-                let (words, tail) = rest.split_at(h.nwords as usize);
+            .zip(self.ends.iter().zip(self.ones.iter()))
+            .map(move |(&id, (&end, &ones))| {
+                let (body, tail) = rest.split_at((end - at) as usize);
                 rest = tail;
-                (
-                    id,
-                    WahRef::from_parts(words, h.active, h.active_bits, rows, ones),
-                )
+                at = end;
+                (id, WahRef::from_body(body, rows, ones))
             })
     }
 
@@ -568,42 +634,37 @@ impl Segment {
     /// into a new arena (dictionary merges and compaction).
     pub(crate) fn remap(&self, meta: &SegMeta, from: &[usize]) -> Segment {
         let mut words = Vec::with_capacity(self.words.len());
-        let mut heads = Vec::with_capacity(from.len());
+        let mut ends = Vec::with_capacity(from.len());
         for &i in from {
-            let h = self.heads[i];
-            let at = h.off as usize;
-            heads.push(Head {
-                off: arena_u32(words.len()),
-                ..h
-            });
-            words.extend_from_slice(&self.words[at..at + h.nwords as usize]);
+            words.extend_from_slice(&self.words[self.span(i)]);
+            ends.push(arena_u32(words.len()));
         }
         Segment {
             rows: self.rows,
             ids: Arc::clone(&meta.present_ids),
             ones: Arc::clone(&meta.ones),
             words: words.into_boxed_slice(),
-            heads: heads.into_boxed_slice(),
+            ends: ends.into_boxed_slice(),
         }
     }
 
     /// Recounts the stats from the bitmaps, after checking the arena: its
-    /// heads tile it exactly, every bitmap is canonical, `rows` long and
-    /// holds the ones it is read with, and — on segments of at most 10,000
-    /// rows, via an OR-fold — no two bitmaps overlap. The bitmap side of
-    /// the one payload check ([`SegMeta::check_payload`]).
+    /// ends rise strictly and close it exactly, every bitmap is canonical,
+    /// `rows` long and holds the ones it is read with, and — on segments of
+    /// at most 10,000 rows, via an OR-fold — no two bitmaps overlap. The
+    /// bitmap side of the one payload check ([`SegMeta::check_payload`]).
     pub fn recount(&self) -> Result<SegMeta, String> {
-        if self.ids.len() != self.heads.len() || self.ids.len() != self.ones.len() {
-            return Err("ids/heads/ones length mismatch".into());
+        if self.ids.len() != self.ends.len() || self.ids.len() != self.ones.len() {
+            return Err("ids/ends/ones length mismatch".into());
         }
-        let mut at = 0usize;
-        for h in self.heads.iter() {
-            if h.off as usize != at {
-                return Err("bitmap heads do not tile the word arena".into());
+        let mut at = 0u32;
+        for &end in self.ends.iter() {
+            if end <= at {
+                return Err("bitmap ends do not rise through the word arena".into());
             }
-            at += h.nwords as usize;
+            at = end;
         }
-        if at != self.words.len() {
+        if at as usize != self.words.len() {
             return Err("word arena holds words no bitmap owns".into());
         }
         let mut runs = 0u64;
@@ -625,7 +686,7 @@ impl Segment {
             present_ids: Arc::clone(&self.ids),
             ones: Arc::clone(&self.ones),
             runs,
-            bytes: self.words.len() * 8 + 24 * self.heads.len(),
+            bytes: charge(self.words.len(), self.ends.len()),
             encoding: Encoding::Bitmap,
         })
     }

@@ -27,9 +27,9 @@
 use crate::encoded::{choose_encoding_from_stats, Encoding, SegmentEnc};
 use crate::error::StorageError;
 use crate::rle_segment::RleSegment;
-use crate::segment::{SealScratch, Segment};
+use crate::segment::{corrupt, read_bitmap, SealScratch, Segment};
 use bytes::{BufMut, Bytes};
-use cods_bitmap::RleSeq;
+use cods_bitmap::{RleSeq, Wah};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -457,6 +457,44 @@ impl SegSlot {
         Ok(enc)
     }
 
+    /// The bitmaps of present-id positions `at`, read from disk without
+    /// making the slot resident: for each position the head entries around
+    /// it and then its words (`segment::read_bitmap`), each bitmap checked
+    /// on its own — canonical words, `rows` long, the meta's ones. The read
+    /// counts as one cache miss and adds the bytes it read to
+    /// `decoded_bytes`. `None` when there is nothing to gain — then read
+    /// the payload ([`SegSlot::try_enc`]): the slot is resident (or has no
+    /// disk location) or not a bitmap segment, or the cache has no budget,
+    /// so that a fault is paid once and every later read of the segment
+    /// hits.
+    ///
+    /// # Panics
+    /// Panics if a position is past the present ids.
+    pub fn try_bitmaps(&self, at: &[usize]) -> Result<Option<Vec<Wah>>, StorageError> {
+        if self.0.meta.encoding != Encoding::Bitmap
+            || segment_cache().budget() == u64::MAX
+            || self.is_resident()
+        {
+            return Ok(None);
+        }
+        let Some(loc) = self.disk_loc() else {
+            return Ok(None);
+        };
+        let mut read = 0u64;
+        let mut read_at = |off: u64, n: u64| {
+            read += n;
+            Ok(loc.source.read_at(loc.offset + off, n)?)
+        };
+        let bitmaps = at
+            .iter()
+            .map(|&i| read_bitmap(&self.0.meta, i, loc.len, &mut read_at))
+            .collect::<Result<_, _>>()?;
+        let store = segment_cache();
+        store.misses.fetch_add(1, Ordering::Relaxed);
+        store.decoded_bytes.fetch_add(read, Ordering::Relaxed);
+        Ok(Some(bitmaps))
+    }
+
     /// Re-encodes to `encoding`, sharing the slot when already there: its
     /// rows read as runs and sealed in `encoding`, a fresh (resident) slot.
     /// A bitmap segment whose bitmaps leave a row uncovered is
@@ -537,16 +575,13 @@ impl PartialEq for SegSlot {
     }
 }
 
-/// Serializes a segment payload in the heap format: bitmap segments as
-/// the concatenation of each present id's WAH stream in id order, RLE
-/// segments as the run-sequence codec.
+/// Serializes a segment payload in the heap format: a bitmap segment as
+/// its head table (each present id's `end:u32` in the words that follow)
+/// and then each present id's WAH words, active word last, in id order; an
+/// RLE segment as the run-sequence codec.
 pub fn encode_payload<B: BufMut>(enc: &SegmentEnc, buf: &mut B) {
     match enc {
-        SegmentEnc::Bitmap(s) => {
-            for (_, bm) in s.iter() {
-                bm.encode(buf);
-            }
-        }
+        SegmentEnc::Bitmap(s) => s.encode(buf),
         SegmentEnc::Rle(s) => s.seq().encode(buf),
     }
 }
@@ -554,7 +589,7 @@ pub fn encode_payload<B: BufMut>(enc: &SegmentEnc, buf: &mut B) {
 /// Encoded length of [`encode_payload`]'s output.
 pub(crate) fn payload_encoded_len(enc: &SegmentEnc) -> usize {
     match enc {
-        SegmentEnc::Bitmap(s) => s.iter().map(|(_, bm)| bm.encoded_len()).sum(),
+        SegmentEnc::Bitmap(s) => s.encoded_len(),
         SegmentEnc::Rle(s) => s.seq().encoded_len(),
     }
 }
@@ -565,7 +600,6 @@ pub(crate) fn payload_encoded_len(enc: &SegmentEnc) -> usize {
 /// not the segment the footer index promised. A bitmap payload decodes in
 /// one pass straight into its segment's word arena (`Segment::decode`).
 pub fn decode_payload(meta: &SegMeta, raw: &[u8]) -> Result<SegmentEnc, StorageError> {
-    let corrupt = |m: &str| StorageError::PersistError(format!("segment payload: {m}"));
     let (enc, found) = match meta.encoding {
         Encoding::Bitmap => {
             let (seg, found) = Segment::decode(meta, raw)?;
@@ -586,6 +620,26 @@ pub fn decode_payload(meta: &SegMeta, raw: &[u8]) -> Result<SegmentEnc, StorageE
     Ok(enc)
 }
 
+/// The selective read of [`SegSlot::try_bitmaps`] over a bitmap payload
+/// held in memory: the bitmaps of present-id positions `at`, each read
+/// through its head entries and checked on its own. A read that would
+/// reach past `raw` is an error, so nothing is sized past it.
+///
+/// # Panics
+/// Panics if a position is past the present ids.
+pub fn read_bitmaps(meta: &SegMeta, raw: &[u8], at: &[usize]) -> Result<Vec<Wah>, StorageError> {
+    let mut read_at = |off: u64, n: u64| {
+        usize::try_from(off + n)
+            .ok()
+            .and_then(|end| raw.get(off as usize..end))
+            .map(<[u8]>::to_vec)
+            .ok_or_else(|| corrupt("read past its end"))
+    };
+    at.iter()
+        .map(|&i| read_bitmap(meta, i, raw.len() as u64, &mut read_at))
+        .collect()
+}
+
 /// A snapshot of the buffer cache's telemetry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheStats {
@@ -595,11 +649,15 @@ pub struct CacheStats {
     pub resident_bytes: u64,
     /// Payload touches served from memory.
     pub hits: u64,
-    /// Payload faults (reload + decode from disk).
+    /// Payload reads from disk: each fault (reload + decode of a whole
+    /// payload), and each selective read of a few bitmaps from a slot that
+    /// stays paged out ([`SegSlot::try_bitmaps`]), one apiece.
     pub misses: u64,
     /// Paged-out segments.
     pub evictions: u64,
-    /// Total bytes decoded by faults (the cold-open/IO-work meter).
+    /// Bytes brought in from disk (the cold-open/IO-work meter): a fault
+    /// adds its segment's cache charge ([`SegMeta::bytes`]), a selective
+    /// read the head entries and words it read.
     pub decoded_bytes: u64,
 }
 

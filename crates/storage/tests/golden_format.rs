@@ -1,13 +1,16 @@
 //! Pins the on-disk format: the committed fixtures under `tests/golden/`
 //! were produced by `encode_table` / `encode_catalog` at the commit that
-//! introduced format 9 (two commit slots after the preamble, no footer).
-//! Against the v8 fixtures they replaced — checked byte by byte before the
-//! replacement — the heap is identical but for its offsets: the payloads,
-//! the blocks and the index follow the 80 bytes of slots instead of the
-//! preamble, so every stored offset is 80 higher (19 differing bytes in
-//! the table file, 25 in the catalog), and the 12-byte footer is gone.
-//! The first slot commits generation 1 and names the index, the second is
-//! zeroed. The encoder must keep reproducing them byte for byte, the
+//! introduced format 10 (header-free bitmap payloads). Against the v9
+//! fixtures they replaced, a bitmap payload lost each present id's 24-byte
+//! stream header (`len`, `active`, `active_bits`, `word_count`) and gained
+//! a leading head table of one `end:u32` per present id, each id's active
+//! word following its other words: 12 bytes fewer per present id (20,899
+//! → 16,795 bytes for the table file, 28,064 → 23,852 for the catalog),
+//! so each bitmap segment's `len` and every later offset moved with them.
+//! The rows, encodings, pins, zones and per-segment stats they decode to
+//! are the v9 fixtures' (`bytes` keeps its meaning: the decoded segment's
+//! cache charge). The first slot commits generation 1 and names the index,
+//! the second is zeroed. The encoder must keep reproducing them byte for byte, the
 //! decoder must keep reading them back to the same rows, encodings, pins
 //! and zones, every preamble version other than the current one must be
 //! refused with the typed unsupported-version error at every entry point,
@@ -186,7 +189,7 @@ fn every_other_version_is_refused_at_every_entry_point() {
         }
     }
     let dir = std::env::temp_dir();
-    for version in [1u16, 2, 3, 4, 5, 6, 7, 8, VERSION + 1] {
+    for version in [1u16, 2, 3, 4, 5, 6, 7, 8, 9, VERSION + 1] {
         for (kind, golden) in [("table", GOLDEN_TABLE), ("catalog", GOLDEN_CATALOG)] {
             let mut raw = golden.to_vec();
             raw[4..6].copy_from_slice(&version.to_le_bytes());

@@ -1,9 +1,10 @@
-//! Hostile bytes for format 9 and the format-3 commit log: seeded, in-tree
+//! Hostile bytes for format 10 and the format-3 commit log: seeded, in-tree
 //! mutation loops over the golden table and catalog fixtures and over a
 //! recorded `.clog`, targeted mutations of the fields inside a table's
 //! metadata block, every truncation and bit flip of the commit slots of a
-//! file that holds two generations, plus hand-built hostile slots, indexes
-//! and bitmap payloads.
+//! file that holds two generations, every truncation and seeded byte flip
+//! of a bitmap payload through both its whole decode and its selective
+//! read, plus hand-built hostile slots, indexes and bitmap payloads.
 //!
 //! Every mutated image goes through both decoders. Whatever comes back must
 //! be a typed error or a table that can be used to the end without a
@@ -20,7 +21,7 @@ use cods_bitmap::Wah;
 use cods_query::{Predicate, ScanStream};
 use cods_storage::codec::{read_str, read_value, Reader};
 use cods_storage::persist::{decode_catalog, decode_table, read_catalog, save_catalog};
-use cods_storage::store::{decode_payload, encode_payload, SegMeta};
+use cods_storage::store::{decode_payload, encode_payload, read_bitmaps, SegMeta};
 use cods_storage::{
     clog_path, log_status, open_durable, wal, Catalog, Dictionary, EncodedColumn, Encoding,
     RecodeScope, RecodeTarget, Schema, SealScratch, SegSlot, Segment, SegmentEnc, StorageError,
@@ -590,23 +591,32 @@ fn every_slot_mutation_of_a_two_generation_file_opens_a_whole_state() {
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
-// ---- Bitmap payloads: the one-pass arena decoder ----
+// ---- Bitmap payloads: the head table, the arena decoder and the selective read ----
 
-/// One serialized WAH stream: `len active active_bits word_count words…`.
-fn stream(len: u64, active: u64, active_bits: u32, words: &[u64]) -> Vec<u8> {
+/// A bitmap payload of `bodies`, each a bitmap's words with its active word
+/// last: the head table of their ends, then the words.
+fn payload_of(bodies: &[Vec<u64>]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&active.to_le_bytes());
-    out.extend_from_slice(&active_bits.to_le_bytes());
-    out.extend_from_slice(&(words.len() as u32).to_le_bytes());
-    for w in words {
+    let mut end = 0u32;
+    for b in bodies {
+        end += b.len() as u32;
+        out.extend_from_slice(&end.to_le_bytes());
+    }
+    for w in bodies.iter().flatten() {
         out.extend_from_slice(&w.to_le_bytes());
     }
     out
 }
 
-/// The metadata of a one-value bitmap segment of `rows` rows whose payload
-/// is one `words`-word stream.
+/// A bitmap's body: its words, then its active word.
+fn body(bm: &Wah) -> Vec<u64> {
+    let mut b = bm.words().to_vec();
+    b.push(bm.view().active());
+    b
+}
+
+/// The metadata of a one-value bitmap segment of `rows` rows whose body
+/// holds `words` words before its active one.
 fn one_value_meta(rows: u64, words: usize) -> SegMeta {
     SegMeta {
         rows,
@@ -623,6 +633,46 @@ fn payload_refused(what: &str, meta: &SegMeta, raw: &[u8]) {
         Err(StorageError::PersistError(m)) => assert!(m.contains("segment payload"), "{what}: {m}"),
         Err(other) => panic!("{what}: wanted a PersistError, got {other:?}"),
         Ok(_) => panic!("{what}: accepted"),
+    }
+}
+
+/// The selective read of each present position of `raw` on its own: a
+/// typed `segment payload` error, or a bitmap that passes the per-bitmap
+/// check — canonical, `rows` long, the meta's ones. Returns how many
+/// positions read back.
+fn selective_reads(what: &str, meta: &SegMeta, raw: &[u8]) -> usize {
+    let mut read = 0;
+    for i in 0..meta.present_ids.len() {
+        match read_bitmaps(meta, raw, &[i]) {
+            Ok(bms) => {
+                let bm = &bms[0];
+                bm.check_invariants()
+                    .unwrap_or_else(|e| panic!("{what}, position {i}: {e}"));
+                assert_eq!(bm.len(), meta.rows, "{what}, position {i}");
+                assert_eq!(bm.count_ones(), meta.ones[i], "{what}, position {i}");
+                assert!(bm.words().len() * 8 < raw.len(), "{what}, position {i}");
+                read += 1;
+            }
+            Err(StorageError::PersistError(m)) => {
+                assert!(m.contains("segment payload"), "{what}, position {i}: {m}")
+            }
+            Err(other) => panic!("{what}, position {i}: wanted a PersistError, got {other:?}"),
+        }
+    }
+    read
+}
+
+/// Both readers refuse `raw`: the whole decode, and the selective read at
+/// each of the positions `at`.
+fn refused_by_both(what: &str, meta: &SegMeta, raw: &[u8], at: &[usize]) {
+    payload_refused(what, meta, raw);
+    for &i in at {
+        match read_bitmaps(meta, raw, &[i]) {
+            Err(StorageError::PersistError(m)) => {
+                assert!(m.contains("segment payload"), "{what}, position {i}: {m}")
+            }
+            other => panic!("{what}, position {i}: wanted a PersistError, got {other:?}"),
+        }
     }
 }
 
@@ -649,28 +699,80 @@ fn hostile_bitmap_payloads_are_typed_errors() {
     let meta = seg.meta().clone();
     let mut good = Vec::new();
     encode_payload(&enc, &mut good);
+    let bodies: Vec<Vec<u64>> = bitmaps.iter().map(body).collect();
+    assert_eq!(good, payload_of(&bodies), "the head table, then the bodies");
     assert_eq!(
         decode_payload(&meta, &good).unwrap(),
         enc,
         "the untouched payload decodes"
     );
+    assert_eq!(
+        read_bitmaps(&meta, &good, &[2, 0]).unwrap(),
+        vec![bitmaps[2].clone(), bitmaps[0].clone()],
+        "the selective read returns the positions asked for"
+    );
 
-    // A word count far past the bytes, in the first and in the last stream.
-    for at in [20, good.len() - bitmaps[2].words().len() * 8 - 4] {
-        let mut raw = good.clone();
-        raw[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        payload_refused("a huge word_count", &meta, &raw);
+    // Every truncation and every seeded single-byte flip, through the whole
+    // decode and the selective read of every position.
+    // A whole decode that passes may still hold overlapping bitmaps, which
+    // the slot's own check answers with an error.
+    let (mut inputs, mut decoded, mut read) = (0, 0, 0);
+    let mut check = |raw: &[u8]| {
+        inputs += 1;
+        if let Ok(enc) = decode_payload(&meta, raw) {
+            let _ = SegSlot::fresh(meta.clone(), enc).check_invariants();
+            decoded += 1;
+        }
+        read += selective_reads("a mutated payload", &meta, raw);
+    };
+    for cut in 0..good.len() {
+        check(&good[..cut]);
     }
-    // A count that fits the bytes but eats the next stream's header.
-    let mut raw = good.clone();
-    let n0 = bitmaps[0].words().len() as u32;
-    raw[20..24].copy_from_slice(&(n0 + 2).to_le_bytes());
-    payload_refused("a word_count past its stream", &meta, &raw);
+    let mut rng = Rng(0x5EED_0010);
+    for at in 0..good.len() {
+        for _ in 0..4 {
+            let mut raw = good.clone();
+            raw[at] ^= 1 + rng.below(255) as u8;
+            check(&raw);
+        }
+    }
+    println!("bitmap payload mutations: {inputs} inputs, {decoded} decoded, {read} positions read");
+
+    // Head entries that lie: one far past the words, in the first and the
+    // last entry; one that eats the next bitmap's words; two that
+    // decrease; the last past the end of the words region.
+    let ends = |raw: &[u8]| -> [u32; 3] {
+        std::array::from_fn(|k| u32::from_le_bytes(raw[4 * k..4 * k + 4].try_into().unwrap()))
+    };
+    let with_ends = |e: [u32; 3]| {
+        let mut raw = good.clone();
+        for (k, end) in e.iter().enumerate() {
+            raw[4 * k..4 * k + 4].copy_from_slice(&end.to_le_bytes());
+        }
+        raw
+    };
+    let [e0, e1, e2] = ends(&good);
+    for (what, e, at) in [
+        ("a huge first end", [u32::MAX, e1, e2], &[0, 1][..]),
+        ("a huge last end", [e0, e1, u32::MAX], &[2]),
+        ("an end inside the next bitmap", [e0 + 2, e1, e2], &[0, 1]),
+        ("ends that decrease", [e1, e0, e2], &[1, 2]),
+        ("a zero end", [0, e1, e2], &[0]),
+        ("a repeated end", [e0, e0, e2], &[1]),
+        ("an end past the words region", [e0, e1, e2 + 1], &[2]),
+    ] {
+        let raw = with_ends(e);
+        refused_by_both(what, &meta, &raw, at);
+        selective_reads(what, &meta, &raw);
+    }
+    let no_head = good[12..].to_vec();
+    payload_refused("an empty head table with present ids", &meta, &no_head);
+    selective_reads("an empty head table with present ids", &meta, &no_head);
 
     let mut raw = good.clone();
     raw.extend_from_slice(&[0; 8]);
     payload_refused("trailing bytes", &meta, &raw);
-    payload_refused("a cut payload", &meta, &good[..good.len() - 8]);
+    refused_by_both("a cut payload", &meta, &good[..good.len() - 8], &[2]);
 
     let mut swapped = meta.clone();
     let ones = [
@@ -679,59 +781,66 @@ fn hostile_bitmap_payloads_are_typed_errors() {
         bitmaps[2].count_ones(),
     ];
     swapped.ones = vec![ones[0] + 1, ones[1] - 1, ones[2]].into();
-    payload_refused("ones that do not match the metadata", &swapped, &good);
+    refused_by_both(
+        "ones that do not match the metadata",
+        &swapped,
+        &good,
+        &[0, 1],
+    );
     let mut runs = meta.clone();
     runs.runs += 1;
     payload_refused("runs that do not match the metadata", &runs, &good);
 
-    // One-value segments whose single stream breaks one rule each.
+    // One-value segments whose single bitmap breaks one rule each.
     let zero_groups = FILL_FLAG; // a fill word of zero groups
-    for (what, rows, raw) in [
-        ("len != rows", 126, stream(189, 0, 0, &[make_fill(true, 3)])),
-        (
-            "an empty bitmap",
-            126,
-            stream(126, 0, 0, &[make_fill(false, 2)]),
-        ),
+    for (what, rows, words, active) in [
+        ("len != rows", 126, vec![make_fill(true, 3)], 0),
+        ("an empty bitmap", 126, vec![make_fill(false, 2)], 0),
         (
             "a zero-group fill",
             126,
-            stream(126, 0, 0, &[zero_groups, make_fill(true, 2)]),
+            vec![zero_groups, make_fill(true, 2)],
+            0,
         ),
         (
             "an unmerged fill",
             126,
-            stream(126, 0, 0, &[make_fill(true, 1), make_fill(true, 1)]),
+            vec![make_fill(true, 1), make_fill(true, 1)],
+            0,
         ),
-        (
-            "a zero literal",
-            126,
-            stream(126, 0, 0, &[0, make_fill(true, 1)]),
-        ),
+        ("a zero literal", 126, vec![0, make_fill(true, 1)], 0),
         (
             "an all-one literal",
             126,
-            stream(126, 0, 0, &[ALL_ONES_LITERAL, make_fill(true, 1)]),
+            vec![ALL_ONES_LITERAL, make_fill(true, 1)],
+            0,
         ),
-        ("active_bits = 63", 63, stream(63, LIT_MASK, 63, &[])),
-        ("active_bits past 63", 70, stream(70, 1, 70, &[])),
         (
-            "active bits beyond active_bits",
-            5,
-            stream(5, 0b11_1111, 5, &[]),
+            "an active word where rows fill whole groups",
+            63,
+            vec![],
+            LIT_MASK,
         ),
+        ("active bits past rows mod 63", 5, vec![], 0b11_1111),
         (
             "a length that overflows",
             63,
-            stream(63, 0, 0, &[make_fill(true, MAX_FILL_GROUPS)]),
+            vec![make_fill(true, MAX_FILL_GROUPS)],
+            0,
         ),
     ] {
-        let words = (raw.len() - 24) / 8;
-        payload_refused(what, &one_value_meta(rows, words), &raw);
+        let n = words.len();
+        let mut b = words;
+        b.push(active);
+        refused_by_both(what, &one_value_meta(rows, n), &payload_of(&[b]), &[0]);
     }
     // Sanity: the same shape with nothing wrong decodes.
-    let ok = stream(126, 0, 0, &[make_fill(true, 2)]);
+    let ok = payload_of(&[vec![make_fill(true, 2), 0]]);
     assert!(decode_payload(&one_value_meta(126, 1), &ok).is_ok());
+    assert_eq!(
+        selective_reads("a good one-value payload", &one_value_meta(126, 1), &ok),
+        1
+    );
 
     overlapping_bitmaps_are_a_typed_error_on_every_read();
 }
@@ -798,10 +907,7 @@ fn overlapping_segment(rows: u64) -> SegSlot {
     let bit = |r| Wah::from_sorted_positions([r], rows);
     let pairs = (0..rows).map(|r| (r as u32, bit(r))).collect();
     let honest = Segment::from_bitmaps(rows, pairs);
-    let mut raw = Vec::new();
-    for _ in 0..rows {
-        bit(0).encode(&mut raw);
-    }
+    let raw = payload_of(&vec![body(&bit(0)); rows as usize]);
     let enc = decode_payload(honest.meta(), &raw).expect("each bitmap is well formed");
     SegSlot::fresh(honest.meta().clone(), enc)
 }

@@ -109,15 +109,22 @@ fn pruned_scan_over_a_lazy_table_faults_exactly_the_zone_survivors() {
 
 /// Range-major evaluation pays for a segment once per query: an OR of
 /// eight leaves on one column, under a budget that cannot hold that
-/// column, faults each of its segments once — not once per leaf.
+/// column, reads each of its segments once — not once per leaf. The OR is
+/// one id-set leaf of eight ids, so each read takes just those bitmaps
+/// from disk: one miss per segment, no segment of the column made resident
+/// and nothing evicted by the query, and under a tenth of the bytes that
+/// faulting those segments in would decode.
 #[test]
 fn eight_leaf_or_faults_each_segment_of_its_column_once() {
     let _g = serialized();
     let (resident, lazy, path) = clustered_and_scattered("or8", 8 * SEG_ROWS);
     let v = lazy.column_by_name("v").unwrap();
     let cache = segment_cache();
-    // Room for one segment of `v`: every fault evicts the one before it.
+    // Room for one segment of `v`: a fault would evict the one before it.
+    // Setting it pages out what the save left resident; the query starts
+    // after that.
     cache.set_budget(v.segments()[0].meta().bytes as u64);
+    let before = cache.stats();
     let pred = (1..8i64).fold(Predicate::eq("v", 0i64), |acc, c| {
         acc.or(Predicate::eq("v", 31 * c))
     });
@@ -125,7 +132,21 @@ fn eight_leaf_or_faults_each_segment_of_its_column_once() {
     let stats = cache.stats();
     cache.set_budget(u64::MAX);
     assert_eq!(stats.misses, v.segment_count() as u64);
-    assert!(stats.evictions > 0, "the budget must have been binding");
+    assert_eq!(
+        stats.evictions, before.evictions,
+        "the query faulted nothing in to evict"
+    );
+    assert!(
+        v.segments().iter().all(|s| !s.is_resident()),
+        "the reads left every segment of `v` on disk"
+    );
+    let whole_faults: u64 = v.segments().iter().map(|s| s.meta().bytes as u64).sum();
+    assert!(stats.decoded_bytes > 0);
+    assert!(
+        stats.decoded_bytes * 10 <= whole_faults,
+        "{} bytes read against {whole_faults} for whole faults",
+        stats.decoded_bytes
+    );
     assert_eq!(mask.unwrap(), predicate_mask(&resident, &pred).unwrap());
     std::fs::remove_file(&path).ok();
 }

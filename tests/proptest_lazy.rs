@@ -3,7 +3,9 @@
 //! then starved by a tiny buffer-cache budget so segments page in and out
 //! on every touch — must be indistinguishable from the fully-resident
 //! original. Scan masks are byte-identical, row images match, and SMO
-//! results agree after compaction and after committed evolution plans.
+//! results agree after compaction and after committed evolution plans. A
+//! same-column IN list of up to 64 present ids reads just their bitmaps
+//! and leaves every bitmap segment paged out.
 //! Runs in CI's differential proptest job at `PROPTEST_CASES=512`.
 
 use std::path::PathBuf;
@@ -27,6 +29,15 @@ fn temp(tag: &str) -> PathBuf {
         "cods_proptest_lazy_{}_{tag}_{n}.tbl",
         std::process::id()
     ))
+}
+
+/// Serializes the properties that set the process-wide cache budget, for
+/// their whole run: none of them runs under a budget another one set or
+/// reset, and the cache counters one reads move only by its own saves and
+/// reads.
+fn budget_lock() -> std::sync::MutexGuard<'static, ()> {
+    static BUDGET: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    BUDGET.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Random table R(k, v): clustered-ish k so zones have something to prune,
@@ -88,6 +99,34 @@ fn pred() -> impl Strategy<Value = Predicate> {
             _ => it.fold(first, |acc, c| acc.or(c)),
         }
     })
+}
+
+/// Random table R(k, v) whose `k` takes up to 120 distinct values, so an
+/// IN list on it can name more than 64 present ids.
+fn wide_table() -> impl Strategy<Value = Table> {
+    (
+        prop::collection::vec((0i64..120, 0i64..12), 1usize..400),
+        8u64..128,
+    )
+        .prop_map(|(pairs, seg_rows)| {
+            let schema =
+                Schema::build(&[("k", ValueType::Int), ("v", ValueType::Int)], &[]).unwrap();
+            let rows: Vec<Vec<Value>> = pairs
+                .into_iter()
+                .map(|(k, v)| vec![Value::int(k), Value::int(v)])
+                .collect();
+            Table::from_rows_with_segment_rows("R", schema, &rows, seg_rows).unwrap()
+        })
+}
+
+/// The literals of a same-column IN list: 1–64 of them, or 65–80, drawn
+/// from a span wider than `wide_table`'s `k`, so each list mixes values
+/// the table holds with values it does not.
+fn in_list() -> impl Strategy<Value = Vec<i64>> {
+    prop_oneof![
+        prop::collection::vec(-20i64..140, 1usize..65),
+        prop::collection::vec(-20i64..140, 65usize..81),
+    ]
 }
 
 /// Applies one of the per-column / per-segment encoding assignments so the
@@ -155,6 +194,7 @@ proptest! {
         pattern in proptest::prelude::any::<u64>(),
         budget in 0u64..1500,
     ) {
+        let _budget = budget_lock();
         let oracle = encode_variant(table, enc, pattern);
         let path = temp("scan");
         let lazy = save_reopen(&oracle, &path);
@@ -204,6 +244,59 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
+    // A same-column IN list (`k = a OR k = b OR …`, one id-set leaf) over
+    // a lazily opened table matches the resident oracle bit for bit, at a
+    // zero budget and at small ones. A leaf that names at most 64 ids
+    // reads its bitmaps without faulting a segment in, so after it no
+    // bitmap segment of `k` is resident; a wider one faults as before.
+    #[test]
+    fn lazy_in_lists_match_the_resident_oracle(
+        oracle in wide_table(),
+        list in in_list(),
+        budget in prop_oneof![Just(0u64), 0u64..1500],
+    ) {
+        let _budget = budget_lock();
+        let path = temp("in");
+        let lazy = save_reopen(&oracle, &path);
+        segment_cache().set_budget(budget);
+
+        let eq = |v: i64| Predicate::eq("k", v);
+        let pred = list[1..].iter().fold(eq(list[0]), |acc, &v| acc.or(eq(v)));
+        // The lock makes these counters this read's alone.
+        let before = segment_cache().stats();
+        let mask = predicate_mask(&lazy, &pred).unwrap();
+        let after = segment_cache().stats();
+        prop_assert_eq!(mask, predicate_mask(&oracle, &pred).unwrap());
+        let present: std::collections::BTreeSet<Value> =
+            oracle.to_rows().into_iter().map(|r| r[0].clone()).collect();
+        let named = list
+            .iter()
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .filter(|&&v| present.contains(&Value::int(v)))
+            .count();
+        if named <= 64 {
+            // Nothing faulted in: nothing resident, and nothing faulted in
+            // and evicted again under a budget too small to keep it.
+            let k = lazy.column_by_name("k").unwrap();
+            prop_assert!(
+                k.segments()
+                    .iter()
+                    .all(|s| s.meta().encoding != Encoding::Bitmap || !s.is_resident()),
+                "a leaf of {} ids faulted a bitmap segment in",
+                named
+            );
+            prop_assert_eq!(after.evictions, before.evictions);
+        }
+        prop_assert_eq!(
+            predicate_mask_unpruned(&lazy, &pred).unwrap(),
+            predicate_mask_unpruned(&oracle, &pred).unwrap()
+        );
+
+        segment_cache().set_budget(u64::MAX);
+        std::fs::remove_file(&path).ok();
+    }
+
     // A committed evolution plan (partition + union through the
     // validate-then-commit pipeline) over a lazily opened catalog produces
     // the same tables as over a fully-resident one, and re-saving the
@@ -216,6 +309,7 @@ proptest! {
         threshold in 0i64..40,
         budget in 0u64..1500,
     ) {
+        let _budget = budget_lock();
         let oracle = encode_variant(table, enc, pattern);
         let path = temp("plan");
 

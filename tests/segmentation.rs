@@ -483,17 +483,17 @@ fn write_paths_keep_their_layout_and_bytes() {
 }
 
 const LAYOUTS: &[&str] = &[
-    "fixture\nentity: 128r*16 128b*7 56b\nattr: 128b*4 128r*4 128b*15 56b\ndetail: 128r*23 56r\ndigest 34bf844a90aed79c",
-    "decompose.changed\nentity: 30r\ndetail: 30r\ndigest 63cb1db64f271114",
-    "merge.key_fk\nentity: 128r*16 128b*7 56b\nattr: 128b*4 128r*4 128b*15 56b\ndetail: 128r*23 56r\ndigest 58e2c0713ad52256",
-    "merge.general\nentity: 128r*23 56r\nattr: 128b*23 56b\ndetail: 128r*23 56r\ndigest 984dabdd780decf5",
-    "partition.lo\nentity: 128r*10 128b*3 75b\nattr: 128b*4 128r*4 128b*5 75b\ndetail: 128r*13 75r\ndigest fff537d181ac4c81",
-    "partition.hi\nentity: 128r*5 128b*4 109b\nattr: 128b*9 109b\ndetail: 128r*9 109r\ndigest 6264558a412abf4d",
-    "union\nentity: 128r*10 128b*3 75b 128r*5 128b*4 109b\nattr: 128b*4 128r*4 128b*5 75b 128b*9 109b\ndetail: 128r*13 75r 128r*9 109r\ndigest 7e2ff377f7ea9bc9",
-    "cluster_by\nentity: 128b*23 56b\nattr: 128r*23 56r\ndetail: 128r*23 56r\ndigest 6b604d815862a44d",
-    "slice\nentity: 78r 128r*13 108r\nattr: 78b 128b*3 128r*4 128b*6 108b\ndetail: 78r 128r*13 108r\ndigest fa86cdaf97155709",
-    "compacted\nentity: 80r*7 80b 65b 75b 122b 122r*3 121r*2 117r*4 116r*2 117r*4 116r*2 117b*4 116b*2 200b\nattr: 80b 80r*3 80b*4 65b 75b 122b*4 121b*2 117b*4 116b*2 117b*4 116b*2 117b*4 116b*2 200b\ndetail: 80r*8 65r 75r 122r*4 121r*2 117r*4 116r*2 117r*4 116r*2 117b*4 116b*2 200b\ndigest 754c4328e65d39e7",
-    "add_column\nentity: 128r*16 128b*7 56b\nattr: 128b*4 128r*4 128b*15 56b\ndetail: 128r*23 56r\nnote: 3000b\ndigest cc53ad6acdbc1af7",
-    "recode.rle\nentity: 128r*23 56r\nattr: 128r*23 56r\ndetail: 128r*23 56r\ndigest eac9efa566546238",
-    "recode.bitmap\nentity: 128b*23 56b\nattr: 128b*23 56b\ndetail: 128b*23 56b\ndigest 9778970adad639d0",
+    "fixture\nentity: 128r*16 128b*7 56b\nattr: 128b*4 128r*4 128b*15 56b\ndetail: 128r*23 56r\ndigest 035441b3b1460066",
+    "decompose.changed\nentity: 30r\ndetail: 30r\ndigest 1c7738643ec4c221",
+    "merge.key_fk\nentity: 128r*16 128b*7 56b\nattr: 128b*4 128r*4 128b*15 56b\ndetail: 128r*23 56r\ndigest 75ae15a494a0e478",
+    "merge.general\nentity: 128r*23 56r\nattr: 128b*23 56b\ndetail: 128r*23 56r\ndigest 57265a7ff009d227",
+    "partition.lo\nentity: 128r*10 128b*3 75b\nattr: 128b*4 128r*4 128b*5 75b\ndetail: 128r*13 75r\ndigest 5bb8480441c60e04",
+    "partition.hi\nentity: 128r*5 128b*4 109b\nattr: 128b*9 109b\ndetail: 128r*9 109r\ndigest 05ca465b9043fcb4",
+    "union\nentity: 128r*10 128b*3 75b 128r*5 128b*4 109b\nattr: 128b*4 128r*4 128b*5 75b 128b*9 109b\ndetail: 128r*13 75r 128r*9 109r\ndigest 148e3d7751da27e4",
+    "cluster_by\nentity: 128b*23 56b\nattr: 128r*23 56r\ndetail: 128r*23 56r\ndigest 8908a631e93f536a",
+    "slice\nentity: 78r 128r*13 108r\nattr: 78b 128b*3 128r*4 128b*6 108b\ndetail: 78r 128r*13 108r\ndigest d95ccae0aefa2c1e",
+    "compacted\nentity: 80r*7 80b 65b 75b 122b 122r*3 121r*2 117r*4 116r*2 117r*4 116r*2 117b*4 116b*2 200b\nattr: 80b 80r*3 80b*4 65b 75b 122b*4 121b*2 117b*4 116b*2 117b*4 116b*2 117b*4 116b*2 200b\ndetail: 80r*8 65r 75r 122r*4 121r*2 117r*4 116r*2 117r*4 116r*2 117b*4 116b*2 200b\ndigest ed36c596d24569aa",
+    "add_column\nentity: 128r*16 128b*7 56b\nattr: 128b*4 128r*4 128b*15 56b\ndetail: 128r*23 56r\nnote: 3000b\ndigest 8f1cecdabd67c46b",
+    "recode.rle\nentity: 128r*23 56r\nattr: 128r*23 56r\ndetail: 128r*23 56r\ndigest 72e904cf05b27175",
+    "recode.bitmap\nentity: 128b*23 56b\nattr: 128b*23 56b\ndetail: 128b*23 56b\ndigest 2449de2962ff8f8f",
 ];

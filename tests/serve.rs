@@ -554,9 +554,11 @@ fn failed_fault_in_a_group_by_is_a_typed_error_on_a_connection_that_still_answer
     save_catalog(platform(64, 16).catalog(), &path).unwrap();
     let mut raw = std::fs::read(&path).unwrap();
     // The heap starts behind the 6-byte preamble and the two 40-byte
-    // commit slots with a payload, and every payload (WAH or run stream)
-    // opens with its length: 16 rows.
-    assert_eq!(u64::from_le_bytes(raw[86..94].try_into().unwrap()), 16);
+    // commit slots with `k`'s first payload: 16 rows of 16 values, so a
+    // bitmap payload whose head table opens with the first bitmap's end,
+    // one word (its active word) in. The flip moves that end past the
+    // payload's words.
+    assert_eq!(u32::from_le_bytes(raw[86..90].try_into().unwrap()), 1);
     raw[86] ^= 0x40;
     std::fs::write(&path, &raw).unwrap();
     let lazy = read_catalog(&path).unwrap();

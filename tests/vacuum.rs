@@ -452,13 +452,14 @@ fn checkpoints_beside_an_unchanged_table_leave_one_superseded_block() {
         lens.push(file_len(&path));
     }
     // The first checkpoint appends the new `dim` and the index whole. The
-    // second puts 4,480 bytes of payloads and the index into the first
-    // `dim`'s 6,038-byte block and appends the rest: 10,134 bytes. The
-    // third and fifth start where the first index was, right after
-    // `fact`'s block, and put one 384-byte payload and the index into
-    // what the second left of that block (443 bytes); the fourth repeats
+    // second puts all 5,360 bytes of payloads (`k`'s four 1,280-byte ones,
+    // `v`'s four of 60) and the index into the first `dim`'s 6,038-byte
+    // block and appends the rest, the new block: 6,038 bytes. The third
+    // and fifth start where the first index was, right after `fact`'s
+    // block, and put `v`'s four payloads (240 bytes) and the index into
+    // what the second left of that block (299 bytes); the fourth repeats
     // the second's placement, appending past the third's end.
-    let (spill, in_hole) = (10_134, 384 + index);
+    let (spill, in_hole) = (6_038, 240 + index);
     assert_eq!(
         lens,
         [
