@@ -285,8 +285,10 @@ impl Wah {
 
     /// Appends one literal group that is not aligned to a group boundary of
     /// `self` (the active tail may be non-empty). `nbits` is the number of
-    /// valid bits in `group` and must be `<= 63`.
-    pub(crate) fn push_bits(&mut self, group: u64, nbits: u64) {
+    /// valid bits in `group` and must be `<= 63`, and no bit of `group` at
+    /// or above `nbits` may be set: the way to build a mask 63 rows at a
+    /// time without a [`Wah::push`] per row.
+    pub fn push_bits(&mut self, group: u64, nbits: u64) {
         debug_assert!(nbits <= GROUP_BITS);
         debug_assert_eq!(group & !lsb_mask(nbits), 0);
         if nbits == 0 {

@@ -54,9 +54,9 @@ local shell only:
                                                    cache residency, dead bytes per backing file
   cache [<bytes>|unlimited]                        show buffer-cache telemetry, or set the
                                                    byte budget (suffixes k/m/g)
-  recode <table> <col|*> <rle|bitmap|auto> [a..b]  re-encode a column (or all) in place;
-                                                   rle/bitmap pins, auto hands back to the
-                                                   chooser; a..b = a segment-index range
+  recode <table> <col|*> <enc|auto> [a..b]         re-encode a column (or all) in place;
+                                                   enc = rle/bitmap/packed pins, auto hands
+                                                   back to the chooser; a..b = a segment range
   plan <file.smo>                                  validate a script and print its DAG,
                                                    one node per operator, and elided intermediates
   history                                          executed SMOs with timings, grouped per plan
@@ -229,7 +229,7 @@ fn parse_schema(spec: &str) -> Result<Schema, String> {
 }
 
 /// Renders the `stats` output: per-column segment-encoding histogram (a
-/// mixed directory shows e.g. `4×bitmap/12×rle`), pin state, segment
+/// mixed directory shows e.g. `4×bitmap/12×rle/0×packed`), pin state, segment
 /// directory shape, zone-map coverage and value range, run/distinct
 /// ratios, the per-segment chooser's would-be picks, and compression
 /// numbers.
@@ -245,7 +245,7 @@ pub fn render_stats(name: &str, t: &cods_storage::Table) -> String {
     for (def, c) in t.schema().columns().iter().zip(&stats.columns) {
         let enc = match c.encoding {
             Some(e) => e.to_string(),
-            None => format!("{}×bitmap/{}×rle", c.bitmap_segments, c.rle_segments),
+            None => c.encodings.to_string(),
         };
         let pin = if c.encoding_pinned {
             " (pinned)".to_string()
@@ -272,7 +272,7 @@ pub fn render_stats(name: &str, t: &cods_storage::Table) -> String {
         };
         let _ = writeln!(
             out,
-            "  {:<12} zones={}/{} range={} runs={} avg-run={:.1} run/distinct={:.1} chooser={}×bitmap/{}×rle{}",
+            "  {:<12} zones={}/{} range={} runs={} avg-run={:.1} run/distinct={:.1} chooser={}{}",
             "",
             c.zoned_segments,
             c.segments,
@@ -284,8 +284,7 @@ pub fn render_stats(name: &str, t: &cods_storage::Table) -> String {
             } else {
                 c.runs as f64 / c.distinct as f64
             },
-            c.chooser_bitmap_segments,
-            c.chooser_rle_segments,
+            c.chooser_picks,
             if c.chooser_disagreements > 0 {
                 format!(" ({} would re-encode)", c.chooser_disagreements)
             } else {
@@ -473,7 +472,9 @@ pub fn run_command(cods: &mut Cods, line: &str, out: &mut impl Write) -> Result<
                     RecodeScope::Segments(parse_segment_range(range)?),
                 ),
                 _ => {
-                    return Err("usage: recode <table> <col|*> <rle|bitmap|auto> [from..to]".into())
+                    return Err(
+                        "usage: recode <table> <col|*> <rle|bitmap|packed|auto> [from..to]".into(),
+                    )
                 }
             };
             let t = cods.table(name).map_err(|e| e.to_string())?;
@@ -484,16 +485,18 @@ pub fn run_command(cods: &mut Cods, line: &str, out: &mut impl Write) -> Result<
                 "auto" => RecodeTarget::Auto,
                 "rle" => RecodeTarget::To(Encoding::Rle),
                 "bitmap" => RecodeTarget::To(Encoding::Bitmap),
-                other => return Err(format!("unknown encoding {other:?} (use rle/bitmap/auto)")),
+                "packed" => RecodeTarget::To(Encoding::Packed),
+                other => {
+                    return Err(format!(
+                        "unknown encoding {other:?} (use rle/bitmap/packed/auto)"
+                    ))
+                }
             };
             let only = (*col != "*").then_some(*col);
             let changed = t
                 .map_columns(only, |c| c.with_encoding(scope.clone(), target))
                 .map_err(|e| e.to_string())?;
-            let mixed = |c: &EncodedColumn| {
-                let (b, r) = c.encoding_counts();
-                format!("{b}\u{d7}bitmap/{r}\u{d7}rle")
-            };
+            let mixed = |c: &EncodedColumn| c.encoding_counts().to_string();
             let done = match (&scope, target) {
                 (RecodeScope::Column, RecodeTarget::To(e)) => format!("to {e} (pinned)"),
                 (RecodeScope::Segments(r), RecodeTarget::To(e)) => {
@@ -667,6 +670,7 @@ pub fn run_command(cods: &mut Cods, line: &str, out: &mut impl Write) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cods_storage::EncodingCounts;
 
     fn shell() -> Cods {
         Cods::new()
@@ -929,7 +933,7 @@ mod tests {
         cods.catalog().put(resegmented);
         run(&mut cods, "recode t k rle 0..2");
         let t = cods.table("t").unwrap();
-        assert_eq!(t.column(0).encoding_counts(), (2, 2));
+        assert_eq!(t.column(0).encoding_counts(), EncodingCounts([2, 2, 0]));
         let out = render_stats("t", &t);
         assert!(out.contains("enc=2\u{d7}bitmap/2\u{d7}rle"), "stats: {out}");
         assert!(out.contains("(2\u{d7}pinned)"), "stats: {out}");

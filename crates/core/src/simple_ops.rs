@@ -308,7 +308,8 @@ mod tests {
         out.check_invariants().unwrap();
         assert_eq!(out.rows(), 2_000);
         let col = out.column(0);
-        let (bitmap_segs, rle_segs) = col.encoding_counts();
+        let counts = col.encoding_counts();
+        let (bitmap_segs, rle_segs) = (counts[Encoding::Bitmap], counts[Encoding::Rle]);
         // The chain's compaction passes flipped the clustered bulk to RLE;
         // slices appended after the last threshold crossing may still sit
         // in bitmap segments — a mixed directory is the expected steady

@@ -32,8 +32,11 @@
 //! 3. **Present ids, all satisfy.** Every row of the range carries a
 //!    satisfying value: one fill, payload untouched.
 //! 4. **Mask build.** Only now is the payload read and the mask built on
-//!    the segment's native encoding, from exactly the bitmaps of the
-//!    satisfying positions tiers 2–3 found. An id-set leaf (an equality or
+//!    the segment's native encoding: a bitmap segment's from exactly the
+//!    bitmaps of the satisfying positions tiers 2–3 found; a packed
+//!    segment's by marking those positions and testing every row's code
+//!    against them in one unpack pass, 63 rows per mask word; an RLE
+//!    segment's run by run. An id-set leaf (an equality or
 //!    a folded IN) of at most 64 ids over a bitmap segment that is not
 //!    resident, while the cache has a budget, reads only those positions'
 //!    bitmaps from disk — a few bytes of head table and each bitmap's
@@ -662,6 +665,20 @@ fn append_segment_mask(
             for &(id, n) in seg.seq().runs() {
                 mask.append_run(sat.contains(id), n);
             }
+        }
+        SegmentEnc::Packed(seg) => {
+            // A code is a present-id position: mark the satisfying ones
+            // tiers 2–3 found, then test every row's code in one pass.
+            let mut hit = vec![false; meta.distinct_count()];
+            match hits {
+                Hits::At(at) => at.into_iter().for_each(|i| hit[i] = true),
+                Hits::Span { first, last, .. } => {
+                    for (h, &id) in hit[first..=last].iter_mut().zip(&meta.present_ids[first..]) {
+                        *h = sat.contains(id);
+                    }
+                }
+            }
+            seg.append_mask(&hit, mask);
         }
     }
     Ok(())

@@ -1554,7 +1554,7 @@ mod tests {
         let (covered, _, trace) =
             fault::probe(|| log.finish_checkpoint(snap_version, tables).unwrap());
         assert_eq!(covered, 2);
-        let mut want = append_save_trace(4);
+        let mut want = append_save_trace(3);
         want.extend([
             Create("order.catalog.clog.tmp".into()),
             Write,

@@ -1,8 +1,9 @@
 //! The unified column: one column-global dictionary plus **one** segment
-//! directory whose entries are individually bitmap or run-length encoded
-//! ([`SegmentEnc`]). A clustered prefix of a column can sit in RLE segments
-//! while its high-churn suffix stays bitmap — the per-*segment* layout
-//! choice the per-column chooser of the previous design could not express.
+//! directory whose entries are individually bitmap, run-length or
+//! bit-packed encoded ([`SegmentEnc`]). A clustered prefix of a column can
+//! sit in RLE segments while its high-churn suffix stays bitmap, and a
+//! near-unique range is packed — the per-*segment* layout choice the
+//! per-column chooser of the previous design could not express.
 //!
 //! Every read of a column's ids or runs goes through one selection walker
 //! ([`EncodedColumn::split_by_segment`]), and every segment a write path
@@ -18,7 +19,8 @@
 //! selection-driven writes (filters, slices, compaction, recodes) read one
 //! output segment's rows as runs and seal them
 //! ([`EncodedColumn::try_write`]) — RLE when every segment they draw from
-//! is RLE — and stream-driven writes (mergence payloads, gathers, builds)
+//! is RLE, else bitmap or, for near-unique rows, packed — and stream-driven
+//! writes (mergence payloads, gathers, builds)
 //! push ids or runs into one segment's [`RleSeq`] and seal it in the
 //! encoding the stats-driven chooser ([`choose_encoding_from_stats`]) picks
 //! for it, so SMOs produce mixed directories for free.
@@ -34,8 +36,10 @@
 
 use crate::dictionary::Dictionary;
 use crate::error::StorageError;
+use crate::packed::PackedSegment;
 use crate::rle_segment::RleSegment;
 use crate::segment::{SealScratch, Segment, Zone};
+use crate::span::{self, Span};
 use crate::store::{SegMeta, SegSlot};
 use crate::value::{Value, ValueType};
 use cods_bitmap::{RleSeq, Wah};
@@ -43,12 +47,22 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// The physical encoding of one segment (or, historically, a whole column).
+/// The discriminants index [`EncodingCounts`] and [`Encoding::ALL`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Encoding {
     /// One WAH bitmap per value per segment (the paper's default layout).
-    Bitmap,
+    Bitmap = 0,
     /// Run-length encoded value ids per segment (clustered row ranges).
-    Rle,
+    Rle = 1,
+    /// Each row's position among the segment's present ids, bit-packed at
+    /// `max(1, bits(distinct − 1))` bits (near-unique row ranges, where a
+    /// bitmap per value stops paying).
+    Packed = 2,
+}
+
+impl Encoding {
+    /// Every encoding, in discriminant order.
+    pub const ALL: [Encoding; 3] = [Encoding::Bitmap, Encoding::Rle, Encoding::Packed];
 }
 
 impl std::fmt::Display for Encoding {
@@ -56,7 +70,37 @@ impl std::fmt::Display for Encoding {
         match self {
             Encoding::Bitmap => write!(f, "bitmap"),
             Encoding::Rle => write!(f, "rle"),
+            Encoding::Packed => write!(f, "packed"),
         }
+    }
+}
+
+/// Segments per encoding, indexed by [`Encoding`]: a directory's histogram
+/// ([`EncodedColumn::encoding_counts`]) or the chooser's picks. Prints as
+/// `2×bitmap/1×rle/0×packed`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EncodingCounts(pub [usize; 3]);
+
+impl std::ops::Index<Encoding> for EncodingCounts {
+    type Output = usize;
+    fn index(&self, e: Encoding) -> &usize {
+        &self.0[e as usize]
+    }
+}
+
+impl std::ops::IndexMut<Encoding> for EncodingCounts {
+    fn index_mut(&mut self, e: Encoding) -> &mut usize {
+        &mut self.0[e as usize]
+    }
+}
+
+impl std::fmt::Display for EncodingCounts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, e) in Encoding::ALL.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "/" };
+            write!(f, "{sep}{}\u{d7}{e}", self[*e])?;
+        }
+        Ok(())
     }
 }
 
@@ -91,9 +135,12 @@ pub enum RecodeTarget {
 /// spans, and genuinely run-compressible — the mean-run guard matters at
 /// segment granularity, where a scattered high-cardinality range has
 /// `distinct ≈ runs ≈ rows` and would otherwise pass the per-distinct
-/// test). Everything else — high-cardinality or uniform-random data, where
-/// runs ≈ rows — stays bitmap, the paper's default layout and the
-/// operators' native form.
+/// test). Where RLE loses and the range is near-unique (`2·distinct ≥
+/// rows`, at most two rows per value on average), a bitmap per value costs
+/// its framing for a row or two of bits: such a range is packed, a few
+/// bytes per row whatever the values. Everything else — scattered data
+/// with values that repeat — stays bitmap, the paper's default layout and
+/// the operators' native form.
 pub fn choose_encoding_from_stats(runs: u64, rows: u64, distinct: u64, segments: u64) -> Encoding {
     if rows == 0 {
         return Encoding::Bitmap;
@@ -101,14 +148,27 @@ pub fn choose_encoding_from_stats(runs: u64, rows: u64, distinct: u64, segments:
     let runs = runs.max(1);
     if 4 * runs <= rows || (runs <= 2 * (distinct + segments) && 2 * runs <= rows) {
         Encoding::Rle
+    } else if 2 * distinct >= rows {
+        Encoding::Packed
     } else {
         Encoding::Bitmap
     }
 }
 
+/// The encoding a write that runs no chooser seals a segment of these
+/// stats in — ingest, and selection writes that draw from a bitmap or
+/// packed segment: packed where the chooser would pack it (a near-unique
+/// segment), else bitmap.
+fn bitmap_or_packed(meta: &SegMeta) -> Encoding {
+    match meta.choose_encoding() {
+        Encoding::Packed => Encoding::Packed,
+        _ => Encoding::Bitmap,
+    }
+}
+
 /// The payload of one entry of the unified segment directory: an
-/// `Arc`-shared row-range segment in either encoding. It carries no
-/// statistics; the segment's [`SegMeta`] does, beside it in its
+/// `Arc`-shared row-range segment in one of the three encodings. It
+/// carries no statistics; the segment's [`SegMeta`] does, beside it in its
 /// [`SegSlot`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum SegmentEnc {
@@ -116,6 +176,8 @@ pub enum SegmentEnc {
     Bitmap(Arc<Segment>),
     /// The segment's run sequence over global value ids.
     Rle(Arc<RleSegment>),
+    /// Each row's present-id position, bit-packed.
+    Packed(Arc<PackedSegment>),
 }
 
 impl SegmentEnc {
@@ -123,11 +185,25 @@ impl SegmentEnc {
     /// writer under every write path. One counting pass over `scratch`'s
     /// id-indexed tables gives the segment's stats (`SealScratch::count`);
     /// a bitmap payload is then written from that count
-    /// (`Segment::from_runs`), an RLE one is the runs themselves. The
-    /// result is a fresh slot holding both.
+    /// (`Segment::from_runs`), a packed one from each id's position in the
+    /// count's present ids (`PackedSegment::from_runs`), and an RLE one is
+    /// the runs themselves. The result is a fresh slot holding both.
     pub fn seal(seq: RleSeq, encoding: Encoding, scratch: &mut SealScratch) -> SegSlot {
-        let mut meta = scratch.count(&seq, encoding);
-        let enc = match encoding {
+        Self::seal_with(seq, |_| encoding, scratch)
+    }
+
+    /// [`SegmentEnc::seal`] in the encoding `pick` names for the stats the
+    /// count just took.
+    fn seal_with(
+        seq: RleSeq,
+        pick: impl FnOnce(&SegMeta) -> Encoding,
+        scratch: &mut SealScratch,
+    ) -> SegSlot {
+        let mut meta = scratch.count(&seq);
+        meta.encoding = pick(&meta);
+        let mut span = span::enter(Span::seal(meta.encoding));
+        span.items(|| seq.len());
+        let enc = match meta.encoding {
             Encoding::Bitmap => {
                 SegmentEnc::Bitmap(Arc::new(Segment::from_runs(&seq, &mut meta, scratch)))
             }
@@ -135,17 +211,32 @@ impl SegmentEnc {
                 meta.bytes = seq.size_bytes();
                 SegmentEnc::Rle(Arc::new(RleSegment::new(seq)))
             }
+            Encoding::Packed => {
+                let code = scratch.codes(&meta.present_ids);
+                SegmentEnc::Packed(Arc::new(PackedSegment::from_runs(&seq, &mut meta, code)))
+            }
         };
         scratch.reset();
         SegSlot::fresh(meta, enc)
+    }
+
+    /// The segment's encoding.
+    pub(crate) fn encoding(&self) -> Encoding {
+        match self {
+            SegmentEnc::Bitmap(_) => Encoding::Bitmap,
+            SegmentEnc::Rle(_) => Encoding::Rle,
+            SegmentEnc::Packed(_) => Encoding::Packed,
+        }
     }
 
     /// Reads the rows of `piece` — intervals of the column's rows, this
     /// `rows`-row segment starting at row `start` — into `sink`. A bitmap
     /// segment decodes once: straight into the sink when it is wholly
     /// selected and the sink keeps ids, else into `scratch`, which the
-    /// selected pieces are copied from. An RLE segment's runs are merged
-    /// against the intervals, in O(runs + intervals).
+    /// selected pieces are copied from. A packed segment unpacks only the
+    /// selected rows, straight into the sink when it is wholly selected.
+    /// An RLE segment's runs are merged against the intervals, in O(runs +
+    /// intervals).
     pub(crate) fn read_in(
         &self,
         rows: u64,
@@ -154,9 +245,12 @@ impl SegmentEnc {
         sink: &mut impl SelSink,
         scratch: &mut Vec<u32>,
     ) -> Result<(), StorageError> {
+        let mut span = span::enter(Span::walk(self.encoding()));
+        span.items(|| piece.iter().map(|&(a, b)| b - a).sum());
+        let whole = piece == [(start, start + rows)];
         match self {
             SegmentEnc::Bitmap(s) => {
-                if piece == [(start, start + rows)] {
+                if whole {
                     if let Some(dst) = sink.whole_segment(rows as usize) {
                         return s.fill_covering(dst);
                     }
@@ -166,6 +260,20 @@ impl SegmentEnc {
                 s.fill_covering(scratch)?;
                 for &(a, b) in piece {
                     sink.ids(&scratch[(a - start) as usize..(b - start) as usize]);
+                }
+            }
+            SegmentEnc::Packed(s) => {
+                if whole {
+                    if let Some(dst) = sink.whole_segment(rows as usize) {
+                        s.ids_into(0, dst);
+                        return Ok(());
+                    }
+                }
+                for &(a, b) in piece {
+                    scratch.clear();
+                    scratch.resize((b - a) as usize, 0);
+                    s.ids_into(a - start, scratch);
+                    sink.ids(scratch);
                 }
             }
             SegmentEnc::Rle(s) => {
@@ -194,11 +302,13 @@ impl SegmentEnc {
     }
 
     /// Recounts the segment's stats from its payload
-    /// ([`Segment::recount`], [`RleSegment::recount`]).
+    /// ([`Segment::recount`], [`RleSegment::recount`],
+    /// [`PackedSegment::recount`]).
     pub fn recount(&self) -> Result<SegMeta, String> {
         match self {
             SegmentEnc::Bitmap(s) => s.recount(),
             SegmentEnc::Rle(s) => Ok(s.recount()),
+            SegmentEnc::Packed(s) => s.recount(),
         }
     }
 }
@@ -259,8 +369,8 @@ pub struct EncodedColumn {
 impl EncodedColumn {
     // ---- constructors ----
 
-    /// Builds a column from a value slice with the default segment size
-    /// (bitmap segments — the paper's default layout).
+    /// Builds a column from a value slice with the default segment size, in
+    /// the ingest encodings ([`ColumnBuilder`]).
     pub fn from_values(ty: ValueType, values: &[Value]) -> Result<EncodedColumn, StorageError> {
         Self::from_values_with(ty, values, crate::segment::DEFAULT_SEGMENT_ROWS)
     }
@@ -412,15 +522,13 @@ impl EncodedColumn {
         self.segments[idx].meta().encoding
     }
 
-    /// `(bitmap segments, RLE segments)` — the directory's encoding
-    /// histogram.
-    pub fn encoding_counts(&self) -> (usize, usize) {
-        let rle = self
-            .segments
-            .iter()
-            .filter(|s| s.meta().encoding == Encoding::Rle)
-            .count();
-        (self.segments.len() - rle, rle)
+    /// The directory's encoding histogram: segments per encoding.
+    pub fn encoding_counts(&self) -> EncodingCounts {
+        let mut counts = EncodingCounts::default();
+        for s in &self.segments {
+            counts[s.meta().encoding] += 1;
+        }
+        counts
     }
 
     /// The single encoding every segment shares, when the directory is
@@ -652,6 +760,7 @@ impl EncodedColumn {
                 .id_at(local)
                 .expect("partition invariant violated: row has no value"),
             SegmentEnc::Rle(s) => s.seq().get(local),
+            SegmentEnc::Packed(s) => s.id_at(local),
         };
         self.dict.value(id)
     }
@@ -783,16 +892,18 @@ impl EncodedColumn {
             // Present-id stats answer "absent here" without faulting the
             // payload — a value probe only pages in segments that carry it.
             let meta = seg.meta();
-            if !meta.contains_id(id) {
+            let Some(i) = meta.position_of(id) else {
                 out.append_run(false, meta.rows);
                 continue;
-            }
+            };
             match seg.enc() {
-                SegmentEnc::Bitmap(s) => match s.bitmap_for(id) {
-                    Some(bm) => out.append_bitmap(bm),
-                    None => out.append_run(false, meta.rows),
-                },
+                SegmentEnc::Bitmap(s) => out.append_bitmap(s.bitmap(i)),
                 SegmentEnc::Rle(s) => s.append_value_bitmap(id, &mut out),
+                SegmentEnc::Packed(s) => {
+                    let mut hit = vec![false; meta.distinct_count()];
+                    hit[i] = true;
+                    s.append_mask(&hit, &mut out);
+                }
             }
         }
         out
@@ -817,27 +928,29 @@ impl EncodedColumn {
     // sealed by `SegmentEnc::seal`. Output is cut at the nominal segment
     // size, and `derived` turns a column's segments into the column.
 
-    /// The encoding a selection-driven write seals in by default: RLE when
-    /// every segment the selection draws rows from is RLE, else bitmap.
-    /// Reads metadata only.
-    fn drawn_encoding(&self, sel: &[(u64, u64)]) -> Encoding {
+    /// Seals the rows `seq` a selection-driven write read from `sel` in
+    /// the default encoding: RLE when every segment the selection draws
+    /// rows from is RLE (decided from metadata), else bitmap, or packed
+    /// where the written rows are near-unique ([`bitmap_or_packed`]).
+    fn seal_drawn(&self, sel: &[(u64, u64)], seq: RleSeq, scratch: &mut SealScratch) -> SegSlot {
         let all_rle = self
             .split_by_segment(sel)
             .iter()
             .all(|(seg, _)| self.segments[*seg].meta().encoding == Encoding::Rle);
         if all_rle {
-            Encoding::Rle
+            SegmentEnc::seal(seq, Encoding::Rle, scratch)
         } else {
-            Encoding::Bitmap
+            SegmentEnc::seal_with(seq, bitmap_or_packed, scratch)
         }
     }
 
     /// Writes the selected rows as one segment: their runs, read through
     /// the selection walker, sealed in `encoding` — by default RLE when
-    /// every segment they come from is RLE, else bitmap. The write side of
-    /// bitmap filtering, slicing, compaction and recoding. A segment that
-    /// cannot be faulted in or whose bitmaps leave a row uncovered is a
-    /// typed error; panics as [`EncodedColumn::split_by_segment`].
+    /// every segment they come from is RLE, else bitmap, or packed where
+    /// the rows are near-unique. The write side of bitmap filtering,
+    /// slicing, compaction and recoding. A segment that cannot be faulted
+    /// in or whose bitmaps leave a row uncovered is a typed error; panics
+    /// as [`EncodedColumn::split_by_segment`].
     pub fn try_write(
         &self,
         sel: &[(u64, u64)],
@@ -846,8 +959,10 @@ impl EncodedColumn {
     ) -> Result<SegSlot, StorageError> {
         let mut seq = RleSeq::new();
         self.read_in(sel, &mut seq)?;
-        let encoding = encoding.unwrap_or_else(|| self.drawn_encoding(sel));
-        Ok(SegmentEnc::seal(seq, encoding, scratch))
+        Ok(match encoding {
+            Some(e) => SegmentEnc::seal(seq, e, scratch),
+            None => self.seal_drawn(sel, seq, scratch),
+        })
     }
 
     /// [`EncodedColumn::try_write`] over the rows a non-decreasing position
@@ -885,7 +1000,7 @@ impl EncodedColumn {
             }
             seq.push(ids[k]);
         }
-        Ok(SegmentEnc::seal(seq, self.drawn_encoding(&sel), scratch))
+        Ok(self.seal_drawn(&sel, seq, scratch))
     }
 
     /// Seals one output segment an operator computed as a stream of ids or
@@ -1368,9 +1483,9 @@ fn group_encoding(parts: &[SegSlot], pins: &[bool], column_pinned: bool) -> Enco
 }
 
 /// Incremental column builder: interns values and pushes their ids into
-/// the current segment's runs, sealing a bitmap segment every
-/// `segment_rows` rows (the ingest path; the chooser re-encodes later
-/// where the stats say so).
+/// the current segment's runs, sealing a segment every `segment_rows` rows
+/// — bitmap, or packed where the segment is near-unique (the ingest path;
+/// the chooser re-encodes later where the stats say so).
 #[derive(Debug)]
 pub struct ColumnBuilder {
     ty: ValueType,
@@ -1437,8 +1552,11 @@ impl ColumnBuilder {
     fn seal_segment(&mut self) {
         if !self.cur.is_empty() {
             let seq = std::mem::take(&mut self.cur);
-            self.segments
-                .push(SegmentEnc::seal(seq, Encoding::Bitmap, &mut self.scratch));
+            self.segments.push(SegmentEnc::seal_with(
+                seq,
+                bitmap_or_packed,
+                &mut self.scratch,
+            ));
         }
     }
 
@@ -1509,7 +1627,9 @@ mod tests {
     fn ids_in_matches_value_ids_on_mixed_directories() {
         let values: Vec<Value> = (0..500).map(|i| Value::int(i / 7 % 11)).collect();
         let col = mixed(&values, 64);
-        assert!(col.encoding_counts().0 > 0 && col.encoding_counts().1 > 0);
+        assert!(
+            col.encoding_counts()[Encoding::Bitmap] > 0 && col.encoding_counts()[Encoding::Rle] > 0
+        );
         let full = col.value_ids();
         for sel in selections() {
             let want: Vec<u32> = sel
@@ -1532,7 +1652,9 @@ mod tests {
         // Clustered values so runs span segment boundaries and gaps.
         let values: Vec<Value> = (0..500).map(|i| Value::int(i / 90)).collect();
         let col = mixed(&values, 64);
-        assert!(col.encoding_counts().0 > 0 && col.encoding_counts().1 > 0);
+        assert!(
+            col.encoding_counts()[Encoding::Bitmap] > 0 && col.encoding_counts()[Encoding::Rle] > 0
+        );
         for sel in selections() {
             let runs = col.try_runs_in(&sel).unwrap();
             // Maximal: no two adjacent runs share an id.
@@ -1559,7 +1681,8 @@ mod tests {
         assert_eq!(c.distinct_count(), 4);
         assert_eq!(c.values(), skills);
         assert_eq!(c.value_at(0), &Value::str("typing"));
-        assert_eq!(c.uniform_encoding(), Some(Encoding::Bitmap));
+        // Four values in five rows: near-unique, so ingest packs it.
+        assert_eq!(c.uniform_encoding(), Some(Encoding::Packed));
     }
 
     #[test]
@@ -1677,7 +1800,7 @@ mod tests {
         assert_eq!(c.segments()[0].meta().encoding, Encoding::Bitmap);
         assert!(c.segments()[5].ptr_eq(&b.segments()[0]));
         assert_eq!(c.segments()[5].meta().encoding, Encoding::Rle);
-        assert_eq!(c.encoding_counts(), (5, 5));
+        assert_eq!(c.encoding_counts(), EncodingCounts([5, 5, 0]));
         assert_eq!(c.uniform_encoding(), None);
         let mut expect = vals.clone();
         expect.extend(vals);
@@ -1791,17 +1914,37 @@ mod tests {
         }
         assert!(c.auto_recoded().unwrap().is_uniform(Encoding::Rle));
 
-        // High-cardinality uniform: runs ≈ rows. Stays bitmap everywhere.
+        // High-cardinality uniform: runs ≈ rows, and about 2,800 distinct
+        // values per 4,096-row segment — near-unique, so packed everywhere
+        // (ingest already packs it).
         let uniform: Vec<Value> = (0..20_000)
             .map(|i| Value::int((i * 2_654_435_761u64 as i64) % 5_000))
             .collect();
         let u = EncodedColumn::from_values_with(ValueType::Int, &uniform, 4096).unwrap();
+        // The column as a whole repeats its values (5,000 in 20,000 rows):
+        // the aggregate pick stays bitmap.
         assert_eq!(u.choose_encoding(), Encoding::Bitmap);
+        assert!(u.is_uniform(Encoding::Packed));
         assert!(u
             .segments()
             .iter()
             .all(|s| s.meta().choose_encoding() == s.meta().encoding));
         assert!(u
+            .recode(Encoding::Rle)
+            .unwrap()
+            .auto_recoded()
+            .unwrap()
+            .is_uniform(Encoding::Packed));
+
+        // Uniform with values that repeat (500 per segment): runs ≈ rows,
+        // not near-unique. Stays bitmap everywhere.
+        let repeating: Vec<Value> = (0..20_000)
+            .map(|i| Value::int((i * 2_654_435_761u64 as i64) % 500))
+            .collect();
+        let r = EncodedColumn::from_values_with(ValueType::Int, &repeating, 4096).unwrap();
+        assert_eq!(r.choose_encoding(), Encoding::Bitmap);
+        assert!(r.is_uniform(Encoding::Bitmap));
+        assert!(r
             .recode(Encoding::Rle)
             .unwrap()
             .auto_recoded()
@@ -1826,9 +1969,12 @@ mod tests {
         let c = EncodedColumn::from_values_with(ValueType::Int, &values, 1024).unwrap();
         let auto = c.auto_recoded().unwrap();
         auto.check_invariants().unwrap();
-        let (bitmap_segs, rle_segs) = auto.encoding_counts();
+        let counts = auto.encoding_counts();
+        let (bitmap_segs, rle_segs) = (counts[Encoding::Bitmap], counts[Encoding::Rle]);
         assert!(rle_segs >= 3, "clustered prefix should flip to RLE");
-        assert!(bitmap_segs >= 3, "uniform suffix should stay bitmap");
+        // About 640 distinct values per 1,024-row segment: near-unique.
+        assert_eq!(bitmap_segs, 0);
+        assert!(counts[Encoding::Packed] >= 3, "uniform suffix should pack");
         assert_eq!(auto.uniform_encoding(), None);
         assert_eq!(auto.values(), c.values());
         // ...and the flipped prefix pays: smaller than all-bitmap.
@@ -2048,14 +2194,17 @@ mod tests {
             Encoding::Rle
         );
         // A repeated position repeats its row; the segment is its run.
+        // Three values in five rows are near-unique: a bitmap source seals
+        // them packed.
         let seg = col
             .try_write_positions(&[1, 2, 2, 2, 9], &mut scratch)
             .unwrap();
-        let SegmentEnc::Bitmap(bitmap) = seg.enc() else {
-            panic!("a bitmap source seals bitmap");
+        let SegmentEnc::Packed(packed) = seg.enc() else {
+            panic!("near-unique rows from a bitmap source seal packed");
         };
         assert_eq!(seg.meta().rows, 5);
-        assert_eq!(bitmap.bitmap_for(1).unwrap().to_positions(), vec![1, 2, 3]);
+        let ids: Vec<u32> = (0..5).map(|r| packed.id_at(r)).collect();
+        assert_eq!(ids, vec![0, 1, 1, 1, 3]);
         assert_eq!(seg.meta().runs, 3);
     }
 

@@ -2,8 +2,8 @@
 //!
 //! The column-oriented storage engine underneath the CODS reproduction
 //! (Liu et al., VLDB 2010). Every column is a column-global dictionary plus
-//! **one** directory of row-range segments, each independently bitmap or
-//! run-length encoded ([`SegmentEnc`]) — the `v × r` bitmap matrix of
+//! **one** directory of row-range segments, each independently bitmap,
+//! run-length or bit-packed encoded ([`SegmentEnc`]) — the `v × r` bitmap matrix of
 //! Section 2.2 of the paper, sharded by row range, with per-*segment*
 //! layout choice layered on top. Tables share immutable columns by
 //! reference, and columns share immutable segments by reference, which is
@@ -14,11 +14,12 @@
 //! * [`Schema`] — named, typed columns plus an optional candidate key.
 //! * [`EncodedColumn`] / [`ColumnBuilder`] — the unified segmented column:
 //!   one dictionary, one directory of [`SegmentEnc`] entries (bitmap | RLE
-//!   per segment), per-segment zone maps and encoding pins, one selection
+//!   | packed per segment), per-segment zone maps and encoding pins, one selection
 //!   walker under every read of its ids or runs, and every data-level
 //!   primitive (filter, gather, concat, slice, compaction) written one
 //!   output segment at a time.
-//! * [`Segment`] / [`RleSegment`] — the two row-range shard encodings,
+//! * [`Segment`] / [`RleSegment`] / [`PackedSegment`] — the three
+//!   row-range shard encodings,
 //!   payload only; [`SegmentEnc::seal`] writes every segment the engine
 //!   builds from the runs of its rows, counting its stats in one pass over
 //!   a reusable [`SealScratch`].
@@ -47,7 +48,8 @@
 //!   crash-point and I/O-failure injection layer the durability suite
 //!   sweeps.
 //! * [`StepLog`] — the timed step list every evolution reports (the demo's
-//!   "Data Evolution Status" panel).
+//!   "Data Evolution Status" panel); [`span`] — the registry of timed
+//!   sites inside the payload layers, off unless switched on.
 //!
 //! ```
 //! use cods_storage::{Schema, Table, Value, ValueType};
@@ -74,11 +76,13 @@ pub mod encoded;
 pub mod error;
 pub mod fault;
 pub mod load;
+pub mod packed;
 pub mod persist;
 pub mod retry;
 pub mod rle_segment;
 pub mod schema;
 pub mod segment;
+pub mod span;
 pub mod stats;
 pub mod steplog;
 pub mod store;
@@ -93,11 +97,12 @@ pub use commitlog::{
 };
 pub use dictionary::{Dictionary, ValueOrder};
 pub use encoded::{
-    choose_encoding_from_stats, ColumnBuilder, EncodedColumn, Encoding, RecodeScope, RecodeTarget,
-    SegmentEnc,
+    choose_encoding_from_stats, ColumnBuilder, EncodedColumn, Encoding, EncodingCounts,
+    RecodeScope, RecodeTarget, SegmentEnc,
 };
 pub use error::StorageError;
 pub use load::{load_file, load_str, LoadOptions};
+pub use packed::PackedSegment;
 pub use retry::{RetryPolicy, Retryable};
 pub use rle_segment::RleSegment;
 pub use schema::{ColumnDef, Schema};

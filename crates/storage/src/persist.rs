@@ -1,6 +1,6 @@
 //! Binary persistence of tables and catalogs.
 //!
-//! There is one on-disk format (version 10). A file is a preamble, two
+//! There is one on-disk format (version 11). A file is a preamble, two
 //! commit slots, and a heap of segment payloads, per-table metadata blocks
 //! and the index naming the blocks. A column opens as *metadata only* —
 //! schema, dictionary, per-segment stats, zone maps, encoding/pin tags —
@@ -24,11 +24,13 @@
 //! flags    := bit 0: whole column pinned by explicit recode
 //! segment  := segtag:u8 off:u64 len:u64 rows:u64 runs:u64 bytes:u64
 //!             present:u32 (id:u32)* (ones:u64)*
-//! segtag   := bit 0: encoding (0 bitmap, 1 rle); bit 1: segment pinned
+//! segtag   := bits 0, 2: encoding (0 bitmap, 1 rle, 4 packed);
+//!             bit 1: segment pinned
 //! zone     := min_id:u32 max_id:u32                (one per segment)
-//! payload  := bitmaps | runs                       (as `segtag` says)
+//! payload  := bitmaps | runs | codes               (as `segtag` says)
 //! bitmaps  := (end:u32)^present (word:u64)*        (bitmap segment)
 //! runs     := rows:u64 run_count:u32 (id:u32 len:u64)*   (RLE segment)
+//! codes    := (word:u64)^⌈rows·width/64⌉           (packed segment)
 //! value, str, schema                               ([`crate::codec`])
 //! ```
 //!
@@ -53,7 +55,12 @@
 //! population is its `ones` entry. A few ids' bitmaps can therefore be read
 //! without the rest ([`crate::store::SegSlot::try_bitmaps`]). `bytes` is
 //! the decoded segment's cache charge — eight per word before an active
-//! word plus 24 per present id — not the payload's length. The heap stores each
+//! word plus 24 per present id — not the payload's length. A packed
+//! payload is each row's position among the present ids (its code),
+//! bit-packed LSB-first into little-endian words at `width = max(1,
+//! bits(present − 1))` bits, the last word's unused bits zero: its length is
+//! exactly `8·⌈rows·width/64⌉`, which is also its `bytes`, and every code is
+//! below `present` ([`crate::packed`]). The heap stores each
 //! distinct (`Arc`-shared) segment once, however many columns or table
 //! versions reference it, and a decode re-shares slots with identical
 //! locations. A block is self-contained: it decodes on its own and names
@@ -100,6 +107,7 @@ use crate::encoded::{EncodedColumn, Encoding};
 use crate::error::StorageError;
 use crate::fault;
 use crate::segment::Zone;
+use crate::span::{self, Span};
 use crate::store::{
     encode_payload, payload_encoded_len, segment_cache, DiskLoc, FileId, PayloadKey, PayloadSource,
     SegMeta, SegSlot,
@@ -117,8 +125,9 @@ const MAGIC: u32 = 0xC0D5_0001;
 /// The on-disk format version (two commit slots naming the index of a
 /// heap with one metadata block per table; catalog files stamped with the
 /// catalog version they hold; bitmap payloads a head table and header-free
-/// words) — the only one this build reads or writes.
-pub const VERSION: u16 = 10;
+/// words; a third, bit-packed segment kind) — the only one this build
+/// reads or writes.
+pub const VERSION: u16 = 11;
 
 /// `magic:u32 version:u16`.
 pub(crate) const PREAMBLE_LEN: usize = 6;
@@ -135,6 +144,7 @@ const SEG_RECORD_MIN: usize = 1 + 5 * 8 + 4;
 
 const ENC_BITMAP: u8 = 0;
 const ENC_RLE: u8 = 1;
+const ENC_PACKED: u8 = 4;
 /// Column flag bit: whole column pinned by an explicit recode.
 const FLAG_PINNED: u8 = 1;
 /// Segment tag bit: this segment pinned by a segment-range recode.
@@ -520,6 +530,7 @@ fn put_column<B: BufMut>(
         let mut tag = match m.encoding {
             Encoding::Bitmap => ENC_BITMAP,
             Encoding::Rle => ENC_RLE,
+            Encoding::Packed => ENC_PACKED,
         };
         // Bit 1 records the *segment-range* pin only; the whole-column pin
         // lives in the column flags byte, so the two survive independently.
@@ -1132,14 +1143,12 @@ fn get_seg_slot(
 ) -> Result<(SegSlot, bool), StorageError> {
     let corrupt = |m: String| StorageError::PersistError(m);
     let tag = r.u8()?;
-    if tag & !(ENC_RLE | SEG_FLAG_PINNED) != 0 {
-        return Err(corrupt(format!("unknown segment tag {tag:#04x}")));
-    }
     let pinned = tag & SEG_FLAG_PINNED != 0;
-    let encoding = if tag & ENC_RLE != 0 {
-        Encoding::Rle
-    } else {
-        Encoding::Bitmap
+    let encoding = match tag & !SEG_FLAG_PINNED {
+        ENC_BITMAP => Encoding::Bitmap,
+        ENC_RLE => Encoding::Rle,
+        ENC_PACKED => Encoding::Packed,
+        _ => return Err(corrupt(format!("unknown segment tag {tag:#04x}"))),
     };
     let off = r.u64()?;
     let len = r.u64()?;
@@ -1218,7 +1227,10 @@ fn get_column(
     dedup: &mut SlotDedup,
     extents: &mut Vec<(u64, u64)>,
 ) -> Result<EncodedColumn, StorageError> {
+    let mut dict_span = span::enter(Span::OpenDict);
     let (ty, dict) = get_dict(r)?;
+    dict_span.items(|| dict.len() as u64);
+    drop(dict_span);
     let flags = r.u8()?;
     let seg_rows = r.u64()?;
     if seg_rows == 0 {
@@ -1230,12 +1242,18 @@ fn get_column(
     let dict_len = dict.len();
     let mut slots = Vec::with_capacity(seg_count);
     let mut pins = Vec::with_capacity(seg_count);
+    let mut meta_span = span::enter(Span::OpenSegMeta);
     for _ in 0..seg_count {
         let (slot, pin) = get_seg_slot(r, dict_len, source, file_len, dedup, extents)?;
+        meta_span.items(|| slot.meta().distinct_count() as u64);
         pins.push(pin);
         slots.push(slot);
     }
+    drop(meta_span);
+    let mut zone_span = span::enter(Span::OpenZones);
+    zone_span.items(|| seg_count as u64);
     let zones = get_zones(r, seg_count, dict_len)?;
+    drop(zone_span);
     let mut col = EncodedColumn::from_slots_zoned(ty, dict, slots, zones, seg_rows);
     col.set_pins(flags & FLAG_PINNED != 0, pins);
     Ok(col)
@@ -1748,7 +1766,10 @@ mod tests {
         let bytes = encode_table(&t);
         let mut raw = bytes.as_slice().to_vec();
         let tag_off = first_seg_record(&raw, &t);
-        assert!(raw[tag_off] & !(ENC_RLE | SEG_FLAG_PINNED) == 0, "sanity");
+        assert!(
+            raw[tag_off] & !(ENC_RLE | ENC_PACKED | SEG_FLAG_PINNED) == 0,
+            "sanity"
+        );
         raw[tag_off] = 0xFC;
         let err = decode_table(Bytes::from(raw));
         assert!(

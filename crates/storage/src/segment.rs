@@ -11,8 +11,8 @@
 //! bytes), which scans use to prune entire segments without touching
 //! bitmap words, live in its [`SegMeta`], counted once by the seal
 //! ([`SealScratch`]) and recounted from the words ([`Segment::recount`])
-//! whenever the payload is checked. Its RLE twin lives in
-//! [`rle_segment`](crate::rle_segment).
+//! whenever the payload is checked. Its RLE and bit-packed siblings live in
+//! [`rle_segment`](crate::rle_segment) and [`packed`](crate::packed).
 //!
 //! Segments are immutable and `Arc`-shared: appending tables (UNION) and
 //! row-range extraction reuse existing segments by reference instead of
@@ -243,8 +243,9 @@ impl SealScratch {
         n
     }
 
-    /// The one count under every seal: the stats of `seq`'s rows in
-    /// `encoding`, with `bytes` left for the payload's writer. Each id's
+    /// The one count under every seal: the stats of `seq`'s rows, with
+    /// `bytes` left for the payload's writer and `encoding` (bitmap here)
+    /// for the seal to set. Each id's
     /// runs are counted in `slot`, the touched ids sorted, the counts
     /// turned into each id's span of `placed` and every run's `(start,
     /// len)` placed in its id's span, so an id's rows are the sum over its
@@ -254,7 +255,7 @@ impl SealScratch {
     ///
     /// # Panics
     /// Panics at `u32::MAX` runs.
-    pub(crate) fn count(&mut self, seq: &RleSeq, encoding: Encoding) -> SegMeta {
+    pub(crate) fn count(&mut self, seq: &RleSeq) -> SegMeta {
         assert!(
             seq.num_runs() < u32::MAX as usize,
             "segment exceeds u32::MAX runs"
@@ -298,8 +299,18 @@ impl SealScratch {
             ones,
             runs: seq.num_runs() as u64,
             bytes: 0,
-            encoding,
+            encoding: Encoding::Bitmap,
         }
+    }
+
+    /// After a count: each of the `present` ids' codes, its position in
+    /// them, in the id-indexed table the packed writer reads
+    /// (`code[id]`). The placed spans are no longer readable after this.
+    pub(crate) fn codes(&mut self, present: &[u32]) -> &[u32] {
+        for (i, &id) in present.iter().enumerate() {
+            self.slot[id as usize] = i as u32;
+        }
+        &self.slot
     }
 }
 
@@ -699,7 +710,7 @@ mod tests {
     fn bitmap(slot: &SegSlot) -> Arc<Segment> {
         match slot.enc() {
             SegmentEnc::Bitmap(s) => s,
-            SegmentEnc::Rle(_) => panic!("a bitmap segment"),
+            _ => panic!("a bitmap segment"),
         }
     }
 

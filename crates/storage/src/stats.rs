@@ -2,7 +2,7 @@
 //! CLI's and the server's `stats` command, the `fig3` harness and the
 //! compression examples.
 
-use crate::encoded::{EncodedColumn, Encoding};
+use crate::encoded::{EncodedColumn, Encoding, EncodingCounts};
 use crate::table::Table;
 use crate::value::Value;
 
@@ -15,10 +15,8 @@ pub struct ColumnStats {
     pub rows: u64,
     /// The single encoding every segment shares, when homogeneous.
     pub encoding: Option<Encoding>,
-    /// Bitmap-encoded segments in the directory.
-    pub bitmap_segments: usize,
-    /// RLE-encoded segments in the directory.
-    pub rle_segments: usize,
+    /// Segments per encoding in the directory.
+    pub encodings: EncodingCounts,
     /// `true` when the whole column was pinned by an explicit recode.
     pub encoding_pinned: bool,
     /// Segments pinned individually by a segment-range recode (or by the
@@ -50,10 +48,8 @@ pub struct ColumnStats {
     pub avg_run_len: f64,
     /// What the column-aggregate chooser would pick right now.
     pub chooser_pick: Encoding,
-    /// Segments the per-segment chooser would put in bitmap form.
-    pub chooser_bitmap_segments: usize,
-    /// Segments the per-segment chooser would put in RLE form.
-    pub chooser_rle_segments: usize,
+    /// Segments the per-segment chooser would put in each encoding.
+    pub chooser_picks: EncodingCounts,
     /// Unpinned segments whose current encoding differs from the
     /// per-segment chooser's pick (what `auto` would re-encode).
     pub chooser_disagreements: usize,
@@ -89,18 +85,13 @@ impl ColumnStats {
                 c.dict().value(whole.max_id).clone(),
             ))
         };
-        let (bitmap_segments, rle_segments) = c.encoding_counts();
-        let mut chooser_bitmap_segments = 0;
-        let mut chooser_rle_segments = 0;
+        let mut chooser_picks = EncodingCounts::default();
         let mut chooser_disagreements = 0;
         let mut pinned_segments = 0;
         let mut unevictable_segments = 0;
         for (i, seg) in c.segments().iter().enumerate() {
             let pick = seg.meta().choose_encoding();
-            match pick {
-                Encoding::Bitmap => chooser_bitmap_segments += 1,
-                Encoding::Rle => chooser_rle_segments += 1,
-            }
+            chooser_picks[pick] += 1;
             if c.segment_pinned(i) {
                 pinned_segments += 1;
             } else if pick != seg.meta().encoding {
@@ -114,8 +105,7 @@ impl ColumnStats {
         ColumnStats {
             rows: c.rows(),
             encoding: c.uniform_encoding(),
-            bitmap_segments,
-            rle_segments,
+            encodings: c.encoding_counts(),
             encoding_pinned: c.encoding_pinned(),
             pinned_segments,
             resident_segments,
@@ -133,8 +123,7 @@ impl ColumnStats {
                 c.rows() as f64 / runs as f64
             },
             chooser_pick: c.choose_encoding(),
-            chooser_bitmap_segments,
-            chooser_rle_segments,
+            chooser_picks,
             chooser_disagreements,
             payload_bytes,
             dict_bytes: c.dict().size_bytes(),
@@ -244,7 +233,11 @@ mod tests {
         assert_eq!(s.runs, 20, "clustered: one run per value");
         assert!((s.avg_run_len - 100.0).abs() < 1e-9);
         assert_eq!(s.chooser_pick, Encoding::Rle, "clustered column → RLE");
-        assert_eq!(s.chooser_rle_segments, 4, "every segment's own pick is RLE");
+        assert_eq!(
+            s.chooser_picks[Encoding::Rle],
+            4,
+            "every segment's own pick is RLE"
+        );
         assert_eq!(s.chooser_disagreements, 4, "all four would re-encode");
         assert!(!s.encoding_pinned);
         assert_eq!(s.pinned_segments, 0);
@@ -260,8 +253,8 @@ mod tests {
             .unwrap();
         let stats = TableStats::of(&t);
         assert_eq!(stats.columns[0].encoding, Some(Encoding::Rle));
-        assert_eq!(stats.columns[0].rle_segments, 8);
-        assert_eq!(stats.columns[0].bitmap_segments, 0);
+        assert_eq!(stats.columns[0].encodings[Encoding::Rle], 8);
+        assert_eq!(stats.columns[0].encodings[Encoding::Bitmap], 0);
         assert_eq!(stats.columns[0].segments, 8);
         assert!(stats.columns[0].max_segment_distinct <= stats.columns[0].distinct);
         assert!(stats.columns[0].payload_bytes > 0);
@@ -308,9 +301,16 @@ mod tests {
             .unwrap();
         let s = &TableStats::of(&mixed).columns[0];
         assert_eq!(s.encoding, None, "mixed directory has no uniform encoding");
-        assert_eq!((s.bitmap_segments, s.rle_segments), (5, 3));
+        assert_eq!(
+            (s.encodings[Encoding::Bitmap], s.encodings[Encoding::Rle]),
+            (5, 3)
+        );
         assert_eq!(s.pinned_segments, 3);
-        assert_eq!(s.chooser_rle_segments, 8, "clustered: every pick is RLE");
+        assert_eq!(
+            s.chooser_picks[Encoding::Rle],
+            8,
+            "clustered: every pick is RLE"
+        );
         assert_eq!(
             s.chooser_disagreements, 5,
             "the five unpinned bitmap segments"

@@ -26,8 +26,10 @@
 
 use crate::encoded::{choose_encoding_from_stats, Encoding, SegmentEnc};
 use crate::error::StorageError;
+use crate::packed::PackedSegment;
 use crate::rle_segment::RleSegment;
 use crate::segment::{corrupt, read_bitmap, SealScratch, Segment};
+use crate::span::{self, Span};
 use bytes::{BufMut, Bytes};
 use cods_bitmap::{RleSeq, Wah};
 use parking_lot::{Mutex, RwLock};
@@ -393,6 +395,7 @@ impl SegSlot {
             None => PayloadKey::Resident(match self.enc() {
                 SegmentEnc::Bitmap(s) => Arc::as_ptr(&s) as usize,
                 SegmentEnc::Rle(s) => Arc::as_ptr(&s) as usize,
+                SegmentEnc::Packed(s) => Arc::as_ptr(&s) as usize,
             }),
         }
     }
@@ -517,7 +520,9 @@ impl SegSlot {
     /// Rewrites the segment under an id translation (`map[old] =
     /// Some(new)`, injective on the present ids — a dictionary merge or
     /// compaction), faulting it in; the result is a fresh resident slot.
-    /// Rows, runs and bytes carry over; the ids and ones are re-sorted.
+    /// Rows, runs and bytes carry over; the ids and ones are re-sorted. A
+    /// packed segment under a monotone map keeps its payload; under any
+    /// other its codes are permuted at the same width.
     ///
     /// # Panics
     /// Panics if the map drops a present id.
@@ -536,12 +541,11 @@ impl SegSlot {
             ..m.clone()
         };
         debug_assert!(meta.check().is_ok(), "remap is not injective");
+        let from = || order.iter().map(|&(_, i)| i).collect::<Vec<usize>>();
         let enc = match self.enc() {
-            SegmentEnc::Bitmap(s) => {
-                let from: Vec<usize> = order.iter().map(|&(_, i)| i).collect();
-                SegmentEnc::Bitmap(Arc::new(s.remap(&meta, &from)))
-            }
+            SegmentEnc::Bitmap(s) => SegmentEnc::Bitmap(Arc::new(s.remap(&meta, &from()))),
             SegmentEnc::Rle(s) => SegmentEnc::Rle(Arc::new(s.remap(map))),
+            SegmentEnc::Packed(s) => SegmentEnc::Packed(Arc::new(s.remap(&meta, &from()))),
         };
         SegSlot::fresh(meta, enc)
     }
@@ -578,11 +582,13 @@ impl PartialEq for SegSlot {
 /// Serializes a segment payload in the heap format: a bitmap segment as
 /// its head table (each present id's `end:u32` in the words that follow)
 /// and then each present id's WAH words, active word last, in id order; an
-/// RLE segment as the run-sequence codec.
+/// RLE segment as the run-sequence codec; a packed segment as its words of
+/// bit-packed codes.
 pub fn encode_payload<B: BufMut>(enc: &SegmentEnc, buf: &mut B) {
     match enc {
         SegmentEnc::Bitmap(s) => s.encode(buf),
         SegmentEnc::Rle(s) => s.seq().encode(buf),
+        SegmentEnc::Packed(s) => s.encode(buf),
     }
 }
 
@@ -591,6 +597,7 @@ pub(crate) fn payload_encoded_len(enc: &SegmentEnc) -> usize {
     match enc {
         SegmentEnc::Bitmap(s) => s.encoded_len(),
         SegmentEnc::Rle(s) => s.seq().encoded_len(),
+        SegmentEnc::Packed(s) => s.encoded_len(),
     }
 }
 
@@ -598,8 +605,12 @@ pub(crate) fn payload_encoded_len(enc: &SegmentEnc) -> usize {
 /// its stats recounted by the same pass, and the recount held to the
 /// metadata ([`SegMeta::check_payload`]) — a mismatch means the bytes are
 /// not the segment the footer index promised. A bitmap payload decodes in
-/// one pass straight into its segment's word arena (`Segment::decode`).
+/// one pass straight into its segment's word arena (`Segment::decode`); a
+/// packed one must be exactly the length its metadata gives, and is then
+/// unpacked and recounted (`PackedSegment::recount`).
 pub fn decode_payload(meta: &SegMeta, raw: &[u8]) -> Result<SegmentEnc, StorageError> {
+    let mut span = span::enter(Span::fault(meta.encoding));
+    span.items(|| raw.len() as u64);
     let (enc, found) = match meta.encoding {
         Encoding::Bitmap => {
             let (seg, found) = Segment::decode(meta, raw)?;
@@ -614,6 +625,11 @@ pub fn decode_payload(meta: &SegMeta, raw: &[u8]) -> Result<SegmentEnc, StorageE
             let seg = RleSegment::new(seq);
             let found = seg.recount();
             (SegmentEnc::Rle(Arc::new(seg)), found)
+        }
+        Encoding::Packed => {
+            let seg = PackedSegment::decode(meta, raw).map_err(|m| corrupt(&m))?;
+            let found = seg.recount().map_err(|m| corrupt(&m))?;
+            (SegmentEnc::Packed(Arc::new(seg)), found)
         }
     };
     meta.check_payload(&found).map_err(|m| corrupt(&m))?;

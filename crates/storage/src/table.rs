@@ -323,7 +323,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoded::{Encoding, RecodeScope, RecodeTarget};
+    use crate::encoded::{Encoding, EncodingCounts, RecodeScope, RecodeTarget};
     use crate::value::ValueType;
 
     pub(crate) fn figure1_r() -> Table {
@@ -605,7 +605,7 @@ mod tests {
             .unwrap();
         m.check_invariants().unwrap();
         let col = m.column_by_name("k").unwrap();
-        assert_eq!(col.encoding_counts(), (4, 4));
+        assert_eq!(col.encoding_counts(), EncodingCounts([4, 4, 0]));
         assert!(col.segment_pinned(0) && !col.segment_pinned(4));
         assert_eq!(m.to_rows(), t.to_rows());
         // `auto` over the range hands those segments back to the chooser

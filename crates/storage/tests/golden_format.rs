@@ -1,16 +1,13 @@
 //! Pins the on-disk format: the committed fixtures under `tests/golden/`
 //! were produced by `encode_table` / `encode_catalog` at the commit that
-//! introduced format 10 (header-free bitmap payloads). Against the v9
-//! fixtures they replaced, a bitmap payload lost each present id's 24-byte
-//! stream header (`len`, `active`, `active_bits`, `word_count`) and gained
-//! a leading head table of one `end:u32` per present id, each id's active
-//! word following its other words: 12 bytes fewer per present id (20,899
-//! → 16,795 bytes for the table file, 28,064 → 23,852 for the catalog),
-//! so each bitmap segment's `len` and every later offset moved with them.
-//! The rows, encodings, pins, zones and per-segment stats they decode to
-//! are the v9 fixtures' (`bytes` keeps its meaning: the decoded segment's
-//! cache charge). The first slot commits generation 1 and names the index,
-//! the second is zeroed. The encoder must keep reproducing them byte for byte, the
+//! introduced format 11 (a third, bit-packed segment kind, segment tag 4).
+//! Against the v10 fixtures they replaced, the unique `id` column's three
+//! segments are packed — each row's present-id position in 7, 7 and 6 bits, 112 +
+//! 112 + 40 bytes of payload — where v10 stored one one-row bitmap per
+//! value: 16,795 → 9,395 bytes for the table file, 23,852 → 16,452 for the
+//! catalog (which stores the shared column once). Every other column's
+//! payload, stats and encodings are the v10 fixtures'. The first slot
+//! commits generation 1 and names the index, the second is zeroed. The encoder must keep reproducing them byte for byte, the
 //! decoder must keep reading them back to the same rows, encodings, pins
 //! and zones, every preamble version other than the current one must be
 //! refused with the typed unsupported-version error at every entry point,
@@ -33,10 +30,11 @@ use std::sync::Arc;
 const GOLDEN_TABLE: &[u8] = include_bytes!("golden/table.cods");
 const GOLDEN_CATALOG: &[u8] = include_bytes!("golden/catalog.cods");
 
-/// 300 rows in three 128-row segments: a key, all four value types, NULLs,
-/// a mixed directory (`name`: segment 0 range-recoded — hence pinned — RLE,
-/// the rest bitmap), a uniform unpinned RLE column (`active`) and a
-/// whole-column pin (`score`).
+/// 300 rows in three 128-row segments: a key (unique, so packed at
+/// ingest), all four value types, NULLs, a mixed directory (`name`:
+/// segment 0 range-recoded — hence pinned — RLE, the rest bitmap), a
+/// uniform unpinned RLE column (`active`) and a whole-column pin
+/// (`score`).
 fn golden_table() -> Table {
     let schema = Schema::build(
         &[
@@ -136,6 +134,10 @@ fn fixture_covers_what_it_claims() {
     assert_eq!(active.uniform_encoding(), Some(Encoding::Rle));
     assert!(!active.encoding_pinned());
     assert!(t.column_by_name("score").unwrap().encoding_pinned());
+    assert_eq!(
+        t.column_by_name("id").unwrap().uniform_encoding(),
+        Some(Encoding::Packed)
+    );
     assert!(t.to_rows().iter().any(|r| r[2].is_null()));
     assert_eq!(t.schema().key(), &[0]);
 }
@@ -189,7 +191,7 @@ fn every_other_version_is_refused_at_every_entry_point() {
         }
     }
     let dir = std::env::temp_dir();
-    for version in [1u16, 2, 3, 4, 5, 6, 7, 8, 9, VERSION + 1] {
+    for version in [1u16, 2, 3, 4, 5, 6, 7, 8, 9, 10, VERSION + 1] {
         for (kind, golden) in [("table", GOLDEN_TABLE), ("catalog", GOLDEN_CATALOG)] {
             let mut raw = golden.to_vec();
             raw[4..6].copy_from_slice(&version.to_le_bytes());

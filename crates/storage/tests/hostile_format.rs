@@ -1,10 +1,11 @@
-//! Hostile bytes for format 10 and the format-3 commit log: seeded, in-tree
+//! Hostile bytes for format 11 and the format-3 commit log: seeded, in-tree
 //! mutation loops over the golden table and catalog fixtures and over a
 //! recorded `.clog`, targeted mutations of the fields inside a table's
 //! metadata block, every truncation and bit flip of the commit slots of a
 //! file that holds two generations, every truncation and seeded byte flip
 //! of a bitmap payload through both its whole decode and its selective
-//! read, plus hand-built hostile slots, indexes and bitmap payloads.
+//! read and of a packed payload through its decode, plus hand-built
+//! hostile slots, indexes and bitmap and packed payloads.
 //!
 //! Every mutated image goes through both decoders. Whatever comes back must
 //! be a typed error or a table that can be used to the end without a
@@ -843,6 +844,163 @@ fn hostile_bitmap_payloads_are_typed_errors() {
     );
 
     overlapping_bitmaps_are_a_typed_error_on_every_read();
+}
+
+// ---- Packed payloads: codes held to the metadata's ids and length ----
+
+/// A packed payload — each row's present-id position bit-packed at the
+/// segment's width, with no header — held to its metadata: every
+/// truncation and seeded byte flip, a code at or past the present-id count,
+/// padding bits set past the last row, lengths other than the one the
+/// metadata gives, and codes or metadata whose recount disagrees, each a
+/// typed `segment payload` error. The length is checked against the
+/// metadata before a word is read, so nothing is sized past the payload,
+/// however many rows the metadata claims. A one-row segment's payload is
+/// one word, never empty: an empty extent is refused at open.
+#[test]
+fn hostile_packed_payloads_are_typed_errors() {
+    use cods_storage::persist::encode_table;
+    // Five values over 150 rows: width 3, so codes 5, 6 and 7 name no
+    // present id, and 450 bits of codes leave 62 padding bits.
+    let values = [3u32, 8, 11, 20, 42];
+    let rows: Vec<u32> = (0..150).map(|r| values[(r * 7 + r / 11) % 5]).collect();
+    let seq: cods_bitmap::RleSeq = rows.iter().copied().collect();
+    let slot = SegmentEnc::seal(seq, Encoding::Packed, &mut SealScratch::default());
+    let meta = slot.meta().clone();
+    assert_eq!((meta.rows, meta.distinct_count(), meta.bytes), (150, 5, 64));
+    let mut good = Vec::new();
+    encode_payload(&slot.enc(), &mut good);
+    assert_eq!(good.len(), 64);
+    assert_eq!(
+        decode_payload(&meta, &good).unwrap(),
+        slot.enc(),
+        "the untouched payload decodes"
+    );
+
+    // Every truncation and every seeded single-byte flip. A flip that
+    // keeps every code in range and the recount equal decodes to a
+    // segment that passes its own check.
+    let (mut inputs, mut decoded) = (0, 0);
+    let mut check = |raw: &[u8]| {
+        inputs += 1;
+        match decode_payload(&meta, raw) {
+            Ok(enc) => {
+                SegSlot::fresh(meta.clone(), enc)
+                    .check_invariants()
+                    .unwrap();
+                decoded += 1;
+            }
+            Err(StorageError::PersistError(m)) => {
+                assert!(m.contains("segment payload"), "{m}")
+            }
+            Err(other) => panic!("wanted a PersistError, got {other:?}"),
+        }
+    };
+    for cut in 0..good.len() {
+        check(&good[..cut]);
+    }
+    let mut rng = Rng(0x5EED_0011);
+    for at in 0..good.len() {
+        for _ in 0..4 {
+            let mut raw = good.clone();
+            raw[at] ^= 1 + rng.below(255) as u8;
+            check(&raw);
+        }
+    }
+    println!("packed payload mutations: {inputs} inputs, {decoded} decoded");
+
+    // Row 0's code (bits 0..3) set to each value past the five ids.
+    for code in 5u8..8 {
+        let mut raw = good.clone();
+        raw[0] = (raw[0] & !0b111) | code;
+        payload_refused(&format!("code {code} of 5 ids"), &meta, &raw);
+    }
+    // A bit past the last row's code, in the last word.
+    let mut raw = good.clone();
+    raw[63] |= 0x80;
+    payload_refused("a padding bit", &meta, &raw);
+    // Lengths the metadata does not give.
+    let mut raw = good.clone();
+    raw.extend_from_slice(&[0; 8]);
+    payload_refused("a trailing word", &meta, &raw);
+    payload_refused("a cut word", &meta, &good[..56]);
+    payload_refused("a cut byte", &meta, &good[..63]);
+    payload_refused("an empty payload", &meta, &[]);
+    // Row 0's code moved to another id: every code in range, the ones
+    // recount to something else.
+    let mut raw = good.clone();
+    raw[0] ^= 0b001;
+    payload_refused("a code that moves a row to another id", &meta, &raw);
+    // Metadata that lies about a stat the codes recount.
+    let lie = |what: &str, edit: &dyn Fn(&mut SegMeta)| {
+        let mut m = meta.clone();
+        edit(&mut m);
+        payload_refused(what, &m, &good);
+    };
+    lie("ones", &|m| {
+        let mut ones = m.ones.to_vec();
+        ones[0] += 1;
+        ones[1] -= 1;
+        m.ones = ones.into();
+    });
+    lie("runs", &|m| m.runs -= 1);
+    lie("bytes", &|m| m.bytes = 56);
+    lie("rows", &|m| {
+        m.rows += 1;
+        let mut ones = m.ones.to_vec();
+        ones[4] += 1;
+        m.ones = ones.into();
+    });
+    lie("a sixth present id", &|m| {
+        m.present_ids = vec![3, 8, 11, 20, 42, 50].into();
+        let mut ones = m.ones.to_vec();
+        ones[0] -= 1;
+        ones.push(1);
+        m.ones = ones.into();
+    });
+    lie("four present ids (width 2)", &|m| {
+        m.present_ids = vec![3, 8, 11, 20].into();
+        let mut ones = m.ones.to_vec();
+        let last = ones.pop().unwrap();
+        ones[0] += last;
+        m.ones = ones.into();
+    });
+    lie("the encoding", &|m| m.encoding = Encoding::Bitmap);
+    // Row counts whose payload length overflows or is far past the bytes:
+    // refused before anything is sized from them.
+    lie("rows past u64 bits", &|m| {
+        m.rows = u64::MAX;
+        m.ones = vec![u64::MAX - 4, 1, 1, 1, 1].into();
+    });
+    lie("2^40 rows", &|m| {
+        m.rows = 1 << 40;
+        m.ones = vec![(1 << 40) - 4, 1, 1, 1, 1].into();
+    });
+
+    // One row: width 1, one word — a payload the open's `len > 0` check
+    // accepts — and it round-trips through a table file.
+    let one = SegmentEnc::seal(
+        [7u32].into_iter().collect(),
+        Encoding::Packed,
+        &mut SealScratch::default(),
+    );
+    let mut raw = Vec::new();
+    encode_payload(&one.enc(), &mut raw);
+    assert_eq!(raw, 0u64.to_le_bytes());
+    let SegmentEnc::Packed(p) = decode_payload(one.meta(), &raw).unwrap() else {
+        panic!("a packed payload decodes to a packed segment");
+    };
+    assert_eq!((p.width(), p.id_at(0)), (1, 7));
+    let mut raw1 = raw.clone();
+    raw1[0] = 1;
+    payload_refused("a one-row code past its one id", one.meta(), &raw1);
+    payload_refused("an empty one-row payload", one.meta(), &[]);
+    let schema = Schema::build(&[("k", ValueType::Int)], &[]).unwrap();
+    let t = Table::from_rows("one", schema, &[vec![Value::int(7)]]).unwrap();
+    assert_eq!(t.column(0).segment_encoding(0), Encoding::Packed);
+    let back = decode_table(encode_table(&t)).unwrap();
+    back.check_invariants().unwrap();
+    assert_eq!(back.to_rows(), t.to_rows());
 }
 
 // ---- RLE payloads: the run codec, recounted against its metadata ----

@@ -3,8 +3,8 @@
 //! and of the per-segment encodings against each other: every data-level
 //! primitive must be bit-identical regardless of how the rows are chunked
 //! or which physical encoding holds each segment — including **randomly
-//! mixed** directories where bitmap and RLE segments interleave within one
-//! column.
+//! mixed** directories where bitmap, RLE and packed segments interleave
+//! within one column.
 
 use cods_storage::{EncodedColumn, Encoding, RecodeScope, RecodeTarget, Value, ValueType};
 use proptest::prelude::*;
@@ -54,19 +54,21 @@ fn bitmap_col(vals: &[Value], seg: u64) -> EncodedColumn {
     EncodedColumn::from_values_with(ValueType::Int, vals, seg).unwrap()
 }
 
-/// Recodes segments to RLE wherever `pattern` has a set bit — a random
-/// per-segment encoding assignment.
+/// Recodes segment `i` by the two bits of `pattern` at `2·(i mod 32)`:
+/// left as ingested (bitmap, or packed where near-unique), RLE, packed or
+/// bitmap — a random per-segment encoding assignment.
 fn mix(col: &EncodedColumn, pattern: u64) -> EncodedColumn {
     let mut out = col.clone();
     for i in 0..col.segment_count() {
-        if pattern & (1 << (i % 64)) != 0 {
-            out = out
-                .with_encoding(
-                    RecodeScope::Segments(i..i + 1),
-                    RecodeTarget::To(Encoding::Rle),
-                )
-                .unwrap();
-        }
+        let to = match (pattern >> (2 * (i % 32))) & 3 {
+            0 => continue,
+            1 => Encoding::Rle,
+            2 => Encoding::Packed,
+            _ => Encoding::Bitmap,
+        };
+        out = out
+            .with_encoding(RecodeScope::Segments(i..i + 1), RecodeTarget::To(to))
+            .unwrap();
     }
     out
 }
@@ -137,7 +139,10 @@ proptest! {
 
     #[test]
     fn rle_agrees_with_bitmap_encoding(vals in values()) {
-        let bitmap = EncodedColumn::from_values(ValueType::Int, &vals).unwrap();
+        let bitmap = EncodedColumn::from_values(ValueType::Int, &vals)
+            .unwrap()
+            .with_encoding(RecodeScope::Column, RecodeTarget::To(Encoding::Bitmap))
+            .unwrap();
         let rle = bitmap.recode(Encoding::Rle).unwrap();
         rle.check_invariants().unwrap();
         prop_assert_eq!(rle.values(), bitmap.values());
@@ -561,10 +566,12 @@ proptest! {
             Just(None),
             Just(Some(Encoding::Bitmap)),
             Just(Some(Encoding::Rle)),
+            Just(Some(Encoding::Packed)),
         ],
     ) {
         use cods_bitmap::{RleSeq, Wah};
-        use cods_storage::store::encode_payload;
+        use cods_storage::packed::payload_len;
+        use cods_storage::store::{decode_payload, encode_payload};
         use cods_storage::{choose_encoding_from_stats, RleSegment, SealScratch, SegmentEnc};
         use std::collections::BTreeMap;
         let mut seq = RleSeq::new();
@@ -612,7 +619,90 @@ proptest! {
                     let pushed: RleSeq = rows.iter().copied().collect();
                     prop_assert_eq!(s.as_ref(), &RleSegment::new(pushed));
                 }
+                SegmentEnc::Packed(s) => {
+                    let len = payload_len(n, ids.len()).unwrap();
+                    prop_assert_eq!(sealed.meta().bytes as u64, len);
+                    let mut raw = Vec::new();
+                    encode_payload(&sealed.enc(), &mut raw);
+                    prop_assert_eq!(raw.len() as u64, len);
+                    let back = decode_payload(sealed.meta(), &raw).unwrap();
+                    prop_assert_eq!(&back, &sealed.enc());
+                    prop_assert_eq!(&back.recount().unwrap(), sealed.meta());
+                    let decoded: Vec<u32> = (0..n).map(|r| s.id_at(r)).collect();
+                    prop_assert_eq!(&decoded, &rows);
+                }
             }
         }
+    }
+
+    // ---- The packed encoding ----
+
+    // A column recoded packed, then to RLE and bitmap in either order,
+    // reads the same rows; every detour back to bitmap gives the bitmap
+    // column's segments exactly.
+    #[test]
+    fn packed_recodes_round_trip_through_every_encoding(vals in values(), seg in seg_sizes()) {
+        let bitmap = bitmap_col(&vals, seg).recode(Encoding::Bitmap).unwrap();
+        let packed = bitmap.recode(Encoding::Packed).unwrap();
+        packed.check_invariants().unwrap();
+        prop_assert!(packed.is_uniform(Encoding::Packed));
+        prop_assert_eq!(packed.values(), vals.clone());
+        for path in [
+            [Encoding::Rle, Encoding::Bitmap],
+            [Encoding::Bitmap, Encoding::Rle],
+        ] {
+            let mut col = packed.clone();
+            for e in path {
+                col = col.recode(e).unwrap();
+                col.check_invariants().unwrap();
+                prop_assert_eq!(col.values(), vals.clone());
+                let back = col.recode(Encoding::Packed).unwrap();
+                prop_assert_eq!(&back, &packed);
+            }
+            prop_assert_eq!(&col.recode(Encoding::Bitmap).unwrap(), &bitmap);
+        }
+        let rle = bitmap.recode(Encoding::Rle).unwrap();
+        prop_assert_eq!(&rle.recode(Encoding::Packed).unwrap(), &packed);
+    }
+
+    // Id translations of packed segments: a slice that drops values
+    // compacts the dictionary (a monotone map, under which a wholly kept
+    // packed segment keeps its codes), and a union whose right side
+    // interned its values in another order merges dictionaries (a map that
+    // permutes the codes). Both read back the model's rows and pass the
+    // payload check, in memory and through a save.
+    #[test]
+    fn packed_segments_survive_id_maps(
+        vals in values(),
+        seg in seg_sizes(),
+        a in any::<prop::sample::Index>(),
+        b in any::<prop::sample::Index>(),
+    ) {
+        use cods_storage::persist::{decode_table, encode_table};
+        use cods_storage::{Schema, Table};
+        use std::sync::Arc;
+        prop_assume!(!vals.is_empty());
+        let packed = bitmap_col(&vals, seg).recode(Encoding::Packed).unwrap();
+        let (mut lo, mut hi) = (a.index(vals.len() + 1) as u64, b.index(vals.len() + 1) as u64);
+        if lo > hi {
+            std::mem::swap(&mut lo, &mut hi);
+        }
+        let sliced = packed.slice(lo, hi).unwrap();
+        sliced.check_invariants().unwrap();
+        prop_assert_eq!(sliced.values(), vals[lo as usize..hi as usize].to_vec());
+
+        let reversed: Vec<Value> = vals.iter().rev().cloned().collect();
+        let right = bitmap_col(&reversed, seg).recode(Encoding::Packed).unwrap();
+        let joined = sliced.concat(&right).unwrap();
+        joined.check_invariants().unwrap();
+        let mut want = vals[lo as usize..hi as usize].to_vec();
+        want.extend(reversed);
+        prop_assert_eq!(joined.values(), want.clone());
+
+        let schema = Schema::build(&[("c", ValueType::Int)], &[]).unwrap();
+        let t = Table::new("t", schema, vec![Arc::new(joined)]).unwrap();
+        let back = decode_table(encode_table(&t)).unwrap();
+        back.check_invariants().unwrap();
+        prop_assert_eq!(back.column(0).values(), want);
     }
 }

@@ -168,6 +168,35 @@ mod tests {
         assert!(fact.column_by_name("cust_id").unwrap().distinct_count() <= 100);
     }
 
+    /// The per-segment chooser at the serving scale: a unique key packs,
+    /// while a 65,536-row segment of 10,000 customers (about 9,987
+    /// present), 50 regions or 999 amounts keeps one bitmap per value.
+    #[test]
+    fn ingest_packs_only_the_near_unique_columns() {
+        use cods_storage::Encoding;
+        let cfg = WarehouseConfig {
+            sales: 1 << 16,
+            customers: 10_000,
+            regions: 50,
+            seed: 1,
+        };
+        let uniform = |t: &Table, col: &str| t.column_by_name(col).unwrap().uniform_encoding();
+        let wide = wide_sales(&cfg);
+        assert_eq!(wide.column(0).segment_count(), 1);
+        let cust = wide.column_by_name("cust_id").unwrap().segments()[0].meta();
+        assert!((9_900..10_000).contains(&cust.distinct_count()));
+        assert_eq!(uniform(&wide, "sale_id"), Some(Encoding::Packed));
+        for col in ["cust_id", "cust_name", "region_name", "amount"] {
+            assert_eq!(uniform(&wide, col), Some(Encoding::Bitmap), "{col}");
+        }
+        let dim = star_customer_dim(&cfg);
+        assert_eq!(uniform(&dim, "cust_id"), Some(Encoding::Packed));
+        assert_eq!(uniform(&dim, "cust_name"), Some(Encoding::Packed));
+        assert_eq!(uniform(&dim, "region_name"), Some(Encoding::Bitmap));
+        let fact = sales_fact(&cfg);
+        assert_eq!(uniform(&fact, "sale_id"), Some(Encoding::Packed));
+    }
+
     #[test]
     fn fd_cust_region_holds() {
         let cfg = WarehouseConfig::default();

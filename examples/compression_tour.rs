@@ -47,10 +47,7 @@ fn main() {
             .zip(auto.columns())
             .map(|(d, c)| match c.uniform_encoding() {
                 Some(e) => format!("{}={}", d.name, e),
-                None => {
-                    let (b, r) = c.encoding_counts();
-                    format!("{}={}×bitmap/{}×rle", d.name, b, r)
-                }
+                None => format!("{}={}", d.name, c.encoding_counts()),
             })
             .collect::<Vec<_>>()
             .join(", ")

@@ -5,7 +5,8 @@
 //! original. Scan masks are byte-identical, row images match, and SMO
 //! results agree after compaction and after committed evolution plans. A
 //! same-column IN list of up to 64 present ids reads just their bitmaps
-//! and leaves every bitmap segment paged out.
+//! and leaves every bitmap segment paged out. A near-unique column's packed
+//! segments go through the same starved cache.
 //! Runs in CI's differential proptest job at `PROPTEST_CASES=512`.
 
 use std::path::PathBuf;
@@ -115,7 +116,14 @@ fn wide_table() -> impl Strategy<Value = Table> {
                 .into_iter()
                 .map(|(k, v)| vec![Value::int(k), Value::int(v)])
                 .collect();
-            Table::from_rows_with_segment_rows("R", schema, &rows, seg_rows).unwrap()
+            // `k` in bitmap segments, where ingest would pack a near-unique
+            // one: the selective read is a bitmap segment's.
+            Table::from_rows_with_segment_rows("R", schema, &rows, seg_rows)
+                .unwrap()
+                .map_columns(Some("k"), |c| {
+                    c.with_encoding(RecodeScope::Column, RecodeTarget::To(Encoding::Bitmap))
+                })
+                .unwrap()
         })
 }
 
@@ -127,6 +135,50 @@ fn in_list() -> impl Strategy<Value = Vec<i64>> {
         prop::collection::vec(-20i64..140, 1usize..65),
         prop::collection::vec(-20i64..140, 65usize..81),
     ]
+}
+
+/// Random table R(k, v) whose `k` is near-unique — up to 300 rows drawn
+/// from 400 values, sorted or not — so ingest packs its segments; then
+/// either as ingested or with each segment of `k` packed, bitmap or RLE by
+/// two bits of a pattern.
+fn near_unique_table() -> impl Strategy<Value = Table> {
+    (
+        prop::collection::vec((0i64..400, 0i64..12), 1usize..300),
+        any::<bool>(),
+        4u64..64,
+        any::<bool>(),
+        any::<u64>(),
+    )
+        .prop_map(|(mut pairs, sorted, seg_rows, mixed, pattern)| {
+            if sorted {
+                pairs.sort_unstable();
+            }
+            let schema =
+                Schema::build(&[("k", ValueType::Int), ("v", ValueType::Int)], &[]).unwrap();
+            let rows: Vec<Vec<Value>> = pairs
+                .into_iter()
+                .map(|(k, v)| vec![Value::int(k), Value::int(v)])
+                .collect();
+            let t = Table::from_rows_with_segment_rows("R", schema, &rows, seg_rows).unwrap();
+            if !mixed {
+                return t;
+            }
+            t.map_columns(Some("k"), |c| {
+                let mut out = c.clone();
+                for i in 0..c.segment_count() {
+                    let to = [
+                        Encoding::Packed,
+                        Encoding::Bitmap,
+                        Encoding::Rle,
+                        Encoding::Packed,
+                    ][(pattern >> (2 * (i % 32)) & 3) as usize];
+                    out =
+                        out.with_encoding(RecodeScope::Segments(i..i + 1), RecodeTarget::To(to))?;
+                }
+                Ok(out)
+            })
+            .unwrap()
+        })
 }
 
 /// Applies one of the per-column / per-segment encoding assignments so the
@@ -292,6 +344,54 @@ proptest! {
             predicate_mask_unpruned(&lazy, &pred).unwrap(),
             predicate_mask_unpruned(&oracle, &pred).unwrap()
         );
+
+        segment_cache().set_budget(u64::MAX);
+        std::fs::remove_file(&path).ok();
+    }
+
+    // Packed segments read through a starved cache — at a zero budget and
+    // at small ones — match the resident oracle: a near-unique `k` under
+    // an equality, an IN list either side of 64 ids, a range, a BETWEEN,
+    // `Ne` and a conjunction with `v`, pruned and exhaustive; then every
+    // row and the payload checks.
+    #[test]
+    fn lazy_packed_segments_match_the_resident_oracle(
+        oracle in near_unique_table(),
+        lits in prop::collection::vec(-5i64..410, 1usize..81),
+        width in 0i64..80,
+        budget in prop_oneof![Just(0u64), 0u64..1500],
+    ) {
+        let _budget = budget_lock();
+        let path = temp("packed");
+        let lazy = save_reopen(&oracle, &path);
+        segment_cache().set_budget(budget);
+
+        let eq = |v: i64| Predicate::eq("k", v);
+        let first = lits[0];
+        let preds = [
+            eq(first),
+            lits[1..].iter().fold(eq(first), |acc, &v| acc.or(eq(v))),
+            Predicate::lt("k", first),
+            Predicate::ge("k", first).and(Predicate::lt("k", first + width)),
+            Predicate::Compare {
+                column: "k".into(),
+                op: CmpOp::Ne,
+                literal: Value::int(first),
+            },
+            Predicate::lt("v", 6i64).and(eq(first).not()),
+        ];
+        for p in &preds {
+            prop_assert_eq!(
+                predicate_mask(&lazy, p).unwrap(),
+                predicate_mask(&oracle, p).unwrap()
+            );
+            prop_assert_eq!(
+                predicate_mask_unpruned(&lazy, p).unwrap(),
+                predicate_mask_unpruned(&oracle, p).unwrap()
+            );
+        }
+        prop_assert_eq!(lazy.to_rows(), oracle.to_rows());
+        lazy.check_invariants().unwrap();
 
         segment_cache().set_budget(u64::MAX);
         std::fs::remove_file(&path).ok();

@@ -4,8 +4,9 @@
 //! pruned scan ([`predicate_mask`]) must be bit-identical to the
 //! exhaustive scan ([`predicate_mask_unpruned`]) and to a row-level
 //! evaluation oracle. Same-column `OR` chains of equalities, which the
-//! evaluator folds into one id-set leaf, get an arm of their own. Runs in
-//! CI's differential proptest job at `PROPTEST_CASES=512`.
+//! evaluator folds into one id-set leaf, get an arm of their own, and so
+//! does a near-unique column, whose segments ingest packs. Runs in CI's
+//! differential proptest job at `PROPTEST_CASES=512`.
 
 use cods::simple_ops::{partition_table, union_tables};
 use cods_query::bitmap_scan::{predicate_mask, predicate_mask_unpruned};
@@ -196,6 +197,89 @@ fn mix_column(t: &Table, name: &str, pattern: u64) -> Table {
     out
 }
 
+/// A near-unique column `u`: up to 300 rows drawn from 400 values (about
+/// two rows in three distinct), sorted or not, with a random segment size,
+/// and its segments as ingested (packed, or bitmap where a segment repeats
+/// too much), all packed, or each one packed, bitmap or RLE by two bits of
+/// a pattern.
+fn near_unique_table() -> impl Strategy<Value = Table> {
+    (
+        prop::collection::vec(0i64..400, 1usize..300),
+        any::<bool>(),
+        4u64..64,
+        0usize..3,
+        any::<u64>(),
+    )
+        .prop_map(|(mut vals, sorted, seg_rows, enc, pattern)| {
+            if sorted {
+                vals.sort_unstable();
+            }
+            let schema = Schema::build(&[("u", ValueType::Int)], &[]).unwrap();
+            let rows: Vec<Vec<Value>> = vals.into_iter().map(|v| vec![Value::int(v)]).collect();
+            let t = Table::from_rows_with_segment_rows("N", schema, &rows, seg_rows).unwrap();
+            match enc {
+                0 => t,
+                1 => t.map_columns(None, |c| c.recode(Encoding::Packed)).unwrap(),
+                _ => t
+                    .map_columns(None, |c| {
+                        let mut out = c.clone();
+                        for i in 0..c.segment_count() {
+                            let to = [
+                                Encoding::Packed,
+                                Encoding::Bitmap,
+                                Encoding::Rle,
+                                Encoding::Packed,
+                            ][(pattern >> (2 * (i % 32)) & 3) as usize];
+                            out = out.with_encoding(
+                                RecodeScope::Segments(i..i + 1),
+                                RecodeTarget::To(to),
+                            )?;
+                        }
+                        Ok(out)
+                    })
+                    .unwrap(),
+            }
+        })
+}
+
+/// A predicate on `u`: an equality, an IN chain of 1–64 or 65–100
+/// literals, a range, a BETWEEN or `Ne`, possibly under `NOT`; literals
+/// fall inside and outside the column's values.
+fn near_unique_pred() -> impl Strategy<Value = Predicate> {
+    (
+        0u8..6,
+        -5i64..410,
+        prop_oneof![
+            prop::collection::vec(-5i64..410, 1usize..65),
+            prop::collection::vec(-5i64..410, 65usize..101),
+        ],
+        0i64..80,
+        any::<bool>(),
+    )
+        .prop_map(|(kind, lit, list, width, negate)| {
+            let p = match kind {
+                0 => Predicate::eq("u", lit),
+                1 => {
+                    let eq = |v: i64| Predicate::eq("u", v);
+                    list[1..].iter().fold(eq(list[0]), |acc, &v| acc.or(eq(v)))
+                }
+                2 => Predicate::lt("u", lit),
+                3 => Predicate::ge("u", lit),
+                4 => Predicate::ge("u", lit).and(Predicate::lt("u", lit + width)),
+                _ => Predicate::Compare {
+                    column: "u".into(),
+                    op: CmpOp::Ne,
+                    literal: Value::int(lit),
+                },
+            };
+            if negate {
+                p.not()
+            } else {
+                p
+            }
+        })
+}
+
 fn assert_masks_agree(t: &Table, p: &Predicate) {
     let pruned = predicate_mask(t, p).unwrap();
     let unpruned = predicate_mask_unpruned(t, p).unwrap();
@@ -299,6 +383,15 @@ proptest! {
             assert_eq!(rebuilt.to_rows(), table.to_rows());
             assert_masks_agree(&rebuilt, &p);
         }
+    }
+
+    #[test]
+    fn near_unique_columns_match_exhaustive_and_oracle(
+        table in near_unique_table(),
+        p in near_unique_pred(),
+    ) {
+        table.check_invariants().unwrap();
+        assert_masks_agree(&table, &p);
     }
 
     #[test]

@@ -551,7 +551,19 @@ fn failed_fault_mid_stream_is_a_typed_error_on_a_connection_that_still_answers()
 fn failed_fault_in_a_group_by_is_a_typed_error_on_a_connection_that_still_answers() {
     use cods_storage::persist::{read_catalog, save_catalog};
     let path = std::env::temp_dir().join(format!("cods_it_serve_agg_{}", std::process::id()));
-    save_catalog(platform(64, 16).catalog(), &path).unwrap();
+    let cods = platform(64, 16);
+    // `k` is unique, which ingest packs: pin it to bitmap payloads.
+    let t = cods.catalog().get("t").unwrap();
+    cods.catalog().put(
+        t.map_columns(Some("k"), |c| {
+            c.with_encoding(
+                cods_storage::RecodeScope::Column,
+                cods_storage::RecodeTarget::To(cods_storage::Encoding::Bitmap),
+            )
+        })
+        .unwrap(),
+    );
+    save_catalog(cods.catalog(), &path).unwrap();
     let mut raw = std::fs::read(&path).unwrap();
     // The heap starts behind the 6-byte preamble and the two 40-byte
     // commit slots with `k`'s first payload: 16 rows of 16 values, so a

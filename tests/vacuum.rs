@@ -9,7 +9,7 @@ use cods_storage::fault::{self, Mutation, Point};
 use cods_storage::persist::{encode_table, read_catalog, save_catalog};
 use cods_storage::{
     heap_stats, open_durable, set_auto_vacuum, vacuum_catalog, vacuum_file, wait_for_auto_vacuum,
-    AutoVacuum, Catalog, Encoding, Schema, Table, Value, ValueType,
+    AutoVacuum, Catalog, Encoding, EncodingCounts, Schema, Table, Value, ValueType,
 };
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -255,9 +255,9 @@ fn recode_v(cat: &Catalog) {
     );
 }
 
-/// `(bitmap, RLE)` segment counts of `v`: what tells the state before the
+/// Segment counts per encoding of `v`: what tells the state before the
 /// triggering save from the state after it.
-fn v_encodings(cat: &Catalog) -> (usize, usize) {
+fn v_encodings(cat: &Catalog) -> EncodingCounts {
     cat.get("a")
         .unwrap()
         .column_by_name("v")
@@ -302,7 +302,7 @@ fn the_save_that_crosses_the_threshold_compacts_before_it_returns() {
         assert_eq!(cat.get("a").unwrap().tuple_multiset(), want);
         let back = read_catalog(&path).unwrap();
         assert_eq!(back.get("a").unwrap().tuple_multiset(), want);
-        assert_eq!(v_encodings(&back), (0, 1));
+        assert_eq!(v_encodings(&back), EncodingCounts([0, 1, 0]));
     });
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -321,7 +321,7 @@ fn crash_and_failure_sweeps_cover_the_auto_vacuum() {
     with_hair_trigger(|| {
         let want = saved_small(&path).get("a").unwrap().tuple_multiset();
         let pristine = std::fs::read(&path).unwrap();
-        let (old, new) = ((1, 0), (0, 1));
+        let (old, new) = (EncodingCounts([1, 0, 0]), EncodingCounts([0, 1, 0]));
         let evolve = || {
             // Overwrite in place: the bytes of the old state, whatever file
             // the last compaction renamed here.
@@ -331,7 +331,7 @@ fn crash_and_failure_sweeps_cover_the_auto_vacuum() {
             recode_v(&cat);
             cat
         };
-        let reopen = |budget: u64| -> (usize, usize) {
+        let reopen = |budget: u64| -> EncodingCounts {
             let (got, _, trace) = fault::probe(|| read_catalog(&path));
             assert_eq!(trace, [], "budget {budget}: the open wrote");
             let got = got.unwrap_or_else(|e| panic!("budget {budget}: reopen failed: {e}"));
@@ -452,14 +452,15 @@ fn checkpoints_beside_an_unchanged_table_leave_one_superseded_block() {
         lens.push(file_len(&path));
     }
     // The first checkpoint appends the new `dim` and the index whole. The
-    // second puts all 5,360 bytes of payloads (`k`'s four 1,280-byte ones,
-    // `v`'s four of 60) and the index into the first `dim`'s 6,038-byte
-    // block and appends the rest, the new block: 6,038 bytes. The third
-    // and fifth start where the first index was, right after `fact`'s
-    // block, and put `v`'s four payloads (240 bytes) and the index into
-    // what the second left of that block (299 bytes); the fourth repeats
-    // the second's placement, appending past the third's end.
-    let (spill, in_hole) = (6_038, 240 + index);
+    // second puts all 432 bytes of payloads (`k`'s four packed ones of 48,
+    // `v`'s four of 60) and the index into the hole the first `dim` left
+    // (its payloads and its 6,038-byte block) and appends the rest, the
+    // new block: 6,038 bytes. The third and fifth start where the first
+    // index was, right after `fact`'s block, and put all eight payloads
+    // (432 bytes) and the index into what the second left of that hole;
+    // the fourth repeats the second's placement, appending past the
+    // third's end.
+    let (spill, in_hole) = (6_038, 4 * 48 + 240 + index);
     assert_eq!(
         lens,
         [
