@@ -15,6 +15,8 @@
 //! Row count defaults to 1,000,000; pass `--rows 10000000` for the paper's
 //! full scale.
 
+#![forbid(unsafe_code)]
+
 use cods::{decompose, merge_general, merge_key_fk, Cods, ColumnFill, MergeStrategy, Smo};
 use cods_bench::*;
 use cods_bitmap::PlainBitmap;

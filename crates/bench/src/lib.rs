@@ -9,6 +9,7 @@
 //!
 //! Row count defaults to 1M (the paper uses 10M); override with `--rows`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -45,6 +45,7 @@
 //! assert_eq!(shrunk.len(), 1000);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

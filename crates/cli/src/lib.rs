@@ -6,6 +6,7 @@
 //! end. Exposing them as a library makes the whole demo workflow
 //! scriptable and testable.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

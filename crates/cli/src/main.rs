@@ -15,6 +15,8 @@
 //! `cods serve` hosts a platform over TCP and `cods connect` runs the same
 //! statements against it.
 
+#![forbid(unsafe_code)]
+
 use cods::Cods;
 use cods_cli::{repl, run_command, HELP};
 use std::io::{BufRead, IsTerminal};

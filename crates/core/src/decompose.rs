@@ -98,7 +98,7 @@ pub struct DecomposeOutcome {
 ///
 /// Works purely on value ids — dictionary values are never touched — and
 /// fans out per row chunk (the key column's nominal segment size): each
-/// pool task numbers the distinct keys in its chunk, in local
+/// fan-out task numbers the distinct keys in its chunk, in local
 /// first-occurrence order, through a [`KeyIndex`] it borrows from a
 /// per-call pool and hands back cleared — with one key column an array
 /// indexed by dictionary id, reset through the ids the chunk touched, so no
@@ -213,7 +213,7 @@ pub fn distinction(
 }
 
 /// Bitmap-filters each column to `positions` (non-decreasing): cut at each
-/// column's nominal segment size, one pool task per (column × output
+/// column's nominal segment size, one fan-out task per (column × output
 /// segment) writes that segment from the rows its slice of `positions`
 /// names ([`EncodedColumn::try_write_positions`]): DECOMPOSE's write side.
 pub(crate) fn filter_columns_by_positions(
@@ -250,7 +250,7 @@ pub(crate) fn filter_columns_by_mask(
     })
 }
 
-/// The write side every operator shares: runs `write` as one pool task per
+/// The write side every operator shares: runs `write` as one fan-out task per
 /// `(column index, output segment)` entry of `tasks`, each sealing one
 /// segment with a pooled [`SealScratch`], then turns each column's
 /// segments, in task order, into a column derived from its input

@@ -188,8 +188,8 @@ fn run_smo(smo: &Smo, ws: &Workspace) -> Result<NodeOutcome> {
     }
 }
 
-/// Executes `plan`: waves run concurrently on the shared pool, mutations
-/// stage into the workspace, and the final state commits atomically.
+/// Executes `plan`: each wave's nodes run concurrently, mutations stage
+/// into the workspace, and the final state commits atomically.
 pub(crate) fn run(plan: &EvolutionPlan<'_>) -> Result<PlanReport> {
     // The time between planning and execution stays out of the log.
     let mut log = plan.log.clone();
@@ -202,8 +202,18 @@ pub(crate) fn run(plan: &EvolutionPlan<'_>) -> Result<PlanReport> {
 
     for (wave_idx, wave) in plan.waves.iter().enumerate() {
         // Every node in a wave only reads tables produced by earlier waves,
-        // so the whole wave runs against one immutable workspace.
-        let outcomes = map_parallel(wave.clone(), |i| run_smo(&plan.nodes[i].smo, &ws));
+        // so the whole wave runs against one immutable workspace. Only a
+        // node that moves rows outlasts the start of a helper thread (0.1–1
+        // ms on a busy 2-core host; the others name, share or drop tables
+        // and columns in microseconds), so a wave with at most one such
+        // node runs on this thread.
+        let run = |&i: &usize| run_smo(&plan.nodes[i].smo, &ws);
+        let moving = wave.iter().filter(|&&i| plan.nodes[i].smo.moves_rows());
+        let outcomes: Vec<Result<NodeOutcome>> = if moving.count() > 1 {
+            map_parallel(wave.iter().collect(), run)
+        } else {
+            wave.iter().map(run).collect()
+        };
         for (&i, outcome) in wave.iter().zip(outcomes) {
             // First failure aborts the whole plan: the workspace is
             // discarded and the catalog was never touched.

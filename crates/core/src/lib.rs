@@ -34,6 +34,7 @@
 //! `cods-storage` (column) and `cods-rowstore` (row); the compressed-bitmap
 //! kernel in `cods-bitmap`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

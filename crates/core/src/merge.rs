@@ -252,7 +252,7 @@ fn key_fk_with(
 
     // Sequential scan of the reusable side: every row is mapped to the
     // keyed row providing its payload values. Parallelized per row chunk
-    // (the key column's nominal segment size): each pool task scans its
+    // (the key column's nominal segment size): each fan-out task scans its
     // range serially against the shared id maps and key table, and the
     // per-chunk results are spliced back in row order — bit-identical to
     // the serial scan, including which row reports a violation first
@@ -459,7 +459,7 @@ fn general_with(
     // Join columns are pure fill runs; left payloads place values
     // consecutively (runs of n2); right payloads place values at stride n2
     // within each group. The output row space is cut at each column's
-    // nominal segment size, and one pool task pushes one (column × output
+    // nominal segment size, and one fan-out task pushes one (column × output
     // segment)'s runs, clipped to its row range, and seals that segment —
     // exactly like the key-FK payload fan-out.
     #[derive(Clone, Copy)]
@@ -486,7 +486,7 @@ fn general_with(
             OutCol::RightPayload { rc } => right.column(rc),
         }
     };
-    // Per-column preparation, itself one pool task per column: left
+    // Per-column preparation, itself one fan-out task per column: left
     // payloads materialize their dense id array once; right payloads
     // additionally gather each group's output-order ids once (a segment task
     // would otherwise regather them for every segment overlapping the

@@ -10,7 +10,7 @@
 //! 2. **Execute** — each operator is one node of a dependency DAG over
 //!    table names (read-after-write, write-after-read, write-after-write),
 //!    cut into waves; independent branches of each wave dispatch
-//!    concurrently on the shared worker pool (see [`crate::exec`]). Nodes
+//!    concurrently through the one fan-out (see [`crate::exec`]). Nodes
 //!    run against an in-memory workspace, so intermediate tables consumed
 //!    within the plan never enter the catalog.
 //! 3. **Commit** — all catalog mutations are staged and applied in one

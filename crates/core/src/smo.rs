@@ -106,6 +106,22 @@ pub enum Smo {
     },
 }
 
+impl Smo {
+    /// Whether the operator reads or writes column data, rather than only
+    /// naming, sharing or dropping tables and columns.
+    pub(crate) fn moves_rows(&self) -> bool {
+        !matches!(
+            self,
+            Smo::CreateTable { .. }
+                | Smo::DropTable { .. }
+                | Smo::RenameTable { .. }
+                | Smo::CopyTable { .. }
+                | Smo::DropColumn { .. }
+                | Smo::RenameColumn { .. }
+        )
+    }
+}
+
 impl fmt::Display for Smo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -27,7 +27,7 @@
 //!   RLE-clustered input costs O(runs), not O(rows) — except where a
 //!   one-column group-by meets a bitmap segment, whose decode yields one
 //!   id per row anyway: that batch walks rows
-//!   ([`EncodedColumn::try_ids_in`]). Batches fan out on the worker pool
+//!   ([`EncodedColumn::try_ids_in`]). Batches fan out ([`crate::par`])
 //!   with one ordered merge of the partial tables at the end.
 //!
 //! NULL handling follows the `valid: Option<…>` dual-path idiom

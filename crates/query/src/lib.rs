@@ -28,6 +28,7 @@
 //! The data-level alternative that avoids all of this lives in the `cods`
 //! crate.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -16,6 +16,7 @@
 //!
 //! Query-level data evolution over this engine lives in `cods-query`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -7,6 +7,7 @@
 //! with little-endian accessors, a cheaply cloneable [`Bytes`] handle, and
 //! a growable [`BytesMut`] that freezes into one.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::Range;

@@ -3,6 +3,7 @@
 //! `read` / `write` methods. A poisoned std lock is recovered (the data is
 //! still returned) to match parking_lot's no-poisoning semantics.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync;

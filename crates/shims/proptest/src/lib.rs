@@ -6,6 +6,7 @@
 //! No shrinking: a failing case panics with the values that produced it
 //! (generation is deterministic per test name, so failures reproduce).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rand::rngs::StdRng;

@@ -3,6 +3,7 @@
 //! uniform `random` / `random_range` sampling. Deterministic by
 //! construction — every consumer in this workspace seeds explicitly.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::Range;

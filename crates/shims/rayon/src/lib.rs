@@ -1,288 +1,4 @@
-//! Minimal in-tree stand-in for `rayon`: a lazily started, process-wide
-//! worker pool (one OS thread per hardware thread) executing scoped tasks.
-//!
-//! [`scope`] mirrors `rayon::scope`: closures spawned on the scope may
-//! borrow from the enclosing stack frame, and `scope` does not return until
-//! every spawned task has finished — which is what makes the lifetime
-//! erasure below sound. The waiting thread helps drain the queue instead of
-//! blocking, and a task that opens a nested scope runs its spawns inline,
-//! so the pool cannot deadlock on itself.
-
-#![warn(missing_docs)]
-
-use std::any::Any;
-use std::cell::Cell;
-use std::collections::VecDeque;
-use std::marker::PhantomData;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct Pool {
-    queue: Mutex<VecDeque<Job>>,
-    work_ready: Condvar,
-    threads: usize,
-}
-
-static POOL: OnceLock<Pool> = OnceLock::new();
-
-thread_local! {
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-fn pool() -> &'static Pool {
-    POOL.get_or_init(|| {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        let pool = Pool {
-            queue: Mutex::new(VecDeque::new()),
-            work_ready: Condvar::new(),
-            threads,
-        };
-        // The pool lives for the process; workers are detached.
-        for i in 0..threads {
-            std::thread::Builder::new()
-                .name(format!("cods-pool-{i}"))
-                .spawn(worker_loop)
-                .expect("spawning pool worker");
-        }
-        pool
-    })
-}
-
-fn worker_loop() {
-    IN_WORKER.with(|w| w.set(true));
-    let pool = pool();
-    loop {
-        let job = {
-            let mut q = pool.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(job) = q.pop_front() {
-                    break job;
-                }
-                q = pool.work_ready.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        job();
-    }
-}
-
-fn try_run_one_job(pool: &Pool) -> bool {
-    let job = pool
-        .queue
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .pop_front();
-    match job {
-        Some(job) => {
-            job();
-            true
-        }
-        None => false,
-    }
-}
-
-/// Number of worker threads in the global pool.
-pub fn current_num_threads() -> usize {
-    pool().threads
-}
-
-struct ScopeState {
-    pending: Mutex<u64>,
-    all_done: Condvar,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-impl ScopeState {
-    fn new() -> Arc<ScopeState> {
-        Arc::new(ScopeState {
-            pending: Mutex::new(0),
-            all_done: Condvar::new(),
-            panic: Mutex::new(None),
-        })
-    }
-
-    fn task_finished(&self, payload: Option<Box<dyn Any + Send>>) {
-        if let Some(p) = payload {
-            self.panic
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .get_or_insert(p);
-        }
-        let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-        *pending -= 1;
-        if *pending == 0 {
-            self.all_done.notify_all();
-        }
-    }
-}
-
-/// A fork–join scope over which tasks borrowing the enclosing stack frame
-/// may be spawned. See [`scope`].
-pub struct Scope<'scope> {
-    state: Arc<ScopeState>,
-    // Invariant over 'scope, like rayon's Scope.
-    _marker: PhantomData<&'scope mut &'scope ()>,
-}
-
-impl<'scope> Scope<'scope> {
-    /// Spawns `body` onto the pool. The closure may borrow anything that
-    /// outlives the enclosing [`scope`] call.
-    pub fn spawn<F>(&self, body: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        if IN_WORKER.with(|w| w.get()) {
-            // Nested scope inside a pool task: run inline rather than
-            // queueing, so a full pool can never deadlock on itself.
-            body(self);
-            return;
-        }
-        *self.state.pending.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-        let state = Arc::clone(&self.state);
-        let nested = Scope {
-            state: Arc::clone(&self.state),
-            _marker: PhantomData,
-        };
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| body(&nested)));
-            state.task_finished(result.err());
-        });
-        // SAFETY: `scope` (via WaitGuard) does not return — normally or by
-        // unwinding — until `pending` drops to zero, i.e. until this job has
-        // run to completion, so every borrow inside `body` outlives the job.
-        let job: Job = unsafe { std::mem::transmute(job) };
-        let p = pool();
-        p.queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(job);
-        p.work_ready.notify_one();
-    }
-}
-
-struct WaitGuard<'a>(&'a ScopeState);
-
-impl Drop for WaitGuard<'_> {
-    fn drop(&mut self) {
-        let pool = pool();
-        loop {
-            {
-                let pending = self.0.pending.lock().unwrap_or_else(|e| e.into_inner());
-                if *pending == 0 {
-                    return;
-                }
-            }
-            // Help drain the queue instead of parking; fall back to a short
-            // timed wait when the queue is empty but tasks are in flight.
-            if !try_run_one_job(pool) {
-                let pending = self.0.pending.lock().unwrap_or_else(|e| e.into_inner());
-                if *pending == 0 {
-                    return;
-                }
-                let _unused = self
-                    .0
-                    .all_done
-                    .wait_timeout(pending, Duration::from_millis(1))
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        }
-    }
-}
-
-/// Runs `op` with a [`Scope`] on which tasks may be spawned, returning only
-/// after every spawned task has completed. The first task panic (or a panic
-/// in `op` itself) is propagated.
-pub fn scope<'scope, OP, R>(op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R,
-{
-    let state = ScopeState::new();
-    let s = Scope {
-        state: Arc::clone(&state),
-        _marker: PhantomData,
-    };
-    let result = {
-        let _wait = WaitGuard(&state);
-        op(&s)
-        // _wait drops here: blocks until all spawned tasks finish, even if
-        // `op` panicked.
-    };
-    if let Some(p) = state.panic.lock().unwrap_or_else(|e| e.into_inner()).take() {
-        resume_unwind(p);
-    }
-    result
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn scoped_tasks_borrow_stack_data() {
-        let data: Vec<u64> = (0..100).collect();
-        let total = AtomicUsize::new(0);
-        scope(|s| {
-            for chunk in data.chunks(7) {
-                let total = &total;
-                s.spawn(move |_| {
-                    let sum: u64 = chunk.iter().sum();
-                    total.fetch_add(sum as usize, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(
-            total.load(Ordering::Relaxed),
-            (0..100u64).sum::<u64>() as usize
-        );
-    }
-
-    #[test]
-    fn nested_scopes_do_not_deadlock() {
-        let count = AtomicUsize::new(0);
-        scope(|s| {
-            for _ in 0..current_num_threads() * 4 {
-                let count = &count;
-                s.spawn(move |_| {
-                    scope(|inner| {
-                        for _ in 0..4 {
-                            inner.spawn(move |_| {
-                                count.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                });
-            }
-        });
-        assert_eq!(count.load(Ordering::Relaxed), current_num_threads() * 16);
-    }
-
-    #[test]
-    fn panics_propagate() {
-        let result = std::panic::catch_unwind(|| {
-            scope(|s| {
-                s.spawn(|_| panic!("boom"));
-            });
-        });
-        assert!(result.is_err());
-        // The pool must still be usable afterwards.
-        let ok = AtomicUsize::new(0);
-        scope(|s| {
-            let ok = &ok;
-            s.spawn(move |_| {
-                ok.store(7, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(ok.load(Ordering::Relaxed), 7);
-    }
-
-    #[test]
-    fn scope_returns_value() {
-        let v = scope(|_| 42);
-        assert_eq!(v, 42);
-    }
-}
+//! Empty placeholder for `rayon`: the fan-out runs on `std::thread::scope`
+//! (`cods_query::par`). It stays only while `benchmark/Cargo.lock` lists it
+//! (see the root `Cargo.toml`); the next change to the benchmark deletes it.
+#![forbid(unsafe_code)]

@@ -65,6 +65,7 @@
 //! assert_eq!(t.column_by_name("employee").unwrap().distinct_count(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -10,6 +10,7 @@
 //! * [`sweep`] — the Figure 3 sweep definition and system labels;
 //! * [`zipf`] — skewed value sampling.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

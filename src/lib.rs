@@ -14,6 +14,7 @@
 //!
 //! See `README.md` for the tour and `DESIGN.md` for the system inventory.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use cods as core;
