@@ -31,14 +31,24 @@ printf '%s\n' "ADD COLUMN lang str DEFAULT C# TO R" \
     echo "recode R skill rle 0..1"
     echo "recode R skill auto 0..1"
     echo "recode R * bitmap"
+    echo "recode R skill rle 0..1"
     echo "stats R"
     echo "save $tmp/cat.cods"
     echo "open $tmp/cat.cods"
     echo "count R"
+    # A pin pins an encoding, not a payload: after a read faults the
+    # pinned segment in, an empty cache budget pages every segment out,
+    # and the reopened skill column keeps its pin (the whole-column one
+    # `recode R *` set, which `stats` prints over the range pin).
+    echo "count R where skill = 'Light Cleaning'"
+    echo "cache 0"
+    echo "stats R"
 } > "$tmp/local.cods"
 "$cods" "$tmp/local.cods" > "$tmp/local.out" || failed=$?
 cat "$tmp/local.out"
 test -z "${failed:-}"
+grep -E '^R: ' "$tmp/local.out" | tail -n 1 | grep -q ' 0 resident / '
+grep -E '^  skill ' "$tmp/local.out" | tail -n 1 | grep -q 'enc=rle *(pinned)'
 
 # Connect REPL: the same lines over the wire.
 "$cods" serve "$addr" --demo &

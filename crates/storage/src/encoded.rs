@@ -29,9 +29,9 @@
 //! decided here and nowhere else. Every user-facing re-encode is one call,
 //! [`EncodedColumn::with_encoding`], over a [`RecodeScope`] (the column or
 //! a segment range) and a [`RecodeTarget`] (one encoding or the chooser);
-//! it owns the pin rule, including the cache pins of the slots a range
-//! recode keeps, which it never changes on a slot it shares. The chooser's
-//! own pass, [`EncodedColumn::auto_recoded`], is what `cluster_by` and
+//! it owns the pin rule. A pin is column state the chooser respects; the
+//! segment slots carry none, so they are shared freely. The chooser's own
+//! pass, [`EncodedColumn::auto_recoded`], is what `cluster_by` and
 //! UNION's compaction run.
 
 use crate::dictionary::Dictionary;
@@ -691,18 +691,15 @@ impl EncodedColumn {
     /// The one user-facing re-encode (the CLI's `recode`), applying the
     /// pin rule:
     /// - an explicit whole-column recode pins the column;
-    /// - an explicit range recode pins those segments and their cache
-    ///   slots;
+    /// - an explicit range recode pins those segments;
     /// - [`RecodeTarget::Auto`] clears the pin at its own scope and
     ///   re-chooses every segment in that scope that is not pinned at a
     ///   finer level.
     ///
-    /// A cache pin changes only on a slot this column owns: a slot kept
-    /// (already in the target encoding) whose pin must flip is replaced by
-    /// a slot of its own over the same payload and disk location
-    /// (`SegSlot::repinned`), so a table copy or an earlier version
-    /// sharing the old slot keeps its residency. A range past the last
-    /// segment is an error.
+    /// A pin is this column's state and says nothing to the buffer cache:
+    /// a slot already in the target encoding is kept as it is, shared with
+    /// any table copy or earlier version. A range past the last segment is
+    /// an error.
     pub fn with_encoding(
         &self,
         scope: RecodeScope,
@@ -738,12 +735,7 @@ impl EncodedColumn {
                 RecodeTarget::Auto => meta.choose_encoding(),
             })
         })?;
-        for idx in range {
-            out.seg_pins[idx] = explicit;
-            if out.segments[idx].pinned() != explicit {
-                out.segments[idx] = out.segments[idx].repinned(explicit);
-            }
-        }
+        out.seg_pins[range].fill(explicit);
         Ok(out)
     }
 
@@ -1162,7 +1154,7 @@ impl EncodedColumn {
                 continue;
             }
             let part = if (lo, hi) == (seg_start, seg_end) {
-                // Fully covered: the slot (with its encoding, zone, pin, and
+                // Fully covered: the slot (with its encoding, zone and
                 // residency state) carries over untouched — no fault.
                 zones.push(self.zones[i]);
                 seg.clone()
@@ -1378,8 +1370,7 @@ impl EncodedColumn {
     }
 
     /// Decoding helper: installs the column pin and the per-segment pins
-    /// read from disk (parallel to the directory; the decoder pinned the
-    /// slots already).
+    /// read from disk (parallel to the directory).
     pub(crate) fn set_pins(&mut self, pinned: bool, seg_pins: Vec<bool>) {
         debug_assert_eq!(seg_pins.len(), self.segments.len());
         self.pinned = pinned;

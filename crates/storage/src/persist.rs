@@ -109,8 +109,8 @@ use crate::fault;
 use crate::segment::Zone;
 use crate::span::{self, Span};
 use crate::store::{
-    encode_payload, payload_encoded_len, segment_cache, DiskLoc, FileId, PayloadKey, PayloadSource,
-    SegMeta, SegSlot,
+    encode_payload, payload_encoded_len, segment_cache, DiskLoc, FileId, PayloadSource, SegMeta,
+    SegSlot,
 };
 use crate::table::Table;
 use crate::vacuum::HeapStats;
@@ -438,16 +438,17 @@ impl FreeList {
     }
 }
 
-/// Accumulates the new bytes of one save: each distinct payload is placed
-/// exactly once (keyed by [`SegSlot::payload_key`], so slots sharing a
-/// payload share its bytes), and on an append-save slots already backed by
-/// the target file keep their existing offsets without being read at all.
+/// Accumulates the new bytes of one save: each distinct slot's payload is
+/// placed exactly once (keyed by slot identity, so every directory and
+/// table version sharing a slot shares its bytes), and on an append-save
+/// slots already backed by the target file keep their existing offsets
+/// without being read at all.
 struct HeapBuilder<'a> {
     free: FreeList,
     /// `(offset, bytes)` of everything placed so far.
     writes: Vec<(u64, Vec<u8>)>,
-    /// Each placed payload and the slot that placed it.
-    placed: HashMap<PayloadKey, Placement>,
+    /// Where each placed slot's payload went.
+    placed: HashMap<usize, (u64, u64)>,
     /// Canonical path of the append target; slots whose payload source is
     /// this file are reused in place.
     reuse: Option<&'a Path>,
@@ -460,8 +461,6 @@ struct HeapBuilder<'a> {
     /// of the block being encoded.
     extents: Vec<(u64, u64)>,
     placements: Vec<Placement>,
-    /// Slots whose payload another slot in `placements` stored.
-    aliases: Vec<Placement>,
 }
 
 impl<'a> HeapBuilder<'a> {
@@ -490,12 +489,8 @@ impl<'a> HeapBuilder<'a> {
                 return Ok((loc.offset, loc.len));
             }
         }
-        let key = slot.payload_key();
-        if let Some((first, off, len)) = self.placed.get(&key) {
-            if !first.ptr_eq(slot) {
-                self.aliases.push((slot.clone(), *off, *len));
-            }
-            return Ok((*off, *len));
+        if let Some(&at) = self.placed.get(&slot.ident()) {
+            return Ok(at);
         }
         let raw = match slot.disk_loc() {
             Some(loc) => loc.source.read_at(loc.offset, loc.len)?,
@@ -507,7 +502,7 @@ impl<'a> HeapBuilder<'a> {
             }
         };
         let (off, len) = self.put(raw);
-        self.placed.insert(key, (slot.clone(), off, len));
+        self.placed.insert(slot.ident(), (off, len));
         self.placements.push((slot.clone(), off, len));
         Ok((off, len))
     }
@@ -606,7 +601,6 @@ struct Built {
     /// offset 0: the whole image.
     writes: Vec<(u64, Vec<u8>)>,
     placements: Vec<Placement>,
-    aliases: Vec<Placement>,
     /// Every table's block, in content order.
     blocks: Vec<BlockAt>,
     /// The slot that commits this state.
@@ -655,7 +649,6 @@ fn build(
         reuse_id: plan.and_then(|p| p.id),
         extents: Vec::new(),
         placements: Vec::new(),
-        aliases: Vec::new(),
     };
     // A block is placed once every payload is: blocks follow the payloads
     // in a fresh image.
@@ -708,7 +701,6 @@ fn build(
     Ok(Built {
         writes: runs(heap.writes),
         placements: heap.placements,
-        aliases: heap.aliases,
         blocks,
         slot,
     })
@@ -798,9 +790,7 @@ fn append_plan(what: &Content<'_>, path: &Path) -> Option<AppendPlan> {
 /// After a committed write of `built` to `path`: points every placed slot
 /// at its location through `bind` and enrols the newly backed ones in the
 /// buffer cache (making them evictable), then records what the file now
-/// holds. A newly backed alias — a slot whose payload another placed slot
-/// stored — pages out instead, so the cache charges the payload once. A
-/// save binds with [`SegSlot::attach_disk`] — slots already backed
+/// holds. A save binds with [`SegSlot::attach_disk`] — slots already backed
 /// elsewhere keep their original source; vacuum with
 /// [`SegSlot::rebind_disk`] — offsets moved, so existing `DiskLoc`s are
 /// overwritten.
@@ -814,24 +804,16 @@ fn settle(
     let canon = std::fs::canonicalize(path)?;
     let source = Arc::new(PayloadSource::for_file(file, canon));
     let store = segment_cache();
-    let mut bound = Vec::with_capacity(built.placements.len() + built.aliases.len());
-    let aliases = built.aliases.into_iter().map(|p| (p, true));
-    for ((slot, offset, len), alias) in built
-        .placements
-        .into_iter()
-        .map(|p| (p, false))
-        .chain(aliases)
-    {
+    let mut bound = Vec::with_capacity(built.placements.len());
+    for (slot, offset, len) in built.placements {
         bound.push((offset, len));
         let loc = DiskLoc {
             source: Arc::clone(&source),
             offset,
             len,
         };
-        match bind(&slot, loc) {
-            true if alias => slot.release_payload(),
-            true => store.adopt(&slot),
-            false => {}
+        if bind(&slot, loc) {
+            store.adopt(&slot);
         }
     }
     note_source(&source, bound);
@@ -1124,12 +1106,12 @@ fn heap_stats_of(file_len: u64, slot: &Slot, blocks: &[BlockAt]) -> HeapStats {
 // Reader: index, blocks, paged-out slots.
 // ---------------------------------------------------------------------------
 
-/// Slots decoded so far in this file, keyed by heap location and cache
-/// pin — records with identical locations (columns shared across catalog
-/// tables) come back `Arc`-shared, so a cached payload keeps serving every
-/// snapshot, unless they disagree on the pin: each pin stays its own
-/// table's.
-type SlotDedup = HashMap<(u64, u64, bool), SegSlot>;
+/// Slots decoded so far in this file, keyed by heap location — records
+/// with identical locations (columns shared across catalog tables) come
+/// back `Arc`-shared, so a cached payload keeps serving every snapshot.
+/// A segment tag's pin bit is column state: it goes to the column that
+/// read it ([`EncodedColumn::set_pins`]), never to the shared slot.
+type SlotDedup = HashMap<(u64, u64), SegSlot>;
 
 /// Reads one segment's metadata record into a paged-out slot, noting its
 /// payload extent in `extents`.
@@ -1200,7 +1182,7 @@ fn get_seg_slot(
     };
     meta.check().map_err(corrupt)?;
     extents.push((off, len));
-    if let Some(shared) = dedup.get(&(off, len, pinned)) {
+    if let Some(shared) = dedup.get(&(off, len)) {
         // A previously decoded record (a column shared across catalog
         // tables) already owns this payload; the stats must agree.
         if *shared.meta() != meta {
@@ -1215,8 +1197,8 @@ fn get_seg_slot(
         offset: off,
         len,
     };
-    let slot = SegSlot::on_disk(meta, loc, pinned);
-    dedup.insert((off, len, pinned), slot.clone());
+    let slot = SegSlot::on_disk(meta, loc);
+    dedup.insert((off, len), slot.clone());
     Ok((slot, pinned))
 }
 

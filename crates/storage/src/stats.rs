@@ -19,16 +19,14 @@ pub struct ColumnStats {
     pub encodings: EncodingCounts,
     /// `true` when the whole column was pinned by an explicit recode.
     pub encoding_pinned: bool,
-    /// Segments pinned individually by a segment-range recode (or by the
-    /// column pin).
+    /// Segments whose encoding is pinned against the chooser, individually
+    /// by a segment-range recode or by the column pin. A pin never keeps
+    /// a segment resident.
     pub pinned_segments: usize,
     /// Segments whose payload is currently decoded in memory.
     pub resident_segments: usize,
     /// Segments currently paged out to their backing file (metadata only).
     pub on_disk_segments: usize,
-    /// Resident segments the buffer cache may not evict (pinned, or not
-    /// yet saved anywhere).
-    pub unevictable_segments: usize,
     /// Distinct values (dictionary size).
     pub distinct: usize,
     /// Number of row-range segments.
@@ -88,7 +86,6 @@ impl ColumnStats {
         let mut chooser_picks = EncodingCounts::default();
         let mut chooser_disagreements = 0;
         let mut pinned_segments = 0;
-        let mut unevictable_segments = 0;
         for (i, seg) in c.segments().iter().enumerate() {
             let pick = seg.meta().choose_encoding();
             chooser_picks[pick] += 1;
@@ -96,9 +93,6 @@ impl ColumnStats {
                 pinned_segments += 1;
             } else if pick != seg.meta().encoding {
                 chooser_disagreements += 1;
-            }
-            if seg.is_resident() && (seg.pinned() || seg.disk_loc().is_none()) {
-                unevictable_segments += 1;
             }
         }
         let (resident_segments, on_disk_segments) = c.residency_counts();
@@ -110,7 +104,6 @@ impl ColumnStats {
             pinned_segments,
             resident_segments,
             on_disk_segments,
-            unevictable_segments,
             distinct: c.distinct_count(),
             segments: c.segment_count(),
             zoned_segments: zones.len(),
@@ -264,10 +257,9 @@ mod tests {
         let schema = Schema::build(&[("c", ValueType::Int)], &[]).unwrap();
         let rows: Vec<Vec<Value>> = (0..1_000).map(|i| vec![Value::int(i / 100)]).collect();
         let t = Table::from_rows_with_segment_rows("t", schema, &rows, 125).unwrap();
-        // Fresh (never saved) segments are resident and unevictable.
+        // Fresh (never saved) segments are resident.
         let s = TableStats::of(&t);
         assert_eq!((s.resident_segments, s.on_disk_segments), (8, 0));
-        assert_eq!(s.columns[0].unevictable_segments, 8);
         // A lazy reopen is metadata-only, and computing stats must keep it
         // that way — nothing here touches a payload.
         let path =
@@ -276,7 +268,6 @@ mod tests {
         let back = crate::persist::read_table(&path).unwrap();
         let s = TableStats::of(&back);
         assert_eq!((s.resident_segments, s.on_disk_segments), (0, 8));
-        assert_eq!(s.columns[0].unevictable_segments, 0);
         assert_eq!(
             s.columns[0].payload_bytes,
             TableStats::of(&t).columns[0].payload_bytes

@@ -16,9 +16,10 @@
 //! Eviction rules:
 //! * fresh segments (built in memory, never saved) have no disk location and
 //!   are **never** evicted — there is nowhere to reload them from;
-//! * pinned segments are never evicted;
+//! * a segment whose payload is borrowed at the moment is skipped;
 //! * everything else is fair game, in clock order, with one second chance
-//!   for recently touched slots.
+//!   for recently touched slots. An encoding pin is column state
+//!   ([`crate::encoded::EncodedColumn::segment_pinned`]) and exempts nothing.
 //!
 //! Slots are `Arc`-shared across table versions (UNION concat, slices,
 //! catalog snapshots), so a cached segment serves every snapshot that
@@ -229,15 +230,6 @@ impl PayloadSource {
     }
 }
 
-/// What one stored payload is known by ([`SegSlot::payload_key`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum PayloadKey {
-    /// A disk location: the source's allocation, offset and length.
-    Disk(usize, u64, u64),
-    /// A resident payload's allocation.
-    Resident(usize),
-}
-
 /// The on-disk location of one segment payload.
 #[derive(Clone, Debug)]
 pub struct DiskLoc {
@@ -259,8 +251,6 @@ pub(crate) struct SlotInner {
     disk: RwLock<Option<DiskLoc>>,
     /// The decoded payload, `None` while paged out.
     payload: RwLock<Option<SegmentEnc>>,
-    /// Pinned slots are never evicted.
-    pinned: AtomicBool,
     /// Clock reference bit: set on every payload touch, cleared by the
     /// sweep's second chance.
     touched: AtomicBool,
@@ -293,19 +283,17 @@ impl SegSlot {
             meta,
             disk: RwLock::new(None),
             payload: RwLock::new(Some(enc)),
-            pinned: AtomicBool::new(false),
             touched: AtomicBool::new(false),
         }))
     }
 
     /// Builds a paged-out slot from decoded metadata and a disk location
     /// (the v6 open path).
-    pub(crate) fn on_disk(meta: SegMeta, loc: DiskLoc, pinned: bool) -> SegSlot {
+    pub(crate) fn on_disk(meta: SegMeta, loc: DiskLoc) -> SegSlot {
         SegSlot(Arc::new(SlotInner {
             meta,
             disk: RwLock::new(Some(loc)),
             payload: RwLock::new(None),
-            pinned: AtomicBool::new(pinned),
             touched: AtomicBool::new(false),
         }))
     }
@@ -359,57 +347,15 @@ impl SegSlot {
             .and_then(|loc| loc.source.path().map(|p| p.to_path_buf()))
     }
 
-    /// Whether this slot is pinned against eviction.
-    pub(crate) fn pinned(&self) -> bool {
-        self.0.pinned.load(Ordering::Relaxed)
-    }
-
-    /// Pins or unpins the slot against eviction.
-    pub(crate) fn set_pinned(&self, pinned: bool) {
-        self.0.pinned.store(pinned, Ordering::Relaxed);
-    }
-
-    /// A slot of its own over this one's stats, payload and disk location,
-    /// pinned `pinned` against eviction: how a directory changes a pin
-    /// without touching a slot that other directories (table copies,
-    /// earlier versions) share. A disk-backed sibling starts paged out, so
-    /// the cache charges each payload it holds to the one slot that
-    /// faulted it in; a fresh sibling shares the resident payload, which
-    /// no budget counts until a save.
-    pub(crate) fn repinned(&self, pinned: bool) -> SegSlot {
-        if let Some(loc) = self.disk_loc() {
-            return SegSlot::on_disk(self.0.meta.clone(), loc, pinned);
-        }
-        let slot = SegSlot::fresh(self.0.meta.clone(), self.enc());
-        slot.set_pinned(pinned);
-        slot
-    }
-
-    /// What the persist writer stores a payload once per: the disk
-    /// location of a disk-backed slot, else the resident payload's
-    /// allocation. Siblings over one payload ([`SegSlot::repinned`]) and
-    /// every directory entry sharing a slot have the same key.
-    pub(crate) fn payload_key(&self) -> PayloadKey {
-        match self.disk_loc() {
-            Some(loc) => PayloadKey::Disk(Arc::as_ptr(&loc.source) as usize, loc.offset, loc.len),
-            None => PayloadKey::Resident(match self.enc() {
-                SegmentEnc::Bitmap(s) => Arc::as_ptr(&s) as usize,
-                SegmentEnc::Rle(s) => Arc::as_ptr(&s) as usize,
-                SegmentEnc::Packed(s) => Arc::as_ptr(&s) as usize,
-            }),
-        }
-    }
-
-    /// Drops the resident payload of a slot the cache does not charge —
-    /// a sibling a save just gave a disk location after storing its
-    /// payload through another slot: it pages in again on first touch.
-    pub(crate) fn release_payload(&self) {
-        *self.0.payload.write() = None;
-    }
-
     /// Identity comparison: do two directory entries share one slot?
     pub fn ptr_eq(&self, other: &SegSlot) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// The slot's identity as a map key: what the persist writer stores a
+    /// payload once per, however many directories share the slot.
+    pub(crate) fn ident(&self) -> usize {
+        Arc::as_ptr(&self.0) as usize
     }
 
     /// The decoded payload, faulting it in from disk on first touch.
@@ -467,9 +413,16 @@ impl SegSlot {
     /// counts as one cache miss and adds the bytes it read to
     /// `decoded_bytes`. `None` when there is nothing to gain — then read
     /// the payload ([`SegSlot::try_enc`]): the slot is resident (or has no
-    /// disk location) or not a bitmap segment, or the cache has no budget,
-    /// so that a fault is paid once and every later read of the segment
-    /// hits.
+    /// disk location) or not a bitmap segment, or the cache has no budget.
+    ///
+    /// The budget is the whole test. With an unlimited cache nothing is
+    /// ever evicted, so a fault is paid once and every later read of the
+    /// segment hits; with a budget the faulted segment may be paged out
+    /// again before its next read, so the read is selective. The test does
+    /// not read the resident gauge: that gauge counts what every table in
+    /// the process holds, so one query's read path would then depend on
+    /// what other tables keep resident, and
+    /// `lazy_in_lists_match_the_resident_oracle` asserts that it does not.
     ///
     /// # Panics
     /// Panics if a position is past the present ids.
@@ -765,10 +718,10 @@ impl SegmentStore {
         self.maybe_evict();
     }
 
-    /// The clock sweep: while over budget, advance the hand, skipping
-    /// pinned slots, giving touched slots a second chance, and paging out
-    /// the first cold candidate. Bounded at two revolutions per call so a
-    /// ring full of pinned/busy slots cannot spin.
+    /// The clock sweep: while over budget, advance the hand, giving
+    /// touched slots a second chance, skipping borrowed ones, and paging
+    /// out the first cold candidate. Bounded at two revolutions per call
+    /// so a ring full of busy slots cannot spin.
     fn maybe_evict(&self) {
         if self.budget.load(Ordering::Relaxed) == u64::MAX {
             return;
@@ -790,10 +743,6 @@ impl SegmentStore {
                 ring.slots.swap_remove(idx);
                 continue;
             };
-            if inner.pinned.load(Ordering::Relaxed) {
-                ring.hand += 1;
-                continue;
-            }
             if inner.touched.swap(false, Ordering::Relaxed) {
                 ring.hand += 1; // second chance
                 continue;
@@ -839,7 +788,7 @@ mod tests {
         EncodedColumn::from_values_with(ValueType::Int, &vals, seg_rows).unwrap()
     }
 
-    fn slot_on_bytes(slot: &SegSlot, pinned: bool) -> SegSlot {
+    fn slot_on_bytes(slot: &SegSlot) -> SegSlot {
         let enc = slot.enc();
         let mut raw = Vec::new();
         encode_payload(&enc, &mut raw);
@@ -853,7 +802,6 @@ mod tests {
                 offset: 0,
                 len,
             },
-            pinned,
         )
     }
 
@@ -914,7 +862,7 @@ mod tests {
         let _g = budget_guard();
         let col = column(100, 64);
         let enc = col.segments()[0].enc();
-        let slot = slot_on_bytes(&col.segments()[0], false);
+        let slot = slot_on_bytes(&col.segments()[0]);
         assert!(!slot.is_resident());
         // Metadata works without faulting.
         assert_eq!(slot.meta(), col.segments()[0].meta());
@@ -936,11 +884,7 @@ mod tests {
         let _g = budget_guard();
         let store = segment_cache();
         let col = column(4096, 256);
-        let slots: Vec<SegSlot> = col
-            .segments()
-            .iter()
-            .map(|s| slot_on_bytes(s, false))
-            .collect();
+        let slots: Vec<SegSlot> = col.segments().iter().map(slot_on_bytes).collect();
         let one = slots[0].meta().bytes as u64;
         store.set_budget(one); // room for about one segment
         for s in &slots {
@@ -960,25 +904,11 @@ mod tests {
     }
 
     #[test]
-    fn pinned_and_fresh_slots_survive_pressure() {
+    fn fresh_slots_survive_pressure() {
         let _g = budget_guard();
         let store = segment_cache();
-        let col = column(4096, 256);
-        let pinned: Vec<SegSlot> = col
-            .segments()
-            .iter()
-            .map(|s| slot_on_bytes(s, true))
-            .collect();
-        store.set_budget(1);
-        for s in &pinned {
-            let _ = s.enc();
-        }
-        assert!(
-            pinned.iter().all(|s| s.is_resident()),
-            "pinned slots are never evicted"
-        );
-        // Fresh slots (no disk location) are untouchable too.
-        let fresh = &col.segments()[0];
+        // Fresh slots (no disk location) have nowhere to reload from.
+        let fresh = column(4096, 256).segments()[0].clone();
         store.set_budget(1);
         assert!(fresh.is_resident());
         store.set_budget(u64::MAX);
@@ -1007,26 +937,6 @@ mod tests {
         assert!(!slot.is_resident(), "adopted slot pages out under pressure");
         assert_eq!(slot.enc(), enc, "and reloads from its new location");
         store.set_budget(u64::MAX);
-    }
-
-    #[test]
-    fn a_repinned_sibling_shares_the_payload_not_the_pin() {
-        let _g = budget_guard();
-        let fresh = column(512, 256).segments()[0].clone();
-        let backed = slot_on_bytes(&fresh, false);
-        backed.enc();
-        for slot in [fresh, backed] {
-            let twin = slot.repinned(true);
-            assert!(twin.pinned() && !slot.pinned() && !twin.ptr_eq(&slot));
-            assert_eq!(twin.payload_key(), slot.payload_key());
-            assert_eq!(twin.enc(), slot.enc());
-        }
-        let backed = slot_on_bytes(&column(512, 256).segments()[0], false);
-        backed.enc();
-        assert!(
-            !backed.repinned(true).is_resident(),
-            "a disk-backed sibling starts paged out: the cache charges a payload once"
-        );
     }
 
     #[test]

@@ -251,7 +251,7 @@ proptest! {
         let path = temp("scan");
         let lazy = save_reopen(&oracle, &path);
 
-        // Starve the cache: a fresh (never-saved) oracle is unevictable,
+        // Starve the cache: a fresh (never-saved) oracle is never evicted,
         // but the lazy table's segments now page in and out constantly.
         segment_cache().set_budget(budget);
 
