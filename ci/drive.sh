@@ -38,8 +38,8 @@ printf '%s\n' "ADD COLUMN lang str DEFAULT C# TO R" \
     echo "count R"
     # A pin pins an encoding, not a payload: after a read faults the
     # pinned segment in, an empty cache budget pages every segment out,
-    # and the reopened skill column keeps its pin (the whole-column one
-    # `recode R *` set, which `stats` prints over the range pin).
+    # and the reopened skill column keeps both its pins: the whole-column
+    # one `recode R *` set and the range pin on segment 0.
     echo "count R where skill = 'Light Cleaning'"
     echo "cache 0"
     echo "stats R"
@@ -48,7 +48,7 @@ printf '%s\n' "ADD COLUMN lang str DEFAULT C# TO R" \
 cat "$tmp/local.out"
 test -z "${failed:-}"
 grep -E '^R: ' "$tmp/local.out" | tail -n 1 | grep -q ' 0 resident / '
-grep -E '^  skill ' "$tmp/local.out" | tail -n 1 | grep -q 'enc=rle *(pinned)'
+grep -E '^  skill ' "$tmp/local.out" | tail -n 1 | grep -q 'enc=rle *(pinned, 1×pinned)'
 
 # Connect REPL: the same lines over the wire.
 "$cods" serve "$addr" --demo &

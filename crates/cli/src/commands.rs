@@ -50,7 +50,7 @@ local shell only:
   tables                                           list tables
   display <table> [limit]                          show rows
   stats <table>                                    storage statistics: per-segment encodings,
-                                                   zones, run/distinct ratios, chooser picks,
+                                                   value ranges, run/distinct ratios, chooser picks,
                                                    cache residency, dead bytes per backing file
   cache [<bytes>|unlimited]                        show buffer-cache telemetry, or set the
                                                    byte budget (suffixes k/m/g)
@@ -229,10 +229,10 @@ fn parse_schema(spec: &str) -> Result<Schema, String> {
 }
 
 /// Renders the `stats` output: per-column segment-encoding histogram (a
-/// mixed directory shows e.g. `4×bitmap/12×rle/0×packed`), pin state, segment
-/// directory shape, zone-map coverage and value range, run/distinct
-/// ratios, the per-segment chooser's would-be picks, and compression
-/// numbers.
+/// mixed directory shows e.g. `4×bitmap/12×rle/0×packed`), pin state (the
+/// column pin and the segment-range pins, each shown when set), segment
+/// directory shape, value range, run/distinct ratios, the per-segment
+/// chooser's would-be picks, and compression numbers.
 pub fn render_stats(name: &str, t: &cods_storage::Table) -> String {
     use std::fmt::Write as _;
     let stats = cods_storage::TableStats::of(t);
@@ -247,12 +247,11 @@ pub fn render_stats(name: &str, t: &cods_storage::Table) -> String {
             Some(e) => e.to_string(),
             None => c.encodings.to_string(),
         };
-        let pin = if c.encoding_pinned {
-            " (pinned)".to_string()
-        } else if c.pinned_segments > 0 {
-            format!(" ({}×pinned)", c.pinned_segments)
-        } else {
-            String::new()
+        let pin = match (c.encoding_pinned, c.pinned_segments) {
+            (false, 0) => String::new(),
+            (true, 0) => " (pinned)".to_string(),
+            (false, n) => format!(" ({n}×pinned)"),
+            (true, n) => format!(" (pinned, {n}×pinned)"),
         };
         let _ = writeln!(
             out,
@@ -272,10 +271,8 @@ pub fn render_stats(name: &str, t: &cods_storage::Table) -> String {
         };
         let _ = writeln!(
             out,
-            "  {:<12} zones={}/{} range={} runs={} avg-run={:.1} run/distinct={:.1} chooser={}{}",
+            "  {:<12} range={} runs={} avg-run={:.1} run/distinct={:.1} chooser={}{}",
             "",
-            c.zoned_segments,
-            c.segments,
             range,
             c.runs,
             c.avg_run_len,
@@ -848,8 +845,6 @@ mod tests {
         run(&mut cods, "demo");
         let t = cods.table("R").unwrap();
         let out = render_stats("R", &t);
-        // Zone coverage: every segment of every column carries a zone.
-        assert_eq!(out.matches("zones=1/1").count(), 3, "stats: {out}");
         // Value range folded from the zone maps.
         assert!(out.contains("range=[Ellis .. Roberts]"), "stats: {out}");
         // Run/distinct ratios and the chooser's pick are reported per
@@ -912,6 +907,21 @@ mod tests {
         fails(&mut cods, "recode R skill rle 5..9");
         fails(&mut cods, "recode R skill rle 1");
         fails(&mut cods, "recode R * rle 0..1");
+    }
+
+    #[test]
+    fn stats_show_a_range_pin_under_a_column_pin() {
+        let mut cods = shell();
+        run(&mut cods, "demo");
+        run(&mut cods, "recode R * bitmap");
+        run(&mut cods, "recode R skill rle 0..1");
+        let out = render_stats("R", &cods.table("R").unwrap());
+        assert!(
+            out.contains("enc=rle     (pinned, 1\u{d7}pinned)"),
+            "stats: {out}"
+        );
+        // The other columns carry the column pin alone.
+        assert_eq!(out.matches("enc=bitmap  (pinned) ").count(), 2, "stats: {out}");
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub fn create_table(name: &str, schema: Schema) -> Result<Table> {
 }
 
 /// UNION TABLES: concatenates two union-compatible tables. Unchanged value
-/// payloads are reused segment-by-segment; only dictionaries are merged —
-/// zone maps splice from both inputs without recomputation. After the
+/// payloads are reused segment-by-segment; only dictionaries are merged.
+/// After the
 /// concat, the threshold-triggered compaction pass re-chunks any column
 /// whose directory a long UNION chain has fragmented into irregular tiny
 /// segments (untouched segments stay shared by reference), and the same

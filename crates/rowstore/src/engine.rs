@@ -150,20 +150,6 @@ impl RowDb {
     pub fn journal_stats(&self) -> (u64, u64) {
         (self.journal.pages_journaled, self.journal.commits)
     }
-
-    /// Renames a table.
-    pub fn rename_table(&mut self, from: &str, to: &str) -> Result<(), StorageError> {
-        if self.tables.contains_key(to) {
-            return Err(StorageError::TableExists(to.to_string()));
-        }
-        let mut t = self
-            .tables
-            .remove(from)
-            .ok_or_else(|| StorageError::UnknownTable(from.to_string()))?;
-        t.set_name(to);
-        self.tables.insert(to.to_string(), t);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -215,14 +201,12 @@ mod tests {
     }
 
     #[test]
-    fn rename_and_drop() {
+    fn create_and_drop() {
         let mut db = RowDb::new(InsertPolicy::Batch);
         db.create_table("a", schema()).unwrap();
-        db.rename_table("a", "b").unwrap();
-        assert!(db.contains("b"));
-        assert!(!db.contains("a"));
-        assert_eq!(db.table("b").unwrap().name(), "b");
-        db.drop_table("b").unwrap();
+        assert!(db.contains("a"));
+        assert_eq!(db.table("a").unwrap().name(), "a");
+        db.drop_table("a").unwrap();
         assert!(db.table_names().is_empty());
     }
 }

@@ -146,11 +146,6 @@ impl RowTable {
     pub fn size_bytes(&self) -> usize {
         self.heap.size_bytes()
     }
-
-    /// Renames the table.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
 }
 
 #[cfg(test)]

@@ -54,12 +54,6 @@ impl ValueOrder {
     pub fn ranks(&self) -> &[u32] {
         &self.ranks
     }
-
-    /// The rank of one id.
-    #[inline]
-    pub fn rank_of(&self, id: u32) -> u32 {
-        self.ranks[id as usize]
-    }
 }
 
 /// Interning dictionary: dense `u32` ids for distinct [`Value`]s.
@@ -345,7 +339,6 @@ mod tests {
         let o = d.value_order();
         assert_eq!(o.ordered(), &[1, 2, 0]); // 3 < 7 < 9
         assert_eq!(o.ranks(), &[2, 0, 1]);
-        assert_eq!(o.rank_of(0), 2);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::store::{SegMeta, SegSlot};
 use crate::value::{Value, ValueType};
 use cods_bitmap::{RleSeq, Wah};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The physical encoding of one segment (or, historically, a whole column).
 /// The discriminants index [`EncodingCounts`] and [`Encoding::ALL`].
@@ -327,23 +327,20 @@ fn starts_of(segments: &[SegSlot]) -> (Vec<u64>, u64) {
     (starts, total)
 }
 
-/// Derives every segment's zone from its present-id stats via the
-/// dictionary's value order — the stats-level fallback for paths that
-/// cannot splice zones from inputs. Never touches payload.
-fn derive_zones(dict: &Dictionary, segments: &[SegSlot]) -> Vec<Zone> {
-    if segments.is_empty() {
-        return Vec::new();
+/// A column's per-segment zone maps, derived on first use
+/// ([`EncodedColumn::zones`]). A cache, not state: any two compare equal.
+#[derive(Clone, Debug, Default)]
+struct ZoneCache(OnceLock<Box<[Zone]>>);
+
+impl PartialEq for ZoneCache {
+    fn eq(&self, _: &ZoneCache) -> bool {
+        true
     }
-    let ranks = dict.value_order().ranks();
-    segments
-        .iter()
-        .map(|s| Zone::of_ids(&s.meta().present_ids, ranks))
-        .collect()
 }
 
 /// An immutable segmented column: a column-global dictionary plus one
 /// directory of `Arc`-shared row-range segments, each in its own encoding
-/// ([`SegmentEnc`]), with per-segment zone maps and encoding pins.
+/// ([`SegmentEnc`]), with per-segment encoding pins.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EncodedColumn {
     ty: ValueType,
@@ -351,8 +348,10 @@ pub struct EncodedColumn {
     segments: Vec<SegSlot>,
     /// Start row of each segment (parallel to `segments`).
     starts: Vec<u64>,
-    /// Per-segment zone maps (parallel to `segments`).
-    zones: Vec<Zone>,
+    /// Per-segment zone maps, empty until first read. The one constructor
+    /// starts it empty; a clone keeps it, which is right because a clone
+    /// only ever changes encodings or pins, never present ids or values.
+    zones: ZoneCache,
     /// Per-segment encoding pins (parallel to `segments`): a segment pinned
     /// by an explicit segment-range recode is skipped by the chooser.
     /// Reset on structure-destroying rebuilds (filter/gather), which cannot
@@ -414,9 +413,9 @@ impl EncodedColumn {
         Self::from_segments(ty, dict, segments, segment_rows)
     }
 
-    /// Assembles a column from a dictionary and segments assumed
-    /// consistent, without compaction. Callers that cannot assume
-    /// consistency (e.g. decoding from disk) must run
+    /// Assembles an unpinned column from a dictionary and segments assumed
+    /// consistent, without compaction — every column is built here. Callers
+    /// that cannot assume consistency (e.g. decoding from disk) must run
     /// [`EncodedColumn::check_invariants`] afterwards.
     pub fn from_segments(
         ty: ValueType,
@@ -424,23 +423,6 @@ impl EncodedColumn {
         segments: Vec<SegSlot>,
         segment_rows: u64,
     ) -> EncodedColumn {
-        let zones = derive_zones(&dict, &segments);
-        Self::from_slots_zoned(ty, dict, segments, zones, segment_rows)
-    }
-
-    /// [`EncodedColumn::from_segments`] over already-built directory slots
-    /// with their zone maps as read from disk — the lazy-open path, where
-    /// segments arrive paged out. The zones must be parallel to `segments`
-    /// and consistent with their present-id stats;
-    /// [`EncodedColumn::check_invariants`] verifies both.
-    pub(crate) fn from_slots_zoned(
-        ty: ValueType,
-        dict: Dictionary,
-        segments: Vec<SegSlot>,
-        zones: Vec<Zone>,
-        segment_rows: u64,
-    ) -> EncodedColumn {
-        debug_assert_eq!(segments.len(), zones.len());
         let (starts, rows) = starts_of(&segments);
         let seg_pins = vec![false; segments.len()];
         EncodedColumn {
@@ -448,7 +430,7 @@ impl EncodedColumn {
             dict,
             segments,
             starts,
-            zones,
+            zones: ZoneCache::default(),
             seg_pins,
             segment_rows,
             rows,
@@ -560,14 +542,26 @@ impl EncodedColumn {
         self.starts.partition_point(|&s| s <= row) - 1
     }
 
-    /// Per-segment zone maps, parallel to [`EncodedColumn::segments`].
+    /// Per-segment zone maps, parallel to [`EncodedColumn::segments`]. The
+    /// first call derives them from each segment's present ids and the
+    /// dictionary's value order — stats only, never a payload — and every
+    /// table version sharing this column shares the result.
     pub fn zones(&self) -> &[Zone] {
-        &self.zones
+        self.zones.0.get_or_init(|| {
+            if self.segments.is_empty() {
+                return Box::default();
+            }
+            let ranks = self.dict.value_order().ranks();
+            self.segments
+                .iter()
+                .map(|s| Zone::of_ids(&s.meta().present_ids, ranks))
+                .collect()
+        })
     }
 
     /// The zone map of segment `idx`.
     pub fn zone(&self, idx: usize) -> Zone {
-        self.zones[idx]
+        self.zones()[idx]
     }
 
     /// Distinct values present in the densest segment (≤ `distinct_count`).
@@ -901,11 +895,6 @@ impl EncodedColumn {
         out
     }
 
-    /// Materialized bitmap of a value, if it occurs in the column.
-    pub fn bitmap_of(&self, v: &Value) -> Option<Wah> {
-        self.dict.id_of(v).map(|id| self.value_bitmap(id))
-    }
-
     /// Number of rows carrying value id `id` (from segment stats; never
     /// touches payload).
     pub fn value_count(&self, id: u32) -> u64 {
@@ -1103,49 +1092,30 @@ impl EncodedColumn {
         let (dict, other_map) = self.dict.merge(other.dict());
         let identity = other_map.iter().enumerate().all(|(i, &m)| m as usize == i);
         let mut segments = self.segments.clone();
-        // Zones splice: ids are stable under the dictionary merge (self's
-        // ids keep their values; other's translate to same-value ids), so
-        // both sides' zones carry over without touching any stats.
-        let mut zones = self.zones.clone();
-        let mut seg_pins = self.seg_pins.clone();
         if identity {
             segments.extend(other.segments.iter().cloned());
-            zones.extend(other.zones.iter().copied());
         } else {
             let map: Vec<Option<u32>> = other_map.iter().map(|&m| Some(m)).collect();
             segments.extend(other.segments.iter().map(|s| s.remap(&map)));
-            zones.extend(other.zones.iter().map(|z| z.remap(&map)));
         }
-        seg_pins.extend(other.seg_pins.iter().copied());
-        let (starts, rows) = starts_of(&segments);
-        Ok(EncodedColumn {
-            ty: self.ty,
-            dict,
-            segments,
-            starts,
-            zones,
-            seg_pins,
-            segment_rows: self.segment_rows,
-            rows,
-            // An explicit pin on either input survives the union — the
-            // chooser must not undo a recode the user asked for just
-            // because the pinned side was the right operand.
-            pinned: self.pinned || other.pinned,
-        })
+        let seg_pins = [&self.seg_pins[..], &other.seg_pins[..]].concat();
+        let mut out = Self::from_segments(self.ty, dict, segments, self.segment_rows);
+        // An explicit pin on either input survives the union — the chooser
+        // must not undo a recode the user asked for just because the
+        // pinned side was the right operand.
+        out.set_pins(self.pinned || other.pinned, seg_pins);
+        Ok(out)
     }
 
     /// Extracts the row range `[start, end)`. Fully covered segments are
-    /// shared by reference (keeping their encoding, zone, and pin) when no
+    /// shared by reference (keeping their encoding and pin) when no
     /// dictionary compaction is needed; partial segments are rewritten in
     /// their own encoding. A partial segment that cannot be read is a typed
     /// error.
     pub fn slice(&self, start: u64, end: u64) -> Result<EncodedColumn, StorageError> {
         assert!(start <= end && end <= self.rows, "slice out of range");
         let mut parts: Vec<SegSlot> = Vec::new();
-        let mut zones: Vec<Zone> = Vec::new();
         let mut seg_pins: Vec<bool> = Vec::new();
-        let mut present = vec![false; self.dict.len()];
-        let ranks = self.dict.value_order().ranks();
         let mut scratch = SealScratch::default();
         for (i, (seg, &seg_start)) in self.segments.iter().zip(&self.starts).enumerate() {
             let seg_end = seg_start + seg.meta().rows;
@@ -1153,44 +1123,19 @@ impl EncodedColumn {
             if lo >= hi {
                 continue;
             }
-            let part = if (lo, hi) == (seg_start, seg_end) {
-                // Fully covered: the slot (with its encoding, zone and
-                // residency state) carries over untouched — no fault.
-                zones.push(self.zones[i]);
+            parts.push(if (lo, hi) == (seg_start, seg_end) {
+                // Fully covered: the slot (with its encoding and residency
+                // state) carries over untouched — no fault.
                 seg.clone()
             } else {
-                let rebuilt = self.try_write(&[(lo, hi)], None, &mut scratch)?;
-                // Partial coverage may narrow the value range: re-derive
-                // from the surviving present-id stats.
-                zones.push(Zone::of_ids(&rebuilt.meta().present_ids, ranks));
-                rebuilt
-            };
-            for &id in part.meta().present_ids.iter() {
-                present[id as usize] = true;
-            }
+                self.try_write(&[(lo, hi)], None, &mut scratch)?
+            });
             seg_pins.push(self.seg_pins[i]);
-            parts.push(part);
         }
-        let (segments, dict, zones) = if present.iter().all(|&p| p) {
-            (parts, self.dict.clone(), zones)
-        } else {
-            let (dict, mapping) = self.dict.compact(|id| present[id as usize]);
-            let segments = parts.iter().map(|s| s.remap(&mapping)).collect();
-            let zones = zones.into_iter().map(|z| z.remap(&mapping)).collect();
-            (segments, dict, zones)
-        };
-        let (starts, rows) = starts_of(&segments);
-        Ok(EncodedColumn {
-            ty: self.ty,
-            dict,
-            segments,
-            starts,
-            zones,
-            seg_pins,
-            segment_rows: self.segment_rows,
-            rows,
-            pinned: self.pinned,
-        })
+        let mut out =
+            Self::from_segments_compacting(self.ty, self.dict.clone(), parts, self.segment_rows);
+        out.set_pins(self.pinned, seg_pins);
+        Ok(out)
     }
 
     /// Returns `true` when the directory is fragmented enough to benefit
@@ -1204,7 +1149,7 @@ impl EncodedColumn {
     /// adjacent undersized segments are merged and oversized ones split, so
     /// every output segment lands in `[½·nominal, 2·nominal]` (unless the
     /// whole column is smaller). Segments already within bounds are reused
-    /// by reference with their encoding, zone, and pin.
+    /// by reference with their encoding and pin.
     ///
     /// Every group covers a contiguous row range, written piece by piece
     /// through [`EncodedColumn::try_write`]. A merge group keeps its
@@ -1218,15 +1163,12 @@ impl EncodedColumn {
         let Some(plan) = crate::segment::compaction_plan(&sizes, self.segment_rows) else {
             return Ok(self.clone());
         };
-        let ranks = self.dict.value_order().ranks();
         let mut segments: Vec<SegSlot> = Vec::with_capacity(plan.len());
-        let mut zones: Vec<Zone> = Vec::with_capacity(plan.len());
         let mut seg_pins: Vec<bool> = Vec::with_capacity(plan.len());
         let mut scratch = SealScratch::default();
         for group in plan {
             if group.is_untouched(&sizes) {
                 segments.push(self.segments[group.segs.start].clone());
-                zones.push(self.zones[group.segs.start]);
                 seg_pins.push(self.seg_pins[group.segs.start]);
                 continue;
             }
@@ -1240,23 +1182,13 @@ impl EncodedColumn {
             for piece in group.pieces {
                 let seg = self.try_write(&[(lo, lo + piece)], encoding, &mut scratch)?;
                 lo += piece;
-                zones.push(Zone::of_ids(&seg.meta().present_ids, ranks));
                 seg_pins.push(group_pin);
                 segments.push(seg);
             }
         }
-        let (starts, rows) = starts_of(&segments);
-        Ok(EncodedColumn {
-            ty: self.ty,
-            dict: self.dict.clone(),
-            segments,
-            starts,
-            zones,
-            seg_pins,
-            segment_rows: self.segment_rows,
-            rows,
-            pinned: self.pinned,
-        })
+        let mut out = Self::from_segments(self.ty, self.dict.clone(), segments, self.segment_rows);
+        out.set_pins(self.pinned, seg_pins);
+        Ok(out)
     }
 
     // ---- sizes and invariants ----
@@ -1287,8 +1219,8 @@ impl EncodedColumn {
     }
 
     /// Verifies the per-segment invariants, the directory geometry,
-    /// dictionary compaction (every value occurs somewhere), zone
-    /// consistency, and pin-vector geometry. Faults every payload in;
+    /// dictionary compaction (every value occurs somewhere), and pin-vector
+    /// geometry. Faults every payload in;
     /// [`EncodedColumn::check_meta_invariants`] is the no-fault subset.
     pub fn check_invariants(&self) -> Result<(), StorageError> {
         self.check_meta_invariants()?;
@@ -1300,8 +1232,8 @@ impl EncodedColumn {
     }
 
     /// The metadata tier of [`EncodedColumn::check_invariants`]: directory
-    /// geometry, dictionary compaction, and zone consistency, all checked
-    /// against the resident per-segment stats — never faults a payload in.
+    /// geometry and dictionary compaction, both checked against the
+    /// resident per-segment stats — never faults a payload in.
     /// This is what the v6 lazy-open path runs; payloads are then validated
     /// individually against these same stats as they fault in.
     pub fn check_meta_invariants(&self) -> Result<(), StorageError> {
@@ -1350,22 +1282,6 @@ impl EncodedColumn {
                 )));
             }
         }
-        if self.zones.len() != self.segments.len() {
-            return Err(StorageError::Corrupt(format!(
-                "{} zones for {} segments",
-                self.zones.len(),
-                self.segments.len()
-            )));
-        }
-        let ranks = self.dict.value_order().ranks();
-        for (i, (seg, &zone)) in self.segments.iter().zip(&self.zones).enumerate() {
-            if Zone::of_ids(&seg.meta().present_ids, ranks) != zone {
-                return Err(StorageError::Corrupt(format!(
-                    "segment {i} zone (min id {}, max id {}) does not match its present ids",
-                    zone.min_id, zone.max_id
-                )));
-            }
-        }
         Ok(())
     }
 
@@ -1379,7 +1295,7 @@ impl EncodedColumn {
 
     /// The raw segment-range pin bit of segment `idx`, without the
     /// column-level pin folded in (the persist writer stores the two
-    /// independently).
+    /// independently, and `stats` reports them so).
     pub(crate) fn segment_pin_raw(&self, idx: usize) -> bool {
         self.seg_pins[idx]
     }
@@ -1556,9 +1472,7 @@ impl ColumnBuilder {
         self.rows
     }
 
-    /// Finalizes the column. Zones are derived once here from the sealed
-    /// segments' present-id stats (the dictionary's value order is built a
-    /// single time, not per segment).
+    /// Finalizes the column.
     pub fn finish(mut self) -> EncodedColumn {
         self.seal_segment();
         let col =
@@ -1717,8 +1631,6 @@ mod tests {
             let bm = col.value_bitmap(0);
             assert_eq!(bm.len(), 300);
             assert_eq!(bm.to_positions(), (0..300).step_by(3).collect::<Vec<u64>>());
-            assert_eq!(col.bitmap_of(&Value::int(0)).unwrap(), bm);
-            assert!(col.bitmap_of(&Value::int(99)).is_none());
         }
     }
 
@@ -2076,7 +1988,7 @@ mod tests {
             assert_eq!(dict.value(z1.min_id), &Value::int(20));
             assert_eq!(dict.value(z1.max_id), &Value::int(40));
         }
-        // Concat splices zones without recomputation — across encodings.
+        // Concat keeps each segment's zone — across encodings.
         let cat = b.concat(&r).unwrap();
         assert_eq!(cat.zones().len(), 4);
         assert_eq!(cat.zone(2), b.zone(0));

@@ -1,10 +1,10 @@
 //! Binary persistence of tables and catalogs.
 //!
-//! There is one on-disk format (version 11). A file is a preamble, two
+//! There is one on-disk format (version 12). A file is a preamble, two
 //! commit slots, and a heap of segment payloads, per-table metadata blocks
 //! and the index naming the blocks. A column opens as *metadata only* —
-//! schema, dictionary, per-segment stats, zone maps, encoding/pin tags —
-//! while segment payloads stay on disk and fault in through the buffer
+//! schema, dictionary, per-segment stats, encoding/pin tags — while
+//! segment payloads stay on disk and fault in through the buffer
 //! cache ([`crate::store`]) on first touch:
 //!
 //! ```text
@@ -19,14 +19,13 @@
 //! block    := table                                (one table's metadata)
 //! table    := name:str schema rows:u64 column*
 //! schema   := arity:u16 (name:str tag:u8)* key_len:u16 key_idx:u16*
-//! column   := dict flags:u8 seg_rows:u64 seg_count:u32 segment* zone*
+//! column   := dict flags:u8 seg_rows:u64 seg_count:u32 segment*
 //! dict     := tag:u8 dict_len:u32 value*
 //! flags    := bit 0: whole column pinned by explicit recode
 //! segment  := segtag:u8 off:u64 len:u64 rows:u64 runs:u64 bytes:u64
 //!             present:u32 (id:u32)* (ones:u64)*
 //! segtag   := bits 0, 2: encoding (0 bitmap, 1 rle, 4 packed);
 //!             bit 1: segment pinned
-//! zone     := min_id:u32 max_id:u32                (one per segment)
 //! payload  := bitmaps | runs | codes               (as `segtag` says)
 //! bitmaps  := (end:u32)^present (word:u64)*        (bitmap segment)
 //! runs     := rows:u64 run_count:u32 (id:u32 len:u64)*   (RLE segment)
@@ -46,16 +45,19 @@
 //!
 //! `off`/`len` locate a segment's payload in the heap;
 //! `rows`/`runs`/`bytes`/ids/ones are the resident stats scans prune on
-//! without faulting. A bitmap payload is a head table, one `end` per
-//! present id, and then every present id's WAH words in id order, each
-//! id's active word last: id `i`'s words are `end[i-1]..end[i]` (from 0 for
-//! the first), so the ends rise strictly and the last closes the payload.
-//! Nothing else of a bitmap is stored: its length is the segment's `rows`,
-//! which fixes its active word's valid bits (`rows mod 63`), and its
-//! population is its `ones` entry. A few ids' bitmaps can therefore be read
-//! without the rest ([`crate::store::SegSlot::try_bitmaps`]). `bytes` is
-//! the decoded segment's cache charge — eight per word before an active
-//! word plus 24 per present id — not the payload's length. A packed
+//! without faulting. No zone map is stored: a column derives its zones
+//! from the ids and the dictionary's value order when a read first asks
+//! for them ([`EncodedColumn::zones`]). A bitmap payload is a head table,
+//! one `end` per present id, and then every present id's WAH words in id
+//! order, each id's active word last: id `i`'s words are
+//! `end[i-1]..end[i]` (from 0 for the first), so the ends rise strictly
+//! and the last closes the payload. Nothing else of a bitmap is stored:
+//! its length is the segment's `rows`, which fixes its active word's valid
+//! bits (`rows mod 63`), and its population is its `ones` entry. A few
+//! ids' bitmaps can therefore be read without the rest
+//! ([`crate::store::SegSlot::try_bitmaps`]). `bytes` is the decoded
+//! segment's cache charge — eight per word before an active word plus 24
+//! per present id — not the payload's length. A packed
 //! payload is each row's position among the present ids (its code),
 //! bit-packed LSB-first into little-endian words at `width = max(1,
 //! bits(present − 1))` bits, the last word's unused bits zero: its length is
@@ -106,7 +108,6 @@ use crate::dictionary::Dictionary;
 use crate::encoded::{EncodedColumn, Encoding};
 use crate::error::StorageError;
 use crate::fault;
-use crate::segment::Zone;
 use crate::span::{self, Span};
 use crate::store::{
     encode_payload, payload_encoded_len, segment_cache, DiskLoc, FileId, PayloadSource, SegMeta,
@@ -125,9 +126,9 @@ const MAGIC: u32 = 0xC0D5_0001;
 /// The on-disk format version (two commit slots naming the index of a
 /// heap with one metadata block per table; catalog files stamped with the
 /// catalog version they hold; bitmap payloads a head table and header-free
-/// words; a third, bit-packed segment kind) — the only one this build
-/// reads or writes.
-pub const VERSION: u16 = 11;
+/// words; a third, bit-packed segment kind; no stored zone maps) — the only
+/// one this build reads or writes.
+pub const VERSION: u16 = 12;
 
 /// `magic:u32 version:u16`.
 pub(crate) const PREAMBLE_LEN: usize = 6;
@@ -160,28 +161,6 @@ fn put_dict<B: BufMut>(buf: &mut B, ty: ValueType, dict: &Dictionary) {
     for v in dict.values() {
         put_value(buf, v);
     }
-}
-
-fn put_zones<B: BufMut>(buf: &mut B, zones: &[Zone]) {
-    for z in zones {
-        buf.put_u32_le(z.min_id);
-        buf.put_u32_le(z.max_id);
-    }
-}
-
-fn get_zones(r: &mut Reader<'_>, count: usize, dict_len: usize) -> Result<Vec<Zone>, StorageError> {
-    let mut zones = Vec::with_capacity(count);
-    for _ in 0..count {
-        let min_id = r.u32()?;
-        let max_id = r.u32()?;
-        if min_id as usize >= dict_len || max_id as usize >= dict_len {
-            return Err(StorageError::PersistError(format!(
-                "zone ids ({min_id}, {max_id}) beyond dictionary of {dict_len}"
-            )));
-        }
-        zones.push(Zone { min_id, max_id });
-    }
-    Ok(zones)
 }
 
 fn get_dict(r: &mut Reader<'_>) -> Result<(ValueType, Dictionary), StorageError> {
@@ -546,7 +525,6 @@ fn put_column<B: BufMut>(
             meta.put_u64_le(n);
         }
     }
-    put_zones(meta, c.zones());
     Ok(())
 }
 
@@ -1232,11 +1210,7 @@ fn get_column(
         slots.push(slot);
     }
     drop(meta_span);
-    let mut zone_span = span::enter(Span::OpenZones);
-    zone_span.items(|| seg_count as u64);
-    let zones = get_zones(r, seg_count, dict_len)?;
-    drop(zone_span);
-    let mut col = EncodedColumn::from_slots_zoned(ty, dict, slots, zones, seg_rows);
+    let mut col = EncodedColumn::from_segments(ty, dict, slots, seg_rows);
     col.set_pins(flags & FLAG_PINNED != 0, pins);
     Ok(col)
 }
@@ -1669,8 +1643,8 @@ mod tests {
         let (resident, on_disk) = residency(&back);
         assert_eq!(resident, 0, "a decode must not fault payloads in");
         assert!(on_disk > 0);
-        // ...yet the full metadata surface is there: zones, pins,
-        // per-segment encodings, stats.
+        // ...yet the full metadata surface is there: zones (derived from
+        // the stats), pins, per-segment encodings, stats.
         for (a, b) in t.columns().iter().zip(back.columns()) {
             assert_eq!(a.zones(), b.zones());
             assert_eq!(a.encoding_counts(), b.encoding_counts());
@@ -1718,7 +1692,7 @@ mod tests {
         back.check_invariants().unwrap();
         assert_eq!(back.to_rows(), t.to_rows());
         for (a, b) in t.columns().iter().zip(back.columns()) {
-            assert_eq!(a.zones(), b.zones(), "zones round-trip byte-exactly");
+            assert_eq!(a.zones(), b.zones(), "zones derive the same");
             assert_eq!(a.encoding_pinned(), b.encoding_pinned());
         }
     }
@@ -1849,26 +1823,6 @@ mod tests {
         assert!(
             matches!(err, Err(StorageError::PersistError(_))),
             "expected PersistError, got {err:?}"
-        );
-    }
-
-    #[test]
-    fn in_range_but_wrong_zone_is_rejected_by_invariants() {
-        // Zone ids that are valid dictionary indices but name the wrong
-        // extremes must still fail decode: the metadata invariants
-        // re-derive every zone from the segment's present ids and compare
-        // — without faulting any payload in.
-        let t = mixed_encoding();
-        let bytes = encode_table(&t);
-        let mut raw = bytes.as_slice().to_vec();
-        // The block ends with the last column's zones; its final segment
-        // holds only v = 3, so zone (0, 0) is in-range but wrong.
-        let (_, end) = table_block(&raw);
-        raw[end - 8..end].copy_from_slice(&[0u8; 8]);
-        let err = decode_table(Bytes::from(raw));
-        assert!(
-            matches!(err, Err(StorageError::Corrupt(_))),
-            "expected zone mismatch, got {err:?}"
         );
     }
 

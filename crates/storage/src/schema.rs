@@ -105,11 +105,6 @@ impl Schema {
             .collect()
     }
 
-    /// Returns `true` if the named column belongs to the key.
-    pub fn is_key_column(&self, name: &str) -> bool {
-        self.key.iter().any(|&i| self.columns[i].name == name)
-    }
-
     /// Index of a column by name.
     pub fn index_of(&self, name: &str) -> Result<usize, StorageError> {
         self.columns
@@ -202,8 +197,6 @@ mod tests {
             Schema::build(&[("id", ValueType::Int), ("name", ValueType::Str)], &["id"]).unwrap();
         assert_eq!(s.key(), &[0]);
         assert_eq!(s.key_names(), vec!["id"]);
-        assert!(s.is_key_column("id"));
-        assert!(!s.is_key_column("name"));
     }
 
     #[test]

@@ -37,9 +37,9 @@ pub const DEFAULT_SEGMENT_ROWS: u64 = 64 * 1024;
 /// `[min, max]` value interval cannot intersect a predicate's satisfying
 /// range — O(1) per segment instead of a walk over its present-id stats.
 ///
-/// Zones are maintained *incrementally*: splicing directories (UNION
-/// concat, compaction merges) folds source zones instead of rescanning
-/// payload, and fresh segments derive their zone from present-id stats —
+/// A zone is derived, never stored or spliced: a column computes all of
+/// its zones on first use from its segments' present-id stats
+/// ([`EncodedColumn::zones`](crate::encoded::EncodedColumn::zones)) —
 /// never from bitmap words or runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Zone {
@@ -68,36 +68,6 @@ impl Zone {
         Zone {
             min_id: min,
             max_id: max,
-        }
-    }
-
-    /// Folds two zones into the zone of their spliced segment (O(1)).
-    pub fn merge(self, other: Zone, ranks: &[u32]) -> Zone {
-        Zone {
-            min_id: if ranks[other.min_id as usize] < ranks[self.min_id as usize] {
-                other.min_id
-            } else {
-                self.min_id
-            },
-            max_id: if ranks[other.max_id as usize] > ranks[self.max_id as usize] {
-                other.max_id
-            } else {
-                self.max_id
-            },
-        }
-    }
-
-    /// Translates the zone through an id mapping (dictionary merge or
-    /// compaction). Values are preserved by such mappings, so the
-    /// translated ids still name the segment's extreme values.
-    ///
-    /// # Panics
-    /// Panics if either extreme id was dropped by the mapping (it cannot
-    /// be: zone ids are present in the segment).
-    pub fn remap(self, map: &[Option<u32>]) -> Zone {
-        Zone {
-            min_id: map[self.min_id as usize].expect("zone min id dropped by remap"),
-            max_id: map[self.max_id as usize].expect("zone max id dropped by remap"),
         }
     }
 }
@@ -603,11 +573,6 @@ impl Segment {
             })
     }
 
-    /// The bitmap of `id`, if present (O(log present)).
-    pub fn bitmap_for(&self, id: u32) -> Option<WahRef<'_>> {
-        self.ids.binary_search(&id).ok().map(|i| self.bitmap(i))
-    }
-
     /// The value id at segment-local `row` (O(present) bitmap probes).
     pub fn id_at(&self, row: u64) -> Option<u32> {
         debug_assert!(row < self.rows);
@@ -735,7 +700,7 @@ mod tests {
     }
 
     #[test]
-    fn zone_of_ids_merge_and_remap() {
+    fn zone_of_ids() {
         // ranks: id 0 → rank 2, id 1 → rank 0, id 2 → rank 1.
         let ranks = [2u32, 0, 1];
         let z = Zone::of_ids(&[0, 2], &ranks);
@@ -746,21 +711,11 @@ mod tests {
                 max_id: 0
             }
         );
-        let w = Zone::of_ids(&[1], &ranks);
-        let m = z.merge(w, &ranks);
         assert_eq!(
-            m,
+            Zone::of_ids(&[1], &ranks),
             Zone {
                 min_id: 1,
-                max_id: 0
-            }
-        );
-        let r = m.remap(&[Some(5), Some(6), Some(7)]);
-        assert_eq!(
-            r,
-            Zone {
-                min_id: 6,
-                max_id: 5
+                max_id: 1
             }
         );
     }
@@ -778,17 +733,14 @@ mod tests {
             assert_eq!(&*m.present_ids, &[1, 3, 8]);
             assert_eq!(&*m.ones, &[2, 3, 2]);
             assert_eq!(m.runs, 3);
-            assert_eq!(s.bitmap_for(3).unwrap().to_positions(), vec![2, 3, 4]);
-            assert_eq!(s.bitmap_for(8).unwrap().to_positions(), vec![5, 6]);
+            assert_eq!(s.bitmap(1).to_positions(), vec![2, 3, 4]);
+            assert_eq!(s.bitmap(2).to_positions(), vec![5, 6]);
         }
         // An id seen by an earlier seal is gone from the next one.
         let other: RleSeq = [8u32, 2, 8].into_iter().collect();
         let slot = SegmentEnc::seal(other, Encoding::Bitmap, &mut scratch);
         assert_eq!(&*slot.meta().present_ids, &[2, 8]);
-        assert_eq!(
-            bitmap(&slot).bitmap_for(8).unwrap().to_positions(),
-            vec![0, 2]
-        );
+        assert_eq!(bitmap(&slot).bitmap(1).to_positions(), vec![0, 2]);
         assert_eq!(slot.meta().runs, 3);
         assert_eq!(scratch.distinct(&seq), 3);
     }
@@ -821,6 +773,6 @@ mod tests {
         assert_eq!(&*r.meta().present_ids, &[1, 4]);
         assert_eq!(r.meta().count_for(1), 2);
         assert_eq!(r.meta().count_for(4), 1);
-        assert_eq!(bitmap(&r).bitmap_for(4).unwrap().to_positions(), vec![0]);
+        assert_eq!(bitmap(&r).bitmap(1).to_positions(), vec![0]);
     }
 }

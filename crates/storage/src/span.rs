@@ -10,7 +10,7 @@
 //!
 //! The sites cover the payload layers: the seal, the selection walker's
 //! decode and the fault-in's payload decode, each per encoding, and the
-//! open's per-column dictionary, segment-metadata and zone decode.
+//! open's per-column dictionary and segment-metadata decode.
 
 use crate::encoded::Encoding;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,13 +46,11 @@ pub enum Span {
     /// The open decoding one column's segment records (items: present-id
     /// entries).
     OpenSegMeta,
-    /// The open decoding one column's zone maps (items: zones).
-    OpenZones,
 }
 
 impl Span {
     /// Every span, in registry order.
-    pub const ALL: [Span; 12] = [
+    pub const ALL: [Span; 11] = [
         Span::SealBitmap,
         Span::SealRle,
         Span::SealPacked,
@@ -64,7 +62,6 @@ impl Span {
         Span::FaultPacked,
         Span::OpenDict,
         Span::OpenSegMeta,
-        Span::OpenZones,
     ];
 
     /// The span's printed name.
@@ -81,7 +78,6 @@ impl Span {
             Span::FaultPacked => "fault.packed",
             Span::OpenDict => "open.dict",
             Span::OpenSegMeta => "open.segmeta",
-            Span::OpenZones => "open.zones",
         }
     }
 
@@ -291,7 +287,7 @@ mod tests {
     fn an_inert_timer_records_nothing() {
         // Recording is never switched on in this binary's unit tests.
         let before = snapshot();
-        let mut t = enter(Span::OpenZones);
+        let mut t = enter(Span::OpenSegMeta);
         t.items(|| 5);
         drop(t);
         assert_eq!(snapshot(), before);

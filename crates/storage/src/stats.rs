@@ -3,6 +3,7 @@
 //! compression examples.
 
 use crate::encoded::{EncodedColumn, Encoding, EncodingCounts};
+use crate::segment::Zone;
 use crate::table::Table;
 use crate::value::Value;
 
@@ -19,9 +20,9 @@ pub struct ColumnStats {
     pub encodings: EncodingCounts,
     /// `true` when the whole column was pinned by an explicit recode.
     pub encoding_pinned: bool,
-    /// Segments whose encoding is pinned against the chooser, individually
-    /// by a segment-range recode or by the column pin. A pin never keeps
-    /// a segment resident.
+    /// Segments pinned by a segment-range recode, counted whether or not
+    /// the column pin covers them too. A pin never keeps a segment
+    /// resident.
     pub pinned_segments: usize,
     /// Segments whose payload is currently decoded in memory.
     pub resident_segments: usize,
@@ -31,9 +32,6 @@ pub struct ColumnStats {
     pub distinct: usize,
     /// Number of row-range segments.
     pub segments: usize,
-    /// Segments carrying a zone map (all of them since format v4; reported
-    /// so `stats` can show coverage explicitly).
-    pub zoned_segments: usize,
     /// Column-wide value range from the zone maps (min, max), `None` when
     /// empty.
     pub value_range: Option<(Value, Value)>,
@@ -69,29 +67,24 @@ impl ColumnStats {
         let plain = (c.rows().div_ceil(8) as usize) * c.distinct_count();
         let runs = c.run_count();
         let zones = c.zones();
-        let value_range = if zones.is_empty() {
-            None
-        } else {
-            let ranks = c.dict().value_order().ranks();
-            let whole = zones
-                .iter()
-                .copied()
-                .reduce(|a, b| a.merge(b, ranks))
-                .expect("non-empty zones");
-            Some((
+        let value_range = (!zones.is_empty()).then(|| {
+            let ends: Vec<u32> = zones.iter().flat_map(|z| [z.min_id, z.max_id]).collect();
+            let whole = Zone::of_ids(&ends, c.dict().value_order().ranks());
+            (
                 c.dict().value(whole.min_id).clone(),
                 c.dict().value(whole.max_id).clone(),
-            ))
-        };
+            )
+        });
         let mut chooser_picks = EncodingCounts::default();
         let mut chooser_disagreements = 0;
         let mut pinned_segments = 0;
         for (i, seg) in c.segments().iter().enumerate() {
             let pick = seg.meta().choose_encoding();
             chooser_picks[pick] += 1;
-            if c.segment_pinned(i) {
+            if c.segment_pin_raw(i) {
                 pinned_segments += 1;
-            } else if pick != seg.meta().encoding {
+            }
+            if !c.segment_pinned(i) && pick != seg.meta().encoding {
                 chooser_disagreements += 1;
             }
         }
@@ -106,7 +99,6 @@ impl ColumnStats {
             on_disk_segments,
             distinct: c.distinct_count(),
             segments: c.segment_count(),
-            zoned_segments: zones.len(),
             value_range,
             max_segment_distinct: c.max_segment_distinct(),
             runs,
@@ -217,7 +209,6 @@ mod tests {
         let t = Table::from_rows_with_segment_rows("t", schema, &rows, 500).unwrap();
         let s = &TableStats::of(&t).columns[0];
         assert_eq!(s.segments, 4);
-        assert_eq!(s.zoned_segments, 4, "every segment carries a zone");
         assert_eq!(
             s.value_range,
             Some((Value::int(0), Value::int(19))),

@@ -1,15 +1,16 @@
 //! Pins the on-disk format: the committed fixtures under `tests/golden/`
 //! were produced by `encode_table` / `encode_catalog` at the commit that
-//! introduced format 11 (a third, bit-packed segment kind, segment tag 4).
-//! Against the v10 fixtures they replaced, the unique `id` column's three
-//! segments are packed — each row's present-id position in 7, 7 and 6 bits, 112 +
-//! 112 + 40 bytes of payload — where v10 stored one one-row bitmap per
-//! value: 16,795 → 9,395 bytes for the table file, 23,852 → 16,452 for the
-//! catalog (which stores the shared column once). Every other column's
-//! payload, stats and encodings are the v10 fixtures'. The first slot
-//! commits generation 1 and names the index, the second is zeroed. The encoder must keep reproducing them byte for byte, the
-//! decoder must keep reading them back to the same rows, encodings, pins
-//! and zones, every preamble version other than the current one must be
+//! introduced format 12 (no stored zone maps: a column record ends after
+//! its segment records). Against the v11 fixtures they replaced, each
+//! segment record lost its 8-byte zone: 12 segments make the table file
+//! 9,395 → 9,299 bytes, 18 (the shared `id` column stored once) make the
+//! catalog 16,452 → 16,308. Every payload, stat, encoding and pin is the v11
+//! fixtures'; the `id` column's three segments are packed, `name` mixes a
+//! pinned RLE segment with bitmap ones. The first slot commits generation
+//! 1 and names the index, the second is zeroed. The encoder must keep
+//! reproducing them byte for byte, the decoder must keep reading them back
+//! to the same rows, encodings, pins and zones (derived on both sides),
+//! every preamble version other than the current one must be
 //! refused with the typed unsupported-version error at every entry point,
 //! and no mutation of their bytes may panic a decoder.
 //!
@@ -191,7 +192,7 @@ fn every_other_version_is_refused_at_every_entry_point() {
         }
     }
     let dir = std::env::temp_dir();
-    for version in [1u16, 2, 3, 4, 5, 6, 7, 8, 9, 10, VERSION + 1] {
+    for version in (1..VERSION).chain([VERSION + 1]) {
         for (kind, golden) in [("table", GOLDEN_TABLE), ("catalog", GOLDEN_CATALOG)] {
             let mut raw = golden.to_vec();
             raw[4..6].copy_from_slice(&version.to_le_bytes());
@@ -226,3 +227,4 @@ fn every_other_version_is_refused_at_every_entry_point() {
         }
     }
 }
+

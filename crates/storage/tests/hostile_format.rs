@@ -1,4 +1,4 @@
-//! Hostile bytes for format 11 and the format-3 commit log: seeded, in-tree
+//! Hostile bytes for format 12 and the format-3 commit log: seeded, in-tree
 //! mutation loops over the golden table and catalog fixtures and over a
 //! recorded `.clog`, targeted mutations of the fields inside a table's
 //! metadata block, every truncation and bit flip of the commit slots of a
@@ -167,8 +167,6 @@ struct BlockFields {
     /// `ones`.
     present: usize,
     first_ones: usize,
-    /// The first column's first zone.
-    zone: usize,
 }
 
 fn block_fields(raw: &[u8]) -> BlockFields {
@@ -200,7 +198,6 @@ fn block_fields(raw: &[u8]) -> BlockFields {
         str_len: 0,
         present: 0,
         first_ones: 0,
-        zone: 0,
     };
     for c in 0..arity {
         r.u8().unwrap();
@@ -229,10 +226,6 @@ fn block_fields(raw: &[u8]) -> BlockFields {
             }
             r.take(8 * present).unwrap();
         }
-        if c == 0 {
-            f.zone = at(&r);
-        }
-        r.take(8 * segs as usize).unwrap();
     }
     r.finish().unwrap();
     assert!(f.str_len > 0, "the golden table has a string dictionary");
@@ -277,14 +270,6 @@ fn targeted_metadata_mutations_are_typed_errors() {
         ),
         ("a zero ones", put(f.first_ones, &0u64.to_le_bytes())),
         ("a huge ones", put(f.first_ones, &u64::MAX.to_le_bytes())),
-        (
-            "a zone id past the dictionary",
-            put(f.zone, &u32::MAX.to_le_bytes()),
-        ),
-        (
-            "a zone max past the dictionary",
-            put(f.zone + 4, &u32::MAX.to_le_bytes()),
-        ),
     ];
     for c in 0..f.dict_len.len() {
         cases.push(("an unknown value tag", put(f.first_value_tag[c], &[9])));

@@ -483,21 +483,21 @@ fn write_paths_keep_their_layout_and_bytes() {
     assert_eq!(got.len(), LAYOUTS.len(), "{got:#?}");
 }
 
-/// Format 11 images. Set back to version 10 in the preamble, every output
-/// with no packed segment (`decompose.changed`, `partition.*`, `union`,
-/// `slice`, `recode.*`) hashes to its format 10 digest.
+/// Format 12 images: each is its format 11 image with every column
+/// record's zone records cut and the preamble's version set to 12, which is
+/// all format 12 changed. The layouts are format 11's.
 const LAYOUTS: &[&str] = &[
-    "fixture\nentity: 128r*16 128b*7 56p\nattr: 128b*4 128r*4 128b*15 56p\ndetail: 128r*23 56r\ndigest cb0b6a44efcd4e92",
-    "decompose.changed\nentity: 30r\ndetail: 30r\ndigest 0c45fdf8cf9636a2",
-    "merge.key_fk\nentity: 128r*16 128b*7 56p\nattr: 128b*4 128r*4 128b*15 56p\ndetail: 128r*23 56r\ndigest 8352b595aa385b60",
-    "merge.general\nentity: 128r*23 56r\nattr: 128b*23 56p\ndetail: 128r*23 56r\ndigest 37a112027c6d3ab4",
-    "partition.lo\nentity: 128r*10 128b*3 75b\nattr: 128b*4 128r*4 128b*5 75b\ndetail: 128r*13 75r\ndigest 4d9f36b1fd8237cd",
-    "partition.hi\nentity: 128r*5 128b*4 109b\nattr: 128b*9 109b\ndetail: 128r*9 109r\ndigest 06eb4144a8efe38d",
-    "union\nentity: 128r*10 128b*3 75b 128r*5 128b*4 109b\nattr: 128b*4 128r*4 128b*5 75b 128b*9 109b\ndetail: 128r*13 75r 128r*9 109r\ndigest 132f993e147725a7",
-    "cluster_by\nentity: 128b*23 56p\nattr: 128r*23 56r\ndetail: 128r*23 56r\ndigest a4a1a29d7110e22a",
-    "slice\nentity: 78r 128r*13 108r\nattr: 78b 128b*3 128r*4 128b*6 108b\ndetail: 78r 128r*13 108r\ndigest ab2fea1dd6fcc1d9",
-    "compacted\nentity: 80r*7 80b 65p 75p 122b 122r*3 121r*2 117r*4 116r*2 117r*4 116r*2 117b*4 116b*2 200b\nattr: 80p 80r*3 80p*4 65p 75p 122b*4 121b*2 117b*4 116b*2 117b*4 116b*2 117b*4 116b*2 200b\ndetail: 80r*8 65r 75r 122r*4 121r*2 117r*4 116r*2 117r*4 116r*2 117b*4 116b*2 200b\ndigest 0e5ef3ca0238a39a",
-    "add_column\nentity: 128r*16 128b*7 56p\nattr: 128b*4 128r*4 128b*15 56p\ndetail: 128r*23 56r\nnote: 3000b\ndigest 2a76494395c17782",
-    "recode.rle\nentity: 128r*23 56r\nattr: 128r*23 56r\ndetail: 128r*23 56r\ndigest 2c129c09e177b692",
-    "recode.bitmap\nentity: 128b*23 56b\nattr: 128b*23 56b\ndetail: 128b*23 56b\ndigest b97161c9d12efeb0",
+    "fixture\nentity: 128r*16 128b*7 56p\nattr: 128b*4 128r*4 128b*15 56p\ndetail: 128r*23 56r\ndigest 78b2beac6c99501b",
+    "decompose.changed\nentity: 30r\ndetail: 30r\ndigest d66b028567ddacd2",
+    "merge.key_fk\nentity: 128r*16 128b*7 56p\nattr: 128b*4 128r*4 128b*15 56p\ndetail: 128r*23 56r\ndigest 574cdb42d6023d95",
+    "merge.general\nentity: 128r*23 56r\nattr: 128b*23 56p\ndetail: 128r*23 56r\ndigest 367cf0ee02094d30",
+    "partition.lo\nentity: 128r*10 128b*3 75b\nattr: 128b*4 128r*4 128b*5 75b\ndetail: 128r*13 75r\ndigest 9b14fa1e20f4a0a6",
+    "partition.hi\nentity: 128r*5 128b*4 109b\nattr: 128b*9 109b\ndetail: 128r*9 109r\ndigest a55f9d905e38e017",
+    "union\nentity: 128r*10 128b*3 75b 128r*5 128b*4 109b\nattr: 128b*4 128r*4 128b*5 75b 128b*9 109b\ndetail: 128r*13 75r 128r*9 109r\ndigest e667314146642847",
+    "cluster_by\nentity: 128b*23 56p\nattr: 128r*23 56r\ndetail: 128r*23 56r\ndigest 4dd60a19c592f329",
+    "slice\nentity: 78r 128r*13 108r\nattr: 78b 128b*3 128r*4 128b*6 108b\ndetail: 78r 128r*13 108r\ndigest d5547b58395a5494",
+    "compacted\nentity: 80r*7 80b 65p 75p 122b 122r*3 121r*2 117r*4 116r*2 117r*4 116r*2 117b*4 116b*2 200b\nattr: 80p 80r*3 80p*4 65p 75p 122b*4 121b*2 117b*4 116b*2 117b*4 116b*2 117b*4 116b*2 200b\ndetail: 80r*8 65r 75r 122r*4 121r*2 117r*4 116r*2 117r*4 116r*2 117b*4 116b*2 200b\ndigest b6089cc243ffcc36",
+    "add_column\nentity: 128r*16 128b*7 56p\nattr: 128b*4 128r*4 128b*15 56p\ndetail: 128r*23 56r\nnote: 3000b\ndigest 281abd129b249cb2",
+    "recode.rle\nentity: 128r*23 56r\nattr: 128r*23 56r\ndetail: 128r*23 56r\ndigest f02d24e071a4a417",
+    "recode.bitmap\nentity: 128b*23 56b\nattr: 128b*23 56b\ndetail: 128b*23 56b\ndigest 2025360f05e77b92",
 ];

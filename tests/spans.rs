@@ -1,5 +1,5 @@
 //! The engine's spans over a saved and reopened warehouse catalog: the
-//! open's per-column dictionary, segment-metadata and zone decode, the
+//! open's per-column dictionary and segment-metadata decode, the
 //! fault-in's payload decode and the selection walker, per encoding,
 //! printed as a table (`cargo test --release --test spans -- --nocapture`).
 //! A second catalog holds `sales_wide.sale_id` alone, so its dictionary's
@@ -73,7 +73,7 @@ fn a_reopened_warehouse_reports_its_open_and_payload_spans() {
     println!("warehouse ({} sales), open + fault + read:", cfg.sales);
     print!("{}", span::render());
     // 5 + 3 + 3 columns, each decoded once at the open.
-    for s in [Span::OpenDict, Span::OpenSegMeta, Span::OpenZones] {
+    for s in [Span::OpenDict, Span::OpenSegMeta] {
         assert_eq!(of(&stats, s).count, 11, "{}", s.name());
     }
     // Both `sale_id` columns and the dimension's key and name are packed,

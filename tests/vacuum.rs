@@ -454,13 +454,13 @@ fn checkpoints_beside_an_unchanged_table_leave_one_superseded_block() {
     // The first checkpoint appends the new `dim` and the index whole. The
     // second puts all 432 bytes of payloads (`k`'s four packed ones of 48,
     // `v`'s four of 60) and the index into the hole the first `dim` left
-    // (its payloads and its 6,038-byte block) and appends the rest, the
-    // new block: 6,038 bytes. The third and fifth start where the first
+    // (its payloads and its 5,974-byte block) and appends the rest, the
+    // new block: 5,974 bytes. The third and fifth start where the first
     // index was, right after `fact`'s block, and put all eight payloads
     // (432 bytes) and the index into what the second left of that hole;
     // the fourth repeats the second's placement, appending past the
     // third's end.
-    let (spill, in_hole) = (6_038, 4 * 48 + 240 + index);
+    let (spill, in_hole) = (5_974, 4 * 48 + 240 + index);
     assert_eq!(
         lens,
         [
