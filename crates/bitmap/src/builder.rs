@@ -116,19 +116,6 @@ impl ValueStreamBuilder {
         self.rows_seen += 1;
     }
 
-    /// Appends `count` consecutive rows all carrying `value_id`.
-    #[inline]
-    pub fn push_rows(&mut self, value_id: usize, count: u64) {
-        self.builders[value_id].push_run(self.rows_seen, count);
-        self.rows_seen += count;
-    }
-
-    /// Appends a row carrying *no* value (null slot in every bitmap).
-    #[inline]
-    pub fn push_empty_row(&mut self) {
-        self.rows_seen += 1;
-    }
-
     /// Rows appended so far.
     pub fn rows(&self) -> u64 {
         self.rows_seen
@@ -138,12 +125,6 @@ impl ValueStreamBuilder {
     pub fn finish(self) -> Vec<Wah> {
         let rows = self.rows_seen;
         self.builders.into_iter().map(|b| b.finish(rows)).collect()
-    }
-
-    /// Finishes all bitmaps padded to `len` rows.
-    pub fn finish_with_len(self, len: u64) -> Vec<Wah> {
-        assert!(len >= self.rows_seen);
-        self.builders.into_iter().map(|b| b.finish(len)).collect()
     }
 }
 
@@ -206,20 +187,5 @@ mod tests {
         // Exactly one bitmap is set per row (partition invariant).
         let total: u64 = maps.iter().map(|m| m.count_ones()).sum();
         assert_eq!(total, ids.len() as u64);
-    }
-
-    #[test]
-    fn value_stream_with_nulls_and_runs() {
-        let mut b = ValueStreamBuilder::new(2);
-        b.push_rows(0, 100);
-        b.push_empty_row();
-        b.push_rows(1, 50);
-        let maps = b.finish_with_len(200);
-        assert_eq!(maps[0].len(), 200);
-        assert_eq!(maps[0].count_ones(), 100);
-        assert_eq!(maps[1].count_ones(), 50);
-        assert!(!maps[0].get(100));
-        assert!(!maps[1].get(100));
-        assert!(maps[1].get(101));
     }
 }

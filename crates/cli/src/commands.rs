@@ -921,7 +921,11 @@ mod tests {
             "stats: {out}"
         );
         // The other columns carry the column pin alone.
-        assert_eq!(out.matches("enc=bitmap  (pinned) ").count(), 2, "stats: {out}");
+        assert_eq!(
+            out.matches("enc=bitmap  (pinned) ").count(),
+            2,
+            "stats: {out}"
+        );
     }
 
     #[test]

@@ -408,7 +408,7 @@ DROP TABLE r2
         let smos = parse_script(script).unwrap();
         assert_eq!(smos.len(), 3);
         let cods = Cods::new();
-        cods.execute_all(smos).unwrap();
+        cods.plan(smos).unwrap().execute().unwrap();
         assert_eq!(cods.catalog().table_names(), vec!["r"]);
     }
 

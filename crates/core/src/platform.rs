@@ -4,9 +4,8 @@
 //! The primary surface is **planned** execution — [`Cods::plan`] /
 //! [`Cods::plan_script`] validate a whole script up front, run its
 //! independent operators in parallel waves, and commit atomically (see
-//! [`crate::plan`]). The one-operator-at-a-time [`Cods::execute`] /
-//! [`Cods::execute_all`] remain as a compatibility path over
-//! single-operator plans, retried under [`RetryPolicy::default`].
+//! [`crate::plan`]). The one-operator [`Cods::execute`] is a
+//! single-operator plan, retried under [`RetryPolicy::default`].
 
 use crate::error::Result;
 use crate::exec::PlanReport;
@@ -122,11 +121,10 @@ impl Cods {
     /// Executes one schema modification operator, updating the catalog and
     /// recording the status log. Returns the status.
     ///
-    /// Compatibility path: this is a thin wrapper over a single-operator
-    /// [`Cods::plan`], retried with bounded exponential backoff
-    /// ([`RetryPolicy::default`]) if a concurrent writer invalidates the
-    /// snapshot — the old eager path's serialized semantics, minus its
-    /// unbounded spin. Scripts should prefer `plan(...)` +
+    /// This is a single-operator [`Cods::plan`], retried with bounded
+    /// exponential backoff ([`RetryPolicy::default`]) if a concurrent
+    /// writer invalidates the snapshot — the old eager path's serialized
+    /// semantics, minus its unbounded spin. Scripts should prefer `plan(...)` +
     /// [`EvolutionPlan::execute`], which validates the whole chain up
     /// front and commits atomically. Each attempt re-plans against the
     /// then-current catalog, so a retry sees (and validates against)
@@ -155,17 +153,6 @@ impl Cods {
         let smos = crate::parser::parse_script(text)?;
         self.catalog
             .commit_with_retry(policy, |_| self.plan(smos.clone())?.execute())
-    }
-
-    /// Executes a sequence of operators, stopping at the first failure.
-    ///
-    /// Compatibility path with **partial-mutation semantics**: every
-    /// operator commits individually, so a mid-sequence failure leaves the
-    /// effects of all earlier operators in the catalog. Use
-    /// [`Cods::plan`] / [`Cods::plan_script`] for all-or-nothing script
-    /// execution — a failing plan leaves the catalog untouched.
-    pub fn execute_all<I: IntoIterator<Item = Smo>>(&self, smos: I) -> Result<Vec<StepLog>> {
-        smos.into_iter().map(|s| self.execute(s)).collect()
     }
 }
 

@@ -64,11 +64,6 @@ impl Journal {
         Self::with_file(path)
     }
 
-    /// Returns `true` when the journal is file-backed.
-    pub fn is_file_backed(&self) -> bool {
-        self.file.is_some()
-    }
-
     /// Records the before-image of `page_no` unless already recorded in this
     /// transaction. Returns `true` if a copy was made.
     pub fn record_before_image(&mut self, page_no: u32, image: &[u8; PAGE_SIZE]) -> bool {
@@ -103,11 +98,6 @@ impl Journal {
         }
         self.commits += 1;
     }
-
-    /// Pages journaled in the current (uncommitted) transaction.
-    pub fn pending_pages(&self) -> usize {
-        self.images.len()
-    }
 }
 
 impl Drop for Journal {
@@ -129,9 +119,7 @@ mod tests {
         assert!(j.record_before_image(3, &img));
         assert!(!j.record_before_image(3, &img));
         assert!(j.record_before_image(4, &img));
-        assert_eq!(j.pending_pages(), 2);
         assert_eq!(j.pages_journaled, 2);
-        assert!(!j.is_file_backed());
     }
 
     #[test]
@@ -140,7 +128,6 @@ mod tests {
         let img = Box::new([0u8; PAGE_SIZE]);
         j.record_before_image(1, &img);
         j.commit();
-        assert_eq!(j.pending_pages(), 0);
         assert_eq!(j.commits, 1);
         // Same page journaled again in the next transaction.
         assert!(j.record_before_image(1, &img));
@@ -152,7 +139,6 @@ mod tests {
         use cods_storage::wal::{FRAME_OVERHEAD_BYTES, JOURNAL_HEADER_BYTES};
         let record = PAGE_SIZE as u64 + FRAME_OVERHEAD_BYTES;
         let mut j = Journal::with_temp_file().unwrap();
-        assert!(j.is_file_backed());
         let img = Box::new([9u8; PAGE_SIZE]);
         j.record_before_image(1, &img);
         j.record_before_image(2, &img);

@@ -18,8 +18,6 @@ pub struct Page {
     free_start: usize,
     /// Number of slots in the directory.
     slots: u16,
-    /// Dirty flag (set by inserts, cleared by the journal on snapshot).
-    dirty: bool,
 }
 
 impl Default for Page {
@@ -35,7 +33,6 @@ impl Page {
             data: Box::new([0u8; PAGE_SIZE]),
             free_start: HEADER,
             slots: 0,
-            dirty: false,
         }
     }
 
@@ -65,7 +62,6 @@ impl Page {
         self.data[dir..dir + 2].copy_from_slice(&(off as u16).to_le_bytes());
         self.data[dir + 2..dir + 4].copy_from_slice(&(record.len() as u16).to_le_bytes());
         self.slots += 1;
-        self.dirty = true;
         Some(slot)
     }
 
@@ -86,16 +82,6 @@ impl Page {
         (0..self.slots).map(move |s| self.record(s))
     }
 
-    /// Whether the page was modified since the last journal snapshot.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
-    /// Clears the dirty flag (called by the journal after snapshotting).
-    pub fn clear_dirty(&mut self) {
-        self.dirty = false;
-    }
-
     /// Raw page image (for journaling).
     pub fn image(&self) -> &[u8; PAGE_SIZE] {
         &self.data
@@ -114,7 +100,6 @@ mod tests {
         assert_eq!(p.record(s0), b"hello");
         assert_eq!(p.record(s1), b"world!");
         assert_eq!(p.slot_count(), 2);
-        assert!(p.is_dirty());
     }
 
     #[test]
@@ -146,16 +131,6 @@ mod tests {
         p.insert(b"ccc").unwrap();
         let all: Vec<&[u8]> = p.records().collect();
         assert_eq!(all, vec![b"a".as_ref(), b"bb".as_ref(), b"ccc".as_ref()]);
-    }
-
-    #[test]
-    fn dirty_flag_lifecycle() {
-        let mut p = Page::new();
-        assert!(!p.is_dirty());
-        p.insert(b"x").unwrap();
-        assert!(p.is_dirty());
-        p.clear_dirty();
-        assert!(!p.is_dirty());
     }
 
     #[test]

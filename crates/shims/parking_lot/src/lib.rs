@@ -65,15 +65,6 @@ impl<T: ?Sized> RwLock<T> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Attempts to acquire a shared read guard without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.0.try_read() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Attempts to acquire an exclusive write guard without blocking.
     pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
         match self.0.try_write() {
@@ -114,12 +105,10 @@ mod tests {
         {
             let g = l.try_write().expect("uncontended try_write");
             assert_eq!(*g, 7);
-            assert!(l.try_read().is_none(), "writer blocks try_read");
             assert!(l.try_write().is_none(), "writer blocks try_write");
         }
         {
-            let g = l.try_read().expect("uncontended try_read");
-            assert_eq!(*g, 7);
+            let _g = l.read();
             assert!(l.try_write().is_none(), "reader blocks try_write");
         }
         *l.get_mut() = 8;

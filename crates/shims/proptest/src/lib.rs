@@ -409,8 +409,8 @@ impl Strategy for UnitF64 {
 /// Everything the tests import.
 pub mod prelude {
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest, Just,
-        ProptestConfig, Strategy,
+        any, prop_assert, prop_assert_eq, prop_assume, prop_oneof, proptest, Just, ProptestConfig,
+        Strategy,
     };
 
     /// Namespace mirror of `proptest::prelude::prop`.
@@ -440,13 +440,6 @@ macro_rules! prop_assert {
 macro_rules! prop_assert_eq {
     ($a:expr, $b:expr) => { assert_eq!($a, $b) };
     ($a:expr, $b:expr, $($fmt:tt)*) => { assert_eq!($a, $b, $($fmt)*) };
-}
-
-/// Asserts inequality inside a property test.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($a:expr, $b:expr) => { assert_ne!($a, $b) };
-    ($a:expr, $b:expr, $($fmt:tt)*) => { assert_ne!($a, $b, $($fmt)*) };
 }
 
 /// Skips the current generated case unless `cond` holds.

@@ -421,8 +421,8 @@ impl SegSlot {
     /// again before its next read, so the read is selective. The test does
     /// not read the resident gauge: that gauge counts what every table in
     /// the process holds, so one query's read path would then depend on
-    /// what other tables keep resident, and
-    /// `lazy_in_lists_match_the_resident_oracle` asserts that it does not.
+    /// what other tables keep resident, and the IN-list read of
+    /// `tests/model.rs` asserts that it does not.
     ///
     /// # Panics
     /// Panics if a position is past the present ids.

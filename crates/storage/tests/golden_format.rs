@@ -227,4 +227,3 @@ fn every_other_version_is_refused_at_every_entry_point() {
         }
     }
 }
-

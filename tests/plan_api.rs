@@ -1,8 +1,6 @@
 //! Integration tests of the planned evolution surface: whole-script
 //! validation, DAG parallelism across independent branches, column
-//! operators over mixed-encoding tables, atomic commit semantics, and the
-//! documented partial-mutation behavior of the `execute_all` compatibility
-//! path.
+//! operators over mixed-encoding tables, and atomic commit semantics.
 
 use cods::{Cods, EvolutionError, Smo};
 use cods_storage::{Encoding, StorageError};
@@ -35,10 +33,11 @@ fn planned_script_equals_sequential_on_generated_workload() {
         MERGE TABLES S2, T INTO R2\n\
         DROP TABLE S2\n\
         DROP TABLE T\n";
+    // The sequential reference runs each statement as its own plan.
     let sequential = platform_with("R", 4_000);
-    sequential
-        .execute_all(cods::parse_script(script).unwrap())
-        .unwrap();
+    for smo in cods::parse_script(script).unwrap() {
+        sequential.plan(vec![smo]).unwrap().execute().unwrap();
+    }
 
     let planned = platform_with("R", 4_000);
     let plan = planned.plan_script(script).unwrap();
@@ -145,25 +144,6 @@ fn mid_script_data_failure_aborts_atomically() {
     assert_eq!(cods.catalog().table_names(), vec!["R"]);
     assert_eq!(cods.catalog().version(), before);
     assert!(cods.history().is_empty());
-}
-
-#[test]
-fn execute_all_documents_partial_mutation() {
-    // The compatibility path commits operator by operator: when the third
-    // statement fails, the first two stay — exactly what the plan path
-    // exists to avoid. This test locks the documented behavior.
-    let cods = platform_with("R", 500);
-    let smos = cods::parse_script(
-        "COPY TABLE R TO A\nCOPY TABLE R TO B\nDROP TABLE missing\nCOPY TABLE R TO C\n",
-    )
-    .unwrap();
-    let err = cods.execute_all(smos).unwrap_err();
-    assert!(matches!(
-        err,
-        EvolutionError::Storage(StorageError::UnknownTable(_))
-    ));
-    assert_eq!(cods.catalog().table_names(), vec!["A", "B", "R"]);
-    assert!(!cods.catalog().contains("C"));
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! this at `PROPTEST_CASES=512`): for random SMO chains over
 //! mixed-encoding tables, the planned path — validate → fuse →
 //! DAG-parallel execute → atomic commit — must be indistinguishable from
-//! the sequential compatibility path `execute_all`:
+//! the sequential path, which commits one single-op plan per operator:
 //!
 //! * a chain the sequential path completes must complete planned, with a
 //!   **byte-identical** catalog (every table compared through the persist
@@ -10,11 +10,11 @@
 //!   all have to agree, not just the decoded tuples);
 //! * a chain the sequential path rejects anywhere must fail planned too —
 //!   and leave the planned catalog byte-identical to its pre-plan state
-//!   (the sequential path, by documented contract, keeps the partial
-//!   prefix).
+//!   (the sequential path keeps the prefix it committed before the
+//!   failure).
 
 use cods::simple_ops::ColumnFill;
-use cods::{Cods, DecomposeSpec, MergeStrategy, Smo};
+use cods::{Cods, DecomposeSpec, EvolutionError, MergeStrategy, Smo};
 use cods_query::Predicate;
 use cods_storage::persist::encode_table;
 use cods_storage::{ColumnDef, Encoding, Schema, Table, Value, ValueType};
@@ -177,6 +177,13 @@ fn catalog_bytes(cods: &Cods) -> Vec<(String, Vec<u8>)> {
         .collect()
 }
 
+/// The sequential reference: every operator runs as its own single-op plan
+/// and commits on its own, so a failure keeps the prefix before it.
+fn apply_each(cods: &Cods, smos: &[Smo]) -> Result<(), EvolutionError> {
+    smos.iter()
+        .try_for_each(|s| cods.execute(s.clone()).map(drop))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -193,7 +200,7 @@ proptest! {
         let planned = platform(rle_r, rle_b_k);
         let before = catalog_bytes(&planned);
 
-        let seq_result = sequential.execute_all(smos.clone());
+        let seq_result = apply_each(&sequential, &smos);
         let plan_result = planned.plan(smos).and_then(|p| p.execute());
 
         match seq_result {
@@ -210,8 +217,8 @@ proptest! {
             }
             Err(_) => {
                 // The planned path must also reject the chain — and,
-                // unlike the sequential path's documented partial
-                // mutation, leave its catalog untouched.
+                // unlike the sequential path's committed prefix, leave
+                // its catalog untouched.
                 prop_assert!(plan_result.is_err());
                 prop_assert_eq!(catalog_bytes(&planned), before);
                 prop_assert!(planned.history().is_empty());
@@ -240,7 +247,7 @@ proptest! {
         let sequential = platform(rle, false);
         let planned = platform(rle, false);
         let before = catalog_bytes(&planned);
-        let seq_result = sequential.execute_all(smos.clone());
+        let seq_result = apply_each(&sequential, &smos);
         let plan = planned.plan(smos);
         match seq_result {
             Ok(_) => {

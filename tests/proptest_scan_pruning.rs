@@ -361,7 +361,8 @@ proptest! {
         assert_masks_agree(&back, &p);
 
         // Post-compaction: fragment the directory through a slice/concat
-        // chain, then compact — zones spliced from source segments.
+        // chain, then compact — the compacted column derives its zones
+        // from its own segments' stats on first use.
         let rows = table.rows();
         if rows >= 8 {
             let quarter = rows / 4;
