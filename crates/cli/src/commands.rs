@@ -1,5 +1,5 @@
 //! The command language of the CODS shells. Both shells — the local one
-//! over a [`Cods`] platform and `cods connect` over a [`Client`] — accept
+//! over a [`Cods`] platform and `cods connect` over a [`Client`](cods_server::Client) — accept
 //! the same statements through [`run_statement`]: a bare SMO statement,
 //! `run <file.smo>` and the four reads (`count`, `scan`, `agg`, `join`).
 //! [`run_command`] adds the local shell's meta commands.

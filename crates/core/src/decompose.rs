@@ -99,7 +99,7 @@ pub struct DecomposeOutcome {
 /// Works purely on value ids — dictionary values are never touched — and
 /// fans out per row chunk (the key column's nominal segment size): each
 /// fan-out task numbers the distinct keys in its chunk, in local
-/// first-occurrence order, through a [`KeyIndex`] it borrows from a
+/// first-occurrence order, through a `KeyIndex` it borrows from a
 /// per-call pool and hands back cleared — with one key column an array
 /// indexed by dictionary id, reset through the ids the chunk touched, so no
 /// chunk pays for the whole dictionary. The partials (first offsets, and

@@ -226,8 +226,9 @@ fn key_fk_with(
 
     // Dictionary-level id maps, one per join column: reusable id → keyed id
     // (`None` when the keyed side lacks the value). O(distinct values), and
-    // no hashing at all when both columns hold one dictionary, as a
-    // DECOMPOSE's outputs do.
+    // no hashing: free when both columns hold one dictionary, as a
+    // DECOMPOSE's outputs do, an offset between two dense int keys, one
+    // merge of the two value orders otherwise.
     let maps: Vec<Vec<Option<u32>>> = r_join
         .iter()
         .zip(&k_join)

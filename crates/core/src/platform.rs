@@ -144,7 +144,7 @@ impl Cods {
     /// concurrent writer wins the optimistic commit race. This is the
     /// serving layer's script surface: many sessions submit scripts
     /// against one catalog and conflicts resolve by re-planning rather
-    /// than surfacing raw [`StorageError::Conflict`] — which is still
+    /// than surfacing raw [`StorageError::Conflict`](cods_storage::StorageError::Conflict) — which is still
     /// returned once `policy.max_attempts` is exhausted.
     ///
     /// Parse and validation errors are deterministic and surface

@@ -403,7 +403,8 @@ enum AggCtx<'a> {
     },
     MinMax {
         max: bool,
-        ranks: &'a [u32],
+        /// `None` for an identity value order, where an id is its rank.
+        ranks: Option<&'a [u32]>,
         null_id: Option<u32>,
     },
     Distinct {
@@ -443,7 +444,7 @@ impl<'a> AggCtx<'a> {
             },
             AggOp::Min | AggOp::Max => AggCtx::MinMax {
                 max: op == AggOp::Max,
-                ranks: col.dict().value_order().ranks(),
+                ranks: col.dict().value_order().rank_table(),
                 null_id,
             },
         }
@@ -482,14 +483,15 @@ impl PAcc {
                     AggCtx::MinMax { max, ranks, .. } => (*max, *ranks),
                     _ => unreachable!("ctx mismatch"),
                 };
+                let rank = |id: u32| ranks.map_or(id, |ranks| ranks[id as usize]);
                 if let Some(id) = b {
                     let better = match a {
                         None => true,
                         Some(cur) => {
                             if max {
-                                ranks[id as usize] > ranks[*cur as usize]
+                                rank(id) > rank(*cur)
                             } else {
-                                ranks[id as usize] < ranks[*cur as usize]
+                                rank(id) < rank(*cur)
                             }
                         }
                     };
@@ -659,39 +661,10 @@ fn accumulate(ctx: &AggCtx<'_>, steps: &impl Steps, accs: &mut [Vec<PAcc>], agg:
             max,
             ranks,
             null_id,
-        } => {
-            let max = *max;
-            let mut consider = |g: u32, id: u32| {
-                if let PAcc::MinMax(best) = &mut accs[g as usize][agg] {
-                    let better = match best {
-                        None => true,
-                        Some(cur) => {
-                            if max {
-                                ranks[id as usize] > ranks[*cur as usize]
-                            } else {
-                                ranks[id as usize] < ranks[*cur as usize]
-                            }
-                        }
-                    };
-                    if better {
-                        *best = Some(id);
-                    }
-                }
-            };
-            match null_id {
-                // All-valid: no test at all on the run loop.
-                None => steps.each(|g, id, _| consider(g, id)),
-                // One id comparison per run — not per row.
-                Some(nid) => {
-                    let nid = *nid;
-                    steps.each(|g, id, _| {
-                        if id != nid {
-                            consider(g, id);
-                        }
-                    })
-                }
-            }
-        }
+        } => match ranks {
+            None => min_max(steps, accs, agg, *max, *null_id, |id| id),
+            Some(ranks) => min_max(steps, accs, agg, *max, *null_id, |id| ranks[id as usize]),
+        },
         AggCtx::Distinct { null_id } => {
             let mut insert = |g: u32, id: u32| {
                 if let PAcc::Distinct(set) = &mut accs[g as usize][agg] {
@@ -710,6 +683,46 @@ fn accumulate(ctx: &AggCtx<'_>, steps: &impl Steps, accs: &mut [Vec<PAcc>], agg:
                 }
             }
         }
+    }
+}
+
+/// MIN/MAX over one batch: `rank` is the column's id → value-rank map,
+/// resolved once per batch (the identity or one table), so the loop holds
+/// no branch on the order's kind.
+fn min_max(
+    steps: &impl Steps,
+    accs: &mut [Vec<PAcc>],
+    agg: usize,
+    max: bool,
+    null_id: Option<u32>,
+    rank: impl Fn(u32) -> u32,
+) {
+    let mut consider = |g: u32, id: u32| {
+        if let PAcc::MinMax(best) = &mut accs[g as usize][agg] {
+            let better = match best {
+                None => true,
+                Some(cur) => {
+                    if max {
+                        rank(id) > rank(*cur)
+                    } else {
+                        rank(id) < rank(*cur)
+                    }
+                }
+            };
+            if better {
+                *best = Some(id);
+            }
+        }
+    };
+    match null_id {
+        // All-valid: no test at all on the run loop.
+        None => steps.each(|g, id, _| consider(g, id)),
+        // One id comparison per run — not per row.
+        Some(nid) => steps.each(|g, id, _| {
+            if id != nid {
+                consider(g, id);
+            }
+        }),
     }
 }
 

@@ -77,8 +77,9 @@ pub(crate) enum SatSet<'a> {
         /// Their value-order ranks, ascending (what the zone test searches).
         sorted_ranks: Vec<u32>,
         /// `ranks[id]` = value-order rank (the dictionary's cached
-        /// [`cods_storage::ValueOrder`]), to place a zone's bounds.
-        ranks: &'a [u32],
+        /// [`cods_storage::ValueOrder`]), to place a zone's bounds; `None`
+        /// for an identity order, where an id is its rank.
+        ranks: Option<&'a [u32]>,
     },
     /// Ids whose value-order rank lies in `[lo, hi)` satisfy.
     Interval {
@@ -88,6 +89,14 @@ pub(crate) enum SatSet<'a> {
         /// Inclusive lower rank bound.
         lo: u32,
         /// Exclusive upper rank bound.
+        hi: u32,
+    },
+    /// Ids in `[lo, hi)` satisfy: a rank interval over an identity value
+    /// order, where an id is its rank.
+    IdInterval {
+        /// Inclusive lower id bound.
+        lo: u32,
+        /// Exclusive upper id bound.
         hi: u32,
     },
     /// Per-id satisfaction, indexed by value id.
@@ -118,16 +127,32 @@ impl Hits {
 }
 
 impl SatSet<'_> {
-    /// The id set of the ids in `ids` (any order, repeats allowed).
-    fn of_ids(mut ids: Vec<u32>, ranks: &[u32]) -> SatSet<'_> {
+    /// The id set of the ids in `ids` (any order, repeats allowed) of
+    /// `dict`.
+    fn of_ids(mut ids: Vec<u32>, dict: &Dictionary) -> SatSet<'_> {
         ids.sort_unstable();
         ids.dedup();
-        let mut sorted_ranks: Vec<u32> = ids.iter().map(|&id| ranks[id as usize]).collect();
-        sorted_ranks.sort_unstable();
+        let ranks = dict.value_order().rank_table();
+        let sorted_ranks = match ranks {
+            None => ids.clone(),
+            Some(ranks) => {
+                let mut sorted: Vec<u32> = ids.iter().map(|&id| ranks[id as usize]).collect();
+                sorted.sort_unstable();
+                sorted
+            }
+        };
         SatSet::Ids {
             ids,
             sorted_ranks,
             ranks,
+        }
+    }
+
+    /// The ids of `dict` whose value-order rank lies in `[lo, hi)`.
+    fn interval(dict: &Dictionary, lo: u32, hi: u32) -> SatSet<'_> {
+        match dict.value_order().rank_table() {
+            None => SatSet::IdInterval { lo, hi },
+            Some(ranks) => SatSet::Interval { ranks, lo, hi },
         }
     }
 
@@ -139,6 +164,7 @@ impl SatSet<'_> {
                 let r = ranks[id as usize];
                 *lo <= r && r < *hi
             }
+            SatSet::IdInterval { lo, hi } => *lo <= id && id < *hi,
             SatSet::Bools(sat) => sat[id as usize],
         }
     }
@@ -150,21 +176,24 @@ impl SatSet<'_> {
     /// boolean fallback never zone-prunes.
     #[inline]
     pub(crate) fn zone_may_match(&self, zone: Zone) -> bool {
-        let span = |ranks: &[u32]| (ranks[zone.min_id as usize], ranks[zone.max_id as usize]);
+        let span = |ranks: Option<&[u32]>| match ranks {
+            None => (zone.min_id, zone.max_id),
+            Some(ranks) => (ranks[zone.min_id as usize], ranks[zone.max_id as usize]),
+        };
+        let meets =
+            |(zone_lo, zone_hi): (u32, u32), lo: u32, hi: u32| zone_hi >= lo && zone_lo < hi;
         match self {
             SatSet::Ids {
                 sorted_ranks,
                 ranks,
                 ..
             } => {
-                let (zone_lo, zone_hi) = span(ranks);
+                let (zone_lo, zone_hi) = span(*ranks);
                 let i = sorted_ranks.partition_point(|&r| r < zone_lo);
                 i < sorted_ranks.len() && sorted_ranks[i] <= zone_hi
             }
-            SatSet::Interval { ranks, lo, hi } => {
-                let (zone_lo, zone_hi) = span(ranks);
-                zone_hi >= *lo && zone_lo < *hi
-            }
+            SatSet::Interval { ranks, lo, hi } => meets(span(Some(ranks)), *lo, *hi),
+            SatSet::IdInterval { lo, hi } => meets(span(None), *lo, *hi),
             SatSet::Bools(_) => true,
         }
     }
@@ -446,11 +475,7 @@ fn fused_range<'a>(
     ) else {
         return Ok(None);
     };
-    let sat = SatSet::Interval {
-        ranks: dict.value_order().ranks(),
-        lo: lo_a.max(lo_b),
-        hi: hi_a.min(hi_b),
-    };
+    let sat = SatSet::interval(dict, lo_a.max(lo_b), hi_a.min(hi_b));
     Ok(Some((col, sat)))
 }
 
@@ -487,19 +512,9 @@ fn folded_in<'a>(
     let dict = col.dict();
     let ids = literals
         .into_iter()
-        .flat_map(|literal| eq_ids(dict, literal))
-        .copied()
+        .filter_map(|literal| dict.id_of(literal))
         .collect();
-    Ok(Some((col, SatSet::of_ids(ids, dict.value_order().ranks()))))
-}
-
-/// The ids equal to `literal`: its rank interval, which holds at most one
-/// id (a dictionary's values are distinct), read off the value order.
-fn eq_ids<'d>(dict: &'d Dictionary, literal: &Value) -> &'d [u32] {
-    match CmpOp::Eq.sat_rank_interval(dict, literal) {
-        Some((lo, hi)) => &dict.value_order().ordered()[lo as usize..hi as usize],
-        None => &[],
-    }
+    Ok(Some((col, SatSet::of_ids(ids, dict))))
 }
 
 /// Resolves one comparison's satisfying set against a column's dictionary:
@@ -508,14 +523,10 @@ fn eq_ids<'d>(dict: &'d Dictionary, literal: &Value) -> &'d [u32] {
 pub(crate) fn sat_set<'a>(col: &'a EncodedColumn, op: CmpOp, literal: &Value) -> SatSet<'a> {
     let dict = col.dict();
     if op == CmpOp::Eq {
-        return SatSet::of_ids(eq_ids(dict, literal).to_vec(), dict.value_order().ranks());
+        return SatSet::of_ids(dict.id_of(literal).into_iter().collect(), dict);
     }
     match op.sat_rank_interval(dict, literal) {
-        Some((lo, hi)) => SatSet::Interval {
-            ranks: dict.value_order().ranks(),
-            lo,
-            hi,
-        },
+        Some((lo, hi)) => SatSet::interval(dict, lo, hi),
         None => {
             let probe = CompiledPredicate::Compare {
                 column: 0,
@@ -971,7 +982,6 @@ mod tests {
         for t in [&bitmap, &rle] {
             let col = t.column(0);
             assert_eq!(col.segment_count(), 1);
-            let ranks = col.dict().value_order().ranks();
             let n = col.dict().len() as u32;
             for ids in [
                 vec![],
@@ -982,7 +992,10 @@ mod tests {
             ] {
                 let bools = (0..n).map(|id| ids.contains(&id)).collect();
                 let mut masks = Vec::new();
-                for sat in [SatSet::of_ids(ids.clone(), ranks), SatSet::Bools(bools)] {
+                for sat in [
+                    SatSet::of_ids(ids.clone(), col.dict()),
+                    SatSet::Bools(bools),
+                ] {
                     for zones in [true, false] {
                         let mut mask = Wah::new();
                         append_segment_mask(&mut mask, col, 0, &sat, zones, &mut None).unwrap();
@@ -1049,11 +1062,7 @@ mod tests {
         let (lo, hi) = CmpOp::Ge
             .sat_rank_interval(col.dict(), &Value::int(20))
             .unwrap();
-        let sat = SatSet::Interval {
-            ranks: col.dict().value_order().ranks(),
-            lo,
-            hi,
-        };
+        let sat = SatSet::interval(col.dict(), lo, hi);
         assert!(!sat.zone_may_match(col.zone(0)));
         assert!(sat.zone_may_match(col.zone(col.segment_count() - 1)));
         let pred = Predicate::ge("k", 20i64);

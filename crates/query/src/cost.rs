@@ -89,7 +89,7 @@ impl RankedChoice {
 ///
 /// Whatever the mask evaluator takes as one leaf is exact: a comparison, a
 /// same-column BETWEEN and a same-column `OR` of equalities (an IN) each
-/// resolve to one satisfying set ([`fused_leaf`]), zone-mismatched
+/// resolve to one satisfying set (`fused_leaf`), zone-mismatched
 /// segments contribute zero, and surviving segments sum the resident
 /// `ones` stats of their satisfying present ids — no payload is faulted.
 /// Other `And`/`Or`/`Not` trees combine by independence.

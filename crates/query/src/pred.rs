@@ -46,11 +46,9 @@ impl CmpOp {
     /// three-valued logic exactly: NULL rows satisfy nothing except
     /// `Eq/Le/Ge NULL` (which compare `Equal`) and `Ne <non-null>`.
     pub fn sat_rank_interval(self, dict: &Dictionary, literal: &Value) -> Option<(u32, u32)> {
-        let order = dict.value_order();
-        let ordered = order.ordered();
-        let d = ordered.len() as u32;
+        let d = dict.len() as u32;
         // NULL sorts first; its rank span is [0, nulls).
-        let nulls = u32::from(d > 0 && dict.value(ordered[0]) == &Value::Null);
+        let nulls = u32::from(d > 0 && dict.value(dict.value_order().id_at(0)) == &Value::Null);
         if literal == &Value::Null {
             return Some(match self {
                 // NULL op NULL compares Equal.
@@ -60,8 +58,8 @@ impl CmpOp {
                 CmpOp::Ne => (nulls, d),
             });
         }
-        let lt = ordered.partition_point(|&id| dict.value(id) < literal) as u32;
-        let le = ordered.partition_point(|&id| dict.value(id) <= literal) as u32;
+        let lt = dict.partition_point(|v| v < literal);
+        let le = dict.partition_point(|v| v <= literal);
         Some(match self {
             CmpOp::Eq => (lt, le),
             // NULL < literal in the total order but never satisfies a
@@ -297,49 +295,49 @@ mod tests {
 
     #[test]
     fn sat_rank_interval_matches_eval_value() {
-        // Dictionary in first-appearance order: 7, NULL, 3, 9.
-        let dict = cods_storage::Dictionary::from_values(vec![
-            Value::int(7),
-            Value::Null,
-            Value::int(3),
-            Value::int(9),
-        ])
-        .unwrap();
-        let ranks = dict.value_order().ranks().to_vec();
-        for op in [
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ] {
-            for lit in [
-                Value::Null,
-                Value::int(2),
-                Value::int(3),
-                Value::int(8),
-                Value::int(9),
-                Value::int(10),
+        // Dictionaries in first-appearance order: 7, NULL, 3, 9; and the
+        // same values ascending, whose value order is the identity.
+        let shuffled = vec![Value::int(7), Value::Null, Value::int(3), Value::int(9)];
+        let mut ascending = shuffled.clone();
+        ascending.sort();
+        for values in [shuffled, ascending] {
+            let dict = cods_storage::Dictionary::from_values(values).unwrap();
+            let ranks = dict.value_order().ranks().to_vec();
+            for op in [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
             ] {
-                let probe = CompiledPredicate::Compare {
-                    column: 0,
-                    op,
-                    literal: lit.clone(),
-                };
-                let interval = op.sat_rank_interval(&dict, &lit);
-                match interval {
-                    Some((lo, hi)) => {
-                        for (id, v) in dict.iter() {
-                            let r = ranks[id as usize];
-                            assert_eq!(
-                                lo <= r && r < hi,
-                                probe.eval_value(v),
-                                "{op:?} {lit} id {id} ({v})"
-                            );
+                for lit in [
+                    Value::Null,
+                    Value::int(2),
+                    Value::int(3),
+                    Value::int(8),
+                    Value::int(9),
+                    Value::int(10),
+                ] {
+                    let probe = CompiledPredicate::Compare {
+                        column: 0,
+                        op,
+                        literal: lit.clone(),
+                    };
+                    let interval = op.sat_rank_interval(&dict, &lit);
+                    match interval {
+                        Some((lo, hi)) => {
+                            for (id, v) in dict.iter() {
+                                let r = ranks[id as usize];
+                                assert_eq!(
+                                    lo <= r && r < hi,
+                                    probe.eval_value(v),
+                                    "{op:?} {lit} id {id} ({v})"
+                                );
+                            }
                         }
+                        None => assert_eq!(op, CmpOp::Ne, "only Ne falls back"),
                     }
-                    None => assert_eq!(op, CmpOp::Ne, "only Ne falls back"),
                 }
             }
         }

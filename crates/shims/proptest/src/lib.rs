@@ -312,7 +312,7 @@ impl IntoSizeRange for Range<usize> {
 pub mod collection {
     use super::*;
 
-    /// Strategy for `Vec<T>`; see [`vec`].
+    /// Strategy for `Vec<T>`; see [`vec()`].
     pub struct VecStrategy<S> {
         elem: S,
         min: usize,

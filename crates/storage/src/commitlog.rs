@@ -75,7 +75,7 @@
 //! sequences them in commit order) and then park in [`CommitLog::wait`].
 //! The first waiter becomes the leader: it drains the whole queue, writes
 //! every staged record straight into one buffer (each record is encoded
-//! once, inside its frame — [`wal::encode_frame`]), and issues **one**
+//! once, inside its frame — `wal::encode_frame`), and issues **one**
 //! fsync for the batch — N commits, one `fsync(2)`. Followers wake when the
 //! leader advances the durable ticket.
 //!
@@ -540,7 +540,7 @@ fn read_log(log_path: &Path) -> Result<Option<LogRead>, StorageError> {
 /// Inspects the commit log of `target` without opening or mutating it.
 ///
 /// # Errors
-/// As [`read_log`]: whatever [`open_durable`] would refuse the log for.
+/// As `read_log`: whatever [`open_durable`] would refuse the log for.
 pub fn log_status(target: &Path) -> Result<LogStatus, StorageError> {
     let Some(read) = read_log(&clog_path(target))? else {
         return Ok(LogStatus::default());

@@ -551,7 +551,7 @@ impl EncodedColumn {
             if self.segments.is_empty() {
                 return Box::default();
             }
-            let ranks = self.dict.value_order().ranks();
+            let ranks = self.dict.value_order().rank_table();
             self.segments
                 .iter()
                 .map(|s| Zone::of_ids(&s.meta().present_ids, ranks))
@@ -1155,7 +1155,7 @@ impl EncodedColumn {
     /// through [`EncodedColumn::try_write`]. A merge group keeps its
     /// segments' encoding when they share one; a **mixed** group takes a
     /// pinned part's encoding, else the one the chooser picks for the
-    /// group's combined run/row/distinct stats ([`group_encoding`]). A
+    /// group's combined run/row/distinct stats (`group_encoding`). A
     /// split group's pieces take the default rule. A segment that cannot
     /// be faulted in or read is an error.
     pub fn compacted(&self) -> Result<EncodedColumn, StorageError> {
@@ -1389,8 +1389,10 @@ fn group_encoding(parts: &[SegSlot], pins: &[bool], column_pinned: bool) -> Enco
     choose_encoding_from_stats(runs, rows, distinct.len() as u64, 1)
 }
 
-/// Incremental column builder: interns values and pushes their ids into
-/// the current segment's runs, sealing a segment every `segment_rows` rows
+/// Incremental column builder: interns values (through a value → id map
+/// only once they stop being a dense run of ints; the map is dropped at
+/// [`ColumnBuilder::finish`]) and pushes their ids into the current
+/// segment's runs, sealing a segment every `segment_rows` rows
 /// — bitmap, or packed where the segment is near-unique (the ingest path;
 /// the chooser re-encodes later where the stats say so).
 #[derive(Debug)]
@@ -1475,6 +1477,7 @@ impl ColumnBuilder {
     /// Finalizes the column.
     pub fn finish(mut self) -> EncodedColumn {
         self.seal_segment();
+        self.dict.shed_map();
         let col =
             EncodedColumn::from_segments(self.ty, self.dict, self.segments, self.segment_rows);
         debug_assert_eq!(col.rows, self.rows);

@@ -32,7 +32,7 @@
 //! mutations that went through, so a test can assert a protocol's exact
 //! order — that a save's new bytes are synced before its commit slot is
 //! written, or that every create, rename and unlink a commit depends on is
-//! followed by a sync of its directory ([`sync_dir`]).
+//! followed by a sync of its directory (`sync_dir`).
 //!
 //! Tests drive the layer through two functions rather than arming it by
 //! hand. [`probe`] runs an operation armed with no limit and returns its

@@ -51,10 +51,20 @@ pub struct Zone {
 
 impl Zone {
     /// Derives the zone of a segment from its present-id stats and the
-    /// dictionary's rank permutation. O(present) integer comparisons; the
-    /// payload (bitmaps/runs) is never touched.
-    pub fn of_ids(ids: &[u32], ranks: &[u32]) -> Zone {
+    /// dictionary's rank permutation (`None` for an identity order, where
+    /// an id is its rank). O(present) integer comparisons; the payload
+    /// (bitmaps/runs) is never touched.
+    pub fn of_ids(ids: &[u32], ranks: Option<&[u32]>) -> Zone {
         debug_assert!(!ids.is_empty(), "zone of an empty segment");
+        let Some(ranks) = ranks else {
+            let (min, max) = ids
+                .iter()
+                .fold((ids[0], ids[0]), |(lo, hi), &id| (lo.min(id), hi.max(id)));
+            return Zone {
+                min_id: min,
+                max_id: max,
+            };
+        };
         let mut min = ids[0];
         let mut max = ids[0];
         for &id in &ids[1..] {
@@ -703,7 +713,7 @@ mod tests {
     fn zone_of_ids() {
         // ranks: id 0 → rank 2, id 1 → rank 0, id 2 → rank 1.
         let ranks = [2u32, 0, 1];
-        let z = Zone::of_ids(&[0, 2], &ranks);
+        let z = Zone::of_ids(&[0, 2], Some(&ranks));
         assert_eq!(
             z,
             Zone {
@@ -711,8 +721,16 @@ mod tests {
                 max_id: 0
             }
         );
+        // An identity order: the extreme ids are the extreme values.
         assert_eq!(
-            Zone::of_ids(&[1], &ranks),
+            Zone::of_ids(&[3, 1, 2], None),
+            Zone {
+                min_id: 1,
+                max_id: 3
+            }
+        );
+        assert_eq!(
+            Zone::of_ids(&[1], Some(&ranks)),
             Zone {
                 min_id: 1,
                 max_id: 1

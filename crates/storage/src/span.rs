@@ -10,7 +10,9 @@
 //!
 //! The sites cover the payload layers: the seal, the selection walker's
 //! decode and the fault-in's payload decode, each per encoding, and the
-//! open's per-column dictionary and segment-metadata decode.
+//! open's per-column dictionary and segment-metadata decode; and the
+//! dictionary layer: deriving a value order, per outcome, building a value
+//! → id map, and reconciling two dictionaries' ids, per path.
 
 use crate::encoded::Encoding;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,11 +48,31 @@ pub enum Span {
     /// The open decoding one column's segment records (items: present-id
     /// entries).
     OpenSegMeta,
+    /// Deriving a dictionary's value order that found the values ascending
+    /// in id order: one pass, no vectors (items: values).
+    OrderIdentity,
+    /// Deriving a dictionary's value order by sorting (items: values).
+    OrderSorted,
+    /// Interning building a dictionary's value → id map, the first time a
+    /// new value does not extend a dense int run (items: values hashed).
+    InternMap,
+    /// `Dictionary::remap_to` between two handles of one dictionary (items:
+    /// values).
+    RemapSame,
+    /// `Dictionary::remap_to` between two dense int ranges: an offset
+    /// (items: values).
+    RemapOffset,
+    /// `Dictionary::remap_to` walking two identity orders (items: values
+    /// of both sides).
+    RemapWalk,
+    /// `Dictionary::remap_to` merging two value orders (items: values of
+    /// both sides).
+    RemapMerge,
 }
 
 impl Span {
     /// Every span, in registry order.
-    pub const ALL: [Span; 11] = [
+    pub const ALL: [Span; 18] = [
         Span::SealBitmap,
         Span::SealRle,
         Span::SealPacked,
@@ -62,6 +84,13 @@ impl Span {
         Span::FaultPacked,
         Span::OpenDict,
         Span::OpenSegMeta,
+        Span::OrderIdentity,
+        Span::OrderSorted,
+        Span::InternMap,
+        Span::RemapSame,
+        Span::RemapOffset,
+        Span::RemapWalk,
+        Span::RemapMerge,
     ];
 
     /// The span's printed name.
@@ -78,6 +107,13 @@ impl Span {
             Span::FaultPacked => "fault.packed",
             Span::OpenDict => "open.dict",
             Span::OpenSegMeta => "open.segmeta",
+            Span::OrderIdentity => "dict.order.identity",
+            Span::OrderSorted => "dict.order.sorted",
+            Span::InternMap => "dict.intern.map",
+            Span::RemapSame => "dict.remap.same",
+            Span::RemapOffset => "dict.remap.offset",
+            Span::RemapWalk => "dict.remap.walk",
+            Span::RemapMerge => "dict.remap.merge",
         }
     }
 
@@ -157,6 +193,13 @@ impl Timer {
         if self.start.is_some() {
             self.items += n();
         }
+    }
+
+    /// Records this timer under `span` instead, for a site that learns its
+    /// outcome while it runs.
+    #[inline]
+    pub fn relabel(&mut self, span: Span) {
+        self.span = span;
     }
 }
 
@@ -238,13 +281,13 @@ pub fn render() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<13} {:>8} {:>11} {:>10} {:>9} {:>9} {:>12}",
+        "{:<19} {:>8} {:>11} {:>10} {:>9} {:>9} {:>12}",
         "span", "count", "total_ms", "mean_us", "p50<us", "p99<us", "items"
     );
     for s in snapshot().iter().filter(|s| s.count > 0) {
         let _ = writeln!(
             out,
-            "{:<13} {:>8} {:>11.3} {:>10.2} {:>9.1} {:>9.1} {:>12}",
+            "{:<19} {:>8} {:>11.3} {:>10.2} {:>9.1} {:>9.1} {:>12}",
             s.span.name(),
             s.count,
             s.total_ns as f64 / 1e6,

@@ -69,7 +69,7 @@ impl ColumnStats {
         let zones = c.zones();
         let value_range = (!zones.is_empty()).then(|| {
             let ends: Vec<u32> = zones.iter().flat_map(|z| [z.min_id, z.max_id]).collect();
-            let whole = Zone::of_ids(&ends, c.dict().value_order().ranks());
+            let whole = Zone::of_ids(&ends, c.dict().value_order().rank_table());
             (
                 c.dict().value(whole.min_id).clone(),
                 c.dict().value(whole.max_id).clone(),
@@ -191,6 +191,24 @@ mod tests {
         // Relative to the v × r matrix, the many tiny bitmaps of the
         // high-cardinality column still compress enormously.
         assert!(t_hi.columns[0].compression_ratio > 10.0);
+    }
+
+    #[test]
+    fn dictionary_bytes_count_the_values_and_only_the_order_that_was_built() {
+        let schema = Schema::build(&[("k", ValueType::Int), ("v", ValueType::Int)], &[]).unwrap();
+        let n = 10_000i64;
+        let rows: Vec<Vec<Value>> = (0..n)
+            .map(|i| vec![Value::int(i), Value::int(i * 7919 % n)])
+            .collect();
+        let t = Table::from_rows("t", schema, &rows).unwrap();
+        let stats = TableStats::of(&t);
+        let values = n as usize * std::mem::size_of::<Value>();
+        // A dense int key: its values, no map, an identity order.
+        assert_eq!(stats.columns[0].dict_bytes, values);
+        // A shuffled column: its values and the order its zones sorted.
+        assert_eq!(stats.columns[1].dict_bytes, values + n as usize * 8);
+        let payload: usize = stats.columns.iter().map(|c| c.payload_bytes).sum();
+        assert_eq!(stats.total_bytes, payload + 2 * values + n as usize * 8);
     }
 
     #[test]

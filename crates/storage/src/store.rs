@@ -169,7 +169,7 @@ pub enum PayloadSource {
         file: std::fs::File,
         /// Canonicalized path of the file.
         path: std::path::PathBuf,
-        /// Identity of the inode the handle is bound to (see [`FileId`]).
+        /// Identity of the inode the handle is bound to (see `FileId`).
         id: Option<FileId>,
     },
 }

@@ -5,7 +5,7 @@
 //! keeps is the frame unit that the catalog commit log
 //! ([`crate::commitlog`]) appends and the row store's page journal writes
 //! through [`JournalWriter`], the checksum that verifies every frame, the
-//! commit slots and the server's wire frames, and [`path_lock`], which
+//! commit slots and the server's wire frames, and `path_lock`, which
 //! serializes the saves, vacuums and opens of one file in this process.
 //!
 //! ## The frame format
@@ -17,7 +17,7 @@
 //!
 //! `fnv` is the checksum (`checksum` below) of `tag || len || payload`.
 //! A reader takes the longest prefix of whole frames whose checksums hold
-//! ([`scan_frame_prefix`]); anything past it is a torn tail.
+//! (`scan_frame_prefix`); anything past it is a torn tail.
 //!
 //! The checksum is FNV-1a's xor-multiply step taken one little-endian `u64`
 //! at a time (the bytes past the last whole word one at a time), closed by

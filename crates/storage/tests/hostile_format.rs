@@ -20,8 +20,10 @@ use bytes::Bytes;
 use cods_bitmap::word::{make_fill, ALL_ONES_LITERAL, FILL_FLAG, LIT_MASK, MAX_FILL_GROUPS};
 use cods_bitmap::Wah;
 use cods_query::{Predicate, ScanStream};
-use cods_storage::codec::{read_str, read_value, Reader};
-use cods_storage::persist::{decode_catalog, decode_table, read_catalog, save_catalog};
+use cods_storage::codec::{put_value, read_str, read_value, Reader};
+use cods_storage::persist::{
+    decode_catalog, decode_table, encode_catalog, encode_table, read_catalog, save_catalog,
+};
 use cods_storage::store::{decode_payload, encode_payload, read_bitmaps, SegMeta};
 use cods_storage::{
     clog_path, log_status, open_durable, wal, Catalog, Dictionary, EncodedColumn, Encoding,
@@ -1253,5 +1255,88 @@ fn hostile_commit_logs_are_typed_errors() {
         opened += usize::from(log_survives(&target, &raw));
     }
     println!("clog payload flips: {inputs} inputs, {opened} opened");
+    std::fs::remove_dir_all(target.parent().unwrap()).ok();
+}
+
+// ---- Dictionaries that repeat a value ----
+
+/// A one-column table, one row per value, whose dictionary holds `values`
+/// in id order.
+fn one_value_per_row(values: &[Value]) -> Table {
+    let ty = match values[0] {
+        Value::Str(_) => ValueType::Str,
+        _ => ValueType::Int,
+    };
+    let schema = Schema::build(&[("v", ty)], &[]).unwrap();
+    let rows: Vec<Vec<Value>> = values.iter().map(|v| vec![v.clone()]).collect();
+    Table::from_rows("d", schema, &rows).unwrap()
+}
+
+/// `raw` with the one encoding of `from` overwritten by `to`'s, which is
+/// as long.
+fn with_value_replaced(raw: &[u8], from: &Value, to: &Value) -> Vec<u8> {
+    let (mut old, mut new) = (Vec::new(), Vec::new());
+    put_value(&mut old, from);
+    put_value(&mut new, to);
+    assert_eq!(old.len(), new.len());
+    let at: Vec<usize> = (0..raw.len() - old.len())
+        .filter(|&i| raw[i..i + old.len()] == old[..])
+        .collect();
+    let [at] = at[..] else {
+        panic!("{from} is encoded {} times", at.len());
+    };
+    let mut out = raw.to_vec();
+    out[at..at + new.len()].copy_from_slice(&new);
+    out
+}
+
+fn refused_as_persist_error<T>(what: &str, r: Result<T, StorageError>) {
+    match r {
+        Err(StorageError::PersistError(e)) => assert!(e.contains("duplicate"), "{what}: {e}"),
+        Err(other) => panic!("{what}: wanted a PersistError, got {other:?}"),
+        Ok(_) => panic!("{what}: accepted"),
+    }
+}
+
+#[test]
+fn a_dictionary_that_repeats_a_value_is_refused_at_every_decode() {
+    let big = |i: i64| Value::int(7_000_000_000 + i);
+    let ascending_strs: Vec<Value> = (0..40).map(|i| Value::str(format!("v{i:03}"))).collect();
+    let shuffled: Vec<Value> = (0..40).map(|i| big(i * 17 % 40)).collect();
+    let dense: Vec<Value> = (0..100).map(big).collect();
+    let cases = [
+        // [v000 .. v019, v019, v021 ..]: equal neighbours in an ascending run.
+        (
+            "a repeat adjacent inside an ascending run",
+            &ascending_strs,
+            20,
+            19,
+        ),
+        // The first value again at the far end of a shuffled dictionary.
+        (
+            "a repeat far apart in a shuffled dictionary",
+            &shuffled,
+            39,
+            0,
+        ),
+        // A dense int run whose first and last values still span its length.
+        ("an ascending run of ints with one repeat", &dense, 50, 49),
+    ];
+    let target = scratch("dict_repeat");
+    for (what, values, at, dup) in cases {
+        let t = one_value_per_row(values);
+        let (from, to) = (&values[at], &values[dup]);
+        let table = with_value_replaced(&encode_table(&t), from, to);
+        refused_as_persist_error(what, decode_table(Bytes::from(table)));
+
+        let cat = Catalog::new();
+        cat.create(t).unwrap();
+        let catalog = with_value_replaced(&encode_catalog(&cat), from, to);
+        refused_as_persist_error(what, decode_catalog(Bytes::from(catalog.clone())));
+        std::fs::write(&target, &catalog).unwrap();
+        refused_as_persist_error(what, read_catalog(&target));
+        std::fs::remove_file(clog_path(&target)).ok();
+        refused_as_persist_error(what, open_durable(&target).map(|(cat, _, _)| cat));
+    }
     std::fs::remove_dir_all(target.parent().unwrap()).ok();
 }

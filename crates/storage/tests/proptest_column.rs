@@ -6,8 +6,11 @@
 //! mixed** directories where bitmap, RLE and packed segments interleave
 //! within one column.
 
-use cods_storage::{EncodedColumn, Encoding, RecodeScope, RecodeTarget, Value, ValueType};
+use cods_storage::{
+    Dictionary, EncodedColumn, Encoding, RecodeScope, RecodeTarget, Value, ValueType,
+};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// A segment size so large the column degenerates to one segment — the
 /// monolithic oracle.
@@ -704,5 +707,212 @@ proptest! {
         let back = decode_table(encode_table(&t)).unwrap();
         back.check_invariants().unwrap();
         prop_assert_eq!(back.column(0).values(), want);
+    }
+}
+
+// ---- `Dictionary` against a `HashMap` oracle ----
+
+/// A splitmix64 stream: the dictionary shapes below are drawn from one
+/// seed, so a failing case replays from it.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n.max(1)
+    }
+
+    fn shuffle<T>(&mut self, v: &mut [T]) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, self.below(i as u64 + 1) as usize);
+        }
+    }
+}
+
+/// Distinct values in id order, one per shape: dense ascending ints (from
+/// small, negative and `i64` edge starts), sparse ascending ints, shuffled
+/// ints, strings, and floats with −0.0 and NaN bit patterns; each with and
+/// without `Null` (first where the shape ascends, anywhere otherwise). The
+/// int shapes overlap, so remaps between them find shared values.
+fn dictionary_shapes(d: &mut Draw, n: usize) -> Vec<(&'static str, Vec<Value>)> {
+    let n = n as i64;
+    let start = [-3, 0, 5, -20, i64::MIN, i64::MAX - n + 1][d.below(6) as usize];
+    let dense: Vec<Value> = (0..n).map(|i| Value::int(start + i)).collect();
+    let mut at = -25 + d.below(10) as i64;
+    let sparse: Vec<Value> = (0..n)
+        .map(|_| {
+            at += 1 + d.below(3) as i64;
+            Value::int(at)
+        })
+        .collect();
+    let mut shuffled: Vec<Value> = (-30..30).map(Value::int).collect();
+    d.shuffle(&mut shuffled);
+    shuffled.truncate(n as usize);
+    let mut strs: Vec<Value> = (0..2 * n).map(|i| Value::str(format!("s{i}"))).collect();
+    d.shuffle(&mut strs);
+    strs.truncate(n as usize);
+    let specials = [
+        0.0,
+        -0.0,
+        1.5,
+        -1.5,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::from_bits(0x7FF8_0000_0000_0001),
+        f64::from_bits(0xFFF8_0000_0000_0000),
+        f64::MIN_POSITIVE,
+    ];
+    let mut floats: Vec<Value> = specials
+        .iter()
+        .copied()
+        .chain((0..n).map(|i| i as f64 * 0.25))
+        .map(Value::float)
+        .collect();
+    floats.sort();
+    floats.dedup();
+    if d.below(2) == 0 {
+        d.shuffle(&mut floats);
+    }
+    floats.truncate(n as usize);
+    let mut out = Vec::new();
+    for (name, values, ascends) in [
+        ("dense", dense, true),
+        ("sparse", sparse, true),
+        ("shuffled", shuffled, false),
+        ("strings", strs, false),
+        ("floats", floats, false),
+    ] {
+        let mut with_null = values.clone();
+        let at = if ascends {
+            0
+        } else {
+            d.below(values.len() as u64 + 1) as usize
+        };
+        with_null.insert(at, Value::Null);
+        out.push((name, values));
+        out.push((name, with_null));
+    }
+    out
+}
+
+/// The oracle: each value's id.
+fn oracle(values: &[Value]) -> HashMap<Value, u32> {
+    values.iter().cloned().zip(0..).collect()
+}
+
+/// Holds `d` to `values` (its ids in order): every lookup, and its value
+/// order against a sort of the ids by value.
+fn holds_to_oracle(what: &str, d: &Dictionary, values: &[Value], probes: &[Value]) {
+    let ids = oracle(values);
+    assert_eq!(d.values(), values, "{what}");
+    for v in values.iter().chain(probes) {
+        assert_eq!(d.id_of(v), ids.get(v).copied(), "{what}: id_of({v})");
+    }
+    let mut ordered: Vec<u32> = (0..values.len() as u32).collect();
+    ordered.sort_by(|&a, &b| values[a as usize].cmp(&values[b as usize]));
+    let order = d.value_order();
+    let ascends = values.windows(2).all(|w| w[0] < w[1]);
+    assert_eq!(order.is_identity(), ascends, "{what}: {values:?}");
+    assert_eq!(order.rank_table().is_none(), ascends, "{what}");
+    assert_eq!(order.ordered(), ordered.as_slice(), "{what}");
+    for (rank, &id) in ordered.iter().enumerate() {
+        assert_eq!(order.ranks()[id as usize], rank as u32, "{what}");
+        assert_eq!(order.id_at(rank as u32), id, "{what}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn dictionaries_match_a_hash_map_oracle(seed in any::<u64>(), n in any::<u8>()) {
+        let mut draw = Draw(seed);
+        let shapes = dictionary_shapes(&mut draw, n as usize % 24);
+        let probes: Vec<Value> = (-40..40)
+            .map(Value::int)
+            .chain([i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX].map(Value::int))
+            .chain([Value::Null, Value::str("s1"), Value::str("zz"), Value::float(-0.0)])
+            .chain([Value::float(f64::NAN), Value::float(2.0), Value::Bool(true)])
+            .collect();
+        let mut dicts = Vec::new();
+        for (name, values) in &shapes {
+            // The open's path, and interning one value at a time.
+            let opened = Dictionary::from_values(values.clone()).unwrap();
+            holds_to_oracle(&format!("{name} opened"), &opened, values, &probes);
+            let mut built = Dictionary::new();
+            for v in values {
+                built.intern(v.clone());
+                built.intern(v.clone());
+            }
+            holds_to_oracle(&format!("{name} interned"), &built, values, &probes);
+
+            // Interning into a shared handle copies it; the original keeps
+            // its values and answers.
+            let mut grown = opened.clone();
+            let fresh = probes
+                .iter()
+                .find(|p| opened.id_of(p).is_none())
+                .cloned()
+                .unwrap();
+            prop_assert_eq!(grown.intern(fresh.clone()), values.len() as u32);
+            if let Some(v) = values.first() {
+                prop_assert_eq!(grown.intern(v.clone()), 0);
+            }
+            prop_assert!(!grown.same_as(&opened));
+            holds_to_oracle(&format!("{name} original"), &opened, values, &probes);
+            let mut more = values.clone();
+            more.push(fresh);
+            holds_to_oracle(&format!("{name} grown"), &grown, &more, &probes);
+
+            // Compaction keeps the chosen ids in order.
+            let keep: Vec<bool> = values.iter().map(|_| draw.below(3) != 0).collect();
+            let (compact, mapping) = opened.compact(|id| keep[id as usize]);
+            let kept: Vec<Value> = values
+                .iter()
+                .zip(&keep)
+                .filter(|(_, k)| **k)
+                .map(|(v, _)| v.clone())
+                .collect();
+            let ids = oracle(&kept);
+            for (v, m) in values.iter().zip(&mapping) {
+                prop_assert_eq!(*m, ids.get(v).copied());
+            }
+            holds_to_oracle(&format!("{name} compacted"), &compact, &kept, &probes);
+            dicts.push((format!("{name} opened"), opened, values.clone()));
+            dicts.push((format!("{name} grown"), grown, more));
+        }
+
+        // Every pair of shapes, both ways: merge and remap.
+        for (a_name, a, a_values) in &dicts {
+            prop_assert_eq!(a.remap_to(&a.clone()), (0..a.len() as u32).map(Some).collect::<Vec<_>>());
+            for (b_name, b, b_values) in &dicts {
+                let b_ids = oracle(b_values);
+                let want: Vec<Option<u32>> = a_values.iter().map(|v| b_ids.get(v).copied()).collect();
+                prop_assert_eq!(a.remap_to(b), want, "{} → {}", a_name, b_name);
+
+                let (merged, mapping) = a.merge(b);
+                let mut all = a_values.clone();
+                let mut ids = oracle(a_values);
+                let want: Vec<u32> = b_values
+                    .iter()
+                    .map(|v| {
+                        *ids.entry(v.clone()).or_insert_with(|| {
+                            all.push(v.clone());
+                            all.len() as u32 - 1
+                        })
+                    })
+                    .collect();
+                prop_assert_eq!(mapping, want, "{} ∪ {}", a_name, b_name);
+                holds_to_oracle(&format!("{a_name} ∪ {b_name}"), &merged, &all, &probes);
+            }
+        }
     }
 }
