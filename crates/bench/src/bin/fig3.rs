@@ -189,9 +189,9 @@ fn smo_catalogue(args: &Args) {
     let cfg = GenConfig::sweep_point(rows_n, 1_000.min(rows_n));
     let base = cods_workload::generate_table("R", &cfg);
 
-    let run = |name: &str, f: &mut dyn FnMut()| {
+    let run = |name: &str, f: &mut dyn FnMut() -> cods::Result<cods::PlanReport>| {
         let start = Instant::now();
-        f();
+        f().unwrap();
         println!("  {name:<18} {}", fmt_dur(start.elapsed()));
     };
 
@@ -199,94 +199,94 @@ fn smo_catalogue(args: &Args) {
     let cods = Cods::new();
     cods.catalog().create(base.renamed("R")).unwrap();
     run("CREATE TABLE", &mut || {
-        cods.execute(Smo::CreateTable {
+        cods.plan(vec![Smo::CreateTable {
             name: "fresh".into(),
             schema: r_schema(),
-        })
-        .unwrap();
+        }])?
+        .execute()
     });
     run("COPY TABLE", &mut || {
-        cods.execute(Smo::CopyTable {
+        cods.plan(vec![Smo::CopyTable {
             from: "R".into(),
             to: "R_copy".into(),
-        })
-        .unwrap();
+        }])?
+        .execute()
     });
     run("RENAME TABLE", &mut || {
-        cods.execute(Smo::RenameTable {
+        cods.plan(vec![Smo::RenameTable {
             from: "R_copy".into(),
             to: "R_copy2".into(),
-        })
-        .unwrap();
+        }])?
+        .execute()
     });
     run("DROP TABLE", &mut || {
-        cods.execute(Smo::DropTable {
+        cods.plan(vec![Smo::DropTable {
             name: "R_copy2".into(),
-        })
-        .unwrap();
+        }])?
+        .execute()
     });
 
     // Column SMOs.
     run("ADD COLUMN", &mut || {
-        cods.execute(Smo::AddColumn {
+        cods.plan(vec![Smo::AddColumn {
             table: "R".into(),
             column: ColumnDef::new("flag", ValueType::Int),
             fill: ColumnFill::Default(Value::int(0)),
-        })
-        .unwrap();
+        }])?
+        .execute()
     });
     run("RENAME COLUMN", &mut || {
-        cods.execute(Smo::RenameColumn {
+        cods.plan(vec![Smo::RenameColumn {
             table: "R".into(),
             from: "flag".into(),
             to: "flag2".into(),
-        })
-        .unwrap();
+        }])?
+        .execute()
     });
     run("DROP COLUMN", &mut || {
-        cods.execute(Smo::DropColumn {
+        cods.plan(vec![Smo::DropColumn {
             table: "R".into(),
             column: "flag2".into(),
-        })
-        .unwrap();
+        }])?
+        .execute()
     });
 
     // PARTITION / UNION.
     run("PARTITION TABLE", &mut || {
-        cods.execute(Smo::PartitionTable {
+        cods.plan(vec![Smo::PartitionTable {
             input: "R".into(),
             predicate: Predicate::lt("entity", (cfg.distinct_entities / 2) as i64),
             satisfying: "R_lo".into(),
             rest: "R_hi".into(),
-        })
-        .unwrap();
+        }])?
+        .execute()
     });
     run("UNION TABLES", &mut || {
-        cods.execute(Smo::UnionTables {
+        cods.plan(vec![Smo::UnionTables {
             left: "R_lo".into(),
             right: "R_hi".into(),
             output: "R".into(),
             drop_inputs: true,
-        })
-        .unwrap();
+        }])?
+        .execute()
     });
 
     // DECOMPOSE / MERGE.
     run("DECOMPOSE TABLE", &mut || {
-        cods.execute(Smo::DecomposeTable {
+        cods.plan(vec![Smo::DecomposeTable {
             input: "R".into(),
             spec: experiment_spec(false),
-        })
-        .unwrap();
+        }])?
+        .execute()
     });
     run("MERGE TABLES", &mut || {
-        cods.execute(Smo::MergeTables {
+        cods.plan(vec![Smo::MergeTables {
             left: "S".into(),
             right: "T".into(),
             output: "R".into(),
             strategy: MergeStrategy::Auto,
-        })
-        .unwrap();
+        }])?
+        .execute()
     });
 }
 

@@ -330,11 +330,13 @@ mod tests {
     fn concurrent_catalog_mutation_conflicts() {
         let cods = platform();
         let plan = cods.plan_script("COPY TABLE R TO R2").unwrap();
-        cods.execute(Smo::AddColumn {
+        cods.plan(vec![Smo::AddColumn {
             table: "R".into(),
             column: ColumnDef::new("racer", ValueType::Int),
             fill: ColumnFill::Default(Value::int(0)),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
         let err = plan.execute();
         assert!(matches!(

@@ -481,10 +481,12 @@ mod tests {
     #[test]
     fn independent_branches_share_a_wave() {
         let cods = platform();
-        cods.execute(Smo::CopyTable {
+        cods.plan(vec![Smo::CopyTable {
             from: "R".into(),
             to: "Q".into(),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
         let plan = cods
             .plan(vec![

@@ -4,8 +4,7 @@
 //! The primary surface is **planned** execution — [`Cods::plan`] /
 //! [`Cods::plan_script`] validate a whole script up front, run its
 //! independent operators in parallel waves, and commit atomically (see
-//! [`crate::plan`]). The one-operator [`Cods::execute`] is a
-//! single-operator plan, retried under [`RetryPolicy::default`].
+//! [`crate::plan`]). A single operator is a one-element plan.
 
 use crate::error::Result;
 use crate::exec::PlanReport;
@@ -44,11 +43,11 @@ pub struct ExecutionRecord {
 /// ];
 /// cods.catalog().create(Table::from_rows("R", schema, &rows).unwrap()).unwrap();
 ///
-/// cods.execute(Smo::DecomposeTable {
+/// cods.plan(vec![Smo::DecomposeTable {
 ///     input: "R".into(),
 ///     spec: DecomposeSpec::new("S", &["employee", "skill"],
 ///                              "T", &["employee", "address"]),
-/// }).unwrap();
+/// }]).unwrap().execute().unwrap();
 /// assert!(cods.catalog().contains("S"));
 /// assert!(cods.catalog().contains("T"));
 /// assert!(!cods.catalog().contains("R")); // input replaced by outputs
@@ -118,27 +117,6 @@ impl Cods {
         self.plan(crate::parser::parse_script(text)?)
     }
 
-    /// Executes one schema modification operator, updating the catalog and
-    /// recording the status log. Returns the status.
-    ///
-    /// This is a single-operator [`Cods::plan`], retried with bounded
-    /// exponential backoff ([`RetryPolicy::default`]) if a concurrent
-    /// writer invalidates the snapshot — the old eager path's serialized
-    /// semantics, minus its unbounded spin. Scripts should prefer `plan(...)` +
-    /// [`EvolutionPlan::execute`], which validates the whole chain up
-    /// front and commits atomically. Each attempt re-plans against the
-    /// then-current catalog, so a retry sees (and validates against)
-    /// whatever the winning writer committed.
-    pub fn execute(&self, smo: Smo) -> Result<StepLog> {
-        let report = self
-            .catalog
-            .commit_with_retry(&RetryPolicy::default(), |_| {
-                self.plan(vec![smo.clone()])?.execute()
-            })?;
-        let rec = report.records.into_iter().next().expect("single-op plan");
-        Ok(rec.status)
-    }
-
     /// Plans and executes a whole SMO script atomically, retrying the
     /// plan-validate-execute-commit cycle with bounded backoff when a
     /// concurrent writer wins the optimistic commit race. This is the
@@ -205,14 +183,19 @@ mod tests {
     fn decompose_then_merge_round_trip() {
         let cods = platform_with_figure1();
         let original = cods.table("R").unwrap().tuple_multiset();
-        cods.execute(figure1_decompose()).unwrap();
+        cods.plan(vec![figure1_decompose()])
+            .unwrap()
+            .execute()
+            .unwrap();
         assert!(!cods.catalog().contains("R"));
-        cods.execute(Smo::MergeTables {
+        cods.plan(vec![Smo::MergeTables {
             left: "S".into(),
             right: "T".into(),
             output: "R".into(),
             strategy: MergeStrategy::Auto,
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
         assert_eq!(cods.table("R").unwrap().tuple_multiset(), original);
         assert_eq!(cods.history().len(), 2);
@@ -223,22 +206,31 @@ mod tests {
     fn create_rename_copy_drop() {
         let cods = Cods::new();
         let schema = Schema::build(&[("a", ValueType::Int)], &[]).unwrap();
-        cods.execute(Smo::CreateTable {
+        cods.plan(vec![Smo::CreateTable {
             name: "t".into(),
             schema,
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
-        cods.execute(Smo::CopyTable {
+        cods.plan(vec![Smo::CopyTable {
             from: "t".into(),
             to: "t2".into(),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
-        cods.execute(Smo::RenameTable {
+        cods.plan(vec![Smo::RenameTable {
             from: "t2".into(),
             to: "t3".into(),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
-        cods.execute(Smo::DropTable { name: "t".into() }).unwrap();
+        cods.plan(vec![Smo::DropTable { name: "t".into() }])
+            .unwrap()
+            .execute()
+            .unwrap();
         assert_eq!(cods.catalog().table_names(), vec!["t3"]);
         assert_eq!(cods.history().len(), 4);
     }
@@ -247,21 +239,25 @@ mod tests {
     fn partition_then_union_round_trip() {
         let cods = platform_with_figure1();
         let original = cods.table("R").unwrap().tuple_multiset();
-        cods.execute(Smo::PartitionTable {
+        cods.plan(vec![Smo::PartitionTable {
             input: "R".into(),
             predicate: Predicate::eq("address", "425 Grant Ave"),
             satisfying: "grant".into(),
             rest: "industrial".into(),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
         assert_eq!(cods.table("grant").unwrap().rows(), 4);
         assert_eq!(cods.table("industrial").unwrap().rows(), 3);
-        cods.execute(Smo::UnionTables {
+        cods.plan(vec![Smo::UnionTables {
             left: "grant".into(),
             right: "industrial".into(),
             output: "R".into(),
             drop_inputs: true,
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
         assert_eq!(cods.table("R").unwrap().tuple_multiset(), original);
         assert_eq!(cods.catalog().len(), 1);
@@ -270,24 +266,30 @@ mod tests {
     #[test]
     fn column_smos() {
         let cods = platform_with_figure1();
-        cods.execute(Smo::AddColumn {
+        cods.plan(vec![Smo::AddColumn {
             table: "R".into(),
             column: ColumnDef::new("country", ValueType::Str),
             fill: ColumnFill::Default(Value::str("US")),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
         assert_eq!(cods.table("R").unwrap().arity(), 4);
-        cods.execute(Smo::RenameColumn {
+        cods.plan(vec![Smo::RenameColumn {
             table: "R".into(),
             from: "country".into(),
             to: "nation".into(),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
         assert!(cods.table("R").unwrap().schema().contains("nation"));
-        cods.execute(Smo::DropColumn {
+        cods.plan(vec![Smo::DropColumn {
             table: "R".into(),
             column: "nation".into(),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
         assert_eq!(cods.table("R").unwrap().arity(), 3);
     }
@@ -303,9 +305,11 @@ mod tests {
             let cods = Arc::clone(&cods);
             std::thread::spawn(move || {
                 for i in 0..24 {
-                    let name = format!("noise_{i}");
-                    let schema = Schema::build(&[("x", ValueType::Int)], &[]).unwrap();
-                    cods.execute(Smo::CreateTable { name, schema }).unwrap();
+                    cods.run_script_with_retry(
+                        &format!("CREATE TABLE noise_{i} (x int)"),
+                        &RetryPolicy::default(),
+                    )
+                    .unwrap();
                 }
             })
         };
@@ -327,13 +331,17 @@ mod tests {
     #[test]
     fn output_collisions_are_rejected() {
         let cods = platform_with_figure1();
-        cods.execute(Smo::CopyTable {
+        cods.plan(vec![Smo::CopyTable {
             from: "R".into(),
             to: "S".into(),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
         // Decompose wants to create "S" which exists.
-        let err = cods.execute(figure1_decompose());
+        let err = cods
+            .plan(vec![figure1_decompose()])
+            .and_then(|p| p.execute());
         assert!(err.is_err());
         // The input R must be untouched after the failure.
         assert!(cods.catalog().contains("R"));
@@ -342,13 +350,18 @@ mod tests {
     #[test]
     fn merge_keeps_inputs() {
         let cods = platform_with_figure1();
-        cods.execute(figure1_decompose()).unwrap();
-        cods.execute(Smo::MergeTables {
+        cods.plan(vec![figure1_decompose()])
+            .unwrap()
+            .execute()
+            .unwrap();
+        cods.plan(vec![Smo::MergeTables {
             left: "S".into(),
             right: "T".into(),
             output: "R".into(),
             strategy: MergeStrategy::Auto,
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
         assert!(cods.catalog().contains("S"));
         assert!(cods.catalog().contains("T"));

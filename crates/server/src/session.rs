@@ -75,10 +75,12 @@ mod tests {
         let pinned = session.table("t").unwrap();
 
         // The live catalog evolves: t is renamed away.
-        cods.execute(cods::Smo::RenameTable {
+        cods.plan(vec![cods::Smo::RenameTable {
             from: "t".into(),
             to: "t2".into(),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
 
         // The session still serves the old name from the old version.

@@ -743,7 +743,7 @@ impl Draw {
 /// int shapes overlap, so remaps between them find shared values.
 fn dictionary_shapes(d: &mut Draw, n: usize) -> Vec<(&'static str, Vec<Value>)> {
     let n = n as i64;
-    let start = [-3, 0, 5, -20, i64::MIN, i64::MAX - n + 1][d.below(6) as usize];
+    let start = [-3, 0, 5, -20, i64::MIN, i64::MAX - n.max(1) + 1][d.below(6) as usize];
     let dense: Vec<Value> = (0..n).map(|i| Value::int(start + i)).collect();
     let mut at = -25 + d.below(10) as i64;
     let sparse: Vec<Value> = (0..n)

@@ -33,30 +33,34 @@ fn main() {
     // 2. Decompose R into S(employee, skill) and T(employee, address).
     //    Data level: S reuses R's columns by reference; T is produced by
     //    distinction + bitmap filtering, never materializing tuples.
-    let status = cods
-        .execute(Smo::DecomposeTable {
+    let report = cods
+        .plan(vec![Smo::DecomposeTable {
             input: "R".into(),
             spec: DecomposeSpec::new("S", &["employee", "skill"], "T", &["employee", "address"]),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
     println!("Data evolution status (DECOMPOSE):");
-    println!("{}", status.render());
+    println!("{}", report.records[0].status.render());
     println!("Schema 2 (decomposed):\n");
     print_table(&cods.table("S").unwrap());
     print_table(&cods.table("T").unwrap());
 
     // 3. Workload changed back? Merge S and T into R again. The join
     //    attributes are T's key, so S's columns are reused wholesale.
-    let status = cods
-        .execute(Smo::MergeTables {
+    let report = cods
+        .plan(vec![Smo::MergeTables {
             left: "S".into(),
             right: "T".into(),
             output: "R".into(),
             strategy: MergeStrategy::Auto,
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
     println!("Data evolution status (MERGE):");
-    println!("{}", status.render());
+    println!("{}", report.records[0].status.render());
     print_table(&cods.table("R").unwrap());
 
     // 4. Verify the evolution was lossless.

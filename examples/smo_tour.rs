@@ -80,7 +80,8 @@ fn main() {
 
     for op in ops {
         println!("==> {op}");
-        let status = cods.execute(op).unwrap();
+        let report = cods.plan(vec![op]).unwrap().execute().unwrap();
+        let status = &report.records[0].status;
         let rendered = status.render();
         if !status.steps.is_empty() {
             print!("{rendered}");

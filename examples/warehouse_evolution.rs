@@ -37,8 +37,8 @@ fn main() {
     let cods = Cods::new();
     cods.catalog().create(wide.clone()).unwrap();
     let t0 = Instant::now();
-    let status = cods
-        .execute(Smo::DecomposeTable {
+    let report = cods
+        .plan(vec![Smo::DecomposeTable {
             input: "sales_wide".into(),
             spec: DecomposeSpec::new(
                 "sales",
@@ -46,22 +46,29 @@ fn main() {
                 "customer_dim",
                 &["cust_id", "cust_name", "region_name"],
             ),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
     let normalize_data_level = t0.elapsed();
-    println!("\nnormalize (data level) status:\n{}", status.render());
+    println!(
+        "\nnormalize (data level) status:\n{}",
+        report.records[0].status.render()
+    );
     println!(
         "customer_dim has {} rows (one per customer)",
         cods.table("customer_dim").unwrap().rows()
     );
 
     let t0 = Instant::now();
-    cods.execute(Smo::MergeTables {
+    cods.plan(vec![Smo::MergeTables {
         left: "sales".into(),
         right: "customer_dim".into(),
         output: "sales_wide".into(),
         strategy: MergeStrategy::Auto,
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     let denormalize_data_level = t0.elapsed();
 

@@ -96,10 +96,12 @@ fn main() {
 
     // Adapt: decompose to schema 2 (data level — cheap).
     let t0 = Instant::now();
-    cods.execute(Smo::DecomposeTable {
+    cods.plan(vec![Smo::DecomposeTable {
         input: "R".into(),
         spec: DecomposeSpec::new("S", &["entity", "attr"], "T", &["entity", "detail"]),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     println!(
         "evolve to schema 2 with CODS: {:.1} ms",
@@ -127,12 +129,14 @@ fn main() {
 
     // Phase 3 — queries dominate again: merge back.
     let t0 = Instant::now();
-    cods.execute(Smo::MergeTables {
+    cods.plan(vec![Smo::MergeTables {
         left: "S".into(),
         right: "T".into(),
         output: "R".into(),
         strategy: MergeStrategy::Auto,
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     println!(
         "\nphase 3: evolve back to schema 1 with CODS: {:.1} ms",

@@ -40,20 +40,30 @@ fn readers_see_consistent_snapshots_during_evolution() {
     }
 
     for cycle in 0..5 {
-        cods.execute(Smo::DecomposeTable {
+        cods.plan(vec![Smo::DecomposeTable {
             input: "R".into(),
             spec: DecomposeSpec::new("S", &["entity", "attr"], "T", &["entity", "detail"]),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
-        cods.execute(Smo::MergeTables {
+        cods.plan(vec![Smo::MergeTables {
             left: "S".into(),
             right: "T".into(),
             output: "R".into(),
             strategy: MergeStrategy::Auto,
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
-        cods.execute(Smo::DropTable { name: "S".into() }).unwrap();
-        cods.execute(Smo::DropTable { name: "T".into() }).unwrap();
+        cods.plan(vec![Smo::DropTable { name: "S".into() }])
+            .unwrap()
+            .execute()
+            .unwrap();
+        cods.plan(vec![Smo::DropTable { name: "T".into() }])
+            .unwrap()
+            .execute()
+            .unwrap();
         assert_eq!(cods.table("R").unwrap().rows(), 20_000, "cycle {cycle}");
     }
     stop.store(true, Ordering::Relaxed);
@@ -75,7 +85,10 @@ fn snapshots_outlive_drops() {
         ))
         .unwrap();
     let snapshot = cods.table("R").unwrap();
-    cods.execute(Smo::DropTable { name: "R".into() }).unwrap();
+    cods.plan(vec![Smo::DropTable { name: "R".into() }])
+        .unwrap()
+        .execute()
+        .unwrap();
     assert!(cods.table("R").is_err());
     snapshot.check_invariants().unwrap();
     assert_eq!(snapshot.rows(), 1_000);

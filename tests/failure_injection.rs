@@ -74,20 +74,24 @@ fn malformed_csv_loads_fail_with_context() {
 #[test]
 fn evolution_on_missing_tables_errors() {
     let cods = Cods::new();
-    let err = cods.execute(Smo::DecomposeTable {
-        input: "ghost".into(),
-        spec: DecomposeSpec::new("a", &["x"], "b", &["x", "y"]),
-    });
+    let err = cods
+        .plan(vec![Smo::DecomposeTable {
+            input: "ghost".into(),
+            spec: DecomposeSpec::new("a", &["x"], "b", &["x", "y"]),
+        }])
+        .and_then(|p| p.execute());
     assert!(matches!(
         err,
         Err(EvolutionError::Storage(StorageError::UnknownTable(_)))
     ));
-    let err = cods.execute(Smo::MergeTables {
-        left: "ghost".into(),
-        right: "ghost2".into(),
-        output: "out".into(),
-        strategy: MergeStrategy::Auto,
-    });
+    let err = cods
+        .plan(vec![Smo::MergeTables {
+            left: "ghost".into(),
+            right: "ghost2".into(),
+            output: "out".into(),
+            strategy: MergeStrategy::Auto,
+        }])
+        .and_then(|p| p.execute());
     assert!(err.is_err());
 }
 
@@ -95,18 +99,22 @@ fn evolution_on_missing_tables_errors() {
 fn merge_output_collision_keeps_inputs() {
     let cods = Cods::new();
     cods.catalog().create(figure1::table_r()).unwrap();
-    cods.execute(Smo::DecomposeTable {
+    cods.plan(vec![Smo::DecomposeTable {
         input: "R".into(),
         spec: DecomposeSpec::new("S", &["employee", "skill"], "T", &["employee", "address"]),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     // Output name collides with an existing table.
-    let err = cods.execute(Smo::MergeTables {
-        left: "S".into(),
-        right: "T".into(),
-        output: "S".into(),
-        strategy: MergeStrategy::Auto,
-    });
+    let err = cods
+        .plan(vec![Smo::MergeTables {
+            left: "S".into(),
+            right: "T".into(),
+            output: "S".into(),
+            strategy: MergeStrategy::Auto,
+        }])
+        .and_then(|p| p.execute());
     assert!(err.is_err());
     assert!(cods.catalog().contains("S"));
     assert!(cods.catalog().contains("T"));
@@ -122,10 +130,12 @@ fn decompose_rejects_dropping_the_join_column() {
         ))
         .unwrap();
     // Outputs that do not overlap cannot re-join.
-    let err = cods.execute(Smo::DecomposeTable {
-        input: "R".into(),
-        spec: DecomposeSpec::new("A", &["entity", "attr"], "B", &["detail"]),
-    });
+    let err = cods
+        .plan(vec![Smo::DecomposeTable {
+            input: "R".into(),
+            spec: DecomposeSpec::new("A", &["entity", "attr"], "B", &["detail"]),
+        }])
+        .and_then(|p| p.execute());
     assert!(matches!(err, Err(EvolutionError::LossyDecomposition(_))));
 }
 
@@ -133,15 +143,19 @@ fn decompose_rejects_dropping_the_join_column() {
 fn unknown_columns_in_specs_error() {
     let cods = Cods::new();
     cods.catalog().create(figure1::table_r()).unwrap();
-    let err = cods.execute(Smo::DecomposeTable {
-        input: "R".into(),
-        spec: DecomposeSpec::new("S", &["employee", "wages"], "T", &["employee", "address"]),
-    });
+    let err = cods
+        .plan(vec![Smo::DecomposeTable {
+            input: "R".into(),
+            spec: DecomposeSpec::new("S", &["employee", "wages"], "T", &["employee", "address"]),
+        }])
+        .and_then(|p| p.execute());
     assert!(matches!(err, Err(EvolutionError::InvalidOperator(_))));
-    let err = cods.execute(Smo::DropColumn {
-        table: "R".into(),
-        column: "wages".into(),
-    });
+    let err = cods
+        .plan(vec![Smo::DropColumn {
+            table: "R".into(),
+            column: "wages".into(),
+        }])
+        .and_then(|p| p.execute());
     assert!(matches!(
         err,
         Err(EvolutionError::Storage(StorageError::UnknownColumn(_)))

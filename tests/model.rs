@@ -357,7 +357,7 @@ fn sequential(model: &Cods, smos: &[Smo], seen: &mut Seen) -> Option<Cods> {
             Smo::MergeTables { left, right, .. } => (get(left), get(right)),
             _ => (None, None),
         };
-        trial.execute(smo.clone()).ok()?;
+        trial.plan(vec![smo.clone()]).ok()?.execute().ok()?;
         match smo {
             Smo::DecomposeTable { spec, .. } => {
                 let (s, t) = (get(&spec.unchanged_name), get(&spec.changed_name));

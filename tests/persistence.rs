@@ -28,10 +28,12 @@ fn evolved_catalog_round_trips_through_disk() {
             &GenConfig::sweep_point(2_000, 100),
         ))
         .unwrap();
-    cods.execute(Smo::DecomposeTable {
+    cods.plan(vec![Smo::DecomposeTable {
         input: "R".into(),
         spec: DecomposeSpec::new("S", &["entity", "attr"], "T", &["entity", "detail"]),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     let s_tuples = cods.table("S").unwrap().tuple_multiset();
     let t_tuples = cods.table("T").unwrap().tuple_multiset();
@@ -47,12 +49,14 @@ fn evolved_catalog_round_trips_through_disk() {
     // The reloaded catalog must keep evolving correctly.
     let cods2 = Cods::with_catalog(loaded);
     cods2
-        .execute(Smo::MergeTables {
+        .plan(vec![Smo::MergeTables {
             left: "S".into(),
             right: "T".into(),
             output: "R".into(),
             strategy: MergeStrategy::Auto,
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
     assert_eq!(cods2.table("R").unwrap().rows(), 2_000);
 
@@ -90,10 +94,12 @@ fn rle_encoded_catalog_round_trips_through_disk() {
     // The reloaded RLE table keeps evolving at data level.
     let cods2 = Cods::with_catalog(loaded);
     cods2
-        .execute(Smo::DecomposeTable {
+        .plan(vec![Smo::DecomposeTable {
             input: "R".into(),
             spec: DecomposeSpec::new("S", &["entity", "attr"], "T", &["entity", "detail"]),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
     assert!(cods2
         .table("T")
@@ -182,10 +188,12 @@ Harrison,Light Cleaning,425 Grant Ave
     let table = load_str("R", &schema, csv, &LoadOptions::default()).unwrap();
     let cods = Cods::new();
     cods.catalog().create(table).unwrap();
-    cods.execute(Smo::DecomposeTable {
+    cods.plan(vec![Smo::DecomposeTable {
         input: "R".into(),
         spec: DecomposeSpec::new("S", &["employee", "skill"], "T", &["employee", "address"]),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     assert_eq!(cods.table("T").unwrap().rows(), 4);
 }

@@ -68,10 +68,12 @@ fn planned_script_equals_sequential_on_generated_workload() {
 fn independent_branches_run_in_one_wave_with_identical_results() {
     let cods = platform_with("R", 2_000);
     for i in 0..4 {
-        cods.execute(Smo::CopyTable {
+        cods.plan(vec![Smo::CopyTable {
             from: "R".into(),
             to: format!("c{i}"),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
     }
     // Four independent decompositions: one wave, four concurrent nodes.
@@ -151,10 +153,12 @@ fn stale_plan_conflicts_instead_of_clobbering() {
     let cods = platform_with("R", 500);
     let plan = cods.plan_script("COPY TABLE R TO A\n").unwrap();
     // A writer sneaks in between plan and execute.
-    cods.execute(Smo::CopyTable {
+    cods.plan(vec![Smo::CopyTable {
         from: "R".into(),
         to: "Z".into(),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     let err = plan.execute().unwrap_err();
     assert!(matches!(

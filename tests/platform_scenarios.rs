@@ -13,18 +13,22 @@ fn figure1_demo_walkthrough() {
     let cods = Cods::new();
     cods.catalog().create(figure1::table_r()).unwrap();
 
-    cods.execute(Smo::DecomposeTable {
+    cods.plan(vec![Smo::DecomposeTable {
         input: "R".into(),
         spec: DecomposeSpec::new("S", &["employee", "skill"], "T", &["employee", "address"]),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
 
     // Downstream SMO on a decomposition output: add a column to T.
-    cods.execute(Smo::AddColumn {
+    cods.plan(vec![Smo::AddColumn {
         table: "T".into(),
         column: ColumnDef::new("verified", ValueType::Bool),
         fill: ColumnFill::Default(Value::Bool(false)),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     let t = cods.table("T").unwrap();
     assert_eq!(t.arity(), 3);
@@ -55,13 +59,15 @@ fn evolution_with_column_smos_interleaved() {
         .unwrap();
 
     // Add an audit column, decompose, and check the column went with S.
-    cods.execute(Smo::AddColumn {
+    cods.plan(vec![Smo::AddColumn {
         table: "R".into(),
         column: ColumnDef::new("audit", ValueType::Int),
         fill: ColumnFill::Default(Value::int(1)),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
-    cods.execute(Smo::DecomposeTable {
+    cods.plan(vec![Smo::DecomposeTable {
         input: "R".into(),
         spec: DecomposeSpec::new(
             "S",
@@ -69,23 +75,29 @@ fn evolution_with_column_smos_interleaved() {
             "T",
             &["entity", "detail"],
         ),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     assert!(cods.table("S").unwrap().schema().contains("audit"));
     assert!(!cods.table("T").unwrap().schema().contains("audit"));
 
     // Drop it again and merge back; the result must have the original shape.
-    cods.execute(Smo::DropColumn {
+    cods.plan(vec![Smo::DropColumn {
         table: "S".into(),
         column: "audit".into(),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
-    cods.execute(Smo::MergeTables {
+    cods.plan(vec![Smo::MergeTables {
         left: "S".into(),
         right: "T".into(),
         output: "R".into(),
         strategy: MergeStrategy::Auto,
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     let r = cods.table("R").unwrap();
     assert_eq!(r.schema().names(), vec!["entity", "attr", "detail"]);
@@ -99,20 +111,24 @@ fn failed_smo_leaves_catalog_intact() {
     let before = cods.catalog().table_names();
 
     // Lossy decomposition (skill dropped entirely) must fail…
-    let err = cods.execute(Smo::DecomposeTable {
-        input: "R".into(),
-        spec: DecomposeSpec::new("S", &["employee"], "T", &["employee", "address"]),
-    });
+    let err = cods
+        .plan(vec![Smo::DecomposeTable {
+            input: "R".into(),
+            spec: DecomposeSpec::new("S", &["employee"], "T", &["employee", "address"]),
+        }])
+        .and_then(|p| p.execute());
     assert!(matches!(err, Err(EvolutionError::LossyDecomposition(_))));
     // …and leave everything as it was.
     assert_eq!(cods.catalog().table_names(), before);
 
     // FD-violating decomposition must fail too (skill does not depend on
     // employee).
-    let err = cods.execute(Smo::DecomposeTable {
-        input: "R".into(),
-        spec: DecomposeSpec::new("S", &["employee", "address"], "T", &["employee", "skill"]),
-    });
+    let err = cods
+        .plan(vec![Smo::DecomposeTable {
+            input: "R".into(),
+            spec: DecomposeSpec::new("S", &["employee", "address"], "T", &["employee", "skill"]),
+        }])
+        .and_then(|p| p.execute());
     assert!(matches!(err, Err(EvolutionError::FdViolation(_))));
     assert_eq!(cods.catalog().table_names(), before);
 }
@@ -149,16 +165,20 @@ fn recursive_decomposition_into_three_tables() {
         .create(Table::from_rows("R", schema, &rows).unwrap())
         .unwrap();
     // First split off d.
-    cods.execute(Smo::DecomposeTable {
+    cods.plan(vec![Smo::DecomposeTable {
         input: "R".into(),
         spec: DecomposeSpec::new("R1", &["e", "a", "z"], "D", &["e", "d"]),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     // Recurse on the unchanged output to split off z.
-    cods.execute(Smo::DecomposeTable {
+    cods.plan(vec![Smo::DecomposeTable {
         input: "R1".into(),
         spec: DecomposeSpec::new("S", &["e", "a"], "Z", &["e", "z"]),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     assert_eq!(cods.catalog().table_names(), vec!["D", "S", "Z"]);
     assert_eq!(cods.table("D").unwrap().rows(), 30);
@@ -166,19 +186,23 @@ fn recursive_decomposition_into_three_tables() {
     assert_eq!(cods.table("S").unwrap().rows(), 600);
 
     // Recursive mergence reconstructs R.
-    cods.execute(Smo::MergeTables {
+    cods.plan(vec![Smo::MergeTables {
         left: "S".into(),
         right: "Z".into(),
         output: "SZ".into(),
         strategy: MergeStrategy::Auto,
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
-    cods.execute(Smo::MergeTables {
+    cods.plan(vec![Smo::MergeTables {
         left: "SZ".into(),
         right: "D".into(),
         output: "R".into(),
         strategy: MergeStrategy::Auto,
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     let r = cods.table("R").unwrap();
     assert_eq!(r.rows(), 600);
@@ -202,12 +226,14 @@ fn partition_by_compound_predicate() {
         ))
         .unwrap();
     let pred = Predicate::lt("entity", 10i64).or(Predicate::ge("entity", 40i64));
-    cods.execute(Smo::PartitionTable {
+    cods.plan(vec![Smo::PartitionTable {
         input: "R".into(),
         predicate: pred,
         satisfying: "edges".into(),
         rest: "middle".into(),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     let edges = cods.table("edges").unwrap();
     let middle = cods.table("middle").unwrap();
@@ -234,12 +260,14 @@ fn union_of_differently_dictionaried_tables() {
     let b = cods_workload::generate_table("B", &cfg);
     cods.catalog().create(a.clone()).unwrap();
     cods.catalog().create(b.clone()).unwrap();
-    cods.execute(Smo::UnionTables {
+    cods.plan(vec![Smo::UnionTables {
         left: "A".into(),
         right: "B".into(),
         output: "AB".into(),
         drop_inputs: false,
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     let ab = cods.table("AB").unwrap();
     assert_eq!(ab.rows(), 1_000);
@@ -258,10 +286,12 @@ fn decompose_output_columns_share_input_memory() {
     let input = cods_workload::generate_table("R", &GenConfig::sweep_point(2_000, 100));
     let entity_col = Arc::clone(input.column_by_name("entity").unwrap());
     cods.catalog().create(input).unwrap();
-    cods.execute(Smo::DecomposeTable {
+    cods.plan(vec![Smo::DecomposeTable {
         input: "R".into(),
         spec: DecomposeSpec::new("S", &["entity", "attr"], "T", &["entity", "detail"]),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     // Property 1: S's entity column is literally R's.
     let s = cods.table("S").unwrap();

@@ -28,21 +28,25 @@ fn decompose_merge_identity_across_scales() {
         let cods = platform_with(rows, distinct);
         let original = cods.table("R").unwrap();
         let original_tuples = original.tuple_multiset();
-        cods.execute(Smo::DecomposeTable {
+        cods.plan(vec![Smo::DecomposeTable {
             input: "R".into(),
             spec: DecomposeSpec::new("S", &["entity", "attr"], "T", &["entity", "detail"]),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
         assert_eq!(cods.table("T").unwrap().rows(), distinct);
         cods.table("S").unwrap().check_invariants().unwrap();
         cods.table("T").unwrap().check_invariants().unwrap();
         cods.table("T").unwrap().verify_key().unwrap();
-        cods.execute(Smo::MergeTables {
+        cods.plan(vec![Smo::MergeTables {
             left: "S".into(),
             right: "T".into(),
             output: "R".into(),
             strategy: MergeStrategy::Auto,
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
         assert_eq!(
             cods.table("R").unwrap().tuple_multiset(),
@@ -57,20 +61,30 @@ fn repeated_evolution_cycles_are_stable() {
     let cods = platform_with(5_000, 200);
     let original = cods.table("R").unwrap().tuple_multiset();
     for cycle in 0..5 {
-        cods.execute(Smo::DecomposeTable {
+        cods.plan(vec![Smo::DecomposeTable {
             input: "R".into(),
             spec: DecomposeSpec::new("S", &["entity", "attr"], "T", &["entity", "detail"]),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
-        cods.execute(Smo::MergeTables {
+        cods.plan(vec![Smo::MergeTables {
             left: "S".into(),
             right: "T".into(),
             output: "R".into(),
             strategy: MergeStrategy::Auto,
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
-        cods.execute(Smo::DropTable { name: "S".into() }).unwrap();
-        cods.execute(Smo::DropTable { name: "T".into() }).unwrap();
+        cods.plan(vec![Smo::DropTable { name: "S".into() }])
+            .unwrap()
+            .execute()
+            .unwrap();
+        cods.plan(vec![Smo::DropTable { name: "T".into() }])
+            .unwrap()
+            .execute()
+            .unwrap();
         assert_eq!(
             cods.table("R").unwrap().tuple_multiset(),
             original,
@@ -84,22 +98,26 @@ fn partition_union_identity() {
     for threshold in [0i64, 50, 199, 1_000_000] {
         let cods = platform_with(3_000, 200);
         let original = cods.table("R").unwrap().tuple_multiset();
-        cods.execute(Smo::PartitionTable {
+        cods.plan(vec![Smo::PartitionTable {
             input: "R".into(),
             predicate: Predicate::lt("entity", threshold),
             satisfying: "lo".into(),
             rest: "hi".into(),
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
         let lo = cods.table("lo").unwrap().rows();
         let hi = cods.table("hi").unwrap().rows();
         assert_eq!(lo + hi, 3_000);
-        cods.execute(Smo::UnionTables {
+        cods.plan(vec![Smo::UnionTables {
             left: "lo".into(),
             right: "hi".into(),
             output: "R".into(),
             drop_inputs: true,
-        })
+        }])
+        .unwrap()
+        .execute()
         .unwrap();
         assert_eq!(cods.table("R").unwrap().tuple_multiset(), original);
     }

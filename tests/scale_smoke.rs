@@ -17,31 +17,39 @@ fn fifty_k_row_full_cycle() {
     let original = cods.table("R").unwrap().tuple_multiset();
 
     // Partition → union → decompose → merge, ending where we started.
-    cods.execute(Smo::PartitionTable {
+    cods.plan(vec![Smo::PartitionTable {
         input: "R".into(),
         predicate: Predicate::lt("entity", 1_000i64),
         satisfying: "lo".into(),
         rest: "hi".into(),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
-    cods.execute(Smo::UnionTables {
+    cods.plan(vec![Smo::UnionTables {
         left: "lo".into(),
         right: "hi".into(),
         output: "R".into(),
         drop_inputs: true,
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
-    cods.execute(Smo::DecomposeTable {
+    cods.plan(vec![Smo::DecomposeTable {
         input: "R".into(),
         spec: DecomposeSpec::new("S", &["entity", "attr"], "T", &["entity", "detail"]),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
-    cods.execute(Smo::MergeTables {
+    cods.plan(vec![Smo::MergeTables {
         left: "S".into(),
         right: "T".into(),
         output: "R".into(),
         strategy: MergeStrategy::Auto,
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     assert_eq!(cods.table("R").unwrap().tuple_multiset(), original);
 
@@ -64,10 +72,12 @@ fn high_cardinality_decompose_is_not_quadratic() {
         ))
         .unwrap();
     let start = std::time::Instant::now();
-    cods.execute(Smo::DecomposeTable {
+    cods.plan(vec![Smo::DecomposeTable {
         input: "R".into(),
         spec: DecomposeSpec::new("S", &["entity", "attr"], "T", &["entity", "detail"]),
-    })
+    }])
+    .unwrap()
+    .execute()
     .unwrap();
     assert_eq!(cods.table("T").unwrap().rows(), 50_000);
     // Generous bound (debug build): quadratic behaviour would take minutes.
