@@ -15,6 +15,7 @@ server=
 trap 'test -z "$server" || kill "$server"; rm -rf "$tmp"' EXIT
 
 # Local shell: the shared lines, then what only it has.
+seq 0 199999 | awk '{ print $1 "," $1 % 7 }' > "$tmp/keys.csv"
 printf '%s\n' "ADD COLUMN lang str DEFAULT C# TO R" \
     "RENAME COLUMN lang TO tongue IN R" "DROP COLUMN tongue FROM R" > "$tmp/chain.smo"
 {
@@ -33,6 +34,8 @@ printf '%s\n' "ADD COLUMN lang str DEFAULT C# TO R" \
     echo "recode R * bitmap"
     echo "recode R skill rle 0..1"
     echo "stats R"
+    # A unique key: 200,000 rows in four 64 Ki segments, each a range.
+    echo "load K $tmp/keys.csv k:int,g:int"
     echo "save $tmp/cat.cods"
     echo "open $tmp/cat.cods"
     echo "count R"
@@ -43,12 +46,15 @@ printf '%s\n' "ADD COLUMN lang str DEFAULT C# TO R" \
     echo "count R where skill = 'Light Cleaning'"
     echo "cache 0"
     echo "stats R"
+    # The reopened key is still four ranges: no payload, no id list.
+    echo "stats K"
 } > "$tmp/local.cods"
 "$cods" "$tmp/local.cods" > "$tmp/local.out" || failed=$?
 cat "$tmp/local.out"
 test -z "${failed:-}"
 grep -E '^R: ' "$tmp/local.out" | tail -n 1 | grep -q ' 0 resident / '
 grep -E '^  skill ' "$tmp/local.out" | tail -n 1 | grep -q 'enc=rle *(pinned, 1×pinned)'
+grep -E '^  k ' "$tmp/local.out" | tail -n 1 | grep -q 'enc=packed *\[4×range\]'
 
 # Connect REPL: the same lines over the wire.
 "$cods" serve "$addr" --demo &

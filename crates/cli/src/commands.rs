@@ -230,7 +230,8 @@ fn parse_schema(spec: &str) -> Result<Schema, String> {
 
 /// Renders the `stats` output: per-column segment-encoding histogram (a
 /// mixed directory shows e.g. `4×bitmap/12×rle/0×packed`), pin state (the
-/// column pin and the segment-range pins, each shown when set), segment
+/// column pin and the segment-range pins, each shown when set), how many
+/// packed segments are ranges (`[2×range]`, when any are), segment
 /// directory shape, value range, run/distinct ratios, the per-segment
 /// chooser's would-be picks, and compression numbers.
 pub fn render_stats(name: &str, t: &cods_storage::Table) -> String {
@@ -247,12 +248,15 @@ pub fn render_stats(name: &str, t: &cods_storage::Table) -> String {
             Some(e) => e.to_string(),
             None => c.encodings.to_string(),
         };
-        let pin = match (c.encoding_pinned, c.pinned_segments) {
+        let mut pin = match (c.encoding_pinned, c.pinned_segments) {
             (false, 0) => String::new(),
             (true, 0) => " (pinned)".to_string(),
             (false, n) => format!(" ({n}×pinned)"),
             (true, n) => format!(" (pinned, {n}×pinned)"),
         };
+        if c.range_segments > 0 {
+            pin.push_str(&format!(" [{}×range]", c.range_segments));
+        }
         let _ = writeln!(
             out,
             "  {:<12} enc={:<7}{} distinct={:<8} segments={:<5} max-seg-distinct={:<8} payload={}B ratio={:.1}x",
@@ -791,6 +795,32 @@ mod tests {
         run(&mut cods, "RENAME TABLE t2 TO t3");
         run(&mut cods, "DROP TABLE t3");
         assert_eq!(cods.catalog().table_names(), vec!["t"]);
+    }
+
+    #[test]
+    fn stats_tells_range_segments_from_packed_ones() {
+        use cods_storage::{Schema, Table, Value, ValueType};
+        // `k` is unique (three range segments); `p` holds each value twice,
+        // never twice in a row (packed, with codes).
+        let schema = Schema::build(&[("k", ValueType::Int), ("p", ValueType::Int)], &[]).unwrap();
+        let rows: Vec<Vec<Value>> = (0..300)
+            .map(|i| vec![Value::int(i), Value::int(i / 4 * 2 + i % 2)])
+            .collect();
+        let t = Table::from_rows_with_segment_rows("u", schema, &rows, 128).unwrap();
+        let out = render_stats("u", &t);
+        let line = |col: &str| {
+            out.lines()
+                .find(|l| l.trim_start().starts_with(col))
+                .unwrap_or_else(|| panic!("no {col} line: {out}"))
+                .to_string()
+        };
+        assert!(
+            line("k ").contains("enc=packed  [3\u{d7}range]"),
+            "stats: {out}"
+        );
+        assert!(line("k ").contains("payload=0B"), "stats: {out}");
+        assert!(line("p ").contains("enc=packed "), "stats: {out}");
+        assert!(!line("p ").contains("range]"), "stats: {out}");
     }
 
     #[test]

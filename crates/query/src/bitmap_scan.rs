@@ -57,7 +57,9 @@
 
 use crate::pred::{CmpOp, CompiledPredicate, Predicate};
 use cods_bitmap::{Wah, WahRef};
-use cods_storage::{Dictionary, EncodedColumn, SegmentEnc, StorageError, Table, Value, Zone};
+use cods_storage::{
+    Dictionary, EncodedColumn, Present, SegmentEnc, StorageError, Table, Value, Zone,
+};
 use std::ops::Range;
 
 /// The most bitmaps one segment's mask is built from by a k-way union
@@ -205,15 +207,23 @@ impl SatSet<'_> {
             .iter()
             .enumerate()
             .filter(|&(i, _)| self.zone_may_match(col.zone(i)))
-            .map(|(_, slot)| self.hits(&slot.meta().present_ids, &slot.meta().ones).0)
+            .map(|(_, slot)| self.hits(&slot.meta().present).0)
             .sum()
     }
 
     /// Reads one segment's resident stats (its ascending `present` ids and
     /// their `ones`): the rows carrying a satisfying id, and where those
     /// ids sit. An id set intersects with `present` by galloping search,
-    /// O(k·log(p/k)) for k ids; the other forms walk every present id.
-    fn hits(&self, present: &[u32], ones: &[u64]) -> (u64, Hits) {
+    /// O(k·log(p/k)) for k ids; the other forms walk every present id. A
+    /// range answers an id set by two binary searches and an id interval
+    /// by one intersection ([`SatSet::range_hits`]).
+    fn hits(&self, present: &Present) -> (u64, Hits) {
+        let (present, ones) = match present {
+            Present::List { ids, ones } => (&ids[..], &ones[..]),
+            Present::Range { .. } => {
+                return self.range_hits(present.range().expect("a range"));
+            }
+        };
         if let SatSet::Ids { ids, .. } = self {
             let at = gallop_intersect(ids, present);
             return (at.iter().map(|&i| ones[i]).sum(), Hits::At(at));
@@ -231,6 +241,86 @@ impl SatSet<'_> {
             }
         }
         (rows, Hits::Span { count, first, last })
+    }
+
+    /// [`SatSet::hits`] over a range segment's ids `ids`, one row each: a
+    /// position is its id's offset from `ids.start`, and its row.
+    fn range_hits(&self, ids: Range<u32>) -> (u64, Hits) {
+        let span = |first: usize, last: usize, count: usize| {
+            (count as u64, Hits::Span { count, first, last })
+        };
+        match self {
+            SatSet::Ids { ids: sat, .. } => {
+                let lo = sat.partition_point(|&id| id < ids.start);
+                let hi = sat.partition_point(|&id| id < ids.end);
+                let at: Vec<usize> = sat[lo..hi]
+                    .iter()
+                    .map(|&id| (id - ids.start) as usize)
+                    .collect();
+                (at.len() as u64, Hits::At(at))
+            }
+            SatSet::IdInterval { lo, hi } => {
+                let (a, b) = ((*lo).max(ids.start), (*hi).min(ids.end));
+                if a >= b {
+                    return span(0, 0, 0);
+                }
+                let at = |id: u32| (id - ids.start) as usize;
+                span(at(a), at(b - 1), (b - a) as usize)
+            }
+            SatSet::Interval { .. } | SatSet::Bools(_) => {
+                let (mut count, mut first, mut last) = (0usize, 0usize, 0usize);
+                for (i, id) in ids.enumerate() {
+                    if self.contains(id) {
+                        if count == 0 {
+                            first = i;
+                        }
+                        last = i;
+                        count += 1;
+                    }
+                }
+                span(first, last, count)
+            }
+        }
+    }
+}
+
+/// Tier 4 on a range segment of `rows` rows from id `first`, reading no
+/// payload: position `i` of `hits` is row `i`. An id set marks its rows;
+/// a span whose every position satisfies (an id interval's) is one run;
+/// any other span is tested row by row, 63 rows to a group.
+fn append_range_mask(mask: &mut Wah, rows: u64, first: u32, hits: Hits, sat: &SatSet<'_>) {
+    match hits {
+        Hits::At(at) => {
+            let mut next = 0u64;
+            for i in at {
+                mask.append_run(false, i as u64 - next);
+                mask.append_run(true, 1);
+                next = i as u64 + 1;
+            }
+            mask.append_run(false, rows - next);
+        }
+        Hits::Span {
+            count,
+            first: a,
+            last: b,
+        } => {
+            mask.append_run(false, a as u64);
+            if count == b - a + 1 {
+                mask.append_run(true, count as u64);
+            } else {
+                let group_bits = cods_bitmap::word::GROUP_BITS as usize;
+                let mut row = a;
+                while row <= b {
+                    let n = group_bits.min(b + 1 - row);
+                    let bits = (0..n).fold(0u64, |acc, j| {
+                        acc | u64::from(sat.contains(first + (row + j) as u32)) << j
+                    });
+                    mask.push_bits(bits, n as u64);
+                    row += n;
+                }
+            }
+            mask.append_run(false, rows - b as u64 - 1);
+        }
     }
 }
 
@@ -608,11 +698,16 @@ fn append_segment_mask(
     // Present-id tiers, still metadata-only: stats show how many
     // satisfying values live in this row range, on how many rows, and at
     // which present-id positions.
-    let (sat_rows, hits) = sat.hits(&meta.present_ids, &meta.ones);
+    let (sat_rows, hits) = sat.hits(&meta.present);
     if hits.count() == 0 || sat_rows == rows {
         // No row of the range satisfies, or (each row carrying exactly one
         // present id) every row does: a fill, payload untouched.
         mask.append_run(hits.count() != 0, rows);
+        return Ok(());
+    }
+    if let Some(ids) = meta.present.range() {
+        // A range segment's mask follows from its ids: no payload read.
+        append_range_mask(mask, rows, ids.start, hits, sat);
         return Ok(());
     }
     // Survivor. A leaf of a few ids over a paged-out bitmap segment reads
@@ -640,7 +735,7 @@ fn append_segment_mask(
             let satisfying: Vec<WahRef<'_>> = match hits {
                 Hits::At(at) => at.into_iter().map(|i| seg.bitmap(i)).collect(),
                 Hits::Span { first, last, .. } => (first..=last)
-                    .filter(|&i| sat.contains(meta.present_ids[i]))
+                    .filter(|&i| sat.contains(meta.present.id(i)))
                     .map(|i| seg.bitmap(i))
                     .collect(),
             };
@@ -684,8 +779,8 @@ fn append_segment_mask(
             match hits {
                 Hits::At(at) => at.into_iter().for_each(|i| hit[i] = true),
                 Hits::Span { first, last, .. } => {
-                    for (h, &id) in hit[first..=last].iter_mut().zip(&meta.present_ids[first..]) {
-                        *h = sat.contains(id);
+                    for (i, h) in (first..=last).zip(&mut hit[first..=last]) {
+                        *h = sat.contains(meta.present.id(i));
                     }
                 }
             }
@@ -771,6 +866,52 @@ mod tests {
         assert_eq!(filtered.rows(), 33);
         for row in filtered.to_rows() {
             assert_eq!(row[1], Value::str("s1"));
+        }
+    }
+
+    /// A unique key's segments are ranges, whose masks tier 4 builds from
+    /// their bounds with no payload; recoded bitmap, the same key is the
+    /// oracle. Over an identity order (ints) and a permuted one (names
+    /// whose order is not the rows'), every leaf form agrees: one id, an
+    /// id set, an id interval, a rank interval and a per-id table.
+    #[test]
+    fn range_segment_masks_match_their_bitmap_recode() {
+        let schema = Schema::build(&[("k", ValueType::Int), ("n", ValueType::Str)], &[]).unwrap();
+        let rows: Vec<Vec<Value>> = (0..1000)
+            .map(|i| vec![Value::int(i), Value::str(format!("n{}", (i * 7919) % 1000))])
+            .collect();
+        let t = Table::from_rows_with_segment_rows("t", schema, &rows, 64).unwrap();
+        for c in t.columns() {
+            assert!(c.segments().iter().all(|s| s.meta().is_range()));
+        }
+        let oracle = t
+            .map_columns(None, |c| c.recode(cods_storage::Encoding::Bitmap))
+            .unwrap();
+        let ne = |column: &str, literal: Value| Predicate::Compare {
+            column: column.into(),
+            op: crate::pred::CmpOp::Ne,
+            literal,
+        };
+        let preds = [
+            Predicate::eq("k", 517i64),
+            Predicate::eq("k", 3i64)
+                .or(Predicate::eq("k", 700i64))
+                .or(Predicate::eq("k", 64i64)),
+            Predicate::eq("k", 5i64)
+                .or(Predicate::eq("k", 6i64))
+                .or(Predicate::eq("k", 60i64)),
+            Predicate::ge("k", 100i64).and(Predicate::lt("k", 130i64)),
+            Predicate::lt("k", 70i64),
+            ne("k", Value::int(5)),
+            Predicate::lt("n", "n3"),
+            Predicate::eq("n", "n77"),
+            ne("n", Value::str("n500")),
+            Predicate::ge("n", "n95").and(Predicate::lt("n", "n96")),
+        ];
+        for pred in preds {
+            let got = predicate_mask(&t, &pred).unwrap();
+            assert_eq!(got, predicate_mask(&oracle, &pred).unwrap(), "{pred:?}");
+            assert_eq!(got, predicate_mask_unpruned(&t, &pred).unwrap(), "{pred:?}");
         }
     }
 

@@ -1198,7 +1198,7 @@ mod tests {
         let (cat, log, _r) = open_durable(&path).unwrap();
         commit_put(&cat, tiny("small", 4));
         let small_end = std::fs::metadata(clog_path(&path)).unwrap().len() as usize;
-        commit_put(&cat, big("big", 100_000));
+        commit_put(&cat, big("big", 120_000));
         let image = persist::encode_table(&cat.get("big").unwrap());
         assert!(image.len() >= 1 << 20, "{} bytes", image.len());
         assert_eq!(files_beside(&path), two[1..], "a commit writes the log");

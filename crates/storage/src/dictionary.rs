@@ -10,6 +10,11 @@
 //! id map. A lookup reads the value order — an offset for a dense run of
 //! ints, a binary search otherwise — and only interning a value that breaks
 //! the dense shape builds a map, which a finished builder and a merge shed.
+//! A dense run of ints — the ints `first..first + len` in id order, what a
+//! key column loaded in key order interns — is held as `(first, len)`
+//! alone: its length, lookups, value order, remaps by offset and its saved
+//! form read no value, and its values are spelled out once, on the first
+//! read that asks for them ([`Dictionary::values`]).
 
 use crate::span::{self, Span};
 use crate::value::Value;
@@ -117,10 +122,16 @@ impl ValueOrder {
     }
 }
 
-/// Ids sorted ascending by value. Ints and `Null` (which sorts first) are
+/// Ids sorted ascending by value. Distinct ints spanning exactly as many
+/// values as there are — a permutation of a dense run — are placed by
+/// value, each id at `v − min`, in O(n); a repeat found while placing
+/// falls back to the sort. Other ints and `Null` (which sorts first) are
 /// sorted as keys beside their ids, so a comparison reads no value; any
 /// other values are compared through their ids.
 fn sorted_ids(values: &[Value]) -> Vec<u32> {
+    if let Some(ordered) = placed_ids(values) {
+        return ordered;
+    }
     let int_key = |v: &Value| match v {
         Value::Null => Some(None),
         Value::Int(i) => Some(Some(*i)),
@@ -140,6 +151,35 @@ fn sorted_ids(values: &[Value]) -> Vec<u32> {
     ordered
 }
 
+/// [`sorted_ids`]' direct-address path: each id placed at its int's offset
+/// from the least, when every value is an int, `max − min + 1` is the
+/// count and no two land on one place. One min/max pass, one placing pass.
+fn placed_ids(values: &[Value]) -> Option<Vec<u32>> {
+    let int = |v: &Value| match v {
+        Value::Int(i) => Some(*i),
+        _ => None,
+    };
+    let mut min = int(values.first()?)?;
+    let mut max = min;
+    for v in values {
+        let i = int(v)?;
+        min = min.min(i);
+        max = max.max(i);
+    }
+    if i128::from(max) - i128::from(min) + 1 != values.len() as i128 {
+        return None;
+    }
+    let mut ordered = vec![u32::MAX; values.len()];
+    for (id, v) in (0u32..).zip(values) {
+        let at = &mut ordered[(i128::from(int(v)?) - i128::from(min)) as usize];
+        if *at != u32::MAX {
+            return None;
+        }
+        *at = id;
+    }
+    Some(ordered)
+}
+
 /// Interning dictionary: dense `u32` ids for distinct [`Value`]s.
 ///
 /// A shared copy-on-write handle: the values and what is derived from them
@@ -155,9 +195,43 @@ pub struct Dictionary {
     inner: Arc<Interned>,
 }
 
+/// The values of a dictionary, in id order.
+#[derive(Debug)]
+enum Values {
+    /// Any values, each held.
+    List(Vec<Value>),
+    /// The ints `first..first + len`, held by their bounds; `spelled` is
+    /// the values, built on the first read that asks for them.
+    Dense {
+        first: i64,
+        len: usize,
+        spelled: OnceLock<Vec<Value>>,
+    },
+}
+
+impl Default for Values {
+    fn default() -> Values {
+        Values::List(Vec::new())
+    }
+}
+
+impl Clone for Values {
+    /// A dense run's copy starts unspelled.
+    fn clone(&self) -> Values {
+        match self {
+            Values::List(v) => Values::List(v.clone()),
+            Values::Dense { first, len, .. } => Values::Dense {
+                first: *first,
+                len: *len,
+                spelled: OnceLock::new(),
+            },
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Interned {
-    values: Vec<Value>,
+    values: Values,
     /// The value → id map, built by the first interned value that does not
     /// extend a dense int run, and shed when a builder finishes.
     ids: OnceLock<HashMap<Value, u32>>,
@@ -184,7 +258,23 @@ impl Dictionary {
         Self::default()
     }
 
+    /// Wraps `values`, holding them as a dense run when they are one: the
+    /// ints `first..first + len`, which `order` (when known) says ascend.
     fn of(values: Vec<Value>, order: Option<ValueOrder>) -> Dictionary {
+        let ascends = order.as_ref().is_some_and(ValueOrder::is_identity);
+        let values = match (values.first(), values.last()) {
+            (Some(Value::Int(first)), Some(Value::Int(last)))
+                if ascends
+                    && i128::from(*last) - i128::from(*first) + 1 == values.len() as i128 =>
+            {
+                Values::Dense {
+                    first: *first,
+                    len: values.len(),
+                    spelled: OnceLock::from(values),
+                }
+            }
+            _ => Values::List(values),
+        };
         Dictionary {
             inner: Arc::new(Interned {
                 values,
@@ -194,14 +284,42 @@ impl Dictionary {
         }
     }
 
+    /// The dictionary of the ints `first..first + len`, in id order, held
+    /// by those bounds: nothing is allocated per value.
+    ///
+    /// # Panics
+    /// Panics when the last value would overflow `i64` or `len` is 0 (the
+    /// empty dictionary is [`Dictionary::new`]).
+    pub fn dense(first: i64, len: usize) -> Dictionary {
+        assert!(len > 0, "a dense run of no values");
+        assert!(
+            first.checked_add(len as i64 - 1).is_some(),
+            "a dense run from {first} of {len} values overflows i64"
+        );
+        Dictionary {
+            inner: Arc::new(Interned {
+                values: Values::Dense {
+                    first,
+                    len,
+                    spelled: OnceLock::new(),
+                },
+                ids: OnceLock::new(),
+                order: OnceLock::from(ValueOrder::identity(len)),
+            }),
+        }
+    }
+
     /// Number of distinct values.
     pub fn len(&self) -> usize {
-        self.inner.values.len()
+        match &self.inner.values {
+            Values::List(v) => v.len(),
+            Values::Dense { len, .. } => *len,
+        }
     }
 
     /// Returns `true` when no values are interned.
     pub fn is_empty(&self) -> bool {
-        self.inner.values.is_empty()
+        self.len() == 0
     }
 
     /// `true` when both handles hold the same interned values — one is a
@@ -212,38 +330,65 @@ impl Dictionary {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Interns `v`, returning its id (existing or freshly assigned). A value
-    /// that extends a dense run of ints (the next int, or the first value)
-    /// keeps the identity order and needs no map; any other new value
-    /// builds the map on first use.
+    /// Interns `v`, returning its id (existing or freshly assigned). An int
+    /// that extends a dense run (the next int, or the first value) keeps
+    /// the run — no value is held, no map built; any other new value
+    /// spells the run out and builds the map on first use.
     pub fn intern(&mut self, v: Value) -> u32 {
         if let Some(id) = self.id_of(&v) {
             return id;
         }
-        let extends = self.inner.ids.get().is_none()
-            && match (self.inner.values.last(), &v) {
-                (None, Value::Int(_)) => true,
-                (Some(Value::Int(last)), Value::Int(i)) => {
-                    self.dense_first().is_some() && last.checked_add(1) == Some(*i)
-                }
-                _ => false,
-            };
-        let inner = Arc::make_mut(&mut self.inner);
-        let id = inner.values.len() as u32;
-        if extends {
-            inner.order = OnceLock::from(ValueOrder::identity(id as usize + 1));
-        } else {
-            if inner.ids.get().is_none() {
-                let mut timer = span::enter(Span::InternMap);
-                timer.items(|| inner.values.len() as u64);
-                let ids: HashMap<Value, u32> = inner.values.iter().cloned().zip(0..).collect();
-                inner.ids = OnceLock::from(ids);
+        let id = self.len() as u32;
+        let extends = match (&self.inner.values, &v) {
+            (Values::List(values), Value::Int(_)) => values.is_empty(),
+            (Values::Dense { first, len, .. }, Value::Int(i)) => {
+                first.checked_add(*len as i64) == Some(*i)
             }
-            let ids = inner.ids.get_mut().expect("built above");
-            ids.insert(v.clone(), id);
-            inner.order = OnceLock::new();
+            _ => false,
+        };
+        let inner = Arc::make_mut(&mut self.inner);
+        if extends {
+            match (&mut inner.values, &v) {
+                (Values::Dense { len, spelled, .. }, _) => {
+                    *len += 1;
+                    if let Some(values) = spelled.get_mut() {
+                        values.push(v);
+                    }
+                }
+                (_, &Value::Int(first)) => {
+                    inner.values = Values::Dense {
+                        first,
+                        len: 1,
+                        spelled: OnceLock::new(),
+                    }
+                }
+                _ => unreachable!("only an int extends a run"),
+            }
+            inner.order = OnceLock::from(ValueOrder::identity(id as usize + 1));
+            return id;
         }
-        inner.values.push(v);
+        if let Values::Dense {
+            first,
+            len,
+            spelled,
+        } = &mut inner.values
+        {
+            let values = spelled.take().unwrap_or_else(|| spell(*first, *len));
+            inner.values = Values::List(values);
+        }
+        let Values::List(values) = &mut inner.values else {
+            unreachable!("spelled out above")
+        };
+        if inner.ids.get().is_none() {
+            let mut timer = span::enter(Span::InternMap);
+            timer.items(|| values.len() as u64);
+            let ids: HashMap<Value, u32> = values.iter().cloned().zip(0..).collect();
+            inner.ids = OnceLock::from(ids);
+        }
+        let ids = inner.ids.get_mut().expect("built above");
+        ids.insert(v.clone(), id);
+        inner.order = OnceLock::new();
+        values.push(v);
         id
     }
 
@@ -257,32 +402,47 @@ impl Dictionary {
 
     /// The value-ordered view of this dictionary, built on first use and
     /// cached until the next growth (one pass when the values ascend, else
-    /// O(v log v) to build; O(1) after). Every clone of the handle shares
-    /// the one view.
+    /// O(v log v) to build; O(1) after, and for a dense run). Every clone
+    /// of the handle shares the one view.
     pub fn value_order(&self) -> &ValueOrder {
-        self.inner
-            .order
-            .get_or_init(|| ValueOrder::build(&self.inner.values))
+        self.inner.order.get_or_init(|| match &self.inner.values {
+            Values::List(values) => ValueOrder::build(values),
+            Values::Dense { len, .. } => ValueOrder::identity(*len),
+        })
     }
 
     /// The first value, when the values are the ints `first..first+len` in
     /// id order: then `v`'s id is `v − first`.
-    fn dense_first(&self) -> Option<i64> {
-        match (self.values().first(), self.values().last()) {
-            (Some(Value::Int(first)), Some(Value::Int(last)))
-                if i128::from(*last) - i128::from(*first) + 1 == self.len() as i128
-                    && self.value_order().is_identity() =>
-            {
-                Some(*first)
-            }
-            _ => None,
+    pub fn dense_first(&self) -> Option<i64> {
+        match &self.inner.values {
+            Values::Dense { first, .. } => Some(*first),
+            Values::List(_) => None,
         }
+    }
+
+    /// `true` when the dictionary is a dense run of ints, held by its
+    /// bounds ([`Dictionary::dense`]).
+    pub fn is_dense(&self) -> bool {
+        self.dense_first().is_some()
     }
 
     /// The rank of the first value for which `before` is false, all values
     /// for which it holds ranking first (a binary search over the value
-    /// order, as [`slice::partition_point`]).
+    /// order, as [`slice::partition_point`]). A dense run's values are
+    /// made one at a time, never spelled out.
     pub fn partition_point(&self, mut before: impl FnMut(&Value) -> bool) -> u32 {
+        if let Values::Dense { first, len, .. } = &self.inner.values {
+            let (mut lo, mut hi) = (0usize, *len);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if before(&Value::Int(first + mid as i64)) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            return lo as u32;
+        }
         let values = self.values();
         (match self.value_order().id_table() {
             None => values.partition_point(before),
@@ -297,7 +457,8 @@ impl Dictionary {
         if let Some(ids) = self.inner.ids.get() {
             return ids.get(v).copied();
         }
-        if let (Some(first), Value::Int(i)) = (self.dense_first(), v) {
+        if let Some(first) = self.dense_first() {
+            let Value::Int(i) = v else { return None };
             let id = i128::from(*i) - i128::from(first);
             return (0..self.len() as i128).contains(&id).then_some(id as u32);
         }
@@ -306,17 +467,40 @@ impl Dictionary {
         (self.value(id) == v).then_some(id)
     }
 
-    /// The value for `id`.
+    /// The value for `id` (spelling a dense run out on first use).
     ///
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn value(&self, id: u32) -> &Value {
-        &self.inner.values[id as usize]
+        &self.values()[id as usize]
     }
 
-    /// All values in id order.
+    /// The value for `id`, owned: a dense run's is made from its bounds,
+    /// so the run is not spelled out.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
+    pub fn value_owned(&self, id: u32) -> Value {
+        match &self.inner.values {
+            Values::Dense { first, len, .. } => {
+                assert!((id as usize) < *len, "id {id} past a dense run of {len}");
+                Value::Int(first + i64::from(id))
+            }
+            Values::List(values) => values[id as usize].clone(),
+        }
+    }
+
+    /// All values in id order. A dense run is spelled out on the first
+    /// call, once for every clone of the handle.
     pub fn values(&self) -> &[Value] {
-        &self.inner.values
+        match &self.inner.values {
+            Values::List(values) => values,
+            Values::Dense {
+                first,
+                len,
+                spelled,
+            } => spelled.get_or_init(|| spell(*first, *len)),
+        }
     }
 
     /// Iterates `(id, value)` pairs.
@@ -325,9 +509,10 @@ impl Dictionary {
     }
 
     /// Builds a dictionary from values in id order (values must be
-    /// distinct). Strictly ascending values are distinct by that pass;
-    /// any others are sorted, equal neighbours in the sorted order are
-    /// refused, and the order is kept for the reads that need it.
+    /// distinct). Strictly ascending values are distinct by that pass —
+    /// a dense run of ints among them is held by its bounds; any others
+    /// are sorted, equal neighbours in the sorted order are refused, and
+    /// the order is kept for the reads that need it.
     pub fn from_values(values: Vec<Value>) -> Result<Self, String> {
         let order = ValueOrder::build(&values);
         if let Some(ordered) = order.id_table() {
@@ -343,7 +528,8 @@ impl Dictionary {
     /// compacted dictionary and the old-id → new-id mapping (`None` for
     /// dropped ids). Used after bitmap filtering drops values that no longer
     /// occur. Keeping every id returns this handle itself; the values kept
-    /// from an identity order still ascend.
+    /// from an identity order still ascend, and those kept from a dense run
+    /// in one block are one, read by bounds alone.
     pub fn compact(&self, mut keep: impl FnMut(u32) -> bool) -> (Dictionary, Vec<Option<u32>>) {
         let mut kept = 0u32;
         let mapping: Vec<Option<u32>> = (0..self.len() as u32)
@@ -356,6 +542,15 @@ impl Dictionary {
             .collect();
         if kept as usize == self.len() {
             return (self.clone(), mapping);
+        }
+        if let Some(first) = self.dense_first() {
+            let lo = mapping.iter().position(Option::is_some);
+            let hi = mapping.iter().rposition(Option::is_some);
+            if let (Some(lo), Some(hi)) = (lo, hi) {
+                if hi - lo + 1 == kept as usize {
+                    return (Dictionary::dense(first + lo as i64, kept as usize), mapping);
+                }
+            }
         }
         let values = self
             .values()
@@ -377,6 +572,16 @@ impl Dictionary {
         if self.same_as(other) {
             return (self.clone(), (0..self.len() as u32).collect());
         }
+        if let (Some(a), Some(b)) = (self.dense_first(), other.dense_first()) {
+            // Two runs that overlap or abut, the other not starting first:
+            // one run, the other's ids shifted, no value read.
+            let shift = i128::from(b) - i128::from(a);
+            let end = (shift + other.len() as i128).max(self.len() as i128);
+            if (0..=self.len() as i128).contains(&shift) && end <= i128::from(u32::MAX) {
+                let mapping = (0..other.len() as u32).map(|i| i + shift as u32).collect();
+                return (Dictionary::dense(a, end as usize), mapping);
+            }
+        }
         let mut merged = self.clone();
         let mapping = other
             .values()
@@ -386,7 +591,6 @@ impl Dictionary {
         merged.shed_map();
         (merged, mapping)
     }
-
     /// Maps every id in this dictionary to the id of the same value in
     /// `target` (`None` when `target` lacks the value). This is the hash
     /// join's dictionary-reconciliation step: computed once per join-key
@@ -447,8 +651,12 @@ impl Dictionary {
     /// Approximate heap footprint in bytes: the values, plus the value
     /// order's vectors and the value → id map where they were built.
     pub fn size_bytes(&self) -> usize {
-        let value_bytes: usize = self
-            .values()
+        let spelled = match &self.inner.values {
+            Values::List(values) => Some(values.as_slice()),
+            Values::Dense { spelled, .. } => spelled.get().map(Vec::as_slice),
+        };
+        let value_bytes: usize = spelled
+            .unwrap_or_default()
             .iter()
             .map(|v| match v {
                 Value::Str(s) => std::mem::size_of::<Value>() + s.len(),
@@ -463,9 +671,20 @@ impl Dictionary {
     }
 }
 
+/// The ints `first..first + len` as values.
+fn spell(first: i64, len: usize) -> Vec<Value> {
+    (0..len as i64).map(|i| Value::Int(first + i)).collect()
+}
+
 impl PartialEq for Dictionary {
     fn eq(&self, other: &Self) -> bool {
-        self.same_as(other) || self.values() == other.values()
+        if self.same_as(other) {
+            return true;
+        }
+        match (self.dense_first(), other.dense_first()) {
+            (Some(a), Some(b)) => a == b && self.len() == other.len(),
+            _ => self.len() == other.len() && self.values() == other.values(),
+        }
     }
 }
 impl Eq for Dictionary {}
@@ -657,6 +876,10 @@ mod tests {
             assert_eq!(d.intern(Value::int(i)), (i + 5) as u32);
         }
         assert!(d.value_order().is_identity());
+        // The run is held by its bounds until a read spells it out.
+        assert_eq!(d.dense_first(), Some(-5));
+        assert_eq!(d.size_bytes(), 0);
+        assert_eq!(d.values().len(), 1005);
         assert_eq!(d.size_bytes(), value_bytes(d.values()));
         assert_eq!(d.id_of(&Value::int(999)), Some(1004));
         assert_eq!(d.id_of(&Value::int(1000)), None);
@@ -670,6 +893,59 @@ mod tests {
         assert_eq!(d.size_bytes(), value_bytes(d.values()));
         assert_eq!(d.id_of(&Value::int(5000)), Some(1005));
         assert_eq!(d.id_of(&Value::int(4999)), None);
+    }
+
+    #[test]
+    fn a_permuted_dense_run_is_placed_by_value() {
+        // A shuffle of -50..950: every id lands at its value's offset.
+        let values: Vec<Value> = (0..1000).map(|i| Value::int(i * 337 % 1000 - 50)).collect();
+        assert_eq!(placed_ids(&values).map(|o| o.len()), Some(1000));
+        let d = Dictionary::from_values(values.clone()).unwrap();
+        let ordered = d.value_order().ordered();
+        assert!(ordered
+            .windows(2)
+            .all(|w| values[w[0] as usize] < values[w[1] as usize]));
+        assert_eq!(d.id_of(&Value::int(-50)), Some(ordered[0]));
+        // A repeat whose ints still span the count falls back to the sort,
+        // which refuses it; a gap or a `Null` is sorted as before.
+        let mut twice = values.clone();
+        twice[7] = twice[8].clone();
+        twice[9] = Value::int(1000);
+        assert_eq!(placed_ids(&twice), None);
+        assert!(Dictionary::from_values(twice).is_err());
+        let gap = vec![Value::int(5), Value::int(1), Value::int(2)];
+        assert_eq!(placed_ids(&gap), None);
+        assert_eq!(sorted_ids(&gap), vec![1, 2, 0]);
+        let null = vec![Value::int(1), Value::Null, Value::int(0)];
+        assert_eq!(placed_ids(&null), None);
+        assert_eq!(sorted_ids(&null), vec![1, 2, 0]);
+    }
+
+    #[test]
+    fn a_dense_run_is_held_by_its_bounds_through_compact_and_merge() {
+        let d = Dictionary::dense(10, 100);
+        assert_eq!((d.len(), d.dense_first()), (100, Some(10)));
+        assert_eq!(d.size_bytes(), 0);
+        assert_eq!(d.partition_point(|v| v < &Value::int(42)), 32);
+        assert_eq!(d.id_of(&Value::int(109)), Some(99));
+        assert_eq!(d.id_of(&Value::str("10")), None);
+        // Keeping one block stays dense; a hole lists what is kept.
+        let (kept, _) = d.compact(|id| (20..30).contains(&id));
+        assert_eq!((kept.dense_first(), kept.len()), (Some(30), 10));
+        // Two runs that abut or overlap merge by an offset.
+        let (merged, map) = d.merge(&Dictionary::dense(105, 20));
+        assert_eq!((merged.dense_first(), merged.len()), (Some(10), 115));
+        assert_eq!((map[0], map[19]), (95, 114));
+        assert_eq!(d.size_bytes(), 0, "nothing was spelled out");
+        let (holed, _) = d.compact(|id| id != 50);
+        assert_eq!((holed.dense_first(), holed.len()), (None, 99));
+        // A run that starts first, or leaves a gap, merges by value.
+        let (gapped, _) = d.merge(&Dictionary::dense(200, 2));
+        assert_eq!((gapped.dense_first(), gapped.len()), (None, 102));
+        // A list of a dense run is held by its bounds, equal to the run.
+        let listed = Dictionary::from_values((10..110).map(Value::int).collect()).unwrap();
+        assert_eq!(listed.dense_first(), Some(10));
+        assert_eq!(listed, d);
     }
 
     #[test]

@@ -166,6 +166,25 @@ fn bitmap_or_packed(meta: &SegMeta) -> Encoding {
     }
 }
 
+/// The stats of `seq` as a range segment, when its row `r` holds id
+/// `first + r` — each id once, in row order, its end inside `u32`.
+/// O(runs), and it stops at the first run that breaks the shape: most
+/// segments at their first.
+fn range_of(seq: &RleSeq) -> Option<SegMeta> {
+    let first = seq.runs().first()?.0;
+    if u64::from(first) + seq.len() > u64::from(u32::MAX) {
+        return None;
+    }
+    let mut want = first;
+    for &(id, n) in seq.runs() {
+        if n != 1 || id != want {
+            return None;
+        }
+        want = want.wrapping_add(1);
+    }
+    Some(SegMeta::range(first, seq.len()))
+}
+
 /// The payload of one entry of the unified segment directory: an
 /// `Arc`-shared row-range segment in one of the three encodings. It
 /// carries no statistics; the segment's [`SegMeta`] does, beside it in its
@@ -187,18 +206,27 @@ impl SegmentEnc {
     /// a bitmap payload is then written from that count
     /// (`Segment::from_runs`), a packed one from each id's position in the
     /// count's present ids (`PackedSegment::from_runs`), and an RLE one is
-    /// the runs themselves. The result is a fresh slot holding both.
+    /// the runs themselves. A packed segment whose row `r` holds id `first +
+    /// r` is a range instead: no count and no codes (`range_of`). The result
+    /// is a fresh slot holding both.
     pub fn seal(seq: RleSeq, encoding: Encoding, scratch: &mut SealScratch) -> SegSlot {
         Self::seal_with(seq, |_| encoding, scratch)
     }
 
     /// [`SegmentEnc::seal`] in the encoding `pick` names for the stats the
-    /// count just took.
+    /// count just took — or, where `pick` packs a segment of the shape, for
+    /// the range's.
     fn seal_with(
         seq: RleSeq,
-        pick: impl FnOnce(&SegMeta) -> Encoding,
+        pick: impl Fn(&SegMeta) -> Encoding,
         scratch: &mut SealScratch,
     ) -> SegSlot {
+        if let Some(meta) = range_of(&seq).filter(|m| pick(m) == Encoding::Packed) {
+            let mut span = span::enter(Span::SealRange);
+            span.items(|| meta.rows);
+            let enc = SegmentEnc::Packed(Arc::new(PackedSegment::range(&meta)));
+            return SegSlot::fresh(meta, enc);
+        }
         let mut meta = scratch.count(&seq);
         meta.encoding = pick(&meta);
         let mut span = span::enter(Span::seal(meta.encoding));
@@ -212,7 +240,7 @@ impl SegmentEnc {
                 SegmentEnc::Rle(Arc::new(RleSegment::new(seq)))
             }
             Encoding::Packed => {
-                let code = scratch.codes(&meta.present_ids);
+                let code = scratch.codes(meta.present.list().0);
                 SegmentEnc::Packed(Arc::new(PackedSegment::from_runs(&seq, &mut meta, code)))
             }
         };
@@ -234,9 +262,10 @@ impl SegmentEnc {
     /// segment decodes once: straight into the sink when it is wholly
     /// selected and the sink keeps ids, else into `scratch`, which the
     /// selected pieces are copied from. A packed segment unpacks only the
-    /// selected rows, straight into the sink when it is wholly selected.
-    /// An RLE segment's runs are merged against the intervals, in O(runs +
-    /// intervals).
+    /// selected rows, straight into the sink when it is wholly selected; a
+    /// range hands each interval `a..b` over as the ids `first + a ..
+    /// first + b`, reading nothing. An RLE segment's runs are merged
+    /// against the intervals, in O(runs + intervals).
     pub(crate) fn read_in(
         &self,
         rows: u64,
@@ -245,8 +274,23 @@ impl SegmentEnc {
         sink: &mut impl SelSink,
         scratch: &mut Vec<u32>,
     ) -> Result<(), StorageError> {
-        let mut span = span::enter(Span::walk(self.encoding()));
+        let range = match self {
+            SegmentEnc::Packed(s) => s.range_first(),
+            _ => None,
+        };
+        let label = match range {
+            Some(_) => Span::WalkRange,
+            None => Span::walk(self.encoding()),
+        };
+        let mut span = span::enter(label);
         span.items(|| piece.iter().map(|&(a, b)| b - a).sum());
+        if let Some(first) = range {
+            // Row `r` holds `first + r`: each piece is an id interval.
+            for &(a, b) in piece {
+                sink.id_range(first + (a - start) as u32, b - a);
+            }
+            return Ok(());
+        }
         let whole = piece == [(start, start + rows)];
         match self {
             SegmentEnc::Bitmap(s) => {
@@ -449,8 +493,13 @@ impl EncodedColumn {
     ) -> EncodedColumn {
         let mut present = vec![false; dict.len()];
         for seg in &segments {
-            for &id in seg.meta().present_ids.iter() {
-                present[id as usize] = true;
+            match seg.meta().present.range() {
+                Some(ids) => present[ids.start as usize..ids.end as usize].fill(true),
+                None => {
+                    for id in seg.meta().present.ids() {
+                        present[id as usize] = true;
+                    }
+                }
             }
         }
         if present.iter().all(|&p| p) {
@@ -554,7 +603,7 @@ impl EncodedColumn {
             let ranks = self.dict.value_order().rank_table();
             self.segments
                 .iter()
-                .map(|s| Zone::of_ids(&s.meta().present_ids, ranks))
+                .map(|s| Zone::of_present(&s.meta().present, ranks))
                 .collect()
         })
     }
@@ -882,6 +931,13 @@ impl EncodedColumn {
                 out.append_run(false, meta.rows);
                 continue;
             };
+            if meta.is_range() {
+                // Row `i` holds the id, and no other row does.
+                out.append_run(false, i as u64);
+                out.append_run(true, 1);
+                out.append_run(false, meta.rows - i as u64 - 1);
+                continue;
+            }
             match seg.enc() {
                 SegmentEnc::Bitmap(s) => out.append_bitmap(s.bitmap(i)),
                 SegmentEnc::Rle(s) => s.append_value_bitmap(id, &mut out),
@@ -1212,10 +1268,19 @@ impl EncodedColumn {
         }
     }
 
-    /// `(resident, on-disk)` segment counts — buffer-cache telemetry.
+    /// `(resident, on-disk)` counts of the segments that have a payload —
+    /// buffer-cache telemetry. A range segment has none, so it is neither.
     pub fn residency_counts(&self) -> (usize, usize) {
-        let resident = self.segments.iter().filter(|s| s.is_resident()).count();
-        (resident, self.segments.len() - resident)
+        let payloads = self.segments.iter().filter(|s| !s.meta().is_range());
+        let (mut resident, mut on_disk) = (0, 0);
+        for s in payloads {
+            if s.is_resident() {
+                resident += 1;
+            } else {
+                on_disk += 1;
+            }
+        }
+        (resident, on_disk)
     }
 
     /// Verifies the per-segment invariants, the directory geometry,
@@ -1247,7 +1312,6 @@ impl EncodedColumn {
                 self.segments.len()
             )));
         }
-        let mut present = vec![0u64; self.dict.len()];
         let mut expected_start = 0u64;
         for (i, (seg, &start)) in self.segments.iter().zip(&self.starts).enumerate() {
             if start != expected_start {
@@ -1259,13 +1323,14 @@ impl EncodedColumn {
             if meta.rows == 0 {
                 return Err(StorageError::Corrupt(format!("segment {i} is empty")));
             }
-            for (&id, &ones) in meta.present_ids.iter().zip(meta.ones.iter()) {
-                if id as usize >= self.dict.len() {
-                    return Err(StorageError::Corrupt(format!(
-                        "segment {i} references id {id} beyond dictionary"
-                    )));
-                }
-                present[id as usize] += ones;
+            if let Some(id) = meta
+                .present
+                .last()
+                .filter(|&id| id as usize >= self.dict.len())
+            {
+                return Err(StorageError::Corrupt(format!(
+                    "segment {i} references id {id} beyond dictionary"
+                )));
             }
             expected_start += meta.rows;
         }
@@ -1276,13 +1341,52 @@ impl EncodedColumn {
             )));
         }
         if self.rows > 0 {
-            if let Some(id) = present.iter().position(|&n| n == 0) {
+            if let Some(id) = self.first_absent_id() {
                 return Err(StorageError::Corrupt(format!(
                     "value id {id} occurs in no segment (dictionary not compacted)"
                 )));
             }
         }
         Ok(())
+    }
+
+    /// The least dictionary id no segment holds, if any. A dictionary whose
+    /// length is not backed by bytes (a dense int run) is checked by
+    /// merging the segments' id intervals — a range's one, a list's one per
+    /// id — so nothing is sized from its length; any other by a table over
+    /// its ids.
+    fn first_absent_id(&self) -> Option<u32> {
+        let len = self.dict.len() as u64;
+        if !self.dict.is_dense() {
+            let mut present = vec![false; self.dict.len()];
+            for seg in &self.segments {
+                for id in seg.meta().present.ids() {
+                    present[id as usize] = true;
+                }
+            }
+            return present.iter().position(|&p| !p).map(|id| id as u32);
+        }
+        let mut spans: Vec<(u64, u64)> = Vec::new();
+        for seg in &self.segments {
+            match seg.meta().present.range() {
+                Some(ids) => spans.push((ids.start.into(), ids.end.into())),
+                None => spans.extend(
+                    seg.meta()
+                        .present
+                        .ids()
+                        .map(|id| (id.into(), id as u64 + 1)),
+                ),
+            }
+        }
+        spans.sort_unstable();
+        let mut covered = 0u64;
+        for (lo, hi) in spans {
+            if lo > covered {
+                break;
+            }
+            covered = covered.max(hi);
+        }
+        (covered < len).then_some(covered as u32)
     }
 
     /// Decoding helper: installs the column pin and the per-segment pins
@@ -1312,11 +1416,21 @@ pub(crate) trait SelSink {
     /// `rows` fresh `u32::MAX` slots a wholly selected bitmap segment can
     /// decode straight into, when the sink keeps ids.
     fn whole_segment(&mut self, rows: usize) -> Option<&mut [u32]>;
+    /// Takes `n` consecutive selected rows holding the ids `first..first +
+    /// n`, one each (a range segment's rows).
+    fn id_range(&mut self, first: u32, n: u64) {
+        for id in first..first + n as u32 {
+            self.run(id, 1);
+        }
+    }
 }
 
 impl SelSink for Vec<u32> {
     fn run(&mut self, id: u32, n: u64) {
         self.resize(self.len() + n as usize, id);
+    }
+    fn id_range(&mut self, first: u32, n: u64) {
+        self.extend(first..first + n as u32);
     }
     fn ids(&mut self, ids: &[u32]) {
         self.extend_from_slice(ids);
@@ -1380,10 +1494,7 @@ fn group_encoding(parts: &[SegSlot], pins: &[bool], column_pinned: bool) -> Enco
     }
     let runs: u64 = parts.iter().map(|s| s.meta().runs).sum();
     let rows: u64 = parts.iter().map(|s| s.meta().rows).sum();
-    let mut distinct: Vec<u32> = parts
-        .iter()
-        .flat_map(|s| s.meta().present_ids.iter().copied())
-        .collect();
+    let mut distinct: Vec<u32> = parts.iter().flat_map(|s| s.meta().present.ids()).collect();
     distinct.sort_unstable();
     distinct.dedup();
     choose_encoding_from_stats(runs, rows, distinct.len() as u64, 1)
@@ -1618,8 +1729,14 @@ mod tests {
         let c = b.finish();
         c.check_invariants().unwrap();
         assert_eq!(c.segment_count(), 2);
-        assert_eq!(&*c.segments()[0].meta().present_ids, &[0]);
-        assert_eq!(&*c.segments()[1].meta().present_ids, &[1]);
+        assert_eq!(
+            c.segments()[0].meta().present.ids().collect::<Vec<_>>(),
+            [0]
+        );
+        assert_eq!(
+            c.segments()[1].meta().present.ids().collect::<Vec<_>>(),
+            [1]
+        );
         assert_eq!(c.value_count(0), 100);
         assert!(!c.segments()[1].meta().contains_id(0));
     }
@@ -2087,11 +2204,11 @@ mod tests {
         // Rows drawn from RLE segments only seal RLE, across a boundary.
         let rle = write(&[(5, 7), (9, 11)], None);
         assert_eq!(rle.meta().encoding, Encoding::Rle);
-        assert_eq!(&*rle.meta().present_ids, &[0, 2, 3]);
+        assert_eq!(rle.meta().present.ids().collect::<Vec<_>>(), [0, 2, 3]);
         // A bitmap source anywhere seals bitmap, the runs joined in order.
         let mixed = write(&[(2, 6)], None);
         assert_eq!(mixed.meta().encoding, Encoding::Bitmap);
-        assert_eq!(&*mixed.meta().present_ids, &[1, 2]);
+        assert_eq!(mixed.meta().present.ids().collect::<Vec<_>>(), [1, 2]);
         assert_eq!(mixed.meta().count_for(2), 2);
         assert_eq!(mixed.meta().runs, 2);
         // An explicit encoding wins.

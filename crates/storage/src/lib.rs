@@ -113,7 +113,7 @@ pub use segment::{
 };
 pub use stats::{ColumnStats, TableStats};
 pub use steplog::{Step, StepLog};
-pub use store::{segment_cache, CacheStats, SegMeta, SegSlot, SegmentStore};
+pub use store::{segment_cache, CacheStats, Present, SegMeta, SegSlot, SegmentStore};
 pub use table::Table;
 pub use vacuum::{
     heap_stats, set_auto_vacuum, vacuum_catalog, vacuum_file, wait_for_auto_vacuum, AutoVacuum,

@@ -12,9 +12,15 @@
 //! statistics of its own: the meta's ones, runs and bytes are recounted
 //! from the codes ([`PackedSegment::recount`]) whenever the payload is
 //! decoded or checked.
+//!
+//! A *range* segment — row `r` holds id `first + r`, each id once, what a
+//! dense key's segments are — is a packed segment whose codes are the
+//! identity. It stores no codes at all: its meta is the range
+//! ([`Present::Range`]), its payload empty, and every read derives a row's
+//! id from the row.
 
 use crate::encoded::Encoding;
-use crate::store::SegMeta;
+use crate::store::{Present, SegMeta};
 use bytes::BufMut;
 use cods_bitmap::{RleSeq, Wah};
 use std::sync::Arc;
@@ -35,14 +41,16 @@ pub fn payload_len(rows: u64, distinct: usize) -> Option<u64> {
 }
 
 /// One immutable row-range segment's payload in the packed encoding: each
-/// row's position in the meta's present ids, bit-packed.
+/// row's position in the meta's present ids, bit-packed — or, for a range,
+/// nothing: its codes are the rows.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PackedSegment {
     rows: u64,
     width: u32,
     /// The meta's present ids, what a code indexes.
-    ids: Arc<[u32]>,
-    /// The packed codes, LSB-first, zero past the last row's bits.
+    ids: Present,
+    /// The packed codes, LSB-first, zero past the last row's bits; empty
+    /// for a range.
     words: Arc<[u64]>,
 }
 
@@ -119,7 +127,7 @@ impl PackedSegment {
     /// seal's scratch holds after its count). Sets `meta.bytes`; the
     /// segment shares `meta`'s ids. O(rows).
     pub(crate) fn from_runs(seq: &RleSeq, meta: &mut SegMeta, code: &[u32]) -> PackedSegment {
-        let width = width_for(meta.present_ids.len());
+        let width = width_for(meta.distinct_count());
         let mut p = Packer::new(width, seq.len());
         for &(id, n) in seq.runs() {
             let c = u64::from(code[id as usize]);
@@ -132,16 +140,43 @@ impl PackedSegment {
         PackedSegment {
             rows: seq.len(),
             width,
-            ids: Arc::clone(&meta.present_ids),
+            ids: meta.present.clone(),
             words,
         }
+    }
+
+    /// The payload of a range segment (`meta` a [`Present::Range`]): no
+    /// codes, each row's id derived from the row.
+    pub(crate) fn range(meta: &SegMeta) -> PackedSegment {
+        debug_assert!(meta.is_range());
+        PackedSegment {
+            rows: meta.rows,
+            width: 0,
+            ids: meta.present.clone(),
+            words: Arc::from([]),
+        }
+    }
+
+    /// The first id of a range segment: row `r` holds `first + r`.
+    #[inline]
+    pub fn range_first(&self) -> Option<u32> {
+        self.ids.range().map(|r| r.start)
     }
 
     /// Reads a packed payload against `meta`: its length must be exactly
     /// [`payload_len`], checked before anything is sized from it. The codes
     /// themselves are checked by [`PackedSegment::recount`].
     pub(crate) fn decode(meta: &SegMeta, raw: &[u8]) -> Result<PackedSegment, String> {
-        let want = payload_len(meta.rows, meta.present_ids.len())
+        if meta.is_range() {
+            if !raw.is_empty() {
+                return Err(format!(
+                    "a range segment with a payload of {} bytes",
+                    raw.len()
+                ));
+            }
+            return Ok(PackedSegment::range(meta));
+        }
+        let want = payload_len(meta.rows, meta.distinct_count())
             .ok_or("packed payload length overflows")?;
         if raw.len() as u64 != want {
             return Err(format!(
@@ -155,8 +190,8 @@ impl PackedSegment {
             .collect();
         Ok(PackedSegment {
             rows: meta.rows,
-            width: width_for(meta.present_ids.len()),
-            ids: Arc::clone(&meta.present_ids),
+            width: width_for(meta.distinct_count()),
+            ids: meta.present.clone(),
             words,
         })
     }
@@ -191,24 +226,46 @@ impl PackedSegment {
     /// The value id at segment-local `row`.
     pub fn id_at(&self, row: u64) -> u32 {
         debug_assert!(row < self.rows);
+        if let Some(first) = self.range_first() {
+            return first + row as u32;
+        }
         let code = self.codes_from(row).next().expect("unbounded");
-        self.ids[code as usize]
+        self.ids.id(code as usize)
     }
 
     /// Writes the value ids of segment-local rows `from..from + out.len()`
-    /// into `out`: only that window's codes are unpacked.
+    /// into `out`: only that window's codes are unpacked (a range's are
+    /// counted).
     pub(crate) fn ids_into(&self, from: u64, out: &mut [u32]) {
         debug_assert!(from + out.len() as u64 <= self.rows);
+        if let Some(first) = self.range_first() {
+            for (slot, id) in out.iter_mut().zip(first + from as u32..) {
+                *slot = id;
+            }
+            return;
+        }
+        let (ids, _) = self.ids.list();
         for (slot, code) in out.iter_mut().zip(self.codes_from(from)) {
-            *slot = self.ids[code as usize];
+            *slot = ids[code as usize];
         }
     }
 
     /// Appends the segment's mask of the rows whose code `hit` marks
     /// (`hit` has one entry per present id) to `out`: one unpack-and-test
-    /// pass that builds the mask 63 rows at a time, no per-row push.
+    /// pass that builds the mask 63 rows at a time, no per-row push. A
+    /// range's code is its row.
     pub fn append_mask(&self, hit: &[bool], out: &mut Wah) {
         debug_assert_eq!(hit.len(), self.ids.len());
+        if self.range_first().is_some() {
+            for group in hit.chunks(cods_bitmap::word::GROUP_BITS as usize) {
+                let bits = group
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |acc, (j, &h)| acc | u64::from(h) << j);
+                out.push_bits(bits, group.len() as u64);
+            }
+            return;
+        }
         let group_bits = cods_bitmap::word::GROUP_BITS;
         let mut codes = self.codes_from(0);
         let mut left = self.rows;
@@ -228,7 +285,8 @@ impl PackedSegment {
     /// (`from` the identity) keeps every code, so the words are shared;
     /// any other permutes the codes at the same width.
     pub(crate) fn remap(&self, meta: &SegMeta, from: &[usize]) -> PackedSegment {
-        let ids = Arc::clone(&meta.present_ids);
+        debug_assert!(self.ids.range().is_none() && !meta.is_range());
+        let ids = meta.present.clone();
         if from.iter().enumerate().all(|(i, &f)| i == f) {
             return PackedSegment {
                 ids,
@@ -258,6 +316,12 @@ impl PackedSegment {
     /// that never occurs leaves a zero among the ones, which that check
     /// refuses. O(rows).
     pub fn recount(&self) -> Result<SegMeta, String> {
+        if let Some(first) = self.range_first() {
+            if !self.words.is_empty() || self.width != 0 {
+                return Err("a range segment holds codes".into());
+            }
+            return Ok(SegMeta::range(first, self.rows));
+        }
         let n = self.ids.len();
         if self.width != width_for(n) {
             return Err(format!("code width {} for {n} present ids", self.width));
@@ -287,8 +351,10 @@ impl PackedSegment {
         }
         Ok(SegMeta {
             rows: self.rows,
-            present_ids: Arc::clone(&self.ids),
-            ones: ones.into(),
+            present: Present::List {
+                ids: Arc::clone(self.ids.list().0),
+                ones: ones.into(),
+            },
             runs,
             bytes: 8 * self.words.len(),
             encoding: Encoding::Packed,
@@ -375,7 +441,10 @@ mod tests {
         let (meta, p) = packed(&[3, 1, 2, 3, 1]);
         // Monotone: the words are shared.
         let m2 = SegMeta {
-            present_ids: [10, 20, 30].into(),
+            present: Present::List {
+                ids: [10, 20, 30].into(),
+                ones: Arc::clone(meta.present.list().1),
+            },
             ..meta.clone()
         };
         let r = p.remap(&m2, &[0, 1, 2]);
@@ -386,8 +455,10 @@ mod tests {
         );
         // Reversed: old position 2 (id 3) is new position 0, and so on.
         let m3 = SegMeta {
-            present_ids: [5, 6, 7].into(),
-            ones: [2, 1, 2].into(),
+            present: Present::List {
+                ids: [5, 6, 7].into(),
+                ones: [2, 1, 2].into(),
+            },
             ..meta
         };
         let r = p.remap(&m3, &[2, 1, 0]);
@@ -395,7 +466,7 @@ mod tests {
             (0..5).map(|i| r.id_at(i)).collect::<Vec<_>>(),
             [5, 7, 6, 5, 7]
         );
-        assert_eq!(r.recount().unwrap().ones, m3.ones);
+        assert_eq!(r.recount().unwrap().present, m3.present);
     }
 
     #[test]

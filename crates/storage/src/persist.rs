@@ -1,6 +1,6 @@
 //! Binary persistence of tables and catalogs.
 //!
-//! There is one on-disk format (version 12). A file is a preamble, two
+//! There is one on-disk format (version 13). A file is a preamble, two
 //! commit slots, and a heap of segment payloads, per-table metadata blocks
 //! and the index naming the blocks. A column opens as *metadata only* —
 //! schema, dictionary, per-segment stats, encoding/pin tags — while
@@ -20,12 +20,14 @@
 //! table    := name:str schema rows:u64 column*
 //! schema   := arity:u16 (name:str tag:u8)* key_len:u16 key_idx:u16*
 //! column   := dict flags:u8 seg_rows:u64 seg_count:u32 segment*
-//! dict     := tag:u8 dict_len:u32 value*
+//! dict     := tag:u8 dict_len:u32 value*           (tag bit 7 clear)
+//!           | tag:u8 dict_len:u32 first:i64        (tag bit 7 set: dense)
 //! flags    := bit 0: whole column pinned by explicit recode
 //! segment  := segtag:u8 off:u64 len:u64 rows:u64 runs:u64 bytes:u64
-//!             present:u32 (id:u32)* (ones:u64)*
-//! segtag   := bits 0, 2: encoding (0 bitmap, 1 rle, 4 packed);
-//!             bit 1: segment pinned
+//!             present:u32 (id:u32)* (ones:u64)*    (a listed segment)
+//!           | segtag:u8 rows:u64 first:u32         (segtag 8: a range)
+//! segtag   := bits 0, 2, 3: encoding (0 bitmap, 1 rle, 4 packed,
+//!             8 range); bit 1: segment pinned
 //! payload  := bitmaps | runs | codes               (as `segtag` says)
 //! bitmaps  := (end:u32)^present (word:u64)*        (bitmap segment)
 //! runs     := rows:u64 run_count:u32 (id:u32 len:u64)*   (RLE segment)
@@ -94,6 +96,18 @@
 //! save that shares nothing with its target, and a vacuum write a fresh
 //! image to a temp file and rename it over the target.
 //!
+//! A dense dictionary — the ints `first..first + dict_len` in id order —
+//! is its first value alone, in an int column, and only when `dict_len` is
+//! 1 + the largest id the column's segments name; a range segment — row
+//! `r` holds id `first + r`, each id once — is its record alone: packed,
+//! `runs` = `rows`, `bytes` 0, no payload in the heap, so it is resident
+//! from the open and never faults. Neither count is backed by bytes, so
+//! the decoder bounds both before trusting them: a dense run must not
+//! overflow `i64` and must be exactly as long as its segments' largest id
+//! says, a range's ids must lie inside `u32` and the dictionary, and
+//! nothing is allocated per dense value or per range row at the open. A
+//! record that lists ids is byte for byte version 12's.
+//!
 //! A preamble carrying any other version is refused with
 //! `PersistError("unsupported version N")`. Every field is read with the
 //! one checked reader ([`crate::codec::Reader`]), so a count is held
@@ -102,16 +116,17 @@
 
 use crate::catalog::Catalog;
 use crate::codec::{
-    put_schema, put_str, put_value, read_schema, read_str, read_type, read_value, Reader,
+    put_schema, put_str, put_value, read_schema, read_str, read_value, CodecError, Reader,
 };
 use crate::dictionary::Dictionary;
-use crate::encoded::{EncodedColumn, Encoding};
+use crate::encoded::{EncodedColumn, Encoding, SegmentEnc};
 use crate::error::StorageError;
 use crate::fault;
+use crate::packed::PackedSegment;
 use crate::span::{self, Span};
 use crate::store::{
-    encode_payload, payload_encoded_len, segment_cache, DiskLoc, FileId, PayloadSource, SegMeta,
-    SegSlot,
+    encode_payload, payload_encoded_len, segment_cache, DiskLoc, FileId, PayloadSource, Present,
+    SegMeta, SegSlot,
 };
 use crate::table::Table;
 use crate::vacuum::HeapStats;
@@ -126,9 +141,10 @@ const MAGIC: u32 = 0xC0D5_0001;
 /// The on-disk format version (two commit slots naming the index of a
 /// heap with one metadata block per table; catalog files stamped with the
 /// catalog version they hold; bitmap payloads a head table and header-free
-/// words; a third, bit-packed segment kind; no stored zone maps) — the only
-/// one this build reads or writes.
-pub const VERSION: u16 = 12;
+/// words; a third, bit-packed segment kind; no stored zone maps; a dense
+/// int dictionary recorded as its first value and a range segment as its
+/// rows and first id) — the only one this build reads or writes.
+pub const VERSION: u16 = 13;
 
 /// `magic:u32 version:u16`.
 pub(crate) const PREAMBLE_LEN: usize = 6;
@@ -139,13 +155,16 @@ const HEADER_LEN: u64 = (PREAMBLE_LEN + 2 * SLOT_LEN) as u64;
 /// The least an index entry occupies: an empty name, `block_off`,
 /// `block_len`.
 const ENTRY_MIN: usize = 4 + 8 + 8;
-/// The fixed part of a segment record: `segtag off len rows runs bytes
-/// present` — the least a record can occupy.
-const SEG_RECORD_MIN: usize = 1 + 5 * 8 + 4;
+/// The least a segment record can occupy: a range's `segtag rows first`.
+const SEG_RECORD_MIN: usize = 1 + 8 + 4;
 
 const ENC_BITMAP: u8 = 0;
 const ENC_RLE: u8 = 1;
 const ENC_PACKED: u8 = 4;
+/// A range segment: a packed segment recorded by its bounds alone.
+const ENC_RANGE: u8 = 8;
+/// Dictionary tag bit: a dense int run, recorded by its first value.
+const DICT_DENSE: u8 = 0x80;
 /// Column flag bit: whole column pinned by an explicit recode.
 const FLAG_PINNED: u8 = 1;
 /// Segment tag bit: this segment pinned by a segment-range recode.
@@ -155,16 +174,54 @@ fn eof() -> StorageError {
     StorageError::PersistError("unexpected end of buffer".into())
 }
 
-fn put_dict<B: BufMut>(buf: &mut B, ty: ValueType, dict: &Dictionary) {
-    buf.put_u8(ty.tag());
+/// Writes a column's dictionary: a dense int run as its first value (tag
+/// bit [`DICT_DENSE`]) when it is one and its length is 1 + the largest id
+/// the column's segments name — what the decoder holds it to — else every
+/// value.
+fn put_dict<B: BufMut>(buf: &mut B, c: &EncodedColumn) {
+    let dict = c.dict();
+    let named = c
+        .segments()
+        .iter()
+        .filter_map(|s| s.meta().present.last())
+        .max();
+    let dense = dict.dense_first().filter(|_| {
+        c.ty() == ValueType::Int && named.map(|id| id as usize + 1) == Some(dict.len())
+    });
+    buf.put_u8(c.ty().tag() | if dense.is_some() { DICT_DENSE } else { 0 });
     buf.put_u32_le(dict.len() as u32);
-    for v in dict.values() {
-        put_value(buf, v);
+    match dense {
+        Some(first) => buf.put_i64_le(first),
+        None => {
+            for v in dict.values() {
+                put_value(buf, v);
+            }
+        }
     }
 }
 
+/// Reads a column's dictionary. A dense one's length is not backed by
+/// bytes: it is held by its bounds, allocating nothing per value, and its
+/// column checks it against the ids its segments name (`get_column`).
 fn get_dict(r: &mut Reader<'_>) -> Result<(ValueType, Dictionary), StorageError> {
-    let ty = read_type(r)?;
+    let tag = r.u8()?;
+    let dense = tag & DICT_DENSE != 0;
+    let ty = ValueType::from_tag(tag & !DICT_DENSE).ok_or(CodecError::BadTag("value type", tag))?;
+    if dense {
+        let len = r.u32()?;
+        let first = r.i64()?;
+        if ty != ValueType::Int || len == 0 {
+            return Err(StorageError::PersistError(format!(
+                "a dense dictionary of {len} values in a {ty} column"
+            )));
+        }
+        if first.checked_add(i64::from(len) - 1).is_none() {
+            return Err(StorageError::PersistError(format!(
+                "a dense dictionary of {len} values from {first} overflows i64"
+            )));
+        }
+        return Ok((ty, Dictionary::dense(first, len as usize)));
+    }
     // A value is at least its tag byte.
     let dict_len = r.count(1)?;
     let mut values = Vec::with_capacity(dict_len);
@@ -493,35 +550,47 @@ fn put_column<B: BufMut>(
     heap: &mut HeapBuilder<'_>,
     c: &EncodedColumn,
 ) -> Result<(), StorageError> {
-    put_dict(meta, c.ty(), c.dict());
+    put_dict(meta, c);
     let flags = if c.encoding_pinned() { FLAG_PINNED } else { 0 };
     meta.put_u8(flags);
     meta.put_u64_le(c.nominal_segment_rows());
     meta.put_u32_le(c.segment_count() as u32);
     for (i, slot) in c.segments().iter().enumerate() {
-        let (off, len) = heap.place(slot)?;
         let m = slot.meta();
-        let mut tag = match m.encoding {
+        // Bit 1 records the *segment-range* pin only; the whole-column pin
+        // lives in the column flags byte, so the two survive independently.
+        let pin = if c.segment_pin_raw(i) {
+            SEG_FLAG_PINNED
+        } else {
+            0
+        };
+        let (ids, ones) = match &m.present {
+            Present::Range { first, .. } => {
+                // No payload: the record is the segment.
+                meta.put_u8(ENC_RANGE | pin);
+                meta.put_u64_le(m.rows);
+                meta.put_u32_le(*first);
+                continue;
+            }
+            Present::List { ids, ones } => (ids, ones),
+        };
+        let (off, len) = heap.place(slot)?;
+        let tag = match m.encoding {
             Encoding::Bitmap => ENC_BITMAP,
             Encoding::Rle => ENC_RLE,
             Encoding::Packed => ENC_PACKED,
         };
-        // Bit 1 records the *segment-range* pin only; the whole-column pin
-        // lives in the column flags byte, so the two survive independently.
-        if c.segment_pin_raw(i) {
-            tag |= SEG_FLAG_PINNED;
-        }
-        meta.put_u8(tag);
+        meta.put_u8(tag | pin);
         meta.put_u64_le(off);
         meta.put_u64_le(len);
         meta.put_u64_le(m.rows);
         meta.put_u64_le(m.runs);
         meta.put_u64_le(m.bytes as u64);
-        meta.put_u32_le(m.distinct_count() as u32);
-        for &id in m.present_ids.iter() {
+        meta.put_u32_le(ids.len() as u32);
+        for &id in ids.iter() {
             meta.put_u32_le(id);
         }
-        for &n in m.ones.iter() {
+        for &n in ones.iter() {
             meta.put_u64_le(n);
         }
     }
@@ -1108,6 +1177,7 @@ fn get_seg_slot(
         ENC_BITMAP => Encoding::Bitmap,
         ENC_RLE => Encoding::Rle,
         ENC_PACKED => Encoding::Packed,
+        ENC_RANGE => return get_range_slot(r, dict_len).map(|slot| (slot, pinned)),
         _ => return Err(corrupt(format!("unknown segment tag {tag:#04x}"))),
     };
     let off = r.u64()?;
@@ -1151,8 +1221,10 @@ fn get_seg_slot(
     let ones: Vec<u64> = (0..present).map(|_| r.u64()).collect::<Result<_, _>>()?;
     let meta = SegMeta {
         rows,
-        present_ids: ids.into(),
-        ones: ones.into(),
+        present: Present::List {
+            ids: ids.into(),
+            ones: ones.into(),
+        },
         runs,
         bytes: usize::try_from(bytes)
             .map_err(|_| corrupt("segment byte size beyond address space".into()))?,
@@ -1180,6 +1252,28 @@ fn get_seg_slot(
     Ok((slot, pinned))
 }
 
+/// Reads a range segment's record, `rows first`, into a resident slot: it
+/// has no payload to fault. Its rows are not backed by bytes, so its ids
+/// must lie inside `u32` and the dictionary; nothing is sized from them.
+fn get_range_slot(r: &mut Reader<'_>, dict_len: usize) -> Result<SegSlot, StorageError> {
+    let rows = r.u64()?;
+    let first = r.u32()?;
+    let end = u64::from(first) + rows;
+    if rows == 0 || end > u64::from(u32::MAX) {
+        return Err(StorageError::PersistError(format!(
+            "a range segment of {rows} rows from id {first} passes u32"
+        )));
+    }
+    if end > dict_len as u64 {
+        return Err(StorageError::PersistError(format!(
+            "a range segment names ids {first}..{end}, past the dictionary of {dict_len}"
+        )));
+    }
+    let meta = SegMeta::range(first, rows);
+    let enc = SegmentEnc::Packed(Arc::new(PackedSegment::range(&meta)));
+    Ok(SegSlot::fresh(meta, enc))
+}
+
 fn get_column(
     r: &mut Reader<'_>,
     source: &Arc<PayloadSource>,
@@ -1189,7 +1283,13 @@ fn get_column(
 ) -> Result<EncodedColumn, StorageError> {
     let mut dict_span = span::enter(Span::OpenDict);
     let (ty, dict) = get_dict(r)?;
-    dict_span.items(|| dict.len() as u64);
+    dict_span.items(|| {
+        if dict.is_dense() {
+            0
+        } else {
+            dict.len() as u64
+        }
+    });
     drop(dict_span);
     let flags = r.u8()?;
     let seg_rows = r.u64()?;
@@ -1205,11 +1305,22 @@ fn get_column(
     let mut meta_span = span::enter(Span::OpenSegMeta);
     for _ in 0..seg_count {
         let (slot, pin) = get_seg_slot(r, dict_len, source, file_len, dedup, extents)?;
-        meta_span.items(|| slot.meta().distinct_count() as u64);
+        meta_span.items(|| match slot.meta().present {
+            Present::List { ref ids, .. } => ids.len() as u64,
+            Present::Range { .. } => 0,
+        });
         pins.push(pin);
         slots.push(slot);
     }
     drop(meta_span);
+    if dict.is_dense() {
+        let named = slots.iter().filter_map(|s| s.meta().present.last()).max();
+        if named.map(|id| id as usize + 1) != Some(dict_len) {
+            return Err(StorageError::PersistError(format!(
+                "a dense dictionary of {dict_len} values whose segments name ids up to {named:?}"
+            )));
+        }
+    }
     let mut col = EncodedColumn::from_segments(ty, dict, slots, seg_rows);
     col.set_pins(flags & FLAG_PINNED != 0, pins);
     Ok(col)

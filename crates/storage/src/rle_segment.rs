@@ -14,7 +14,7 @@
 //! a column can be RLE while its high-churn suffix stays bitmap.
 
 use crate::encoded::Encoding;
-use crate::store::SegMeta;
+use crate::store::{Present, SegMeta};
 use cods_bitmap::{RleSeq, Wah};
 
 /// One immutable row-range segment's payload in the RLE encoding: the run
@@ -74,8 +74,10 @@ impl RleSegment {
         }
         SegMeta {
             rows: self.seq.len(),
-            present_ids: ids.into(),
-            ones: ones.into(),
+            present: Present::List {
+                ids: ids.into(),
+                ones: ones.into(),
+            },
             runs: self.seq.num_runs() as u64,
             bytes: self.seq.size_bytes(),
             encoding: Encoding::Rle,
@@ -101,7 +103,7 @@ mod tests {
         let m = s.recount();
         m.check().unwrap();
         assert_eq!(m.rows, 6);
-        assert_eq!(&*m.present_ids, &[2, 7]);
+        assert_eq!(m.present.ids().collect::<Vec<_>>(), [2, 7]);
         assert_eq!(m.count_for(7), 3);
         assert_eq!(m.count_for(9), 0);
         assert!(m.contains_id(2));
@@ -115,7 +117,7 @@ mod tests {
         let s = RleSegment::new(seq_of(&[0, 1, 1]));
         let r = s.remap(&[Some(4), Some(1)]).recount();
         r.check().unwrap();
-        assert_eq!(&*r.present_ids, &[1, 4]);
+        assert_eq!(r.present.ids().collect::<Vec<_>>(), [1, 4]);
         assert_eq!(r.count_for(1), 2);
     }
 }

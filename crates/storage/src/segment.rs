@@ -20,7 +20,7 @@
 
 use crate::encoded::{Encoding, SegmentEnc};
 use crate::error::StorageError;
-use crate::store::{SegMeta, SegSlot};
+use crate::store::{Present, SegMeta, SegSlot};
 use bytes::BufMut;
 use cods_bitmap::{scan_body, words_of, Reader, RleSeq, Wah, WahRef};
 use std::ops::Range;
@@ -50,10 +50,34 @@ pub struct Zone {
 }
 
 impl Zone {
-    /// Derives the zone of a segment from its present-id stats and the
+    /// Derives the zone of a segment from its present ids and the
     /// dictionary's rank permutation (`None` for an identity order, where
-    /// an id is its rank). O(present) integer comparisons; the payload
-    /// (bitmaps/runs) is never touched.
+    /// an id is its rank). O(present) integer comparisons, O(1) for a range
+    /// under an identity order, whose zone is its first and last id; the
+    /// payload (bitmaps/runs) is never touched.
+    pub fn of_present(present: &Present, ranks: Option<&[u32]>) -> Zone {
+        let ids = match present {
+            Present::List { ids, .. } => return Zone::of_ids(ids, ranks),
+            Present::Range { .. } => present.range().expect("a range"),
+        };
+        debug_assert!(!ids.is_empty(), "zone of an empty segment");
+        let Some(ranks) = ranks else {
+            return Zone {
+                min_id: ids.start,
+                max_id: ids.end - 1,
+            };
+        };
+        let rank = |id: u32| ranks[id as usize];
+        Zone {
+            min_id: ids
+                .clone()
+                .min_by_key(|&id| rank(id))
+                .expect("a present id"),
+            max_id: ids.max_by_key(|&id| rank(id)).expect("a present id"),
+        }
+    }
+
+    /// [`Zone::of_present`] over a list of ids.
     pub fn of_ids(ids: &[u32], ranks: Option<&[u32]>) -> Zone {
         debug_assert!(!ids.is_empty(), "zone of an empty segment");
         let Some(ranks) = ranks else {
@@ -275,8 +299,10 @@ impl SealScratch {
             .collect();
         SegMeta {
             rows: seq.len(),
-            present_ids: touched.as_slice().into(),
-            ones,
+            present: Present::List {
+                ids: touched.as_slice().into(),
+                ones,
+            },
             runs: seq.num_runs() as u64,
             bytes: 0,
             encoding: Encoding::Bitmap,
@@ -365,7 +391,7 @@ pub(crate) fn read_bitmap(
     len: u64,
     read: &mut impl FnMut(u64, u64) -> Result<Vec<u8>, StorageError>,
 ) -> Result<Wah, StorageError> {
-    let head = HEAD_BYTES * meta.present_ids.len() as u64;
+    let head = HEAD_BYTES * meta.distinct_count() as u64;
     if head > len {
         return Err(corrupt("head table past the payload"));
     }
@@ -386,7 +412,7 @@ pub(crate) fn read_bitmap(
     }
     let raw = read(head + lo, hi - lo)?;
     let bm = Wah::decode_body(&raw, meta.rows).map_err(|e| corrupt(&e.to_string()))?;
-    if bm.count_ones() != meta.ones[i] {
+    if bm.count_ones() != meta.present.ones(i) {
         return Err(corrupt("recounted ones do not match the metadata"));
     }
     Ok(bm)
@@ -436,9 +462,11 @@ impl Segment {
             ..
         } = scratch;
         words.clear();
-        let mut ends = Vec::with_capacity(meta.present_ids.len());
+        let (ids, ones) = meta.present.list();
+        let (ids, ones) = (Arc::clone(ids), Arc::clone(ones));
+        let mut ends = Vec::with_capacity(ids.len());
         let mut lo = 0usize;
-        for &id in meta.present_ids.iter() {
+        for &id in ids.iter() {
             let hi = slot[id as usize] as usize;
             wah.clear();
             for &(start, len) in &placed[lo..hi] {
@@ -454,8 +482,8 @@ impl Segment {
         meta.bytes = charge(words.len(), ends.len());
         Segment {
             rows,
-            ids: Arc::clone(&meta.present_ids),
-            ones: Arc::clone(&meta.ones),
+            ids,
+            ones,
             words: words.as_slice().into(),
             ends: ends.into_boxed_slice(),
         }
@@ -471,7 +499,8 @@ impl Segment {
     /// (ones, runs and bytes), which the caller holds to `meta`
     /// ([`SegMeta::check_payload`]).
     pub(crate) fn decode(meta: &SegMeta, raw: &[u8]) -> Result<(Segment, SegMeta), StorageError> {
-        let n = meta.present_ids.len();
+        let (ids, meta_ones) = meta.present.list();
+        let n = ids.len();
         let mut r = Reader::new(raw);
         let head = r
             .take(HEAD_BYTES as usize * n)
@@ -499,8 +528,8 @@ impl Segment {
             let d = scan_body(&words[lo..hi], meta.rows).map_err(|e| corrupt(&e.to_string()))?;
             match &mut ones {
                 Some(v) => v.push(d.ones),
-                None if meta.ones.get(i) != Some(&d.ones) => {
-                    let mut v = meta.ones[..i.min(meta.ones.len())].to_vec();
+                None if meta_ones.get(i) != Some(&d.ones) => {
+                    let mut v = meta_ones[..i.min(meta_ones.len())].to_vec();
                     v.push(d.ones);
                     ones = Some(v);
                 }
@@ -514,10 +543,13 @@ impl Segment {
             return Err(corrupt("trailing bytes after payload"));
         }
         let found = SegMeta {
-            ones: match ones {
-                Some(v) => v.into(),
-                None if meta.ones.len() > n => meta.ones[..n].into(),
-                None => Arc::clone(&meta.ones),
+            present: Present::List {
+                ids: Arc::clone(ids),
+                ones: match ones {
+                    Some(v) => v.into(),
+                    None if meta_ones.len() > n => meta_ones[..n].into(),
+                    None => Arc::clone(meta_ones),
+                },
             },
             runs,
             bytes: charge(words.len(), n),
@@ -525,8 +557,8 @@ impl Segment {
         };
         let seg = Segment {
             rows: meta.rows,
-            ids: Arc::clone(&meta.present_ids),
-            ones: Arc::clone(&meta.ones),
+            ids: Arc::clone(ids),
+            ones: Arc::clone(meta_ones),
             words: words.into_boxed_slice(),
             ends: ends.into_boxed_slice(),
         };
@@ -625,10 +657,11 @@ impl Segment {
             words.extend_from_slice(&self.words[self.span(i)]);
             ends.push(arena_u32(words.len()));
         }
+        let (ids, ones) = meta.present.list();
         Segment {
             rows: self.rows,
-            ids: Arc::clone(&meta.present_ids),
-            ones: Arc::clone(&meta.ones),
+            ids: Arc::clone(ids),
+            ones: Arc::clone(ones),
             words: words.into_boxed_slice(),
             ends: ends.into_boxed_slice(),
         }
@@ -669,8 +702,10 @@ impl Segment {
         }
         Ok(SegMeta {
             rows: self.rows,
-            present_ids: Arc::clone(&self.ids),
-            ones: Arc::clone(&self.ones),
+            present: Present::List {
+                ids: Arc::clone(&self.ids),
+                ones: Arc::clone(&self.ones),
+            },
             runs,
             bytes: charge(self.words.len(), self.ends.len()),
             encoding: Encoding::Bitmap,
@@ -700,7 +735,7 @@ mod tests {
         );
         s.check_invariants().unwrap();
         let m = s.meta();
-        assert_eq!(&*m.present_ids, &[2, 7]);
+        assert_eq!(m.present.ids().collect::<Vec<_>>(), [2, 7]);
         assert_eq!(m.count_for(7), 3);
         assert_eq!(m.count_for(9), 0);
         assert!(m.contains_id(2));
@@ -748,8 +783,11 @@ mod tests {
             slot.check_invariants().unwrap();
             let (m, s) = (slot.meta(), bitmap(&slot));
             assert_eq!(m.rows, 7);
-            assert_eq!(&*m.present_ids, &[1, 3, 8]);
-            assert_eq!(&*m.ones, &[2, 3, 2]);
+            assert_eq!(m.present.ids().collect::<Vec<_>>(), [1, 3, 8]);
+            assert_eq!(
+                m.present.iter().map(|(_, n)| n).collect::<Vec<_>>(),
+                [2, 3, 2]
+            );
             assert_eq!(m.runs, 3);
             assert_eq!(s.bitmap(1).to_positions(), vec![2, 3, 4]);
             assert_eq!(s.bitmap(2).to_positions(), vec![5, 6]);
@@ -757,7 +795,7 @@ mod tests {
         // An id seen by an earlier seal is gone from the next one.
         let other: RleSeq = [8u32, 2, 8].into_iter().collect();
         let slot = SegmentEnc::seal(other, Encoding::Bitmap, &mut scratch);
-        assert_eq!(&*slot.meta().present_ids, &[2, 8]);
+        assert_eq!(slot.meta().present.ids().collect::<Vec<_>>(), [2, 8]);
         assert_eq!(bitmap(&slot).bitmap(1).to_positions(), vec![0, 2]);
         assert_eq!(slot.meta().runs, 3);
         assert_eq!(scratch.distinct(&seq), 3);
@@ -788,7 +826,7 @@ mod tests {
         );
         let r = s.remap(&[Some(4), Some(1)]);
         r.check_invariants().unwrap();
-        assert_eq!(&*r.meta().present_ids, &[1, 4]);
+        assert_eq!(r.meta().present.ids().collect::<Vec<_>>(), [1, 4]);
         assert_eq!(r.meta().count_for(1), 2);
         assert_eq!(r.meta().count_for(4), 1);
         assert_eq!(bitmap(&r).bitmap(1).to_positions(), vec![0]);

@@ -9,7 +9,8 @@
 //! test that reads it runs in a binary of its own.
 //!
 //! The sites cover the payload layers: the seal, the selection walker's
-//! decode and the fault-in's payload decode, each per encoding, and the
+//! decode and the fault-in's payload decode, each per encoding (the seal
+//! and the walker count range segments apart from packed ones), and the
 //! open's per-column dictionary and segment-metadata decode; and the
 //! dictionary layer: deriving a value order, per outcome, building a value
 //! → id map, and reconciling two dictionaries' ids, per path.
@@ -31,22 +32,29 @@ pub enum Span {
     SealRle,
     /// `SegmentEnc::seal` packing a payload (items: rows).
     SealPacked,
+    /// `SegmentEnc::seal` recording a range segment by its bounds (items:
+    /// rows).
+    SealRange,
     /// The selection walker reading a bitmap segment (items: rows read).
     WalkBitmap,
     /// The selection walker reading an RLE segment (items: rows read).
     WalkRle,
     /// The selection walker reading a packed segment (items: rows read).
     WalkPacked,
+    /// The selection walker deriving a range segment's ids from its rows
+    /// (items: rows read).
+    WalkRange,
     /// `decode_payload` of a bitmap payload (items: payload bytes).
     FaultBitmap,
     /// `decode_payload` of an RLE payload (items: payload bytes).
     FaultRle,
     /// `decode_payload` of a packed payload (items: payload bytes).
     FaultPacked,
-    /// The open decoding one column's dictionary (items: values).
+    /// The open decoding one column's dictionary (items: values read; none
+    /// for a dense run, recorded by its bounds).
     OpenDict,
     /// The open decoding one column's segment records (items: present-id
-    /// entries).
+    /// entries read; none for a range).
     OpenSegMeta,
     /// Deriving a dictionary's value order that found the values ascending
     /// in id order: one pass, no vectors (items: values).
@@ -72,13 +80,15 @@ pub enum Span {
 
 impl Span {
     /// Every span, in registry order.
-    pub const ALL: [Span; 18] = [
+    pub const ALL: [Span; 20] = [
         Span::SealBitmap,
         Span::SealRle,
         Span::SealPacked,
+        Span::SealRange,
         Span::WalkBitmap,
         Span::WalkRle,
         Span::WalkPacked,
+        Span::WalkRange,
         Span::FaultBitmap,
         Span::FaultRle,
         Span::FaultPacked,
@@ -99,9 +109,11 @@ impl Span {
             Span::SealBitmap => "seal.bitmap",
             Span::SealRle => "seal.rle",
             Span::SealPacked => "seal.packed",
+            Span::SealRange => "seal.range",
             Span::WalkBitmap => "walk.bitmap",
             Span::WalkRle => "walk.rle",
             Span::WalkPacked => "walk.packed",
+            Span::WalkRange => "walk.range",
             Span::FaultBitmap => "fault.bitmap",
             Span::FaultRle => "fault.rle",
             Span::FaultPacked => "fault.packed",

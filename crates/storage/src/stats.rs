@@ -18,13 +18,17 @@ pub struct ColumnStats {
     pub encoding: Option<Encoding>,
     /// Segments per encoding in the directory.
     pub encodings: EncodingCounts,
+    /// Packed segments that are ranges, recorded by their bounds (row `r`
+    /// holds id `first + r`; no payload).
+    pub range_segments: usize,
     /// `true` when the whole column was pinned by an explicit recode.
     pub encoding_pinned: bool,
     /// Segments pinned by a segment-range recode, counted whether or not
     /// the column pin covers them too. A pin never keeps a segment
     /// resident.
     pub pinned_segments: usize,
-    /// Segments whose payload is currently decoded in memory.
+    /// Segments whose payload is currently decoded in memory (a range has
+    /// no payload, and is counted in neither).
     pub resident_segments: usize,
     /// Segments currently paged out to their backing file (metadata only).
     pub on_disk_segments: usize,
@@ -71,14 +75,16 @@ impl ColumnStats {
             let ends: Vec<u32> = zones.iter().flat_map(|z| [z.min_id, z.max_id]).collect();
             let whole = Zone::of_ids(&ends, c.dict().value_order().rank_table());
             (
-                c.dict().value(whole.min_id).clone(),
-                c.dict().value(whole.max_id).clone(),
+                c.dict().value_owned(whole.min_id),
+                c.dict().value_owned(whole.max_id),
             )
         });
         let mut chooser_picks = EncodingCounts::default();
         let mut chooser_disagreements = 0;
         let mut pinned_segments = 0;
+        let mut range_segments = 0;
         for (i, seg) in c.segments().iter().enumerate() {
+            range_segments += usize::from(seg.meta().is_range());
             let pick = seg.meta().choose_encoding();
             chooser_picks[pick] += 1;
             if c.segment_pin_raw(i) {
@@ -93,6 +99,7 @@ impl ColumnStats {
             rows: c.rows(),
             encoding: c.uniform_encoding(),
             encodings: c.encoding_counts(),
+            range_segments,
             encoding_pinned: c.encoding_pinned(),
             pinned_segments,
             resident_segments,
@@ -183,14 +190,19 @@ mod tests {
         let schema = Schema::build(&[("c", ValueType::Int)], &[]).unwrap();
         // Clustered: long runs per value — near-pure fills.
         let lo: Vec<Vec<Value>> = (0..4096).map(|i| vec![Value::int(i / 2048)]).collect();
-        // All-distinct: one bitmap per row, each with a single one.
-        let hi: Vec<Vec<Value>> = (0..4096).map(|i| vec![Value::int(i)]).collect();
+        // Near-unique: two rows per value, packed at one code per row.
+        let hi: Vec<Vec<Value>> = (0..4096).map(|i| vec![Value::int(i / 2)]).collect();
+        // All-distinct: each row its own id, a range — no payload at all.
+        let all: Vec<Vec<Value>> = (0..4096).map(|i| vec![Value::int(i)]).collect();
         let t_lo = TableStats::of(&Table::from_rows("lo", schema.clone(), &lo).unwrap());
-        let t_hi = TableStats::of(&Table::from_rows("hi", schema, &hi).unwrap());
+        let t_hi = TableStats::of(&Table::from_rows("hi", schema.clone(), &hi).unwrap());
+        let t_all = TableStats::of(&Table::from_rows("all", schema, &all).unwrap());
         assert!(t_lo.columns[0].payload_bytes < t_hi.columns[0].payload_bytes);
-        // Relative to the v × r matrix, the many tiny bitmaps of the
+        // Relative to the v × r matrix, the packed codes of the
         // high-cardinality column still compress enormously.
         assert!(t_hi.columns[0].compression_ratio > 10.0);
+        assert_eq!(t_all.columns[0].payload_bytes, 0);
+        assert_eq!(t_all.columns[0].range_segments, 1);
     }
 
     #[test]
@@ -203,12 +215,13 @@ mod tests {
         let t = Table::from_rows("t", schema, &rows).unwrap();
         let stats = TableStats::of(&t);
         let values = n as usize * std::mem::size_of::<Value>();
-        // A dense int key: its values, no map, an identity order.
-        assert_eq!(stats.columns[0].dict_bytes, values);
+        // A dense int key: held by its bounds — no values (stats reads its
+        // range from them), no map, an identity order.
+        assert_eq!(stats.columns[0].dict_bytes, 0);
         // A shuffled column: its values and the order its zones sorted.
         assert_eq!(stats.columns[1].dict_bytes, values + n as usize * 8);
         let payload: usize = stats.columns.iter().map(|c| c.payload_bytes).sum();
-        assert_eq!(stats.total_bytes, payload + 2 * values + n as usize * 8);
+        assert_eq!(stats.total_bytes, payload + values + n as usize * 8);
     }
 
     #[test]

@@ -34,8 +34,163 @@ use crate::span::{self, Span};
 use bytes::{BufMut, Bytes};
 use cods_bitmap::{RleSeq, Wah};
 use parking_lot::{Mutex, RwLock};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
+
+/// A segment's present value ids and the rows carrying each. A list holds
+/// them id by id; a *range* is a segment whose row `r` holds id `first +
+/// r`, each id once — a dense key's segment — and is held by its bounds,
+/// O(1) memory whatever its rows. The accessors answer both alike.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Present {
+    /// Ascending ids and, parallel to them, the rows carrying each.
+    List {
+        /// Ascending global value ids present in the segment.
+        ids: Arc<[u32]>,
+        /// Rows carrying each present id (parallel to `ids`).
+        ones: Arc<[u64]>,
+    },
+    /// Ids `first..first + count`, one row each, in row order.
+    Range {
+        /// The id of the segment's first row.
+        first: u32,
+        /// Rows, and ids.
+        count: u32,
+    },
+}
+
+impl Present {
+    /// Number of present ids.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match self {
+            Present::List { ids, .. } => ids.len(),
+            Present::Range { count, .. } => *count as usize,
+        }
+    }
+
+    /// Returns `true` when no id is present.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The ids `first..end` of a range; `None` for a list.
+    #[inline]
+    pub fn range(&self) -> Option<Range<u32>> {
+        match self {
+            Present::List { .. } => None,
+            Present::Range { first, count } => Some(*first..first + count),
+        }
+    }
+
+    /// Index of `id` within the present ids, if present (O(log present)
+    /// for a list, O(1) for a range).
+    #[inline]
+    pub fn position_of(&self, id: u32) -> Option<usize> {
+        match self {
+            Present::List { ids, .. } => ids.binary_search(&id).ok(),
+            Present::Range { first, count } => {
+                let at = id.wrapping_sub(*first);
+                (id >= *first && at < *count).then_some(at as usize)
+            }
+        }
+    }
+
+    /// The id at position `i`.
+    ///
+    /// # Panics
+    /// Panics if `i` is past the present ids.
+    #[inline]
+    pub fn id(&self, i: usize) -> u32 {
+        match self {
+            Present::List { ids, .. } => ids[i],
+            Present::Range { first, count } => {
+                assert!(i < *count as usize, "position {i} past the range");
+                first + i as u32
+            }
+        }
+    }
+
+    /// Rows carrying the id at position `i`.
+    ///
+    /// # Panics
+    /// Panics if `i` is past the present ids.
+    #[inline]
+    pub fn ones(&self, i: usize) -> u64 {
+        match self {
+            Present::List { ones, .. } => ones[i],
+            Present::Range { count, .. } => {
+                assert!(i < *count as usize, "position {i} past the range");
+                1
+            }
+        }
+    }
+
+    /// The present ids, ascending.
+    pub fn ids(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        match self {
+            Present::List { ids, .. } => Either::List(ids.iter().copied()),
+            Present::Range { first, count } => Either::Range(*first..first + count),
+        }
+    }
+
+    /// Every present id with its rows, ascending by id.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u32, u64)> + '_ {
+        let ones = match self {
+            Present::List { ones, .. } => Either::List(ones.iter().copied()),
+            Present::Range { count, .. } => Either::Range(std::iter::repeat_n(1, *count as usize)),
+        };
+        self.ids().zip(ones)
+    }
+
+    /// The ids and ones of a list.
+    ///
+    /// # Panics
+    /// Panics on a range: only a packed segment is one, and its payload
+    /// reads it by its bounds.
+    pub(crate) fn list(&self) -> (&Arc<[u32]>, &Arc<[u64]>) {
+        match self {
+            Present::List { ids, ones } => (ids, ones),
+            Present::Range { .. } => panic!("a range segment has no id list"),
+        }
+    }
+
+    /// The largest present id, if any.
+    pub fn last(&self) -> Option<u32> {
+        self.len().checked_sub(1).map(|i| self.id(i))
+    }
+}
+
+/// The items of a [`Present`], from its list or from its range.
+enum Either<L, R> {
+    List(L),
+    Range(R),
+}
+
+impl<T, L: Iterator<Item = T>, R: Iterator<Item = T>> Iterator for Either<L, R> {
+    type Item = T;
+
+    #[inline]
+    fn next(&mut self) -> Option<T> {
+        match self {
+            Either::List(it) => it.next(),
+            Either::Range(it) => it.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Either::List(it) => it.size_hint(),
+            Either::Range(it) => it.size_hint(),
+        }
+    }
+}
+
+impl<T, L: ExactSizeIterator<Item = T>, R: ExactSizeIterator<Item = T>> ExactSizeIterator
+    for Either<L, R>
+{
+}
 
 /// A segment's statistics, and the one place they live: what scans read
 /// to prune a segment without touching its payload, what the chooser
@@ -47,10 +202,8 @@ use std::sync::{Arc, OnceLock, Weak};
 pub struct SegMeta {
     /// Rows covered by the segment.
     pub rows: u64,
-    /// Ascending global value ids present in the segment.
-    pub present_ids: Arc<[u32]>,
-    /// Rows carrying each present id (parallel to `present_ids`).
-    pub ones: Arc<[u64]>,
+    /// The present ids and the rows carrying each.
+    pub present: Present,
     /// Total maximal constant-value runs in row order (the chooser's
     /// statistic; what an RLE encoding stores).
     pub runs: u64,
@@ -61,16 +214,40 @@ pub struct SegMeta {
 }
 
 impl SegMeta {
+    /// The stats of a range segment of `rows` rows from id `first`: packed,
+    /// one run a row, no payload and so no cache charge.
+    ///
+    /// # Panics
+    /// Panics past `u32::MAX` rows.
+    pub fn range(first: u32, rows: u64) -> SegMeta {
+        SegMeta {
+            rows,
+            present: Present::Range {
+                first,
+                count: u32::try_from(rows).expect("a range of at most u32::MAX rows"),
+            },
+            runs: rows,
+            bytes: 0,
+            encoding: Encoding::Packed,
+        }
+    }
+
+    /// `true` for a range segment ([`Present::Range`]).
+    #[inline]
+    pub fn is_range(&self) -> bool {
+        matches!(self.present, Present::Range { .. })
+    }
+
     /// Number of distinct values present.
     #[inline]
     pub fn distinct_count(&self) -> usize {
-        self.present_ids.len()
+        self.present.len()
     }
 
     /// Index of `id` within the present ids, if present (O(log present)).
     #[inline]
     pub fn position_of(&self, id: u32) -> Option<usize> {
-        self.present_ids.binary_search(&id).ok()
+        self.present.position_of(id)
     }
 
     /// Returns `true` when `id` occurs in the segment (O(log present)).
@@ -81,7 +258,7 @@ impl SegMeta {
 
     /// Number of rows carrying `id` (0 when absent; O(log present)).
     pub fn count_for(&self, id: u32) -> u64 {
-        self.position_of(id).map_or(0, |i| self.ones[i])
+        self.position_of(id).map_or(0, |i| self.present.ones(i))
     }
 
     /// What the stats-driven chooser picks for this segment alone.
@@ -90,19 +267,37 @@ impl SegMeta {
     }
 
     /// The invariants of the stats themselves: strictly ascending ids, one
-    /// non-zero row count per id, and counts that sum to the rows.
+    /// non-zero row count per id, and counts that sum to the rows; a range
+    /// is a packed segment of one row per id, its ids inside `u32`.
     pub fn check(&self) -> Result<(), String> {
-        if self.present_ids.len() != self.ones.len() {
+        let (ids, ones) = match &self.present {
+            Present::List { ids, ones } => (ids, ones),
+            Present::Range { first, count } => {
+                if u64::from(*count) != self.rows || *count == 0 {
+                    return Err(format!(
+                        "a range of {count} ids in a segment of {} rows",
+                        self.rows
+                    ));
+                }
+                if first.checked_add(*count).is_none() {
+                    return Err(format!("a range of {count} ids from {first} passes u32"));
+                }
+                if self.encoding != Encoding::Packed || self.runs != self.rows || self.bytes != 0 {
+                    return Err("a range segment is packed, one run a row, no bytes".into());
+                }
+                return Ok(());
+            }
+        };
+        if ids.len() != ones.len() {
             return Err("ids and ones differ in length".into());
         }
-        if self.present_ids.windows(2).any(|w| w[0] >= w[1]) {
+        if ids.windows(2).any(|w| w[0] >= w[1]) {
             return Err("present ids not strictly ascending".into());
         }
-        if self.ones.contains(&0) {
+        if ones.contains(&0) {
             return Err("present id with zero rows".into());
         }
-        let total = self
-            .ones
+        let total = ones
             .iter()
             .try_fold(0u64, |t, &n| t.checked_add(n))
             .ok_or("per-id row counts overflow")?;
@@ -121,11 +316,17 @@ impl SegMeta {
     /// ones, runs and bytes, recounted by the pass that read it — and must
     /// equal these stats field by field.
     pub fn check_payload(&self, found: &SegMeta) -> Result<(), String> {
+        let (ids, ones) = match (&self.present, &found.present) {
+            (Present::List { ids: a, ones: x }, Present::List { ids: b, ones: y }) => {
+                (a != b, x != y)
+            }
+            (a, b) => (a != b, false),
+        };
         let differs = [
             ("encoding", found.encoding != self.encoding),
             ("rows", found.rows != self.rows),
-            ("present ids", found.present_ids != self.present_ids),
-            ("ones", found.ones != self.ones),
+            ("present ids", ids),
+            ("ones", ones),
             ("runs", found.runs != self.runs),
             ("bytes", found.bytes != self.bytes),
         ];
@@ -475,22 +676,37 @@ impl SegSlot {
     /// compaction), faulting it in; the result is a fresh resident slot.
     /// Rows, runs and bytes carry over; the ids and ones are re-sorted. A
     /// packed segment under a monotone map keeps its payload; under any
-    /// other its codes are permuted at the same width.
+    /// other its codes are permuted at the same width. A range that the map
+    /// shifts by one offset stays a range; under any other map it is
+    /// resealed packed.
     ///
     /// # Panics
     /// Panics if the map drops a present id.
     pub(crate) fn remap(&self, map: &[Option<u32>]) -> SegSlot {
         let m = &self.0.meta;
+        let new = |old: u32| map[old as usize].expect("remap drops a present value");
+        if let Some(ids) = m.present.range() {
+            let first = new(ids.start);
+            if ids.clone().zip(first..).all(|(old, want)| new(old) == want) {
+                let meta = SegMeta::range(first, m.rows);
+                let enc = SegmentEnc::Packed(Arc::new(PackedSegment::range(&meta)));
+                return SegSlot::fresh(meta, enc);
+            }
+            let seq = ids.map(new).collect();
+            return SegmentEnc::seal(seq, Encoding::Packed, &mut SealScratch::default());
+        }
         let mut order: Vec<(u32, usize)> = m
-            .present_ids
-            .iter()
+            .present
+            .ids()
             .enumerate()
-            .map(|(i, &old)| (map[old as usize].expect("remap drops a present value"), i))
+            .map(|(i, old)| (new(old), i))
             .collect();
         order.sort_unstable();
         let meta = SegMeta {
-            present_ids: order.iter().map(|&(new, _)| new).collect(),
-            ones: order.iter().map(|&(_, i)| m.ones[i]).collect(),
+            present: Present::List {
+                ids: order.iter().map(|&(new, _)| new).collect(),
+                ones: order.iter().map(|&(_, i)| m.present.ones(i)).collect(),
+            },
             ..m.clone()
         };
         debug_assert!(meta.check().is_ok(), "remap is not injective");
@@ -518,7 +734,7 @@ impl std::fmt::Debug for SegSlot {
         f.debug_struct("SegSlot")
             .field("rows", &self.0.meta.rows)
             .field("encoding", &self.0.meta.encoding)
-            .field("distinct", &self.0.meta.present_ids.len())
+            .field("distinct", &self.0.meta.distinct_count())
             .field("resident", &self.is_resident())
             .field("on_disk", &self.0.disk.read().is_some())
             .finish()

@@ -230,19 +230,36 @@ fn normalize(path: &Path) -> PathBuf {
 mod tests {
     use super::*;
 
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "cods-wal-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// A test's own directory under the temp dir, removed with all it
+    /// holds when the guard drops — also when the test fails.
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new() -> Scratch {
+            let dir = std::env::temp_dir().join(format!(
+                "cods-wal-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            Scratch(dir)
+        }
+
+        fn path(&self, name: &str) -> PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
     }
 
     #[test]
     fn frames_round_trip_and_a_torn_frame_ends_the_prefix() {
-        let p = scratch("j1.wal");
+        let dir = Scratch::new();
+        let p = dir.path("j1.wal");
         let mut w = JournalWriter::create(&p).unwrap();
         w.append(7, b"abc").unwrap();
         w.append(9, b"").unwrap();
@@ -268,7 +285,6 @@ mod tests {
         let mut flipped = body.to_vec();
         flipped[12] ^= 0xff;
         assert_eq!(scan_frame_prefix(&flipped), (vec![], 0));
-        std::fs::remove_file(&p).ok();
     }
 
     #[test]
@@ -296,11 +312,11 @@ mod tests {
 
     #[test]
     fn path_lock_is_stable_across_spellings() {
-        let p = scratch("lock.bin");
+        let dir = Scratch::new();
+        let p = dir.path("lock.bin");
         std::fs::write(&p, b"x").unwrap();
         let a = path_lock(&p);
         let b = path_lock(&p.canonicalize().unwrap());
         assert!(Arc::ptr_eq(&a, &b));
-        std::fs::remove_file(&p).ok();
     }
 }

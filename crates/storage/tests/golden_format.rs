@@ -1,18 +1,20 @@
 //! Pins the on-disk format: the committed fixtures under `tests/golden/`
 //! were produced by `encode_table` / `encode_catalog` at the commit that
-//! introduced format 12 (no stored zone maps: a column record ends after
-//! its segment records). Against the v11 fixtures they replaced, each
-//! segment record lost its 8-byte zone: 12 segments make the table file
-//! 9,395 → 9,299 bytes, 18 (the shared `id` column stored once) make the
-//! catalog 16,452 → 16,308. Every payload, stat, encoding and pin is the v11
-//! fixtures'; the `id` column's three segments are packed, `name` mixes a
-//! pinned RLE segment with bitmap ones. The first slot commits generation
+//! introduced format 13 (a dense int dictionary recorded as its first
+//! value, a range segment as its rows and first id). The unique `id` key
+//! is both: its dictionary is `0..300` and its three segments are ranges,
+//! each a 13-byte record with no payload, where format 12 stored 300
+//! values and each segment's ids, ones and codes — the table file went
+//! 9,299 → 2,647 bytes. `name` mixes a pinned RLE segment with bitmap
+//! ones; every listed record keeps format 12's layout. The catalog's
+//! second table shares `users`' `id` and `name` columns by `Arc`, so its
+//! heap stores `name`'s payloads once. The first slot commits generation
 //! 1 and names the index, the second is zeroed. The encoder must keep
 //! reproducing them byte for byte, the decoder must keep reading them back
 //! to the same rows, encodings, pins and zones (derived on both sides),
-//! every preamble version other than the current one must be
-//! refused with the typed unsupported-version error at every entry point,
-//! and no mutation of their bytes may panic a decoder.
+//! every preamble version other than the current one — 12 among them —
+//! must be refused with the typed unsupported-version error at every entry
+//! point, and no mutation of their bytes may panic a decoder.
 //!
 //! To regenerate after a *deliberate* format change, write
 //! `encode_table(&golden_table())` and `encode_catalog(&golden_catalog())`
@@ -31,8 +33,8 @@ use std::sync::Arc;
 const GOLDEN_TABLE: &[u8] = include_bytes!("golden/table.cods");
 const GOLDEN_CATALOG: &[u8] = include_bytes!("golden/catalog.cods");
 
-/// 300 rows in three 128-row segments: a key (unique, so packed at
-/// ingest), all four value types, NULLs, a mixed directory (`name`:
+/// 300 rows in three 128-row segments: a key (unique and ascending, so
+/// three range segments over a dense dictionary), all four value types, NULLs, a mixed directory (`name`:
 /// segment 0 range-recoded — hence pinned — RLE, the rest bitmap), a
 /// uniform unpinned RLE column (`active`) and a whole-column pin
 /// (`score`).
@@ -89,7 +91,11 @@ fn golden_catalog() -> Catalog {
         })
         .collect();
     let schema = Schema::build(
-        &[("id", ValueType::Int), ("flag", ValueType::Bool)],
+        &[
+            ("id", ValueType::Int),
+            ("name", ValueType::Str),
+            ("flag", ValueType::Bool),
+        ],
         &["id"],
     )
     .unwrap();
@@ -97,7 +103,11 @@ fn golden_catalog() -> Catalog {
     let user_flags = Table::new(
         "user_flags",
         schema,
-        vec![Arc::clone(users.column(0)), Arc::new(flag)],
+        vec![
+            Arc::clone(users.column(0)),
+            Arc::clone(users.column(1)),
+            Arc::new(flag),
+        ],
     )
     .unwrap();
     let cat = Catalog::new();
@@ -135,10 +145,11 @@ fn fixture_covers_what_it_claims() {
     assert_eq!(active.uniform_encoding(), Some(Encoding::Rle));
     assert!(!active.encoding_pinned());
     assert!(t.column_by_name("score").unwrap().encoding_pinned());
-    assert_eq!(
-        t.column_by_name("id").unwrap().uniform_encoding(),
-        Some(Encoding::Packed)
-    );
+    // The unique key is a dense dictionary over three range segments.
+    let id = t.column_by_name("id").unwrap();
+    assert_eq!(id.uniform_encoding(), Some(Encoding::Packed));
+    assert!(id.segments().iter().all(|s| s.meta().is_range()));
+    assert_eq!(id.dict().dense_first(), Some(0));
     assert!(t.to_rows().iter().any(|r| r[2].is_null()));
     assert_eq!(t.schema().key(), &[0]);
 }
@@ -168,16 +179,23 @@ fn decoder_reads_the_golden_bytes() {
     for name in cat.table_names() {
         assert_same_table(&cat.get(&name).unwrap(), &want_cat.get(&name).unwrap());
     }
-    // Heap dedup: the shared `id` column is stored once and comes back as
-    // one set of slots.
+    // Heap dedup: the shared `name` column's payloads are stored once and
+    // come back as one set of slots. The shared `id` column's ranges have
+    // no payload to store: each record is its segment.
     let (users, flags) = (cat.get("users").unwrap(), cat.get("user_flags").unwrap());
-    for (a, b) in users
-        .column(0)
-        .segments()
-        .iter()
-        .zip(flags.column(0).segments())
-    {
-        assert!(a.ptr_eq(b), "shared column must come back shared");
+    for col in [0, 1] {
+        for (a, b) in users
+            .column(col)
+            .segments()
+            .iter()
+            .zip(flags.column(col).segments())
+        {
+            if a.meta().is_range() {
+                assert_eq!(a.meta(), b.meta());
+            } else {
+                assert!(a.ptr_eq(b), "shared column must come back shared");
+            }
+        }
     }
 }
 

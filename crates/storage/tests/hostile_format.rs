@@ -24,7 +24,7 @@ use cods_storage::codec::{put_value, read_str, read_value, Reader};
 use cods_storage::persist::{
     decode_catalog, decode_table, encode_catalog, encode_table, read_catalog, save_catalog,
 };
-use cods_storage::store::{decode_payload, encode_payload, read_bitmaps, SegMeta};
+use cods_storage::store::{decode_payload, encode_payload, read_bitmaps, Present, SegMeta};
 use cods_storage::{
     clog_path, log_status, open_durable, wal, Catalog, Dictionary, EncodedColumn, Encoding,
     RecodeScope, RecodeTarget, Schema, SealScratch, SegSlot, Segment, SegmentEnc, StorageError,
@@ -158,17 +158,24 @@ struct BlockFields {
     table_name_len: usize,
     arity: usize,
     key_len: usize,
-    /// Per column: the `dict_len`, its first value's tag, and its
-    /// `seg_count`.
+    /// The table's `rows`.
+    table_rows: usize,
+    /// Per column: its dictionary's tag and `dict_len`, its first listed
+    /// value's tag (none for a dense dictionary), and its `seg_count`.
+    dict_tag: Vec<usize>,
     dict_len: Vec<usize>,
-    first_value_tag: Vec<usize>,
+    first_value_tag: Vec<Option<usize>>,
     seg_count: Vec<usize>,
     /// The length of the first string of the first `Str` dictionary.
     str_len: usize,
-    /// The first column's first segment record: `present` and its first
-    /// `ones`.
+    /// The first record that lists ids: `present` and its first `ones`.
     present: usize,
     first_ones: usize,
+    /// The first dense dictionary: its column, `dict_len` and `first`.
+    dense: Option<(usize, usize, usize)>,
+    /// The first range record: its `rows` and `first`.
+    range_rows: usize,
+    range_first: usize,
 }
 
 fn block_fields(raw: &[u8]) -> BlockFields {
@@ -189,40 +196,60 @@ fn block_fields(raw: &[u8]) -> BlockFields {
     let key_len = at(&r);
     let keys = r.u16().unwrap();
     r.take(2 * keys as usize).unwrap();
+    let table_rows = at(&r);
     r.u64().unwrap();
     let mut f = BlockFields {
         table_name_len,
         arity: arity_at,
         key_len,
+        table_rows,
+        dict_tag: Vec::new(),
         dict_len: Vec::new(),
         first_value_tag: Vec::new(),
         seg_count: Vec::new(),
         str_len: 0,
         present: 0,
         first_ones: 0,
+        dense: None,
+        range_rows: 0,
+        range_first: 0,
     };
-    for c in 0..arity {
-        r.u8().unwrap();
+    for c in 0..arity as usize {
+        f.dict_tag.push(at(&r));
+        let dense = r.u8().unwrap() & 0x80 != 0;
         f.dict_len.push(at(&r));
         let n = r.u32().unwrap();
-        f.first_value_tag.push(at(&r));
-        for _ in 0..n {
-            let tag_at = at(&r);
-            if let Value::Str(_) = read_value(&mut r).unwrap() {
-                if f.str_len == 0 {
-                    f.str_len = tag_at + 1;
+        if dense {
+            f.dense.get_or_insert((c, at(&r) - 4, at(&r)));
+            f.first_value_tag.push(None);
+            r.i64().unwrap();
+        } else {
+            f.first_value_tag.push(Some(at(&r)));
+            for _ in 0..n {
+                let tag_at = at(&r);
+                if let Value::Str(_) = read_value(&mut r).unwrap() {
+                    if f.str_len == 0 {
+                        f.str_len = tag_at + 1;
+                    }
                 }
             }
         }
         r.take(1 + 8).unwrap();
         f.seg_count.push(at(&r));
         let segs = r.u32().unwrap();
-        for s in 0..segs {
-            r.take(1 + 5 * 8).unwrap();
+        for _ in 0..segs {
+            if r.u8().unwrap() & !2 == 8 {
+                if f.range_rows == 0 {
+                    (f.range_rows, f.range_first) = (at(&r), at(&r) + 8);
+                }
+                r.take(8 + 4).unwrap();
+                continue;
+            }
+            r.take(5 * 8).unwrap();
             let present_at = at(&r);
             let present = r.u32().unwrap() as usize;
             r.take(4 * present).unwrap();
-            if (c, s) == (0, 0) {
+            if f.present == 0 {
                 f.present = present_at;
                 f.first_ones = at(&r);
             }
@@ -230,18 +257,20 @@ fn block_fields(raw: &[u8]) -> BlockFields {
         }
     }
     r.finish().unwrap();
-    assert!(f.str_len > 0, "the golden table has a string dictionary");
     f
 }
 
 #[test]
 fn targeted_metadata_mutations_are_typed_errors() {
     let f = block_fields(GOLDEN_TABLE);
+    assert!(f.str_len > 0, "the golden table has a string dictionary");
+    assert!(f.dense.is_some() && f.range_rows > 0, "and a dense key");
     let put = |at: usize, bytes: &[u8]| {
         let mut raw = GOLDEN_TABLE.to_vec();
         raw[at..at + bytes.len()].copy_from_slice(bytes);
         raw
     };
+    let (dense_col, dense_len, dense_first) = f.dense.unwrap();
     let mut cases = vec![
         (
             "a huge table name length",
@@ -272,13 +301,63 @@ fn targeted_metadata_mutations_are_typed_errors() {
         ),
         ("a zero ones", put(f.first_ones, &0u64.to_le_bytes())),
         ("a huge ones", put(f.first_ones, &u64::MAX.to_le_bytes())),
+        // A range's rows are not backed by bytes: its ids must stay inside
+        // `u32` and the dictionary, and its rows agree with its column's.
+        (
+            "range rows past u64 bits",
+            put(f.range_rows, &u64::MAX.to_le_bytes()),
+        ),
+        (
+            "range rows past u32",
+            put(f.range_rows, &(1u64 << 32).to_le_bytes()),
+        ),
+        ("zero range rows", put(f.range_rows, &0u64.to_le_bytes())),
+        (
+            "a range from id u32::MAX",
+            put(f.range_first, &u32::MAX.to_le_bytes()),
+        ),
+        (
+            "a range past the dictionary",
+            put(f.range_first, &299u32.to_le_bytes()),
+        ),
+        (
+            "range rows that disagree with the table's",
+            put(f.range_rows, &129u64.to_le_bytes()),
+        ),
+        // A dense dictionary's count is not backed by bytes either: it must
+        // not overflow `i64`, and must be 1 + the largest id named.
+        (
+            "a dense run past i64::MAX",
+            put(dense_first, &(i64::MAX - 1).to_le_bytes()),
+        ),
+        (
+            "a dense count of u32::MAX",
+            put(dense_len, &u32::MAX.to_le_bytes()),
+        ),
+        (
+            "a dense count past the largest id named",
+            put(dense_len, &301u32.to_le_bytes()),
+        ),
+        (
+            "a dense count short of the largest id named",
+            put(dense_len, &299u32.to_le_bytes()),
+        ),
+        ("a zero dense count", put(dense_len, &0u32.to_le_bytes())),
     ];
     for c in 0..f.dict_len.len() {
-        cases.push(("an unknown value tag", put(f.first_value_tag[c], &[9])));
-        cases.push((
-            "a huge dictionary length",
-            put(f.dict_len[c], &u32::MAX.to_le_bytes()),
-        ));
+        if let Some(tag) = f.first_value_tag[c] {
+            cases.push(("an unknown value tag", put(tag, &[9])));
+            cases.push((
+                "a dense tag on a listed dictionary",
+                put(f.dict_tag[c], &[raw_tag(c) | 0x80]),
+            ));
+        }
+        if c != dense_col {
+            cases.push((
+                "a huge dictionary length",
+                put(f.dict_len[c], &u32::MAX.to_le_bytes()),
+            ));
+        }
         cases.push((
             "a huge segment count",
             put(f.seg_count[c], &u32::MAX.to_le_bytes()),
@@ -295,6 +374,45 @@ fn targeted_metadata_mutations_are_typed_errors() {
         "targeted block mutations: {} inputs, 0 decoded",
         cases.len()
     );
+}
+
+/// Neither a dense dictionary's count nor a range's rows is backed by
+/// bytes, so the open sizes nothing from them: a key column of `u32::MAX`
+/// rows and values — a 13-byte range record under a 13-byte dictionary —
+/// opens, and its metadata answers, without a per-value or per-row
+/// allocation (one would be tens of gigabytes).
+#[test]
+fn a_dense_key_of_u32_max_values_opens_without_allocating() {
+    let schema = Schema::build(&[("k", ValueType::Int)], &[]).unwrap();
+    let rows: Vec<Vec<Value>> = (0..10).map(|i| vec![Value::int(i)]).collect();
+    let raw = encode_table(&Table::from_rows("keys", schema, &rows).unwrap()).to_vec();
+    let f = block_fields(&raw);
+    let (_, dense_len, _) = f.dense.expect("a dense dictionary");
+    let mut raw = raw;
+    let n = u64::from(u32::MAX);
+    raw[f.table_rows..f.table_rows + 8].copy_from_slice(&n.to_le_bytes());
+    raw[dense_len..dense_len + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    raw[f.range_rows..f.range_rows + 8].copy_from_slice(&n.to_le_bytes());
+    let t = decode_table(Bytes::from(raw)).unwrap();
+    let k = t.column(0);
+    assert_eq!((t.rows(), k.distinct_count()), (n, u32::MAX as usize));
+    assert!(k.segments()[0].meta().is_range());
+    assert_eq!(
+        k.dict().id_of(&Value::int(i64::from(u32::MAX) - 1)),
+        Some(u32::MAX - 1)
+    );
+    assert_eq!(k.value_count(123_456_789), 1);
+    assert_eq!((k.zone(0).min_id, k.zone(0).max_id), (0, u32::MAX - 1));
+}
+
+/// The golden table's type tag of column `c`.
+fn raw_tag(c: usize) -> u8 {
+    decode_table(Bytes::from(GOLDEN_TABLE.to_vec()))
+        .unwrap()
+        .schema()
+        .columns()[c]
+        .ty
+        .tag()
 }
 
 /// `golden`'s payloads and blocks under a hand-built index, which its
@@ -603,13 +721,34 @@ fn body(bm: &Wah) -> Vec<u64> {
     b
 }
 
+/// Each present id's rows.
+fn ones_of(m: &SegMeta) -> Vec<u64> {
+    m.present.iter().map(|(_, n)| n).collect()
+}
+
+/// Sets a meta's present ids and their rows.
+fn set_list(m: &mut SegMeta, ids: Vec<u32>, ones: Vec<u64>) {
+    m.present = Present::List {
+        ids: ids.into(),
+        ones: ones.into(),
+    };
+}
+
+/// Sets the rows of a meta's present ids.
+fn set_ones(m: &mut SegMeta, ones: Vec<u64>) {
+    let ids = m.present.ids().collect();
+    set_list(m, ids, ones);
+}
+
 /// The metadata of a one-value bitmap segment of `rows` rows whose body
 /// holds `words` words before its active one.
 fn one_value_meta(rows: u64, words: usize) -> SegMeta {
     SegMeta {
         rows,
-        present_ids: vec![0u32].into(),
-        ones: vec![rows].into(),
+        present: Present::List {
+            ids: vec![0u32].into(),
+            ones: vec![rows].into(),
+        },
         runs: 1,
         bytes: 24 + 8 * words,
         encoding: Encoding::Bitmap,
@@ -630,14 +769,18 @@ fn payload_refused(what: &str, meta: &SegMeta, raw: &[u8]) {
 /// positions read back.
 fn selective_reads(what: &str, meta: &SegMeta, raw: &[u8]) -> usize {
     let mut read = 0;
-    for i in 0..meta.present_ids.len() {
+    for i in 0..meta.distinct_count() {
         match read_bitmaps(meta, raw, &[i]) {
             Ok(bms) => {
                 let bm = &bms[0];
                 bm.check_invariants()
                     .unwrap_or_else(|e| panic!("{what}, position {i}: {e}"));
                 assert_eq!(bm.len(), meta.rows, "{what}, position {i}");
-                assert_eq!(bm.count_ones(), meta.ones[i], "{what}, position {i}");
+                assert_eq!(
+                    bm.count_ones(),
+                    meta.present.ones(i),
+                    "{what}, position {i}"
+                );
                 assert!(bm.words().len() * 8 < raw.len(), "{what}, position {i}");
                 read += 1;
             }
@@ -768,7 +911,7 @@ fn hostile_bitmap_payloads_are_typed_errors() {
         bitmaps[1].count_ones(),
         bitmaps[2].count_ones(),
     ];
-    swapped.ones = vec![ones[0] + 1, ones[1] - 1, ones[2]].into();
+    set_ones(&mut swapped, vec![ones[0] + 1, ones[1] - 1, ones[2]]);
     refused_by_both(
         "ones that do not match the metadata",
         &swapped,
@@ -925,63 +1068,77 @@ fn hostile_packed_payloads_are_typed_errors() {
         payload_refused(what, &m, &good);
     };
     lie("ones", &|m| {
-        let mut ones = m.ones.to_vec();
+        let mut ones = ones_of(m);
         ones[0] += 1;
         ones[1] -= 1;
-        m.ones = ones.into();
+        set_ones(m, ones);
     });
     lie("runs", &|m| m.runs -= 1);
     lie("bytes", &|m| m.bytes = 56);
     lie("rows", &|m| {
         m.rows += 1;
-        let mut ones = m.ones.to_vec();
+        let mut ones = ones_of(m);
         ones[4] += 1;
-        m.ones = ones.into();
+        set_ones(m, ones);
     });
     lie("a sixth present id", &|m| {
-        m.present_ids = vec![3, 8, 11, 20, 42, 50].into();
-        let mut ones = m.ones.to_vec();
+        let mut ones = ones_of(m);
         ones[0] -= 1;
         ones.push(1);
-        m.ones = ones.into();
+        set_list(m, vec![3, 8, 11, 20, 42, 50], ones);
     });
     lie("four present ids (width 2)", &|m| {
-        m.present_ids = vec![3, 8, 11, 20].into();
-        let mut ones = m.ones.to_vec();
+        let mut ones = ones_of(m);
         let last = ones.pop().unwrap();
         ones[0] += last;
-        m.ones = ones.into();
+        set_list(m, vec![3, 8, 11, 20], ones);
     });
     lie("the encoding", &|m| m.encoding = Encoding::Bitmap);
     // Row counts whose payload length overflows or is far past the bytes:
     // refused before anything is sized from them.
     lie("rows past u64 bits", &|m| {
         m.rows = u64::MAX;
-        m.ones = vec![u64::MAX - 4, 1, 1, 1, 1].into();
+        set_ones(m, vec![u64::MAX - 4, 1, 1, 1, 1]);
     });
     lie("2^40 rows", &|m| {
         m.rows = 1 << 40;
-        m.ones = vec![(1 << 40) - 4, 1, 1, 1, 1].into();
+        set_ones(m, vec![(1 << 40) - 4, 1, 1, 1, 1]);
     });
 
-    // One row: width 1, one word — a payload the open's `len > 0` check
-    // accepts — and it round-trips through a table file.
+    // One row sealed packed is a range: no payload, and a payload given
+    // to it is refused.
     let one = SegmentEnc::seal(
         [7u32].into_iter().collect(),
         Encoding::Packed,
         &mut SealScratch::default(),
     );
+    assert!(one.meta().is_range());
     let mut raw = Vec::new();
     encode_payload(&one.enc(), &mut raw);
-    assert_eq!(raw, 0u64.to_le_bytes());
-    let SegmentEnc::Packed(p) = decode_payload(one.meta(), &raw).unwrap() else {
+    assert!(raw.is_empty());
+    payload_refused("a range given a payload", one.meta(), &[0; 8]);
+    // One row listed: width 1, one word — a payload the open's `len > 0`
+    // check accepts.
+    let listed = SegMeta {
+        rows: 1,
+        present: Present::List {
+            ids: vec![7u32].into(),
+            ones: vec![1u64].into(),
+        },
+        runs: 1,
+        bytes: 8,
+        encoding: Encoding::Packed,
+    };
+    let raw = 0u64.to_le_bytes().to_vec();
+    let SegmentEnc::Packed(p) = decode_payload(&listed, &raw).unwrap() else {
         panic!("a packed payload decodes to a packed segment");
     };
     assert_eq!((p.width(), p.id_at(0)), (1, 7));
     let mut raw1 = raw.clone();
     raw1[0] = 1;
-    payload_refused("a one-row code past its one id", one.meta(), &raw1);
-    payload_refused("an empty one-row payload", one.meta(), &[]);
+    payload_refused("a one-row code past its one id", &listed, &raw1);
+    payload_refused("an empty one-row payload", &listed, &[]);
+    // And the sealed one round-trips through a table file as a range.
     let schema = Schema::build(&[("k", ValueType::Int)], &[]).unwrap();
     let t = Table::from_rows("one", schema, &[vec![Value::int(7)]]).unwrap();
     assert_eq!(t.column(0).segment_encoding(0), Encoding::Packed);
@@ -1022,11 +1179,13 @@ fn hostile_rle_payloads_are_typed_errors() {
     };
     lie("rows", &|m| {
         m.rows += 1;
-        m.ones = vec![m.ones[0], m.ones[1] + 1].into();
+        let ones = ones_of(m);
+        set_ones(m, vec![ones[0], ones[1] + 1]);
     });
-    lie("present ids", &|m| m.present_ids = vec![2, 7].into());
+    lie("present ids", &|m| set_list(m, vec![2, 7], ones_of(m)));
     lie("ones", &|m| {
-        m.ones = vec![m.ones[0] + 1, m.ones[1] - 1].into()
+        let ones = ones_of(m);
+        set_ones(m, vec![ones[0] + 1, ones[1] - 1])
     });
     lie("runs", &|m| m.runs = 1);
     lie("bytes", &|m| m.bytes = 0);
@@ -1303,7 +1462,12 @@ fn a_dictionary_that_repeats_a_value_is_refused_at_every_decode() {
     let big = |i: i64| Value::int(7_000_000_000 + i);
     let ascending_strs: Vec<Value> = (0..40).map(|i| Value::str(format!("v{i:03}"))).collect();
     let shuffled: Vec<Value> = (0..40).map(|i| big(i * 17 % 40)).collect();
-    let dense: Vec<Value> = (0..100).map(big).collect();
+    // A dense int run is stored by its bounds; this one is listed because
+    // its middle value lies outside the run, until the mutation makes it
+    // repeat its neighbour.
+    let dense: Vec<Value> = (0..100)
+        .map(|i| big(if i == 50 { 1000 } else { i }))
+        .collect();
     let cases = [
         // [v000 .. v019, v019, v021 ..]: equal neighbours in an ascending run.
         (

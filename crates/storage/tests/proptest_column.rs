@@ -495,9 +495,9 @@ proptest! {
             // The oracle: one owned bitmap per present id, from the rows.
             let per_id: Vec<Wah> = slot
                 .meta()
-                .present_ids
-                .iter()
-                .map(|&id| {
+                .present
+                .ids()
+                .map(|id| {
                     let at = (0..rows).filter(|&r| ids[r as usize] == id);
                     Wah::from_sorted_positions(at, rows)
                 })
@@ -517,7 +517,7 @@ proptest! {
                 let found = s.recount().unwrap();
                 prop_assert_eq!(&found, slot.meta());
                 let ones: Vec<u64> = per_id.iter().map(Wah::count_ones).collect();
-                prop_assert_eq!(&*found.ones, &ones[..]);
+                prop_assert_eq!(found.present.iter().map(|(_, n)| n).collect::<Vec<_>>(), ones);
                 prop_assert_eq!(found.runs, per_id.iter().map(Wah::count_intervals).sum::<u64>());
                 prop_assert_eq!(found.bytes, per_id.iter().map(Wah::size_bytes).sum::<usize>());
                 prop_assert_eq!(s.iter().len(), per_id.len());
@@ -606,8 +606,8 @@ proptest! {
             sealed.check_invariants().unwrap();
             prop_assert_eq!(sealed.meta().encoding, encoding);
             prop_assert_eq!(sealed.meta().rows, n);
-            prop_assert_eq!(&*sealed.meta().present_ids, &ids[..]);
-            prop_assert_eq!(&*sealed.meta().ones, &ones[..]);
+            prop_assert_eq!(sealed.meta().present.ids().collect::<Vec<_>>(), ids.clone());
+            prop_assert_eq!(sealed.meta().present.iter().map(|(_, n)| n).collect::<Vec<_>>(), ones.clone());
             prop_assert_eq!(sealed.meta().runs, runs);
             match &sealed.enc() {
                 SegmentEnc::Bitmap(_) => {
@@ -623,7 +623,11 @@ proptest! {
                     prop_assert_eq!(s.as_ref(), &RleSegment::new(pushed));
                 }
                 SegmentEnc::Packed(s) => {
-                    let len = payload_len(n, ids.len()).unwrap();
+                    // Rows holding ids `first..first + n` in order are a
+                    // range: no codes, no bytes.
+                    let range = rows.iter().zip(rows[0]..).all(|(&id, want)| id == want);
+                    prop_assert_eq!(sealed.meta().is_range(), range);
+                    let len = if range { 0 } else { payload_len(n, ids.len()).unwrap() };
                     prop_assert_eq!(sealed.meta().bytes as u64, len);
                     let mut raw = Vec::new();
                     encode_payload(&sealed.enc(), &mut raw);
@@ -707,6 +711,117 @@ proptest! {
         let back = decode_table(encode_table(&t)).unwrap();
         back.check_invariants().unwrap();
         prop_assert_eq!(back.column(0).values(), want);
+    }
+
+    // A unique key ingests as range segments — row `r` of a segment holds
+    // id `first + r` — and every read of one matches the rows; each write
+    // keeps the shape exactly where the ids it writes stay consecutive: a
+    // filter that drops a row reseals the segment around the gap packed,
+    // a dictionary merge that permutes ids reseals packed, and a UNION of
+    // two abutting dense keys keeps both sides' ranges under one dense
+    // dictionary. Every form survives a save.
+    #[test]
+    fn range_segments_match_the_rows_and_reseal_where_broken(
+        n in 1usize..300,
+        start in -5i64..5,
+        seg in seg_sizes(),
+        drop_at in any::<prop::sample::Index>(),
+        sel in prop::collection::vec((any::<prop::sample::Index>(), 1u64..40), 0..6),
+    ) {
+        use cods_bitmap::Wah;
+        use cods_storage::persist::{decode_table, encode_table};
+        use cods_storage::{Schema, Table};
+        use std::sync::Arc;
+        let vals: Vec<Value> = (0..n as i64).map(|i| Value::int(start + i)).collect();
+        let col = bitmap_col(&vals, seg);
+        col.check_invariants().unwrap();
+        prop_assert_eq!(col.dict().dense_first(), Some(start));
+        prop_assert!(col.segments().iter().all(|s| s.meta().is_range()));
+        prop_assert_eq!(col.payload_bytes(), 0);
+        prop_assert_eq!(col.values(), vals.clone());
+        for (i, z) in col.zones().iter().enumerate() {
+            let r = col.segment_range(i);
+            prop_assert_eq!((z.min_id as u64, z.max_id as u64), (r.start, r.end - 1));
+        }
+        // The walker: ids, runs and value bitmaps over any selection.
+        let mut picks: Vec<(u64, u64)> = sel
+            .iter()
+            .map(|&(at, len)| {
+                let a = at.index(n) as u64;
+                (a, (a + len).min(n as u64))
+            })
+            .collect();
+        picks.sort_unstable();
+        let mut selection: Vec<(u64, u64)> = Vec::new();
+        for (a, b) in picks {
+            match selection.last_mut() {
+                Some(last) if a <= last.1 => last.1 = last.1.max(b),
+                _ => selection.push((a, b)),
+            }
+        }
+        let want: Vec<u32> = selection.iter().flat_map(|&(a, b)| a as u32..b as u32).collect();
+        prop_assert_eq!(col.try_ids_in(&selection).unwrap(), want.clone());
+        let runs: Vec<u32> = col.try_runs_in(&selection).unwrap().into_iter().map(|(id, len)| {
+            assert_eq!(len, 1);
+            id
+        }).collect();
+        prop_assert_eq!(runs, want);
+        let probe = drop_at.index(n) as u32;
+        prop_assert_eq!(
+            col.value_bitmap(probe),
+            Wah::from_sorted_positions([u64::from(probe)], n as u64)
+        );
+        prop_assert_eq!(col.value_count(probe), 1);
+
+        // A filter dropping one row: the output segment around the gap is
+        // packed, every other one a range (it writes consecutive ids).
+        let gone = probe as u64;
+        let kept: Vec<u64> = (0..n as u64).filter(|&r| r != gone).collect();
+        let filtered = col.filter_positions(&kept).unwrap();
+        filtered.check_invariants().unwrap();
+        let mut want_vals = vals.clone();
+        want_vals.remove(gone as usize);
+        prop_assert_eq!(filtered.values(), want_vals);
+        for (i, rows) in kept.chunks(seg as usize).enumerate() {
+            let consecutive = rows.windows(2).all(|w| w[1] == w[0] + 1);
+            prop_assert_eq!(filtered.segments()[i].meta().is_range(), consecutive);
+        }
+
+        // A permuting remap: the same keys in reverse order, unioned after
+        // the ascending ones, map by value to ids that descend — resealed
+        // packed, the rows intact.
+        let reversed: Vec<Value> = vals.iter().rev().cloned().collect();
+        let back_col = bitmap_col(&reversed, seg);
+        prop_assert!(back_col.segments().iter().all(|s| s.meta().is_range()));
+        let permuted = col.concat(&back_col).unwrap();
+        permuted.check_invariants().unwrap();
+        let tail = &permuted.segments()[col.segment_count()..];
+        // (A one-row segment's one id is any offset's.)
+        for s in tail {
+            prop_assert_eq!(s.meta().is_range(), s.meta().rows == 1);
+        }
+        prop_assert_eq!(permuted.values(), [vals.clone(), reversed].concat());
+
+        // A UNION of two abutting dense keys: an offset, so both sides stay
+        // ranges, under one dense dictionary.
+        let next: Vec<Value> = (0..n as i64).map(|i| Value::int(start + n as i64 + i)).collect();
+        let joined = col.concat(&bitmap_col(&next, seg)).unwrap();
+        joined.check_invariants().unwrap();
+        prop_assert!(joined.segments().iter().all(|s| s.meta().is_range()));
+        prop_assert_eq!(joined.dict().dense_first(), Some(start));
+        prop_assert_eq!(joined.values(), [vals.clone(), next].concat());
+
+        let schema = Schema::build(&[("c", ValueType::Int)], &[]).unwrap();
+        for c in [col, filtered, permuted, joined] {
+            let t = Table::new("t", schema.clone(), vec![Arc::new(c.clone())]).unwrap();
+            let back = decode_table(encode_table(&t)).unwrap();
+            back.check_invariants().unwrap();
+            let b = back.column(0);
+            prop_assert_eq!(b.values(), c.values());
+            for (x, y) in b.segments().iter().zip(c.segments()) {
+                prop_assert_eq!(x.meta(), y.meta());
+            }
+        }
     }
 }
 

@@ -216,7 +216,7 @@ fn vacuum_with_pending_commit_log_preserves_replay() {
     cleanup(&path);
 }
 
-/// A commit carrying an image over 1 MiB (100,000 distinct ints) survives a
+/// A commit carrying an image over 1 MiB (120,000 distinct ints) survives a
 /// full open → commit → reopen cycle byte for byte and checkpoints to a bare
 /// header; the catalog is its file and its log at every step.
 #[test]
@@ -224,7 +224,7 @@ fn a_large_image_round_trips_through_reopen() {
     let path = scratch("large");
     let two = ["t.catalog".to_string(), "t.catalog.clog".to_string()];
     let schema = Schema::build(&[("k", ValueType::Int)], &[]).unwrap();
-    let data: Vec<Vec<Value>> = (0..100_000).map(|i| vec![Value::Int(i * 7)]).collect();
+    let data: Vec<Vec<Value>> = (0..120_000).map(|i| vec![Value::Int(i * 7)]).collect();
     let (cat, _log, _r) = open_durable(&path).unwrap();
     durable_put(&cat, Table::from_rows("wide", schema, &data).unwrap()).unwrap();
     let oracle = encode_table(&cat.get("wide").unwrap());

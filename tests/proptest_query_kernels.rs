@@ -205,7 +205,14 @@ fn save_reopen(t: &Table, path: &PathBuf) -> Table {
     let lazy = read_table(path).unwrap();
     let (resident, on_disk) = lazy.residency_counts();
     assert_eq!(resident, 0, "lazy open faulted payloads in");
-    assert!(on_disk > 0 || t.rows() == 0);
+    // Only an empty table, or one whose every segment is a range (no
+    // payload), has nothing paged out.
+    let ranges_only = lazy
+        .columns()
+        .iter()
+        .flat_map(|c| c.segments())
+        .all(|s| s.meta().is_range());
+    assert!(on_disk > 0 || ranges_only);
     lazy
 }
 

@@ -115,7 +115,9 @@ fn build_table(name: &str, rows: u16, salt: u8) -> Table {
         .map(|i| {
             let g = (i + salt as i64) % 3;
             vec![
-                Value::Int(i * (salt as i64 + 1)),
+                // A step of at least two: a unique key, but never a dense
+                // run, which a table file would store by its bounds alone.
+                Value::Int(i * (salt as i64 + 2)),
                 Value::Int(g),
                 Value::str(if g == 0 { "x" } else { "yy" }),
             ]
@@ -223,7 +225,7 @@ fn scratch() -> PathBuf {
 }
 
 /// Rows of a big `Put`: its three-column image is over 64 KiB.
-const BIG_ROWS: u16 = 7000;
+const BIG_ROWS: u16 = 8000;
 
 #[test]
 fn big_puts_carry_an_image_past_64_kib() {

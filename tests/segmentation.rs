@@ -483,21 +483,23 @@ fn write_paths_keep_their_layout_and_bytes() {
     assert_eq!(got.len(), LAYOUTS.len(), "{got:#?}");
 }
 
-/// Format 12 images: each is its format 11 image with every column
-/// record's zone records cut and the preamble's version set to 12, which is
-/// all format 12 changed. The layouts are format 11's.
+/// Format 13 images. The layouts are format 11's. Against format 12 every
+/// preamble's version is 13; the two images without a dense key column
+/// (`decompose.changed`, `compacted`) are otherwise byte for byte format
+/// 12's; the others hold a dense int dictionary, recorded by its first
+/// value, or range segments, each recorded by its rows and first id.
 const LAYOUTS: &[&str] = &[
-    "fixture\nentity: 128r*16 128b*7 56p\nattr: 128b*4 128r*4 128b*15 56p\ndetail: 128r*23 56r\ndigest 78b2beac6c99501b",
-    "decompose.changed\nentity: 30r\ndetail: 30r\ndigest d66b028567ddacd2",
-    "merge.key_fk\nentity: 128r*16 128b*7 56p\nattr: 128b*4 128r*4 128b*15 56p\ndetail: 128r*23 56r\ndigest 574cdb42d6023d95",
-    "merge.general\nentity: 128r*23 56r\nattr: 128b*23 56p\ndetail: 128r*23 56r\ndigest 367cf0ee02094d30",
-    "partition.lo\nentity: 128r*10 128b*3 75b\nattr: 128b*4 128r*4 128b*5 75b\ndetail: 128r*13 75r\ndigest 9b14fa1e20f4a0a6",
-    "partition.hi\nentity: 128r*5 128b*4 109b\nattr: 128b*9 109b\ndetail: 128r*9 109r\ndigest a55f9d905e38e017",
-    "union\nentity: 128r*10 128b*3 75b 128r*5 128b*4 109b\nattr: 128b*4 128r*4 128b*5 75b 128b*9 109b\ndetail: 128r*13 75r 128r*9 109r\ndigest e667314146642847",
-    "cluster_by\nentity: 128b*23 56p\nattr: 128r*23 56r\ndetail: 128r*23 56r\ndigest 4dd60a19c592f329",
-    "slice\nentity: 78r 128r*13 108r\nattr: 78b 128b*3 128r*4 128b*6 108b\ndetail: 78r 128r*13 108r\ndigest d5547b58395a5494",
-    "compacted\nentity: 80r*7 80b 65p 75p 122b 122r*3 121r*2 117r*4 116r*2 117r*4 116r*2 117b*4 116b*2 200b\nattr: 80p 80r*3 80p*4 65p 75p 122b*4 121b*2 117b*4 116b*2 117b*4 116b*2 117b*4 116b*2 200b\ndetail: 80r*8 65r 75r 122r*4 121r*2 117r*4 116r*2 117r*4 116r*2 117b*4 116b*2 200b\ndigest b6089cc243ffcc36",
-    "add_column\nentity: 128r*16 128b*7 56p\nattr: 128b*4 128r*4 128b*15 56p\ndetail: 128r*23 56r\nnote: 3000b\ndigest 281abd129b249cb2",
-    "recode.rle\nentity: 128r*23 56r\nattr: 128r*23 56r\ndetail: 128r*23 56r\ndigest f02d24e071a4a417",
-    "recode.bitmap\nentity: 128b*23 56b\nattr: 128b*23 56b\ndetail: 128b*23 56b\ndigest 2025360f05e77b92",
+    "fixture\nentity: 128r*16 128b*7 56p\nattr: 128b*4 128r*4 128b*15 56p\ndetail: 128r*23 56r\ndigest a7f767a10e2146ef",
+    "decompose.changed\nentity: 30r\ndetail: 30r\ndigest 7b58c2bd3a6f60f5",
+    "merge.key_fk\nentity: 128r*16 128b*7 56p\nattr: 128b*4 128r*4 128b*15 56p\ndetail: 128r*23 56r\ndigest fc92adf7df89136e",
+    "merge.general\nentity: 128r*23 56r\nattr: 128b*23 56p\ndetail: 128r*23 56r\ndigest f423a17ba6bd9bdf",
+    "partition.lo\nentity: 128r*10 128b*3 75b\nattr: 128b*4 128r*4 128b*5 75b\ndetail: 128r*13 75r\ndigest 1ad6509d92faf830",
+    "partition.hi\nentity: 128r*5 128b*4 109b\nattr: 128b*9 109b\ndetail: 128r*9 109r\ndigest 93e00646d1d03825",
+    "union\nentity: 128r*10 128b*3 75b 128r*5 128b*4 109b\nattr: 128b*4 128r*4 128b*5 75b 128b*9 109b\ndetail: 128r*13 75r 128r*9 109r\ndigest d84f719bb1fcc2bb",
+    "cluster_by\nentity: 128b*23 56p\nattr: 128r*23 56r\ndetail: 128r*23 56r\ndigest d05eecd10e349e6e",
+    "slice\nentity: 78r 128r*13 108r\nattr: 78b 128b*3 128r*4 128b*6 108b\ndetail: 78r 128r*13 108r\ndigest 0c7121b82cc9f98c",
+    "compacted\nentity: 80r*7 80b 65p 75p 122b 122r*3 121r*2 117r*4 116r*2 117r*4 116r*2 117b*4 116b*2 200b\nattr: 80p 80r*3 80p*4 65p 75p 122b*4 121b*2 117b*4 116b*2 117b*4 116b*2 117b*4 116b*2 200b\ndetail: 80r*8 65r 75r 122r*4 121r*2 117r*4 116r*2 117r*4 116r*2 117b*4 116b*2 200b\ndigest 160103dcafb341f3",
+    "add_column\nentity: 128r*16 128b*7 56p\nattr: 128b*4 128r*4 128b*15 56p\ndetail: 128r*23 56r\nnote: 3000b\ndigest 222bcaad0a341b79",
+    "recode.rle\nentity: 128r*23 56r\nattr: 128r*23 56r\ndetail: 128r*23 56r\ndigest 9477332eb4335ba9",
+    "recode.bitmap\nentity: 128b*23 56b\nattr: 128b*23 56b\ndetail: 128b*23 56b\ndigest 2a7f1c1cfeb6412b",
 ];

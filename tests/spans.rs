@@ -1,6 +1,7 @@
 //! The engine's spans over a saved and reopened warehouse catalog: the
 //! open's per-column dictionary and segment-metadata decode, the
-//! fault-in's payload decode and the selection walker, per encoding, and
+//! fault-in's payload decode and the selection walker, per encoding (a
+//! range segment under its own walker span, `walk.range`), and
 //! the dictionary layer's value orders and remaps under a round of reads
 //! and joins, printed as a table (`cargo test --release --test spans --
 //! --nocapture`).
@@ -111,33 +112,31 @@ fn a_reopened_warehouse_reports_its_open_and_payload_spans() {
     for s in [Span::OpenDict, Span::OpenSegMeta] {
         assert_eq!(of(&stats, s).count, 11, "{}", s.name());
     }
-    // Both `sale_id` columns and the dimension's key and name are packed,
-    // the rest bitmap; nothing is sealed by an open.
-    for s in [
-        Span::FaultPacked,
-        Span::FaultBitmap,
-        Span::WalkPacked,
-        Span::WalkBitmap,
-    ] {
+    // Both `sale_id` columns and the dimension's key and name are range
+    // segments, read from their bounds with no payload; the rest bitmap.
+    // Nothing is sealed by an open, and nothing is packed by codes.
+    for s in [Span::FaultBitmap, Span::WalkRange, Span::WalkBitmap] {
         assert!(of(&stats, s).count > 0, "{}", s.name());
     }
     for s in [
         Span::SealBitmap,
         Span::SealRle,
         Span::SealPacked,
+        Span::SealRange,
         Span::FaultRle,
+        Span::FaultPacked,
+        Span::WalkPacked,
     ] {
         assert_eq!(of(&stats, s).count, 0, "{}", s.name());
     }
     assert_eq!(
-        of(&stats, Span::WalkPacked).items,
+        of(&stats, Span::WalkRange).items,
         2 * cfg.sales + 2 * cfg.customers
     );
     // The open sorts what does not ascend, to refuse a repeated value; the
-    // dense keys ascend, and need one pass.
-    for s in [Span::OrderIdentity, Span::OrderSorted] {
-        assert!(of(&stats, s).count > 0, "{}", s.name());
-    }
+    // dense keys are held by their bounds, whose order needs no pass.
+    assert!(of(&stats, Span::OrderSorted).count > 0);
+    assert_eq!(of(&stats, Span::OrderIdentity).count, 0);
 
     let queried = recorded_queries(&cat, &READS_AND_JOINS);
     println!("the same catalog, reads and joins:");
@@ -155,11 +154,14 @@ fn a_reopened_warehouse_reports_its_open_and_payload_spans() {
     let (_, stats) = recorded_open(&alone);
     println!("sales_wide.sale_id alone, open + fault + read:");
     print!("{}", span::render());
-    assert_eq!(of(&stats, Span::OpenDict).items, cfg.sales);
-    // Its dictionary ascends: one pass at the open, and no sort.
-    assert_eq!(of(&stats, Span::OrderIdentity).items, cfg.sales);
+    // Its dictionary is a dense run and its segment a range: the open reads
+    // no value and no present id, and derives its order without a pass.
+    assert_eq!(of(&stats, Span::OpenDict).count, 1);
+    assert_eq!(of(&stats, Span::OpenDict).items, 0);
+    assert_eq!(of(&stats, Span::OpenSegMeta).items, 0);
+    assert_eq!(of(&stats, Span::OrderIdentity).count, 0);
     assert_eq!(of(&stats, Span::OrderSorted).count, 0);
-    assert_eq!(of(&stats, Span::OpenSegMeta).items, cfg.sales);
+    assert_eq!(of(&stats, Span::WalkRange).items, cfg.sales);
     for p in [all, alone] {
         std::fs::remove_file(p).ok();
     }

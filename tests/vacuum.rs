@@ -26,12 +26,16 @@ fn dir(name: &str) -> PathBuf {
     dir
 }
 
+/// `rows` rows in 64-row segments: `k` holds each of `0..rows / 2` twice,
+/// never twice in a row (0 1 0 1 2 3 2 3 …), so its segments are packed
+/// with a payload of codes (a unique key would be a range, with none);
+/// `v` cycles four strings.
 fn table(name: &str, rows: i64) -> Table {
     let schema = Schema::build(&[("k", ValueType::Int), ("v", ValueType::Str)], &[]).unwrap();
     let data: Vec<Vec<Value>> = (0..rows)
         .map(|i| {
             vec![
-                Value::Int(i),
+                Value::Int(i / 4 * 2 + i % 2),
                 Value::str(["red", "red", "blue", "green"][(i % 4) as usize]),
             ]
         })
@@ -452,15 +456,15 @@ fn checkpoints_beside_an_unchanged_table_leave_one_superseded_block() {
         lens.push(file_len(&path));
     }
     // The first checkpoint appends the new `dim` and the index whole. The
-    // second puts all 432 bytes of payloads (`k`'s four packed ones of 48,
+    // second puts all 400 bytes of payloads (`k`'s four packed ones of 40,
     // `v`'s four of 60) and the index into the hole the first `dim` left
-    // (its payloads and its 5,974-byte block) and appends the rest, the
-    // new block: 5,974 bytes. The third and fifth start where the first
+    // (its payloads and its 2,142-byte block) and appends the rest, the
+    // new block: 2,142 bytes. The third and fifth start where the first
     // index was, right after `fact`'s block, and put all eight payloads
-    // (432 bytes) and the index into what the second left of that hole;
+    // (400 bytes) and the index into what the second left of that hole;
     // the fourth repeats the second's placement, appending past the
     // third's end.
-    let (spill, in_hole) = (5_974, 4 * 48 + 240 + index);
+    let (spill, in_hole) = (2_142, 4 * 40 + 240 + index);
     assert_eq!(
         lens,
         [
