@@ -56,52 +56,30 @@ impl Zone {
     /// under an identity order, whose zone is its first and last id; the
     /// payload (bitmaps/runs) is never touched.
     pub fn of_present(present: &Present, ranks: Option<&[u32]>) -> Zone {
-        let ids = match present {
-            Present::List { ids, .. } => return Zone::of_ids(ids, ranks),
-            Present::Range { .. } => present.range().expect("a range"),
-        };
-        debug_assert!(!ids.is_empty(), "zone of an empty segment");
-        let Some(ranks) = ranks else {
-            return Zone {
+        match (present.range(), ranks) {
+            (Some(ids), None) => Zone {
                 min_id: ids.start,
                 max_id: ids.end - 1,
-            };
-        };
-        let rank = |id: u32| ranks[id as usize];
-        Zone {
-            min_id: ids
-                .clone()
-                .min_by_key(|&id| rank(id))
-                .expect("a present id"),
-            max_id: ids.max_by_key(|&id| rank(id)).expect("a present id"),
+            },
+            _ => Zone::extremes(present.ids(), ranks),
         }
     }
 
     /// [`Zone::of_present`] over a list of ids.
     pub fn of_ids(ids: &[u32], ranks: Option<&[u32]>) -> Zone {
-        debug_assert!(!ids.is_empty(), "zone of an empty segment");
-        let Some(ranks) = ranks else {
-            let (min, max) = ids
-                .iter()
-                .fold((ids[0], ids[0]), |(lo, hi), &id| (lo.min(id), hi.max(id)));
-            return Zone {
-                min_id: min,
-                max_id: max,
-            };
-        };
-        let mut min = ids[0];
-        let mut max = ids[0];
-        for &id in &ids[1..] {
-            if ranks[id as usize] < ranks[min as usize] {
-                min = id;
-            }
-            if ranks[id as usize] > ranks[max as usize] {
-                max = id;
-            }
-        }
+        Zone::extremes(ids.iter().copied(), ranks)
+    }
+
+    /// The ids of least and greatest rank among `ids` (distinct ranks, so
+    /// each is the one such id).
+    fn extremes(ids: impl Iterator<Item = u32> + Clone, ranks: Option<&[u32]>) -> Zone {
+        let rank = |id: &u32| ranks.map_or(*id, |r| r[*id as usize]);
         Zone {
-            min_id: min,
-            max_id: max,
+            min_id: ids
+                .clone()
+                .min_by_key(rank)
+                .expect("zone of an empty segment"),
+            max_id: ids.max_by_key(rank).expect("zone of an empty segment"),
         }
     }
 }

@@ -128,7 +128,7 @@ impl Present {
     }
 
     /// The present ids, ascending.
-    pub fn ids(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+    pub fn ids(&self) -> impl ExactSizeIterator<Item = u32> + Clone + '_ {
         match self {
             Present::List { ids, .. } => Either::List(ids.iter().copied()),
             Present::Range { first, count } => Either::Range(*first..first + count),
@@ -163,6 +163,7 @@ impl Present {
 }
 
 /// The items of a [`Present`], from its list or from its range.
+#[derive(Clone)]
 enum Either<L, R> {
     List(L),
     Range(R),
