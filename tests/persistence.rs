@@ -197,3 +197,42 @@ Harrison,Light Cleaning,425 Grant Ave
     .unwrap();
     assert_eq!(cods.table("T").unwrap().rows(), 4);
 }
+
+/// A save is a function of the content: two warehouses generated from one
+/// seed and saved fresh store identical bytes — their dense keys recorded
+/// by their bounds (format 13) like every other column — and two seeds
+/// store different ones.
+#[test]
+fn two_same_seed_saves_store_identical_bytes() {
+    use cods_storage::Catalog;
+    use cods_workload::warehouse::{sales_fact, star_customer_dim, wide_sales, WarehouseConfig};
+    let _serial = serialized();
+    let dir = std::env::temp_dir().join(format!("cods_it_same_seed_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let saved = |seed: u64, name: &str| {
+        let cfg = WarehouseConfig {
+            sales: 20_000,
+            customers: 1_000,
+            regions: 10,
+            seed,
+        };
+        let cat = Catalog::new();
+        for t in [wide_sales(&cfg), star_customer_dim(&cfg), sales_fact(&cfg)] {
+            cat.create(t).unwrap();
+        }
+        let dense = cat
+            .snapshot()
+            .iter()
+            .flat_map(|t| t.columns().to_vec())
+            .filter(|c| c.dict().dense_first().is_some())
+            .count();
+        assert!(dense >= 2, "the sale and customer keys are dense");
+        let path = dir.join(name);
+        save_catalog(&cat, &path).unwrap();
+        std::fs::read(&path).unwrap()
+    };
+    let (a, b, other) = (saved(7, "a.cods"), saved(7, "b.cods"), saved(8, "c.cods"));
+    assert_eq!(a, b);
+    assert_ne!(a, other);
+    std::fs::remove_dir_all(&dir).ok();
+}
