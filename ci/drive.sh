@@ -54,7 +54,7 @@ cat "$tmp/local.out"
 test -z "${failed:-}"
 grep -E '^R: ' "$tmp/local.out" | tail -n 1 | grep -q ' 0 resident / '
 grep -E '^  skill ' "$tmp/local.out" | tail -n 1 | grep -q 'enc=rle *(pinned, 1×pinned)'
-grep -E '^  k ' "$tmp/local.out" | tail -n 1 | grep -q 'enc=packed *\[4×range\]'
+grep -E '^  k ' "$tmp/local.out" | tail -n 1 | grep -q 'enc=packed *\[4×range\].* payload=0B ratio=inf'
 
 # Connect REPL: the same lines over the wire.
 "$cods" serve "$addr" --demo &

@@ -259,7 +259,7 @@ pub fn render_stats(name: &str, t: &cods_storage::Table) -> String {
         }
         let _ = writeln!(
             out,
-            "  {:<12} enc={:<7}{} distinct={:<8} segments={:<5} max-seg-distinct={:<8} payload={}B ratio={:.1}x",
+            "  {:<12} enc={:<7}{} distinct={:<8} segments={:<5} max-seg-distinct={:<8} payload={}B ratio={}",
             def.name,
             enc,
             pin,
@@ -267,7 +267,11 @@ pub fn render_stats(name: &str, t: &cods_storage::Table) -> String {
             c.segments,
             c.max_segment_distinct,
             c.payload_bytes,
-            c.compression_ratio
+            if c.compression_ratio.is_infinite() {
+                "inf".to_string()
+            } else {
+                format!("{:.1}x", c.compression_ratio)
+            }
         );
         let range = match &c.value_range {
             Some((lo, hi)) => format!("[{lo} .. {hi}]"),
@@ -818,8 +822,9 @@ mod tests {
             line("k ").contains("enc=packed  [3\u{d7}range]"),
             "stats: {out}"
         );
-        assert!(line("k ").contains("payload=0B"), "stats: {out}");
+        assert!(line("k ").contains("payload=0B ratio=inf"), "stats: {out}");
         assert!(line("p ").contains("enc=packed "), "stats: {out}");
+        assert!(!line("p ").contains("ratio=inf"), "stats: {out}");
         assert!(!line("p ").contains("range]"), "stats: {out}");
     }
 

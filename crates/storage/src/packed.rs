@@ -234,16 +234,11 @@ impl PackedSegment {
     }
 
     /// Writes the value ids of segment-local rows `from..from + out.len()`
-    /// into `out`: only that window's codes are unpacked (a range's are
-    /// counted).
+    /// into `out`: only that window's codes are unpacked. A range has none;
+    /// the selection walker reads its ids from its bounds.
     pub(crate) fn ids_into(&self, from: u64, out: &mut [u32]) {
         debug_assert!(from + out.len() as u64 <= self.rows);
-        if let Some(first) = self.range_first() {
-            for (slot, id) in out.iter_mut().zip(first + from as u32..) {
-                *slot = id;
-            }
-            return;
-        }
+        debug_assert!(self.range_first().is_none());
         let (ids, _) = self.ids.list();
         for (slot, code) in out.iter_mut().zip(self.codes_from(from)) {
             *slot = ids[code as usize];
@@ -253,19 +248,10 @@ impl PackedSegment {
     /// Appends the segment's mask of the rows whose code `hit` marks
     /// (`hit` has one entry per present id) to `out`: one unpack-and-test
     /// pass that builds the mask 63 rows at a time, no per-row push. A
-    /// range's code is its row.
+    /// range has no codes; its callers build its mask from its bounds.
     pub fn append_mask(&self, hit: &[bool], out: &mut Wah) {
         debug_assert_eq!(hit.len(), self.ids.len());
-        if self.range_first().is_some() {
-            for group in hit.chunks(cods_bitmap::word::GROUP_BITS as usize) {
-                let bits = group
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |acc, (j, &h)| acc | u64::from(h) << j);
-                out.push_bits(bits, group.len() as u64);
-            }
-            return;
-        }
+        debug_assert!(self.range_first().is_none());
         let group_bits = cods_bitmap::word::GROUP_BITS;
         let mut codes = self.codes_from(0);
         let mut left = self.rows;

@@ -60,7 +60,8 @@ pub struct ColumnStats {
     pub dict_bytes: usize,
     /// Bytes an uncompressed `v × r` bit matrix would use.
     pub plain_matrix_bytes: usize,
-    /// `plain_matrix_bytes / payload_bytes` (0 when empty).
+    /// `plain_matrix_bytes / payload_bytes`: 0 when empty, infinite when
+    /// the column stores no payload at all (every segment a range).
     pub compression_ratio: f64,
 }
 
@@ -120,8 +121,10 @@ impl ColumnStats {
             payload_bytes,
             dict_bytes: c.dict().size_bytes(),
             plain_matrix_bytes: plain,
-            compression_ratio: if payload_bytes == 0 {
+            compression_ratio: if plain == 0 {
                 0.0
+            } else if payload_bytes == 0 {
+                f64::INFINITY
             } else {
                 plain as f64 / payload_bytes as f64
             },
@@ -190,19 +193,24 @@ mod tests {
         let schema = Schema::build(&[("c", ValueType::Int)], &[]).unwrap();
         // Clustered: long runs per value — near-pure fills.
         let lo: Vec<Vec<Value>> = (0..4096).map(|i| vec![Value::int(i / 2048)]).collect();
-        // Near-unique: two rows per value, packed at one code per row.
-        let hi: Vec<Vec<Value>> = (0..4096).map(|i| vec![Value::int(i / 2)]).collect();
         // All-distinct: each row its own id, a range — no payload at all.
-        let all: Vec<Vec<Value>> = (0..4096).map(|i| vec![Value::int(i)]).collect();
+        let hi: Vec<Vec<Value>> = (0..4096).map(|i| vec![Value::int(i)]).collect();
+        // Near-unique: two rows per value, packed at one code per row.
+        let near: Vec<Vec<Value>> = (0..4096).map(|i| vec![Value::int(i / 2)]).collect();
         let t_lo = TableStats::of(&Table::from_rows("lo", schema.clone(), &lo).unwrap());
         let t_hi = TableStats::of(&Table::from_rows("hi", schema.clone(), &hi).unwrap());
-        let t_all = TableStats::of(&Table::from_rows("all", schema, &all).unwrap());
-        assert!(t_lo.columns[0].payload_bytes < t_hi.columns[0].payload_bytes);
-        // Relative to the v × r matrix, the packed codes of the
-        // high-cardinality column still compress enormously.
+        let t_near = TableStats::of(&Table::from_rows("near", schema, &near).unwrap());
+        // Relative to the v × r matrix, the high-cardinality column
+        // compresses enormously: its range stores nothing.
         assert!(t_hi.columns[0].compression_ratio > 10.0);
-        assert_eq!(t_all.columns[0].payload_bytes, 0);
-        assert_eq!(t_all.columns[0].range_segments, 1);
+        assert_eq!(t_hi.columns[0].compression_ratio, f64::INFINITY);
+        assert_eq!(t_hi.columns[0].payload_bytes, 0);
+        assert_eq!(t_hi.columns[0].range_segments, 1);
+        // The near-unique column's packed codes cost more than the fills,
+        // yet still compress by more than 10×.
+        assert!(t_lo.columns[0].payload_bytes < t_near.columns[0].payload_bytes);
+        assert!(t_near.columns[0].compression_ratio > 10.0);
+        assert_eq!(t_near.columns[0].range_segments, 0);
     }
 
     #[test]

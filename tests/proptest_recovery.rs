@@ -111,13 +111,16 @@ fn build_table(name: &str, rows: u16, salt: u8) -> Table {
         &[],
     )
     .unwrap();
+    // A unique key, dense under salt 0 (a range segment and a dense
+    // dictionary, stored by their bounds alone). A big put's key steps by
+    // at least two, so its dictionary spells its values and the image stays
+    // past 64 KiB.
+    let step = salt as i64 + if rows < BIG_ROWS { 1 } else { 2 };
     let data: Vec<Vec<Value>> = (0..rows as i64)
         .map(|i| {
             let g = (i + salt as i64) % 3;
             vec![
-                // A step of at least two: a unique key, but never a dense
-                // run, which a table file would store by its bounds alone.
-                Value::Int(i * (salt as i64 + 2)),
+                Value::Int(i * step),
                 Value::Int(g),
                 Value::str(if g == 0 { "x" } else { "yy" }),
             ]
@@ -231,6 +234,10 @@ const BIG_ROWS: u16 = 8000;
 fn big_puts_carry_an_image_past_64_kib() {
     assert!(encode_table(&build_table("t0", BIG_ROWS, 0)).len() > 64 * 1024);
     assert!(encode_table(&build_table("t0", 39, 3)).len() < 4096);
+    // Small puts still reach the dense records.
+    let small = build_table("t0", 39, 0);
+    assert!(small.column(0).dict().is_dense());
+    assert!(small.column(0).segments()[0].meta().is_range());
 }
 
 proptest! {
