@@ -420,22 +420,16 @@ impl<'a> AggCtx<'a> {
             AggOp::CountDistinct => AggCtx::Distinct { null_id },
             AggOp::Sum => match ty {
                 ValueType::Float => AggCtx::SumFloat {
-                    add: col
-                        .dict()
-                        .values()
-                        .iter()
-                        .map(|v| match v {
+                    add: (0..col.dict().len() as u32)
+                        .map(|id| match col.dict().value_cow(id).as_ref() {
                             Value::Float(OrderedF64(f)) => *f,
                             _ => 0.0,
                         })
                         .collect(),
                 },
                 _ => AggCtx::SumInt {
-                    add: col
-                        .dict()
-                        .values()
-                        .iter()
-                        .map(|v| match v {
+                    add: (0..col.dict().len() as u32)
+                        .map(|id| match col.dict().value_cow(id).as_ref() {
                             Value::Int(i) => *i,
                             _ => 0,
                         })
@@ -510,7 +504,9 @@ impl PAcc {
             PAcc::Count(n) => Value::int(n as i64),
             PAcc::SumInt(s) => Value::int(s),
             PAcc::SumFloat(s) => Value::float(s),
-            PAcc::MinMax(best) => best.map_or(Value::Null, |id| col.dict().value(id).clone()),
+            PAcc::MinMax(best) => {
+                best.map_or(Value::Null, |id| col.dict().value_cow(id).into_owned())
+            }
             PAcc::Distinct(set) => Value::int(set.len() as i64),
         }
     }
@@ -857,7 +853,12 @@ pub fn aggregate_table_masked(
             let mut row: Vec<Value> = group_by
                 .iter()
                 .enumerate()
-                .map(|(c, &col)| t.column(col).dict().value(ids_of_key(g, c)).clone())
+                .map(|(c, &col)| {
+                    t.column(col)
+                        .dict()
+                        .value_cow(ids_of_key(g, c))
+                        .into_owned()
+                })
                 .collect();
             row.extend(
                 row_accs

@@ -48,7 +48,7 @@ impl CmpOp {
     pub fn sat_rank_interval(self, dict: &Dictionary, literal: &Value) -> Option<(u32, u32)> {
         let d = dict.len() as u32;
         // NULL sorts first; its rank span is [0, nulls).
-        let nulls = u32::from(d > 0 && dict.value(dict.value_order().id_at(0)) == &Value::Null);
+        let nulls = u32::from(d > 0 && *dict.value_cow(dict.value_order().id_at(0)) == Value::Null);
         if literal == &Value::Null {
             return Some(match self {
                 // NULL op NULL compares Equal.

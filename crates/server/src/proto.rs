@@ -509,13 +509,13 @@ impl ReplyDict {
                 },
                 ColumnSrc::Dict { ids, .. },
             ) => {
-                let values = column.dict().values();
+                let dict = column.dict();
                 for &id in *ids {
                     let slot = &mut reply_of[id as usize];
                     if *slot == 0 {
                         sent.push(id);
                         *slot = sent.len() as u32;
-                        put_value(e, &values[id as usize]);
+                        put_value(e, &dict.value_cow(id));
                     }
                     local.push(*slot - 1);
                 }

@@ -18,6 +18,7 @@
 
 use crate::span::{self, Span};
 use crate::value::Value;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -467,7 +468,8 @@ impl Dictionary {
         (self.value(id) == v).then_some(id)
     }
 
-    /// The value for `id` (spelling a dense run out on first use).
+    /// The value for `id` (spelling a dense run out on first use; a read
+    /// asks [`Dictionary::value_cow`]).
     ///
     /// # Panics
     /// Panics if `id` is out of range.
@@ -475,18 +477,21 @@ impl Dictionary {
         &self.values()[id as usize]
     }
 
-    /// The value for `id`, owned: a dense run's is made from its bounds,
-    /// so the run is not spelled out.
+    /// The value for `id`: borrowed where it is held, made from the bounds
+    /// of a dense run, which is not spelled out. Reads — predicates, joins,
+    /// aggregates, replies — go through this, so a query never spells a run
+    /// out and the memory a dense dictionary holds does not depend on which
+    /// reads ran, or on which thread ran them first.
     ///
     /// # Panics
     /// Panics if `id` is out of range.
-    pub fn value_owned(&self, id: u32) -> Value {
+    pub fn value_cow(&self, id: u32) -> Cow<'_, Value> {
         match &self.inner.values {
             Values::Dense { first, len, .. } => {
                 assert!((id as usize) < *len, "id {id} past a dense run of {len}");
-                Value::Int(first + i64::from(id))
+                Cow::Owned(Value::Int(first + i64::from(id)))
             }
-            Values::List(values) => values[id as usize].clone(),
+            Values::List(values) => Cow::Borrowed(&values[id as usize]),
         }
     }
 
@@ -600,7 +605,8 @@ impl Dictionary {
     /// Two handles of one dictionary map by identity, two dense int runs by
     /// an offset, both without reading a value. Anything else is one merge
     /// of the two value orders (a two-pointer walk when both are the
-    /// identity), which reads every value of both sides.
+    /// identity), which reads every value of both sides — a dense side's
+    /// made one at a time, never spelled out.
     pub fn remap_to(&self, target: &Dictionary) -> Vec<Option<u32>> {
         let timed = |span, items: usize| {
             let mut timer = span::enter(span);
@@ -630,12 +636,11 @@ impl Dictionary {
             Span::RemapMerge
         };
         let _timer = timed(path, self.len() + target.len());
-        let (a, b) = (self.values(), target.values());
-        let mut out = vec![None; a.len()];
+        let mut out = vec![None; self.len()];
         let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
+        while i < self.len() && j < target.len() {
             let (x, y) = (from.id_at(i as u32), to.id_at(j as u32));
-            match a[x as usize].cmp(&b[y as usize]) {
+            match self.value_cow(x).cmp(&target.value_cow(y)) {
                 Ordering::Less => i += 1,
                 Ordering::Greater => j += 1,
                 Ordering::Equal => {
@@ -878,6 +883,13 @@ mod tests {
         assert!(d.value_order().is_identity());
         // The run is held by its bounds until a read spells it out.
         assert_eq!(d.dense_first(), Some(-5));
+        assert_eq!(d.size_bytes(), 0);
+        // Reads of some values — one at a time, or a remap walking every
+        // value against a listed dictionary — make them from the bounds.
+        assert_eq!(*d.value_cow(7), Value::int(2));
+        let listed = Dictionary::from_values(vec![Value::int(3), Value::int(-9)]).unwrap();
+        assert_eq!(d.remap_to(&listed)[8], Some(0));
+        assert_eq!(listed.remap_to(&d), [Some(8), None]);
         assert_eq!(d.size_bytes(), 0);
         assert_eq!(d.values().len(), 1005);
         assert_eq!(d.size_bytes(), value_bytes(d.values()));

@@ -221,12 +221,30 @@ fn charge(n: u64) -> u64 {
 /// Faultable `write_all`: on a mid-buffer crash the granted prefix still
 /// reaches the file (as it could on real hardware) before the error.
 pub(crate) fn write_all(f: &mut File, buf: &[u8]) -> io::Result<()> {
-    if !armed() {
-        return f.write_all(buf);
+    write_pieces(f, &[buf])
+}
+
+/// Faultable [`write_all`] of `pieces` back to back, without joining them
+/// into one buffer first: one write to the layer — charged their total
+/// length, recorded as one [`Mutation::Write`] — whose granted prefix may
+/// end inside any piece.
+pub(crate) fn write_pieces<B: AsRef<[u8]>>(f: &mut File, pieces: &[B]) -> io::Result<()> {
+    let len: u64 = pieces.iter().map(|p| p.as_ref().len() as u64).sum();
+    let armed = armed();
+    let granted = if armed { charge(len) } else { len };
+    let mut out = io::BufWriter::with_capacity(1 << 16, &mut *f);
+    let mut left = granted;
+    for piece in pieces {
+        let piece = piece.as_ref();
+        let n = piece.len().min(usize::try_from(left).unwrap_or(usize::MAX));
+        out.write_all(&piece[..n])?;
+        left -= n as u64;
     }
-    let granted = charge(buf.len() as u64) as usize;
-    f.write_all(&buf[..granted])?;
-    if granted < buf.len() {
+    out.flush()?;
+    if !armed {
+        return Ok(());
+    }
+    if granted < len {
         return Err(injected(true));
     }
     record(Mutation::Write);
@@ -364,6 +382,37 @@ mod tests {
         assert!(sync(&f).is_err(), "EIO on the first unit");
         sync(&f).unwrap();
         disarm();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn pieces_write_as_one_write_and_crash_inside_any_piece() {
+        let dir = std::env::temp_dir().join(format!(
+            "cods-fault-pieces-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.bin");
+        let pieces: [&[u8]; 3] = [b"hello", b" ", b"world"];
+
+        // Charged and recorded as the joined buffer would be.
+        let joined = probe(|| write_all(&mut create(&path).unwrap(), b"hello world"));
+        let split = probe(|| write_pieces(&mut create(&path).unwrap(), &pieces));
+        assert_eq!((split.1, split.2), (joined.1, joined.2));
+        assert_eq!(std::fs::read(&path).unwrap(), b"hello world");
+
+        // Every budget inside the bytes writes exactly its prefix.
+        for bytes in 0..11 {
+            arm(1 + bytes);
+            let mut f = create(&path).unwrap();
+            assert!(write_pieces(&mut f, &pieces).is_err());
+            disarm();
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                &b"hello world"[..bytes as usize]
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

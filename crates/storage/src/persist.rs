@@ -644,9 +644,11 @@ impl Content<'_> {
 /// The product of [`build`]: the bytes to write, the adoption list, and
 /// the state they commit.
 struct Built {
-    /// `(offset, bytes)` runs in file order. Without a plan, one run from
-    /// offset 0: the whole image.
-    writes: Vec<(u64, Vec<u8>)>,
+    /// `(offset, pieces)` runs in file order, each run's pieces abutting.
+    /// Without a plan, one run from offset 0: the whole image. A run is
+    /// written piece by piece ([`fault::write_pieces`]), never joined, so a
+    /// save holds its payloads once, not twice.
+    writes: Vec<(u64, Vec<Vec<u8>>)>,
     placements: Vec<Placement>,
     /// Every table's block, in content order.
     blocks: Vec<BlockAt>,
@@ -655,8 +657,9 @@ struct Built {
 }
 
 impl Built {
-    /// The whole image of a build without a plan.
-    fn image(&mut self) -> Vec<u8> {
+    /// The whole image of a build without a plan, as its pieces in file
+    /// order.
+    fn image(&mut self) -> Vec<Vec<u8>> {
         match std::mem::take(&mut self.writes).pop() {
             Some((0, image)) => image,
             _ => unreachable!("a build without a plan is one run from offset 0"),
@@ -664,17 +667,20 @@ impl Built {
     }
 }
 
-/// `writes` sorted by offset, with abutting ones joined.
-fn runs(mut writes: Vec<(u64, Vec<u8>)>) -> Vec<(u64, Vec<u8>)> {
+/// `writes` sorted by offset, abutting ones grouped into one run.
+fn runs(mut writes: Vec<(u64, Vec<u8>)>) -> Vec<(u64, Vec<Vec<u8>>)> {
     writes.sort_unstable_by_key(|&(off, _)| off);
-    let mut runs: Vec<(u64, Vec<u8>)> = Vec::with_capacity(writes.len());
+    let mut runs: Vec<(u64, u64, Vec<Vec<u8>>)> = Vec::with_capacity(writes.len());
     for (off, bytes) in writes {
         match runs.last_mut() {
-            Some((at, run)) if *at + run.len() as u64 == off => run.extend_from_slice(&bytes),
-            _ => runs.push((off, bytes)),
+            Some((_, end, run)) if *end == off => {
+                *end += bytes.len() as u64;
+                run.push(bytes);
+            }
+            _ => runs.push((off, off + bytes.len() as u64, vec![bytes])),
         }
     }
-    runs
+    runs.into_iter().map(|(off, _, run)| (off, run)).collect()
 }
 
 /// Serializes `what` as generation `generation`. Without a plan this is a
@@ -738,7 +744,7 @@ fn build(
         index_sum,
     };
     if plan.is_none() {
-        let mut header = Vec::with_capacity(heap.free.tail as usize);
+        let mut header = Vec::with_capacity(HEADER_LEN as usize);
         header.put_u32_le(MAGIC);
         header.put_u16_le(VERSION);
         header.put_slice(&slot.to_bytes());
@@ -880,18 +886,18 @@ fn settle(
     Ok(())
 }
 
-/// Durable whole-file replacement: the image is written to a sibling temp
-/// file, synced, and atomically renamed over the target — the rename is
-/// the commit point, so a crash leaves either the old file or the new one,
-/// never a half-written hybrid. The directory is synced after the rename,
+/// Durable whole-file replacement: the image's pieces are written in
+/// order to a sibling temp file, synced, and atomically renamed over the
+/// target — the rename is the commit point, so a crash leaves either the
+/// old file or the new one, never a half-written hybrid. The directory is synced after the rename,
 /// so the new name survives a power cut too.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
+fn write_atomic(path: &Path, pieces: &[Vec<u8>]) -> Result<(), StorageError> {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(format!(".tmp.{}", std::process::id()));
     let tmp = path.with_file_name(name);
     let res = (|| -> Result<(), StorageError> {
         let mut f = fault::create(&tmp)?;
-        fault::write_all(&mut f, bytes)?;
+        fault::write_pieces(&mut f, pieces)?;
         fault::sync(&f)?;
         drop(f);
         fault::rename(&tmp, path)?;
@@ -933,9 +939,9 @@ fn save_append(
     let mut older = [0u8; SLOT_LEN];
     f.seek(SeekFrom::Start(slot_at))?;
     f.read_exact(&mut older)?;
-    for (off, bytes) in &built.writes {
+    for (off, pieces) in &built.writes {
         f.seek(SeekFrom::Start(*off))?;
-        fault::write_all(&mut f, bytes)?;
+        fault::write_pieces(&mut f, pieces)?;
     }
     fault::sync(&f)?;
     let commit = (|| -> Result<(), StorageError> {
@@ -1010,6 +1016,7 @@ pub(crate) fn rewrite_compacted(
     let mut built = build(what, None, next_generation(path))?;
     let image = built.image();
     write_atomic(path, &image)?;
+    let after = image.iter().map(|p| p.len() as u64).sum();
     // Rebind: every distinct slot was placed, so every live payload now
     // points into the compacted file. Slots opened from the *old* inode by
     // other snapshots keep their open handle (the unlinked inode stays
@@ -1018,7 +1025,7 @@ pub(crate) fn rewrite_compacted(
     let segments = built.placements.len();
     let live = built.placements.iter().map(|&(_, _, len)| len).sum();
     settle(path, what, built, SegSlot::rebind_disk)?;
-    Ok((before, image.len() as u64, live, segments))
+    Ok((before, after, live, segments))
 }
 
 // ---------------------------------------------------------------------------
@@ -1515,6 +1522,7 @@ pub fn encode_table(t: &Table) -> Bytes {
     build(&Content::Table(t), None, 1)
         .unwrap_or_else(|e| panic!("encode_table: cannot re-read segment payloads: {e}"))
         .image()
+        .concat()
         .into()
 }
 
@@ -1575,6 +1583,7 @@ pub fn encode_catalog(cat: &Catalog) -> Bytes {
     build(&Content::of_catalog(cat), None, 1)
         .unwrap_or_else(|e| panic!("encode_catalog: cannot re-read segment payloads: {e}"))
         .image()
+        .concat()
         .into()
 }
 

@@ -76,8 +76,8 @@ impl ColumnStats {
             let ends: Vec<u32> = zones.iter().flat_map(|z| [z.min_id, z.max_id]).collect();
             let whole = Zone::of_ids(&ends, c.dict().value_order().rank_table());
             (
-                c.dict().value_owned(whole.min_id),
-                c.dict().value_owned(whole.max_id),
+                c.dict().value_cow(whole.min_id).into_owned(),
+                c.dict().value_cow(whole.max_id).into_owned(),
             )
         });
         let mut chooser_picks = EncodingCounts::default();
