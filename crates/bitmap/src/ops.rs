@@ -265,8 +265,9 @@ mod tests {
         let and = a.and(&b);
         and.check_invariants().unwrap();
         assert_eq!(and.count_ones(), 63 * 5);
-        assert_eq!(and.first_one(), Some(63 * 10));
-        assert_eq!(and.last_one(), Some(63 * 15 - 1));
+        let ones = and.to_positions();
+        assert_eq!(ones.first(), Some(&(63 * 10)));
+        assert_eq!(ones.last(), Some(&(63 * 15 - 1)));
     }
 
     #[test]

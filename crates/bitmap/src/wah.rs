@@ -393,21 +393,6 @@ impl Wah {
         self.view().rank1(pos)
     }
 
-    /// Position of the `k`-th (0-based) set bit, or `None` if `k >= count_ones()`.
-    pub fn select1(&self, k: u64) -> Option<u64> {
-        self.view().select1(k)
-    }
-
-    /// Position of the first set bit, if any.
-    pub fn first_one(&self) -> Option<u64> {
-        self.view().first_one()
-    }
-
-    /// Position of the last set bit, if any.
-    pub fn last_one(&self) -> Option<u64> {
-        self.view().last_one()
-    }
-
     // ------------------------------------------------------------------
     // Conversions
     // ------------------------------------------------------------------
@@ -623,50 +608,6 @@ impl<'a> WahRef<'a> {
         ones + u64::from((self.active & lsb_mask(pos - base)).count_ones())
     }
 
-    /// Position of the `k`-th (0-based) set bit, or `None` if `k >= count_ones()`.
-    pub fn select1(self, k: u64) -> Option<u64> {
-        if k >= self.ones {
-            return None;
-        }
-        let mut base = 0u64;
-        let mut remaining = k;
-        for &w in self.words {
-            if is_fill(w) {
-                let g = fill_groups(w);
-                if fill_bit(w) {
-                    let span_ones = g * GROUP_BITS;
-                    if remaining < span_ones {
-                        return Some(base + remaining);
-                    }
-                    remaining -= span_ones;
-                }
-                base += g * GROUP_BITS;
-            } else {
-                let word_ones = u64::from(w.count_ones());
-                if remaining < word_ones {
-                    return Some(base + u64::from(nth_set_bit(w, remaining as u32)));
-                }
-                remaining -= word_ones;
-                base += GROUP_BITS;
-            }
-        }
-        Some(base + u64::from(nth_set_bit(self.active, remaining as u32)))
-    }
-
-    /// Position of the first set bit, if any.
-    pub fn first_one(self) -> Option<u64> {
-        self.select1(0)
-    }
-
-    /// Position of the last set bit, if any.
-    pub fn last_one(self) -> Option<u64> {
-        if self.ones == 0 {
-            None
-        } else {
-            self.select1(self.ones - 1)
-        }
-    }
-
     /// Collects the positions of all set bits into a vector.
     pub fn to_positions(self) -> Vec<u64> {
         self.iter_ones().collect()
@@ -788,16 +729,6 @@ pub(crate) fn lsb_mask(n: u64) -> u64 {
     }
 }
 
-/// Index of the `n`-th (0-based) set bit of `w`. `w` must have more than `n`
-/// set bits.
-#[inline]
-fn nth_set_bit(mut w: u64, n: u32) -> u32 {
-    for _ in 0..n {
-        w &= w - 1; // clear lowest set bit
-    }
-    w.trailing_zeros()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -902,18 +833,14 @@ mod tests {
     }
 
     #[test]
-    fn rank_select_inverse() {
+    fn rank_counts_the_ones_before_each_position() {
         let pos = [1u64, 7, 63, 126, 127, 128, 1000, 9999];
         let w = Wah::from_sorted_positions(pos.iter().copied(), 10_000);
         for (k, &p) in pos.iter().enumerate() {
-            assert_eq!(w.select1(k as u64), Some(p));
             assert_eq!(w.rank1(p), k as u64);
             assert_eq!(w.rank1(p + 1), k as u64 + 1);
         }
-        assert_eq!(w.select1(pos.len() as u64), None);
         assert_eq!(w.rank1(w.len()), pos.len() as u64);
-        assert_eq!(w.first_one(), Some(1));
-        assert_eq!(w.last_one(), Some(9999));
     }
 
     #[test]

@@ -78,15 +78,13 @@ proptest! {
     }
 
     #[test]
-    fn rank_select_consistency(bits in bit_vector()) {
+    fn rank_counts_the_ones_before_each_one(bits in bit_vector()) {
         let w = to_wah(&bits);
         let ones = w.count_ones();
-        for k in 0..ones {
-            let p = w.select1(k).unwrap();
+        for (k, p) in w.iter_ones().enumerate() {
             prop_assert!(w.get(p));
-            prop_assert_eq!(w.rank1(p), k);
+            prop_assert_eq!(w.rank1(p), k as u64);
         }
-        prop_assert_eq!(w.select1(ones), None);
         prop_assert_eq!(w.rank1(w.len()), ones);
     }
 

@@ -146,7 +146,7 @@ fn key_fk_with_unreferenced_dimension_rows() {
     assert_eq!(out.output.rows(), 2);
     let d_col = out.output.column_by_name("d").unwrap();
     assert_eq!(d_col.distinct_count(), 1, "orphan value not compacted");
-    assert_eq!(d_col.value_at(0), &Value::str("used"));
+    assert_eq!(*d_col.value_at(0), Value::str("used"));
 }
 
 #[test]

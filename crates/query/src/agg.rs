@@ -421,7 +421,7 @@ impl<'a> AggCtx<'a> {
             AggOp::Sum => match ty {
                 ValueType::Float => AggCtx::SumFloat {
                     add: (0..col.dict().len() as u32)
-                        .map(|id| match col.dict().value_cow(id).as_ref() {
+                        .map(|id| match col.dict().value(id).as_ref() {
                             Value::Float(OrderedF64(f)) => *f,
                             _ => 0.0,
                         })
@@ -429,7 +429,7 @@ impl<'a> AggCtx<'a> {
                 },
                 _ => AggCtx::SumInt {
                     add: (0..col.dict().len() as u32)
-                        .map(|id| match col.dict().value_cow(id).as_ref() {
+                        .map(|id| match col.dict().value(id).as_ref() {
                             Value::Int(i) => *i,
                             _ => 0,
                         })
@@ -504,9 +504,7 @@ impl PAcc {
             PAcc::Count(n) => Value::int(n as i64),
             PAcc::SumInt(s) => Value::int(s),
             PAcc::SumFloat(s) => Value::float(s),
-            PAcc::MinMax(best) => {
-                best.map_or(Value::Null, |id| col.dict().value_cow(id).into_owned())
-            }
+            PAcc::MinMax(best) => best.map_or(Value::Null, |id| col.dict().value(id).into_owned()),
             PAcc::Distinct(set) => Value::int(set.len() as i64),
         }
     }
@@ -853,12 +851,7 @@ pub fn aggregate_table_masked(
             let mut row: Vec<Value> = group_by
                 .iter()
                 .enumerate()
-                .map(|(c, &col)| {
-                    t.column(col)
-                        .dict()
-                        .value_cow(ids_of_key(g, c))
-                        .into_owned()
-                })
+                .map(|(c, &col)| t.column(col).dict().value(ids_of_key(g, c)).into_owned())
                 .collect();
             row.extend(
                 row_accs

@@ -623,7 +623,7 @@ pub(crate) fn sat_set<'a>(col: &'a EncodedColumn, op: CmpOp, literal: &Value) ->
                 op,
                 literal: literal.clone(),
             };
-            SatSet::Bools(dict.iter().map(|(_, v)| probe.eval_value(v)).collect())
+            SatSet::Bools(dict.iter().map(|v| probe.eval_value(&v)).collect())
         }
     }
 }
@@ -884,6 +884,9 @@ mod tests {
         for c in t.columns() {
             assert!(c.segments().iter().all(|s| s.meta().is_range()));
         }
+        let key = t.column_by_name("k").unwrap().dict().clone();
+        assert!(key.is_dense());
+        assert_eq!(key.size_bytes(), 0);
         let oracle = t
             .map_columns(None, |c| c.recode(cods_storage::Encoding::Bitmap))
             .unwrap();
@@ -913,6 +916,12 @@ mod tests {
             assert_eq!(got, predicate_mask(&oracle, &pred).unwrap(), "{pred:?}");
             assert_eq!(got, predicate_mask_unpruned(&t, &pred).unwrap(), "{pred:?}");
         }
+        // The `!=` leaf reads every key value, each made from the run's
+        // bounds: the dictionary still holds none.
+        let ne5 = predicate_mask(&t, &ne("k", Value::int(5))).unwrap();
+        assert_eq!(ne5.count_ones(), 999);
+        assert!(!ne5.get(5));
+        assert_eq!(key.size_bytes(), 0, "a query spelled the dense key out");
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl CmpOp {
     pub fn sat_rank_interval(self, dict: &Dictionary, literal: &Value) -> Option<(u32, u32)> {
         let d = dict.len() as u32;
         // NULL sorts first; its rank span is [0, nulls).
-        let nulls = u32::from(d > 0 && *dict.value_cow(dict.value_order().id_at(0)) == Value::Null);
+        let nulls = u32::from(d > 0 && *dict.value(dict.value_order().id_at(0)) == Value::Null);
         if literal == &Value::Null {
             return Some(match self {
                 // NULL op NULL compares Equal.
@@ -302,7 +302,11 @@ mod tests {
         ascending.sort();
         for values in [shuffled, ascending] {
             let dict = cods_storage::Dictionary::from_values(values).unwrap();
-            let ranks = dict.value_order().ranks().to_vec();
+            let rank = |id: u32| {
+                dict.value_order()
+                    .rank_table()
+                    .map_or(id, |r| r[id as usize])
+            };
             for op in [
                 CmpOp::Eq,
                 CmpOp::Ne,
@@ -327,11 +331,11 @@ mod tests {
                     let interval = op.sat_rank_interval(&dict, &lit);
                     match interval {
                         Some((lo, hi)) => {
-                            for (id, v) in dict.iter() {
-                                let r = ranks[id as usize];
+                            for (id, v) in (0u32..).zip(dict.iter()) {
+                                let r = rank(id);
                                 assert_eq!(
                                     lo <= r && r < hi,
-                                    probe.eval_value(v),
+                                    probe.eval_value(&v),
                                     "{op:?} {lit} id {id} ({v})"
                                 );
                             }

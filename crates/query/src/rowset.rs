@@ -3,10 +3,11 @@
 //! (a scan's or a join's output: one `u32` per row beside the column whose
 //! dictionary gives the ids meaning) or plain values (what an aggregate
 //! computes). Producing a [`RowSet`] touches no [`Value`]; a consumer reads
-//! cells by reference ([`RowSet::cell`]), encodes the ids as they are (the
+//! cells one at a time ([`RowSet::cell`]), encodes the ids as they are (the
 //! wire), or asks for rows of values at the very edge ([`RowSet::to_rows`]).
 
 use cods_storage::{EncodedColumn, Value};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// One column of a [`RowSet`].
@@ -32,10 +33,10 @@ impl RowColumn {
         }
     }
 
-    fn cell(&self, row: usize) -> &Value {
+    fn cell(&self, row: usize) -> Cow<'_, Value> {
         match self {
             RowColumn::Dict { column, ids } => column.dict().value(ids[row]),
-            RowColumn::Plain(values) => &values[row],
+            RowColumn::Plain(values) => Cow::Borrowed(&values[row]),
         }
     }
 }
@@ -97,8 +98,8 @@ impl RowSet {
     }
 
     /// The value at row `row`, column `column` — a dictionary lookup for a
-    /// dictionary-backed column, never a clone.
-    pub fn cell(&self, row: usize, column: usize) -> &Value {
+    /// dictionary-backed column, borrowed wherever the value is held.
+    pub fn cell(&self, row: usize, column: usize) -> Cow<'_, Value> {
         assert!(row < self.len, "row {row} out of range {}", self.len);
         self.columns[column].cell(row)
     }
@@ -107,7 +108,12 @@ impl RowSet {
     /// decoder) a row of [`Value`]s is built.
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
         (0..self.len)
-            .map(|r| self.columns.iter().map(|c| c.cell(r).clone()).collect())
+            .map(|r| {
+                self.columns
+                    .iter()
+                    .map(|c| c.cell(r).into_owned())
+                    .collect()
+            })
             .collect()
     }
 }
@@ -144,8 +150,8 @@ mod tests {
             ],
         );
         assert_eq!((set.len(), set.arity()), (4, 2));
-        assert_eq!(set.cell(2, 0), &Value::str("b"));
-        assert_eq!(set.cell(3, 1), &Value::int(3));
+        assert_eq!(*set.cell(2, 0), Value::str("b"));
+        assert_eq!(*set.cell(3, 1), Value::int(3));
         let rows = set.to_rows();
         assert_eq!(rows[1], [Value::Null, Value::int(1)]);
         assert_eq!(RowSet::from_rows(2, rows), set);

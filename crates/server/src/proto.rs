@@ -515,7 +515,7 @@ impl ReplyDict {
                     if *slot == 0 {
                         sent.push(id);
                         *slot = sent.len() as u32;
-                        put_value(e, &dict.value_cow(id));
+                        put_value(e, &dict.value(id));
                     }
                     local.push(*slot - 1);
                 }
@@ -1355,7 +1355,7 @@ mod tests {
         let ids = |set: &RowSet| match &set.columns()[0] {
             RowColumn::Dict { column, ids } => ids
                 .iter()
-                .map(|&id| column.dict().value(id).clone())
+                .map(|&id| column.dict().value(id).into_owned())
                 .collect::<Vec<_>>(),
             RowColumn::Plain(values) => values.clone(),
         };

@@ -257,7 +257,7 @@ fn row_set_stream() -> impl Strategy<Value = Vec<RowSet>> {
                             match choice {
                                 2 => RowColumn::Plain(
                                     ids.iter()
-                                        .map(|&id| column.dict().value(id).clone())
+                                        .map(|&id| column.dict().value(id).into_owned())
                                         .collect(),
                                 ),
                                 _ => RowColumn::Dict {

@@ -43,6 +43,7 @@ use crate::span::{self, Span};
 use crate::store::{SegMeta, SegSlot};
 use crate::value::{Value, ValueType};
 use cods_bitmap::{RleSeq, Wah};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -786,7 +787,7 @@ impl EncodedColumn {
 
     /// The value stored at `row` (point probe; intended for display and
     /// debugging, not bulk scans — use [`EncodedColumn::value_ids`]).
-    pub fn value_at(&self, row: u64) -> &Value {
+    pub fn value_at(&self, row: u64) -> Cow<'_, Value> {
         assert!(row < self.rows, "row {row} out of range {}", self.rows);
         let seg_idx = self.segment_of_row(row);
         let local = row - self.starts[seg_idx];
@@ -915,7 +916,7 @@ impl EncodedColumn {
     pub fn values(&self) -> Vec<Value> {
         self.value_ids()
             .into_iter()
-            .map(|id| self.dict.value(id).clone())
+            .map(|id| self.dict.value(id).into_owned())
             .collect()
     }
 
@@ -1699,7 +1700,7 @@ mod tests {
         assert_eq!(c.rows(), 5);
         assert_eq!(c.distinct_count(), 4);
         assert_eq!(c.values(), skills);
-        assert_eq!(c.value_at(0), &Value::str("typing"));
+        assert_eq!(*c.value_at(0), Value::str("typing"));
         // Four values in five rows: near-unique, so ingest packs it.
         assert_eq!(c.uniform_encoding(), Some(Encoding::Packed));
     }
@@ -2102,11 +2103,11 @@ mod tests {
             assert_eq!(col.zones().len(), 2);
             let dict = col.dict();
             let z0 = col.zone(0);
-            assert_eq!(dict.value(z0.min_id), &Value::int(10));
-            assert_eq!(dict.value(z0.max_id), &Value::int(30));
+            assert_eq!(*dict.value(z0.min_id), Value::int(10));
+            assert_eq!(*dict.value(z0.max_id), Value::int(30));
             let z1 = col.zone(1);
-            assert_eq!(dict.value(z1.min_id), &Value::int(20));
-            assert_eq!(dict.value(z1.max_id), &Value::int(40));
+            assert_eq!(*dict.value(z1.min_id), Value::int(20));
+            assert_eq!(*dict.value(z1.max_id), Value::int(40));
         }
         // Concat keeps each segment's zone — across encodings.
         let cat = b.concat(&r).unwrap();

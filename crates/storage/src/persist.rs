@@ -193,8 +193,8 @@ fn put_dict<B: BufMut>(buf: &mut B, c: &EncodedColumn) {
     match dense {
         Some(first) => buf.put_i64_le(first),
         None => {
-            for v in dict.values() {
-                put_value(buf, v);
+            for v in dict.iter() {
+                put_value(buf, &v);
             }
         }
     }

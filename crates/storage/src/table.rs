@@ -183,7 +183,7 @@ impl Table {
     pub fn row(&self, idx: u64) -> Vec<Value> {
         self.columns
             .iter()
-            .map(|c| c.value_at(idx).clone())
+            .map(|c| c.value_at(idx).into_owned())
             .collect()
     }
 
@@ -226,26 +226,20 @@ impl Table {
     /// win, so sort columns typically flip to RLE automatically; pin an
     /// encoding with an explicit recode to opt out).
     pub fn cluster_by(&self, names: &[&str]) -> Result<Table, StorageError> {
-        // Rank every sort column's dictionary by value, then sort row
-        // indices by the rank tuple (stable).
-        let mut rank_cols: Vec<(Vec<u32>, Vec<u32>)> = Vec::with_capacity(names.len());
+        // Map every sort column's row ids to their value-order ranks, then
+        // sort row indices by the rank tuple (stable).
+        let mut rank_cols: Vec<Vec<u32>> = Vec::with_capacity(names.len());
         for n in names {
             let col = self.column_by_name(n)?;
-            let mut order: Vec<u32> = (0..col.distinct_count() as u32).collect();
-            order.sort_by(|&a, &b| col.dict().value(a).cmp(col.dict().value(b)));
-            let mut rank = vec![0u32; col.distinct_count()];
-            for (r, &id) in order.iter().enumerate() {
-                rank[id as usize] = r as u32;
+            let mut ranks = col.try_value_ids()?;
+            if let Some(rank_of) = col.dict().value_order().rank_table() {
+                ranks.iter_mut().for_each(|id| *id = rank_of[*id as usize]);
             }
-            rank_cols.push((col.try_value_ids()?, rank));
+            rank_cols.push(ranks);
         }
         let mut perm: Vec<u64> = (0..self.rows).collect();
-        perm.sort_by_key(|&row| {
-            rank_cols
-                .iter()
-                .map(|(ids, rank)| rank[ids[row as usize] as usize])
-                .collect::<Vec<u32>>()
-        });
+        let key = |row: u64| rank_cols.iter().map(move |ranks| ranks[row as usize]);
+        perm.sort_by(|&a, &b| key(a).cmp(key(b)));
         self.map_columns(None, |c| c.gather(&perm)?.auto_recoded())
     }
 
@@ -468,6 +462,28 @@ mod tests {
             let bm = col.value_bitmap(id);
             assert!(bm.words().len() <= 3, "bitmap not run-compressed");
         }
+    }
+
+    #[test]
+    fn row_and_cluster_by_read_a_dense_key_from_its_bounds() {
+        // A key loaded in key order, and a column whose values descend.
+        let schema = Schema::build(&[("k", ValueType::Int), ("d", ValueType::Int)], &[]).unwrap();
+        let rows: Vec<Vec<Value>> = (0..500)
+            .map(|i| vec![Value::int(i), Value::int(-i % 7)])
+            .collect();
+        let t = Table::from_rows("t", schema, &rows).unwrap();
+        let key = t.column_by_name("k").unwrap().dict().clone();
+        assert!(key.is_dense());
+        assert_eq!(key.size_bytes(), 0);
+        assert_eq!(t.row(3), rows[3]);
+        assert_eq!(key.size_bytes(), 0, "a row read spelled the key out");
+        // By the key, every row stays in place; by (d, k), rows sort by d
+        // through its value order, then by the key.
+        assert_eq!(t.cluster_by(&["k"]).unwrap().to_rows(), rows);
+        let mut by_dk = rows.clone();
+        by_dk.sort_by(|a, b| (&a[1], &a[0]).cmp(&(&b[1], &b[0])));
+        assert_eq!(t.cluster_by(&["d", "k"]).unwrap().to_rows(), by_dk);
+        assert_eq!(key.size_bytes(), 0, "cluster_by spelled the key out");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Hostile bytes for format 12 and the format-3 commit log: seeded, in-tree
+//! Hostile bytes for format 13 and the format-3 commit log: seeded, in-tree
 //! mutation loops over the golden table and catalog fixtures and over a
 //! recorded `.clog`, targeted mutations of the fields inside a table's
 //! metadata block, every truncation and bit flip of the commit slots of a

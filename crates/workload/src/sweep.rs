@@ -36,17 +36,6 @@ impl System {
         }
     }
 
-    /// Long description.
-    pub fn description(self) -> &'static str {
-        match self {
-            System::Cods => "CODS data-level evolution",
-            System::CommercialRow => "row store, query level",
-            System::CommercialRowIndexed => "row store with indexes, query level",
-            System::SqliteLike => "SQLite-like row store (journaled)",
-            System::ColumnQueryLevel => "column store, query level",
-        }
-    }
-
     /// The systems of Figure 3(a) (decomposition).
     pub fn decomposition_systems() -> &'static [System] {
         &[
