@@ -3,10 +3,11 @@
 # number of lines that failed, so `set -e` turns any `error:` line into a
 # failed step; and the two must print the same rows in the same batches —
 # the local shell reads them out of the kernels' dictionary-id batches, the
-# connect REPL out of what the wire decoder built. A third leg runs the
-# script against `serve --durable`, kills the server with SIGKILL and
-# requires a restarted one to answer from the commit log alone. Run from
-# the repository root after `cargo build --release --workspace`.
+# connect REPL out of what the wire decoder built — and the same `stats R`.
+# A third leg runs the script against `serve --durable`, kills the server
+# with SIGKILL and requires a restarted one to answer from the commit log
+# alone. Run from the repository root after `cargo build --release
+# --workspace`.
 set -eu
 cods=target/release/cods
 addr=127.0.0.1:4071
@@ -82,6 +83,16 @@ reads "$tmp/local.out" > "$tmp/local.rows"
 reads "$tmp/remote.out" > "$tmp/remote.rows"
 test -s "$tmp/local.rows"
 diff "$tmp/local.rows" "$tmp/remote.rows"
+
+# The first `stats R` block (drive.cods's, after the MERGE): one renderer
+# over the same state, so both shells print the same bytes.
+stats() {
+    awk '/^R: [0-9]+ rows, / { on = 1; print; next } on && /^  / { print; next } on { exit }' "$1"
+}
+stats "$tmp/local.out" > "$tmp/local.stats"
+stats "$tmp/remote.out" > "$tmp/remote.stats"
+test -s "$tmp/local.stats"
+diff "$tmp/local.stats" "$tmp/remote.stats"
 
 # kill -9 with two files: the acknowledged scripts are in `d.cods.clog`
 # (and in `d.cods` once the 30 s checkpointer has run) and nowhere else.

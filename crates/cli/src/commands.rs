@@ -9,8 +9,8 @@ use cods_query::{parse_query, Query, QueryOutput, RowSet};
 use cods_server::{QueryReply, ScanSummary};
 use cods_storage::persist::{read_catalog, save_catalog};
 use cods_storage::{
-    load_file, segment_cache, EncodedColumn, Encoding, LoadOptions, RecodeScope, RecodeTarget,
-    Schema, ValueType,
+    load_file, render_stats, segment_cache, EncodedColumn, Encoding, LoadOptions, RecodeScope,
+    RecodeTarget, Schema, ValueType,
 };
 use cods_workload::figure1;
 use std::io::{BufRead, Write};
@@ -39,6 +39,9 @@ statements (both shells):
   agg <table> by <c1,c2|-> <op:col,…> [where <predicate>]
                                                    group-by; ops: count distinct sum min max
   join <left> <right> on <lcol=rcol,…>             partition-wise hash join
+  stats <table>                                    storage statistics: per-segment encodings,
+                                                   value ranges, run/distinct ratios, chooser picks,
+                                                   cache residency, dead bytes per backing file
   predicate: <col> <op> <literal> under NOT, AND, OR; op: = != < <= > >=;
              'quoted' literals are strings, unquoted ones int, float, bool, else string
 local shell only:
@@ -49,9 +52,6 @@ local shell only:
   demo                                             load the paper's Figure 1 table R
   tables                                           list tables
   display <table> [limit]                          show rows
-  stats <table>                                    storage statistics: per-segment encodings,
-                                                   value ranges, run/distinct ratios, chooser picks,
-                                                   cache residency, dead bytes per backing file
   cache [<bytes>|unlimited]                        show buffer-cache telemetry, or set the
                                                    byte budget (suffixes k/m/g)
   recode <table> <col|*> <enc|auto> [a..b]         re-encode a column (or all) in place;
@@ -67,8 +67,8 @@ local shell only:
   wal <file>                                       durability status of a saved catalog:
                                                    committed slot and commit log
 cods connect only:
-  ping | refresh | metrics | stats <table>         liveness, re-pin the session snapshot,
-                                                   server counters, table statistics
+  ping | refresh | metrics                         liveness, re-pin the session snapshot,
+                                                   server counters plus the `cache` lines
 help | quit
 ";
 
@@ -228,128 +228,10 @@ fn parse_schema(spec: &str) -> Result<Schema, String> {
     Schema::build(&cols, &[]).map_err(|e| e.to_string())
 }
 
-/// Renders the `stats` output: per-column segment-encoding histogram (a
-/// mixed directory shows e.g. `4×bitmap/12×rle/0×packed`), pin state (the
-/// column pin and the segment-range pins, each shown when set), how many
-/// packed segments are ranges (`[2×range]`, when any are), segment
-/// directory shape, value range, run/distinct ratios, the per-segment
-/// chooser's would-be picks, and compression numbers.
-pub fn render_stats(name: &str, t: &cods_storage::Table) -> String {
-    use std::fmt::Write as _;
-    let stats = cods_storage::TableStats::of(t);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{name}: {} rows, {} columns, {} bytes compressed, {} resident / {} on-disk segments",
-        stats.rows, stats.arity, stats.total_bytes, stats.resident_segments, stats.on_disk_segments
-    );
-    for (def, c) in t.schema().columns().iter().zip(&stats.columns) {
-        let enc = match c.encoding {
-            Some(e) => e.to_string(),
-            None => c.encodings.to_string(),
-        };
-        let mut pin = match (c.encoding_pinned, c.pinned_segments) {
-            (false, 0) => String::new(),
-            (true, 0) => " (pinned)".to_string(),
-            (false, n) => format!(" ({n}×pinned)"),
-            (true, n) => format!(" (pinned, {n}×pinned)"),
-        };
-        if c.range_segments > 0 {
-            pin.push_str(&format!(" [{}×range]", c.range_segments));
-        }
-        let _ = writeln!(
-            out,
-            "  {:<12} enc={:<7}{} distinct={:<8} segments={:<5} max-seg-distinct={:<8} payload={}B ratio={}",
-            def.name,
-            enc,
-            pin,
-            c.distinct,
-            c.segments,
-            c.max_segment_distinct,
-            c.payload_bytes,
-            if c.compression_ratio.is_infinite() {
-                "inf".to_string()
-            } else {
-                format!("{:.1}x", c.compression_ratio)
-            }
-        );
-        let range = match &c.value_range {
-            Some((lo, hi)) => format!("[{lo} .. {hi}]"),
-            None => "(empty)".to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "  {:<12} range={} runs={} avg-run={:.1} run/distinct={:.1} chooser={}{}",
-            "",
-            range,
-            c.runs,
-            c.avg_run_len,
-            if c.distinct == 0 {
-                0.0
-            } else {
-                c.runs as f64 / c.distinct as f64
-            },
-            c.chooser_picks,
-            if c.chooser_disagreements > 0 {
-                format!(" ({} would re-encode)", c.chooser_disagreements)
-            } else {
-                String::new()
-            }
-        );
-    }
-    // Per-file heap occupancy: every v6 file this table's segments page
-    // from, with the dead bytes a `vacuum` of that file would reclaim.
-    let mut files: Vec<std::path::PathBuf> = Vec::new();
-    for c in t.columns() {
-        for s in c.segments() {
-            if let Some(p) = s.backing_path() {
-                if !files.contains(&p) {
-                    files.push(p);
-                }
-            }
-        }
-    }
-    for path in files {
-        match cods_storage::heap_stats(&path) {
-            Ok(h) => {
-                let _ = writeln!(
-                    out,
-                    "  file {}: {} bytes ({} heap = {} live + {} dead, {} meta); vacuum reclaims ~{} bytes",
-                    path.display(),
-                    h.file_bytes,
-                    h.heap_bytes,
-                    h.live_bytes,
-                    h.dead_bytes,
-                    h.meta_bytes,
-                    h.dead_bytes
-                );
-            }
-            Err(e) => {
-                let _ = writeln!(
-                    out,
-                    "  file {}: heap stats unavailable ({e})",
-                    path.display()
-                );
-            }
-        }
-    }
-    out
-}
-
-/// Renders the `cache` command's telemetry: the process-wide buffer-cache
-/// budget, resident bytes, and fault/eviction counters.
+/// Renders the `cache` command's telemetry: the process-wide buffer
+/// cache's counters, as every surface prints them.
 pub fn render_cache() -> String {
-    let s = segment_cache().stats();
-    let budget = if s.budget == u64::MAX {
-        "unlimited".to_string()
-    } else {
-        format!("{} bytes", s.budget)
-    };
-    format!(
-        "buffer cache: budget={budget} resident={} bytes\n\
-         faults: {} hits, {} misses ({} bytes decoded), {} evictions\n",
-        s.resident_bytes, s.hits, s.misses, s.decoded_bytes, s.evictions
-    )
+    format!("{}\n", segment_cache().stats())
 }
 
 /// Parses the `cache` command's byte-budget argument: a plain byte count

@@ -3,8 +3,9 @@
 //! client REPL over [`cods_server::Client`].
 //!
 //! `connect` accepts the statements both shells share (see
-//! [`crate::commands::HELP`]) plus four meta commands of its own: `ping`,
-//! `refresh`, `metrics` and `stats <table>`.
+//! [`crate::commands::HELP`]), `stats <table>`, whose text the server
+//! renders as the local shell does, and three meta commands of its own:
+//! `ping`, `refresh` and `metrics`.
 
 use crate::commands::{repl, run_statement, Backend, BatchFn, Outcome, HELP};
 use cods_query::{Query, RowSet};
@@ -162,40 +163,28 @@ pub fn connect_command(
                 m.rows_streamed, m.bytes_streamed
             )
             .ok();
-            writeln!(
-                out,
-                "cache: {} resident bytes, {} hits, {} misses, {} evictions",
-                m.cache.resident_bytes, m.cache.hits, m.cache.misses, m.cache.evictions
-            )
-            .ok();
+            writeln!(out, "{}", m.cache).ok();
             if m.idle_evicted > 0 {
                 writeln!(out, "idle-evicted: {} connection(s)", m.idle_evicted).ok();
             }
-            if m.durability.enabled == 1 {
-                let d = &m.durability;
+            if let Some(l) = m.log {
                 writeln!(
                     out,
                     "durability: {} commit(s) over {} fsync(s) (max batch {}, {} us fsync time); \
                      {} record(s) pending checkpoint, {} log bytes",
-                    d.commits, d.fsyncs, d.max_batch, d.fsync_micros, d.log_pending, d.log_bytes
+                    l.commits,
+                    l.fsyncs,
+                    l.max_batch,
+                    l.fsync_micros,
+                    l.pending_records,
+                    l.log_bytes
                 )
                 .ok();
             }
         }
         "stats" => {
             let table = words.next().ok_or("usage: stats <table>")?;
-            let s = client.stats(table).map_err(fmt_err)?;
-            writeln!(
-                out,
-                "{table}@v{}: {} rows x {} cols, {} bytes, segments {} resident / {} on disk",
-                s.catalog_version,
-                s.rows,
-                s.arity,
-                s.total_bytes,
-                s.resident_segments,
-                s.on_disk_segments
-            )
-            .ok();
+            write!(out, "{}", client.stats(table).map_err(fmt_err)?).ok();
         }
         _ => run_statement(client, line, out)?,
     }
@@ -255,7 +244,7 @@ mod tests {
         assert!(agg.contains("4 row(s)"), "got: {agg}");
 
         let stats = run(&mut client, "stats R");
-        assert!(stats.contains("7 rows x 3 cols"), "got: {stats}");
+        assert!(stats.contains("7 rows, 3 columns"), "got: {stats}");
 
         // Counters visible through the REPL, with the rows we just
         // streamed accounted for.

@@ -1,9 +1,11 @@
 //! A blocking client for the serving protocol — the library behind the
 //! CLI's `connect` REPL and the integration tests.
 
-use crate::frame::{disable_nagle, read_frame, read_preamble, write_frame, FrameError};
+use crate::frame::{
+    disable_nagle, read_frame, read_preamble, write_frame, FrameError, DEFAULT_MAX_FRAME_BYTES,
+};
 use crate::proto::{
-    decode_reply, encode_command, Command, MetricsReply, Reply, RowsDecoder, StatsReply, ROWS_KIND,
+    decode_reply, encode_command, Command, MetricsReply, Reply, RowsDecoder, ROWS_KIND,
     TOTAL_UNKNOWN,
 };
 use cods_query::{AggOp, Predicate, Query};
@@ -108,21 +110,12 @@ pub enum QueryReply {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    max_frame_bytes: u32,
     catalog_version: u64,
 }
 
 impl Client {
     /// Connects, validates the preamble, and reads the `Hello` frame.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        Self::connect_with(addr, crate::frame::DEFAULT_MAX_FRAME_BYTES)
-    }
-
-    /// [`Client::connect`] with an explicit frame-size cap.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        max_frame_bytes: u32,
-    ) -> Result<Client, ClientError> {
         let writer = TcpStream::connect(addr)?;
         disable_nagle(&writer)?;
         let mut reader = BufReader::new(writer.try_clone()?);
@@ -130,7 +123,6 @@ impl Client {
         let mut client = Client {
             reader,
             writer,
-            max_frame_bytes,
             catalog_version: 0,
         };
         match client.read_reply(None)? {
@@ -163,7 +155,7 @@ impl Client {
     /// Reads one reply; a `Rows` frame of a stream decodes against the
     /// stream's reply dictionaries in `stream`.
     fn read_reply(&mut self, stream: Option<&mut RowsDecoder>) -> Result<Reply, ClientError> {
-        let (kind, payload) = read_frame(&mut self.reader, self.max_frame_bytes)?;
+        let (kind, payload) = read_frame(&mut self.reader, DEFAULT_MAX_FRAME_BYTES)?;
         match stream {
             Some(decoder) if kind == ROWS_KIND => {
                 decoder.decode(&payload).map(|rows| Reply::Rows { rows })
@@ -219,14 +211,15 @@ impl Client {
         }
     }
 
-    /// Fetches table statistics at the pinned snapshot.
-    pub fn stats(&mut self, table: &str) -> Result<StatsReply, ClientError> {
+    /// Fetches table statistics at the pinned snapshot: the text the
+    /// local shell's `stats` prints ([`cods_storage::render_stats`]).
+    pub fn stats(&mut self, table: &str) -> Result<String, ClientError> {
         self.send(&Command::Stats {
             table: table.to_string(),
         })?;
         match self.expect_reply(None)? {
-            Reply::Stats(s) => Ok(s),
-            r => Err(Client::unexpected("Stats", &r)),
+            Reply::Ok { message } => Ok(message),
+            r => Err(Client::unexpected("Ok", &r)),
         }
     }
 

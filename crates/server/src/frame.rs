@@ -41,9 +41,11 @@ pub const SERVE_MAGIC: u32 = 0xC0D5_7C9A;
 /// 3 changed every frame's check field from a byte-wise FNV-1a to the
 /// storage frame checksum; version 4 made a `Rows` body's dictionary
 /// reply-scoped (a batch carries only the values its stream has not sent
-/// yet — see [`crate::proto`]). Frame layout and every other message body
-/// are those of 2.
-pub const PROTO_VERSION: u16 = 4;
+/// yet — see [`crate::proto`]); version 5 retired the `Stats` reply (a
+/// `Stats` command is answered with `Ok` text) and made a `Metrics` body's
+/// commit-log block a flag byte plus the engine's nine counters. Frame
+/// layout and every other message body are those of 2.
+pub const PROTO_VERSION: u16 = 5;
 /// Default cap on a single frame's payload, generous enough for a
 /// segment-sized row batch yet small enough to bound a malicious peer.
 pub const DEFAULT_MAX_FRAME_BYTES: u32 = 32 * 1024 * 1024;

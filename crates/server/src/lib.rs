@@ -14,7 +14,8 @@
 //! * [`admission`] — the [`Gate`]: semaphore-bounded execution slots, a
 //!   bounded wait queue, and typed `Overloaded` rejection past the cap.
 //! * [`metrics`] — server-wide counters surfaced by the `metrics`
-//!   command, buffer-cache statistics included.
+//!   command, with the engine's own `CacheStats` and, on a durable
+//!   server, `CommitLogStats`.
 //! * [`server`] — [`Server::bind`], thread-per-connection dispatch,
 //!   segment-batched result streaming through one 64 KiB reply window
 //!   per connection, flushed once per reply (`TCP_NODELAY` on both ends;
@@ -48,6 +49,6 @@ pub use admission::{Gate, Permit, Rejected};
 pub use client::{Client, ClientError, QueryReply, ScanSummary};
 pub use frame::{FrameError, DEFAULT_MAX_FRAME_BYTES, PROTO_VERSION};
 pub use metrics::ServerMetrics;
-pub use proto::{error_code, Command, DurabilityReply, MetricsReply, Reply, StatsReply, WireError};
+pub use proto::{error_code, Command, MetricsReply, Reply, WireError};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use session::Session;

@@ -1,7 +1,7 @@
 //! Server-wide counters, updated lock-free by connection threads and
 //! snapshotted into a [`MetricsReply`] on demand.
 
-use crate::proto::{DurabilityReply, MetricsReply};
+use crate::proto::MetricsReply;
 use cods_storage::{segment_cache, CommitLog};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,23 +29,8 @@ pub struct ServerMetrics {
 impl ServerMetrics {
     /// Builds the wire reply, folding in the admission gate's live gauges,
     /// the process-wide segment buffer cache counters, and — when the
-    /// server runs durably — the commit log's group-commit counters.
+    /// server runs durably — the commit log's own counters.
     pub fn snapshot(&self, in_flight: u64, queued: u64, log: Option<&CommitLog>) -> MetricsReply {
-        let durability = match log {
-            Some(log) => {
-                let s = log.stats();
-                DurabilityReply {
-                    enabled: 1,
-                    commits: s.commits,
-                    fsyncs: s.fsyncs,
-                    max_batch: s.max_batch,
-                    fsync_micros: s.fsync_micros,
-                    log_pending: s.pending_records,
-                    log_bytes: s.log_bytes,
-                }
-            }
-            None => DurabilityReply::default(),
-        };
         MetricsReply {
             connections_open: self.connections_open.load(Ordering::Relaxed),
             connections_total: self.connections_total.load(Ordering::Relaxed),
@@ -57,7 +42,7 @@ impl ServerMetrics {
             rows_streamed: self.rows_streamed.load(Ordering::Relaxed),
             idle_evicted: self.idle_evicted.load(Ordering::Relaxed),
             cache: segment_cache().stats(),
-            durability,
+            log: log.map(CommitLog::stats),
         }
     }
 

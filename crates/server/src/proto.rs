@@ -9,7 +9,7 @@
 //! desynchronized peer is caught by the kind check even when a frame's
 //! checksum happens to pass.
 //!
-//! # The `Rows` body (protocol version 4)
+//! # The `Rows` body (protocol version 4, carried unchanged in version 5)
 //!
 //! A batch of result rows travels column-major, each column as the values
 //! it adds to the column's *reply dictionary* followed by one small id per
@@ -60,7 +60,7 @@ use cods_query::{AggOp, CmpOp, Predicate, Query, RowColumn, RowSet};
 use cods_storage::codec::{
     put_str, put_value, read_str, read_type, read_value, BufMut, CodecError, Reader,
 };
-use cods_storage::{CacheStats, EncodedColumn, Value, ValueType};
+use cods_storage::{CacheStats, CommitLogStats, EncodedColumn, Value, ValueType};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -124,7 +124,9 @@ pub enum Command {
     Refresh,
     /// Server-wide counters. Control plane.
     Metrics,
-    /// Table statistics at the session's pinned snapshot.
+    /// Table statistics at the session's pinned snapshot, answered with
+    /// the text the local shell's `stats` prints
+    /// ([`cods_storage::render_stats`]) in a [`Reply::Ok`].
     Stats {
         /// Table name.
         table: String,
@@ -193,46 +195,8 @@ pub struct MetricsReply {
     pub idle_evicted: u64,
     /// The segment buffer cache's counters at snapshot time.
     pub cache: CacheStats,
-    /// Commit-log durability counters (all zero without a commit log).
-    pub durability: DurabilityReply,
-}
-
-/// Commit-log counters inside a [`MetricsReply`]. All zero when the
-/// server runs memory-only (no `--durable` catalog attached).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DurabilityReply {
-    /// 1 when a commit log is attached, else 0.
-    pub enabled: u64,
-    /// Commits acknowledged durable since start.
-    pub commits: u64,
-    /// Group fsyncs issued — `commits / fsyncs` is the batching factor.
-    pub fsyncs: u64,
-    /// Largest number of commits covered by one fsync.
-    pub max_batch: u64,
-    /// Cumulative wall time inside group fsyncs, microseconds.
-    pub fsync_micros: u64,
-    /// Commit records awaiting a checkpoint.
-    pub log_pending: u64,
-    /// Bytes of the commit-log file.
-    pub log_bytes: u64,
-}
-
-/// Table statistics on the wire (a subset of
-/// [`cods_storage::TableStats`] that serializes flat).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsReply {
-    /// Rows in the table.
-    pub rows: u64,
-    /// Number of columns.
-    pub arity: u64,
-    /// Total compressed bytes (payloads + dictionaries).
-    pub total_bytes: u64,
-    /// Segments currently decoded in memory.
-    pub resident_segments: u64,
-    /// Segments currently paged out.
-    pub on_disk_segments: u64,
-    /// Catalog version the session read this from.
-    pub catalog_version: u64,
+    /// The commit log's counters; `None` when the server runs memory-only.
+    pub log: Option<CommitLogStats>,
 }
 
 /// A server response. Streaming commands answer with a `RowHeader`, any
@@ -251,7 +215,7 @@ pub enum Reply {
         /// Catalog version the session is now pinned at.
         catalog_version: u64,
     },
-    /// Generic success with a human-readable summary (scripts).
+    /// Generic success with a human-readable text (scripts, statistics).
     Ok {
         /// Summary text.
         message: String,
@@ -303,8 +267,6 @@ pub enum Reply {
     },
     /// Answer to [`Command::Metrics`].
     Metrics(MetricsReply),
-    /// Answer to [`Command::Stats`].
-    Stats(StatsReply),
 }
 
 /// Machine-readable [`Reply::Error`] classes.
@@ -342,7 +304,8 @@ impl Reply {
             Reply::Done { .. } => 0x89,
             Reply::MaskSummary { .. } => 0x8A,
             Reply::Metrics(_) => 0x8B,
-            Reply::Stats(_) => 0x8C,
+            // 0x8C is reserved: the retired `Stats` reply's kind, never
+            // reused.
         }
     }
 }
@@ -1004,21 +967,22 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
             e.put_u64_le(m.cache.misses);
             e.put_u64_le(m.cache.evictions);
             e.put_u64_le(m.cache.decoded_bytes);
-            e.put_u64_le(m.durability.enabled);
-            e.put_u64_le(m.durability.commits);
-            e.put_u64_le(m.durability.fsyncs);
-            e.put_u64_le(m.durability.max_batch);
-            e.put_u64_le(m.durability.fsync_micros);
-            e.put_u64_le(m.durability.log_pending);
-            e.put_u64_le(m.durability.log_bytes);
-        }
-        Reply::Stats(s) => {
-            e.put_u64_le(s.rows);
-            e.put_u64_le(s.arity);
-            e.put_u64_le(s.total_bytes);
-            e.put_u64_le(s.resident_segments);
-            e.put_u64_le(s.on_disk_segments);
-            e.put_u64_le(s.catalog_version);
+            e.put_u8(u8::from(m.log.is_some()));
+            if let Some(l) = &m.log {
+                for n in [
+                    l.commits,
+                    l.fsyncs,
+                    l.max_batch,
+                    l.fsync_micros,
+                    l.columns_referenced,
+                    l.columns_carried,
+                    l.bytes_appended,
+                    l.pending_records,
+                    l.log_bytes,
+                ] {
+                    e.put_u64_le(n);
+                }
+            }
         }
     }
     e
@@ -1090,23 +1054,21 @@ pub fn decode_reply(kind: u8, payload: &[u8]) -> DecResult<Reply> {
                 evictions: d.u64()?,
                 decoded_bytes: d.u64()?,
             },
-            durability: DurabilityReply {
-                enabled: d.u64()?,
-                commits: d.u64()?,
-                fsyncs: d.u64()?,
-                max_batch: d.u64()?,
-                fsync_micros: d.u64()?,
-                log_pending: d.u64()?,
-                log_bytes: d.u64()?,
+            log: match d.u8()? {
+                0 => None,
+                1 => Some(CommitLogStats {
+                    commits: d.u64()?,
+                    fsyncs: d.u64()?,
+                    max_batch: d.u64()?,
+                    fsync_micros: d.u64()?,
+                    columns_referenced: d.u64()?,
+                    columns_carried: d.u64()?,
+                    bytes_appended: d.u64()?,
+                    pending_records: d.u64()?,
+                    log_bytes: d.u64()?,
+                }),
+                b => return Err(WireError::BadTag("commit log flag", b)),
             },
-        }),
-        0x8C => Reply::Stats(StatsReply {
-            rows: d.u64()?,
-            arity: d.u64()?,
-            total_bytes: d.u64()?,
-            resident_segments: d.u64()?,
-            on_disk_segments: d.u64()?,
-            catalog_version: d.u64()?,
         }),
         b => return Err(WireError::BadTag("reply kind", b)),
     };
@@ -1197,6 +1159,53 @@ mod tests {
         );
     }
 
+    /// A metrics reply with distinct counters and the given log block.
+    fn metrics_reply(log: Option<CommitLogStats>) -> MetricsReply {
+        MetricsReply {
+            connections_open: 1,
+            connections_total: 2,
+            in_flight: 3,
+            queued: 4,
+            admitted_total: 5,
+            rejected_total: 6,
+            bytes_streamed: 7,
+            rows_streamed: 8,
+            idle_evicted: 14,
+            cache: CacheStats {
+                budget: u64::MAX,
+                resident_bytes: 9,
+                hits: 10,
+                misses: 11,
+                evictions: 12,
+                decoded_bytes: 13,
+            },
+            log,
+        }
+    }
+
+    #[test]
+    fn retired_kind_0x8c_a_bad_log_flag_and_a_cut_log_block_are_refused() {
+        let some = encode_reply(&Reply::Metrics(metrics_reply(Some(
+            CommitLogStats::default(),
+        ))));
+        // Nine counters of eight bytes follow the flag byte.
+        let flag = some.len() - 9 * 8 - 1;
+        let mut two = some.clone();
+        two[flag] = 2;
+        assert_eq!(
+            decode_reply(0x8B, &two),
+            Err(WireError::BadTag("commit log flag", 2))
+        );
+        assert_eq!(
+            decode_reply(0x8B, &some[..some.len() - 3]),
+            Err(WireError::Truncated)
+        );
+        assert_eq!(
+            decode_reply(0x8C, &[0; 48]),
+            Err(WireError::BadTag("reply kind", 0x8C))
+        );
+    }
+
     #[test]
     fn unknown_total_header_round_trips() {
         rt_reply(Reply::RowHeader {
@@ -1243,42 +1252,19 @@ mod tests {
             selected: 42,
             catalog_version: 7,
         });
-        rt_reply(Reply::Metrics(MetricsReply {
-            connections_open: 1,
-            connections_total: 2,
-            in_flight: 3,
-            queued: 4,
-            admitted_total: 5,
-            rejected_total: 6,
-            bytes_streamed: 7,
-            rows_streamed: 8,
-            idle_evicted: 14,
-            cache: CacheStats {
-                budget: u64::MAX,
-                resident_bytes: 9,
-                hits: 10,
-                misses: 11,
-                evictions: 12,
-                decoded_bytes: 13,
-            },
-            durability: DurabilityReply {
-                enabled: 1,
-                commits: 15,
-                fsyncs: 16,
-                max_batch: 17,
-                fsync_micros: 18,
-                log_pending: 19,
-                log_bytes: 20,
-            },
+        let metrics = metrics_reply(Some(CommitLogStats {
+            commits: 15,
+            fsyncs: 16,
+            max_batch: 17,
+            fsync_micros: 18,
+            columns_referenced: 19,
+            columns_carried: 20,
+            bytes_appended: 21,
+            pending_records: 22,
+            log_bytes: 23,
         }));
-        rt_reply(Reply::Stats(StatsReply {
-            rows: 1,
-            arity: 2,
-            total_bytes: 3,
-            resident_segments: 4,
-            on_disk_segments: 5,
-            catalog_version: 6,
-        }));
+        rt_reply(Reply::Metrics(metrics));
+        rt_reply(Reply::Metrics(metrics_reply(None)));
     }
 
     #[test]

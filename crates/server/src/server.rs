@@ -7,13 +7,12 @@ use crate::frame::{
 };
 use crate::metrics::ServerMetrics;
 use crate::proto::{
-    decode_command, encode_reply, error_code, Command, Reply, RowsEncoder, StatsReply, ROWS_KIND,
-    TOTAL_UNKNOWN,
+    decode_command, encode_reply, error_code, Command, Reply, RowsEncoder, ROWS_KIND, TOTAL_UNKNOWN,
 };
 use crate::session::Session;
 use cods::{Cods, EvolutionError};
 use cods_query::{QueryError, QueryOutput, RowSet};
-use cods_storage::{CommitLog, RetryPolicy, StorageError, TableStats, ValueType};
+use cods_storage::{render_stats, CommitLog, RetryPolicy, StorageError, ValueType};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -30,10 +29,6 @@ pub struct ServerConfig {
     /// Data-plane requests allowed to wait for a slot; one more is
     /// rejected with a typed `Overloaded` reply.
     pub max_queued: u64,
-    /// Per-frame payload cap enforced on reads.
-    pub max_frame_bytes: u32,
-    /// Conflict-retry policy for `Script` commands.
-    pub retry: RetryPolicy,
     /// Evict a connection whose socket stays silent this long — a hung or
     /// vanished client releases its thread (and the socket-level read
     /// deadline also unwedges reads stuck mid-frame). `None` waits
@@ -58,8 +53,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_in_flight: 4,
             max_queued: 16,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            retry: RetryPolicy::default(),
             idle_timeout: None,
             write_timeout: None,
             commit_log: None,
@@ -219,7 +212,7 @@ impl<'a> Connection<'a, &'a TcpStream> {
         let mut reader = BufReader::new(stream);
         let mut conn = Connection::open(shared, stream)?;
         loop {
-            let (kind, payload) = match read_frame(&mut reader, shared.config.max_frame_bytes) {
+            let (kind, payload) = match read_frame(&mut reader, DEFAULT_MAX_FRAME_BYTES) {
                 Ok(f) => f,
                 // Polite hang-up: the session ends.
                 Err(FrameError::Eof) => return Ok(()),
@@ -404,25 +397,16 @@ impl<'a, W: Write> Connection<'a, W> {
     fn execute(&mut self, cmd: Command) -> Result<(), FrameError> {
         match cmd {
             Command::Stats { table } => match self.session.table(&table) {
-                Ok(t) => {
-                    let s = TableStats::of(&t);
-                    let reply = Reply::Stats(StatsReply {
-                        rows: s.rows,
-                        arity: s.arity as u64,
-                        total_bytes: s.total_bytes as u64,
-                        resident_segments: s.resident_segments as u64,
-                        on_disk_segments: s.on_disk_segments as u64,
-                        catalog_version: self.session.version(),
-                    });
-                    self.reply(&reply)
-                }
+                Ok(t) => self.reply(&Reply::Ok {
+                    message: render_stats(&table, &t),
+                }),
                 Err(e) => self.storage_error(&e),
             },
             Command::Script { text } => {
                 match self
                     .shared
                     .cods
-                    .run_script_with_retry(&text, &self.shared.config.retry)
+                    .run_script_with_retry(&text, &RetryPolicy::default())
                 {
                     Ok(report) => {
                         // Read-your-writes: the session moves to (at

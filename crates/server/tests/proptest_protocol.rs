@@ -7,12 +7,11 @@
 
 use cods_query::{AggOp, CmpOp, Predicate, Query, RowColumn, RowSet};
 use cods_server::proto::{
-    decode_command, decode_reply, encode_command, encode_reply, Command, DurabilityReply,
-    MetricsReply, Reply, RowsDecoder, RowsEncoder, StatsReply, WireError, REPLY_DICT_MAX,
-    ROWS_KIND,
+    decode_command, decode_reply, encode_command, encode_reply, Command, MetricsReply, Reply,
+    RowsDecoder, RowsEncoder, WireError, REPLY_DICT_MAX, ROWS_KIND,
 };
 use cods_server::{frame, FrameError};
-use cods_storage::{CacheStats, EncodedColumn, OrderedF64, Value, ValueType};
+use cods_storage::{CacheStats, CommitLogStats, EncodedColumn, OrderedF64, Value, ValueType};
 use proptest::prelude::*;
 use proptest::{BoxedStrategy, UnitF64};
 use std::io::Cursor;
@@ -306,7 +305,7 @@ fn reply() -> BoxedStrategy<Reply> {
                 catalog_version,
             }
         }),
-        prop::collection::vec(any::<u64>(), 22).prop_map(|v| {
+        (prop::collection::vec(any::<u64>(), 24), any::<bool>()).prop_map(|(v, durable)| {
             Reply::Metrics(MetricsReply {
                 connections_open: v[0],
                 connections_total: v[1],
@@ -325,25 +324,17 @@ fn reply() -> BoxedStrategy<Reply> {
                     evictions: v[12],
                     decoded_bytes: v[13],
                 },
-                durability: DurabilityReply {
-                    enabled: v[15],
-                    commits: v[16],
-                    fsyncs: v[17],
-                    max_batch: v[18],
-                    fsync_micros: v[19],
-                    log_pending: v[20],
-                    log_bytes: v[21],
-                },
-            })
-        }),
-        prop::collection::vec(any::<u64>(), 6).prop_map(|v| {
-            Reply::Stats(StatsReply {
-                rows: v[0],
-                arity: v[1],
-                total_bytes: v[2],
-                resident_segments: v[3],
-                on_disk_segments: v[4],
-                catalog_version: v[5],
+                log: durable.then(|| CommitLogStats {
+                    commits: v[15],
+                    fsyncs: v[16],
+                    max_batch: v[17],
+                    fsync_micros: v[18],
+                    columns_referenced: v[19],
+                    columns_carried: v[20],
+                    bytes_appended: v[21],
+                    pending_records: v[22],
+                    log_bytes: v[23],
+                }),
             })
         }),
     ]

@@ -111,7 +111,7 @@ pub use segment::{
     compaction_plan, needs_compaction, CompactionGroup, SealScratch, Segment, Zone,
     DEFAULT_SEGMENT_ROWS,
 };
-pub use stats::{ColumnStats, TableStats};
+pub use stats::{render_stats, ColumnStats, TableStats};
 pub use steplog::{Step, StepLog};
 pub use store::{segment_cache, CacheStats, Present, SegMeta, SegSlot, SegmentStore};
 pub use table::Table;

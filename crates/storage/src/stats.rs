@@ -1,6 +1,6 @@
 //! Storage statistics: compression ratios and size accounting, feeding the
-//! CLI's and the server's `stats` command, the `fig3` harness and the
-//! compression examples.
+//! `stats` command of both shells ([`render_stats`]), the `fig3` harness
+//! and the compression examples.
 
 use crate::encoded::{EncodedColumn, Encoding, EncodingCounts};
 use crate::segment::Zone;
@@ -164,6 +164,116 @@ impl TableStats {
             total_bytes,
         }
     }
+}
+
+/// Renders the `stats` command's text, which both shells print: the
+/// [`TableStats`] header line, then per column its segment-encoding
+/// histogram (a mixed directory shows e.g. `4×bitmap/12×rle/0×packed`),
+/// pin state (the column pin and the segment-range pins, each shown when
+/// set), how many packed segments are ranges (`[2×range]`, when any are),
+/// segment directory shape, value range, run/distinct ratios, the
+/// per-segment chooser's would-be picks and compression numbers, and last
+/// the heap occupancy of each backing file.
+pub fn render_stats(name: &str, t: &Table) -> String {
+    use std::fmt::Write as _;
+    let stats = TableStats::of(t);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{name}: {} rows, {} columns, {} bytes compressed, {} resident / {} on-disk segments",
+        stats.rows, stats.arity, stats.total_bytes, stats.resident_segments, stats.on_disk_segments
+    );
+    for (def, c) in t.schema().columns().iter().zip(&stats.columns) {
+        let enc = match c.encoding {
+            Some(e) => e.to_string(),
+            None => c.encodings.to_string(),
+        };
+        let mut pin = match (c.encoding_pinned, c.pinned_segments) {
+            (false, 0) => String::new(),
+            (true, 0) => " (pinned)".to_string(),
+            (false, n) => format!(" ({n}×pinned)"),
+            (true, n) => format!(" (pinned, {n}×pinned)"),
+        };
+        if c.range_segments > 0 {
+            pin.push_str(&format!(" [{}×range]", c.range_segments));
+        }
+        let _ = writeln!(
+            out,
+            "  {:<12} enc={:<7}{} distinct={:<8} segments={:<5} max-seg-distinct={:<8} payload={}B ratio={}",
+            def.name,
+            enc,
+            pin,
+            c.distinct,
+            c.segments,
+            c.max_segment_distinct,
+            c.payload_bytes,
+            if c.compression_ratio.is_infinite() {
+                "inf".to_string()
+            } else {
+                format!("{:.1}x", c.compression_ratio)
+            }
+        );
+        let range = match &c.value_range {
+            Some((lo, hi)) => format!("[{lo} .. {hi}]"),
+            None => "(empty)".to_string(),
+        };
+        let _ = writeln!(
+            out,
+            "  {:<12} range={} runs={} avg-run={:.1} run/distinct={:.1} chooser={}{}",
+            "",
+            range,
+            c.runs,
+            c.avg_run_len,
+            if c.distinct == 0 {
+                0.0
+            } else {
+                c.runs as f64 / c.distinct as f64
+            },
+            c.chooser_picks,
+            if c.chooser_disagreements > 0 {
+                format!(" ({} would re-encode)", c.chooser_disagreements)
+            } else {
+                String::new()
+            }
+        );
+    }
+    // Per-file heap occupancy: every file this table's segments page
+    // from, with the dead bytes a `vacuum` of that file would reclaim.
+    let mut files: Vec<std::path::PathBuf> = Vec::new();
+    for c in t.columns() {
+        for s in c.segments() {
+            if let Some(p) = s.backing_path() {
+                if !files.contains(&p) {
+                    files.push(p);
+                }
+            }
+        }
+    }
+    for path in files {
+        match crate::vacuum::heap_stats(&path) {
+            Ok(h) => {
+                let _ = writeln!(
+                    out,
+                    "  file {}: {} bytes ({} heap = {} live + {} dead, {} meta); vacuum reclaims ~{} bytes",
+                    path.display(),
+                    h.file_bytes,
+                    h.heap_bytes,
+                    h.live_bytes,
+                    h.dead_bytes,
+                    h.meta_bytes,
+                    h.dead_bytes
+                );
+            }
+            Err(e) => {
+                let _ = writeln!(
+                    out,
+                    "  file {}: heap stats unavailable ({e})",
+                    path.display()
+                );
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]

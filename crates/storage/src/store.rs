@@ -847,6 +847,23 @@ pub struct CacheStats {
     pub decoded_bytes: u64,
 }
 
+/// The two lines every surface prints the counters as: the local `cache`
+/// command and the connect REPL's `metrics`.
+impl std::fmt::Display for CacheStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "buffer cache: budget=")?;
+        match self.budget {
+            u64::MAX => write!(f, "unlimited")?,
+            budget => write!(f, "{budget} bytes")?,
+        }
+        write!(
+            f,
+            " resident={} bytes\nfaults: {} hits, {} misses ({} bytes decoded), {} evictions",
+            self.resident_bytes, self.hits, self.misses, self.decoded_bytes, self.evictions
+        )
+    }
+}
+
 /// Clock-ring state: weak handles on cache-managed slots plus the hand.
 #[derive(Debug, Default)]
 struct Ring {

@@ -543,6 +543,42 @@ fn failed_fault_mid_stream_is_a_typed_error_on_a_connection_that_still_answers()
     std::fs::remove_file(&path).ok();
 }
 
+/// A durable server's `metrics` carry its commit log's own counters; a
+/// memory-only server's carry none.
+#[test]
+fn metrics_carry_the_commit_log_counters_of_a_durable_server() {
+    use cods_storage::persist::save_catalog;
+    let dir = std::env::temp_dir().join(format!("cods_it_serve_log_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("d.cods");
+    save_catalog(platform(64, 16).catalog(), &path).unwrap();
+    let (catalog, log, _) = cods_storage::open_durable(&path).unwrap();
+    let config = ServerConfig {
+        commit_log: Some(log.clone()),
+        ..ServerConfig::default()
+    };
+    let cods = Arc::new(Cods::with_catalog(catalog));
+    let mut handle = Server::bind("127.0.0.1:0", cods, config).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    for script in ["COPY TABLE t TO u", "RENAME TABLE u TO w", "DROP TABLE w"] {
+        let ack = client.script(script).unwrap();
+        assert!(ack.contains("committed durably"), "{ack}");
+    }
+    let s = client.metrics().unwrap().log.expect("a durable server");
+    assert_eq!(s.commits, 3, "one per acknowledged script");
+    assert_eq!(s.pending_records, log.stats().pending_records);
+    assert_eq!(s, log.stats(), "the engine's counters, as they are");
+    handle.shutdown();
+
+    let mut memory = Server::bind("127.0.0.1:0", platform(8, 4), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(memory.local_addr()).unwrap();
+    client.script("COPY TABLE t TO u").unwrap();
+    assert_eq!(client.metrics().unwrap().log, None);
+    memory.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A group-by over a segment whose payload no longer decodes (one payload
 /// corrupted in the file of a lazily opened catalog, so its first touch is
 /// the failing fault) answers with a typed error, not a dead connection
@@ -762,7 +798,8 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_4() {
     // recorded under protocol version 1: neither the windowed reply writer,
     // the columnar `Rows` body nor its reply-scoped dictionary changed
     // which rows a reply carries, in which order, in which batches. The
-    // byte totals are version 4's.
+    // byte totals are version 4's, which version 5 keeps: its `Rows` body is
+    // unchanged.
     let cods = platform(5_000, 512);
     add_dim(&cods);
     let mut handle =
@@ -771,7 +808,7 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_4() {
     let mut raw = std::net::TcpStream::connect(handle.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
-    assert_eq!(cods_server::frame::read_preamble(&mut reader).unwrap(), 4);
+    assert_eq!(cods_server::frame::read_preamble(&mut reader).unwrap(), 5);
     let (hello, _) = cods_server::frame::read_frame(&mut reader, 1 << 20).unwrap();
     assert_eq!(hello, 0x81);
 
@@ -860,9 +897,10 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_4() {
 #[test]
 fn a_version_1_preamble_is_refused() {
     use cods_server::frame::{read_preamble, FrameError, SERVE_MAGIC};
-    // Version 2 differs from 3 only in the frame checksum, and 3 from 4
-    // only in how a `Rows` body's dictionary is scoped: refused alike.
-    for version in [1u16, 2, 3] {
+    // Version 2 differs from 3 only in the frame checksum, 3 from 4 only in
+    // how a `Rows` body's dictionary is scoped, and 4 from 5 only in the
+    // `Stats` and `Metrics` replies: refused alike.
+    for version in [1u16, 2, 3, 4] {
         let mut preamble = SERVE_MAGIC.to_le_bytes().to_vec();
         preamble.extend_from_slice(&version.to_le_bytes());
         // A `Rows` frame of that version follows; it is never looked at.
