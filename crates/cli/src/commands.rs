@@ -46,8 +46,8 @@ statements (both shells):
              'quoted' literals are strings, unquoted ones int, float, bool, else string
 local shell only:
   explain <count|scan|agg|join statement>          output columns, row estimates from resident
-                                                   segment metadata, and the cost model's chosen
-                                                   strategy with its ranked rejected alternatives
+                                                   segment metadata, a group-by's key table, and
+                                                   a join's build side with the one rejected
   load <table> <file.csv> <name:type,...>          create and bulk-load from CSV
   demo                                             load the paper's Figure 1 table R
   tables                                           list tables
@@ -614,7 +614,9 @@ mod tests {
         run(&mut cods, "COPY TABLE R TO R2");
         let text = run(&mut cods, "explain agg R by employee count:skill");
         assert!(text.contains("-> [employee, count(skill)]"), "{text}");
-        assert!(text.contains("group-by strategy"), "{text}");
+        assert!(text.contains("\n    keys: id-indexed, 4 slots\n"), "{text}");
+        let text = run(&mut cods, "explain agg R by employee,skill count:address");
+        assert!(text.contains("\n    keys: hashed 2-id tuples\n"), "{text}");
         let ran = run(&mut cods, "agg R by employee count:skill");
         assert!(ran.contains("employee=Jones, count(skill)=3"), "{ran}");
         let text = run(

@@ -30,8 +30,8 @@
 //! `S` and `T` maps its join ids without hashing a value.
 
 use crate::error::{EvolutionError, Result};
-use crate::keys::KeyIndex;
 use crate::schema_tools::check_decomposition_shape;
+use cods_query::keys::KeyIndex;
 use cods_query::par::{map_parallel, map_parallel_pooled};
 use cods_storage::{EncodedColumn, SealScratch, SegSlot, StepLog, StorageError, Table};
 use std::sync::Arc;

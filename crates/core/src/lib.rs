@@ -41,7 +41,6 @@
 pub mod decompose;
 pub mod error;
 pub mod exec;
-mod keys;
 pub mod merge;
 pub mod parser;
 pub mod plan;

@@ -27,11 +27,10 @@
 
 use crate::decompose::write_columns;
 use crate::error::{EvolutionError, Result};
-use crate::keys::{KeyIndex, NONE};
 use cods_bitmap::RleSeq;
+use cods_query::keys::{KeyIndex, NONE};
 use cods_query::par::map_parallel;
 use cods_storage::{ColumnDef, EncodedColumn, Schema, StepLog, Table};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// In the one-column scan's array: the reusable id's value is missing from
@@ -380,20 +379,23 @@ fn general_with(
         .map(|&c| left.column(c).try_value_ids())
         .collect::<std::result::Result<_, _>>()?;
     let l_rows = left.rows() as usize;
-    let mut combo_index: HashMap<Vec<u32>, u32> = HashMap::new();
-    let mut combos: Vec<Vec<u32>> = Vec::new();
+    let width = l_join.len();
+    let mut combos = KeyIndex::new(left, &l_join, 0);
     let mut n1: Vec<u64> = Vec::new();
     let mut l_group: Vec<u32> = Vec::with_capacity(l_rows);
+    let mut key: Vec<u32> = vec![0; width];
     for row in 0..l_rows {
-        let key: Vec<u32> = l_ids.iter().map(|c| c[row]).collect();
-        let g = *combo_index.entry(key.clone()).or_insert_with(|| {
-            combos.push(key);
+        for (slot, c) in key.iter_mut().zip(&l_ids) {
+            *slot = c[row];
+        }
+        let (g, fresh) = combos.intern(&key);
+        if fresh {
             n1.push(0);
-            (combos.len() - 1) as u32
-        });
+        }
         n1[g as usize] += 1;
         l_group.push(g);
     }
+    let groups = n1.len();
 
     // Right side: map ids into left-id space, then into the same groups.
     let maps: Vec<Vec<Option<u32>>> = r_join
@@ -407,11 +409,10 @@ fn general_with(
         .collect::<std::result::Result<_, _>>()?;
     let r_rows = right.rows() as usize;
     const NO_GROUP: u32 = u32::MAX;
-    let mut n2: Vec<u64> = vec![0; combos.len()];
+    let mut n2: Vec<u64> = vec![0; groups];
     let mut r_group: Vec<u32> = Vec::with_capacity(r_rows);
-    let mut key_buf: Vec<u32> = vec![0; r_join.len()];
     'rows: for row in 0..r_rows {
-        for (slot, (ids, map)) in key_buf.iter_mut().zip(r_ids.iter().zip(&maps)) {
+        for (slot, (ids, map)) in key.iter_mut().zip(r_ids.iter().zip(&maps)) {
             match map[ids[row] as usize] {
                 Some(mapped) => *slot = mapped,
                 None => {
@@ -420,36 +421,34 @@ fn general_with(
                 }
             }
         }
-        match combo_index.get(&key_buf) {
-            Some(&g) => {
+        match combos.get(&key) {
+            Some(g) => {
                 n2[g as usize] += 1;
                 r_group.push(g);
             }
             None => r_group.push(NO_GROUP),
         }
     }
-    log.mark_items("pass 1: count join occurrences", combos.len() as u64);
+    log.mark_items("pass 1: count join occurrences", groups as u64);
 
     // Offsets: group g occupies rows [off[g], off[g] + n1[g] * n2[g]).
-    let mut offsets: Vec<u64> = Vec::with_capacity(combos.len());
+    let mut offsets: Vec<u64> = Vec::with_capacity(groups);
     let mut total: u64 = 0;
-    for g in 0..combos.len() {
+    for g in 0..groups {
         offsets.push(total);
         total += n1[g] * n2[g];
     }
-    let active: Vec<usize> = (0..combos.len())
-        .filter(|&g| n1[g] > 0 && n2[g] > 0)
-        .collect();
+    let active: Vec<usize> = (0..groups).filter(|&g| n1[g] > 0 && n2[g] > 0).collect();
     log.mark_items("cluster output by join value", active.len() as u64);
 
     // Bucket the matching rows of both sides per group.
-    let mut s_rows: Vec<Vec<u64>> = vec![Vec::new(); combos.len()];
+    let mut s_rows: Vec<Vec<u64>> = vec![Vec::new(); groups];
     for (row, &g) in l_group.iter().enumerate() {
         if n2[g as usize] > 0 {
             s_rows[g as usize].push(row as u64);
         }
     }
-    let mut t_rows: Vec<Vec<u64>> = vec![Vec::new(); combos.len()];
+    let mut t_rows: Vec<Vec<u64>> = vec![Vec::new(); groups];
     for (row, &g) in r_group.iter().enumerate() {
         if g != NO_GROUP && n1[g as usize] > 0 {
             t_rows[g as usize].push(row as u64);
@@ -503,7 +502,7 @@ fn general_with(
             OutCol::LeftPayload { lc } => ColPrep::Left(left.column(lc).try_value_ids()?),
             OutCol::RightPayload { rc } => {
                 let ids = right.column(rc).try_value_ids()?;
-                let mut by_group: Vec<Vec<u32>> = vec![Vec::new(); combos.len()];
+                let mut by_group: Vec<Vec<u32>> = vec![Vec::new(); groups];
                 for &g in &active {
                     by_group[g] = t_rows[g].iter().map(|&r| ids[r as usize]).collect();
                 }
@@ -539,7 +538,7 @@ fn general_with(
                     }
                     let a = offsets[g].max(lo);
                     let b = group_end(g).min(hi);
-                    seq.append_run(combos[g][*pos_in_join], b - a);
+                    seq.append_run(combos.keys()[g * width + *pos_in_join], b - a);
                 }
             }
             (OutCol::LeftPayload { .. }, ColPrep::Left(ids)) => {
@@ -714,6 +713,7 @@ pub fn merge(
 mod tests {
     use super::*;
     use cods_storage::{Value, ValueType};
+    use std::collections::HashMap;
 
     fn s_table() -> Table {
         let schema = Schema::build(

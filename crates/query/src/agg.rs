@@ -12,12 +12,11 @@
 //! * [`aggregate_table`] / [`aggregate_table_masked`] — the vectorized
 //!   columnar kernel, directly over a column-store table (with an
 //!   optional predicate mask pushed into the walk). No row is ever
-//!   materialized. With one grouping column, a row's group slot is found
-//!   by indexing an array by its dictionary id — no key is built and
-//!   nothing is hashed. With several, group keys are composed from
-//!   per-column dictionary ids ([`GroupKeySpace`] packs them into one
-//!   `u64` when the id widths fit, else falls back to a compact composite
-//!   tuple) and mapped to slots through a `splitmix64`-hashed map.
+//!   materialized. Groups are numbered by the one key table,
+//!   [`KeyIndex`]: with one grouping column a row's group is found by
+//!   indexing an array by its dictionary id — no key is built and nothing
+//!   is hashed; with several (or none), a key is its per-column ids, kept
+//!   flat and found by hash, never allocated on its own.
 //!   The selection (the mask's one-intervals) is split once along the
 //!   first grouping column's segments, one batch each
 //!   ([`EncodedColumn::split_by_segment`]). A batch reads every column it
@@ -38,11 +37,11 @@
 //! SUM folds NULL into the per-id add table as 0, so it is branch-free in
 //! both cases.
 
+use crate::keys::KeyIndex;
 use crate::par;
 use cods_bitmap::Wah;
 use cods_storage::{EncodedColumn, Encoding, OrderedF64, StorageError, Table, Value, ValueType};
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// An aggregate function.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -203,190 +202,6 @@ pub fn validity(col: &EncodedColumn) -> Option<Wah> {
     Some(col.value_bitmap(null_id).not())
 }
 
-/// How the columnar kernel composes a group key from per-column
-/// dictionary ids.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GroupKeySpace {
-    /// The grouping columns' id widths sum to ≤ 64 bits: keys pack into a
-    /// single `u64` (column *c*'s id lands at `shifts[c]`, `widths[c]`
-    /// bits wide).
-    Packed {
-        /// Bit offset of each grouping column within the packed key.
-        shifts: Vec<u32>,
-        /// Bit width of each grouping column's id space.
-        widths: Vec<u32>,
-    },
-    /// Too wide to pack: keys are compact boxed id tuples.
-    Composite,
-}
-
-impl GroupKeySpace {
-    /// Picks the key representation for grouping columns whose
-    /// dictionaries have the given sizes: packed whenever the summed id
-    /// widths fit 64 bits (the cost model prefers it — one integer hash
-    /// and no allocation per group), composite otherwise.
-    pub fn choose(dict_sizes: &[usize]) -> GroupKeySpace {
-        if Self::total_bits(dict_sizes) > 64 {
-            return GroupKeySpace::Composite;
-        }
-        let widths: Vec<u32> = dict_sizes.iter().map(|&n| bits_for(n)).collect();
-        let mut shifts = Vec::with_capacity(widths.len());
-        let mut at = 0u32;
-        for &w in &widths {
-            shifts.push(at);
-            at += w;
-        }
-        GroupKeySpace::Packed { shifts, widths }
-    }
-
-    /// Summed id width in bits for the given dictionary sizes — the
-    /// packed representation is feasible iff this is ≤ 64.
-    pub fn total_bits(dict_sizes: &[usize]) -> u32 {
-        dict_sizes.iter().map(|&n| bits_for(n)).sum()
-    }
-}
-
-/// Bits needed to hold any id of a dictionary with `len` entries
-/// (0 for a 0/1-entry dictionary: the id carries no information).
-fn bits_for(len: usize) -> u32 {
-    64 - (len.saturating_sub(1) as u64).leading_zeros()
-}
-
-/// The SplitMix64 finalizer: the one mixer behind every id-keyed map and
-/// every join partition split.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Hashes keys made of dictionary ids with `splitmix64` instead of
-/// SipHash. The ids are dense integers this engine assigned, not bytes a
-/// client chose, so the default hasher's collision resistance buys nothing
-/// here, and a group-by or join probe pays for it once per run or row —
-/// as do the SMO executors' multi-column key tables in `cods`.
-/// Seeded apart from the join's partition split, which applies the same
-/// mixer to the same keys: within one pass every key agrees on
-/// `splitmix64(key) % partitions`.
-pub struct IdHasher(u64);
-
-impl Default for IdHasher {
-    fn default() -> Self {
-        IdHasher(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = splitmix64(self.0 ^ v);
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v.into());
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(b.into()));
-    }
-}
-
-/// The `BuildHasher` of every map keyed by dictionary ids.
-pub(crate) type IdHash = BuildHasherDefault<IdHasher>;
-
-/// Marks a dictionary id no row of the current batch has carried yet.
-const UNSEEN: u32 = u32::MAX;
-
-/// Maps a batch's group keys to dense slots, in first-appearance order.
-trait GroupSlots<K> {
-    /// The slot of `key`; a key not seen yet gets `fresh`.
-    fn slot(&mut self, key: &K, fresh: u32) -> u32;
-    /// Forgets `keys`, every key seen since the last reset, so the index
-    /// can serve the next batch.
-    fn reset(&mut self, keys: &[K]);
-
-    /// A batch's key runs as slot runs, with the batch's keys in slot
-    /// order; the index is left reset.
-    fn group(&mut self, key_runs: Vec<(K, u64)>) -> (Vec<K>, Vec<(u32, u64)>) {
-        let mut keys: Vec<K> = Vec::new();
-        let mut grouped = Vec::with_capacity(key_runs.len());
-        for (key, len) in key_runs {
-            let fresh = keys.len() as u32;
-            let g = self.slot(&key, fresh);
-            if g == fresh {
-                keys.push(key);
-            }
-            grouped.push((g, len));
-        }
-        self.reset(&keys);
-        (keys, grouped)
-    }
-}
-
-/// One grouping column: the slot of dictionary id `id` is `slot_of[id]`,
-/// [`UNSEEN`] between batches. One is filled per worker and query, and
-/// reset by walking the ids a batch touched.
-struct IdSlots {
-    slot_of: Vec<u32>,
-}
-
-impl GroupSlots<u32> for IdSlots {
-    fn slot(&mut self, &id: &u32, fresh: u32) -> u32 {
-        let slot = &mut self.slot_of[id as usize];
-        if *slot == UNSEEN {
-            *slot = fresh;
-        }
-        *slot
-    }
-    fn reset(&mut self, keys: &[u32]) {
-        for &id in keys {
-            self.slot_of[id as usize] = UNSEEN;
-        }
-    }
-
-    /// A run's key is an id: its slot overwrites it in place.
-    fn group(&mut self, mut runs: Vec<(u32, u64)>) -> (Vec<u32>, Vec<(u32, u64)>) {
-        let keys = self.assign(runs.iter_mut().map(|(id, _)| id));
-        (keys, runs)
-    }
-}
-
-impl IdSlots {
-    /// Overwrites every id with its slot and returns the ids in slot
-    /// order; the index is left reset.
-    fn assign<'a>(&mut self, ids: impl Iterator<Item = &'a mut u32>) -> Vec<u32> {
-        let mut keys = Vec::new();
-        for id in ids {
-            let fresh = keys.len() as u32;
-            let g = self.slot(id, fresh);
-            if g == fresh {
-                keys.push(*id);
-            }
-            *id = g;
-        }
-        self.reset(&keys);
-        keys
-    }
-}
-
-/// Several grouping columns: a map from composed key to slot.
-impl<K: Eq + Hash + Clone> GroupSlots<K> for HashMap<K, u32, IdHash> {
-    fn slot(&mut self, key: &K, fresh: u32) -> u32 {
-        if let Some(&slot) = self.get(key) {
-            return slot;
-        }
-        self.insert(key.clone(), fresh);
-        fresh
-    }
-    fn reset(&mut self, _: &[K]) {
-        self.clear();
-    }
-}
-
 /// Per-aggregate read-only context, built once before the segment
 /// fan-out and shared by every batch. Holds the per-id add tables (SUM),
 /// the value-rank view (MIN/MAX — building it here also pre-warms the
@@ -520,22 +335,24 @@ struct BatchWork {
     rle: bool,
 }
 
-/// Per-batch partial result: locally-grouped keys in first-appearance
-/// order with one accumulator row per group (`accs[group][agg]`).
-struct Partial<K> {
-    keys: Vec<K>,
+/// Per-batch partial result: the batch's group keys flat, one id per
+/// grouping column each, in first-appearance order, with one accumulator
+/// row per group (`accs[group][agg]`).
+struct Partial {
+    keys: Vec<u32>,
     accs: Vec<Vec<PAcc>>,
 }
 
 /// Zips per-column run streams (all covering `total` virtual rows) into
-/// composed-key runs: each output run is the longest stretch on which
-/// every column's id is constant. Output runs are maximal because each
-/// input stream's runs are.
-fn zip_key_runs<K>(
+/// composed-key runs, each key numbered by `number`: each output run is
+/// the longest stretch on which every column's id is constant. Output runs
+/// are maximal because each input stream's runs are. With no column it is
+/// one run of the empty key.
+fn zip_key_runs(
     col_runs: &[Vec<(u32, u64)>],
     total: u64,
-    make_key: impl Fn(&[u32]) -> K,
-) -> Vec<(K, u64)> {
+    mut number: impl FnMut(&[u32]) -> u32,
+) -> Vec<(u32, u64)> {
     let k = col_runs.len();
     let mut out = Vec::new();
     let mut idx = vec![0usize; k];
@@ -549,7 +366,7 @@ fn zip_key_runs<K>(
             ids[c] = id;
             step = step.min(len - used[c]);
         }
-        out.push((make_key(&ids), step));
+        out.push((number(&ids), step));
         left -= step;
         for c in 0..k {
             used[c] += step;
@@ -562,14 +379,14 @@ fn zip_key_runs<K>(
     out
 }
 
-/// One batch's composed-key runs over the grouping columns `group_by`
-/// (one run of the empty key when there are none).
-fn key_runs<K>(
+/// One batch's composed-key runs over the grouping columns `group_by`,
+/// each key numbered by `number`.
+fn key_runs(
     t: &Table,
     group_by: &[usize],
     work: &BatchWork,
-    make_key: impl Fn(&[u32]) -> K,
-) -> Result<Vec<(K, u64)>, StorageError> {
+    number: impl FnMut(&[u32]) -> u32,
+) -> Result<Vec<(u32, u64)>, StorageError> {
     let total: u64 = work.sel.iter().map(|&(a, b)| b - a).sum();
     // Every column reads the same selection, so every run stream covers
     // the same `total` rows and they stay aligned.
@@ -577,7 +394,7 @@ fn key_runs<K>(
         .iter()
         .map(|&g| t.column(g).try_runs_in(&work.sel))
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(zip_key_runs(&col_runs, total, make_key))
+    Ok(zip_key_runs(&col_runs, total, number))
 }
 
 /// Walks two aligned run streams and emits the piecewise-constant
@@ -721,16 +538,16 @@ fn min_max(
 }
 
 /// Accumulates every aggregate of one batch whose selected rows fall into
-/// the slots of `keys` as `grouped` says.
-fn run_batch<K>(
+/// `groups` groups as `grouped` says.
+fn run_batch(
     t: &Table,
     ctxs: &[AggCtx<'_>],
     aggs: &[(AggOp, usize, ValueType)],
     work: &BatchWork,
-    keys: Vec<K>,
+    groups: usize,
     grouped: Grouped,
-) -> Result<Partial<K>, StorageError> {
-    let mut accs: Vec<Vec<PAcc>> = (0..keys.len())
+) -> Result<Vec<Vec<PAcc>>, StorageError> {
+    let mut accs: Vec<Vec<PAcc>> = (0..groups)
         .map(|_| ctxs.iter().map(AggCtx::fresh).collect())
         .collect();
     for (agg, (ctx, &(_, col, _))) in ctxs.iter().zip(aggs).enumerate() {
@@ -752,54 +569,39 @@ fn run_batch<K>(
             }
         }
     }
-    Ok(Partial { keys, accs })
+    Ok(accs)
 }
 
-/// Merges per-batch partials in batch order through a reset `slots`,
-/// preserving global first-appearance group order.
-fn merge_partials<K>(
-    parts: Vec<Partial<K>>,
+/// Groups one batch through `index`, which it leaves cleared, and
+/// accumulates its aggregates. A one-column batch over a bitmap segment,
+/// whose decode yields one id per row anyway, numbers its rows in place;
+/// every other batch numbers its composed-key runs.
+fn group_batch(
+    t: &Table,
+    group_by: &[usize],
     ctxs: &[AggCtx<'_>],
-    slots: &mut impl GroupSlots<K>,
-) -> (Vec<K>, Vec<Vec<PAcc>>) {
-    let mut keys: Vec<K> = Vec::new();
-    let mut accs: Vec<Vec<PAcc>> = Vec::new();
-    for part in parts {
-        for (key, row) in part.keys.into_iter().zip(part.accs) {
-            let fresh = keys.len() as u32;
-            let g = slots.slot(&key, fresh);
-            if g == fresh {
-                keys.push(key);
-                accs.push(row);
-            } else {
-                for (into, (from, ctx)) in
-                    accs[g as usize].iter_mut().zip(row.into_iter().zip(ctxs))
-                {
-                    into.merge(from, ctx);
-                }
-            }
+    aggs: &[(AggOp, usize, ValueType)],
+    work: &BatchWork,
+    index: &mut KeyIndex,
+) -> Result<Partial, StorageError> {
+    let mut groups = 0;
+    let mut number = |key: &[u32]| {
+        let (g, fresh) = index.intern(key);
+        groups += usize::from(fresh);
+        g
+    };
+    let grouped = match group_by {
+        &[g] if !work.rle => {
+            let mut rows = t.column(g).try_ids_in(&work.sel)?;
+            rows.iter_mut().for_each(|id| *id = number(&[*id]));
+            Grouped::Rows(rows)
         }
-    }
-    (keys, accs)
-}
-
-/// Fan out, run, merge — generic over the key representation and its slot
-/// index. `run` runs one batch with a slot index it leaves reset;
-/// `new_slots` makes an empty one. Indexes are pooled, so each worker
-/// fills one per query.
-fn drive<K: Send, S: GroupSlots<K> + Send>(
-    ctxs: &[AggCtx<'_>],
-    batches: Vec<BatchWork>,
-    run: impl Fn(&BatchWork, &mut S) -> Result<Partial<K>, StorageError> + Sync,
-    new_slots: impl Fn() -> S + Sync,
-) -> Result<(Vec<K>, Vec<Vec<PAcc>>), StorageError> {
-    let mut pool = Vec::new();
-    let parts = par::map_parallel_pooled(batches, &mut pool, &new_slots, |work, slots| {
-        run(&work, slots)
-    });
-    let parts = parts.into_iter().collect::<Result<_, _>>()?;
-    let mut slots = pool.pop().unwrap_or_else(new_slots);
-    Ok(merge_partials(parts, ctxs, &mut slots))
+        _ => Grouped::Runs(key_runs(t, group_by, work, &mut number)?),
+    };
+    let keys = index.keys().to_vec();
+    index.clear();
+    let accs = run_batch(t, ctxs, aggs, work, groups, grouped)?;
+    Ok(Partial { keys, accs })
 }
 
 /// Groups a column-store table by the columns at `group_by` and evaluates
@@ -844,89 +646,50 @@ pub fn aggregate_table_masked(
         .iter()
         .map(|&(op, col, ty)| AggCtx::new(op, t.column(col), ty))
         .collect();
-    let dict_sizes: Vec<usize> = group_by.iter().map(|&g| t.column(g).dict().len()).collect();
-    let emit = |ids_of_key: &dyn Fn(usize, usize) -> u32, accs: Vec<Vec<PAcc>>| {
-        let mut out = Vec::with_capacity(accs.len());
-        for (g, row_accs) in accs.into_iter().enumerate() {
-            let mut row: Vec<Value> = group_by
-                .iter()
-                .enumerate()
-                .map(|(c, &col)| t.column(col).dict().value(ids_of_key(g, c)).into_owned())
-                .collect();
-            row.extend(
-                row_accs
-                    .into_iter()
-                    .zip(aggs)
-                    .map(|(acc, &(_, col, _))| acc.finish(t.column(col))),
-            );
-            out.push(row);
-        }
-        out
-    };
     let ctxs = &ctxs;
-    match (group_by, GroupKeySpace::choose(&dict_sizes)) {
-        // One grouping column: a row's or a run's key is its dictionary
-        // id, and the id indexes the slot array. A bitmap segment decodes
-        // to one id per row, so its batch walks rows; an RLE segment's
-        // runs are its payload, so its batch walks runs.
-        (&[g], _) => {
-            let (keys, accs) = drive(
-                ctxs,
-                batches,
-                |work, slots: &mut IdSlots| {
-                    let (keys, grouped) = if work.rle {
-                        let (keys, runs) = slots.group(t.column(g).try_runs_in(&work.sel)?);
-                        (keys, Grouped::Runs(runs))
-                    } else {
-                        let mut rows = t.column(g).try_ids_in(&work.sel)?;
-                        (slots.assign(rows.iter_mut()), Grouped::Rows(rows))
-                    };
-                    run_batch(t, ctxs, aggs, work, keys, grouped)
-                },
-                || IdSlots {
-                    slot_of: vec![UNSEEN; dict_sizes[0]],
-                },
-            )?;
-            Ok(emit(&|g, _| keys[g], accs))
-        }
-        // Several grouping columns: composed-key runs, mapped to slots by
-        // hash.
-        (_, GroupKeySpace::Packed { shifts, widths }) => {
-            let pack = |ids: &[u32]| -> u64 {
-                ids.iter()
-                    .zip(&shifts)
-                    .fold(0u64, |k, (&id, &s)| k | (id as u64) << s)
-            };
-            let (keys, accs) = drive(
-                ctxs,
-                batches,
-                |work, slots: &mut HashMap<u64, u32, IdHash>| {
-                    let (keys, runs) = slots.group(key_runs(t, group_by, work, pack)?);
-                    run_batch(t, ctxs, aggs, work, keys, Grouped::Runs(runs))
-                },
-                HashMap::default,
-            )?;
-            let unpack = |g: usize, c: usize| -> u32 {
-                let w = widths[c];
-                let mask = if w == 0 { 0 } else { (1u64 << w) - 1 };
-                ((keys[g] >> shifts[c]) & mask) as u32
-            };
-            Ok(emit(&unpack, accs))
-        }
-        (_, GroupKeySpace::Composite) => {
-            let make = |ids: &[u32]| -> Box<[u32]> { ids.into() };
-            let (keys, accs) = drive(
-                ctxs,
-                batches,
-                |work, slots: &mut HashMap<Box<[u32]>, u32, IdHash>| {
-                    let (keys, runs) = slots.group(key_runs(t, group_by, work, make)?);
-                    run_batch(t, ctxs, aggs, work, keys, Grouped::Runs(runs))
-                },
-                HashMap::default,
-            )?;
-            Ok(emit(&|g, c| keys[g][c], accs))
+    // Key indexes are pooled, so each worker fills one per query.
+    let new_index = || KeyIndex::new(t, group_by, 0);
+    let mut pool = Vec::new();
+    let parts = par::map_parallel_pooled(batches, &mut pool, new_index, |work, index| {
+        group_batch(t, group_by, ctxs, aggs, &work, index)
+    });
+    // Partials merge in batch order through one more index, which keeps
+    // the global first-appearance group order.
+    let width = group_by.len();
+    let mut index = pool.pop().unwrap_or_else(new_index);
+    let mut accs: Vec<Vec<PAcc>> = Vec::new();
+    for part in parts {
+        let part = part?;
+        for (g, row) in part.accs.into_iter().enumerate() {
+            let (n, fresh) = index.intern(&part.keys[g * width..][..width]);
+            if fresh {
+                accs.push(row);
+            } else {
+                for (into, (from, ctx)) in
+                    accs[n as usize].iter_mut().zip(row.into_iter().zip(ctxs))
+                {
+                    into.merge(from, ctx);
+                }
+            }
         }
     }
+    let keys = index.keys();
+    let mut out = Vec::with_capacity(accs.len());
+    for (g, row_accs) in accs.into_iter().enumerate() {
+        let mut row: Vec<Value> = group_by
+            .iter()
+            .zip(&keys[g * width..][..width])
+            .map(|(&col, &id)| t.column(col).dict().value(id).into_owned())
+            .collect();
+        row.extend(
+            row_accs
+                .into_iter()
+                .zip(aggs)
+                .map(|(acc, &(_, col, _))| acc.finish(t.column(col))),
+        );
+        out.push(row);
+    }
+    Ok(out)
 }
 
 /// [`aggregate_table_masked`] over every row (no predicate mask).
@@ -1031,21 +794,6 @@ mod tests {
         assert_eq!(AggOp::Max.output_type(ValueType::Str), ValueType::Str);
     }
 
-    #[test]
-    fn key_space_packs_when_widths_fit() {
-        match GroupKeySpace::choose(&[7, 300, 2]) {
-            GroupKeySpace::Packed { shifts, widths } => {
-                assert_eq!(widths, vec![3, 9, 1]);
-                assert_eq!(shifts, vec![0, 3, 12]);
-            }
-            other => panic!("expected packed, got {other:?}"),
-        }
-        // 0/1-entry dictionaries contribute zero bits.
-        assert_eq!(GroupKeySpace::total_bits(&[1, 1, 1]), 0);
-        // Nine 256-entry (8-bit) columns = 72 bits: too wide.
-        assert_eq!(GroupKeySpace::choose(&[256; 9]), GroupKeySpace::Composite);
-    }
-
     use cods_storage::Schema;
 
     const ALL_OPS: [AggOp; 5] = [
@@ -1146,14 +894,11 @@ mod tests {
 
     #[test]
     fn composite_key_path_matches_row_kernel() {
-        // Grouping by the same 7-value column 30 times sums to >64 key
-        // bits, forcing the composite representation through the same
-        // kernel; the row oracle handles repeated group columns too.
+        // Grouping by the same 7-value column 30 times: a wide key through
+        // the same kernel; the row oracle handles repeated group columns
+        // too.
         let t = table_with_nulls(true);
-        let group_by: Vec<usize> = vec![0; 30];
-        let sizes: Vec<usize> = group_by.iter().map(|&g| t.column(g).dict().len()).collect();
-        assert_eq!(GroupKeySpace::choose(&sizes), GroupKeySpace::Composite);
-        assert_paths_agree(&t, &group_by);
+        assert_paths_agree(&t, &[0; 30]);
     }
 
     #[test]

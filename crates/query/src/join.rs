@@ -7,17 +7,16 @@
 //! rejected by a single array lookup. A pass's build rows are bucketed as
 //! a CSR by key slot (`Buckets`). With one key column a key's slot *is*
 //! its build dictionary id, so a probe is `remap[id]`, then `start` — no
-//! hash. With several, the pass's distinct keys (packed into one `u64`
-//! when the combined dictionary widths fit, [`GroupKeySpace`], else
-//! composite id tuples) map to dense slots through one map hashed with
-//! `splitmix64`.
+//! hash. With several, the pass's distinct keys are numbered by the one
+//! key table, [`KeyIndex`], which keeps them flat: the key's number is its
+//! slot.
 //!
 //! Memory is bounded on both sides:
 //!
 //! * the **probe** side streams through [`ScanStream`], so at most ~one
 //!   segment per column is resident at a time;
 //! * the **build** side is guarded by the buffer cache's byte budget — if
-//!   the estimated build state does not fit ([`cost::join_passes`]), the
+//!   the estimated build state does not fit ([`join_passes`]), the
 //!   join runs multiple partition passes, each building only the rows
 //!   whose key hashes into the current partition and re-streaming the
 //!   probe side.
@@ -31,15 +30,13 @@
 //!
 //! [`Dictionary::remap_to`]: cods_storage::Dictionary::remap_to
 
-use crate::agg::{splitmix64, GroupKeySpace, IdHash};
-use crate::cost::{self, RankedChoice};
+use crate::cost::{join_build_bytes, join_passes, CostEstimate, RankedChoice};
+use crate::keys::{key_partition, KeyIndex};
 use crate::pred::Predicate;
 use crate::query::STREAM_BATCH_ROWS;
 use crate::rowset::{RowColumn, RowSet};
 use crate::stream::{ids_in, ScanStream};
 use cods_storage::{segment_cache, EncodedColumn, StorageError, Table, Value};
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Which input the hash table is built over.
@@ -66,8 +63,13 @@ pub struct JoinPlan {
     pub ranking: RankedChoice,
 }
 
-/// Costs both build sides of `left ⋈ right` against `budget_bytes` and
-/// returns the chosen strategy with its ranked alternatives.
+/// Costs both build sides of `left ⋈ right` against `budget_bytes` (the
+/// buffer cache's byte budget) and picks the cheaper: each side's cost is
+/// `passes × (build bytes + probe bytes)`, since an over-budget build
+/// re-streams *both* inputs once per partition pass. Building right keeps
+/// only the right non-key columns as payload; building left must carry
+/// every left column (the output layout is left ++ right-non-key). Ties go
+/// right, so a symmetric join reproduces the row oracle's order.
 pub fn plan_join(
     left: &Table,
     right: &Table,
@@ -75,81 +77,35 @@ pub fn plan_join(
     right_keys: &[usize],
     budget_bytes: u64,
 ) -> JoinPlan {
-    let c = cost::join_costing(left, right, left_keys, right_keys, budget_bytes);
-    JoinPlan {
-        build: if c.build_right {
-            BuildSide::Right
-        } else {
-            BuildSide::Left
-        },
-        partitions: c.partitions.max(1),
-        budget_bytes,
-        est_build_bytes: c.est_build_bytes,
-        ranking: c.ranking,
-    }
-}
-
-/// Join key in the **build** dictionary id space.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum JoinKey {
-    Packed(u64),
-    Composite(Box<[u32]>),
-}
-
-/// One join uses one representation, so the variant is not hashed: a
-/// packed key is a single `write_u64`.
-impl Hash for JoinKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        match self {
-            JoinKey::Packed(v) => state.write_u64(*v),
-            JoinKey::Composite(ids) => ids.iter().for_each(|&id| state.write_u32(id)),
-        }
-    }
-}
-
-/// How key ids combine into a [`JoinKey`].
-enum KeyRep {
-    Packed { shifts: Vec<u32> },
-    Composite,
-}
-
-impl KeyRep {
-    fn choose(build: &Table, build_keys: &[usize]) -> KeyRep {
-        let sizes: Vec<usize> = build_keys
-            .iter()
-            .map(|&c| build.column(c).dict().len())
-            .collect();
-        match GroupKeySpace::choose(&sizes) {
-            GroupKeySpace::Packed { shifts, .. } => KeyRep::Packed { shifts },
-            GroupKeySpace::Composite => KeyRep::Composite,
-        }
-    }
-
-    fn key_of(&self, ids: &[u32]) -> JoinKey {
-        match self {
-            KeyRep::Packed { shifts } => JoinKey::Packed(
-                ids.iter()
-                    .zip(shifts)
-                    .fold(0u64, |k, (&id, &s)| k | (id as u64) << s),
-            ),
-            KeyRep::Composite => JoinKey::Composite(ids.into()),
-        }
-    }
-}
-
-/// The pass a key's rows are built and probed in. A one-column key packs
-/// to its id, so its pass is `splitmix64(id) % partitions`.
-fn key_partition(key: &JoinKey, partitions: u32) -> u32 {
-    let h = match key {
-        JoinKey::Packed(v) => splitmix64(*v),
-        JoinKey::Composite(ids) => {
-            let fnv = ids.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &id| {
-                (h ^ id as u64).wrapping_mul(0x0000_0100_0000_01B3)
-            });
-            splitmix64(fnv)
-        }
+    let probe_bytes = |t: &Table| t.rows() * 4 * t.arity().max(1) as u64;
+    let right_payload = non_key_cols(right.arity(), right_keys).len();
+    let rb = join_build_bytes(right, right_keys, right_payload);
+    let lb = join_build_bytes(left, left_keys, left.arity());
+    let (rp, lp) = (join_passes(rb, budget_bytes), join_passes(lb, budget_bytes));
+    let opt = |side: &str, bytes: u64, passes: u32, probe: &Table, build_rows: u64| CostEstimate {
+        label: format!("build={side}"),
+        cost: passes as f64 * (bytes + probe_bytes(probe)) as f64,
+        detail: format!("~{bytes} build bytes over {build_rows} rows, {passes} pass(es)"),
     };
-    (h % partitions as u64) as u32
+    let ranking = RankedChoice::ranked(
+        "join build side",
+        vec![
+            opt("right", rb, rp, left, right.rows()),
+            opt("left", lb, lp, right, left.rows()),
+        ],
+    );
+    let (build, partitions, est_build_bytes) = if ranking.chosen().label == "build=right" {
+        (BuildSide::Right, rp, rb)
+    } else {
+        (BuildSide::Left, lp, lb)
+    };
+    JoinPlan {
+        build,
+        partitions,
+        budget_bytes,
+        est_build_bytes,
+        ranking,
+    }
 }
 
 /// The partition pass a key lands in under this join's hash, or `None`
@@ -162,12 +118,11 @@ pub fn partition_of(
     partitions: u32,
     key: &[Value],
 ) -> Option<u32> {
-    let rep = KeyRep::choose(build, build_keys);
     let mut ids = Vec::with_capacity(build_keys.len());
     for (&c, v) in build_keys.iter().zip(key) {
         ids.push(build.column(c).dict().id_of(v)?);
     }
-    Some(key_partition(&rep.key_of(&ids), partitions.max(1)))
+    Some(key_partition(&ids, partitions.max(1)))
 }
 
 /// How a row's key ids find their bucket slot.
@@ -175,11 +130,8 @@ enum Slots {
     /// One key column: the slot is the build dictionary id itself.
     ById,
     /// Several key columns: each distinct key of the pass has a dense slot,
-    /// numbered in first-appearance order.
-    ByKey {
-        rep: KeyRep,
-        map: HashMap<JoinKey, u32, IdHash>,
-    },
+    /// its number in first-appearance order.
+    ByKey(KeyIndex),
 }
 
 /// One pass's build rows bucketed by slot, as a CSR: the build-row
@@ -292,12 +244,19 @@ pub fn join_stream(
         .zip(build_keys)
         .map(|(&p, &b)| probe.column(p).dict().remap_to(build.column(b).dict()))
         .collect();
+    let partitions = plan.partitions.max(1);
     let slots = match build_keys {
         [_] => Slots::ById,
-        _ => Slots::ByKey {
-            rep: KeyRep::choose(&build, build_keys),
-            map: HashMap::default(),
-        },
+        _ => {
+            // A pass holds about its share of the build rows, in at most
+            // one slot per combination of key values.
+            let key_space = build_keys
+                .iter()
+                .map(|&c| build.column(c).dict().len() as u64)
+                .fold(1u64, u64::saturating_mul);
+            let expect = (build.rows() / u64::from(partitions)).min(key_space) as usize;
+            Slots::ByKey(KeyIndex::new(&build, build_keys, expect))
+        }
     };
     let (out_src, payload_src) = match plan.build {
         BuildSide::Right => {
@@ -330,7 +289,7 @@ pub fn join_stream(
         fill: vec![Vec::with_capacity(STREAM_BATCH_ROWS); out_src.len()],
         out_src,
         payload_src,
-        partitions: plan.partitions.max(1),
+        partitions,
         pass: 0,
         buckets: Buckets::default(),
         payload: Vec::new(),
@@ -345,7 +304,7 @@ pub fn join_stream(
 
 /// Whether rows with `key` are built and probed in pass `pass` of
 /// `partitions`.
-fn in_pass(key: &JoinKey, partitions: u32, pass: u32) -> bool {
+fn in_pass(key: &[u32], partitions: u32, pass: u32) -> bool {
     partitions == 1 || key_partition(key, partitions) == pass
 }
 
@@ -356,16 +315,8 @@ impl JoinStream {
         self.buckets = Buckets::default();
         self.payload = vec![Vec::new(); self.payload_src.len()];
         let rows = self.build.rows();
-        if let Slots::ByKey { map, .. } = &mut self.slots {
-            // A pass holds about its share of the build rows, in at most
-            // one slot per combination of key values.
-            let key_space = self
-                .build_keys
-                .iter()
-                .map(|&c| self.build.column(c).dict().len() as u64)
-                .fold(1u64, u64::saturating_mul);
-            let expect = (rows / u64::from(self.partitions)).min(key_space) as usize;
-            *map = HashMap::with_capacity_and_hasher(expect, IdHash::default());
+        if let Slots::ByKey(index) = &mut self.slots {
+            index.clear();
         }
         let (partitions, pass) = (self.partitions, self.pass);
         // The slot of every build row of the pass, in build-row order.
@@ -382,21 +333,12 @@ impl JoinStream {
                 for (slot, col_ids) in ids.iter_mut().zip(&key_ids) {
                     *slot = col_ids[r];
                 }
+                if !in_pass(&ids, partitions, pass) {
+                    continue;
+                }
                 let slot = match &mut self.slots {
-                    Slots::ById => {
-                        if !in_pass(&JoinKey::Packed(ids[0].into()), partitions, pass) {
-                            continue;
-                        }
-                        ids[0]
-                    }
-                    Slots::ByKey { rep, map } => {
-                        let key = rep.key_of(&ids);
-                        if !in_pass(&key, partitions, pass) {
-                            continue;
-                        }
-                        let fresh = map.len() as u32;
-                        *map.entry(key).or_insert(fresh)
-                    }
+                    Slots::ById => ids[0],
+                    Slots::ByKey(index) => index.intern(&ids).0,
                 };
                 slots.push(slot);
                 for (p, col_ids) in self.payload.iter_mut().zip(&pay_ids) {
@@ -406,7 +348,7 @@ impl JoinStream {
         }
         let n_slots = match &self.slots {
             Slots::ById => self.build.column(self.build_keys[0]).dict().len(),
-            Slots::ByKey { map, .. } => map.len(),
+            Slots::ByKey(index) => index.keys().len() / self.build_keys.len(),
         };
         self.buckets = Buckets::new(&slots, n_slots);
         Ok(())
@@ -435,12 +377,12 @@ impl JoinStream {
                     let Some(b) = remap[id as usize] else {
                         continue;
                     };
-                    if in_pass(&JoinKey::Packed(b.into()), self.partitions, self.pass) {
+                    if in_pass(&[b], self.partitions, self.pass) {
                         push(r, self.buckets.of(b as usize));
                     }
                 }
             }
-            Slots::ByKey { rep, map } => {
+            Slots::ByKey(index) => {
                 let mut ids = vec![0u32; self.probe_keys.len()];
                 'row: for r in 0..rows {
                     for ((slot, &c), remap) in
@@ -451,11 +393,10 @@ impl JoinStream {
                             Some(b) => *slot = b,
                         }
                     }
-                    let key = rep.key_of(&ids);
-                    if !in_pass(&key, self.partitions, self.pass) {
+                    if !in_pass(&ids, self.partitions, self.pass) {
                         continue;
                     }
-                    if let Some(&slot) = map.get(&key) {
+                    if let Some(slot) = index.get(&ids) {
                         push(r, self.buckets.of(slot as usize));
                     }
                 }

@@ -1,31 +1,36 @@
-//! Key numbering for the SMO executors. DECOMPOSE's distinction and MERGE's
-//! key table both number the distinct keys of some key columns, where a key
-//! is one dictionary id per column. With one column the id is the index of
-//! an array, and nothing is hashed. With several, keys are stored flat and
-//! found through one open-addressed table hashed with `cods_query`'s id
-//! hasher, so no key is ever allocated on its own.
+//! Key numbering: the one step under the paper's data-level operators and
+//! the query kernels. DECOMPOSE's distinction, MERGE's key tables, the
+//! group-by and the hash join's build all number the distinct keys of some
+//! key columns, where a key is one dictionary id per column. With one
+//! column the id is the index of an array, and nothing is hashed. With
+//! several (or none: the one empty key of a group-by without grouping
+//! columns), keys are stored flat and found through one open-addressed
+//! table hashed with `splitmix64`, so no key is ever allocated on its
+//! own.
 
-use cods_query::agg::IdHasher;
 use cods_storage::Table;
-use std::hash::Hasher;
 
 /// "No key", "no row": the empty entry of an id-indexed table.
-pub(crate) const NONE: u32 = u32::MAX;
+pub const NONE: u32 = u32::MAX;
 
 /// Numbers distinct keys densely, in first-insertion order, keeping them
 /// flat: key `n` is `keys()[n * width..][..width]`.
-pub(crate) enum KeyIndex {
-    /// One key column: a key is its dictionary id, and `number_of[id]` is
-    /// its number ([`NONE`] until interned).
-    ById { number_of: Vec<u32>, keys: Vec<u32> },
-    /// Several key columns.
+pub enum KeyIndex {
+    /// One key column: a key is its dictionary id.
+    ById {
+        /// The number of each dictionary id, [`NONE`] until interned.
+        number_of: Vec<u32>,
+        /// The interned ids in number order.
+        keys: Vec<u32>,
+    },
+    /// Several key columns, or none.
     ByTuple(TupleIndex),
 }
 
 impl KeyIndex {
     /// An empty index for keys over `table`'s columns at `cols`, sized for
     /// about `expect` keys.
-    pub(crate) fn new(table: &Table, cols: &[usize], expect: usize) -> KeyIndex {
+    pub fn new(table: &Table, cols: &[usize], expect: usize) -> KeyIndex {
         match cols {
             [c] => KeyIndex::ById {
                 number_of: vec![NONE; table.column(*c).dict().len()],
@@ -37,7 +42,7 @@ impl KeyIndex {
 
     /// The number of `key`, and whether this call assigned it.
     #[inline]
-    pub(crate) fn intern(&mut self, key: &[u32]) -> (u32, bool) {
+    pub fn intern(&mut self, key: &[u32]) -> (u32, bool) {
         match self {
             KeyIndex::ById { number_of, keys } => {
                 let slot = &mut number_of[key[0] as usize];
@@ -54,7 +59,7 @@ impl KeyIndex {
 
     /// The number of `key`, if interned.
     #[inline]
-    pub(crate) fn get(&self, key: &[u32]) -> Option<u32> {
+    pub fn get(&self, key: &[u32]) -> Option<u32> {
         match self {
             KeyIndex::ById { number_of, .. } => {
                 Some(number_of[key[0] as usize]).filter(|&n| n != NONE)
@@ -64,7 +69,7 @@ impl KeyIndex {
     }
 
     /// Every interned key's ids, flat, in number order.
-    pub(crate) fn keys(&self) -> &[u32] {
+    pub fn keys(&self) -> &[u32] {
         match self {
             KeyIndex::ById { keys, .. } => keys,
             KeyIndex::ByTuple(index) => &index.keys,
@@ -73,7 +78,7 @@ impl KeyIndex {
 
     /// Forgets every key, so the index can serve the next chunk: an id
     /// table is reset through the ids it holds, not refilled.
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         match self {
             KeyIndex::ById { number_of, keys } => {
                 for &id in keys.iter() {
@@ -90,7 +95,7 @@ impl KeyIndex {
 /// flat (`keys[n * width..][..width]` is tuple `n`). `slots` is a
 /// power-of-two open-addressing table of tuple numbers, probed linearly
 /// and kept at most half full.
-pub(crate) struct TupleIndex {
+pub struct TupleIndex {
     width: usize,
     keys: Vec<u32>,
     slots: Vec<u32>,
@@ -105,16 +110,18 @@ impl TupleIndex {
         }
     }
 
+    /// The number of tuples held. A zero-width tuple stores no ids, so it
+    /// is counted by whoever interns it.
     fn len(&self) -> usize {
-        self.keys.len() / self.width
+        self.keys.len() / self.width.max(1)
     }
 
+    /// Seeded apart from [`key_partition`]: the keys of one join pass
+    /// agree on their partition, and must not on their slot.
     fn hash(key: &[u32]) -> usize {
-        let mut h = IdHasher::default();
-        for &id in key {
-            h.write_u32(id);
-        }
-        h.finish() as usize
+        key.iter().fold(0x2545_F491_4F6C_DD1D, |h, &id| {
+            splitmix64(h ^ u64::from(id))
+        }) as usize
     }
 
     /// `Ok(number)` when `key` is present, else `Err(slot)`, the empty slot
@@ -174,6 +181,23 @@ impl TupleIndex {
     }
 }
 
+/// The SplitMix64 finalizer: the one mixer behind every key table and
+/// every join partition split.
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The join pass of a key's rows among `partitions`: the key's ids folded
+/// through `splitmix64`, so a one-column key's pass is
+/// `splitmix64(id) % partitions`.
+pub(crate) fn key_partition(key: &[u32], partitions: u32) -> u32 {
+    let h = key.iter().fold(0, |h, &id| splitmix64(h ^ u64::from(id)));
+    (h % u64::from(partitions)) as u32
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,5 +245,28 @@ mod tests {
         }
         assert_eq!(index.get(&[1, 2, 3]), None);
         assert_eq!(index.len(), 10_000);
+    }
+
+    #[test]
+    fn a_zero_width_key_numbers_as_one_group() {
+        let t = table(&[(0, 0)]);
+        let mut index = KeyIndex::new(&t, &[], 0);
+        assert_eq!(index.intern(&[]), (0, true));
+        assert_eq!(index.intern(&[]), (0, false));
+        assert_eq!(index.get(&[]), Some(0));
+        assert!(index.keys().is_empty());
+        index.clear();
+        assert_eq!(index.get(&[]), None);
+        assert_eq!(index.intern(&[]), (0, true));
+    }
+
+    #[test]
+    fn a_one_column_key_partitions_by_its_mixed_id() {
+        for id in [0u32, 1, 7, 65_535, u32::MAX - 1] {
+            for p in [1u32, 2, 3, 64] {
+                let want = (splitmix64(u64::from(id)) % u64::from(p)) as u32;
+                assert_eq!(key_partition(&[id], p), want, "id {id}, {p} partitions");
+            }
+        }
     }
 }

@@ -18,9 +18,11 @@
 //!   dictionary-native columnar kernel (`aggregate_table_masked`);
 //! * [`join`] — the partition-wise hash join over dictionary-encoded
 //!   columns, with a buffer-budget-aware multi-pass fallback;
+//! * [`keys`] — the one key table: numbers distinct id combinations for
+//!   the group-by, the join's build and the evolution operators;
 //! * [`par`] — the segment fan-out shared with the evolution operators;
 //! * [`cost`] — per-operator cost estimates from resident segment
-//!   metadata, used to rank kernel strategies and plan alternatives;
+//!   metadata: predicate selectivity and the join's build-side sizing;
 //! * [`evolution`] — the four baseline drivers behind Figure 3:
 //!   row-level decompose/merge (policies C, C+I, S) and column-level
 //!   decompose/merge (M).
@@ -37,6 +39,7 @@ pub mod bitmap_scan;
 pub mod cost;
 pub mod evolution;
 pub mod join;
+pub mod keys;
 pub mod par;
 pub mod pred;
 pub mod query;
@@ -45,7 +48,7 @@ pub mod stream;
 pub mod text;
 pub mod tuple;
 
-pub use agg::{aggregate, aggregate_table, aggregate_table_masked, validity, AggOp, GroupKeySpace};
+pub use agg::{aggregate, aggregate_table, aggregate_table_masked, validity, AggOp};
 pub use bitmap_scan::{filter_table, predicate_mask};
 pub use cost::{CostEstimate, RankedChoice};
 pub use evolution::{

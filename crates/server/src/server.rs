@@ -139,7 +139,7 @@ impl Server {
                     let mut conns = shared.registry();
                     let worker = Arc::clone(&shared);
                     let handle = std::thread::spawn(move || {
-                        let _ = Connection::run(&worker, &stream);
+                        let _ = Connection::run(&worker, &stream, id);
                         ServerMetrics::dec(&worker.metrics.connections_open);
                         // Dropping the entry closes the registry's clone of
                         // the descriptor and detaches this (ending) thread.
@@ -205,12 +205,15 @@ struct Connection<'a, W: Write> {
     shared: &'a Shared,
     session: Session,
     writer: BufWriter<W>,
+    /// Retries this connection's conflicted scripts, its jitter seeded
+    /// with the connection id so concurrent retriers back off apart.
+    retry: RetryPolicy,
 }
 
 impl<'a> Connection<'a, &'a TcpStream> {
-    fn run(shared: &'a Shared, stream: &'a TcpStream) -> Result<(), FrameError> {
+    fn run(shared: &'a Shared, stream: &'a TcpStream, id: u64) -> Result<(), FrameError> {
         let mut reader = BufReader::new(stream);
-        let mut conn = Connection::open(shared, stream)?;
+        let mut conn = Connection::open(shared, stream, id)?;
         loop {
             let (kind, payload) = match read_frame(&mut reader, DEFAULT_MAX_FRAME_BYTES) {
                 Ok(f) => f,
@@ -254,13 +257,14 @@ impl<'a> Connection<'a, &'a TcpStream> {
 }
 
 impl<'a, W: Write> Connection<'a, W> {
-    /// Pins the session and greets the peer: preamble and `Hello` leave
-    /// as one write.
-    fn open(shared: &'a Shared, transport: W) -> Result<Self, FrameError> {
+    /// Pins the session of connection `id` and greets the peer: preamble
+    /// and `Hello` leave as one write.
+    fn open(shared: &'a Shared, transport: W, id: u64) -> Result<Self, FrameError> {
         let mut conn = Connection {
             shared,
             session: Session::open(&shared.cods),
             writer: BufWriter::with_capacity(REPLY_WINDOW_BYTES, transport),
+            retry: RetryPolicy::default().with_seed(id),
         };
         write_preamble(&mut conn.writer)?;
         let hello = Reply::Hello {
@@ -403,11 +407,7 @@ impl<'a, W: Write> Connection<'a, W> {
                 Err(e) => self.storage_error(&e),
             },
             Command::Script { text } => {
-                match self
-                    .shared
-                    .cods
-                    .run_script_with_retry(&text, &RetryPolicy::default())
-                {
+                match self.shared.cods.run_script_with_retry(&text, &self.retry) {
                     Ok(report) => {
                         // Read-your-writes: the session moves to (at
                         // least) the version its own script produced.
@@ -553,10 +553,18 @@ mod tests {
     }
 
     #[test]
+    fn each_connection_retries_on_its_own_schedule() {
+        let shared = shared();
+        let a = Connection::open(&shared, Sink::default(), 0).unwrap();
+        let b = Connection::open(&shared, Sink::default(), 1).unwrap();
+        assert_ne!(a.retry.backoff(0), b.retry.backoff(0));
+    }
+
+    #[test]
     fn a_small_row_stream_reaches_the_transport_as_one_write() {
         let shared = shared();
         let sink = Sink::default();
-        let mut conn = Connection::open(&shared, sink.clone()).unwrap();
+        let mut conn = Connection::open(&shared, sink.clone(), 0).unwrap();
         assert_eq!(sink.writes(), 1, "preamble and Hello leave together");
 
         conn.respond(Command::Query(Query::Scan {
@@ -584,7 +592,7 @@ mod tests {
     fn a_single_frame_reply_is_one_write() {
         let shared = shared();
         let sink = Sink::default();
-        let mut conn = Connection::open(&shared, sink.clone()).unwrap();
+        let mut conn = Connection::open(&shared, sink.clone(), 0).unwrap();
         type Expected = fn(&Reply) -> bool;
         let cases: [(Command, Expected); 4] = [
             (Command::Ping, |r| matches!(r, Reply::Pong)),
@@ -621,7 +629,7 @@ mod tests {
     fn a_long_row_stream_holds_at_most_one_window_and_overlaps_with_its_producer() {
         let shared = shared();
         let sink = Sink::default();
-        let mut conn = Connection::open(&shared, sink.clone()).unwrap();
+        let mut conn = Connection::open(&shared, sink.clone(), 0).unwrap();
         let encoded = || shared.metrics.bytes_streamed.load(Ordering::Relaxed);
         // The preamble is the only thing the byte counter leaves out.
         let preamble = sink.bytes() - encoded();

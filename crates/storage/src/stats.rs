@@ -166,6 +166,21 @@ impl TableStats {
     }
 }
 
+/// A column's compression ratio to at least two significant digits
+/// (`0.042x`, `0.50x`, `1.5x`, `63x`), `inf` when it stores no payload and
+/// `n/a` when it is empty.
+fn ratio_text(c: &ColumnStats) -> String {
+    let ratio = c.compression_ratio;
+    if c.plain_matrix_bytes == 0 {
+        return "n/a".to_string();
+    }
+    if ratio.is_infinite() {
+        return "inf".to_string();
+    }
+    let decimals = (1.0 - ratio.log10().floor()).max(0.0) as usize;
+    format!("{ratio:.decimals$}x")
+}
+
 /// Renders the `stats` command's text, which both shells print: the
 /// [`TableStats`] header line, then per column its segment-encoding
 /// histogram (a mixed directory shows e.g. `4×bitmap/12×rle/0×packed`),
@@ -207,11 +222,7 @@ pub fn render_stats(name: &str, t: &Table) -> String {
             c.segments,
             c.max_segment_distinct,
             c.payload_bytes,
-            if c.compression_ratio.is_infinite() {
-                "inf".to_string()
-            } else {
-                format!("{:.1}x", c.compression_ratio)
-            }
+            ratio_text(c)
         );
         let range = match &c.value_range {
             Some((lo, hi)) => format!("[{lo} .. {hi}]"),
@@ -321,6 +332,37 @@ mod tests {
         assert!(t_lo.columns[0].payload_bytes < t_near.columns[0].payload_bytes);
         assert!(t_near.columns[0].compression_ratio > 10.0);
         assert_eq!(t_near.columns[0].range_segments, 0);
+    }
+
+    #[test]
+    fn stats_tell_the_worst_compressed_column_from_an_empty_one() {
+        let schema = Schema::build(&[("a", ValueType::Str)], &[]).unwrap();
+        // Two values over seven rows as bitmaps: a 2-byte plain matrix
+        // under a 48-byte payload.
+        let rows: Vec<Vec<Value>> = (0..7)
+            .map(|i| vec![Value::str(if i % 3 == 0 { "x" } else { "y" })])
+            .collect();
+        let t = Table::from_rows("t", schema.clone(), &rows)
+            .unwrap()
+            .map_columns(None, |c| c.recode(crate::Encoding::Bitmap))
+            .unwrap();
+        let c = &TableStats::of(&t).columns[0];
+        assert_eq!((c.plain_matrix_bytes, c.payload_bytes), (2, 48));
+        let text = render_stats("t", &t);
+        assert!(text.contains("payload=48B ratio=0.042x\n"), "{text}");
+        let empty = Table::from_rows("e", schema, &[]).unwrap();
+        let text = render_stats("e", &empty);
+        assert!(text.contains("payload=0B ratio=n/a\n"), "{text}");
+        let text = |ratio: f64| {
+            ratio_text(&ColumnStats {
+                compression_ratio: ratio,
+                ..c.clone()
+            })
+        };
+        assert_eq!(text(0.5), "0.50x");
+        assert_eq!(text(1.5), "1.5x");
+        assert_eq!(text(63.2), "63x");
+        assert_eq!(text(f64::INFINITY), "inf");
     }
 
     #[test]

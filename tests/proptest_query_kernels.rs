@@ -224,7 +224,7 @@ fn group_sets() -> [&'static [usize]; 4] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    // The dictionary-native group-by kernel — packed-u64 or composite keys,
+    // The dictionary-native group-by kernel — id-indexed or tuple keys,
     // bitmap or RLE run streams, resident or cache-starved demand-paged —
     // returns byte-identical rows in byte-identical order to the row-at-a-
     // time `aggregate` oracle, with and without a pushed-down predicate
