@@ -57,6 +57,22 @@ grep -E '^R: ' "$tmp/local.out" | tail -n 1 | grep -q ' 0 resident / '
 grep -E '^  skill ' "$tmp/local.out" | tail -n 1 | grep -q 'enc=rle *(pinned, 1×pinned)'
 grep -E '^  k ' "$tmp/local.out" | tail -n 1 | grep -q 'enc=packed *\[4×range\].* payload=0B ratio=inf'
 
+# A refused chain: the third statement names a column the first renamed
+# away. A plan checks a script by running each operator on empty copies
+# of its tables, so it follows the schema along the chain: the one failed
+# line is the plan's `unknown column`, and R is as it was.
+printf '%s\n' "RENAME COLUMN skill TO ability IN R" \
+    "ADD COLUMN lvl int DEFAULT 1 TO R" "DROP COLUMN skill FROM R" > "$tmp/refused.smo"
+printf '%s\n' demo "stats R" "plan $tmp/refused.smo" "stats R" > "$tmp/refused.cods"
+refused=0
+"$cods" "$tmp/refused.cods" > "$tmp/refused.out" || refused=$?
+cat "$tmp/refused.out"
+test "$refused" -eq 1
+grep -q '^error: .*unknown column: skill$' "$tmp/refused.out"
+awk '/^R: [0-9]+ rows, / { n++ } n && (/^R: / || /^  /) { print > (FILENAME "." n) }' "$tmp/refused.out"
+test -s "$tmp/refused.out.1"
+diff "$tmp/refused.out.1" "$tmp/refused.out.2"
+
 # Connect REPL: the same lines over the wire.
 "$cods" serve "$addr" --demo &
 server=$!

@@ -17,7 +17,7 @@
 
 #![forbid(unsafe_code)]
 
-use cods::{decompose, merge_general, merge_key_fk, Cods, ColumnFill, MergeStrategy, Smo};
+use cods::{decompose, merge_general, merge_key_fk, Cods, MergeStrategy, Smo};
 use cods_bench::*;
 use cods_bitmap::PlainBitmap;
 use cods_query::Predicate;
@@ -231,7 +231,7 @@ fn smo_catalogue(args: &Args) {
         cods.plan(vec![Smo::AddColumn {
             table: "R".into(),
             column: ColumnDef::new("flag", ValueType::Int),
-            fill: ColumnFill::Default(Value::int(0)),
+            default: Value::int(0),
         }])?
         .execute()
     });

@@ -9,6 +9,10 @@
 //! [`Catalog::commit_evolution`](cods_storage::Catalog::commit_evolution)
 //! in a single write-locked step — or not at all, if the catalog moved
 //! since the snapshot ([`StorageError::Conflict`](cods_storage::StorageError)).
+//!
+//! `run_smo`, which runs one operator, is also how a plan checks its
+//! script before any of this: the same function over empty copies of the
+//! tables the script reads (see [`crate::plan`]).
 
 use crate::decompose::decompose;
 use crate::error::{EvolutionError, Result};
@@ -49,10 +53,26 @@ pub struct PlanReport {
 }
 
 /// What one node hands back: catalog-free mutations plus its status log.
-struct NodeOutcome {
+pub(crate) struct NodeOutcome {
     drops: Vec<String>,
     puts: Vec<Table>,
     status: StepLog,
+}
+
+impl NodeOutcome {
+    /// Applies the drops, then the puts, to `ws`. Returns the status log
+    /// and the names the node wrote: its drops, then its puts.
+    pub(crate) fn apply(self, ws: &mut Workspace) -> (StepLog, Vec<String>) {
+        let mut written = self.drops;
+        for d in &written {
+            ws.remove(d);
+        }
+        for t in self.puts {
+            written.push(t.name().to_string());
+            ws.insert(t.name().to_string(), Arc::new(t));
+        }
+        (self.status, written)
+    }
 }
 
 fn get(ws: &Workspace, name: &str) -> Result<Arc<Table>> {
@@ -61,14 +81,47 @@ fn get(ws: &Workspace, name: &str) -> Result<Arc<Table>> {
         .ok_or_else(|| EvolutionError::Storage(StorageError::UnknownTable(name.to_string())))
 }
 
-fn run_smo(smo: &Smo, ws: &Workspace) -> Result<NodeOutcome> {
+fn absent(ws: &Workspace, name: &str) -> Result<()> {
+    if ws.contains_key(name) {
+        return Err(exists(name));
+    }
+    Ok(())
+}
+
+fn exists(name: &str) -> EvolutionError {
+    EvolutionError::Storage(StorageError::TableExists(name.to_string()))
+}
+
+/// The two outputs of a PARTITION or DECOMPOSE differ, and each is absent
+/// or replaces the input.
+fn split_outputs(ws: &Workspace, input: &str, a: &str, b: &str) -> Result<()> {
+    if a == b {
+        return Err(exists(b));
+    }
+    for name in [a, b] {
+        if name != input {
+            absent(ws, name)?;
+        }
+    }
+    Ok(())
+}
+
+/// Runs one operator against `ws`: its checks, then its work. It reads
+/// only the tables [`Smo::inputs`] names. A plan calls it twice: once in
+/// script order over empty copies of those tables, which checks the
+/// script and yields each node's writes (see [`crate::plan`]), and once
+/// per node in [`run`], over the data.
+pub(crate) fn run_smo(smo: &Smo, ws: &Workspace) -> Result<NodeOutcome> {
     let none = StepLog::new();
     match smo {
-        Smo::CreateTable { name, schema } => Ok(NodeOutcome {
-            drops: vec![],
-            puts: vec![simple_ops::create_table(name, schema.clone())?],
-            status: none,
-        }),
+        Smo::CreateTable { name, schema } => {
+            absent(ws, name)?;
+            Ok(NodeOutcome {
+                drops: vec![],
+                puts: vec![simple_ops::create_table(name, schema.clone())?],
+                status: none,
+            })
+        }
         Smo::DropTable { name } => {
             get(ws, name)?;
             Ok(NodeOutcome {
@@ -79,6 +132,7 @@ fn run_smo(smo: &Smo, ws: &Workspace) -> Result<NodeOutcome> {
         }
         Smo::RenameTable { from, to } => {
             let t = get(ws, from)?;
+            absent(ws, to)?;
             Ok(NodeOutcome {
                 drops: vec![from.clone()],
                 puts: vec![t.renamed(to)],
@@ -87,6 +141,7 @@ fn run_smo(smo: &Smo, ws: &Workspace) -> Result<NodeOutcome> {
         }
         Smo::CopyTable { from, to } => {
             let t = get(ws, from)?;
+            absent(ws, to)?;
             Ok(NodeOutcome {
                 drops: vec![],
                 puts: vec![t.renamed(to)],
@@ -102,6 +157,11 @@ fn run_smo(smo: &Smo, ws: &Workspace) -> Result<NodeOutcome> {
             let l = get(ws, left)?;
             let r = get(ws, right)?;
             let (t, status) = simple_ops::union_tables(&l, &r, output)?;
+            // The output may replace an input, no other table. Checked
+            // after the union, so an incompatible pair is reported first.
+            if output != left && output != right {
+                absent(ws, output)?;
+            }
             let mut drops = Vec::new();
             if *drop_inputs {
                 drops.push(left.clone());
@@ -124,6 +184,8 @@ fn run_smo(smo: &Smo, ws: &Workspace) -> Result<NodeOutcome> {
             let t = get(ws, input)?;
             let (sat, others, status) =
                 simple_ops::partition_table(&t, predicate, satisfying, rest)?;
+            // After the predicate resolved: an unknown column comes first.
+            split_outputs(ws, input, satisfying, rest)?;
             Ok(NodeOutcome {
                 drops: vec![input.clone()],
                 puts: vec![sat, others],
@@ -132,6 +194,7 @@ fn run_smo(smo: &Smo, ws: &Workspace) -> Result<NodeOutcome> {
         }
         Smo::DecomposeTable { input, spec } => {
             let t = get(ws, input)?;
+            split_outputs(ws, input, &spec.unchanged_name, &spec.changed_name)?;
             let out = decompose(&t, spec)?;
             Ok(NodeOutcome {
                 drops: vec![input.clone()],
@@ -147,6 +210,7 @@ fn run_smo(smo: &Smo, ws: &Workspace) -> Result<NodeOutcome> {
         } => {
             let l = get(ws, left)?;
             let r = get(ws, right)?;
+            absent(ws, output)?;
             let out = merge(&l, &r, output, strategy)?;
             Ok(NodeOutcome {
                 drops: vec![],
@@ -157,10 +221,10 @@ fn run_smo(smo: &Smo, ws: &Workspace) -> Result<NodeOutcome> {
         Smo::AddColumn {
             table,
             column,
-            fill,
+            default,
         } => {
             let t = get(ws, table)?;
-            let (out, status) = simple_ops::add_column(&t, column.clone(), fill)?;
+            let (out, status) = simple_ops::add_column(&t, column.clone(), default)?;
             Ok(NodeOutcome {
                 drops: vec![],
                 puts: vec![out],
@@ -219,15 +283,10 @@ pub(crate) fn run(plan: &EvolutionPlan<'_>) -> Result<PlanReport> {
             // discarded and the catalog was never touched.
             let outcome = outcome?;
             staged_puts += outcome.puts.len();
-            for d in &outcome.drops {
-                ws.remove(d);
-            }
-            for t in outcome.puts {
-                ws.insert(t.name().to_string(), Arc::new(t));
-            }
+            let (status, _) = outcome.apply(&mut ws);
             record_slots[i] = Some(ExecutionRecord {
                 operator: plan.nodes[i].smo.to_string(),
-                status: outcome.status,
+                status,
                 plan_id: None,
             });
         }
@@ -287,7 +346,6 @@ pub(crate) fn run(plan: &EvolutionPlan<'_>) -> Result<PlanReport> {
 mod tests {
     use super::*;
     use crate::platform::Cods;
-    use crate::simple_ops::ColumnFill;
     use cods_storage::{ColumnDef, Schema, Value, ValueType};
     use std::time::Duration;
 
@@ -333,7 +391,7 @@ mod tests {
         cods.plan(vec![Smo::AddColumn {
             table: "R".into(),
             column: ColumnDef::new("racer", ValueType::Int),
-            fill: ColumnFill::Default(Value::int(0)),
+            default: Value::int(0),
         }])
         .unwrap()
         .execute()

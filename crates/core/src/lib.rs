@@ -57,5 +57,4 @@ pub use merge::{merge, merge_general, merge_key_fk, MergeOutcome, MergeStrategy,
 pub use parser::{parse_script, parse_smo};
 pub use plan::{EvolutionPlan, PlanNode};
 pub use platform::{Cods, ExecutionRecord};
-pub use simple_ops::ColumnFill;
 pub use smo::Smo;

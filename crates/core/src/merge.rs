@@ -81,33 +81,18 @@ fn join_indices(schema: &Schema, join_cols: &[String]) -> Result<Vec<usize>> {
     join_cols.iter().map(|n| Ok(schema.index_of(n)?)).collect()
 }
 
+/// The inputs share at least one column, each of one type on both sides.
 fn validate_join(left: &Table, right: &Table, join_cols: &[String]) -> Result<()> {
-    validate_join_schemas(
-        left.schema(),
-        right.schema(),
-        left.name(),
-        right.name(),
-        join_cols,
-    )
-}
-
-/// Schema-level join validation, shared with the evolution planner (which
-/// checks mergences against predicted schemas before any data moves).
-pub(crate) fn validate_join_schemas(
-    left: &Schema,
-    right: &Schema,
-    left_name: &str,
-    right_name: &str,
-    join_cols: &[String],
-) -> Result<()> {
     if join_cols.is_empty() {
         return Err(EvolutionError::NoCommonColumns(format!(
-            "{left_name} and {right_name}"
+            "{} and {}",
+            left.name(),
+            right.name()
         )));
     }
     for n in join_cols {
-        let l = left.column(n)?;
-        let r = right.column(n)?;
+        let l = left.schema().column(n)?;
+        let r = right.schema().column(n)?;
         if l.ty != r.ty {
             return Err(EvolutionError::InvalidOperator(format!(
                 "join column {n:?} has type {} on one side and {} on the other",
@@ -164,9 +149,8 @@ fn key_table_step(
 }
 
 /// Output schema of a mergence: the reusable/left columns followed by the
-/// other side's non-join columns. Shared with the evolution planner, which
-/// predicts output schemas without running the mergence.
-pub(crate) fn merged_schema(left: &Schema, right: &Schema, join_cols: &[String]) -> Result<Schema> {
+/// other side's non-join columns.
+fn merged_schema(left: &Schema, right: &Schema, join_cols: &[String]) -> Result<Schema> {
     let mut defs: Vec<ColumnDef> = left.columns().to_vec();
     for c in right.columns() {
         if !join_cols.contains(&c.name) {
@@ -608,8 +592,9 @@ fn general_with(
 /// (left's columns, then right's non-join columns). `Auto` runs this after
 /// every key–FK mergence; it moves columns only when the mergence reused
 /// the *right* side, so the output schema is the same whichever input
-/// turns out to be keyed — a property the evolution planner relies on to
-/// predict schemas ahead of the data.
+/// turns out to be keyed: `Auto`'s output schema does not depend on the
+/// data. A plan's dry run relies on that — over empty copies, `Auto`
+/// always finds the right side keyed.
 /// O(arity): columns are shared by reference.
 fn reordered_left_first(
     out: MergeOutcome,
@@ -647,13 +632,7 @@ pub fn merge(
     strategy: &MergeStrategy,
 ) -> Result<MergeOutcome> {
     let join_cols = crate::schema_tools::common_columns(left.schema(), right.schema());
-    if join_cols.is_empty() {
-        return Err(EvolutionError::NoCommonColumns(format!(
-            "{} and {}",
-            left.name(),
-            right.name()
-        )));
-    }
+    validate_join(left, right, &join_cols)?;
     match strategy {
         MergeStrategy::General => merge_general(left, right, output_name, &join_cols),
         MergeStrategy::KeyForeignKey { keyed } => {
@@ -672,7 +651,6 @@ pub fn merge(
         }
         MergeStrategy::Auto => {
             let mut log = StepLog::new();
-            validate_join(left, right, &join_cols)?;
             for (reusable, keyed) in [(left, right), (right, left)] {
                 let Some(keys) = key_table_step(keyed, &join_cols, &mut log)? else {
                     continue;

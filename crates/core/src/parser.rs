@@ -27,7 +27,6 @@
 use crate::decompose::DecomposeSpec;
 use crate::error::{EvolutionError, Result};
 use crate::merge::MergeStrategy;
-use crate::simple_ops::ColumnFill;
 use crate::smo::Smo;
 use cods_query::text::{statements, Cursor, Tok};
 use cods_storage::{ColumnDef, Schema, Value, ValueType};
@@ -188,7 +187,7 @@ fn statement(text: &str) -> Result<Smo> {
             Smo::AddColumn {
                 table: name(&mut cur, "a table name")?,
                 column: ColumnDef::new(column, ty),
-                fill: ColumnFill::Default(default),
+                default,
             }
         }
         "drop column" => {
@@ -296,11 +295,11 @@ mod tests {
             Smo::AddColumn {
                 table,
                 column,
-                fill,
+                default,
             } => {
                 assert_eq!(table, "emp");
                 assert_eq!(column.name, "dept");
-                assert!(matches!(fill, ColumnFill::Default(Value::Str(_))));
+                assert!(matches!(default, Value::Str(_)));
             }
             other => panic!("{other}"),
         }
@@ -387,9 +386,9 @@ mod tests {
         let v = partition_literal("PARTITION TABLE t WHERE v = 'put into a where b' INTO a, b");
         assert_eq!(v, Value::str("put into a where b"));
         match parse_smo("ADD COLUMN c str DEFAULT 'up to you' TO t").unwrap() {
-            Smo::AddColumn { table, fill, .. } => {
+            Smo::AddColumn { table, default, .. } => {
                 assert_eq!(table, "t");
-                assert!(matches!(fill, ColumnFill::Default(v) if v == Value::str("up to you")));
+                assert_eq!(default, Value::str("up to you"));
             }
             other => panic!("{other}"),
         }

@@ -3,10 +3,16 @@
 //! [`Cods::plan`](crate::Cods::plan) resolves and validates an *entire* SMO
 //! script against one catalog snapshot before any data moves:
 //!
-//! 1. **Validate** — every operator is checked against a *shadow catalog*
-//!    of predicted schemas (names, column existence and types, union
-//!    compatibility, decomposition shape, join attributes), so a malformed
-//!    statement anywhere in the script errors before any work runs.
+//! 1. **Validate** — a *dry run*: every operator runs, in script order,
+//!    through its own executor (`exec::run_smo`) over a workspace in
+//!    which each table the script reads is an empty copy. The executors'
+//!    own checks (names, columns and types, union compatibility,
+//!    decomposition shape, join attributes) therefore refuse a malformed
+//!    statement anywhere in the script before any data moves, and each
+//!    operator sees the schemas the earlier ones produced — the run-time
+//!    schemas, made by the same code. Only what the data decides (a
+//!    functional dependency, a foreign key, a forced key's uniqueness) is
+//!    left for execution.
 //! 2. **Execute** — each operator is one node of a dependency DAG over
 //!    table names (read-after-write, write-after-read, write-after-write),
 //!    cut into waves; independent branches of each wave dispatch
@@ -18,13 +24,12 @@
 //!    failure (an FD violation three operators in, say) leaves the catalog
 //!    exactly as the snapshot saw it.
 
-use crate::error::{EvolutionError, Result};
-use crate::exec::{self, PlanReport};
-use crate::merge;
+use crate::error::Result;
+use crate::exec::{self, PlanReport, Workspace};
 use crate::platform::Cods;
-use crate::schema_tools::check_decomposition_shape;
+use crate::simple_ops::create_table;
 use crate::smo::Smo;
-use cods_storage::{Schema, StepLog, StorageError, Table};
+use cods_storage::{StepLog, Table};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -56,214 +61,10 @@ pub struct EvolutionPlan<'c> {
     elided: Vec<String>,
 }
 
-/// The shadow effect of one operator: what it reads and writes, by name.
-struct Effect {
-    reads: Vec<String>,
-    writes: Vec<String>,
-}
-
 #[derive(Default)]
 struct NameState {
     last_writer: Option<usize>,
     readers: Vec<usize>,
-}
-
-fn unknown(name: &str) -> EvolutionError {
-    EvolutionError::Storage(StorageError::UnknownTable(name.to_string()))
-}
-
-fn exists(name: &str) -> EvolutionError {
-    EvolutionError::Storage(StorageError::TableExists(name.to_string()))
-}
-
-fn expect<'s>(shadow: &'s BTreeMap<String, Schema>, name: &str) -> Result<&'s Schema> {
-    shadow.get(name).ok_or_else(|| unknown(name))
-}
-
-fn expect_absent(shadow: &BTreeMap<String, Schema>, name: &str) -> Result<()> {
-    if shadow.contains_key(name) {
-        return Err(exists(name));
-    }
-    Ok(())
-}
-
-/// Validates `smo` against the shadow catalog and applies its schema-level
-/// effect, mirroring the runtime executors' checks and output schemas
-/// exactly (including which operators preserve key declarations).
-fn shadow_apply(shadow: &mut BTreeMap<String, Schema>, smo: &Smo) -> Result<Effect> {
-    let eff = |reads: Vec<&str>, writes: Vec<&str>| Effect {
-        reads: reads.into_iter().map(str::to_string).collect(),
-        writes: writes.into_iter().map(str::to_string).collect(),
-    };
-    match smo {
-        Smo::CreateTable { name, schema } => {
-            expect_absent(shadow, name)?;
-            shadow.insert(name.clone(), schema.clone());
-            Ok(eff(vec![], vec![name]))
-        }
-        Smo::DropTable { name } => {
-            expect(shadow, name)?;
-            shadow.remove(name);
-            Ok(eff(vec![], vec![name]))
-        }
-        Smo::RenameTable { from, to } => {
-            let s = expect(shadow, from)?.clone();
-            expect_absent(shadow, to)?;
-            shadow.remove(from);
-            shadow.insert(to.clone(), s);
-            Ok(eff(vec![from], vec![from, to]))
-        }
-        Smo::CopyTable { from, to } => {
-            let s = expect(shadow, from)?.clone();
-            expect_absent(shadow, to)?;
-            shadow.insert(to.clone(), s);
-            Ok(eff(vec![from], vec![to]))
-        }
-        Smo::UnionTables {
-            left,
-            right,
-            output,
-            drop_inputs,
-        } => {
-            let l = expect(shadow, left)?.clone();
-            let r = expect(shadow, right)?;
-            if !l.union_compatible(r) {
-                return Err(EvolutionError::InvalidOperator(format!(
-                    "tables {left:?} and {right:?} are not union-compatible"
-                )));
-            }
-            if shadow.contains_key(output) && output != left && output != right {
-                return Err(exists(output));
-            }
-            let mut writes = vec![output.as_str()];
-            if *drop_inputs {
-                shadow.remove(left);
-                shadow.remove(right);
-                writes.push(left);
-                if right != left {
-                    writes.push(right);
-                }
-            }
-            shadow.insert(output.clone(), Schema::new(l.columns().to_vec())?);
-            Ok(eff(vec![left, right], writes))
-        }
-        Smo::PartitionTable {
-            input,
-            predicate,
-            satisfying,
-            rest,
-        } => {
-            let s = expect(shadow, input)?.clone();
-            for c in predicate.columns() {
-                s.column(c)?;
-            }
-            if satisfying == rest {
-                return Err(exists(rest));
-            }
-            if satisfying != input {
-                expect_absent(shadow, satisfying)?;
-            }
-            if rest != input {
-                expect_absent(shadow, rest)?;
-            }
-            let out = Schema::new(s.columns().to_vec())?;
-            shadow.remove(input);
-            shadow.insert(satisfying.clone(), out.clone());
-            shadow.insert(rest.clone(), out);
-            Ok(eff(vec![input], vec![input, satisfying, rest]))
-        }
-        Smo::DecomposeTable { input, spec } => {
-            let s = expect(shadow, input)?.clone();
-            if spec.unchanged_name == spec.changed_name {
-                return Err(exists(&spec.changed_name));
-            }
-            if spec.unchanged_name != *input {
-                expect_absent(shadow, &spec.unchanged_name)?;
-            }
-            if spec.changed_name != *input {
-                expect_absent(shadow, &spec.changed_name)?;
-            }
-            let common = check_decomposition_shape(&s, &spec.unchanged_cols, &spec.changed_cols)?;
-            let unchanged_names: Vec<&str> =
-                spec.unchanged_cols.iter().map(String::as_str).collect();
-            let changed_names: Vec<&str> = spec.changed_cols.iter().map(String::as_str).collect();
-            let common_refs: Vec<&str> = common.iter().map(String::as_str).collect();
-            let unchanged = s.project(&unchanged_names, &[])?;
-            let changed = s.project(&changed_names, &common_refs)?;
-            shadow.remove(input);
-            shadow.insert(spec.unchanged_name.clone(), unchanged);
-            shadow.insert(spec.changed_name.clone(), changed);
-            Ok(eff(
-                vec![input],
-                vec![input, &spec.unchanged_name, &spec.changed_name],
-            ))
-        }
-        Smo::MergeTables {
-            left,
-            right,
-            output,
-            strategy,
-        } => {
-            let l = expect(shadow, left)?.clone();
-            let r = expect(shadow, right)?.clone();
-            if shadow.contains_key(output) {
-                return Err(exists(output));
-            }
-            let join = crate::schema_tools::common_columns(&l, &r);
-            if join.is_empty() {
-                return Err(EvolutionError::NoCommonColumns(format!(
-                    "{left} and {right}"
-                )));
-            }
-            merge::validate_join_schemas(&l, &r, left, right, &join)?;
-            let out = match strategy {
-                crate::merge::MergeStrategy::KeyForeignKey { keyed } if keyed == left => {
-                    merge::merged_schema(&r, &l, &join)?
-                }
-                crate::merge::MergeStrategy::KeyForeignKey { keyed }
-                    if keyed != left && keyed != right =>
-                {
-                    return Err(EvolutionError::InvalidOperator(format!(
-                        "keyed table {keyed:?} is neither input"
-                    )));
-                }
-                _ => merge::merged_schema(&l, &r, &join)?,
-            };
-            shadow.insert(output.clone(), out);
-            Ok(eff(vec![left, right], vec![output]))
-        }
-        // The column operators share their validation + schema logic with
-        // the executor (`simple_ops::*_column_schema`), so the prediction
-        // here is the run-time schema by construction.
-        Smo::AddColumn {
-            table,
-            column,
-            fill,
-        } => {
-            let s = expect(shadow, table)?.clone();
-            shadow.insert(
-                table.clone(),
-                crate::simple_ops::add_column_schema(&s, column, fill)?,
-            );
-            Ok(eff(vec![table], vec![table]))
-        }
-        Smo::DropColumn { table, column } => {
-            let s = expect(shadow, table)?.clone();
-            shadow.insert(
-                table.clone(),
-                crate::simple_ops::drop_column_schema(&s, column)?,
-            );
-            Ok(eff(vec![table], vec![table]))
-        }
-        Smo::RenameColumn { table, from, to } => {
-            let s = expect(shadow, table)?.clone();
-            shadow.insert(
-                table.clone(),
-                crate::simple_ops::rename_column_schema(&s, from, to)?,
-            );
-            Ok(eff(vec![table], vec![table]))
-        }
-    }
 }
 
 impl<'c> EvolutionPlan<'c> {
@@ -271,34 +72,40 @@ impl<'c> EvolutionPlan<'c> {
     pub(crate) fn new(cods: &'c Cods, smos: Vec<Smo>) -> Result<EvolutionPlan<'c>> {
         let mut log = StepLog::new();
         let (base_version, snapshot) = cods.catalog().begin_evolution();
-        let mut shadow: BTreeMap<String, Schema> = snapshot
-            .iter()
-            .map(|(n, t)| (n.clone(), t.schema().clone()))
-            .collect();
+        // The dry run's workspace: the snapshot, every table the script
+        // reads replaced by an empty copy. The other tables are there for
+        // the name checks only; no operator fetches them.
+        let mut dry: Workspace = snapshot.clone();
+        for name in smos.iter().flat_map(Smo::inputs) {
+            if let Some(t) = snapshot.get(name) {
+                let empty = create_table(name, t.schema().clone())?;
+                dry.insert(name.to_string(), Arc::new(empty));
+            }
+        }
 
         let mut nodes: Vec<PlanNode> = Vec::with_capacity(smos.len());
         let mut names: HashMap<String, NameState> = HashMap::new();
         let mut written: BTreeSet<String> = BTreeSet::new();
 
         for smo in smos {
-            let effect = shadow_apply(&mut shadow, &smo)?;
-            written.extend(effect.writes.iter().cloned());
+            let (_, writes) = exec::run_smo(&smo, &dry)?.apply(&mut dry);
+            written.extend(writes.iter().cloned());
 
             // New node: read-after-write, then write-after-(read|write).
             let idx = nodes.len();
             let mut deps: BTreeSet<usize> = BTreeSet::new();
-            for r in &effect.reads {
-                let st = names.entry(r.clone()).or_default();
+            for r in smo.inputs() {
+                let st = names.entry(r.to_string()).or_default();
                 if let Some(w) = st.last_writer {
                     deps.insert(w);
                 }
                 st.readers.push(idx);
             }
-            for w in &effect.writes {
-                let st = names.entry(w.clone()).or_default();
+            for w in writes {
+                let st = names.entry(w).or_default();
                 // A node that writes the same name twice (PARTITION back
-                // into its input, UNION into one of its inputs) must not
-                // depend on itself.
+                // into its input, UNION into one of its inputs) or reads
+                // what it writes (DROP TABLE) must not depend on itself.
                 if let Some(lw) = st.last_writer.filter(|&lw| lw != idx) {
                     deps.insert(lw);
                 }
@@ -338,7 +145,7 @@ impl<'c> EvolutionPlan<'c> {
         // are ordinary drops, not elisions).
         let elided: Vec<String> = written
             .iter()
-            .filter(|n| !shadow.contains_key(*n) && !snapshot.contains_key(*n))
+            .filter(|n| !dry.contains_key(*n) && !snapshot.contains_key(*n))
             .cloned()
             .collect();
 
@@ -377,8 +184,10 @@ impl<'c> EvolutionPlan<'c> {
     /// Executes the plan: each wave's nodes run concurrently against an
     /// in-memory workspace, and on success every catalog mutation commits
     /// in one atomic transaction. Any failure — a data-dependent error in
-    /// any node, or a [`StorageError::Conflict`] because the catalog moved
-    /// since the plan was taken — leaves the catalog completely untouched.
+    /// any node, or a
+    /// [`StorageError::Conflict`](cods_storage::StorageError::Conflict)
+    /// because the catalog moved since the plan was taken — leaves the
+    /// catalog completely untouched.
     pub fn execute(&self) -> Result<PlanReport> {
         let mut report = exec::run(self)?;
         self.cods.record_plan(&mut report);
@@ -429,8 +238,8 @@ impl<'c> EvolutionPlan<'c> {
 mod tests {
     use super::*;
     use crate::decompose::DecomposeSpec;
-    use crate::simple_ops::ColumnFill;
-    use cods_storage::{ColumnDef, Value, ValueType};
+    use crate::error::EvolutionError;
+    use cods_storage::{ColumnDef, Schema, Value, ValueType};
 
     fn platform() -> Cods {
         let cods = Cods::new();
@@ -497,7 +306,7 @@ mod tests {
                 Smo::AddColumn {
                     table: "Q".into(),
                     column: ColumnDef::new("extra", ValueType::Int),
-                    fill: ColumnFill::Default(Value::int(7)),
+                    default: Value::int(7),
                 },
                 Smo::MergeTables {
                     left: "S".into(),
@@ -551,10 +360,10 @@ mod tests {
     }
 
     #[test]
-    fn shadow_tracks_schema_through_the_chain() {
+    fn dry_run_tracks_schema_through_the_chain() {
         let cods = platform();
-        // Decompose, then operate on the *predicted* outputs: valid only if
-        // the shadow catalog carries the projected schemas forward.
+        // Decompose, then operate on its outputs: valid only if the dry
+        // run carries the projected schemas forward.
         let plan = cods
             .plan_script(
                 "DECOMPOSE TABLE R INTO S (k, a), T (k, d)\n\
@@ -564,7 +373,7 @@ mod tests {
             .unwrap();
         assert_eq!(plan.nodes().len(), 3);
         // Renaming the join column away must be caught at plan time: the
-        // predicted schemas of S and T then share no column.
+        // dry run's S and T then share no column.
         let err = cods.plan_script(
             "DECOMPOSE TABLE R INTO S (k, a), T (k, d)\n\
              RENAME COLUMN k TO key2 IN T\n\

@@ -129,8 +129,7 @@ impl Cods {
     /// immediately, without consuming retry attempts.
     pub fn run_script_with_retry(&self, text: &str, policy: &RetryPolicy) -> Result<PlanReport> {
         let smos = crate::parser::parse_script(text)?;
-        self.catalog
-            .commit_with_retry(policy, |_| self.plan(smos.clone())?.execute())
+        policy.run(|_| self.plan(smos.clone())?.execute())
     }
 }
 
@@ -139,7 +138,6 @@ mod tests {
     use super::*;
     use crate::decompose::DecomposeSpec;
     use crate::merge::MergeStrategy;
-    use crate::simple_ops::ColumnFill;
     use cods_query::pred::Predicate;
     use cods_storage::{ColumnDef, Schema, Value, ValueType};
 
@@ -269,7 +267,7 @@ mod tests {
         cods.plan(vec![Smo::AddColumn {
             table: "R".into(),
             column: ColumnDef::new("country", ValueType::Str),
-            fill: ColumnFill::Default(Value::str("US")),
+            default: Value::str("US"),
         }])
         .unwrap()
         .execute()

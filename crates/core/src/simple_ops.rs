@@ -1,6 +1,8 @@
 //! The "relatively straightforward" SMOs of Table 1: CREATE / DROP / RENAME
 //! / COPY TABLE, UNION TABLES, PARTITION TABLE, and the column-level
-//! ADD / DROP / RENAME COLUMN — all executed at data level.
+//! ADD / DROP / RENAME COLUMN — all executed at data level. Each function
+//! checks its own inputs; a plan checks a script by running them on empty
+//! copies of its tables (see [`crate::plan`]).
 //!
 //! Even these showcase the column store's advantage: COPY shares columns by
 //! reference, ADD COLUMN with a default is one fill run per segment, and PARTITION evaluates its predicate once per *distinct
@@ -11,16 +13,6 @@ use cods_bitmap::Wah;
 use cods_query::pred::Predicate;
 use cods_storage::{ColumnBuilder, ColumnDef, EncodedColumn, Schema, StepLog, Table, Value};
 use std::sync::Arc;
-
-/// How ADD COLUMN fills the new column.
-#[derive(Clone, Debug)]
-pub enum ColumnFill {
-    /// Every row gets the same value: one fill run per segment, never a
-    /// pass over the rows.
-    Default(Value),
-    /// Explicit per-row values (must match the row count).
-    Values(Vec<Value>),
-}
 
 /// CREATE TABLE: an empty table with the given schema.
 pub fn create_table(name: &str, schema: Schema) -> Result<Table> {
@@ -112,131 +104,70 @@ pub fn partition_table(
     Ok((sat, rest, log))
 }
 
-/// Schema-level ADD COLUMN: validation (duplicate name, default-value
-/// conformance) plus the resulting schema — note ADD, like DROP, rebuilds
-/// the schema without a key declaration. Shared by the executor and the
-/// plan validator's shadow catalog, so plan-time prediction can never
-/// drift from run-time behavior.
-pub(crate) fn add_column_schema(s: &Schema, def: &ColumnDef, fill: &ColumnFill) -> Result<Schema> {
-    if s.contains(&def.name) {
+/// ADD COLUMN: appends a column holding `default` in every row — one
+/// dictionary entry and one fill run per segment, never a pass over the
+/// rows. Existing columns are shared by reference; the schema, as after
+/// DROP COLUMN, declares no key.
+pub fn add_column(table: &Table, def: ColumnDef, default: &Value) -> Result<(Table, StepLog)> {
+    let mut log = StepLog::new();
+    if table.schema().contains(&def.name) {
         return Err(EvolutionError::InvalidOperator(format!(
             "column {:?} already exists",
             def.name
         )));
     }
-    if let ColumnFill::Default(v) = fill {
-        if !v.conforms_to(def.ty) {
-            return Err(EvolutionError::InvalidOperator(format!(
-                "default value {v} does not conform to type {}",
-                def.ty
-            )));
-        }
+    if !default.conforms_to(def.ty) {
+        return Err(EvolutionError::InvalidOperator(format!(
+            "default value {default} does not conform to type {}",
+            def.ty
+        )));
     }
-    let mut defs = s.columns().to_vec();
-    defs.push(def.clone());
-    Schema::new(defs).map_err(EvolutionError::Storage)
+    let mut b = ColumnBuilder::new(def.ty);
+    b.push_run(default.clone(), table.rows())?;
+    log.mark("build new column");
+
+    let mut defs = table.schema().columns().to_vec();
+    defs.push(def);
+    let mut columns = table.columns().to_vec();
+    columns.push(Arc::new(b.finish()));
+    let out = Table::new(table.name(), Schema::new(defs)?, columns)?;
+    log.mark("attach column");
+    Ok((out, log))
 }
 
-/// Schema-level DROP COLUMN: validation (existence, not the last column)
-/// plus the resulting key-less schema. Shared like
-/// [`add_column_schema`].
-pub(crate) fn drop_column_schema(s: &Schema, column: &str) -> Result<Schema> {
-    let idx = s.index_of(column)?;
-    if s.arity() == 1 {
+/// DROP COLUMN: removes a column, never the last; all other columns are
+/// shared, and the schema declares no key.
+pub fn drop_column(table: &Table, column: &str) -> Result<(Table, StepLog)> {
+    let mut log = StepLog::new();
+    let idx = table.schema().index_of(column)?;
+    if table.arity() == 1 {
         return Err(EvolutionError::InvalidOperator(
             "cannot drop the last column".into(),
         ));
     }
-    let defs: Vec<ColumnDef> = s
-        .columns()
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != idx)
-        .map(|(_, c)| c.clone())
-        .collect();
-    Schema::new(defs).map_err(EvolutionError::Storage)
+    let mut defs = table.schema().columns().to_vec();
+    defs.remove(idx);
+    let mut columns = table.columns().to_vec();
+    columns.remove(idx);
+    let out = Table::new(table.name(), Schema::new(defs)?, columns)?;
+    log.mark("detach column");
+    Ok((out, log))
 }
 
-/// Schema-level RENAME COLUMN: validation (existence, collision) plus the
-/// resulting schema — rename preserves the key declaration. Shared like
-/// [`add_column_schema`].
-pub(crate) fn rename_column_schema(s: &Schema, from: &str, to: &str) -> Result<Schema> {
+/// RENAME COLUMN: pure metadata; the key declaration is kept.
+pub fn rename_column(table: &Table, from: &str, to: &str) -> Result<(Table, StepLog)> {
+    let mut log = StepLog::new();
+    let s = table.schema();
     let idx = s.index_of(from)?;
     if s.contains(to) {
         return Err(EvolutionError::InvalidOperator(format!(
             "column {to:?} already exists"
         )));
     }
-    let defs: Vec<ColumnDef> = s
-        .columns()
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            if i == idx {
-                ColumnDef::new(to, c.ty)
-            } else {
-                c.clone()
-            }
-        })
-        .collect();
-    Schema::with_key(defs, s.key().to_vec()).map_err(EvolutionError::Storage)
-}
-
-/// ADD COLUMN: appends a column filled per `fill`. Existing columns are
-/// shared by reference.
-pub fn add_column(table: &Table, def: ColumnDef, fill: &ColumnFill) -> Result<(Table, StepLog)> {
-    let mut log = StepLog::new();
-    let schema = add_column_schema(table.schema(), &def, fill)?;
-    let rows = table.rows();
-    let new_col = match fill {
-        // One dictionary entry, one run per segment: O(segments).
-        ColumnFill::Default(v) => {
-            let mut b = ColumnBuilder::new(def.ty);
-            b.push_run(v.clone(), rows)?;
-            b.finish()
-        }
-        ColumnFill::Values(vals) => {
-            if vals.len() as u64 != rows {
-                return Err(EvolutionError::InvalidOperator(format!(
-                    "ADD COLUMN got {} values for {rows} rows",
-                    vals.len()
-                )));
-            }
-            EncodedColumn::from_values(def.ty, vals)?
-        }
-    };
-    log.mark("build new column");
-
-    let mut columns = table.columns().to_vec();
-    columns.push(Arc::new(new_col));
-    let out = Table::new(table.name(), schema, columns).map_err(EvolutionError::Storage)?;
-    log.mark("attach column");
-    Ok((out, log))
-}
-
-/// DROP COLUMN: removes a column; all other columns are shared.
-pub fn drop_column(table: &Table, column: &str) -> Result<(Table, StepLog)> {
-    let mut log = StepLog::new();
-    let schema = drop_column_schema(table.schema(), column)?;
-    let idx = table.schema().index_of(column)?;
-    let columns: Vec<Arc<EncodedColumn>> = table
-        .columns()
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != idx)
-        .map(|(_, c)| Arc::clone(c))
-        .collect();
-    let out = Table::new(table.name(), schema, columns).map_err(EvolutionError::Storage)?;
-    log.mark("detach column");
-    Ok((out, log))
-}
-
-/// RENAME COLUMN: pure metadata.
-pub fn rename_column(table: &Table, from: &str, to: &str) -> Result<(Table, StepLog)> {
-    let mut log = StepLog::new();
-    let schema = rename_column_schema(table.schema(), from, to)?;
-    let out = Table::new(table.name(), schema, table.columns().to_vec())
-        .map_err(EvolutionError::Storage)?;
+    let mut defs = s.columns().to_vec();
+    defs[idx] = ColumnDef::new(to, defs[idx].ty);
+    let schema = Schema::with_key(defs, s.key().to_vec())?;
+    let out = Table::new(table.name(), schema, table.columns().to_vec())?;
     log.mark("rename column metadata");
     Ok((out, log))
 }
@@ -386,7 +317,7 @@ mod tests {
         let (out, _) = add_column(
             &t,
             ColumnDef::new("dept", ValueType::Str),
-            &ColumnFill::Default(Value::str("eng")),
+            &Value::str("eng"),
         )
         .unwrap();
         out.check_invariants().unwrap();
@@ -399,35 +330,15 @@ mod tests {
     }
 
     #[test]
-    fn add_column_values_and_errors() {
+    fn add_column_errors() {
         let t = sample();
-        let vals: Vec<Value> = (0..10).map(|i| Value::int(i * 100)).collect();
-        let (out, _) = add_column(
-            &t,
-            ColumnDef::new("salary", ValueType::Int),
-            &ColumnFill::Values(vals),
-        )
-        .unwrap();
-        assert_eq!(out.row(3)[2], Value::int(300));
-        // Wrong length.
-        assert!(add_column(
-            &t,
-            ColumnDef::new("bad", ValueType::Int),
-            &ColumnFill::Values(vec![Value::int(1)])
-        )
-        .is_err());
         // Duplicate name.
-        assert!(add_column(
-            &t,
-            ColumnDef::new("id", ValueType::Int),
-            &ColumnFill::Default(Value::int(0))
-        )
-        .is_err());
+        assert!(add_column(&t, ColumnDef::new("id", ValueType::Int), &Value::int(0)).is_err());
         // Type mismatch in default.
         assert!(add_column(
             &t,
             ColumnDef::new("oops", ValueType::Int),
-            &ColumnFill::Default(Value::str("nope"))
+            &Value::str("nope")
         )
         .is_err());
     }

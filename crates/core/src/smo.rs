@@ -3,9 +3,8 @@
 
 use crate::decompose::DecomposeSpec;
 use crate::merge::MergeStrategy;
-use crate::simple_ops::ColumnFill;
 use cods_query::pred::Predicate;
-use cods_storage::{ColumnDef, Schema};
+use cods_storage::{ColumnDef, Schema, Value};
 use std::fmt;
 
 /// A schema modification operator (Table 1 of the paper).
@@ -79,14 +78,14 @@ pub enum Smo {
         /// Strategy (auto-detected by default).
         strategy: MergeStrategy,
     },
-    /// ADD COLUMN, loading data "from user input or by default".
+    /// ADD COLUMN, filled "by default": every existing row gets one value.
     AddColumn {
         /// Target table.
         table: String,
         /// New column definition.
         column: ColumnDef,
-        /// Fill for existing rows.
-        fill: ColumnFill,
+        /// The value of every existing row.
+        default: Value,
     },
     /// DROP COLUMN and its associated data.
     DropColumn {
@@ -107,6 +106,25 @@ pub enum Smo {
 }
 
 impl Smo {
+    /// The tables the operator reads, by name: the ones its executor
+    /// fetches from the workspace.
+    pub(crate) fn inputs(&self) -> Vec<&str> {
+        match self {
+            Smo::CreateTable { .. } => vec![],
+            Smo::UnionTables { left, right, .. } | Smo::MergeTables { left, right, .. } => {
+                vec![left, right]
+            }
+            Smo::DropTable { name: t }
+            | Smo::RenameTable { from: t, .. }
+            | Smo::CopyTable { from: t, .. }
+            | Smo::PartitionTable { input: t, .. }
+            | Smo::DecomposeTable { input: t, .. }
+            | Smo::AddColumn { table: t, .. }
+            | Smo::DropColumn { table: t, .. }
+            | Smo::RenameColumn { table: t, .. } => vec![t],
+        }
+    }
+
     /// Whether the operator reads or writes column data, rather than only
     /// naming, sharing or dropping tables and columns.
     pub(crate) fn moves_rows(&self) -> bool {

@@ -1,7 +1,7 @@
 //! Edge-case suite for the simple SMOs: empty tables, extreme predicates,
 //! unions of empties, and column operations on evolution outputs.
 
-use cods::simple_ops::{add_column, partition_table, union_tables, ColumnFill};
+use cods::simple_ops::{add_column, partition_table, union_tables};
 use cods::{decompose, DecomposeSpec};
 use cods_query::Predicate;
 use cods_storage::{ColumnDef, Schema, Table, Value, ValueType};
@@ -68,7 +68,7 @@ fn add_column_to_empty_table_then_grow() {
     let (with_col, _) = add_column(
         &empty,
         ColumnDef::new("flag", ValueType::Bool),
-        &ColumnFill::Default(Value::Bool(true)),
+        &Value::Bool(true),
     )
     .unwrap();
     assert_eq!(with_col.arity(), 3);
@@ -86,7 +86,7 @@ fn column_ops_compose_with_decompose() {
     let (wide, _) = add_column(
         &input,
         ColumnDef::new("src", ValueType::Str),
-        &ColumnFill::Default(Value::str("gen")),
+        &Value::str("gen"),
     )
     .unwrap();
     let out = decompose(

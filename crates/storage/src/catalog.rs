@@ -1,9 +1,10 @@
-//! The database catalog: a thread-safe name → table map with the
-//! schema-level operations (create/drop/rename/copy) that SMOs delegate to.
+//! The database catalog: a thread-safe name → table map. Loads and
+//! restores add tables one at a time ([`Catalog::create`],
+//! [`Catalog::put`]); an evolution plan stages every drop and put of its
+//! script and lands them in one [`Catalog::commit_evolution`].
 
 use crate::commitlog::CommitLog;
 use crate::error::StorageError;
-use crate::retry::{RetryPolicy, Retryable};
 use crate::table::Table;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -152,19 +153,6 @@ impl Catalog {
         self.bump();
     }
 
-    /// Removes a table.
-    ///
-    /// # Errors
-    /// [`StorageError::UnknownTable`] if absent.
-    pub fn drop_table(&self, name: &str) -> Result<Arc<Table>, StorageError> {
-        let mut map = self.tables.write();
-        let t = map
-            .remove(name)
-            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?;
-        self.bump();
-        Ok(t)
-    }
-
     /// Pins a copy-on-write snapshot of the whole namespace at the current
     /// version — the read-isolation primitive of the serving layer (see
     /// [`CatalogSnapshot`]). O(tables) `Arc` clones; no data is copied.
@@ -174,22 +162,6 @@ impl Catalog {
             version: self.version.load(Ordering::Acquire),
             tables: map.clone(),
         }
-    }
-
-    /// Runs an optimistic snapshot-work-commit closure with bounded,
-    /// jittered retry on [`StorageError::Conflict`] (see [`RetryPolicy`]).
-    /// The closure must re-read the catalog on every call — typically
-    /// [`begin_evolution`](Catalog::begin_evolution) …
-    /// [`commit_evolution`](Catalog::commit_evolution) — because a retry
-    /// only succeeds against the freshly committed state. Non-conflict
-    /// errors surface immediately; a conflict on the final attempt
-    /// surfaces as-is.
-    pub fn commit_with_retry<T, E: Retryable>(
-        &self,
-        policy: &RetryPolicy,
-        attempt: impl FnMut(u32) -> Result<T, E>,
-    ) -> Result<T, E> {
-        policy.run(attempt)
     }
 
     /// Starts an optimistic evolution transaction: one consistent snapshot
@@ -270,34 +242,6 @@ impl Catalog {
         self.tables.read().contains_key(name)
     }
 
-    /// Renames a table. Pure metadata: all column data is shared.
-    pub fn rename(&self, from: &str, to: &str) -> Result<(), StorageError> {
-        let mut map = self.tables.write();
-        if map.contains_key(to) {
-            return Err(StorageError::TableExists(to.to_string()));
-        }
-        let t = map
-            .remove(from)
-            .ok_or_else(|| StorageError::UnknownTable(from.to_string()))?;
-        map.insert(to.to_string(), Arc::new(t.renamed(to)));
-        self.bump();
-        Ok(())
-    }
-
-    /// Copies a table under a new name. Column data is shared (`Arc`), so
-    /// this is O(arity), not O(data) — COPY TABLE "requires data movement,
-    /// but no data change", and a column store can defer even the movement.
-    pub fn copy(&self, from: &str, to: &str) -> Result<(), StorageError> {
-        let src = self.get(from)?;
-        let mut map = self.tables.write();
-        if map.contains_key(to) {
-            return Err(StorageError::TableExists(to.to_string()));
-        }
-        map.insert(to.to_string(), Arc::new(src.renamed(to)));
-        self.bump();
-        Ok(())
-    }
-
     /// Sorted table names.
     pub fn table_names(&self) -> Vec<String> {
         self.tables.read().keys().cloned().collect()
@@ -340,39 +284,16 @@ mod tests {
             cat.create(tiny("t")),
             Err(StorageError::TableExists(_))
         ));
-        cat.drop_table("t").unwrap();
+        drop_by_commit(&cat, "t");
         assert!(!cat.contains("t"));
-        assert!(matches!(
-            cat.drop_table("t"),
-            Err(StorageError::UnknownTable(_))
-        ));
+        assert!(matches!(cat.get("t"), Err(StorageError::UnknownTable(_))));
     }
 
-    #[test]
-    fn rename_moves_and_shares() {
-        let cat = Catalog::new();
-        cat.create(tiny("old")).unwrap();
-        let before = cat.get("old").unwrap();
-        cat.rename("old", "new").unwrap();
-        assert!(!cat.contains("old"));
-        let after = cat.get("new").unwrap();
-        assert_eq!(after.name(), "new");
-        assert!(Arc::ptr_eq(before.column(0), after.column(0)));
-        // Renaming onto an existing name fails.
-        cat.create(tiny("other")).unwrap();
-        assert!(cat.rename("new", "other").is_err());
-    }
-
-    #[test]
-    fn copy_shares_columns() {
-        let cat = Catalog::new();
-        cat.create(tiny("src")).unwrap();
-        cat.copy("src", "dst").unwrap();
-        let s = cat.get("src").unwrap();
-        let d = cat.get("dst").unwrap();
-        assert!(Arc::ptr_eq(s.column(0), d.column(0)));
-        assert!(cat.copy("src", "dst").is_err());
-        assert!(cat.copy("missing", "x").is_err());
+    /// Drops `name` in a one-drop evolution commit.
+    fn drop_by_commit(cat: &Catalog, name: &str) {
+        let (base, _) = cat.begin_evolution();
+        cat.commit_evolution(base, &[name.to_string()], vec![])
+            .unwrap();
     }
 
     #[test]
@@ -394,13 +315,17 @@ mod tests {
         assert_eq!(cat.version(), v0 + 1);
         // Failed mutations do not bump.
         assert!(cat.create(tiny("a")).is_err());
-        assert!(cat.drop_table("missing").is_err());
+        assert!(cat.commit_evolution(v0, &[], vec![]).is_err());
         assert_eq!(cat.version(), v0 + 1);
-        cat.rename("a", "b").unwrap();
-        cat.copy("b", "c").unwrap();
+        // One evolution commit is one bump, whatever it drops and puts.
+        let a = cat.get("a").unwrap();
+        let puts = vec![Arc::new(a.renamed("b")), Arc::new(a.renamed("c"))];
+        cat.commit_evolution(v0 + 1, &["a".to_string()], puts)
+            .unwrap();
         cat.put(tiny("c"));
-        cat.drop_table("b").unwrap();
-        assert_eq!(cat.version(), v0 + 5);
+        drop_by_commit(&cat, "b");
+        assert_eq!(cat.version(), v0 + 4);
+        assert_eq!(cat.table_names(), vec!["c"]);
     }
 
     #[test]
@@ -438,7 +363,7 @@ mod tests {
 
         // Mutations after the pin are invisible to the snapshot…
         cat.create(tiny("later")).unwrap();
-        cat.drop_table("t").unwrap();
+        drop_by_commit(&cat, "t");
         cat.put(tiny("t"));
         assert!(!snap.contains("later"));
         assert!(Arc::ptr_eq(&snap.get("t").unwrap(), &live), "old version");
@@ -452,7 +377,7 @@ mod tests {
     }
 
     #[test]
-    fn commit_with_retry_resolves_contention() {
+    fn retry_policy_resolves_commit_contention() {
         use crate::retry::RetryPolicy;
         let cat = Catalog::new();
         cat.create(tiny("seed")).unwrap();
@@ -460,21 +385,22 @@ mod tests {
         // snapshot and commit); the retry re-snapshots and lands.
         let mut raced = false;
         let policy = RetryPolicy::no_backoff(4);
-        cat.commit_with_retry(&policy, |_| {
-            let (base, _snap) = cat.begin_evolution();
-            if !raced {
-                raced = true;
-                cat.create(tiny("racer")).unwrap(); // invalidates `base`
-            }
-            cat.commit_evolution(base, &[], vec![Arc::new(tiny("winner"))])
-        })
-        .unwrap();
+        policy
+            .run(|_| {
+                let (base, _snap) = cat.begin_evolution();
+                if !raced {
+                    raced = true;
+                    cat.create(tiny("racer")).unwrap(); // invalidates `base`
+                }
+                cat.commit_evolution(base, &[], vec![Arc::new(tiny("winner"))])
+            })
+            .unwrap();
         assert!(cat.contains("winner"));
         assert!(cat.contains("racer"));
 
         // A policy of one attempt surfaces the conflict unchanged.
         let policy = RetryPolicy::no_backoff(1);
-        let err = cat.commit_with_retry(&policy, |_| {
+        let err = policy.run(|_| {
             let (base, _snap) = cat.begin_evolution();
             cat.create(tiny(&format!("noise{}", cat.version())))
                 .unwrap();

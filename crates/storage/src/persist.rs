@@ -2216,7 +2216,8 @@ mod tests {
         let cat = Catalog::new();
         cat.create(sample()).unwrap();
         cat.create(multi_segment()).unwrap();
-        cat.drop_table("multi").unwrap();
+        cat.commit_evolution(2, &["multi".to_string()], vec![])
+            .unwrap();
         assert_eq!(cat.version(), 3);
         let path = temp("catalog_version");
         save_catalog(&cat, &path).unwrap();

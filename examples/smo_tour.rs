@@ -6,7 +6,7 @@
 //! cargo run --release --example smo_tour
 //! ```
 
-use cods::{Cods, ColumnFill, DecomposeSpec, MergeStrategy, Smo};
+use cods::{Cods, DecomposeSpec, MergeStrategy, Smo};
 use cods_query::Predicate;
 use cods_storage::{ColumnDef, Value, ValueType};
 use cods_workload::figure1;
@@ -33,7 +33,7 @@ fn main() {
         Smo::AddColumn {
             table: "R".into(),
             column: ColumnDef::new("country", ValueType::Str),
-            fill: ColumnFill::Default(Value::str("US")),
+            default: Value::str("US"),
         },
         Smo::RenameColumn {
             table: "R".into(),

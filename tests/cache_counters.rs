@@ -479,3 +479,56 @@ fn a_repinned_payload_is_stored_once_and_reopens_with_its_own_pin() {
         }
     }
 }
+
+/// A plan moves no data: planning a DECOMPOSE + MERGE chain over a lazily
+/// opened catalog checks the whole chain without faulting a segment or
+/// recording history; executing the plan is where the segments are read.
+#[test]
+fn planning_faults_nothing_and_execution_does() {
+    const ROWS: u64 = 4 * SEG_ROWS;
+    let _g = serialized();
+    let rows: Vec<Vec<Value>> = (0..ROWS as i64)
+        .map(|i| vec![Value::int(i / 4), Value::int(i % 13), Value::int(i / 4 % 7)])
+        .collect();
+    let schema = Schema::build(
+        &[
+            ("k", ValueType::Int),
+            ("v", ValueType::Int),
+            ("d", ValueType::Int),
+        ],
+        &[],
+    )
+    .unwrap();
+    let cat = Catalog::new();
+    cat.create(Table::from_rows_with_segment_rows("M", schema, &rows, SEG_ROWS).unwrap())
+        .unwrap();
+    let path = scratch("plan");
+    save_catalog(&cat, &path).unwrap();
+    let cache = segment_cache();
+    cache.reset_counters();
+    let cods = cods::Cods::with_catalog(read_catalog(&path).unwrap());
+    let opened = cache.stats();
+    let plan = cods
+        .plan_script(
+            "DECOMPOSE TABLE M INTO S (k, v), T (k, d)\n\
+             MERGE TABLES S, T INTO M2",
+        )
+        .unwrap();
+    let planned = cache.stats();
+    assert_eq!(
+        (planned.hits, planned.misses, planned.decoded_bytes),
+        (opened.hits, opened.misses, opened.decoded_bytes),
+        "planning touched a segment"
+    );
+    assert!(cods.history().is_empty());
+    plan.execute().unwrap();
+    let executed = cache.stats();
+    assert!(
+        executed.misses > planned.misses,
+        "execution faults segments in"
+    );
+    assert!(executed.decoded_bytes > planned.decoded_bytes);
+    assert_eq!(cods.history().len(), 2);
+    assert_eq!(cods.table("M2").unwrap().rows(), ROWS);
+    std::fs::remove_file(&path).ok();
+}

@@ -41,7 +41,7 @@ const ROWS: &[Row] = &[
     row("CREATE TABLE notes (id int, body str, KEY id)", r#"[CreateTable { name: "notes", schema: Schema { columns: [ColumnDef { name: "id", ty: Int }, ColumnDef { name: "body", ty: Str }], key: [0] } }]"#),
     row("COPY TABLE regions TO dim", r#"[CopyTable { from: "regions", to: "dim" }]"#),
     row("RENAME TABLE dim TO dim2", r#"[RenameTable { from: "dim", to: "dim2" }]"#),
-    row("ADD COLUMN tier int DEFAULT 2 TO dim2", r#"[AddColumn { table: "dim2", column: ColumnDef { name: "tier", ty: Int }, fill: Default(Int(2)) }]"#),
+    row("ADD COLUMN tier int DEFAULT 2 TO dim2", r#"[AddColumn { table: "dim2", column: ColumnDef { name: "tier", ty: Int }, default: Int(2) }]"#),
     row("RENAME COLUMN tier TO level IN dim2", r#"[RenameColumn { table: "dim2", from: "tier", to: "level" }]"#),
     row("DROP COLUMN level FROM dim2", r#"[DropColumn { table: "dim2", column: "level" }]"#),
     row("PARTITION TABLE dim2 WHERE region = 'north west' or grp < 2 INTO near, far", r#"[PartitionTable { input: "dim2", predicate: Or(Compare { column: "region", op: Eq, literal: Str("north west") }, Compare { column: "grp", op: Lt, literal: Int(2) }), satisfying: "near", rest: "far" }]"#),
@@ -120,7 +120,7 @@ const ROWS: &[Row] = &[
     row("MERGE TABLES s, t INTO r", r#"[MergeTables { left: "s", right: "t", output: "r", strategy: Auto }]"#),
     row("UNION TABLES a, b INTO ab", r#"[UnionTables { left: "a", right: "b", output: "ab", drop_inputs: false }]"#),
     row("PARTITION TABLE t WHERE k < 10 AND v = 'x' INTO lo, hi", r#"[PartitionTable { input: "t", predicate: And(Compare { column: "k", op: Lt, literal: Int(10) }, Compare { column: "v", op: Eq, literal: Str("x") }), satisfying: "lo", rest: "hi" }]"#),
-    row("ADD COLUMN dept str DEFAULT eng TO emp", r#"[AddColumn { table: "emp", column: ColumnDef { name: "dept", ty: Str }, fill: Default(Str("eng")) }]"#),
+    row("ADD COLUMN dept str DEFAULT eng TO emp", r#"[AddColumn { table: "emp", column: ColumnDef { name: "dept", ty: Str }, default: Str("eng") }]"#),
     row("DROP COLUMN dept FROM emp", r#"[DropColumn { table: "emp", column: "dept" }]"#),
     row("RENAME COLUMN a TO b IN emp", r#"[RenameColumn { table: "emp", from: "a", to: "b" }]"#),
     row("DROP TABLE t", r#"[DropTable { name: "t" }]"#),
@@ -135,7 +135,7 @@ const ROWS: &[Row] = &[
     row("PARTITION TABLE t WHERE k = '5' INTO a, b", r#"[PartitionTable { input: "t", predicate: Compare { column: "k", op: Eq, literal: Str("5") }, satisfying: "a", rest: "b" }]"#),
     row("PARTITION TABLE t WHERE k = 5 INTO a, b", r#"[PartitionTable { input: "t", predicate: Compare { column: "k", op: Eq, literal: Int(5) }, satisfying: "a", rest: "b" }]"#),
     row("PARTITION TABLE t WHERE v = 'put into a where b' INTO a, b", r#"[PartitionTable { input: "t", predicate: Compare { column: "v", op: Eq, literal: Str("put into a where b") }, satisfying: "a", rest: "b" }]"#),
-    row("ADD COLUMN c str DEFAULT 'up to you' TO t", r#"[AddColumn { table: "t", column: ColumnDef { name: "c", ty: Str }, fill: Default(Str("up to you")) }]"#),
+    row("ADD COLUMN c str DEFAULT 'up to you' TO t", r#"[AddColumn { table: "t", column: ColumnDef { name: "c", ty: Str }, default: Str("up to you") }]"#),
     row("# build and evolve the Figure 1 schema\nCREATE TABLE r (employee str, skill str, address str)\n-- nothing to load here; structure only\nCOPY TABLE r TO r2;\nDROP TABLE r2\n", r#"[CreateTable { name: "r", schema: Schema { columns: [ColumnDef { name: "employee", ty: Str }, ColumnDef { name: "skill", ty: Str }, ColumnDef { name: "address", ty: Str }], key: [] } }, CopyTable { from: "r", to: "r2" }, DropTable { name: "r2" }]"#),
     row("DROP TABLE a\n# comment\n\nFROBNICATE x", r#"refused: line 4: unrecognized statement "FROBNICATE x""#),
     // parser.rs: garbage and names that are not one word
@@ -223,7 +223,7 @@ const ROWS: &[Row] = &[
     row("count R where skill = C#", r#"Count { table: "R", predicate: Compare { column: "skill", op: Eq, literal: Str("C#") } }"#),
     row("count R where v = x--y", r#"Count { table: "R", predicate: Compare { column: "v", op: Eq, literal: Str("x--y") } }"#),
     row("DROP TABLE t #x", r#"[DropTable { name: "t" }]"#),
-    row("ADD COLUMN c int DEFAULT -5 TO t", r#"[AddColumn { table: "t", column: ColumnDef { name: "c", ty: Int }, fill: Default(Int(-5)) }]"#),
+    row("ADD COLUMN c int DEFAULT -5 TO t", r#"[AddColumn { table: "t", column: ColumnDef { name: "c", ty: Int }, default: Int(-5) }]"#),
     // the changes
     changed(
         "count R where v = f(x)",
@@ -252,7 +252,7 @@ const ROWS: &[Row] = &[
     ),
     changed(
         "ADD COLUMN c str DEFAULT hello world TO t",
-        r#"[AddColumn { table: "t", column: ColumnDef { name: "c", ty: Str }, fill: Default(Str("hello world")) }]"#,
+        r#"[AddColumn { table: "t", column: ColumnDef { name: "c", ty: Str }, default: Str("hello world") }]"#,
         "refused",
     ),
     changed(
@@ -263,17 +263,17 @@ const ROWS: &[Row] = &[
     changed(
         "ADD COLUMN lang str DEFAULT C# TO R",
         "refused: ADD COLUMN needs `TO`",
-        r#"[AddColumn { table: "R", column: ColumnDef { name: "lang", ty: Str }, fill: Default(Str("C#")) }]"#,
+        r#"[AddColumn { table: "R", column: ColumnDef { name: "lang", ty: Str }, default: Str("C#") }]"#,
     ),
     changed(
         "ADD COLUMN lang str DEFAULT C# TO R; RENAME COLUMN lang TO tongue IN R -- two statements, one line",
         "refused: ADD COLUMN needs `TO`",
-        r#"[AddColumn { table: "R", column: ColumnDef { name: "lang", ty: Str }, fill: Default(Str("C#")) }, RenameColumn { table: "R", from: "lang", to: "tongue" }]"#,
+        r#"[AddColumn { table: "R", column: ColumnDef { name: "lang", ty: Str }, default: Str("C#") }, RenameColumn { table: "R", from: "lang", to: "tongue" }]"#,
     ),
     changed(
         "ADD COLUMN c str DEFAULT to TO t",
         r#"refused: unknown type "str default""#,
-        r#"[AddColumn { table: "t", column: ColumnDef { name: "c", ty: Str }, fill: Default(Str("to")) }]"#,
+        r#"[AddColumn { table: "t", column: ColumnDef { name: "c", ty: Str }, default: Str("to") }]"#,
     ),
     changed(
         "count R # note",

@@ -193,3 +193,237 @@ fn plan_describe_names_waves_and_elisions() {
         "{text}"
     );
 }
+
+/// A small catalog for the refusal table: `R(k, a, d)` with `d` a function
+/// of `k`, `U` with `R`'s schema, `Q(k, x)` joinable with `R` on `k`,
+/// `Z(z)` sharing no column with `R`, and `Ks(k str, y)` whose `k` has the
+/// other type. `Q` is unique on `k`; the other tables are not.
+fn refusal_catalog() -> Cods {
+    use cods_storage::{Schema, Table, Value, ValueType};
+    let cods = Cods::new();
+    let int = ValueType::Int;
+    let tables: [(&str, &[(&str, ValueType)]); 5] = [
+        ("R", &[("k", int), ("a", int), ("d", int)]),
+        ("U", &[("k", int), ("a", int), ("d", int)]),
+        ("Q", &[("k", int), ("x", int)]),
+        ("Z", &[("z", int)]),
+        ("Ks", &[("k", ValueType::Str), ("y", int)]),
+    ];
+    for (name, cols) in tables {
+        let schema = Schema::build(cols, &[]).unwrap();
+        let rows: Vec<Vec<Value>> = (0..12i64)
+            .map(|i| {
+                cols.iter()
+                    .enumerate()
+                    .map(|(c, &(_, ty))| match (c, ty) {
+                        (_, ValueType::Str) => Value::str(format!("s{}", i % 4)),
+                        (0, _) if name == "Q" => Value::int(i),
+                        (0, _) => Value::int(i % 4),
+                        (2, _) => Value::int((i % 4) * 10),
+                        _ => Value::int(i),
+                    })
+                    .collect()
+            })
+            .collect();
+        cods.catalog()
+            .create(Table::from_rows(name, schema, &rows).unwrap())
+            .unwrap();
+    }
+    cods
+}
+
+/// Every operator's plan-time refusals, each with the exact error it
+/// reports, and the in-place forms the name rules allow. A refused script
+/// leaves the catalog as it was; an allowed one plans and executes.
+/// `None` means the script plans; otherwise the refusal's `Debug` form
+/// must start with the given text (the whole form for name and column
+/// errors, the variant for errors that carry a message).
+#[test]
+fn every_operator_refuses_at_plan_time_with_its_own_error() {
+    const EXISTS_Q: &str = r#"Storage(TableExists("Q"))"#;
+    const NO_TABLE: &str = r#"Storage(UnknownTable("nope"))"#;
+    const NO_COL: &str = r#"Storage(UnknownColumn("zz"))"#;
+    const INVALID: &str = "InvalidOperator(";
+    const LOSSY: &str = "LossyDecomposition(";
+    const DISJOINT: &str = "NoCommonColumns(";
+    let cases: &[(&str, Option<&str>)] = &[
+        // CREATE TABLE: the name must be absent.
+        ("CREATE TABLE Q (z int)", Some(EXISTS_Q)),
+        ("CREATE TABLE N (z int)", None),
+        // DROP TABLE: the name must exist.
+        ("DROP TABLE nope", Some(NO_TABLE)),
+        ("DROP TABLE Q", None),
+        // RENAME TABLE: `from` exists, `to` is absent (itself included).
+        ("RENAME TABLE nope TO N", Some(NO_TABLE)),
+        ("RENAME TABLE R TO Q", Some(EXISTS_Q)),
+        ("RENAME TABLE R TO R", Some(r#"Storage(TableExists("R"))"#)),
+        ("RENAME TABLE R TO N", None),
+        // COPY TABLE: the same two rules.
+        ("COPY TABLE nope TO N", Some(NO_TABLE)),
+        ("COPY TABLE R TO Q", Some(EXISTS_Q)),
+        ("COPY TABLE R TO N", None),
+        // UNION TABLES: inputs exist and are union-compatible; the output
+        // may replace only one of its inputs.
+        ("UNION TABLES nope, R INTO N", Some(NO_TABLE)),
+        ("UNION TABLES R, nope INTO N", Some(NO_TABLE)),
+        ("UNION TABLES R, Q INTO N", Some(INVALID)),
+        ("UNION TABLES R, U INTO Q", Some(EXISTS_Q)),
+        ("UNION TABLES R, U INTO R", None),
+        ("UNION TABLES R, U INTO U", None),
+        ("UNION TABLES R, U INTO N", None),
+        // PARTITION TABLE: the predicate's columns exist; the outputs
+        // differ, and each is absent or the input.
+        (
+            "PARTITION TABLE nope WHERE k < 2 INTO lo, hi",
+            Some(NO_TABLE),
+        ),
+        ("PARTITION TABLE R WHERE zz < 2 INTO lo, hi", Some(NO_COL)),
+        (
+            "PARTITION TABLE R WHERE k < 2 INTO lo, lo",
+            Some(r#"Storage(TableExists("lo"))"#),
+        ),
+        (
+            "PARTITION TABLE R WHERE k < 2 INTO R, R",
+            Some(r#"Storage(TableExists("R"))"#),
+        ),
+        ("PARTITION TABLE R WHERE k < 2 INTO Q, hi", Some(EXISTS_Q)),
+        ("PARTITION TABLE R WHERE k < 2 INTO lo, Q", Some(EXISTS_Q)),
+        ("PARTITION TABLE R WHERE k < 2 INTO R, rest", None),
+        ("PARTITION TABLE R WHERE k < 2 INTO lo, R", None),
+        // DECOMPOSE TABLE: the same name rules, then the shape.
+        (
+            "DECOMPOSE TABLE nope INTO S (k, a), T (k, d)",
+            Some(NO_TABLE),
+        ),
+        (
+            "DECOMPOSE TABLE R INTO S (k, a), S (k, d)",
+            Some(r#"Storage(TableExists("S"))"#),
+        ),
+        ("DECOMPOSE TABLE R INTO Q (k, a), T (k, d)", Some(EXISTS_Q)),
+        ("DECOMPOSE TABLE R INTO S (k, a), Q (k, d)", Some(EXISTS_Q)),
+        (
+            "DECOMPOSE TABLE R INTO S (k, zz), T (k, a, d)",
+            Some(INVALID),
+        ),
+        ("DECOMPOSE TABLE R INTO S (k, a), T (k)", Some(LOSSY)),
+        ("DECOMPOSE TABLE R INTO S (k), T (a, d)", Some(LOSSY)),
+        (
+            "DECOMPOSE TABLE R INTO S (k, a, a), T (k, d)",
+            Some(INVALID),
+        ),
+        ("DECOMPOSE TABLE R INTO R (k, a), T (k, d)", None),
+        ("DECOMPOSE TABLE R INTO S (k, a), R (k, d)", None),
+        // MERGE TABLES: inputs exist, the output is absent (an input's
+        // name included), the inputs share a column of one type.
+        ("MERGE TABLES nope, Q INTO N", Some(NO_TABLE)),
+        ("MERGE TABLES R, nope INTO N", Some(NO_TABLE)),
+        ("MERGE TABLES R, U INTO Q", Some(EXISTS_Q)),
+        ("MERGE TABLES Q, R INTO Q", Some(EXISTS_Q)),
+        ("MERGE TABLES R, Z INTO N", Some(DISJOINT)),
+        ("MERGE TABLES R, Ks INTO N", Some(INVALID)),
+        ("MERGE TABLES R, Q INTO N", None),
+        // ADD COLUMN: the table exists and the column does not.
+        ("ADD COLUMN e int DEFAULT 0 TO nope", Some(NO_TABLE)),
+        ("ADD COLUMN a int DEFAULT 0 TO R", Some(INVALID)),
+        ("ADD COLUMN e int DEFAULT 0 TO R", None),
+        // DROP COLUMN: the column exists and is not the last.
+        ("DROP COLUMN a FROM nope", Some(NO_TABLE)),
+        ("DROP COLUMN zz FROM R", Some(NO_COL)),
+        ("DROP COLUMN z FROM Z", Some(INVALID)),
+        ("DROP COLUMN a FROM R", None),
+        // RENAME COLUMN: `from` exists and `to` does not.
+        ("RENAME COLUMN a TO b IN nope", Some(NO_TABLE)),
+        ("RENAME COLUMN zz TO b IN R", Some(NO_COL)),
+        ("RENAME COLUMN a TO d IN R", Some(INVALID)),
+        ("RENAME COLUMN a TO b IN R", None),
+        // Refusals only a schema produced earlier in the chain shows.
+        (
+            "DECOMPOSE TABLE R INTO S (k, a), T (k, d)\n\
+             RENAME COLUMN k TO key2 IN T\n\
+             MERGE TABLES S, T INTO R2",
+            Some(DISJOINT),
+        ),
+        (
+            "DROP COLUMN a FROM R\nDROP COLUMN d FROM R\nDROP COLUMN k FROM R",
+            Some(INVALID),
+        ),
+        (
+            "RENAME COLUMN a TO zz IN R\nDROP COLUMN a FROM R",
+            Some(r#"Storage(UnknownColumn("a"))"#),
+        ),
+        (
+            "DROP TABLE R\nCOPY TABLE R TO N",
+            Some(r#"Storage(UnknownTable("R"))"#),
+        ),
+        (
+            "COPY TABLE R TO N\nCREATE TABLE N (z int)",
+            Some(r#"Storage(TableExists("N"))"#),
+        ),
+        (
+            "PARTITION TABLE R WHERE k < 2 INTO lo, hi\nUNION TABLES lo, Q INTO N",
+            Some(INVALID),
+        ),
+        (
+            "ADD COLUMN x int DEFAULT 0 TO R\nMERGE TABLES R, Q INTO N\nUNION TABLES N, U INTO M",
+            Some(INVALID),
+        ),
+        (
+            "CREATE TABLE N (z int)\nMERGE TABLES N, R INTO M",
+            Some(DISJOINT),
+        ),
+        (
+            "DECOMPOSE TABLE R INTO S (k, a), T (k, d)\nDECOMPOSE TABLE S INTO S1 (k), S2 (a)",
+            Some(LOSSY),
+        ),
+        (
+            "DECOMPOSE TABLE R INTO S (k, a), T (k, d)\n\
+             MERGE TABLES S, T INTO R2\n\
+             UNION TABLES R2, U INTO R3",
+            None,
+        ),
+    ];
+    for &(script, want) in cases {
+        let cods = refusal_catalog();
+        let names = cods.catalog().table_names();
+        match (cods.plan_script(script), want) {
+            (Ok(plan), None) => {
+                plan.execute().unwrap_or_else(|e| panic!("{script:?}: {e}"));
+            }
+            (Err(e), Some(want)) => {
+                let got = format!("{e:?}");
+                assert!(got.starts_with(want), "{script:?}: {got}, want {want}");
+                assert_eq!(cods.catalog().table_names(), names, "{script:?}");
+            }
+            (got, _) => panic!("{script:?}: {:?}, want {want:?}", got.map(|_| ())),
+        }
+    }
+    // The rules the grammar cannot spell: a UNION that drops its inputs,
+    // and a key-FK MERGE naming a keyed table that is neither input.
+    let cods = refusal_catalog();
+    let union = |output: &str| Smo::UnionTables {
+        left: "R".into(),
+        right: "U".into(),
+        output: output.into(),
+        drop_inputs: true,
+    };
+    let err = cods.plan(vec![union("Q")]).err().map(|e| format!("{e:?}"));
+    assert_eq!(err.as_deref(), Some(EXISTS_Q));
+    cods.plan(vec![union("R")]).unwrap().execute().unwrap();
+    assert!(!cods.catalog().contains("U"));
+    let cods = refusal_catalog();
+    let merge = |keyed: &str| Smo::MergeTables {
+        left: "R".into(),
+        right: "Q".into(),
+        output: "N".into(),
+        strategy: cods::MergeStrategy::KeyForeignKey {
+            keyed: keyed.into(),
+        },
+    };
+    let err = cods.plan(vec![merge("Z")]).err().map(|e| format!("{e:?}"));
+    assert!(err.as_deref().unwrap_or("").starts_with(INVALID), "{err:?}");
+    cods.plan(vec![merge("Q")]).unwrap().execute().unwrap();
+    assert_eq!(
+        cods.table("N").unwrap().schema().names(),
+        ["k", "a", "d", "x"]
+    );
+}

@@ -1,7 +1,7 @@
 //! End-to-end multi-step evolution scenarios through the platform,
 //! exercising the full SMO catalogue in realistic sequences.
 
-use cods::{Cods, ColumnFill, DecomposeSpec, EvolutionError, MergeStrategy, Smo};
+use cods::{Cods, DecomposeSpec, EvolutionError, MergeStrategy, Smo};
 use cods_query::Predicate;
 use cods_storage::{ColumnDef, Value, ValueType};
 use cods_workload::{figure1, GenConfig};
@@ -25,7 +25,7 @@ fn figure1_demo_walkthrough() {
     cods.plan(vec![Smo::AddColumn {
         table: "T".into(),
         column: ColumnDef::new("verified", ValueType::Bool),
-        fill: ColumnFill::Default(Value::Bool(false)),
+        default: Value::Bool(false),
     }])
     .unwrap()
     .execute()
@@ -62,7 +62,7 @@ fn evolution_with_column_smos_interleaved() {
     cods.plan(vec![Smo::AddColumn {
         table: "R".into(),
         column: ColumnDef::new("audit", ValueType::Int),
-        fill: ColumnFill::Default(Value::int(1)),
+        default: Value::int(1),
     }])
     .unwrap()
     .execute()

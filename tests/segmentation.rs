@@ -391,7 +391,6 @@ fn layout(t: &Table) -> String {
 #[test]
 fn write_paths_keep_their_layout_and_bytes() {
     use cods::simple_ops::add_column;
-    use cods::ColumnFill;
     use cods_storage::ColumnDef;
     use std::sync::Arc;
 
@@ -454,12 +453,8 @@ fn write_paths_keep_their_layout_and_bytes() {
         "compacted",
         Table::new("C", t.schema().clone(), compacted).unwrap(),
     ));
-    let (added, _) = add_column(
-        &t,
-        ColumnDef::new("note", ValueType::Int),
-        &ColumnFill::Default(Value::int(0)),
-    )
-    .unwrap();
+    let (added, _) =
+        add_column(&t, ColumnDef::new("note", ValueType::Int), &Value::int(0)).unwrap();
     cases.push(("add_column", added));
     cases.push((
         "recode.rle",
