@@ -6,8 +6,10 @@
 # connect REPL out of what the wire decoder built — and the same `stats R`.
 # A third leg runs the script against `serve --durable`, kills the server
 # with SIGKILL and requires a restarted one to answer from the commit log
-# alone. Run from the repository root after `cargo build --release
-# --workspace`.
+# alone. A last one loads a table whose functional dependency breaks only
+# in its last 64 Ki segment, and requires both shells to refuse its
+# DECOMPOSE naming the same row. Run from the repository root after
+# `cargo build --release --workspace`.
 set -eu
 cods=target/release/cods
 addr=127.0.0.1:4071
@@ -141,3 +143,34 @@ server=$!
 await
 counts > "$tmp/after.counts"
 diff "$tmp/before.counts" "$tmp/after.counts"
+
+# Property 2 broken in the last of four 64 Ki segments: row 199,999 gives
+# entity 999 another detail than its first row did. Both shells refuse
+# the DECOMPOSE with one failed line naming that row: the local one over a
+# loaded table, the connect REPL over the same table saved and served.
+kill "$server"
+wait "$server" 2> /dev/null || true
+seq 0 199999 | awk '{ d = $1 % 1000 % 7; if ($1 == 199999) d = 9; print $1 % 1000 "," $1 "," d }' \
+    > "$tmp/fd.csv"
+echo "DECOMPOSE TABLE F INTO FS (entity, attr), FT (entity, detail)" > "$tmp/fd.smo"
+mkdir "$tmp/fd"
+printf '%s\n' "load F $tmp/fd.csv entity:int,attr:int,detail:int" "save $tmp/fd/f.cods" \
+    "$(cat "$tmp/fd.smo")" > "$tmp/fd.cods"
+violation() {
+    grep -o 'column "detail" differs within key group at row [0-9]*' "$1"
+}
+refused=0
+"$cods" "$tmp/fd.cods" > "$tmp/fd-local.out" || refused=$?
+cat "$tmp/fd-local.out"
+test "$refused" -eq 1
+"$cods" serve "$addr" --durable "$tmp/fd/f.cods" &
+server=$!
+await
+refused=0
+"$cods" connect "$addr" < "$tmp/fd.smo" > "$tmp/fd-remote.out" || refused=$?
+cat "$tmp/fd-remote.out"
+test "$refused" -eq 1
+violation "$tmp/fd-local.out" > "$tmp/fd-local.line"
+violation "$tmp/fd-remote.out" > "$tmp/fd-remote.line"
+grep -q -x 'column "detail" differs within key group at row 199999' "$tmp/fd-local.line"
+diff "$tmp/fd-local.line" "$tmp/fd-remote.line"

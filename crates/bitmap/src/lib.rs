@@ -17,7 +17,8 @@
 //! * **bitmap filtering** (the decomposition gather) —
 //!   [`Wah::filter_positions`], [`Wah::filter_bitmap`], [`Wah::slice`]
 //!   ([`filter`]);
-//! * **run appends** (how a segment seal writes each value's bitmap) —
+//! * **run encoding** (how a segment seal writes each value's bitmap
+//!   straight into its arena) — [`encode_runs`], and run appends,
 //!   [`Wah::append_run`];
 //! * **single-pass construction** — [`OneStreamBuilder`],
 //!   [`ValueStreamBuilder`] ([`builder`]);
@@ -65,4 +66,4 @@ pub use iter::{IntervalIter, OnesIter, Run, RunIter};
 pub use ops::BinOp;
 pub use plain::PlainBitmap;
 pub use rle::RleSeq;
-pub use wah::{Wah, WahRef};
+pub use wah::{encode_runs, Wah, WahRef};

@@ -110,15 +110,6 @@ impl Wah {
         }
     }
 
-    /// Empties the bitmap, keeping its word buffer for the next build.
-    pub fn clear(&mut self) {
-        self.words.clear();
-        self.active = 0;
-        self.active_bits = 0;
-        self.len = 0;
-        self.ones = 0;
-    }
-
     /// Logical length in bits.
     #[inline]
     pub fn len(&self) -> u64 {
@@ -412,17 +403,24 @@ impl Wah {
     /// # Panics
     /// Panics if positions are not strictly ascending or exceed `len`.
     pub fn from_sorted_positions<I: IntoIterator<Item = u64>>(positions: I, len: u64) -> Self {
-        let mut w = Self::new();
         let mut next = 0u64;
-        for p in positions {
+        let mut ones = 0u64;
+        let runs = positions.into_iter().map(|p| {
             assert!(p >= next, "positions must be strictly ascending");
             assert!(p < len, "position {p} out of range {len}");
-            w.append_run(false, p - next);
-            w.push(true);
             next = p + 1;
+            ones += 1;
+            (p, 1)
+        });
+        let mut words = Vec::new();
+        let active = encode_runs(runs, len, &mut words);
+        Wah {
+            words,
+            active,
+            active_bits: (len % GROUP_BITS) as u32,
+            len,
+            ones,
         }
-        w.append_run(false, len - next);
-        w
     }
 
     /// Collects the positions of all set bits into a vector.
@@ -717,6 +715,102 @@ impl WordScan {
 #[inline(always)]
 pub(crate) fn interval_starts(w: u64, carry: u64) -> u64 {
     u64::from((w & !((w << 1) | carry)).count_ones())
+}
+
+/// Encodes the `len`-bit bitmap whose ones are `runs` — ascending,
+/// disjoint `(start, len)` runs of ones, ending by `len` — as canonical WAH:
+/// appends its words to `out` and returns its active word, which holds the
+/// last `len % 63` bits. The words are exactly those of a [`Wah`] built by
+/// [`Wah::append_run`] over the same runs; words already in `out` are
+/// never merged with. O(runs + words appended): one division per run
+/// (two for a run that closes its group), a group's bits gathered in one
+/// literal, and each zero gap or stretch of whole groups of ones one fill,
+/// merged with a trailing fill of its bit as `append_run` merges them.
+/// This is how a segment seal writes each value's bitmap straight into
+/// its arena.
+///
+/// ```
+/// use cods_bitmap::{encode_runs, Wah};
+/// let mut words = Vec::new();
+/// let active = encode_runs([(2, 3), (70, 100)], 200, &mut words);
+/// let mut w = Wah::new();
+/// for (gap, ones) in [(2, 3), (65, 100)] {
+///     w.append_run(false, gap);
+///     w.append_run(true, ones);
+/// }
+/// w.append_run(false, 30);
+/// assert_eq!((words.as_slice(), active), (w.words(), w.view().active()));
+/// ```
+pub fn encode_runs(
+    runs: impl IntoIterator<Item = (u64, u64)>,
+    len: u64,
+    out: &mut Vec<u64>,
+) -> u64 {
+    let base = out.len();
+    // The group being gathered and its bits so far.
+    let (mut at, mut lit) = (0u64, 0u64);
+    let mut next = 0u64;
+    for (start, n) in runs {
+        debug_assert!(start >= next, "runs must be ascending and disjoint");
+        debug_assert!(start + n <= len, "run past the bitmap's length");
+        next = start + n;
+        if n == 0 {
+            continue;
+        }
+        let g = start / GROUP_BITS;
+        let off = start - g * GROUP_BITS;
+        if g > at {
+            push_group_at(out, base, lit);
+            push_fill_at(out, base, false, g - at - 1);
+            (at, lit) = (g, 0);
+        }
+        let room = GROUP_BITS - off;
+        if n < room {
+            lit |= lsb_mask(n) << off;
+            continue;
+        }
+        // The run closes this group, covers `whole` more and starts the
+        // next with its last `n - room - whole · 63` ones.
+        push_group_at(out, base, lit | (LIT_MASK & !lsb_mask(off)));
+        let whole = (n - room) / GROUP_BITS;
+        push_fill_at(out, base, true, whole);
+        at += 1 + whole;
+        lit = lsb_mask(n - room - whole * GROUP_BITS);
+    }
+    let complete = len / GROUP_BITS;
+    if at < complete {
+        push_group_at(out, base, lit);
+        push_fill_at(out, base, false, complete - at - 1);
+        lit = 0;
+    }
+    lit
+}
+
+/// [`encode_runs`]'s [`Wah::push_fill`]: appends `groups` fill groups of
+/// `bit` to `out`, merging with a fill of `bit` at or past `base`. A bitmap
+/// of at most `u64::MAX` bits has fewer than [`MAX_FILL_GROUPS`] groups, so
+/// one fill word always holds them.
+fn push_fill_at(out: &mut Vec<u64>, base: usize, bit: bool, groups: u64) {
+    if groups == 0 {
+        return;
+    }
+    let merge = out.len() > base;
+    match out.last_mut() {
+        Some(last) if merge && is_fill(*last) && fill_bit(*last) == bit => {
+            *last = make_fill(bit, fill_groups(*last) + groups);
+        }
+        _ => out.push(make_fill(bit, groups)),
+    }
+}
+
+/// [`encode_runs`]'s [`Wah::push_group`]: appends the complete group
+/// `lit`, an all-zero or all-one group as a fill.
+fn push_group_at(out: &mut Vec<u64>, base: usize, lit: u64) {
+    match lit {
+        0 => push_fill_at(out, base, false, 1),
+        ALL_ONES_LITERAL => push_fill_at(out, base, true, 1),
+        _ => out.push(lit),
+    }
 }
 
 /// Mask with the low `n` bits set (`n <= 64`).

@@ -2,7 +2,7 @@
 //! [`PlainBitmap`] oracle, over adversarial bit patterns (random literals,
 //! long runs, group-boundary straddles).
 
-use cods_bitmap::{PlainBitmap, Wah};
+use cods_bitmap::{encode_runs, PlainBitmap, Wah};
 use proptest::prelude::*;
 
 /// Strategy producing bit vectors with a healthy mix of runs and noise,
@@ -264,5 +264,52 @@ proptest! {
         w.check_invariants().unwrap();
         prop_assert_eq!(w.count_intervals(), expected.len() as u64);
         prop_assert_eq!(w.iter_intervals().collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
+    fn encode_runs_writes_the_words_of_append_run(
+        runs in prop::collection::vec(
+            (
+                // Gap before the run, then its length: zero gaps (runs
+                // that touch), straddles, exactly 63 and 63·k, and long
+                // fills on both sides.
+                prop_oneof![
+                    Just(0u64),
+                    0u64..70,
+                    prop_oneof![Just(62u64), Just(63), Just(64), Just(126)],
+                    (1u64..200).prop_map(|groups| groups * 63),
+                    1u64..(1 << 40),
+                ],
+                prop_oneof![
+                    0u64..70,
+                    prop_oneof![Just(1u64), Just(62), Just(63), Just(64), Just(126)],
+                    (1u64..200).prop_map(|groups| groups * 63),
+                    (1u64..200).prop_map(|groups| groups * 63 + 1),
+                    1u64..(1 << 40),
+                ],
+            ),
+            0..12,
+        ),
+        tail in prop_oneof![Just(0u64), 0u64..200, (1u64..5).prop_map(|groups| groups * 63)],
+        prefix in prop::collection::vec(any::<u64>(), 0..3),
+    ) {
+        let mut reference = Wah::new();
+        let mut placed = Vec::new();
+        for &(gap, n) in &runs {
+            reference.append_run(false, gap);
+            placed.push((reference.len(), n));
+            reference.append_run(true, n);
+        }
+        reference.append_run(false, tail);
+        reference.check_invariants().unwrap();
+        // Words already in the buffer (a fill among them) are kept and
+        // never merged with.
+        let mut out = prefix.clone();
+        out.push(1 << 63 | 5);
+        let at = out.len();
+        let active = encode_runs(placed.iter().copied(), reference.len(), &mut out);
+        prop_assert_eq!(&out[..at - 1], &prefix[..]);
+        prop_assert_eq!(&out[at..], reference.words());
+        prop_assert_eq!(active, reference.view().active());
     }
 }

@@ -9,10 +9,12 @@
 //!    away using the existing columns in R without any data operation").
 //! 2. **Distinction** — one pass over the key columns' value ids finds, for
 //!    every distinct key combination, the position of its first occurrence
-//!    in `R`. The result is a sorted tuple-position list. A single key
-//!    column numbers its keys through an array indexed by dictionary id,
-//!    whatever the dictionary's width; several go through one table over
-//!    flat id tuples. No key is allocated on its own.
+//!    in `R`. The result is a sorted tuple-position list. The pass fans out
+//!    per row chunk, each task reading its own chunk's key ids, and the
+//!    chunks' keys are merged in chunk order. A single key column numbers
+//!    its keys through an array indexed by dictionary id, whatever the
+//!    dictionary's width; several go through one table over flat id
+//!    tuples. No key is allocated on its own.
 //! 3. **Bitmap filtering** — every `T` column is cut to that position list,
 //!    one output segment at a time: each segment's selected rows are read
 //!    as runs and sealed straight into `T`'s compressed segments
@@ -20,11 +22,17 @@
 //!    no value is touched, only ids, and no index needs rebuilding.
 //!
 //! Property 2 (the key functionally determines `T`'s other attributes, so
-//! any representative row suffices) is optionally verified in the same pass.
+//! any representative row suffices) is optionally verified per chunk: each
+//! chunk's rows are held to the chunk's *local* representatives (each
+//! key's first row in the chunk), and those to the global ones in chunk
+//! order, which finds exactly the first violating (column, row) a serial
+//! scan finds. There is no whole-table array of each row's key group:
+//! each chunk keeps its own rows' local key numbers until the check.
 //!
 //! When distinction keeps every row, the common attributes are already a
 //! key of `R`: `T` is a column subset as well, and shares its columns with
-//! `R` exactly as `S` does — step 3 and the Property 2 pass are skipped.
+//! `R` exactly as `S` does — step 3 and the Property 2 pass are skipped,
+//! and no non-key column is read.
 //! Otherwise filtering keeps every key value, so `T`'s key column still
 //! holds `R`'s key dictionary (the same shared handle as `S`'s): a MERGE of
 //! `S` and `T` maps its join ids without hashing a value.
@@ -33,7 +41,9 @@ use crate::error::{EvolutionError, Result};
 use crate::schema_tools::check_decomposition_shape;
 use cods_query::keys::KeyIndex;
 use cods_query::par::{map_parallel, map_parallel_pooled};
+use cods_storage::span::{self, Span};
 use cods_storage::{EncodedColumn, SealScratch, SegSlot, StepLog, StorageError, Table};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Specification of a decomposition.
@@ -48,10 +58,10 @@ pub struct DecomposeSpec {
     /// Columns of the changed output; the columns shared with
     /// `unchanged_cols` become its key.
     pub changed_cols: Vec<String>,
-    /// Verify Property 2 (the FD key → rest) during the pass, failing with
-    /// [`EvolutionError::FdViolation`] if the data would make the
+    /// Verify Property 2 (the FD key → rest) after distinction, failing
+    /// with [`EvolutionError::FdViolation`] if the data would make the
     /// decomposition lossy. Costs one extra O(rows) id scan per changed
-    /// non-key column.
+    /// non-key column, and nothing when the key is unique.
     pub verify_fd: bool,
 }
 
@@ -92,124 +102,195 @@ pub struct DecomposeOutcome {
     pub status: StepLog,
 }
 
-/// The *distinction* step: the sorted list of first-occurrence positions of
-/// every distinct combination of `key_cols`, plus (when `group_of_row` is
-/// requested) the key-group index of every row for FD verification.
+/// What the *distinction* step found: the first-occurrence position of
+/// every distinct key, and, per row chunk, what Property 2's check reads.
+#[derive(Debug)]
+pub struct Distinction {
+    /// The first-occurrence position of every distinct key combination,
+    /// ascending — so key number `g` is the `g`-th key met.
+    pub positions: Vec<u64>,
+    chunks: Vec<ChunkKeys>,
+}
+
+/// One row chunk's keys: the distinct keys it holds, in local
+/// first-occurrence order.
+#[derive(Debug)]
+struct ChunkKeys {
+    /// The chunk's rows.
+    rows: Range<u64>,
+    /// Each local key's first row, as an offset into the chunk.
+    firsts: Vec<u32>,
+    /// Each local key's global number.
+    global: Vec<u32>,
+    /// Each row's local key number, when kept for Property 2.
+    groups: Option<Vec<u32>>,
+}
+
+/// The *distinction* step: the first-occurrence positions of every
+/// distinct combination of `key_cols`, with each row's key kept per chunk
+/// when `keep_groups` asks for Property 2's check
+/// ([`Distinction::check_fd`]).
 ///
 /// Works purely on value ids — dictionary values are never touched — and
 /// fans out per row chunk (the key column's nominal segment size): each
-/// fan-out task numbers the distinct keys in its chunk, in local
-/// first-occurrence order, through a `KeyIndex` it borrows from a
-/// per-call pool and hands back cleared — with one key column an array
-/// indexed by dictionary id, reset through the ids the chunk touched, so no
-/// chunk pays for the whole dictionary. The partials (first offsets, and
-/// the keys' ids flat) are merged in chunk order through one more index,
-/// so group numbering and first-occurrence positions come out exactly as a
-/// single sequential scan would produce them. A second fan-out rewrites
-/// each chunk's local group ids to global ones. A key segment that cannot
-/// be read is an error.
-pub fn distinction(
-    table: &Table,
-    key_cols: &[usize],
-    want_groups: bool,
-) -> Result<(Vec<u64>, Option<Vec<u32>>)> {
-    let rows = table.rows() as usize;
+/// fan-out task reads its chunk's key ids and numbers the distinct keys in
+/// it, in local first-occurrence order, through a `KeyIndex` it borrows
+/// from a per-call pool and hands back cleared — with one key column an
+/// array indexed by dictionary id, reset through the ids the chunk touched,
+/// so no chunk pays for the whole dictionary. The partials (first offsets,
+/// and the keys' ids flat) are merged in chunk order through one more
+/// index, so key numbering and first-occurrence positions come out exactly
+/// as a single sequential scan would produce them. A key segment that
+/// cannot be read is an error.
+pub fn distinction(table: &Table, key_cols: &[usize], keep_groups: bool) -> Result<Distinction> {
+    let rows = table.rows();
     if rows == 0 {
-        return Ok((Vec::new(), want_groups.then(Vec::new)));
+        return Ok(Distinction {
+            positions: Vec::new(),
+            chunks: Vec::new(),
+        });
     }
-    let id_cols: Vec<Vec<u32>> = key_cols
-        .iter()
-        .map(|&c| table.column(c).try_value_ids())
-        .collect::<std::result::Result<_, _>>()?;
     let width = key_cols.len();
-    let chunk_rows = (table.column(key_cols[0]).nominal_segment_rows().max(1) as usize).min(rows);
-    let starts: Vec<usize> = (0..rows).step_by(chunk_rows).collect();
+    let chunk_rows = table
+        .column(key_cols[0])
+        .nominal_segment_rows()
+        .clamp(1, rows);
+    let chunks: Vec<Range<u64>> = (0..rows)
+        .step_by(chunk_rows as usize)
+        .map(|start| start..(start + chunk_rows).min(rows))
+        .collect();
 
-    // Per-chunk partials: the chunk's distinct keys in local first-occurrence
-    // order — their first row offsets within the chunk, and their ids flat,
-    // `width` per key — plus, when groups are requested, each row's local
-    // group index.
-    struct Partial {
-        firsts: Vec<u32>,
-        keys: Vec<u32>,
-        local_groups: Option<Vec<u32>>,
-    }
+    // Per-chunk partials: the chunk's keys, and their ids flat, `width`
+    // per key.
     let mut pool = Vec::new();
-    let partials: Vec<Partial> = map_parallel_pooled(
-        starts.clone(),
+    let partials = map_parallel_pooled(
+        chunks,
         &mut pool,
         || KeyIndex::new(table, key_cols, 0),
-        |start, index| {
-            let end = (start + chunk_rows).min(rows);
+        |range, index| -> std::result::Result<(ChunkKeys, Vec<u32>), StorageError> {
+            let mut span = span::enter(Span::SmoDistinction);
+            span.items(|| range.end - range.start);
+            let sel = [(range.start, range.end)];
+            let id_cols: Vec<Vec<u32>> = key_cols
+                .iter()
+                .map(|&c| table.column(c).try_ids_in(&sel))
+                .collect::<std::result::Result<_, _>>()?;
+            let n = (range.end - range.start) as usize;
             let mut firsts: Vec<u32> = Vec::new();
-            let mut local_groups: Option<Vec<u32>> =
-                want_groups.then(|| Vec::with_capacity(end - start));
+            let mut groups: Option<Vec<u32>> = keep_groups.then(|| Vec::with_capacity(n));
             let mut key: Vec<u32> = vec![0; width];
-            for row in start..end {
+            for row in 0..n {
                 for (slot, c) in key.iter_mut().zip(&id_cols) {
                     *slot = c[row];
                 }
                 let (group, fresh) = index.intern(&key);
                 if fresh {
-                    firsts.push((row - start) as u32);
+                    firsts.push(row as u32);
                 }
-                if let Some(g) = local_groups.as_mut() {
+                if let Some(g) = groups.as_mut() {
                     g.push(group);
                 }
             }
             let keys = index.keys().to_vec();
             index.clear();
-            Partial {
+            let chunk = ChunkKeys {
+                rows: range,
                 firsts,
-                keys,
-                local_groups,
-            }
+                global: Vec::new(),
+                groups,
+            };
+            Ok((chunk, keys))
         },
     );
 
     // Sequential merge over the partials only — O(distinct keys per
     // chunk), not O(rows): chunks are visited in row order, so the first
-    // chunk containing a key fixes its global group id and position.
+    // chunk containing a key fixes its global number and position.
     let mut global = pool
         .pop()
         .unwrap_or_else(|| KeyIndex::new(table, key_cols, 0));
     let mut positions: Vec<u64> = Vec::new();
-    let mut local_to_global: Vec<Vec<u32>> = Vec::with_capacity(partials.len());
-    for (&start, partial) in starts.iter().zip(&partials) {
-        let map = partial
+    let mut chunks = Vec::with_capacity(partials.len());
+    for partial in partials {
+        let (mut chunk, keys) = partial?;
+        chunk.global = chunk
             .firsts
             .iter()
-            .zip(partial.keys.chunks_exact(width))
+            .zip(keys.chunks_exact(width))
             .map(|(&off, key)| {
                 let (group, fresh) = global.intern(key);
                 if fresh {
-                    positions.push(start as u64 + off as u64);
+                    positions.push(chunk.rows.start + u64::from(off));
                 }
                 group
             })
             .collect();
-        local_to_global.push(map);
+        chunks.push(chunk);
     }
+    Ok(Distinction { positions, chunks })
+}
 
-    // Second fan-out: rewrite each chunk's local groups through its
-    // local → global map, then splice in chunk order.
-    let groups = want_groups.then(|| {
-        let tasks: Vec<(Partial, Vec<u32>)> = partials.into_iter().zip(local_to_global).collect();
-        let rewritten = map_parallel(tasks, |(partial, map)| {
-            partial
-                .local_groups
-                .expect("groups requested")
-                .into_iter()
-                .map(|lg| map[lg as usize])
-                .collect::<Vec<u32>>()
+impl Distinction {
+    /// Checks Property 2 — every row of a key group agrees with the
+    /// group's representative, its first row, on each of `cols` — and
+    /// returns the first violation: the first of `cols` any row breaks it
+    /// in, and the first such row. One fan-out task per chunk reads the
+    /// chunk's ids of `cols` and holds each row to its chunk's *local*
+    /// representative (the key's first row in the chunk); the chunks'
+    /// local representatives are then held to the global ones in chunk
+    /// order. A row breaks the property exactly when it differs from its
+    /// local representative or that representative differs from the
+    /// global one — and then the representative, the key's first row in
+    /// the chunk, breaks it too — so the first violation is exactly the
+    /// one a serial scan of the whole column reports. A segment that
+    /// cannot be read is an error.
+    ///
+    /// # Panics
+    /// Panics when distinction did not keep the groups.
+    pub fn check_fd(&self, table: &Table, cols: &[usize]) -> Result<Option<(usize, u64)>> {
+        // Per chunk and column: the local representatives' ids and the
+        // first row differing from its own.
+        let checked = map_parallel(self.chunks.iter().collect(), |chunk: &ChunkKeys| {
+            let mut span = span::enter(Span::SmoFdCheck);
+            span.items(|| chunk.rows.end - chunk.rows.start);
+            let groups = chunk.groups.as_ref().expect("distinction kept the groups");
+            let sel = [(chunk.rows.start, chunk.rows.end)];
+            cols.iter()
+                .map(|&c| {
+                    let ids = table.column(c).try_ids_in(&sel)?;
+                    let reps: Vec<u32> = chunk.firsts.iter().map(|&f| ids[f as usize]).collect();
+                    let bad = ids
+                        .iter()
+                        .zip(groups)
+                        .position(|(&id, &g)| id != reps[g as usize]);
+                    Ok((reps, bad))
+                })
+                .collect::<std::result::Result<Vec<_>, StorageError>>()
         });
-        let mut out = Vec::with_capacity(rows);
-        for chunk in rewritten {
-            out.extend_from_slice(&chunk);
+        let mut reps: Vec<Vec<u32>> = vec![Vec::with_capacity(self.positions.len()); cols.len()];
+        let mut first: Vec<Option<u64>> = vec![None; cols.len()];
+        for (chunk, per_col) in self.chunks.iter().zip(checked) {
+            for (k, (local, bad)) in per_col?.into_iter().enumerate() {
+                if first[k].is_some() {
+                    continue;
+                }
+                let mut row = bad.map(|b| b as u64);
+                for ((&g, &rep), &off) in chunk.global.iter().zip(&local).zip(&chunk.firsts) {
+                    let known = &mut reps[k];
+                    if g as usize == known.len() {
+                        known.push(rep);
+                    } else if known[g as usize] != rep {
+                        row = Some(row.map_or(u64::from(off), |r| r.min(u64::from(off))));
+                    }
+                }
+                first[k] = row.map(|r| chunk.rows.start + r);
+            }
         }
-        out
-    });
-    Ok((positions, groups))
+        Ok(first
+            .into_iter()
+            .enumerate()
+            .find_map(|(k, row)| row.map(|r| (cols[k], r))))
+    }
 }
 
 /// Bitmap-filters each column to `positions` (non-decreasing): cut at each
@@ -306,31 +387,33 @@ pub fn decompose(input: &Table, spec: &DecomposeSpec) -> Result<DecomposeOutcome
         .iter()
         .map(|n| Ok(input.schema().index_of(n)?))
         .collect::<Result<_>>()?;
-    let (positions, groups) = distinction(input, &key_idx, spec.verify_fd)?;
-    log.mark_items("distinction", positions.len() as u64);
+    let keys = distinction(input, &key_idx, spec.verify_fd)?;
+    log.mark_items("distinction", keys.positions.len() as u64);
 
     // Distinction kept every row: the common columns are already a key of
     // `R`, so the changed table is a column subset too. Property 2 holds
     // vacuously (every key group has one row) and nothing needs filtering.
-    let key_is_unique = positions.len() as u64 == input.rows();
+    let key_is_unique = keys.positions.len() as u64 == input.rows();
 
     // Property 2 — every row of a key group must agree with its
     // representative on the changed table's non-key columns.
-    if let Some(groups) = groups.filter(|_| !key_is_unique) {
-        for name in spec.changed_cols.iter().filter(|c| !common.contains(c)) {
-            let ids = input.column_by_name(name)?.try_value_ids()?;
-            let rep: Vec<u32> = positions.iter().map(|&p| ids[p as usize]).collect();
-            for (row, &g) in groups.iter().enumerate() {
-                if ids[row] != rep[g as usize] {
-                    return Err(EvolutionError::FdViolation(format!(
-                        "column {name:?} differs within key group at row {row}: \
-                         the decomposition would lose data"
-                    )));
-                }
-            }
+    if spec.verify_fd && !key_is_unique {
+        let fd_idx: Vec<usize> = spec
+            .changed_cols
+            .iter()
+            .filter(|c| !common.contains(c))
+            .map(|n| Ok(input.schema().index_of(n)?))
+            .collect::<Result<_>>()?;
+        if let Some((col, row)) = keys.check_fd(input, &fd_idx)? {
+            let name = &input.schema().columns()[col].name;
+            return Err(EvolutionError::FdViolation(format!(
+                "column {name:?} differs within key group at row {row}: \
+                 the decomposition would lose data"
+            )));
         }
         log.mark("verify functional dependency");
     }
+    let positions = keys.positions;
 
     let changed_names: Vec<&str> = spec.changed_cols.iter().map(String::as_str).collect();
     let common_refs: Vec<&str> = common.iter().map(String::as_str).collect();
@@ -572,17 +655,19 @@ mod tests {
     #[test]
     fn distinction_positions_are_first_occurrences() {
         let r = figure1();
-        let (positions, groups) = distinction(&r, &[0], true).unwrap();
-        assert_eq!(positions, vec![0, 2, 3, 6]); // Jones, Roberts, Ellis, Harrison
-        let g = groups.unwrap();
-        assert_eq!(g, vec![0, 0, 1, 2, 0, 2, 3]);
+        let keys = distinction(&r, &[0], true).unwrap();
+        assert_eq!(keys.positions, vec![0, 2, 3, 6]); // Jones, Roberts, Ellis, Harrison
+                                                      // employee → address holds; employee → skill breaks at Jones's
+                                                      // second row.
+        assert_eq!(keys.check_fd(&r, &[2]).unwrap(), None);
+        assert_eq!(keys.check_fd(&r, &[2, 1]).unwrap(), Some((1, 1)));
     }
 
     #[test]
     fn chunked_distinction_matches_single_chunk() {
         // Small segments force many parallel partial maps; the merged
-        // result must be identical — positions, group numbering, and all —
-        // to the single-chunk scan, for single and composite keys.
+        // positions must be identical to the single-chunk scan's, for
+        // single and composite keys.
         let schema = Schema::build(
             &[
                 ("a", ValueType::Int),
@@ -606,14 +691,148 @@ mod tests {
         assert!(chunked.column(0).segment_count() > 8);
         assert_eq!(mono.column(0).segment_count(), 1);
         for key_cols in [vec![0usize], vec![0, 1], vec![2, 1, 0]] {
-            for want_groups in [false, true] {
-                let (pc, gc) = distinction(&chunked, &key_cols, want_groups).unwrap();
-                let (pm, gm) = distinction(&mono, &key_cols, want_groups).unwrap();
+            for keep_groups in [false, true] {
+                let pc = distinction(&chunked, &key_cols, keep_groups)
+                    .unwrap()
+                    .positions;
+                let pm = distinction(&mono, &key_cols, keep_groups)
+                    .unwrap()
+                    .positions;
                 assert_eq!(pc, pm, "positions differ for key {key_cols:?}");
-                assert_eq!(gc, gm, "groups differ for key {key_cols:?}");
                 assert!(pc.windows(2).all(|w| w[0] < w[1]), "positions sorted");
             }
         }
+    }
+
+    /// The first `(column, row)` of `fd` whose value differs from the one
+    /// at its key's first row, scanning each column of `fd` in turn over
+    /// every row: Property 2 checked serially over the whole table.
+    fn serial_fd_violation(
+        rows: &[Vec<i64>],
+        key: &[usize],
+        fd: &[usize],
+    ) -> Option<(usize, usize)> {
+        fd.iter().find_map(|&c| {
+            let mut rep: std::collections::HashMap<Vec<i64>, i64> = Default::default();
+            rows.iter().enumerate().find_map(|(r, row)| {
+                let k = key.iter().map(|&i| row[i]).collect();
+                (*rep.entry(k).or_insert(row[c]) != row[c]).then_some((c, r))
+            })
+        })
+    }
+
+    #[test]
+    fn property_2_across_chunks_reports_what_a_serial_scan_does() {
+        // R(a, b, c, d) over 16-row segments, with a → (c, d) by
+        // construction, then values of c and d overwritten: a single
+        // row, every row of one key in one chunk (the chunk agrees with
+        // itself, but its first row of that key — its local
+        // representative — differs from the global one), and seeded
+        // scatters. DECOMPOSE must fail exactly when the serial scan finds
+        // a violation, naming its column and row.
+        let schema = Schema::build(
+            &[
+                ("a", ValueType::Int),
+                ("b", ValueType::Int),
+                ("c", ValueType::Int),
+                ("d", ValueType::Int),
+            ],
+            &[],
+        )
+        .unwrap();
+        let names = ["a", "b", "c", "d"];
+        let base: Vec<Vec<i64>> = (0..400i64)
+            .map(|i| {
+                let (a, b) = (i * 7 % 13, i % 2);
+                vec![a, b, a * 3 + 1, a % 4]
+            })
+            .collect();
+        type Edit = Box<dyn Fn(&mut Vec<Vec<i64>>)>;
+        let mut cases: Vec<Edit> = vec![
+            Box::new(|_| {}),
+            Box::new(|t| t[200][3] += 100),
+            // Key a = 5 throughout the fourth chunk (rows 48..64).
+            Box::new(|t| {
+                t[48..64]
+                    .iter_mut()
+                    .filter(|r| r[0] == 5)
+                    .for_each(|r| r[2] += 100)
+            }),
+            // The same in d, and a later single row in c: c is named.
+            Box::new(|t| {
+                t[48..64]
+                    .iter_mut()
+                    .filter(|r| r[0] == 5)
+                    .for_each(|r| r[3] += 100);
+                t[300][2] += 1;
+            }),
+            // A local violation after a chunk-level one in the same chunk.
+            Box::new(|t| {
+                t[64..80]
+                    .iter_mut()
+                    .filter(|r| r[0] == 1)
+                    .for_each(|r| r[3] += 100);
+                t[79][3] += 1;
+            }),
+        ];
+        for seed in 1..40u64 {
+            cases.push(Box::new(move |t| {
+                let mut x = seed;
+                for _ in 0..(seed % 4) {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let row = (x >> 33) as usize % t.len();
+                    let col = 2 + (x >> 13) as usize % 2;
+                    if x >> 7 & 1 == 1 {
+                        // Every row of this row's key in its chunk.
+                        let (chunk, key) = (row / 16 * 16, t[row][0]);
+                        let end = (chunk + 16).min(t.len());
+                        t[chunk..end]
+                            .iter_mut()
+                            .filter(|r| r[0] == key)
+                            .for_each(|r| r[col] += 1);
+                    } else {
+                        t[row][col] += 1;
+                    }
+                }
+            }));
+        }
+        let mut violations = 0;
+        for (i, edit) in cases.iter().enumerate() {
+            let mut rows = base.clone();
+            edit(&mut rows);
+            let values: Vec<Vec<Value>> = rows
+                .iter()
+                .map(|r| r.iter().map(|&v| Value::int(v)).collect())
+                .collect();
+            let table =
+                Table::from_rows_with_segment_rows("R", schema.clone(), &values, 16).unwrap();
+            for key in [vec![0usize], vec![0, 1]] {
+                let mut changed: Vec<&str> = key.iter().map(|&k| names[k]).collect();
+                changed.extend(["c", "d"]);
+                let spec = DecomposeSpec::new("S", &["a", "b"], "T", &changed);
+                let got = decompose(&table, &spec);
+                match serial_fd_violation(&rows, &key, &[2, 3]) {
+                    None => assert!(got.is_ok(), "case {i}, key {key:?}: {:?}", got.err()),
+                    Some((c, row)) => {
+                        violations += 1;
+                        let want = format!(
+                            "column {:?} differs within key group at row {row}: \
+                             the decomposition would lose data",
+                            names[c]
+                        );
+                        match got {
+                            Err(EvolutionError::FdViolation(m)) => {
+                                assert_eq!(m, want, "case {i}, key {key:?}")
+                            }
+                            other => panic!("case {i}, key {key:?}: {other:?}"),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(violations > 40, "{violations} violating cases");
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::error::{EvolutionError, Result};
 use cods_bitmap::RleSeq;
 use cods_query::keys::{KeyIndex, NONE};
 use cods_query::par::map_parallel;
+use cods_storage::span::{self, Span};
 use cods_storage::{ColumnDef, EncodedColumn, Schema, StepLog, Table};
 use std::sync::Arc;
 
@@ -236,16 +237,12 @@ fn key_fk_with(
 
     // Sequential scan of the reusable side: every row is mapped to the
     // keyed row providing its payload values. Parallelized per row chunk
-    // (the key column's nominal segment size): each fan-out task scans its
-    // range serially against the shared id maps and key table, and the
-    // per-chunk results are spliced back in row order — bit-identical to
-    // the serial scan, including which row reports a violation first
-    // (chunks are joined in order, and each chunk scans its rows in
-    // order).
-    let r_ids: Vec<Vec<u32>> = r_join
-        .iter()
-        .map(|&c| reusable.column(c).try_value_ids())
-        .collect::<std::result::Result<_, _>>()?;
+    // (the key column's nominal segment size): each fan-out task reads its
+    // chunk's join ids and scans them serially against the shared id maps
+    // and key table, and the per-chunk results are spliced back in row
+    // order — bit-identical to the serial scan, including which row
+    // reports a violation first (chunks are joined in order, and each
+    // chunk scans its rows in order).
     let n = reusable.rows() as usize;
     let violation = |row: usize, missing: u32| {
         let what = if missing == NO_VALUE {
@@ -264,9 +261,16 @@ fn key_fk_with(
     let starts: Vec<usize> = (0..n).step_by(chunk_rows).collect();
     let chunks: Vec<Result<Vec<u32>>> = map_parallel(starts, |start| {
         let end = (start + chunk_rows).min(n);
+        let mut span = span::enter(Span::SmoKeyFkScan);
+        span.items(|| (end - start) as u64);
+        let sel = [(start as u64, end as u64)];
+        let r_ids: Vec<Vec<u32>> = r_join
+            .iter()
+            .map(|&c| reusable.column(c).try_ids_in(&sel))
+            .collect::<std::result::Result<_, _>>()?;
         let mut out: Vec<u32> = Vec::with_capacity(end - start);
         if let Some(target_of_id) = &target_of_id {
-            for (row, &rid) in (start..end).zip(&r_ids[0][start..end]) {
+            for (row, &rid) in (start..end).zip(&r_ids[0]) {
                 let t = target_of_id[rid as usize];
                 if t >= NO_ROW {
                     return Err(violation(row, t));
@@ -276,9 +280,9 @@ fn key_fk_with(
             return Ok(out);
         }
         let mut key: Vec<u32> = vec![0; r_join.len()];
-        for row in start..end {
+        for (i, row) in (start..end).enumerate() {
             for (slot, (ids, map)) in key.iter_mut().zip(r_ids.iter().zip(&maps)) {
-                *slot = map[ids[row] as usize].ok_or_else(|| violation(row, NO_VALUE))?;
+                *slot = map[ids[i] as usize].ok_or_else(|| violation(row, NO_VALUE))?;
             }
             out.push(keys.get(&key).ok_or_else(|| violation(row, NO_ROW))?);
         }
@@ -288,7 +292,6 @@ fn key_fk_with(
     for chunk in chunks {
         target_row.extend(chunk?);
     }
-    drop(r_ids);
     log.mark_items("sequential scan (parallel per chunk)", n as u64);
 
     // Build the payload columns (keyed-side non-join attributes) directly

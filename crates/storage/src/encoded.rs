@@ -1043,11 +1043,11 @@ impl EncodedColumn {
 
     /// Seals one output segment an operator computed as a stream of ids or
     /// runs: in a pinned uniform column's encoding, else in the one the
-    /// chooser picks for the segment's own statistics.
+    /// chooser picks for the segment's own statistics, read off the seal's
+    /// one count.
     pub fn seal_stream(&self, seq: RleSeq, scratch: &mut SealScratch) -> SegSlot {
-        let distinct = scratch.distinct(&seq);
-        let encoding = self.chunk_encoding(seq.num_runs() as u64, seq.len(), distinct);
-        SegmentEnc::seal(seq, encoding, scratch)
+        let pick = |m: &SegMeta| self.chunk_encoding(m.runs, m.rows, m.distinct_count() as u64);
+        SegmentEnc::seal_with(seq, pick, scratch)
     }
 
     /// Cuts a selection mask into the selections of the output segments a

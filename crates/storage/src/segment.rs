@@ -22,7 +22,7 @@ use crate::encoded::{Encoding, SegmentEnc};
 use crate::error::StorageError;
 use crate::store::{Present, SegMeta, SegSlot};
 use bytes::BufMut;
-use cods_bitmap::{scan_body, words_of, Reader, RleSeq, Wah, WahRef};
+use cods_bitmap::{encode_runs, scan_body, words_of, Reader, RleSeq, Wah, WahRef};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -171,9 +171,8 @@ pub fn compaction_plan(sizes: &[u64], nominal: u64) -> Option<Vec<CompactionGrou
     }
 }
 
-/// The reusable scratch of every seal ([`SegmentEnc::seal`]) and of the
-/// distinct-id count a stream-driven write takes before it picks an
-/// encoding: a table indexed by value id, zero between calls. Each call
+/// The reusable scratch of every seal ([`SegmentEnc::seal`]): a table
+/// indexed by value id, zero between calls. Each call
 /// resets the slots it used by walking the ids it touched, so one scratch
 /// serves any number of segments at the cost of the ids present, not of
 /// the dictionary — keep one per worker (the operators pool them) for the
@@ -187,8 +186,6 @@ pub struct SealScratch {
     touched: Vec<u32>,
     /// The runs' `(start, len)`, grouped by id in ascending id order.
     placed: Vec<(u64, u64)>,
-    /// The one bitmap every present id is encoded into in turn.
-    wah: Wah,
     /// The arena under construction.
     words: Vec<u64>,
 }
@@ -215,14 +212,6 @@ impl SealScratch {
             self.slot[id as usize] = 0;
         }
         self.touched.clear();
-    }
-
-    /// The number of distinct ids in `seq`. O(runs).
-    pub fn distinct(&mut self, seq: &RleSeq) -> u64 {
-        self.count_runs(seq);
-        let n = self.touched.len() as u64;
-        self.reset();
-        n
     }
 
     /// The one count under every seal: the stats of `seq`'s rows, with
@@ -421,11 +410,10 @@ impl Segment {
 
     /// Writes the bitmap segment of `seq` from the count `scratch` just
     /// took of it ([`SealScratch::count`], which gave `meta`): each present
-    /// id's placed `(gap, run)` pairs are appended, in id order, to one
-    /// reused bitmap whose words and active word are copied into the arena.
-    /// Sets `meta.bytes`; the segment shares `meta`'s ids and ones. WAH is
-    /// canonical, so the same rows give the same bytes whatever wrote them.
-    /// O(runs + words).
+    /// id's placed runs are encoded, in id order, straight into the arena,
+    /// its words then its active word ([`encode_runs`]). Sets `meta.bytes`;
+    /// the segment shares `meta`'s ids and ones. WAH is canonical, so the
+    /// same rows give the same bytes whatever wrote them. O(runs + words).
     pub(crate) fn from_runs(
         seq: &RleSeq,
         meta: &mut SegMeta,
@@ -435,7 +423,6 @@ impl Segment {
         let SealScratch {
             slot,
             placed,
-            wah,
             words,
             ..
         } = scratch;
@@ -446,14 +433,8 @@ impl Segment {
         let mut lo = 0usize;
         for &id in ids.iter() {
             let hi = slot[id as usize] as usize;
-            wah.clear();
-            for &(start, len) in &placed[lo..hi] {
-                wah.append_run(false, start - wah.len());
-                wah.append_run(true, len);
-            }
-            wah.append_run(false, rows - wah.len());
-            words.extend_from_slice(wah.words());
-            words.push(wah.view().active());
+            let active = encode_runs(placed[lo..hi].iter().copied(), rows, words);
+            words.push(active);
             ends.push(arena_u32(words.len()));
             lo = hi;
         }
@@ -776,7 +757,71 @@ mod tests {
         assert_eq!(slot.meta().present.ids().collect::<Vec<_>>(), [2, 8]);
         assert_eq!(bitmap(&slot).bitmap(1).to_positions(), vec![0, 2]);
         assert_eq!(slot.meta().runs, 3);
-        assert_eq!(scratch.distinct(&seq), 3);
+    }
+
+    /// The arena and head table the seal wrote before [`encode_runs`]: each
+    /// present id's placed runs appended to a bitmap by
+    /// [`Wah::append_run`], its words and active word copied out.
+    fn append_run_arena(
+        seq: &RleSeq,
+        meta: &SegMeta,
+        scratch: &SealScratch,
+    ) -> (Vec<u64>, Vec<u32>) {
+        let (mut words, mut ends, mut lo) = (Vec::new(), Vec::new(), 0);
+        for &id in meta.present.list().0.iter() {
+            let hi = scratch.slot[id as usize] as usize;
+            let mut wah = Wah::new();
+            for &(start, len) in &scratch.placed[lo..hi] {
+                wah.append_run(false, start - wah.len());
+                wah.append_run(true, len);
+            }
+            wah.append_run(false, seq.len() - wah.len());
+            words.extend_from_slice(wah.words());
+            words.push(wah.view().active());
+            ends.push(words.len() as u32);
+            lo = hi;
+        }
+        (words, ends)
+    }
+
+    mod both_writers {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn encoded_runs_seal_what_append_run_sealed(
+                runs in prop::collection::vec(
+                    (
+                        0u32..12,
+                        prop_oneof![
+                            1u64..5,
+                            1u64..200,
+                            Just(63u64),
+                            (1u64..40).prop_map(|groups| groups * 63),
+                        ],
+                    ),
+                    1..60,
+                ),
+            ) {
+                let seq: RleSeq = runs
+                    .iter()
+                    .flat_map(|&(id, n)| std::iter::repeat_n(id, n as usize))
+                    .collect();
+                let mut scratch = SealScratch::default();
+                let slot = SegmentEnc::seal(seq.clone(), Encoding::Bitmap, &mut scratch);
+                let mut meta = scratch.count(&seq);
+                let (words, ends) = append_run_arena(&seq, &meta, &scratch);
+                scratch.reset();
+                meta.bytes = charge(words.len(), ends.len());
+                prop_assert_eq!(slot.meta(), &meta);
+                let s = bitmap(&slot);
+                prop_assert_eq!(&s.words[..], &words[..]);
+                prop_assert_eq!(&s.ends[..], &ends[..]);
+            }
+        }
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //! The sites cover the payload layers: the seal, the selection walker's
 //! decode and the fault-in's payload decode, each per encoding (the seal
 //! and the walker count range segments apart from packed ones), and the
-//! open's per-column dictionary and segment-metadata decode; and the
+//! open's per-column dictionary and segment-metadata decode; the
 //! dictionary layer: deriving a value order, per outcome, building a value
-//! → id map, and reconciling two dictionaries' ids, per path.
+//! → id map, and reconciling two dictionaries' ids, per path; and the
+//! evolution operators' per-row work above the seal: DECOMPOSE's
+//! distinction and Property 2 check and key–foreign-key MERGE's scan, one
+//! span per row chunk.
 
 use crate::encoded::Encoding;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -76,11 +79,19 @@ pub enum Span {
     /// `Dictionary::remap_to` merging two value orders (items: values of
     /// both sides).
     RemapMerge,
+    /// DECOMPOSE's distinction numbering the keys of one row chunk (items:
+    /// rows).
+    SmoDistinction,
+    /// DECOMPOSE holding one row chunk to Property 2 (items: rows).
+    SmoFdCheck,
+    /// Key–foreign-key MERGE mapping one row chunk of the reused side to
+    /// its keyed rows (items: rows).
+    SmoKeyFkScan,
 }
 
 impl Span {
     /// Every span, in registry order.
-    pub const ALL: [Span; 20] = [
+    pub const ALL: [Span; 23] = [
         Span::SealBitmap,
         Span::SealRle,
         Span::SealPacked,
@@ -101,6 +112,9 @@ impl Span {
         Span::RemapOffset,
         Span::RemapWalk,
         Span::RemapMerge,
+        Span::SmoDistinction,
+        Span::SmoFdCheck,
+        Span::SmoKeyFkScan,
     ];
 
     /// The span's printed name.
@@ -126,6 +140,9 @@ impl Span {
             Span::RemapOffset => "dict.remap.offset",
             Span::RemapWalk => "dict.remap.walk",
             Span::RemapMerge => "dict.remap.merge",
+            Span::SmoDistinction => "smo.distinction",
+            Span::SmoFdCheck => "smo.fd_check",
+            Span::SmoKeyFkScan => "smo.key_fk_scan",
         }
     }
 

@@ -600,7 +600,6 @@ proptest! {
         let runs: u64 = per_id.iter().map(|(_, w)| w.count_intervals()).sum();
 
         let mut scratch = SealScratch::default();
-        prop_assert_eq!(scratch.distinct(&seq), ids.len() as u64);
         let chosen = choose_encoding_from_stats(seq.num_runs() as u64, n, ids.len() as u64, 1);
         let encoding = forced.unwrap_or(chosen);
         for _ in 0..2 {

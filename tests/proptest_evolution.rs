@@ -506,14 +506,20 @@ proptest! {
                 });
                 groups.push(g);
             }
-            prop_assert_eq!(
-                distinction(&table, &key_cols, true).unwrap(),
-                (positions.clone(), Some(groups))
-            );
-            prop_assert_eq!(
-                distinction(&table, &key_cols, false).unwrap(),
-                (positions, None)
-            );
+            let keys = distinction(&table, &key_cols, true).unwrap();
+            prop_assert_eq!(&keys.positions, &positions);
+            prop_assert_eq!(distinction(&table, &key_cols, false).unwrap().positions, positions.clone());
+            // Property 2 per column against the same map: the first row
+            // whose value differs from its group's first row's.
+            for c in 0..2 {
+                let value = |row: usize| [rows[row].0, rows[row].1][c];
+                let first = (0..rows.len())
+                    .find(|&row| value(row) != value(positions[groups[row] as usize] as usize));
+                prop_assert_eq!(
+                    keys.check_fd(&table, &[c]).unwrap(),
+                    first.map(|row| (c, row as u64))
+                );
+            }
         }
     }
 

@@ -6,16 +6,24 @@
 //! and joins, printed as a table (`cargo test --release --test spans --
 //! --nocapture`).
 //! A second catalog holds `sales_wide.sale_id` alone, so its dictionary's
-//! share of the open can be read against its ids and ones. Its own binary:
-//! the span registry is process-wide.
+//! share of the open can be read against its ids and ones. A second test
+//! prints the evolution operators' per-chunk spans beside the seal and the
+//! walker for one DECOMPOSE + MERGE of a 256 Ki-row, 10,000-entity sweep
+//! table. Its own binary, and the tests take turns: the span registry is
+//! process-wide.
 
+use cods::{decompose, merge, DecomposeSpec, MergeStrategy};
 use cods_query::{parse_query, QueryOutput};
 use cods_storage::persist::{read_catalog, save_catalog};
 use cods_storage::span::{self, Span, SpanStats};
 use cods_storage::{Catalog, Schema, Table};
+use cods_workload::gen::{generate_table, GenConfig};
 use cods_workload::warehouse::{sales_fact, star_customer_dim, wide_sales, WarehouseConfig};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Held by each test while it records: the registry is process-wide.
+static REGISTRY: Mutex<()> = Mutex::new(());
 
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cods_spans_{name}_{}.cods", std::process::id()))
@@ -81,6 +89,7 @@ fn of(stats: &[SpanStats], s: Span) -> &SpanStats {
 
 #[test]
 fn a_reopened_warehouse_reports_its_open_and_payload_spans() {
+    let _turn = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = WarehouseConfig {
         sales: 1 << 16,
         customers: 10_000,
@@ -165,4 +174,47 @@ fn a_reopened_warehouse_reports_its_open_and_payload_spans() {
     for p in [all, alone] {
         std::fs::remove_file(p).ok();
     }
+}
+
+#[test]
+fn a_decompose_merge_cycle_reports_its_per_chunk_spans() {
+    let _turn = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    // The shape of the benchmark's `cycle_d10k`: 256 Ki rows, 10,000
+    // entities, entity → detail, four 64 Ki-row segments.
+    let rows = 256 << 10;
+    let r = generate_table("R", &GenConfig::sweep_point(rows, 10_000));
+    span::reset();
+    span::set_recording(true);
+    let spec = DecomposeSpec::new("S", &["entity", "attr"], "T", &["entity", "detail"]);
+    let parts = decompose(&r, &spec).unwrap();
+    let keyed = MergeStrategy::KeyForeignKey {
+        keyed: "T".to_string(),
+    };
+    let merged = merge(&parts.unchanged, &parts.changed, "R2", &keyed).unwrap();
+    span::set_recording(false);
+    let stats = span::snapshot();
+    println!("DECOMPOSE + MERGE of a {rows}-row, 10,000-entity table:");
+    print!("{}", span::render());
+    assert_eq!(merged.output.rows(), rows);
+    // One span per row chunk, each over every row once: the key is not
+    // unique, so Property 2 is checked.
+    for s in [Span::SmoDistinction, Span::SmoFdCheck, Span::SmoKeyFkScan] {
+        assert_eq!(of(&stats, s).count, 4, "{}", s.name());
+        assert_eq!(of(&stats, s).items, rows, "{}", s.name());
+    }
+    for s in [Span::SealBitmap, Span::WalkBitmap] {
+        assert!(of(&stats, s).count > 0, "{}", s.name());
+    }
+
+    // A unique key decodes no column for Property 2: `T` has one row per
+    // entity, in one segment.
+    span::reset();
+    span::set_recording(true);
+    let spec = DecomposeSpec::new("A", &["entity"], "B", &["entity", "detail"]);
+    let again = decompose(&parts.changed, &spec).unwrap();
+    span::set_recording(false);
+    let stats = span::snapshot();
+    assert_eq!(again.distinct_keys, 10_000);
+    assert_eq!(of(&stats, Span::SmoDistinction).count, 1);
+    assert_eq!(of(&stats, Span::SmoFdCheck).count, 0);
 }
