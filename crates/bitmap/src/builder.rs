@@ -1,5 +1,7 @@
-//! Incremental builders used when a column's bitmaps are produced by a single
-//! sequential pass over rows (the CODS mergence algorithms and column loads).
+//! Incremental builders of a column's bitmaps in one sequential pass over
+//! its rows. The engine seals segments from runs instead
+//! ([`encode_runs`](crate::encode_runs)); these remain for the benchmark's
+//! `bitmap.build_mrows_per_s` probe.
 
 use crate::wah::Wah;
 
@@ -46,26 +48,6 @@ impl OneStreamBuilder {
         self.next_row = row + 1;
     }
 
-    /// Records `count` consecutive set bits starting at `row`.
-    #[inline]
-    pub fn push_run(&mut self, row: u64, count: u64) {
-        assert!(row >= self.next_row, "rows must be strictly ascending");
-        self.wah.append_run(false, row - self.next_row);
-        self.wah.append_run(true, count);
-        self.next_row = row + count;
-    }
-
-    /// Number of ones recorded so far.
-    pub fn ones(&self) -> u64 {
-        self.wah.count_ones()
-    }
-
-    /// Highest row index that may still be pushed plus zero (i.e. the next
-    /// admissible row).
-    pub fn next_row(&self) -> u64 {
-        self.next_row
-    }
-
     /// Pads with zeros up to total length `len` and returns the bitmap.
     ///
     /// # Panics
@@ -82,9 +64,7 @@ impl OneStreamBuilder {
 }
 
 /// Builds one bitmap per value id from a stream of `(row, value_id)` pairs in
-/// ascending row order — the single-pass construction used whenever CODS
-/// materializes a changed column. Rows not mentioned are zero in every
-/// bitmap (useful for nullable columns).
+/// ascending row order, in a single pass.
 #[derive(Clone, Debug)]
 pub struct ValueStreamBuilder {
     builders: Vec<OneStreamBuilder>,
@@ -100,11 +80,6 @@ impl ValueStreamBuilder {
         }
     }
 
-    /// Number of value slots.
-    pub fn num_values(&self) -> usize {
-        self.builders.len()
-    }
-
     /// Appends the next row carrying value `value_id`. Rows are implicit and
     /// sequential: the first call is row 0, the second row 1, and so on.
     ///
@@ -114,11 +89,6 @@ impl ValueStreamBuilder {
     pub fn push_row(&mut self, value_id: usize) {
         self.builders[value_id].push_one(self.rows_seen);
         self.rows_seen += 1;
-    }
-
-    /// Rows appended so far.
-    pub fn rows(&self) -> u64 {
-        self.rows_seen
     }
 
     /// Finishes all bitmaps at the current row count.
@@ -139,19 +109,8 @@ mod tests {
         for &p in &pos {
             b.push_one(p);
         }
-        assert_eq!(b.ones(), pos.len() as u64);
         let w = b.finish(100_000);
         assert_eq!(w, Wah::from_sorted_positions(pos.into_iter(), 100_000));
-    }
-
-    #[test]
-    fn one_stream_push_run() {
-        let mut b = OneStreamBuilder::new();
-        b.push_run(10, 5);
-        b.push_run(100, 63);
-        let w = b.finish(200);
-        assert_eq!(w.count_ones(), 68);
-        assert_eq!(w, Wah::from_sorted_positions((10..15).chain(100..163), 200));
     }
 
     #[test]

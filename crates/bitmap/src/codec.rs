@@ -260,22 +260,12 @@ impl WahRef<'_> {
             buf.put_u64_le(w);
         }
     }
-
-    /// Serialized size in bytes.
-    pub fn encoded_len(self) -> usize {
-        8 + 8 + 4 + 4 + self.words.len() * 8
-    }
 }
 
 impl Wah {
     /// Serializes the bitmap into `buf` ([`WahRef::encode`]).
     pub fn encode<B: BufMut>(&self, buf: &mut B) {
         self.view().encode(buf)
-    }
-
-    /// Serialized size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        self.view().encoded_len()
     }
 
     /// Deserializes a bitmap from `buf`, validating all invariants. The
@@ -374,7 +364,7 @@ mod tests {
         w.push(false);
         let mut buf = BytesMut::new();
         w.encode(&mut buf);
-        assert_eq!(buf.len(), w.encoded_len());
+        assert_eq!(buf.len(), 24 + 8 * w.words().len());
         let mut slice = buf.freeze();
         let back = Wah::decode(&mut slice).unwrap();
         assert_eq!(back, w);

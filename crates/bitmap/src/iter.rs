@@ -6,9 +6,8 @@ use crate::word::*;
 /// One maximal homogeneous piece of a bitmap, as exposed by [`RunIter`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Run {
-    /// `len` consecutive copies of `bit` (`len` is a multiple of 63 for fills
-    /// coming from fill words, but arbitrary lengths may appear after
-    /// slicing).
+    /// `len` consecutive copies of `bit` (`len` is a multiple of 63: a fill
+    /// word's groups).
     Fill {
         /// The repeated bit value.
         bit: bool,
@@ -27,31 +26,10 @@ pub enum Run {
 impl Run {
     /// Number of bit positions covered by this run.
     #[inline]
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         match *self {
             Run::Fill { len, .. } => len,
             Run::Literal { len, .. } => len,
-        }
-    }
-
-    /// Returns `true` when the run covers no positions.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of set bits in this run.
-    #[inline]
-    pub fn count_ones(&self) -> u64 {
-        match *self {
-            Run::Fill { bit, len } => {
-                if bit {
-                    len
-                } else {
-                    0
-                }
-            }
-            Run::Literal { word, .. } => u64::from(word.count_ones()),
         }
     }
 }
@@ -332,17 +310,6 @@ impl<'a> WahRef<'a> {
             v,
         );
     }
-
-    /// Iterates every bit (decompressing). Intended for tests and small data.
-    pub fn iter_bits(self) -> impl Iterator<Item = bool> + 'a {
-        self.iter_runs().flat_map(|run| {
-            let (len, f): (u64, Box<dyn Fn(u64) -> bool>) = match run {
-                Run::Fill { bit, len } => (len, Box::new(move |_| bit)),
-                Run::Literal { word, len } => (len, Box::new(move |i| (word >> i) & 1 == 1)),
-            };
-            (0..len).map(f)
-        })
-    }
 }
 
 impl Wah {
@@ -375,11 +342,6 @@ impl Wah {
     pub fn scatter(&self, out: &mut [u32], v: u32) {
         self.view().scatter(out, v)
     }
-
-    /// Iterates every bit (decompressing). Intended for tests and small data.
-    pub fn iter_bits(&self) -> impl Iterator<Item = bool> + '_ {
-        self.view().iter_bits()
-    }
 }
 
 #[cfg(test)]
@@ -395,8 +357,6 @@ mod tests {
         w.push(false);
         let total: u64 = w.iter_runs().map(|r| r.len()).sum();
         assert_eq!(total, w.len());
-        let ones: u64 = w.iter_runs().map(|r| r.count_ones()).sum();
-        assert_eq!(ones, w.count_ones());
     }
 
     #[test]
@@ -419,14 +379,6 @@ mod tests {
     fn ones_iter_empty_and_all_zero() {
         assert_eq!(Wah::new().iter_ones().count(), 0);
         assert_eq!(Wah::zeros(5000).iter_ones().count(), 0);
-    }
-
-    #[test]
-    fn iter_bits_round_trip() {
-        let pos = [3u64, 64, 65, 130];
-        let w = Wah::from_sorted_positions(pos.iter().copied(), 140);
-        let rebuilt = Wah::from_bits(w.iter_bits());
-        assert_eq!(rebuilt, w);
     }
 
     #[test]
@@ -538,11 +490,5 @@ mod tests {
     #[should_panic(expected = "scatter of")]
     fn scatter_into_a_short_slice_panics() {
         Wah::ones(10).scatter(&mut [0; 9], 1);
-    }
-
-    #[test]
-    fn run_is_empty() {
-        assert!(Run::Fill { bit: true, len: 0 }.is_empty());
-        assert!(!Run::Literal { word: 1, len: 3 }.is_empty());
     }
 }

@@ -6,28 +6,31 @@
 //!
 //! The centerpiece is [`Wah`], a 64-bit Word-Aligned Hybrid compressed bitmap
 //! (Wu, Otoo & Shoshani, TODS 2006 — reference \[9\] of the paper). Every
-//! column of the CODS column store is a dictionary plus one WAH bitmap per
-//! distinct value, and every data-level evolution operator is expressed in
-//! the algebra provided here. Each read algorithm is written once, on
-//! [`WahRef`], the borrowed view a storage segment hands out over the one
-//! word arena its bitmaps share; `Wah`'s read methods delegate to it:
+//! bitmap segment of the CODS column store is one WAH bitmap per present
+//! value id, their words sharing one arena. Each read algorithm is written
+//! once, on [`WahRef`], the borrowed view a segment hands out over that
+//! arena; `Wah`'s read methods delegate to it. What the engine runs:
 //!
-//! * **logical ops on compressed form** — [`Wah::and`], [`Wah::or`],
-//!   [`Wah::not`], [`Wah::union_many`] ([`ops`]);
-//! * **bitmap filtering** (the decomposition gather) —
-//!   [`Wah::filter_positions`], [`Wah::filter_bitmap`], [`Wah::slice`]
-//!   ([`filter`]);
-//! * **run encoding** (how a segment seal writes each value's bitmap
-//!   straight into its arena) — [`encode_runs`], and run appends,
-//!   [`Wah::append_run`];
-//! * **single-pass construction** — [`OneStreamBuilder`],
-//!   [`ValueStreamBuilder`] ([`builder`]);
-//! * **concatenation** for UNION TABLES — [`Wah::append_bitmap`],
-//!   [`Wah::concat`].
+//! * **logical ops on compressed form**, for predicate masks — [`Wah::and`],
+//!   [`Wah::or`], [`Wah::not`], [`Wah::union_many`] ([`ops`]);
+//! * **iterators**, for the storage layer's selection walker —
+//!   [`WahRef::iter_ones`], [`WahRef::iter_intervals`],
+//!   [`WahRef::count_intervals`], [`WahRef::scatter`] ([`iter`]);
+//! * **run encoding**, how a segment seal writes each value's bitmap
+//!   straight into its arena — [`encode_runs`];
+//! * **splices**, how a mask or a value bitmap grows a segment at a time —
+//!   [`Wah::append_run`], [`Wah::push_bits`], [`Wah::append_bitmap`];
+//! * **the codec**, for payloads read off the disk — [`scan_body`],
+//!   [`words_of`] and the checked [`Reader`] every decoder is written on
+//!   ([`codec`]).
+//!
+//! [`Wah::filter_positions`] ([`filter`]), [`ValueStreamBuilder`] and the
+//! stream codec ([`Wah::encode`], [`Wah::decode`]) remain only for the
+//! benchmark's layer-1 probes and `fig3`'s ablation.
 //!
 //! [`PlainBitmap`] (uncompressed) and [`RleSeq`] (run-length encoded value
-//! sequences, for sorted columns) complete the encoding menu; the former is
-//! also the oracle for the property-test suite.
+//! sequences, the form every segment is sealed from) complete the encoding
+//! menu; the former is also the oracle for the property-test suite.
 //!
 //! ## Example
 //!
@@ -39,11 +42,10 @@
 //! // …occupies a few hundred bytes, not 1.25 MB.
 //! assert!(hits.size_bytes() < 4096);
 //!
-//! // Evolution never decompresses: filtering to 1000 sampled rows stays
-//! // in compressed space.
-//! let sampled: Vec<u64> = (0..1000u64).map(|i| i * 9973).collect();
-//! let shrunk = hits.filter_positions(&sampled);
-//! assert_eq!(shrunk.len(), 1000);
+//! // A predicate mask is built and combined in compressed space.
+//! let mut half = Wah::ones(5_000_000);
+//! half.append_run(false, 5_000_000);
+//! assert_eq!(hits.and(&half).count_ones(), 51);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -360,13 +360,6 @@ impl Wah {
         }
     }
 
-    /// Concatenates two bitmaps into a new one.
-    pub fn concat(&self, other: &Wah) -> Wah {
-        let mut out = self.clone();
-        out.append_bitmap(other);
-        out
-    }
-
     // ------------------------------------------------------------------
     // Point access
     // ------------------------------------------------------------------
@@ -377,11 +370,6 @@ impl Wah {
     /// Panics if `pos >= self.len()`.
     pub fn get(&self, pos: u64) -> bool {
         self.view().get(pos)
-    }
-
-    /// Number of set bits strictly before `pos`.
-    pub fn rank1(&self, pos: u64) -> u64 {
-        self.view().rank1(pos)
     }
 
     // ------------------------------------------------------------------
@@ -569,41 +557,6 @@ impl<'a> WahRef<'a> {
             base += span;
         }
         (self.active >> (pos - base)) & 1 == 1
-    }
-
-    /// Number of set bits strictly before `pos`.
-    pub fn rank1(self, pos: u64) -> u64 {
-        assert!(
-            pos <= self.len,
-            "rank index {pos} out of range {}",
-            self.len
-        );
-        let mut base = 0u64;
-        let mut ones = 0u64;
-        for &w in self.words {
-            let (span, word_ones) = if is_fill(w) {
-                let g = fill_groups(w);
-                (g * GROUP_BITS, g * fill_ones_per_group(fill_bit(w)))
-            } else {
-                (GROUP_BITS, u64::from(w.count_ones()))
-            };
-            if pos <= base + span {
-                let within = pos - base;
-                return ones
-                    + if is_fill(w) {
-                        if fill_bit(w) {
-                            within
-                        } else {
-                            0
-                        }
-                    } else {
-                        u64::from((w & lsb_mask(within)).count_ones())
-                    };
-            }
-            base += span;
-            ones += word_ones;
-        }
-        ones + u64::from((self.active & lsb_mask(pos - base)).count_ones())
     }
 
     /// Collects the positions of all set bits into a vector.
@@ -926,41 +879,36 @@ mod tests {
         let _ = Wah::from_sorted_positions([3u64, 3], 10);
     }
 
-    #[test]
-    fn rank_counts_the_ones_before_each_position() {
-        let pos = [1u64, 7, 63, 126, 127, 128, 1000, 9999];
-        let w = Wah::from_sorted_positions(pos.iter().copied(), 10_000);
-        for (k, &p) in pos.iter().enumerate() {
-            assert_eq!(w.rank1(p), k as u64);
-            assert_eq!(w.rank1(p + 1), k as u64 + 1);
-        }
-        assert_eq!(w.rank1(w.len()), pos.len() as u64);
+    fn concat(a: &Wah, b: &Wah) -> Wah {
+        let mut c = a.clone();
+        c.append_bitmap(b);
+        c
     }
 
     #[test]
-    fn concat_aligned_and_unaligned() {
+    fn append_bitmap_aligned_and_unaligned() {
         // Aligned: first ends exactly on a group boundary.
         let a = Wah::from_sorted_positions([0u64, 62], 63);
         let b = Wah::from_sorted_positions([1u64, 3], 70);
-        let c = a.concat(&b);
+        let c = concat(&a, &b);
         c.check_invariants().unwrap();
         assert_eq!(c.len(), 133);
         assert_eq!(c.to_positions(), vec![0, 62, 64, 66]);
 
         // Unaligned: first has a partial tail.
         let a = Wah::from_sorted_positions([0u64, 9], 10);
-        let c = a.concat(&b);
+        let c = concat(&a, &b);
         c.check_invariants().unwrap();
         assert_eq!(c.len(), 80);
         assert_eq!(c.to_positions(), vec![0, 9, 11, 13]);
     }
 
     #[test]
-    fn concat_long_fills() {
+    fn append_bitmap_long_fills() {
         let a = Wah::zeros(1_000);
         let mut b = Wah::ones(2_000);
         b.push(false);
-        let c = a.concat(&b);
+        let c = concat(&a, &b);
         c.check_invariants().unwrap();
         assert_eq!(c.len(), 3_001);
         assert_eq!(c.count_ones(), 2_000);

@@ -18,7 +18,11 @@ proptest! {
     #[test]
     fn round_trip(ids in small_ids()) {
         let seq: RleSeq = ids.iter().copied().collect();
-        prop_assert_eq!(seq.iter().collect::<Vec<_>>(), ids.clone());
+        let expanded: Vec<u32> = seq
+            .iter_runs()
+            .flat_map(|(v, _, n)| std::iter::repeat_n(v, n as usize))
+            .collect();
+        prop_assert_eq!(expanded, ids.clone());
         prop_assert_eq!(seq.len(), ids.len() as u64);
         // Runs never exceed the number of value changes + 1.
         let changes = ids.windows(2).filter(|w| w[0] != w[1]).count();

@@ -78,17 +78,6 @@ proptest! {
     }
 
     #[test]
-    fn rank_counts_the_ones_before_each_one(bits in bit_vector()) {
-        let w = to_wah(&bits);
-        let ones = w.count_ones();
-        for (k, p) in w.iter_ones().enumerate() {
-            prop_assert!(w.get(p));
-            prop_assert_eq!(w.rank1(p), k as u64);
-        }
-        prop_assert_eq!(w.rank1(w.len()), ones);
-    }
-
-    #[test]
     fn filter_positions_matches_oracle(
         bits in bit_vector(),
         seed in prop::collection::vec(any::<u8>(), 0..200),
@@ -107,32 +96,42 @@ proptest! {
     }
 
     #[test]
-    fn filter_bitmap_matches_filter_positions(bits in bit_vector(), mask in bit_vector()) {
-        let n = bits.len().min(mask.len());
-        let (bits, mask) = (&bits[..n], &mask[..n]);
-        let w = to_wah(bits);
-        let m = to_wah(mask);
-        let positions: Vec<u64> = m.iter_ones().collect();
-        prop_assert_eq!(w.filter_bitmap(&m), w.filter_positions(&positions));
-    }
-
-    #[test]
-    fn slice_concat_identity(bits in bit_vector(), cut in any::<prop::sample::Index>()) {
-        prop_assume!(!bits.is_empty());
-        let w = to_wah(&bits);
-        let c = cut.index(bits.len()) as u64;
-        let joined = w.slice(0, c).concat(&w.slice(c, w.len()));
-        joined.check_invariants().unwrap();
-        prop_assert_eq!(joined, w);
-    }
-
-    #[test]
-    fn concat_matches_oracle(a in bit_vector(), b in bit_vector()) {
-        let w = to_wah(&a).concat(&to_wah(&b));
+    fn append_bitmap_matches_oracle(a in bit_vector(), b in bit_vector()) {
+        // Both the aligned splice (`a` ends on a group boundary) and the
+        // re-aligning path are drawn: `bit_vector` favours 63·k lengths.
+        let mut w = to_wah(&a);
+        w.append_bitmap(&to_wah(&b));
         w.check_invariants().unwrap();
-        let mut all = a;
-        all.extend_from_slice(&b);
-        prop_assert_eq!(w, to_wah(&all));
+        let mut all = to_plain(&a);
+        for &bit in &b {
+            all.push(bit);
+        }
+        prop_assert_eq!(w, all.to_wah());
+    }
+
+    #[test]
+    fn union_many_matches_oracle(
+        inputs in prop::collection::vec(bit_vector(), 0..5),
+        len in prop_oneof![
+            0usize..130,
+            prop_oneof![Just(62usize), Just(63), Just(64), Just(126), Just(127)],
+            130usize..700,
+        ],
+    ) {
+        // Every input is stretched to `len` by repeating its bits, so zero
+        // inputs, one input, and lengths ending mid-word all occur.
+        let stretch = |bits: &Vec<bool>| -> Vec<bool> {
+            let zeros = std::iter::repeat(false);
+            bits.iter().copied().cycle().chain(zeros).take(len).collect()
+        };
+        let inputs: Vec<Vec<bool>> = inputs.iter().map(stretch).collect();
+        let wahs: Vec<Wah> = inputs.iter().map(|bits| to_wah(bits)).collect();
+        let oracle = inputs
+            .iter()
+            .fold(PlainBitmap::zeros(len as u64), |acc, bits| acc.or(&to_plain(bits)));
+        let u = Wah::union_many(&wahs, len as u64);
+        u.check_invariants().unwrap();
+        prop_assert_eq!(u, oracle.to_wah());
     }
 
     #[test]
@@ -140,7 +139,7 @@ proptest! {
         let w = to_wah(&bits);
         let mut buf = bytes::BytesMut::new();
         w.encode(&mut buf);
-        prop_assert_eq!(buf.len(), w.encoded_len());
+        prop_assert_eq!(buf.len(), 24 + 8 * w.words().len());
         let back = Wah::decode(&mut buf.freeze()).unwrap();
         prop_assert_eq!(back, w);
     }
@@ -184,7 +183,7 @@ proptest! {
             prop_assert!(len > 0);
             expanded[start as usize..(start + len) as usize].fill(true);
         }
-        prop_assert_eq!(expanded, w.iter_bits().collect::<Vec<_>>());
+        prop_assert_eq!(expanded, bits);
         prop_assert_eq!(w.count_intervals(), intervals.len() as u64);
     }
 

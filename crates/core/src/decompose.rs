@@ -353,11 +353,11 @@ pub(crate) fn write_columns<S: Send>(
     for (ci, seg) in written {
         segments[ci].push(seg?);
     }
-    Ok(columns
+    columns
         .iter()
         .zip(segments)
-        .map(|(col, segs)| Arc::new(col.derived(segs)))
-        .collect())
+        .map(|(col, segs)| Ok(Arc::new(col.derived(segs)?)))
+        .collect()
 }
 
 /// Executes a data-level decomposition of `input`.

@@ -1,10 +1,10 @@
-//! Schema-level analysis backing the evolution operators: common attributes,
-//! lossless-join checking, and functional-dependency verification — the two
-//! properties of Section 2.4 that make data-level decomposition correct.
+//! Schema-level analysis backing the evolution operators: common attributes
+//! and the shape of a lossless decomposition. The data half of Section 2.4's
+//! properties — the functional dependency of Property 2 — is checked by the
+//! decomposition executor itself, chunk by chunk.
 
 use crate::error::{EvolutionError, Result};
-use cods_storage::{Schema, Table};
-use std::collections::HashMap;
+use cods_storage::Schema;
 
 /// The columns two schemas share, in the first schema's order.
 pub fn common_columns(a: &Schema, b: &Schema) -> Vec<String> {
@@ -24,7 +24,7 @@ pub fn common_columns(a: &Schema, b: &Schema) -> Vec<String> {
 ///
 /// Returns the common columns. Losslessness additionally requires the common
 /// columns to be a key of one output — that is a *data* property checked by
-/// [`fd_holds`] / the decomposition executor.
+/// the decomposition executor.
 pub fn check_decomposition_shape(
     input: &Schema,
     left_cols: &[String],
@@ -70,39 +70,10 @@ pub fn check_decomposition_shape(
     Ok(common)
 }
 
-/// Checks whether the functional dependency `lhs → rhs` holds in `table`.
-///
-/// Runs one pass over the compressed columns' value ids (never touching the
-/// values themselves): for every distinct lhs combination the rhs combination
-/// must be constant.
-pub fn fd_holds(table: &Table, lhs: &[&str], rhs: &[&str]) -> Result<bool> {
-    let lhs_ids: Vec<Vec<u32>> = lhs
-        .iter()
-        .map(|n| Ok(table.column_by_name(n)?.value_ids()))
-        .collect::<Result<_>>()?;
-    let rhs_ids: Vec<Vec<u32>> = rhs
-        .iter()
-        .map(|n| Ok(table.column_by_name(n)?.value_ids()))
-        .collect::<Result<_>>()?;
-    let mut witness: HashMap<Vec<u32>, Vec<u32>> = HashMap::new();
-    for row in 0..table.rows() as usize {
-        let l: Vec<u32> = lhs_ids.iter().map(|c| c[row]).collect();
-        let r: Vec<u32> = rhs_ids.iter().map(|c| c[row]).collect();
-        match witness.get(&l) {
-            Some(prev) if *prev != r => return Ok(false),
-            Some(_) => {}
-            None => {
-                witness.insert(l, r);
-            }
-        }
-    }
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cods_storage::{Value, ValueType};
+    use cods_storage::{Table, Value, ValueType};
 
     fn figure1() -> Table {
         let schema = Schema::build(
@@ -179,13 +150,5 @@ mod tests {
             &["employee".into(), "address".into()],
         );
         assert!(matches!(err, Err(EvolutionError::InvalidOperator(_))));
-    }
-
-    #[test]
-    fn fd_employee_address_holds() {
-        let r = figure1();
-        assert!(fd_holds(&r, &["employee"], &["address"]).unwrap());
-        // …but employee does not determine skill.
-        assert!(!fd_holds(&r, &["employee"], &["skill"]).unwrap());
     }
 }

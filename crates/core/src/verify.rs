@@ -6,11 +6,6 @@ use crate::error::Result;
 use cods_storage::{Table, Value};
 use std::collections::HashMap;
 
-/// Multiset of tuples of a table.
-pub fn multiset(table: &Table) -> HashMap<Vec<Value>, u64> {
-    table.tuple_multiset()
-}
-
 /// Returns `true` if two tables hold the same tuples (order-insensitive,
 /// duplicate-sensitive), projecting both to `a`'s column order by name.
 pub fn same_tuples(a: &Table, b: &Table) -> Result<bool> {

@@ -763,8 +763,11 @@ impl CommitLog {
 }
 
 /// Appends one staged record to `out`; a carried image is appended once,
-/// from the bytes [`persist::encode_table`] made. Returns how many of its
-/// put columns the record references and how many it carries.
+/// from the pieces [`persist::table_image`] made. A payload the image
+/// cannot re-read fails the record: the leader returns the error and the
+/// log poisons, where a panic would leave the batch marked as writing.
+/// Returns how many of its put columns the record references and how many
+/// it carries.
 fn encode_record(out: &mut Vec<u8>, p: &Pending) -> Result<(u64, u64), StorageError> {
     let (mut referenced, mut carried) = (0, 0);
     out.put_u64_le(p.version);
@@ -803,10 +806,12 @@ fn encode_record(out: &mut Vec<u8>, p: &Pending) -> Result<(u64, u64), StorageEr
         }
         // The image is a table of the carried columns alone.
         let image = Table::new(t.name(), Schema::new(carried_defs)?, carried_cols)?;
-        let img = persist::encode_table(&image);
+        let img = persist::table_image(&image)?;
         out.push(BODY_IMAGE);
-        out.put_u64_le(img.len() as u64);
-        out.put_slice(&img);
+        out.put_u64_le(img.iter().map(Vec::len).sum::<usize>() as u64);
+        for piece in &img {
+            out.put_slice(piece);
+        }
     }
     Ok((referenced, carried))
 }

@@ -485,13 +485,15 @@ impl EncodedColumn {
 
     /// Assembles a column from a dictionary and already-built segments,
     /// compacting the dictionary to the values actually present — the
-    /// constructor the segment-parallel operators funnel into.
+    /// constructor the segment-parallel operators funnel into. A segment
+    /// whose ids must be translated but whose payload cannot be faulted in
+    /// is a typed error.
     pub fn from_segments_compacting(
         ty: ValueType,
         dict: Dictionary,
         segments: Vec<SegSlot>,
         segment_rows: u64,
-    ) -> EncodedColumn {
+    ) -> Result<EncodedColumn, StorageError> {
         let mut present = vec![false; dict.len()];
         for seg in &segments {
             match seg.meta().present.range() {
@@ -504,11 +506,12 @@ impl EncodedColumn {
             }
         }
         if present.iter().all(|&p| p) {
-            return Self::from_segments(ty, dict, segments, segment_rows);
+            return Ok(Self::from_segments(ty, dict, segments, segment_rows));
         }
-        let (compact_dict, mapping) = dict.compact(|id| present[id as usize]);
-        let segments = segments.iter().map(|s| s.remap(&mapping)).collect();
-        Self::from_segments(ty, compact_dict, segments, segment_rows)
+        let (dict, mapping) = dict.compact(|id| present[id as usize]);
+        let segments = segments.iter().map(|s| s.remap(&mapping));
+        let segments = segments.collect::<Result<_, _>>()?;
+        Ok(Self::from_segments(ty, dict, segments, segment_rows))
     }
 
     // ---- geometry and statistics ----
@@ -1081,9 +1084,9 @@ impl EncodedColumn {
     /// type, nominal segment size and column pin, and its dictionary
     /// compacted to the values the segments hold (the same handle when
     /// every value survives).
-    pub fn derived(&self, segments: Vec<SegSlot>) -> EncodedColumn {
-        Self::from_segments_compacting(self.ty, self.dict.clone(), segments, self.segment_rows)
-            .with_meta_of(self)
+    pub fn derived(&self, segments: Vec<SegSlot>) -> Result<EncodedColumn, StorageError> {
+        let (ty, dict, rows) = (self.ty, self.dict.clone(), self.segment_rows);
+        Ok(Self::from_segments_compacting(ty, dict, segments, rows)?.with_meta_of(self))
     }
 
     /// The paper's *bitmap filtering*: shrink the column to the rows listed
@@ -1097,7 +1100,7 @@ impl EncodedColumn {
             .chunks(self.segment_rows as usize)
             .map(|p| self.try_write_positions(p, &mut scratch))
             .collect::<Result<_, _>>()?;
-        Ok(self.derived(segments))
+        self.derived(segments)
     }
 
     /// Bitmap filtering driven by a selection mask.
@@ -1108,7 +1111,7 @@ impl EncodedColumn {
             .iter()
             .map(|sel| self.try_write(sel, None, &mut scratch))
             .collect::<Result<_, _>>()?;
-        Ok(self.derived(segments))
+        self.derived(segments)
     }
 
     /// Gather by an arbitrary (not necessarily sorted) row selection:
@@ -1130,7 +1133,7 @@ impl EncodedColumn {
                 }
             })
             .collect();
-        Ok(self.derived(segments))
+        self.derived(segments)
     }
 
     // ---- concat / slice / compaction ----
@@ -1153,7 +1156,9 @@ impl EncodedColumn {
             segments.extend(other.segments.iter().cloned());
         } else {
             let map: Vec<Option<u32>> = other_map.iter().map(|&m| Some(m)).collect();
-            segments.extend(other.segments.iter().map(|s| s.remap(&map)));
+            for s in &other.segments {
+                segments.push(s.remap(&map)?);
+            }
         }
         let seg_pins = [&self.seg_pins[..], &other.seg_pins[..]].concat();
         let mut out = Self::from_segments(self.ty, dict, segments, self.segment_rows);
@@ -1190,7 +1195,7 @@ impl EncodedColumn {
             seg_pins.push(self.seg_pins[i]);
         }
         let mut out =
-            Self::from_segments_compacting(self.ty, self.dict.clone(), parts, self.segment_rows);
+            Self::from_segments_compacting(self.ty, self.dict.clone(), parts, self.segment_rows)?;
         out.set_pins(self.pinned, seg_pins);
         Ok(out)
     }
@@ -1877,7 +1882,7 @@ mod tests {
             .chunks(50)
             .map(|chunk| col.seal_stream(chunk.iter().copied().collect(), &mut scratch))
             .collect();
-        assert!(shares(&col.derived(segments)));
+        assert!(shares(&col.derived(segments).unwrap()));
 
         // Dropping a value compacts into a dictionary of its own.
         let narrowed = col.filter_positions(&[0, 1]).unwrap();

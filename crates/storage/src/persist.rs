@@ -1519,11 +1519,17 @@ pub(crate) fn file_heap_stats(path: &Path) -> Result<HeapStats, StorageError> {
 /// read (it changed or vanished under us) — the same contract as faulting
 /// the segment in. [`save_table`] reports such errors instead.
 pub fn encode_table(t: &Table) -> Bytes {
-    build(&Content::Table(t), None, 1)
+    table_image(t)
         .unwrap_or_else(|e| panic!("encode_table: cannot re-read segment payloads: {e}"))
-        .image()
         .concat()
         .into()
+}
+
+/// [`encode_table`]'s image as its pieces in order, with a payload that
+/// cannot be re-read an error instead of a panic: how the commit log
+/// carries a column.
+pub(crate) fn table_image(t: &Table) -> Result<Vec<Vec<u8>>, StorageError> {
+    Ok(build(&Content::Table(t), None, 1)?.image())
 }
 
 /// Deserializes one table. The image opens lazily: columns carry metadata

@@ -11,13 +11,14 @@
 //! per-attempt delay.
 //!
 //! The jitter is **deterministic**: it is derived from the policy's seed
-//! and the attempt number with the same FNV-1a hash the WAL uses for
-//! checksums, never from a clock or RNG. Two policies with equal seeds
-//! produce byte-equal delay schedules, which keeps contention tests and
-//! distributed simulations reproducible while still decorrelating
-//! real concurrent retriers (every connection seeds with its own id).
+//! and the attempt number by the frame checksum ([`wal::checksum`]), never
+//! from a clock or RNG. Two policies with equal seeds produce byte-equal
+//! delay schedules, which keeps contention tests and distributed
+//! simulations reproducible while still decorrelating real concurrent
+//! retriers (every connection seeds with its own id).
 
 use crate::error::StorageError;
+use crate::wal;
 use std::time::Duration;
 
 /// Errors that may succeed when the whole attempt is redone from a fresh
@@ -32,21 +33,6 @@ impl Retryable for StorageError {
     fn should_retry(&self) -> bool {
         matches!(self, StorageError::Conflict(_))
     }
-}
-
-/// FNV-1a 64-bit over the seed and attempt number — the deterministic
-/// jitter source.
-fn fnv1a64(seed: u64, attempt: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in seed
-        .to_le_bytes()
-        .iter()
-        .chain(attempt.to_le_bytes().iter())
-    {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Backoff schedule for retrying conflicting optimistic commits.
@@ -111,7 +97,8 @@ impl RetryPolicy {
             .saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX))
             .min(self.max_delay);
         // factor = (1024 + jitter) / 2048 with jitter ∈ [0, 1024).
-        let jitter = fnv1a64(self.jitter_seed, attempt) % 1024;
+        let jitter =
+            wal::checksum(&[&self.jitter_seed.to_le_bytes(), &attempt.to_le_bytes()]) % 1024;
         let nanos = full.as_nanos().saturating_mul(1024 + jitter as u128) / 2048;
         Duration::from_nanos(nanos.min(u64::MAX as u128) as u64)
     }

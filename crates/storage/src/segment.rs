@@ -18,9 +18,9 @@
 //! row-range extraction reuse existing segments by reference instead of
 //! rewriting bitmaps.
 
-use crate::encoded::{Encoding, SegmentEnc};
+use crate::encoded::Encoding;
 use crate::error::StorageError;
-use crate::store::{Present, SegMeta, SegSlot};
+use crate::store::{Present, SegMeta};
 use bytes::BufMut;
 use cods_bitmap::{encode_runs, scan_body, words_of, Reader, RleSeq, Wah, WahRef};
 use std::ops::Range;
@@ -171,7 +171,8 @@ pub fn compaction_plan(sizes: &[u64], nominal: u64) -> Option<Vec<CompactionGrou
     }
 }
 
-/// The reusable scratch of every seal ([`SegmentEnc::seal`]): a table
+/// The reusable scratch of every seal
+/// ([`SegmentEnc::seal`](crate::encoded::SegmentEnc::seal)): a table
 /// indexed by value id, zero between calls. Each call
 /// resets the slots it used by walking the ids it touched, so one scratch
 /// serves any number of segments at the cost of the ids present, not of
@@ -386,28 +387,6 @@ pub(crate) fn read_bitmap(
 }
 
 impl Segment {
-    /// A fresh slot holding the bitmap segment of `pairs` — present ids
-    /// with their bitmaps, each `rows` long, together covering every row —
-    /// for tests and hand-built fixtures: the rows are read back as runs
-    /// and sealed like every segment the engine builds
-    /// ([`SegmentEnc::seal`]). `pairs` need not be sorted.
-    ///
-    /// # Panics
-    /// Panics when a bitmap's length is not `rows` or a row is uncovered.
-    pub fn from_bitmaps(rows: u64, pairs: Vec<(u32, Wah)>) -> SegSlot {
-        let mut ids = vec![u32::MAX; rows as usize];
-        for (id, bm) in &pairs {
-            assert_eq!(bm.len(), rows, "bitmap length mismatch in segment");
-            bm.scatter(&mut ids, *id);
-        }
-        assert!(
-            !ids.contains(&u32::MAX),
-            "the bitmaps leave a row uncovered"
-        );
-        let seq = ids.into_iter().collect();
-        SegmentEnc::seal(seq, Encoding::Bitmap, &mut SealScratch::default())
-    }
-
     /// Writes the bitmap segment of `seq` from the count `scratch` just
     /// took of it ([`SealScratch::count`], which gave `meta`): each present
     /// id's placed runs are encoded, in id order, straight into the arena,
@@ -675,6 +654,14 @@ impl Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoded::SegmentEnc;
+    use crate::store::SegSlot;
+
+    /// The bitmap segment whose row `r` holds `ids[r]`.
+    fn sealed(ids: &[u32]) -> SegSlot {
+        let seq = ids.iter().copied().collect();
+        SegmentEnc::seal(seq, Encoding::Bitmap, &mut SealScratch::default())
+    }
 
     fn bitmap(slot: &SegSlot) -> Arc<Segment> {
         match slot.enc() {
@@ -685,13 +672,7 @@ mod tests {
 
     #[test]
     fn segment_stats_and_lookup() {
-        let s = Segment::from_bitmaps(
-            6,
-            vec![
-                (7, Wah::from_sorted_positions([0u64, 3, 5], 6)),
-                (2, Wah::from_sorted_positions([1u64, 2, 4], 6)),
-            ],
-        );
+        let s = sealed(&[7, 2, 2, 7, 2, 7]);
         s.check_invariants().unwrap();
         let m = s.meta();
         assert_eq!(m.present.ids().collect::<Vec<_>>(), [2, 7]);
@@ -827,27 +808,15 @@ mod tests {
     #[test]
     fn run_count_counts_value_runs() {
         // Rows: 7 7 2 2 7 → runs [7, 2, 7] = 3.
-        let s = Segment::from_bitmaps(
-            5,
-            vec![
-                (7, Wah::from_sorted_positions([0u64, 1, 4], 5)),
-                (2, Wah::from_sorted_positions([2u64, 3], 5)),
-            ],
-        );
+        let s = sealed(&[7, 7, 2, 2, 7]);
         assert_eq!(s.meta().runs, 3);
         assert_eq!(bitmap(&s).recount().unwrap().runs, 3);
     }
 
     #[test]
     fn remap_translates_and_resorts() {
-        let s = Segment::from_bitmaps(
-            3,
-            vec![
-                (0, Wah::from_sorted_positions([0u64], 3)),
-                (1, Wah::from_sorted_positions([1u64, 2], 3)),
-            ],
-        );
-        let r = s.remap(&[Some(4), Some(1)]);
+        let s = sealed(&[0, 1, 1]);
+        let r = s.remap(&[Some(4), Some(1)]).unwrap();
         r.check_invariants().unwrap();
         assert_eq!(r.meta().present.ids().collect::<Vec<_>>(), [1, 4]);
         assert_eq!(r.meta().count_for(1), 2);

@@ -679,11 +679,12 @@ impl SegSlot {
     /// packed segment under a monotone map keeps its payload; under any
     /// other its codes are permuted at the same width. A range that the map
     /// shifts by one offset stays a range; under any other map it is
-    /// resealed packed.
+    /// resealed packed. A payload that cannot be faulted in is a typed
+    /// error.
     ///
     /// # Panics
     /// Panics if the map drops a present id.
-    pub(crate) fn remap(&self, map: &[Option<u32>]) -> SegSlot {
+    pub(crate) fn remap(&self, map: &[Option<u32>]) -> Result<SegSlot, StorageError> {
         let m = &self.0.meta;
         let new = |old: u32| map[old as usize].expect("remap drops a present value");
         if let Some(ids) = m.present.range() {
@@ -691,10 +692,14 @@ impl SegSlot {
             if ids.clone().zip(first..).all(|(old, want)| new(old) == want) {
                 let meta = SegMeta::range(first, m.rows);
                 let enc = SegmentEnc::Packed(Arc::new(PackedSegment::range(&meta)));
-                return SegSlot::fresh(meta, enc);
+                return Ok(SegSlot::fresh(meta, enc));
             }
             let seq = ids.map(new).collect();
-            return SegmentEnc::seal(seq, Encoding::Packed, &mut SealScratch::default());
+            return Ok(SegmentEnc::seal(
+                seq,
+                Encoding::Packed,
+                &mut SealScratch::default(),
+            ));
         }
         let mut order: Vec<(u32, usize)> = m
             .present
@@ -712,12 +717,12 @@ impl SegSlot {
         };
         debug_assert!(meta.check().is_ok(), "remap is not injective");
         let from = || order.iter().map(|&(_, i)| i).collect::<Vec<usize>>();
-        let enc = match self.enc() {
+        let enc = match self.try_enc()? {
             SegmentEnc::Bitmap(s) => SegmentEnc::Bitmap(Arc::new(s.remap(&meta, &from()))),
             SegmentEnc::Rle(s) => SegmentEnc::Rle(Arc::new(s.remap(map))),
             SegmentEnc::Packed(s) => SegmentEnc::Packed(Arc::new(s.remap(&meta, &from()))),
         };
-        SegSlot::fresh(meta, enc)
+        Ok(SegSlot::fresh(meta, enc))
     }
 
     /// Validates the stats ([`SegMeta::check`]) and the payload (faulting

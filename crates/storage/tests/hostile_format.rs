@@ -27,8 +27,8 @@ use cods_storage::persist::{
 use cods_storage::store::{decode_payload, encode_payload, read_bitmaps, Present, SegMeta};
 use cods_storage::{
     clog_path, log_status, open_durable, wal, Catalog, Dictionary, EncodedColumn, Encoding,
-    RecodeScope, RecodeTarget, Schema, SealScratch, SegSlot, Segment, SegmentEnc, StorageError,
-    Table, Value, ValueType,
+    RecodeScope, RecodeTarget, Schema, SealScratch, SegSlot, SegmentEnc, StorageError, Table,
+    Value, ValueType,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -818,14 +818,11 @@ fn hostile_bitmap_payloads_are_typed_errors() {
             200,
         ),
     ];
-    let seg = Segment::from_bitmaps(
-        200,
-        vec![
-            (2, bitmaps[0].clone()),
-            (5, bitmaps[1].clone()),
-            (9, bitmaps[2].clone()),
-        ],
-    );
+    let seg = sealed((0..200).map(|p| match p % 3 {
+        0 => 2,
+        1 if p < 130 => 5,
+        _ => 9,
+    }));
     let enc = seg.enc();
     let meta = seg.meta().clone();
     let mut good = Vec::new();
@@ -1208,17 +1205,19 @@ fn hostile_rle_payloads_are_typed_errors() {
 /// each, one word or none per bitmap), so the payload decodes; rows `1..`
 /// are then covered by no bitmap.
 fn overlapping_segment(rows: u64) -> SegSlot {
-    let bit = |r| Wah::from_sorted_positions([r], rows);
-    let pairs = (0..rows).map(|r| (r as u32, bit(r))).collect();
-    let honest = Segment::from_bitmaps(rows, pairs);
-    let raw = payload_of(&vec![body(&bit(0)); rows as usize]);
+    let honest = sealed(0..rows as u32);
+    let raw = payload_of(&vec![
+        body(&Wah::from_sorted_positions([0], rows));
+        rows as usize
+    ]);
     let enc = decode_payload(honest.meta(), &raw).expect("each bitmap is well formed");
     SegSlot::fresh(honest.meta().clone(), enc)
 }
 
-/// Row `r` of a 2-row segment.
-fn row(r: u64) -> Wah {
-    Wah::from_sorted_positions([r], 2)
+/// The bitmap segment whose rows hold `ids`, sealed as every write seals.
+fn sealed(ids: impl IntoIterator<Item = u32>) -> SegSlot {
+    let seq = ids.into_iter().collect();
+    SegmentEnc::seal(seq, Encoding::Bitmap, &mut SealScratch::default())
 }
 
 fn ids(n: u64) -> Dictionary {
@@ -1271,11 +1270,42 @@ fn an_overlapping_segment_recoded_to_rle_is_a_typed_error() {
         col.with_encoding(RecodeScope::Segments(0..1), RecodeTarget::To(Encoding::Rle)),
     );
     corrupt("EncodedColumn::recode", col.recode(Encoding::Rle));
-    let honest = Segment::from_bitmaps(2, vec![(0, row(0)), (1, row(1))]);
+    let honest = sealed([0, 1]);
     let mixed = EncodedColumn::from_segments(ValueType::Int, ids(2), vec![decoded, honest], 64)
         .with_encoding(RecodeScope::Segments(1..2), RecodeTarget::To(Encoding::Rle))
         .unwrap();
     corrupt("EncodedColumn::compacted", mixed.compacted());
+}
+
+/// UNION translates the right input's segments to the merged dictionary's
+/// ids whenever the two dictionaries differ, which faults them in: a
+/// payload that does not decode is a typed error there, as on every other
+/// read, not a panic.
+#[test]
+fn a_union_over_an_unreadable_payload_is_a_typed_error() {
+    let column = |t: &Table| Arc::clone(t.column(0));
+    let ints = |name: &str, base: i64| {
+        let schema = Schema::build(&[("v", ValueType::Int)], &[]).unwrap();
+        let rows: Vec<Vec<Value>> = (0..256).map(|i| vec![Value::int(base + i % 4)]).collect();
+        Table::from_rows(name, schema, &rows)
+            .unwrap()
+            .map_columns(None, |c| c.recode(Encoding::Bitmap))
+            .unwrap()
+    };
+    // The image's first payload is the bitmap segment's: the high byte of
+    // its first head entry sends that entry past the words region.
+    let mut image = encode_table(&ints("r", 0)).to_vec();
+    image[HEADER_LEN + 3] ^= 0xFF;
+    let damaged = column(&decode_table(Bytes::from(image)).unwrap());
+    assert!(
+        damaged.try_value_ids().is_err(),
+        "the payload must not decode"
+    );
+    let disjoint = column(&ints("l", 1000));
+    match disjoint.concat(&damaged) {
+        Err(StorageError::PersistError(m)) => assert!(m.contains("segment payload"), "{m}"),
+        other => panic!("wanted a PersistError, got {other:?}"),
+    }
 }
 
 // ---- The commit log: a recorded format-3 `.clog` ----

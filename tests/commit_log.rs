@@ -7,7 +7,7 @@
 //! block is referenced, not re-encoded or journaled.
 
 use cods::Cods;
-use cods_storage::persist::{encode_table, save_catalog};
+use cods_storage::persist::{encode_table, read_table, save_catalog, save_table};
 use cods_storage::{
     clog_path, fault, log_status, open_durable, Catalog, Schema, StorageError, Table, Value,
     ValueType,
@@ -163,6 +163,45 @@ fn platform_scripts_commit_durably_and_replay() {
     let r2 = cat2.get("r2").unwrap();
     assert_eq!(r2.rows(), 16);
     assert!(r2.schema().index_of("note").is_ok());
+    cleanup(&path);
+}
+
+/// A carried column whose payload can no longer be re-read fails the
+/// commit that carries it with a typed error, and poisons the log: the
+/// next commit is refused with the same error instead of waiting forever
+/// on a leader that never finished. The table is read lazily from a
+/// second file, which is then cut short, and created into the durable
+/// catalog unlogged, so the first logged commit that names it carries it.
+#[test]
+fn an_unreadable_carried_column_poisons_the_log_instead_of_hanging() {
+    let path = scratch("unreadable_carry");
+    let source = path.with_file_name("source.tbl");
+    save_table(&tiny("r", 64), &source).unwrap();
+    let lazy = read_table(&source).unwrap();
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&source)
+        .unwrap();
+    file.set_len(8).unwrap();
+
+    let (catalog, _log, _r) = open_durable(&path).unwrap();
+    let cods = Cods::with_catalog(catalog);
+    cods.catalog().create(lazy).unwrap();
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let commit = |script: &str| {
+            let result = cods.plan_script(script).and_then(|p| p.execute());
+            done.send(result.map(drop)).unwrap();
+        };
+        commit("RENAME TABLE r TO r2");
+        commit("COPY TABLE r2 TO r3");
+    });
+    for which in ["the carrying commit", "the next commit"] {
+        match outcome.recv_timeout(std::time::Duration::from_secs(30)) {
+            Ok(Err(cods::EvolutionError::Storage(StorageError::Durability(_)))) => {}
+            other => panic!("{which}: wanted a Durability error, got {other:?}"),
+        }
+    }
     cleanup(&path);
 }
 
