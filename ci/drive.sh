@@ -6,10 +6,12 @@
 # connect REPL out of what the wire decoder built — and the same `stats R`.
 # A third leg runs the script against `serve --durable`, kills the server
 # with SIGKILL and requires a restarted one to answer from the commit log
-# alone. A last one loads a table whose functional dependency breaks only
+# alone. Another loads a table whose functional dependency breaks only
 # in its last 64 Ki segment, and requires both shells to refuse its
-# DECOMPOSE naming the same row. Run from the repository root after
-# `cargo build --release --workspace`.
+# DECOMPOSE naming the same row; the last MERGEs a table whose one
+# unmatched foreign key is in its last 64 Ki segment, and requires both
+# shells to fall back to general mergence with the same row count. Run
+# from the repository root after `cargo build --release --workspace`.
 set -eu
 cods=target/release/cods
 addr=127.0.0.1:4071
@@ -174,3 +176,31 @@ violation "$tmp/fd-local.out" > "$tmp/fd-local.line"
 violation "$tmp/fd-remote.out" > "$tmp/fd-remote.line"
 grep -q -x 'column "detail" differs within key group at row 199999' "$tmp/fd-local.line"
 diff "$tmp/fd-local.line" "$tmp/fd-remote.line"
+
+# A key–FK MERGE whose only unmatched foreign key is row 199,999, in the
+# last of four 64 Ki segments: the scan's last task finds it, and both
+# shells fall back to general mergence, an inner join that drops that row
+# — the local one over loaded tables, the connect REPL over them saved and
+# served.
+kill "$server"
+wait "$server" 2> /dev/null || true
+seq 0 199999 | awk '{ e = $1 % 1000; if ($1 == 199999) e = 1000; print e "," $1 }' \
+    > "$tmp/fk.csv"
+seq 0 999 | awk '{ print $1 "," $1 % 7 }' > "$tmp/pk.csv"
+printf '%s\n' "MERGE TABLES MS, MT INTO MR" "count MR" > "$tmp/fk.smo"
+mkdir "$tmp/fk"
+printf '%s\n' "load MS $tmp/fk.csv entity:int,attr:int" \
+    "load MT $tmp/pk.csv entity:int,detail:int" "save $tmp/fk/m.cods" \
+    "$(cat "$tmp/fk.smo")" > "$tmp/fk.cods"
+"$cods" "$tmp/fk.cods" > "$tmp/fk-local.out"
+cat "$tmp/fk-local.out"
+grep -q 'key-foreign-key scan: unmatched value' "$tmp/fk-local.out"
+"$cods" serve "$addr" --durable "$tmp/fk/m.cods" &
+server=$!
+await
+"$cods" connect "$addr" < "$tmp/fk.smo" > "$tmp/fk-remote.out"
+cat "$tmp/fk-remote.out"
+grep -E '^[0-9]+ of [0-9]+ rows satisfy' "$tmp/fk-local.out" > "$tmp/fk-local.count"
+grep -E '^[0-9]+ of [0-9]+ rows satisfy' "$tmp/fk-remote.out" > "$tmp/fk-remote.count"
+grep -q '^199999 of 199999 rows satisfy' "$tmp/fk-local.count"
+diff "$tmp/fk-local.count" "$tmp/fk-remote.count"

@@ -283,12 +283,6 @@ impl<'a> WahRef<'a> {
             self.len,
             out.len()
         );
-        fn literal(out: &mut [u32], mut bits: u64, v: u32) {
-            while bits != 0 {
-                out[bits.trailing_zeros() as usize] = v;
-                bits &= bits - 1;
-            }
-        }
         let mut at = 0usize;
         for &w in self.words {
             if is_fill(w) {
@@ -299,16 +293,68 @@ impl<'a> WahRef<'a> {
                 }
                 at += span;
             } else {
-                literal(&mut out[at..at + GROUP_BITS as usize], w, v);
+                scatter_literal(&mut out[at..at + GROUP_BITS as usize], w, v);
                 at += GROUP_BITS as usize;
             }
         }
         let tail_bits = u64::from(self.active_bits);
-        literal(
+        scatter_literal(
             &mut out[at..at + tail_bits as usize],
             self.active & lsb_mask(tail_bits),
             v,
         );
+    }
+
+    /// [`WahRef::scatter`] over the positions below `out.len()`, for a
+    /// window over the bitmap's first rows: it stops at the word that
+    /// reaches the window's end and clips that one, so a window costs the
+    /// words that cover it. A window holding the whole bitmap is
+    /// [`WahRef::scatter`], whose loop checks no end.
+    #[inline]
+    pub fn scatter_prefix(self, out: &mut [u32], v: u32) {
+        if self.len <= out.len() as u64 {
+            return self.scatter(out, v);
+        }
+        // `end` is below `len`, so the loop returns at the word that
+        // reaches it, never at the active word.
+        let end = out.len();
+        let mut at = 0usize;
+        for &w in self.words {
+            let span = if is_fill(w) {
+                (fill_groups(w) * GROUP_BITS).min((end - at) as u64) as usize
+            } else {
+                GROUP_BITS as usize
+            };
+            if span >= end - at {
+                let slots = &mut out[at..end];
+                if !is_fill(w) {
+                    scatter_literal(slots, w & lsb_mask(slots.len() as u64), v);
+                } else if fill_bit(w) {
+                    slots.fill(v);
+                }
+                return;
+            }
+            if !is_fill(w) {
+                scatter_literal(&mut out[at..at + span], w, v);
+            } else if fill_bit(w) {
+                out[at..at + span].fill(v);
+            }
+            at += span;
+        }
+        scatter_literal(
+            &mut out[at..end],
+            self.active & lsb_mask((end - at) as u64),
+            v,
+        );
+    }
+}
+
+/// Writes `v` to `out[i]` for every set bit `i` of `bits`.
+#[inline]
+fn scatter_literal(out: &mut [u32], mut bits: u64, v: u32) {
+    while bits != 0 {
+        out[bits.trailing_zeros() as usize] = v;
+        bits &= bits - 1;
     }
 }
 
@@ -484,6 +530,24 @@ mod tests {
             out.iter().filter(|&&x| x == 7).count() as u64,
             w.count_zeros() + 3
         );
+    }
+
+    #[test]
+    fn scatter_prefix_writes_the_set_positions_below_its_end() {
+        let mut w = Wah::new();
+        w.append_run(false, 70);
+        w.append_run(true, 63 * 3 + 5);
+        w.push(false);
+        w.append_run(true, 2);
+        let mut whole = vec![7u32; w.len() as usize];
+        w.scatter(&mut whole, 1);
+        for end in 0..=w.len() as usize + 2 {
+            let mut out = vec![7u32; end];
+            w.view().scatter_prefix(&mut out, 1);
+            let want = &whole[..end.min(whole.len())];
+            assert_eq!(&out[..want.len()], want, "prefix of {end}");
+            assert!(out[want.len()..].iter().all(|&x| x == 7));
+        }
     }
 
     #[test]

@@ -231,6 +231,17 @@ proptest! {
             .collect();
         prop_assert!(out.iter().all(|&x| x == sentinel || x == 5));
         prop_assert_eq!(written, w.iter_ones().collect::<Vec<_>>());
+        // A window over the first rows writes the whole scatter's slots
+        // below its end and nothing else: ends inside a literal, on a
+        // group boundary, inside a fill and inside the active word.
+        let len = w.len() as usize;
+        for end in [0, 1, 62, 63, 64, len / 3, len / 2, len.saturating_sub(1), len, len + 1] {
+            let mut prefix = vec![sentinel; end];
+            w.view().scatter_prefix(&mut prefix, 5);
+            let want = &out[..end.min(len)];
+            prop_assert_eq!(&prefix[..want.len()], want, "window of {} rows", end);
+            prop_assert!(prefix[want.len()..].iter().all(|&x| x == sentinel));
+        }
     }
 
     #[test]

@@ -1079,8 +1079,7 @@ DECOMPOSE TABLE R INTO S (employee, skill), T (employee, address)
 MERGE TABLES S, T INTO R2
   build key table (4 items): <t> ms
   map join dictionaries: <t> ms
-  sequential scan (parallel per chunk) (7 items): <t> ms
-  build payload bitmaps (1 items): <t> ms
+  build payload bitmaps in one sequential scan (7 items): <t> ms
   assemble output table: <t> ms
   total: <t> ms
 ADD COLUMN note TO R2

@@ -13,7 +13,11 @@
 //!   the mergence uses it, so uniqueness is decided once and logged as the
 //!   merge's first step. With one join column the scan is one load per
 //!   row, `row_of[map[id]]`, and the id map costs nothing when `S` and `T`
-//!   hold one dictionary, as a DECOMPOSE's outputs do.
+//!   hold one dictionary, as a DECOMPOSE's outputs do. The scan runs one
+//!   task per output segment, and each task writes that segment of every
+//!   payload column from the keyed rows it just found — each row's id is
+//!   gathered once and sealed once, with no whole-table row map between
+//!   the scan and the writes.
 //!
 //! * **General mergence** (§2.5.2) — an arbitrary equi-join. A two-pass
 //!   algorithm: pass 1 counts the occurrences `n1(v)`, `n2(v)` of every
@@ -27,11 +31,10 @@
 
 use crate::decompose::write_columns;
 use crate::error::{EvolutionError, Result};
-use cods_bitmap::RleSeq;
 use cods_query::keys::{KeyIndex, NONE};
-use cods_query::par::map_parallel;
+use cods_query::par::{map_parallel, map_parallel_pooled};
 use cods_storage::span::{self, Span};
-use cods_storage::{ColumnDef, EncodedColumn, Schema, StepLog, Table};
+use cods_storage::{ColumnDef, EncodedColumn, Schema, SealScratch, SegSlot, StepLog, Table};
 use std::sync::Arc;
 
 /// In the one-column scan's array: the reusable id's value is missing from
@@ -196,7 +199,10 @@ pub fn merge_key_fk(
 }
 
 /// §2.5.1 over an already built key table of `keyed`, logging into
-/// `log`.
+/// `log`: one fan-out task per output segment maps that segment's rows of
+/// `reusable` to keyed rows, stopping at the first row whose key is
+/// missing, and seals the segment of every payload column from them. The
+/// payload columns' ids are decoded once, before the fan-out.
 fn key_fk_with(
     reusable: &Table,
     keyed: &Table,
@@ -235,14 +241,15 @@ fn key_fk_with(
     };
     log.mark("map join dictionaries");
 
-    // Sequential scan of the reusable side: every row is mapped to the
-    // keyed row providing its payload values. Parallelized per row chunk
-    // (the key column's nominal segment size): each fan-out task reads its
-    // chunk's join ids and scans them serially against the shared id maps
-    // and key table, and the per-chunk results are spliced back in row
-    // order — bit-identical to the serial scan, including which row
-    // reports a violation first (chunks are joined in order, and each
-    // chunk scans its rows in order).
+    // The sequential scan of the reusable side and the payload build, in
+    // one fan-out. The output row space is cut at the payload columns'
+    // nominal segment size (one cut per distinct size, all rows each), and
+    // each task decodes its rows' join ids, maps every row to the keyed
+    // row providing its payload values — scanning its rows in order
+    // against the shared id maps and key table — then gathers each payload
+    // column's ids for those rows and seals that column's output segment.
+    // Tasks are joined in order, and the first cut covers every row, so
+    // the violation reported is the serial scan's first.
     let n = reusable.rows() as usize;
     let violation = |row: usize, missing: u32| {
         let what = if missing == NO_VALUE {
@@ -256,66 +263,82 @@ fn key_fk_with(
             keyed.name()
         ))
     };
-    let chunk_rows =
-        (reusable.column(r_join[0]).nominal_segment_rows().max(1) as usize).min(n.max(1));
-    let starts: Vec<usize> = (0..n).step_by(chunk_rows).collect();
-    let chunks: Vec<Result<Vec<u32>>> = map_parallel(starts, |start| {
-        let end = (start + chunk_rows).min(n);
-        let mut span = span::enter(Span::SmoKeyFkScan);
-        span.items(|| (end - start) as u64);
-        let sel = [(start as u64, end as u64)];
-        let r_ids: Vec<Vec<u32>> = r_join
-            .iter()
-            .map(|&c| reusable.column(c).try_ids_in(&sel))
-            .collect::<std::result::Result<_, _>>()?;
-        let mut out: Vec<u32> = Vec::with_capacity(end - start);
-        if let Some(target_of_id) = &target_of_id {
-            for (row, &rid) in (start..end).zip(&r_ids[0]) {
-                let t = target_of_id[rid as usize];
-                if t >= NO_ROW {
-                    return Err(violation(row, t));
+    let payload: Vec<&EncodedColumn> = (0..keyed.arity())
+        .filter(|i| !k_join.contains(i))
+        .map(|i| keyed.column(i).as_ref())
+        .collect();
+    let payload_ids: Vec<Vec<u32>> = payload
+        .iter()
+        .map(|c| c.try_value_ids())
+        .collect::<std::result::Result<_, _>>()?;
+    let segment_rows = |c: &EncodedColumn| c.nominal_segment_rows().max(1) as usize;
+    let mut cuts: Vec<usize> = payload.iter().map(|c| segment_rows(c)).collect();
+    if cuts.is_empty() {
+        cuts.push(segment_rows(reusable.column(r_join[0])));
+    }
+    cuts.sort_unstable();
+    cuts.dedup();
+    let cut_of: Vec<usize> = payload
+        .iter()
+        .map(|c| cuts.partition_point(|&rows| rows < segment_rows(c)))
+        .collect();
+    let tasks: Vec<(usize, usize)> = (0..cuts.len())
+        .flat_map(|cut| (0..n).step_by(cuts[cut]).map(move |start| (cut, start)))
+        .collect();
+    let mut pool = Vec::new();
+    let written = map_parallel_pooled(
+        tasks,
+        &mut pool,
+        SealScratch::default,
+        |(cut, start), scratch| {
+            let end = (start + cuts[cut]).min(n);
+            let mut span = span::enter(Span::SmoKeyFkWrite);
+            span.items(|| (end - start) as u64);
+            let sel = [(start as u64, end as u64)];
+            let r_ids: Vec<Vec<u32>> = r_join
+                .iter()
+                .map(|&c| reusable.column(c).try_ids_in(&sel))
+                .collect::<std::result::Result<_, _>>()?;
+            let mut target: Vec<u32> = Vec::with_capacity(end - start);
+            if let Some(target_of_id) = &target_of_id {
+                for (row, &rid) in (start..end).zip(&r_ids[0]) {
+                    let t = target_of_id[rid as usize];
+                    if t >= NO_ROW {
+                        return Err(violation(row, t));
+                    }
+                    target.push(t);
                 }
-                out.push(t);
+            } else {
+                let mut key: Vec<u32> = vec![0; r_join.len()];
+                for (i, row) in (start..end).enumerate() {
+                    for (slot, (ids, map)) in key.iter_mut().zip(r_ids.iter().zip(&maps)) {
+                        *slot = map[ids[i] as usize].ok_or_else(|| violation(row, NO_VALUE))?;
+                    }
+                    target.push(keys.get(&key).ok_or_else(|| violation(row, NO_ROW))?);
+                }
             }
-            return Ok(out);
-        }
-        let mut key: Vec<u32> = vec![0; r_join.len()];
-        for (i, row) in (start..end).enumerate() {
-            for (slot, (ids, map)) in key.iter_mut().zip(r_ids.iter().zip(&maps)) {
-                *slot = map[ids[i] as usize].ok_or_else(|| violation(row, NO_VALUE))?;
+            let mut gathered: Vec<u32> = Vec::with_capacity(end - start);
+            let mut segments: Vec<(usize, SegSlot)> = Vec::new();
+            for c in (0..payload.len()).filter(|&c| cut_of[c] == cut) {
+                gathered.clear();
+                gathered.extend(target.iter().map(|&t| payload_ids[c][t as usize]));
+                segments.push((c, payload[c].seal_stream(&gathered, scratch)));
             }
-            out.push(keys.get(&key).ok_or_else(|| violation(row, NO_ROW))?);
+            Ok(segments)
+        },
+    );
+    let mut by_column: Vec<Vec<SegSlot>> = vec![Vec::new(); payload.len()];
+    for task in written {
+        for (c, seg) in task? {
+            by_column[c].push(seg);
         }
-        Ok(out)
-    });
-    let mut target_row: Vec<u32> = Vec::with_capacity(n);
-    for chunk in chunks {
-        target_row.extend(chunk?);
     }
-    log.mark_items("sequential scan (parallel per chunk)", n as u64);
-
-    // Build the payload columns (keyed-side non-join attributes) directly
-    // in compressed form over the reusable side's row space. Columns are
-    // processed one at a time so only one dense id array is alive at once
-    // (peak memory O(rows), not O(rows × payload columns)); within a
-    // column, one task per output segment gathers that segment's ids and
-    // seals it in the encoding the chooser picks for it.
-    let payload_cols: Vec<usize> = (0..keyed.arity()).filter(|i| !k_join.contains(i)).collect();
-    let mut new_columns: Vec<Arc<EncodedColumn>> = Vec::with_capacity(payload_cols.len());
-    for &pc in &payload_cols {
-        let col = keyed.column(pc).as_ref();
-        let ids = col.try_value_ids()?;
-        let step = col.nominal_segment_rows() as usize;
-        let tasks: Vec<(usize, usize)> = (0..n).step_by(step).map(|start| (0, start)).collect();
-        let written = write_columns(&[col], tasks, |_, start, scratch| {
-            let end = (start + step).min(n);
-            let seq = target_row[start..end].iter().map(|&t| ids[t as usize]);
-            Ok(col.seal_stream(seq.collect(), scratch))
-        })?;
-        new_columns.extend(written);
-    }
-    drop(target_row);
-    log.mark_items("build payload bitmaps", payload_cols.len() as u64);
+    let new_columns: Vec<Arc<EncodedColumn>> = payload
+        .iter()
+        .zip(by_column)
+        .map(|(col, segs)| Ok(Arc::new(col.derived(segs)?)))
+        .collect::<Result<_>>()?;
+    log.mark_items("build payload bitmaps in one sequential scan", n as u64);
 
     // Output: reusable columns shared by reference + new payload columns.
     let schema = merged_schema(reusable.schema(), keyed.schema(), join_cols)?;
@@ -513,7 +536,7 @@ fn general_with(
     let n_tasks = tasks.len() as u64;
     let columns: Vec<&EncodedColumn> = plan.iter().map(col_of).collect();
     let out_columns = write_columns(&columns, tasks, |ci, (lo, hi), scratch| {
-        let mut seq = RleSeq::new();
+        let mut ids: Vec<u32> = Vec::with_capacity((hi - lo) as usize);
         // Group offsets ascend, so the groups overlapping [lo, hi) form a
         // contiguous span of `active`, found by binary search.
         let first = active.partition_point(|&g| group_end(g) <= lo);
@@ -525,10 +548,11 @@ fn general_with(
                     }
                     let a = offsets[g].max(lo);
                     let b = group_end(g).min(hi);
-                    seq.append_run(combos.keys()[g * width + *pos_in_join], b - a);
+                    let id = combos.keys()[g * width + *pos_in_join];
+                    ids.resize(ids.len() + (b - a) as usize, id);
                 }
             }
-            (OutCol::LeftPayload { .. }, ColPrep::Left(ids)) => {
+            (OutCol::LeftPayload { .. }, ColPrep::Left(left_ids)) => {
                 for &g in &active[first..] {
                     let base = offsets[g];
                     if base >= hi {
@@ -544,7 +568,7 @@ fn general_with(
                         }
                         let a = row0.max(lo);
                         let b = (row0 + n2g).min(hi);
-                        seq.append_run(ids[srow as usize], b - a);
+                        ids.resize(ids.len() + (b - a) as usize, left_ids[srow as usize]);
                     }
                 }
             }
@@ -564,17 +588,15 @@ fn general_with(
                         }
                         let j0 = lo.saturating_sub(row0);
                         let j1 = n2g.min(hi - row0);
-                        for j in j0..j1 {
-                            debug_assert_eq!(seq.len(), row0 + j - lo);
-                            seq.push(group_ids[j as usize]);
-                        }
+                        debug_assert_eq!(ids.len() as u64, row0 + j0 - lo);
+                        ids.extend_from_slice(&group_ids[j0 as usize..j1 as usize]);
                     }
                 }
             }
             _ => unreachable!("column preparation out of sync with the plan"),
         }
-        debug_assert_eq!(seq.len(), hi - lo);
-        Ok(columns[ci].seal_stream(seq, scratch))
+        debug_assert_eq!(ids.len() as u64, hi - lo);
+        Ok(columns[ci].seal_stream(&ids, scratch))
     })?;
     log.mark_items(
         "pass 2: emit output columns (parallel per column x segment)",
@@ -1085,5 +1107,125 @@ mod tests {
             &MergeStrategy::KeyForeignKey { keyed: "Z".into() },
         );
         assert!(err.is_err());
+    }
+
+    /// `rows` as an all-int table cut into 16-row segments.
+    fn int_table(name: &str, cols: &[&str], rows: &[Vec<i64>]) -> Table {
+        let defs: Vec<(&str, ValueType)> = cols.iter().map(|&c| (c, ValueType::Int)).collect();
+        let schema = Schema::build(&defs, &[]).unwrap();
+        let values: Vec<Vec<Value>> = rows
+            .iter()
+            .map(|r| r.iter().map(|&v| Value::int(v)).collect())
+            .collect();
+        Table::from_rows_with_segment_rows(name, schema, &values, 16).unwrap()
+    }
+
+    /// The first row of `s` whose key (its first `width` values) no row of
+    /// `t` holds, and whether some key value is missing from `t`'s column
+    /// altogether — what a serial scan of `s` reports.
+    fn serial_fk_violation(s: &[Vec<i64>], t: &[Vec<i64>], width: usize) -> Option<String> {
+        s.iter().enumerate().find_map(|(row, r)| {
+            let key = &r[..width];
+            if t.iter().any(|k| &k[..width] == key) {
+                return None;
+            }
+            let by_value = (0..width).any(|c| t.iter().all(|k| k[c] != key[c]));
+            let what = if by_value {
+                "join value"
+            } else {
+                "join combination"
+            };
+            Some(format!(
+                "row {row} of \"S\" has a {what} missing from \"T\""
+            ))
+        })
+    }
+
+    #[test]
+    fn key_fk_across_segments_names_the_row_a_serial_scan_does() {
+        // S(a, b, x) over four 16-row segments; T keyed on (a) or on
+        // (a, b), with two payload columns. Each case breaks the foreign
+        // key at chosen rows: forced key–FK mergence must name the row and
+        // kind a serial scan names, and `Auto` must give general
+        // mergence's output.
+        let base: Vec<Vec<i64>> = (0..64i64).map(|i| vec![i * 5 % 11, i % 3, i]).collect();
+        let one: Vec<Vec<i64>> = (0..11i64).map(|a| vec![a, a * 10 + 1, a % 4]).collect();
+        let pairs: Vec<Vec<i64>> = (0..11i64)
+            .flat_map(|a| (0..3i64).map(move |b| vec![a, b, a * 3 + b]))
+            .collect();
+        type Edit = fn(&mut Vec<Vec<i64>>, &mut Vec<Vec<i64>>);
+        let cases: [(&str, usize, Edit); 7] = [
+            ("no violation", 1, |_, _| {}),
+            ("only the last segment", 1, |s, _| s[63][0] = 99),
+            ("two segments", 1, |s, _| {
+                s[20][0] = 99;
+                s[40][0] = 98;
+            }),
+            ("a segment's first row", 1, |s, _| s[32][0] = 99),
+            ("a key gone from the keyed side", 1, |s, t| {
+                // Row 49's key, on no other row of S after row 48.
+                let key = s[49][0];
+                t.retain(|k| k[0] != key);
+                s.iter_mut()
+                    .take(48)
+                    .filter(|r| r[0] == key)
+                    .for_each(|r| r[0] = (key + 1) % 11);
+            }),
+            ("two columns, a combination", 2, |s, t| {
+                let key = [s[33][0], s[33][1]];
+                t.retain(|k| k[..2] != key);
+                s[50][1] = 7;
+            }),
+            ("two columns, a value", 2, |s, _| s[17][1] = 7),
+        ];
+        for (what, width, edit) in cases {
+            let mut s_rows = base.clone();
+            let mut t_rows = if width == 1 {
+                one.clone()
+            } else {
+                pairs.clone()
+            };
+            edit(&mut s_rows, &mut t_rows);
+            let s = int_table("S", &["a", "b", "x"], &s_rows);
+            let t_cols: &[&str] = if width == 1 {
+                &["a", "y", "z"]
+            } else {
+                &["a", "b", "y"]
+            };
+            let t = int_table("T", t_cols, &t_rows);
+            assert_eq!(s.column(0).segment_count(), 4, "{what}");
+            let keyed = MergeStrategy::KeyForeignKey { keyed: "T".into() };
+            let forced = merge(&s, &t, "R", &keyed);
+            let auto = merge(&s, &t, "R", &MergeStrategy::Auto).unwrap();
+            match serial_fk_violation(&s_rows, &t_rows, width) {
+                Some(want) => {
+                    let Err(EvolutionError::ForeignKeyViolation(got)) = forced else {
+                        panic!("{what}: {forced:?}");
+                    };
+                    assert_eq!(got, want, "{what}");
+                    let join: Vec<String> = t_cols[..width].iter().map(|c| c.to_string()).collect();
+                    let general = merge_general(&s, &t, "R", &join).unwrap();
+                    assert_eq!(auto.strategy, UsedStrategy::General, "{what}");
+                    assert_eq!(auto.output.to_rows(), general.output.to_rows(), "{what}");
+                }
+                None => {
+                    let out = forced.unwrap().output;
+                    out.check_invariants().unwrap();
+                    let want: Vec<Vec<Value>> = s_rows
+                        .iter()
+                        .map(|r| {
+                            let k = t_rows.iter().find(|k| k[..width] == r[..width]).unwrap();
+                            r.iter()
+                                .chain(&k[width..])
+                                .map(|&v| Value::int(v))
+                                .collect()
+                        })
+                        .collect();
+                    assert_eq!(out.to_rows(), want, "{what}");
+                    assert_eq!(auto.strategy, UsedStrategy::KeyForeignKey, "{what}");
+                    assert_eq!(auto.output.to_rows(), want, "{what}");
+                }
+            }
+        }
     }
 }

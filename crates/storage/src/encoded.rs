@@ -7,9 +7,10 @@
 //!
 //! Every read of a column's ids or runs goes through one selection walker
 //! ([`EncodedColumn::split_by_segment`]), and every segment a write path
-//! produces is sealed from its runs by one function,
+//! produces is sealed from its rows' ids, one per row, by one function,
 //! [`SegmentEnc::seal`], which counts the segment's stats ([`SegMeta`]) in
-//! the same pass and hands them along in a fresh [`SegSlot`]. A
+//! one pass over the ids and hands them along in a fresh [`SegSlot`]:
+//! O(rows + present ids · log). A
 //! [`SegmentEnc`] is payload only: every stat the column reads — zones,
 //! pruning, the chooser, compaction, sizes — comes from a slot's meta, and
 //! `SegmentEnc` is matched only where a payload is read.
@@ -17,13 +18,15 @@
 //! Writers cut their output at the column's nominal segment size, so each
 //! task of an evolution operator writes exactly one output segment:
 //! selection-driven writes (filters, slices, compaction, recodes) read one
-//! output segment's rows as runs and seal them
+//! output segment's ids through the walker and seal them
 //! ([`EncodedColumn::try_write`]) — RLE when every segment they draw from
 //! is RLE, else bitmap or, for near-unique rows, packed — and stream-driven
-//! writes (mergence payloads, gathers, builds)
-//! push ids or runs into one segment's [`RleSeq`] and seal it in the
-//! encoding the stats-driven chooser ([`choose_encoding_from_stats`]) picks
-//! for it, so SMOs produce mixed directories for free.
+//! writes (mergence payloads, gathers, builds) compute one segment's ids
+//! and seal them in the encoding the stats-driven chooser
+//! ([`choose_encoding_from_stats`]) picks for it, so SMOs produce mixed
+//! directories for free. A write that reads RLE segments expands their
+//! runs into ids, at most one nominal segment's at a time: it costs
+//! O(rows), not O(runs).
 //!
 //! Which encoding a segment has, and whether the chooser may change it, is
 //! decided here and nowhere else. Every user-facing re-encode is one call,
@@ -167,23 +170,18 @@ fn bitmap_or_packed(meta: &SegMeta) -> Encoding {
     }
 }
 
-/// The stats of `seq` as a range segment, when its row `r` holds id
-/// `first + r` — each id once, in row order, its end inside `u32`.
-/// O(runs), and it stops at the first run that breaks the shape: most
-/// segments at their first.
-fn range_of(seq: &RleSeq) -> Option<SegMeta> {
-    let first = seq.runs().first()?.0;
-    if u64::from(first) + seq.len() > u64::from(u32::MAX) {
+/// The stats of the segment whose row `r` holds `ids[r]` as a range
+/// segment, when `ids[r]` is `first + r` — each id once, in row order, its
+/// end inside `u32`. It stops at the first row that breaks the shape: most
+/// segments at their second.
+fn range_of(ids: &[u32]) -> Option<SegMeta> {
+    let &first = ids.first()?;
+    let rows = ids.len() as u64;
+    if u64::from(first) + rows > u64::from(u32::MAX) {
         return None;
     }
-    let mut want = first;
-    for &(id, n) in seq.runs() {
-        if n != 1 || id != want {
-            return None;
-        }
-        want = want.wrapping_add(1);
-    }
-    Some(SegMeta::range(first, seq.len()))
+    let range = ids.iter().zip(first..).all(|(&id, want)| id == want);
+    range.then(|| SegMeta::range(first, rows))
 }
 
 /// The payload of one entry of the unified segment directory: an
@@ -201,48 +199,50 @@ pub enum SegmentEnc {
 }
 
 impl SegmentEnc {
-    /// Seals one segment from the run sequence of its rows — the one
-    /// writer under every write path. One counting pass over `scratch`'s
-    /// id-indexed tables gives the segment's stats (`SealScratch::count`);
-    /// a bitmap payload is then written from that count
-    /// (`Segment::from_runs`), a packed one from each id's position in the
-    /// count's present ids (`PackedSegment::from_runs`), and an RLE one is
-    /// the runs themselves. A packed segment whose row `r` holds id `first +
-    /// r` is a range instead: no count and no codes (`range_of`). The result
-    /// is a fresh slot holding both.
-    pub fn seal(seq: RleSeq, encoding: Encoding, scratch: &mut SealScratch) -> SegSlot {
-        Self::seal_with(seq, |_| encoding, scratch)
+    /// Seals one segment from its rows' ids — row `r` holds `ids[r]` — the
+    /// one writer under every write path. One counting pass over the ids
+    /// and `scratch`'s id-indexed table gives the segment's stats
+    /// (`SealScratch::count`); a bitmap payload is then written by a
+    /// counting sort of the rows by id (`Segment::from_ids`), a packed one
+    /// from each id's position in the count's present ids
+    /// (`PackedSegment::from_ids`), and an RLE one is the ids' runs. A
+    /// packed segment whose row `r` holds id `first + r` is a range
+    /// instead: no count and no codes (`range_of`). The result is a fresh
+    /// slot holding both. O(rows + present ids · log).
+    pub fn seal(ids: &[u32], encoding: Encoding, scratch: &mut SealScratch) -> SegSlot {
+        Self::seal_with(ids, |_| encoding, scratch)
     }
 
     /// [`SegmentEnc::seal`] in the encoding `pick` names for the stats the
     /// count just took — or, where `pick` packs a segment of the shape, for
     /// the range's.
     fn seal_with(
-        seq: RleSeq,
+        ids: &[u32],
         pick: impl Fn(&SegMeta) -> Encoding,
         scratch: &mut SealScratch,
     ) -> SegSlot {
-        if let Some(meta) = range_of(&seq).filter(|m| pick(m) == Encoding::Packed) {
+        if let Some(meta) = range_of(ids).filter(|m| pick(m) == Encoding::Packed) {
             let mut span = span::enter(Span::SealRange);
             span.items(|| meta.rows);
             let enc = SegmentEnc::Packed(Arc::new(PackedSegment::range(&meta)));
             return SegSlot::fresh(meta, enc);
         }
-        let mut meta = scratch.count(&seq);
+        let mut meta = scratch.count(ids);
         meta.encoding = pick(&meta);
         let mut span = span::enter(Span::seal(meta.encoding));
-        span.items(|| seq.len());
+        span.items(|| meta.rows);
         let enc = match meta.encoding {
             Encoding::Bitmap => {
-                SegmentEnc::Bitmap(Arc::new(Segment::from_runs(&seq, &mut meta, scratch)))
+                SegmentEnc::Bitmap(Arc::new(Segment::from_ids(ids, &mut meta, scratch)))
             }
             Encoding::Rle => {
+                let seq: RleSeq = ids.iter().copied().collect();
                 meta.bytes = seq.size_bytes();
                 SegmentEnc::Rle(Arc::new(RleSegment::new(seq)))
             }
             Encoding::Packed => {
                 let code = scratch.codes(meta.present.list().0);
-                SegmentEnc::Packed(Arc::new(PackedSegment::from_runs(&seq, &mut meta, code)))
+                SegmentEnc::Packed(Arc::new(PackedSegment::from_ids(ids, &mut meta, code)))
             }
         };
         scratch.reset();
@@ -261,8 +261,9 @@ impl SegmentEnc {
     /// Reads the rows of `piece` — intervals of the column's rows, this
     /// `rows`-row segment starting at row `start` — into `sink`. A bitmap
     /// segment decodes once: straight into the sink when it is wholly
-    /// selected and the sink keeps ids, else into `scratch`, which the
-    /// selected pieces are copied from. A packed segment unpacks only the
+    /// selected and the sink keeps ids, else into `scratch` up to the
+    /// piece's last row and no further, and the selected pieces are copied
+    /// from there. A packed segment unpacks only the
     /// selected rows, straight into the sink when it is wholly selected; a
     /// range hands each interval `a..b` over as the ids `first + a ..
     /// first + b`, reading nothing. An RLE segment's runs are merged
@@ -300,8 +301,9 @@ impl SegmentEnc {
                         return s.fill_covering(dst);
                     }
                 }
+                let end = piece.last().map_or(start, |&(_, b)| b);
                 scratch.clear();
-                scratch.resize(rows as usize, u32::MAX);
+                scratch.resize((end - start) as usize, u32::MAX);
                 s.fill_covering(scratch)?;
                 for &(a, b) in piece {
                     sink.ids(&scratch[(a - start) as usize..(b - start) as usize]);
@@ -450,10 +452,7 @@ impl EncodedColumn {
         let mut scratch = SealScratch::default();
         let segments = ids
             .chunks(segment_rows as usize)
-            .map(|chunk| {
-                let seq = chunk.iter().copied().collect();
-                SegmentEnc::seal(seq, Encoding::Bitmap, &mut scratch)
-            })
+            .map(|chunk| SegmentEnc::seal(chunk, Encoding::Bitmap, &mut scratch))
             .collect();
         Self::from_segments(ty, dict, segments, segment_rows)
     }
@@ -964,29 +963,30 @@ impl EncodedColumn {
     // ---- the writers ----
     //
     // A write produces one output segment per call, so operators fan out
-    // one task per (column × output segment): the rows of one segment,
-    // read as runs through the selection walker or pushed by a stream,
+    // one task per (column × output segment): the ids of one segment's
+    // rows, read through the selection walker or computed by a stream,
     // sealed by `SegmentEnc::seal`. Output is cut at the nominal segment
     // size, and `derived` turns a column's segments into the column.
 
-    /// Seals the rows `seq` a selection-driven write read from `sel` in
+    /// Seals the rows `ids` a selection-driven write read from `sel` in
     /// the default encoding: RLE when every segment the selection draws
     /// rows from is RLE (decided from metadata), else bitmap, or packed
     /// where the written rows are near-unique ([`bitmap_or_packed`]).
-    fn seal_drawn(&self, sel: &[(u64, u64)], seq: RleSeq, scratch: &mut SealScratch) -> SegSlot {
+    fn seal_drawn(&self, sel: &[(u64, u64)], ids: &[u32], scratch: &mut SealScratch) -> SegSlot {
         let all_rle = self
             .split_by_segment(sel)
             .iter()
             .all(|(seg, _)| self.segments[*seg].meta().encoding == Encoding::Rle);
         if all_rle {
-            SegmentEnc::seal(seq, Encoding::Rle, scratch)
+            SegmentEnc::seal(ids, Encoding::Rle, scratch)
         } else {
-            SegmentEnc::seal_with(seq, bitmap_or_packed, scratch)
+            SegmentEnc::seal_with(ids, bitmap_or_packed, scratch)
         }
     }
 
-    /// Writes the selected rows as one segment: their runs, read through
-    /// the selection walker, sealed in `encoding` — by default RLE when
+    /// Writes the selected rows as one segment: their ids, read through
+    /// the selection walker (a wholly selected bitmap segment decodes
+    /// straight into them), sealed in `encoding` — by default RLE when
     /// every segment they come from is RLE, else bitmap, or packed where
     /// the rows are near-unique. The write side of bitmap filtering,
     /// slicing, compaction and recoding. A segment that cannot be faulted
@@ -998,11 +998,10 @@ impl EncodedColumn {
         encoding: Option<Encoding>,
         scratch: &mut SealScratch,
     ) -> Result<SegSlot, StorageError> {
-        let mut seq = RleSeq::new();
-        self.read_in(sel, &mut seq)?;
+        let ids = self.try_ids_in(sel)?;
         Ok(match encoding {
-            Some(e) => SegmentEnc::seal(seq, e, scratch),
-            None => self.seal_drawn(sel, seq, scratch),
+            Some(e) => SegmentEnc::seal(&ids, e, scratch),
+            None => self.seal_drawn(sel, &ids, scratch),
         })
     }
 
@@ -1032,25 +1031,25 @@ impl EncodedColumn {
         if distinct == positions.len() as u64 {
             return self.try_write(&sel, None, scratch);
         }
-        let ids = self.try_ids_in(&sel)?;
-        let mut seq = RleSeq::new();
+        let read = self.try_ids_in(&sel)?;
+        let mut ids = Vec::with_capacity(positions.len());
         let mut k = 0;
         for (i, &p) in positions.iter().enumerate() {
             if i > 0 && p != positions[i - 1] {
                 k += 1;
             }
-            seq.push(ids[k]);
+            ids.push(read[k]);
         }
-        Ok(self.seal_drawn(&sel, seq, scratch))
+        Ok(self.seal_drawn(&sel, &ids, scratch))
     }
 
-    /// Seals one output segment an operator computed as a stream of ids or
-    /// runs: in a pinned uniform column's encoding, else in the one the
-    /// chooser picks for the segment's own statistics, read off the seal's
-    /// one count.
-    pub fn seal_stream(&self, seq: RleSeq, scratch: &mut SealScratch) -> SegSlot {
+    /// Seals one output segment an operator computed as a stream of ids:
+    /// in a pinned uniform column's encoding, else in the one the chooser
+    /// picks for the segment's own statistics, read off the seal's one
+    /// count.
+    pub fn seal_stream(&self, ids: &[u32], scratch: &mut SealScratch) -> SegSlot {
         let pick = |m: &SegMeta| self.chunk_encoding(m.runs, m.rows, m.distinct_count() as u64);
-        SegmentEnc::seal_with(seq, pick, scratch)
+        SegmentEnc::seal_with(ids, pick, scratch)
     }
 
     /// Cuts a selection mask into the selections of the output segments a
@@ -1126,10 +1125,10 @@ impl EncodedColumn {
         let segments = positions
             .chunks(self.segment_rows as usize)
             .map(|chunk| {
-                let seq: RleSeq = chunk.iter().map(|&p| ids[p as usize]).collect();
+                let gathered: Vec<u32> = chunk.iter().map(|&p| ids[p as usize]).collect();
                 match uniform {
-                    Some(e) => SegmentEnc::seal(seq, e, &mut scratch),
-                    None => self.seal_stream(seq, &mut scratch),
+                    Some(e) => SegmentEnc::seal(&gathered, e, &mut scratch),
+                    None => self.seal_stream(&gathered, &mut scratch),
                 }
             })
             .collect();
@@ -1412,8 +1411,8 @@ impl EncodedColumn {
 }
 
 /// What a selection read collects: the selected rows' ids, concatenated
-/// (`Vec<u32>`), or their maximal runs (`Vec<(u32, u64)>`, or the
-/// [`RleSeq`] a write seals).
+/// (`Vec<u32>`, what a write seals), or their maximal runs (`Vec<(u32,
+/// u64)>`).
 pub(crate) trait SelSink {
     /// Takes `n` consecutive selected rows of value `id`.
     fn run(&mut self, id: u32, n: u64);
@@ -1465,20 +1464,6 @@ impl SelSink for Vec<(u32, u64)> {
     }
 }
 
-impl SelSink for RleSeq {
-    fn run(&mut self, id: u32, n: u64) {
-        self.append_run(id, n);
-    }
-    fn ids(&mut self, ids: &[u32]) {
-        for &id in ids {
-            self.push(id);
-        }
-    }
-    fn whole_segment(&mut self, _: usize) -> Option<&mut [u32]> {
-        None
-    }
-}
-
 /// The encoding a compaction merge group is written in, from resident
 /// metadata alone: its parts' encoding when they share one. A mixed group
 /// takes the first *pinned* part's encoding — or, in a column-pinned
@@ -1509,7 +1494,7 @@ fn group_encoding(parts: &[SegSlot], pins: &[bool], column_pinned: bool) -> Enco
 /// Incremental column builder: interns values (through a value → id map
 /// only once they stop being a dense run of ints; the map is dropped at
 /// [`ColumnBuilder::finish`]) and pushes their ids into the current
-/// segment's runs, sealing a segment every `segment_rows` rows
+/// segment's id buffer, sealing a segment every `segment_rows` rows
 /// — bitmap, or packed where the segment is near-unique (the ingest path;
 /// the chooser re-encodes later where the stats say so).
 #[derive(Debug)]
@@ -1517,8 +1502,8 @@ pub struct ColumnBuilder {
     ty: ValueType,
     dict: Dictionary,
     segment_rows: u64,
-    /// The current segment's runs.
-    cur: RleSeq,
+    /// The current segment's ids, one per row.
+    cur: Vec<u32>,
     segments: Vec<SegSlot>,
     rows: u64,
     scratch: SealScratch,
@@ -1538,7 +1523,7 @@ impl ColumnBuilder {
             ty,
             dict: Dictionary::new(),
             segment_rows,
-            cur: RleSeq::new(),
+            cur: Vec::new(),
             segments: Vec::new(),
             rows: 0,
             scratch: SealScratch::default(),
@@ -1550,8 +1535,8 @@ impl ColumnBuilder {
         self.push_run(v, 1)
     }
 
-    /// Appends `count` rows of one value — one run per segment they span,
-    /// whatever `count` is.
+    /// Appends `count` rows of one value — at most a segment's ids held at
+    /// once, whatever `count` is.
     pub fn push_run(&mut self, v: Value, mut count: u64) -> Result<(), StorageError> {
         if !v.conforms_to(self.ty) {
             return Err(StorageError::RowMismatch(format!(
@@ -1565,10 +1550,10 @@ impl ColumnBuilder {
         let id = self.dict.intern(v);
         self.rows += count;
         while count > 0 {
-            let take = count.min(self.segment_rows - self.cur.len());
-            self.cur.append_run(id, take);
+            let take = count.min(self.segment_rows - self.cur.len() as u64);
+            self.cur.resize(self.cur.len() + take as usize, id);
             count -= take;
-            if self.cur.len() == self.segment_rows {
+            if self.cur.len() as u64 == self.segment_rows {
                 self.seal_segment();
             }
         }
@@ -1577,12 +1562,9 @@ impl ColumnBuilder {
 
     fn seal_segment(&mut self) {
         if !self.cur.is_empty() {
-            let seq = std::mem::take(&mut self.cur);
-            self.segments.push(SegmentEnc::seal_with(
-                seq,
-                bitmap_or_packed,
-                &mut self.scratch,
-            ));
+            let slot = SegmentEnc::seal_with(&self.cur, bitmap_or_packed, &mut self.scratch);
+            self.segments.push(slot);
+            self.cur.clear();
         }
     }
 
@@ -1880,7 +1862,7 @@ mod tests {
         let mut scratch = SealScratch::default();
         let segments = ids
             .chunks(50)
-            .map(|chunk| col.seal_stream(chunk.iter().copied().collect(), &mut scratch))
+            .map(|chunk| col.seal_stream(chunk, &mut scratch))
             .collect();
         assert!(shares(&col.derived(segments).unwrap()));
 
@@ -2238,26 +2220,64 @@ mod tests {
     }
 
     #[test]
+    fn window_reads_match_the_row_oracle() {
+        // Three 200-row segments of scattered values, in each encoding.
+        // Selections end at row 0, inside a 63-row group, and at a
+        // segment's last row; a partial bitmap read decodes only up to
+        // its window's end, and must still read exactly the oracle's ids.
+        let values: Vec<Value> = (0..600i64).map(|i| Value::int(i * 37 % 23)).collect();
+        let base = EncodedColumn::from_values_with(ValueType::Int, &values, 200).unwrap();
+        let oracle = base.value_ids();
+        let sels: [&[(u64, u64)]; 10] = [
+            &[(0, 1)],
+            &[(0, 100)],
+            &[(10, 11), (40, 101)],
+            &[(150, 200)],
+            &[(199, 200)],
+            &[(100, 250)],
+            &[(200, 201)],
+            &[(263, 264), (300, 399)],
+            &[(399, 400), (599, 600)],
+            &[(0, 600)],
+        ];
+        let mut scratch = SealScratch::default();
+        for e in Encoding::ALL {
+            let col = base.recode(e).unwrap();
+            for sel in sels {
+                let want: Vec<u32> = sel
+                    .iter()
+                    .flat_map(|&(a, b)| oracle[a as usize..b as usize].to_vec())
+                    .collect();
+                assert_eq!(col.try_ids_in(sel).unwrap(), want, "{e} {sel:?}");
+                let slot = col.try_write(sel, None, &mut scratch).unwrap();
+                slot.check_invariants().unwrap();
+                let rows = slot.meta().rows;
+                let dict = col.dict().clone();
+                let one = EncodedColumn::from_segments(ValueType::Int, dict, vec![slot], rows);
+                assert_eq!(one.value_ids(), want, "{e} {sel:?}");
+            }
+        }
+    }
+
+    #[test]
     fn seal_stream_follows_the_chooser() {
         let col = EncodedColumn::from_values_with(ValueType::Int, &vals(100), 64).unwrap();
         let mut scratch = SealScratch::default();
         // Long runs → RLE.
-        let mut runs = RleSeq::new();
-        runs.append_run(0, 50);
-        runs.append_run(1, 50);
-        let seg = col.seal_stream(runs, &mut scratch);
+        let runs: Vec<u32> = [0, 1].iter().flat_map(|&id| [id; 50]).collect();
+        let seg = col.seal_stream(&runs, &mut scratch);
         assert_eq!(seg.meta().encoding, Encoding::Rle);
         // Alternating ids (runs ≈ rows, distinct small but runs > 2·(d+1))
         // → bitmap.
-        let alt: RleSeq = (0..100u32).map(|i| i % 4).collect();
-        let seg = col.seal_stream(alt.clone(), &mut scratch);
+        let alt: Vec<u32> = (0..100u32).map(|i| i % 4).collect();
+        let seg = col.seal_stream(&alt, &mut scratch);
         assert_eq!(seg.meta().encoding, Encoding::Bitmap);
         seg.check_invariants().unwrap();
         // A pinned uniform column forces its encoding on fresh segments.
         let mut pinned = col.recode(Encoding::Rle).unwrap();
         pinned.pinned = true;
         assert_eq!(
-            pinned.seal_stream(alt, &mut scratch).meta().encoding,
+            pinned.seal_stream(&alt, &mut scratch).meta().encoding,
             Encoding::Rle
         );
     }

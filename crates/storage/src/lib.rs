@@ -21,8 +21,8 @@
 //! * [`Segment`] / [`RleSegment`] / [`PackedSegment`] — the three
 //!   row-range shard encodings,
 //!   payload only; [`SegmentEnc::seal`] writes every segment the engine
-//!   builds from the runs of its rows, counting its stats in one pass over
-//!   a reusable [`SealScratch`].
+//!   builds from its rows' ids, one per row, counting its stats in one pass
+//!   over a reusable [`SealScratch`].
 //! * [`SegMeta`] — a segment's stats (rows, present ids, per-id ones, runs,
 //!   bytes, encoding): their one owner, always resident, and the one check
 //!   a payload is held to when it is decoded or verified.

@@ -22,7 +22,7 @@
 use crate::encoded::Encoding;
 use crate::store::{Present, SegMeta};
 use bytes::BufMut;
-use cods_bitmap::{RleSeq, Wah};
+use cods_bitmap::Wah;
 use std::sync::Arc;
 
 /// The code width of a segment holding `distinct` present ids:
@@ -122,23 +122,21 @@ impl Iterator for Codes<'_> {
 }
 
 impl PackedSegment {
-    /// Packs the rows of `seq`, whose present ids are `meta`'s, given each
-    /// id's code (`code[id]`, its position in the present ids — what the
-    /// seal's scratch holds after its count). Sets `meta.bytes`; the
-    /// segment shares `meta`'s ids. O(rows).
-    pub(crate) fn from_runs(seq: &RleSeq, meta: &mut SegMeta, code: &[u32]) -> PackedSegment {
+    /// Packs the segment whose row `r` holds `ids[r]`, whose present ids
+    /// are `meta`'s, given each id's code (`code[id]`, its position in the
+    /// present ids — what the seal's scratch holds after its count). Sets
+    /// `meta.bytes`; the segment shares `meta`'s ids. O(rows).
+    pub(crate) fn from_ids(ids: &[u32], meta: &mut SegMeta, code: &[u32]) -> PackedSegment {
         let width = width_for(meta.distinct_count());
-        let mut p = Packer::new(width, seq.len());
-        for &(id, n) in seq.runs() {
-            let c = u64::from(code[id as usize]);
-            for _ in 0..n {
-                p.push(c);
-            }
+        let rows = ids.len() as u64;
+        let mut p = Packer::new(width, rows);
+        for &id in ids {
+            p.push(u64::from(code[id as usize]));
         }
         let words = p.finish();
         meta.bytes = 8 * words.len();
         PackedSegment {
-            rows: seq.len(),
+            rows,
             width,
             ids: meta.present.clone(),
             words,
@@ -355,8 +353,7 @@ mod tests {
     use crate::segment::SealScratch;
 
     fn packed(ids: &[u32]) -> (SegMeta, Arc<PackedSegment>) {
-        let seq: RleSeq = ids.iter().copied().collect();
-        let slot = SegmentEnc::seal(seq, Encoding::Packed, &mut SealScratch::default());
+        let slot = SegmentEnc::seal(ids, Encoding::Packed, &mut SealScratch::default());
         match slot.enc() {
             SegmentEnc::Packed(p) => (slot.meta().clone(), p),
             _ => panic!("a packed segment"),

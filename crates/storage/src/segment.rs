@@ -22,7 +22,7 @@ use crate::encoded::Encoding;
 use crate::error::StorageError;
 use crate::store::{Present, SegMeta};
 use bytes::BufMut;
-use cods_bitmap::{encode_runs, scan_body, words_of, Reader, RleSeq, Wah, WahRef};
+use cods_bitmap::{encode_runs, scan_body, words_of, Reader, Wah, WahRef};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -180,33 +180,19 @@ pub fn compaction_plan(sizes: &[u64], nominal: u64) -> Option<Vec<CompactionGrou
 /// length of a write. It grows to the largest id it has seen.
 #[derive(Debug, Default)]
 pub struct SealScratch {
-    /// Per id: its run count, then its span of `placed` (zero outside a
-    /// call).
+    /// Per id: its row count, then, for a bitmap payload, its span's end
+    /// in `placed`, or for a packed one its code (zero outside a call).
     slot: Vec<u32>,
     /// The ids whose slots are in use.
     touched: Vec<u32>,
-    /// The runs' `(start, len)`, grouped by id in ascending id order.
-    placed: Vec<(u64, u64)>,
+    /// The segment's rows grouped by id in ascending id order, each id's
+    /// in row order (a bitmap payload's counting sort).
+    placed: Vec<u32>,
     /// The arena under construction.
     words: Vec<u64>,
 }
 
 impl SealScratch {
-    /// Counts the runs of each id of `seq` into `slot`, listing each id in
-    /// `touched` once.
-    fn count_runs(&mut self, seq: &RleSeq) {
-        for &(id, _) in seq.runs() {
-            let i = id as usize;
-            if i >= self.slot.len() {
-                self.slot.resize(i + 1, 0);
-            }
-            if self.slot[i] == 0 {
-                self.touched.push(id);
-            }
-            self.slot[i] += 1;
-        }
-    }
-
     /// Zeroes the slots the last count used.
     pub(crate) fn reset(&mut self) {
         for &id in &self.touched {
@@ -215,63 +201,47 @@ impl SealScratch {
         self.touched.clear();
     }
 
-    /// The one count under every seal: the stats of `seq`'s rows, with
-    /// `bytes` left for the payload's writer and `encoding` (bitmap here)
-    /// for the seal to set. Each id's
-    /// runs are counted in `slot`, the touched ids sorted, the counts
-    /// turned into each id's span of `placed` and every run's `(start,
-    /// len)` placed in its id's span, so an id's rows are the sum over its
-    /// span and the runs, maximal in an [`RleSeq`], are the run count. The
-    /// bitmap writer encodes from the placed spans; [`SealScratch::reset`]
-    /// clears the table. O(runs + present ids · log).
+    /// The one count under every seal: the stats of the segment whose row
+    /// `r` holds `ids[r]`, with `bytes` left for the payload's writer and
+    /// `encoding` (bitmap here) for the seal to set. One pass counts each
+    /// id's rows in `slot`, listing each id in `touched` once, and the runs
+    /// (a row whose id differs from the row before starts one); the touched
+    /// ids are then sorted. [`SealScratch::reset`] clears the table.
+    /// O(rows + present ids · log).
     ///
     /// # Panics
-    /// Panics at `u32::MAX` runs.
-    pub(crate) fn count(&mut self, seq: &RleSeq) -> SegMeta {
+    /// Panics at `u32::MAX` rows.
+    pub(crate) fn count(&mut self, ids: &[u32]) -> SegMeta {
         assert!(
-            seq.num_runs() < u32::MAX as usize,
-            "segment exceeds u32::MAX runs"
+            ids.len() < u32::MAX as usize,
+            "segment exceeds u32::MAX rows"
         );
-        self.count_runs(seq);
-        let SealScratch {
-            slot,
-            touched,
-            placed,
-            ..
-        } = self;
+        let SealScratch { slot, touched, .. } = self;
+        let mut runs = 0u64;
+        let mut prev = None;
+        for &id in ids {
+            let i = id as usize;
+            if i >= slot.len() {
+                slot.resize(i + 1, 0);
+            }
+            if slot[i] == 0 {
+                touched.push(id);
+            }
+            slot[i] += 1;
+            if prev != Some(id) {
+                runs += 1;
+                prev = Some(id);
+            }
+        }
         touched.sort_unstable();
-        // Each id's slot becomes the start of its span of `placed`, then,
-        // as its runs are placed, the span's end.
-        let mut at = 0u32;
-        for &id in touched.iter() {
-            let n = slot[id as usize];
-            slot[id as usize] = at;
-            at += n;
-        }
-        placed.clear();
-        placed.resize(seq.num_runs(), (0, 0));
-        for (id, start, len) in seq.iter_runs() {
-            let s = &mut slot[id as usize];
-            placed[*s as usize] = (start, len);
-            *s += 1;
-        }
-        let mut lo = 0usize;
-        let ones = touched
-            .iter()
-            .map(|&id| {
-                let hi = slot[id as usize] as usize;
-                let rows = placed[lo..hi].iter().map(|&(_, len)| len).sum();
-                lo = hi;
-                rows
-            })
-            .collect();
+        let ones = touched.iter().map(|&id| u64::from(slot[id as usize]));
         SegMeta {
-            rows: seq.len(),
+            rows: ids.len() as u64,
             present: Present::List {
                 ids: touched.as_slice().into(),
-                ones,
+                ones: ones.collect(),
             },
-            runs: seq.num_runs() as u64,
+            runs,
             bytes: 0,
             encoding: Encoding::Bitmap,
         }
@@ -279,7 +249,7 @@ impl SealScratch {
 
     /// After a count: each of the `present` ids' codes, its position in
     /// them, in the id-indexed table the packed writer reads
-    /// (`code[id]`). The placed spans are no longer readable after this.
+    /// (`code[id]`).
     pub(crate) fn codes(&mut self, present: &[u32]) -> &[u32] {
         for (i, &id) in present.iter().enumerate() {
             self.slot[id as usize] = i as u32;
@@ -387,32 +357,48 @@ pub(crate) fn read_bitmap(
 }
 
 impl Segment {
-    /// Writes the bitmap segment of `seq` from the count `scratch` just
-    /// took of it ([`SealScratch::count`], which gave `meta`): each present
-    /// id's placed runs are encoded, in id order, straight into the arena,
-    /// its words then its active word ([`encode_runs`]). Sets `meta.bytes`;
-    /// the segment shares `meta`'s ids and ones. WAH is canonical, so the
-    /// same rows give the same bytes whatever wrote them. O(runs + words).
-    pub(crate) fn from_runs(
-        seq: &RleSeq,
-        meta: &mut SegMeta,
-        scratch: &mut SealScratch,
-    ) -> Segment {
-        let rows = seq.len();
+    /// Writes the bitmap segment whose row `r` holds `ids[r]` from the count
+    /// `scratch` just took of it ([`SealScratch::count`], which gave
+    /// `meta`): a counting sort places each id's rows in `placed`, and each
+    /// present id's rows are encoded in id order straight into the arena,
+    /// its words then its active word ([`encode_runs`], each row a one-row
+    /// run: the encoder gathers a group's bits into one literal and merges
+    /// whole groups into fills itself, so coalescing rows first only costs
+    /// scattered data a second pass). Sets `meta.bytes`; the segment shares
+    /// `meta`'s ids and ones. WAH is canonical, so the same rows give the
+    /// same bytes whatever wrote them. O(rows + words).
+    pub(crate) fn from_ids(ids: &[u32], meta: &mut SegMeta, scratch: &mut SealScratch) -> Segment {
+        let rows = ids.len() as u64;
         let SealScratch {
             slot,
             placed,
             words,
             ..
         } = scratch;
+        let (present, ones) = meta.present.list();
+        let (present, ones) = (Arc::clone(present), Arc::clone(ones));
+        // Each id's slot becomes the start of its span of `placed`, then,
+        // as its rows are placed, the span's end.
+        let mut at = 0u32;
+        for &id in present.iter() {
+            let n = slot[id as usize];
+            slot[id as usize] = at;
+            at += n;
+        }
+        placed.clear();
+        placed.resize(ids.len(), 0);
+        for (row, &id) in (0u32..).zip(ids) {
+            let s = &mut slot[id as usize];
+            placed[*s as usize] = row;
+            *s += 1;
+        }
         words.clear();
-        let (ids, ones) = meta.present.list();
-        let (ids, ones) = (Arc::clone(ids), Arc::clone(ones));
-        let mut ends = Vec::with_capacity(ids.len());
+        let mut ends = Vec::with_capacity(present.len());
         let mut lo = 0usize;
-        for &id in ids.iter() {
+        for &id in present.iter() {
             let hi = slot[id as usize] as usize;
-            let active = encode_runs(placed[lo..hi].iter().copied(), rows, words);
+            let runs = placed[lo..hi].iter().map(|&row| (u64::from(row), 1));
+            let active = encode_runs(runs, rows, words);
             words.push(active);
             ends.push(arena_u32(words.len()));
             lo = hi;
@@ -420,7 +406,7 @@ impl Segment {
         meta.bytes = charge(words.len(), ends.len());
         Segment {
             rows,
-            ids,
+            ids: present,
             ones,
             words: words.as_slice().into(),
             ends: ends.into_boxed_slice(),
@@ -559,22 +545,25 @@ impl Segment {
         self.iter().find(|(_, bm)| bm.get(row)).map(|(id, _)| id)
     }
 
-    /// Writes each row's value id into `out` (segment-local coordinates),
-    /// one [`WahRef::scatter`] per present id, then checks every row got
-    /// one. `out` holds one slot per row, each `u32::MAX` on entry. Bitmaps
+    /// Writes the value id of each of the segment's first `out.len()` rows
+    /// into `out` (segment-local coordinates), one
+    /// [`WahRef::scatter_prefix`] per present id, which stops at the
+    /// window's end, then checks every row of the window got one. `out`
+    /// holds at most one slot per row, each `u32::MAX` on entry. Bitmaps
     /// that overlap pass every per-bitmap check of the payload decoder and
-    /// still leave some row unset: that is corrupt data, so it is a typed
-    /// error here rather than a sentinel id for the next dictionary lookup
-    /// to panic on. Every reader of a segment's ids goes through this.
+    /// still leave some row unset: that is corrupt data, so a row of the
+    /// window left unset is a typed error here rather than a sentinel id
+    /// for the next dictionary lookup to panic on. Every reader of a
+    /// segment's ids goes through this.
     pub(crate) fn fill_covering(&self, out: &mut [u32]) -> Result<(), StorageError> {
-        debug_assert_eq!(out.len() as u64, self.rows, "one slot per row");
+        debug_assert!(out.len() as u64 <= self.rows, "at most one slot per row");
         debug_assert_eq!(
             self.ones.iter().sum::<u64>(),
             self.rows,
             "bitmap ones do not sum to the row count"
         );
         for (id, bm) in self.iter() {
-            bm.scatter(out, id);
+            bm.scatter_prefix(out, id);
         }
         if out.contains(&u32::MAX) {
             return Err(StorageError::Corrupt(format!(
@@ -659,8 +648,7 @@ mod tests {
 
     /// The bitmap segment whose row `r` holds `ids[r]`.
     fn sealed(ids: &[u32]) -> SegSlot {
-        let seq = ids.iter().copied().collect();
-        SegmentEnc::seal(seq, Encoding::Bitmap, &mut SealScratch::default())
+        SegmentEnc::seal(ids, Encoding::Bitmap, &mut SealScratch::default())
     }
 
     fn bitmap(slot: &SegSlot) -> Arc<Segment> {
@@ -714,12 +702,12 @@ mod tests {
     }
 
     #[test]
-    fn from_runs_seals_each_id_in_one_pass() {
-        // Rows 1 1 3 3 3 8 8: id 3's run crosses where two pieces met.
-        let seq: RleSeq = [1u32, 1, 3, 3, 3, 8, 8].into_iter().collect();
+    fn from_ids_seals_each_id_in_one_pass() {
+        // Rows 1 1 3 3 3 8 8: id 3's rows cross where two pieces met.
+        let ids = [1u32, 1, 3, 3, 3, 8, 8];
         let mut scratch = SealScratch::default();
         for _ in 0..2 {
-            let slot = SegmentEnc::seal(seq.clone(), Encoding::Bitmap, &mut scratch);
+            let slot = SegmentEnc::seal(&ids, Encoding::Bitmap, &mut scratch);
             slot.check_invariants().unwrap();
             let (m, s) = (slot.meta(), bitmap(&slot));
             assert_eq!(m.rows, 7);
@@ -733,36 +721,10 @@ mod tests {
             assert_eq!(s.bitmap(2).to_positions(), vec![5, 6]);
         }
         // An id seen by an earlier seal is gone from the next one.
-        let other: RleSeq = [8u32, 2, 8].into_iter().collect();
-        let slot = SegmentEnc::seal(other, Encoding::Bitmap, &mut scratch);
+        let slot = SegmentEnc::seal(&[8, 2, 8], Encoding::Bitmap, &mut scratch);
         assert_eq!(slot.meta().present.ids().collect::<Vec<_>>(), [2, 8]);
         assert_eq!(bitmap(&slot).bitmap(1).to_positions(), vec![0, 2]);
         assert_eq!(slot.meta().runs, 3);
-    }
-
-    /// The arena and head table the seal wrote before [`encode_runs`]: each
-    /// present id's placed runs appended to a bitmap by
-    /// [`Wah::append_run`], its words and active word copied out.
-    fn append_run_arena(
-        seq: &RleSeq,
-        meta: &SegMeta,
-        scratch: &SealScratch,
-    ) -> (Vec<u64>, Vec<u32>) {
-        let (mut words, mut ends, mut lo) = (Vec::new(), Vec::new(), 0);
-        for &id in meta.present.list().0.iter() {
-            let hi = scratch.slot[id as usize] as usize;
-            let mut wah = Wah::new();
-            for &(start, len) in &scratch.placed[lo..hi] {
-                wah.append_run(false, start - wah.len());
-                wah.append_run(true, len);
-            }
-            wah.append_run(false, seq.len() - wah.len());
-            words.extend_from_slice(wah.words());
-            words.push(wah.view().active());
-            ends.push(words.len() as u32);
-            lo = hi;
-        }
-        (words, ends)
     }
 
     mod both_writers {
@@ -772,8 +734,11 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
+            // Each id's words are those `Wah::from_sorted_positions` writes
+            // for its rows, whatever the runs: short, long, one group
+            // exactly, or whole groups.
             #[test]
-            fn encoded_runs_seal_what_append_run_sealed(
+            fn sealed_ids_write_each_bitmap_from_its_positions(
                 runs in prop::collection::vec(
                     (
                         0u32..12,
@@ -787,20 +752,26 @@ mod tests {
                     1..60,
                 ),
             ) {
-                let seq: RleSeq = runs
+                let ids: Vec<u32> = runs
                     .iter()
                     .flat_map(|&(id, n)| std::iter::repeat_n(id, n as usize))
                     .collect();
+                let rows = ids.len() as u64;
                 let mut scratch = SealScratch::default();
-                let slot = SegmentEnc::seal(seq.clone(), Encoding::Bitmap, &mut scratch);
-                let mut meta = scratch.count(&seq);
-                let (words, ends) = append_run_arena(&seq, &meta, &scratch);
-                scratch.reset();
-                meta.bytes = charge(words.len(), ends.len());
-                prop_assert_eq!(slot.meta(), &meta);
+                let slot = SegmentEnc::seal(&ids, Encoding::Bitmap, &mut scratch);
                 let s = bitmap(&slot);
+                let (mut words, mut ends) = (Vec::new(), Vec::new());
+                for id in slot.meta().present.ids() {
+                    let at = (0..rows).filter(|&r| ids[r as usize] == id);
+                    let wah = Wah::from_sorted_positions(at, rows);
+                    words.extend_from_slice(wah.words());
+                    words.push(wah.view().active());
+                    ends.push(words.len() as u32);
+                }
                 prop_assert_eq!(&s.words[..], &words[..]);
                 prop_assert_eq!(&s.ends[..], &ends[..]);
+                prop_assert_eq!(slot.meta().bytes, charge(words.len(), ends.len()));
+                prop_assert_eq!(s.recount().unwrap(), slot.meta().clone());
             }
         }
     }

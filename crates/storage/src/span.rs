@@ -84,9 +84,10 @@ pub enum Span {
     SmoDistinction,
     /// DECOMPOSE holding one row chunk to Property 2 (items: rows).
     SmoFdCheck,
-    /// Key–foreign-key MERGE mapping one row chunk of the reused side to
-    /// its keyed rows (items: rows).
-    SmoKeyFkScan,
+    /// Key–foreign-key MERGE writing one output segment: its rows mapped
+    /// to their keyed rows and each payload column's segment sealed
+    /// (items: rows).
+    SmoKeyFkWrite,
 }
 
 impl Span {
@@ -114,7 +115,7 @@ impl Span {
         Span::RemapMerge,
         Span::SmoDistinction,
         Span::SmoFdCheck,
-        Span::SmoKeyFkScan,
+        Span::SmoKeyFkWrite,
     ];
 
     /// The span's printed name.
@@ -142,7 +143,7 @@ impl Span {
             Span::RemapMerge => "dict.remap.merge",
             Span::SmoDistinction => "smo.distinction",
             Span::SmoFdCheck => "smo.fd_check",
-            Span::SmoKeyFkScan => "smo.key_fk_scan",
+            Span::SmoKeyFkWrite => "smo.key_fk_write",
         }
     }
 

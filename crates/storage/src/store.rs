@@ -654,7 +654,7 @@ impl SegSlot {
     }
 
     /// Re-encodes to `encoding`, sharing the slot when already there: its
-    /// rows read as runs and sealed in `encoding`, a fresh (resident) slot.
+    /// rows' ids read and sealed in `encoding`, a fresh (resident) slot.
     /// A bitmap segment whose bitmaps leave a row uncovered is
     /// [`StorageError::Corrupt`] ([`Segment::fill_covering`]).
     pub(crate) fn recoded_with(
@@ -665,11 +665,11 @@ impl SegSlot {
         if self.0.meta.encoding == encoding {
             return Ok(self.clone());
         }
-        let mut seq = RleSeq::new();
         let rows = self.0.meta.rows;
+        let mut ids = Vec::with_capacity(rows as usize);
         self.try_enc()?
-            .read_in(rows, 0, &[(0, rows)], &mut seq, &mut Vec::new())?;
-        Ok(SegmentEnc::seal(seq, encoding, scratch))
+            .read_in(rows, 0, &[(0, rows)], &mut ids, &mut Vec::new())?;
+        Ok(SegmentEnc::seal(&ids, encoding, scratch))
     }
 
     /// Rewrites the segment under an id translation (`map[old] =
@@ -694,9 +694,9 @@ impl SegSlot {
                 let enc = SegmentEnc::Packed(Arc::new(PackedSegment::range(&meta)));
                 return Ok(SegSlot::fresh(meta, enc));
             }
-            let seq = ids.map(new).collect();
+            let ids: Vec<u32> = ids.map(new).collect();
             return Ok(SegmentEnc::seal(
-                seq,
+                &ids,
                 Encoding::Packed,
                 &mut SealScratch::default(),
             ));

@@ -991,8 +991,7 @@ fn hostile_packed_payloads_are_typed_errors() {
     // present id, and 450 bits of codes leave 62 padding bits.
     let values = [3u32, 8, 11, 20, 42];
     let rows: Vec<u32> = (0..150).map(|r| values[(r * 7 + r / 11) % 5]).collect();
-    let seq: cods_bitmap::RleSeq = rows.iter().copied().collect();
-    let slot = SegmentEnc::seal(seq, Encoding::Packed, &mut SealScratch::default());
+    let slot = SegmentEnc::seal(&rows, Encoding::Packed, &mut SealScratch::default());
     let meta = slot.meta().clone();
     assert_eq!((meta.rows, meta.distinct_count(), meta.bytes), (150, 5, 64));
     let mut good = Vec::new();
@@ -1104,11 +1103,7 @@ fn hostile_packed_payloads_are_typed_errors() {
 
     // One row sealed packed is a range: no payload, and a payload given
     // to it is refused.
-    let one = SegmentEnc::seal(
-        [7u32].into_iter().collect(),
-        Encoding::Packed,
-        &mut SealScratch::default(),
-    );
+    let one = SegmentEnc::seal(&[7], Encoding::Packed, &mut SealScratch::default());
     assert!(one.meta().is_range());
     let mut raw = Vec::new();
     encode_payload(&one.enc(), &mut raw);
@@ -1155,11 +1150,11 @@ fn hostile_packed_payloads_are_typed_errors() {
 #[test]
 fn hostile_rle_payloads_are_typed_errors() {
     // Three runs over 48 rows: 5×10, 2×20, 5×18.
-    let mut seq = cods_bitmap::RleSeq::new();
-    for (id, n) in [(5, 10), (2, 20), (5, 18)] {
-        seq.append_run(id, n);
-    }
-    let slot = SegmentEnc::seal(seq, Encoding::Rle, &mut SealScratch::default());
+    let rows: Vec<u32> = [(5, 10), (2, 20), (5, 18)]
+        .iter()
+        .flat_map(|&(id, n)| std::iter::repeat_n(id, n))
+        .collect();
+    let slot = SegmentEnc::seal(&rows, Encoding::Rle, &mut SealScratch::default());
     let meta = slot.meta().clone();
     assert_eq!((meta.rows, meta.runs, meta.bytes), (48, 3, 48));
     let mut good = Vec::new();
@@ -1216,8 +1211,8 @@ fn overlapping_segment(rows: u64) -> SegSlot {
 
 /// The bitmap segment whose rows hold `ids`, sealed as every write seals.
 fn sealed(ids: impl IntoIterator<Item = u32>) -> SegSlot {
-    let seq = ids.into_iter().collect();
-    SegmentEnc::seal(seq, Encoding::Bitmap, &mut SealScratch::default())
+    let ids: Vec<u32> = ids.into_iter().collect();
+    SegmentEnc::seal(&ids, Encoding::Bitmap, &mut SealScratch::default())
 }
 
 fn ids(n: u64) -> Dictionary {
@@ -1254,6 +1249,52 @@ fn overlapping_bitmaps_are_a_typed_error_on_every_read() {
         let t = Arc::new(Table::new("t", schema, vec![Arc::new(col)]).unwrap());
         let mut scan = ScanStream::new(t, &Predicate::True, None).unwrap();
         corrupt("ScanStream::try_next", scan.try_next().map(drop));
+    }
+}
+
+/// A `rows`-row segment of one value per row whose last bitmap sets the
+/// row before its own: it matches an honest segment's metadata, so the
+/// payload decodes; rows `0..rows - 2` read their own ids, row `rows - 2`
+/// is set twice and row `rows - 1` by no bitmap.
+fn uncovered_last_row(rows: u64) -> SegSlot {
+    let honest = sealed(0..rows as u32);
+    let bitmaps: Vec<Vec<u64>> = (0..rows)
+        .map(|r| body(&Wah::from_sorted_positions([r.min(rows - 2)], rows)))
+        .collect();
+    let enc = decode_payload(honest.meta(), &payload_of(&bitmaps)).expect("well formed");
+    SegSlot::fresh(honest.meta().clone(), enc)
+}
+
+/// A read of part of a bitmap segment decodes it only up to the window's
+/// last row, and checks the rows it decoded: a window that stops before
+/// the uncovered row reads its ids, and every window that reaches it —
+/// through `try_ids_in`, `try_runs_in` or a write — is a typed error.
+#[test]
+fn a_window_read_is_checked_up_to_its_last_row() {
+    let rows = 200u64;
+    let col = EncodedColumn::from_segments(
+        ValueType::Int,
+        ids(rows),
+        vec![uncovered_last_row(rows)],
+        rows,
+    );
+    for sel in [vec![(0, 1)], vec![(0, 100)], vec![(5, 70), (90, 198)]] {
+        let want: Vec<u32> = sel.iter().flat_map(|&(a, b)| a as u32..b as u32).collect();
+        assert_eq!(col.try_ids_in(&sel).unwrap(), want, "{sel:?}");
+        let slot = col
+            .try_write(&sel, None, &mut SealScratch::default())
+            .unwrap();
+        let one = EncodedColumn::from_segments(ValueType::Int, ids(rows), vec![slot], rows);
+        assert_eq!(one.try_value_ids().unwrap(), want, "{sel:?}");
+    }
+    let mut scratch = SealScratch::default();
+    for sel in [vec![(199, 200)], vec![(0, 1), (150, 200)], vec![(0, 200)]] {
+        corrupt("try_ids_in", col.try_ids_in(&sel).map(drop));
+        corrupt("try_runs_in", col.try_runs_in(&sel).map(drop));
+        corrupt(
+            "try_write",
+            col.try_write(&sel, None, &mut scratch).map(drop),
+        );
     }
 }
 

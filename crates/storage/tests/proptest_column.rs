@@ -554,7 +554,7 @@ proptest! {
 
     // ---- The one segment writer ----
 
-    // Random run streams sealed by `SegmentEnc::seal`: dictionaries
+    // Random id streams sealed by `SegmentEnc::seal`: dictionaries
     // narrower and far wider than the segment, clustered runs or
     // near-unique single rows, a forced or a chosen encoding — and one
     // scratch reused by every seal, so a slot left dirty shows. Every
@@ -579,13 +579,12 @@ proptest! {
         use cods_storage::store::{decode_payload, encode_payload};
         use cods_storage::{choose_encoding_from_stats, RleSegment, SealScratch, SegmentEnc};
         use std::collections::BTreeMap;
-        let mut seq = RleSeq::new();
         let mut rows: Vec<u32> = Vec::new();
         for &(id, len) in &draws {
             let len = if clustered { 1 + len % 90 } else { 1 };
-            seq.append_run(id % width, len);
             rows.extend(std::iter::repeat_n(id % width, len as usize));
         }
+        let seq: RleSeq = rows.iter().copied().collect();
         let n = rows.len() as u64;
         let mut positions: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
         for (r, &id) in rows.iter().enumerate() {
@@ -603,7 +602,7 @@ proptest! {
         let chosen = choose_encoding_from_stats(seq.num_runs() as u64, n, ids.len() as u64, 1);
         let encoding = forced.unwrap_or(chosen);
         for _ in 0..2 {
-            let sealed = SegmentEnc::seal(seq.clone(), encoding, &mut scratch);
+            let sealed = SegmentEnc::seal(&rows, encoding, &mut scratch);
             sealed.check_invariants().unwrap();
             prop_assert_eq!(sealed.meta().encoding, encoding);
             prop_assert_eq!(sealed.meta().rows, n);
@@ -620,8 +619,7 @@ proptest! {
                     prop_assert_eq!(raw, payload_of(&bitmaps));
                 }
                 SegmentEnc::Rle(s) => {
-                    let pushed: RleSeq = rows.iter().copied().collect();
-                    prop_assert_eq!(s.as_ref(), &RleSegment::new(pushed));
+                    prop_assert_eq!(s.as_ref(), &RleSegment::new(seq.clone()));
                 }
                 SegmentEnc::Packed(s) => {
                     // Rows holding ids `first..first + n` in order are a

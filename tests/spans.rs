@@ -197,11 +197,17 @@ fn a_decompose_merge_cycle_reports_its_per_chunk_spans() {
     print!("{}", span::render());
     assert_eq!(merged.output.rows(), rows);
     // One span per row chunk, each over every row once: the key is not
-    // unique, so Property 2 is checked.
-    for s in [Span::SmoDistinction, Span::SmoFdCheck, Span::SmoKeyFkScan] {
+    // unique, so Property 2 is checked. The MERGE writes one output
+    // segment of its one payload column per chunk, in the task that maps
+    // the chunk's keys.
+    for s in [Span::SmoDistinction, Span::SmoFdCheck, Span::SmoKeyFkWrite] {
         assert_eq!(of(&stats, s).count, 4, "{}", s.name());
         assert_eq!(of(&stats, s).items, rows, "{}", s.name());
     }
+    println!(
+        "smo.key_fk_write: {} per-segment writes",
+        of(&stats, Span::SmoKeyFkWrite).count
+    );
     for s in [Span::SealBitmap, Span::WalkBitmap] {
         assert!(of(&stats, s).count > 0, "{}", s.name());
     }
