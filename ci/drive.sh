@@ -10,8 +10,11 @@
 # in its last 64 Ki segment, and requires both shells to refuse its
 # DECOMPOSE naming the same row; the last MERGEs a table whose one
 # unmatched foreign key is in its last 64 Ki segment, and requires both
-# shells to fall back to general mergence with the same row count. Run
-# from the repository root after `cargo build --release --workspace`.
+# shells to fall back to general mergence with the same row count; the
+# last serves a table of int columns with NULLs, negative values and a
+# span wider than u32, and requires both shells to print the same scans
+# and join. Run from the repository root after `cargo build --release
+# --workspace`.
 set -eu
 cods=target/release/cods
 addr=127.0.0.1:4071
@@ -204,3 +207,31 @@ grep -E '^[0-9]+ of [0-9]+ rows satisfy' "$tmp/fk-local.out" > "$tmp/fk-local.co
 grep -E '^[0-9]+ of [0-9]+ rows satisfy' "$tmp/fk-remote.out" > "$tmp/fk-remote.count"
 grep -q '^199999 of 199999 rows satisfy' "$tmp/fk-local.count"
 diff "$tmp/fk-local.count" "$tmp/fk-remote.count"
+
+# Int columns over the wire: a batch of an int column without a NULL
+# travels frame-of-reference (its least value and one offset per row),
+# one with a NULL through the reply dictionary. `k` holds negative values
+# and spans more than u32 (eight-byte offsets); `v` holds NULLs. Both
+# shells print a scan and a join of the table — the local one out of the
+# kernels' batches, the connect REPL out of the served stream — and must
+# print the same rows.
+kill "$server"
+wait "$server" 2> /dev/null || true
+printf '%s\n' '-5000000000,-3' '7,' '5000000000,12' '-1,NULL' '0,-7' > "$tmp/ints.csv"
+printf '%s\n' '-5000000000,low' '5000000000,high' '0,zero' > "$tmp/names.csv"
+printf '%s\n' "scan I" "scan I select k where k != 7" "join I N on k=k" > "$tmp/ints.reads"
+mkdir "$tmp/ints"
+printf '%s\n' "load I $tmp/ints.csv k:int,v:int" "load N $tmp/names.csv k:int,name:str" \
+    "save $tmp/ints/i.cods" "$(cat "$tmp/ints.reads")" > "$tmp/ints.cods"
+"$cods" "$tmp/ints.cods" > "$tmp/ints-local.out"
+cat "$tmp/ints-local.out"
+"$cods" serve "$addr" --durable "$tmp/ints/i.cods" &
+server=$!
+await
+"$cods" connect "$addr" < "$tmp/ints.reads" > "$tmp/ints-remote.out"
+cat "$tmp/ints-remote.out"
+reads "$tmp/ints-local.out" > "$tmp/ints-local.rows"
+reads "$tmp/ints-remote.out" > "$tmp/ints-remote.rows"
+grep -q -x '  k=-5000000000, v=-3' "$tmp/ints-remote.rows"
+grep -q -x '  k=7, v=NULL' "$tmp/ints-remote.rows"
+diff "$tmp/ints-local.rows" "$tmp/ints-remote.rows"

@@ -5,16 +5,16 @@ use crate::frame::{
     disable_nagle, read_frame, read_preamble, write_frame, FrameError, DEFAULT_MAX_FRAME_BYTES,
 };
 use crate::proto::{
-    decode_reply, encode_command, Command, MetricsReply, Reply, RowsDecoder, ROWS_KIND,
-    TOTAL_UNKNOWN,
+    decode_reply, encode_command, Command, MetricsReply, Reply, RowBatch, RowsDecoder, WireError,
+    ROWS_KIND, TOTAL_UNKNOWN,
 };
 use cods_query::{AggOp, Predicate, Query};
 use cods_storage::{Value, ValueType};
-use std::io::{BufReader, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-/// Per-batch callback for streamed scans: (column header, batch rows).
-type BatchFn<'a> = dyn FnMut(&[(String, ValueType)], Vec<Vec<Value>>) + 'a;
+/// Per-batch callback for streamed reads: (column header, the batch).
+type BatchFn<'a> = dyn FnMut(&[(String, ValueType)], RowBatch) + 'a;
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -109,23 +109,24 @@ pub enum QueryReply {
 /// A blocking protocol client over one TCP connection.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    /// Buffered, so a command's frame leaves in one write at the flush.
+    writer: BufWriter<TcpStream>,
     catalog_version: u64,
 }
 
 impl Client {
     /// Connects, validates the preamble, and reads the `Hello` frame.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        let writer = TcpStream::connect(addr)?;
-        disable_nagle(&writer)?;
-        let mut reader = BufReader::new(writer.try_clone()?);
+        let stream = TcpStream::connect(addr)?;
+        disable_nagle(&stream)?;
+        let mut reader = BufReader::new(stream.try_clone()?);
         read_preamble(&mut reader)?;
         let mut client = Client {
             reader,
-            writer,
+            writer: BufWriter::new(stream),
             catalog_version: 0,
         };
-        match client.read_reply(None)? {
+        match client.read_reply()? {
             Reply::Hello { catalog_version } => {
                 client.catalog_version = catalog_version;
                 Ok(client)
@@ -143,7 +144,7 @@ impl Client {
     /// Whether this end's socket has `TCP_NODELAY` set.
     #[cfg(test)]
     pub(crate) fn nodelay(&self) -> std::io::Result<bool> {
-        self.writer.nodelay()
+        self.writer.get_ref().nodelay()
     }
 
     fn send(&mut self, cmd: &Command) -> Result<(), ClientError> {
@@ -152,29 +153,16 @@ impl Client {
         Ok(())
     }
 
-    /// Reads one reply; a `Rows` frame of a stream decodes against the
-    /// stream's reply dictionaries in `stream`.
-    fn read_reply(&mut self, stream: Option<&mut RowsDecoder>) -> Result<Reply, ClientError> {
+    /// Reads one reply.
+    fn read_reply(&mut self) -> Result<Reply, ClientError> {
         let (kind, payload) = read_frame(&mut self.reader, DEFAULT_MAX_FRAME_BYTES)?;
-        match stream {
-            Some(decoder) if kind == ROWS_KIND => {
-                decoder.decode(&payload).map(|rows| Reply::Rows { rows })
-            }
-            _ => decode_reply(kind, &payload),
-        }
-        .map_err(|e| ClientError::Protocol(format!("undecodable reply: {e}")))
+        decode_reply(kind, &payload).map_err(undecodable)
     }
 
     /// Reads a reply, converting `Error` and `Overloaded` frames into
     /// typed client errors.
-    fn expect_reply(&mut self, stream: Option<&mut RowsDecoder>) -> Result<Reply, ClientError> {
-        match self.read_reply(stream)? {
-            Reply::Error { code, message } => Err(ClientError::Server { code, message }),
-            Reply::Overloaded { in_flight, queued } => {
-                Err(ClientError::Overloaded { in_flight, queued })
-            }
-            r => Ok(r),
-        }
+    fn expect_reply(&mut self) -> Result<Reply, ClientError> {
+        self.read_reply().and_then(typed)
     }
 
     fn unexpected(wanted: &str, got: &Reply) -> ClientError {
@@ -184,7 +172,7 @@ impl Client {
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
         self.send(&Command::Ping)?;
-        match self.expect_reply(None)? {
+        match self.expect_reply()? {
             Reply::Pong => Ok(()),
             r => Err(Client::unexpected("Pong", &r)),
         }
@@ -193,7 +181,7 @@ impl Client {
     /// Re-pins the server-side session snapshot; returns the new version.
     pub fn refresh(&mut self) -> Result<u64, ClientError> {
         self.send(&Command::Refresh)?;
-        match self.expect_reply(None)? {
+        match self.expect_reply()? {
             Reply::Refreshed { catalog_version } => {
                 self.catalog_version = catalog_version;
                 Ok(catalog_version)
@@ -205,7 +193,7 @@ impl Client {
     /// Fetches server-wide counters.
     pub fn metrics(&mut self) -> Result<MetricsReply, ClientError> {
         self.send(&Command::Metrics)?;
-        match self.expect_reply(None)? {
+        match self.expect_reply()? {
             Reply::Metrics(m) => Ok(m),
             r => Err(Client::unexpected("Metrics", &r)),
         }
@@ -217,7 +205,7 @@ impl Client {
         self.send(&Command::Stats {
             table: table.to_string(),
         })?;
-        match self.expect_reply(None)? {
+        match self.expect_reply()? {
             Reply::Ok { message } => Ok(message),
             r => Err(Client::unexpected("Ok", &r)),
         }
@@ -228,7 +216,7 @@ impl Client {
         self.send(&Command::Script {
             text: text.to_string(),
         })?;
-        match self.expect_reply(None)? {
+        match self.expect_reply()? {
             Reply::Ok { message } => Ok(message),
             r => Err(Client::unexpected("Ok", &r)),
         }
@@ -240,7 +228,7 @@ impl Client {
     pub fn query(
         &mut self,
         query: Query,
-        mut on_batch: impl FnMut(&[(String, ValueType)], Vec<Vec<Value>>),
+        mut on_batch: impl FnMut(&[(String, ValueType)], RowBatch),
     ) -> Result<QueryReply, ClientError> {
         let count = matches!(query, Query::Count { .. });
         self.send(&Command::Query(query))?;
@@ -266,7 +254,7 @@ impl Client {
     }
 
     fn read_count(&mut self) -> Result<(u64, u64, u64), ClientError> {
-        match self.expect_reply(None)? {
+        match self.expect_reply()? {
             Reply::MaskSummary {
                 rows,
                 selected,
@@ -286,7 +274,7 @@ impl Client {
         table: &str,
         predicate: Predicate,
         projection: Option<Vec<String>>,
-        mut on_batch: impl FnMut(&[(String, ValueType)], Vec<Vec<Value>>),
+        mut on_batch: impl FnMut(&[(String, ValueType)], RowBatch),
     ) -> Result<ScanSummary, ClientError> {
         self.send(&Command::Query(Query::Scan {
             table: table.to_string(),
@@ -328,10 +316,9 @@ impl Client {
             aggs,
         }))?;
         let mut all = Vec::new();
-        let summary =
-            self.drain_stream(&mut |_: &[(String, ValueType)], rows: Vec<Vec<Value>>| {
-                all.extend(rows);
-            })?;
+        let summary = self.drain_stream(&mut |_: &[(String, ValueType)], rows: RowBatch| {
+            all.extend(rows);
+        })?;
         Ok((summary.columns, all))
     }
 
@@ -345,7 +332,7 @@ impl Client {
         right: &str,
         left_keys: Vec<String>,
         right_keys: Vec<String>,
-        mut on_batch: impl FnMut(&[(String, ValueType)], Vec<Vec<Value>>),
+        mut on_batch: impl FnMut(&[(String, ValueType)], RowBatch),
     ) -> Result<ScanSummary, ClientError> {
         self.send(&Command::Query(Query::Join {
             left: left.to_string(),
@@ -377,9 +364,10 @@ impl Client {
     /// the server promised — any mismatch is a protocol violation. The
     /// batches decode with one stream decoder sized from the header, so a
     /// batch of any other column count is a protocol violation too, and
-    /// `on_batch` only ever sees rows of the header's arity.
+    /// `on_batch` only ever sees rows of the header's arity, one decoded
+    /// batch at a time.
     fn drain_stream(&mut self, on_batch: &mut BatchFn<'_>) -> Result<ScanSummary, ClientError> {
-        let (columns, total_rows) = match self.expect_reply(None)? {
+        let (columns, total_rows) = match self.expect_reply()? {
             Reply::RowHeader {
                 columns,
                 total_rows,
@@ -392,19 +380,20 @@ impl Client {
         loop {
             // Mid-stream, a dead transport is not a generic frame error:
             // type it as a torn stream carrying how far the prefix got.
-            let reply = match self.expect_reply(Some(&mut decoder)) {
-                Err(ClientError::Frame(FrameError::Eof | FrameError::Torn))
-                | Err(ClientError::Frame(FrameError::Io(_))) => {
+            let (kind, payload) = match read_frame(&mut self.reader, DEFAULT_MAX_FRAME_BYTES) {
+                Err(FrameError::Eof | FrameError::Torn | FrameError::Io(_)) => {
                     return Err(ClientError::TornStream { rows_seen })
                 }
                 other => other?,
             };
-            match reply {
-                Reply::Rows { rows } => {
-                    batches += 1;
-                    rows_seen += rows.len() as u64;
-                    on_batch(&columns, rows);
-                }
+            if kind == ROWS_KIND {
+                let batch = decoder.decode(&payload).map_err(undecodable)?;
+                batches += 1;
+                rows_seen += batch.len() as u64;
+                on_batch(&columns, batch);
+                continue;
+            }
+            match typed(decode_reply(kind, &payload).map_err(undecodable)?)? {
                 Reply::Done {
                     batches: b,
                     rows: r,
@@ -432,5 +421,22 @@ impl Client {
                 r => return Err(Client::unexpected("Rows or Done", &r)),
             }
         }
+    }
+}
+
+/// A reply that did not decode, as the client reports it.
+fn undecodable(e: WireError) -> ClientError {
+    ClientError::Protocol(format!("undecodable reply: {e}"))
+}
+
+/// `Error` and `Overloaded` replies as typed client errors; any other
+/// reply as it is.
+fn typed(reply: Reply) -> Result<Reply, ClientError> {
+    match reply {
+        Reply::Error { code, message } => Err(ClientError::Server { code, message }),
+        Reply::Overloaded { in_flight, queued } => {
+            Err(ClientError::Overloaded { in_flight, queued })
+        }
+        r => Ok(r),
     }
 }

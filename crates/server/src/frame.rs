@@ -7,7 +7,7 @@
 //! ```text
 //! connection preamble (server → client, once):
 //!   magic   u32 LE   0xC0D5_7C9A
-//!   version u16 LE   wire-protocol version (4; a peer that announces
+//!   version u16 LE   wire-protocol version (6; a peer that announces
 //!                    any other is refused before a frame is read)
 //!
 //! frame (either direction):
@@ -31,7 +31,7 @@
 
 use cods_storage::codec::Reader;
 use cods_storage::wal::checksum;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 
 /// Connection preamble magic (`C0DS-7C9A`, "serve").
@@ -43,9 +43,11 @@ pub const SERVE_MAGIC: u32 = 0xC0D5_7C9A;
 /// reply-scoped (a batch carries only the values its stream has not sent
 /// yet — see [`crate::proto`]); version 5 retired the `Stats` reply (a
 /// `Stats` command is answered with `Ok` text) and made a `Metrics` body's
-/// commit-log block a flag byte plus the engine's nine counters. Frame
-/// layout and every other message body are those of 2.
-pub const PROTO_VERSION: u16 = 5;
+/// commit-log block a flag byte plus the engine's nine counters; version 6
+/// sends a `Rows` batch's int column without a NULL frame-of-reference
+/// (its least value and one fixed-width offset per row), outside the reply
+/// dictionary. Frame layout and every other message body are those of 2.
+pub const PROTO_VERSION: u16 = 6;
 /// Default cap on a single frame's payload, generous enough for a
 /// segment-sized row batch yet small enough to bound a malicious peer.
 pub const DEFAULT_MAX_FRAME_BYTES: u32 = 32 * 1024 * 1024;
@@ -134,24 +136,38 @@ pub fn read_preamble(r: &mut impl Read) -> Result<u16, FrameError> {
     }
 }
 
-/// Writes one `kind` frame carrying `payload`, checksummed. The frame is
-/// assembled into one buffer first so the transport sees a single write —
-/// interleaving-safe if the caller serializes writers.
+/// Bytes of a frame before its payload: the kind and the length.
+const HEAD_BYTES: usize = 5;
+
+/// Writes one `kind` frame carrying `payload`, checksummed: the head, the
+/// payload and the check go to `w` in one vectored write, with no copy of
+/// the payload — one system call on a socket, one copy into a buffered
+/// writer's window (or none, for a payload larger than the window).
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<u64, FrameError> {
-    let mut buf = Vec::with_capacity(5 + payload.len() + 8);
-    buf.push(kind);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
-    let check = checksum(&[&buf[..5], payload]);
-    buf.extend_from_slice(&check.to_le_bytes());
-    w.write_all(&buf)?;
-    Ok(buf.len() as u64)
+    let mut head = [kind, 0, 0, 0, 0];
+    head[1..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    let check = checksum(&[&head, payload]).to_le_bytes();
+    let mut parts = [
+        IoSlice::new(&head),
+        IoSlice::new(payload),
+        IoSlice::new(&check),
+    ];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok((HEAD_BYTES + payload.len() + 8) as u64)
 }
 
 /// Reads one frame, enforcing `max_payload` before allocating and the
 /// checksum after. Returns `(kind, payload)`.
 pub fn read_frame(r: &mut impl Read, max_payload: u32) -> Result<(u8, Vec<u8>), FrameError> {
-    let mut head = [0u8; 5];
+    let mut head = [0u8; HEAD_BYTES];
     // A clean EOF before the first header byte is a polite hang-up; EOF
     // anywhere later is a torn frame.
     read_exact_or(r, &mut head[..1], FrameError::Eof)?;
@@ -207,6 +223,46 @@ mod tests {
         }
     }
 
+    /// A writer that takes at most `step` bytes a call, and is interrupted
+    /// every other call.
+    struct Trickle {
+        out: Vec<u8>,
+        step: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(2) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.step);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_taken_a_few_bytes_at_a_time_is_the_whole_frame() {
+        for payload in [&b""[..], b"x", &[7u8; 1000][..]] {
+            for step in [1, 3, 5, 8, 64] {
+                let mut w = Trickle {
+                    out: Vec::new(),
+                    step,
+                    calls: 0,
+                };
+                let bytes = write_frame(&mut w, 0x88, payload).unwrap();
+                assert_eq!(w.out, round_trip(0x88, payload), "step {step}");
+                assert_eq!(bytes, w.out.len() as u64);
+            }
+        }
+    }
+
     #[test]
     fn check_field_is_the_storage_checksum_of_kind_len_payload() {
         let payload: Vec<u8> = (0..1_001u32).map(|i| (i * 31 % 251) as u8).collect();
@@ -225,6 +281,16 @@ mod tests {
             let chunks: Vec<&[u8]> = body.chunks(width).collect();
             assert_eq!(checksum(&chunks), expected, "chunks of {width}");
         }
+    }
+
+    #[test]
+    fn a_version_5_preamble_is_refused() {
+        let mut v5 = SERVE_MAGIC.to_le_bytes().to_vec();
+        v5.extend_from_slice(&5u16.to_le_bytes());
+        assert!(matches!(
+            read_preamble(&mut Cursor::new(&v5)),
+            Err(FrameError::Corrupt)
+        ));
     }
 
     #[test]

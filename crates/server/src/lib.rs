@@ -7,7 +7,8 @@
 //! * [`frame`] — WAL-idiom wire framing: `kind, len, payload, check`, the
 //!   check being the storage frame checksum (`cods_storage::wal::checksum`),
 //!   with torn- and corrupt-frame detection ([`FrameError`]).
-//! * [`proto`] — typed [`Command`]s and [`Reply`]s plus their codec.
+//! * [`proto`] — typed [`Command`]s and [`Reply`]s plus their codec; a
+//!   streamed `Rows` body decodes into one [`RowBatch`].
 //! * [`session`] — per-connection [`Session`]: a pinned copy-on-write
 //!   catalog snapshot, so long streaming scans stay consistent while
 //!   evolution plans commit concurrently.
@@ -49,6 +50,6 @@ pub use admission::{Gate, Permit, Rejected};
 pub use client::{Client, ClientError, QueryReply, ScanSummary};
 pub use frame::{FrameError, DEFAULT_MAX_FRAME_BYTES, PROTO_VERSION};
 pub use metrics::ServerMetrics;
-pub use proto::{error_code, Command, MetricsReply, Reply, WireError};
+pub use proto::{error_code, Command, MetricsReply, Reply, RowBatch, WireError};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use session::Session;

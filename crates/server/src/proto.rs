@@ -9,27 +9,45 @@
 //! desynchronized peer is caught by the kind check even when a frame's
 //! checksum happens to pass.
 //!
-//! # The `Rows` body (protocol version 4, carried unchanged in version 5)
+//! # The `Rows` body (protocol version 6)
 //!
-//! A batch of result rows travels column-major, each column as the values
-//! it adds to the column's *reply dictionary* followed by one small id per
-//! row into that dictionary:
+//! A batch of result rows travels column-major. A column is sent either
+//! as its ints, frame-of-reference, or as the values it adds to the
+//! column's *reply dictionary* followed by one small id per row into that
+//! dictionary:
 //!
 //! ```text
 //! rows   := n_rows:u32  n_cols:u16  column{n_cols}
-//! column := head:u32  value{n_new}  width:u8  id{n_rows}
-//! head   := restart << 31 | n_new
+//! column := ints | dict
+//! ints   := INT:u32  min:i64  width:u8  offset{n_rows}
+//! INT    := 1 << 30
+//! offset := `width` bytes LE   (width = 1, 2, 4 or 8: the narrowest that
+//!                               holds the batch's greatest int - min);
+//!                               the row's value is min + offset
+//! dict   := head:u32  value{n_new}  width:u8  id{n_rows}
+//! head   := restart << 31 | n_new    (n_new < 2^30)
 //! value  := the value codec    (0 NULL | 1 bool:u8 | 2 int:i64
 //!                               | 3 float bits:u64 | 4 str len:u32 utf-8)
 //! id     := `width` bytes LE   (width = 1, 2 or 4: the narrowest that
 //!                               holds the reply dictionary's size - 1)
 //! ```
 //!
+//! A column whose cells in a batch of at least one row are all ints (no
+//! NULL) is sent as `ints`. It uses no reply dictionary on either side and
+//! leaves the column's dictionary as it was for the stream's later
+//! batches. Every other column — strings, floats, bools, and an int batch
+//! that holds a NULL — is sent as `dict`. Strings stay on the reply
+//! dictionary because it sends each repeated value once per stream and
+//! the client holds it once (a cell is a reference count); an int costs at
+//! most eight bytes either way, and its offset is rarely wider than an id
+//! would be, so for ints the dictionary saved no bytes and cost a lookup
+//! per row on both ends.
+//!
 //! Every column of a reply stream has a reply dictionary, empty when the
-//! stream opens. A batch appends its `n_new` values, those its rows carry
-//! that no earlier batch of the stream sent, in first-seen order, and its
-//! ids index the whole dictionary: a value that recurs across a reply's
-//! batches crosses the wire, and is allocated by the client, once.
+//! stream opens. A `dict` batch appends its `n_new` values, those its rows
+//! carry that no earlier batch of the stream sent, in first-seen order,
+//! and its ids index the whole dictionary: a value that recurs across a
+//! reply's batches crosses the wire, and is allocated by the client, once.
 //! `NULL` is a value like any other (no validity field). A batch without
 //! columns has no rows.
 //!
@@ -44,22 +62,23 @@
 //! table column, by pointer identity), and one whose batch uses no value
 //! sent before — keeping those would only widen the batch's ids, so a
 //! column of unique values costs what a dictionary per batch did.
-//! `restart` is never set on an empty dictionary.
+//! `restart` is never set on an empty dictionary, nor on `ints`.
 //!
 //! A body decoded on its own ([`decode_reply`]) decodes against empty
-//! dictionaries, so a lone batch is laid out as in protocol versions 2 and
-//! 3 (a per-batch dictionary of `n_local` values). A stream's batches
-//! decode with one [`RowsDecoder`], sized from the stream's `RowHeader`.
-//! The server encodes a stream with one [`RowsEncoder`], straight from its
-//! [`RowSet`]s' dictionary ids. The decoder checks every count against the
+//! dictionaries. A stream's batches decode with one [`RowsDecoder`], sized
+//! from the stream's `RowHeader`, each into one [`RowBatch`]: the batch's
+//! cells in one row-major vector. The server encodes a stream with one
+//! [`RowsEncoder`], straight from its [`RowSet`]s' dictionary ids, into
+//! one body buffer per stream. The decoder checks every count against the
 //! bytes that remain before it allocates for it, and reads a column's ids
-//! as one slice.
+//! or offsets as one slice.
 
 use crate::frame::FrameError;
 use cods_query::{AggOp, CmpOp, Predicate, Query, RowColumn, RowSet};
 use cods_storage::codec::{
     put_str, put_value, read_str, read_type, read_value, BufMut, CodecError, Reader,
 };
+use cods_storage::span::{self, Span};
 use cods_storage::{CacheStats, CommitLogStats, EncodedColumn, Value, ValueType};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -373,6 +392,13 @@ pub const REPLY_DICT_MAX: usize = 1 << 16;
 /// The bit of a column's `head` that restarts its reply dictionary.
 const RESTART: u32 = 1 << 31;
 
+/// The bit of a column's `head` that marks it `ints`: frame-of-reference,
+/// outside the reply dictionary.
+const INT_BODY: u32 = 1 << 30;
+
+/// The bits of a `dict` column's `head` that count its new values.
+const N_NEW: u32 = INT_BODY - 1;
+
 /// One column of a `Rows` body as the encoder reads it.
 enum ColumnSrc<'a> {
     /// `ids[r]` indexes `column`'s dictionary.
@@ -513,6 +539,8 @@ pub struct RowsEncoder {
     dicts: Vec<ReplyDict>,
     /// Reply id per row of the column being encoded.
     local: Vec<u32>,
+    /// The ints of the column being encoded, when it is sent as `ints`.
+    ints: Vec<i64>,
 }
 
 impl RowsEncoder {
@@ -521,13 +549,17 @@ impl RowsEncoder {
     /// [`Query::resolve`] never produces them).
     pub fn encode(&mut self, set: &RowSet) -> Vec<u8> {
         let mut e = Vec::new();
-        self.rows(&mut e, set.len(), set.arity(), |c| {
-            match &set.columns()[c] {
-                RowColumn::Dict { column, ids } => ColumnSrc::Dict { column, ids },
-                RowColumn::Plain(values) => ColumnSrc::Cells(Box::new(move |r| &values[r])),
-            }
-        });
+        self.encode_into(set, &mut e);
         e
+    }
+
+    /// [`Self::encode`], appending the body to `e`: the server encodes a
+    /// stream's batches into one buffer it reuses.
+    pub fn encode_into(&mut self, set: &RowSet, e: &mut Vec<u8>) {
+        self.rows(e, set.len(), set.arity(), |c| match &set.columns()[c] {
+            RowColumn::Dict { column, ids } => ColumnSrc::Dict { column, ids },
+            RowColumn::Plain(values) => ColumnSrc::Cells(Box::new(move |r| &values[r])),
+        });
     }
 
     fn rows<'a>(
@@ -545,6 +577,10 @@ impl RowsEncoder {
         e.put_u16_le(n_cols as u16);
         for (c, dict) in self.dicts.iter_mut().enumerate() {
             let src = column(c);
+            if ints_of(&src, n_rows, &mut self.ints) {
+                put_ints(e, &self.ints);
+                continue;
+            }
             // The head is patched in once the column has been walked.
             let head_at = e.len();
             e.put_u32_le(0);
@@ -595,6 +631,142 @@ impl RowsEncoder {
     }
 }
 
+/// Reads the `n_rows` cells of `src` into `ints` when there is at least
+/// one and every one is an int; `false` (and `ints` of no use) otherwise.
+/// A dense dictionary's ints are its first value plus the id: no value is
+/// made for them.
+fn ints_of(src: &ColumnSrc<'_>, n_rows: usize, ints: &mut Vec<i64>) -> bool {
+    ints.clear();
+    if n_rows == 0 {
+        return false;
+    }
+    match src {
+        ColumnSrc::Dict { column, ids } => {
+            let dict = column.dict();
+            if let Some(first) = dict.dense_first() {
+                ints.extend(ids.iter().map(|&id| first + i64::from(id)));
+                return true;
+            }
+            for &id in *ids {
+                match &*dict.value(id) {
+                    Value::Int(i) => ints.push(*i),
+                    _ => return false,
+                }
+            }
+        }
+        ColumnSrc::Cells(cell) => {
+            for r in 0..n_rows {
+                match cell(r) {
+                    Value::Int(i) => ints.push(*i),
+                    _ => return false,
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Writes `ints` (at least one) as an `ints` column: the least, then each
+/// one's offset from it in the narrowest width that holds the greatest.
+fn put_ints(e: &mut Vec<u8>, ints: &[i64]) {
+    let (min, max) = ints
+        .iter()
+        .fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let width = match max.wrapping_sub(min) as u64 {
+        0..=0xFF => 1,
+        0x100..=0xFFFF => 2,
+        0x1_0000..=0xFFFF_FFFF => 4,
+        _ => 8,
+    };
+    e.put_u32_le(INT_BODY);
+    e.put_i64_le(min);
+    e.put_u8(width as u8);
+    e.reserve(ints.len() * width);
+    let offsets = ints.iter().map(|&v| v.wrapping_sub(min) as u64);
+    match width {
+        1 => e.extend(offsets.map(|o| o as u8)),
+        2 => offsets.for_each(|o| e.extend_from_slice(&(o as u16).to_le_bytes())),
+        4 => offsets.for_each(|o| e.extend_from_slice(&(o as u32).to_le_bytes())),
+        _ => offsets.for_each(|o| e.extend_from_slice(&o.to_le_bytes())),
+    }
+}
+
+/// One decoded batch of a row stream: its cells in one row-major vector,
+/// `arity` per row — one allocation per batch, however many rows. A
+/// borrowed batch iterates its rows as slices; an owned one yields each
+/// row as a vector of its own.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RowBatch {
+    cells: Vec<Value>,
+    arity: usize,
+}
+
+impl RowBatch {
+    /// Rows in the batch.
+    pub fn len(&self) -> usize {
+        self.cells.len().checked_div(self.arity).unwrap_or(0)
+    }
+
+    /// `true` when the batch has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// The rows, each a slice of the batch.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, Value> {
+        self.cells.chunks_exact(self.arity.max(1))
+    }
+
+    /// The rows, each a vector of its own.
+    pub fn to_rows(&self) -> Vec<Vec<Value>> {
+        self.iter().map(<[Value]>::to_vec).collect()
+    }
+}
+
+impl<'a> IntoIterator for &'a RowBatch {
+    type Item = &'a [Value];
+    type IntoIter = std::slice::ChunksExact<'a, Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl IntoIterator for RowBatch {
+    type Item = Vec<Value>;
+    type IntoIter = IntoRows;
+
+    fn into_iter(self) -> IntoRows {
+        IntoRows {
+            rows: self.len(),
+            arity: self.arity,
+            cells: self.cells.into_iter(),
+        }
+    }
+}
+
+/// A [`RowBatch`]'s rows by value, the cells moved into one vector per row.
+pub struct IntoRows {
+    cells: std::vec::IntoIter<Value>,
+    arity: usize,
+    rows: usize,
+}
+
+impl Iterator for IntoRows {
+    type Item = Vec<Value>;
+
+    fn next(&mut self) -> Option<Vec<Value>> {
+        self.rows = self.rows.checked_sub(1)?;
+        Some(self.cells.by_ref().take(self.arity).collect())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.rows, Some(self.rows))
+    }
+}
+
+impl ExactSizeIterator for IntoRows {}
+
 /// The decoder of one reply stream's `Rows` bodies: each column's reply
 /// dictionary, accumulated across the stream's batches (at most
 /// [`REPLY_DICT_MAX`] values per column, or one batch's own). Sized from
@@ -612,12 +784,14 @@ impl RowsDecoder {
         }
     }
 
-    /// Decodes the stream's next `Rows` body into rows of values.
-    pub fn decode(&mut self, payload: &[u8]) -> Result<Vec<Vec<Value>>, WireError> {
+    /// Decodes the stream's next `Rows` body into one batch.
+    pub fn decode(&mut self, payload: &[u8]) -> Result<RowBatch, WireError> {
+        let mut timer = span::enter(Span::WireDecode);
         let mut r = Reader::new(payload);
-        let rows = read_rows(&mut r, Some(self))?;
+        let batch = read_rows(&mut r, Some(self))?;
         r.finish()?;
-        Ok(rows)
+        timer.items(|| batch.len() as u64);
+        Ok(batch)
     }
 }
 
@@ -669,13 +843,80 @@ fn read_pred(r: &mut Reader<'_>, depth: u32) -> DecResult<Predicate> {
     })
 }
 
-/// A `Rows` body as rows of values, decoded against `stream`'s reply
-/// dictionaries (`None`: a body on its own, against empty ones). A value is
-/// decoded once per stream, and a cell is a clone of it (a reference count
-/// for a string, not an allocation). Every count is held against the bytes
-/// that remain before anything is allocated for it, and a column's ids are
-/// one bulk slice.
-fn read_rows(r: &mut Reader<'_>, stream: Option<&mut RowsDecoder>) -> DecResult<Vec<Vec<Value>>> {
+/// One column of a decoded `Rows` body, before its cells are laid out
+/// by row.
+enum ColumnCells<'p> {
+    /// Ids into the column's reply dictionary.
+    Ids(Vec<u32>),
+    /// `min` plus one `width`-byte offset per row, none of them past
+    /// `i64::MAX`.
+    Ints {
+        min: i64,
+        width: usize,
+        offsets: &'p [u8],
+    },
+}
+
+/// The little-endian `W`-byte offset at the start of `b`.
+#[inline]
+fn offset<const W: usize>(b: &[u8]) -> u64 {
+    let mut x = [0u8; 8];
+    x[..W].copy_from_slice(&b[..W]);
+    u64::from_le_bytes(x)
+}
+
+/// The greatest of the `W`-byte offsets in `bytes` (0 for none).
+fn max_offset<const W: usize>(bytes: &[u8]) -> u64 {
+    bytes.chunks_exact(W).map(offset::<W>).max().unwrap_or(0)
+}
+
+/// Writes `min` plus each `W`-byte offset of `bytes` to the slots.
+fn fill_ints<'v, const W: usize>(
+    slots: impl Iterator<Item = &'v mut Value>,
+    min: i64,
+    bytes: &[u8],
+) {
+    for (slot, b) in slots.zip(bytes.chunks_exact(W)) {
+        *slot = Value::Int(min.wrapping_add_unsigned(offset::<W>(b)));
+    }
+}
+
+/// Reads an `ints` column's fields after its head: `min`, a width of 1, 2,
+/// 4 or 8 and `n_rows` offsets, all of which must lie in the payload, and
+/// none of which may take `min` past `i64::MAX`.
+fn read_ints<'p>(r: &mut Reader<'p>, n_rows: usize) -> DecResult<ColumnCells<'p>> {
+    let min = r.i64()?;
+    let width = r.u8()?;
+    if !matches!(width, 1 | 2 | 4 | 8) {
+        return Err(WireError::BadTag("int width", width));
+    }
+    let width = usize::from(width);
+    let offsets = r.take(n_rows * width)?;
+    let max = match width {
+        1 => max_offset::<1>(offsets),
+        2 => max_offset::<2>(offsets),
+        4 => max_offset::<4>(offsets),
+        _ => max_offset::<8>(offsets),
+    };
+    if min.checked_add_unsigned(max).is_none() {
+        return Err(WireError::Inconsistent("int offset past i64::MAX"));
+    }
+    Ok(ColumnCells::Ints {
+        min,
+        width,
+        offsets,
+    })
+}
+
+/// A `Rows` body as one batch, decoded against `stream`'s reply
+/// dictionaries (`None`: a body on its own, against empty ones). A
+/// dictionary value is decoded once per stream, and a cell is a clone of
+/// it (a reference count for a string, not an allocation); an `ints`
+/// column's cells are made from its offsets. Every count is held against
+/// the bytes that remain before anything is allocated for it, a column's
+/// ids or offsets are one bulk slice, and the cells are one vector, laid
+/// out once every column has been read.
+fn read_rows(r: &mut Reader<'_>, stream: Option<&mut RowsDecoder>) -> DecResult<RowBatch> {
     let n_rows = r.u32()? as usize;
     let n_cols = r.u16()? as usize;
     if stream.as_ref().is_some_and(|s| s.dicts.len() != n_cols) {
@@ -686,12 +927,12 @@ fn read_rows(r: &mut Reader<'_>, stream: Option<&mut RowsDecoder>) -> DecResult<
     if n_cols == 0 {
         // Rows of nothing would cost no bytes to claim.
         return match n_rows {
-            0 => Ok(Vec::new()),
+            0 => Ok(RowBatch::default()),
             _ => Err(WireError::Inconsistent("rows without columns")),
         };
     }
-    // A column spends five bytes on its head and id width, and at least
-    // one per row on ids.
+    // A column spends five bytes on its head and width, and at least one
+    // per row on ids or offsets.
     r.fits(n_rows, 1)?;
     r.fits(n_cols, 5)?;
     let mut own;
@@ -705,9 +946,19 @@ fn read_rows(r: &mut Reader<'_>, stream: Option<&mut RowsDecoder>) -> DecResult<
     let mut columns = Vec::with_capacity(n_cols);
     for dict in dicts.iter_mut() {
         let head = r.u32()?;
-        let (restart, n_new) = (head & RESTART != 0, (head & !RESTART) as usize);
+        let (restart, n_new) = (head & RESTART != 0, (head & N_NEW) as usize);
         if n_new > n_rows {
             return Err(WireError::Inconsistent("more new values than rows"));
+        }
+        if head & INT_BODY != 0 {
+            if restart {
+                return Err(WireError::Inconsistent("restart of an int column"));
+            }
+            if n_new > 0 {
+                return Err(WireError::Inconsistent("new values in an int column"));
+            }
+            columns.push(read_ints(r, n_rows)?);
+            continue;
         }
         if restart {
             if dict.is_empty() {
@@ -747,17 +998,33 @@ fn read_rows(r: &mut Reader<'_>, stream: Option<&mut RowsDecoder>) -> DecResult<
         if ids.iter().any(|&id| id as usize >= dict.len()) {
             return Err(WireError::Inconsistent("id beyond the reply dictionary"));
         }
-        columns.push(ids);
+        columns.push(ColumnCells::Ids(ids));
     }
-    Ok((0..n_rows)
-        .map(|row| {
-            columns
-                .iter()
-                .zip(dicts.iter())
-                .map(|(ids, dict)| dict[ids[row] as usize].clone())
-                .collect()
-        })
-        .collect())
+    let mut cells = vec![Value::Null; n_rows * n_cols];
+    for (c, (column, dict)) in columns.iter().zip(dicts.iter()).enumerate() {
+        let slots = cells.iter_mut().skip(c).step_by(n_cols);
+        match *column {
+            ColumnCells::Ids(ref ids) => {
+                for (slot, &id) in slots.zip(ids) {
+                    *slot = dict[id as usize].clone();
+                }
+            }
+            ColumnCells::Ints {
+                min,
+                width,
+                offsets,
+            } => match width {
+                1 => fill_ints::<1>(slots, min, offsets),
+                2 => fill_ints::<2>(slots, min, offsets),
+                4 => fill_ints::<4>(slots, min, offsets),
+                _ => fill_ints::<8>(slots, min, offsets),
+            },
+        }
+    }
+    Ok(RowBatch {
+        cells,
+        arity: n_cols,
+    })
 }
 
 fn agg_op_tag(op: AggOp) -> u8 {
@@ -1025,7 +1292,7 @@ pub fn decode_reply(kind: u8, payload: &[u8]) -> DecResult<Reply> {
             }
         }
         0x88 => Reply::Rows {
-            rows: read_rows(d, None)?,
+            rows: read_rows(d, None)?.into_iter().collect(),
         },
         0x89 => Reply::Done {
             batches: d.u64()?,
@@ -1355,7 +1622,7 @@ mod tests {
         let mut decoder = RowsDecoder::new(1);
         for (body, set) in bodies.iter().zip([&first, &second]) {
             let rows = decoder.decode(body).unwrap();
-            assert_eq!(rows.concat(), ids(set));
+            assert_eq!(rows.to_rows().concat(), ids(set));
         }
         // On its own, the second body names values it never sent.
         assert_eq!(
@@ -1407,14 +1674,20 @@ mod tests {
                 .iter()
                 .map(|&id| vec![abc[id as usize].clone()])
                 .collect();
-            assert_eq!(decoder.decode(&encoder.encode(&set)).unwrap(), want);
+            assert_eq!(
+                decoder.decode(&encoder.encode(&set)).unwrap().to_rows(),
+                want
+            );
         }
     }
 
     #[test]
     fn a_reply_dictionary_restarts_rather_than_pass_its_bound() {
-        let values: Vec<Value> = (0..REPLY_DICT_MAX as i64 + 100).map(Value::int).collect();
-        let column = Arc::new(EncodedColumn::from_values(ValueType::Int, &values).unwrap());
+        // Floats: a batch of ints without a NULL would not use the dictionary.
+        let values: Vec<Value> = (0..REPLY_DICT_MAX as u32 + 100)
+            .map(|i| Value::float(i.into()))
+            .collect();
+        let column = Arc::new(EncodedColumn::from_values(ValueType::Float, &values).unwrap());
         let max = REPLY_DICT_MAX as u32;
         // The first batch fills the dictionary but for 10 values; the second
         // reuses one value and brings 20 new ones.
@@ -1495,6 +1768,159 @@ mod tests {
         for (what, payload, want) in cases {
             assert_eq!(decode_reply(ROWS_KIND, &payload), Err(want), "{what}");
         }
+    }
+
+    /// A hand-built one-column body of `ints` fields: `head`, `min`,
+    /// `width` and the offset bytes, each written as given.
+    fn ints_body(n_rows: u32, head: u32, min: i64, width: u8, offsets: &[u8]) -> Vec<u8> {
+        let mut e = Vec::new();
+        e.put_u32_le(n_rows);
+        e.put_u16_le(1);
+        e.put_u32_le(head);
+        e.put_i64_le(min);
+        e.put_u8(width);
+        e.put_slice(offsets);
+        e
+    }
+
+    #[test]
+    fn an_int_column_without_a_null_travels_frame_of_reference() {
+        // Negative ints a span of 300 apart: two-byte offsets from -100.
+        let rows: Vec<Vec<Value>> = [-100i64, 200, -100, 0]
+            .iter()
+            .map(|&i| vec![Value::int(i)])
+            .collect();
+        let by_hand = ints_body(4, INT_BODY, -100, 2, &[0, 0, 44, 1, 0, 0, 100, 0]);
+        assert_eq!(encode_reply(&Reply::Rows { rows: rows.clone() }), by_hand);
+        assert_eq!(
+            RowsEncoder::default().encode(&RowSet::from_rows(1, rows.clone())),
+            by_hand
+        );
+        assert_eq!(
+            RowsDecoder::new(1).decode(&by_hand).unwrap().to_rows(),
+            rows
+        );
+        // A dense dictionary's ints come from its bounds: ids 5, 3 of the
+        // run from i64::MAX - 9 are the run's two greatest but four.
+        let dense = Arc::new(
+            EncodedColumn::from_values(
+                ValueType::Int,
+                &(0..10)
+                    .map(|i| Value::int(i64::MAX - 9 + i))
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap(),
+        );
+        assert!(dense.dict().is_dense());
+        let set = RowSet::new(
+            2,
+            vec![RowColumn::Dict {
+                column: dense,
+                ids: vec![5, 3],
+            }],
+        );
+        let body = RowsEncoder::default().encode(&set);
+        assert_eq!(body, ints_body(2, INT_BODY, i64::MAX - 6, 1, &[2, 0]));
+        assert_eq!(
+            RowsDecoder::new(1).decode(&body).unwrap().to_rows(),
+            set.to_rows()
+        );
+        // The extremes need eight-byte offsets; a NULL keeps the batch on
+        // the dictionary.
+        let wide = vec![vec![Value::int(i64::MIN)], vec![Value::int(i64::MAX)]];
+        let mut all_ones = vec![0; 8];
+        all_ones.extend([0xFF; 8]);
+        let body = encode_reply(&Reply::Rows { rows: wide.clone() });
+        assert_eq!(body, ints_body(2, INT_BODY, i64::MIN, 8, &all_ones));
+        assert_eq!(
+            decode_reply(ROWS_KIND, &body),
+            Ok(Reply::Rows { rows: wide })
+        );
+        let with_null = vec![vec![Value::int(1)], vec![Value::Null]];
+        assert_eq!(
+            encode_reply(&Reply::Rows {
+                rows: with_null.clone()
+            }),
+            rows_body(2, &[(2, &[Value::int(1), Value::Null], 1, &[0, 1])])
+        );
+    }
+
+    #[test]
+    fn an_int_batch_leaves_the_reply_dictionary_to_the_next_dictionary_batch() {
+        let plain = |cells: &[Value]| RowSet::from_rows(1, cells.iter().map(|v| vec![v.clone()]));
+        let stream = [
+            plain(&[Value::int(7), Value::Null]),
+            plain(&[Value::int(8), Value::int(9)]),
+            plain(&[Value::Null, Value::int(7), Value::int(8)]),
+        ];
+        let mut encoder = RowsEncoder::default();
+        let bodies: Vec<Vec<u8>> = stream.iter().map(|set| encoder.encode(set)).collect();
+        assert_eq!(bodies[1], ints_body(2, INT_BODY, 8, 1, &[0, 1]));
+        // The third batch reuses 7 and NULL as the first sent them, and
+        // adds only 8: the int batch between sent nothing to the dictionary.
+        assert_eq!(
+            bodies[2],
+            rows_body(3, &[(1, &[Value::int(8)], 1, &[1, 0, 2])])
+        );
+        let mut decoder = RowsDecoder::new(1);
+        for (body, set) in bodies.iter().zip(&stream) {
+            assert_eq!(decoder.decode(body).unwrap().to_rows(), set.to_rows());
+        }
+    }
+
+    #[test]
+    fn hostile_int_columns_are_typed_errors_before_anything_is_allocated() {
+        let cases: [(&str, Vec<u8>, WireError); 7] = [
+            (
+                "an offset width that is none of 1, 2, 4, 8",
+                ints_body(2, INT_BODY, 0, 3, &[0; 6]),
+                WireError::BadTag("int width", 3),
+            ),
+            (
+                "a zero offset width",
+                ints_body(2, INT_BODY, 0, 0, &[0; 2]),
+                WireError::BadTag("int width", 0),
+            ),
+            (
+                "eight-byte offsets of twenty rows in twenty bytes",
+                ints_body(20, INT_BODY, 0, 8, &[0; 20]),
+                WireError::Truncated,
+            ),
+            (
+                "an offset that takes min past i64::MAX",
+                ints_body(3, INT_BODY, i64::MAX - 1, 1, &[0, 1, 2]),
+                WireError::Inconsistent("int offset past i64::MAX"),
+            ),
+            (
+                "an eight-byte offset past i64::MAX from -1",
+                ints_body(1, INT_BODY, -1, 8, &[0xFF; 8]),
+                WireError::Inconsistent("int offset past i64::MAX"),
+            ),
+            (
+                "an int head with the restart bit",
+                ints_body(1, RESTART | INT_BODY, 0, 1, &[0]),
+                WireError::Inconsistent("restart of an int column"),
+            ),
+            (
+                "an int head that counts new values",
+                ints_body(1, INT_BODY | 1, 0, 1, &[0]),
+                WireError::Inconsistent("new values in an int column"),
+            ),
+        ];
+        for (what, payload, want) in cases {
+            assert_eq!(
+                decode_reply(ROWS_KIND, &payload),
+                Err(want.clone()),
+                "{what}"
+            );
+            assert_eq!(RowsDecoder::new(1).decode(&payload), Err(want), "{what}");
+        }
+        // The greatest offset from i64::MIN is i64::MAX, and decodes.
+        let edge = ints_body(1, INT_BODY, i64::MIN, 8, &[0xFF; 8]);
+        assert_eq!(
+            RowsDecoder::new(1).decode(&edge).unwrap().to_rows(),
+            vec![vec![Value::int(i64::MAX)]]
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::proto::{
 use crate::session::Session;
 use cods::{Cods, EvolutionError};
 use cods_query::{QueryError, QueryOutput, RowSet};
+use cods_storage::span::{self, Span};
 use cods_storage::{render_stats, CommitLog, RetryPolicy, StorageError, ValueType};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -320,7 +321,9 @@ impl<'a, W: Write> Connection<'a, W> {
     /// Done` sequence is written: header, one `Rows` frame per batch
     /// (`batches` yields no empty ones) encoded from its dictionary ids by
     /// the stream's one [`RowsEncoder`] (so a value travels once per
-    /// stream), closer with the totals the client verifies. Batches are
+    /// stream), closer with the totals the client verifies. Each `Rows`
+    /// body is encoded into one buffer the stream reuses and framed from it
+    /// into the window, so a batch costs no allocation of its own. Batches are
     /// pulled one at a time, so peak memory is one batch, the window and
     /// the bounded reply dictionaries, whatever the result size, and a
     /// reply longer than the window reaches the client while later batches
@@ -339,6 +342,7 @@ impl<'a, W: Write> Connection<'a, W> {
             total_rows,
         })?;
         let mut encoder = RowsEncoder::default();
+        let mut body = Vec::new();
         let mut sent = 0u64;
         let mut rows_sent = 0u64;
         for batch in batches {
@@ -349,7 +353,12 @@ impl<'a, W: Write> Connection<'a, W> {
             sent += 1;
             rows_sent += rows.len() as u64;
             ServerMetrics::add(&self.shared.metrics.rows_streamed, rows.len() as u64);
-            self.frame(ROWS_KIND, &encoder.encode(&rows))?;
+            body.clear();
+            let mut timer = span::enter(Span::WireEncode);
+            timer.items(|| rows.len() as u64);
+            encoder.encode_into(&rows, &mut body);
+            drop(timer);
+            self.frame(ROWS_KIND, &body)?;
         }
         self.reply(&Reply::Done {
             batches: sent,

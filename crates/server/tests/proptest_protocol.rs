@@ -272,6 +272,109 @@ fn row_set_stream() -> impl Strategy<Value = Vec<RowSet>> {
         })
 }
 
+/// A non-NULL value of `ty` for the mixed streams: for ints the extremes
+/// and values either side of each offset width's edge besides any; for
+/// floats raw bit patterns, NaN payloads among them.
+fn stream_value(ty: ValueType) -> BoxedStrategy<Value> {
+    match ty {
+        ValueType::Int => prop_oneof![
+            prop_oneof![Just(i64::MIN), Just(i64::MAX), Just(-1i64), Just(0i64)],
+            (0u32..4, -1i64..2).prop_map(|(k, d)| (1i64 << (8 << k).min(62)) + d),
+            any::<u64>().prop_map(|u| u as i64),
+        ]
+        .prop_map(Value::Int)
+        .boxed(),
+        ValueType::Float => prop_oneof![
+            any::<u64>().prop_map(f64::from_bits),
+            any::<u64>().prop_map(|b| f64::from_bits(0x7FF8_0000_0000_0000 | b)),
+        ]
+        .prop_map(|f| Value::Float(OrderedF64(f)))
+        .boxed(),
+        ValueType::Bool => any::<bool>().prop_map(Value::Bool).boxed(),
+        ValueType::Str => name().prop_map(Value::str).boxed(),
+    }
+}
+
+/// A table column's values: distinct values of `ty`, with a NULL among
+/// them or without; for ints, sometimes a dense run ending near
+/// `i64::MAX`, which a dictionary holds by its bounds.
+fn stream_pool(ty: ValueType) -> BoxedStrategy<Vec<Value>> {
+    let drawn = (
+        prop::collection::vec(stream_value(ty), 1..12),
+        any::<bool>(),
+    )
+        .prop_map(|(mut pool, null)| {
+            if null {
+                pool.push(Value::Null);
+            }
+            pool
+        });
+    if ty != ValueType::Int {
+        return drawn.boxed();
+    }
+    let dense = (1usize..40, any::<bool>()).prop_map(|(len, top)| {
+        let first = if top { i64::MAX - len as i64 + 1 } else { -20 };
+        (0..len as i64).map(|i| Value::int(first + i)).collect()
+    });
+    prop_oneof![drawn, dense].boxed()
+}
+
+/// One reply stream's batches over columns of mixed types. Each column
+/// draws from two table columns of its type, one batch from either, as
+/// dictionary ids or as plain cells: an int column with a NULL in one
+/// pool and none in the other alternates `ints` and dictionary batches.
+fn mixed_stream() -> impl Strategy<Value = Vec<RowSet>> {
+    (1usize..4)
+        .prop_flat_map(|arity| {
+            let pools = prop::collection::vec(
+                value_type().prop_flat_map(|ty| (stream_pool(ty), stream_pool(ty), Just(ty))),
+                arity,
+            );
+            let batch = (
+                0usize..30,
+                prop::collection::vec((0u8..4, prop::collection::vec(any::<u64>(), 30)), arity),
+            );
+            (pools, prop::collection::vec(batch, 1..7))
+        })
+        .prop_map(|(pools, batches)| {
+            let backing: Vec<[Arc<EncodedColumn>; 2]> = pools
+                .iter()
+                .map(|(a, b, ty)| {
+                    let column =
+                        |pool: &[Value]| Arc::new(EncodedColumn::from_values(*ty, pool).unwrap());
+                    [column(a), column(b)]
+                })
+                .collect();
+            batches
+                .into_iter()
+                .map(|(len, columns)| {
+                    let columns = columns
+                        .into_iter()
+                        .zip(&backing)
+                        .map(|((choice, picks), pair)| {
+                            let column = &pair[usize::from(choice % 2)];
+                            let distinct = column.dict().len() as u64;
+                            let ids: Vec<u32> =
+                                picks[..len].iter().map(|p| (p % distinct) as u32).collect();
+                            if choice < 2 {
+                                return RowColumn::Dict {
+                                    column: Arc::clone(column),
+                                    ids,
+                                };
+                            }
+                            RowColumn::Plain(
+                                ids.iter()
+                                    .map(|&id| column.dict().value(id).into_owned())
+                                    .collect(),
+                            )
+                        })
+                        .collect();
+                    RowSet::new(len, columns)
+                })
+                .collect()
+        })
+}
+
 fn decode_rows(payload: &[u8]) -> Result<Vec<Vec<Value>>, WireError> {
     decode_reply(ROWS_KIND, payload).map(|reply| match reply {
         Reply::Rows { rows } => rows,
@@ -411,7 +514,18 @@ proptest! {
         let mut encoder = RowsEncoder::default();
         let mut decoder = RowsDecoder::new(stream[0].arity());
         for set in &stream {
-            prop_assert_eq!(decoder.decode(&encoder.encode(set)).unwrap(), set.to_rows());
+            prop_assert_eq!(decoder.decode(&encoder.encode(set)).unwrap().to_rows(), set.to_rows());
+        }
+    }
+
+    #[test]
+    fn mixed_streams_decode_to_their_rows_batch_by_batch(stream in mixed_stream()) {
+        let mut encoder = RowsEncoder::default();
+        let mut decoder = RowsDecoder::new(stream[0].arity());
+        for set in &stream {
+            let batch = decoder.decode(&encoder.encode(set)).unwrap();
+            prop_assert_eq!(batch.len(), set.len());
+            prop_assert_eq!(batch.to_rows(), set.to_rows());
         }
     }
 
@@ -453,7 +567,7 @@ proptest! {
             Err(FrameError::Corrupt | FrameError::Torn | FrameError::TooLarge { .. })
         ));
         // The intact frame still decodes where the stream left off.
-        prop_assert_eq!(decoder.decode(payload).unwrap(), stream[k].to_rows());
+        prop_assert_eq!(decoder.decode(payload).unwrap().to_rows(), stream[k].to_rows());
     }
 
     #[test]
@@ -504,8 +618,11 @@ fn id_width_follows_the_distinct_count_of_the_batch() {
     ] {
         // A dictionary larger than the batch's share of it, every value of
         // that share carried once and the first few twice.
-        let pool: Vec<Value> = (0..distinct as i64 + 10).map(Value::int).collect();
-        let column = Arc::new(EncodedColumn::from_values(ValueType::Int, &pool).unwrap());
+        // Floats: a batch of ints without a NULL is sent frame-of-reference.
+        let pool: Vec<Value> = (0..distinct as u32 + 10)
+            .map(|i| Value::float(i.into()))
+            .collect();
+        let column = Arc::new(EncodedColumn::from_values(ValueType::Float, &pool).unwrap());
         let ids: Vec<u32> = (0..distinct as u32).rev().chain(0..5).collect();
         let len = ids.len();
         let plain = (0..len)
@@ -516,7 +633,7 @@ fn id_width_follows_the_distinct_count_of_the_batch() {
             vec![RowColumn::Dict { column, ids }, RowColumn::Plain(plain)],
         );
         let payload = RowsEncoder::default().encode(&set);
-        // Header; count, nine bytes per int, width, ids; the plain column's
+        // Header; count, nine bytes per float, width, ids; the plain column's
         // three strings (tag, length, two bytes) under one-byte ids.
         let expected = 6 + (4 + 9 * distinct + 1 + width * len) + (4 + 3 * 7 + 1 + len);
         assert_eq!(payload.len(), expected, "{distinct} distinct values");
@@ -549,8 +666,11 @@ const RESTART: u32 = 1 << 31;
 /// bodies that claim billions of values are a few bytes long.
 #[test]
 fn hostile_row_streams_are_typed_errors() {
-    // A full reply dictionary, sent by a well-formed first batch.
-    let full: Vec<Value> = (0..REPLY_DICT_MAX as i64).map(Value::int).collect();
+    // A full reply dictionary, sent by a well-formed first batch (its NULL
+    // keeps the ints on the dictionary rather than frame-of-reference).
+    let full: Vec<Value> = std::iter::once(Value::Null)
+        .chain((1..REPLY_DICT_MAX as i64).map(Value::int))
+        .collect();
     let full_body =
         RowsEncoder::default().encode(&RowSet::from_rows(1, full.iter().map(|v| vec![v.clone()])));
     let two = int_body(2, &[(2, &[10, 20], 1, &[0, 1])]);
@@ -635,11 +755,131 @@ fn hostile_row_streams_are_typed_errors() {
     decoder.decode(&full_body).unwrap();
     let restarted = int_body(2, &[(RESTART | 1, &[-1], 1, &[0, 0])]);
     assert_eq!(
-        decoder.decode(&restarted),
+        decoder.decode(&restarted).map(|batch| batch.to_rows()),
         Ok(vec![vec![Value::int(-1)]; 2])
     );
     assert_eq!(
         decoder.decode(&int_body(1, &[(0, &[], 1, &[1])])),
         Err(WireError::Inconsistent("id beyond the reply dictionary"))
     );
+}
+
+/// A hand-built `ints` column body of one column: `head`, `min`, `width`
+/// and the offset bytes, each written as given, consistent or not.
+fn ints_body(n_rows: u32, head: u32, min: i64, width: u8, offsets: &[u8]) -> Vec<u8> {
+    let mut out = n_rows.to_le_bytes().to_vec();
+    out.extend_from_slice(&1u16.to_le_bytes());
+    out.extend_from_slice(&head.to_le_bytes());
+    out.extend_from_slice(&min.to_le_bytes());
+    out.push(width);
+    out.extend_from_slice(offsets);
+    out
+}
+
+/// The `head` that marks a column's batch as frame-of-reference ints.
+const INT_BODY: u32 = 1 << 30;
+
+/// Hostile `ints` columns mid-stream end in typed errors, after a
+/// well-formed dictionary batch and a well-formed `ints` batch, and the
+/// reply dictionary the stream built survives both: no count is trusted
+/// past the bytes that remain, and no int wraps.
+#[test]
+fn hostile_int_columns_in_a_stream_are_typed_errors() {
+    let two = int_body(2, &[(2, &[10, 20], 1, &[0, 1])]);
+    let ints = ints_body(3, INT_BODY, -5, 1, &[0, 5, 10]);
+    let cases: Vec<(&str, Vec<u8>, WireError)> = vec![
+        (
+            "an offset width of three",
+            ints_body(1, INT_BODY, 0, 3, &[0; 3]),
+            WireError::BadTag("int width", 3),
+        ),
+        (
+            "a width of sixteen",
+            ints_body(1, INT_BODY, 0, 16, &[0; 16]),
+            WireError::BadTag("int width", 16),
+        ),
+        (
+            "offsets of a million rows claimed by a few bytes",
+            ints_body(1_000_000, INT_BODY, 0, 8, &[0; 24]),
+            WireError::Truncated,
+        ),
+        (
+            "four-byte offsets running past the payload",
+            ints_body(4, INT_BODY, 0, 4, &[0; 15]),
+            WireError::Truncated,
+        ),
+        (
+            "a two-byte offset past i64::MAX",
+            ints_body(2, INT_BODY, i64::MAX - 0x100, 2, &[0, 0, 0, 2]),
+            WireError::Inconsistent("int offset past i64::MAX"),
+        ),
+        (
+            "an int head with the restart bit",
+            ints_body(1, INT_BODY | RESTART, 0, 1, &[0]),
+            WireError::Inconsistent("restart of an int column"),
+        ),
+    ];
+    for (what, last, want) in cases {
+        let mut decoder = RowsDecoder::new(1);
+        decoder.decode(&two).unwrap();
+        assert_eq!(
+            decoder.decode(&ints).unwrap().to_rows(),
+            vec![
+                vec![Value::int(-5)],
+                vec![Value::int(0)],
+                vec![Value::int(5)]
+            ]
+        );
+        assert_eq!(decoder.decode(&last), Err(want), "{what}");
+        // The dictionary the first batch sent still answers.
+        let again = int_body(2, &[(0, &[], 1, &[1, 0])]);
+        assert_eq!(
+            decoder.decode(&again).unwrap().to_rows(),
+            vec![vec![Value::int(20)], vec![Value::int(10)]],
+            "{what}"
+        );
+    }
+}
+
+/// One column alternating `ints` and dictionary batches, from one table
+/// column and as plain cells: each batch decodes to its rows, an `ints`
+/// batch sends no value to the dictionary, and the dictionary batches
+/// after one send only the values their stream has not sent.
+#[test]
+fn a_column_alternating_ints_and_dictionary_batches_decodes_batch_by_batch() {
+    let pool: Vec<Value> = std::iter::once(Value::Null)
+        .chain([i64::MIN, -1, 0, 1, 300, i64::MAX].map(Value::int))
+        .collect();
+    let column = Arc::new(EncodedColumn::from_values(ValueType::Int, &pool).unwrap());
+    let dict = |ids: &[u32]| {
+        RowSet::new(
+            ids.len(),
+            vec![RowColumn::Dict {
+                column: Arc::clone(&column),
+                ids: ids.to_vec(),
+            }],
+        )
+    };
+    let plain = |cells: &[i64]| RowSet::from_rows(1, cells.iter().map(|&i| vec![Value::int(i)]));
+    let stream = [
+        dict(&[0, 2, 3]),
+        dict(&[1, 6, 5]),
+        plain(&[-7, 12]),
+        dict(&[3, 0, 4]),
+        dict(&[2, 0]),
+        plain(&[5]),
+        dict(&[0]),
+    ];
+    let mut encoder = RowsEncoder::default();
+    let mut decoder = RowsDecoder::new(1);
+    let mut heads = Vec::new();
+    for set in &stream {
+        let body = encoder.encode(set);
+        heads.push(u32::from_le_bytes(body[6..10].try_into().unwrap()));
+        assert_eq!(decoder.decode(&body).unwrap().to_rows(), set.to_rows());
+    }
+    // NULL, -1 and 0 first; then ints, the extremes among them; then only
+    // 1 is new; then -1 and NULL, both sent by the first batch, and nothing
+    // new; then ints; then NULL once more, long sent.
+    assert_eq!(heads, [3, INT_BODY, INT_BODY, 1, 0, INT_BODY, 0]);
 }

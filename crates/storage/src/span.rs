@@ -16,7 +16,8 @@
 //! → id map, and reconciling two dictionaries' ids, per path; and the
 //! evolution operators' per-row work above the seal: DECOMPOSE's
 //! distinction and Property 2 check and key–foreign-key MERGE's scan, one
-//! span per row chunk.
+//! span per row chunk; and the wire: the server encoding one `Rows` batch,
+//! and the client decoding one.
 
 use crate::encoded::Encoding;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -88,11 +89,16 @@ pub enum Span {
     /// to their keyed rows and each payload column's segment sealed
     /// (items: rows).
     SmoKeyFkWrite,
+    /// The server encoding one `Rows` batch of a reply stream (items:
+    /// rows).
+    WireEncode,
+    /// The client decoding one `Rows` body into a row batch (items: rows).
+    WireDecode,
 }
 
 impl Span {
     /// Every span, in registry order.
-    pub const ALL: [Span; 23] = [
+    pub const ALL: [Span; 25] = [
         Span::SealBitmap,
         Span::SealRle,
         Span::SealPacked,
@@ -116,6 +122,8 @@ impl Span {
         Span::SmoDistinction,
         Span::SmoFdCheck,
         Span::SmoKeyFkWrite,
+        Span::WireEncode,
+        Span::WireDecode,
     ];
 
     /// The span's printed name.
@@ -144,6 +152,8 @@ impl Span {
             Span::SmoDistinction => "smo.distinction",
             Span::SmoFdCheck => "smo.fd_check",
             Span::SmoKeyFkWrite => "smo.key_fk_write",
+            Span::WireEncode => "wire.encode",
+            Span::WireDecode => "wire.decode",
         }
     }
 

@@ -760,7 +760,7 @@ fn exchange(
         content.push(kind);
         if kind == ROWS_KIND {
             let decoder: &mut RowsDecoder = decoder.as_mut().expect("a header opens the stream");
-            rows_in_v1_layout(&decoder.decode(&payload).unwrap(), &mut content);
+            rows_in_v1_layout(&decoder.decode(&payload).unwrap().to_rows(), &mut content);
             continue;
         }
         match decode_reply(kind, &payload).unwrap() {
@@ -792,14 +792,18 @@ const V1_BYTES: [u64; 3] = [77_923, 110_107, 241_270];
 /// must shrink the multi-batch join and never grow an exchange.
 const V3_BYTES: [u64; 3] = [28_262, 60_149, 70_826];
 
+/// Version 5's totals (version 4's `Rows` bodies), the last that sent
+/// every int through the reply dictionary: version 6's frame-of-reference
+/// int columns must shrink all three.
+const V5_BYTES: [u64; 3] = [26_354, 60_140, 70_494];
+
 #[test]
-fn reply_bytes_frames_and_totals_are_those_of_protocol_version_4() {
+fn reply_bytes_frames_and_totals_are_those_of_protocol_version_6() {
     // Frame counts, `Done` totals and content digests are the constants
     // recorded under protocol version 1: neither the windowed reply writer,
-    // the columnar `Rows` body nor its reply-scoped dictionary changed
-    // which rows a reply carries, in which order, in which batches. The
-    // byte totals are version 4's, which version 5 keeps: its `Rows` body is
-    // unchanged.
+    // the columnar `Rows` body, its reply-scoped dictionary nor its
+    // frame-of-reference int columns changed which rows a reply carries, in
+    // which order, in which batches. The byte totals are version 6's.
     let cods = platform(5_000, 512);
     add_dim(&cods);
     let mut handle =
@@ -808,7 +812,7 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_4() {
     let mut raw = std::net::TcpStream::connect(handle.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
-    assert_eq!(cods_server::frame::read_preamble(&mut reader).unwrap(), 5);
+    assert_eq!(cods_server::frame::read_preamble(&mut reader).unwrap(), 6);
     let (hello, _) = cods_server::frame::read_frame(&mut reader, 1 << 20).unwrap();
     assert_eq!(hello, 0x81);
 
@@ -845,7 +849,7 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_4() {
         scan,
         Exchange {
             frames: 12,
-            bytes: 26_354,
+            bytes: 9_335,
             digest: 11858813980843628085,
             done_batches: 10,
             done_rows: 2_144,
@@ -855,7 +859,7 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_4() {
         group_by,
         Exchange {
             frames: 4,
-            bytes: 60_140,
+            bytes: 15_163,
             digest: 3352937161572489144,
             done_batches: 2,
             done_rows: 5_000,
@@ -866,19 +870,21 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_4() {
         Exchange { digest: 0, ..join },
         Exchange {
             frames: 4,
-            bytes: 70_494,
+            bytes: 25_463,
             digest: 0,
             done_batches: 2,
             done_rows: 5_000,
         }
     );
-    for ((now, v1), v3) in [scan.bytes, group_by.bytes, join.bytes]
+    for (((now, v1), v3), v5) in [scan.bytes, group_by.bytes, join.bytes]
         .iter()
         .zip(V1_BYTES)
         .zip(V3_BYTES)
+        .zip(V5_BYTES)
     {
         assert!(*now < v1, "{now} bytes against version 1's {v1}");
         assert!(*now <= v3, "{now} bytes against version 3's {v3}");
+        assert!(*now < v5, "{now} bytes against version 5's {v5}");
     }
     assert!(join.bytes < V3_BYTES[2], "the join's batches share values");
     // The server's own byte counter agrees: the three streams plus the
@@ -898,9 +904,10 @@ fn reply_bytes_frames_and_totals_are_those_of_protocol_version_4() {
 fn a_version_1_preamble_is_refused() {
     use cods_server::frame::{read_preamble, FrameError, SERVE_MAGIC};
     // Version 2 differs from 3 only in the frame checksum, 3 from 4 only in
-    // how a `Rows` body's dictionary is scoped, and 4 from 5 only in the
-    // `Stats` and `Metrics` replies: refused alike.
-    for version in [1u16, 2, 3, 4] {
+    // how a `Rows` body's dictionary is scoped, 4 from 5 only in the
+    // `Stats` and `Metrics` replies, and 5 from 6 only in how a `Rows` body
+    // sends an int column: refused alike.
+    for version in [1u16, 2, 3, 4, 5] {
         let mut preamble = SERVE_MAGIC.to_le_bytes().to_vec();
         preamble.extend_from_slice(&version.to_le_bytes());
         // A `Rows` frame of that version follows; it is never looked at.

@@ -9,11 +9,14 @@
 //! share of the open can be read against its ids and ones. A second test
 //! prints the evolution operators' per-chunk spans beside the seal and the
 //! walker for one DECOMPOSE + MERGE of a 256 Ki-row, 10,000-entity sweep
-//! table. Its own binary, and the tests take turns: the span registry is
-//! process-wide.
+//! table. A third serves the benchmark's `recent ⋈ customer_dim` join of
+//! 65,536 rows over loopback and prints the wire's spans: the server
+//! encoding each `Rows` batch, the client decoding it. Its own
+//! binary, and the tests take turns: the span registry is process-wide.
 
-use cods::{decompose, merge, DecomposeSpec, MergeStrategy};
+use cods::{decompose, merge, Cods, DecomposeSpec, MergeStrategy};
 use cods_query::{parse_query, QueryOutput};
+use cods_server::{Client, Server, ServerConfig};
 use cods_storage::persist::{read_catalog, save_catalog};
 use cods_storage::span::{self, Span, SpanStats};
 use cods_storage::{Catalog, Schema, Table};
@@ -223,4 +226,54 @@ fn a_decompose_merge_cycle_reports_its_per_chunk_spans() {
     assert_eq!(again.distinct_keys, 10_000);
     assert_eq!(of(&stats, Span::SmoDistinction).count, 1);
     assert_eq!(of(&stats, Span::SmoFdCheck).count, 0);
+}
+
+#[test]
+fn a_served_join_reports_its_wire_spans() {
+    let _turn = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = WarehouseConfig {
+        sales: 1 << 16,
+        customers: 10_000,
+        regions: 50,
+        seed: 1,
+    };
+    let cods = Cods::new();
+    for t in [sales_fact(&cfg).renamed("recent"), star_customer_dim(&cfg)] {
+        cods.catalog().create(t).unwrap();
+    }
+    let mut handle = Server::bind("127.0.0.1:0", Arc::new(cods), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let join = |client: &mut Client| {
+        let keys = || vec!["cust_id".to_string()];
+        let mut rows = 0;
+        let summary = client
+            .join_with("recent", "customer_dim", keys(), keys(), |_, batch| {
+                rows += batch.len() as u64
+            })
+            .unwrap();
+        assert_eq!(rows, summary.rows);
+        summary
+    };
+    // One join to warm both ends, then one recorded.
+    join(&mut client);
+    let streamed = |client: &mut Client| client.metrics().unwrap().bytes_streamed;
+    let before = streamed(&mut client);
+    span::reset();
+    span::set_recording(true);
+    let summary = join(&mut client);
+    span::set_recording(false);
+    let stats = span::snapshot();
+    let bytes = streamed(&mut client) - before;
+    handle.shutdown();
+    println!(
+        "recent ⋈ customer_dim over loopback: {} rows in {} batches, {bytes} bytes",
+        summary.rows, summary.batches
+    );
+    print!("{}", span::render());
+    assert_eq!(summary.rows, cfg.sales);
+    // One span per batch on each end, over every row once.
+    for s in [Span::WireEncode, Span::WireDecode] {
+        assert_eq!(of(&stats, s).count, summary.batches, "{}", s.name());
+        assert_eq!(of(&stats, s).items, cfg.sales, "{}", s.name());
+    }
 }
